@@ -93,8 +93,8 @@ type Config struct {
 	// (the default, and the paper's setting) means exact measurements.
 	MeasurementNoise float64
 
-	// The remaining knobs govern the hardened fault path (DESIGN.md §9) and
-	// are consulted only when an injector is attached via AttachFaults.
+	// The remaining knobs govern retransmission (DESIGN.md §9) and only
+	// matter when an injector attached via AttachFaults loses messages.
 
 	// ProbeTimeoutMS is how long a peer waits for a probe step to be answered
 	// before declaring the message lost and retransmitting. Zero selects the
@@ -152,6 +152,242 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// The peer kernel. Everything below up to ExchangeEvent is the §3.2 per-peer
+// protocol with no clock, lock, counter or message in it: the neighborQ, the
+// first-hop standing rule, the Markov timer, trade selection and the
+// evaluate → gate → commit step. Protocol (this package, on event.Clock) and
+// propnode.Runtime (goroutines over a transport) are drivers of it: they own
+// I/O, locking and counting, and nothing else.
+
+// QueueEntry is one neighborQ entry: a neighbor slot and its standing.
+// Lower Prio is probed sooner; ties go to the earlier arrival.
+type QueueEntry struct {
+	Neighbor int
+	Prio     int
+	seq      int // arrival order, the FIFO tie-break
+}
+
+// Peer is one peer's protocol state: the neighborQ, the number of probe
+// cycles started (the warm-up gate) and the probe timer. A driver sets
+// TimerMS to INIT_TIMER when the peer registers and again whenever its
+// neighborhood churns (§3.2); every other change goes through the methods.
+type Peer struct {
+	Queue   []QueueEntry
+	Trials  int
+	TimerMS float64
+
+	seq int
+	hop int // 1 + index of the first hop of the cycle in flight; 0 = none
+}
+
+// Init fills the neighborQ with a random permutation of nbrs ("initialized
+// with a random sequence … so each neighbor has an equal probability to be
+// probed"). nbrs is permuted in place.
+func (p *Peer) Init(nbrs []int, r *rng.Rand) {
+	r.Shuffle(len(nbrs), func(i, j int) { nbrs[i], nbrs[j] = nbrs[j], nbrs[i] })
+	p.Queue = p.Queue[:0]
+	for _, nb := range nbrs {
+		p.Queue = append(p.Queue, QueueEntry{Neighbor: nb, seq: p.seq})
+		p.seq++
+	}
+}
+
+// Reconcile drops entries that are no longer in nbrs (the peer's current
+// neighbors) and inserts new neighbors at the front, in the order nbrs
+// lists them (minimum priority — probed earliest, per §3.2's churn rule).
+func (p *Peer) Reconcile(nbrs []int) {
+	inSet := make(map[int]bool, len(nbrs))
+	for _, nb := range nbrs {
+		inSet[nb] = true
+	}
+	kept := p.Queue[:0]
+	seen := make(map[int]bool, len(p.Queue))
+	minPrio := 0
+	for _, qe := range p.Queue {
+		if inSet[qe.Neighbor] && !seen[qe.Neighbor] {
+			kept = append(kept, qe)
+			seen[qe.Neighbor] = true
+			if qe.Prio < minPrio {
+				minPrio = qe.Prio
+			}
+		}
+	}
+	p.Queue = kept
+	for _, nb := range nbrs {
+		if !seen[nb] {
+			p.Queue = append(p.Queue, QueueEntry{Neighbor: nb, Prio: minPrio - 1, seq: p.seq})
+			p.seq++
+		}
+	}
+}
+
+// FirstHop opens a probe cycle: it counts the trial and returns the
+// minimum-priority neighbor as the walk's first hop. ok is false when the
+// queue is empty. The cycle ends with Finish, and the queue must not be
+// reconciled in between.
+func (p *Peer) FirstHop() (neighbor int, ok bool) {
+	p.Trials++
+	best := -1
+	for i, qe := range p.Queue {
+		if best < 0 || qe.Prio < p.Queue[best].Prio ||
+			(qe.Prio == p.Queue[best].Prio && qe.seq < p.Queue[best].seq) {
+			best = i
+		}
+	}
+	p.hop = best + 1
+	if best < 0 {
+		return 0, false
+	}
+	return p.Queue[best].Neighbor, true
+}
+
+// maxPrio returns the maximum priority in the queue (0 if empty).
+func (p *Peer) maxPrio() int {
+	max := 0
+	for _, qe := range p.Queue {
+		if qe.Prio > max {
+			max = qe.Prio
+		}
+	}
+	return max
+}
+
+// Finish closes the probe cycle FirstHop opened and returns the delay to
+// the next one. During the first MaxInitTrials cycles the first hop rotates
+// to the queue tail and the timer stays at INIT_TIMER, so every neighbor
+// gets a turn. Afterwards a successful first hop moves up one priority and
+// the timer resets; a failed one falls to the tail and the timer doubles,
+// resetting once it passes MaxTimerFactor × INIT_TIMER.
+func (p *Peer) Finish(success bool, cfg Config) (nextTimerMS float64) {
+	warmUp := p.Trials <= cfg.MaxInitTrials
+	if p.hop > 0 {
+		if success && !warmUp {
+			p.Queue[p.hop-1].Prio--
+		} else {
+			p.Queue[p.hop-1].Prio = p.maxPrio() + 1
+		}
+		p.hop = 0
+	}
+	if success || warmUp {
+		p.TimerMS = cfg.InitTimerMS
+	} else {
+		p.TimerMS *= 2
+		if p.TimerMS > cfg.MaxTimerFactor*cfg.InitTimerMS {
+			p.TimerMS = cfg.InitTimerMS
+		}
+	}
+	return p.TimerMS
+}
+
+// SelectTrade picks up to m neighbors from each side of a PROP-O exchange
+// between u and v, honoring the Theorem 1 constraints. Per §3.2 the peers
+// exchange address lists of "arbitrary m neighbors" — the selection is
+// random, not greedy; the Var test afterwards decides whether the candidate
+// trade is worth executing. Both sides return equally many neighbors
+// (possibly fewer than m when eligibility is scarce); empty slices mean no
+// legal trade exists.
+func SelectTrade(o *overlay.Overlay, u, v int, path []int, m int, r *rng.Rand) (give, take []int) {
+	onPath := make(map[int]bool, len(path))
+	for _, x := range path {
+		onPath[x] = true
+	}
+	eligibleFrom := func(from, to int) []int {
+		var out []int
+		for _, x := range o.Neighbors(from) {
+			if x == to || x == from || onPath[x] || !o.Alive(x) {
+				continue
+			}
+			if o.Logical.HasEdge(to, x) {
+				continue
+			}
+			out = append(out, x)
+		}
+		return out
+	}
+	candU := eligibleFrom(u, v)
+	candV := eligibleFrom(v, u)
+	if len(candU) < m {
+		m = len(candU)
+	}
+	if len(candV) < m {
+		m = len(candV)
+	}
+	if m == 0 {
+		return nil, nil
+	}
+	pick := func(cands []int) []int {
+		r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+		out := cands[:m]
+		sort.Ints(out)
+		return out
+	}
+	return pick(candU), pick(candV)
+}
+
+// Outcome is how one Exchange call ended.
+type Outcome int
+
+const (
+	// Rejected: Var <= MIN_VAR, no legal trade existed, or the overlay
+	// refused the commit. Nothing changed.
+	Rejected Outcome = iota
+	// Poisoned: a measurement failed, so Var was never trusted and nothing
+	// changed — an exchange must never execute on incomplete data, or a
+	// half-evaluated Var could corrupt the slot↔host mapping.
+	Poisoned
+	// Committed: the exchange executed.
+	Committed
+)
+
+// Exchange evaluates Var for the (u,v) pair from measured host-to-host
+// RTTs and executes the exchange iff Var > minVar: a host swap under PROPG,
+// a trade of up to m neighbors per side (never ones on path) under PROPO.
+// measure reports ok=false when an RTT could not be obtained; after the
+// first failure it is not called again. moved counts the neighbor entries
+// the exchange touches — |N(u)|+|N(v)| under PROPG, both trade lists under
+// PROPO — which is also the number of measurements taken and, on commit,
+// of notifications owed (§4.3); it is 0 when no legal trade existed.
+func Exchange(o *overlay.Overlay, policy Policy, u, v int, path []int, m int, minVar float64,
+	measure func(hostA, hostB int) (rtt float64, ok bool), r *rng.Rand) (out Outcome, variation float64, moved int) {
+	failed := false
+	hosts := func(a, b int) float64 {
+		if failed {
+			return 0
+		}
+		rtt, ok := measure(a, b)
+		if !ok {
+			failed = true
+			return 0
+		}
+		return rtt
+	}
+	var commit func() error
+	switch policy {
+	case PROPG:
+		moved = o.Degree(u) + o.Degree(v)
+		variation = o.SwapGainMeasured(u, v, hosts)
+		commit = func() error { return o.SwapHosts(u, v) }
+	case PROPO:
+		give, take := SelectTrade(o, u, v, path, m, r)
+		if len(give) == 0 {
+			return Rejected, 0, 0
+		}
+		moved = len(give) + len(take)
+		slots := func(x, y int) float64 { return hosts(o.HostOf(x), o.HostOf(y)) }
+		variation = o.ExchangeGainMeasured(u, v, give, take, slots)
+		commit = func() error { return o.ExchangeNeighbors(u, v, give, take, path) }
+	default:
+		return Rejected, 0, 0
+	}
+	switch {
+	case failed:
+		return Poisoned, variation, moved
+	case variation <= minVar || commit() != nil:
+		return Rejected, variation, moved
+	}
+	return Committed, variation, moved
+}
+
 // ExchangeEvent records one executed peer-exchange for tracing.
 type ExchangeEvent struct {
 	At   event.Time
@@ -188,27 +424,19 @@ type Protocol struct {
 	r      *rng.Rand
 	m      int // resolved PROP-O exchange size
 	nodes  map[int]*nodeState
-	faults *faults.Injector // nil = fault-free fast path
+	faults *faults.Injector // nil = every message arrives clean
 }
 
+// nodeState is the sequential driver's per-slot bookkeeping around the
+// kernel's Peer: the pending timer and the retransmit-chain guard.
 type nodeState struct {
-	slot    int
-	queue   []queueEntry
-	seq     int
-	timerMS float64
-	trials  int // probes executed so far (warm-up gate)
-	token   event.Canceler
+	Peer
+	token event.Canceler
 	// epoch invalidates in-flight retransmit chains: it is bumped whenever
 	// the node's situation changes underneath a pending retransmit timer
 	// (neighbor churn, repair, death), so a stale timer firing later is
 	// recognized and absorbed instead of starting a second probe cycle.
 	epoch int
-}
-
-type queueEntry struct {
-	neighbor int
-	prio     int
-	seq      int // FIFO tie-break
 }
 
 // New creates a protocol instance over o. The overlay should already be
@@ -243,13 +471,13 @@ func New(o *overlay.Overlay, cfg Config, r *rng.Rand) (*Protocol, error) {
 	return p, nil
 }
 
-// AttachFaults opts the protocol into fault-aware operation: probe traffic
-// consults inj message by message, losses trigger timeouts and bounded
-// retransmission with exponential back-off + jitter, duplicated responses
-// are dropped by their sequence guard, and each probe cycle starts with
-// liveness eviction of crashed neighbors. A nil injector — or never calling
-// AttachFaults — keeps the historical fault-free fast path, which schedules
-// the same events and consumes the same RNG stream as pre-fault builds.
+// AttachFaults runs the protocol's messages past inj: losses trigger
+// timeouts and bounded retransmission with exponential back-off + jitter,
+// duplicated responses are dropped by their sequence guard, and each probe
+// cycle starts with liveness eviction of crashed neighbors. A nil injector —
+// or never calling AttachFaults — takes the same code path with every
+// message delivered clean: a nil injector consumes no randomness, so the
+// events scheduled and the RNG stream are those of pre-fault builds.
 func (p *Protocol) AttachFaults(inj *faults.Injector) { p.faults = inj }
 
 // M returns the resolved PROP-O exchange size.
@@ -268,8 +496,8 @@ func (p *Protocol) Start(e event.Clock) {
 
 // register creates protocol state for slot and schedules its first probe.
 func (p *Protocol) register(e event.Clock, slot int) {
-	st := &nodeState{slot: slot, timerMS: p.cfg.InitTimerMS}
-	p.initQueue(st)
+	st := &nodeState{Peer: Peer{TimerMS: p.cfg.InitTimerMS}}
+	st.Init(p.O.Neighbors(slot), p.r)
 	p.nodes[slot] = st
 	delay := event.Time(p.r.Float64() * p.cfg.InitTimerMS)
 	st.token = e.Schedule(delay, func() { p.probe(e, slot) })
@@ -339,89 +567,22 @@ func (p *Protocol) onNeighborChange(e event.Clock, slot int) {
 	if !ok {
 		return
 	}
-	st.timerMS = p.cfg.InitTimerMS
+	st.TimerMS = p.cfg.InitTimerMS
 	st.token.Cancel()
 	st.epoch++
-	st.token = e.Schedule(event.Time(st.timerMS), func() { p.probe(e, slot) })
-}
-
-// initQueue fills a node's neighborQ with a random permutation of its
-// neighbors ("initialized with a random sequence … so each neighbor has an
-// equal probability to be probed").
-func (p *Protocol) initQueue(st *nodeState) {
-	nbrs := p.O.Neighbors(st.slot)
-	p.r.Shuffle(len(nbrs), func(i, j int) { nbrs[i], nbrs[j] = nbrs[j], nbrs[i] })
-	st.queue = st.queue[:0]
-	for _, nb := range nbrs {
-		st.queue = append(st.queue, queueEntry{neighbor: nb, prio: 0, seq: st.seq})
-		st.seq++
-	}
-}
-
-// reconcileQueue drops entries that are no longer neighbors and inserts new
-// neighbors at the front (minimum priority — probed earliest, per §3.2's
-// churn rule).
-func (p *Protocol) reconcileQueue(st *nodeState) {
-	current := p.O.Neighbors(st.slot)
-	inSet := make(map[int]bool, len(current))
-	for _, nb := range current {
-		inSet[nb] = true
-	}
-	kept := st.queue[:0]
-	seen := make(map[int]bool, len(st.queue))
-	minPrio := 0
-	for _, qe := range st.queue {
-		if inSet[qe.neighbor] && !seen[qe.neighbor] {
-			kept = append(kept, qe)
-			seen[qe.neighbor] = true
-			if qe.prio < minPrio {
-				minPrio = qe.prio
-			}
-		}
-	}
-	st.queue = kept
-	for _, nb := range current {
-		if !seen[nb] {
-			st.queue = append(st.queue, queueEntry{neighbor: nb, prio: minPrio - 1, seq: st.seq})
-			st.seq++
-		}
-	}
-}
-
-// pickFirstHop returns the index of the minimum-priority queue entry.
-func (st *nodeState) pickFirstHop() int {
-	best := -1
-	for i, qe := range st.queue {
-		if best < 0 || qe.prio < st.queue[best].prio ||
-			(qe.prio == st.queue[best].prio && qe.seq < st.queue[best].seq) {
-			best = i
-		}
-	}
-	return best
-}
-
-// maxPrio returns the maximum priority in the queue (0 if empty).
-func (st *nodeState) maxPrio() int {
-	max := 0
-	for _, qe := range st.queue {
-		if qe.prio > max {
-			max = qe.prio
-		}
-	}
-	return max
+	st.token = e.Schedule(event.Time(st.TimerMS), func() { p.probe(e, slot) })
 }
 
 // probe is one timer firing for slot u: find a partner, evaluate Var, and
 // exchange if profitable. Under fault injection the cycle may span several
-// events (retransmits after lost messages); the fault-free path completes
-// synchronously, exactly as it always has.
+// events (retransmits after lost messages); without an injector every
+// message arrives and the cycle completes within this one event.
 func (p *Protocol) probe(e event.Clock, u int) {
 	st, ok := p.nodes[u]
 	if !ok || !p.O.Alive(u) {
 		return
 	}
 	p.Counters.Probes++
-	st.trials++
 	if p.faults.Enabled() {
 		// Liveness eviction: contacting a crashed neighbor times out, so the
 		// node drops the stale reference before choosing a first hop.
@@ -429,44 +590,30 @@ func (p *Protocol) probe(e event.Clock, u int) {
 			p.Counters.Evictions += uint64(n)
 		}
 	}
-	p.reconcileQueue(st)
-
-	firstHopIdx := st.pickFirstHop()
-	if firstHopIdx < 0 {
-		p.finishProbe(e, u, st, firstHopIdx, -1, false)
+	st.Reconcile(p.O.Neighbors(u))
+	s, ok := st.FirstHop()
+	if !ok {
+		p.finishProbe(e, u, st, -1, false)
 		return
 	}
-	s := st.queue[firstHopIdx].neighbor
-	if !p.faults.Enabled() {
-		success := false
-		partner := -1
-		v, path, walked := p.findPartner(u, s)
-		if walked {
-			partner = v
-			success = p.attemptExchange(e, u, v, path)
-		}
-		p.finishProbe(e, u, st, firstHopIdx, partner, success)
-		return
-	}
-	p.probeAttempt(e, u, st, firstHopIdx, s, 0)
+	p.probeAttempt(e, u, st, s, 0)
 }
 
-// probeAttempt is one transmission of the probe under fault injection:
-// walk + response, then — if everything arrived — the exchange evaluation.
-// A lost message times out and retransmits with exponential back-off until
-// MaxRetries is exhausted, at which point the cycle fails into the normal
-// Markov back-off. Each retransmission is a fresh packet and takes a fresh
-// random route.
-func (p *Protocol) probeAttempt(e event.Clock, u int, st *nodeState, firstHopIdx, s, attempt int) {
+// probeAttempt is one transmission of the probe: walk + response, then — if
+// everything arrived — the exchange evaluation. A lost message times out
+// and retransmits with exponential back-off until MaxRetries is exhausted,
+// at which point the cycle fails into the normal Markov back-off. Each
+// retransmission is a fresh packet and takes a fresh random route.
+func (p *Protocol) probeAttempt(e event.Clock, u int, st *nodeState, s, attempt int) {
 	v, path, walked := p.findPartner(u, s)
 	if !walked {
-		p.finishProbe(e, u, st, firstHopIdx, -1, false)
+		p.finishProbe(e, u, st, -1, false)
 		return
 	}
 	if !p.deliverWalk(e, path) {
 		p.Counters.Timeouts++
 		if attempt >= p.cfg.MaxRetries {
-			p.finishProbe(e, u, st, firstHopIdx, -1, false)
+			p.finishProbe(e, u, st, -1, false)
 			return
 		}
 		p.Counters.Retries++
@@ -476,45 +623,22 @@ func (p *Protocol) probeAttempt(e event.Clock, u int, st *nodeState, firstHopIdx
 				p.Counters.StaleTimers++
 				return
 			}
-			p.probeAttempt(e, u, st, firstHopIdx, s, attempt+1)
+			p.probeAttempt(e, u, st, s, attempt+1)
 		})
 		return
 	}
 	success := p.attemptExchange(e, u, v, path)
-	p.finishProbe(e, u, st, firstHopIdx, v, success)
+	p.finishProbe(e, u, st, v, success)
 }
 
-// finishProbe completes a probe cycle whatever its path: first-hop standing,
-// trace event, Markov timer update, and the next cycle's scheduling.
-func (p *Protocol) finishProbe(e event.Clock, u int, st *nodeState, firstHopIdx, partner int, success bool) {
-	if firstHopIdx >= 0 {
-		// Update the first hop's standing (maintenance rule; during warm-up
-		// the rotation gives every neighbor a turn).
-		if st.trials <= p.cfg.MaxInitTrials {
-			st.queue[firstHopIdx].prio = st.maxPrio() + 1
-		} else if success {
-			st.queue[firstHopIdx].prio--
-		} else {
-			st.queue[firstHopIdx].prio = st.maxPrio() + 1
-		}
-	}
-
+// finishProbe completes a probe cycle whatever its path: first-hop standing
+// and Markov timer (the kernel's Finish), trace event, and the next cycle's
+// scheduling.
+func (p *Protocol) finishProbe(e event.Clock, u int, st *nodeState, partner int, success bool) {
 	if p.Probe != nil {
 		p.Probe(ProbeEvent{At: e.Now(), U: u, Partner: partner, Exchanged: success})
 	}
-
-	// Timer update: fixed during warm-up; Markov-chain back-off afterwards.
-	if st.trials <= p.cfg.MaxInitTrials {
-		st.timerMS = p.cfg.InitTimerMS
-	} else if success {
-		st.timerMS = p.cfg.InitTimerMS
-	} else {
-		st.timerMS *= 2
-		if st.timerMS > p.cfg.MaxTimerFactor*p.cfg.InitTimerMS {
-			st.timerMS = p.cfg.InitTimerMS
-		}
-	}
-	st.token = e.Schedule(event.Time(st.timerMS), func() { p.probe(e, u) })
+	st.token = e.Schedule(event.Time(st.Finish(success, p.cfg)), func() { p.probe(e, u) })
 }
 
 // deliverWalk runs the probe's messages past the injector: one forwarding
@@ -579,19 +703,31 @@ func (p *Protocol) findPartner(u, s int) (v int, path []int, ok bool) {
 	return path[len(path)-1], path, true
 }
 
-// attemptExchange evaluates Var for the (u,v) pair and executes the
-// exchange when profitable. It reports whether an exchange happened.
+// attemptExchange runs the kernel's Exchange for the (u,v) pair over this
+// engine's measurements and does the §4.3 message accounting. It reports
+// whether an exchange happened.
 func (p *Protocol) attemptExchange(e event.Clock, u, v int, path []int) bool {
 	if u == v || !p.O.Alive(u) || !p.O.Alive(v) {
 		return false
 	}
-	switch p.cfg.Policy {
-	case PROPG:
-		return p.attemptSwap(e, u, v)
-	case PROPO:
-		return p.attemptTrade(e, u, v, path)
+	measure := func(a, b int) (float64, bool) { return p.measureRTT(e, a, b) }
+	out, variation, moved := Exchange(p.O, p.cfg.Policy, u, v, path, p.m, p.cfg.MinVar, measure, p.r)
+	// Each side probes the other's (hypothetical) neighbors: the 2c of
+	// PROP-G, the 2m of PROP-O.
+	p.Counters.MeasureMessages += uint64(moved)
+	switch out {
+	case Rejected:
+		p.Counters.Rejected++
+	case Committed:
+		// Every moved neighbor rewrites a routing entry.
+		p.Counters.NotifyMessages += uint64(moved)
+		p.Counters.Exchanges++
+		if p.cfg.Policy == PROPO {
+			moved /= 2 // ExchangeEvent counts a trade per side
+		}
+		p.emit(ExchangeEvent{At: e.Now(), U: u, V: v, Var: variation, Moved: moved})
 	}
-	return false
+	return out == Committed
 }
 
 // measureHosts returns the probe RTT between two hosts: ground truth, or
@@ -608,18 +744,13 @@ func (p *Protocol) measureHosts(a, b int) float64 {
 	return m
 }
 
-// measureSlots is measureHosts addressed by slots.
-func (p *Protocol) measureSlots(u, v int) float64 {
-	return p.measureHosts(p.O.HostOf(u), p.O.HostOf(v))
-}
-
-// measureHostsFaulty is one measurement under fault injection: the probe
-// message may be lost (timeout + bounded synchronous retry — measurement
+// measureRTT is one measurement as a message past the injector: the
+// probe may be lost (timeout + bounded synchronous retry — measurement
 // round-trips are far shorter than the probe timeout, so the retries
 // complete within the evaluation step) and a delivered measurement absorbs
 // the injected queueing jitter into the observed RTT. ok is false when the
-// retry budget ran out.
-func (p *Protocol) measureHostsFaulty(e event.Clock, a, b int) (float64, bool) {
+// retry budget ran out. Without an injector every message arrives clean.
+func (p *Protocol) measureRTT(e event.Clock, a, b int) (float64, bool) {
 	now := float64(e.Now())
 	for attempt := 0; ; attempt++ {
 		d := p.faults.Deliver(a, b, now)
@@ -636,137 +767,6 @@ func (p *Protocol) measureHostsFaulty(e event.Clock, a, b int) (float64, bool) {
 		}
 		return p.measureHosts(a, b) + d.DelayMS, true
 	}
-}
-
-// hostMeasurer returns the host-pair measurement function for one exchange
-// evaluation. Under fault injection a failed measurement poisons the whole
-// evaluation via *failed — the exchange must never execute on incomplete
-// data, or a half-evaluated Var could corrupt the slot↔host mapping.
-func (p *Protocol) hostMeasurer(e event.Clock, failed *bool) overlay.LatencyFunc {
-	if !p.faults.Enabled() {
-		return p.measureHosts
-	}
-	return func(a, b int) float64 {
-		if *failed {
-			return 0
-		}
-		m, ok := p.measureHostsFaulty(e, a, b)
-		if !ok {
-			*failed = true
-			return 0
-		}
-		return m
-	}
-}
-
-// slotMeasurer is hostMeasurer addressed by slots.
-func (p *Protocol) slotMeasurer(e event.Clock, failed *bool) func(u, v int) float64 {
-	if !p.faults.Enabled() {
-		return p.measureSlots
-	}
-	measure := p.hostMeasurer(e, failed)
-	return func(u, v int) float64 {
-		return measure(p.O.HostOf(u), p.O.HostOf(v))
-	}
-}
-
-// attemptSwap is the PROP-G exchange: swap positions if Var > MIN_VAR.
-func (p *Protocol) attemptSwap(e event.Clock, u, v int) bool {
-	degU, degV := p.O.Degree(u), p.O.Degree(v)
-	// Each side probes the other's neighborhood: 2c measurements (§4.3).
-	p.Counters.MeasureMessages += uint64(degU + degV)
-	var failed bool
-	variation := p.O.SwapGainMeasured(u, v, p.hostMeasurer(e, &failed))
-	if failed {
-		return false
-	}
-	if variation <= p.cfg.MinVar {
-		p.Counters.Rejected++
-		return false
-	}
-	if err := p.O.SwapHosts(u, v); err != nil {
-		p.Counters.Rejected++
-		return false
-	}
-	// Both peers notify all their neighbors to rewrite routing entries.
-	p.Counters.NotifyMessages += uint64(degU + degV)
-	p.Counters.Exchanges++
-	p.emit(ExchangeEvent{At: e.Now(), U: u, V: v, Var: variation, Moved: degU + degV})
-	return true
-}
-
-// attemptTrade is the PROP-O exchange: trade the best m neighbors per side.
-func (p *Protocol) attemptTrade(e event.Clock, u, v int, path []int) bool {
-	give, take := p.selectTrade(u, v, path)
-	if len(give) == 0 {
-		p.Counters.Rejected++
-		return false
-	}
-	// Each side probes the m hypothetical neighbors: 2m measurements.
-	p.Counters.MeasureMessages += uint64(len(give) + len(take))
-	var failed bool
-	variation := p.O.ExchangeGainMeasured(u, v, give, take, p.slotMeasurer(e, &failed))
-	if failed {
-		return false
-	}
-	if variation <= p.cfg.MinVar {
-		p.Counters.Rejected++
-		return false
-	}
-	if err := p.O.ExchangeNeighbors(u, v, give, take, path); err != nil {
-		p.Counters.Rejected++
-		return false
-	}
-	// The moved neighbors (and the endpoints) update routing entries.
-	p.Counters.NotifyMessages += uint64(len(give) + len(take))
-	p.Counters.Exchanges++
-	p.emit(ExchangeEvent{At: e.Now(), U: u, V: v, Var: variation, Moved: len(give)})
-	return true
-}
-
-// selectTrade picks up to m neighbors from each side to exchange, honoring
-// the Theorem 1 constraints. Per §3.2 the peers exchange address lists of
-// "arbitrary m neighbors" — the selection is random, not greedy; the Var
-// test afterwards decides whether the candidate trade is worth executing.
-// Both sides return equally many neighbors (possibly fewer than m when
-// eligibility is scarce); empty slices mean no legal trade exists.
-func (p *Protocol) selectTrade(u, v int, path []int) (give, take []int) {
-	onPath := make(map[int]bool, len(path))
-	for _, x := range path {
-		onPath[x] = true
-	}
-	eligibleFrom := func(from, to int) []int {
-		var out []int
-		for _, x := range p.O.Neighbors(from) {
-			if x == to || x == from || onPath[x] || !p.O.Alive(x) {
-				continue
-			}
-			if p.O.Logical.HasEdge(to, x) {
-				continue
-			}
-			out = append(out, x)
-		}
-		return out
-	}
-	candU := eligibleFrom(u, v)
-	candV := eligibleFrom(v, u)
-	m := p.m
-	if len(candU) < m {
-		m = len(candU)
-	}
-	if len(candV) < m {
-		m = len(candV)
-	}
-	if m == 0 {
-		return nil, nil
-	}
-	pick := func(cands []int) []int {
-		p.r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-		out := cands[:m]
-		sort.Ints(out)
-		return out
-	}
-	return pick(candU), pick(candV)
 }
 
 func (p *Protocol) emit(ev ExchangeEvent) {
@@ -808,15 +808,15 @@ func (p *Protocol) BackoffSnapshot() BackoffSnapshot {
 	maxMS := p.cfg.MaxTimerFactor * p.cfg.InitTimerMS
 	for _, st := range p.nodes {
 		bs.Nodes++
-		factor := int(st.timerMS / p.cfg.InitTimerMS)
+		factor := int(st.TimerMS / p.cfg.InitTimerMS)
 		if factor < 1 {
 			factor = 1
 		}
 		bs.SumFactor += factor
-		if st.timerMS > p.cfg.InitTimerMS {
+		if st.TimerMS > p.cfg.InitTimerMS {
 			bs.BackedOff++
 		}
-		if st.timerMS >= maxMS {
+		if st.TimerMS >= maxMS {
 			bs.AtMax++
 		}
 	}
@@ -829,7 +829,7 @@ func (p *Protocol) TimerOf(slot int) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return st.timerMS, true
+	return st.TimerMS, true
 }
 
 // Registered reports how many slots are under protocol control.

@@ -22,108 +22,158 @@ func tinyOverlay(t *testing.T, hosts []int) *overlay.Overlay {
 }
 
 func TestQueueInitIsPermutationOfNeighbors(t *testing.T) {
-	o := tinyOverlay(t, []int{0, 10, 20, 30, 40})
-	for _, v := range []int{1, 2, 3, 4} {
-		if err := o.AddEdge(0, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p, err := New(o, DefaultConfig(PROPG), rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &nodeState{slot: 0}
-	p.initQueue(st)
-	if len(st.queue) != 4 {
-		t.Fatalf("queue length %d", len(st.queue))
+	var st Peer
+	st.Init([]int{1, 2, 3, 4}, rng.New(1))
+	if len(st.Queue) != 4 {
+		t.Fatalf("queue length %d", len(st.Queue))
 	}
 	seen := map[int]bool{}
-	for _, qe := range st.queue {
-		if qe.prio != 0 {
-			t.Fatalf("initial priority %d != 0", qe.prio)
+	for _, qe := range st.Queue {
+		if qe.Prio != 0 {
+			t.Fatalf("initial priority %d != 0", qe.Prio)
 		}
-		if seen[qe.neighbor] {
-			t.Fatalf("neighbor %d queued twice", qe.neighbor)
+		if seen[qe.Neighbor] {
+			t.Fatalf("neighbor %d queued twice", qe.Neighbor)
 		}
-		seen[qe.neighbor] = true
+		seen[qe.Neighbor] = true
 	}
 	for _, v := range []int{1, 2, 3, 4} {
 		if !seen[v] {
 			t.Fatalf("neighbor %d missing from queue", v)
 		}
 	}
+	// The permutation is the generator's: the same seed gives the same
+	// order, and across seeds every neighbor gets to go first.
+	var again Peer
+	again.Init([]int{1, 2, 3, 4}, rng.New(1))
+	for i := range st.Queue {
+		if again.Queue[i] != st.Queue[i] {
+			t.Fatalf("same seed, different queue: %v vs %v", again.Queue, st.Queue)
+		}
+	}
+	first := map[int]bool{}
+	for seed := uint64(0); seed < 64; seed++ {
+		var p Peer
+		p.Init([]int{1, 2, 3, 4}, rng.New(seed))
+		first[p.Queue[0].Neighbor] = true
+	}
+	if len(first) != 4 {
+		t.Fatalf("only %v ever lead the queue over 64 seeds", first)
+	}
 }
 
 func TestPickFirstHopPrefersLowPriorityThenFIFO(t *testing.T) {
-	st := &nodeState{
-		queue: []queueEntry{
-			{neighbor: 7, prio: 2, seq: 0},
-			{neighbor: 8, prio: 1, seq: 5},
-			{neighbor: 9, prio: 1, seq: 3},
+	st := &Peer{
+		Queue: []QueueEntry{
+			{Neighbor: 7, Prio: 2, seq: 0},
+			{Neighbor: 8, Prio: 1, seq: 5},
+			{Neighbor: 9, Prio: 1, seq: 3},
 		},
 	}
-	idx := st.pickFirstHop()
-	if st.queue[idx].neighbor != 9 {
-		t.Fatalf("picked %d, want 9 (lowest prio, earliest seq)", st.queue[idx].neighbor)
+	if nb, ok := st.FirstHop(); !ok || nb != 9 {
+		t.Fatalf("picked %d/%v, want 9 (lowest prio, earliest seq)", nb, ok)
 	}
-	empty := &nodeState{}
-	if empty.pickFirstHop() != -1 {
-		t.Fatal("empty queue should pick -1")
+	if st.Trials != 1 {
+		t.Fatalf("FirstHop counted %d trials, want 1", st.Trials)
+	}
+	empty := &Peer{}
+	if _, ok := empty.FirstHop(); ok {
+		t.Fatal("empty queue produced a first hop")
+	}
+	// An empty cycle still counts as a trial and still runs the timer rule.
+	cfg := DefaultConfig(PROPG)
+	cfg.MaxInitTrials = 1
+	empty.TimerMS = cfg.InitTimerMS
+	empty.Finish(false, cfg)
+	empty.FirstHop()
+	if got := empty.Finish(false, cfg); got != 2*cfg.InitTimerMS {
+		t.Fatalf("empty-queue failure after warm-up: timer %v, want doubled", got)
 	}
 }
 
 func TestMaxPrio(t *testing.T) {
-	st := &nodeState{queue: []queueEntry{{prio: -3}, {prio: 4}, {prio: 0}}}
+	st := &Peer{Queue: []QueueEntry{{Prio: -3}, {Prio: 4}, {Prio: 0}}}
 	if st.maxPrio() != 4 {
 		t.Fatalf("maxPrio = %d", st.maxPrio())
 	}
-	if (&nodeState{}).maxPrio() != 0 {
+	if (&Peer{}).maxPrio() != 0 {
 		t.Fatal("empty maxPrio != 0")
 	}
 }
 
 func TestReconcileQueueDropsStaleAddsFresh(t *testing.T) {
-	o := tinyOverlay(t, []int{0, 10, 20, 30})
-	o.AddEdge(0, 1)
-	o.AddEdge(0, 2)
-	p, err := New(o, DefaultConfig(PROPG), rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &nodeState{slot: 0}
-	p.initQueue(st)
+	var st Peer
+	st.Init([]int{1, 2}, rng.New(2))
 	// Bump priorities so the front insertion is observable.
-	for i := range st.queue {
-		st.queue[i].prio = 5
+	for i := range st.Queue {
+		st.Queue[i].Prio = 5
 	}
-	// Topology change: drop 1, add 3.
-	o.RemoveEdge(0, 1)
-	o.AddEdge(0, 3)
-	p.reconcileQueue(st)
+	// Topology change: drop 1, add 7 and 3 (listed in that order).
+	st.Reconcile([]int{2, 7, 3})
 	var neighbors []int
-	minPrio := 1 << 30
-	var freshPrio int
-	for _, qe := range st.queue {
-		neighbors = append(neighbors, qe.neighbor)
-		if qe.neighbor == 3 {
-			freshPrio = qe.prio
-		}
-		if qe.prio < minPrio {
-			minPrio = qe.prio
+	for _, qe := range st.Queue {
+		neighbors = append(neighbors, qe.Neighbor)
+	}
+	if len(neighbors) != 3 || neighbors[0] != 2 || neighbors[1] != 7 || neighbors[2] != 3 {
+		t.Fatalf("queue = %v, want survivors then fresh neighbors in listed order [2 7 3]", neighbors)
+	}
+	// The fresh neighbors sit at the queue front (strictly lowest priority —
+	// §3.2's churn rule), earliest-listed first.
+	if st.Queue[1].Prio >= 5 || st.Queue[1].Prio != st.Queue[2].Prio {
+		t.Fatalf("fresh priorities %d/%d not at front of %d", st.Queue[1].Prio, st.Queue[2].Prio, st.Queue[0].Prio)
+	}
+	if nb, _ := st.FirstHop(); nb != 7 {
+		t.Fatalf("first hop %d, want the earliest-listed fresh neighbor 7", nb)
+	}
+	// Reconciling against the same neighborhood changes nothing.
+	before := append([]QueueEntry(nil), st.Queue...)
+	st.Reconcile([]int{2, 7, 3})
+	for i := range before {
+		if st.Queue[i] != before[i] {
+			t.Fatalf("idempotent reconcile changed the queue: %v vs %v", st.Queue, before)
 		}
 	}
-	if len(neighbors) != 2 {
-		t.Fatalf("queue = %v", neighbors)
+}
+
+// TestFinishStandingAndTimer tables the §3.2 maintenance rule: warm-up
+// rotates the first hop and pins the timer; afterwards success promotes and
+// resets, failure demotes and doubles, and the timer resets once it passes
+// the MaxTimerFactor cap.
+func TestFinishStandingAndTimer(t *testing.T) {
+	cfg := DefaultConfig(PROPG)
+	cfg.InitTimerMS = 100
+	cfg.MaxInitTrials = 2
+	cfg.MaxTimerFactor = 4
+	st := &Peer{TimerMS: cfg.InitTimerMS}
+	st.Init([]int{10, 20, 30}, rng.New(4))
+	order := []int{st.Queue[0].Neighbor, st.Queue[1].Neighbor, st.Queue[2].Neighbor}
+
+	steps := []struct {
+		success   bool
+		wantHop   int     // index into order of the expected first hop
+		wantTimer float64 // after Finish
+	}{
+		{true, 0, 100},  // warm-up: rotates to the tail even on success
+		{false, 1, 100}, // warm-up: timer pinned even on failure
+		{false, 2, 200}, // maintenance: failure demotes, timer doubles
+		{false, 0, 400}, //   ... doubles to the cap
+		{false, 1, 100}, //   ... past the cap: reset
+		{true, 2, 100},  // success promotes: same first hop next time
+		{true, 2, 100},
+		{false, 2, 200}, // and a failure sends it to the tail again
+		{true, 0, 100},  // success resets a backed-off timer
 	}
-	for _, nb := range neighbors {
-		if nb == 1 {
-			t.Fatal("stale neighbor 1 kept")
+	for i, step := range steps {
+		nb, ok := st.FirstHop()
+		if !ok || nb != order[step.wantHop] {
+			t.Fatalf("step %d: first hop %d, want %d (queue %v)", i, nb, order[step.wantHop], st.Queue)
+		}
+		if got := st.Finish(step.success, cfg); got != step.wantTimer || st.TimerMS != got {
+			t.Fatalf("step %d: timer %v (state %v), want %v", i, got, st.TimerMS, step.wantTimer)
 		}
 	}
-	// The fresh neighbor must sit at the queue front (strictly lowest
-	// priority — §3.2's churn rule).
-	if freshPrio != minPrio || freshPrio >= 5 {
-		t.Fatalf("fresh neighbor priority %d not at front (min %d)", freshPrio, minPrio)
+	if st.Trials != len(steps) {
+		t.Fatalf("trials = %d, want %d", st.Trials, len(steps))
 	}
 }
 
@@ -137,13 +187,7 @@ func TestSelectTradeConstraints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cfg := DefaultConfig(PROPO)
-	cfg.M = 3
-	p, err := New(o, cfg, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	give, take := p.selectTrade(0, 1, []int{0, 3, 1})
+	give, take := SelectTrade(o, 0, 1, []int{0, 3, 1}, 3, rng.New(3))
 	// Eligible for u: {2} (3 on path, 4 adjacent to v). For v: {5,6}
 	// (4 adjacent to u). Equal sizes => m_eff = 1.
 	if len(give) != 1 || len(take) != 1 {
@@ -156,9 +200,57 @@ func TestSelectTradeConstraints(t *testing.T) {
 		t.Fatalf("take = %v, want 5 or 6", take)
 	}
 	// With everything banned, no trade.
-	give, take = p.selectTrade(0, 1, []int{0, 1, 2, 3, 4, 5, 6})
+	give, take = SelectTrade(o, 0, 1, []int{0, 1, 2, 3, 4, 5, 6}, 3, rng.New(3))
 	if give != nil || take != nil {
 		t.Fatalf("fully banned trade returned %v/%v", give, take)
+	}
+}
+
+// TestExchangeOutcomes drives the evaluate → gate → commit step through its
+// three outcomes under both policies with a scripted measurement function.
+func TestExchangeOutcomes(t *testing.T) {
+	// A path 2-0-1-3 whose ends sit next to the wrong middle: hosts 0 and
+	// 100 are at slots 0 and 1, their leaf neighbors host 101 and 1.
+	build := func() *overlay.Overlay {
+		o := tinyOverlay(t, []int{0, 100, 101, 1})
+		for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}} {
+			if err := o.AddEdge(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return o
+	}
+	truth := func(a, b int) (float64, bool) { return math.Abs(float64(a - b)), true }
+	// PROP-G touches both neighborhoods (2+2 entries), PROP-O one per side.
+	wantMoved := map[Policy]int{PROPG: 4, PROPO: 2}
+	for _, policy := range []Policy{PROPG, PROPO} {
+		o := build()
+		calls := 0
+		lossy := func(a, b int) (float64, bool) { calls++; return 0, false }
+		out, _, moved := Exchange(o, policy, 0, 1, []int{0, 1}, 1, 0, lossy, rng.New(1))
+		if out != Poisoned || calls != 1 || moved == 0 {
+			t.Fatalf("%v: lossy measure gave outcome %v after %d calls (moved %d), want Poisoned after 1", policy, out, calls, moved)
+		}
+		if o.HostOf(0) != 0 || !o.Logical.HasEdge(0, 2) {
+			t.Fatalf("%v: poisoned exchange mutated the overlay", policy)
+		}
+
+		out, variation, _ := Exchange(o, policy, 0, 1, []int{0, 1}, 1, 1e9, truth, rng.New(1))
+		if out != Rejected || variation <= 0 {
+			t.Fatalf("%v: Var %v under a huge MIN_VAR gave %v, want Rejected", policy, variation, out)
+		}
+
+		before := o.MeanLinkLatency()
+		out, variation, moved = Exchange(o, policy, 0, 1, []int{0, 1}, 1, 0, truth, rng.New(1))
+		if out != Committed || variation <= 0 || moved != wantMoved[policy] {
+			t.Fatalf("%v: outcome %v Var %v moved %d, want Committed with positive Var", policy, out, variation, moved)
+		}
+		if after := o.MeanLinkLatency(); after >= before {
+			t.Fatalf("%v: committed exchange did not shorten links (%v → %v)", policy, before, after)
+		}
+		if err := o.CheckInvariants(); err != nil {
+			t.Fatalf("%v: %v", policy, err)
+		}
 	}
 }
 

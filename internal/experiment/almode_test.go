@@ -33,11 +33,20 @@ func alSeriesOf(t *testing.T, stream []byte, name string) (ts, vs []float64) {
 	return ts, vs
 }
 
-// TestALModeUnknown: a bogus mode fails the run instead of being silently
+// TestALModeUnknown: a bogus mode — including the retired "sampled" — fails
+// the run with an error naming the accepted modes instead of being silently
 // ignored.
 func TestALModeUnknown(t *testing.T) {
-	if _, err := Run("churn", Options{Seed: 1, Trials: 1, Scale: 0.1, ALMode: "bogus"}); err == nil {
-		t.Fatal("unknown AL mode accepted")
+	for _, mode := range []string{"bogus", "sampled"} {
+		_, err := Run("churn", Options{Seed: 1, Trials: 1, Scale: 0.1, ALMode: mode})
+		if err == nil {
+			t.Fatalf("unknown AL mode %q accepted", mode)
+		}
+		for _, want := range []string{ALModeExact, ALModeIncremental, ALModeSketch} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name mode %q", err, want)
+			}
+		}
 	}
 }
 
@@ -56,7 +65,7 @@ func TestALModeChurnStreams(t *testing.T) {
 	}
 
 	streams := map[string][]byte{}
-	for _, mode := range []string{ALModeExact, ALModeIncremental, ALModeSampled} {
+	for _, mode := range []string{ALModeExact, ALModeIncremental, ALModeSketch} {
 		o := opt
 		o.ALMode = mode
 		streams[mode] = metricsStreamOf(t, "churn", o)
@@ -64,10 +73,10 @@ func TestALModeChurnStreams(t *testing.T) {
 	var exactT, exactV, incT, incV []float64
 	exactT, exactV = alSeriesOf(t, streams[ALModeExact], "churn/al_ms")
 	incT, incV = alSeriesOf(t, streams[ALModeIncremental], "churn/al_ms")
-	sampT, sampV := alSeriesOf(t, streams[ALModeSampled], "churn/al_ms")
-	if len(exactT) == 0 || len(incT) == 0 || len(sampT) == 0 {
-		t.Fatalf("missing al_ms series: exact=%d incremental=%d sampled=%d points",
-			len(exactT), len(incT), len(sampT))
+	skT, skV := alSeriesOf(t, streams[ALModeSketch], "churn/al_ms")
+	if len(exactT) == 0 || len(incT) == 0 || len(skT) == 0 {
+		t.Fatalf("missing al_ms series: exact=%d incremental=%d sketch=%d points",
+			len(exactT), len(incT), len(skT))
 	}
 	if len(incT) != len(exactT) {
 		t.Fatalf("incremental emitted %d points, exact %d", len(incT), len(exactT))
@@ -82,10 +91,10 @@ func TestALModeChurnStreams(t *testing.T) {
 			t.Fatalf("t=%v: incremental AL %v vs exact %v (diff %v)", exactT[i], incV[i], exactV[i], diff)
 		}
 	}
-	// The sampled estimate is noisy but must stay in the right ballpark.
-	for i := range sampT {
-		if sampV[i] <= 0 || sampV[i] > 10*exactV[0] {
-			t.Fatalf("t=%v: sampled AL %v implausible (exact starts at %v)", sampT[i], sampV[i], exactV[0])
+	// The sketch estimate is noisy but must stay in the right ballpark.
+	for i := range skT {
+		if skV[i] <= 0 || skV[i] > 10*exactV[0] {
+			t.Fatalf("t=%v: sketch AL %v implausible (exact starts at %v)", skT[i], skV[i], exactV[0])
 		}
 	}
 }

@@ -68,8 +68,8 @@ type Options struct {
 	// the metrics stream of the experiments that maintain a live overlay
 	// (fig5*, churn): ALModeExact refloods at every sample point,
 	// ALModeIncremental delta-maintains the value with a metrics.ALTracker,
-	// ALModeSampled estimates from random pairs (skipping unreachable ones
-	// and counting them in "al.sample_skips"). Empty — the default — keeps
+	// ALModeSketch estimates from k source rows (skipping unreachable pairs
+	// and counting them in "al.unreachable"). Empty — the default — keeps
 	// the AL machinery detached and every output byte-identical to before.
 	ALMode string
 	// ScaleMaxN caps the fig5a-scale peer ladder (cmd/propsim -scale-n):

@@ -10,6 +10,8 @@ import (
 	"repro/internal/gnutella"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/overlay"
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -183,7 +185,7 @@ func oneChurnTrial(opt Options, tr *obs.Trial, seed uint64) ([]stats.Series, err
 		pool = append(pool, host)
 		return nil
 	}
-	al, err := newALProbe(opt, o, seed, scaled(paperLookups, opt.Scale, 100))
+	al, err := newALProbe(opt, o, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -259,76 +261,93 @@ func oneComboTrial(opt Options, seed uint64) ([]stats.Series, error) {
 	n := scaled(1000, opt.Scale, 100)
 	nLookups := scaled(paperLookups, opt.Scale, 100)
 
-	runPROPG := func(ov *core.Protocol) {
-		eng := event.New()
-		ov.Start(eng)
-		eng.RunUntil(horizonMS)
-	}
-
-	chordSeries := stats.Series{Label: "Chord"}
-	for idx, variant := range []struct {
-		pns  bool
-		prop bool
-	}{{false, false}, {true, false}, {false, true}, {true, true}} {
-		ring, err := e.buildChord(n, variant.pns)
+	chordSeries, err := proximityStudy("Chord", e, func(pns bool) (*overlay.Overlay, func(), func() float64, error) {
+		ring, err := e.buildChord(n, pns)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
-		if variant.prop {
-			p, err := core.New(ring.O, core.DefaultConfig(core.PROPG), e.r.Split())
-			if err != nil {
-				return nil, err
-			}
-			runPROPG(p)
-			// Chord stabilization after the exchanges: PNS re-picks its
-			// finger candidates against the new host mapping.
-			ring.Refresh(e.oracle.Latency)
+		// Chord stabilization after the exchanges: PNS re-picks its finger
+		// candidates against the new host mapping.
+		refresh := func() { ring.Refresh(e.oracle.Latency) }
+		stretch := func() float64 {
+			return routingStretch(ring, e, makeChordWorkload(ring, nLookups, e.r.Split()))
 		}
-		lookups := makeChordWorkload(ring, nLookups, e.r.Split())
-		chordSeries.Add(float64(idx), routingStretch(ring, e, lookups))
+		return ring.O, refresh, stretch, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	canSeries := stats.Series{Label: "CAN"}
-	for idx, variant := range []struct {
-		pis  bool
-		prop bool
-	}{{false, false}, {true, false}, {false, true}, {true, true}} {
-		sp, err := e.buildCAN(n, variant.pis)
+	canSeries, err := proximityStudy("CAN", e, func(pis bool) (*overlay.Overlay, func(), func() float64, error) {
+		sp, err := e.buildCAN(n, pis)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
-		if variant.prop {
-			p, err := core.New(sp.O, core.DefaultConfig(core.PROPG), e.r.Split())
-			if err != nil {
-				return nil, err
-			}
-			runPROPG(p)
+		stretch := func() float64 {
+			return drawnRoutingStretch(sp.O, e, nLookups, func(src int, r *rng.Rand) (int, float64, error) {
+				res, err := sp.Route(src, can.RandomPoint(r), nil)
+				return res.Owner, res.Latency, err
+			})
 		}
-		canSeries.Add(float64(idx), canRoutingStretch(sp, e, nLookups))
+		return sp.O, func() {}, stretch, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
 	return []stats.Series{chordSeries, canSeries}, nil
 }
 
-// canRoutingStretch is the CAN analog of routingStretch: the mean ratio of
-// greedy-routed latency to the direct source→owner latency over a random
-// point workload.
-func canRoutingStretch(sp *can.Space, e *env, count int) float64 {
+// proximityStudy is the 2×2 combination study every DHT substrate runs:
+// {plain, proximity} × {no PROP, PROP-G to the horizon}, one stretch value
+// per cell at x = 0..3 (plain, proximity only, PROP-G only, both). build
+// constructs the substrate with its protocol-specific proximity method on
+// or off and returns its overlay, the table maintenance to run after the
+// exchanges, and the stretch measurement.
+func proximityStudy(label string, e *env,
+	build func(prox bool) (o *overlay.Overlay, refresh func(), stretch func() float64, err error)) (stats.Series, error) {
+	series := stats.Series{Label: label}
+	for idx, variant := range []struct {
+		prox bool
+		prop bool
+	}{{false, false}, {true, false}, {false, true}, {true, true}} {
+		o, refresh, stretch, err := build(variant.prox)
+		if err != nil {
+			return series, err
+		}
+		if variant.prop {
+			p, err := core.New(o, core.DefaultConfig(core.PROPG), e.r.Split())
+			if err != nil {
+				return series, err
+			}
+			eng := event.New()
+			p.Start(eng)
+			eng.RunUntil(horizonMS)
+			refresh()
+		}
+		series.Add(float64(idx), stretch())
+	}
+	return series, nil
+}
+
+// drawnRoutingStretch is routingStretch over a workload drawn as it goes:
+// count lookups from uniformly random live sources, each routed by route
+// (which draws its key from r) — the mean ratio of routed latency to the
+// direct source→owner latency.
+func drawnRoutingStretch(o *overlay.Overlay, e *env, count int,
+	route func(src int, r *rng.Rand) (owner int, latency float64, err error)) float64 {
 	r := e.r.Split()
-	slots := sp.O.AliveSlots()
+	slots := o.AliveSlots()
 	sum, n := 0.0, 0
 	for i := 0; i < count; i++ {
 		src := slots[r.Intn(len(slots))]
-		target := can.RandomPoint(r)
-		res, err := sp.Route(src, target, nil)
-		if err != nil || res.Owner == src {
+		owner, latency, err := route(src, r)
+		if err != nil || owner == src {
 			continue
 		}
-		direct := e.oracle.Latency(sp.O.HostOf(src), sp.O.HostOf(res.Owner))
+		direct := e.oracle.Latency(o.HostOf(src), o.HostOf(owner))
 		if direct <= 0 {
 			continue
 		}
-		sum += res.Latency / direct
+		sum += latency / direct
 		n++
 	}
 	if n == 0 {

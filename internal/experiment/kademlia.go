@@ -3,10 +3,10 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/event"
 	"repro/internal/kademlia"
 	"repro/internal/netsim"
+	"repro/internal/overlay"
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -52,53 +52,24 @@ func oneKademliaTrial(opt Options, seed uint64) ([]stats.Series, error) {
 	n := scaled(1000, opt.Scale, 100)
 	nLookups := scaled(paperLookups, opt.Scale, 100)
 
-	series := stats.Series{Label: "Kademlia"}
-	for idx, variant := range []struct {
-		prox bool
-		prop bool
-	}{{false, false}, {true, false}, {false, true}, {true, true}} {
+	series, err := proximityStudy("Kademlia", e, func(prox bool) (*overlay.Overlay, func(), func() float64, error) {
 		cfg := kademlia.DefaultConfig()
-		cfg.Proximity = variant.prox
+		cfg.Proximity = prox
 		net, err := kademlia.Build(e.pickHosts(n), cfg, e.oracle.Latency, e.r)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
-		if variant.prop {
-			p, err := core.New(net.O, core.DefaultConfig(core.PROPG), e.r.Split())
-			if err != nil {
-				return nil, err
-			}
-			eng := event.New()
-			p.Start(eng)
-			eng.RunUntil(horizonMS)
-			net.Refresh(e.oracle.Latency)
+		refresh := func() { net.Refresh(e.oracle.Latency) }
+		stretch := func() float64 {
+			return drawnRoutingStretch(net.O, e, nLookups, func(src int, r *rng.Rand) (int, float64, error) {
+				res, err := net.Lookup(src, kademlia.RandomKey(r), nil)
+				return res.Owner, res.Latency, err
+			})
 		}
-		series.Add(float64(idx), kademliaRoutingStretch(net, e, nLookups))
+		return net.O, refresh, stretch, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return []stats.Series{series}, nil
-}
-
-// kademliaRoutingStretch mirrors routingStretch for the XOR network.
-func kademliaRoutingStretch(net *kademlia.Net, e *env, count int) float64 {
-	r := e.r.Split()
-	slots := net.O.AliveSlots()
-	sum, n := 0.0, 0
-	for i := 0; i < count; i++ {
-		src := slots[r.Intn(len(slots))]
-		key := kademlia.RandomKey(r)
-		res, err := net.Lookup(src, key, nil)
-		if err != nil || res.Owner == src {
-			continue
-		}
-		direct := e.oracle.Latency(net.O.HostOf(src), net.O.HostOf(res.Owner))
-		if direct <= 0 {
-			continue
-		}
-		sum += res.Latency / direct
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

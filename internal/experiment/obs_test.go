@@ -53,6 +53,7 @@ func TestMetricsStreamDeterministic(t *testing.T) {
 			if !bytes.Contains(first, []byte(`"kind":"span"`)) {
 				t.Errorf("%s stream has no phase spans — instrumentation not wired", id)
 			}
+			checkGolden(t, "stream "+id, first)
 		})
 	}
 }

@@ -3,10 +3,10 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/event"
 	"repro/internal/netsim"
+	"repro/internal/overlay"
 	"repro/internal/pastry"
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -52,55 +52,26 @@ func onePastryTrial(opt Options, seed uint64) ([]stats.Series, error) {
 	n := scaled(1000, opt.Scale, 100)
 	nLookups := scaled(paperLookups, opt.Scale, 100)
 
-	series := stats.Series{Label: "Pastry"}
-	for idx, variant := range []struct {
-		prox bool
-		prop bool
-	}{{false, false}, {true, false}, {false, true}, {true, true}} {
+	series, err := proximityStudy("Pastry", e, func(prox bool) (*overlay.Overlay, func(), func() float64, error) {
 		cfg := pastry.DefaultConfig()
-		cfg.Proximity = variant.prox
+		cfg.Proximity = prox
 		mesh, err := pastry.Build(e.pickHosts(n), cfg, e.oracle.Latency, e.r)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
-		if variant.prop {
-			p, err := core.New(mesh.O, core.DefaultConfig(core.PROPG), e.r.Split())
-			if err != nil {
-				return nil, err
-			}
-			eng := event.New()
-			p.Start(eng)
-			eng.RunUntil(horizonMS)
-			// Table maintenance after the exchanges (re-picks proximity
-			// candidates; a no-op for plain tables).
-			mesh.Refresh(e.oracle.Latency)
+		// Table maintenance after the exchanges (re-picks proximity
+		// candidates; a no-op for plain tables).
+		refresh := func() { mesh.Refresh(e.oracle.Latency) }
+		stretch := func() float64 {
+			return drawnRoutingStretch(mesh.O, e, nLookups, func(src int, r *rng.Rand) (int, float64, error) {
+				res, err := mesh.Lookup(src, pastry.RandomKey(r), nil)
+				return res.Owner, res.Latency, err
+			})
 		}
-		series.Add(float64(idx), pastryRoutingStretch(mesh, e, nLookups))
+		return mesh.O, refresh, stretch, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return []stats.Series{series}, nil
-}
-
-// pastryRoutingStretch mirrors routingStretch for the Pastry mesh.
-func pastryRoutingStretch(mesh *pastry.Mesh, e *env, count int) float64 {
-	r := e.r.Split()
-	slots := mesh.O.AliveSlots()
-	sum, n := 0.0, 0
-	for i := 0; i < count; i++ {
-		src := slots[r.Intn(len(slots))]
-		key := pastry.RandomKey(r)
-		res, err := mesh.Lookup(src, key, nil)
-		if err != nil || res.Owner == src {
-			continue
-		}
-		direct := e.oracle.Latency(mesh.O.HostOf(src), mesh.O.HostOf(res.Owner))
-		if direct <= 0 {
-			continue
-		}
-		sum += res.Latency / direct
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

@@ -164,8 +164,8 @@ func (t *ALTracker) UnreachablePairs() int {
 
 // Update absorbs every overlay mutation since the previous Update (or
 // construction) and brings Value back in sync. Typical cost per PROP-O
-// exchange is O(rows·patch + affected·Dijkstra-region); see BENCH_PR7.json
-// for the measured ratio against exact reflooding.
+// exchange is O(rows·patch + affected·Dijkstra-region); altracker_bench_test.go
+// measures the ratio against exact reflooding.
 func (t *ALTracker) Update() ALUpdateStats {
 	evs := t.events
 	t.events = nil

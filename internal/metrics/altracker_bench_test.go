@@ -95,7 +95,7 @@ func BenchmarkALExactRefloodExchange4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.rewire()
-		if _, err := AverageLatency(s.o, nil, 0, nil); err != nil {
+		if _, err := AverageLatency(s.o, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

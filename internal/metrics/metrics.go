@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"repro/internal/overlay"
-	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -83,22 +82,17 @@ func FloodEval(o *overlay.Overlay, proc overlay.ProcDelayFunc) LatencyEval {
 
 // AverageLatency computes the paper's eq. (3): AL = (Σ_i Σ_j d(i,j)) / n²
 // over the overlay's flooding distances (the latency between a node and
-// itself is zero, matching the paper's footnote). The exact all-pairs
-// computation is O(n · Dijkstra); pass sample > 0 to estimate from that
-// many random ordered pairs instead (r required then; delegates to
-// AverageLatencySampled, so unreachable pairs are redrawn or skipped, not
-// fatal). Sources are evaluated in parallel.
-func AverageLatency(o *overlay.Overlay, proc overlay.ProcDelayFunc, sample int, r *rng.Rand) (float64, error) {
+// itself is zero, matching the paper's footnote). It is the exact
+// reference the incremental tracker and the row-sketch estimator are tested
+// against, and fails on an unreachable pair. Sources are evaluated in
+// parallel.
+func AverageLatency(o *overlay.Overlay, proc overlay.ProcDelayFunc) (float64, error) {
 	slots := o.AliveSlots()
 	n := len(slots)
 	if n == 0 {
 		return 0, fmt.Errorf("metrics: AverageLatency of empty overlay")
 	}
-	if sample > 0 {
-		al, _, err := AverageLatencySampled(o, proc, sample, r)
-		return al, err
-	}
-	// Exact: one bulk single-source computation per node, fanned out. The
+	// One bulk single-source computation per node, fanned out. The
 	// bulk kernel (FloodLatenciesInto) settles every destination in one
 	// Dijkstra, so the whole computation is O(n·Dijkstra) rather than the
 	// O(n²·Dijkstra) a pairwise loop would cost; each worker reuses one
@@ -150,72 +144,6 @@ func AverageLatency(o *overlay.Overlay, proc overlay.ProcDelayFunc, sample int, 
 		sum += v
 	}
 	return sum / float64(n*n), nil
-}
-
-// alSampleRedrawRounds bounds the deterministic redraw loop of
-// AverageLatencySampled: after the initial draw, up to this many
-// replacement rounds re-sample the unreachable pairs before the remainder
-// is skipped.
-const alSampleRedrawRounds = 4
-
-// AverageLatencySampled estimates eq. (3) from sample random ordered live
-// pairs. Unreachable pairs do not abort the estimate: each is redrawn (from
-// the same deterministic generator) for up to alSampleRedrawRounds rounds,
-// and whatever still fails is skipped and reported in skipped — under heavy
-// churn a partitioned overlay is a measurement condition, not an error. An
-// error is returned only for an empty overlay, a missing generator, or a
-// sample with no reachable pair at all. When every pair of the initial draw
-// is reachable the result is bit-identical to the pre-redraw estimator.
-func AverageLatencySampled(o *overlay.Overlay, proc overlay.ProcDelayFunc, sample int, r *rng.Rand) (al float64, skipped int, err error) {
-	slots := o.AliveSlots()
-	n := len(slots)
-	if n == 0 {
-		return 0, 0, fmt.Errorf("metrics: AverageLatency of empty overlay")
-	}
-	if sample <= 0 {
-		return 0, 0, fmt.Errorf("metrics: non-positive AL sample size %d", sample)
-	}
-	if r == nil {
-		return 0, 0, fmt.Errorf("metrics: sampled AverageLatency needs a generator")
-	}
-	draw := func(k int) []workload.Lookup {
-		lookups := make([]workload.Lookup, k)
-		for i := range lookups {
-			lookups[i] = workload.Lookup{
-				Src: slots[r.Intn(n)],
-				Dst: slots[r.Intn(n)],
-			}
-		}
-		return lookups
-	}
-	// Self-pairs contribute 0, exactly as in eq. (3).
-	eval := func(l workload.Lookup) float64 {
-		if l.Src == l.Dst {
-			return 0
-		}
-		return o.FloodLatency(l.Src, l.Dst, proc)
-	}
-	mean, failed := MeanLookupLatency(draw(sample), eval)
-	if failed == 0 {
-		return mean, 0, nil
-	}
-	sum, got := 0.0, sample-failed
-	if got > 0 {
-		sum = mean * float64(got)
-	}
-	need := failed
-	for round := 0; round < alSampleRedrawRounds && need > 0; round++ {
-		mean, failed = MeanLookupLatency(draw(need), eval)
-		if ok := need - failed; ok > 0 {
-			sum += mean * float64(ok)
-			got += ok
-		}
-		need = failed
-	}
-	if got == 0 {
-		return 0, need, fmt.Errorf("metrics: no reachable pair in AL sample of %d after %d redraw rounds", sample, alSampleRedrawRounds)
-	}
-	return sum / float64(got), need, nil
 }
 
 // Counters tallies protocol activity for the overhead analysis (§4.3).

@@ -27,12 +27,8 @@ type oracleInstr struct {
 	// evictions counts bounded-mode row evictions.
 	evictions *obs.Counter
 	// refreshRebuilds counts Refresh calls that fell back to a full rebuild
-	// (any RefreshFallbackReason); refreshF32 counts the
-	// RefreshFallbackFloat32 subset, which no refresh emits since Float32
-	// rows gained an in-place repair path — kept so existing streams keep
-	// their (now always-zero) series. Attached by SetRefreshInstruments.
+	// (any RefreshFallbackReason). Attached by SetRefreshInstruments.
 	refreshRebuilds *obs.Counter
-	refreshF32      *obs.Counter
 }
 
 // OracleOptions selects the oracle's row representation and memory policy.
@@ -154,7 +150,6 @@ func (o *Oracle) SetInstruments(queries, hits, computes, evictions *obs.Counter)
 	next := oracleInstr{queries: queries, hits: hits, computes: computes, evictions: evictions}
 	if o.instr != nil {
 		next.refreshRebuilds = o.instr.refreshRebuilds
-		next.refreshF32 = o.instr.refreshF32
 	}
 	if next == (oracleInstr{}) {
 		o.instr = nil
@@ -163,15 +158,12 @@ func (o *Oracle) SetInstruments(queries, hits, computes, evictions *obs.Counter)
 	o.instr = &next
 }
 
-// SetRefreshInstruments attaches obs counters for Refresh fallbacks:
+// SetRefreshInstruments attaches an obs counter for Refresh fallbacks:
 // rebuilds counts every Refresh that abandoned the incremental path for a
-// full rebuild, and float32 counts the RefreshFallbackFloat32 subset —
-// always zero since Float32 rows repair in place (graph.RepairRowF32), and
-// retained so streams that chart it keep their series. Either counter may
-// be nil. Like SetInstruments (whose counters it composes with), attach
-// before sharing the oracle across goroutines.
-func (o *Oracle) SetRefreshInstruments(rebuilds, float32Fallbacks *obs.Counter) {
-	next := oracleInstr{refreshRebuilds: rebuilds, refreshF32: float32Fallbacks}
+// full rebuild. It may be nil. Like SetInstruments (whose counters it
+// composes with), attach before sharing the oracle across goroutines.
+func (o *Oracle) SetRefreshInstruments(rebuilds *obs.Counter) {
+	next := oracleInstr{refreshRebuilds: rebuilds}
 	if o.instr != nil {
 		next.queries = o.instr.queries
 		next.hits = o.instr.hits

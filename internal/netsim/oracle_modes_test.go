@@ -207,26 +207,6 @@ func BenchmarkOracleWarmupAllSources(b *testing.B) {
 	}
 }
 
-// BenchmarkOracleWarmupAllSourcesBaseline is the pre-PR equivalent: one
-// map-based binary-heap Dijkstra per source, exactly what the old oracle's
-// warm-up did per row.
-func BenchmarkOracleWarmupAllSourcesBaseline(b *testing.B) {
-	net, err := Generate(TSLarge(), rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	srcs := net.StubHosts[:256]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := make([][]float64, 0, len(srcs))
-		for _, s := range srcs {
-			rows = append(rows, net.Graph.ShortestPathsBaseline(s))
-		}
-		_ = rows
-	}
-}
-
 // BenchmarkOracleDijkstraAfterWarmup measures one full Dijkstra on the CSR
 // kernel once the scratch pool is warm: a RowBudget-1 oracle evicts every
 // previous row, so each Row call runs a fresh single-source computation —
@@ -243,20 +223,5 @@ func BenchmarkOracleDijkstraAfterWarmup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.Row(hosts[i%len(hosts)])
-	}
-}
-
-// BenchmarkOracleDijkstraAfterWarmupBaseline is the pre-PR per-row kernel:
-// map adjacency plus container/heap, which allocates on every push.
-func BenchmarkOracleDijkstraAfterWarmupBaseline(b *testing.B) {
-	net, err := Generate(TSLarge(), rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	hosts := net.StubHosts
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Graph.ShortestPathsBaseline(hosts[i%len(hosts)])
 	}
 }

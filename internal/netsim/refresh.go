@@ -59,13 +59,6 @@ const (
 	// RefreshFallbackVertexGrowth: the graph gained vertices, which the
 	// patched CSR view cannot represent.
 	RefreshFallbackVertexGrowth RefreshFallbackReason = "vertex-growth"
-	// RefreshFallbackFloat32 is historical: Float32 oracles once fell back
-	// to a full rebuild on every refresh because rounded rows fail the
-	// repair kernel's exact-arithmetic parent tests. They now repair in
-	// place through float64 scratch with tolerance-band marking
-	// (graph.RepairRowF32), so no Refresh emits this reason anymore; the
-	// constant remains so stream consumers keyed on it keep compiling.
-	RefreshFallbackFloat32 RefreshFallbackReason = "float32"
 	// RefreshFallbackMajorityDirty: more than half the transit domains own a
 	// touched edge, so repairing rows costs more than recomputing them.
 	RefreshFallbackMajorityDirty RefreshFallbackReason = "majority-dirty"
@@ -86,15 +79,15 @@ const refreshCompactDenom = 4
 // calls may be in flight, because surviving rows are repaired in place.
 //
 // The fast path costs O(batch + cached-rows · repair-region) instead of the
-// full O(n·Dijkstra + freeze) rebuild; see BENCH_PR7.json for measured
-// ratios. Float32 rows take the same path through a float64 scratch row:
+// full O(n·Dijkstra + freeze) rebuild (BenchmarkOracleChurnRefresh against
+// BenchmarkOracleChurnRebuild measures the ratio). Float32 rows take the same path through a float64 scratch row:
 // widen, repair with graph.RepairRowF32 (tolerance-band parent tests absorb
 // the rounding), re-round with the same single cast the cold computation
 // uses — so repaired rows stay within a few float32 ulps of a from-scratch
 // oracle. Falls back to a full rebuild when the journal overflowed, when
 // the graph grew vertices, or when more than half the transit domains are
 // dirty; the returned stats carry the RefreshFallbackReason, and
-// SetRefreshInstruments exposes the same signal as obs counters for long
+// SetRefreshInstruments exposes the same signal as an obs counter for long
 // runs.
 func (o *Oracle) Refresh() RefreshStats {
 	g := o.net.Graph
@@ -245,7 +238,7 @@ func (o *Oracle) dropRow(src int) {
 
 // fullRebuild is the pre-delta behavior: freeze the graph from scratch and
 // start with a cold cache. It stamps the stats with why the incremental
-// path was abandoned and bumps the refresh fallback counters when
+// path was abandoned and bumps the refresh fallback counter when
 // instrumented.
 func (o *Oracle) fullRebuild(st *RefreshStats, why RefreshFallbackReason) {
 	g := o.net.Graph
@@ -254,9 +247,6 @@ func (o *Oracle) fullRebuild(st *RefreshStats, why RefreshFallbackReason) {
 	st.RowsDropped = int(o.cached.Load())
 	if o.instr != nil {
 		o.instr.refreshRebuilds.Add(1)
-		if why == RefreshFallbackFloat32 {
-			o.instr.refreshF32.Add(1)
-		}
 	}
 	o.base = g.Freeze()
 	o.fz = o.base

@@ -153,8 +153,8 @@ func TestRefreshFloat32Repair(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewOracleWith(net, OracleOptions{Float32: true})
-	var rebuilds, f32 obs.Counter
-	o.SetRefreshInstruments(&rebuilds, &f32)
+	var rebuilds obs.Counter
+	o.SetRefreshInstruments(&rebuilds)
 	o.Precompute(net.StubHosts)
 	before := o.CachedRows()
 
@@ -169,8 +169,8 @@ func TestRefreshFloat32Repair(t *testing.T) {
 	if st.RowsDropped == 0 || st.RowsDropped >= before {
 		t.Fatalf("dropped %d of %d rows; want the dirty domain but not all", st.RowsDropped, before)
 	}
-	if rebuilds.Value() != 0 || f32.Value() != 0 {
-		t.Fatalf("refresh instruments = (%d rebuilds, %d float32), want (0, 0)", rebuilds.Value(), f32.Value())
+	if rebuilds.Value() != 0 {
+		t.Fatalf("refresh instrument = %d rebuilds, want 0", rebuilds.Value())
 	}
 
 	fresh := net.Graph.Freeze()
@@ -232,8 +232,8 @@ func TestRefreshFullRebuildPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	o2 := NewOracle(net)
-	var rebuilds2, f322 obs.Counter
-	o2.SetRefreshInstruments(&rebuilds2, &f322)
+	var rebuilds2 obs.Counter
+	o2.SetRefreshInstruments(&rebuilds2)
 	o2.Precompute(net.StubHosts[:4])
 	v := net.Graph.AddVertex()
 	net.Graph.MustAddEdge(v, net.StubHosts[0], 3)
@@ -242,8 +242,8 @@ func TestRefreshFullRebuildPaths(t *testing.T) {
 	if st := o2.Refresh(); !st.FullRebuild || st.Reason != RefreshFallbackVertexGrowth {
 		t.Fatalf("vertex growth must rebuild with reason %q, got %+v", RefreshFallbackVertexGrowth, st)
 	}
-	if rebuilds2.Value() != 1 || f322.Value() != 0 {
-		t.Fatalf("refresh instruments = (%d rebuilds, %d float32), want (1, 0)", rebuilds2.Value(), f322.Value())
+	if rebuilds2.Value() != 1 {
+		t.Fatalf("refresh instrument = %d rebuilds, want 1", rebuilds2.Value())
 	}
 	if got := o2.NumNodes(); got != net.Graph.NumVertices() {
 		t.Fatalf("post-growth NumNodes = %d, want %d", got, net.Graph.NumVertices())
@@ -319,7 +319,7 @@ var (
 )
 
 // benchChurnSetup builds the ts-large network plus 256 warm sources spread
-// across all stub domains — the BENCH_PR2 oracle workload shape.
+// across all stub domains — the shape of every experiment trial's warm-up.
 func benchChurnSetup(b *testing.B) (*Network, []int) {
 	b.Helper()
 	net, err := Generate(TSLarge(), rng.New(1))

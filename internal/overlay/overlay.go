@@ -421,11 +421,10 @@ func (o *Overlay) SwapGainMeasured(u, v int, measure LatencyFunc) float64 {
 
 // RandomWalk performs the TTL-limited random contact of §3.2: starting at
 // slot start, the first hop is firstHop (chosen by the caller from the
-// neighborQ), and each later hop is a uniformly random neighbor that is not
-// already on the path ("add an identifier … to avoid repetitive
-// forwarding"). The walk succeeds when exactly ttl hops have been taken;
-// it fails if the walk gets stuck early. The returned path includes both
-// endpoints: path[0] == start, path[len-1] == target.
+// neighborQ), and each later hop is a WalkStep. The walk succeeds when
+// exactly ttl hops have been taken; it fails if the walk gets stuck early.
+// The returned path includes both endpoints: path[0] == start,
+// path[len-1] == target.
 func (o *Overlay) RandomWalk(start, firstHop, ttl int, r *rng.Rand) (path []int, ok bool) {
 	if ttl < 1 || !o.Alive(start) || !o.Alive(firstHop) {
 		return nil, false
@@ -434,27 +433,47 @@ func (o *Overlay) RandomWalk(start, firstHop, ttl int, r *rng.Rand) (path []int,
 		return nil, false
 	}
 	path = make([]int, 0, ttl+1)
-	onPath := map[int]bool{start: true, firstHop: true}
 	path = append(path, start, firstHop)
-	cur := firstHop
 	for hop := 1; hop < ttl; hop++ {
-		var candidates []int
-		o.Logical.VisitNeighbors(cur, func(nb int, _ float64) bool {
-			if !onPath[nb] && o.Alive(nb) {
-				candidates = append(candidates, nb)
-			}
-			return true
-		})
-		if len(candidates) == 0 {
+		next, ok := o.WalkStep(path[len(path)-1], path, r)
+		if !ok {
 			return path, false
 		}
-		// candidates are in ascending slot order (VisitNeighbors guarantees
-		// it), so the draw below is deterministic in the walk RNG.
-		cur = candidates[r.Intn(len(candidates))]
-		onPath[cur] = true
-		path = append(path, cur)
+		path = append(path, next)
 	}
 	return path, true
+}
+
+// WalkStep is one forwarding decision of the §3.2 walk: from slot cur, pick
+// a uniformly random live neighbor that is not already on path ("add an
+// identifier … to avoid repetitive forwarding"). ok is false when the walk
+// is stuck. Candidates are considered in ascending slot order, so the pick
+// is a pure function of the overlay, the path and r's state — the
+// sequential engine iterates it (RandomWalk) and the live runtime calls it
+// once per forwarded message.
+func (o *Overlay) WalkStep(cur int, path []int, r *rng.Rand) (next int, ok bool) {
+	var candidates []int
+	o.Logical.VisitNeighbors(cur, func(nb int, _ float64) bool {
+		if o.Alive(nb) && !onPath(path, nb) {
+			candidates = append(candidates, nb)
+		}
+		return true
+	})
+	if len(candidates) == 0 {
+		return 0, false
+	}
+	return candidates[r.Intn(len(candidates))], true
+}
+
+// onPath reports whether slot x is on the walk path (at most TTL+1 entries,
+// so a scan beats a set).
+func onPath(path []int, x int) bool {
+	for _, s := range path {
+		if s == x {
+			return true
+		}
+	}
+	return false
 }
 
 // MeanLinkLatency returns the average physical latency of the live logical

@@ -404,24 +404,76 @@ func TestRandomWalk(t *testing.T) {
 	}
 }
 
+// randomConnectedOverlay draws a random spanning tree plus 2n random chords
+// over 10–29 slots.
+func randomConnectedOverlay(r *rng.Rand) (o *Overlay, n int) {
+	n = 10 + r.Intn(20)
+	hosts := make([]int, n)
+	for i := range hosts {
+		hosts[i] = i
+	}
+	o, _ = New(hosts, gridLat)
+	for i := 1; i < n; i++ {
+		o.AddEdge(i, r.Intn(i))
+	}
+	for k := 0; k < 2*n; k++ {
+		if a, b := r.Intn(n), r.Intn(n); a != b {
+			o.AddEdge(a, b)
+		}
+	}
+	return o, n
+}
+
+// TestRandomWalkIsIteratedWalkStep: the walk the sequential engine takes in
+// one call and the walk the live runtime takes one forwarded message at a
+// time — each hop calling WalkStep with the path so far — are the same walk
+// from the same generator state, on overlays with crashed slots in them.
+func TestRandomWalkIsIteratedWalkStep(t *testing.T) {
+	f := func(seed uint64) bool {
+		build := rng.New(seed)
+		o, n := randomConnectedOverlay(build)
+		u := build.Intn(n)
+		if err := o.CrashSlot((u + 1 + build.Intn(n-1)) % n); err != nil {
+			return false
+		}
+		nu := o.Neighbors(u)
+		if len(nu) == 0 {
+			return true
+		}
+		first, ttl := nu[build.Intn(len(nu))], 1+build.Intn(5)
+
+		whole, wholeOK := o.RandomWalk(u, first, ttl, rng.New(seed+1))
+		if !o.Alive(first) {
+			return whole == nil && !wholeOK
+		}
+		r := rng.New(seed + 1)
+		path, ok := []int{u, first}, true
+		for len(path) < ttl+1 {
+			var next int
+			if next, ok = o.WalkStep(path[len(path)-1], path, r); !ok {
+				break
+			}
+			path = append(path, next)
+		}
+		if ok != wholeOK || len(path) != len(whole) {
+			return false
+		}
+		for i := range path {
+			if path[i] != whole[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRandomWalkNoRevisits(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		n := 10 + r.Intn(20)
-		hosts := make([]int, n)
-		for i := range hosts {
-			hosts[i] = i
-		}
-		o, _ := New(hosts, gridLat)
-		for i := 1; i < n; i++ {
-			o.AddEdge(i, r.Intn(i))
-		}
-		for k := 0; k < 2*n; k++ {
-			a, b := r.Intn(n), r.Intn(n)
-			if a != b {
-				o.AddEdge(a, b)
-			}
-		}
+		o, n := randomConnectedOverlay(r)
 		u := r.Intn(n)
 		nu := o.Neighbors(u)
 		if len(nu) == 0 {

@@ -1,10 +1,12 @@
 // Package propnode runs PROP agents as goroutines speaking PROP-G/PROP-O
 // over a transport.Network — the live counterpart of the discrete-event
-// simulation in internal/core. Each physical host gets one agent: a
-// transport.Node (message pump), a probe loop on the wall clock with the
-// §3.2 Markov back-off, and handlers that forward TTL walks and answer
-// measurement RPCs. Every latency the protocol consumes is a real RTT
-// measured by exchanging messages (Node.Ping or a TMeasure relay) — no
+// simulation in internal/core, and a second driver of the same peer kernel
+// (core.Peer, core.Exchange, overlay.WalkStep): this package owns the
+// goroutines, the lock, the messages and the counters, never a protocol
+// rule. Each physical host gets one agent: a transport.Node (message pump),
+// a probe loop on the wall clock, and handlers that forward TTL walks and
+// answer measurement RPCs. Every latency the protocol consumes is a real
+// RTT measured by exchanging messages (Node.Ping or a TMeasure relay) — no
 // oracle lookups — and lost messages ride the transport's timeout +
 // bounded-retransmit machinery.
 //
@@ -23,7 +25,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,23 +182,16 @@ type agent struct {
 	host  int
 	epoch uint32 // incarnation: stamped on every call, checked on every reply
 	node  *transport.Node
-	queue []queueEntry // first-hop priority queue, reconciled lazily
-	qseq  int
 	stop  chan struct{}
 	kick  chan struct{} // neighbor-change notification: reset the timer
+
+	// peer is the §3.2 kernel state (neighborQ, trials, timer), keyed by
+	// slot. Seeded under rt.mu at spawn, then owned by the probe goroutine.
+	peer core.Peer
 
 	// susp is the failure detector's per-neighbor suspicion accrual, keyed
 	// by host. Owned exclusively by the agent's detector goroutine.
 	susp map[int]int
-
-	trials  int
-	timerMS float64
-}
-
-type queueEntry struct {
-	neighbor int // slot
-	prio     int
-	seq      int
 }
 
 // New builds a runtime over net. Start must be called before the agents do
@@ -269,6 +263,10 @@ func (rt *Runtime) spawnLocked(host int) error {
 			go rt.handleMeasure(a, in.Msg)
 		}
 	})
+	// The paper's random initial neighborQ order, drawn from the runtime
+	// stream so it is a function of Config.Seed.
+	a.peer.TimerMS = rt.cfg.ProbeIntervalMS
+	a.peer.Init(rt.o.Neighbors(rt.o.SlotOfHost(host)), rt.r)
 	rt.agents[host] = a
 	rt.wg.Add(1)
 	stagger := time.Duration(rt.r.Float64()*rt.cfg.ProbeIntervalMS) * time.Millisecond
@@ -335,12 +333,16 @@ func (rt *Runtime) Stop() {
 	}
 }
 
-// runAgent is one agent's probe loop: stagger, then fire every timerMS with
-// the §3.2 Markov back-off — doubled on failure, reset to INIT_TIMER on
-// success or past the cap, reset by churn kicks.
+// runAgent is one agent's probe loop: stagger, then fire every timer
+// interval. The interval follows the kernel's Markov back-off (Peer.Finish)
+// and is reset by churn kicks.
 func (rt *Runtime) runAgent(a *agent, stagger time.Duration) {
 	defer rt.wg.Done()
-	a.timerMS = rt.cfg.ProbeIntervalMS
+	kernel := core.Config{
+		InitTimerMS:    rt.cfg.ProbeIntervalMS,
+		MaxInitTrials:  rt.cfg.MaxInitTrials,
+		MaxTimerFactor: rt.cfg.MaxTimerFactor,
+	}
 	timer := time.NewTimer(stagger)
 	defer timer.Stop()
 	for {
@@ -349,66 +351,20 @@ func (rt *Runtime) runAgent(a *agent, stagger time.Duration) {
 			return
 		case <-a.kick:
 			// §3.2 churn rule: neighbors changed — reset to INIT_TIMER.
-			a.timerMS = rt.cfg.ProbeIntervalMS
+			a.peer.TimerMS = rt.cfg.ProbeIntervalMS
 			if !timer.Stop() {
 				select {
 				case <-timer.C:
 				default:
 				}
 			}
-			timer.Reset(time.Duration(a.timerMS * float64(time.Millisecond)))
+			timer.Reset(time.Duration(a.peer.TimerMS * float64(time.Millisecond)))
 			continue
 		case <-timer.C:
 		}
-		success := rt.probeOnce(a)
-		a.trials++
-		if a.trials <= rt.cfg.MaxInitTrials || success {
-			a.timerMS = rt.cfg.ProbeIntervalMS
-		} else {
-			a.timerMS *= 2
-			if a.timerMS > rt.cfg.MaxTimerFactor*rt.cfg.ProbeIntervalMS {
-				a.timerMS = rt.cfg.ProbeIntervalMS
-			}
-		}
-		timer.Reset(time.Duration(a.timerMS * float64(time.Millisecond)))
+		next := a.peer.Finish(rt.probeOnce(a), kernel)
+		timer.Reset(time.Duration(next * float64(time.Millisecond)))
 	}
-}
-
-// reconcileQueueLocked mirrors internal/core's lazy queue maintenance:
-// drop ex-neighbors, insert fresh ones at the front. Caller holds rt.mu.
-func (rt *Runtime) reconcileQueueLocked(a *agent, u int) {
-	current := rt.o.Neighbors(u)
-	inSet := make(map[int]bool, len(current))
-	for _, nb := range current {
-		if rt.o.Alive(nb) {
-			inSet[nb] = true
-		}
-	}
-	kept := a.queue[:0]
-	seen := make(map[int]bool, len(a.queue))
-	minPrio := 0
-	for _, qe := range a.queue {
-		if inSet[qe.neighbor] && !seen[qe.neighbor] {
-			kept = append(kept, qe)
-			seen[qe.neighbor] = true
-			if qe.prio < minPrio {
-				minPrio = qe.prio
-			}
-		}
-	}
-	a.queue = kept
-	for nb := range inSet {
-		if !seen[nb] {
-			a.queue = append(a.queue, queueEntry{neighbor: nb, prio: minPrio - 1, seq: a.qseq})
-			a.qseq++
-		}
-	}
-	sort.Slice(a.queue, func(i, j int) bool {
-		if a.queue[i].prio != a.queue[j].prio {
-			return a.queue[i].prio < a.queue[j].prio
-		}
-		return a.queue[i].seq < a.queue[j].seq
-	})
 }
 
 // probeOnce runs one §3.2 probe cycle for a: pick a first hop from the
@@ -426,14 +382,13 @@ func (rt *Runtime) probeOnce(a *agent) bool {
 	// Live liveness eviction: a crashed neighbor never answers, so the
 	// agent drops the stale reference before choosing a first hop.
 	rt.o.EvictDeadNeighbors(u)
-	rt.reconcileQueueLocked(a, u)
-	if len(a.queue) == 0 {
+	a.peer.Reconcile(rt.o.Neighbors(u))
+	s, ok := a.peer.FirstHop()
+	if !ok {
 		rt.mu.Unlock()
 		rt.walkFails.Add(1)
 		return false
 	}
-	firstIdx := 0 // queue is sorted: minimum priority, FIFO tie-break
-	s := a.queue[firstIdx].neighbor
 	sHost := rt.o.HostOf(s)
 	walkReq := transport.Message{
 		Type:  transport.TWalk,
@@ -451,45 +406,19 @@ func (rt *Runtime) probeOnce(a *agent) bool {
 		rt.staleEpochs.Add(1)
 		err = fmt.Errorf("propnode: stale-epoch walk reply")
 	}
-	walked := err == nil && reply.Msg.TTL == 1 && len(reply.Msg.Path) >= 2
-	success := false
-	partnerTried := false
-	if walked {
-		path := reply.Msg.Path
-		v := path[len(path)-1]
-		success, partnerTried = rt.attemptExchange(a, u, v, path)
-	}
-	if !walked {
+	if err != nil || reply.Msg.TTL != 1 || len(reply.Msg.Path) < 2 {
 		rt.walkFails.Add(1)
+		return false
 	}
-	_ = partnerTried
-
-	// First-hop standing + queue update, exactly core's maintenance rule.
-	rt.mu.Lock()
-	if len(a.queue) > firstIdx && a.queue[firstIdx].neighbor == s {
-		maxPrio := 0
-		for _, qe := range a.queue {
-			if qe.prio > maxPrio {
-				maxPrio = qe.prio
-			}
-		}
-		if a.trials < rt.cfg.MaxInitTrials {
-			a.queue[firstIdx].prio = maxPrio + 1
-		} else if success {
-			a.queue[firstIdx].prio--
-		} else {
-			a.queue[firstIdx].prio = maxPrio + 1
-		}
-	}
-	rt.mu.Unlock()
-	return success
+	path := reply.Msg.Path
+	return rt.attemptExchange(a, u, path[len(path)-1], path)
 }
 
-// attemptExchange evaluates Var for (u,v) over live measurements and
-// commits the exchange when profitable. The runtime lock is held across
-// evaluation and commit — pumps never take it, so the measurement traffic
-// this generates cannot deadlock (see the package comment).
-func (rt *Runtime) attemptExchange(a *agent, u, v int, path []int) (success, tried bool) {
+// attemptExchange runs the kernel's Exchange for (u,v) over live
+// measurements. The runtime lock is held across evaluation and commit —
+// pumps never take it, so the measurement traffic this generates cannot
+// deadlock (see the package comment).
+func (rt *Runtime) attemptExchange(a *agent, u, v int, path []int) bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	// Incarnation guard: a goroutine of a crashed-and-recovered (or plain
@@ -498,70 +427,31 @@ func (rt *Runtime) attemptExchange(a *agent, u, v int, path []int) (success, tri
 	if rt.agents[a.host] != a {
 		rt.staleEpochs.Add(1)
 		rt.rejected.Add(1)
-		return false, false
+		return false
 	}
 	// Optimistic concurrency: the walk ran without the lock, so the world
 	// may have moved. Re-validate before measuring.
 	if rt.o.SlotOfHost(a.host) != u || u == v || !rt.o.Alive(u) || !rt.o.Alive(v) {
 		rt.rejected.Add(1)
-		return false, false
+		return false
 	}
-
-	var failed bool
-	measureHosts := func(x, y int) float64 {
-		if failed || x == y {
-			return 0
+	measure := func(x, y int) (float64, bool) {
+		if x == y {
+			return 0, true
 		}
 		rtt, err := rt.measureFrom(a, x, y)
-		if err != nil {
-			failed = true
-			return 0
-		}
-		return rtt
+		return rtt, err == nil
 	}
-
-	switch rt.cfg.Policy {
-	case core.PROPG:
-		gain := rt.o.SwapGainMeasured(u, v, measureHosts)
-		if failed {
-			rt.measureFails.Add(1)
-			return false, true
-		}
-		if gain <= rt.cfg.MinVar {
-			rt.rejected.Add(1)
-			return false, true
-		}
-		if err := rt.o.SwapHosts(u, v); err != nil {
-			rt.rejected.Add(1)
-			return false, true
-		}
-	case core.PROPO:
-		give, take := rt.selectTradeLocked(u, v, path)
-		if len(give) == 0 {
-			rt.rejected.Add(1)
-			return false, true
-		}
-		measureSlots := func(x, y int) float64 {
-			return measureHosts(rt.o.HostOf(x), rt.o.HostOf(y))
-		}
-		gain := rt.o.ExchangeGainMeasured(u, v, give, take, measureSlots)
-		if failed {
-			rt.measureFails.Add(1)
-			return false, true
-		}
-		if gain <= rt.cfg.MinVar {
-			rt.rejected.Add(1)
-			return false, true
-		}
-		if err := rt.o.ExchangeNeighbors(u, v, give, take, path); err != nil {
-			rt.rejected.Add(1)
-			return false, true
-		}
+	out, _, _ := core.Exchange(rt.o, rt.cfg.Policy, u, v, path, rt.m, rt.cfg.MinVar, measure, rt.r)
+	switch out {
+	case core.Committed:
+		rt.exchanges.Add(1)
+	case core.Poisoned:
+		rt.measureFails.Add(1)
 	default:
-		return false, false
+		rt.rejected.Add(1)
 	}
-	rt.exchanges.Add(1)
-	return true, true
+	return out == core.Committed
 }
 
 // measureFrom returns the live RTT between hosts x and y, measured from x's
@@ -591,48 +481,6 @@ func (rt *Runtime) measureFrom(a *agent, x, y int) (float64, error) {
 		return 0, fmt.Errorf("propnode: measure relay %d→%d reported %v", x, y, rtt)
 	}
 	return rtt, nil
-}
-
-// selectTradeLocked mirrors internal/core's PROP-O candidate selection:
-// random eligible m-subsets per side, honoring the Theorem 1 exclusions.
-// Caller holds rt.mu.
-func (rt *Runtime) selectTradeLocked(u, v int, path []int) (give, take []int) {
-	onPath := make(map[int]bool, len(path))
-	for _, x := range path {
-		onPath[x] = true
-	}
-	eligibleFrom := func(from, to int) []int {
-		var out []int
-		for _, x := range rt.o.Neighbors(from) {
-			if x == to || x == from || onPath[x] || !rt.o.Alive(x) {
-				continue
-			}
-			if rt.o.Logical.HasEdge(to, x) {
-				continue
-			}
-			out = append(out, x)
-		}
-		return out
-	}
-	candU := eligibleFrom(u, v)
-	candV := eligibleFrom(v, u)
-	m := rt.m
-	if len(candU) < m {
-		m = len(candU)
-	}
-	if len(candV) < m {
-		m = len(candV)
-	}
-	if m == 0 {
-		return nil, nil
-	}
-	pick := func(cands []int) []int {
-		rt.r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-		out := cands[:m]
-		sort.Ints(out)
-		return out
-	}
-	return pick(candU), pick(candV)
 }
 
 // handleWalk forwards one hop of a probing walk (or closes it). Runs on its
@@ -672,22 +520,12 @@ func (rt *Runtime) handleWalk(a *agent, m transport.Message) {
 		reply(true, m.Path)
 		return
 	}
-	onPath := make(map[int]bool, len(m.Path))
-	for _, s := range m.Path {
-		onPath[s] = true
-	}
-	var candidates []int
-	for _, nb := range rt.o.Neighbors(my) {
-		if !onPath[nb] && rt.o.Alive(nb) {
-			candidates = append(candidates, nb)
-		}
-	}
-	if len(candidates) == 0 {
+	next, ok := rt.o.WalkStep(my, m.Path, rt.r)
+	if !ok {
 		rt.mu.Unlock()
 		reply(false, m.Path)
 		return
 	}
-	next := candidates[rt.r.Intn(len(candidates))]
 	nextHost := rt.o.HostOf(next)
 	rt.mu.Unlock()
 

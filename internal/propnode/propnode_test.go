@@ -1,6 +1,7 @@
 package propnode
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -128,6 +129,54 @@ func TestRuntimeConvergesPROPO(t *testing.T) {
 	}
 	if err := rt.Overlay().CheckInvariants(); err != nil {
 		t.Fatalf("overlay invariants after run: %v", err)
+	}
+}
+
+// TestQueueOrderIsSeedDeterministic pins the neighborQ against scheduling
+// and map-iteration leaks: two runtimes built from one Config.Seed hold the
+// same per-agent queue order — the paper's random initial permutation drawn
+// from the runtime stream, and neighbors that arrive later entering in
+// ascending slot order. The probe interval is an hour, so no agent fires
+// and the overlay is quiesced.
+func TestQueueOrderIsSeedDeterministic(t *testing.T) {
+	const n = 24
+	queues := func(seed uint64) [][]int {
+		rt := startRuntime(t, n, Config{Seed: seed, ProbeIntervalMS: 3.6e6, SuspicionThreshold: -1}, nil)
+		defer rt.Stop()
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		out := make([][]int, n)
+		shuffled := false
+		for host := 0; host < n; host++ {
+			a, u := rt.agents[host], rt.o.SlotOfHost(host)
+			if len(a.peer.Queue) != rt.o.Degree(u) {
+				t.Fatalf("host %d: %d queued of %d neighbors at start", host, len(a.peer.Queue), rt.o.Degree(u))
+			}
+			for i := 1; i < len(a.peer.Queue); i++ {
+				shuffled = shuffled || a.peer.Queue[i].Neighbor < a.peer.Queue[i-1].Neighbor
+			}
+			// Three fresh neighbors at once: the order they enter the queue
+			// in must not depend on anything but the overlay.
+			for added, x := 0, 0; added < 3 && x < n; x++ {
+				if x != u && rt.o.AddEdge(u, x) == nil {
+					added++
+				}
+			}
+			a.peer.Reconcile(rt.o.Neighbors(u))
+			for _, qe := range a.peer.Queue {
+				out[host] = append(out[host], qe.Neighbor)
+			}
+		}
+		if !shuffled {
+			t.Fatal("every initial queue is in ascending slot order — the random permutation is missing")
+		}
+		return out
+	}
+	first, second := queues(7), queues(7)
+	for host := range first {
+		if fmt.Sprint(first[host]) != fmt.Sprint(second[host]) {
+			t.Fatalf("host %d: seed 7 queued %v, then %v", host, first[host], second[host])
+		}
 	}
 }
 

@@ -234,7 +234,7 @@ func TestDefaultWorld(t *testing.T) {
 
 // BenchmarkShardSim measures one full tiny-world run per iteration —
 // world build, 10 simulated minutes of probing across 8 parallel engines,
-// and the drain. The BENCH_PR8 entry for the sharded engine.
+// and the drain.
 func BenchmarkShardSim(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
