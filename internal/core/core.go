@@ -30,6 +30,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/event"
@@ -193,28 +194,27 @@ func (p *Peer) Init(nbrs []int, r *rng.Rand) {
 }
 
 // Reconcile drops entries that are no longer in nbrs (the peer's current
-// neighbors) and inserts new neighbors at the front, in the order nbrs
-// lists them (minimum priority — probed earliest, per §3.2's churn rule).
+// neighbors, each listed once) and inserts new neighbors at the front, in
+// the order nbrs lists them (minimum priority — probed earliest, per §3.2's
+// churn rule). Membership is a scan, not a set: lists are degree-sized, and
+// on an unchanged neighborhood the call is one pass that writes nothing new.
 func (p *Peer) Reconcile(nbrs []int) {
-	inSet := make(map[int]bool, len(nbrs))
-	for _, nb := range nbrs {
-		inSet[nb] = true
-	}
 	kept := p.Queue[:0]
-	seen := make(map[int]bool, len(p.Queue))
 	minPrio := 0
 	for _, qe := range p.Queue {
-		if inSet[qe.Neighbor] && !seen[qe.Neighbor] {
+		if slices.Contains(nbrs, qe.Neighbor) {
 			kept = append(kept, qe)
-			seen[qe.Neighbor] = true
 			if qe.Prio < minPrio {
 				minPrio = qe.Prio
 			}
 		}
 	}
 	p.Queue = kept
+	if len(kept) == len(nbrs) {
+		return // every neighbor already queued
+	}
 	for _, nb := range nbrs {
-		if !seen[nb] {
+		if !slices.ContainsFunc(kept, func(qe QueueEntry) bool { return qe.Neighbor == nb }) {
 			p.Queue = append(p.Queue, QueueEntry{Neighbor: nb, Prio: minPrio - 1, seq: p.seq})
 			p.seq++
 		}
@@ -285,16 +285,13 @@ func (p *Peer) Finish(success bool, cfg Config) (nextTimerMS float64) {
 // random, not greedy; the Var test afterwards decides whether the candidate
 // trade is worth executing. Both sides return equally many neighbors
 // (possibly fewer than m when eligibility is scarce); empty slices mean no
-// legal trade exists.
-func SelectTrade(o *overlay.Overlay, u, v int, path []int, m int, r *rng.Rand) (give, take []int) {
-	onPath := make(map[int]bool, len(path))
-	for _, x := range path {
-		onPath[x] = true
-	}
-	eligibleFrom := func(from, to int) []int {
-		var out []int
-		for _, x := range o.Neighbors(from) {
-			if x == to || x == from || onPath[x] || !o.Alive(x) {
+// legal trade exists. The lists live in sc (Nbrs and Cand).
+func SelectTrade(o *overlay.Overlay, u, v int, path []int, m int, r *rng.Rand, sc *overlay.Scratch) (give, take []int) {
+	eligibleFrom := func(buf []int, from, to int) []int {
+		buf = o.Logical.AppendNeighbors(buf[:0], from)
+		out := buf[:0]
+		for _, x := range buf {
+			if x == to || x == from || slices.Contains(path, x) || !o.Alive(x) {
 				continue
 			}
 			if o.Logical.HasEdge(to, x) {
@@ -304,8 +301,9 @@ func SelectTrade(o *overlay.Overlay, u, v int, path []int, m int, r *rng.Rand) (
 		}
 		return out
 	}
-	candU := eligibleFrom(u, v)
-	candV := eligibleFrom(v, u)
+	sc.Nbrs = eligibleFrom(sc.Nbrs, u, v)
+	sc.Cand = eligibleFrom(sc.Cand, v, u)
+	candU, candV := sc.Nbrs, sc.Cand
 	if len(candU) < m {
 		m = len(candU)
 	}
@@ -346,9 +344,10 @@ const (
 // first failure it is not called again. moved counts the neighbor entries
 // the exchange touches — |N(u)|+|N(v)| under PROPG, both trade lists under
 // PROPO — which is also the number of measurements taken and, on commit,
-// of notifications owed (§4.3); it is 0 when no legal trade existed.
+// of notifications owed (§4.3); it is 0 when no legal trade existed. sc is
+// the calling driver's scratch; path may be its Path.
 func Exchange(o *overlay.Overlay, policy Policy, u, v int, path []int, m int, minVar float64,
-	measure func(hostA, hostB int) (rtt float64, ok bool), r *rng.Rand) (out Outcome, variation float64, moved int) {
+	measure func(hostA, hostB int) (rtt float64, ok bool), r *rng.Rand, sc *overlay.Scratch) (out Outcome, variation float64, moved int) {
 	failed := false
 	hosts := func(a, b int) float64 {
 		if failed {
@@ -365,10 +364,10 @@ func Exchange(o *overlay.Overlay, policy Policy, u, v int, path []int, m int, mi
 	switch policy {
 	case PROPG:
 		moved = o.Degree(u) + o.Degree(v)
-		variation = o.SwapGainMeasured(u, v, hosts)
+		variation = o.SwapGainMeasured(u, v, hosts, sc)
 		commit = func() error { return o.SwapHosts(u, v) }
 	case PROPO:
-		give, take := SelectTrade(o, u, v, path, m, r)
+		give, take := SelectTrade(o, u, v, path, m, r, sc)
 		if len(give) == 0 {
 			return Rejected, 0, 0
 		}
@@ -422,9 +421,13 @@ type Protocol struct {
 
 	cfg    Config
 	r      *rng.Rand
-	m      int // resolved PROP-O exchange size
-	nodes  map[int]*nodeState
+	m      int              // resolved PROP-O exchange size
+	nodes  []*nodeState     // by slot; nil = not under protocol control
+	count  int              // non-nil entries of nodes
 	faults *faults.Injector // nil = every message arrives clean
+	// sc holds the buffers of the probe cycle in flight. Cycles never overlap
+	// (one clock, handlers run one at a time), so one set serves every node.
+	sc overlay.Scratch
 }
 
 // nodeState is the sequential driver's per-slot bookkeeping around the
@@ -432,6 +435,7 @@ type Protocol struct {
 type nodeState struct {
 	Peer
 	token event.Canceler
+	fire  func() // the node's timer callback, built once at register
 	// epoch invalidates in-flight retransmit chains: it is bumped whenever
 	// the node's situation changes underneath a pending retransmit timer
 	// (neighbor churn, repair, death), so a stale timer firing later is
@@ -452,7 +456,7 @@ func New(o *overlay.Overlay, cfg Config, r *rng.Rand) (*Protocol, error) {
 		O:     o,
 		cfg:   cfg,
 		r:     r,
-		nodes: make(map[int]*nodeState),
+		nodes: make([]*nodeState, o.NumSlots()),
 	}
 	p.m = cfg.M
 	if p.m == 0 {
@@ -497,10 +501,34 @@ func (p *Protocol) Start(e event.Clock) {
 // register creates protocol state for slot and schedules its first probe.
 func (p *Protocol) register(e event.Clock, slot int) {
 	st := &nodeState{Peer: Peer{TimerMS: p.cfg.InitTimerMS}}
+	st.fire = func() { p.probe(e, slot) }
 	st.Init(p.O.Neighbors(slot), p.r)
+	for len(p.nodes) <= slot {
+		p.nodes = append(p.nodes, nil)
+	}
 	p.nodes[slot] = st
+	p.count++
 	delay := event.Time(p.r.Float64() * p.cfg.InitTimerMS)
-	st.token = e.Schedule(delay, func() { p.probe(e, slot) })
+	st.token = e.Schedule(delay, st.fire)
+}
+
+// node returns slot's protocol state, or nil if it is not registered.
+func (p *Protocol) node(slot int) *nodeState {
+	if slot < 0 || slot >= len(p.nodes) {
+		return nil
+	}
+	return p.nodes[slot]
+}
+
+// unregister cancels slot's pending probe, invalidates any in-flight
+// retransmit chain and forgets the node.
+func (p *Protocol) unregister(slot int) {
+	if st := p.node(slot); st != nil {
+		st.token.Cancel()
+		st.epoch++
+		p.nodes[slot] = nil
+		p.count--
+	}
 }
 
 // AddNode brings a newly joined slot under protocol control (churn). The
@@ -509,7 +537,7 @@ func (p *Protocol) AddNode(e event.Clock, slot int) error {
 	if !p.O.Alive(slot) {
 		return fmt.Errorf("core: AddNode(%d) on dead slot", slot)
 	}
-	if _, dup := p.nodes[slot]; dup {
+	if p.node(slot) != nil {
 		return fmt.Errorf("core: slot %d already registered", slot)
 	}
 	p.register(e, slot)
@@ -525,11 +553,7 @@ func (p *Protocol) AddNode(e event.Clock, slot int) error {
 // cancelled and its former neighbors reset their timers. Call after the
 // overlay repair has rewired the survivors.
 func (p *Protocol) RemoveNode(e event.Clock, slot int, formerNeighbors []int) {
-	if st, ok := p.nodes[slot]; ok {
-		st.token.Cancel()
-		st.epoch++
-		delete(p.nodes, slot)
-	}
+	p.unregister(slot)
 	for _, nb := range formerNeighbors {
 		p.onNeighborChange(e, nb)
 	}
@@ -540,13 +564,7 @@ func (p *Protocol) RemoveNode(e event.Clock, slot int, formerNeighbors []int) {
 // no survivor is notified. Neighbors keep stale queue entries until their
 // own liveness eviction or a repair pass (NeighborsChanged) catches up,
 // which is exactly the asymmetry between a graceful leave and a crash.
-func (p *Protocol) CrashNode(slot int) {
-	if st, ok := p.nodes[slot]; ok {
-		st.token.Cancel()
-		st.epoch++
-		delete(p.nodes, slot)
-	}
-}
+func (p *Protocol) CrashNode(slot int) { p.unregister(slot) }
 
 // NeighborsChanged tells the protocol that an external repair pass (e.g. a
 // DHT RepairCrashed) rewired the given slots' neighborhoods: each affected
@@ -563,14 +581,14 @@ func (p *Protocol) NeighborsChanged(e event.Clock, slots ...int) {
 // queue itself reconciles lazily, with fresh neighbors entering at the
 // front.
 func (p *Protocol) onNeighborChange(e event.Clock, slot int) {
-	st, ok := p.nodes[slot]
-	if !ok {
+	st := p.node(slot)
+	if st == nil {
 		return
 	}
 	st.TimerMS = p.cfg.InitTimerMS
 	st.token.Cancel()
 	st.epoch++
-	st.token = e.Schedule(event.Time(st.TimerMS), func() { p.probe(e, slot) })
+	st.token = e.Schedule(event.Time(st.TimerMS), st.fire)
 }
 
 // probe is one timer firing for slot u: find a partner, evaluate Var, and
@@ -578,8 +596,8 @@ func (p *Protocol) onNeighborChange(e event.Clock, slot int) {
 // events (retransmits after lost messages); without an injector every
 // message arrives and the cycle completes within this one event.
 func (p *Protocol) probe(e event.Clock, u int) {
-	st, ok := p.nodes[u]
-	if !ok || !p.O.Alive(u) {
+	st := p.node(u)
+	if st == nil || !p.O.Alive(u) {
 		return
 	}
 	p.Counters.Probes++
@@ -590,7 +608,8 @@ func (p *Protocol) probe(e event.Clock, u int) {
 			p.Counters.Evictions += uint64(n)
 		}
 	}
-	st.Reconcile(p.O.Neighbors(u))
+	p.sc.Nbrs = p.O.Logical.AppendNeighbors(p.sc.Nbrs[:0], u)
+	st.Reconcile(p.sc.Nbrs)
 	s, ok := st.FirstHop()
 	if !ok {
 		p.finishProbe(e, u, st, -1, false)
@@ -619,7 +638,7 @@ func (p *Protocol) probeAttempt(e event.Clock, u int, st *nodeState, s, attempt 
 		p.Counters.Retries++
 		myEpoch := st.epoch
 		e.Schedule(p.retransmitDelay(attempt), func() {
-			if cur, ok := p.nodes[u]; !ok || cur != st || st.epoch != myEpoch {
+			if p.node(u) != st || st.epoch != myEpoch {
 				p.Counters.StaleTimers++
 				return
 			}
@@ -638,7 +657,7 @@ func (p *Protocol) finishProbe(e event.Clock, u int, st *nodeState, partner int,
 	if p.Probe != nil {
 		p.Probe(ProbeEvent{At: e.Now(), U: u, Partner: partner, Exchanged: success})
 	}
-	st.token = e.Schedule(event.Time(st.Finish(success, p.cfg)), func() { p.probe(e, u) })
+	st.token = e.Schedule(event.Time(st.Finish(success, p.cfg)), st.fire)
 }
 
 // deliverWalk runs the probe's messages past the injector: one forwarding
@@ -678,24 +697,27 @@ func (p *Protocol) retransmitDelay(attempt int) event.Time {
 
 // findPartner locates the exchange counterpart: a TTL-nhops random walk
 // from u through s, or a uniform random peer under RandomProbe. It returns
-// the partner, the walk path (for the Theorem 1 exclusion rule), and
-// whether a partner was found.
+// the partner, the walk path (for the Theorem 1 exclusion rule; it lives in
+// p.sc until the next attempt), and whether a partner was found.
 func (p *Protocol) findPartner(u, s int) (v int, path []int, ok bool) {
 	if p.cfg.RandomProbe {
-		alive := p.O.AliveSlots()
-		if len(alive) < 2 {
+		alive := p.O.NumAlive()
+		if alive < 2 {
 			return 0, nil, false
 		}
 		for tries := 0; tries < 8; tries++ {
-			cand := alive[p.r.Intn(len(alive))]
+			cand := p.O.AliveSlotAt(p.r.Intn(alive))
 			if cand != u {
-				return cand, []int{u, cand}, true
+				p.sc.Path = append(p.sc.Path[:0], u, cand)
+				return cand, p.sc.Path, true
 			}
 		}
 		return 0, nil, false
 	}
-	path, walked := p.O.RandomWalk(u, s, p.cfg.NHops, p.r)
-	p.Counters.WalkMessages += uint64(len(path) - 1)
+	path, walked := p.O.RandomWalk(u, s, p.cfg.NHops, p.r, &p.sc)
+	if len(path) > 0 { // a refused first hop sent nothing
+		p.Counters.WalkMessages += uint64(len(path) - 1)
+	}
 	if !walked {
 		p.Counters.WalkFailures++
 		return 0, nil, false
@@ -711,7 +733,7 @@ func (p *Protocol) attemptExchange(e event.Clock, u, v int, path []int) bool {
 		return false
 	}
 	measure := func(a, b int) (float64, bool) { return p.measureRTT(e, a, b) }
-	out, variation, moved := Exchange(p.O, p.cfg.Policy, u, v, path, p.m, p.cfg.MinVar, measure, p.r)
+	out, variation, moved := Exchange(p.O, p.cfg.Policy, u, v, path, p.m, p.cfg.MinVar, measure, p.r, &p.sc)
 	// Each side probes the other's (hypothetical) neighbors: the 2c of
 	// PROP-G, the 2m of PROP-O.
 	p.Counters.MeasureMessages += uint64(moved)
@@ -807,6 +829,9 @@ func (p *Protocol) BackoffSnapshot() BackoffSnapshot {
 	var bs BackoffSnapshot
 	maxMS := p.cfg.MaxTimerFactor * p.cfg.InitTimerMS
 	for _, st := range p.nodes {
+		if st == nil {
+			continue
+		}
 		bs.Nodes++
 		factor := int(st.TimerMS / p.cfg.InitTimerMS)
 		if factor < 1 {
@@ -825,12 +850,12 @@ func (p *Protocol) BackoffSnapshot() BackoffSnapshot {
 
 // TimerOf exposes a node's current timer in ms (testing/analysis).
 func (p *Protocol) TimerOf(slot int) (float64, bool) {
-	st, ok := p.nodes[slot]
-	if !ok {
+	st := p.node(slot)
+	if st == nil {
 		return 0, false
 	}
 	return st.TimerMS, true
 }
 
 // Registered reports how many slots are under protocol control.
-func (p *Protocol) Registered() int { return len(p.nodes) }
+func (p *Protocol) Registered() int { return p.count }

@@ -6,7 +6,11 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
+	"testing/quick"
+
+	"repro/internal/event"
 
 	"repro/internal/overlay"
 	"repro/internal/rng"
@@ -135,6 +139,92 @@ func TestReconcileQueueDropsStaleAddsFresh(t *testing.T) {
 	}
 }
 
+// referenceReconcile is Reconcile as it was before it became map-free, kept
+// as the specification the scan-based version must reproduce entry for entry.
+func referenceReconcile(p *Peer, nbrs []int) {
+	inSet := make(map[int]bool, len(nbrs))
+	for _, nb := range nbrs {
+		inSet[nb] = true
+	}
+	kept := p.Queue[:0]
+	seen := make(map[int]bool, len(p.Queue))
+	minPrio := 0
+	for _, qe := range p.Queue {
+		if inSet[qe.Neighbor] && !seen[qe.Neighbor] {
+			kept = append(kept, qe)
+			seen[qe.Neighbor] = true
+			if qe.Prio < minPrio {
+				minPrio = qe.Prio
+			}
+		}
+	}
+	p.Queue = kept
+	for _, nb := range nbrs {
+		if !seen[nb] {
+			p.Queue = append(p.Queue, QueueEntry{Neighbor: nb, Prio: minPrio - 1, seq: p.seq})
+			p.seq++
+		}
+	}
+}
+
+// TestReconcileMatchesMapReference drives two peers through the same random
+// churn — neighbors leaving, joining, the list reshuffled or untouched, probe
+// cycles in between moving priorities — one through Reconcile and one through
+// the map-based reference, and requires identical queues throughout: order,
+// Prio and arrival seq.
+func TestReconcileMatchesMapReference(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		cfg := DefaultConfig(PROPG)
+		cfg.MaxInitTrials = 3
+		nbrs := r.Perm(40)[:1+r.Intn(12)]
+		var got, want Peer
+		got.Init(append([]int(nil), nbrs...), rng.New(seed+1))
+		want.Init(append([]int(nil), nbrs...), rng.New(seed+1))
+		for step := 0; step < 60; step++ {
+			switch r.Intn(5) {
+			case 0: // a neighbor leaves
+				if len(nbrs) > 0 {
+					i := r.Intn(len(nbrs))
+					nbrs = append(nbrs[:i], nbrs[i+1:]...)
+				}
+			case 1: // up to three join, anywhere in the list
+				for k := r.Intn(3) + 1; k > 0; k-- {
+					if x := r.Intn(40); !slices.Contains(nbrs, x) {
+						i := r.Intn(len(nbrs) + 1)
+						nbrs = append(nbrs[:i], append([]int{x}, nbrs[i:]...)...)
+					}
+				}
+			case 2: // same set, new listing order
+				r.Shuffle(len(nbrs), func(i, j int) { nbrs[i], nbrs[j] = nbrs[j], nbrs[i] })
+			case 3: // wholesale replacement
+				nbrs = r.Perm(40)[:r.Intn(12)]
+			} // case 4: unchanged neighborhood
+			got.Reconcile(nbrs)
+			referenceReconcile(&want, nbrs)
+			if len(got.Queue) != len(want.Queue) || got.seq != want.seq {
+				return false
+			}
+			for i := range want.Queue {
+				if got.Queue[i] != want.Queue[i] {
+					return false
+				}
+			}
+			// A probe cycle between reconciliations, so priorities spread.
+			success := r.Intn(2) == 0
+			a, aok := got.FirstHop()
+			b, bok := want.FirstHop()
+			if a != b || aok != bok || got.Finish(success, cfg) != want.Finish(success, cfg) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFinishStandingAndTimer tables the §3.2 maintenance rule: warm-up
 // rotates the first hop and pins the timer; afterwards success promotes and
 // resets, failure demotes and doubles, and the timer resets once it passes
@@ -187,7 +277,7 @@ func TestSelectTradeConstraints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	give, take := SelectTrade(o, 0, 1, []int{0, 3, 1}, 3, rng.New(3))
+	give, take := SelectTrade(o, 0, 1, []int{0, 3, 1}, 3, rng.New(3), new(overlay.Scratch))
 	// Eligible for u: {2} (3 on path, 4 adjacent to v). For v: {5,6}
 	// (4 adjacent to u). Equal sizes => m_eff = 1.
 	if len(give) != 1 || len(take) != 1 {
@@ -200,7 +290,7 @@ func TestSelectTradeConstraints(t *testing.T) {
 		t.Fatalf("take = %v, want 5 or 6", take)
 	}
 	// With everything banned, no trade.
-	give, take = SelectTrade(o, 0, 1, []int{0, 1, 2, 3, 4, 5, 6}, 3, rng.New(3))
+	give, take = SelectTrade(o, 0, 1, []int{0, 1, 2, 3, 4, 5, 6}, 3, rng.New(3), new(overlay.Scratch))
 	if give != nil || take != nil {
 		t.Fatalf("fully banned trade returned %v/%v", give, take)
 	}
@@ -227,7 +317,7 @@ func TestExchangeOutcomes(t *testing.T) {
 		o := build()
 		calls := 0
 		lossy := func(a, b int) (float64, bool) { calls++; return 0, false }
-		out, _, moved := Exchange(o, policy, 0, 1, []int{0, 1}, 1, 0, lossy, rng.New(1))
+		out, _, moved := Exchange(o, policy, 0, 1, []int{0, 1}, 1, 0, lossy, rng.New(1), new(overlay.Scratch))
 		if out != Poisoned || calls != 1 || moved == 0 {
 			t.Fatalf("%v: lossy measure gave outcome %v after %d calls (moved %d), want Poisoned after 1", policy, out, calls, moved)
 		}
@@ -235,13 +325,13 @@ func TestExchangeOutcomes(t *testing.T) {
 			t.Fatalf("%v: poisoned exchange mutated the overlay", policy)
 		}
 
-		out, variation, _ := Exchange(o, policy, 0, 1, []int{0, 1}, 1, 1e9, truth, rng.New(1))
+		out, variation, _ := Exchange(o, policy, 0, 1, []int{0, 1}, 1, 1e9, truth, rng.New(1), new(overlay.Scratch))
 		if out != Rejected || variation <= 0 {
 			t.Fatalf("%v: Var %v under a huge MIN_VAR gave %v, want Rejected", policy, variation, out)
 		}
 
 		before := o.MeanLinkLatency()
-		out, variation, moved = Exchange(o, policy, 0, 1, []int{0, 1}, 1, 0, truth, rng.New(1))
+		out, variation, moved = Exchange(o, policy, 0, 1, []int{0, 1}, 1, 0, truth, rng.New(1), new(overlay.Scratch))
 		if out != Committed || variation <= 0 || moved != wantMoved[policy] {
 			t.Fatalf("%v: outcome %v Var %v moved %d, want Committed with positive Var", policy, out, variation, moved)
 		}
@@ -314,5 +404,48 @@ func TestFindPartnerRandomProbeAvoidsSelf(t *testing.T) {
 		if len(path) != 2 || path[0] != 0 || path[1] != v {
 			t.Fatalf("random probe path = %v", path)
 		}
+	}
+}
+
+// TestRefusedWalkCountsNoMessages: with no injector attached there is no
+// liveness eviction, so a crashed neighbor stays in the queue and RandomWalk
+// refuses it as a first hop, returning no path. Such a probe sent nothing;
+// it used to move the unsigned WalkMessages counter by −1.
+func TestRefusedWalkCountsNoMessages(t *testing.T) {
+	o := tinyOverlay(t, []int{0, 10, 20, 30})
+	for u := 0; u < 4; u++ {
+		o.AddEdge(u, (u+1)%4)
+	}
+	cfg := DefaultConfig(PROPG)
+	cfg.NHops = 3
+	p, err := New(o, cfg, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start(event.New())
+	if err := o.CrashSlot(1); err != nil {
+		t.Fatal(err)
+	}
+	p.CrashNode(1)
+	for i := 0; i < 3; i++ {
+		before := p.Counters
+		if _, _, ok := p.findPartner(0, 1); ok {
+			t.Fatal("walk through a crashed first hop succeeded")
+		}
+		if p.Counters.WalkMessages != before.WalkMessages {
+			t.Fatalf("refused walk moved WalkMessages %d → %d", before.WalkMessages, p.Counters.WalkMessages)
+		}
+		if p.Counters.WalkFailures != before.WalkFailures+1 {
+			t.Fatalf("refused walk not counted as a failure: %+v", p.Counters)
+		}
+	}
+	// A walk that starts and then gets stuck still counts the hops it took:
+	// 2→3→0, where 0's only onward neighbor is the corpse.
+	before := p.Counters.WalkMessages
+	if _, _, ok := p.findPartner(2, 3); ok {
+		t.Fatal("3-hop walk on a 4-ring with a dead slot found a partner")
+	}
+	if got := p.Counters.WalkMessages - before; got != 2 {
+		t.Fatalf("stuck walk counted %d messages, want 2", got)
 	}
 }

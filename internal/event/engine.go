@@ -57,16 +57,22 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // Now) panics: it indicates a protocol bug, not an environmental condition.
 // It returns a token that can cancel the event.
 func (e *Engine) At(t Time, h Handler) *Token {
-	if t < e.now {
-		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, e.now))
-	}
 	if h == nil {
 		panic("event: nil handler")
 	}
-	ev := &item{at: t, seq: e.seq, h: h}
+	return e.push(t, &item{h: h})
+}
+
+// push stamps ev with its due time and FIFO sequence number and queues it.
+// The token lives inside the item, so scheduling is one allocation.
+func (e *Engine) push(t Time, ev *item) *Token {
+	if t < e.now {
+		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, e.now))
+	}
+	ev.at, ev.seq, ev.tok.item = t, e.seq, ev
 	e.seq++
 	heap.Push(&e.queue, ev)
-	return &Token{item: ev}
+	return &ev.tok
 }
 
 // After schedules h to run delay milliseconds from now. Negative delays
@@ -91,7 +97,11 @@ func (e *Engine) Step() bool {
 		}
 		e.now = ev.at
 		e.steps++
-		ev.h(e)
+		if ev.f != nil {
+			ev.f()
+		} else {
+			ev.h(e)
+		}
 		return true
 	}
 	return false
@@ -150,7 +160,7 @@ func (e *Engine) Schedule(d Time, f func()) Canceler {
 	if f == nil {
 		panic("event: nil handler")
 	}
-	return e.After(d, func(*Engine) { f() })
+	return e.push(e.now+d, &item{f: f})
 }
 
 // Token cancels a scheduled event. Cancel and Pending are safe to call from
@@ -193,9 +203,10 @@ const (
 type item struct {
 	at    Time
 	seq   uint64
-	h     Handler
+	h     Handler // set by At/After
+	f     func()  // set by Schedule; exactly one of h and f is non-nil
 	state atomic.Int32
-	index int
+	tok   Token
 }
 
 type eventHeap []*item
@@ -207,16 +218,8 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x interface{}) {
-	it := x.(*item)
-	it.index = len(*h)
-	*h = append(*h, it)
-}
+func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*item)) }
 func (h *eventHeap) Pop() interface{} {
 	old := *h
 	n := len(old)

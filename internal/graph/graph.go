@@ -204,11 +204,19 @@ func (g *Graph) Neighbors(u int) []int {
 	if u < 0 || u >= len(g.adj) {
 		return nil
 	}
-	out := make([]int, 0, len(g.adj[u]))
-	for _, e := range g.adj[u] {
-		out = append(out, e.to)
+	return g.AppendNeighbors(make([]int, 0, len(g.adj[u])), u)
+}
+
+// AppendNeighbors appends the neighbor IDs of u to dst in ascending order and
+// returns the extended slice — Neighbors for hot loops that reuse a buffer.
+func (g *Graph) AppendNeighbors(dst []int, u int) []int {
+	if u < 0 || u >= len(g.adj) {
+		return dst
 	}
-	return out
+	for _, e := range g.adj[u] {
+		dst = append(dst, e.to)
+	}
+	return dst
 }
 
 // VisitNeighbors calls f for every neighbor of u, in ascending neighbor

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"testing"
+	"testing/quick"
 
 	"repro/internal/rng"
 )
@@ -116,7 +117,7 @@ func TestCrashSkippedByGainAndLatencySums(t *testing.T) {
 			t.Fatalf("measured against released host: (%d,%d)", a, b)
 		}
 		return gridLat(a, b)
-	})
+	}, new(Scratch))
 	if calls == 0 {
 		t.Fatal("no measurements at all")
 	}
@@ -124,7 +125,7 @@ func TestCrashSkippedByGainAndLatencySums(t *testing.T) {
 	// candidates after the first hop exclude slot 2.
 	r := rng.New(7)
 	for i := 0; i < 20; i++ {
-		path, ok := o.RandomWalk(0, 1, 3, r)
+		path, ok := o.RandomWalk(0, 1, 3, r, new(Scratch))
 		if !ok {
 			continue
 		}
@@ -165,5 +166,90 @@ func TestExchangeRejectsCrashedNeighbor(t *testing.T) {
 	}
 	if o.Stats.ExchangesRejected != 1 {
 		t.Fatalf("ExchangesRejected = %d, want 1", o.Stats.ExchangesRejected)
+	}
+}
+
+// TestEvictDeadNeighborsSeveralCorpses: every stale edge of the node goes in
+// one call, and a node without any keeps its edges.
+func TestEvictDeadNeighborsSeveralCorpses(t *testing.T) {
+	o := ringOverlay(t)
+	o.AddEdge(1, 3)
+	for _, s := range []int{0, 2} {
+		if err := o.CrashSlot(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := o.EvictDeadNeighbors(1); n != 2 {
+		t.Fatalf("evicted %d edges from slot 1, want 2", n)
+	}
+	if got := o.Neighbors(1); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("slot 1 keeps %v, want [3]", got)
+	}
+}
+
+// TestAliveSlotAtMatchesAliveSlots: through random joins, graceful leaves,
+// crashes and clones, the cached alive index answers AliveSlots()[k] for
+// every k — on the overlay and on its clone, which must not share the cache.
+func TestAliveSlotAtMatchesAliveSlots(t *testing.T) {
+	agree := func(o *Overlay) bool {
+		want := o.AliveSlots()
+		if len(want) != o.NumAlive() {
+			return false
+		}
+		for k, s := range want {
+			if o.AliveSlotAt(k) != s {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		n := 2 + r.Intn(10)
+		hosts := make([]int, n)
+		for i := range hosts {
+			hosts[i] = i
+		}
+		o, err := New(hosts, gridLat)
+		if err != nil {
+			return false
+		}
+		nextHost := n
+		for step := 0; step < 80; step++ {
+			switch op := r.Intn(8); {
+			case op < 2:
+				if _, err := o.AddSlot(nextHost); err != nil {
+					return false
+				}
+				nextHost++
+			case op < 5 && o.NumAlive() > 0:
+				victim := o.AliveSlots()[r.Intn(o.NumAlive())]
+				if op == 2 {
+					err = o.RemoveSlot(victim)
+				} else {
+					err = o.CrashSlot(victim)
+				}
+				if err != nil {
+					return false
+				}
+			case op == 5:
+				c := o.Clone()
+				if o.NumAlive() > 0 {
+					if err := c.CrashSlot(c.AliveSlotAt(0)); err != nil {
+						return false
+					}
+				}
+				if !agree(c) {
+					return false
+				}
+			} // otherwise: query again with nothing changed
+			if !agree(o) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -22,6 +22,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -68,6 +69,10 @@ type Overlay struct {
 	crashed    map[int]bool // dead slots that died crash-stop, stale edges allowed
 	lat        LatencyFunc
 
+	// aliveIdx caches the live slots in ascending order for AliveSlotAt once
+	// some slot is dead; slot births and deaths empty it (rebuilt on demand).
+	aliveIdx []int
+
 	// floodPool recycles flooding-query scratch (see lookup.go) across the
 	// concurrent metric evaluators sharing this overlay.
 	floodPool sync.Pool
@@ -76,6 +81,17 @@ type Overlay struct {
 	// leave, crash) — the feed incremental-metric trackers combine with the
 	// logical graph's mutation journal. See SetSlotEventHook.
 	slotHook func(SlotEvent)
+}
+
+// Scratch holds the reusable buffers of one driver's probe cycle, so the
+// neighbor-iterating primitives allocate nothing once it has grown to the
+// local degree. The zero value is ready. It belongs to one driver — core's
+// event goroutine, propnode under its runtime lock — never to the Overlay,
+// whose read-only queries (floods, lookups) run concurrently. What a call
+// leaves in it is valid until the next call taking the same Scratch.
+type Scratch struct {
+	Nbrs, Cand []int // neighbor lists and candidate sets
+	Path       []int // the walk in flight
 }
 
 // SlotEventKind identifies one kind of slot/host lifecycle event.
@@ -163,6 +179,26 @@ func (o *Overlay) AliveSlots() []int {
 		}
 	}
 	return out
+}
+
+// AliveSlotAt returns the k-th live slot in ascending order, 0 <= k <
+// NumAlive() — AliveSlots()[k] in O(1). It may rebuild the cached index, so
+// unlike the read-only queries it belongs to the mutating goroutine.
+func (o *Overlay) AliveSlotAt(k int) int {
+	if k < 0 || k >= o.aliveCount {
+		panic(fmt.Sprintf("overlay: AliveSlotAt(%d) with %d live slots", k, o.aliveCount))
+	}
+	if o.aliveCount == len(o.alive) {
+		return k
+	}
+	if len(o.aliveIdx) == 0 {
+		for s, a := range o.alive {
+			if a {
+				o.aliveIdx = append(o.aliveIdx, s)
+			}
+		}
+	}
+	return o.aliveIdx[k]
 }
 
 // HostOf returns the physical host currently backing slot u, or -1 for a
@@ -376,25 +412,26 @@ func (o *Overlay) ExchangeGainMeasured(u, v int, give, take []int, measure func(
 // Σ d(u,N(u)) + Σ d(v,N(v)) if u and v swap hosts. The shared edge {u,v},
 // if present, cancels out by symmetry and needs no special casing.
 func (o *Overlay) SwapGain(u, v int) float64 {
-	return o.SwapGainMeasured(u, v, o.lat)
+	return o.SwapGainMeasured(u, v, o.lat, new(Scratch))
 }
 
 // SwapGainMeasured is SwapGain computed with a caller-supplied host-to-host
 // measurement instead of the true latency function — how a real peer
 // evaluates Var from (noisy) probe RTTs. measure is called with host pairs.
-func (o *Overlay) SwapGainMeasured(u, v int, measure LatencyFunc) float64 {
+func (o *Overlay) SwapGainMeasured(u, v int, measure LatencyFunc, sc *Scratch) float64 {
 	if !o.Alive(u) || !o.Alive(v) {
 		panic(fmt.Sprintf("overlay: SwapGain(%d,%d) on dead slot", u, v))
 	}
 	hu, hv := o.hostOf[u], o.hostOf[v]
 	before, after := 0.0, 0.0
-	// Neighbors() iterates in sorted order — map order must not leak into
+	// AppendNeighbors lists in sorted order — map order must not leak into
 	// the measurement sequence: measure may be noisy (consuming one RNG draw
 	// per call) and float summation is order-sensitive, so an unspecified
 	// order would make Var, and with it the whole run, nondeterministic.
 	// Crashed neighbors with stale edges are skipped: their hosts are gone,
 	// so they affect neither side of the swap.
-	for _, i := range o.Logical.Neighbors(u) {
+	sc.Nbrs = o.Logical.AppendNeighbors(sc.Nbrs[:0], u)
+	for _, i := range sc.Nbrs {
 		if !o.Alive(i) {
 			continue
 		}
@@ -405,7 +442,8 @@ func (o *Overlay) SwapGainMeasured(u, v int, measure LatencyFunc) float64 {
 		before += measure(hu, o.hostOf[i])
 		after += measure(hv, hi)
 	}
-	for _, i := range o.Logical.Neighbors(v) {
+	sc.Nbrs = o.Logical.AppendNeighbors(sc.Nbrs[:0], v)
+	for _, i := range sc.Nbrs {
 		if !o.Alive(i) {
 			continue
 		}
@@ -424,24 +462,23 @@ func (o *Overlay) SwapGainMeasured(u, v int, measure LatencyFunc) float64 {
 // neighborQ), and each later hop is a WalkStep. The walk succeeds when
 // exactly ttl hops have been taken; it fails if the walk gets stuck early.
 // The returned path includes both endpoints: path[0] == start,
-// path[len-1] == target.
-func (o *Overlay) RandomWalk(start, firstHop, ttl int, r *rng.Rand) (path []int, ok bool) {
+// path[len-1] == target. It is sc.Path; a refused first hop returns nil.
+func (o *Overlay) RandomWalk(start, firstHop, ttl int, r *rng.Rand, sc *Scratch) (path []int, ok bool) {
 	if ttl < 1 || !o.Alive(start) || !o.Alive(firstHop) {
 		return nil, false
 	}
 	if !o.Logical.HasEdge(start, firstHop) {
 		return nil, false
 	}
-	path = make([]int, 0, ttl+1)
-	path = append(path, start, firstHop)
+	sc.Path = append(sc.Path[:0], start, firstHop)
 	for hop := 1; hop < ttl; hop++ {
-		next, ok := o.WalkStep(path[len(path)-1], path, r)
+		next, ok := o.WalkStep(sc.Path[len(sc.Path)-1], sc.Path, r, sc)
 		if !ok {
-			return path, false
+			return sc.Path, false
 		}
-		path = append(path, next)
+		sc.Path = append(sc.Path, next)
 	}
-	return path, true
+	return sc.Path, true
 }
 
 // WalkStep is one forwarding decision of the §3.2 walk: from slot cur, pick
@@ -451,29 +488,18 @@ func (o *Overlay) RandomWalk(start, firstHop, ttl int, r *rng.Rand) (path []int,
 // is a pure function of the overlay, the path and r's state — the
 // sequential engine iterates it (RandomWalk) and the live runtime calls it
 // once per forwarded message.
-func (o *Overlay) WalkStep(cur int, path []int, r *rng.Rand) (next int, ok bool) {
-	var candidates []int
-	o.Logical.VisitNeighbors(cur, func(nb int, _ float64) bool {
-		if o.Alive(nb) && !onPath(path, nb) {
+func (o *Overlay) WalkStep(cur int, path []int, r *rng.Rand, sc *Scratch) (next int, ok bool) {
+	sc.Cand = o.Logical.AppendNeighbors(sc.Cand[:0], cur)
+	candidates := sc.Cand[:0]
+	for _, nb := range sc.Cand {
+		if o.Alive(nb) && !slices.Contains(path, nb) { // ≤ TTL+1 entries: a scan beats a set
 			candidates = append(candidates, nb)
 		}
-		return true
-	})
+	}
 	if len(candidates) == 0 {
 		return 0, false
 	}
 	return candidates[r.Intn(len(candidates))], true
-}
-
-// onPath reports whether slot x is on the walk path (at most TTL+1 entries,
-// so a scan beats a set).
-func onPath(path []int, x int) bool {
-	for _, s := range path {
-		if s == x {
-			return true
-		}
-	}
-	return false
 }
 
 // MeanLinkLatency returns the average physical latency of the live logical
@@ -540,6 +566,7 @@ func (o *Overlay) AddSlot(host int) (int, error) {
 	o.alive = append(o.alive, true)
 	o.slotOfHost[host] = slot
 	o.aliveCount++
+	o.aliveIdx = o.aliveIdx[:0]
 	if o.slotHook != nil {
 		o.slotHook(SlotEvent{Kind: SlotJoin, U: slot, V: -1, HostU: host, HostV: -1})
 	}
@@ -559,10 +586,7 @@ func (o *Overlay) RemoveSlot(u int) error {
 	for _, v := range o.Logical.Neighbors(u) {
 		o.Logical.RemoveEdge(u, v)
 	}
-	delete(o.slotOfHost, o.hostOf[u])
-	o.hostOf[u] = -1
-	o.alive[u] = false
-	o.aliveCount--
+	o.kill(u)
 	return nil
 }
 
@@ -579,15 +603,21 @@ func (o *Overlay) CrashSlot(u int) error {
 	if o.slotHook != nil {
 		o.slotHook(SlotEvent{Kind: SlotCrash, U: u, V: -1, HostU: o.hostOf[u], HostV: -1})
 	}
-	delete(o.slotOfHost, o.hostOf[u])
-	o.hostOf[u] = -1
-	o.alive[u] = false
-	o.aliveCount--
+	o.kill(u)
 	if o.crashed == nil {
 		o.crashed = make(map[int]bool)
 	}
 	o.crashed[u] = true
 	return nil
+}
+
+// kill releases live slot u's host and marks the slot dead.
+func (o *Overlay) kill(u int) {
+	delete(o.slotOfHost, o.hostOf[u])
+	o.hostOf[u] = -1
+	o.alive[u] = false
+	o.aliveCount--
+	o.aliveIdx = o.aliveIdx[:0]
 }
 
 // Crashed reports whether slot u died crash-stop and has not been purged.
@@ -626,14 +656,22 @@ func (o *Overlay) PurgeCrashed(u int) error {
 // eviction primitive: a node that times out probing a neighbor drops the
 // stale reference. It returns the number of edges evicted.
 func (o *Overlay) EvictDeadNeighbors(u int) int {
-	evicted := 0
-	for _, v := range o.Logical.Neighbors(u) {
-		if !o.Alive(v) {
-			o.Logical.RemoveEdge(u, v)
-			evicted++
-		}
+	if len(o.crashed) == 0 {
+		return 0 // only a crash leaves edges to a dead slot behind (CheckInvariants)
 	}
-	return evicted
+	for evicted := 0; ; evicted++ {
+		dead := -1
+		o.Logical.VisitNeighbors(u, func(v int, _ float64) bool {
+			if !o.Alive(v) {
+				dead = v
+			}
+			return dead < 0
+		})
+		if dead < 0 {
+			return evicted
+		}
+		o.Logical.RemoveEdge(u, dead)
+	}
 }
 
 // CheckInvariants verifies the overlay's structural invariants — the

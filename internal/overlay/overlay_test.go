@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -332,7 +333,7 @@ func TestConnectivityPersistenceUnderPathProtectedExchanges(t *testing.T) {
 				continue
 			}
 			first := nu[r.Intn(len(nu))]
-			path, ok := o.RandomWalk(u, first, 2, r)
+			path, ok := o.RandomWalk(u, first, 2, r, new(Scratch))
 			if !ok {
 				continue
 			}
@@ -381,7 +382,7 @@ func TestRandomWalk(t *testing.T) {
 		mustEdge(t, o, i, i+1)
 	}
 	r := rng.New(1)
-	path, ok := o.RandomWalk(0, 1, 3, r)
+	path, ok := o.RandomWalk(0, 1, 3, r, new(Scratch))
 	if !ok {
 		t.Fatalf("walk failed: %v", path)
 	}
@@ -392,14 +393,14 @@ func TestRandomWalk(t *testing.T) {
 		}
 	}
 	// TTL longer than the graph ⇒ stuck ⇒ failure.
-	if _, ok := o.RandomWalk(0, 1, 10, r); ok {
+	if _, ok := o.RandomWalk(0, 1, 10, r, new(Scratch)); ok {
 		t.Fatal("walk should get stuck and fail")
 	}
 	// Invalid first hop.
-	if _, ok := o.RandomWalk(0, 3, 2, r); ok {
+	if _, ok := o.RandomWalk(0, 3, 2, r, new(Scratch)); ok {
 		t.Fatal("non-neighbor first hop accepted")
 	}
-	if _, ok := o.RandomWalk(0, 1, 0, r); ok {
+	if _, ok := o.RandomWalk(0, 1, 0, r, new(Scratch)); ok {
 		t.Fatal("zero TTL accepted")
 	}
 }
@@ -424,10 +425,28 @@ func randomConnectedOverlay(r *rng.Rand) (o *Overlay, n int) {
 	return o, n
 }
 
+// referenceWalkStep is WalkStep as it was before it took a Scratch: a fresh
+// candidate slice filled through VisitNeighbors, one Intn over it.
+func referenceWalkStep(o *Overlay, cur int, path []int, r *rng.Rand) (int, bool) {
+	var candidates []int
+	o.Logical.VisitNeighbors(cur, func(nb int, _ float64) bool {
+		if o.Alive(nb) && !slices.Contains(path, nb) {
+			candidates = append(candidates, nb)
+		}
+		return true
+	})
+	if len(candidates) == 0 {
+		return 0, false
+	}
+	return candidates[r.Intn(len(candidates))], true
+}
+
 // TestRandomWalkIsIteratedWalkStep: the walk the sequential engine takes in
 // one call and the walk the live runtime takes one forwarded message at a
 // time — each hop calling WalkStep with the path so far — are the same walk
-// from the same generator state, on overlays with crashed slots in them.
+// from the same generator state, on overlays with crashed slots in them; and
+// both are the walk of the pre-Scratch reference, leaving the generator in
+// the state the reference leaves it in (same draws, so same run).
 func TestRandomWalkIsIteratedWalkStep(t *testing.T) {
 	f := func(seed uint64) bool {
 		build := rng.New(seed)
@@ -442,28 +461,32 @@ func TestRandomWalkIsIteratedWalkStep(t *testing.T) {
 		}
 		first, ttl := nu[build.Intn(len(nu))], 1+build.Intn(5)
 
-		whole, wholeOK := o.RandomWalk(u, first, ttl, rng.New(seed+1))
+		wholeR, sc := rng.New(seed+1), new(Scratch)
+		whole, wholeOK := o.RandomWalk(u, first, ttl, wholeR, sc)
+		whole = slices.Clone(whole) // it is sc.Path, and sc is reused below
 		if !o.Alive(first) {
 			return whole == nil && !wholeOK
 		}
-		r := rng.New(seed + 1)
-		path, ok := []int{u, first}, true
-		for len(path) < ttl+1 {
-			var next int
-			if next, ok = o.WalkStep(path[len(path)-1], path, r); !ok {
-				break
+		// iterate walks hop by hop, as the live runtime does.
+		iterate := func(step func(cur int, path []int) (int, bool)) (path []int, ok bool) {
+			path, ok = []int{u, first}, true
+			for len(path) < ttl+1 {
+				var next int
+				if next, ok = step(path[len(path)-1], path); !ok {
+					break
+				}
+				path = append(path, next)
 			}
-			path = append(path, next)
+			return path, ok
 		}
-		if ok != wholeOK || len(path) != len(whole) {
+		r, ref := rng.New(seed+1), rng.New(seed+1)
+		path, ok := iterate(func(cur int, path []int) (int, bool) { return o.WalkStep(cur, path, r, sc) })
+		refPath, refOK := iterate(func(cur int, path []int) (int, bool) { return referenceWalkStep(o, cur, path, ref) })
+		if ok != wholeOK || refOK != wholeOK || !slices.Equal(path, whole) || !slices.Equal(refPath, whole) {
 			return false
 		}
-		for i := range path {
-			if path[i] != whole[i] {
-				return false
-			}
-		}
-		return true
+		next := ref.Uint64()
+		return wholeR.Uint64() == next && r.Uint64() == next
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -479,7 +502,7 @@ func TestRandomWalkNoRevisits(t *testing.T) {
 		if len(nu) == 0 {
 			return true
 		}
-		path, ok := o.RandomWalk(u, nu[r.Intn(len(nu))], 1+r.Intn(4), r)
+		path, ok := o.RandomWalk(u, nu[r.Intn(len(nu))], 1+r.Intn(4), r, new(Scratch))
 		if !ok {
 			return true
 		}

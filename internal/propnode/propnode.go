@@ -159,9 +159,10 @@ type Runtime struct {
 	mu          sync.Mutex
 	o           *overlay.Overlay
 	r           *rng.Rand
-	agents      map[int]*agent // by host
-	incarnation map[int]uint32 // per-host epoch, survives Crash/Recover
-	m           int            // resolved PROP-O trade size
+	agents      map[int]*agent  // by host
+	incarnation map[int]uint32  // per-host epoch, survives Crash/Recover
+	m           int             // resolved PROP-O trade size
+	sc          overlay.Scratch // kernel buffers; like o and r, only under mu
 
 	wg      sync.WaitGroup
 	stopped bool
@@ -382,7 +383,8 @@ func (rt *Runtime) probeOnce(a *agent) bool {
 	// Live liveness eviction: a crashed neighbor never answers, so the
 	// agent drops the stale reference before choosing a first hop.
 	rt.o.EvictDeadNeighbors(u)
-	a.peer.Reconcile(rt.o.Neighbors(u))
+	rt.sc.Nbrs = rt.o.Logical.AppendNeighbors(rt.sc.Nbrs[:0], u)
+	a.peer.Reconcile(rt.sc.Nbrs)
 	s, ok := a.peer.FirstHop()
 	if !ok {
 		rt.mu.Unlock()
@@ -442,7 +444,7 @@ func (rt *Runtime) attemptExchange(a *agent, u, v int, path []int) bool {
 		rtt, err := rt.measureFrom(a, x, y)
 		return rtt, err == nil
 	}
-	out, _, _ := core.Exchange(rt.o, rt.cfg.Policy, u, v, path, rt.m, rt.cfg.MinVar, measure, rt.r)
+	out, _, _ := core.Exchange(rt.o, rt.cfg.Policy, u, v, path, rt.m, rt.cfg.MinVar, measure, rt.r, &rt.sc)
 	switch out {
 	case core.Committed:
 		rt.exchanges.Add(1)
@@ -520,7 +522,7 @@ func (rt *Runtime) handleWalk(a *agent, m transport.Message) {
 		reply(true, m.Path)
 		return
 	}
-	next, ok := rt.o.WalkStep(my, m.Path, rt.r)
+	next, ok := rt.o.WalkStep(my, m.Path, rt.r, &rt.sc)
 	if !ok {
 		rt.mu.Unlock()
 		reply(false, m.Path)
