@@ -55,15 +55,13 @@ var liveRegistry atomic.Pointer[obs.Registry]
 
 func main() {
 	var (
-		expID      = flag.String("exp", "", "experiment id (or 'all')")
-		seed       = flag.Uint64("seed", 1, "deterministic seed")
-		trials     = flag.Int("trials", 3, "independent trials to average")
-		scale      = flag.Float64("scale", 1.0, "scale factor in (0,1]: shrinks node counts and workloads")
-		list       = flag.Bool("list", false, "list available experiments")
-		format     = flag.String("format", "table", "output format: table | csv | json")
-		plot       = flag.Bool("plot", false, "render an ASCII chart after the table")
-		oracleRows = flag.Int("oracle-rows", 0, "cap cached latency-oracle rows per trial (0 = unbounded); use >= the overlay size or the cache thrashes")
-		oracleF32  = flag.Bool("oracle-f32", false, "store oracle rows as float32 (half the cache memory, sub-ppm rounding)")
+		expID  = flag.String("exp", "", "experiment id (or 'all')")
+		seed   = flag.Uint64("seed", 1, "deterministic seed")
+		trials = flag.Int("trials", 3, "independent trials to average")
+		scale  = flag.Float64("scale", 1.0, "scale factor in (0,1]: shrinks node counts and workloads")
+		list   = flag.Bool("list", false, "list available experiments")
+		format = flag.String("format", "table", "output format: table | csv | json")
+		plot   = flag.Bool("plot", false, "render an ASCII chart after the table")
 
 		alMode = flag.String("al-mode", "", "record the eq. (3) average-latency series in fig5*/churn metrics streams: exact | incremental | sketch (empty = off, byte-identical output)")
 
@@ -81,6 +79,13 @@ func main() {
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof and expvar (with live metrics snapshots) on this address, e.g. localhost:6060")
 	)
 	flag.Parse()
+
+	// Reject a mistyped -format here, not in the output switch after the
+	// first experiment has already been simulated.
+	if !validFormat(*format) {
+		fmt.Fprintf(os.Stderr, "propsim: unknown format %q (want table, csv or json)\n", *format)
+		os.Exit(2)
+	}
 
 	if *list || *expID == "" {
 		fmt.Println("available experiments:")
@@ -121,7 +126,6 @@ func main() {
 	}
 	opt := experiment.Options{
 		Seed: *seed, Trials: *trials, Scale: *scale,
-		OracleRowBudget: *oracleRows, OracleFloat32: *oracleF32,
 		FaultLoss: *faultLoss, FaultCrash: *faultCrash, FaultPartitionMS: *faultPart,
 		ALMode: *alMode, ScaleMaxN: *scaleN, Shards: *shards,
 	}
@@ -130,10 +134,7 @@ func main() {
 		var reg *obs.Registry
 		if collect {
 			man := obs.NewManifest(id, *seed, *trials, *scale)
-			man.Flags = map[string]string{
-				"oracle-rows": strconv.Itoa(*oracleRows),
-				"oracle-f32":  strconv.FormatBool(*oracleF32),
-			}
+			man.Flags = map[string]string{}
 			// Fault overrides enter the manifest only when set, so the
 			// fault-free experiments' streams stay byte-identical to their
 			// historical output.
@@ -191,9 +192,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "propsim: json: %v\n", err)
 				os.Exit(1)
 			}
-		default:
-			fmt.Fprintf(os.Stderr, "propsim: unknown format %q\n", *format)
-			os.Exit(2)
 		}
 
 		if jsonlW != nil {
@@ -214,6 +212,16 @@ func main() {
 			}
 		}
 	}
+}
+
+// validFormat reports whether f is a -format value the output switch in
+// main handles.
+func validFormat(f string) bool {
+	switch f {
+	case "table", "csv", "json":
+		return true
+	}
+	return false
 }
 
 // openOut opens path for writing when enabled; "-" means stdout.

@@ -35,7 +35,7 @@ func init() {
 func runWarmupAblation(opt Options) (*Result, error) {
 	trialLens := []int{1, 2, 5, 10, 20, 40}
 	perTrial, err := forEachTrial(opt.Trials, func(trial int) ([]stats.Series, error) {
-		e, err := newEnv(opt, netsim.TSLarge(), trialSeed(opt.Seed, trial))
+		e, err := newEnv(netsim.TSLarge(), trialSeed(opt.Seed, trial))
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +85,7 @@ func runWarmupAblation(opt Options) (*Result, error) {
 func runMinVarAblation(opt Options) (*Result, error) {
 	thresholds := []float64{0, 25, 50, 100, 200, 400}
 	perTrial, err := forEachTrial(opt.Trials, func(trial int) ([]stats.Series, error) {
-		e, err := newEnv(opt, netsim.TSLarge(), trialSeed(opt.Seed, trial))
+		e, err := newEnv(netsim.TSLarge(), trialSeed(opt.Seed, trial))
 		if err != nil {
 			return nil, err
 		}

@@ -47,7 +47,7 @@ func runChordChurn(opt Options) (*Result, error) {
 }
 
 func oneChordChurnTrial(opt Options, seed uint64) ([]stats.Series, error) {
-	e, err := newEnv(opt, netsim.TSLarge(), seed)
+	e, err := newEnv(netsim.TSLarge(), seed)
 	if err != nil {
 		return nil, err
 	}

@@ -16,22 +16,17 @@ import (
 type env struct {
 	net    *netsim.Network
 	oracle *netsim.Oracle
-	oopt   netsim.OracleOptions
 	r      *rng.Rand
 }
 
-// newEnv generates the physical substrate for one trial. The experiment
-// options select the oracle's memory mode (Options.OracleRowBudget /
-// Options.OracleFloat32); the defaults reproduce the historical
-// full-precision unbounded cache bit for bit.
-func newEnv(opt Options, preset netsim.Config, seed uint64) (*env, error) {
+// newEnv generates the physical substrate for one trial.
+func newEnv(preset netsim.Config, seed uint64) (*env, error) {
 	r := rng.New(seed)
 	net, err := netsim.Generate(preset, r)
 	if err != nil {
 		return nil, err
 	}
-	oopt := netsim.OracleOptions{Float32: opt.OracleFloat32, RowBudget: opt.OracleRowBudget}
-	return &env{net: net, oracle: netsim.NewOracleWith(net, oopt), oopt: oopt, r: r}, nil
+	return &env{net: net, oracle: netsim.NewOracle(net), r: r}, nil
 }
 
 // pickHosts selects n distinct stub hosts uniformly at random; n is capped
@@ -39,8 +34,7 @@ func newEnv(opt Options, preset netsim.Config, seed uint64) (*env, error) {
 // all physical nodes are chosen"). The picked hosts' oracle rows are warmed
 // in bulk — every overlay build and metric sample queries exactly these
 // sources, so one Precompute here replaces thousands of lazy cold-row
-// misses on the measurement path (capped at the row budget in bounded mode
-// to avoid pointless eviction churn).
+// misses on the measurement path.
 func (e *env) pickHosts(n int) []int {
 	hosts := append([]int(nil), e.net.StubHosts...)
 	e.r.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
@@ -48,11 +42,7 @@ func (e *env) pickHosts(n int) []int {
 		n = len(hosts)
 	}
 	picked := hosts[:n]
-	warm := picked
-	if b := e.oopt.RowBudget; b > 0 && len(warm) > b {
-		warm = warm[:b]
-	}
-	e.oracle.Precompute(warm)
+	e.oracle.Precompute(picked)
 	return picked
 }
 

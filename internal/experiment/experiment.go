@@ -43,16 +43,6 @@ type Options struct {
 	// (every event under -tags auditstrict). One summary line per trial is
 	// appended to Result.Notes; any violation fails the run.
 	Audit bool
-	// OracleRowBudget caps the number of distance rows each trial's latency
-	// oracle keeps cached (0 = unbounded). Bounding the cache lets
-	// full-scale runs trade recomputation for memory: a ts-large trial with
-	// an unbounded cache holds an O(sources·N) float64 matrix. Values are
-	// unaffected — evicted rows are recomputed exactly.
-	OracleRowBudget int
-	// OracleFloat32 stores oracle rows as float32, halving cache memory.
-	// Latencies round once on store (sub-ppm error at millisecond scale),
-	// so outputs may differ in the last digits from the float64 default.
-	OracleFloat32 bool
 	// FaultLoss, FaultCrash, and FaultPartitionMS parameterize the
 	// fault-aware experiments (cmd/propsim -loss/-crash/-partition). Zero
 	// keeps each experiment's default: a non-zero FaultLoss or FaultCrash

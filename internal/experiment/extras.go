@@ -32,7 +32,7 @@ func runOverhead(opt Options) (*Result, error) {
 		{"PROP-O m=4", core.PROPO, 4},
 	}
 	perTrial, err := forEachTrial(opt.Trials, func(trial int) ([]stats.Series, error) {
-		e, err := newEnv(opt, netsim.TSLarge(), trialSeed(opt.Seed, trial))
+		e, err := newEnv(netsim.TSLarge(), trialSeed(opt.Seed, trial))
 		if err != nil {
 			return nil, err
 		}
@@ -119,7 +119,7 @@ func runChurn(opt Options) (*Result, error) {
 
 func oneChurnTrial(opt Options, tr *obs.Trial, seed uint64) ([]stats.Series, error) {
 	const prefix = "churn/"
-	e, err := newEnv(opt, netsim.TSLarge(), seed)
+	e, err := newEnv(netsim.TSLarge(), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +254,7 @@ func runCombo(opt Options) (*Result, error) {
 }
 
 func oneComboTrial(opt Options, seed uint64) ([]stats.Series, error) {
-	e, err := newEnv(opt, netsim.TSLarge(), seed)
+	e, err := newEnv(netsim.TSLarge(), seed)
 	if err != nil {
 		return nil, err
 	}

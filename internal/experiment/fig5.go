@@ -77,7 +77,7 @@ func runGnutellaSeries(opt Options, variants []gnutellaVariant) ([]stats.Series,
 func oneGnutellaRun(opt Options, v gnutellaVariant, tr *obs.Trial, envSeed, runSeed uint64) (stats.Series, string, error) {
 	prefix := v.label + "/"
 	spGen := tr.StartSpan(prefix+"gen-network", 0)
-	e, err := newEnv(opt, v.preset, envSeed)
+	e, err := newEnv(v.preset, envSeed)
 	if err != nil {
 		return stats.Series{}, "", err
 	}

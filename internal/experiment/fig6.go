@@ -95,7 +95,7 @@ func runChordSeries(opt Options, variants []chordVariant) ([]stats.Series, []str
 func oneChordRun(opt Options, v chordVariant, tr *obs.Trial, envSeed, runSeed uint64) (stats.Series, string, error) {
 	prefix := v.label + "/"
 	spGen := tr.StartSpan(prefix+"gen-network", 0)
-	e, err := newEnv(opt, v.preset, envSeed)
+	e, err := newEnv(v.preset, envSeed)
 	if err != nil {
 		return stats.Series{}, "", err
 	}

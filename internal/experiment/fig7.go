@@ -123,7 +123,7 @@ func runFig7(opt Options) (*Result, error) {
 }
 
 func oneFig7Trial(opt Options, policies []fig7Policy, tr *obs.Trial, seed uint64) ([]stats.Series, error) {
-	e, err := newEnv(opt, netsim.TSLarge(), seed)
+	e, err := newEnv(netsim.TSLarge(), seed)
 	if err != nil {
 		return nil, err
 	}

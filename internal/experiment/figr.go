@@ -108,7 +108,7 @@ func runFigRa(opt Options) (*Result, error) {
 }
 
 func oneFigRaTrial(opt Options, grid []float64, tr *obs.Trial, seed uint64) ([]stats.Series, error) {
-	e, err := newEnv(opt, netsim.TSLarge(), seed)
+	e, err := newEnv(netsim.TSLarge(), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +211,7 @@ func runFigRb(opt Options) (*Result, error) {
 }
 
 func oneFigRbTrial(opt Options, grid []float64, tr *obs.Trial, seed uint64) ([]stats.Series, error) {
-	e, err := newEnv(opt, netsim.TSLarge(), seed)
+	e, err := newEnv(netsim.TSLarge(), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +374,7 @@ func runFigRc(opt Options) (*Result, error) {
 
 func oneFigRcTrial(opt Options, tr *obs.Trial, seed uint64) ([]stats.Series, error) {
 	const prefix = "figRc/"
-	e, err := newEnv(opt, netsim.TSLarge(), seed)
+	e, err := newEnv(netsim.TSLarge(), seed)
 	if err != nil {
 		return nil, err
 	}

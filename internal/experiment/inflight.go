@@ -37,7 +37,7 @@ func runInflight(opt Options) (*Result, error) {
 		{"hostile (50 ms)", 50},
 	}
 	perTrial, err := forEachTrial(opt.Trials, func(trial int) ([]stats.Series, error) {
-		e, err := newEnv(opt, netsim.TSLarge(), trialSeed(opt.Seed, trial))
+		e, err := newEnv(netsim.TSLarge(), trialSeed(opt.Seed, trial))
 		if err != nil {
 			return nil, err
 		}

@@ -45,7 +45,7 @@ func runKademlia(opt Options) (*Result, error) {
 }
 
 func oneKademliaTrial(opt Options, seed uint64) ([]stats.Series, error) {
-	e, err := newEnv(opt, netsim.TSLarge(), seed)
+	e, err := newEnv(netsim.TSLarge(), seed)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func init() {
 func runNoise(opt Options) (*Result, error) {
 	levels := []float64{0, 0.1, 0.25, 0.5, 1.0, 2.0}
 	perTrial, err := forEachTrial(opt.Trials, func(trial int) ([]stats.Series, error) {
-		e, err := newEnv(opt, netsim.TSLarge(), trialSeed(opt.Seed, trial))
+		e, err := newEnv(netsim.TSLarge(), trialSeed(opt.Seed, trial))
 		if err != nil {
 			return nil, err
 		}

@@ -45,7 +45,7 @@ func runPastry(opt Options) (*Result, error) {
 }
 
 func onePastryTrial(opt Options, seed uint64) ([]stats.Series, error) {
-	e, err := newEnv(opt, netsim.TSLarge(), seed)
+	e, err := newEnv(netsim.TSLarge(), seed)
 	if err != nil {
 		return nil, err
 	}

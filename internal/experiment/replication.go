@@ -30,7 +30,7 @@ var replicationFactors = []int{1, 2, 4, 8, 16}
 
 func runReplication(opt Options) (*Result, error) {
 	perTrial, err := forEachTrial(opt.Trials, func(trial int) ([]stats.Series, error) {
-		e, err := newEnv(opt, netsim.TSLarge(), trialSeed(opt.Seed, trial))
+		e, err := newEnv(netsim.TSLarge(), trialSeed(opt.Seed, trial))
 		if err != nil {
 			return nil, err
 		}

@@ -41,7 +41,7 @@ func runSATMatch(opt Options) (*Result, error) {
 		for vi, label := range labels {
 			// Identical world and ring per variant (same env seed); only
 			// the optimizer differs, so the curves share their start.
-			e, err := newEnv(opt, netsim.TSLarge(), trialSeed(opt.Seed, trial))
+			e, err := newEnv(netsim.TSLarge(), trialSeed(opt.Seed, trial))
 			if err != nil {
 				return nil, err
 			}

@@ -35,7 +35,7 @@ const floodTTL = 4
 
 func runTraffic(opt Options) (*Result, error) {
 	perTrial, err := forEachTrial(opt.Trials, func(trial int) ([]stats.Series, error) {
-		e, err := newEnv(opt, netsim.TSLarge(), trialSeed(opt.Seed, trial))
+		e, err := newEnv(netsim.TSLarge(), trialSeed(opt.Seed, trial))
 		if err != nil {
 			return nil, err
 		}

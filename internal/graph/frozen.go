@@ -32,12 +32,10 @@ type Frozen struct {
 
 // fscratch is the per-goroutine working set of one Dijkstra run: an indexed
 // 4-ary heap (vertex IDs keyed by the current tentative distance) plus each
-// vertex's heap position. dist is used only by kernels that do not write
-// into a caller-supplied buffer.
+// vertex's heap position.
 type fscratch struct {
 	heap []int32
 	pos  []int32 // heap index of each vertex, -1 if absent or settled
-	dist []float64
 }
 
 // Freeze builds a CSR snapshot of the graph's current state. The snapshot
@@ -76,7 +74,6 @@ func (g *Graph) Freeze() *Frozen {
 		return &fscratch{
 			heap: make([]int32, 0, n),
 			pos:  make([]int32, n),
-			dist: make([]float64, n),
 		}
 	}
 	return f
@@ -160,22 +157,6 @@ func (f *Frozen) ShortestPathsInto(src int, dist []float64) {
 	}
 	s := f.scratch.Get().(*fscratch)
 	f.dijkstra(src, dist, nil, s)
-	f.scratch.Put(s)
-}
-
-// ShortestPathsF32Into is ShortestPathsInto with a float32 destination row
-// — the memory-bounded oracle's storage format. Distances are computed in
-// float64 and rounded once on store, so results are deterministic.
-func (f *Frozen) ShortestPathsF32Into(src int, dist []float32) {
-	n := f.NumVertices()
-	if len(dist) != n {
-		panic(fmt.Sprintf("graph: ShortestPathsF32Into buffer length %d, want %d", len(dist), n))
-	}
-	s := f.scratch.Get().(*fscratch)
-	f.dijkstra(src, s.dist, nil, s)
-	for i, d := range s.dist {
-		dist[i] = float32(d)
-	}
 	f.scratch.Put(s)
 }
 

@@ -205,25 +205,6 @@ func TestFrozenEdgeCases(t *testing.T) {
 	}()
 }
 
-// TestFrozenF32MatchesF64 checks the float32 row kernel agrees with the
-// float64 kernel up to one rounding.
-func TestFrozenF32MatchesF64(t *testing.T) {
-	r := rng.New(7)
-	g := randomConnectedGraph(r, 50, 100)
-	fz := g.Frozen()
-	d64 := make([]float64, 50)
-	d32 := make([]float32, 50)
-	for src := 0; src < 50; src += 5 {
-		fz.ShortestPathsInto(src, d64)
-		fz.ShortestPathsF32Into(src, d32)
-		for i := range d64 {
-			if float32(d64[i]) != d32[i] {
-				t.Fatalf("src %d dst %d: f32 row %v != rounded f64 %v", src, i, d32[i], float32(d64[i]))
-			}
-		}
-	}
-}
-
 // TestShortestPathsIntoAllocationFree pins the tentpole claim: after the
 // scratch pool is warm, a full Dijkstra into a caller buffer performs zero
 // allocations.

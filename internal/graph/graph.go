@@ -46,9 +46,9 @@ type Graph struct {
 	// lazy build.
 	frozen frozenCache
 
-	// version counts effective mutations; the delta layer (delta.go) keys
-	// its views and journals off it. A mutation that changes nothing (e.g.
-	// re-adding an edge with its current weight) does not bump it.
+	// version counts effective mutations; the journal (delta.go) is keyed
+	// off it. A mutation that changes nothing (e.g. re-adding an edge with
+	// its current weight) does not bump it.
 	version uint64
 
 	// journal is the bounded mutation log enabled by TrackMutations. It

@@ -331,6 +331,9 @@ func TestOraclePrecomputeValidatesBeforeWork(t *testing.T) {
 	}
 }
 
+// TestOracleRowSharedWithLatency: Row hands out the cached storage itself —
+// the same backing array on every call — and Latency reads that storage, so
+// the two agree bit for bit in both query directions.
 func TestOracleRowSharedWithLatency(t *testing.T) {
 	net, err := Generate(TSSmall(), rng.New(4))
 	if err != nil {
@@ -339,11 +342,114 @@ func TestOracleRowSharedWithLatency(t *testing.T) {
 	o := NewOracle(net)
 	src := net.StubHosts[3]
 	row := o.Row(src)
-	for _, dst := range net.StubHosts[:20] {
-		if row[dst] != o.Latency(src, dst) {
-			t.Fatalf("Row and Latency disagree for (%d,%d)", src, dst)
+	if again := o.Row(src); &again[0] != &row[0] || len(again) != len(row) {
+		t.Fatal("Row returned a different backing array on the second call")
+	}
+	for dst := range row {
+		if got := o.Latency(src, dst); math.Float64bits(got) != math.Float64bits(row[dst]) {
+			t.Fatalf("Latency(%d,%d) = %v, Row says %v", src, dst, got, row[dst])
+		}
+		if got := o.Latency(dst, src); math.Float64bits(got) != math.Float64bits(row[dst]) {
+			t.Fatalf("Latency(%d,%d) = %v, Row says %v", dst, src, got, row[dst])
 		}
 	}
+	if got := o.CachedRows(); got != 1 {
+		t.Fatalf("reading one row through Latency cached %d rows, want 1", got)
+	}
+}
+
+// TestOracleLatencyWarmsLowerIndex pins the symmetric-miss fix: a cold
+// Latency(u,v) query computes exactly one row — the lower-indexed
+// endpoint's — and the mirrored query reuses it instead of computing a
+// second row.
+func TestOracleLatencyWarmsLowerIndex(t *testing.T) {
+	net, err := Generate(TSSmall(), rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, v := net.StubHosts[5], net.StubHosts[2]
+	if u < v {
+		u, v = v, u // ensure u > v
+	}
+	o := NewOracle(net)
+	luv := o.Latency(u, v)
+	if got := o.CachedRows(); got != 1 {
+		t.Fatalf("cold Latency cached %d rows, want 1", got)
+	}
+	if o.rows[v].Load() == nil || o.rows[u].Load() != nil {
+		t.Fatalf("cold Latency should warm the lower endpoint %d, not %d", v, u)
+	}
+	lvu := o.Latency(v, u)
+	if got := o.CachedRows(); got != 1 {
+		t.Fatalf("mirrored Latency grew the cache to %d rows, want 1", got)
+	}
+	if luv != lvu {
+		t.Fatalf("asymmetric latency: %v vs %v", luv, lvu)
+	}
+}
+
+// TestOracleIsSnapshot: the oracle describes the physical graph as it stood
+// at NewOracle. Cutting a host's links afterwards changes neither a cached
+// row nor a row first computed after the cut; a fresh oracle over the
+// mutated graph does see it.
+func TestOracleIsSnapshot(t *testing.T) {
+	net, err := Generate(TSSmall(), rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewOracle(net)
+	warm, cold, cut := net.StubHosts[0], net.StubHosts[1], net.StubHosts[2]
+	before := append([]float64(nil), o.Row(warm)...)
+	wantCold := NewOracle(net).Row(cold) // computed pre-cut; o's own row stays cold
+
+	nbrs := net.Graph.Neighbors(cut)
+	if len(nbrs) == 0 {
+		t.Fatalf("host %d has no link to cut", cut)
+	}
+	for _, v := range nbrs {
+		net.Graph.RemoveEdge(cut, v)
+	}
+
+	for dst, want := range before {
+		if got := o.Latency(warm, dst); got != want {
+			t.Fatalf("cached Latency(%d,%d) moved after RemoveEdge: %v, was %v", warm, dst, got, want)
+		}
+	}
+	if o.rows[cold].Load() != nil {
+		t.Fatalf("row %d was warmed before the cut; the cold case is not exercised", cold)
+	}
+	coldRow := o.Row(cold)
+	for dst, want := range wantCold {
+		if coldRow[dst] != want {
+			t.Fatalf("cold Row(%d)[%d] = %v after RemoveEdge, pre-cut graph says %v", cold, dst, coldRow[dst], want)
+		}
+	}
+	if math.IsInf(wantCold[cut], 1) {
+		t.Fatalf("host %d was unreachable before the cut", cut)
+	}
+	if d := NewOracle(net).Latency(cold, cut); !math.IsInf(d, 1) {
+		t.Fatalf("fresh oracle over the mutated graph still reaches %d: %v", cut, d)
+	}
+}
+
+// TestOracleWarmReadsAllocationFree: a warm point query (either direction)
+// and a warm Row are loads from the published row — no allocation.
+func TestOracleWarmReadsAllocationFree(t *testing.T) {
+	net, err := Generate(TSSmall(), rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewOracle(net)
+	u, v := net.StubHosts[0], net.StubHosts[7]
+	o.Row(u)
+	var sink float64
+	if a := testing.AllocsPerRun(100, func() { sink += o.Latency(u, v) + o.Latency(v, u) }); a != 0 {
+		t.Errorf("warm Latency allocates %v per run, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { sink += o.Row(u)[v] }); a != 0 {
+		t.Errorf("warm Row allocates %v per run, want 0", a)
+	}
+	_ = sink
 }
 
 func TestNetworkString(t *testing.T) {

@@ -81,10 +81,10 @@ type FloodRepairStats struct {
 
 // RepairFloodRow updates dist — the exact pre-batch first-arrival row from
 // the live slot src, as by FloodLatenciesInto — in place so it matches a
-// fresh flood after the batch described by p. The algorithm mirrors
-// graph.RepairRow, specialized to flood semantics (per-slot processing
-// delay added on arrival, dead slots skipped, latency derived from the host
-// mapping):
+// fresh flood after the batch described by p. The algorithm is
+// Ramalingam–Reps-style dynamic SSSP under flood semantics (per-slot
+// processing delay added on arrival, dead slots skipped, latency derived
+// from the host mapping):
 //
 //  1. Mark the conservative affected set with exact-arithmetic parent tests
 //     (dist[x] + lat(host x, host y) + proc(y) == dist[y], the flood
