@@ -25,7 +25,7 @@ func (e *env) instrumentOracle(tr *obs.Trial, prefix string) {
 		tr.Counter(prefix+"oracle.queries"),
 		tr.Counter(prefix+"oracle.hits"),
 		tr.Counter(prefix+"oracle.computes"),
-		tr.Counter(prefix+"oracle.evictions"),
+		nil, // bench-contract shim parameter, see netsim.Oracle.SetInstruments
 	)
 }
 

@@ -32,10 +32,9 @@ type halfEdge struct {
 //
 // Adjacency lists are kept sorted by neighbor ID, so every traversal
 // (VisitNeighbors, Edges, the search kernels) sees neighbors in ascending
-// order — deterministic regardless of edge insertion order. Observability
-// leans on this: deterministic traversal keeps Dijkstra relaxation counts,
-// and with them the oracle's metric counters, a pure function of the seed
-// (DESIGN.md §8). Lookups cost O(log deg), mutations O(deg); P2P overlay
+// order — deterministic regardless of edge insertion order, so Dijkstra
+// settle order and tie-breaking are a pure function of the edge set
+// (DESIGN.md §7). Lookups cost O(log deg), mutations O(deg); P2P overlay
 // degrees are small constants, and the hot paths iterate rather than probe.
 type Graph struct {
 	adj [][]halfEdge // adj[u], sorted by neighbor ID
@@ -221,10 +220,10 @@ func (g *Graph) AppendNeighbors(dst []int, u int) []int {
 
 // VisitNeighbors calls f for every neighbor of u, in ascending neighbor
 // order, with the edge weight. Iteration stops early if f returns false.
-// The deterministic order is load-bearing: search kernels built on it
-// (overlay flooding, the baseline Dijkstras) settle equal-distance vertices
-// identically on every run, which the byte-deterministic metrics streams
-// rely on (DESIGN.md §8).
+// The deterministic order is load-bearing: what is built on it (the
+// overlay's flood view, the baseline Dijkstras, the protocol's neighbor
+// scans) behaves identically on every run, which the byte-deterministic
+// outputs rely on (DESIGN.md §8).
 func (g *Graph) VisitNeighbors(u int, f func(v int, w float64) bool) {
 	if u < 0 || u >= len(g.adj) {
 		return

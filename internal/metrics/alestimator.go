@@ -65,10 +65,11 @@ func OverlayFloodSource(o *overlay.Overlay, proc overlay.ProcDelayFunc) FloodSou
 }
 
 // AverageLatencyFrom computes eq. (3) exactly over a FloodSource: one row
-// per live slot, fanned out across GOMAXPROCS workers. It is the reference
-// the estimator's error is measured against (and is bit-identical to
-// AverageLatency when given OverlayFloodSource of the same overlay). An
-// unreachable live pair is an error, as in AverageLatency.
+// per live slot, fanned out across GOMAXPROCS workers, each reusing one
+// arrival buffer; row sums are written by index and reduced in slot order,
+// so the result does not depend on scheduling. It is the one implementation
+// behind AverageLatency and the reference the estimator's error is measured
+// against. An unreachable live pair or an empty source is an error.
 func AverageLatencyFrom(fs FloodSource) (float64, error) {
 	slots := fs.AliveSlots()
 	n := len(slots)

@@ -13,23 +13,32 @@ import (
 // mode"). The property test below pins it.
 const alEstimatorErrorBound = 0.10
 
-// TestAverageLatencyFromMatchesExact pins the FloodSource seam: the exact
-// reference through OverlayFloodSource must be bit-identical to
-// AverageLatency on the same overlay, with and without processing delay.
+// TestAverageLatencyFromMatchesExact pins the one eq. (3) implementation —
+// parallel bulk rows through the FloodSource seam — against the definition
+// written out naively: a sequential sum of pairwise early-exit FloodLatency
+// calls, bit-identical with and without processing delay.
 func TestAverageLatencyFromMatchesExact(t *testing.T) {
 	r := rng.New(11)
 	o := alRingOverlay(t, r, 96, 64)
+	slots := o.AliveSlots()
 	for _, proc := range []func(int) float64{nil, alTestProc} {
-		want, err := AverageLatency(o, proc)
-		if err != nil {
-			t.Fatal(err)
+		want := 0.0
+		for _, src := range slots {
+			row := 0.0
+			for _, dst := range slots {
+				if dst != src {
+					row += o.FloodLatency(src, dst, proc)
+				}
+			}
+			want += row
 		}
+		want /= float64(len(slots) * len(slots))
 		got, err := AverageLatencyFrom(OverlayFloodSource(o, proc))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("AverageLatencyFrom = %v, AverageLatency = %v", got, want)
+			t.Fatalf("AverageLatencyFrom = %v, pairwise FloodLatency sum = %v", got, want)
 		}
 	}
 }

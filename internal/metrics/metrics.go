@@ -12,10 +12,10 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/overlay"
 	"repro/internal/workload"
@@ -25,36 +25,56 @@ import (
 // Gnutella flooding or Chord/CAN routing.
 type LatencyEval func(l workload.Lookup) float64
 
+// lookupBlock is how many consecutive lookups a MeanLookupLatency worker
+// claims at a time. One early-exit flood costs anywhere from a few slots to
+// the whole overlay, so equal static shares leave a worker idle at the tail;
+// 16 keeps the shared cursor to one atomic add per ~16 floods.
+const lookupBlock = 16
+
+// lookupResults recycles MeanLookupLatency's per-call result buffer: a figure
+// evaluates the same workload at every measurement tick.
+var lookupResults sync.Pool
+
 // MeanLookupLatency evaluates every lookup with eval in parallel and
 // returns the mean over finite results plus the count of failed
-// (infinite/NaN) lookups.
+// (infinite/NaN) lookups. Workers claim blocks of lookups from a shared
+// cursor, write results by index and the reduction is sequential, so the
+// mean does not depend on GOMAXPROCS or scheduling.
 func MeanLookupLatency(lookups []workload.Lookup, eval LatencyEval) (mean float64, failed int) {
 	if len(lookups) == 0 {
 		return 0, 0
 	}
-	results := make([]float64, len(lookups))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(lookups) {
-		workers = len(lookups)
+	buf, _ := lookupResults.Get().(*[]float64)
+	if buf == nil || cap(*buf) < len(lookups) {
+		b := make([]float64, len(lookups))
+		buf = &b
 	}
+	defer lookupResults.Put(buf)
+	results := (*buf)[:len(lookups)]
+	workers := runtime.GOMAXPROCS(0)
+	if blocks := (len(lookups) + lookupBlock - 1) / lookupBlock; workers > blocks {
+		workers = blocks
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	chunk := (len(lookups) + workers - 1) / workers
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(lookups) {
-			hi = len(lookups)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				results[i] = eval(lookups[i])
+			for {
+				hi := int(next.Add(lookupBlock))
+				lo := hi - lookupBlock
+				if lo >= len(lookups) {
+					return
+				}
+				if hi > len(lookups) {
+					hi = len(lookups)
+				}
+				for i := lo; i < hi; i++ {
+					results[i] = eval(lookups[i])
+				}
 			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
 	sum, n := 0.0, 0
@@ -84,66 +104,11 @@ func FloodEval(o *overlay.Overlay, proc overlay.ProcDelayFunc) LatencyEval {
 // over the overlay's flooding distances (the latency between a node and
 // itself is zero, matching the paper's footnote). It is the exact
 // reference the incremental tracker and the row-sketch estimator are tested
-// against, and fails on an unreachable pair. Sources are evaluated in
-// parallel.
+// against, and fails on an unreachable pair. It is AverageLatencyFrom over
+// the overlay's own floods: one bulk FloodLatenciesInto per source,
+// O(n·Dijkstra), sources evaluated in parallel.
 func AverageLatency(o *overlay.Overlay, proc overlay.ProcDelayFunc) (float64, error) {
-	slots := o.AliveSlots()
-	n := len(slots)
-	if n == 0 {
-		return 0, fmt.Errorf("metrics: AverageLatency of empty overlay")
-	}
-	// One bulk single-source computation per node, fanned out. The
-	// bulk kernel (FloodLatenciesInto) settles every destination in one
-	// Dijkstra, so the whole computation is O(n·Dijkstra) rather than the
-	// O(n²·Dijkstra) a pairwise loop would cost; each worker reuses one
-	// arrival buffer across its sources.
-	rows := make([]float64, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	ch := make(chan int, n)
-	for i := range slots {
-		ch <- i
-	}
-	close(ch)
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			arrivals := make([]float64, o.NumSlots())
-			for i := range ch {
-				src := slots[i]
-				o.FloodLatenciesInto(src, proc, arrivals)
-				total := 0.0
-				for _, dst := range slots {
-					if dst == src {
-						continue
-					}
-					d := arrivals[dst]
-					if math.IsInf(d, 1) {
-						errs[w] = fmt.Errorf("metrics: pair (%d,%d) unreachable", src, dst)
-						return
-					}
-					total += d
-				}
-				rows[i] = total
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	sum := 0.0
-	for _, v := range rows {
-		sum += v
-	}
-	return sum / float64(n*n), nil
+	return AverageLatencyFrom(OverlayFloodSource(o, proc))
 }
 
 // Counters tallies protocol activity for the overhead analysis (§4.3).

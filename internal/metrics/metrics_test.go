@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/overlay"
@@ -24,6 +26,54 @@ func TestMeanLookupLatencyParallelDeterministic(t *testing.T) {
 	}
 	if failedA != 0 {
 		t.Fatalf("failed = %d", failedA)
+	}
+}
+
+// TestMeanLookupLatencyBlockEdges: the mean is bit-equal to a sequential
+// evaluation for every worker count and for lookup counts on both sides of a
+// claim-block boundary — each index is evaluated exactly once, whoever
+// claims its block, and the reduction order never changes.
+func TestMeanLookupLatencyBlockEdges(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	eval := func(l workload.Lookup) float64 {
+		if l.Src%7 == 3 {
+			return math.Inf(1)
+		}
+		return 1 / float64(3+l.Src) // sums of these are order-sensitive
+	}
+	for _, count := range []int{1, lookupBlock - 1, lookupBlock, lookupBlock + 1, 1000} {
+		lookups := make([]workload.Lookup, count)
+		calls := make([]atomic.Int32, count)
+		sum, n, wantFailed := 0.0, 0, 0
+		for i := range lookups {
+			lookups[i] = workload.Lookup{Src: i, Dst: i + 1}
+			if v := eval(lookups[i]); math.IsInf(v, 1) {
+				wantFailed++
+			} else {
+				sum += v
+				n++
+			}
+		}
+		want := math.Inf(1)
+		if n > 0 {
+			want = sum / float64(n)
+		}
+		counting := func(l workload.Lookup) float64 {
+			calls[l.Src].Add(1)
+			return eval(l)
+		}
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, failed := MeanLookupLatency(lookups, counting)
+			if math.Float64bits(got) != math.Float64bits(want) || failed != wantFailed {
+				t.Fatalf("count %d, GOMAXPROCS %d: mean %v failed %d, want %v / %d", count, procs, got, failed, want, wantFailed)
+			}
+			for i := range calls {
+				if c := calls[i].Swap(0); c != 1 {
+					t.Fatalf("count %d, GOMAXPROCS %d: lookup %d evaluated %d times", count, procs, i, c)
+				}
+			}
+		}
 	}
 }
 

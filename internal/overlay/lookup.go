@@ -2,6 +2,8 @@ package overlay
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // ProcDelayFunc reports the processing delay in milliseconds a slot's host
@@ -9,6 +11,79 @@ import (
 // zero delay everywhere. The Fig. 7 heterogeneity experiments plug in the
 // bimodal model from internal/hetero.
 type ProcDelayFunc func(slot int) float64
+
+// floodView is the overlay's edge-latency snapshot, the only thing a flood
+// traverses: compressed sparse rows over the live arcs of the logical graph
+// (both endpoints alive), neighbours ascending as in graph.Graph, with
+// w[u→nb] = lat(hostOf[u], hostOf[nb]) — one entry per direction, in the
+// argument order a per-edge call would use, so a flood's float arithmetic
+// does not depend on whether it reads w or asks lat. Dead slots have empty
+// rows. LatencyFunc is pure, so the arrays are a function of (logical graph,
+// slot→host map, alive mask) and stay exact until one of those moves.
+//
+// stamp names the overlay state the arrays describe: Logical.Version() +
+// hostVer + 1, strictly increasing with every mutation; 0 means never built.
+// The first flood to see a stale stamp rebuilds under mu — once per overlay
+// state, so the lat calls a run makes are a function of its seed — in place
+// in the same backing arrays, then publishes with one store of stamp.
+// Reusing the arrays is safe because queries never overlap mutations
+// (DESIGN.md §7): every flood in flight started after the last mutation, so
+// it either waits on mu or has already seen the new stamp.
+type floodView struct {
+	mu    sync.Mutex
+	stamp atomic.Uint64
+	off   []int32 // len NumSlots()+1
+	nbr   []int32
+	w     []float64
+}
+
+// floodArcs returns the flood view of the current overlay state, rebuilding
+// it first if a mutation happened since the last flood.
+func (o *Overlay) floodArcs() (off, nbr []int32, w []float64) {
+	v := &o.view
+	if want := o.Logical.Version() + o.hostVer + 1; v.stamp.Load() != want {
+		o.rebuildFloodView(want)
+	}
+	return v.off, v.nbr, v.w
+}
+
+// rebuildFloodView refills o.view from the current state and stamps it want,
+// unless a concurrent flood already has: one lat call per live arc, no
+// allocation once the arrays have reached the overlay's size.
+func (o *Overlay) rebuildFloodView(want uint64) {
+	v := &o.view
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.stamp.Load() == want {
+		return
+	}
+	n := len(o.hostOf)
+	if cap(v.off) < n+1 {
+		v.off = make([]int32, n+1)
+	}
+	if m := 2 * o.Logical.NumEdges(); cap(v.nbr) < m {
+		v.nbr = make([]int32, 0, m)
+		v.w = make([]float64, 0, m)
+	}
+	off, nbr, w := v.off[:n+1], v.nbr[:0], v.w[:0]
+	for u := 0; u < n; u++ {
+		off[u] = int32(len(nbr))
+		if !o.alive[u] {
+			continue
+		}
+		hu := o.hostOf[u]
+		o.Logical.VisitNeighbors(u, func(nb int, _ float64) bool {
+			if o.alive[nb] {
+				nbr = append(nbr, int32(nb))
+				w = append(w, o.lat(hu, o.hostOf[nb]))
+			}
+			return true
+		})
+	}
+	off[n] = int32(len(nbr))
+	v.off, v.nbr, v.w = off, nbr, w
+	v.stamp.Store(want)
+}
 
 // floodScratch is the reusable working set of one slot-level Dijkstra: the
 // tentative-distance array, an indexed 4-ary heap of slot IDs, and each
@@ -19,7 +94,10 @@ type floodScratch struct {
 	dist []float64
 	heap []int32
 	pos  []int32
-	mark []bool // affected-set marking for RepairFloodRow (repair.go)
+	// mark is a slot set: the stop targets of a flood, the affected set of
+	// RepairFloodRow (repair.go). Whoever sets a bit clears it before
+	// floodPut, so pooled scratch is always all-false.
+	mark []bool
 }
 
 // floodPool hands out scratch sized to at least n slots.
@@ -43,14 +121,15 @@ func (o *Overlay) floodGet() *floodScratch {
 
 func (o *Overlay) floodPut(s *floodScratch) { o.floodPool.Put(s) }
 
-// floodRun settles slots in nondecreasing first-arrival order from src.
-// It stops early when dst (if >= 0) or any slot of targets (if non-nil) is
-// settled, returning its arrival time; with no stop condition it computes
-// the full arrival vector into s.dist and returns +Inf. Dead slots and
-// unreachable slots keep +Inf.
-func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch, dst int, targets map[int]bool) float64 {
-	dist := s.dist
-	pos := s.pos
+// floodRun settles slots in nondecreasing first-arrival order from src over
+// the flood view. It stops at the first settled slot marked in s.mark and
+// returns its arrival time; with no slot marked it computes the full arrival
+// vector into s.dist and returns +Inf. Dead slots and unreachable slots keep
+// +Inf. The loop makes no call but proc: adjacency, liveness and latency all
+// come from the view.
+func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch) float64 {
+	off, nbr, w := o.floodArcs()
+	dist, pos, stop := s.dist, s.pos, s.mark
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
@@ -61,31 +140,29 @@ func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch, dst int
 	dist[src] = 0
 	heap = heapPushSlot(heap, pos, dist, int32(src))
 	for len(heap) > 0 {
-		u := int(heap[0])
+		u := heap[0]
 		heap = heapPopMinSlot(heap, pos, dist)
-		if u == dst || (targets != nil && targets[u]) {
-			s.heap = heap[:0]
-			return dist[u]
-		}
 		du := dist[u]
-		o.Logical.VisitNeighbors(u, func(nb int, _ float64) bool {
-			if !o.Alive(nb) {
-				return true
-			}
-			nd := du + o.lat(o.hostOf[u], o.hostOf[nb])
+		if stop[u] {
+			s.heap = heap[:0]
+			return du
+		}
+		nbs := nbr[off[u]:off[u+1]]
+		ws := w[off[u]:off[u+1]]
+		for i, nb := range nbs {
+			nd := du + ws[i]
 			if proc != nil {
-				nd += proc(nb)
+				nd += proc(int(nb))
 			}
 			if nd < dist[nb] {
 				dist[nb] = nd
 				if pos[nb] < 0 {
-					heap = heapPushSlot(heap, pos, dist, int32(nb))
+					heap = heapPushSlot(heap, pos, dist, nb)
 				} else {
 					heapSiftUpSlot(heap, pos, dist, pos[nb])
 				}
 			}
-			return true
-		})
+		}
 	}
 	s.heap = heap[:0]
 	return math.Inf(1)
@@ -105,7 +182,9 @@ func (o *Overlay) FloodLatency(src, dst int, proc ProcDelayFunc) float64 {
 		return 0
 	}
 	s := o.floodGet()
-	d := o.floodRun(src, proc, s, dst, nil)
+	s.mark[dst] = true
+	d := o.floodRun(src, proc, s)
+	s.mark[dst] = false
 	o.floodPut(s)
 	return d
 }
@@ -119,20 +198,26 @@ func (o *Overlay) FloodLatencyAny(src int, dsts []int, proc ProcDelayFunc) float
 	if !o.Alive(src) || len(dsts) == 0 {
 		return math.Inf(1)
 	}
-	targets := make(map[int]bool, len(dsts))
-	for _, d := range dsts {
-		if o.Alive(d) {
-			targets[d] = true
+	s := o.floodGet()
+	live := false
+	for _, t := range dsts {
+		if o.Alive(t) {
+			s.mark[t] = true
+			live = true
 		}
 	}
-	if len(targets) == 0 {
-		return math.Inf(1)
+	d := math.Inf(1)
+	switch {
+	case s.mark[src]:
+		d = 0
+	case live:
+		d = o.floodRun(src, proc, s)
 	}
-	if targets[src] {
-		return 0
+	for _, t := range dsts {
+		if o.Alive(t) {
+			s.mark[t] = false
+		}
 	}
-	s := o.floodGet()
-	d := o.floodRun(src, proc, s, -1, targets)
 	o.floodPut(s)
 	return d
 }
@@ -154,7 +239,7 @@ func (o *Overlay) FloodLatenciesInto(src int, proc ProcDelayFunc, dist []float64
 		return dist
 	}
 	s := o.floodGet()
-	o.floodRun(src, proc, s, -1, nil)
+	o.floodRun(src, proc, s)
 	copy(dist, s.dist)
 	o.floodPut(s)
 	return dist
@@ -166,11 +251,9 @@ func (o *Overlay) FloodLatenciesInto(src int, proc ProcDelayFunc, dist []float64
 // no zero-cost generic bridge between the two hot loops.
 //
 // Comparisons are by distance alone, yet floodRun's settle order — and with
-// it the number of edge relaxations before an early exit — is deterministic:
-// graph.Graph's sorted adjacency lists make VisitNeighbors, and therefore
-// the heap's operation sequence, a pure function of the graph. Observability
-// depends on this: oracle query counts feed the byte-deterministic metrics
-// stream (DESIGN.md §8).
+// it every early-exit value — is deterministic: the view lists each slot's
+// neighbours in ascending order, as graph.Graph's sorted adjacency does, so
+// the heap's operation sequence is a pure function of the overlay state.
 
 func heapPushSlot(heap []int32, pos []int32, dist []float64, v int32) []int32 {
 	heap = append(heap, v)

@@ -30,7 +30,9 @@ import (
 )
 
 // LatencyFunc reports the physical latency in milliseconds between two
-// hosts. netsim.Oracle.Latency satisfies this signature.
+// hosts. netsim.Oracle.Latency satisfies this signature. It must be pure for
+// the overlay's lifetime — the same answer for the same ordered host pair —
+// because floods read edge latencies cached from it (floodView, lookup.go).
 type LatencyFunc func(hostA, hostB int) float64
 
 // Stats tallies the overlay's topology mutations for the observability
@@ -76,6 +78,12 @@ type Overlay struct {
 	// floodPool recycles flooding-query scratch (see lookup.go) across the
 	// concurrent metric evaluators sharing this overlay.
 	floodPool sync.Pool
+
+	// view caches the live arcs' latencies for floods; hostVer counts the
+	// writes to hostOf/alive (SwapHosts, AddSlot, kill) and, with the logical
+	// graph's version, tells a flood when view is stale (see lookup.go).
+	view    floodView
+	hostVer uint64
 
 	// slotHook, when set, observes slot/host lifecycle events (swap, join,
 	// leave, crash) — the feed incremental-metric trackers combine with the
@@ -292,6 +300,7 @@ func (o *Overlay) SwapHosts(u, v int) error {
 	}
 	o.hostOf[u], o.hostOf[v] = hv, hu
 	o.slotOfHost[hu], o.slotOfHost[hv] = v, u
+	o.hostVer++
 	o.Stats.Swaps++
 	return nil
 }
@@ -567,6 +576,7 @@ func (o *Overlay) AddSlot(host int) (int, error) {
 	o.slotOfHost[host] = slot
 	o.aliveCount++
 	o.aliveIdx = o.aliveIdx[:0]
+	o.hostVer++
 	if o.slotHook != nil {
 		o.slotHook(SlotEvent{Kind: SlotJoin, U: slot, V: -1, HostU: host, HostV: -1})
 	}
@@ -618,6 +628,7 @@ func (o *Overlay) kill(u int) {
 	o.alive[u] = false
 	o.aliveCount--
 	o.aliveIdx = o.aliveIdx[:0]
+	o.hostVer++
 }
 
 // Crashed reports whether slot u died crash-stop and has not been purged.

@@ -132,12 +132,14 @@ func (o *Overlay) RepairFloodRow(p *FloodPatch, proc ProcDelayFunc, src int, dis
 	}
 
 	s := o.floodGet()
-	defer o.floodPut(s)
 	mark := s.mark
-	for i := range mark {
-		mark[i] = false
-	}
 	queue := make([]int, 0, 16)
+	defer func() {
+		for _, x := range queue {
+			mark[x] = false
+		}
+		o.floodPut(s)
+	}()
 	over := false
 	markSlot := func(x int) {
 		if x == src || mark[x] {
@@ -258,18 +260,18 @@ func (o *Overlay) RepairFloodRow(p *FloodPatch, proc ProcDelayFunc, src int, dis
 			relax(e.U, dist[e.V]+o.lat(e.HostV, e.HostU)+procOf(e.U))
 		}
 	}
+	// The settle loop runs over current adjacency only, so it reads the
+	// flood view like floodRun; the marking passes above cannot (they need
+	// pre-batch hosts and links).
+	off, nbr, w := o.floodArcs()
 	for len(heap) > 0 {
-		u := int(heap[0])
+		u := heap[0]
 		heap = heapPopMinSlot(heap, pos, dist)
 		du := dist[u]
-		hu := o.hostOf[u]
-		o.Logical.VisitNeighbors(u, func(nb int, _ float64) bool {
-			if !o.Alive(nb) {
-				return true
-			}
-			relax(nb, du+o.lat(hu, o.hostOf[nb])+procOf(nb))
-			return true
-		})
+		ws := w[off[u]:off[u+1]]
+		for i, nb := range nbr[off[u]:off[u+1]] {
+			relax(int(nb), du+ws[i]+procOf(int(nb)))
+		}
 	}
 	s.heap = heap[:0]
 	return st, true
