@@ -1,6 +1,7 @@
 package propnode
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/gnutella"
@@ -21,7 +22,9 @@ import (
 //
 // The suspicion map is keyed by host, not slot: PROP exchanges migrate hosts
 // between slots, and it is the host (the machine) that is unreachable.
-// The map is owned exclusively by the detector goroutine — no locking.
+// The map, like the sweep's list of live neighbor hosts (agent.hbLive), is
+// owned exclusively by the detector goroutine — no locking, and nothing
+// allocated per sweep.
 
 // runDetector is one agent's failure-detector loop.
 func (rt *Runtime) runDetector(a *agent, stagger time.Duration) {
@@ -58,16 +61,19 @@ func (rt *Runtime) heartbeatOnce(a *agent) {
 		rt.mu.Unlock()
 		return
 	}
-	type peer struct{ slot, host int }
-	var live []peer
+	// rt.sc.Nbrs is valid while rt.mu is held; the live hosts outlive the
+	// lock in the detector's own scratch.
+	rt.sc.Nbrs = rt.o.Logical.AppendNeighbors(rt.sc.Nbrs[:0], u)
+	live := a.hbLive[:0]
 	corpses := false
-	for _, nb := range rt.o.Neighbors(u) {
+	for _, nb := range rt.sc.Nbrs {
 		if rt.o.Alive(nb) {
-			live = append(live, peer{nb, rt.o.HostOf(nb)})
+			live = append(live, rt.o.HostOf(nb))
 		} else {
 			corpses = true
 		}
 	}
+	a.hbLive = live
 	rt.mu.Unlock()
 
 	if corpses {
@@ -77,38 +83,35 @@ func (rt *Runtime) heartbeatOnce(a *agent) {
 	}
 
 	// Forget suspicion for ex-neighbors: accrual is per-link, and the link
-	// is gone (exchange, leave, or an earlier eviction).
-	current := make(map[int]bool, len(live))
-	for _, p := range live {
-		current[p.host] = true
-	}
+	// is gone (exchange, leave, or an earlier eviction). Degrees are small,
+	// so a scan of the live list beats building a set.
 	for h := range a.susp {
-		if !current[h] {
+		if !slices.Contains(live, h) {
 			delete(a.susp, h)
 		}
 	}
 
-	for _, p := range live {
+	for _, host := range live {
 		select {
 		case <-a.stop:
 			return
 		default:
 		}
-		level := a.susp[p.host]
+		level := a.susp[host]
 		shift := level
 		if shift > 3 {
 			shift = 3
 		}
 		rt.heartbeats.Add(1)
-		if _, err := a.node.Ping(p.host, rt.cfg.HeartbeatTimeout<<shift, 0); err == nil {
-			delete(a.susp, p.host)
+		if _, err := a.node.Ping(host, rt.cfg.HeartbeatTimeout<<shift, 0); err == nil {
+			delete(a.susp, host)
 			continue
 		}
 		level++
-		a.susp[p.host] = level
+		a.susp[host] = level
 		if level >= rt.cfg.SuspicionThreshold {
-			delete(a.susp, p.host)
-			rt.evictSuspect(a, p.host)
+			delete(a.susp, host)
+			rt.evictSuspect(a, host)
 		}
 	}
 }

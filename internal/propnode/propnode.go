@@ -191,8 +191,10 @@ type agent struct {
 	peer core.Peer
 
 	// susp is the failure detector's per-neighbor suspicion accrual, keyed
-	// by host. Owned exclusively by the agent's detector goroutine.
-	susp map[int]int
+	// by host, and hbLive the hosts of the sweep in progress. Both are owned
+	// exclusively by the agent's detector goroutine.
+	susp   map[int]int
+	hbLive []int
 }
 
 // New builds a runtime over net. Start must be called before the agents do

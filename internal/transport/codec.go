@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 )
 
 // Wire format (big-endian, canonical: one Message has exactly one encoding):
@@ -31,22 +33,28 @@ const (
 // Encode serializes m into a fresh frame. It rejects messages that cannot
 // round-trip: unknown types, out-of-range host or slot IDs, oversized paths
 // or bodies.
-func Encode(m Message) ([]byte, error) {
+func Encode(m Message) ([]byte, error) { return appendEncode(nil, m) }
+
+// appendEncode is the one encoder: it validates m and appends its frame to
+// buf, growing it at most once. On error it returns buf unchanged, so a
+// caller may assign the result back over its buffer unconditionally. The two
+// Send paths call it with a pooled buffer (frames), Encode with none.
+func appendEncode(buf []byte, m Message) ([]byte, error) {
 	if !m.Type.Valid() {
-		return nil, fmt.Errorf("transport: encode: unknown type %d", m.Type)
+		return buf, fmt.Errorf("transport: encode: unknown type %d", m.Type)
 	}
 	if len(m.Path) > MaxPath {
-		return nil, fmt.Errorf("transport: encode: path of %d entries exceeds %d", len(m.Path), MaxPath)
+		return buf, fmt.Errorf("transport: encode: path of %d entries exceeds %d", len(m.Path), MaxPath)
 	}
 	if len(m.Body) > MaxBody {
-		return nil, fmt.Errorf("transport: encode: body of %d bytes exceeds %d", len(m.Body), MaxBody)
+		return buf, fmt.Errorf("transport: encode: body of %d bytes exceeds %d", len(m.Body), MaxBody)
 	}
 	for i, s := range m.Path {
 		if s < math.MinInt32 || s > math.MaxInt32 {
-			return nil, fmt.Errorf("transport: encode: path[%d] = %d out of int32 range", i, s)
+			return buf, fmt.Errorf("transport: encode: path[%d] = %d out of int32 range", i, s)
 		}
 	}
-	buf := make([]byte, 0, headerLen+4*len(m.Path)+len(m.Body))
+	buf = slices.Grow(buf, headerLen+4*len(m.Path)+len(m.Body))
 	buf = append(buf, codecMagic, codecVersion, byte(m.Type), m.TTL)
 	buf = binary.BigEndian.AppendUint32(buf, m.Epoch)
 	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
@@ -61,6 +69,12 @@ func Encode(m Message) ([]byte, error) {
 	buf = append(buf, m.Body...)
 	return buf, nil
 }
+
+// frames recycles the encode buffers of the two Send paths. A frame is dead
+// the moment its consumer returns — Decode copies Path and Body out of it,
+// WriteToUDP copies it into the kernel — so nothing a caller or receiver
+// holds ever aliases a pooled buffer.
+var frames = sync.Pool{New: func() any { return new([]byte) }}
 
 // Decode parses one frame. Truncated, corrupt, oversized, or padded frames
 // are rejected with an error; a successful decode consumed the entire input

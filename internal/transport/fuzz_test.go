@@ -8,7 +8,9 @@ import (
 // FuzzCodecRoundTrip drives Decode with arbitrary bytes and pins the codec's
 // two contracts: malformed input is rejected with an error (never a panic),
 // and any frame Decode accepts re-encodes byte-identically — the canonical
-// property that makes "one Message, one encoding" hold on the wire.
+// property that makes "one Message, one encoding" hold on the wire. The Send
+// paths encode into a recycled buffer, so the same bytes must come out of
+// appendEncode over whatever the previous frame left behind.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, m := range sampleMessages() {
 		frame, err := Encode(m)
@@ -26,6 +28,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{codecMagic, codecVersion})
 
+	var reused []byte // the last accepted frame's buffer, dirty with its bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {
@@ -37,6 +40,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(data, re) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data, re)
+		}
+		reused, err = appendEncode(reused[:0], m)
+		if err != nil || !bytes.Equal(re, reused) {
+			t.Fatalf("appendEncode into a reused buffer diverged from Encode: %v\n want %x\n got  %x", err, re, reused)
 		}
 		// A second round-trip must be a fixed point.
 		m2, err := Decode(re)

@@ -27,9 +27,9 @@ type LoopbackConfig struct {
 	Queue int
 }
 
-// Drop records one message the fault gate removed, in delivery-attempt
-// order. The slice of all drops is the run's fault schedule; comparing it
-// across seeded runs is how the live determinism tests pin reproducibility.
+// Drop records one message the fault gate removed. The slice of all drops is
+// the run's fault schedule; comparing it across seeded runs is how the live
+// determinism tests pin reproducibility.
 type Drop struct {
 	// Src and Dst are the message's endpoints.
 	Src, Dst int
@@ -60,19 +60,35 @@ type LoopbackStats struct {
 // virtual delays and seeded faults. It is safe for concurrent use; fault
 // verdicts stay reproducible because they hash per-link sequence numbers,
 // which each sender's traffic orders deterministically.
+//
+// Which lock guards what: DESIGN.md §10 "Transport locking".
 type Loopback struct {
 	cfg   LoopbackConfig
 	start time.Time
 
-	mu      sync.Mutex
-	eps     map[int]*loopEndpoint
-	linkSeq map[[2]int]uint64
-	drops   []Drop
-	stats   LoopbackStats
+	mu    sync.RWMutex // write side: Open and close only
+	eps   map[int]*loopEndpoint
+	links map[int]*linkSeqs // by sending host; empty without an injector
 
-	// obs instruments, network-wide totals (nil-safe).
-	obsOverflows *obs.Counter
-	obsDropped   *obs.Counter
+	dropMu sync.Mutex
+	drops  []Drop
+
+	sent, delivered, dropped, dups, noEndpoint, overflows atomic.Uint64
+
+	// obs instruments, network-wide totals (a nil *obs.Counter is a no-op).
+	obsOverflows atomic.Pointer[obs.Counter]
+	obsDropped   atomic.Pointer[obs.Counter]
+}
+
+// linkSeqs is one sending host's per-destination delivery-attempt counters.
+// It belongs to the Loopback, not to the endpoint, so a host that closes and
+// reopens continues its sequences — the fault schedule of a link does not
+// restart when chaos recovers a host mid-run. The mutex is the table's own
+// rather than the endpoint's because a send still in flight on the closed
+// endpoint may overlap the first sends of its successor.
+type linkSeqs struct {
+	mu   sync.Mutex
+	next map[int]uint64 // by destination host
 }
 
 // NewLoopback builds an empty in-process network.
@@ -81,10 +97,10 @@ func NewLoopback(cfg LoopbackConfig) *Loopback {
 		cfg.Queue = 1024
 	}
 	return &Loopback{
-		cfg:     cfg,
-		start:   time.Now(),
-		eps:     make(map[int]*loopEndpoint),
-		linkSeq: make(map[[2]int]uint64),
+		cfg:   cfg,
+		start: time.Now(),
+		eps:   make(map[int]*loopEndpoint),
+		links: make(map[int]*linkSeqs),
 	}
 }
 
@@ -97,6 +113,12 @@ func (l *Loopback) Open(host int) (Endpoint, error) {
 		return nil, fmt.Errorf("transport: loopback host %d already open", host)
 	}
 	ep := &loopEndpoint{net: l, host: host, recv: make(chan Inbound, l.cfg.Queue)}
+	if l.cfg.Faults != nil {
+		if ep.links = l.links[host]; ep.links == nil {
+			ep.links = &linkSeqs{next: make(map[int]uint64)}
+			l.links[host] = ep.links
+		}
+	}
 	l.eps[host] = ep
 	return ep, nil
 }
@@ -106,24 +128,35 @@ func (l *Loopback) Open(host int) (Endpoint, error) {
 // stay available through the endpoint's Counters. Nil counters keep the
 // zero-cost disabled path.
 func (l *Loopback) SetInstruments(overflows, dropped *obs.Counter) {
-	l.mu.Lock()
-	l.obsOverflows = overflows
-	l.obsDropped = dropped
-	l.mu.Unlock()
+	l.obsOverflows.Store(overflows)
+	l.obsDropped.Store(dropped)
 }
 
-// Drops returns a copy of the fault schedule so far.
+// Drops returns a copy of the fault schedule so far. Per link (Src, Dst) the
+// drops appear in ascending Seq order. The order across links is the order
+// in which senders reached the log: a pure function of the traffic when one
+// goroutine sends (or sends are causally chained, as in a ping-pong), and
+// scheduling-dependent under concurrent senders — sort by (Src, Dst, Seq) to
+// compare two such runs.
 func (l *Loopback) Drops() []Drop {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.dropMu.Lock()
+	defer l.dropMu.Unlock()
 	return append([]Drop(nil), l.drops...)
 }
 
-// Stats returns the delivery tallies so far.
+// Stats returns the delivery tallies so far. Each field is read atomically;
+// the struct as a whole is exact once traffic has quiesced, and under
+// traffic may catch a send between two of its increments (Sent counted, its
+// Delivered not yet).
 func (l *Loopback) Stats() LoopbackStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
+	return LoopbackStats{
+		Sent:       l.sent.Load(),
+		Delivered:  l.delivered.Load(),
+		Dropped:    l.dropped.Load(),
+		Dups:       l.dups.Load(),
+		NoEndpoint: l.noEndpoint.Load(),
+		Overflows:  l.overflows.Load(),
+	}
 }
 
 // nowMS positions time-windowed faults (partitions, link outages) on the
@@ -133,27 +166,46 @@ func (l *Loopback) nowMS() float64 {
 	return float64(time.Since(l.start)) / float64(time.Millisecond)
 }
 
-// send runs one message through the fault gate and delivers it. Called with
-// from's identity already stamped.
-func (l *Loopback) send(from *loopEndpoint, to int, m Message) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	link := [2]int{from.host, to}
-	seq := l.linkSeq[link]
-	l.linkSeq[link] = seq + 1
-
+// gate runs one message of from's through the fault injector: it draws the
+// link's next sequence number, hashes the verdict and logs a loss. The
+// sender's table lock is held across all three, so a link's drops reach the
+// log in Seq order whichever of the host's goroutines sent them.
+func (l *Loopback) gate(from *loopEndpoint, to int) faults.Delivery {
+	ls := from.links
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	seq := ls.next[to]
+	ls.next[to] = seq + 1
 	verdict := l.cfg.Faults.DeliverStateless(from.host, to, seq, l.nowMS())
 	if verdict.Lost {
+		l.dropMu.Lock()
 		l.drops = append(l.drops, Drop{Src: from.host, Dst: to, Seq: seq, Reason: verdict.Reason})
-		l.stats.Dropped++
-		l.obsDropped.Inc()
-		return
+		l.dropMu.Unlock()
+		l.dropped.Add(1)
+		l.obsDropped.Load().Inc()
 	}
-	l.stats.Sent++
+	return verdict
+}
 
+// send runs one message through the fault gate and delivers it. Called with
+// from's identity already stamped. Without an injector there is no verdict
+// to draw: no sequence number is kept and the clock is not read. It holds
+// mu.RLock from the lookup to the (non-blocking) enqueue so close cannot
+// close recv under it.
+func (l *Loopback) send(from *loopEndpoint, to int, m Message) {
+	var verdict faults.Delivery
+	if l.cfg.Faults != nil {
+		if verdict = l.gate(from, to); verdict.Lost {
+			return
+		}
+	}
+	l.sent.Add(1)
+
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	dst, ok := l.eps[to]
 	if !ok {
-		l.stats.NoEndpoint++
+		l.noEndpoint.Add(1)
 		return
 	}
 	delay := verdict.DelayMS
@@ -164,18 +216,18 @@ func (l *Loopback) send(from *loopEndpoint, to int, m Message) {
 	copies := 1
 	if verdict.Dup {
 		copies = 2
-		l.stats.Dups++
+		l.dups.Add(1)
 	}
 	for i := 0; i < copies; i++ {
 		select {
 		case dst.recv <- in:
-			l.stats.Delivered++
+			l.delivered.Add(1)
 		default:
 			// Bounded mailbox: a receiver that is not draining sheds the
 			// message here — datagram semantics, same as the UDP endpoint.
-			l.stats.Overflows++
+			l.overflows.Add(1)
 			dst.overflows.Add(1)
-			l.obsOverflows.Inc()
+			l.obsOverflows.Load().Inc()
 		}
 	}
 }
@@ -191,9 +243,10 @@ func (l *Loopback) close(ep *loopEndpoint) {
 }
 
 type loopEndpoint struct {
-	net  *Loopback
-	host int
-	recv chan Inbound
+	net   *Loopback
+	host  int
+	recv  chan Inbound
+	links *linkSeqs // the host's sequence table; nil without an injector
 
 	overflows atomic.Uint64
 
@@ -222,12 +275,15 @@ func (ep *loopEndpoint) Send(to int, m Message) error {
 	// The loopback carries Messages natively, but every frame must still be
 	// wire-legal: encode (validating), and hand the receiver the decoded
 	// copy so aliasing bugs (shared Path/Body backing arrays) cannot leak
-	// between sender and receiver.
-	frame, err := Encode(m)
-	if err != nil {
+	// between sender and receiver. Decode copies Path and Body out of the
+	// frame, so nothing delivered aliases the pooled buffer.
+	bp := frames.Get().(*[]byte)
+	defer frames.Put(bp)
+	var err error
+	if *bp, err = appendEncode((*bp)[:0], m); err != nil {
 		return err
 	}
-	dm, err := Decode(frame)
+	dm, err := Decode(*bp)
 	if err != nil {
 		return fmt.Errorf("transport: loopback round-trip: %v", err)
 	}

@@ -2,6 +2,9 @@ package transport
 
 import (
 	"math"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -136,6 +139,186 @@ func TestLoopbackFaultScheduleDeterministic(t *testing.T) {
 	}
 	if s1 != s2 {
 		t.Fatalf("stats diverge: %+v vs %+v", s1, s2)
+	}
+}
+
+// sortDrops orders a drop log by (Src, Dst, Seq) — the canonical form for
+// comparing runs whose senders raced each other to the log.
+func sortDrops(d []Drop) []Drop {
+	sort.Slice(d, func(i, j int) bool {
+		if d[i].Src != d[j].Src {
+			return d[i].Src < d[j].Src
+		}
+		if d[i].Dst != d[j].Dst {
+			return d[i].Dst < d[j].Dst
+		}
+		return d[i].Seq < d[j].Seq
+	})
+	return d
+}
+
+func TestLoopbackFaultScheduleConcurrentSenders(t *testing.T) {
+	// Sequence numbers are per sender, so senders that race each other draw
+	// the same verdicts whatever the interleaving: eight goroutines, each the
+	// only sender of its endpoint, reproduce the same drop set and tallies.
+	const hosts, rounds = 8, 60
+	run := func() ([]Drop, LoopbackStats) {
+		inj, err := faults.NewInjector(faults.Config{Seed: 0xBEEF, LossProb: 0.2, DupProb: 0.1, JitterMS: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Nobody drains: the queue holds every copy, so Delivered is a
+		// function of the verdicts alone.
+		lb := NewLoopback(LoopbackConfig{DelayMS: halfLat, Faults: inj, Queue: 2 * hosts * rounds})
+		eps := make([]Endpoint, hosts)
+		for i := range eps {
+			ep, err := lb.Open(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eps[i] = ep
+		}
+		var wg sync.WaitGroup
+		for _, src := range eps {
+			wg.Add(1)
+			go func(src Endpoint) {
+				defer wg.Done()
+				for k := 0; k < rounds; k++ {
+					for dst := 0; dst < hosts; dst++ {
+						if dst == src.Host() {
+							continue
+						}
+						if err := src.Send(dst, Message{Type: TData, Key: uint32(k)}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}(src)
+		}
+		wg.Wait()
+		for _, ep := range eps {
+			ep.Close()
+		}
+		return lb.Drops(), lb.Stats()
+	}
+
+	d1, s1 := run()
+	d2, s2 := run()
+	if len(d1) == 0 {
+		t.Fatal("loss schedule empty; fault gate not engaged")
+	}
+	// What Drops documents, on the raw log: per link ascending, and every
+	// Seq one the link actually drew.
+	last := make(map[[2]int]uint64)
+	for _, d := range d1 {
+		link := [2]int{d.Src, d.Dst}
+		if prev, seen := last[link]; seen && d.Seq <= prev {
+			t.Fatalf("link %v logged seq %d after %d", link, d.Seq, prev)
+		}
+		if d.Seq >= rounds {
+			t.Fatalf("link %v dropped seq %d, but sent only %d messages", link, d.Seq, rounds)
+		}
+		last[link] = d.Seq
+	}
+	if !reflect.DeepEqual(sortDrops(d1), sortDrops(d2)) {
+		t.Fatalf("drop sets differ across runs: %d vs %d drops", len(d1), len(d2))
+	}
+	if s1 != s2 {
+		t.Fatalf("stats diverge: %+v vs %+v", s1, s2)
+	}
+	if want := uint64(hosts * (hosts - 1) * rounds); s1.Sent+s1.Dropped != want {
+		t.Fatalf("Sent %d + Dropped %d, want %d sends accounted for", s1.Sent, s1.Dropped, want)
+	}
+}
+
+func TestLoopbackSequencesSurviveReopen(t *testing.T) {
+	// A host that closes and reopens (chaos Recover) continues its links'
+	// sequence numbers, so the fault schedule of the whole pattern is the
+	// one the never-closed run draws.
+	const hosts, rounds = 4, 80
+	run := func(reopenAt int) []Drop {
+		inj, err := faults.NewInjector(faults.Config{Seed: 0xFEED, LossProb: 0.25})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb := NewLoopback(LoopbackConfig{Faults: inj})
+		eps := make([]Endpoint, hosts)
+		for i := range eps {
+			if eps[i], err = lb.Open(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < rounds; k++ {
+			if k == reopenAt {
+				eps[1].Close()
+				if eps[1], err = lb.Open(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, src := range eps {
+				for dst := 0; dst < hosts; dst++ {
+					if dst != src.Host() {
+						if err := src.Send(dst, Message{Type: TData}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+		return lb.Drops()
+	}
+	whole, reopened := run(-1), run(rounds/2)
+	if len(whole) == 0 {
+		t.Fatal("loss schedule empty; fault gate not engaged")
+	}
+	if !reflect.DeepEqual(whole, reopened) {
+		t.Fatalf("reopening host 1 changed the fault schedule: %d vs %d drops", len(whole), len(reopened))
+	}
+}
+
+func TestLoopbackNoInjectorAccounting(t *testing.T) {
+	// Without an injector nothing is dropped, and every send ends in exactly
+	// one of the three tallies — exact once the burst has quiesced.
+	const senders, burst = 8, 500
+	lb := NewLoopback(LoopbackConfig{DelayMS: halfLat, Queue: 64})
+	sink, err := lb.Open(100) // never drained: overflows after 64
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < senders; i++ {
+		ep, err := lb.Open(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < burst; k++ {
+				dst := 100
+				if k%5 == 0 {
+					dst = 999 // no such host
+				}
+				if err := ep.Send(dst, Message{Type: TData}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if d := lb.Drops(); len(d) != 0 {
+		t.Fatalf("%d drops without an injector", len(d))
+	}
+	s := lb.Stats()
+	if s.Sent != senders*burst || s.Sent != s.Delivered+s.Overflows+s.NoEndpoint {
+		t.Fatalf("Sent %d of %d ≠ Delivered %d + Overflows %d + NoEndpoint %d", s.Sent, senders*burst, s.Delivered, s.Overflows, s.NoEndpoint)
+	}
+	if s.Delivered != 64 || s.NoEndpoint != senders*burst/5 || s.Dropped != 0 || s.Dups != 0 {
+		t.Fatalf("stats %+v, want Delivered=64 NoEndpoint=%d and no fault tallies", s, senders*burst/5)
 	}
 }
 

@@ -33,9 +33,11 @@ type NodeStats struct {
 type Node struct {
 	ep Endpoint
 
+	// mu guards pending, and the pump delivers a reply into a call record
+	// while holding it — the recycling argument of Call rests on that.
 	mu      sync.Mutex
-	pending map[uint64]chan Inbound
-	handler func(Inbound)
+	pending map[uint64]*call
+	handler atomic.Pointer[func(Inbound)]
 
 	seq    atomic.Uint64
 	closed chan struct{}
@@ -53,7 +55,7 @@ type Node struct {
 func NewNode(ep Endpoint) *Node {
 	n := &Node{
 		ep:      ep,
-		pending: make(map[uint64]chan Inbound),
+		pending: make(map[uint64]*call),
 		closed:  make(chan struct{}),
 	}
 	n.wg.Add(1)
@@ -67,11 +69,14 @@ func (n *Node) Host() int { return n.ep.Host() }
 // Handle installs the handler for inbound traffic the pump does not consume
 // itself (everything but TPing and matched replies). The handler runs on
 // the pump goroutine: it must not block, or pings stall — dispatch slow
-// work (anything taking a lock or doing its own calls) to a goroutine.
+// work (anything taking a lock or doing its own calls) to a goroutine. A nil
+// h uninstalls the handler: such traffic is dropped again.
 func (n *Node) Handle(h func(Inbound)) {
-	n.mu.Lock()
-	n.handler = h
-	n.mu.Unlock()
+	if h == nil {
+		n.handler.Store(nil)
+		return
+	}
+	n.handler.Store(&h)
 }
 
 // Send transmits a one-way message (no response matching).
@@ -97,6 +102,8 @@ func (n *Node) Close() {
 	n.wg.Wait()
 }
 
+// pump is the node's receive loop. Its only lock is the reply match: pings
+// are answered and handler traffic dispatched without one.
 func (n *Node) pump() {
 	defer n.wg.Done()
 	for in := range n.ep.Recv() {
@@ -113,26 +120,53 @@ func (n *Node) pump() {
 			}
 			_ = n.ep.Send(in.Msg.Src, pong)
 		case TPong, TWalkReply, TMeasureReply:
+			// Deliver under n.mu — Call's recycling relies on it. The send
+			// never blocks: room for one reply, a second is a duplicate.
 			n.mu.Lock()
-			ch := n.pending[in.Msg.Seq]
-			n.mu.Unlock()
-			if ch == nil {
+			if c := n.pending[in.Msg.Seq]; c == nil {
 				n.staleReplies.Add(1)
-				continue
+			} else {
+				select {
+				case c.ch <- in:
+				default:
+					n.dupReplies.Add(1)
+				}
 			}
-			select {
-			case ch <- in:
-			default:
-				n.dupReplies.Add(1)
-			}
-		default:
-			n.mu.Lock()
-			h := n.handler
 			n.mu.Unlock()
-			if h != nil {
-				h(in)
+		default:
+			if h := n.handler.Load(); h != nil {
+				(*h)(in)
 			}
 		}
+	}
+}
+
+// call is the record of one in-flight Call: the channel the pump hands the
+// reply to and the timer of the current attempt. Records are recycled
+// through calls; one at rest there has an empty channel and a stopped timer
+// with a drained channel, which is the state Timer.Reset requires.
+type call struct {
+	ch    chan Inbound // capacity 1: the reply; later copies are duplicates
+	timer *time.Timer
+}
+
+var calls = sync.Pool{New: func() any {
+	// A fresh timer must not fire before its first Reset: give it the longest
+	// deadline there is and stop it at once, so it never has.
+	t := time.NewTimer(math.MaxInt64)
+	t.Stop()
+	return &call{ch: make(chan Inbound, 1), timer: t}
+}}
+
+// disarm stops the timer of an attempt that ended before its deadline was
+// received. The timer was Reset in this attempt and its channel has not been
+// read since, so a false Stop means it fired and the tick is, or is about to
+// be, in the channel: the blocking receive takes it under the asynchronous
+// timer channels the go 1.22 modules build with, and under Go 1.23's
+// synchronous ones Stop returns true here and discards the tick itself.
+func (c *call) disarm() {
+	if !c.timer.Stop() {
+		<-c.timer.C
 	}
 }
 
@@ -142,36 +176,36 @@ func (n *Node) pump() {
 // sequence number is reused across retransmissions, so a late reply to an
 // earlier attempt still completes the call — and replies arriving after
 // completion are absorbed as stale.
+//
+// The call's record is pooled. Recycling it relies on the pump delivering
+// under n.mu and finish deleting under n.mu: after the delete no reply can
+// reach the record (DESIGN.md §10 "Transport locking").
 func (n *Node) Call(to int, m Message, timeout time.Duration, retries int) (Inbound, error) {
 	if timeout <= 0 {
 		return Inbound{}, fmt.Errorf("transport: call needs a positive timeout")
 	}
 	seq := n.seq.Add(1)
 	m.Seq = seq
-	ch := make(chan Inbound, 1)
+	c := calls.Get().(*call)
 	n.mu.Lock()
-	n.pending[seq] = ch
+	n.pending[seq] = c
 	n.mu.Unlock()
-	defer func() {
-		n.mu.Lock()
-		delete(n.pending, seq)
-		n.mu.Unlock()
-	}()
+	defer n.finish(seq, c)
 
 	deadline := timeout
 	for attempt := 0; ; attempt++ {
 		if err := n.ep.Send(to, m); err != nil {
 			return Inbound{}, err
 		}
-		timer := time.NewTimer(deadline)
+		c.timer.Reset(deadline)
 		select {
-		case in := <-ch:
-			timer.Stop()
+		case in := <-c.ch:
+			c.disarm()
 			return in, nil
 		case <-n.closed:
-			timer.Stop()
+			c.disarm()
 			return Inbound{}, fmt.Errorf("transport: node %d closed during call to %d", n.ep.Host(), to)
-		case <-timer.C:
+		case <-c.timer.C:
 			n.timeouts.Add(1)
 			if attempt >= retries {
 				return Inbound{}, fmt.Errorf("transport: call %d→%d type %d timed out after %d attempts",
@@ -181,6 +215,20 @@ func (n *Node) Call(to int, m Message, timeout time.Duration, retries int) (Inbo
 			deadline *= 2
 		}
 	}
+}
+
+// finish retires the record of a returning Call. Every path of Call leaves
+// the timer stopped and drained; the reply channel is drained here, after
+// the delete that cuts the record off from the pump.
+func (n *Node) finish(seq uint64, c *call) {
+	n.mu.Lock()
+	delete(n.pending, seq)
+	n.mu.Unlock()
+	select {
+	case <-c.ch:
+	default:
+	}
+	calls.Put(c)
 }
 
 // Ping measures the round-trip time to host to in milliseconds. Over the

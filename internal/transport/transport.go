@@ -17,6 +17,10 @@
 // host identifiers are the addresses, and each implementation maps them to
 // its own notion of a wire endpoint.
 //
+// The per-message paths recycle their frames and call records and share no
+// exclusive lock between senders; DESIGN.md §10 "Transport locking" states
+// which lock guards what and why a retired call record is safe to reuse.
+//
 // Key types: Message and its codec (Encode/Decode), Endpoint/Network,
 // Loopback, UDPEndpoint, and Node (the message pump with Ping/Call). See
 // DESIGN.md §10.

@@ -222,15 +222,19 @@ func (ep *UDPEndpoint) Send(to int, m Message) error {
 	}
 	ep.mu.Unlock()
 	m.Src, m.Dst = ep.host, to
-	frame, err := Encode(m)
-	if err != nil {
+	// WriteToUDP copies the frame into the kernel before it returns, so the
+	// pooled buffer goes back on every path out of here.
+	bp := frames.Get().(*[]byte)
+	defer frames.Put(bp)
+	var err error
+	if *bp, err = appendEncode((*bp)[:0], m); err != nil {
 		return err
 	}
 	addr := ep.net.lookup(to)
 	if addr == nil {
 		return nil
 	}
-	_, err = ep.conn.WriteToUDP(frame, addr)
+	_, err = ep.conn.WriteToUDP(*bp, addr)
 	if err != nil && !ep.isClosed() {
 		return fmt.Errorf("transport: udp send %d→%d: %v", ep.host, to, err)
 	}
