@@ -77,11 +77,19 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 	return cond()
 }
 
+// TestRuntimeConvergesPROPG asserts convergence, not a swap count: at least
+// one exchange commits, the mean link latency ends strictly lower, and the
+// overlay invariants hold. That is schedule-independent where a count is
+// not: fault-free, nothing mutates the overlay before the first commit, so
+// every schedule probes the same seed-built start state (mean 11.20, not a
+// local optimum) until a swap lands; how many more follow depends on which
+// pair went first — seed 1's world reaches a local optimum after as few as
+// two.
 func TestRuntimeConvergesPROPG(t *testing.T) {
 	rt := startRuntime(t, 16, Config{Policy: core.PROPG, Seed: 1}, nil)
 	before := meanLat(rt)
 
-	ok := waitFor(t, 5*time.Second, func() bool { return rt.Counters().Exchanges >= 3 })
+	ok := waitFor(t, 5*time.Second, func() bool { return rt.Counters().Exchanges >= 1 })
 	rt.Stop()
 	c := rt.Counters()
 	if !ok {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math"
+	"runtime"
 	"sync"
 )
 
@@ -9,14 +10,19 @@ import (
 // metrics.FloodSource seam: slots are the logical vertices, edge weight
 // between adjacent slots is the landmark-estimated latency between their
 // current occupants, and FloodInto is a Dijkstra over the logical CSR.
-// The occupancy snapshot (peerAt) is rebuilt by refresh at each sample
-// barrier, so rows computed in parallel by the estimator all read one
-// consistent frozen placement.
+// refresh rebuilds the occupancy snapshot (peerAt) and the edge weights (w)
+// at each sample barrier, so rows computed in parallel by the estimator all
+// read one consistent frozen placement and never touch the coordinates.
 type floodSource struct {
 	e      *Engine
 	alive  []int
 	peerAt []int32 // slot → occupying peer, frozen at the last refresh
-	pool   sync.Pool
+	// w is aligned with e.lNbr: for i in slot s's CSR range,
+	// w[i] == estLat(peerAt[s], peerAt[lNbr[i]]) under the current snapshot,
+	// +Inf when either end is vacant. Allocated by the first refresh.
+	w         []float64
+	displaced []int32 // refresh scratch
+	pool      sync.Pool
 }
 
 // flItem is one lazy-deletion Dijkstra heap entry.
@@ -74,8 +80,9 @@ func (h *flHeap) pop() flItem {
 	return top
 }
 
-// newFloodSource builds the measurement plane over e. The initial snapshot
-// is the (conflict-free) starting placement.
+// newFloodSource builds the measurement plane over e. It takes no
+// snapshot: both ways to a flood (the sample barrier, Engine.FloodSource)
+// refresh first, and until then every slot is alive.
 func newFloodSource(e *Engine) *floodSource {
 	f := &floodSource{
 		e:      e,
@@ -86,24 +93,23 @@ func newFloodSource(e *Engine) *floodSource {
 		f.alive[i] = i
 	}
 	f.pool.New = func() any { return &flHeap{} }
-	f.refresh()
 	return f
 }
 
-// refresh rebuilds the slot→peer snapshot from slotOf and returns the
-// number of conflicts it resolved. Mid-flight swaps can leave a slot
-// double-claimed at a barrier (the acceptor moved, the proposer's
-// acknowledgment still in transit); resolution is deterministic and
-// shard-count independent: ascending peers claim their slot first-wins,
-// then displaced peers (ascending) fill the unclaimed slots (ascending).
-// Under churn, dead peers claim nothing — their slots stay vacant (-1)
-// and the alive-slot list shrinks with them.
+// refresh rebuilds the slot→peer snapshot from slotOf, then the edge
+// weights over it, and returns the number of conflicts it resolved.
+// Mid-flight swaps can leave a slot double-claimed at a barrier (the
+// acceptor moved, the proposer's acknowledgment still in transit);
+// resolution is deterministic and shard-count independent: ascending peers
+// claim their slot first-wins, then displaced peers (ascending) fill the
+// unclaimed slots (ascending). Under churn, dead peers claim nothing —
+// their slots stay vacant (-1) and the alive-slot list shrinks with them.
 func (f *floodSource) refresh() (conflicts int) {
 	e := f.e
 	for s := range f.peerAt {
 		f.peerAt[s] = -1
 	}
-	var displaced []int32
+	displaced := f.displaced[:0]
 	for p := 0; p < e.n; p++ {
 		if e.faultsOn && e.dead[p] {
 			continue
@@ -130,7 +136,38 @@ func (f *floodSource) refresh() (conflicts int) {
 			}
 		}
 	}
+	f.displaced = displaced
+	f.fillWeights()
 	return len(displaced)
+}
+
+// fillWeights recomputes w for the current snapshot, in parallel over slot
+// ranges (each worker writes only its own slots' CSR ranges).
+func (f *floodSource) fillWeights() {
+	e := f.e
+	if f.w == nil {
+		f.w = make([]float64, len(e.lNbr))
+	}
+	workers := runtime.GOMAXPROCS(0)
+	chunk := (e.n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < e.n; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for s := lo; s < hi; s++ {
+				p := f.peerAt[s]
+				for i := e.lOff[s]; i < e.lOff[s+1]; i++ {
+					if q := f.peerAt[e.lNbr[i]]; p < 0 || q < 0 {
+						f.w[i] = math.Inf(1)
+					} else {
+						f.w[i] = e.estLat(p, q)
+					}
+				}
+			}
+		}(lo, min(lo+chunk, e.n))
+	}
+	wg.Wait()
 }
 
 // NumSlots reports the slot-index space size (one slot per peer).
@@ -142,11 +179,11 @@ func (f *floodSource) NumSlots() int { return f.e.n }
 func (f *floodSource) AliveSlots() []int { return f.alive }
 
 // FloodInto runs Dijkstra from src over the logical overlay under the
-// frozen occupancy snapshot; vacant slots (crashed occupants) do not
-// relay, so rows may contain +Inf for slots cut off by churn. Safe for
-// concurrent calls with distinct dist buffers (scratch heaps come from a
-// pool); the snapshot itself must be quiescent, which the sample barrier
-// guarantees.
+// frozen occupancy snapshot, reading only the CSR and w; an edge into a
+// vacant slot (crashed occupant) weighs +Inf and never relaxes, so rows may
+// contain +Inf for slots cut off by churn. Safe for concurrent calls with
+// distinct dist buffers (scratch heaps come from a pool); the snapshot
+// itself must be quiescent, which the sample barrier guarantees.
 func (f *floodSource) FloodInto(src int, dist []float64) {
 	e := f.e
 	for i := range dist {
@@ -161,14 +198,10 @@ func (f *floodSource) FloodInto(src int, dist []float64) {
 		if it.d > dist[it.s] {
 			continue
 		}
-		p := f.peerAt[it.s]
-		for _, t := range e.nbrs(it.s) {
-			q := f.peerAt[t]
-			if q < 0 {
-				continue
-			}
-			d := it.d + e.estLat(p, q)
-			if d < dist[t] {
+		lo, hi := e.lOff[it.s], e.lOff[it.s+1]
+		w := f.w[lo:hi]
+		for i, t := range e.lNbr[lo:hi] {
+			if d := it.d + w[i]; d < dist[t] {
 				dist[t] = d
 				h.push(flItem{d: d, s: t})
 			}

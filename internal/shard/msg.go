@@ -3,8 +3,9 @@ package shard
 // The event currency of the sharded engine. The sequential engine
 // (internal/event) stores closures; at 10⁶ peers and ~10⁷–10⁸ events a
 // closure per event is pure allocator pressure, so shards trade generality
-// for a fixed-size typed message: every protocol step is one msg value in
-// a per-shard 4-ary heap, and payloads (occupant rows) are inline arrays.
+// for a fixed-size typed message: every protocol step is one msg value,
+// payloads (occupant rows) are inline arrays, and the per-shard 4-ary heap
+// orders 24-byte keys that point at the parked msg (msgHeap).
 
 // kind discriminates the protocol messages of the sharded PROP-G variant.
 type kind uint8
@@ -72,9 +73,24 @@ type msg struct {
 	row    [maxDeg]int32
 }
 
-// msgLess orders messages by (arrival, origin, per-origin sequence). Keys
+// timer reports whether k is a self-timer: from == to == origin and c is
+// the whole payload, so the event lives in its heap key alone.
+func (k kind) timer() bool { return k == kProbe || k >= kCrash }
+
+// heapKey is what the heap sifts: the ordering key plus where to find the
+// rest of the event. For a self-timer ref is the cycle counter c; for every
+// other kind it indexes the msg parked in the heap's slab.
+type heapKey struct {
+	at     float64
+	origin int32
+	oseq   uint32
+	ref    int32
+	kind   kind
+}
+
+// msgLess orders events by (arrival, origin, per-origin sequence). Keys
 // are unique: a peer never reuses a sequence number.
-func msgLess(x, y *msg) bool {
+func msgLess(x, y *heapKey) bool {
 	if x.at != y.at {
 		return x.at < y.at
 	}
@@ -84,22 +100,37 @@ func msgLess(x, y *msg) bool {
 	return x.oseq < y.oseq
 }
 
-// msgHeap is a 4-ary min-heap of messages ordered by msgLess. 4-ary wins
-// over binary here for the same reason as the Dijkstra kernels (DESIGN.md
-// §7): shallower trees mean fewer cache-missing levels per operation, and
-// pops dominate pushes in an event loop.
+// msgHeap is a 4-ary min-heap of 24-byte keys ordered by msgLess (4-ary for
+// the same reason as the Dijkstra kernels, DESIGN.md §7: pops dominate and
+// shallower trees miss less). Self-timers — the resident majority, one
+// probe timer per peer — carry no payload; the others park their msg in
+// slab, whose vacated indices are recycled through free, so slab never
+// outgrows the peak number of payload messages in flight.
 type msgHeap struct {
-	a []msg
+	a    []heapKey
+	slab []msg
+	free []int32
 }
 
 func (h *msgHeap) len() int { return len(h.a) }
 
-// min returns the smallest message without removing it. Callers must check
-// len first.
-func (h *msgHeap) min() *msg { return &h.a[0] }
+// min returns the smallest key without removing it. Callers must check len
+// first.
+func (h *msgHeap) min() *heapKey { return &h.a[0] }
 
 func (h *msgHeap) push(m msg) {
-	h.a = append(h.a, m)
+	k := heapKey{at: m.at, origin: m.origin, oseq: m.oseq, ref: m.c, kind: m.kind}
+	if !m.kind.timer() {
+		if n := len(h.free); n > 0 {
+			k.ref = h.free[n-1]
+			h.free = h.free[:n-1]
+			h.slab[k.ref] = m
+		} else {
+			k.ref = int32(len(h.slab))
+			h.slab = append(h.slab, m)
+		}
+	}
+	h.a = append(h.a, k)
 	i := len(h.a) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -111,6 +142,7 @@ func (h *msgHeap) push(m msg) {
 	}
 }
 
+// pop removes the smallest event and rebuilds the msg that was pushed.
 func (h *msgHeap) pop() msg {
 	top := h.a[0]
 	last := len(h.a) - 1
@@ -138,5 +170,9 @@ func (h *msgHeap) pop() msg {
 		h.a[i], h.a[best] = h.a[best], h.a[i]
 		i = best
 	}
-	return top
+	if top.kind.timer() {
+		return msg{at: top.at, origin: top.origin, oseq: top.oseq, from: top.origin, to: top.origin, c: top.ref, kind: top.kind}
+	}
+	h.free = append(h.free, top.ref)
+	return h.slab[top.ref]
 }

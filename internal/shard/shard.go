@@ -18,10 +18,11 @@
 //   - Struct-of-arrays hot state keyed by int32 ids. Per-peer protocol
 //     state lives in flat parallel arrays (slot assignment, swap version,
 //     probe state, RNG and send counters, occupant caches), not in
-//     per-node structs with pointers: at 10⁶ peers the working set stays
-//     ~100 B/peer and scans stay cache-linear. Handlers only write state
-//     belonging to the addressed peer, which is what makes the parallel
-//     window processing race-free (peers never change shards).
+//     per-node structs with pointers: at 10⁶ peers what New builds stays
+//     ~150 B/peer (SCALING.md §4 has the budget, event heaps included) and
+//     scans stay cache-linear. Handlers only write state belonging to the
+//     addressed peer, which is what makes the parallel window processing
+//     race-free (peers never change shards).
 //
 //   - A deterministic total event order. Every message carries the key
 //     (arrival time, origin peer, per-origin sequence number); heaps pop by

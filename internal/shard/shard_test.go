@@ -231,19 +231,3 @@ func TestDefaultWorld(t *testing.T) {
 			e.Peers(), e.ShardCount(), netsim.ScaleTransitDomains)
 	}
 }
-
-// BenchmarkShardSim measures one full tiny-world run per iteration —
-// world build, 10 simulated minutes of probing across 8 parallel engines,
-// and the drain.
-func BenchmarkShardSim(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e, err := New(tinyConfig(8, 42))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Run(nil, ""); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

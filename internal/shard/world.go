@@ -54,7 +54,7 @@ type Engine struct {
 	occRow []int32  // flat [peer*maxDeg+i]: believed occupant of the i-th
 	// neighbor slot of the peer's current slot
 
-	// Fault/churn state, allocated only when faultsOn (≈2.25 B/peer of
+	// Fault/churn state, allocated only when faultsOn (15 B/peer of
 	// tombstone + liveness bookkeeping on top of the ~150 B/peer base).
 	faultsOn bool
 	fc       FaultConfig      // normalized schedule (windows defaulted)
@@ -363,20 +363,30 @@ func (e *Engine) nbrs(s int32) []int32 {
 // peers p and q: min over landmarks of c[l][p]+c[l][q], computed in
 // float64 over the rounded-up float32 coordinates so the bound never drops
 // below the true shortest-path distance — the property the cross-shard
-// lookahead depends on.
+// lookahead depends on. Four independent running minima (plus a remainder
+// loop: Config.Net admits any landmark count) break the one-compare
+// dependency chain; a minimum does not depend on association, so the
+// result is the single-accumulator one bit for bit.
 func (e *Engine) estLat(p, q int32) float64 {
 	if p == q {
 		return 0
 	}
-	a := e.coord[int(p)*e.nLandmarks : (int(p)+1)*e.nLandmarks]
-	b := e.coord[int(q)*e.nLandmarks : (int(q)+1)*e.nLandmarks]
-	best := math.Inf(1)
-	for l, av := range a {
-		if v := float64(av) + float64(b[l]); v < best {
-			best = v
-		}
+	k := e.nLandmarks
+	a := e.coord[int(p)*k : (int(p)+1)*k]
+	b := e.coord[int(q)*k : (int(q)+1)*k]
+	m0, m1, m2, m3 := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
+	l := 0
+	for ; l+4 <= k; l += 4 {
+		a4, b4 := a[l:l+4:l+4], b[l:l+4:l+4]
+		m0 = min(m0, float64(a4[0])+float64(b4[0]))
+		m1 = min(m1, float64(a4[1])+float64(b4[1]))
+		m2 = min(m2, float64(a4[2])+float64(b4[2]))
+		m3 = min(m3, float64(a4[3])+float64(b4[3]))
 	}
-	return best
+	for ; l < k; l++ {
+		m0 = min(m0, float64(a[l])+float64(b[l]))
+	}
+	return min(m0, m1, m2, m3)
 }
 
 // roundUp32 converts x to the nearest float32 at or above it.
