@@ -18,7 +18,8 @@ import (
 // the driver's scratch has grown to the local degree, one PROP-G cycle —
 // liveness eviction, Reconcile, first hop, walk or random pick, delivery
 // past the injector, Var evaluation, swap, Finish — costs exactly one heap
-// allocation, the event item of the node's next timer.
+// allocation, the event item of the node's next timer. The evaluation's pair
+// and RTT lists are part of that scratch: reused, not re-made.
 func TestProbeCycleAllocatesOnlyItsTimer(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -53,9 +54,14 @@ func TestProbeCycleAllocatesOnlyItsTimer(t *testing.T) {
 			}
 			e.RunUntil(2000) // warm-up: scratch and event heap reach their sizes
 			before := p.Counters
+			pairsCap, rttCap := cap(p.sc.Pairs), cap(p.sc.RTT)
 			const cycles = 2000
 			if got := testing.AllocsPerRun(cycles, func() { e.Step() }); got != 1 {
 				t.Fatalf("%v allocations per probe cycle, want 1 (the timer item)", got)
+			}
+			if pairsCap == 0 || cap(p.sc.Pairs) != pairsCap || cap(p.sc.RTT) != rttCap {
+				t.Fatalf("pair/RTT buffers grew %d/%d → %d/%d after warm-up, want them reused",
+					pairsCap, rttCap, cap(p.sc.Pairs), cap(p.sc.RTT))
 			}
 			if probes := p.Counters.Probes - before.Probes; probes < cycles {
 				t.Fatalf("%d probes over %d steps: the steps were not probe cycles", probes, cycles)

@@ -337,34 +337,31 @@ const (
 	Committed
 )
 
+// MeasureFunc is the driver's side of an evaluation: it fills rtt[k] with
+// the measured RTT between the hosts of pairs[k], in order, and returns how
+// many it measured — len(pairs), or the index of the first pair it could not
+// measure, past which it attempts none.
+type MeasureFunc func(pairs [][2]int, rtt []float64) (measured int)
+
 // Exchange evaluates Var for the (u,v) pair from measured host-to-host
 // RTTs and executes the exchange iff Var > minVar: a host swap under PROPG,
 // a trade of up to m neighbors per side (never ones on path) under PROPO.
-// measure reports ok=false when an RTT could not be obtained; after the
-// first failure it is not called again. moved counts the neighbor entries
-// the exchange touches — |N(u)|+|N(v)| under PROPG, both trade lists under
-// PROPO — which is also the number of measurements taken and, on commit,
-// of notifications owed (§4.3); it is 0 when no legal trade existed. sc is
-// the calling driver's scratch; path may be its Path.
+// The evaluation's host pairs are listed into sc and handed to measure as
+// one batch; a batch cut short poisons the evaluation. moved counts the
+// neighbor entries the exchange touches — |N(u)|+|N(v)| under PROPG, both
+// trade lists under PROPO — which is the measure messages charged and, on
+// commit, the notifications owed (§4.3), not the RTTs taken (DESIGN.md §3);
+// it is 0 when no legal trade existed. sc is the calling driver's scratch;
+// path may be its Path.
 func Exchange(o *overlay.Overlay, policy Policy, u, v int, path []int, m int, minVar float64,
-	measure func(hostA, hostB int) (rtt float64, ok bool), r *rng.Rand, sc *overlay.Scratch) (out Outcome, variation float64, moved int) {
-	failed := false
-	hosts := func(a, b int) float64 {
-		if failed {
-			return 0
-		}
-		rtt, ok := measure(a, b)
-		if !ok {
-			failed = true
-			return 0
-		}
-		return rtt
-	}
+	measure MeasureFunc, r *rng.Rand, sc *overlay.Scratch) (out Outcome, variation float64, moved int) {
+	var fold func(rtt []float64) float64
 	var commit func() error
 	switch policy {
 	case PROPG:
 		moved = o.Degree(u) + o.Degree(v)
-		variation = o.SwapGainMeasured(u, v, hosts, sc)
+		o.SwapPairs(u, v, sc)
+		fold = overlay.SwapVar
 		commit = func() error { return o.SwapHosts(u, v) }
 	case PROPO:
 		give, take := SelectTrade(o, u, v, path, m, r, sc)
@@ -372,14 +369,17 @@ func Exchange(o *overlay.Overlay, policy Policy, u, v int, path []int, m int, mi
 			return Rejected, 0, 0
 		}
 		moved = len(give) + len(take)
-		slots := func(x, y int) float64 { return hosts(o.HostOf(x), o.HostOf(y)) }
-		variation = o.ExchangeGainMeasured(u, v, give, take, slots)
+		o.TradePairs(u, v, give, take, sc)
+		fold = overlay.TradeVar
 		commit = func() error { return o.ExchangeNeighbors(u, v, give, take, path) }
 	default:
 		return Rejected, 0, 0
 	}
+	measured := measure(sc.Pairs, sc.RTT)
+	clear(sc.RTT[measured:]) // a poisoned Var counts what was not measured as 0
+	variation = fold(sc.RTT)
 	switch {
-	case failed:
+	case measured < len(sc.Pairs):
 		return Poisoned, variation, moved
 	case variation <= minVar || commit() != nil:
 		return Rejected, variation, moved
@@ -732,7 +732,7 @@ func (p *Protocol) attemptExchange(e event.Clock, u, v int, path []int) bool {
 	if u == v || !p.O.Alive(u) || !p.O.Alive(v) {
 		return false
 	}
-	measure := func(a, b int) (float64, bool) { return p.measureRTT(e, a, b) }
+	measure := func(pairs [][2]int, rtt []float64) int { return p.measurePairs(float64(e.Now()), pairs, rtt) }
 	out, variation, moved := Exchange(p.O, p.cfg.Policy, u, v, path, p.m, p.cfg.MinVar, measure, p.r, &p.sc)
 	// Each side probes the other's (hypothetical) neighbors: the 2c of
 	// PROP-G, the 2m of PROP-O.
@@ -752,43 +752,38 @@ func (p *Protocol) attemptExchange(e event.Clock, u, v int, path []int) bool {
 	return out == Committed
 }
 
-// measureHosts returns the probe RTT between two hosts: ground truth, or
-// ground truth perturbed by the configured multiplicative Gaussian noise.
-func (p *Protocol) measureHosts(a, b int) float64 {
-	d := p.O.HostLatency(a, b)
-	if p.cfg.MeasurementNoise <= 0 {
-		return d
-	}
-	m := d * (1 + p.cfg.MeasurementNoise*p.r.NormFloat64())
-	if m < 0 {
-		return 0
-	}
-	return m
-}
-
-// measureRTT is one measurement as a message past the injector: the
-// probe may be lost (timeout + bounded synchronous retry — measurement
-// round-trips are far shorter than the probe timeout, so the retries
-// complete within the evaluation step) and a delivered measurement absorbs
-// the injected queueing jitter into the observed RTT. ok is false when the
-// retry budget ran out. Without an injector every message arrives clean.
-func (p *Protocol) measureRTT(e event.Clock, a, b int) (float64, bool) {
-	now := float64(e.Now())
-	for attempt := 0; ; attempt++ {
-		d := p.faults.Deliver(a, b, now)
-		if d.Lost {
-			p.Counters.Timeouts++
-			if attempt >= p.cfg.MaxRetries {
-				return 0, false
+// measurePairs is the sequential driver's MeasureFunc. All ground truth is
+// read first, with nothing between the reads; then each pair goes past the
+// injector as a message: it may be lost (timeout + bounded synchronous retry
+// — measurement round-trips are far shorter than the probe timeout, so the
+// retries complete within the evaluation step; an exhausted budget ends the
+// batch), and a delivered one observes the truth under the configured
+// multiplicative Gaussian noise plus the injected queueing jitter. Without
+// an injector every message arrives clean.
+func (p *Protocol) measurePairs(now float64, pairs [][2]int, rtt []float64) int {
+	p.O.HostLatencies(pairs, rtt)
+	for k, pr := range pairs {
+		for attempt := 0; ; attempt++ {
+			d := p.faults.Deliver(pr[0], pr[1], now)
+			if d.Lost {
+				p.Counters.Timeouts++
+				if attempt >= p.cfg.MaxRetries {
+					return k
+				}
+				p.Counters.Retries++
+				continue
 			}
-			p.Counters.Retries++
-			continue
+			if d.Dup {
+				p.Counters.DupsDropped++
+			}
+			if p.cfg.MeasurementNoise > 0 {
+				rtt[k] = max(0, rtt[k]*(1+p.cfg.MeasurementNoise*p.r.NormFloat64()))
+			}
+			rtt[k] += d.DelayMS
+			break
 		}
-		if d.Dup {
-			p.Counters.DupsDropped++
-		}
-		return p.measureHosts(a, b) + d.DelayMS, true
 	}
+	return len(pairs)
 }
 
 func (p *Protocol) emit(ev ExchangeEvent) {

@@ -310,16 +310,21 @@ func TestExchangeOutcomes(t *testing.T) {
 		}
 		return o
 	}
-	truth := func(a, b int) (float64, bool) { return math.Abs(float64(a - b)), true }
+	truth := func(pairs [][2]int, rtt []float64) int {
+		for k, pr := range pairs {
+			rtt[k] = math.Abs(float64(pr[0] - pr[1]))
+		}
+		return len(pairs)
+	}
 	// PROP-G touches both neighborhoods (2+2 entries), PROP-O one per side.
 	wantMoved := map[Policy]int{PROPG: 4, PROPO: 2}
 	for _, policy := range []Policy{PROPG, PROPO} {
 		o := build()
-		calls := 0
-		lossy := func(a, b int) (float64, bool) { calls++; return 0, false }
+		listed := 0
+		lossy := func(pairs [][2]int, rtt []float64) int { listed = len(pairs); return 0 } // failed at index 0
 		out, _, moved := Exchange(o, policy, 0, 1, []int{0, 1}, 1, 0, lossy, rng.New(1), new(overlay.Scratch))
-		if out != Poisoned || calls != 1 || moved == 0 {
-			t.Fatalf("%v: lossy measure gave outcome %v after %d calls (moved %d), want Poisoned after 1", policy, out, calls, moved)
+		if out != Poisoned || listed != 2*moved || moved == 0 {
+			t.Fatalf("%v: lossy measure gave outcome %v over %d pairs (moved %d), want Poisoned over 2 per entry", policy, out, listed, moved)
 		}
 		if o.HostOf(0) != 0 || !o.Logical.HasEdge(0, 2) {
 			t.Fatalf("%v: poisoned exchange mutated the overlay", policy)
@@ -356,8 +361,12 @@ func TestMeasureHostsNoise(t *testing.T) {
 	varies := false
 	sum := 0.0
 	const draws = 2000
+	pair, rtt := [][2]int{{0, 100}}, make([]float64, 1)
 	for i := 0; i < draws; i++ {
-		m := p.measureHosts(0, 100)
+		if p.measurePairs(0, pair, rtt) != 1 {
+			t.Fatal("measurement failed with no injector attached")
+		}
+		m := rtt[0]
 		if m < 0 {
 			t.Fatalf("negative measurement %v", m)
 		}
@@ -377,8 +386,8 @@ func TestMeasureHostsNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := exact.measureHosts(0, 100); m != 100 {
-		t.Fatalf("exact measurement = %v", m)
+	if exact.measurePairs(0, pair, rtt); rtt[0] != 100 {
+		t.Fatalf("exact measurement = %v", rtt[0])
 	}
 }
 

@@ -109,17 +109,17 @@ func TestCrashSkippedByGainAndLatencySums(t *testing.T) {
 	if got := o.NeighborLatencySum(1); got != wantSum {
 		t.Fatalf("NeighborLatencySum(1) = %v, want %v", got, wantSum)
 	}
-	// SwapGain over slots adjacent to the corpse must not touch its host.
-	calls := 0
-	o.SwapGainMeasured(1, 3, func(a, b int) float64 {
-		calls++
-		if a < 0 || b < 0 {
-			t.Fatalf("measured against released host: (%d,%d)", a, b)
+	// A swap evaluation over slots adjacent to the corpse must not list its
+	// host: 1 keeps neighbor 0 and 3 keeps 4, two pairs each.
+	var sc Scratch
+	o.SwapPairs(1, 3, &sc)
+	if len(sc.Pairs) != 4 || len(sc.RTT) != 4 {
+		t.Fatalf("listed %d pairs for %d RTTs, want 4 and 4: %v", len(sc.Pairs), len(sc.RTT), sc.Pairs)
+	}
+	for _, p := range sc.Pairs {
+		if p[0] < 0 || p[1] < 0 {
+			t.Fatalf("listed a pair against a released host: %v", sc.Pairs)
 		}
-		return gridLat(a, b)
-	}, new(Scratch))
-	if calls == 0 {
-		t.Fatal("no measurements at all")
 	}
 	// Walks must refuse to route through the corpse: from 1, the only
 	// candidates after the first hop exclude slot 2.

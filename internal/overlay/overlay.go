@@ -100,6 +100,15 @@ type Overlay struct {
 type Scratch struct {
 	Nbrs, Cand []int // neighbor lists and candidate sets
 	Path       []int // the walk in flight
+	// Pairs lists the host pairs of the evaluation in flight in measurement
+	// order (SwapPairs, TradePairs); RTT is one slot per pair for the driver.
+	Pairs [][2]int
+	RTT   []float64
+}
+
+// setPairs installs an evaluation's pair list and sizes RTT to match.
+func (sc *Scratch) setPairs(pairs [][2]int) {
+	sc.Pairs, sc.RTT = pairs, slices.Grow(sc.RTT[:0], len(pairs))[:len(pairs)]
 }
 
 // SlotEventKind identifies one kind of slot/host lifecycle event.
@@ -246,9 +255,15 @@ func (o *Overlay) Dist(u, v int) float64 {
 	return o.lat(o.hostOf[u], o.hostOf[v])
 }
 
-// HostLatency exposes the underlying host-to-host latency function, for
-// callers that need to build derived measurements (e.g. noisy probe RTTs).
-func (o *Overlay) HostLatency(a, b int) float64 { return o.lat(a, b) }
+// HostLatencies fills rtt[k] with the true latency between the hosts of
+// pairs[k]. The reads are independent and nothing runs between them, so
+// their cache misses overlap (DESIGN.md §7 "Measurement batch").
+func (o *Overlay) HostLatencies(pairs [][2]int, rtt []float64) {
+	rtt = rtt[:len(pairs)] // one bounds check, none between the reads
+	for k, p := range pairs {
+		rtt[k] = o.lat(p[0], p[1])
+	}
+}
 
 // NeighborLatencySum returns Σ_{i ∈ N(u)} d(u, i): the quantity each PROP
 // node maintains about its own neighborhood (§3.2). Crashed neighbors whose
@@ -400,19 +415,33 @@ func (o *Overlay) checkMove(from, to, x int, banned map[int]bool) error {
 // the total neighbor latency before minus after. Positive values mean the
 // exchange helps.
 func (o *Overlay) ExchangeGain(u, v int, give, take []int) float64 {
-	return o.ExchangeGainMeasured(u, v, give, take, o.Dist)
+	var sc Scratch
+	o.TradePairs(u, v, give, take, &sc)
+	o.HostLatencies(sc.Pairs, sc.RTT)
+	return TradeVar(sc.RTT)
 }
 
-// ExchangeGainMeasured is ExchangeGain computed with a caller-supplied
-// distance measurement instead of ground truth — how a real peer evaluates
-// Var from (noisy) probe RTTs. measure is called with slot pairs.
-func (o *Overlay) ExchangeGainMeasured(u, v int, give, take []int, measure func(a, b int) float64) float64 {
-	gain := 0.0
+// TradePairs lists into sc the host pairs a PROP-O evaluation measures —
+// how a real peer evaluates Var from (noisy) probe RTTs: per moved neighbor
+// its link as it stands, then as it would be, (u,a),(v,a) for a ∈ give and
+// (v,b),(u,b) for b ∈ take. All slots must be alive.
+func (o *Overlay) TradePairs(u, v int, give, take []int, sc *Scratch) {
+	hu, hv := o.hostOf[u], o.hostOf[v]
+	pairs := sc.Pairs[:0]
 	for _, a := range give {
-		gain += measure(u, a) - measure(v, a)
+		pairs = append(pairs, [2]int{hu, o.hostOf[a]}, [2]int{hv, o.hostOf[a]})
 	}
 	for _, b := range take {
-		gain += measure(v, b) - measure(u, b)
+		pairs = append(pairs, [2]int{hv, o.hostOf[b]}, [2]int{hu, o.hostOf[b]})
+	}
+	sc.setPairs(pairs)
+}
+
+// TradeVar folds the RTTs of a TradePairs list into Var.
+func TradeVar(rtt []float64) float64 {
+	gain := 0.0
+	for k := 0; k+1 < len(rtt); k += 2 {
+		gain += rtt[k] - rtt[k+1]
 	}
 	return gain
 }
@@ -421,47 +450,50 @@ func (o *Overlay) ExchangeGainMeasured(u, v int, give, take []int, measure func(
 // Σ d(u,N(u)) + Σ d(v,N(v)) if u and v swap hosts. The shared edge {u,v},
 // if present, cancels out by symmetry and needs no special casing.
 func (o *Overlay) SwapGain(u, v int) float64 {
-	return o.SwapGainMeasured(u, v, o.lat, new(Scratch))
+	var sc Scratch
+	o.SwapPairs(u, v, &sc)
+	o.HostLatencies(sc.Pairs, sc.RTT)
+	return SwapVar(sc.RTT)
 }
 
-// SwapGainMeasured is SwapGain computed with a caller-supplied host-to-host
-// measurement instead of the true latency function — how a real peer
-// evaluates Var from (noisy) probe RTTs. measure is called with host pairs.
-func (o *Overlay) SwapGainMeasured(u, v int, measure LatencyFunc, sc *Scratch) float64 {
+// SwapPairs lists into sc the host pairs a PROP-G evaluation measures — how
+// a real peer evaluates Var from (noisy) probe RTTs: per live neighbor of u,
+// then of v, its link before the swap and after it.
+func (o *Overlay) SwapPairs(u, v int, sc *Scratch) {
 	if !o.Alive(u) || !o.Alive(v) {
-		panic(fmt.Sprintf("overlay: SwapGain(%d,%d) on dead slot", u, v))
+		panic(fmt.Sprintf("overlay: SwapPairs(%d,%d) on dead slot", u, v))
 	}
-	hu, hv := o.hostOf[u], o.hostOf[v]
+	pairs := sc.Pairs[:0]
+	for _, xy := range [2][2]int{{u, v}, {v, u}} {
+		x, y := xy[0], xy[1] // x's neighborhood, y's host moving in
+		hx, hy := o.hostOf[x], o.hostOf[y]
+		// AppendNeighbors lists in sorted order — map order must not leak into
+		// the measurement sequence: a measurement may be noisy (consuming one
+		// RNG draw per pair) and float summation is order-sensitive, so an
+		// unspecified order would make Var, and with it the whole run,
+		// nondeterministic. Crashed neighbors with stale edges are skipped:
+		// their hosts are gone, so they affect neither side of the swap.
+		sc.Nbrs = o.Logical.AppendNeighbors(sc.Nbrs[:0], x)
+		for _, i := range sc.Nbrs {
+			if !o.Alive(i) {
+				continue
+			}
+			hi := o.hostOf[i]
+			if i == y {
+				hi = hx // y's host after the swap; d is symmetric so value is unchanged
+			}
+			pairs = append(pairs, [2]int{hx, o.hostOf[i]}, [2]int{hy, hi})
+		}
+	}
+	sc.setPairs(pairs)
+}
+
+// SwapVar folds the RTTs of a SwapPairs list into Var: Σ before − Σ after.
+func SwapVar(rtt []float64) float64 {
 	before, after := 0.0, 0.0
-	// AppendNeighbors lists in sorted order — map order must not leak into
-	// the measurement sequence: measure may be noisy (consuming one RNG draw
-	// per call) and float summation is order-sensitive, so an unspecified
-	// order would make Var, and with it the whole run, nondeterministic.
-	// Crashed neighbors with stale edges are skipped: their hosts are gone,
-	// so they affect neither side of the swap.
-	sc.Nbrs = o.Logical.AppendNeighbors(sc.Nbrs[:0], u)
-	for _, i := range sc.Nbrs {
-		if !o.Alive(i) {
-			continue
-		}
-		hi := o.hostOf[i]
-		if i == v {
-			hi = hu // v's host after the swap; d is symmetric so value is unchanged
-		}
-		before += measure(hu, o.hostOf[i])
-		after += measure(hv, hi)
-	}
-	sc.Nbrs = o.Logical.AppendNeighbors(sc.Nbrs[:0], v)
-	for _, i := range sc.Nbrs {
-		if !o.Alive(i) {
-			continue
-		}
-		hi := o.hostOf[i]
-		if i == u {
-			hi = hv
-		}
-		before += measure(hv, o.hostOf[i])
-		after += measure(hu, hi)
+	for k := 0; k+1 < len(rtt); k += 2 {
+		before += rtt[k]
+		after += rtt[k+1]
 	}
 	return before - after
 }

@@ -439,12 +439,16 @@ func (rt *Runtime) attemptExchange(a *agent, u, v int, path []int) bool {
 		rt.rejected.Add(1)
 		return false
 	}
-	measure := func(x, y int) (float64, bool) {
-		if x == y {
-			return 0, true
+	// One round trip after another; overlapping them waits for the exchange
+	// to leave rt.mu (ROADMAP item 1).
+	measure := func(pairs [][2]int, rtt []float64) int {
+		for k, pr := range pairs {
+			var err error
+			if rtt[k], err = rt.measureFrom(a, pr[0], pr[1]); err != nil {
+				return k
+			}
 		}
-		rtt, err := rt.measureFrom(a, x, y)
-		return rtt, err == nil
+		return len(pairs)
 	}
 	out, _, _ := core.Exchange(rt.o, rt.cfg.Policy, u, v, path, rt.m, rt.cfg.MinVar, measure, rt.r, &rt.sc)
 	switch out {
@@ -461,8 +465,11 @@ func (rt *Runtime) attemptExchange(a *agent, u, v int, path []int) bool {
 // measureFrom returns the live RTT between hosts x and y, measured from x's
 // vantage point: a's own ping when x is a's host, otherwise a TMeasure
 // relay asking x to probe y — "each side probes its own neighborhood"
-// (§4.3), as messages on the wire.
+// (§4.3), as messages on the wire. A host is 0 from itself, unasked.
 func (rt *Runtime) measureFrom(a *agent, x, y int) (float64, error) {
+	if x == y {
+		return 0, nil
+	}
 	if x == a.host {
 		return a.node.Ping(y, rt.cfg.PingTimeout, rt.cfg.Retries)
 	}
