@@ -181,7 +181,9 @@ func main() {
 			if *plot {
 				res.Plot(os.Stdout, 72, 18)
 			}
-			fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+			// Wall time goes to stderr, so stdout compares with cmp in every format.
+			fmt.Fprintf(os.Stderr, "(%s completed in %v)\n", id, time.Since(start).Round(time.Millisecond))
+			fmt.Println()
 		case "csv":
 			if err := res.WriteCSV(os.Stdout); err != nil {
 				fmt.Fprintf(os.Stderr, "propsim: csv: %v\n", err)

@@ -7,9 +7,10 @@ import (
 )
 
 // ProcDelayFunc reports the processing delay in milliseconds a slot's host
-// adds to every message it forwards or terminates. A nil function means
-// zero delay everywhere. The Fig. 7 heterogeneity experiments plug in the
-// bimodal model from internal/hetero.
+// adds to every message it forwards or terminates: non-negative or +Inf,
+// never NaN (floodRun). A nil function means zero delay everywhere. The
+// Fig. 7 heterogeneity experiments plug in the bimodal model from
+// internal/hetero.
 type ProcDelayFunc func(slot int) float64
 
 // floodView is the overlay's edge-latency snapshot, the only thing a flood
@@ -86,14 +87,13 @@ func (o *Overlay) rebuildFloodView(want uint64) {
 }
 
 // floodScratch is the reusable working set of one slot-level Dijkstra: the
-// tentative-distance array, an indexed 4-ary heap of slot IDs, and each
-// slot's heap position. Recycled through a sync.Pool so concurrent lookup
-// evaluators (metrics fans out one goroutine per worker) each reuse their
-// own buffers, making flooding queries allocation-free after warm-up.
+// tentative-distance array and the queue (radix.go). Recycled through a
+// sync.Pool so concurrent lookup evaluators (metrics fans out one goroutine
+// per worker) each reuse their own buffers, making flooding queries
+// allocation-free after warm-up.
 type floodScratch struct {
 	dist []float64
-	heap []int32
-	pos  []int32
+	q    radixQueue
 	// mark is a slot set: the stop targets of a flood, the affected set of
 	// RepairFloodRow (repair.go). Whoever sets a bit clears it before
 	// floodPut, so pooled scratch is always all-false.
@@ -109,12 +109,10 @@ func (o *Overlay) floodGet() *floodScratch {
 	}
 	if cap(s.dist) < n {
 		s.dist = make([]float64, n)
-		s.pos = make([]int32, n)
-		s.heap = make([]int32, 0, n)
+		s.q.ent = make([]radixEntry, 0, n)
 		s.mark = make([]bool, n)
 	}
 	s.dist = s.dist[:n]
-	s.pos = s.pos[:n]
 	s.mark = s.mark[:n]
 	return s
 }
@@ -127,24 +125,28 @@ func (o *Overlay) floodPut(s *floodScratch) { o.floodPool.Put(s) }
 // vector into s.dist and returns +Inf. Dead slots and unreachable slots keep
 // +Inf. The loop makes no call but proc: adjacency, liveness and latency all
 // come from the view.
+//
+// Precondition: arc latencies and processing delays are non-negative or +Inf,
+// never NaN, so pops are monotone, which the queue relies on. No result
+// depends on the order in which slots tied at one arrival time settle: a
+// slot's arrival is the minimum over paths from src of the left-folded sum
+// fl(fl(fl(0+w₁)+p₁)+w₂)…, and because rounding is monotone (a ≤ b ⇒
+// fl(a+w) ≤ fl(b+w)) and no term is negative, a slot still queued when u
+// settles can offer u nothing below dist[u] — u holds that minimum whichever
+// tie went first. The early exit returns the least arrival among the marked
+// slots for the same reason, and floodRun hands out no predecessors.
 func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch) float64 {
 	off, nbr, w := o.floodArcs()
-	dist, pos, stop := s.dist, s.pos, s.mark
+	dist, stop, q := s.dist, s.mark, &s.q
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
-	for i := range pos {
-		pos[i] = -1
-	}
-	heap := s.heap[:0]
+	q.reset()
 	dist[src] = 0
-	heap = heapPushSlot(heap, pos, dist, int32(src))
-	for len(heap) > 0 {
-		u := heap[0]
-		heap = heapPopMinSlot(heap, pos, dist)
+	q.push(int32(src), 0)
+	for u, ok := q.pop(dist); ok; u, ok = q.pop(dist) {
 		du := dist[u]
 		if stop[u] {
-			s.heap = heap[:0]
 			return du
 		}
 		nbs := nbr[off[u]:off[u+1]]
@@ -156,15 +158,10 @@ func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch) float64
 			}
 			if nd < dist[nb] {
 				dist[nb] = nd
-				if pos[nb] < 0 {
-					heap = heapPushSlot(heap, pos, dist, nb)
-				} else {
-					heapSiftUpSlot(heap, pos, dist, pos[nb])
-				}
+				q.push(nb, nd)
 			}
 		}
 	}
-	s.heap = heap[:0]
 	return math.Inf(1)
 }
 
@@ -243,83 +240,4 @@ func (o *Overlay) FloodLatenciesInto(src int, proc ProcDelayFunc, dist []float64
 	copy(dist, s.dist)
 	o.floodPut(s)
 	return dist
-}
-
-// The indexed 4-ary min-heap over slot IDs keyed by tentative distance —
-// the same shape as internal/graph's frozen kernel heap, duplicated here
-// because it indexes overlay slots rather than CSR vertices and Go offers
-// no zero-cost generic bridge between the two hot loops.
-//
-// Comparisons are by distance alone, yet floodRun's settle order — and with
-// it every early-exit value — is deterministic: the view lists each slot's
-// neighbours in ascending order, as graph.Graph's sorted adjacency does, so
-// the heap's operation sequence is a pure function of the overlay state.
-
-func heapPushSlot(heap []int32, pos []int32, dist []float64, v int32) []int32 {
-	heap = append(heap, v)
-	pos[v] = int32(len(heap) - 1)
-	heapSiftUpSlot(heap, pos, dist, pos[v])
-	return heap
-}
-
-func heapPopMinSlot(heap []int32, pos []int32, dist []float64) []int32 {
-	root := heap[0]
-	pos[root] = -1
-	last := heap[len(heap)-1]
-	heap = heap[:len(heap)-1]
-	if len(heap) > 0 {
-		heap[0] = last
-		pos[last] = 0
-		heapSiftDownSlot(heap, pos, dist, 0)
-	}
-	return heap
-}
-
-func heapSiftUpSlot(heap []int32, pos []int32, dist []float64, i int32) {
-	v := heap[i]
-	d := dist[v]
-	for i > 0 {
-		parent := (i - 1) / 4
-		p := heap[parent]
-		if dist[p] <= d {
-			break
-		}
-		heap[i] = p
-		pos[p] = i
-		i = parent
-	}
-	heap[i] = v
-	pos[v] = i
-}
-
-func heapSiftDownSlot(heap []int32, pos []int32, dist []float64, i int32) {
-	n := int32(len(heap))
-	v := heap[i]
-	d := dist[v]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		minD := dist[heap[first]]
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if cd := dist[heap[c]]; cd < minD {
-				min, minD = c, cd
-			}
-		}
-		if minD >= d {
-			break
-		}
-		mv := heap[min]
-		heap[i] = mv
-		pos[mv] = i
-		i = min
-	}
-	heap[i] = v
-	pos[v] = i
 }

@@ -15,11 +15,33 @@ import (
 // TestFloodQueriesAllocationFree: once the scratch and the view's arrays
 // exist, a flood allocates nothing — not a warm FloodLatency, not the view
 // rebuild a host swap forces on the next flood, not FloodLatencyAny's target
-// set.
+// set, not a full row. Nor does a fixed batch of 200 mixed queries once it
+// has run: the queue's arena holds a flood's frontier, not its history, so it
+// stops growing once it has held the widest frontier of the batch.
 func TestFloodQueriesAllocationFree(t *testing.T) {
 	o := randomFloodOverlay(t, rng.New(9), 128, 256)
+	n := o.NumSlots()
 	dsts := []int{17, 90, 41}
-	o.FloodLatency(0, 64, testProc) // first build, first scratch
+	row := make([]float64, n)
+	batch := func() {
+		for i := 0; i < 200; i++ {
+			src, dst := (i*37)%n, (i*53+11)%n
+			switch i % 4 {
+			case 0:
+				o.FloodLatency(src, dst, testProc)
+			case 1:
+				o.FloodLatencyAny(src, dsts, nil)
+			case 2:
+				o.FloodLatenciesInto(src, testProc, row)
+			case 3:
+				// Steps 8k+3 and 8k+7 swap the same pair, so the batch leaves
+				// the overlay as it found it and is the same batch every time.
+				k := i / 8
+				o.SwapHosts((k*37)%n, (k*53+11)%n)
+			}
+		}
+	}
+	batch() // first build, first scratch, widest frontier
 	for _, tc := range []struct {
 		name string
 		f    func()
@@ -27,6 +49,8 @@ func TestFloodQueriesAllocationFree(t *testing.T) {
 		{"warm FloodLatency", func() { o.FloodLatency(3, 77, testProc) }},
 		{"rebuild after SwapHosts", func() { o.SwapHosts(5, 6); o.FloodLatency(3, 77, nil) }},
 		{"FloodLatencyAny", func() { o.FloodLatencyAny(3, dsts, nil) }},
+		{"warm FloodLatenciesInto", func() { o.FloodLatenciesInto(3, testProc, row) }},
+		{"batch of 200 mixed queries", batch},
 	} {
 		if a := testing.AllocsPerRun(100, tc.f); a != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", tc.name, a)

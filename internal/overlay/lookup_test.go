@@ -19,49 +19,56 @@ func asymLat(a, b int) float64 {
 	return hashLat(a, b)
 }
 
-// refFlood is the flood kernel as it was before the flood view, kept as the
-// reference: the same indexed heap, but adjacency from VisitNeighbors,
-// liveness from Alive and one lat call per relaxed arc. It returns the
-// arrival row as far as it was computed and the arrival at the first settled
-// slot of stop (+Inf if none is reached).
+// quantLat is a 5 ms-quantised latency, as on the transit-stub networks whose
+// links weigh 5/20/50 ms: arrival times tie everywhere, which is where a
+// queue's order among equal keys would show if anything read it.
+func quantLat(a, b int) float64 { return 5 * float64(1+pairHash(a, b)%60) }
+
+// refFlood is the reference the flood kernel is held to, and shares no code
+// with it: Dijkstra without a queue — settle the unsettled live slot of least
+// tentative time, found by a linear scan — with adjacency from
+// VisitNeighbors, liveness from Alive and one lat call per relaxed arc. It
+// returns the arrival row as far as it was computed and the arrival at the
+// first settled slot of stop (+Inf if none is reached).
 func refFlood(o *Overlay, src int, proc ProcDelayFunc, stop map[int]bool) ([]float64, float64) {
+	inf := math.Inf(1)
 	dist := make([]float64, o.NumSlots())
-	pos := make([]int32, o.NumSlots())
 	for i := range dist {
-		dist[i], pos[i] = math.Inf(1), -1
+		dist[i] = inf
 	}
 	if !o.Alive(src) {
-		return dist, math.Inf(1)
+		return dist, inf
 	}
 	dist[src] = 0
-	heap := heapPushSlot(nil, pos, dist, int32(src))
-	for len(heap) > 0 {
-		u := int(heap[0])
-		heap = heapPopMinSlot(heap, pos, dist)
+	settled := make([]bool, o.NumSlots())
+	for {
+		u := -1
+		for v, d := range dist {
+			if !settled[v] && d < inf && (u < 0 || d < dist[u]) {
+				u = v
+			}
+		}
+		if u < 0 {
+			return dist, inf
+		}
 		if stop[u] {
 			return dist, dist[u]
 		}
-		du := dist[u]
+		settled[u] = true
 		o.Logical.VisitNeighbors(u, func(nb int, _ float64) bool {
 			if !o.Alive(nb) {
 				return true
 			}
-			nd := du + o.lat(o.hostOf[u], o.hostOf[nb])
+			nd := dist[u] + o.lat(o.hostOf[u], o.hostOf[nb])
 			if proc != nil {
 				nd += proc(nb)
 			}
 			if nd < dist[nb] {
 				dist[nb] = nd
-				if pos[nb] < 0 {
-					heap = heapPushSlot(heap, pos, dist, int32(nb))
-				} else {
-					heapSiftUpSlot(heap, pos, dist, pos[nb])
-				}
 			}
 			return true
 		})
 	}
-	return dist, math.Inf(1)
 }
 
 // checkFloodsAgainstRef floods from a few random slots (dead ones included)
@@ -107,13 +114,16 @@ func checkFloodsAgainstRef(t *testing.T, o *Overlay, r *rng.Rand, tag string) {
 // mutation that can move the flood view — host swaps, PROP-O trades, joins,
 // graceful leaves, crashes with stale edges, eviction, purge, and rewires
 // applied straight to Logical as the DHT repair paths do — and holds every
-// flood query to the pre-view kernel bit for bit. Checks run only after some
-// steps, so the view also has to survive several mutations between floods.
+// flood query to the queue-free reference bit for bit, under an irregular, a
+// direction-dependent and a tie-ridden latency function in turn. Checks run
+// only after some steps, so the view also has to survive several mutations
+// between floods.
 func TestFloodViewMatchesReference(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
+	lats := []LatencyFunc{hashLat, asymLat, quantLat}
+	for seed := uint64(1); seed <= 6; seed++ {
 		r := rng.New(seed)
 		o := randomFloodOverlay(t, r, 40, 60)
-		o.lat = asymLat
+		o.lat = lats[seed%3]
 		nextHost := 1000
 		pick := func() int { return o.AliveSlotAt(r.Intn(o.NumAlive())) }
 		for step := 0; step < 300; step++ {

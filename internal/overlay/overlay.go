@@ -30,9 +30,10 @@ import (
 )
 
 // LatencyFunc reports the physical latency in milliseconds between two
-// hosts. netsim.Oracle.Latency satisfies this signature. It must be pure for
-// the overlay's lifetime — the same answer for the same ordered host pair —
-// because floods read edge latencies cached from it (floodView, lookup.go).
+// hosts: non-negative or +Inf, never NaN (floodRun). netsim.Oracle.Latency
+// satisfies this signature. It must be pure for the overlay's lifetime — the
+// same answer for the same ordered host pair — because floods read edge
+// latencies cached from it (floodView, lookup.go).
 type LatencyFunc func(hostA, hostB int) float64
 
 // Stats tallies the overlay's topology mutations for the observability

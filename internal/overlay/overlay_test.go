@@ -646,29 +646,6 @@ func TestFloodLatencyUnreachable(t *testing.T) {
 	}
 }
 
-func BenchmarkFloodLatency(b *testing.B) {
-	r := rng.New(1)
-	n := 1000
-	hosts := make([]int, n)
-	for i := range hosts {
-		hosts[i] = i
-	}
-	o, _ := New(hosts, gridLat)
-	for i := 1; i < n; i++ {
-		o.AddEdge(i, r.Intn(i))
-	}
-	for k := 0; k < 3*n; k++ {
-		a, bb := r.Intn(n), r.Intn(n)
-		if a != bb {
-			o.AddEdge(a, bb)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.FloodLatency(i%n, (i*31+7)%n, nil)
-	}
-}
-
 func TestFloodLatencyAny(t *testing.T) {
 	o := lineOverlay(t, []int{0, 10, 30, 100})
 	mustEdge(t, o, 0, 1) // 10

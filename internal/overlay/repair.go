@@ -218,11 +218,8 @@ func (o *Overlay) RepairFloodRow(p *FloodPatch, proc ProcDelayFunc, src int, dis
 			dist[e.V] = inf
 		}
 	}
-	pos := s.pos
-	for i := range pos {
-		pos[i] = -1
-	}
-	heap := s.heap[:0]
+	q := &s.q
+	q.reset()
 	relax := func(v int, nd float64) {
 		old := dist[v]
 		if nd < old {
@@ -235,11 +232,7 @@ func (o *Overlay) RepairFloodRow(p *FloodPatch, proc ProcDelayFunc, src int, dis
 				st.FiniteDelta++
 			}
 			dist[v] = nd
-			if pos[v] < 0 {
-				heap = heapPushSlot(heap, pos, dist, int32(v))
-			} else {
-				heapSiftUpSlot(heap, pos, dist, pos[v])
-			}
+			q.push(int32(v), nd)
 		}
 	}
 	for _, x := range queue {
@@ -264,15 +257,12 @@ func (o *Overlay) RepairFloodRow(p *FloodPatch, proc ProcDelayFunc, src int, dis
 	// flood view like floodRun; the marking passes above cannot (they need
 	// pre-batch hosts and links).
 	off, nbr, w := o.floodArcs()
-	for len(heap) > 0 {
-		u := heap[0]
-		heap = heapPopMinSlot(heap, pos, dist)
+	for u, ok := q.pop(dist); ok; u, ok = q.pop(dist) {
 		du := dist[u]
 		ws := w[off[u]:off[u+1]]
 		for i, nb := range nbr[off[u]:off[u+1]] {
 			relax(int(nb), du+ws[i]+procOf(int(nb)))
 		}
 	}
-	s.heap = heap[:0]
 	return st, true
 }

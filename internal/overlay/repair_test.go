@@ -11,7 +11,10 @@ import (
 // tests: positive, irregular (so float ties are rare but sums are exact
 // enough for the bit-equality assertions), and a pure function of the host
 // pair.
-func hashLat(a, b int) float64 {
+func hashLat(a, b int) float64 { return 1 + float64(pairHash(a, b)%4096)/64 }
+
+// pairHash mixes an unordered host pair into 64 bits.
+func pairHash(a, b int) uint64 {
 	if a > b {
 		a, b = b, a
 	}
@@ -19,7 +22,7 @@ func hashLat(a, b int) float64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 29
-	return 1 + float64(x%4096)/64
+	return x
 }
 
 // testProc is a nonzero per-slot processing delay exercising the proc term
@@ -111,13 +114,17 @@ func checkRepairedRows(t *testing.T, o *Overlay, p *FloodPatch, proc ProcDelayFu
 
 // TestRepairFloodRowRewire: random batches of PROP-O-style edge rewires;
 // every repaired row must be bit-identical to a fresh flood, with and
-// without processing delays.
+// without processing delays, on irregular latencies (odd trials) and on
+// quantised ones, where arrival times tie everywhere (even trials).
 func TestRepairFloodRowRewire(t *testing.T) {
 	for _, proc := range []ProcDelayFunc{nil, testProc} {
 		r := rng.New(21)
 		for trial := 0; trial < 8; trial++ {
 			n := 24 + trial*8
 			o := randomFloodOverlay(t, r, n, n)
+			if trial%2 == 0 {
+				o.lat = quantLat
+			}
 			rows := floodRows(o, proc)
 
 			var removed, added []FloodEdge
@@ -157,6 +164,9 @@ func TestRepairFloodRowChurn(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		n := 32 + trial*8
 		o := randomFloodOverlay(t, r, n, 2*n)
+		if trial%2 == 0 {
+			o.lat = quantLat // ties everywhere
+		}
 		rows := floodRows(o, testProc)
 
 		var removed, added []FloodEdge
