@@ -191,12 +191,3 @@ func TestLeaveRestoresMinDegree(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkBuild1000(b *testing.B) {
-	hosts := hostsN(1000)
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(hosts, DefaultConfig(), lat, rng.New(uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

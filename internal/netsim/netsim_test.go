@@ -462,27 +462,3 @@ func TestNetworkString(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 }
-
-func BenchmarkOracleColdRow(b *testing.B) {
-	net, err := Generate(TSLarge(), rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := NewOracle(net)
-		o.Row(net.StubHosts[i%len(net.StubHosts)])
-	}
-}
-
-func BenchmarkOraclePrecompute256(b *testing.B) {
-	net, err := Generate(TSLarge(), rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := NewOracle(net)
-		o.Precompute(net.StubHosts[:256])
-	}
-}

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -30,12 +31,22 @@ type ProcDelayFunc func(slot int) float64
 // Reusing the arrays is safe because queries never overlap mutations
 // (DESIGN.md §7): every flood in flight started after the last mutation, so
 // it either waits on mu or has already seen the new stamp.
+//
+// orderFree is a fact about the arrays, published with them, that floodPoint
+// needs: sums of arc weights do not depend on the order of the additions, and
+// an arc weighs the same in both directions. It holds when every w is an
+// integer in [0, 2³¹) — negative, fractional, NaN and +Inf fail — there are at
+// most 2²¹ slots, so a path's sum, and two of them added, stay below 2⁵³ where
+// float64 addition of integers is exact, and w[u→nb] == w[nb→u] for every
+// arc. Every netsim preset has it: links weigh 5/20/50 ms, and oracle
+// distances over an undirected graph are symmetric.
 type floodView struct {
-	mu    sync.Mutex
-	stamp atomic.Uint64
-	off   []int32 // len NumSlots()+1
-	nbr   []int32
-	w     []float64
+	mu        sync.Mutex
+	stamp     atomic.Uint64
+	off       []int32 // len NumSlots()+1
+	nbr       []int32
+	w         []float64
+	orderFree bool
 }
 
 // floodArcs returns the flood view of the current overlay state, rebuilding
@@ -67,6 +78,7 @@ func (o *Overlay) rebuildFloodView(want uint64) {
 		v.w = make([]float64, 0, m)
 	}
 	off, nbr, w := v.off[:n+1], v.nbr[:0], v.w[:0]
+	orderFree := n <= 1<<21
 	for u := 0; u < n; u++ {
 		off[u] = int32(len(nbr))
 		if !o.alive[u] {
@@ -75,25 +87,33 @@ func (o *Overlay) rebuildFloodView(want uint64) {
 		hu := o.hostOf[u]
 		o.Logical.VisitNeighbors(u, func(nb int, _ float64) bool {
 			if o.alive[nb] {
+				x := o.lat(hu, o.hostOf[nb])
 				nbr = append(nbr, int32(nb))
-				w = append(w, o.lat(hu, o.hostOf[nb]))
+				w = append(w, x)
+				orderFree = orderFree && x >= 0 && x < 1<<31 && x == math.Trunc(x)
+				if orderFree && nb < u {
+					// nb's row is complete; the reverse arc is u's entry in it.
+					i, ok := slices.BinarySearch(nbr[off[nb]:off[nb+1]], int32(u))
+					orderFree = ok && w[int(off[nb])+i] == x
+				}
 			}
 			return true
 		})
 	}
 	off[n] = int32(len(nbr))
-	v.off, v.nbr, v.w = off, nbr, w
+	v.off, v.nbr, v.w, v.orderFree = off, nbr, w, orderFree
 	v.stamp.Store(want)
 }
 
 // floodScratch is the reusable working set of one slot-level Dijkstra: the
-// tentative-distance array and the queue (radix.go). Recycled through a
+// tentative-distance array and the queue (radix.go), and a second pair for
+// the search floodPoint grows back from the destination. Recycled through a
 // sync.Pool so concurrent lookup evaluators (metrics fans out one goroutine
 // per worker) each reuse their own buffers, making flooding queries
 // allocation-free after warm-up.
 type floodScratch struct {
-	dist []float64
-	q    radixQueue
+	dist, distB []float64
+	q, qB       radixQueue
 	// mark is a slot set: the stop targets of a flood, the affected set of
 	// RepairFloodRow (repair.go). Whoever sets a bit clears it before
 	// floodPut, so pooled scratch is always all-false.
@@ -109,10 +129,13 @@ func (o *Overlay) floodGet() *floodScratch {
 	}
 	if cap(s.dist) < n {
 		s.dist = make([]float64, n)
+		s.distB = make([]float64, n)
 		s.q.ent = make([]radixEntry, 0, n)
+		s.qB.ent = make([]radixEntry, 0, n)
 		s.mark = make([]bool, n)
 	}
 	s.dist = s.dist[:n]
+	s.distB = s.distB[:n]
 	s.mark = s.mark[:n]
 	return s
 }
@@ -165,6 +188,72 @@ func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch) float64
 	return math.Inf(1)
 }
 
+// floodPoint returns what floodRun returns from src with only dst marked, on
+// an order-free view (floodView): it grows one Dijkstra ball forward from src
+// and one backward from dst over the same arcs — they weigh the same both
+// ways — always expanding the side whose last popped arrival is smaller; on a
+// hub-rich overlay two balls of half the radius hold far fewer slots than one
+// that reaches dst. mu is the least src→dst sum seen: each improvement of a
+// slot's arrival on one side is added to its arrival on the other. The search
+// ends once lastNear + lastFar ≥ mu, or when a side runs dry (it has settled
+// all it can reach: mu is final, +Inf if the two never met).
+//
+// The stopping rule reads the keys last popped, not the queue tops of the
+// textbook rule (the radix queue has no cheap top); they are never above the
+// tops, so it only stops later. Directly: call a slot done on a side once it
+// was popped there and its arcs relaxed; a slot not done lies at true
+// distance ≥ that side's last. Take a shortest path of length d < mu at the
+// stop and its first slot v not done forward: v's predecessor is, so v's
+// forward arrival is final. If its backward arrival is final too, the later
+// of the two improvements put d into mu; otherwise v is not done backward
+// either and d = d→(v) + d←(v) ≥ lastNear + lastFar ≥ mu. So mu ≤ d, and mu
+// is some path's sum.
+//
+// mu has the bits floodRun returns: that is the minimum over paths of sums
+// folded from the left, mu a minimum over paths of sums folded from both ends
+// and joined; on an order-free view every partial sum of either is an integer
+// below 2⁵³ and every addition exact, so both are the minimum of the same reals.
+func (s *floodScratch) floodPoint(off, nbr []int32, w []float64, src, dst int) float64 {
+	// near is the side being expanded, far the other; they trade places.
+	distNear, distFar := s.dist, s.distB
+	qNear, qFar := &s.q, &s.qB
+	for i := range distNear {
+		distNear[i], distFar[i] = math.Inf(1), math.Inf(1)
+	}
+	qNear.reset()
+	qFar.reset()
+	distNear[src], distFar[dst] = 0, 0
+	qNear.push(int32(src), 0)
+	qFar.push(int32(dst), 0)
+	lastNear, lastFar, mu := 0.0, 0.0, math.Inf(1)
+	for {
+		if lastFar < lastNear {
+			distNear, distFar, qNear, qFar, lastNear, lastFar = distFar, distNear, qFar, qNear, lastFar, lastNear
+		}
+		u, ok := qNear.pop(distNear)
+		if !ok {
+			return mu
+		}
+		du := distNear[u]
+		lastNear = du
+		if du+lastFar >= mu {
+			return mu
+		}
+		nbs := nbr[off[u]:off[u+1]]
+		ws := w[off[u]:off[u+1]]
+		for i, nb := range nbs {
+			nd := du + ws[i]
+			if nd < distNear[nb] {
+				distNear[nb] = nd
+				qNear.push(nb, nd)
+				if t := nd + distFar[nb]; t < mu {
+					mu = t
+				}
+			}
+		}
+	}
+}
+
 // FloodLatency returns the first-arrival latency of a flooded query from
 // slot src to slot dst. Flooding explores every path, so the first copy to
 // arrive travelled the latency-weighted shortest overlay path; computing
@@ -179,9 +268,15 @@ func (o *Overlay) FloodLatency(src, dst int, proc ProcDelayFunc) float64 {
 		return 0
 	}
 	s := o.floodGet()
-	s.mark[dst] = true
-	d := o.floodRun(src, proc, s)
-	s.mark[dst] = false
+	var d float64
+	if off, nbr, w := o.floodArcs(); proc == nil && o.view.orderFree {
+		d = s.floodPoint(off, nbr, w, src, dst)
+	} else {
+		// An opaque per-slot delay, or sums that depend on their order.
+		s.mark[dst] = true
+		d = o.floodRun(src, proc, s)
+		s.mark[dst] = false
+	}
 	o.floodPut(s)
 	return d
 }

@@ -17,7 +17,9 @@ import (
 // rebuild a host swap forces on the next flood, not FloodLatencyAny's target
 // set, not a full row. Nor does a fixed batch of 200 mixed queries once it
 // has run: the queue's arena holds a flood's frontier, not its history, so it
-// stops growing once it has held the widest frontier of the batch.
+// stops growing once it has held the widest frontier of the batch. The same
+// holds on an order-free overlay, where point queries run floodPoint on the
+// scratch's second distance array and queue and a swap recomputes the gate.
 func TestFloodQueriesAllocationFree(t *testing.T) {
 	o := randomFloodOverlay(t, rng.New(9), 128, 256)
 	n := o.NumSlots()
@@ -41,19 +43,34 @@ func TestFloodQueriesAllocationFree(t *testing.T) {
 			}
 		}
 	}
-	batch() // first build, first scratch, widest frontier
-	for _, tc := range []struct {
-		name string
-		f    func()
-	}{
-		{"warm FloodLatency", func() { o.FloodLatency(3, 77, testProc) }},
-		{"rebuild after SwapHosts", func() { o.SwapHosts(5, 6); o.FloodLatency(3, 77, nil) }},
-		{"FloodLatencyAny", func() { o.FloodLatencyAny(3, dsts, nil) }},
-		{"warm FloodLatenciesInto", func() { o.FloodLatenciesInto(3, testProc, row) }},
-		{"batch of 200 mixed queries", batch},
-	} {
-		if a := testing.AllocsPerRun(100, tc.f); a != 0 {
-			t.Errorf("%s: %v allocs per call, want 0", tc.name, a)
+	pin := func(name string, f func()) {
+		t.Helper()
+		if a := testing.AllocsPerRun(100, f); a != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, a)
 		}
 	}
+	batch() // first build, first scratch, widest frontier
+	pin("warm FloodLatency", func() { o.FloodLatency(3, 77, testProc) })
+	pin("rebuild after SwapHosts", func() { o.SwapHosts(5, 6); o.FloodLatency(3, 77, nil) })
+	pin("FloodLatencyAny", func() { o.FloodLatencyAny(3, dsts, nil) })
+	pin("warm FloodLatenciesInto", func() { o.FloodLatenciesInto(3, testProc, row) })
+	pin("batch of 200 mixed queries", batch)
+
+	o.lat = quantLat
+	o.SwapHosts(5, 6) // the view is stale: the next flood rebuilds it under quantLat
+	pointBatch := func() {
+		for i := 0; i < 200; i++ {
+			if i%8 == 3 || i%8 == 7 { // the same pair twice, as above
+				k := i / 8
+				o.SwapHosts((k*37)%n, (k*53+11)%n)
+			}
+			o.FloodLatency((i*37)%n, (i*53+11)%n, nil)
+		}
+	}
+	pointBatch()
+	if !viewOrderFree(o) {
+		t.Fatal("quantLat view not order-free: the pins below would not reach floodPoint")
+	}
+	pin("order-free view, warm FloodLatency", func() { o.FloodLatency(3, 77, nil) })
+	pin("order-free view, batch of 200 point queries", pointBatch)
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/rng"
 )
 
@@ -110,10 +111,64 @@ func checkFloodsAgainstRef(t *testing.T, o *Overlay, r *rng.Rand, tag string) {
 	}
 }
 
+// mutateFloodOverlay applies one seeded random mutation of a kind that can
+// move the flood view — a host swap, a PROP-O trade, a join (hosts *nextHost,
+// +3, …), a graceful leave, a crash with stale edges, eviction, purge, or a
+// rewire applied straight to Logical as the DHT repair paths do. Some draws
+// are no-ops.
+func mutateFloodOverlay(t *testing.T, o *Overlay, r *rng.Rand, nextHost *int) {
+	t.Helper()
+	pick := func() int { return o.AliveSlotAt(r.Intn(o.NumAlive())) }
+	u, v := pick(), pick()
+	switch op := r.Intn(9); {
+	case op == 0 && u != v:
+		if err := o.SwapHosts(u, v); err != nil {
+			t.Fatal(err)
+		}
+	case op == 1 && u != v:
+		// A trade the §3.1 checks may refuse; refusal leaves the overlay as it was.
+		a, b := o.Neighbors(u), o.Neighbors(v)
+		if len(a) > 0 && len(b) > 0 {
+			_ = o.ExchangeNeighbors(u, v, []int{a[r.Intn(len(a))]}, []int{b[r.Intn(len(b))]}, nil)
+		}
+	case op == 2:
+		s, err := o.AddSlot(*nextHost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*nextHost += 3
+		for _, nb := range []int{u, v} {
+			if err := o.AddEdge(s, nb); err != nil {
+				t.Fatal(err)
+			}
+		}
+	case op == 3 && o.NumAlive() > 20:
+		if err := o.RemoveSlot(u); err != nil {
+			t.Fatal(err)
+		}
+	case op == 4 && o.NumAlive() > 20:
+		if err := o.CrashSlot(u); err != nil {
+			t.Fatal(err)
+		}
+	case op == 5:
+		o.EvictDeadNeighbors(u)
+	case op == 6:
+		if c := o.CrashedSlots(); len(c) > 0 {
+			if err := o.PurgeCrashed(c[r.Intn(len(c))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	case op == 7 && u != v:
+		o.Logical.MustAddEdge(u, v, 1)
+	case op == 8:
+		if nbs := o.Neighbors(u); len(nbs) > 0 {
+			o.Logical.RemoveEdge(u, nbs[r.Intn(len(nbs))])
+		}
+	}
+}
+
 // TestFloodViewMatchesReference drives a seeded random schedule of every
-// mutation that can move the flood view — host swaps, PROP-O trades, joins,
-// graceful leaves, crashes with stale edges, eviction, purge, and rewires
-// applied straight to Logical as the DHT repair paths do — and holds every
+// mutation that can move the flood view (mutateFloodOverlay) and holds every
 // flood query to the queue-free reference bit for bit, under an irregular, a
 // direction-dependent and a tie-ridden latency function in turn. Checks run
 // only after some steps, so the view also has to survive several mutations
@@ -125,54 +180,8 @@ func TestFloodViewMatchesReference(t *testing.T) {
 		o := randomFloodOverlay(t, r, 40, 60)
 		o.lat = lats[seed%3]
 		nextHost := 1000
-		pick := func() int { return o.AliveSlotAt(r.Intn(o.NumAlive())) }
 		for step := 0; step < 300; step++ {
-			u, v := pick(), pick()
-			switch op := r.Intn(9); {
-			case op == 0 && u != v:
-				if err := o.SwapHosts(u, v); err != nil {
-					t.Fatal(err)
-				}
-			case op == 1 && u != v:
-				// A trade the §3.1 checks may refuse; refusal leaves the overlay as it was.
-				a, b := o.Neighbors(u), o.Neighbors(v)
-				if len(a) > 0 && len(b) > 0 {
-					_ = o.ExchangeNeighbors(u, v, []int{a[r.Intn(len(a))]}, []int{b[r.Intn(len(b))]}, nil)
-				}
-			case op == 2:
-				s, err := o.AddSlot(nextHost)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nextHost += 3
-				for _, nb := range []int{u, v} {
-					if err := o.AddEdge(s, nb); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case op == 3 && o.NumAlive() > 20:
-				if err := o.RemoveSlot(u); err != nil {
-					t.Fatal(err)
-				}
-			case op == 4 && o.NumAlive() > 20:
-				if err := o.CrashSlot(u); err != nil {
-					t.Fatal(err)
-				}
-			case op == 5:
-				o.EvictDeadNeighbors(u)
-			case op == 6:
-				if c := o.CrashedSlots(); len(c) > 0 {
-					if err := o.PurgeCrashed(c[r.Intn(len(c))]); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case op == 7 && u != v:
-				o.Logical.MustAddEdge(u, v, 1)
-			case op == 8:
-				if nbs := o.Neighbors(u); len(nbs) > 0 {
-					o.Logical.RemoveEdge(u, nbs[r.Intn(len(nbs))])
-				}
-			}
+			mutateFloodOverlay(t, o, r, &nextHost)
 			if r.Intn(2) == 0 {
 				checkFloodsAgainstRef(t, o, r, "live")
 			}
@@ -188,6 +197,239 @@ func TestFloodViewMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// Order-free latency functions (floodView): whole milliseconds, symmetric.
+// zeroLat is propnode's nil Lat; zeroArcLat mixes zero-weight arcs in.
+func zeroLat(a, b int) float64    { return 0 }
+func zeroArcLat(a, b int) float64 { return 5 * float64(pairHash(a, b)%4) }
+
+// viewOrderFree builds the flood view of o's current state, as any flood
+// does, and reports which kernel FloodLatency(·, ·, nil) runs on it:
+// floodPoint if true, floodRun if false.
+func viewOrderFree(o *Overlay) bool {
+	o.floodArcs()
+	return o.view.orderFree
+}
+
+// TestFloodViewOrderFreeGate pins the gate clause by clause. The last four
+// functions break LatencyFunc's contract or the flood's precondition; the
+// test builds their views and floods none.
+func TestFloodViewOrderFreeGate(t *testing.T) {
+	// oneArc is quantLat but for the link between the hosts of slots 0 and 1.
+	oneArc := func(x float64) LatencyFunc {
+		return func(a, b int) float64 {
+			if (a == 1 && b == 4) || (a == 4 && b == 1) {
+				return x
+			}
+			return quantLat(a, b)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		lat  LatencyFunc
+		want bool
+	}{
+		{"quantLat", quantLat, true},
+		{"all zero", zeroLat, true},
+		{"integers with zero arcs", zeroArcLat, true},
+		{"one arc of 2^31-1", oneArc(1<<31 - 1), true},
+		{"hashLat", hashLat, false},
+		{"asymLat", asymLat, false},
+		{"integer but asymmetric", func(a, b int) float64 {
+			if a < b {
+				return quantLat(a, b) + 5
+			}
+			return quantLat(a, b)
+		}, false},
+		{"one arc of 2^31", oneArc(1 << 31), false},
+		{"one arc of +Inf", oneArc(math.Inf(1)), false},
+		{"one arc of NaN", oneArc(math.NaN()), false},
+		{"one negative arc", oneArc(-5), false},
+		{"one arc of 2.5", oneArc(2.5), false},
+	} {
+		o := randomFloodOverlay(t, rng.New(4), 60, 90)
+		o.lat = tc.lat
+		if got := viewOrderFree(o); got != tc.want {
+			t.Errorf("%s: view order-free = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// checkPointFloodsAgainstRef holds FloodLatency(src, dst, nil) for every
+// ordered pair of slots — dead sources, dead destinations and src == dst
+// included — to refFlood's full row from src, bit for bit.
+func checkPointFloodsAgainstRef(t *testing.T, o *Overlay, tag string) {
+	t.Helper()
+	for src := 0; src < o.NumSlots(); src++ {
+		want, _ := refFlood(o, src, nil, nil)
+		for dst, w := range want {
+			if got := o.FloodLatency(src, dst, nil); math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("%s: FloodLatency(%d,%d) = %v, reference %v (order-free view: %v)",
+					tag, src, dst, got, w, o.view.orderFree)
+			}
+		}
+	}
+}
+
+// TestFloodPointMatchesReference holds the two-ended kernel to the queue-free,
+// one-ended reference on every pair of slots: under each order-free latency
+// function, first on two components with a dead slot in each (unreachable
+// pairs read +Inf), then through the mutation schedule of
+// TestFloodViewMatchesReference. Under the fourth function hosts 1000, 1006, …
+// (every other joiner) sit half a millisecond off the grid, so the view leaves
+// the order-free state when one joins and re-enters it when the last one has
+// left, and both kernels answer in one schedule.
+func TestFloodPointMatchesReference(t *testing.T) {
+	offGrid := func(a, b int) float64 {
+		if (a >= 1000 && a%2 == 0) || (b >= 1000 && b%2 == 0) {
+			return quantLat(a, b) + 0.5
+		}
+		return quantLat(a, b)
+	}
+	for i, lat := range []LatencyFunc{quantLat, zeroLat, zeroArcLat, offGrid} {
+		r := rng.New(uint64(20 + i))
+		o := randomFloodOverlay(t, r, 60, 0)
+		o.lat = lat
+		// Cut the ring into slots 0–29 and 30–59, 30 random chords each, none across.
+		o.Logical.RemoveEdge(29, 30)
+		o.Logical.RemoveEdge(59, 0)
+		o.Logical.MustAddEdge(29, 0, 1)
+		o.Logical.MustAddEdge(59, 30, 1)
+		for k := 0; k < 60; k++ {
+			half := k / 30 * 30
+			if u, v := half+r.Intn(30), half+r.Intn(30); u != v && !o.Logical.HasEdge(u, v) {
+				o.Logical.MustAddEdge(u, v, 1)
+			}
+		}
+		for _, dead := range []int{7, 41} {
+			if err := o.RemoveSlot(dead); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !viewOrderFree(o) {
+			t.Fatalf("lat %d: initial view not order-free", i)
+		}
+		if d := o.FloodLatency(3, 50, nil); !math.IsInf(d, 1) {
+			t.Fatalf("lat %d: FloodLatency across components = %v, want +Inf", i, d)
+		}
+		checkPointFloodsAgainstRef(t, o, "two components")
+
+		nextHost := 1000
+		states := map[bool]int{}
+		for step := 0; step < 120; step++ {
+			mutateFloodOverlay(t, o, r, &nextHost)
+			if r.Intn(6) == 0 {
+				states[viewOrderFree(o)]++
+				checkPointFloodsAgainstRef(t, o, "live")
+			}
+		}
+		if i < 3 && states[false] > 0 {
+			t.Fatalf("lat %d: %d checks ran on a view that was not order-free", i, states[false])
+		}
+		if i == 3 && (states[true] == 0 || states[false] == 0) {
+			t.Fatalf("off-grid joiners: checks by view state %v, want both states visited", states)
+		}
+		if err := o.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFloodViewOrderFreeOnTransitStub pins the property floodPoint depends on to
+// the real input: oracle distances over a generated transit-stub network are
+// whole milliseconds and symmetric, so an overlay over its stub hosts floods
+// point to point with the two-ended kernel. If link weights ever stop being
+// integers this fails here, not as a slower ledger three PRs later.
+func TestFloodViewOrderFreeOnTransitStub(t *testing.T) {
+	net, err := netsim.Generate(netsim.TSSmall(), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hosts []int
+	for i := 0; i < len(net.StubHosts); i += 12 { // 200 hosts over every stub domain
+		hosts = append(hosts, net.StubHosts[i])
+	}
+	o, err := New(hosts, netsim.NewOracle(net).Latency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(2)
+	for s := range hosts {
+		o.Logical.MustAddEdge(s, (s+1)%len(hosts), 1)
+		if v := r.Intn(len(hosts)); v != s && !o.Logical.HasEdge(s, v) {
+			o.Logical.MustAddEdge(s, v, 1)
+		}
+	}
+	_, want := refFlood(o, 0, nil, map[int]bool{100: true})
+	if got := o.FloodLatency(0, 100, nil); got != want {
+		t.Fatalf("FloodLatency(0,100) = %v, reference %v", got, want)
+	}
+	if !o.view.orderFree {
+		t.Fatal("the flood view over ts-small oracle latencies is not order-free: FloodLatency has lost its two-ended kernel")
+	}
+}
+
+// FuzzFloodPoint: bytes → an overlay of 2–16 slots, slot i on host i, built
+// and mutated by three-byte records (a, b, c): c < 192 links slots a and b,
+// c < 224 swaps their hosts, otherwise slot a leaves. The link records also
+// fill, before any is applied, a symmetric table of host-pair latencies —
+// hosts a and b lie 5·(c mod 8) ms apart, pairs never named 0 — so the arcs
+// built first weigh what their records say and swaps bring other entries,
+// repeats and zeros under the links. Every pair is held to refFlood after each
+// mutation and at the end.
+func FuzzFloodPoint(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 1, 1, 2, 2, 2, 3, 1, 3, 4, 3, 4, 5, 1})                   // path
+	f.Add([]byte{6, 0, 1, 1, 0, 2, 2, 0, 3, 1, 0, 4, 2, 0, 5, 1, 0, 6, 7, 0, 7, 1}) // star
+	f.Add([]byte{6, 0, 1, 1, 1, 2, 1, 2, 3, 2, 3, 0, 1, 4, 5, 3, 5, 6, 1, 6, 7, 3,
+		1, 5, 200, 2, 0, 230}) // two components, a swap across them, a leave
+	f.Add([]byte{3, 0, 1, 0, 1, 2, 8, 2, 3, 0, 3, 4, 16, 4, 0, 0, 0, 2, 0, 1, 3, 8}) // all zero
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 || len(data) > 1+3*48 {
+			return
+		}
+		n := 2 + int(data[0])%15
+		hosts := make([]int, n)
+		for s := range hosts {
+			hosts[s] = s
+		}
+		ms := make([]float64, n*n)
+		for rec := data[1:]; len(rec) >= 3; rec = rec[3:] {
+			if a, b, c := int(rec[0])%n, int(rec[1])%n, rec[2]; c < 192 {
+				ms[a*n+b], ms[b*n+a] = 5*float64(c%8), 5*float64(c%8)
+			}
+		}
+		o, err := New(hosts, func(a, b int) float64 { return ms[a*n+b] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rec := data[1:]; len(rec) >= 3; rec = rec[3:] {
+			u, v, c := int(rec[0])%n, int(rec[1])%n, rec[2]
+			if u == v || !o.Alive(u) || !o.Alive(v) {
+				continue
+			}
+			switch {
+			case c < 192:
+				if !o.Logical.HasEdge(u, v) {
+					o.Logical.MustAddEdge(u, v, 1)
+				}
+				continue
+			case c < 224:
+				if err := o.SwapHosts(u, v); err != nil {
+					t.Fatal(err)
+				}
+			case o.NumAlive() > 2:
+				if err := o.RemoveSlot(u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkPointFloodsAgainstRef(t, o, "after mutation")
+		}
+		if !viewOrderFree(o) {
+			t.Fatal("an integer symmetric table, and the view is not order-free")
+		}
+		checkPointFloodsAgainstRef(t, o, "end")
+	})
 }
 
 // liveArcs counts what one flood-view build must ask the latency function:
