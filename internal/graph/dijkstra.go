@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Inf is the distance reported for unreachable vertices.
 var Inf = math.Inf(1)
@@ -23,52 +20,6 @@ func (g *Graph) ShortestPaths(src int) []float64 {
 // edge insertion order.
 func (g *Graph) ShortestPathTree(src int) (dist []float64, prev []int) {
 	return g.Frozen().ShortestPathTree(src)
-}
-
-// ShortestPathsBaseline is the pre-CSR Dijkstra over the adjacency lists
-// with a container/heap binary heap. It is retained as an independent
-// reference implementation for property tests and as the "before" kernel in
-// the internal/netsim warm-up benchmarks; hot paths should use
-// ShortestPaths or Frozen().ShortestPathsInto.
-func (g *Graph) ShortestPathsBaseline(src int) []float64 {
-	dist, _ := g.shortestPaths(src, false)
-	return dist
-}
-
-func (g *Graph) shortestPaths(src int, wantPrev bool) ([]float64, []int) {
-	n := len(g.adj)
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = Inf
-	}
-	var prev []int
-	if wantPrev {
-		prev = make([]int, n)
-		for i := range prev {
-			prev[i] = -1
-		}
-	}
-	if src < 0 || src >= n {
-		return dist, prev
-	}
-	dist[src] = 0
-	pq := &distHeap{{v: src, d: 0}}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(distItem)
-		if item.d > dist[item.v] {
-			continue // stale entry
-		}
-		for _, e := range g.adj[item.v] {
-			if nd := item.d + e.w; nd < dist[e.to] {
-				dist[e.to] = nd
-				if wantPrev {
-					prev[e.to] = item.v
-				}
-				heap.Push(pq, distItem{v: e.to, d: nd})
-			}
-		}
-	}
-	return dist, prev
 }
 
 // PathTo reconstructs the vertex sequence src..dst from a predecessor array
@@ -100,25 +51,6 @@ func PathTo(prev []int, src, dst int) []int {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-type distItem struct {
-	v int
-	d float64
-}
-
-type distHeap []distItem
-
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
 }
 
 // BellmanFord computes single-source shortest paths by relaxation. It is

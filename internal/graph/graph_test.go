@@ -389,15 +389,6 @@ func TestIsomorphicUnderMappingErrors(t *testing.T) {
 	}
 }
 
-func BenchmarkDijkstra1k(b *testing.B) {
-	r := rng.New(1)
-	g := randomConnectedGraph(r, 1000, 4000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.ShortestPaths(i % 1000)
-	}
-}
-
 func TestWriteDOT(t *testing.T) {
 	g := buildTriangle(t)
 	var buf strings.Builder

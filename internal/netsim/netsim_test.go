@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -331,9 +332,10 @@ func TestOraclePrecomputeValidatesBeforeWork(t *testing.T) {
 	}
 }
 
-// TestOracleRowSharedWithLatency: Row hands out the cached storage itself —
-// the same backing array on every call — and Latency reads that storage, so
-// the two agree bit for bit in both query directions.
+// TestOracleRowSharedWithLatency: Row decodes the cached row into a fresh
+// slice the caller owns — a new backing array on every call, so mutating it
+// changes nothing — and agrees with Latency bit for bit in both query
+// directions.
 func TestOracleRowSharedWithLatency(t *testing.T) {
 	net, err := Generate(TSSmall(), rng.New(4))
 	if err != nil {
@@ -342,8 +344,12 @@ func TestOracleRowSharedWithLatency(t *testing.T) {
 	o := NewOracle(net)
 	src := net.StubHosts[3]
 	row := o.Row(src)
-	if again := o.Row(src); &again[0] != &row[0] || len(again) != len(row) {
-		t.Fatal("Row returned a different backing array on the second call")
+	again := o.Row(src)
+	if &again[0] == &row[0] || len(again) != len(row) {
+		t.Fatal("Row returned the same backing array twice")
+	}
+	for i := range again {
+		again[i] = -1
 	}
 	for dst := range row {
 		if got := o.Latency(src, dst); math.Float64bits(got) != math.Float64bits(row[dst]) {
@@ -356,6 +362,156 @@ func TestOracleRowSharedWithLatency(t *testing.T) {
 	if got := o.CachedRows(); got != 1 {
 		t.Fatalf("reading one row through Latency cached %d rows, want 1", got)
 	}
+}
+
+// edgeNet builds a Network over n vertices with the given weighted edges.
+func edgeNet(n int, edges ...graph.Edge) *Network {
+	g := graph.New(n)
+	for _, e := range edges {
+		g.MustAddEdge(e.U, e.V, e.W)
+	}
+	return &Network{Graph: g}
+}
+
+// checkOracleExact warms the rows of sources (all vertices when nil) in
+// order and holds Latency(s,v), Latency(v,s) and Row(s)[v] bit for bit to a
+// plain ShortestPathsInto row over all v. Every cached row must then be in
+// float64 form exactly when floatRows names it.
+func checkOracleExact(t *testing.T, net *Network, sources []int, floatRows map[int]bool) {
+	t.Helper()
+	o := NewOracle(net)
+	fz := net.Graph.Frozen()
+	n := fz.NumVertices()
+	if sources == nil {
+		for s := 0; s < n; s++ {
+			sources = append(sources, s)
+		}
+	}
+	ref := make([]float64, n)
+	for _, s := range sources {
+		fz.ShortestPathsInto(s, ref)
+		row := o.Row(s)
+		for v, want := range ref {
+			wb := math.Float64bits(want)
+			if got := o.Latency(s, v); math.Float64bits(got) != wb {
+				t.Fatalf("Latency(%d,%d) = %v, want %v", s, v, got, want)
+			}
+			if got := o.Latency(v, s); math.Float64bits(got) != wb {
+				t.Fatalf("Latency(%d,%d) = %v, want %v", v, s, got, want)
+			}
+			if math.Float64bits(row[v]) != wb {
+				t.Fatalf("Row(%d)[%d] = %v, want %v", s, v, row[v], want)
+			}
+		}
+	}
+	for v := range o.rows {
+		r := o.rows[v].Load()
+		if r == nil {
+			continue
+		}
+		if (r.ms == nil) == (r.f == nil) {
+			t.Fatalf("row %d: want exactly one form, have ms=%v f=%v", v, r.ms != nil, r.f != nil)
+		}
+		if (r.f != nil) != floatRows[v] {
+			t.Fatalf("row %d: float64 form = %v, want %v", v, r.f != nil, floatRows[v])
+		}
+	}
+}
+
+// TestOracleCompactRowsExact: every answer is the Dijkstra row's exact bits
+// whichever form each row took, and the form follows the row's own values —
+// compact on every preset world, float64 wherever an entry is fractional or
+// too large for a uint16.
+func TestOracleCompactRowsExact(t *testing.T) {
+	gen := func(cfg Config) *Network {
+		net, err := Generate(cfg, rng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	scale := gen(ScaleTS(4096))
+	var sampled []int
+	for i, n := 0, scale.Graph.NumVertices(); i < 64; i++ {
+		sampled = append(sampled, i*n/64)
+	}
+	// Vertices 1 and 3 reach everything within 40 005 ms (compact); 0 and 2
+	// are 80 000 ms apart (float64).
+	long := edgeNet(4, graph.Edge{U: 0, V: 1, W: 40000}, graph.Edge{U: 1, V: 2, W: 40000}, graph.Edge{U: 1, V: 3, W: 5})
+	cases := []struct {
+		name      string
+		net       *Network
+		sources   []int
+		floatRows map[int]bool
+	}{
+		{"ts-large", gen(TSLarge()), nil, nil},
+		{"ts-small", gen(TSSmall()), nil, nil},
+		{"ScaleTS(4096) sampled", scale, sampled, nil},
+		{"2.5 ms link", edgeNet(5, graph.Edge{U: 0, V: 1, W: 5}, graph.Edge{U: 1, V: 2, W: 2.5}, graph.Edge{U: 3, V: 4, W: 5}),
+			nil, map[int]bool{0: true, 1: true, 2: true}},
+		{"zero-weight edge", edgeNet(3, graph.Edge{U: 0, V: 1, W: 0}, graph.Edge{U: 1, V: 2, W: 5}), nil, nil},
+		{"two components", edgeNet(4, graph.Edge{U: 0, V: 1, W: 5}, graph.Edge{U: 2, V: 3, W: 20}), nil, nil},
+		{"40 000 ms links", long, nil, map[int]bool{0: true, 2: true}},
+		{"mixed, compact row first", long, []int{1, 0}, map[int]bool{0: true, 2: true}},
+		{"mixed, float64 row first", long, []int{0, 1}, map[int]bool{0: true, 2: true}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			checkOracleExact(t, c.net, c.sources, c.floatRows)
+		})
+	}
+	// The kept zeros and the +Inf sentinel, spelled out.
+	zero := NewOracle(edgeNet(3, graph.Edge{U: 0, V: 1, W: 0}, graph.Edge{U: 1, V: 2, W: 5}))
+	if d := zero.Latency(0, 1); math.Float64bits(d) != 0 || zero.rows[0].Load().ms == nil {
+		t.Fatalf("zero-weight edge: Latency = %v, compact = %v", d, zero.rows[0].Load().ms != nil)
+	}
+	split := NewOracle(edgeNet(4, graph.Edge{U: 0, V: 1, W: 5}, graph.Edge{U: 2, V: 3, W: 20}))
+	if d := split.Latency(0, 3); !math.IsInf(d, 1) || split.rows[0].Load().ms[3] != infMS {
+		t.Fatalf("two components: Latency(0,3) = %v, want +Inf through the sentinel", d)
+	}
+}
+
+// oracleFuzzWeights are the link weights FuzzOracleRows draws from: whole
+// milliseconds (compact), a fraction and a weight whose sums pass 65 535
+// (float64).
+var oracleFuzzWeights = [...]float64{0, 0.5, 1, 5, 20, 50, 40000}
+
+// FuzzOracleRows: bytes become a graph of at most 24 vertices (first byte:
+// vertex count; then one edge per u, v, weight-index triple), and every pair
+// is held to the reference Dijkstra row's bits through Latency and Row.
+func FuzzOracleRows(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 3, 1, 2, 3, 2, 3, 4, 3, 4, 6})          // path
+	f.Add([]byte{6, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5}) // star
+	f.Add([]byte{4, 0, 1, 3, 2, 3, 4})                            // two components
+	f.Add([]byte{4, 0, 1, 0, 1, 2, 0, 2, 3, 0})                   // all-zero
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 {
+			return
+		}
+		n := 1 + int(b[0])%24
+		g := graph.New(n)
+		for i := 1; i+2 < len(b); i += 3 {
+			if u, v := int(b[i])%n, int(b[i+1])%n; u != v {
+				g.MustAddEdge(u, v, oracleFuzzWeights[int(b[i+2])%len(oracleFuzzWeights)])
+			}
+		}
+		o := NewOracle(&Network{Graph: g})
+		fz := g.Frozen()
+		ref := make([]float64, n)
+		for u := 0; u < n; u++ {
+			fz.ShortestPathsInto(u, ref)
+			for v, want := range ref {
+				if got := o.Latency(u, v); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Latency(%d,%d) = %v, want %v", u, v, got, want)
+				}
+			}
+			for v, got := range o.Row(u) {
+				if math.Float64bits(got) != math.Float64bits(ref[v]) {
+					t.Fatalf("Row(%d)[%d] = %v, want %v", u, v, got, ref[v])
+				}
+			}
+		}
+	})
 }
 
 // TestOracleLatencyWarmsLowerIndex pins the symmetric-miss fix: a cold
@@ -432,24 +588,31 @@ func TestOracleIsSnapshot(t *testing.T) {
 	}
 }
 
-// TestOracleWarmReadsAllocationFree: a warm point query (either direction)
-// and a warm Row are loads from the published row — no allocation.
+// TestOracleWarmReadsAllocationFree: a warm point query, in either
+// direction and on either row form, is a load from the published row — no
+// allocation.
 func TestOracleWarmReadsAllocationFree(t *testing.T) {
 	net, err := Generate(TSSmall(), rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := NewOracle(net)
-	u, v := net.StubHosts[0], net.StubHosts[7]
-	o.Row(u)
-	var sink float64
-	if a := testing.AllocsPerRun(100, func() { sink += o.Latency(u, v) + o.Latency(v, u) }); a != 0 {
-		t.Errorf("warm Latency allocates %v per run, want 0", a)
+	half := edgeNet(3, graph.Edge{U: 0, V: 1, W: 5}, graph.Edge{U: 1, V: 2, W: 2.5})
+	for _, c := range []struct {
+		name string
+		net  *Network
+		u, v int
+	}{
+		{"compact", net, net.StubHosts[0], net.StubHosts[7]},
+		{"float64", half, 0, 2},
+	} {
+		o := NewOracle(c.net)
+		o.Row(c.u)
+		var sink float64
+		if a := testing.AllocsPerRun(100, func() { sink += o.Latency(c.u, c.v) + o.Latency(c.v, c.u) }); a != 0 {
+			t.Errorf("%s: warm Latency allocates %v per run, want 0", c.name, a)
+		}
+		_ = sink
 	}
-	if a := testing.AllocsPerRun(100, func() { sink += o.Row(u)[v] }); a != 0 {
-		t.Errorf("warm Row allocates %v per run, want 0", a)
-	}
-	_ = sink
 }
 
 func TestNetworkString(t *testing.T) {

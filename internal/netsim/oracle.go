@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,14 +44,59 @@ type OracleOptions struct{}
 // safe for concurrent use: parallel trial runners and the parallel metric
 // evaluators all share one Oracle per network. Rows are published through
 // atomic pointers, so reads are lock-free; the per-row sync.Once makes each
-// Dijkstra run at most once under contention.
+// Dijkstra run at most once under contention. A row is stored in 2 bytes an
+// entry when its distances are whole milliseconds (see oracleRow).
 type Oracle struct {
 	fz    *graph.Frozen
 	instr *oracleInstr // nil unless SetInstruments was called
 
-	rows   []atomic.Pointer[[]float64]
-	once   []sync.Once  // one Dijkstra per row
-	cached atomic.Int64 // materialized row count, O(1) CachedRows
+	rows    []atomic.Pointer[oracleRow]
+	once    []sync.Once  // one Dijkstra per row
+	cached  atomic.Int64 // materialized row count, O(1) CachedRows
+	scratch sync.Pool    // *[]float64 of length NumNodes: Dijkstra output before encoding
+}
+
+// infMS is the compact-row code for +Inf (unreachable). Finite compact
+// entries are whole milliseconds below it.
+const infMS = math.MaxUint16
+
+// oracleRow is one source's distance row in one of two forms, chosen by its
+// own values (DESIGN.md §7 "One-mode latency oracle"): ms when every entry
+// survives the uint16 round trip bit for bit, f otherwise. Exactly one of
+// the two is non-nil, so every answer is the Dijkstra output's exact bits.
+type oracleRow struct {
+	ms []uint16
+	f  []float64
+}
+
+// newOracleRow encodes a Dijkstra row. An entry is compact when it is +Inf
+// or a finite value below infMS whose bits equal those of its uint16
+// conversion back to float64; NaN, negatives, −0, fractions and values ≥
+// infMS fail the test, and one failure keeps the whole row in float64.
+func newOracleRow(d []float64) *oracleRow {
+	ms := make([]uint16, len(d))
+	for i, x := range d {
+		switch {
+		case math.IsInf(x, 1):
+			ms[i] = infMS
+		case x >= 0 && x < infMS && math.Float64bits(float64(uint16(x))) == math.Float64bits(x):
+			ms[i] = uint16(x)
+		default:
+			return &oracleRow{f: append([]float64(nil), d...)}
+		}
+	}
+	return &oracleRow{ms: ms}
+}
+
+// at returns the distance to v.
+func (r *oracleRow) at(v int) float64 {
+	if r.ms != nil {
+		if c := r.ms[v]; c != infMS {
+			return float64(c)
+		}
+		return math.Inf(1)
+	}
+	return r.f[v]
 }
 
 // precomputeSlots is a process-wide cap on extra Precompute workers so that
@@ -64,11 +110,13 @@ var precomputeSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 func NewOracle(net *Network) *Oracle {
 	fz := net.Graph.Frozen()
 	n := fz.NumVertices()
-	return &Oracle{
+	o := &Oracle{
 		fz:   fz,
-		rows: make([]atomic.Pointer[[]float64], n),
+		rows: make([]atomic.Pointer[oracleRow], n),
 		once: make([]sync.Once, n),
 	}
+	o.scratch.New = func() any { d := make([]float64, n); return &d }
+	return o
 }
 
 // NewOracleWith is NewOracle. Bench-contract shim — bench/world.go and
@@ -116,11 +164,11 @@ func (o *Oracle) Latency(u, v int) float64 {
 	// symmetric in an undirected graph.
 	if p := o.rows[u].Load(); p != nil {
 		o.hit()
-		return (*p)[v]
+		return p.at(v)
 	}
 	if p := o.rows[v].Load(); p != nil {
 		o.hit()
-		return (*p)[u]
+		return p.at(u)
 	}
 	// Neither direction is cached: warm the lower-indexed endpoint, so the
 	// symmetric query later reuses this row instead of running a second
@@ -128,18 +176,23 @@ func (o *Oracle) Latency(u, v int) float64 {
 	if u > v {
 		u, v = v, u
 	}
-	return o.row(u)[v]
+	return o.row(u).at(v)
 }
 
-// Row exposes the full distance vector from src, computing it on first use.
-// The returned slice is the shared cached storage — the same backing array
-// on every call — and callers must not mutate it. Useful for bulk metric
-// computation.
+// Row returns the full distance vector from src, computing the cached row
+// on first use. The slice is decoded afresh on every call and the caller
+// owns it; its entries are bit-identical to Latency(src, ·).
 func (o *Oracle) Row(src int) []float64 {
-	if n := len(o.rows); src < 0 || src >= n {
+	n := len(o.rows)
+	if src < 0 || src >= n {
 		panic(fmt.Sprintf("netsim: row query %d out of range [0,%d)", src, n))
 	}
-	return o.row(src)
+	r := o.row(src)
+	d := make([]float64, n)
+	for v := range d {
+		d[v] = r.at(v)
+	}
+	return d
 }
 
 // hit records a cached-row answer when instrumented.
@@ -150,22 +203,24 @@ func (o *Oracle) hit() {
 }
 
 // row returns src's distance row, running its Dijkstra on the snapshot the
-// first time. The atomic load is the lock-free warm path; sync.Once
-// serializes only concurrent first uses of the same row.
-func (o *Oracle) row(src int) []float64 {
+// first time into a pooled buffer and encoding it. The atomic load is the
+// lock-free warm path; sync.Once serializes only concurrent first uses of
+// the same row.
+func (o *Oracle) row(src int) *oracleRow {
 	if p := o.rows[src].Load(); p != nil {
-		return *p
+		return p
 	}
 	o.once[src].Do(func() {
 		if o.instr != nil {
 			o.instr.computes.Add(1)
 		}
-		r := make([]float64, len(o.rows))
-		o.fz.ShortestPathsInto(src, r)
-		o.rows[src].Store(&r)
+		buf := o.scratch.Get().(*[]float64)
+		o.fz.ShortestPathsInto(src, *buf)
+		o.rows[src].Store(newOracleRow(*buf))
+		o.scratch.Put(buf)
 		o.cached.Add(1)
 	})
-	return *o.rows[src].Load()
+	return o.rows[src].Load()
 }
 
 // Precompute warms the cache for the given sources. Experiments call this
