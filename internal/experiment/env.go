@@ -31,10 +31,10 @@ func newEnv(preset netsim.Config, seed uint64) (*env, error) {
 
 // pickHosts selects n distinct stub hosts uniformly at random; n is capped
 // at the number of stub hosts ("PROP-G is still effective even when almost
-// all physical nodes are chosen"). The picked hosts' oracle rows are warmed
-// in bulk — every overlay build and metric sample queries exactly these
-// sources, so one Precompute here replaces thousands of lazy cold-row
-// misses on the measurement path.
+// all physical nodes are chosen"). The rows of the picked hosts' anchors —
+// the transit routers they hang off — are warmed in bulk: every overlay
+// build and metric sample queries exactly these sources, so one Precompute
+// here keeps every cold-row miss off the measurement path.
 func (e *env) pickHosts(n int) []int {
 	hosts := append([]int(nil), e.net.StubHosts...)
 	e.r.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })

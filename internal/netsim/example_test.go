@@ -26,12 +26,14 @@ func Example() {
 }
 
 // ExampleOracle_Precompute warms the distance cache in parallel before a
-// measurement phase.
+// measurement phase. Every stub host is anchored at the transit router its
+// stub domain hangs off, so warming all 2400 hosts computes one row per
+// router.
 func ExampleOracle_Precompute() {
 	net, _ := netsim.Generate(netsim.TSSmall(), rng.New(2))
 	oracle := netsim.NewOracle(net)
-	oracle.Precompute(net.StubHosts[:64])
-	fmt.Println(oracle.CachedRows())
+	oracle.Precompute(net.StubHosts)
+	fmt.Println(len(net.StubHosts), "hosts,", oracle.CachedRows(), "rows")
 	// Output:
-	// 64
+	// 2400 hosts, 8 rows
 }

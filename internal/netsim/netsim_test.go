@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -273,34 +274,50 @@ func TestOracleConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// All goroutines query the same pair from both directions.
-			results[w] = o.Latency(hosts[w%2], hosts[100+(w+1)%2])
+			// All goroutines race for one cold row: the hosts hang off
+			// routers 0 and 1 (300 hosts per router).
+			results[w] = o.Latency(hosts[w%2], hosts[300+(w+1)%2])
 		}(w)
 	}
 	wg.Wait()
+	if got := o.CachedRows(); got != 1 {
+		t.Fatalf("racing queries cached %d rows, want 1", got)
+	}
 	// Every query must agree with a sequential recomputation.
 	seq := NewOracle(net)
 	for w, got := range results {
-		want := seq.Latency(hosts[w%2], hosts[100+(w+1)%2])
+		want := seq.Latency(hosts[w%2], hosts[300+(w+1)%2])
 		if got != want {
 			t.Fatalf("worker %d: latency %v, want %v", w, got, want)
 		}
 	}
 }
 
+// TestOraclePrecompute: Precompute warms one row per distinct anchor of its
+// sources — on a generated world, the transit router each host's stub
+// domain hangs off — however many hosts share it.
 func TestOraclePrecompute(t *testing.T) {
 	net, err := Generate(TSSmall(), rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := NewOracle(net)
-	srcs := net.StubHosts[:32]
+	srcs := net.StubHosts[250:650] // stub domains 2..6: routers 0, 1 and 2
+	routers := map[int]bool{}
+	for _, h := range srcs {
+		routers[net.StubDomain[h]/net.Config.StubDomainsPerTransit] = true
+	}
 	o.Precompute(srcs)
-	if got := o.CachedRows(); got != len(srcs) {
-		t.Fatalf("CachedRows = %d, want %d", got, len(srcs))
+	if got := o.CachedRows(); got != len(routers) {
+		t.Fatalf("CachedRows = %d, want %d (one per router)", got, len(routers))
+	}
+	for r := range routers {
+		if o.rows[r].Load() == nil {
+			t.Fatalf("router %d's row is cold", r)
+		}
 	}
 	o.Precompute(nil) // no-op
-	if got := o.CachedRows(); got != len(srcs) {
+	if got := o.CachedRows(); got != len(routers) {
 		t.Fatalf("CachedRows after empty precompute = %d", got)
 	}
 }
@@ -313,7 +330,9 @@ func TestOraclePrecomputeValidatesBeforeWork(t *testing.T) {
 	o := NewOracle(net)
 	// A mix of valid sources and one invalid source must panic without
 	// warming ANY row: validation happens before anything is enqueued.
-	mixed := []int{net.StubHosts[0], net.StubHosts[1], -1, net.StubHosts[2]}
+	// The three hosts hang off routers 0, 1 and 2 (300 hosts per router).
+	hosts := []int{net.StubHosts[0], net.StubHosts[300], net.StubHosts[600]}
+	mixed := []int{hosts[0], hosts[1], -1, hosts[2]}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -326,9 +345,9 @@ func TestOraclePrecomputeValidatesBeforeWork(t *testing.T) {
 		t.Fatalf("CachedRows = %d after rejected precompute, want 0 (no partial work)", got)
 	}
 	// The same call without the bad source succeeds fully.
-	o.Precompute([]int{net.StubHosts[0], net.StubHosts[1], net.StubHosts[2]})
+	o.Precompute(hosts)
 	if got := o.CachedRows(); got != 3 {
-		t.Fatalf("CachedRows = %d, want 3", got)
+		t.Fatalf("CachedRows = %d, want 3 anchor rows", got)
 	}
 }
 
@@ -373,11 +392,12 @@ func edgeNet(n int, edges ...graph.Edge) *Network {
 	return &Network{Graph: g}
 }
 
-// checkOracleExact warms the rows of sources (all vertices when nil) in
-// order and holds Latency(s,v), Latency(v,s) and Row(s)[v] bit for bit to a
+// checkOracleExact reads Row(s) for sources (all vertices when nil) in order,
+// warming their anchors' rows, and holds Latency(s,v), Latency(v,s) and
+// Row(s)[v] bit for bit to a
 // plain ShortestPathsInto row over all v. Every cached row must then be in
-// float64 form exactly when floatRows names it.
-func checkOracleExact(t *testing.T, net *Network, sources []int, floatRows map[int]bool) {
+// float64 form exactly when floatRows names it. It returns the oracle.
+func checkOracleExact(t *testing.T, net *Network, sources []int, floatRows map[int]bool) *Oracle {
 	t.Helper()
 	o := NewOracle(net)
 	fz := net.Graph.Frozen()
@@ -416,13 +436,17 @@ func checkOracleExact(t *testing.T, net *Network, sources []int, floatRows map[i
 			t.Fatalf("row %d: float64 form = %v, want %v", v, r.f != nil, floatRows[v])
 		}
 	}
+	return o
 }
 
-// TestOracleCompactRowsExact: every answer is the Dijkstra row's exact bits
-// whichever form each row took, and the form follows the row's own values —
-// compact on every preset world, float64 wherever an entry is fractional or
-// too large for a uint16.
-func TestOracleCompactRowsExact(t *testing.T) {
+// TestOracleAnchorsExact: every answer is the Dijkstra row's exact bits
+// whichever nodes the oracle decomposes, and exactly the hosts of pendant
+// stub domains are decomposed — every stub host of a generated world, none
+// where a domain has a second exit or none, hangs off another such domain,
+// the weights fail the exact-sum gate, or there are no labels. A pendant
+// host is anchored at a router (generated worlds) or at the exit's outer
+// end; every other node is its own anchor at +0.
+func TestOracleAnchorsExact(t *testing.T) {
 	gen := func(cfg Config) *Network {
 		net, err := Generate(cfg, rng.New(3))
 		if err != nil {
@@ -430,11 +454,99 @@ func TestOracleCompactRowsExact(t *testing.T) {
 		}
 		return net
 	}
-	scale := gen(ScaleTS(4096))
+	stubs := func(net *Network) map[int]bool {
+		m := map[int]bool{}
+		for _, h := range net.StubHosts {
+			m[h] = true
+		}
+		return m
+	}
+	set := func(vs ...int) map[int]bool {
+		m := map[int]bool{}
+		for _, v := range vs {
+			m[v] = true
+		}
+		return m
+	}
+	e := func(u, v int, w float64) graph.Edge { return graph.Edge{U: u, V: v, W: w} }
+	labeled := func(labels []int, edges ...graph.Edge) *Network {
+		net := edgeNet(len(labels), edges...)
+		net.StubDomain = labels
+		return net
+	}
+	large, small, scale := gen(TSLarge()), gen(TSSmall()), gen(ScaleTS(4096))
 	var sampled []int
 	for i, n := 0, scale.Graph.NumVertices(); i < 64; i++ {
 		sampled = append(sampled, i*n/64)
 	}
+	// Vertices 0 and 1 are routers 50 ms apart; stub hosts follow.
+	r := e(0, 1, 50)
+	cutOff := labeled([]int{-1, -1, 0, 0, 0}, r, e(2, 3, 5), e(0, 2, 20)) // host 4 has no link
+	long := labeled([]int{-1, -1, 0, 0, 0}, r, e(2, 3, 40000), e(3, 4, 40000), e(0, 2, 20))
+	cases := []struct {
+		name      string
+		net       *Network
+		sources   []int
+		floatRows map[int]bool
+		pendant   map[int]bool
+	}{
+		{"ts-large", large, nil, nil, stubs(large)},
+		{"ts-small", small, nil, nil, stubs(small)},
+		{"ScaleTS(4096) sampled", scale, sampled, nil, stubs(scale)},
+		{"second exit, no exit", labeled([]int{-1, -1, 0, 0, 1, 1, 2, 2}, r,
+			e(2, 3, 5), e(0, 2, 20), e(1, 3, 20), e(4, 5, 5), e(6, 7, 5), e(1, 7, 20)), nil, nil, set(6, 7)},
+		{"mutually attached", labeled([]int{-1, -1, 0, 0, 1, 1}, r, e(2, 3, 5), e(4, 5, 5), e(3, 4, 20)), nil, nil, nil},
+		{"off a two-exit domain", labeled([]int{-1, -1, 0, 0, 1, 1}, r,
+			e(2, 3, 5), e(0, 2, 20), e(3, 4, 20), e(4, 5, 5)), nil, nil, set(4, 5)},
+		{"cut-off host", cutOff, nil, nil, set(2, 3, 4)},
+		{"2.5 ms link", labeled([]int{-1, -1, 0, 0}, r, e(2, 3, 2.5), e(0, 2, 20)), nil, set(0, 1, 2, 3), nil},
+		{"nil StubDomain", edgeNet(4, r, e(2, 3, 5), e(0, 2, 20)), nil, nil, nil},
+		{"40 000 ms intra links", long, nil, set(0, 1), set(2, 3, 4)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := checkOracleExact(t, c.net, c.sources, c.floatRows)
+			for v, nd := range o.nodes {
+				if (nd.dom >= 0) != c.pendant[v] {
+					t.Fatalf("node %d: pendant = %v, want %v", v, nd.dom >= 0, c.pendant[v])
+				}
+				if nd.dom < 0 && (nd.anchor != int32(v) || math.Float64bits(nd.off) != 0) {
+					t.Fatalf("node %d: anchor %d at %v, want itself at +0", v, nd.anchor, nd.off)
+				}
+				if nd.dom >= 0 && c.net.Tiers != nil && c.net.Tiers[nd.anchor] != TierTransit {
+					t.Fatalf("host %d: anchor %d is not a transit router", v, nd.anchor)
+				}
+			}
+		})
+	}
+
+	// The cut-off host's +Inf comes through its offset and through its
+	// domain's table; the 40 000 ms domain's table is float64.
+	o := NewOracle(cutOff)
+	h, up := o.nodes[4], o.nodes[2]
+	tb := o.intra[h.dom]
+	if d := tb.d.at(int(h.idx)*tb.k + int(up.idx)); !math.IsInf(h.off, 1) || !math.IsInf(d, 1) {
+		t.Fatalf("cut-off host: offset %v, table entry %v, want +Inf", h.off, d)
+	}
+	if tb := NewOracle(long).intra[0]; tb.k != 3 || tb.d.f == nil {
+		t.Fatalf("40 000 ms links: %d×%d table, float64 = %v, want 3×3 float64", tb.k, tb.k, tb.d.f != nil)
+	}
+
+	// Warming every stub host of ts-large computes one row per router.
+	o = NewOracle(large)
+	var computes obs.Counter
+	o.SetInstruments(nil, nil, &computes, nil)
+	o.Precompute(large.StubHosts)
+	if want := large.Config.TotalTransit(); computes.Value() != uint64(want) || o.CachedRows() != want {
+		t.Fatalf("Precompute(StubHosts): %d computes, %d rows, want %d", computes.Value(), o.CachedRows(), want)
+	}
+}
+
+// TestOracleCompactRowsExact: every answer is the Dijkstra row's exact bits
+// whichever form each row took, and the form follows the row's own values —
+// float64 wherever an entry is fractional or too large for a uint16. (The
+// preset worlds, every row compact, are TestOracleAnchorsExact's cases.)
+func TestOracleCompactRowsExact(t *testing.T) {
 	// Vertices 1 and 3 reach everything within 40 005 ms (compact); 0 and 2
 	// are 80 000 ms apart (float64).
 	long := edgeNet(4, graph.Edge{U: 0, V: 1, W: 40000}, graph.Edge{U: 1, V: 2, W: 40000}, graph.Edge{U: 1, V: 3, W: 5})
@@ -444,9 +556,6 @@ func TestOracleCompactRowsExact(t *testing.T) {
 		sources   []int
 		floatRows map[int]bool
 	}{
-		{"ts-large", gen(TSLarge()), nil, nil},
-		{"ts-small", gen(TSSmall()), nil, nil},
-		{"ScaleTS(4096) sampled", scale, sampled, nil},
 		{"2.5 ms link", edgeNet(5, graph.Edge{U: 0, V: 1, W: 5}, graph.Edge{U: 1, V: 2, W: 2.5}, graph.Edge{U: 3, V: 4, W: 5}),
 			nil, map[int]bool{0: true, 1: true, 2: true}},
 		{"zero-weight edge", edgeNet(3, graph.Edge{U: 0, V: 1, W: 0}, graph.Edge{U: 1, V: 2, W: 5}), nil, nil},
@@ -476,26 +585,41 @@ func TestOracleCompactRowsExact(t *testing.T) {
 // (float64).
 var oracleFuzzWeights = [...]float64{0, 0.5, 1, 5, 20, 50, 40000}
 
-// FuzzOracleRows: bytes become a graph of at most 24 vertices (first byte:
-// vertex count; then one edge per u, v, weight-index triple), and every pair
-// is held to the reference Dijkstra row's bits through Latency and Row.
+// FuzzOracleRows: bytes become a labelled graph of at most 24 vertices
+// (first byte: vertex count n; then n stub-domain labels, byte%4 − 1, so 0 is
+// −1 and missing bytes are too; then one edge per u, v, weight-index
+// triple), and every pair is held to the reference Dijkstra row's bits
+// through Latency and Row, whichever domains the labels make pendant.
 func FuzzOracleRows(f *testing.F) {
-	f.Add([]byte{5, 0, 1, 3, 1, 2, 3, 2, 3, 4, 3, 4, 6})          // path
-	f.Add([]byte{6, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5}) // star
-	f.Add([]byte{4, 0, 1, 3, 2, 3, 4})                            // two components
-	f.Add([]byte{4, 0, 1, 0, 1, 2, 0, 2, 3, 0})                   // all-zero
+	f.Add([]byte{5, 0, 0, 0, 0, 0, 0, 0, 1, 3, 1, 2, 3, 2, 3, 4, 3, 4, 6})             // path
+	f.Add([]byte{6, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5}) // star
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 1, 3, 2, 3, 4})                                  // two components
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 1, 0, 1, 2, 0, 2, 3, 0})                         // all-zero
+	// Router 0 with two pendant pairs {1,2} and {3,4} hanging off it.
+	f.Add([]byte{4, 0, 1, 1, 2, 2, 1, 2, 3, 2, 0, 4, 3, 4, 3, 3, 0, 4})
+	// Routers 0 and 3 with one domain {1,2} linked to both: two exits.
+	f.Add([]byte{3, 0, 1, 1, 0, 0, 3, 5, 1, 2, 3, 1, 0, 4, 2, 3, 4})
+	// Domains {0,1} and {2,3} joined only to each other.
+	f.Add([]byte{3, 1, 1, 2, 2, 0, 1, 3, 2, 3, 3, 1, 2, 4})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) == 0 {
 			return
 		}
 		n := 1 + int(b[0])%24
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = -1
+			if 1+i < len(b) {
+				labels[i] = int(b[1+i])%4 - 1
+			}
+		}
 		g := graph.New(n)
-		for i := 1; i+2 < len(b); i += 3 {
+		for i := 1 + n; i+2 < len(b); i += 3 {
 			if u, v := int(b[i])%n, int(b[i+1])%n; u != v {
 				g.MustAddEdge(u, v, oracleFuzzWeights[int(b[i+2])%len(oracleFuzzWeights)])
 			}
 		}
-		o := NewOracle(&Network{Graph: g})
+		o := NewOracle(&Network{Graph: g, StubDomain: labels})
 		fz := g.Frozen()
 		ref := make([]float64, n)
 		for u := 0; u < n; u++ {
@@ -515,17 +639,17 @@ func FuzzOracleRows(f *testing.F) {
 }
 
 // TestOracleLatencyWarmsLowerIndex pins the symmetric-miss fix: a cold
-// Latency(u,v) query computes exactly one row — the lower-indexed
-// endpoint's — and the mirrored query reuses it instead of computing a
-// second row.
+// Latency(u,v) query between two transit routers (each its own anchor)
+// computes exactly one row — the lower-indexed endpoint's — and the
+// mirrored query reuses it instead of computing a second row.
 func TestOracleLatencyWarmsLowerIndex(t *testing.T) {
 	net, err := Generate(TSSmall(), rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, v := net.StubHosts[5], net.StubHosts[2]
-	if u < v {
-		u, v = v, u // ensure u > v
+	u, v := 5, 2 // routers occupy IDs [0, TotalTransit)
+	if net.Tiers[u] != TierTransit || net.Tiers[v] != TierTransit {
+		t.Fatalf("nodes %d and %d are not both transit routers", u, v)
 	}
 	o := NewOracle(net)
 	luv := o.Latency(u, v)
@@ -546,15 +670,15 @@ func TestOracleLatencyWarmsLowerIndex(t *testing.T) {
 
 // TestOracleIsSnapshot: the oracle describes the physical graph as it stood
 // at NewOracle. Cutting a host's links afterwards changes neither a cached
-// row nor a row first computed after the cut; a fresh oracle over the
-// mutated graph does see it.
+// row nor a row first computed after the cut — a router's, which is its own
+// anchor; a fresh oracle over the mutated graph does see it.
 func TestOracleIsSnapshot(t *testing.T) {
 	net, err := Generate(TSSmall(), rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := NewOracle(net)
-	warm, cold, cut := net.StubHosts[0], net.StubHosts[1], net.StubHosts[2]
+	warm, cold, cut := net.StubHosts[0], net.Config.TotalTransit()-1, net.StubHosts[2]
 	before := append([]float64(nil), o.Row(warm)...)
 	wantCold := NewOracle(net).Row(cold) // computed pre-cut; o's own row stays cold
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,12 +18,12 @@ import (
 type oracleInstr struct {
 	// queries counts Latency point queries.
 	queries *obs.Counter
-	// hits counts point queries answered from an already-cached row.
+	// hits counts point queries answered without running a Dijkstra.
 	// Scheduling-dependent under concurrent warm-up (whichever row lands
 	// first serves the symmetric pair), so it is excluded from the
 	// byte-determinism contract; queries and computes are deterministic.
 	hits *obs.Counter
-	// computes counts Dijkstra row computations (cold misses).
+	// computes counts full-graph Dijkstra row computations (cold misses).
 	computes *obs.Counter
 }
 
@@ -39,31 +40,51 @@ type OracleOptions struct{}
 // The oracle is an immutable snapshot: it holds the CSR view of the physical
 // graph as it stood at construction, and later mutations of net.Graph change
 // none of its answers (the underlay is static in every experiment; a caller
-// that does rewire it builds a new oracle). Distances are computed lazily,
-// one Dijkstra per source, and cached for the oracle's lifetime. The cache is
-// safe for concurrent use: parallel trial runners and the parallel metric
-// evaluators all share one Oracle per network. Rows are published through
-// atomic pointers, so reads are lock-free; the per-row sync.Once makes each
+// that does rewire it builds a new oracle). A host of a pendant stub domain
+// is answered through the router its domain hangs off (see anchor), so the
+// full-graph rows behind every answer are computed lazily, one Dijkstra per
+// anchor, and cached for the oracle's lifetime. The cache is safe for
+// concurrent use: parallel trial runners and the parallel metric evaluators
+// all share one Oracle per network. Rows are published through atomic
+// pointers, so reads are lock-free; the per-row sync.Once makes each
 // Dijkstra run at most once under contention. A row is stored in 2 bytes an
 // entry when its distances are whole milliseconds (see oracleRow).
 type Oracle struct {
 	fz    *graph.Frozen
 	instr *oracleInstr // nil unless SetInstruments was called
+	nodes []oracleNode // one per physical node, fixed at NewOracle
+	intra []intraTable // one per pendant stub domain, fixed at NewOracle
 
-	rows    []atomic.Pointer[oracleRow]
-	once    []sync.Once  // one Dijkstra per row
-	cached  atomic.Int64 // materialized row count, O(1) CachedRows
-	scratch sync.Pool    // *[]float64 of length NumNodes: Dijkstra output before encoding
+	rows    []atomic.Pointer[oracleRow] // core rows; only anchors' are ever computed
+	once    []sync.Once                 // one Dijkstra per row
+	cached  atomic.Int64                // materialized row count, O(1) CachedRows
+	scratch sync.Pool                   // *[]float64 of length V: Dijkstra output before encoding
+}
+
+// oracleNode places one physical node: off is its distance to anchor; a
+// pendant host's dom names its domain, whose table row idx holds its
+// distances to the domain's hosts. Any other node is its own anchor at +0
+// with dom = −1.
+type oracleNode struct {
+	off              float64
+	anchor, dom, idx int32
+}
+
+// intraTable is one pendant domain's k×k distance table, row-major.
+type intraTable struct {
+	k int
+	d *oracleRow
 }
 
 // infMS is the compact-row code for +Inf (unreachable). Finite compact
 // entries are whole milliseconds below it.
 const infMS = math.MaxUint16
 
-// oracleRow is one source's distance row in one of two forms, chosen by its
-// own values (DESIGN.md §7 "One-mode latency oracle"): ms when every entry
-// survives the uint16 round trip bit for bit, f otherwise. Exactly one of
-// the two is non-nil, so every answer is the Dijkstra output's exact bits.
+// oracleRow is one source's distance row, or one pendant domain's table, in
+// one of two forms chosen by its own values (DESIGN.md §7 "One-mode latency
+// oracle"): ms when every entry survives the uint16 round trip bit for bit,
+// f otherwise. Exactly one of the two is non-nil, so every answer is the
+// Dijkstra output's exact bits.
 type oracleRow struct {
 	ms []uint16
 	f  []float64
@@ -111,12 +132,98 @@ func NewOracle(net *Network) *Oracle {
 	fz := net.Graph.Frozen()
 	n := fz.NumVertices()
 	o := &Oracle{
-		fz:   fz,
-		rows: make([]atomic.Pointer[oracleRow], n),
-		once: make([]sync.Once, n),
+		fz:    fz,
+		nodes: make([]oracleNode, n),
+		rows:  make([]atomic.Pointer[oracleRow], n),
+		once:  make([]sync.Once, n),
 	}
 	o.scratch.New = func() any { d := make([]float64, n); return &d }
+	o.anchor(net.StubDomain)
 	return o
+}
+
+// anchor fills nodes and intra from the snapshot's edges and the stub-domain
+// labels (a label outside [0, V) marks no domain; DESIGN.md §7). A stub
+// domain is pendant when exactly one edge leaves it and that edge's outer
+// endpoint lies in no other such domain. Its hosts are anchored at that
+// endpoint, offset by their distance to the edge plus its weight, and share
+// a table of distances among themselves (one Dijkstra per host over the
+// domain's own links): the edge's inner end is a cut vertex, so no shortest
+// path between two of them leaves the domain. No domain is pendant unless
+// every weight is a whole number of milliseconds in [0, 2³¹) and V ≤ 2²¹:
+// then every path sum is an integer below 2⁵², and no order of additions can
+// change a bit.
+func (o *Oracle) anchor(labels []int) {
+	n := len(o.nodes)
+	label := func(u int32) int {
+		if int(u) < len(labels) && labels[u] >= 0 && labels[u] < n {
+			return labels[u]
+		}
+		return -1
+	}
+	type exit struct {
+		count, pend int // pend is 1 + the domain's intra index once placed
+		in, out     int32
+		w           float64
+	}
+	exits := make([]exit, n)
+	exact := n <= 1<<21
+	for u := range o.nodes {
+		o.nodes[u] = oracleNode{anchor: int32(u), dom: -1}
+		d := label(int32(u))
+		nbr, wt := o.fz.Row(u)
+		for i, v := range nbr {
+			w := wt[i]
+			exact = exact && w >= 0 && w < 1<<31 && math.Float64bits(float64(int64(w))) == math.Float64bits(w)
+			if d >= 0 && label(v) != d {
+				exits[d] = exit{count: exits[d].count + 1, in: int32(u), out: v, w: w}
+			}
+		}
+	}
+	if !exact {
+		return
+	}
+	var members [][]int32
+	for u := range o.nodes {
+		d := label(int32(u))
+		if d < 0 || exits[d].count != 1 {
+			continue
+		}
+		e := &exits[d]
+		if od := label(e.out); od >= 0 && exits[od].count == 1 {
+			continue // two domains hanging off each other
+		}
+		if e.pend == 0 {
+			members = append(members, nil)
+			e.pend = len(members)
+		}
+		p := e.pend - 1
+		o.nodes[u].dom, o.nodes[u].idx = int32(p), int32(len(members[p]))
+		members[p] = append(members[p], int32(u))
+	}
+	o.intra = make([]intraTable, len(members))
+	for p, ms := range members {
+		k := len(ms)
+		g := graph.New(k)
+		for i, u := range ms {
+			nbr, wt := o.fz.Row(int(u))
+			for j, v := range nbr {
+				if v > u && o.nodes[v].dom == int32(p) {
+					g.MustAddEdge(i, int(o.nodes[v].idx), wt[j])
+				}
+			}
+		}
+		fz, d := g.Freeze(), make([]float64, k*k)
+		for i := range ms {
+			fz.ShortestPathsInto(i, d[i*k:(i+1)*k])
+		}
+		o.intra[p] = intraTable{k: k, d: newOracleRow(d)}
+		e := exits[label(ms[0])]
+		up := int(o.nodes[e.in].idx) * k
+		for i, u := range ms {
+			o.nodes[u].anchor, o.nodes[u].off = e.out, d[up+i]+e.w
+		}
+	}
 }
 
 // NewOracleWith is NewOracle. Bench-contract shim — bench/world.go and
@@ -124,11 +231,8 @@ func NewOracle(net *Network) *Oracle {
 // benchmark-only PR (ROADMAP).
 func NewOracleWith(net *Network, _ OracleOptions) *Oracle { return NewOracle(net) }
 
-// NumNodes reports the number of physical nodes the oracle covers.
-func (o *Oracle) NumNodes() int { return len(o.rows) }
-
 // SetInstruments attaches obs counters for cache activity: point queries,
-// cached-row hits and Dijkstra row computations. Any counter may be nil
+// hits and Dijkstra row computations (see oracleInstr). Any counter may be nil
 // (obs counters are nil-safe); calling with all nils — or never calling —
 // keeps the hot path at a single nil check. Attach before sharing the
 // oracle across goroutines: the field itself is not synchronized.
@@ -160,49 +264,59 @@ func (o *Oracle) Latency(u, v int) float64 {
 	if u == v {
 		return 0
 	}
-	// Prefer an already-computed row in either direction: distances are
-	// symmetric in an undirected graph.
-	if p := o.rows[u].Load(); p != nil {
+	a, b := &o.nodes[u], &o.nodes[v]
+	if a.dom >= 0 && a.dom == b.dom {
 		o.hit()
-		return p.at(v)
+		t := &o.intra[a.dom]
+		return t.d.at(int(a.idx)*t.k + int(b.idx))
 	}
-	if p := o.rows[v].Load(); p != nil {
-		o.hit()
-		return p.at(u)
-	}
-	// Neither direction is cached: warm the lower-indexed endpoint, so the
-	// symmetric query later reuses this row instead of running a second
-	// Dijkstra into the other endpoint's slot.
-	if u > v {
-		u, v = v, u
-	}
-	return o.row(u).at(v)
+	return a.off + o.core(int(a.anchor), int(b.anchor)) + b.off
 }
 
-// Row returns the full distance vector from src, computing the cached row
-// on first use. The slice is decoded afresh on every call and the caller
-// owns it; its entries are bit-identical to Latency(src, ·).
+// core returns the full-graph distance between anchors x and y. It prefers
+// an already-computed row in either direction — distances are symmetric in
+// an undirected graph — and otherwise warms the lower-indexed anchor, so the
+// mirrored query later reuses this row instead of running a second Dijkstra.
+func (o *Oracle) core(x, y int) float64 {
+	if x == y {
+		o.hit()
+		return 0
+	}
+	if p := o.rows[x].Load(); p != nil {
+		o.hit()
+		return p.at(y)
+	}
+	if p := o.rows[y].Load(); p != nil {
+		o.hit()
+		return p.at(x)
+	}
+	return o.row(min(x, y)).at(max(x, y))
+}
+
+// Row returns the full distance vector from src: it warms src's anchor row,
+// then reads every entry through Latency(src, ·), so an instrumented oracle
+// counts V queries per call. The slice is fresh and the caller owns it.
 func (o *Oracle) Row(src int) []float64 {
 	n := len(o.rows)
 	if src < 0 || src >= n {
 		panic(fmt.Sprintf("netsim: row query %d out of range [0,%d)", src, n))
 	}
-	r := o.row(src)
+	o.row(int(o.nodes[src].anchor))
 	d := make([]float64, n)
 	for v := range d {
-		d[v] = r.at(v)
+		d[v] = o.Latency(src, v)
 	}
 	return d
 }
 
-// hit records a cached-row answer when instrumented.
+// hit records an answer that ran no Dijkstra when instrumented.
 func (o *Oracle) hit() {
 	if o.instr != nil {
 		o.instr.hits.Add(1)
 	}
 }
 
-// row returns src's distance row, running its Dijkstra on the snapshot the
+// row returns src's full-graph row, running its Dijkstra on the snapshot the
 // first time into a pooled buffer and encoding it. The atomic load is the
 // lock-free warm path; sync.Once serializes only concurrent first uses of
 // the same row.
@@ -223,11 +337,12 @@ func (o *Oracle) row(src int) *oracleRow {
 	return o.rows[src].Load()
 }
 
-// Precompute warms the cache for the given sources. Experiments call this
-// with the overlay's attachment hosts so the measurement phase is
-// contention-free. All sources are validated before any work is enqueued: a
-// bad source in the middle of the list panics without computing (or
-// leaking) anything, so the cache is untouched rather than half-warmed.
+// Precompute warms the rows of the given sources' anchors, each once.
+// Experiments call this with the overlay's attachment hosts so the
+// measurement phase is contention-free. All sources are validated before any
+// work is enqueued: a bad source in the middle of the list panics without
+// computing (or leaking) anything, so the cache is untouched rather than
+// half-warmed.
 //
 // Parallelism: the calling goroutine always participates; up to
 // GOMAXPROCS-1 extra workers are borrowed from a process-wide pool shared
@@ -235,24 +350,25 @@ func (o *Oracle) row(src int) *oracleRow {
 // oversubscribe the CPUs.
 func (o *Oracle) Precompute(sources []int) {
 	n := len(o.rows)
-	for _, s := range sources {
+	anchors := make([]int, len(sources))
+	for i, s := range sources {
 		if s < 0 || s >= n {
 			panic(fmt.Sprintf("netsim: precompute source %d out of range [0,%d)", s, n))
 		}
+		anchors[i] = int(o.nodes[s].anchor)
 	}
-	if len(sources) == 0 {
+	slices.Sort(anchors)
+	anchors = slices.Compact(anchors)
+	if len(anchors) == 0 {
 		return
 	}
-	ch := make(chan int, len(sources))
-	for _, s := range sources {
-		ch <- s
+	ch := make(chan int, len(anchors))
+	for _, a := range anchors {
+		ch <- a
 	}
 	close(ch)
 	var wg sync.WaitGroup
-	extra := runtime.GOMAXPROCS(0) - 1
-	if extra > len(sources)-1 {
-		extra = len(sources) - 1
-	}
+	extra := min(runtime.GOMAXPROCS(0)-1, len(anchors)-1)
 acquire:
 	for i := 0; i < extra; i++ {
 		select {
@@ -277,7 +393,7 @@ acquire:
 	wg.Wait()
 }
 
-// CachedRows reports how many source rows are materialized. It is O(1): an
+// CachedRows reports how many anchor rows are materialized. It is O(1): an
 // atomic counter bumped once per computed row.
 func (o *Oracle) CachedRows() int {
 	return int(o.cached.Load())
