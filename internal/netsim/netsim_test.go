@@ -507,14 +507,14 @@ func TestOracleAnchorsExact(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			o := checkOracleExact(t, c.net, c.sources, c.floatRows)
 			for v, nd := range o.nodes {
-				if (nd.dom >= 0) != c.pendant[v] {
-					t.Fatalf("node %d: pendant = %v, want %v", v, nd.dom >= 0, c.pendant[v])
+				if (nd.Dom >= 0) != c.pendant[v] {
+					t.Fatalf("node %d: pendant = %v, want %v", v, nd.Dom >= 0, c.pendant[v])
 				}
-				if nd.dom < 0 && (nd.anchor != int32(v) || math.Float64bits(nd.off) != 0) {
-					t.Fatalf("node %d: anchor %d at %v, want itself at +0", v, nd.anchor, nd.off)
+				if nd.Dom < 0 && (nd.Router != int32(v) || math.Float64bits(nd.Off) != 0) {
+					t.Fatalf("node %d: anchor %d at %v, want itself at +0", v, nd.Router, nd.Off)
 				}
-				if nd.dom >= 0 && c.net.Tiers != nil && c.net.Tiers[nd.anchor] != TierTransit {
-					t.Fatalf("host %d: anchor %d is not a transit router", v, nd.anchor)
+				if nd.Dom >= 0 && c.net.Tiers != nil && c.net.Tiers[nd.Router] != TierTransit {
+					t.Fatalf("host %d: anchor %d is not a transit router", v, nd.Router)
 				}
 			}
 		})
@@ -524,12 +524,19 @@ func TestOracleAnchorsExact(t *testing.T) {
 	// domain's table; the 40 000 ms domain's table is float64.
 	o := NewOracle(cutOff)
 	h, up := o.nodes[4], o.nodes[2]
-	tb := o.intra[h.dom]
-	if d := tb.d.at(int(h.idx)*tb.k + int(up.idx)); !math.IsInf(h.off, 1) || !math.IsInf(d, 1) {
-		t.Fatalf("cut-off host: offset %v, table entry %v, want +Inf", h.off, d)
+	tb := o.intra[h.Dom]
+	if d := tb.d.at(int(h.Idx)*tb.k + int(up.Idx)); !math.IsInf(h.Off, 1) || !math.IsInf(d, 1) {
+		t.Fatalf("cut-off host: offset %v, table entry %v, want +Inf", h.Off, d)
 	}
 	if tb := NewOracle(long).intra[0]; tb.k != 3 || tb.d.f == nil {
 		t.Fatalf("40 000 ms links: %d×%d table, float64 = %v, want 3×3 float64", tb.k, tb.k, tb.d.f != nil)
+	}
+	// The gate is the oracle's: Anchors itself places the hosts of a domain
+	// with a 2.5 ms link, which the oracle answers from full rows.
+	half := labeled([]int{-1, -1, 0, 0}, r, e(2, 3, 2.5), e(0, 2, 20))
+	nodes, members := Anchors(half.Graph.Frozen(), half.StubDomain)
+	if len(members) != 1 || nodes[2] != (Anchor{Off: 20, Router: 0, Dom: 0, Idx: 0}) || nodes[3] != (Anchor{Off: 22.5, Router: 0, Dom: 0, Idx: 1}) {
+		t.Fatalf("2.5 ms link: Anchors = %+v, %v", nodes, members)
 	}
 
 	// Warming every stub host of ts-large computes one row per router.

@@ -41,7 +41,7 @@ type OracleOptions struct{}
 // graph as it stood at construction, and later mutations of net.Graph change
 // none of its answers (the underlay is static in every experiment; a caller
 // that does rewire it builds a new oracle). A host of a pendant stub domain
-// is answered through the router its domain hangs off (see anchor), so the
+// is answered through the router its domain hangs off (see Anchors), so the
 // full-graph rows behind every answer are computed lazily, one Dijkstra per
 // anchor, and cached for the oracle's lifetime. The cache is safe for
 // concurrent use: parallel trial runners and the parallel metric evaluators
@@ -52,22 +52,13 @@ type OracleOptions struct{}
 type Oracle struct {
 	fz    *graph.Frozen
 	instr *oracleInstr // nil unless SetInstruments was called
-	nodes []oracleNode // one per physical node, fixed at NewOracle
+	nodes []Anchor     // one per physical node, fixed at NewOracle
 	intra []intraTable // one per pendant stub domain, fixed at NewOracle
 
 	rows    []atomic.Pointer[oracleRow] // core rows; only anchors' are ever computed
 	once    []sync.Once                 // one Dijkstra per row
 	cached  atomic.Int64                // materialized row count, O(1) CachedRows
 	scratch sync.Pool                   // *[]float64 of length V: Dijkstra output before encoding
-}
-
-// oracleNode places one physical node: off is its distance to anchor; a
-// pendant host's dom names its domain, whose table row idx holds its
-// distances to the domain's hosts. Any other node is its own anchor at +0
-// with dom = −1.
-type oracleNode struct {
-	off              float64
-	anchor, dom, idx int32
 }
 
 // intraTable is one pendant domain's k×k distance table, row-major.
@@ -127,34 +118,76 @@ func (r *oracleRow) at(v int) float64 {
 var precomputeSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // NewOracle builds a latency oracle over a snapshot of the physical graph
-// of net.
+// of net. Its hosts are anchored by Anchors only when the snapshot passes
+// exactSums; otherwise every node is its own anchor.
 func NewOracle(net *Network) *Oracle {
 	fz := net.Graph.Frozen()
 	n := fz.NumVertices()
+	labels := net.StubDomain
+	if !exactSums(fz) {
+		labels = nil
+	}
+	nodes, members := Anchors(fz, labels)
 	o := &Oracle{
 		fz:    fz,
-		nodes: make([]oracleNode, n),
+		nodes: nodes,
+		intra: make([]intraTable, len(members)),
 		rows:  make([]atomic.Pointer[oracleRow], n),
 		once:  make([]sync.Once, n),
 	}
 	o.scratch.New = func() any { d := make([]float64, n); return &d }
-	o.anchor(net.StubDomain)
+	// Each pendant domain's table: one Dijkstra per host over the domain's
+	// own links, which hold every shortest path between two of its hosts.
+	var q graph.RadixQueue
+	for p, ms := range members {
+		k := len(ms)
+		d := make([]float64, k*k)
+		for i := range ms {
+			domainPaths(fz, nodes, ms, int32(i), &q, d[i*k:(i+1)*k])
+		}
+		o.intra[p] = intraTable{k: k, d: newOracleRow(d)}
+	}
 	return o
 }
 
-// anchor fills nodes and intra from the snapshot's edges and the stub-domain
-// labels (a label outside [0, V) marks no domain; DESIGN.md §7). A stub
+// exactSums is the oracle's gate on anchoring: every weight is a whole number
+// of milliseconds in [0, 2³¹) and V ≤ 2²¹, so every path sum is an integer
+// below 2⁵², and no order of additions — an offset plus a router's row, or
+// one Dijkstra's fold — can change a bit of it.
+func exactSums(fz *graph.Frozen) bool {
+	exact := fz.NumVertices() <= 1<<21
+	for u := 0; exact && u < fz.NumVertices(); u++ {
+		_, wt := fz.Row(u)
+		for _, w := range wt {
+			exact = exact && w >= 0 && w < 1<<31 && math.Float64bits(float64(int64(w))) == math.Float64bits(w)
+		}
+	}
+	return exact
+}
+
+// Anchor places one physical node (see Anchors). A host of a pendant stub
+// domain has Dom, that domain's index in Anchors' member lists, Idx, its own
+// index in its domain's list, Router, the node its domain hangs off, and Off,
+// its distance to Router. Any other node is its own Router at Off = +0, with
+// Dom = Idx = −1.
+type Anchor struct {
+	Off              float64
+	Router, Dom, Idx int32
+}
+
+// Anchors finds the pendant stub domains of fz under the stub-domain labels
+// (Network.StubDomain; a label outside [0, V) marks no domain) and returns
+// one Anchor per node and each pendant domain's members, ascending. A stub
 // domain is pendant when exactly one edge leaves it and that edge's outer
-// endpoint lies in no other such domain. Its hosts are anchored at that
-// endpoint, offset by their distance to the edge plus its weight, and share
-// a table of distances among themselves (one Dijkstra per host over the
-// domain's own links): the edge's inner end is a cut vertex, so no shortest
-// path between two of them leaves the domain. No domain is pendant unless
-// every weight is a whole number of milliseconds in [0, 2³¹) and V ≤ 2²¹:
-// then every path sum is an integer below 2⁵², and no order of additions can
-// change a bit.
-func (o *Oracle) anchor(labels []int) {
-	n := len(o.nodes)
+// endpoint lies in no other single-exit domain. Its hosts hang off that
+// endpoint — on a generated world, the transit router the uplink reaches —
+// and a host's offset is its distance to the edge's inner end over the
+// domain's own links plus the edge's weight (+Inf when those links do not
+// reach it). The inner end is a cut vertex: every path from the host to a
+// node outside the domain crosses the edge, so the offset plus the endpoint's
+// distance to that node is the host's distance to it (DESIGN.md §7).
+func Anchors(fz *graph.Frozen, labels []int) ([]Anchor, [][]int32) {
+	n := fz.NumVertices()
 	label := func(u int32) int {
 		if int(u) < len(labels) && labels[u] >= 0 && labels[u] < n {
 			return labels[u]
@@ -162,29 +195,24 @@ func (o *Oracle) anchor(labels []int) {
 		return -1
 	}
 	type exit struct {
-		count, pend int // pend is 1 + the domain's intra index once placed
+		count, pend int // pend is 1 + the domain's index once placed
 		in, out     int32
 		w           float64
 	}
 	exits := make([]exit, n)
-	exact := n <= 1<<21
-	for u := range o.nodes {
-		o.nodes[u] = oracleNode{anchor: int32(u), dom: -1}
+	nodes := make([]Anchor, n)
+	for u := range nodes {
+		nodes[u] = Anchor{Router: int32(u), Dom: -1, Idx: -1}
 		d := label(int32(u))
-		nbr, wt := o.fz.Row(u)
+		nbr, wt := fz.Row(u)
 		for i, v := range nbr {
-			w := wt[i]
-			exact = exact && w >= 0 && w < 1<<31 && math.Float64bits(float64(int64(w))) == math.Float64bits(w)
 			if d >= 0 && label(v) != d {
-				exits[d] = exit{count: exits[d].count + 1, in: int32(u), out: v, w: w}
+				exits[d] = exit{count: exits[d].count + 1, in: int32(u), out: v, w: wt[i]}
 			}
 		}
 	}
-	if !exact {
-		return
-	}
 	var members [][]int32
-	for u := range o.nodes {
+	for u := range nodes {
 		d := label(int32(u))
 		if d < 0 || exits[d].count != 1 {
 			continue
@@ -198,30 +226,38 @@ func (o *Oracle) anchor(labels []int) {
 			e.pend = len(members)
 		}
 		p := e.pend - 1
-		o.nodes[u].dom, o.nodes[u].idx = int32(p), int32(len(members[p]))
+		nodes[u].Dom, nodes[u].Idx = int32(p), int32(len(members[p]))
 		members[p] = append(members[p], int32(u))
 	}
-	o.intra = make([]intraTable, len(members))
-	for p, ms := range members {
-		k := len(ms)
-		g := graph.New(k)
-		for i, u := range ms {
-			nbr, wt := o.fz.Row(int(u))
-			for j, v := range nbr {
-				if v > u && o.nodes[v].dom == int32(p) {
-					g.MustAddEdge(i, int(o.nodes[v].idx), wt[j])
-				}
-			}
-		}
-		fz, d := g.Freeze(), make([]float64, k*k)
-		for i := range ms {
-			fz.ShortestPathsInto(i, d[i*k:(i+1)*k])
-		}
-		o.intra[p] = intraTable{k: k, d: newOracleRow(d)}
+	var q graph.RadixQueue
+	for _, ms := range members {
 		e := exits[label(ms[0])]
-		up := int(o.nodes[e.in].idx) * k
+		dist := make([]float64, len(ms))
+		domainPaths(fz, nodes, ms, nodes[e.in].Idx, &q, dist)
 		for i, u := range ms {
-			o.nodes[u].anchor, o.nodes[u].off = e.out, d[up+i]+e.w
+			nodes[u].Router, nodes[u].Off = e.out, dist[i]+e.w
+		}
+	}
+	return nodes, members
+}
+
+// domainPaths fills dist, indexed like ms, with the distances from ms[src]
+// over the own links of the pendant domain whose members are ms.
+func domainPaths(fz *graph.Frozen, nodes []Anchor, ms []int32, src int32, q *graph.RadixQueue, dist []float64) {
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dom := nodes[ms[0]].Dom
+	q.Reset()
+	dist[src] = 0
+	q.Push(src, 0)
+	for i, ok := q.Pop(dist); ok; i, ok = q.Pop(dist) {
+		nbr, wt := fz.Row(int(ms[i]))
+		for j, v := range nbr {
+			if t := nodes[v].Idx; nodes[v].Dom == dom && dist[i]+wt[j] < dist[t] {
+				dist[t] = dist[i] + wt[j]
+				q.Push(t, dist[t])
+			}
 		}
 	}
 }
@@ -265,12 +301,12 @@ func (o *Oracle) Latency(u, v int) float64 {
 		return 0
 	}
 	a, b := &o.nodes[u], &o.nodes[v]
-	if a.dom >= 0 && a.dom == b.dom {
+	if a.Dom >= 0 && a.Dom == b.Dom {
 		o.hit()
-		t := &o.intra[a.dom]
-		return t.d.at(int(a.idx)*t.k + int(b.idx))
+		t := &o.intra[a.Dom]
+		return t.d.at(int(a.Idx)*t.k + int(b.Idx))
 	}
-	return a.off + o.core(int(a.anchor), int(b.anchor)) + b.off
+	return a.Off + o.core(int(a.Router), int(b.Router)) + b.Off
 }
 
 // core returns the full-graph distance between anchors x and y. It prefers
@@ -301,7 +337,7 @@ func (o *Oracle) Row(src int) []float64 {
 	if src < 0 || src >= n {
 		panic(fmt.Sprintf("netsim: row query %d out of range [0,%d)", src, n))
 	}
-	o.row(int(o.nodes[src].anchor))
+	o.row(int(o.nodes[src].Router))
 	d := make([]float64, n)
 	for v := range d {
 		d[v] = o.Latency(src, v)
@@ -355,7 +391,7 @@ func (o *Oracle) Precompute(sources []int) {
 		if s < 0 || s >= n {
 			panic(fmt.Sprintf("netsim: precompute source %d out of range [0,%d)", s, n))
 		}
-		anchors[i] = int(o.nodes[s].anchor)
+		anchors[i] = int(o.nodes[s].Router)
 	}
 	slices.Sort(anchors)
 	anchors = slices.Compact(anchors)

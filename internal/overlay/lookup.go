@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/graph"
 )
 
 // ProcDelayFunc reports the processing delay in milliseconds a slot's host
@@ -106,14 +108,14 @@ func (o *Overlay) rebuildFloodView(want uint64) {
 }
 
 // floodScratch is the reusable working set of one slot-level Dijkstra: the
-// tentative-distance array and the queue (radix.go), and a second pair for
+// tentative-distance array and the queue (graph.RadixQueue), and a second pair for
 // the search floodPoint grows back from the destination. Recycled through a
 // sync.Pool so concurrent lookup evaluators (metrics fans out one goroutine
 // per worker) each reuse their own buffers, making flooding queries
 // allocation-free after warm-up.
 type floodScratch struct {
 	dist, distB []float64
-	q, qB       radixQueue
+	q, qB       graph.RadixQueue
 	// mark is a slot set: the stop targets of a flood, the affected set of
 	// RepairFloodRow (repair.go). Whoever sets a bit clears it before
 	// floodPut, so pooled scratch is always all-false.
@@ -130,8 +132,8 @@ func (o *Overlay) floodGet() *floodScratch {
 	if cap(s.dist) < n {
 		s.dist = make([]float64, n)
 		s.distB = make([]float64, n)
-		s.q.ent = make([]radixEntry, 0, n)
-		s.qB.ent = make([]radixEntry, 0, n)
+		s.q.Grow(n)
+		s.qB.Grow(n)
 		s.mark = make([]bool, n)
 	}
 	s.dist = s.dist[:n]
@@ -164,10 +166,10 @@ func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch) float64
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
-	q.reset()
+	q.Reset()
 	dist[src] = 0
-	q.push(int32(src), 0)
-	for u, ok := q.pop(dist); ok; u, ok = q.pop(dist) {
+	q.Push(int32(src), 0)
+	for u, ok := q.Pop(dist); ok; u, ok = q.Pop(dist) {
 		du := dist[u]
 		if stop[u] {
 			return du
@@ -181,7 +183,7 @@ func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch) float64
 			}
 			if nd < dist[nb] {
 				dist[nb] = nd
-				q.push(nb, nd)
+				q.Push(nb, nd)
 			}
 		}
 	}
@@ -220,17 +222,17 @@ func (s *floodScratch) floodPoint(off, nbr []int32, w []float64, src, dst int) f
 	for i := range distNear {
 		distNear[i], distFar[i] = math.Inf(1), math.Inf(1)
 	}
-	qNear.reset()
-	qFar.reset()
+	qNear.Reset()
+	qFar.Reset()
 	distNear[src], distFar[dst] = 0, 0
-	qNear.push(int32(src), 0)
-	qFar.push(int32(dst), 0)
+	qNear.Push(int32(src), 0)
+	qFar.Push(int32(dst), 0)
 	lastNear, lastFar, mu := 0.0, 0.0, math.Inf(1)
 	for {
 		if lastFar < lastNear {
 			distNear, distFar, qNear, qFar, lastNear, lastFar = distFar, distNear, qFar, qNear, lastFar, lastNear
 		}
-		u, ok := qNear.pop(distNear)
+		u, ok := qNear.Pop(distNear)
 		if !ok {
 			return mu
 		}
@@ -245,7 +247,7 @@ func (s *floodScratch) floodPoint(off, nbr []int32, w []float64, src, dst int) f
 			nd := du + ws[i]
 			if nd < distNear[nb] {
 				distNear[nb] = nd
-				qNear.push(nb, nd)
+				qNear.Push(nb, nd)
 				if t := nd + distFar[nb]; t < mu {
 					mu = t
 				}

@@ -219,7 +219,7 @@ func (o *Overlay) RepairFloodRow(p *FloodPatch, proc ProcDelayFunc, src int, dis
 		}
 	}
 	q := &s.q
-	q.reset()
+	q.Reset()
 	relax := func(v int, nd float64) {
 		old := dist[v]
 		if nd < old {
@@ -232,7 +232,7 @@ func (o *Overlay) RepairFloodRow(p *FloodPatch, proc ProcDelayFunc, src int, dis
 				st.FiniteDelta++
 			}
 			dist[v] = nd
-			q.push(int32(v), nd)
+			q.Push(int32(v), nd)
 		}
 	}
 	for _, x := range queue {
@@ -257,7 +257,7 @@ func (o *Overlay) RepairFloodRow(p *FloodPatch, proc ProcDelayFunc, src int, dis
 	// flood view like floodRun; the marking passes above cannot (they need
 	// pre-batch hosts and links).
 	off, nbr, w := o.floodArcs()
-	for u, ok := q.pop(dist); ok; u, ok = q.pop(dist) {
+	for u, ok := q.Pop(dist); ok; u, ok = q.Pop(dist) {
 		du := dist[u]
 		ws := w[off[u]:off[u+1]]
 		for i, nb := range nbr[off[u]:off[u+1]] {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/netsim"
 )
 
 // faultyConfig is the everything-on fault schedule over the tiny world:
@@ -177,6 +179,35 @@ func TestCommitAbortUnderLossAndChurn(t *testing.T) {
 	}
 	if st.Exchanges == 0 {
 		t.Errorf("optimization died entirely under faults: %+v", st)
+	}
+}
+
+// TestPartitionBeyond256Domains: the partition cut compares full domain
+// indices, so in a 258-domain world, cutting off domain 1 separates it from
+// domain 257 and leaves 257 joined to 2 (a byte-wide domain index wraps 257
+// onto 1). One host per domain makes peer d domain d's host.
+func TestPartitionBeyond256Domains(t *testing.T) {
+	net := netsim.Config{
+		Name:                  "ts-258-domains",
+		TransitDomains:        258,
+		TransitNodesPerDomain: 1,
+		StubDomainsPerTransit: 1,
+		NodesPerStub:          1,
+		StubStubMS:            5,
+		StubTransitMS:         20,
+		TransitTransitMS:      50,
+	}
+	e, err := New(Config{Shards: 1, Seed: 1, Net: &net, Faults: &FaultConfig{PartitionDomain: 1, PartitionStopMS: 60000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		p, q int32
+		cut  bool
+	}{{1, 257, true}, {257, 2, false}, {1, 2, true}, {0, 257, false}} {
+		if got := e.partitioned(c.p, c.q, 0); got != c.cut {
+			t.Errorf("domains %d↔%d: partitioned = %v, want %v", c.p, c.q, got, c.cut)
+		}
 	}
 }
 

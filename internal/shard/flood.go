@@ -4,6 +4,8 @@ import (
 	"math"
 	"runtime"
 	"sync"
+
+	"repro/internal/graph"
 )
 
 // floodSource adapts the engine's struct-of-arrays state to the
@@ -12,7 +14,7 @@ import (
 // current occupants, and FloodInto is a Dijkstra over the logical CSR.
 // refresh rebuilds the occupancy snapshot (peerAt) and the edge weights (w)
 // at each sample barrier, so rows computed in parallel by the estimator all
-// read one consistent frozen placement and never touch the coordinates.
+// read one consistent frozen placement and never call estLat.
 type floodSource struct {
 	e      *Engine
 	alive  []int
@@ -21,63 +23,8 @@ type floodSource struct {
 	// w[i] == estLat(peerAt[s], peerAt[lNbr[i]]) under the current snapshot,
 	// +Inf when either end is vacant. Allocated by the first refresh.
 	w         []float64
-	displaced []int32 // refresh scratch
-	pool      sync.Pool
-}
-
-// flItem is one lazy-deletion Dijkstra heap entry.
-type flItem struct {
-	d float64
-	s int32
-}
-
-// flHeap is the pooled Dijkstra scratch: a 4-ary min-heap with lazy
-// deletion (stale entries are skipped on pop against the dist array).
-type flHeap struct {
-	a []flItem
-}
-
-func (h *flHeap) push(it flItem) {
-	h.a = append(h.a, it)
-	i := len(h.a) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if h.a[i].d >= h.a[p].d {
-			break
-		}
-		h.a[i], h.a[p] = h.a[p], h.a[i]
-		i = p
-	}
-}
-
-func (h *flHeap) pop() flItem {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	i := 0
-	for {
-		first := i<<2 + 1
-		if first >= last {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > last {
-			end = last
-		}
-		for c := first + 1; c < end; c++ {
-			if h.a[c].d < h.a[best].d {
-				best = c
-			}
-		}
-		if h.a[best].d >= h.a[i].d {
-			break
-		}
-		h.a[i], h.a[best] = h.a[best], h.a[i]
-		i = best
-	}
-	return top
+	displaced []int32   // refresh scratch
+	pool      sync.Pool // *graph.RadixQueue, one per concurrent flood
 }
 
 // newFloodSource builds the measurement plane over e. It takes no
@@ -92,7 +39,7 @@ func newFloodSource(e *Engine) *floodSource {
 	for i := range f.alive {
 		f.alive[i] = i
 	}
-	f.pool.New = func() any { return &flHeap{} }
+	f.pool.New = func() any { return new(graph.RadixQueue) }
 	return f
 }
 
@@ -181,31 +128,30 @@ func (f *floodSource) AliveSlots() []int { return f.alive }
 // FloodInto runs Dijkstra from src over the logical overlay under the
 // frozen occupancy snapshot, reading only the CSR and w; an edge into a
 // vacant slot (crashed occupant) weighs +Inf and never relaxes, so rows may
-// contain +Inf for slots cut off by churn. Safe for concurrent calls with
-// distinct dist buffers (scratch heaps come from a pool); the snapshot
-// itself must be quiescent, which the sample barrier guarantees.
+// contain +Inf for slots cut off by churn. Every weight is positive, so each
+// arrival is the least left-folded path sum whichever tie the radix queue
+// pops first (DESIGN.md §7 "Flood queue"). Safe for concurrent calls with
+// distinct dist buffers (queues come from a pool); the snapshot itself must
+// be quiescent, which the sample barrier guarantees.
 func (f *floodSource) FloodInto(src int, dist []float64) {
 	e := f.e
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
-	h := f.pool.Get().(*flHeap)
-	h.a = h.a[:0]
+	q := f.pool.Get().(*graph.RadixQueue)
+	q.Reset()
 	dist[src] = 0
-	h.push(flItem{d: 0, s: int32(src)})
-	for len(h.a) > 0 {
-		it := h.pop()
-		if it.d > dist[it.s] {
-			continue
-		}
-		lo, hi := e.lOff[it.s], e.lOff[it.s+1]
+	q.Push(int32(src), 0)
+	for s, ok := q.Pop(dist); ok; s, ok = q.Pop(dist) {
+		ds := dist[s]
+		lo, hi := e.lOff[s], e.lOff[s+1]
 		w := f.w[lo:hi]
 		for i, t := range e.lNbr[lo:hi] {
-			if d := it.d + w[i]; d < dist[t] {
+			if d := ds + w[i]; d < dist[t] {
 				dist[t] = d
-				h.push(flItem{d: d, s: t})
+				q.Push(t, d)
 			}
 		}
 	}
-	f.pool.Put(h)
+	f.pool.Put(q)
 }

@@ -5,74 +5,130 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/netsim"
+	"repro/internal/rng"
 )
 
-// estLatRef is the landmark minimum as one plain loop with one accumulator.
-func estLatRef(e *Engine, p, q int32) float64 {
+// landmarkCoords regenerates cfg's physical world from its seed, as New
+// does, and returns the per-peer landmark coordinates New once kept: one
+// full-graph Dijkstra per transit domain from its first router, each
+// distance rounded up to float32, peer-major (k per peer).
+func landmarkCoords(t *testing.T, cfg Config) (coord []float32, k int) {
+	t.Helper()
+	world, err := netsim.Generate(*cfg.Net, rng.New(cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz := world.Graph.Frozen()
+	k = cfg.Net.TransitDomains
+	coord = make([]float32, len(world.StubHosts)*k)
+	dist := make([]float64, fz.NumVertices())
+	for l := 0; l < k; l++ {
+		fz.ShortestPathsInto(l*cfg.Net.TransitNodesPerDomain, dist)
+		for p, host := range world.StubHosts {
+			coord[p*k+l] = roundUp32(dist[host])
+		}
+	}
+	return coord, k
+}
+
+// landmarkLat is the landmark bound over per-peer coordinates: min over
+// landmarks of c[p][l]+c[q][l] in float64, 0 for p == q.
+func landmarkLat(coord []float32, k int, p, q int32) float64 {
 	if p == q {
 		return 0
 	}
-	k := e.nLandmarks
 	best := math.Inf(1)
 	for l := 0; l < k; l++ {
-		if v := float64(e.coord[int(p)*k+l]) + float64(e.coord[int(q)*k+l]); v < best {
-			best = v
-		}
+		best = min(best, float64(coord[int(p)*k+l])+float64(coord[int(q)*k+l]))
 	}
 	return best
 }
 
-// TestEstLatMatchesSingleAccumulator holds the four-accumulator estLat to
-// the plain loop bit for bit, across landmark counts on both sides of the
-// unroll width (Config.Net admits any domain count), with unreachable
-// (+Inf) coordinates mixed in and p == q included.
-func TestEstLatMatchesSingleAccumulator(t *testing.T) {
-	const peers = 24
-	r := rand.New(rand.NewSource(7))
-	for _, k := range []int{1, 2, 3, 4, 5, 8, 16} {
-		e := &Engine{nLandmarks: k, coord: make([]float32, peers*k)}
-		for i := range e.coord {
-			e.coord[i] = roundUp32(r.Float64() * 300)
-			if r.Intn(16) == 0 {
-				e.coord[i] = float32(math.Inf(1))
+// TestEstLatMatchesLandmarks holds estLat — two uplink offsets plus one
+// router-table entry — to the per-peer landmark minimum bit for bit: on
+// every pair of the tiny world for three seeds (one with faults) and on
+// 10⁵ sampled pairs of ScaleTS(32768). The timeouts derived from the router
+// tables equal those derived from the largest per-peer coordinate.
+func TestEstLatMatchesLandmarks(t *testing.T) {
+	scale := netsim.ScaleTS(32768)
+	cases := []struct {
+		cfg   Config
+		pairs int // 0: all pairs
+	}{
+		{tinyConfig(8, 1), 0},
+		{tinyConfig(8, 2), 0},
+		{faultyConfig(8, 3), 0},
+		{Config{Net: &scale, Seed: 5, Faults: &FaultConfig{LossProb: 0.02, JitterMS: 5}}, 100000},
+	}
+	for _, c := range cases {
+		e, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord, k := landmarkCoords(t, c.cfg)
+		n := int32(e.Peers())
+		check := func(p, q int32) {
+			got, want := e.estLat(p, q), landmarkLat(coord, k, p, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s seed %d: estLat(%d,%d) = %v, landmark minimum %v", c.cfg.Net.Name, c.cfg.Seed, p, q, got, want)
 			}
 		}
-		for p := int32(0); p < peers; p++ {
-			for q := int32(0); q < peers; q++ {
-				got, want := e.estLat(p, q), estLatRef(e, p, q)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("k=%d estLat(%d,%d) = %v, single accumulator %v", k, p, q, got, want)
+		if c.pairs == 0 {
+			for p := int32(0); p < n; p++ {
+				for q := int32(0); q < n; q++ {
+					check(p, q)
 				}
 			}
+		} else {
+			r := rand.New(rand.NewSource(int64(c.cfg.Seed)))
+			for i := 0; i < c.pairs; i++ {
+				check(r.Int31n(n), r.Int31n(n))
+			}
+		}
+		if !e.faultsOn {
+			continue
+		}
+		maxCoord := 0.0
+		for _, x := range coord {
+			maxCoord = max(maxCoord, float64(x))
+		}
+		maxLeg := 2*maxCoord + e.fc.JitterMS
+		if probeTO, commitTO := float64(e.cfg.WalkHops+1)*maxLeg+1, 2*maxLeg+1; e.probeTO != probeTO || e.commitTO != commitTO {
+			t.Fatalf("%s seed %d: timeouts %v/%v, landmark-derived %v/%v", c.cfg.Net.Name, c.cfg.Seed, e.probeTO, e.commitTO, probeTO, commitTO)
 		}
 	}
 }
 
-// floodRef is the reference flood: Dijkstra over the logical CSR that
-// derives each edge latency (through the snapshot) per relaxation and
-// skips vacant slots, with no weight array.
+// floodRef is the reference flood and shares no code with FloodInto:
+// Dijkstra without a queue — settle the unsettled slot of least tentative
+// time, found by a linear scan — over the logical CSR, deriving each edge
+// latency through the snapshot per relaxation and skipping vacant slots,
+// with no weight array.
 func floodRef(f *floodSource, src int, dist []float64) {
 	e := f.e
+	inf := math.Inf(1)
 	for i := range dist {
-		dist[i] = math.Inf(1)
+		dist[i] = inf
 	}
-	var h flHeap
 	dist[src] = 0
-	h.push(flItem{d: 0, s: int32(src)})
-	for len(h.a) > 0 {
-		it := h.pop()
-		if it.d > dist[it.s] {
-			continue
-		}
-		p := f.peerAt[it.s]
-		for _, t := range e.nbrs(it.s) {
-			q := f.peerAt[t]
-			if q < 0 {
-				continue
+	settled := make([]bool, len(dist))
+	for {
+		u := -1
+		for v, d := range dist {
+			if !settled[v] && d < inf && (u < 0 || d < dist[u]) {
+				u = v
 			}
-			if d := it.d + estLatRef(e, p, q); d < dist[t] {
-				dist[t] = d
-				h.push(flItem{d: d, s: t})
+		}
+		if u < 0 {
+			return
+		}
+		settled[u] = true
+		p := f.peerAt[u]
+		for _, t := range e.nbrs(int32(u)) {
+			if q := f.peerAt[t]; q >= 0 {
+				dist[t] = min(dist[t], dist[u]+e.estLat(p, q))
 			}
 		}
 	}

@@ -19,7 +19,7 @@
 //     state lives in flat parallel arrays (slot assignment, swap version,
 //     probe state, RNG and send counters, occupant caches), not in
 //     per-node structs with pointers: at 10⁶ peers what New builds stays
-//     ~150 B/peer (SCALING.md §4 has the budget, event heaps included) and
+//     ~90 B/peer (SCALING.md §4 has the budget, event heaps included) and
 //     scans stay cache-linear. Handlers only write state belonging to the
 //     addressed peer, which is what makes the parallel window processing
 //     race-free (peers never change shards).
@@ -37,18 +37,17 @@
 //     contract keeps the slack for future optimizations that may need it.
 //
 // Latency plane: at this scale the engine cannot afford Dijkstra-backed
-// point queries per message, so it measures with landmark coordinates —
-// one landmark per transit domain, each peer's vector of shortest-path
-// distances to all landmarks, computed once at construction and projected
-// to float32 (rounded up, so estimates never undercut the true distance or
-// the lookahead floor). estLat(p,q) = min over landmarks of c[l][p]+c[l][q]
-// is a triangle-inequality upper bound used for message delays, swap-gain
-// evaluation, and the sampled average-latency plane. Average latency is
-// estimated by metrics.ALEstimator over the engine's FloodSource; at small
-// n Config.ExactAL adds the exact reference and the estimate's error to
-// the stream.
+// point queries per message, so it measures with landmark coordinates, one
+// landmark per transit domain. A peer's host hangs off one transit router
+// through one uplink, so estLat(p,q) = min over landmarks of c[l][p]+c[l][q]
+// is the two uplink offsets plus one entry of a router-pair table, all
+// rounded up to float32 at construction so estimates never undercut the
+// true distance or the lookahead floor. It prices message delays, swap
+// gains and the flood weights behind metrics.ALEstimator; at small n
+// Config.ExactAL adds the exact reference and the estimate's error to the
+// stream.
 //
-// Entry points: New builds the world (physical network, coordinates,
+// Entry points: New builds the world (physical network, latency plane,
 // logical overlay, initial random placement); Engine.Run executes the
 // epoch loop and samples into an obs.Trial; Engine.FloodSource exposes the
 // quiesced overlay to the metrics layer. The fig5a-scale experiment

@@ -8,6 +8,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/rng"
 )
 
 // tinyNet is the test world: 8 transit domains of 2 routers, one 16-host
@@ -170,21 +171,43 @@ func TestEstimatorTracksExact(t *testing.T) {
 }
 
 // TestLookaheadFloor cross-checks the lookahead against the latency plane:
-// every cross-shard peer pair's estimated latency must clear the epoch
-// bound, or the engine's correctness argument is void.
+// every cross-domain peer pair's estimated latency must clear the epoch
+// bound, or the engine's correctness argument is void — also on a world whose
+// links are not whole milliseconds — and estimates are symmetric. Both worlds
+// also join the two latency consumers: no estimate undercuts the oracle's
+// exact latency between the peers' hosts.
 func TestLookaheadFloor(t *testing.T) {
-	e, err := New(tinyConfig(8, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.LookaheadMS() != tinyNet().CrossDomainFloorMS() {
-		t.Fatalf("lookahead %v, want %v", e.LookaheadMS(), tinyNet().CrossDomainFloorMS())
-	}
-	for p := int32(0); p < int32(e.Peers()); p++ {
-		for q := p + 1; q < int32(e.Peers()); q++ {
-			if e.shardOfPeer[p] != e.shardOfPeer[q] && e.estLat(p, q) < e.LookaheadMS() {
-				t.Fatalf("peers %d,%d: cross-shard estimate %.3f below lookahead %.3f",
-					p, q, e.estLat(p, q), e.LookaheadMS())
+	frac := tinyNet()
+	frac.StubStubMS, frac.StubTransitMS, frac.TransitTransitMS = 2.5, 17.5, 42.5
+	for _, net := range []netsim.Config{tinyNet(), frac} {
+		cfg := tinyConfig(8, 1)
+		cfg.Net = &net
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.LookaheadMS() != net.CrossDomainFloorMS() {
+			t.Fatalf("lookahead %v, want %v", e.LookaheadMS(), net.CrossDomainFloorMS())
+		}
+		world, err := netsim.Generate(net, rng.New(cfg.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := netsim.NewOracle(world)
+		domain := func(p int32) int32 { return e.routerDomain[e.up[p].router] }
+		for p := int32(0); p < int32(e.Peers()); p++ {
+			for q := int32(0); q < int32(e.Peers()); q++ {
+				pq := e.estLat(p, q)
+				if qp := e.estLat(q, p); math.Float64bits(pq) != math.Float64bits(qp) {
+					t.Fatalf("%v ms links: estLat(%d,%d) = %v, reversed %v", net.StubStubMS, p, q, pq, qp)
+				}
+				if domain(p) != domain(q) && pq < e.LookaheadMS() {
+					t.Fatalf("%v ms links: peers %d,%d: cross-domain estimate %.3f below lookahead %.3f",
+						net.StubStubMS, p, q, pq, e.LookaheadMS())
+				}
+				if exact := o.Latency(world.StubHosts[p], world.StubHosts[q]); pq < exact {
+					t.Fatalf("%v ms links: peers %d,%d: estimate %v below the oracle's %v", net.StubStubMS, p, q, pq, exact)
+				}
 			}
 		}
 	}

@@ -24,7 +24,7 @@ import (
 // partition — is decided at SEND time in the sender's shard, as a pure
 // function of (seed, directed link, the message's own sequence number, and
 // the send time): faults.DeliverStateless for the per-message draws, a
-// (seed, link, window) hash for outages, and the domainOfPeer array for
+// (seed, link, window) hash for outages, and the routerDomain table for
 // the partition cut. No shared mutable state, no draw-order dependence —
 // which is why the byte-identical-across-shard-counts contract survives
 // fault injection untouched. Crash-stop churn is the one receiver-side
@@ -65,7 +65,7 @@ func (e *Engine) send(sh *shardRun, now float64, m msg) {
 // distance, and jitter is strictly additive on top of d) the panic is
 // unreachable.
 func (e *Engine) post(sh *shardRun, d float64, m msg) {
-	dst := e.shardOfPeer[m.to]
+	dst := e.shardOf(m.to)
 	if dst == sh.id {
 		sh.heap.push(m)
 		return

@@ -3,16 +3,15 @@ package shard
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/faults"
+	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/rng"
 )
 
 // Engine is one sharded simulation: the immutable world (logical topology,
-// landmark coordinates, shard partition) plus the mutable struct-of-arrays
+// latency tables, shard partition) plus the mutable struct-of-arrays
 // peer state and the per-shard event heaps. Build with New, execute with
 // Run. An Engine is single-use: Run consumes it.
 type Engine struct {
@@ -28,21 +27,16 @@ type Engine struct {
 	lOff []int32
 	lNbr []int32
 
-	// coord[p*nLandmarks+l] is peer p's shortest-path distance to landmark l
-	// in the physical topology, rounded UP to float32 — widened sums
-	// therefore never undercut true distances, which keeps estLat a true
-	// upper bound and the cross-shard lookahead assertion airtight. The
-	// layout is peer-major: one peer's whole landmark vector (16 float32 =
-	// 64 B) is a single cache line, and estLat is the hottest loop in the
-	// engine.
-	coord      []float32
-	nLandmarks int
+	// The latency plane (estLat). up[p] is peer p's uplink; core[a*nRouters+b]
+	// is the landmark bound between transit routers a and b.
+	up       []uplink
+	core     []float64
+	nRouters int
 
-	// shardOfPeer is the static partition: transit domain mod shard count.
-	shardOfPeer []int32
-	// domainOfPeer is each peer's transit domain, kept (only under faults)
-	// so the domain-partition cut is a pure array lookup per message.
-	domainOfPeer []uint8
+	// routerShard is the static partition, transit domain mod shard count,
+	// and routerDomain the transit domain (the partition cut), both per
+	// transit router: a peer's entry is its uplink router's.
+	routerShard, routerDomain []int32
 
 	// Mutable struct-of-arrays peer state. A handler running in shard s
 	// only ever writes indices belonging to peers of shard s.
@@ -54,8 +48,8 @@ type Engine struct {
 	occRow []int32  // flat [peer*maxDeg+i]: believed occupant of the i-th
 	// neighbor slot of the peer's current slot
 
-	// Fault/churn state, allocated only when faultsOn (15 B/peer of
-	// tombstone + liveness bookkeeping on top of the ~150 B/peer base).
+	// Fault/churn state, allocated only when faultsOn (14 B/peer of
+	// tombstone + liveness bookkeeping on top of the ~90 B/peer base).
 	faultsOn bool
 	fc       FaultConfig      // normalized schedule (windows defaulted)
 	inj      *faults.Injector // stateless loss/dup/jitter/link-outage hashes
@@ -82,12 +76,21 @@ type shardRun struct {
 	stats Stats
 }
 
+// uplink places one peer: its host's distance to the transit router its stub
+// domain hangs off, rounded up to float32, and that router.
+type uplink struct {
+	off    float32
+	router int32
+}
+
 // New builds the world for one run: generates the physical transit-stub
-// network, computes landmark coordinates and releases the physical graph,
+// network, derives the latency plane and releases the physical graph,
 // builds the static logical overlay (ring plus random chords, degree ≤ 8),
 // places peers on slots by a random permutation, and seeds every occupant
-// cache. Cost is dominated by network generation plus one Dijkstra per
-// transit domain; at 10⁶ peers expect a few seconds and ~150 MB retained.
+// cache. Cost is dominated by network generation; the latency plane is one
+// pass over each stub domain (netsim.Anchors) plus one Dijkstra per transit
+// domain over the router core alone. At 10⁶ peers expect a few seconds and
+// ~90 MB retained.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	var net netsim.Config
@@ -117,58 +120,74 @@ func New(cfg Config) (*Engine, error) {
 		seed:      cfg.Seed,
 	}
 
-	// Landmark coordinates: the first transit router of every domain. One
-	// Dijkstra per landmark over the physical graph, projected down to the
-	// peer index space so the graph itself can be garbage collected.
-	fz := world.Graph.Frozen()
-	k := net.TransitDomains
-	e.nLandmarks = k
-	e.coord = make([]float32, n*k)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > k {
-		workers = k
-	}
-	ch := make(chan int, k)
-	for l := 0; l < k; l++ {
-		ch <- l
-	}
-	close(ch)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			dist := make([]float64, fz.NumVertices())
-			for l := range ch {
-				fz.ShortestPathsInto(l*net.TransitNodesPerDomain, dist)
-				for p, host := range world.StubHosts {
-					e.coord[p*k+l] = roundUp32(dist[host])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	e.shardOfPeer = make([]int32, n)
-	for p, host := range world.StubHosts {
-		e.shardOfPeer[p] = int32(world.Domain[host] % cfg.Shards)
-	}
-	if cfg.Faults.enabled() {
-		e.domainOfPeer = make([]uint8, n)
-		for p, host := range world.StubHosts {
-			e.domainOfPeer[p] = uint8(world.Domain[host])
-		}
-	}
-	// The physical world has served its purpose; only coordinates and the
-	// partition survive into the run.
-
+	maxCoord := e.buildLatency(world)
+	// The physical world has served its purpose; only the latency plane and
+	// the partition survive into the run.
 	e.buildLogical(r)
 	e.initPeers(r)
-	if err := e.initFaults(); err != nil {
+	if err := e.initFaults(maxCoord); err != nil {
 		return nil, err
 	}
 	e.fs = newFloodSource(e)
 	return e, nil
+}
+
+// buildLatency derives the latency plane from the physical world; the
+// landmarks are the first router of every transit domain. A peer's host
+// hangs off one router through one uplink (netsim.Anchors), so its landmark
+// coordinates are its offset plus its router's, and a router-to-router
+// shortest path never enters a stub domain, so the routers' coordinates come
+// from Dijkstras over the transit core alone. It returns the largest
+// peer-to-landmark coordinate, half the bound on every estimate.
+func (e *Engine) buildLatency(world *netsim.Network) (maxCoord float64) {
+	fz := world.Graph.Frozen()
+	anchors, _ := netsim.Anchors(fz, world.StubDomain)
+	nR := e.net.TotalTransit()
+	k := e.net.TransitDomains
+	coreG := graph.New(nR)
+	for u := 0; u < nR; u++ {
+		nbr, wt := fz.Row(u)
+		for i, v := range nbr {
+			if int(v) > u && int(v) < nR {
+				coreG.MustAddEdge(u, int(v), wt[i])
+			}
+		}
+	}
+	// c[r*k+l] is router r's distance to landmark l, rounded UP to float32 —
+	// widened sums never undercut true distances, which keeps estLat an upper
+	// bound and the cross-shard lookahead assertion airtight.
+	c, dist, maxC := make([]float32, nR*k), make([]float64, nR), make([]float64, nR)
+	coreFz := coreG.Freeze()
+	for l := 0; l < k; l++ {
+		coreFz.ShortestPathsInto(l*e.net.TransitNodesPerDomain, dist)
+		for r, d := range dist {
+			c[r*k+l] = roundUp32(d)
+			maxC[r] = max(maxC[r], float64(c[r*k+l]))
+		}
+	}
+	e.nRouters = nR
+	e.core = make([]float64, nR*nR)
+	for a := 0; a < nR; a++ {
+		for b := 0; b < nR; b++ {
+			m := math.Inf(1)
+			for l := 0; l < k; l++ {
+				m = min(m, float64(c[a*k+l])+float64(c[b*k+l]))
+			}
+			e.core[a*nR+b] = m
+		}
+	}
+	e.routerShard, e.routerDomain = make([]int32, nR), make([]int32, nR)
+	for r := range e.routerDomain {
+		e.routerDomain[r] = int32(world.Domain[r])
+		e.routerShard[r] = int32(world.Domain[r] % e.nShards)
+	}
+	e.up = make([]uplink, e.n)
+	for p, host := range world.StubHosts {
+		a := anchors[host]
+		e.up[p] = uplink{off: roundUp32(a.Off), router: a.Router}
+		maxCoord = max(maxCoord, float64(e.up[p].off)+maxC[a.Router])
+	}
+	return maxCoord
 }
 
 // initFaults normalizes the fault schedule and allocates the churn state.
@@ -176,7 +195,7 @@ func New(cfg Config) (*Engine, error) {
 // faultsOn stays false, nothing is allocated, and Run never schedules a
 // timeout or crash event — which is what keeps the zero-knob schedule
 // byte-identical to the pre-fault engine.
-func (e *Engine) initFaults() error {
+func (e *Engine) initFaults(maxCoord float64) error {
 	if !e.cfg.Faults.enabled() {
 		return nil
 	}
@@ -195,7 +214,7 @@ func (e *Engine) initFaults() error {
 		JitterMS:         e.fc.JitterMS,
 		LinkFailProb:     e.fc.LinkFailProb,
 		LinkFailPeriodMS: e.fc.LinkFailPeriodMS,
-		// The domain partition is evaluated in-engine over domainOfPeer
+		// The domain partition is evaluated in-engine over routerDomain
 		// (a flat array beats a 10⁶-entry host set); the injector only
 		// owns the loss/dup/jitter/link-outage hashes.
 	})
@@ -209,18 +228,12 @@ func (e *Engine) initFaults() error {
 	e.failCnt = make([]uint8, e.n*maxDeg)
 
 	// Timeout bounds from the worst-case one-way leg: estLat is at most
-	// twice the largest landmark coordinate, plus the jitter cap. A probe
-	// cycle is WalkHops walk legs plus the report leg; a commit round is
-	// the proposal plus the acknowledgment. The +1 ms slack keeps timeout
+	// twice the largest peer-to-landmark coordinate, plus the jitter cap. A
+	// probe cycle is WalkHops walk legs plus the report leg; a commit round
+	// is the proposal plus the acknowledgment. The +1 ms slack keeps timeout
 	// firings strictly after the last possible reply, so a timeout that
 	// finds its cycle still open proves the reply was dropped, not late
 	// (see handleCommitTO).
-	maxCoord := 0.0
-	for _, c := range e.coord {
-		if v := float64(c); v > maxCoord {
-			maxCoord = v
-		}
-	}
 	maxLeg := 2*maxCoord + e.fc.JitterMS
 	e.probeTO = float64(e.cfg.WalkHops+1)*maxLeg + 1
 	e.commitTO = 2*maxLeg + 1
@@ -269,9 +282,12 @@ func (e *Engine) partitioned(p, q int32, nowMS float64) bool {
 	if nowMS < e.fc.PartitionStartMS || nowMS >= e.fc.PartitionStopMS {
 		return false
 	}
-	pd := uint8(e.fc.PartitionDomain)
-	return (e.domainOfPeer[p] == pd) != (e.domainOfPeer[q] == pd)
+	pd := int32(e.fc.PartitionDomain)
+	return (e.routerDomain[e.up[p].router] == pd) != (e.routerDomain[e.up[q].router] == pd)
 }
+
+// shardOf returns the shard that owns peer p.
+func (e *Engine) shardOf(p int32) int32 { return e.routerShard[e.up[p].router] }
 
 // buildLogical constructs the static overlay: a ring over all n slots (so
 // the overlay is connected and the AL plane total) plus one initiated
@@ -360,33 +376,20 @@ func (e *Engine) nbrs(s int32) []int32 {
 }
 
 // estLat returns the landmark upper bound on the physical latency between
-// peers p and q: min over landmarks of c[l][p]+c[l][q], computed in
-// float64 over the rounded-up float32 coordinates so the bound never drops
-// below the true shortest-path distance — the property the cross-shard
-// lookahead depends on. Four independent running minima (plus a remainder
-// loop: Config.Net admits any landmark count) break the one-compare
-// dependency chain; a minimum does not depend on association, so the
-// result is the single-accumulator one bit for bit.
+// peers p and q: min over landmarks of c[l][p]+c[l][q], where a peer's
+// coordinate is its uplink offset plus its router's (buildLatency), so the
+// minimum is the two offsets plus the routers' core entry. Every coordinate
+// of a whole-millisecond world is an integer, so these float64 sums are
+// exact in any order and the result is the per-peer landmark minimum bit for
+// bit; rounded up to float32, the bound never drops below the true
+// shortest-path distance — the property the cross-shard lookahead depends
+// on.
 func (e *Engine) estLat(p, q int32) float64 {
 	if p == q {
 		return 0
 	}
-	k := e.nLandmarks
-	a := e.coord[int(p)*k : (int(p)+1)*k]
-	b := e.coord[int(q)*k : (int(q)+1)*k]
-	m0, m1, m2, m3 := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
-	l := 0
-	for ; l+4 <= k; l += 4 {
-		a4, b4 := a[l:l+4:l+4], b[l:l+4:l+4]
-		m0 = min(m0, float64(a4[0])+float64(b4[0]))
-		m1 = min(m1, float64(a4[1])+float64(b4[1]))
-		m2 = min(m2, float64(a4[2])+float64(b4[2]))
-		m3 = min(m3, float64(a4[3])+float64(b4[3]))
-	}
-	for ; l < k; l++ {
-		m0 = min(m0, float64(a[l])+float64(b[l]))
-	}
-	return min(m0, m1, m2, m3)
+	a, b := e.up[p], e.up[q]
+	return (float64(a.off) + float64(b.off)) + e.core[int(a.router)*e.nRouters+int(b.router)]
 }
 
 // roundUp32 converts x to the nearest float32 at or above it.
