@@ -13,8 +13,8 @@
 //	propsim -exp figRb -crash 0.10           # collapse the crash sweep to {0, 10%}
 //	propsim -exp figRc -partition 300000     # 5-minute partition window
 //
-// A fault flag passed to an experiment that does not consume it is an
-// error, not a silent no-op.
+// A flag passed to an experiment that does not consume it (-loss, -crash,
+// -partition, -al-mode, -scale-n, -shards) is an error, not a silent no-op.
 //
 // Scaling (DESIGN.md §12, SCALING.md):
 //
@@ -40,6 +40,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -63,10 +64,10 @@ func main() {
 		format = flag.String("format", "table", "output format: table | csv | json")
 		plot   = flag.Bool("plot", false, "render an ASCII chart after the table")
 
-		alMode = flag.String("al-mode", "", "record the eq. (3) average-latency series in fig5*/churn metrics streams: exact | incremental | sketch (empty = off, byte-identical output)")
+		alMode = flag.String("al-mode", "", "record the eq. (3) average-latency series in the fig5a/fig5b/fig5c/churn metrics streams: exact | incremental | sketch (empty = off, byte-identical output); rejected by other experiments")
 
-		scaleN = flag.Int("scale-n", 0, "fig5a-scale: cap the peer ladder at this n (0 = full ladder to 1e6)")
-		shards = flag.Int("shards", 0, "fig5a-scale: parallel engines in the sharded simulator (0 = one per transit domain); any value yields byte-identical streams")
+		scaleN = flag.Int("scale-n", 0, "fig5a-scale/figR-scale: cap the peer ladder at this n (0 = full ladder to 1e6); rejected by other experiments")
+		shards = flag.Int("shards", 0, "fig5a-scale/figR-scale: parallel engines in the sharded simulator (0 = one per transit domain); any value yields byte-identical streams; rejected by other experiments")
 
 		faultLoss  = flag.Float64("loss", 0, "message-loss probability: collapses the figRa/figR-scale sweep to {0, value}, attaches loss+dup+jitter to every fig5a-scale rung; rejected by other experiments (0 = default)")
 		faultCrash = flag.Float64("crash", 0, "crash-stop fraction: collapses the figRb/figR-scale sweep to {0, value}, attaches churn to every fig5a-scale rung; rejected by other experiments (0 = default)")
@@ -89,8 +90,10 @@ func main() {
 
 	if *list || *expID == "" {
 		fmt.Println("available experiments:")
-		for _, id := range experiment.IDs() {
-			fmt.Printf("  %-9s %s\n", id, experiment.Describe(id))
+		ids := experiment.IDs()
+		width := len(slices.MaxFunc(ids, func(a, b string) int { return len(a) - len(b) }))
+		for _, id := range ids {
+			fmt.Printf("  %-*s %s\n", width, id, experiment.Describe(id))
 		}
 		if *expID == "" && !*list {
 			fmt.Fprintln(os.Stderr, "\nerror: -exp required")
@@ -135,8 +138,8 @@ func main() {
 		if collect {
 			man := obs.NewManifest(id, *seed, *trials, *scale)
 			man.Flags = map[string]string{}
-			// Fault overrides enter the manifest only when set, so the
-			// fault-free experiments' streams stay byte-identical to their
+			// Optional knobs enter the manifest only when set, so the streams
+			// of runs that leave them alone stay byte-identical to their
 			// historical output.
 			if *faultLoss > 0 {
 				man.Flags["loss"] = strconv.FormatFloat(*faultLoss, 'g', -1, 64)
@@ -147,12 +150,9 @@ func main() {
 			if *faultPart > 0 {
 				man.Flags["partition"] = strconv.FormatFloat(*faultPart, 'g', -1, 64)
 			}
-			// The AL mode enters the manifest only when set, for the same
-			// byte-compatibility reason as the fault overrides.
 			if *alMode != "" {
 				man.Flags["al-mode"] = *alMode
 			}
-			// Likewise the scaling knobs (fig5a-scale only).
 			if *scaleN > 0 {
 				man.Flags["scale-n"] = strconv.Itoa(*scaleN)
 			}

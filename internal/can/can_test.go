@@ -311,26 +311,3 @@ func TestZonePointDist(t *testing.T) {
 		t.Fatalf("wrap dist = %v, want 0.26", d)
 	}
 }
-
-func BenchmarkRoute512(b *testing.B) {
-	sp, err := Build(hostsN(512), Config{}, lat, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sp.Route(r.Intn(512), RandomPoint(r), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBuild512(b *testing.B) {
-	hosts := hostsN(512)
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(hosts, Config{}, lat, rng.New(uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

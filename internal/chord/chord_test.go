@@ -301,26 +301,3 @@ func TestSwapHostsPreservesRouting(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkLookup1k(b *testing.B) {
-	ring, err := Build(hostsN(1000), DefaultConfig(), lat, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ring.Lookup(r.Intn(1000), RandomKey(r), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBuildPNS400(b *testing.B) {
-	hosts := hostsN(400)
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(hosts, Config{SuccessorListLen: 4, PNS: true}, lat, rng.New(uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

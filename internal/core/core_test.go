@@ -456,21 +456,3 @@ func TestOnTransitStubNetwork(t *testing.T) {
 		t.Fatal("overlay disconnected")
 	}
 }
-
-func BenchmarkProbeCyclePROPG(b *testing.B) {
-	o, r := scrambledLineOverlay(b, 500, 1)
-	cfg := DefaultConfig(PROPG)
-	cfg.InitTimerMS = 10
-	p, err := New(o, cfg, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := event.New()
-	p.Start(e)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !e.Step() {
-			b.Fatal("queue drained")
-		}
-	}
-}

@@ -277,13 +277,3 @@ func TestPeriodicPattern(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkScheduleAndRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := New()
-		for j := 0; j < 1000; j++ {
-			e.At(Time(j%97), func(*Engine) {})
-		}
-		e.Run(0)
-	}
-}

@@ -39,51 +39,43 @@ type alProbe struct {
 	est     *metrics.ALEstimator // sketch mode
 }
 
-// newALProbe builds the probe for opt.ALMode over o, or nil when the mode
-// is off. seed derives the sketch mode's private generator, so attaching
-// the probe never perturbs the experiment's own RNG streams.
-func newALProbe(opt Options, o *overlay.Overlay, seed uint64) (*alProbe, error) {
-	switch opt.ALMode {
+// newALProbe builds the probe for mode over o, or nil when the mode is off
+// (Run has already rejected unknown modes). seed derives the sketch mode's
+// private generator, so attaching the probe never perturbs the
+// experiment's own RNG streams.
+func newALProbe(mode string, o *overlay.Overlay, seed uint64) (*alProbe, error) {
+	var err error
+	p := &alProbe{mode: mode}
+	switch mode {
 	case ALModeOff:
 		return nil, nil
 	case ALModeExact:
-		tr, err := metrics.NewALTracker(o, nil, metrics.ALTrackerOptions{DriftBudget: -1})
-		if err != nil {
-			return nil, err
-		}
-		return &alProbe{mode: opt.ALMode, tracker: tr}, nil
+		p.tracker, err = metrics.NewALTracker(o, nil, metrics.ALTrackerOptions{DriftBudget: -1})
 	case ALModeIncremental:
-		tr, err := metrics.NewALTracker(o, nil, metrics.ALTrackerOptions{})
-		if err != nil {
-			return nil, err
-		}
-		return &alProbe{mode: opt.ALMode, tracker: tr}, nil
+		p.tracker, err = metrics.NewALTracker(o, nil, metrics.ALTrackerOptions{})
 	case ALModeSketch:
-		est, err := metrics.NewALEstimator(metrics.OverlayFloodSource(o, nil),
+		p.est, err = metrics.NewALEstimator(metrics.OverlayFloodSource(o, nil),
 			metrics.ALEstimatorOptions{}, rng.New(seed^0xa17e57e57))
-		if err != nil {
-			return nil, err
-		}
-		return &alProbe{mode: opt.ALMode, est: est}, nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown AL mode %q (want %q, %q or %q)",
-			opt.ALMode, ALModeExact, ALModeIncremental, ALModeSketch)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // measure evaluates AL at simulated time t and records it (plus the sketch
 // mode's standard error and unreachable-pair counter) on the trial's
 // metrics stream.
-func (p *alProbe) measure(tr *obs.Trial, prefix string, t float64) (float64, error) {
+func (p *alProbe) measure(tr *obs.Trial, prefix string, t float64) error {
 	if p == nil {
-		return 0, nil
+		return nil
 	}
 	var al float64
 	switch p.mode {
 	case ALModeSketch:
 		sk, err := p.est.Estimate()
 		if err != nil {
-			return 0, fmt.Errorf("experiment: sketch AL at t=%v: %w", t, err)
+			return fmt.Errorf("experiment: sketch AL at t=%v: %w", t, err)
 		}
 		if tr != nil {
 			tr.Series(prefix+"al_stderr_ms").Sample(t, sk.StdErr)
@@ -99,7 +91,7 @@ func (p *alProbe) measure(tr *obs.Trial, prefix string, t float64) (float64, err
 	if tr != nil {
 		tr.Series(prefix+"al_ms").Sample(t, al)
 	}
-	return al, nil
+	return nil
 }
 
 // update absorbs pending topology mutations immediately (incremental mode

@@ -58,12 +58,11 @@ func TestALModeChurnStreams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full instrumented churn trials")
 	}
-	opt := Options{Seed: 3, Trials: 1, Scale: 0.1}
-	off := metricsStreamOf(t, "churn", opt)
-	if ts, _ := alSeriesOf(t, off, "churn/al_ms"); len(ts) != 0 {
+	if ts, _ := alSeriesOf(t, golden(t, "churn").stream, "churn/al_ms"); len(ts) != 0 {
 		t.Fatalf("AL mode off emitted %d al_ms samples", len(ts))
 	}
 
+	opt := Options{Seed: 3, Trials: 1, Scale: 0.1}
 	streams := map[string][]byte{}
 	for _, mode := range []string{ALModeExact, ALModeIncremental, ALModeSketch} {
 		o := opt

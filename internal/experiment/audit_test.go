@@ -7,7 +7,7 @@ import (
 
 // TestAuditedRunsClean runs one Gnutella panel and one Chord panel at
 // miniature scale with the online auditor attached and verifies (a) the run
-// is violation-free — finishAudit turns any violation into an error — and
+// is violation-free — the final audit check turns any violation into an error — and
 // (b) the per-trial audit summaries land in Result.Notes. This test is NOT
 // skipped in -short mode so that `go test -tags auditstrict -short ./...`
 // evaluates every registered invariant on every protocol event.
@@ -41,11 +41,7 @@ func TestAuditedRunsClean(t *testing.T) {
 // TestAuditOffLeavesNotesClean verifies the auditor is pay-for-play: without
 // Options.Audit no audit notes appear.
 func TestAuditOffLeavesNotesClean(t *testing.T) {
-	res, err := Run("fig5c", Options{Seed: 3, Trials: 1, Scale: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range res.Notes {
+	for _, n := range golden(t, "fig5c").res.Notes {
 		if strings.HasPrefix(n, "audit trial ") {
 			t.Fatalf("unexpected audit note without Options.Audit: %q", n)
 		}

@@ -22,7 +22,7 @@ func Example() {
 	// minvar true
 }
 
-// ExampleIDs lists the experiment registry.
+// ExampleIDs lists the experiment table.
 func ExampleIDs() {
 	fmt.Println(len(experiment.IDs()) >= 18)
 	fmt.Println(experiment.Describe("fig7") != "")

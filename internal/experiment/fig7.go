@@ -2,13 +2,13 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/hetero"
 	"repro/internal/ltm"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/overlay"
 	"repro/internal/rng"
@@ -27,36 +27,42 @@ var fig7Fractions = []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
 // size m still mattering — given unlimited time even m=1 converges).
 const fig7HorizonMS = 15 * 60000
 
-// fig7Policy names one curve.
-type fig7Policy struct {
-	label string
-	// optimize runs the policy over the overlay for the standard horizon,
-	// recording its loop activity into tr (nil = instrumentation off) under
-	// the given label prefix.
-	optimize func(o *overlay.Overlay, r *rng.Rand, tr *obs.Trial, label string) error
-}
-
 // fig7SampleStepMS is the metric-sampling cadence of the optimization
-// phase; sampling only happens when instrumentation is on, and running the
-// engine to the horizon in steps executes the identical event sequence.
+// phase; sampling only happens when instrumentation is on.
 const fig7SampleStepMS = 60000
 
-func propPolicy(policy core.Policy, m int) func(*overlay.Overlay, *rng.Rand, *obs.Trial, string) error {
-	return func(o *overlay.Overlay, r *rng.Rand, tr *obs.Trial, label string) error {
+// fig7Optimizer runs one policy over the overlay to fig7HorizonMS,
+// recording its loop activity into tr (nil = instrumentation off) under
+// prefix.
+type fig7Optimizer func(o *overlay.Overlay, r *rng.Rand, tr *obs.Trial, prefix string) error
+
+// fig7Policies are the curves of Fig. 7.
+var fig7Policies = []struct {
+	label    string
+	optimize fig7Optimizer
+}{
+	{"PROP-O (m=1)", propPolicy(core.PROPO, 1)},
+	{"PROP-O (m=2)", propPolicy(core.PROPO, 2)},
+	{"PROP-O (m=4)", propPolicy(core.PROPO, 4)},
+	{"PROP-G", propPolicy(core.PROPG, 0)},
+	{"LTM", ltmPolicy},
+}
+
+func propPolicy(policy core.Policy, m int) fig7Optimizer {
+	return func(o *overlay.Overlay, r *rng.Rand, tr *obs.Trial, prefix string) error {
 		cfg := core.DefaultConfig(policy)
 		cfg.M = m
 		p, err := core.New(o, cfg, r)
 		if err != nil {
 			return err
 		}
-		prefix := label + "/"
 		hookExchangeTrace(tr, prefix, p)
-		e := event.New()
-		p.Start(e)
 		sp := tr.StartSpan(prefix+"optimize", 0)
-		for t := 0.0; t <= fig7HorizonMS; t += fig7SampleStepMS {
-			e.RunUntil(event.Time(t))
+		if err := optimize(event.New(), p, fig7HorizonMS, fig7SampleStepMS, func(t float64) error {
 			sampleProtocol(tr, prefix, t, p, o)
+			return nil
+		}); err != nil {
+			return err
 		}
 		sp.End(fig7HorizonMS)
 		recordCounterTotals(tr, prefix+"prop.", p.Counters)
@@ -64,72 +70,31 @@ func propPolicy(policy core.Policy, m int) func(*overlay.Overlay, *rng.Rand, *ob
 	}
 }
 
-func ltmPolicy() func(*overlay.Overlay, *rng.Rand, *obs.Trial, string) error {
-	return func(o *overlay.Overlay, r *rng.Rand, tr *obs.Trial, label string) error {
-		p, err := ltm.New(o, ltm.DefaultConfig(), r)
-		if err != nil {
-			return err
-		}
-		prefix := label + "/"
-		e := event.New()
-		p.Start(e)
-		sp := tr.StartSpan(prefix+"optimize", 0)
-		for t := 0.0; t <= fig7HorizonMS; t += fig7SampleStepMS {
-			e.RunUntil(event.Time(t))
-			if tr != nil {
-				sampleMessageCounters(tr, prefix+"ltm.", t, p.Counters)
-				sampleOverlayStats(tr, prefix, t, o)
-			}
-		}
-		sp.End(fig7HorizonMS)
-		recordCounterTotals(tr, prefix+"ltm.", p.Counters)
-		return nil
+func ltmPolicy(o *overlay.Overlay, r *rng.Rand, tr *obs.Trial, prefix string) error {
+	p, err := ltm.New(o, ltm.DefaultConfig(), r)
+	if err != nil {
+		return err
 	}
+	sp := tr.StartSpan(prefix+"optimize", 0)
+	if err := optimize(event.New(), nil, fig7HorizonMS, fig7SampleStepMS, func(t float64) error {
+		sampleMessageCounters(tr, prefix+"ltm.", t, p.Counters)
+		sampleOverlayStats(tr, prefix, t, o)
+		return nil
+	}, p.Start); err != nil {
+		return err
+	}
+	sp.End(fig7HorizonMS)
+	recordCounterTotals(tr, prefix+"ltm.", p.Counters)
+	return nil
 }
 
-// runFig7 reproduces the bimodal-processing-delay comparison. For every
+// fig7Trial reproduces the bimodal-processing-delay comparison. For every
 // policy the optimized overlay is evaluated against the same host-level
 // workload; the reported value is the ratio of the policy's average lookup
 // delay to the unoptimized overlay's (the paper likewise reports "a
 // normalized value instead of real lookup delay").
-func runFig7(opt Options) (*Result, error) {
-	policies := []fig7Policy{
-		{label: "PROP-O (m=1)", optimize: propPolicy(core.PROPO, 1)},
-		{label: "PROP-O (m=2)", optimize: propPolicy(core.PROPO, 2)},
-		{label: "PROP-O (m=4)", optimize: propPolicy(core.PROPO, 4)},
-		{label: "PROP-G", optimize: propPolicy(core.PROPG, 0)},
-		{label: "LTM", optimize: ltmPolicy()},
-	}
-
-	perTrial, err := forEachTrial(opt.Trials, func(trial int) ([]stats.Series, error) {
-		return oneFig7Trial(opt, policies, opt.Metrics.Trial(trial), trialSeed(opt.Seed, trial))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		ID:     "fig7",
-		Title:  "Average lookup latency for bimodal processing delay, varying the fraction of fast-node lookups",
-		XLabel: "fraction of fast lookups",
-		YLabel: "average lookup delay (ratio vs unoptimized overlay)",
-		Series: mergeTrials(perTrial),
-		Notes: []string{
-			"bimodal model: fast=1ms, slow=100ms, 20% fast machines (the overlay hubs)",
-			"expected shape: LTM best at x=0; PROP-O decreases with x; PROP-G and LTM worsen as x→1",
-			"the PROP-O/LTM crossover at x=1 reproduces at n<=500 (scale<=0.5); at n=1000 the two converge within ~2% — PROP-O matching LTM at a fraction of the message cost while preserving degrees (see EXPERIMENTS.md)",
-			fmt.Sprintf("scale=%.2f seed=%d trials=%d", opt.Scale, opt.Seed, opt.Trials),
-		},
-	}, nil
-}
-
-func oneFig7Trial(opt Options, policies []fig7Policy, tr *obs.Trial, seed uint64) ([]stats.Series, error) {
-	e, err := newEnv(netsim.TSLarge(), seed)
-	if err != nil {
-		return nil, err
-	}
-	e.instrumentOracle(tr, "fig7/")
-	n := scaled(1000, opt.Scale, 100)
-	base, err := e.buildGnutella(n)
+func fig7Trial(c *trialCtx) ([]stats.Series, error) {
+	e, base, err := c.gnutellaWorld("fig7/")
 	if err != nil {
 		return nil, err
 	}
@@ -137,57 +102,39 @@ func oneFig7Trial(opt Options, policies []fig7Policy, tr *obs.Trial, seed uint64
 	if err != nil {
 		return nil, err
 	}
-	fastHosts := baseModel.FastHosts()
-	fastSet := make(map[int]bool, len(fastHosts))
-	for _, h := range fastHosts {
-		fastSet[h] = true
-	}
-	allHosts := base.Hosts()
-	var slowHosts []int
-	for _, h := range allHosts {
-		if !fastSet[h] {
-			slowHosts = append(slowHosts, h)
-		}
-	}
+	fastHosts, allHosts := baseModel.FastHosts(), base.Hosts()
+	slowHosts := slices.DeleteFunc(slices.Clone(allHosts), func(h int) bool { return slices.Contains(fastHosts, h) })
 
 	// Host-level workloads, one per fraction, shared by every policy so the
-	// curves are directly comparable.
-	nLookups := scaled(paperLookups, opt.Scale, 100)
+	// curves are directly comparable; the baseline is the unoptimized
+	// overlay's delay at each fraction.
+	nLookups := scaled(paperLookups, c.Scale, 100)
 	wr := e.r.Split()
 	hostLookups := make([][]workload.Lookup, len(fig7Fractions))
+	baseline := make([]float64, len(fig7Fractions))
 	for i, frac := range fig7Fractions {
-		ls, err := workload.Skewed(allHosts, fastHosts, slowHosts, frac, nLookups, wr)
-		if err != nil {
+		if hostLookups[i], err = workload.Skewed(allHosts, fastHosts, slowHosts, frac, nLookups, wr); err != nil {
 			return nil, err
 		}
-		hostLookups[i] = ls
-	}
-
-	// Baseline: the unoptimized overlay's delay at each fraction.
-	baseline := make([]float64, len(fig7Fractions))
-	for i := range fig7Fractions {
-		baseline[i] = evalHostWorkload(base, baseModel, hostLookups[i])
-		if baseline[i] <= 0 {
-			return nil, fmt.Errorf("fig7: degenerate baseline %v at fraction %v", baseline[i], fig7Fractions[i])
+		if baseline[i] = evalHostWorkload(base, baseModel, hostLookups[i]); baseline[i] <= 0 {
+			return nil, fmt.Errorf("fig7: degenerate baseline %v at fraction %v", baseline[i], frac)
 		}
 	}
 
-	out := make([]stats.Series, len(policies))
-	for pi, pol := range policies {
+	out := make([]stats.Series, len(fig7Policies))
+	for pi, pol := range fig7Policies {
 		oc := base.Clone()
 		model, err := hetero.AssignByDegree(oc, hetero.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
-		if err := pol.optimize(oc, e.r.Split(), tr, pol.label); err != nil {
+		if err := pol.optimize(oc, e.r.Split(), c.tr, pol.label+"/"); err != nil {
 			return nil, fmt.Errorf("%s: %w", pol.label, err)
 		}
-		s := stats.Series{Label: pol.label}
+		out[pi] = stats.Series{Label: pol.label}
 		for i, frac := range fig7Fractions {
-			mean := evalHostWorkload(oc, model, hostLookups[i])
-			s.Add(frac, mean/baseline[i])
+			out[pi].Add(frac, evalHostWorkload(oc, model, hostLookups[i])/baseline[i])
 		}
-		out[pi] = s
 	}
 	return out, nil
 }

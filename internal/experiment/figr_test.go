@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -13,16 +14,22 @@ func runFigRWithMetrics(t *testing.T, id string, opt Options) (string, []byte) {
 	t.Helper()
 	reg := obs.New(obs.NewManifest(id, opt.Seed, opt.Trials, opt.Scale))
 	opt.Metrics = reg
-	table := renderOf(t, id, opt)
+	res, err := Run(id, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	var table strings.Builder
+	res.Render(&table)
 	var buf bytes.Buffer
 	if err := reg.WriteJSONL(&buf); err != nil {
 		t.Fatalf("%s: WriteJSONL: %v", id, err)
 	}
-	return table, buf.Bytes()
+	return table.String(), buf.Bytes()
 }
 
 // TestFigRMetricsByteDeterminism is the fault-schedule determinism
-// regression: the figR metrics streams — which embed every retry, timeout,
+// regression on the override path (the golden pass pins the default
+// sweeps): the figR metrics streams — which embed every retry, timeout,
 // and injector tally the fault schedule produced — must be byte-identical
 // across runs with the same seed, and must change with the seed.
 func TestFigRMetricsByteDeterminism(t *testing.T) {
@@ -62,54 +69,25 @@ func TestFigRMetricsByteDeterminism(t *testing.T) {
 	}
 }
 
-// TestFigRaConvergesUnderLoss pins the acceptance property: at 5%% message
-// loss both PROP policies still end well below the unoptimized overlay.
+// TestFigRaConvergesUnderLoss pins the acceptance property on the golden
+// run: at 5% message loss both PROP policies still end well below the
+// unoptimized overlay.
 func TestFigRaConvergesUnderLoss(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figRa convergence run in -short mode")
-	}
-	res, err := Run("figRa", Options{Seed: 5, Trials: 1, Scale: 0.1, FaultLoss: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var unopt float64
-	for _, s := range res.Series {
-		if s.Label == "unoptimized" {
-			unopt = s.YAt(5)
-		}
-	}
-	if unopt <= 0 {
-		t.Fatalf("missing unoptimized baseline in %+v", res.Series)
-	}
-	for _, s := range res.Series {
-		if s.Label == "unoptimized" {
-			continue
-		}
-		if got := s.YAt(5); got >= unopt {
-			t.Errorf("%s at 5%% loss: stretch %v did not improve on unoptimized %v", s.Label, got, unopt)
+	g := golden(t, "figRa")
+	unopt := g.series(t, "unoptimized").YAt(5)
+	for _, label := range []string{"PROP-G", "PROP-O (m=2)"} {
+		if got := g.series(t, label).YAt(5); !(got < unopt) {
+			t.Errorf("%s at 5%% loss: stretch %v did not improve on unoptimized %v", label, got, unopt)
 		}
 	}
 }
 
-// TestFigRbRepairsCrashes pins the crash-stop acceptance property: with 10%%
-// of the peers crashing, the repair rounds actually run (corpses repaired)
-// and the per-round audit — which would have failed the run — stayed green.
+// TestFigRbRepairsCrashes pins the crash-stop acceptance property on the
+// golden run: with 10% of the peers crashing, the repair rounds actually
+// run (corpses repaired) and the per-round audit — which would have failed
+// the run — stayed green.
 func TestFigRbRepairsCrashes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figRb crash run in -short mode")
+	if got := golden(t, "figRb").series(t, "corpses repaired").YAt(10); got <= 0 {
+		t.Errorf("corpses repaired at crash=10%%: %v, want > 0", got)
 	}
-	res, err := Run("figRb", Options{Seed: 5, Trials: 1, Scale: 0.1, FaultCrash: 0.10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range res.Series {
-		if s.Label != "corpses repaired" {
-			continue
-		}
-		if got := s.YAt(10); got <= 0 {
-			t.Errorf("corpses repaired at crash=10%%: %v, want > 0", got)
-		}
-		return
-	}
-	t.Fatalf("missing 'corpses repaired' series in %+v", res.Series)
 }

@@ -19,28 +19,32 @@ func figRScaleTestOpt(seed uint64) Options {
 	}
 }
 
-// TestFigRScaleSmoke runs the full default sweeps on the smallest rung and
-// checks the result shape: one loss and one crash series, each anchored at
-// the shared fault-free point, plus the per-point fault tallies in the
-// notes.
+// TestFigRScaleSmoke checks the golden run's shape: a loss and a crash
+// series per rung, each anchored at the rung's shared fault-free point, the
+// full sweeps on the smallest rung and only their endpoints above it, plus
+// the per-point fault tallies in the notes.
 func TestFigRScaleSmoke(t *testing.T) {
-	res, err := Run("figR-scale", Options{Seed: 4, Trials: 1, Scale: 0.5, ScaleMaxN: scaleMinPeers})
-	if err != nil {
-		t.Fatal(err)
+	res := golden(t, "figR-scale").res
+	rungs := scaleRungs(goldenOpt)
+	if len(res.Series) != 2*len(rungs) {
+		t.Fatalf("%d series, want loss + crash for each of %d rungs", len(res.Series), len(rungs))
 	}
-	if len(res.Series) != 2 {
-		t.Fatalf("%d series, want 2 (loss + crash for one rung)", len(res.Series))
+	if res.Series[0].Label != "n=4096 loss" || res.Series[1].Label != "n=4096 crash" {
+		t.Fatalf("series labels %q, %q", res.Series[0].Label, res.Series[1].Label)
 	}
-	loss, crash := res.Series[0], res.Series[1]
-	if loss.Label != "n=4096 loss" || crash.Label != "n=4096 crash" {
-		t.Fatalf("series labels %q, %q", loss.Label, crash.Label)
-	}
-	if loss.Len() != len(figRLossGrid) || crash.Len() != len(figRCrashGrid) {
-		t.Fatalf("sweep sizes %d/%d, want %d/%d", loss.Len(), crash.Len(), len(figRLossGrid), len(figRCrashGrid))
-	}
-	if loss.X[0] != 0 || crash.X[0] != 0 || loss.Y[0] != crash.Y[0] {
-		t.Errorf("sweeps not anchored at the shared fault-free point: loss(%v)=%v crash(%v)=%v",
-			loss.X[0], loss.Y[0], crash.X[0], crash.Y[0])
+	for i := range rungs {
+		loss, crash := res.Series[2*i], res.Series[2*i+1]
+		nl, nc := 2, 2
+		if i == 0 {
+			nl, nc = len(figRLossGrid), len(figRCrashGrid)
+		}
+		if loss.Len() != nl || crash.Len() != nc {
+			t.Errorf("%s/%s: sweep sizes %d/%d, want %d/%d", loss.Label, crash.Label, loss.Len(), crash.Len(), nl, nc)
+		}
+		if loss.X[0] != 0 || crash.X[0] != 0 || loss.Y[0] != crash.Y[0] {
+			t.Errorf("%s: sweeps not anchored at the shared fault-free point: loss(%v)=%v crash(%v)=%v",
+				loss.Label, loss.X[0], loss.Y[0], crash.X[0], crash.Y[0])
+		}
 	}
 	var tallies bool
 	for _, n := range res.Notes {
@@ -130,30 +134,39 @@ func TestFaultFlagRejectsBadValues(t *testing.T) {
 	}
 }
 
-// TestFaultFlagRejection pins the bugfix: a fault override an experiment
-// would silently ignore is now an error naming the flag, while the
-// fault-aware experiments accept their own overrides.
+// TestFaultFlagRejection pins the bugfix: an optional field an experiment
+// would silently ignore — a fault override, the AL mode, the ladder knobs,
+// the auditor — is an error before any trial runs, naming the flag and the
+// experiments that do consume it; an unknown AL mode is an error for every
+// experiment. The consuming experiments accept their own overrides.
 func TestFaultFlagRejection(t *testing.T) {
-	reject := []struct {
-		id  string
-		opt Options
-		fla string
+	for _, c := range []struct {
+		id   string
+		opt  Options
+		flag string // the rejected flag(s), as the error names them
+		user string // an experiment the error must name as consuming them
 	}{
-		{"fig5b", Options{FaultLoss: 0.05}, "-loss"},
-		{"fig5a", Options{FaultCrash: 0.1}, "-crash"},
-		{"churn", Options{FaultPartitionMS: 60000}, "-partition"},
-		{"figRa", Options{FaultCrash: 0.1}, "-crash"},
-		{"figRb", Options{FaultLoss: 0.05}, "-loss"},
-		{"figRc", Options{FaultLoss: 0.05, FaultCrash: 0.1}, "-loss/-crash"},
-	}
-	for _, c := range reject {
+		{"fig5b", Options{FaultLoss: 0.05}, "-loss", "figR-scale"},
+		{"fig5a", Options{FaultCrash: 0.1}, "-crash", "figR-scale"},
+		{"churn", Options{FaultPartitionMS: 60000}, "-partition", "figR-scale"},
+		{"figRa", Options{FaultCrash: 0.1}, "-crash", "figR-scale"},
+		{"figRb", Options{FaultLoss: 0.05}, "-loss", "figR-scale"},
+		{"figRc", Options{FaultLoss: 0.05, FaultCrash: 0.1}, "-loss/-crash", "figR-scale"},
+		{"overhead", Options{ALMode: ALModeExact, Shards: 3, ScaleMaxN: 5}, "-al-mode/-scale-n/-shards", "fig5a-scale"},
+		{"fig6a", Options{ALMode: ALModeSketch}, "-al-mode", "churn"},
+		{"figRa", Options{ScaleMaxN: 5}, "-scale-n", "fig5a-scale"},
+		{"fig5a", Options{Shards: 4}, "-shards", "figR-scale"},
+		{"churn", Options{Audit: true}, "Options.Audit", "fig6c"},
+		{"fig5a-scale", Options{ALMode: ALModeIncremental}, "-al-mode", "fig5c"},
+		{"overhead", Options{ALMode: "nope", Shards: 3}, "unknown AL mode", "incremental"},
+	} {
 		_, err := Run(c.id, c.opt)
 		if err == nil {
-			t.Errorf("%s silently accepted a fault override it does not consume (%+v)", c.id, c.opt)
+			t.Errorf("%s silently accepted an option it does not consume (%+v)", c.id, c.opt)
 			continue
 		}
-		if !strings.Contains(err.Error(), c.fla) || !strings.Contains(err.Error(), "figR-scale") {
-			t.Errorf("%s: error %q does not name %s and the fault-aware set", c.id, err, c.fla)
+		if !strings.Contains(err.Error(), c.flag) || !strings.Contains(err.Error(), c.user) {
+			t.Errorf("%s: error %q does not name %s and %s", c.id, err, c.flag, c.user)
 		}
 	}
 	// fig5a-scale consumes all three: the same overrides must run clean and

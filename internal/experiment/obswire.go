@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/overlay"
@@ -97,5 +98,45 @@ func hookExchangeTrace(tr *obs.Trial, prefix string, p *core.Protocol) {
 		if prev != nil {
 			prev(ev)
 		}
+	}
+}
+
+// faultCounts names the protocol's fault-handling counters — timeouts,
+// retries, liveness evictions, duplicate drops, and absorbed stale timers.
+// Only the figR* rows record them: the fault-free rows' streams must not
+// gain, or even conditionally skip, these series. (The stream sorts by
+// name, so map order never shows.)
+func faultCounts(c metrics.Counters) map[string]uint64 {
+	return map[string]uint64{"faults.timeouts": c.Timeouts, "faults.retries": c.Retries,
+		"faults.evictions": c.Evictions, "faults.dups_dropped": c.DupsDropped, "faults.stale_timers": c.StaleTimers}
+}
+
+// sampleFaultCounters writes one tick of faultCounts as cumulative
+// sim-clock series.
+func sampleFaultCounters(tr *obs.Trial, prefix string, tMS float64, c metrics.Counters) {
+	if tr == nil {
+		return
+	}
+	for name, v := range faultCounts(c) {
+		tr.Series(prefix+name).Sample(tMS, float64(v))
+	}
+}
+
+// recordFaultTotals stores the end-of-run fault manifest: faultCounts plus
+// what the injector actually did to the traffic (messages seen, losses,
+// duplicates, link-outage and partition drops). A nil trial records
+// nothing; a nil injector, only the protocol's totals.
+func recordFaultTotals(tr *obs.Trial, prefix string, c metrics.Counters, inj *faults.Injector) {
+	if tr == nil {
+		return
+	}
+	totals := faultCounts(c)
+	if inj.Enabled() {
+		s := inj.Stats()
+		totals["faults.injected_messages"], totals["faults.injected_lost"], totals["faults.injected_dups"] = s.Messages, s.Lost, s.Dups
+		totals["faults.linkdown_drops"], totals["faults.partition_drops"] = s.LinkDownDrops, s.PartitionDrops
+	}
+	for name, v := range totals {
+		tr.Counter(prefix + name).Add(v)
 	}
 }

@@ -8,35 +8,36 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // WriteCSV emits the result as one CSV table: the first column is the x
 // value, one column per series (empty cell where a series has no point).
 func (r *Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
 	header := []string{r.XLabel}
 	for _, s := range r.Series {
 		header = append(header, s.Label)
 	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
+	return csv.NewWriter(w).WriteAll(append([][]string{header}, r.rows(formatFloat, func(y float64) string {
+		if math.IsNaN(y) {
+			return ""
+		}
+		return formatFloat(y)
+	})...))
+}
+
+// rows returns one row per x of xUnion: x formatted by fx, then every
+// series' value at x formatted by fy (NaN where the series has no point).
+func (r *Result) rows(fx, fy func(float64) string) [][]string {
+	var out [][]string
 	for _, x := range r.xUnion() {
-		row := []string{formatFloat(x)}
+		row := []string{fx(x)}
 		for _, s := range r.Series {
-			y := s.YAt(x)
-			if math.IsNaN(y) {
-				row = append(row, "")
-			} else {
-				row = append(row, formatFloat(y))
-			}
+			row = append(row, fy(s.YAt(x)))
 		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
+		out = append(out, row)
 	}
-	cw.Flush()
-	return cw.Error()
+	return out
 }
 
 // WriteJSON emits the full result (metadata, series, notes) as indented
@@ -71,48 +72,32 @@ func formatFloat(v float64) string {
 // series as a table, and the notes as a bullet list. cmd/propreport strings
 // these together into a full reproduction report.
 func (r *Result) WriteMarkdown(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "## `%s` — %s\n\n", r.ID, r.Title); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "## `%s` — %s\n\n", r.ID, r.Title)
 	if len(r.Series) == 0 {
-		_, err := fmt.Fprintln(w, "(no data)")
+		b.WriteString("(no data)\n")
+		_, err := io.WriteString(w, b.String())
 		return err
 	}
-	header := "| " + r.XLabel + " |"
-	sep := "|---|"
+	b.WriteString("| " + r.XLabel + " |")
 	for _, s := range r.Series {
-		header += " " + s.Label + " |"
-		sep += "---|"
+		b.WriteString(" " + s.Label + " |")
 	}
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, sep); err != nil {
-		return err
-	}
-	for _, x := range r.xUnion() {
-		row := "| " + formatFloat(x) + " |"
-		for _, s := range r.Series {
-			y := s.YAt(x)
-			if math.IsNaN(y) {
-				row += " — |"
-			} else {
-				row += " " + strconv.FormatFloat(y, 'f', 3, 64) + " |"
-			}
+	b.WriteString("\n|---|" + strings.Repeat("---|", len(r.Series)) + "\n")
+	for _, row := range r.rows(formatFloat, func(y float64) string {
+		if math.IsNaN(y) {
+			return "—"
 		}
-		if _, err := fmt.Fprintln(w, row); err != nil {
-			return err
-		}
+		return strconv.FormatFloat(y, 'f', 3, 64)
+	}) {
+		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
 	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
+	b.WriteString("\n")
 	for _, n := range r.Notes {
-		if _, err := fmt.Fprintf(w, "- %s\n", n); err != nil {
-			return err
-		}
+		b.WriteString("- " + n + "\n")
 	}
-	_, err := fmt.Fprintln(w)
+	b.WriteString("\n")
+	_, err := io.WriteString(w, b.String())
 	return err
 }
 
@@ -120,19 +105,9 @@ func (r *Result) WriteMarkdown(w io.Writer) error {
 // a y-axis with min/max labels, and a legend. width and height are the
 // plot-area dimensions in characters (sane floors apply).
 func (r *Result) Plot(w io.Writer, width, height int) {
-	if width < 20 {
-		width = 20
-	}
-	if height < 5 {
-		height = 5
-	}
+	width, height = max(width, 20), max(height, 5)
 	glyphs := []byte{'*', '+', 'o', 'x', '#', '@', '%', '&', '$', '~'}
 	xs := r.xUnion()
-	if len(xs) == 0 {
-		fmt.Fprintln(w, "(no data to plot)")
-		return
-	}
-	xmin, xmax := xs[0], xs[len(xs)-1]
 	ymin, ymax := math.Inf(1), math.Inf(-1)
 	for _, s := range r.Series {
 		for _, y := range s.Y {
@@ -144,10 +119,11 @@ func (r *Result) Plot(w io.Writer, width, height int) {
 			}
 		}
 	}
-	if math.IsInf(ymin, 1) {
+	if len(xs) == 0 || math.IsInf(ymin, 1) {
 		fmt.Fprintln(w, "(no data to plot)")
 		return
 	}
+	xmin, xmax := xs[0], xs[len(xs)-1]
 	if ymax == ymin {
 		ymax = ymin + 1
 	}
@@ -157,45 +133,20 @@ func (r *Result) Plot(w io.Writer, width, height int) {
 
 	grid := make([][]byte, height)
 	for i := range grid {
-		grid[i] = make([]byte, width)
-		for j := range grid[i] {
-			grid[i][j] = ' '
-		}
-	}
-	col := func(x float64) int {
-		c := int((x - xmin) / (xmax - xmin) * float64(width-1))
-		if c < 0 {
-			c = 0
-		}
-		if c >= width {
-			c = width - 1
-		}
-		return c
-	}
-	row := func(y float64) int {
-		rr := int((ymax - y) / (ymax - ymin) * float64(height-1))
-		if rr < 0 {
-			rr = 0
-		}
-		if rr >= height {
-			rr = height - 1
-		}
-		return rr
+		grid[i] = []byte(strings.Repeat(" ", width))
 	}
 	for si, s := range r.Series {
-		g := glyphs[si%len(glyphs)]
 		for i := range s.X {
-			grid[row(s.Y[i])][col(s.X[i])] = g
+			row := min(max(int((ymax-s.Y[i])/(ymax-ymin)*float64(height-1)), 0), height-1)
+			col := min(max(int((s.X[i]-xmin)/(xmax-xmin)*float64(width-1)), 0), width-1)
+			grid[row][col] = glyphs[si%len(glyphs)]
 		}
 	}
 
 	fmt.Fprintf(w, "%s — %s\n", r.ID, r.Title)
 	yTop := fmt.Sprintf("%.3g", ymax)
 	yBot := fmt.Sprintf("%.3g", ymin)
-	pad := len(yTop)
-	if len(yBot) > pad {
-		pad = len(yBot)
-	}
+	pad := max(len(yTop), len(yBot))
 	for i, line := range grid {
 		label := ""
 		switch i {
@@ -206,18 +157,10 @@ func (r *Result) Plot(w io.Writer, width, height int) {
 		}
 		fmt.Fprintf(w, "%*s |%s\n", pad, label, string(line))
 	}
-	fmt.Fprintf(w, "%*s +%s\n", pad, "", dashes(width))
+	fmt.Fprintf(w, "%*s +%s\n", pad, "", strings.Repeat("-", width))
 	fmt.Fprintf(w, "%*s  %-*.3g%*.3g\n", pad, "", width/2, xmin, width-width/2, xmax)
 	fmt.Fprintf(w, "x: %s, y: %s\n", r.XLabel, r.YLabel)
 	for si, s := range r.Series {
 		fmt.Fprintf(w, "  %c  %s\n", glyphs[si%len(glyphs)], s.Label)
 	}
-}
-
-func dashes(n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = '-'
-	}
-	return string(b)
 }

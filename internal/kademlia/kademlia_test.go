@@ -244,17 +244,3 @@ func TestRefresh(t *testing.T) {
 		t.Fatal("proximity refresh made links worse")
 	}
 }
-
-func BenchmarkLookup1k(b *testing.B) {
-	net, err := Build(hostsN(1000), DefaultConfig(), lat, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.Lookup(r.Intn(1000), RandomKey(r), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

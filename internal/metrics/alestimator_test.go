@@ -279,21 +279,3 @@ func TestALEstimatorErrors(t *testing.T) {
 		t.Fatal("empty overlay accepted")
 	}
 }
-
-// BenchmarkALEstimator4096 measures one default sketch on the PR-7 bench
-// overlay — the O(k·Dijkstra) cost that replaces the exact O(n·Dijkstra)
-// evaluation at scale (contrast with BenchmarkALExactRefloodExchange4096).
-func BenchmarkALEstimator4096(b *testing.B) {
-	s := alBenchSetup(b, 4096)
-	e, err := NewALEstimator(OverlayFloodSource(s.o, nil), ALEstimatorOptions{}, rng.New(17))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Estimate(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

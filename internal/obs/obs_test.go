@@ -208,29 +208,3 @@ func TestWallClockEmission(t *testing.T) {
 		t.Fatal("negative wall duration")
 	}
 }
-
-func BenchmarkCounterDisabled(b *testing.B) {
-	var c *Counter
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Add(1)
-	}
-}
-
-func BenchmarkCounterEnabled(b *testing.B) {
-	c := New(NewManifest("x", 1, 1, 1)).Trial(0).Counter("c")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Add(1)
-	}
-}
-
-func BenchmarkCounterEnabledParallel(b *testing.B) {
-	c := New(NewManifest("x", 1, 1, 1)).Trial(0).Counter("c")
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Add(1)
-		}
-	})
-}

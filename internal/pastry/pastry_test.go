@@ -321,17 +321,3 @@ func TestRefreshProximityAdaptsToSwaps(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkLookup1k(b *testing.B) {
-	m, err := Build(hostsN(1000), DefaultConfig(), lat, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Lookup(r.Intn(1000), RandomKey(r), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -275,21 +275,3 @@ func TestItoa(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkUint64(b *testing.B) {
-	r := New(1)
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += r.Uint64()
-	}
-	_ = sink
-}
-
-func BenchmarkIntn(b *testing.B) {
-	r := New(1)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += r.Intn(1000)
-	}
-	_ = sink
-}
