@@ -27,7 +27,7 @@
 // Observability (DESIGN.md §8, EXPERIMENTS.md "Metrics streams"):
 //
 //	propsim -exp fig5a -metrics -metrics-out fig5a.jsonl [-metrics-csv fig5a.csv]
-//	propsim -exp fig5a -al-mode incremental -metrics-out fig5a.jsonl    # eq. (3) AL series
+//	propsim -exp fig5a -al-mode exact -metrics-out fig5a.jsonl          # eq. (3) AL series
 //	propsim -exp churn -al-mode sketch -metrics-out churn.jsonl         # AL ± stderr, unreachable counter
 //	propsim -exp fig5a -metrics-wall -metrics-out fig5a.jsonl   # + wall-clock spans
 //	propsim -exp all -scale 0.5 -pprof localhost:6060           # live pprof/expvar
@@ -64,7 +64,7 @@ func main() {
 		format = flag.String("format", "table", "output format: table | csv | json")
 		plot   = flag.Bool("plot", false, "render an ASCII chart after the table")
 
-		alMode = flag.String("al-mode", "", "record the eq. (3) average-latency series in the fig5a/fig5b/fig5c/churn metrics streams: exact | incremental | sketch (empty = off, byte-identical output); rejected by other experiments")
+		alMode = flag.String("al-mode", "", "record the eq. (3) average-latency series in the fig5a/fig5b/fig5c/churn metrics streams: exact | sketch (empty = off, byte-identical output); rejected by other experiments")
 
 		scaleN = flag.Int("scale-n", 0, "fig5a-scale/figR-scale: cap the peer ladder at this n (0 = full ladder to 1e6); rejected by other experiments")
 		shards = flag.Int("shards", 0, "fig5a-scale/figR-scale: parallel engines in the sharded simulator (0 = one per transit domain); any value yields byte-identical streams; rejected by other experiments")

@@ -66,14 +66,6 @@ type Runner struct {
 	// OnCrash performs one crash-stop node death: the victim vanishes
 	// without deregistering, leaving survivors with stale references.
 	OnCrash func(e *event.Engine) error
-	// AfterEvent, when non-nil, runs after every fired churn event —
-	// successful or failed — while the engine still holds the event.
-	// Incremental maintainers (e.g. metrics.ALTracker) attach here to
-	// absorb each topology-mutation batch while it is still one event
-	// small, instead of repairing a whole window's worth at the next
-	// sample point.
-	AfterEvent func(e *event.Engine)
-
 	// Joins, Leaves, Crashes, Errors count what actually happened.
 	Joins, Leaves, Crashes, Errors int
 
@@ -143,9 +135,6 @@ func (ru *Runner) scheduleNext(e *event.Engine, k kind, baseMS float64) {
 		}
 		if err != nil {
 			ru.Errors++
-		}
-		if ru.AfterEvent != nil {
-			ru.AfterEvent(en)
 		}
 		ru.scheduleNext(en, k, float64(en.Now()))
 	})

@@ -161,34 +161,6 @@ func TestCrashFreeDrawOrderUnchanged(t *testing.T) {
 	}
 }
 
-func TestAfterEventHook(t *testing.T) {
-	cfg := Config{StartMS: 0, StopMS: 20000, MeanJoinIntervalMS: 500, MeanLeaveIntervalMS: 800}
-	ru, err := NewRunner(cfg, rng.New(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fired := 0
-	ru.OnJoin = func(*event.Engine) error { return nil }
-	// Leaves fail: AfterEvent must still fire for them.
-	ru.OnLeave = func(*event.Engine) error { return errors.New("no") }
-	ru.AfterEvent = func(e *event.Engine) {
-		if e == nil {
-			t.Fatal("AfterEvent got nil engine")
-		}
-		fired++
-	}
-	e := event.New()
-	ru.Start(e)
-	e.RunUntil(40000)
-	want := ru.Joins + ru.Leaves + ru.Crashes + ru.Errors
-	if want == 0 {
-		t.Fatal("no churn events fired")
-	}
-	if fired != want {
-		t.Fatalf("AfterEvent fired %d times, want %d (joins %d, failed leaves %d)", fired, want, ru.Joins, ru.Errors)
-	}
-}
-
 func TestDisabledKinds(t *testing.T) {
 	cfg := Config{StartMS: 0, StopMS: 10000, MeanJoinIntervalMS: 0, MeanLeaveIntervalMS: 100}
 	ru, err := NewRunner(cfg, rng.New(3))

@@ -141,10 +141,6 @@ func churnTrial(c *trialCtx) ([]stats.Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer al.close()
-	// Incremental mode absorbs each churn event as it fires, so no repair
-	// batch ever spans more than one join/leave (a no-op in other modes).
-	w.runner.AfterEvent = func(*event.Engine) { al.update() }
 	hookExchangeTrace(c.tr, prefix, w.p)
 
 	tr, phys := c.tr, w.e.meanPhysLink()

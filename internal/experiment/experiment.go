@@ -62,7 +62,6 @@ type Options struct {
 	// ALMode adds the paper's eq. (3) average-latency series ("al_ms") to
 	// the metrics stream of the experiments that maintain a live overlay
 	// (fig5a/b/c, churn): ALModeExact refloods at every sample point,
-	// ALModeIncremental delta-maintains the value with a metrics.ALTracker,
 	// ALModeSketch estimates from k source rows (skipping unreachable pairs
 	// and counting them in "al.unreachable"). Empty — the default — keeps
 	// the AL machinery detached and every output byte-identical to before.
@@ -478,13 +477,16 @@ const (
 )
 
 // check rejects, before any trial runs, the option values no experiment
-// accepts — a negative or non-finite fault override (a sweep treats a
-// value ≤ 0 as unset and NaN passes every range check) or an unknown AL
-// mode — and every set optional field the row does not consume, naming the
-// rows that do. Before this guard `propsim -exp fig5b -loss 0.05` ran the
-// fault-free experiment and reported clean results as if the faults had
-// been applied.
+// accepts — a non-finite scale or a negative or non-finite fault override
+// (a sweep treats a value ≤ 0 as unset, and NaN passes every range check,
+// withDefaults' scale clamp included) or an unknown AL mode — and every set
+// optional field the row does not consume, naming the rows that do. Before
+// this guard `propsim -exp fig5b -loss 0.05` ran the fault-free experiment
+// and reported clean results as if the faults had been applied.
 func (s *spec) check(opt Options) error {
+	if math.IsNaN(opt.Scale) || math.IsInf(opt.Scale, 0) {
+		return fmt.Errorf("experiment: -scale = %v, want a finite value", opt.Scale)
+	}
 	for _, f := range []struct {
 		flag string
 		v    float64
@@ -494,10 +496,10 @@ func (s *spec) check(opt Options) error {
 		}
 	}
 	switch opt.ALMode {
-	case ALModeOff, ALModeExact, ALModeIncremental, ALModeSketch:
+	case ALModeOff, ALModeExact, ALModeSketch:
 	default:
-		return fmt.Errorf("experiment: unknown AL mode %q (want %q, %q or %q)",
-			opt.ALMode, ALModeExact, ALModeIncremental, ALModeSketch)
+		return fmt.Errorf("experiment: unknown AL mode %q (want %q or %q)",
+			opt.ALMode, ALModeExact, ALModeSketch)
 	}
 	var ignored, consumers []string
 	for _, k := range []struct {

@@ -107,9 +107,10 @@ func TestFigRScaleStreamShardInvariance(t *testing.T) {
 	}
 }
 
-// TestFaultFlagRejectsBadValues: a negative or non-finite fault override is
-// an error before any trial runs — NaN used to run a whole figRa sweep and
-// then panic merging it, and -0.5 silently ran the default grid.
+// TestFaultFlagRejectsBadValues: a negative or non-finite fault override, or
+// a non-finite scale, is an error before any trial runs — NaN used to run a
+// whole figRa sweep and then panic merging it, -0.5 silently ran the
+// default grid, and -scale NaN ran every size at a NaN scale.
 func TestFaultFlagRejectsBadValues(t *testing.T) {
 	reg := obs.New(obs.NewManifest("figRa", 1, 1, 0.1))
 	for _, c := range []struct {
@@ -120,6 +121,7 @@ func TestFaultFlagRejectsBadValues(t *testing.T) {
 		{"figRa", Options{FaultLoss: math.NaN(), Metrics: reg}, "-loss"},
 		{"figRb", Options{FaultCrash: -0.5, Metrics: reg}, "-crash"},
 		{"figRc", Options{FaultPartitionMS: math.Inf(1), Metrics: reg}, "-partition"},
+		{"overhead", Options{Scale: math.NaN(), Metrics: reg}, "-scale"},
 	} {
 		if _, err := Run(c.id, c.opt); err == nil || !strings.Contains(err.Error(), c.fla) {
 			t.Errorf("%s %+v: error %v, want one naming %s", c.id, c.opt, err, c.fla)
@@ -157,8 +159,8 @@ func TestFaultFlagRejection(t *testing.T) {
 		{"figRa", Options{ScaleMaxN: 5}, "-scale-n", "fig5a-scale"},
 		{"fig5a", Options{Shards: 4}, "-shards", "figR-scale"},
 		{"churn", Options{Audit: true}, "Options.Audit", "fig6c"},
-		{"fig5a-scale", Options{ALMode: ALModeIncremental}, "-al-mode", "fig5c"},
-		{"overhead", Options{ALMode: "nope", Shards: 3}, "unknown AL mode", "incremental"},
+		{"fig5a-scale", Options{ALMode: ALModeExact}, "-al-mode", "fig5c"},
+		{"overhead", Options{ALMode: "nope", Shards: 3}, "unknown AL mode", "sketch"},
 	} {
 		_, err := Run(c.id, c.opt)
 		if err == nil {

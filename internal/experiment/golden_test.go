@@ -29,11 +29,12 @@ import (
 // goldenOpt is the option set every golden line was recorded at.
 var goldenOpt = Options{Seed: 5, Trials: 2, Scale: 0.1}
 
-// goldens maps "<kind> <id>" to the FNV-64a hex digest recorded in
+// goldens maps "<kind> <run>" to the FNV-64a hex digest recorded in
 // testdata/golden_amd64.txt: the rendered table of every experiment ID
-// ("render") and nine metrics streams ("stream"). Double-run equality only
-// proves a run agrees with itself; the goldens prove a refactor left the
-// bytes where they were.
+// ("render") and eleven metrics streams ("stream"). A run is an ID, or an
+// ID and " al-mode=<mode>" for a run with Options.ALMode set. Double-run
+// equality only proves a run agrees with itself; the goldens prove a
+// refactor left the bytes where they were.
 var goldens, goldensErr = loadGoldens()
 
 func loadGoldens() (map[string]string, error) {
@@ -88,20 +89,25 @@ var goldenRuns = func() map[string]*goldenRun {
 	for _, id := range IDs() {
 		m[id] = new(goldenRun)
 	}
+	for _, run := range []string{"churn al-mode=exact", "fig5c al-mode=exact"} {
+		m[run] = new(goldenRun)
+	}
 	return m
 }()
 
-// golden returns id's golden run, running it on first use; every test that
-// checks that run shares it. The two peer ladders (≈ 12 s between them)
-// skip under -short.
-func golden(t *testing.T, id string) *goldenRun {
+// golden returns run's golden run (see goldens), running it on first use;
+// every test that checks that run shares it. The two peer ladders (≈ 12 s
+// between them) skip under -short.
+func golden(t *testing.T, run string) *goldenRun {
 	t.Helper()
+	id, mode, _ := strings.Cut(run, " al-mode=")
 	if testing.Short() && lookup(id).run != nil {
 		t.Skip("peer ladder in -short mode")
 	}
-	g := goldenRuns[id]
+	g := goldenRuns[run]
 	g.once.Do(func() {
 		opt := goldenOpt
+		opt.ALMode = mode
 		reg := obs.New(obs.NewManifest(id, opt.Seed, opt.Trials, opt.Scale))
 		opt.Metrics = reg
 		if g.res, g.err = Run(id, opt); g.err != nil {
@@ -197,21 +203,21 @@ func TestMetricsStreamDeterministic(t *testing.T) {
 		}
 	}
 	slices.Sort(pinned)
-	if runtime.GOARCH == "amd64" && len(pinned) != 9 {
-		t.Fatalf("%d pinned streams, want 9: %v", len(pinned), pinned)
+	if runtime.GOARCH == "amd64" && len(pinned) != 11 {
+		t.Fatalf("%d pinned streams, want 11: %v", len(pinned), pinned)
 	}
-	for _, id := range pinned {
-		id := id
-		t.Run(id, func(t *testing.T) {
+	for _, run := range pinned {
+		run := run
+		t.Run(run, func(t *testing.T) {
 			t.Parallel()
-			g := golden(t, id)
+			g := golden(t, run)
 			if !bytes.Contains(g.stream, []byte(`"kind":"sample"`)) {
-				t.Errorf("%s stream has no series samples — instrumentation not wired", id)
+				t.Errorf("%s stream has no series samples — instrumentation not wired", run)
 			}
 			if !bytes.Contains(g.stream, []byte(`"kind":"span"`)) {
-				t.Errorf("%s stream has no phase spans — instrumentation not wired", id)
+				t.Errorf("%s stream has no phase spans — instrumentation not wired", run)
 			}
-			checkGolden(t, "stream "+id, g.stream)
+			checkGolden(t, "stream "+run, g.stream)
 		})
 	}
 }

@@ -149,7 +149,6 @@ func (c *trialCtx) curveRun(sub substrate, cv curve, runSeed uint64) (stats.Seri
 	if err != nil {
 		return stats.Series{}, err
 	}
-	defer al.close()
 	sp.End(0)
 
 	cfg := core.DefaultConfig(core.PROPG)

@@ -45,17 +45,10 @@ type Graph struct {
 	// lazy build.
 	frozen frozenCache
 
-	// version counts effective mutations; the journal (delta.go) is keyed
-	// off it. A mutation that changes nothing (e.g. re-adding an edge with
-	// its current weight) does not bump it.
+	// version counts effective mutations (see Version). A mutation that
+	// changes nothing (e.g. re-adding an edge with its current weight) does
+	// not bump it.
 	version uint64
-
-	// journal is the bounded mutation log enabled by TrackMutations. It
-	// holds the mutations for versions journalAt+1..version; overflow
-	// clears it and advances journalAt, forcing consumers to resync.
-	journal    []Mutation
-	journalCap int
-	journalAt  uint64
 }
 
 // New returns a graph with n isolated vertices.
@@ -100,10 +93,15 @@ func (g *Graph) NumVertices() int { return len(g.adj) }
 // NumEdges reports the number of undirected edges.
 func (g *Graph) NumEdges() int { return g.m }
 
+// Version returns the graph's mutation counter. It increments on every
+// effective mutation (AddVertex, AddEdge, RemoveEdge, weight overwrite);
+// no-op calls leave it unchanged.
+func (g *Graph) Version() uint64 { return g.version }
+
 // AddVertex appends a new isolated vertex and returns its ID.
 func (g *Graph) AddVertex() int {
 	g.adj = append(g.adj, nil)
-	g.noteMutation(Mutation{Kind: MutAddVertex, U: len(g.adj) - 1, V: -1})
+	g.version++
 	g.invalidateFrozen()
 	return len(g.adj) - 1
 }
@@ -132,12 +130,10 @@ func (g *Graph) AddEdge(u, v int, w float64) error {
 	}
 	g.adj[u], _ = setHalf(g.adj[u], v, w)
 	g.adj[v], _ = setHalf(g.adj[v], u, w)
-	if existed {
-		g.noteMutation(Mutation{Kind: MutSetWeight, U: u, V: v, W: w, OldW: oldW})
-	} else {
+	if !existed {
 		g.m++
-		g.noteMutation(Mutation{Kind: MutAddEdge, U: u, V: v, W: w})
 	}
+	g.version++
 	g.invalidateFrozen()
 	return nil
 }
@@ -156,14 +152,13 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 	if u < 0 || v < 0 || u >= len(g.adj) || v >= len(g.adj) {
 		return false
 	}
-	oldW, existed := g.Weight(u, v)
-	if !existed {
+	if !g.HasEdge(u, v) {
 		return false
 	}
 	g.adj[u], _ = dropHalf(g.adj[u], v)
 	g.adj[v], _ = dropHalf(g.adj[v], u)
 	g.m--
-	g.noteMutation(Mutation{Kind: MutRemoveEdge, U: u, V: v, OldW: oldW})
+	g.version++
 	g.invalidateFrozen()
 	return true
 }

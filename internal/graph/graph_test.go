@@ -51,6 +51,32 @@ func TestAddRemoveEdge(t *testing.T) {
 	}
 }
 
+// TestVersion: every effective mutation bumps Version by one, and a call
+// that changes nothing (a no-op overwrite, removing an absent edge) leaves
+// it — the overlay's flood view is stamped with it.
+func TestVersion(t *testing.T) {
+	g := New(4)
+	if g.Version() != 0 {
+		t.Fatalf("fresh graph version = %d, want 0", g.Version())
+	}
+	g.MustAddEdge(0, 1, 5)
+	g.MustAddEdge(1, 2, 7)
+	if g.Version() != 2 {
+		t.Fatalf("version after 2 adds = %d, want 2", g.Version())
+	}
+	g.MustAddEdge(0, 1, 5)
+	g.RemoveEdge(0, 3)
+	if g.Version() != 2 {
+		t.Fatalf("no-op overwrite or absent removal bumped version to %d", g.Version())
+	}
+	g.MustAddEdge(0, 1, 9)
+	g.RemoveEdge(1, 2)
+	g.AddVertex()
+	if g.Version() != 5 {
+		t.Fatalf("version after overwrite, removal and AddVertex = %d, want 5", g.Version())
+	}
+}
+
 func TestAddEdgeErrors(t *testing.T) {
 	g := New(2)
 	if err := g.AddEdge(0, 0, 1); err == nil {

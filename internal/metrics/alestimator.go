@@ -10,11 +10,11 @@ import (
 	"repro/internal/rng"
 )
 
-// This file is the sketch tier of the AL ladder (SCALING.md): exact
-// AverageLatency is O(n·Dijkstra), ALTracker amortizes that under churn but
-// still owns n rows, and both stop being affordable somewhere past n≈10⁴.
-// ALEstimator estimates eq. (3) from k full source rows — O(k·Dijkstra) and
-// O(n) memory — which is what the fig5a -scale sweep samples at 10⁵–10⁶.
+// This file holds both tiers of the AL ladder (SCALING.md): the exact
+// eq. (3), FiniteAverageLatency and AverageLatencyFrom, is O(n·Dijkstra) per
+// evaluation and stops being affordable somewhere past n≈10⁴. ALEstimator
+// estimates eq. (3) from k full source rows — O(k·Dijkstra) and O(n)
+// memory — which is what the fig5a -scale sweep samples at 10⁵–10⁶.
 //
 // Why source rows and not landmark triangle bounds: the tempting landmark
 // estimate estAL = mean over pairs of min_l(d(l,i)+d(l,j)) is an upper
@@ -64,20 +64,37 @@ func OverlayFloodSource(o *overlay.Overlay, proc overlay.ProcDelayFunc) FloodSou
 	return overlayFloodSource{o: o, proc: proc}
 }
 
-// AverageLatencyFrom computes eq. (3) exactly over a FloodSource: one row
-// per live slot, fanned out across GOMAXPROCS workers, each reusing one
-// arrival buffer; row sums are written by index and reduced in slot order,
-// so the result does not depend on scheduling. It is the one implementation
-// behind AverageLatency and the reference the estimator's error is measured
-// against. An unreachable live pair or an empty source is an error.
+// AverageLatencyFrom computes eq. (3) exactly over a FloodSource. It is
+// FiniteAverageLatency held to a connected source: an unreachable live pair
+// or an empty source is an error. It is the one implementation behind
+// AverageLatency and the reference the estimator's error is measured
+// against.
 func AverageLatencyFrom(fs FloodSource) (float64, error) {
+	al, unreachable, err := FiniteAverageLatency(fs)
+	if err != nil {
+		return 0, err
+	}
+	if unreachable > 0 {
+		return 0, fmt.Errorf("metrics: %d ordered live pairs unreachable", unreachable)
+	}
+	return al, nil
+}
+
+// FiniteAverageLatency computes eq. (3) over a FloodSource that may be
+// partitioned: the finite arrival mass over n² ordered live pairs, and the
+// number of pairs left out of it because no flood reaches them. One row
+// per live slot, fanned out across GOMAXPROCS workers, each reusing one
+// arrival buffer; row sums are written by index and reduced in ascending
+// slot order, so the result does not depend on scheduling. An empty source
+// is an error.
+func FiniteAverageLatency(fs FloodSource) (al float64, unreachable int, err error) {
 	slots := fs.AliveSlots()
 	n := len(slots)
 	if n == 0 {
-		return 0, fmt.Errorf("metrics: AverageLatencyFrom of empty source")
+		return 0, 0, fmt.Errorf("metrics: average latency of empty source")
 	}
 	rows := make([]float64, n)
-	errs := make([]error, n)
+	unrc := make([]int, n)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
@@ -94,32 +111,23 @@ func AverageLatencyFrom(fs FloodSource) (float64, error) {
 			defer wg.Done()
 			dist := make([]float64, fs.NumSlots())
 			for i := range ch {
-				sum, bad := rowSum(fs, slots, slots[i], dist)
-				if bad >= 0 {
-					errs[i] = fmt.Errorf("metrics: pair (%d,%d) unreachable", slots[i], bad)
-					continue
-				}
-				rows[i] = sum
+				rows[i], unrc[i] = rowSum(fs, slots, slots[i], dist)
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
 	sum := 0.0
-	for _, v := range rows {
+	for i, v := range rows {
 		sum += v
+		unreachable += unrc[i]
 	}
-	return sum / float64(n*n), nil
+	return sum / float64(n*n), unreachable, nil
 }
 
 // rowSum floods from src and sums arrivals over the live slots (self
-// contributes 0, matching eq. (3)). It returns the first unreachable live
-// destination in bad, or -1 when the whole row is finite.
-func rowSum(fs FloodSource, slots []int, src int, dist []float64) (sum float64, bad int) {
+// contributes 0, matching eq. (3)), skipping and counting the live
+// destinations the flood does not reach.
+func rowSum(fs FloodSource, slots []int, src int, dist []float64) (sum float64, unreachable int) {
 	fs.FloodInto(src, dist)
 	for _, dst := range slots {
 		if dst == src {
@@ -127,11 +135,12 @@ func rowSum(fs FloodSource, slots []int, src int, dist []float64) (sum float64, 
 		}
 		d := dist[dst]
 		if math.IsInf(d, 1) {
-			return 0, dst
+			unreachable++
+			continue
 		}
 		sum += d
 	}
-	return sum, -1
+	return sum, unreachable
 }
 
 // defaultALSources is the sketch width when ALEstimatorOptions.Sources is
@@ -259,19 +268,7 @@ func (e *ALEstimator) Estimate() (ALEstimate, error) {
 				dist = make([]float64, e.fs.NumSlots())
 			}
 			for i := range ch {
-				e.fs.FloodInto(srcs[i], dist)
-				sum, skipped := 0.0, 0
-				for _, dst := range slots {
-					if dst == srcs[i] {
-						continue
-					}
-					d := dist[dst]
-					if math.IsInf(d, 1) {
-						skipped++
-						continue
-					}
-					sum += d
-				}
+				sum, skipped := rowSum(e.fs, slots, srcs[i], dist)
 				rows[i] = sum / float64(n) // row mean, self included as 0
 				unrc[i] = skipped
 			}

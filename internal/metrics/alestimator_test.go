@@ -4,8 +4,52 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/overlay"
 	"repro/internal/rng"
 )
+
+// alHashLat is a deterministic pseudo-random symmetric host latency.
+func alHashLat(a, b int) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	x := uint64(a)*2654435761 + uint64(b)*40503
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 29
+	return 1 + float64(x%4096)/64
+}
+
+// alTestProc exercises the processing-delay term.
+func alTestProc(slot int) float64 { return float64(slot%3) * 0.25 }
+
+// alRingOverlay builds an n-slot ring plus extra random chords on distinct
+// hosts 3i+1.
+func alRingOverlay(t *testing.T, r *rng.Rand, n, extra int) *overlay.Overlay {
+	t.Helper()
+	hosts := make([]int, n)
+	for i := range hosts {
+		hosts[i] = 3*i + 1
+	}
+	o, err := overlay.New(hosts, alHashLat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := o.AddEdge(i, (i+1)%n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < extra; k++ {
+		u, v := r.Intn(n), r.Intn(n)
+		if u != v && !o.Logical.HasEdge(u, v) {
+			if err := o.AddEdge(u, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return o
+}
 
 // alEstimatorErrorBound is the documented accuracy contract of the default
 // 16-source sketch on fig-scale overlays: relative error vs exact AL stays
@@ -227,8 +271,8 @@ func TestALEstimatorDeterministic(t *testing.T) {
 }
 
 // TestALEstimatorUnreachable: a partitioned overlay is a measurement
-// condition for the sketch (skip and count), while the exact reference
-// treats it as an error.
+// condition for the sketch and for FiniteAverageLatency (skip and count),
+// while the strict exact reference treats it as an error.
 func TestALEstimatorUnreachable(t *testing.T) {
 	r := rng.New(9)
 	o := alRingOverlay(t, r, 32, 0) // pure ring: two cuts partition it
@@ -237,6 +281,30 @@ func TestALEstimatorUnreachable(t *testing.T) {
 	fs := OverlayFloodSource(o, nil)
 	if _, err := AverageLatencyFrom(fs); err == nil {
 		t.Fatal("exact reference accepted a partitioned overlay")
+	}
+	// The cuts leave two paths, slots 1..15 and 16..31,0. On a path the
+	// link between positions k-1 and k lies on the route of k·(len-k)
+	// unordered pairs, so the finite mass is twice Σ w·k·(len-k); every
+	// cross pair, 2·15·17 ordered ones, is unreachable.
+	mass := 0.0
+	for _, path := range [][]int{
+		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+		{16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 0},
+	} {
+		for k := 1; k < len(path); k++ {
+			w := alHashLat(o.HostOf(path[k-1]), o.HostOf(path[k]))
+			mass += 2 * w * float64(k*(len(path)-k))
+		}
+	}
+	al, unreachable, err := FiniteAverageLatency(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mass / (32 * 32); math.Abs(al-want) > 1e-12*want {
+		t.Fatalf("finite-mass AL = %v, want %v", al, want)
+	}
+	if unreachable != 2*15*17 {
+		t.Fatalf("unreachable pairs = %d, want %d", unreachable, 2*15*17)
 	}
 	e, err := NewALEstimator(fs, ALEstimatorOptions{Sources: 32}, rng.New(1))
 	if err != nil {

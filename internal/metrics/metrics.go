@@ -103,10 +103,10 @@ func FloodEval(o *overlay.Overlay, proc overlay.ProcDelayFunc) LatencyEval {
 // AverageLatency computes the paper's eq. (3): AL = (Σ_i Σ_j d(i,j)) / n²
 // over the overlay's flooding distances (the latency between a node and
 // itself is zero, matching the paper's footnote). It is the exact
-// reference the incremental tracker and the row-sketch estimator are tested
-// against, and fails on an unreachable pair. It is AverageLatencyFrom over
-// the overlay's own floods: one bulk FloodLatenciesInto per source,
-// O(n·Dijkstra), sources evaluated in parallel.
+// reference the row-sketch estimator is tested against, and fails on an
+// unreachable pair. It is AverageLatencyFrom over the overlay's own floods:
+// one bulk FloodLatenciesInto per source, O(n·Dijkstra), sources evaluated
+// in parallel.
 func AverageLatency(o *overlay.Overlay, proc overlay.ProcDelayFunc) (float64, error) {
 	return AverageLatencyFrom(OverlayFloodSource(o, proc))
 }

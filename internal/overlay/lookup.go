@@ -116,9 +116,8 @@ func (o *Overlay) rebuildFloodView(want uint64) {
 type floodScratch struct {
 	dist, distB []float64
 	q, qB       graph.RadixQueue
-	// mark is a slot set: the stop targets of a flood, the affected set of
-	// RepairFloodRow (repair.go). Whoever sets a bit clears it before
-	// floodPut, so pooled scratch is always all-false.
+	// mark is a slot set: the stop targets of a flood. Whoever sets a bit
+	// clears it before floodPut, so pooled scratch is always all-false.
 	mark []bool
 }
 

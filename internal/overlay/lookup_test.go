@@ -10,6 +10,56 @@ import (
 	"repro/internal/rng"
 )
 
+// hashLat is a deterministic pseudo-random symmetric latency for flood
+// tests: positive, irregular (so float ties are rare but sums are exact
+// enough for the bit-equality assertions), and a pure function of the host
+// pair.
+func hashLat(a, b int) float64 { return 1 + float64(pairHash(a, b)%4096)/64 }
+
+// pairHash mixes an unordered host pair into 64 bits.
+func pairHash(a, b int) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	x := uint64(a)*2654435761 + uint64(b)*40503
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 29
+	return x
+}
+
+// testProc is a nonzero per-slot processing delay exercising the proc term
+// of the flood arithmetic.
+func testProc(slot int) float64 { return float64(slot%3) * 0.25 }
+
+// randomFloodOverlay builds an n-slot overlay on distinct hosts with a ring
+// plus extra random chords — connected, average degree ~2+2·extra/n.
+func randomFloodOverlay(t *testing.T, r *rng.Rand, n, extra int) *Overlay {
+	t.Helper()
+	hosts := make([]int, n)
+	for i := range hosts {
+		hosts[i] = 3*i + 1
+	}
+	o, err := New(hosts, hashLat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := o.AddEdge(i, (i+1)%n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < extra; k++ {
+		u, v := r.Intn(n), r.Intn(n)
+		if u != v && !o.Logical.HasEdge(u, v) {
+			if err := o.AddEdge(u, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return o
+}
+
 // asymLat is hashLat made direction-dependent: lat(a,b) ≠ lat(b,a), so a
 // flood view that stored an arc with its arguments reversed — or one entry
 // per undirected link — cannot agree with the reference.

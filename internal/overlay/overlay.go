@@ -85,11 +85,6 @@ type Overlay struct {
 	// graph's version, tells a flood when view is stale (see lookup.go).
 	view    floodView
 	hostVer uint64
-
-	// slotHook, when set, observes slot/host lifecycle events (swap, join,
-	// leave, crash) — the feed incremental-metric trackers combine with the
-	// logical graph's mutation journal. See SetSlotEventHook.
-	slotHook func(SlotEvent)
 }
 
 // Scratch holds the reusable buffers of one driver's probe cycle, so the
@@ -111,46 +106,6 @@ type Scratch struct {
 func (sc *Scratch) setPairs(pairs [][2]int) {
 	sc.Pairs, sc.RTT = pairs, slices.Grow(sc.RTT[:0], len(pairs))[:len(pairs)]
 }
-
-// SlotEventKind identifies one kind of slot/host lifecycle event.
-type SlotEventKind uint8
-
-// The four slot lifecycle events a hook can observe.
-const (
-	// SlotSwap is a PROP-G host swap between two live slots.
-	SlotSwap SlotEventKind = iota
-	// SlotJoin is a new live slot attached to a host (AddSlot).
-	SlotJoin
-	// SlotLeave is a graceful removal: edges dropped, host released.
-	SlotLeave
-	// SlotCrash is a crash-stop death: host released, stale edges remain.
-	SlotCrash
-)
-
-// SlotEvent describes one slot/host lifecycle event. Events fire before the
-// overlay mutates (except SlotJoin, which fires after the slot exists), so
-// HostU/HostV record the hosts as they were when the event happened — the
-// information a tracker needs to evaluate pre-mutation latencies after the
-// hosts have been released.
-type SlotEvent struct {
-	// Kind is the event kind.
-	Kind SlotEventKind
-	// U is the affected slot; V is the second slot of a SlotSwap, else -1.
-	U, V int
-	// HostU is U's host at event time (the new host for SlotJoin, the
-	// released host for SlotLeave/SlotCrash, the pre-swap host for
-	// SlotSwap). HostV is V's pre-swap host for SlotSwap, else -1.
-	HostU, HostV int
-}
-
-// SetSlotEventHook installs fn to observe slot/host lifecycle events; nil
-// removes it. At most one hook is supported; installing replaces the
-// previous one. The hook is called synchronously on the mutating
-// goroutine and must not mutate the overlay. Edge-level rewires are not
-// reported here — consumers read those from the logical graph's mutation
-// journal (graph.TrackMutations), which also captures rewires applied
-// directly to Logical by the DHT repair paths.
-func (o *Overlay) SetSlotEventHook(fn func(SlotEvent)) { o.slotHook = fn }
 
 // New creates an overlay with one slot per entry of hosts, each slot i
 // attached to hosts[i], and no logical edges. Hosts must be distinct.
@@ -311,9 +266,6 @@ func (o *Overlay) SwapHosts(u, v int) error {
 		return fmt.Errorf("overlay: SwapHosts with identical slots %d", u)
 	}
 	hu, hv := o.hostOf[u], o.hostOf[v]
-	if o.slotHook != nil {
-		o.slotHook(SlotEvent{Kind: SlotSwap, U: u, V: v, HostU: hu, HostV: hv})
-	}
 	o.hostOf[u], o.hostOf[v] = hv, hu
 	o.slotOfHost[hu], o.slotOfHost[hv] = v, u
 	o.hostVer++
@@ -610,9 +562,6 @@ func (o *Overlay) AddSlot(host int) (int, error) {
 	o.aliveCount++
 	o.aliveIdx = o.aliveIdx[:0]
 	o.hostVer++
-	if o.slotHook != nil {
-		o.slotHook(SlotEvent{Kind: SlotJoin, U: slot, V: -1, HostU: host, HostV: -1})
-	}
 	return slot, nil
 }
 
@@ -622,9 +571,6 @@ func (o *Overlay) AddSlot(host int) (int, error) {
 func (o *Overlay) RemoveSlot(u int) error {
 	if !o.Alive(u) {
 		return fmt.Errorf("overlay: RemoveSlot(%d) on dead slot", u)
-	}
-	if o.slotHook != nil {
-		o.slotHook(SlotEvent{Kind: SlotLeave, U: u, V: -1, HostU: o.hostOf[u], HostV: -1})
 	}
 	for _, v := range o.Logical.Neighbors(u) {
 		o.Logical.RemoveEdge(u, v)
@@ -642,9 +588,6 @@ func (o *Overlay) RemoveSlot(u int) error {
 func (o *Overlay) CrashSlot(u int) error {
 	if !o.Alive(u) {
 		return fmt.Errorf("overlay: CrashSlot(%d) on dead slot", u)
-	}
-	if o.slotHook != nil {
-		o.slotHook(SlotEvent{Kind: SlotCrash, U: u, V: -1, HostU: o.hostOf[u], HostV: -1})
 	}
 	o.kill(u)
 	if o.crashed == nil {
