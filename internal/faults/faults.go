@@ -28,6 +28,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 )
@@ -88,8 +89,8 @@ func (c Config) Validate() error {
 		return err
 	}
 	switch {
-	case !(c.JitterMS >= 0):
-		return fmt.Errorf("faults: JitterMS = %v, want >= 0", c.JitterMS)
+	case !(c.JitterMS >= 0 && c.JitterMS < math.Inf(1)):
+		return fmt.Errorf("faults: JitterMS = %v, want finite and >= 0", c.JitterMS)
 	case !(c.LinkFailPeriodMS >= 0):
 		return fmt.Errorf("faults: LinkFailPeriodMS = %v, want >= 0", c.LinkFailPeriodMS)
 	case c.PartitionStopMS < c.PartitionStartMS:

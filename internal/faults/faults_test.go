@@ -20,6 +20,7 @@ func TestValidate(t *testing.T) {
 		{"dup-over-one", Config{DupProb: 2}, false},
 		{"linkfail-over-one", Config{LinkFailProb: 1.01}, false},
 		{"jitter-negative", Config{JitterMS: -1}, false},
+		{"jitter-inf", Config{JitterMS: math.Inf(1)}, false},
 		{"period-negative", Config{LinkFailPeriodMS: -5}, false},
 		{"partition-inverted", Config{PartitionStartMS: 10, PartitionStopMS: 5, Isolated: map[int]bool{1: true}}, false},
 		{"partition-empty", Config{PartitionStartMS: 5, PartitionStopMS: 10}, false},

@@ -3,40 +3,33 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // Frozen is a read-optimized compressed-sparse-row (CSR) snapshot of a
 // Graph. Neighbor lists are flat []int32/[]float64 arrays sorted by
-// neighbor ID, so iteration order — and therefore every tie-break taken by
-// the kernels below — is deterministic and independent of the insertion
-// order that built the Graph.
+// neighbor ID, so iteration order — and every traversal built on it — is
+// deterministic and independent of the insertion order that built the
+// Graph.
 //
 // A Frozen view never changes: mutating the source Graph after Freeze
 // leaves existing views intact (they describe the pre-mutation graph) and
 // invalidates the Graph's cached view, so the next Graph.Frozen() call
 // re-freezes. All methods are safe for concurrent use; the per-view
-// sync.Pool recycles Dijkstra scratch (heap, positions) across goroutines,
-// making repeated shortest-path calls allocation-free apart from the
-// returned rows.
+// sync.Pool recycles Dijkstra queues across goroutines, making repeated
+// shortest-path calls allocation-free.
 type Frozen struct {
 	off []int32   // off[u]..off[u+1] indexes nbr/wt; len n+1
 	nbr []int32   // concatenated sorted neighbor lists; len 2m
 	wt  []float64 // weights parallel to nbr
 	m   int       // undirected edge count
 
-	scratch sync.Pool // *fscratch
+	queues sync.Pool // *RadixQueue
 }
 
-// fscratch is the per-goroutine working set of one Dijkstra run: an indexed
-// 4-ary heap (vertex IDs keyed by the current tentative distance) plus each
-// vertex's heap position.
-type fscratch struct {
-	heap []int32
-	pos  []int32 // heap index of each vertex, -1 if absent or settled
-}
+// Inf is the distance reported for unreachable vertices.
+var Inf = math.Inf(1)
 
 // Freeze builds a CSR snapshot of the graph's current state. The snapshot
 // is immutable; prefer Graph.Frozen() when the graph is static, which
@@ -70,11 +63,10 @@ func (g *Graph) Freeze() *Frozen {
 			f.wt[int(lo)+i] = e.w
 		}
 	}
-	f.scratch.New = func() interface{} {
-		return &fscratch{
-			heap: make([]int32, 0, n),
-			pos:  make([]int32, n),
-		}
+	f.queues.New = func() any {
+		q := new(RadixQueue)
+		q.Grow(n)
+		return q
 	}
 	return f
 }
@@ -128,167 +120,52 @@ func (f *Frozen) Row(u int) ([]int32, []float64) {
 	return f.nbr[lo:hi], f.wt[lo:hi]
 }
 
-// DegreeSequence returns the sorted multiset of vertex degrees.
-func (f *Frozen) DegreeSequence() []int {
-	n := f.NumVertices()
-	ds := make([]int, n)
-	for u := 0; u < n; u++ {
-		ds[u] = int(f.off[u+1] - f.off[u])
-	}
-	sort.Ints(ds)
-	return ds
-}
-
-// ShortestPaths computes single-source shortest path distances from src
-// using Dijkstra over the CSR rows with an indexed 4-ary heap. Unreachable
-// vertices get +Inf. The only allocation is the returned slice.
-func (f *Frozen) ShortestPaths(src int) []float64 {
-	dist := make([]float64, f.NumVertices())
-	f.ShortestPathsInto(src, dist)
-	return dist
-}
-
-// ShortestPathsInto is ShortestPaths writing into dist, which must have
-// length NumVertices(). It performs no allocations once the scratch pool is
-// warm, making it the kernel of choice for all-sources sweeps.
+// ShortestPathsInto writes the single-source shortest-path distances from
+// src into dist, which must have length NumVertices(): +Inf for vertices src
+// does not reach, and for every vertex when src is out of range. It runs
+// Dijkstra on a queue from the view's pool and performs no allocations once
+// the pool is warm, making it the kernel of choice for all-sources sweeps.
 func (f *Frozen) ShortestPathsInto(src int, dist []float64) {
 	if len(dist) != f.NumVertices() {
 		panic(fmt.Sprintf("graph: ShortestPathsInto buffer length %d, want %d", len(dist), f.NumVertices()))
 	}
-	s := f.scratch.Get().(*fscratch)
-	f.dijkstra(src, dist, nil, s)
-	f.scratch.Put(s)
+	q := f.queues.Get().(*RadixQueue)
+	Dijkstra(f.off, f.nbr, f.wt, src, dist, q)
+	f.queues.Put(q)
 }
 
-// ShortestPathTree computes distances plus the predecessor of each vertex
-// on the shortest path from src. Because CSR neighbor order is sorted, the
-// predecessor choice between equal-length paths is deterministic.
-func (f *Frozen) ShortestPathTree(src int) (dist []float64, prev []int) {
-	n := f.NumVertices()
-	dist = make([]float64, n)
-	prev = make([]int, n)
-	s := f.scratch.Get().(*fscratch)
-	f.dijkstra(src, dist, prev, s)
-	f.scratch.Put(s)
-	return dist, prev
-}
-
-// dijkstra runs the kernel: dist (len n) receives distances, prev (len n or
-// nil) receives tree predecessors, s supplies the heap. The heap holds each
-// vertex at most once (decrease-key via sift-up), so it never exceeds n and
-// no stale entries are popped.
-func (f *Frozen) dijkstra(src int, dist []float64, prev []int, s *fscratch) {
-	n := f.NumVertices()
+// Dijkstra writes into dist, one entry per vertex, the shortest-path
+// distances from src over compressed sparse rows — vertex u's arcs lead to
+// nbr[off[u]:off[u+1]] and weigh w[off[u]:off[u+1]] — with +Inf for vertices
+// src does not reach, and for every vertex when src is out of range. q is
+// reset first and holds the frontier. It is the repository's one CSR
+// Dijkstra: Frozen.ShortestPathsInto and the sharded engine's floods run it.
+//
+// Weights must be non-negative or +Inf, never NaN: pops are then monotone,
+// which q relies on. No distance depends on which of several vertices tied
+// at one distance q pops first (DESIGN.md §7 "Tie order"), so dist is a pure
+// function of the rows, and the kernel hands out no predecessors.
+func Dijkstra(off, nbr []int32, w []float64, src int, dist []float64, q *RadixQueue) {
 	for i := range dist {
 		dist[i] = Inf
 	}
-	for i := range prev {
-		prev[i] = -1
-	}
-	if src < 0 || src >= n {
+	if src < 0 || src >= len(dist) {
 		return
 	}
-	pos := s.pos
-	for i := range pos {
-		pos[i] = -1
-	}
-	heap := s.heap[:0]
+	q.Reset()
 	dist[src] = 0
-	heap = heapPush(heap, pos, dist, int32(src))
-	for len(heap) > 0 {
-		u := heap[0]
-		heap = heapPopMin(heap, pos, dist)
+	q.Push(int32(src), 0)
+	for u, ok := q.Pop(dist); ok; u, ok = q.Pop(dist) {
 		du := dist[u]
-		lo, hi := f.off[u], f.off[u+1]
-		for i := lo; i < hi; i++ {
-			v := f.nbr[i]
-			nd := du + f.wt[i]
-			if nd < dist[v] {
-				dist[v] = nd
-				if prev != nil {
-					prev[v] = int(u)
-				}
-				if pos[v] < 0 {
-					heap = heapPush(heap, pos, dist, v)
-				} else {
-					heapSiftUp(heap, pos, dist, pos[v])
-				}
+		lo, hi := off[u], off[u+1]
+		ws := w[lo:hi]
+		for i, v := range nbr[lo:hi] {
+			if d := du + ws[i]; d < dist[v] {
+				dist[v] = d
+				q.Push(v, d)
 			}
 		}
 	}
-	s.heap = heap[:0]
-}
-
-// The indexed 4-ary min-heap: heap holds vertex IDs ordered by dist, pos
-// maps vertex → heap index. Flat arrays and direct comparisons avoid the
-// interface boxing of container/heap (one allocation per push there).
-
-func heapPush(heap []int32, pos []int32, dist []float64, v int32) []int32 {
-	heap = append(heap, v)
-	pos[v] = int32(len(heap) - 1)
-	heapSiftUp(heap, pos, dist, pos[v])
-	return heap
-}
-
-func heapPopMin(heap []int32, pos []int32, dist []float64) []int32 {
-	root := heap[0]
-	pos[root] = -1
-	last := heap[len(heap)-1]
-	heap = heap[:len(heap)-1]
-	if len(heap) > 0 {
-		heap[0] = last
-		pos[last] = 0
-		heapSiftDown(heap, pos, dist, 0)
-	}
-	return heap
-}
-
-func heapSiftUp(heap []int32, pos []int32, dist []float64, i int32) {
-	v := heap[i]
-	d := dist[v]
-	for i > 0 {
-		parent := (i - 1) / 4
-		p := heap[parent]
-		if dist[p] <= d {
-			break
-		}
-		heap[i] = p
-		pos[p] = i
-		i = parent
-	}
-	heap[i] = v
-	pos[v] = i
-}
-
-func heapSiftDown(heap []int32, pos []int32, dist []float64, i int32) {
-	n := int32(len(heap))
-	v := heap[i]
-	d := dist[v]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		minD := dist[heap[first]]
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if cd := dist[heap[c]]; cd < minD {
-				min, minD = c, cd
-			}
-		}
-		if minD >= d {
-			break
-		}
-		heap[i] = heap[min]
-		pos[heap[i]] = i
-		i = min
-	}
-	heap[i] = v
-	pos[v] = i
 }
 
 // Component returns the vertices reachable from start (including start) in
@@ -319,69 +196,5 @@ func (f *Frozen) Component(start int) []int {
 // Connected reports whether the snapshot is connected (trivially true for
 // empty and single-vertex graphs).
 func (f *Frozen) Connected() bool {
-	n := f.NumVertices()
-	if n <= 1 {
-		return true
-	}
-	return len(f.Component(0)) == n
-}
-
-// ComponentCount returns the number of connected components.
-func (f *Frozen) ComponentCount() int {
-	n := f.NumVertices()
-	visited := make([]bool, n)
-	stack := make([]int32, 0, n)
-	count := 0
-	for s := 0; s < n; s++ {
-		if visited[s] {
-			continue
-		}
-		count++
-		visited[s] = true
-		stack = append(stack[:0], int32(s))
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for i := f.off[u]; i < f.off[u+1]; i++ {
-				if v := f.nbr[i]; !visited[v] {
-					visited[v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-	}
-	return count
-}
-
-// HopDistance returns the unweighted hop count from u to v, or -1 if v is
-// unreachable.
-func (f *Frozen) HopDistance(u, v int) int {
-	n := f.NumVertices()
-	if u < 0 || v < 0 || u >= n || v >= n {
-		return -1
-	}
-	if u == v {
-		return 0
-	}
-	hops := make([]int32, n)
-	for i := range hops {
-		hops[i] = -1
-	}
-	hops[u] = 0
-	queue := make([]int32, 1, n)
-	queue[0] = int32(u)
-	for head := 0; head < len(queue); head++ {
-		x := queue[head]
-		for i := f.off[x]; i < f.off[x+1]; i++ {
-			y := f.nbr[i]
-			if hops[y] < 0 {
-				hops[y] = hops[x] + 1
-				if int(y) == v {
-					return int(hops[y])
-				}
-				queue = append(queue, y)
-			}
-		}
-	}
-	return -1
+	return len(f.Component(0)) == f.NumVertices()
 }

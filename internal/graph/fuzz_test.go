@@ -53,7 +53,7 @@ func FuzzGraphOps(f *testing.F) {
 		seen := make([]bool, n)
 		for s := 0; s < n; s++ {
 			if !seen[s] {
-				comp := g.Component(s)
+				comp := g.Frozen().Component(s)
 				total += len(comp)
 				for _, v := range comp {
 					seen[v] = true
@@ -66,9 +66,10 @@ func FuzzGraphOps(f *testing.F) {
 	})
 }
 
-// FuzzDijkstraMatchesBellmanFord cross-checks the two shortest-path
-// implementations on fuzz-shaped graphs.
-func FuzzDijkstraMatchesBellmanFord(f *testing.F) {
+// FuzzShortestPaths holds Frozen.ShortestPathsInto to the graphtest
+// reference, bit for bit from every source, on fuzz-shaped graphs whose
+// weights include zero and fractions.
+func FuzzShortestPaths(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		const n = 10
@@ -77,16 +78,12 @@ func FuzzDijkstraMatchesBellmanFord(f *testing.F) {
 			u := int(raw[i]) % n
 			v := int(raw[i+1]) % n
 			if u != v {
-				g.MustAddEdge(u, v, float64(raw[i+2]%100)+1)
+				g.MustAddEdge(u, v, float64(raw[i+2])/8)
 			}
 		}
 		for src := 0; src < n; src++ {
-			d1 := g.ShortestPaths(src)
-			d2 := g.BellmanFord(src)
-			for i := range d1 {
-				if d1[i] != d2[i] {
-					t.Fatalf("src %d dst %d: dijkstra %v != bellman-ford %v", src, i, d1[i], d2[i])
-				}
+			if got, want := shortestPaths(g, src), reference(g, src); !sameBits(got, want) {
+				t.Fatalf("src %d: ShortestPathsInto %v, reference %v", src, got, want)
 			}
 		}
 	})

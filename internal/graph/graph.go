@@ -2,16 +2,15 @@
 // the physical-network substrate and the logical overlays of the PROP
 // reproduction.
 //
-// The representation is a compact adjacency list keyed by dense integer
-// vertex IDs. Edge weights are float64 latencies in milliseconds. The
-// package provides the primitives the paper's analysis leans on:
-// single-source shortest paths (Dijkstra), connectivity checks (Theorem 1,
-// connectivity persistence), degree sequences (PROP-O degree preservation),
-// and isomorphism-under-relabeling verification (Theorem 2).
-//
-// Key types: Graph (mutable sorted adjacency lists, right for construction
-// and edge churn) and Frozen (the immutable CSR traversal view). DESIGN.md
-// §7 explains the freeze-after-construction contract and the kernel design.
+// Graph holds sorted adjacency lists over dense integer vertex IDs, with
+// edge weights as float64 latencies in milliseconds; it answers the
+// structural questions the paper's analysis leans on: degree sequences
+// (PROP-O degree preservation) and isomorphism under relabeling (Theorem 2).
+// Frozen is its immutable CSR view for traversal: connectivity (Theorem 1)
+// and single-source shortest paths through Dijkstra, the one CSR
+// shortest-path kernel, which pops from RadixQueue, the one flood queue.
+// DESIGN.md §7 explains the freeze-after-construction contract and the
+// kernel design.
 package graph
 
 import (
@@ -31,10 +30,9 @@ type halfEdge struct {
 // AddVertex/AddEdge.
 //
 // Adjacency lists are kept sorted by neighbor ID, so every traversal
-// (VisitNeighbors, Edges, the search kernels) sees neighbors in ascending
-// order — deterministic regardless of edge insertion order, so Dijkstra
-// settle order and tie-breaking are a pure function of the edge set
-// (DESIGN.md §7). Lookups cost O(log deg), mutations O(deg); P2P overlay
+// (VisitNeighbors, Edges, the frozen view's rows) sees neighbors in
+// ascending order, a pure function of the edge set whatever the insertion
+// order (DESIGN.md §7). Lookups cost O(log deg), mutations O(deg); P2P overlay
 // degrees are small constants, and the hot paths iterate rather than probe.
 type Graph struct {
 	adj [][]halfEdge // adj[u], sorted by neighbor ID
@@ -106,8 +104,8 @@ func (g *Graph) AddVertex() int {
 	return len(g.adj) - 1
 }
 
-// AddEdge inserts the undirected edge {u,v} with weight w. Self-loops are
-// rejected. Re-adding an existing edge overwrites its weight and is not
+// AddEdge inserts the undirected edge {u,v} with weight w. Self-loops and
+// negative or NaN weights are rejected. Re-adding an existing edge overwrites its weight and is not
 // counted twice.
 func (g *Graph) AddEdge(u, v int, w float64) error {
 	if u == v {
@@ -119,8 +117,8 @@ func (g *Graph) AddEdge(u, v int, w float64) error {
 	if err := g.check(v); err != nil {
 		return err
 	}
-	if w < 0 {
-		return fmt.Errorf("graph: negative weight %v on edge {%d,%d}", w, u, v)
+	if !(w >= 0) {
+		return fmt.Errorf("graph: weight %v on edge {%d,%d}, want >= 0", w, u, v)
 	}
 	oldW, existed := g.Weight(u, v)
 	if existed && oldW == w {
@@ -216,9 +214,8 @@ func (g *Graph) AppendNeighbors(dst []int, u int) []int {
 // VisitNeighbors calls f for every neighbor of u, in ascending neighbor
 // order, with the edge weight. Iteration stops early if f returns false.
 // The deterministic order is load-bearing: what is built on it (the
-// overlay's flood view, the baseline Dijkstras, the protocol's neighbor
-// scans) behaves identically on every run, which the byte-deterministic
-// outputs rely on (DESIGN.md §8).
+// overlay's flood view, the protocol's neighbor scans) behaves identically
+// on every run, which the byte-deterministic outputs rely on (DESIGN.md §8).
 func (g *Graph) VisitNeighbors(u int, f func(v int, w float64) bool) {
 	if u < 0 || u >= len(g.adj) {
 		return
@@ -323,96 +320,6 @@ func (g *Graph) check(u int) error {
 		return fmt.Errorf("graph: vertex %d out of range [0,%d)", u, len(g.adj))
 	}
 	return nil
-}
-
-// Connected reports whether the graph is connected (true for the empty and
-// single-vertex graphs).
-func (g *Graph) Connected() bool {
-	n := len(g.adj)
-	if n <= 1 {
-		return true
-	}
-	return len(g.Component(0)) == n
-}
-
-// Component returns the vertices reachable from start (including start),
-// in BFS discovery order.
-func (g *Graph) Component(start int) []int {
-	if start < 0 || start >= len(g.adj) {
-		return nil
-	}
-	visited := make([]bool, len(g.adj))
-	queue := []int{start}
-	visited[start] = true
-	order := make([]int, 0, len(g.adj))
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, e := range g.adj[u] {
-			if !visited[e.to] {
-				visited[e.to] = true
-				queue = append(queue, e.to)
-			}
-		}
-	}
-	return order
-}
-
-// ComponentCount returns the number of connected components.
-func (g *Graph) ComponentCount() int {
-	visited := make([]bool, len(g.adj))
-	count := 0
-	for s := range g.adj {
-		if visited[s] {
-			continue
-		}
-		count++
-		stack := []int{s}
-		visited[s] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range g.adj[u] {
-				if !visited[e.to] {
-					visited[e.to] = true
-					stack = append(stack, e.to)
-				}
-			}
-		}
-	}
-	return count
-}
-
-// HopDistance returns the unweighted hop count from u to v, or -1 if v is
-// unreachable.
-func (g *Graph) HopDistance(u, v int) int {
-	if u < 0 || v < 0 || u >= len(g.adj) || v >= len(g.adj) {
-		return -1
-	}
-	if u == v {
-		return 0
-	}
-	dist := make([]int, len(g.adj))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[u] = 0
-	queue := []int{u}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, e := range g.adj[x] {
-			if dist[e.to] < 0 {
-				dist[e.to] = dist[x] + 1
-				if e.to == v {
-					return dist[e.to]
-				}
-				queue = append(queue, e.to)
-			}
-		}
-	}
-	return -1
 }
 
 // IsomorphicUnderMapping verifies that applying the vertex relabeling phi to

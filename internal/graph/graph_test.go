@@ -91,6 +91,38 @@ func TestAddEdgeErrors(t *testing.T) {
 	if err := g.AddEdge(0, 1, -2); err == nil {
 		t.Error("negative weight accepted")
 	}
+	if err := g.AddEdge(0, 1, math.NaN()); err == nil || g.NumEdges() != 0 || g.Version() != 0 {
+		t.Errorf("NaN weight: err %v, %d edges, version %d", err, g.NumEdges(), g.Version())
+	}
+}
+
+// TestOutOfRangeVertices: queries about a vertex outside [0, n) answer
+// "absent" on both representations, and MustAddEdge panics where AddEdge
+// errs.
+func TestOutOfRangeVertices(t *testing.T) {
+	g := buildTriangle(t)
+	fz := g.Frozen()
+	for _, u := range []int{-1, 3} {
+		if g.Degree(u) != 0 || fz.Degree(u) != 0 || g.HasEdge(u, 0) || g.RemoveEdge(u, 0) {
+			t.Errorf("vertex %d: has a degree or an edge", u)
+		}
+		if _, ok := g.Weight(u, 0); ok {
+			t.Errorf("vertex %d: has a weight", u)
+		}
+		if got := g.AppendNeighbors([]int{7}, u); len(got) != 1 {
+			t.Errorf("vertex %d: AppendNeighbors appended %v", u, got[1:])
+		}
+		g.VisitNeighbors(u, func(int, float64) bool {
+			t.Errorf("vertex %d: VisitNeighbors visited", u)
+			return true
+		})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MustAddEdge accepted a self-loop")
+		}
+	}()
+	g.MustAddEdge(1, 1, 1)
 }
 
 func TestAddVertex(t *testing.T) {
@@ -206,17 +238,14 @@ func TestConnectivity(t *testing.T) {
 	g := New(4)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(2, 3, 1)
-	if g.Connected() {
+	if g.Frozen().Connected() {
 		t.Fatal("disconnected graph reported connected")
 	}
-	if cc := g.ComponentCount(); cc != 2 {
-		t.Fatalf("ComponentCount = %d", cc)
-	}
 	g.MustAddEdge(1, 2, 1)
-	if !g.Connected() {
+	if !g.Frozen().Connected() {
 		t.Fatal("connected graph reported disconnected")
 	}
-	if !New(0).Connected() || !New(1).Connected() {
+	if !New(0).Frozen().Connected() || !New(1).Frozen().Connected() {
 		t.Fatal("trivial graphs should be connected")
 	}
 }
@@ -225,40 +254,21 @@ func TestComponent(t *testing.T) {
 	g := New(5)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
-	comp := g.Component(0)
+	comp := g.Frozen().Component(0)
 	if len(comp) != 3 {
 		t.Fatalf("Component(0) = %v", comp)
 	}
 	if comp[0] != 0 {
 		t.Fatalf("BFS order should start at source: %v", comp)
 	}
-	if g.Component(-1) != nil {
+	if g.Frozen().Component(-1) != nil {
 		t.Fatal("invalid start should return nil")
-	}
-}
-
-func TestHopDistance(t *testing.T) {
-	g := New(5)
-	g.MustAddEdge(0, 1, 10)
-	g.MustAddEdge(1, 2, 10)
-	g.MustAddEdge(2, 3, 10)
-	if d := g.HopDistance(0, 3); d != 3 {
-		t.Fatalf("HopDistance(0,3) = %d", d)
-	}
-	if d := g.HopDistance(0, 0); d != 0 {
-		t.Fatalf("HopDistance(0,0) = %d", d)
-	}
-	if d := g.HopDistance(0, 4); d != -1 {
-		t.Fatalf("HopDistance to isolated vertex = %d", d)
-	}
-	if d := g.HopDistance(-1, 2); d != -1 {
-		t.Fatalf("HopDistance invalid src = %d", d)
 	}
 }
 
 func TestShortestPathsTriangle(t *testing.T) {
 	g := buildTriangle(t)
-	dist := g.ShortestPaths(0)
+	dist := shortestPaths(g, 0)
 	want := []float64{0, 1, 3} // 0->1 = 1, 0->1->2 = 3 beats direct 5
 	for i := range want {
 		if dist[i] != want[i] {
@@ -270,46 +280,15 @@ func TestShortestPathsTriangle(t *testing.T) {
 func TestShortestPathsUnreachable(t *testing.T) {
 	g := New(3)
 	g.MustAddEdge(0, 1, 1)
-	dist := g.ShortestPaths(0)
+	dist := shortestPaths(g, 0)
 	if !math.IsInf(dist[2], 1) {
 		t.Fatalf("unreachable distance = %v, want +Inf", dist[2])
 	}
-	distBad := g.ShortestPaths(99)
+	distBad := shortestPaths(g, 99)
 	for _, d := range distBad {
 		if !math.IsInf(d, 1) {
 			t.Fatal("invalid source should yield all-Inf distances")
 		}
-	}
-}
-
-func TestShortestPathTreeAndPathTo(t *testing.T) {
-	g := buildTriangle(t)
-	dist, prev := g.ShortestPathTree(0)
-	if dist[2] != 3 {
-		t.Fatalf("dist[2] = %v", dist[2])
-	}
-	path := PathTo(prev, 0, 2)
-	want := []int{0, 1, 2}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-	if p := PathTo(prev, 0, 0); len(p) != 1 || p[0] != 0 {
-		t.Fatalf("trivial path = %v", p)
-	}
-	// Unreachable.
-	h := New(3)
-	h.MustAddEdge(0, 1, 1)
-	_, hp := h.ShortestPathTree(0)
-	if PathTo(hp, 0, 2) != nil {
-		t.Fatal("unreachable PathTo should be nil")
-	}
-	if PathTo(hp, 0, 17) != nil {
-		t.Fatal("out-of-range PathTo should be nil")
 	}
 }
 
@@ -332,16 +311,29 @@ func randomConnectedGraph(r *rng.Rand, n, extraEdges int) *Graph {
 	return g
 }
 
+// TestDijkstraAgreesWithBellmanFord checks that every ShortestPathsInto row
+// is the fixed point Bellman-Ford's relaxation converges to, exactly, on
+// randomized weighted graphs: the source is at 0, no edge relaxes any
+// distance further, and every other vertex attains its distance through some
+// neighbour bit for bit.
 func TestDijkstraAgreesWithBellmanFord(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 5 + r.Intn(40)
 		g := randomConnectedGraph(r, n, n)
 		src := r.Intn(n)
-		d1 := g.ShortestPaths(src)
-		d2 := g.BellmanFord(src)
-		for i := range d1 {
-			if math.Abs(d1[i]-d2[i]) > 1e-9 {
+		dist := shortestPaths(g, src)
+		if dist[src] != 0 {
+			return false
+		}
+		for v := 0; v < n; v++ {
+			relaxes, tight := false, v == src
+			g.VisitNeighbors(v, func(u int, w float64) bool {
+				relaxes = relaxes || dist[u]+w < dist[v]
+				tight = tight || dist[u]+w == dist[v]
+				return true
+			})
+			if relaxes || !tight {
 				return false
 			}
 		}
@@ -356,7 +348,7 @@ func TestDijkstraTriangleInequality(t *testing.T) {
 	r := rng.New(99)
 	g := randomConnectedGraph(r, 60, 120)
 	src := 0
-	dist := g.ShortestPaths(src)
+	dist := shortestPaths(g, src)
 	for _, e := range g.Edges() {
 		if dist[e.V] > dist[e.U]+e.W+1e-9 || dist[e.U] > dist[e.V]+e.W+1e-9 {
 			t.Fatalf("triangle inequality violated on edge %+v: d[u]=%v d[v]=%v", e, dist[e.U], dist[e.V])

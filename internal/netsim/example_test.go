@@ -17,7 +17,7 @@ func Example() {
 	oracle := netsim.NewOracle(net)
 	a, b := net.StubHosts[0], net.StubHosts[len(net.StubHosts)-1]
 	fmt.Printf("hosts: %d\n", len(net.StubHosts))
-	fmt.Printf("connected: %v\n", net.Graph.Connected())
+	fmt.Printf("connected: %v\n", net.Graph.Frozen().Connected())
 	fmt.Printf("symmetric: %v\n", oracle.Latency(a, b) == oracle.Latency(b, a))
 	// Output:
 	// hosts: 2400

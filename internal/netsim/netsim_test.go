@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 	"repro/internal/rng"
 )
 
@@ -109,7 +110,7 @@ func TestGenerateConnectedProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return net.Graph.Connected()
+		return net.Graph.Frozen().Connected()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -332,21 +333,19 @@ func edgeNet(n int, edges ...graph.Edge) *Network {
 }
 
 // checkOracleExact holds Latency(s,v), Latency(v,s) and Row(s)[v] bit for
-// bit to a plain ShortestPathsInto row, for every v and every source s
-// (all vertices when sources is nil). It returns the oracle.
+// bit to the graphtest Dijkstra row over the whole graph, for every v and
+// every source s (all vertices when sources is nil). It returns the oracle.
 func checkOracleExact(t *testing.T, net *Network, sources []int) *Oracle {
 	t.Helper()
 	o := NewOracle(net)
-	fz := net.Graph.Frozen()
-	n := fz.NumVertices()
+	n := net.Graph.NumVertices()
 	if sources == nil {
 		for s := 0; s < n; s++ {
 			sources = append(sources, s)
 		}
 	}
-	ref := make([]float64, n)
 	for _, s := range sources {
-		fz.ShortestPathsInto(s, ref)
+		ref := graphtest.Dijkstra(n, s, net.Graph.VisitNeighbors, nil)
 		row := o.Row(s)
 		for v, want := range ref {
 			wb := math.Float64bits(want)
@@ -494,10 +493,8 @@ func FuzzOracleRows(f *testing.F) {
 			}
 		}
 		o := NewOracle(&Network{Graph: g, StubDomain: labels})
-		fz := g.Frozen()
-		ref := make([]float64, n)
 		for u := 0; u < n; u++ {
-			fz.ShortestPathsInto(u, ref)
+			ref := graphtest.Dijkstra(n, u, g.VisitNeighbors, nil)
 			for v, want := range ref {
 				if got := o.Latency(u, v); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("Latency(%d,%d) = %v, want %v", u, v, got, want)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/graph/graphtest"
 	"repro/internal/netsim"
 	"repro/internal/rng"
 )
@@ -75,55 +76,25 @@ func asymLat(a, b int) float64 {
 // queue's order among equal keys would show if anything read it.
 func quantLat(a, b int) float64 { return 5 * float64(1+pairHash(a, b)%60) }
 
-// refFlood is the reference the flood kernel is held to, and shares no code
-// with it: Dijkstra without a queue — settle the unsettled live slot of least
-// tentative time, found by a linear scan — with adjacency from
-// VisitNeighbors, liveness from Alive and one lat call per relaxed arc. It
-// returns the arrival row as far as it was computed and the arrival at the
-// first settled slot of stop (+Inf if none is reached).
-func refFlood(o *Overlay, src int, proc ProcDelayFunc, stop map[int]bool) ([]float64, float64) {
-	inf := math.Inf(1)
-	dist := make([]float64, o.NumSlots())
-	for i := range dist {
-		dist[i] = inf
-	}
+// referenceRow is the row every flood query is held to: the graphtest
+// Dijkstra from src over the live arcs — adjacency from VisitNeighbors,
+// liveness from Alive, one lat call per relaxed arc — with proc added as the
+// flood kernels add it.
+func referenceRow(o *Overlay, src int, proc ProcDelayFunc) []float64 {
 	if !o.Alive(src) {
-		return dist, inf
+		src = -1 // a dead source reaches nothing, itself included
 	}
-	dist[src] = 0
-	settled := make([]bool, o.NumSlots())
-	for {
-		u := -1
-		for v, d := range dist {
-			if !settled[v] && d < inf && (u < 0 || d < dist[u]) {
-				u = v
-			}
-		}
-		if u < 0 {
-			return dist, inf
-		}
-		if stop[u] {
-			return dist, dist[u]
-		}
-		settled[u] = true
+	return graphtest.Dijkstra(o.NumSlots(), src, func(u int, visit func(int, float64) bool) {
 		o.Logical.VisitNeighbors(u, func(nb int, _ float64) bool {
-			if !o.Alive(nb) {
-				return true
-			}
-			nd := dist[u] + o.lat(o.hostOf[u], o.hostOf[nb])
-			if proc != nil {
-				nd += proc(nb)
-			}
-			if nd < dist[nb] {
-				dist[nb] = nd
-			}
-			return true
+			return !o.Alive(nb) || visit(nb, o.lat(o.hostOf[u], o.hostOf[nb]))
 		})
-	}
+	}, proc)
 }
 
 // checkFloodsAgainstRef floods from a few random slots (dead ones included)
-// and asserts bit-equality of all three query shapes with refFlood.
+// and asserts bit-equality of all three query shapes with referenceRow: the
+// first arrival at one slot is its entry, at the nearest of several the
+// least entry among the live ones.
 func checkFloodsAgainstRef(t *testing.T, o *Overlay, r *rng.Rand, tag string) {
 	t.Helper()
 	n := o.NumSlots()
@@ -131,7 +102,7 @@ func checkFloodsAgainstRef(t *testing.T, o *Overlay, r *rng.Rand, tag string) {
 	for _, proc := range []ProcDelayFunc{nil, testProc} {
 		for k := 0; k < 3; k++ {
 			src := r.Intn(n)
-			want, _ := refFlood(o, src, proc, nil)
+			want := referenceRow(o, src, proc)
 			o.FloodLatenciesInto(src, proc, row)
 			for i := range want {
 				if math.Float64bits(row[i]) != math.Float64bits(want[i]) {
@@ -139,21 +110,14 @@ func checkFloodsAgainstRef(t *testing.T, o *Overlay, r *rng.Rand, tag string) {
 				}
 			}
 			dst := r.Intn(n)
-			wantOne := math.Inf(1)
-			if o.Alive(dst) {
-				_, wantOne = refFlood(o, src, proc, map[int]bool{dst: true})
-			}
-			if got := o.FloodLatency(src, dst, proc); math.Float64bits(got) != math.Float64bits(wantOne) {
-				t.Fatalf("%s: FloodLatency(%d,%d) = %v, reference %v", tag, src, dst, got, wantOne)
+			if got := o.FloodLatency(src, dst, proc); math.Float64bits(got) != math.Float64bits(want[dst]) {
+				t.Fatalf("%s: FloodLatency(%d,%d) = %v, reference %v", tag, src, dst, got, want[dst])
 			}
 			dsts := []int{r.Intn(n), r.Intn(n), r.Intn(n), dst}
-			stop := map[int]bool{}
+			wantAny := math.Inf(1)
 			for _, d := range dsts {
-				if o.Alive(d) {
-					stop[d] = true
-				}
+				wantAny = min(wantAny, want[d])
 			}
-			_, wantAny := refFlood(o, src, proc, stop)
 			if got := o.FloodLatencyAny(src, dsts, proc); math.Float64bits(got) != math.Float64bits(wantAny) {
 				t.Fatalf("%s: FloodLatencyAny(%d,%v) = %v, reference %v", tag, src, dsts, got, wantAny)
 			}
@@ -308,12 +272,11 @@ func TestFloodViewOrderFreeGate(t *testing.T) {
 
 // checkPointFloodsAgainstRef holds FloodLatency(src, dst, nil) for every
 // ordered pair of slots — dead sources, dead destinations and src == dst
-// included — to refFlood's full row from src, bit for bit.
+// included — to referenceRow from src, bit for bit.
 func checkPointFloodsAgainstRef(t *testing.T, o *Overlay, tag string) {
 	t.Helper()
 	for src := 0; src < o.NumSlots(); src++ {
-		want, _ := refFlood(o, src, nil, nil)
-		for dst, w := range want {
+		for dst, w := range referenceRow(o, src, nil) {
 			if got := o.FloodLatency(src, dst, nil); math.Float64bits(got) != math.Float64bits(w) {
 				t.Fatalf("%s: FloodLatency(%d,%d) = %v, reference %v (order-free view: %v)",
 					tag, src, dst, got, w, o.view.orderFree)
@@ -411,7 +374,7 @@ func TestFloodViewOrderFreeOnTransitStub(t *testing.T) {
 			o.Logical.MustAddEdge(s, v, 1)
 		}
 	}
-	_, want := refFlood(o, 0, nil, map[int]bool{100: true})
+	want := referenceRow(o, 0, nil)[100]
 	if got := o.FloodLatency(0, 100, nil); got != want {
 		t.Fatalf("FloodLatency(0,100) = %v, reference %v", got, want)
 	}
@@ -426,7 +389,7 @@ func TestFloodViewOrderFreeOnTransitStub(t *testing.T) {
 // fill, before any is applied, a symmetric table of host-pair latencies —
 // hosts a and b lie 5·(c mod 8) ms apart, pairs never named 0 — so the arcs
 // built first weigh what their records say and swaps bring other entries,
-// repeats and zeros under the links. Every pair is held to refFlood after each
+// repeats and zeros under the links. Every pair is held to referenceRow after each
 // mutation and at the end.
 func FuzzFloodPoint(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 1, 2, 2, 2, 3, 1, 3, 4, 3, 4, 5, 1})                   // path
@@ -510,7 +473,7 @@ func TestFloodViewBuiltExactlyOncePerState(t *testing.T) {
 	if err := o.CrashSlot(5); err != nil { // stale edges: live arcs < 2·NumEdges
 		t.Fatal(err)
 	}
-	want, _ := refFlood(o, 0, nil, nil)
+	want := referenceRow(o, 0, nil)
 	floodAll := func() {
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -217,6 +218,7 @@ func TestFaultConfigValidation(t *testing.T) {
 		{LossProb: 1.5},
 		{DupProb: -0.1},
 		{JitterMS: -1},
+		{JitterMS: math.Inf(1)},
 		{LinkFailProb: 2},
 		{LinkFailPeriodMS: -5},
 		{CrashFrac: 1.01},

@@ -125,33 +125,14 @@ func (f *floodSource) NumSlots() int { return f.e.n }
 // crash-stop churn, slots whose occupant died are vacant and excluded.
 func (f *floodSource) AliveSlots() []int { return f.alive }
 
-// FloodInto runs Dijkstra from src over the logical overlay under the
-// frozen occupancy snapshot, reading only the CSR and w; an edge into a
-// vacant slot (crashed occupant) weighs +Inf and never relaxes, so rows may
-// contain +Inf for slots cut off by churn. Every weight is positive, so each
-// arrival is the least left-folded path sum whichever tie the radix queue
-// pops first (DESIGN.md §7 "Flood queue"). Safe for concurrent calls with
-// distinct dist buffers (queues come from a pool); the snapshot itself must
-// be quiescent, which the sample barrier guarantees.
+// FloodInto runs graph.Dijkstra from src over the logical CSR and w, under
+// the frozen occupancy snapshot; an edge into a vacant slot (crashed
+// occupant) weighs +Inf and never relaxes, so rows may contain +Inf for
+// slots cut off by churn. Safe for concurrent calls with distinct dist
+// buffers (queues come from a pool); the snapshot itself must be quiescent,
+// which the sample barrier guarantees.
 func (f *floodSource) FloodInto(src int, dist []float64) {
-	e := f.e
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
 	q := f.pool.Get().(*graph.RadixQueue)
-	q.Reset()
-	dist[src] = 0
-	q.Push(int32(src), 0)
-	for s, ok := q.Pop(dist); ok; s, ok = q.Pop(dist) {
-		ds := dist[s]
-		lo, hi := e.lOff[s], e.lOff[s+1]
-		w := f.w[lo:hi]
-		for i, t := range e.lNbr[lo:hi] {
-			if d := ds + w[i]; d < dist[t] {
-				dist[t] = d
-				q.Push(t, d)
-			}
-		}
-	}
+	graph.Dijkstra(f.e.lOff, f.e.lNbr, f.w, src, dist, q)
 	f.pool.Put(q)
 }

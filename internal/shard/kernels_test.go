@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/graph/graphtest"
 	"repro/internal/netsim"
 	"repro/internal/rng"
 )
@@ -78,43 +79,11 @@ func TestEstLatMatchesOracle(t *testing.T) {
 	}
 }
 
-// floodRef is the reference flood and shares no code with FloodInto:
-// Dijkstra without a queue — settle the unsettled slot of least tentative
-// time, found by a linear scan — over the logical CSR, deriving each edge
-// latency through the snapshot per relaxation and skipping vacant slots,
-// with no weight array.
-func floodRef(f *floodSource, src int, dist []float64) {
-	e := f.e
-	inf := math.Inf(1)
-	for i := range dist {
-		dist[i] = inf
-	}
-	dist[src] = 0
-	settled := make([]bool, len(dist))
-	for {
-		u := -1
-		for v, d := range dist {
-			if !settled[v] && d < inf && (u < 0 || d < dist[u]) {
-				u = v
-			}
-		}
-		if u < 0 {
-			return
-		}
-		settled[u] = true
-		p := f.peerAt[u]
-		for _, t := range e.nbrs(int32(u)) {
-			if q := f.peerAt[t]; q >= 0 {
-				dist[t] = min(dist[t], dist[u]+e.estLat(p, q))
-			}
-		}
-	}
-}
-
 // TestFloodWeightsMatchPerEdgeEstimate pins the flood-weight invariant
 // (DESIGN.md §12): after a faulty run — crashed peers, so vacant slots and
 // +Inf weights — every FloodInto row over w equals, bit for bit, the
-// reference Dijkstra that derives each edge latency per relaxation, from
+// graphtest reference over the logical adjacency, which derives each edge
+// latency through the snapshot per relaxation and skips vacant slots, from
 // every alive source.
 func TestFloodWeightsMatchPerEdgeEstimate(t *testing.T) {
 	quiet, err := New(faultyConfig(4, 11))
@@ -135,10 +104,18 @@ func TestFloodWeightsMatchPerEdgeEstimate(t *testing.T) {
 	if len(f.w) != len(e.lNbr) {
 		t.Fatalf("len(w) = %d, want one weight per directed logical edge (%d)", len(f.w), len(e.lNbr))
 	}
-	got, want := make([]float64, e.n), make([]float64, e.n)
+	arcs := func(u int, visit func(int, float64) bool) {
+		p := f.peerAt[u]
+		for _, t := range e.nbrs(int32(u)) {
+			if q := f.peerAt[t]; q >= 0 && !visit(int(t), e.estLat(p, q)) {
+				return
+			}
+		}
+	}
+	got := make([]float64, e.n)
 	for _, src := range f.alive {
 		f.FloodInto(src, got)
-		floodRef(f, src, want)
+		want := graphtest.Dijkstra(e.n, src, arcs, nil)
 		for s := range got {
 			if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
 				t.Fatalf("row %d slot %d: %v over w, %v per-edge", src, s, got[s], want[s])

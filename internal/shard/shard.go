@@ -54,6 +54,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/netsim"
 )
@@ -197,8 +198,8 @@ func (f *FaultConfig) validate(net netsim.Config) error {
 		return err
 	}
 	switch {
-	case !(f.JitterMS >= 0):
-		return fmt.Errorf("shard: Faults.JitterMS = %v, want >= 0", f.JitterMS)
+	case !(f.JitterMS >= 0 && f.JitterMS < math.Inf(1)):
+		return fmt.Errorf("shard: Faults.JitterMS = %v, want finite and >= 0", f.JitterMS)
 	case !(f.LinkFailPeriodMS >= 0):
 		return fmt.Errorf("shard: Faults.LinkFailPeriodMS = %v, want >= 0", f.LinkFailPeriodMS)
 	case f.PartitionStopMS < f.PartitionStartMS:
