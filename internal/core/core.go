@@ -326,8 +326,8 @@ func SelectTrade(o *overlay.Overlay, u, v int, path []int, m int, r *rng.Rand, s
 type Outcome int
 
 const (
-	// Rejected: Var <= MIN_VAR, no legal trade existed, or the overlay
-	// refused the commit. Nothing changed.
+	// Rejected: Var was not above MIN_VAR (a NaN Var never is), no legal
+	// trade existed, or the overlay refused the commit. Nothing changed.
 	Rejected Outcome = iota
 	// Poisoned: a measurement failed, so Var was never trusted and nothing
 	// changed — an exchange must never execute on incomplete data, or a
@@ -343,48 +343,103 @@ const (
 // measure, past which it attempts none.
 type MeasureFunc func(pairs [][2]int, rtt []float64) (measured int)
 
-// Exchange evaluates Var for the (u,v) pair from measured host-to-host
-// RTTs and executes the exchange iff Var > minVar: a host swap under PROPG,
-// a trade of up to m neighbors per side (never ones on path) under PROPO.
-// The evaluation's host pairs are listed into sc and handed to measure as
-// one batch; a batch cut short poisons the evaluation. moved counts the
-// neighbor entries the exchange touches — |N(u)|+|N(v)| under PROPG, both
-// trade lists under PROPO — which is the measure messages charged and, on
-// commit, the notifications owed (§4.3), not the RTTs taken (DESIGN.md §3);
-// it is 0 when no legal trade existed. sc is the calling driver's scratch;
-// path may be its Path.
-func Exchange(o *overlay.Overlay, policy Policy, u, v int, path []int, m int, minVar float64,
-	measure MeasureFunc, r *rng.Rand, sc *overlay.Scratch) (out Outcome, variation float64, moved int) {
-	var fold func(rtt []float64) float64
-	var commit func() error
+// Evaluation is one planned peer-exchange between slots U and V: what its
+// Var measures and what committing it does. Plan makes one; Exchange runs
+// it start to finish, and a driver that measures without holding the
+// overlay runs its steps apart (List again at commit time, then Commit).
+type Evaluation struct {
+	Policy Policy
+	U, V   int
+	// Give and Take are PROP-O's trade lists (nil under PROP-G). They live
+	// in the Scratch Plan was given.
+	Give, Take []int
+	// Moved counts the neighbor entries the exchange touches — |N(u)|+|N(v)|
+	// under PROPG, both trade lists under PROPO — which is the measure
+	// messages charged and, on commit, the notifications owed (§4.3), not
+	// the RTTs taken (DESIGN.md §3).
+	Moved int
+}
+
+// Plan picks the exchange the (u,v) pair evaluates — a host swap under
+// PROPG, a trade of up to m neighbors per side (never ones on path) under
+// PROPO — and lists its host pairs into sc (List). ok is false when no legal
+// trade exists. Both slots must be alive.
+func Plan(o *overlay.Overlay, policy Policy, u, v int, path []int, m int, r *rng.Rand, sc *overlay.Scratch) (ev Evaluation, ok bool) {
+	ev = Evaluation{Policy: policy, U: u, V: v}
 	switch policy {
 	case PROPG:
-		moved = o.Degree(u) + o.Degree(v)
-		o.SwapPairs(u, v, sc)
-		fold = overlay.SwapVar
-		commit = func() error { return o.SwapHosts(u, v) }
+		ev.Moved = o.Degree(u) + o.Degree(v)
 	case PROPO:
-		give, take := SelectTrade(o, u, v, path, m, r, sc)
-		if len(give) == 0 {
-			return Rejected, 0, 0
+		ev.Give, ev.Take = SelectTrade(o, u, v, path, m, r, sc)
+		if len(ev.Give) == 0 {
+			return ev, false
 		}
-		moved = len(give) + len(take)
-		o.TradePairs(u, v, give, take, sc)
-		fold = overlay.TradeVar
-		commit = func() error { return o.ExchangeNeighbors(u, v, give, take, path) }
+		ev.Moved = len(ev.Give) + len(ev.Take)
 	default:
+		return ev, false
+	}
+	ev.List(o, sc)
+	return ev, true
+}
+
+// List writes into sc.Pairs the host pairs ev measures, as the overlay
+// stands now, and sizes sc.RTT to match. It leaves ev's trade lists alone,
+// whichever Scratch holds them.
+func (ev *Evaluation) List(o *overlay.Overlay, sc *overlay.Scratch) {
+	if ev.Policy == PROPG {
+		o.SwapPairs(ev.U, ev.V, sc)
+	} else {
+		o.TradePairs(ev.U, ev.V, ev.Give, ev.Take, sc)
+	}
+}
+
+// Judge folds a batch of RTTs for ev's pair list, of which the first
+// measured were filled, into Var and rules on it: Poisoned when the batch
+// was cut short (the RTTs past it are zeroed), Rejected unless Var > minVar
+// — NaN is not — and Committed when the exchange should execute, which
+// Commit then does.
+func (ev *Evaluation) Judge(rtt []float64, measured int, minVar float64) (out Outcome, variation float64) {
+	clear(rtt[measured:]) // a poisoned Var counts what was not measured as 0
+	if ev.Policy == PROPG {
+		variation = overlay.SwapVar(rtt)
+	} else {
+		variation = overlay.TradeVar(rtt)
+	}
+	switch {
+	case measured < len(rtt):
+		return Poisoned, variation
+	case !(variation > minVar):
+		return Rejected, variation
+	}
+	return Committed, variation
+}
+
+// Commit executes ev on o: SwapHosts under PROPG, ExchangeNeighbors under
+// PROPO, which refuses a trade that Theorem 1 (path) or the overlay as it
+// stands now forbids.
+func (ev *Evaluation) Commit(o *overlay.Overlay, path []int) error {
+	if ev.Policy == PROPG {
+		return o.SwapHosts(ev.U, ev.V)
+	}
+	return o.ExchangeNeighbors(ev.U, ev.V, ev.Give, ev.Take, path)
+}
+
+// Exchange evaluates Var for the (u,v) pair from measured host-to-host
+// RTTs and executes the exchange iff Var > minVar: Plan, one measure call
+// over the whole listed batch, Judge, Commit. A batch cut short poisons the
+// evaluation. moved is the Evaluation's Moved, 0 when no legal trade
+// existed. sc is the calling driver's scratch; path may be its Path.
+func Exchange(o *overlay.Overlay, policy Policy, u, v int, path []int, m int, minVar float64,
+	measure MeasureFunc, r *rng.Rand, sc *overlay.Scratch) (out Outcome, variation float64, moved int) {
+	ev, ok := Plan(o, policy, u, v, path, m, r, sc)
+	if !ok {
 		return Rejected, 0, 0
 	}
-	measured := measure(sc.Pairs, sc.RTT)
-	clear(sc.RTT[measured:]) // a poisoned Var counts what was not measured as 0
-	variation = fold(sc.RTT)
-	switch {
-	case measured < len(sc.Pairs):
-		return Poisoned, variation, moved
-	case variation <= minVar || commit() != nil:
-		return Rejected, variation, moved
+	out, variation = ev.Judge(sc.RTT, measure(sc.Pairs, sc.RTT), minVar)
+	if out == Committed && ev.Commit(o, path) != nil {
+		out = Rejected
 	}
-	return Committed, variation, moved
+	return out, variation, ev.Moved
 }
 
 // ExchangeEvent records one executed peer-exchange for tracing.

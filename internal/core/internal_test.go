@@ -349,6 +349,35 @@ func TestExchangeOutcomes(t *testing.T) {
 	}
 }
 
+// TestExchangeRejectsNaNVar: a batch of NaN RTTs folds into a NaN Var, and
+// NaN is not above MIN_VAR — the exchange must be rejected, not committed,
+// under either policy, with the overlay untouched.
+func TestExchangeRejectsNaNVar(t *testing.T) {
+	nan := func(pairs [][2]int, rtt []float64) int {
+		for k := range pairs {
+			rtt[k] = math.NaN()
+		}
+		return len(pairs)
+	}
+	for _, policy := range []Policy{PROPG, PROPO} {
+		// A 6-slot ring: u=0 and v=2 sit two hops apart, and 5 and 3 are
+		// legal PROP-O trades.
+		o := tinyOverlay(t, []int{0, 100, 1, 101, 2, 102})
+		for s := 0; s < 6; s++ {
+			if err := o.AddEdge(s, (s+1)%6); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, variation, _ := Exchange(o, policy, 0, 2, []int{0, 1, 2}, 1, 0, nan, rng.New(1), new(overlay.Scratch))
+		if out != Rejected || !math.IsNaN(variation) {
+			t.Fatalf("%v: NaN RTTs gave outcome %v with Var %v, want Rejected with NaN", policy, out, variation)
+		}
+		if o.HostOf(0) != 0 || o.HostOf(2) != 1 || !o.Logical.HasEdge(0, 5) || !o.Logical.HasEdge(2, 3) {
+			t.Fatalf("%v: a NaN Var changed the overlay", policy)
+		}
+	}
+}
+
 func TestMeasureHostsNoise(t *testing.T) {
 	o := tinyOverlay(t, []int{0, 100})
 	o.AddEdge(0, 1)

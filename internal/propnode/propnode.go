@@ -12,11 +12,13 @@
 //
 // Concurrency model: the overlay (and the runtime RNG) live under one
 // mutex. Message pumps never take it — pings are always answered — and
-// walk-forwarding and measurement handlers run on spawned goroutines, so an
-// agent may hold the runtime lock across a full Var evaluation (which pings
-// peers through their pumps) without deadlock. Exchanges are therefore
-// serialized, walks and probes run concurrently, and churn (join, leave,
-// crash, repair) mirrors the unstructured membership of internal/gnutella.
+// walk-forwarding and measurement handlers run on spawned goroutines. No
+// agent holds it across a round trip: an exchange plans under the lock,
+// measures without it into buffers the agent owns, and commits under it
+// again only if the host pairs it measured are still the ones the exchange
+// moves — so evaluations overlap, and one the overlay moved under is
+// rejected as stale. Churn (join, leave, crash, repair) mirrors the
+// unstructured membership of internal/gnutella.
 //
 // Key types: Runtime, Config. See DESIGN.md §10 ("Live runtime").
 package propnode
@@ -25,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,6 +136,11 @@ type Counters struct {
 	Rejected uint64
 	// WalkFailures counts probing walks that dead-ended or timed out.
 	WalkFailures uint64
+	// Stale counts profitable evaluations that did not commit because the
+	// overlay moved while their RTTs were measured: the host pairs listed
+	// again at commit time differed, the overlay refused the commit, or the
+	// agent or a slot was gone. Each is also counted in Rejected.
+	Stale uint64
 	// MeasureFailures counts Var evaluations aborted by a failed RTT probe.
 	MeasureFailures uint64
 	// Heartbeats counts failure-detector pings sent.
@@ -162,7 +170,7 @@ type Runtime struct {
 	agents      map[int]*agent  // by host
 	incarnation map[int]uint32  // per-host epoch, survives Crash/Recover
 	m           int             // resolved PROP-O trade size
-	sc          overlay.Scratch // kernel buffers; like o and r, only under mu
+	sc          overlay.Scratch // for work done within one hold of mu, like o and r
 
 	wg      sync.WaitGroup
 	stopped bool
@@ -170,6 +178,7 @@ type Runtime struct {
 	probes        atomic.Uint64
 	exchanges     atomic.Uint64
 	rejected      atomic.Uint64
+	stales        atomic.Uint64
 	walkFails     atomic.Uint64
 	measureFails  atomic.Uint64
 	heartbeats    atomic.Uint64
@@ -189,6 +198,10 @@ type agent struct {
 	// peer is the §3.2 kernel state (neighborQ, trials, timer), keyed by
 	// slot. Seeded under rt.mu at spawn, then owned by the probe goroutine.
 	peer core.Peer
+	// sc holds the probe cycle in flight across the unlocked round trips:
+	// the walk, the evaluation's trade lists, host pairs and RTTs. Only the
+	// probe goroutine touches it.
+	sc overlay.Scratch
 
 	// susp is the failure detector's per-neighbor suspicion accrual, keyed
 	// by host, and hbLive the hosts of the sweep in progress. Both are owned
@@ -301,6 +314,7 @@ func (rt *Runtime) Counters() Counters {
 		Probes:           rt.probes.Load(),
 		Exchanges:        rt.exchanges.Load(),
 		Rejected:         rt.rejected.Load(),
+		Stale:            rt.stales.Load(),
 		WalkFailures:     rt.walkFails.Load(),
 		MeasureFailures:  rt.measureFails.Load(),
 		Heartbeats:       rt.heartbeats.Load(),
@@ -394,12 +408,13 @@ func (rt *Runtime) probeOnce(a *agent) bool {
 		return false
 	}
 	sHost := rt.o.HostOf(s)
+	a.sc.Path = append(a.sc.Path[:0], u, s)
 	walkReq := transport.Message{
 		Type:  transport.TWalk,
 		TTL:   uint8(rt.cfg.NHops - 1),
 		Epoch: a.epoch,
 		Key:   uint32(a.host),
-		Path:  []int{u, s},
+		Path:  a.sc.Path,
 	}
 	rt.mu.Unlock()
 
@@ -418,48 +433,81 @@ func (rt *Runtime) probeOnce(a *agent) bool {
 	return rt.attemptExchange(a, u, path[len(path)-1], path)
 }
 
-// attemptExchange runs the kernel's Exchange for (u,v) over live
-// measurements. The runtime lock is held across evaluation and commit —
-// pumps never take it, so the measurement traffic this generates cannot
-// deadlock (see the package comment).
+// attemptExchange evaluates (u,v) over live measurements in three steps and
+// holds rt.mu in the first and the last only: core.Plan lists the host
+// pairs into the agent's own buffers; the round trips run without the lock;
+// then the pairs are listed anew, and the exchange commits only if they are
+// the pairs that were measured. The world may move while the RTTs are in
+// flight (another exchange, churn); an evaluation it overtook is Stale,
+// never a measurement failure (DESIGN.md §10 "Exchanges off the lock").
 func (rt *Runtime) attemptExchange(a *agent, u, v int, path []int) bool {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	// Incarnation guard: a goroutine of a crashed-and-recovered (or plain
 	// crashed) agent must never commit two-phase-swap state into the
 	// bijection — only the host's current agent may mutate the overlay.
 	if rt.agents[a.host] != a {
+		rt.mu.Unlock()
 		rt.staleEpochs.Add(1)
 		rt.rejected.Add(1)
 		return false
 	}
-	// Optimistic concurrency: the walk ran without the lock, so the world
-	// may have moved. Re-validate before measuring.
+	// The walk ran without the lock, so the world may have moved.
 	if rt.o.SlotOfHost(a.host) != u || u == v || !rt.o.Alive(u) || !rt.o.Alive(v) {
+		rt.mu.Unlock()
 		rt.rejected.Add(1)
 		return false
 	}
-	// One round trip after another; overlapping them waits for the exchange
-	// to leave rt.mu (ROADMAP item 1).
-	measure := func(pairs [][2]int, rtt []float64) int {
-		for k, pr := range pairs {
-			var err error
-			if rtt[k], err = rt.measureFrom(a, pr[0], pr[1]); err != nil {
-				return k
-			}
-		}
-		return len(pairs)
+	ev, ok := core.Plan(rt.o, rt.cfg.Policy, u, v, path, rt.m, rt.r, &a.sc)
+	rt.mu.Unlock()
+	if !ok {
+		rt.rejected.Add(1)
+		return false
 	}
-	out, _, _ := core.Exchange(rt.o, rt.cfg.Policy, u, v, path, rt.m, rt.cfg.MinVar, measure, rt.r, &rt.sc)
-	switch out {
-	case core.Committed:
-		rt.exchanges.Add(1)
+
+	// One round trip after another, and no lock held: the pumps answer
+	// pings and relays without rt.mu anyway (see the package comment).
+	measured := len(a.sc.Pairs)
+	for k, pr := range a.sc.Pairs {
+		var err error
+		if a.sc.RTT[k], err = rt.measureFrom(a, pr[0], pr[1]); err != nil {
+			measured = k
+			break
+		}
+	}
+	switch out, _ := ev.Judge(a.sc.RTT, measured, rt.cfg.MinVar); out {
 	case core.Poisoned:
 		rt.measureFails.Add(1)
-	default:
+		return false
+	case core.Rejected:
 		rt.rejected.Add(1)
+		return false
 	}
-	return out == core.Committed
+
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.agents[a.host] != a {
+		rt.staleEpochs.Add(1)
+		return rt.stale()
+	}
+	if rt.o.SlotOfHost(a.host) != u || !rt.o.Alive(u) || !rt.o.Alive(v) {
+		return rt.stale()
+	}
+	// PROP-G re-lists the swap, PROP-O the same give/take: equal pairs mean
+	// the RTTs still price this exchange. ExchangeNeighbors re-checks the
+	// trade itself (adjacency, Theorem 1).
+	ev.List(rt.o, &rt.sc)
+	if !slices.Equal(rt.sc.Pairs, a.sc.Pairs) || ev.Commit(rt.o, path) != nil {
+		return rt.stale()
+	}
+	rt.exchanges.Add(1)
+	return true
+}
+
+// stale counts a profitable evaluation the overlay moved under.
+func (rt *Runtime) stale() bool {
+	rt.stales.Add(1)
+	rt.rejected.Add(1)
+	return false
 }
 
 // measureFrom returns the live RTT between hosts x and y, measured from x's
@@ -488,7 +536,7 @@ func (rt *Runtime) measureFrom(a *agent, x, y int) (float64, error) {
 		return 0, fmt.Errorf("propnode: measure relay %d→%d failed", x, y)
 	}
 	rtt := math.Float64frombits(binary.BigEndian.Uint64(reply.Msg.Body))
-	if rtt < 0 || math.IsNaN(rtt) {
+	if !(rtt >= 0 && rtt <= math.MaxFloat64) { // negative, NaN or +Inf
 		return 0, fmt.Errorf("propnode: measure relay %d→%d reported %v", x, y, rtt)
 	}
 	return rtt, nil

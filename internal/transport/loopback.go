@@ -212,7 +212,7 @@ func (l *Loopback) send(from *loopEndpoint, to int, m Message) {
 	if l.cfg.DelayMS != nil {
 		delay += l.cfg.DelayMS(from.host, to)
 	}
-	in := Inbound{Msg: m, DelayMS: delay, Virtual: true}
+	in := Inbound{Msg: m, DelayMS: delay}
 	copies := 1
 	if verdict.Dup {
 		copies = 2
@@ -249,9 +249,7 @@ type loopEndpoint struct {
 	links *linkSeqs // the host's sequence table; nil without an injector
 
 	overflows atomic.Uint64
-
-	mu     sync.Mutex
-	closed bool
+	closed    atomic.Bool // Close was called: Send errors
 }
 
 // Host returns the host ID this endpoint answers for.
@@ -265,12 +263,9 @@ func (ep *loopEndpoint) Counters() Counters {
 
 // Send transmits m to host to with datagram semantics.
 func (ep *loopEndpoint) Send(to int, m Message) error {
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
+	if ep.closed.Load() {
 		return fmt.Errorf("transport: send on closed loopback endpoint %d", ep.host)
 	}
-	ep.mu.Unlock()
 	m.Src, m.Dst = ep.host, to
 	// The loopback carries Messages natively, but every frame must still be
 	// wire-legal: encode (validating), and hand the receiver the decoded
@@ -291,18 +286,16 @@ func (ep *loopEndpoint) Send(to int, m Message) error {
 	return nil
 }
 
+// Virtual reports true: loopback delays are the simulated-latency plane.
+func (ep *loopEndpoint) Virtual() bool { return true }
+
 // Recv returns the delivery channel.
 func (ep *loopEndpoint) Recv() <-chan Inbound { return ep.recv }
 
 // Close detaches the endpoint; idempotent.
 func (ep *loopEndpoint) Close() error {
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
-		return nil
+	if !ep.closed.Swap(true) {
+		ep.net.close(ep)
 	}
-	ep.closed = true
-	ep.mu.Unlock()
-	ep.net.close(ep)
 	return nil
 }

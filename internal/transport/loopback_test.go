@@ -42,8 +42,8 @@ func TestLoopbackDeliveryAndVirtualDelay(t *testing.T) {
 		if string(in.Msg.Body) != "hi" || in.Msg.Src != 1 || in.Msg.Dst != 2 {
 			t.Fatalf("bad delivery %#v", in.Msg)
 		}
-		if !in.Virtual || in.DelayMS != halfLat(1, 2) {
-			t.Fatalf("virtual delay = %v/%v, want %v/true", in.DelayMS, in.Virtual, halfLat(1, 2))
+		if !b.Virtual() || in.DelayMS != halfLat(1, 2) {
+			t.Fatalf("virtual delay = %v/%v, want %v/true", in.DelayMS, b.Virtual(), halfLat(1, 2))
 		}
 	case <-time.After(time.Second):
 		t.Fatal("no delivery")

@@ -31,18 +31,24 @@ type NodeStats struct {
 // retransmission with exponential back-off, and sequence-number matching
 // that absorbs duplicate and stale replies.
 type Node struct {
-	ep Endpoint
+	ep      Endpoint
+	virtual bool // ep.Virtual(), read once
 
-	// mu guards pending, and the pump delivers a reply into a call record
-	// while holding it — the recycling argument of Call rests on that.
+	// pong is the body of every pong the pump sends. The pump is one
+	// goroutine and Send keeps nothing of its message, so one buffer serves.
+	pong [9]byte
+
+	// mu guards pending and closed, and the pump delivers a reply (Close a
+	// close notice) into a call record while holding it — the recycling
+	// argument of Call rests on that.
 	mu      sync.Mutex
 	pending map[uint64]*call
+	closed  bool
 	handler atomic.Pointer[func(Inbound)]
 
-	seq    atomic.Uint64
-	closed chan struct{}
-	once   sync.Once
-	wg     sync.WaitGroup
+	seq  atomic.Uint64
+	once sync.Once
+	wg   sync.WaitGroup
 
 	pings        atomic.Uint64
 	timeouts     atomic.Uint64
@@ -55,8 +61,8 @@ type Node struct {
 func NewNode(ep Endpoint) *Node {
 	n := &Node{
 		ep:      ep,
+		virtual: ep.Virtual(),
 		pending: make(map[uint64]*call),
-		closed:  make(chan struct{}),
 	}
 	n.wg.Add(1)
 	go n.pump()
@@ -96,7 +102,15 @@ func (n *Node) Stats() NodeStats {
 // Close stops the pump and fails pending calls. Idempotent.
 func (n *Node) Close() {
 	n.once.Do(func() {
-		close(n.closed)
+		n.mu.Lock()
+		n.closed = true
+		for _, c := range n.pending {
+			select {
+			case c.ch <- Inbound{}: // the close notice: no wire message has type 0
+			default: // a reply is already waiting
+			}
+		}
+		n.mu.Unlock()
 		n.ep.Close()
 	})
 	n.wg.Wait()
@@ -116,7 +130,7 @@ func (n *Node) pump() {
 				Seq:   in.Msg.Seq,
 				Key:   in.Msg.Key,
 				Epoch: in.Msg.Epoch,
-				Body:  encodeDelay(in.DelayMS, in.Virtual),
+				Body:  putDelay(n.pong[:], in.DelayMS, n.virtual),
 			}
 			_ = n.ep.Send(in.Msg.Src, pong)
 		case TPong, TWalkReply, TMeasureReply:
@@ -188,6 +202,11 @@ func (n *Node) Call(to int, m Message, timeout time.Duration, retries int) (Inbo
 	m.Seq = seq
 	c := calls.Get().(*call)
 	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		calls.Put(c)
+		return Inbound{}, fmt.Errorf("transport: node %d closed before call to %d", n.ep.Host(), to)
+	}
 	n.pending[seq] = c
 	n.mu.Unlock()
 	defer n.finish(seq, c)
@@ -201,10 +220,10 @@ func (n *Node) Call(to int, m Message, timeout time.Duration, retries int) (Inbo
 		select {
 		case in := <-c.ch:
 			c.disarm()
+			if in.Msg.Type == 0 {
+				return Inbound{}, fmt.Errorf("transport: node %d closed during call to %d", n.ep.Host(), to)
+			}
 			return in, nil
-		case <-n.closed:
-			c.disarm()
-			return Inbound{}, fmt.Errorf("transport: node %d closed during call to %d", n.ep.Host(), to)
 		case <-c.timer.C:
 			n.timeouts.Add(1)
 			if attempt >= retries {
@@ -232,26 +251,36 @@ func (n *Node) finish(seq uint64, c *call) {
 }
 
 // Ping measures the round-trip time to host to in milliseconds. Over the
-// loopback the result is the exact virtual RTT (both legs' DelayMS summed);
-// over UDP it is wall-clock elapsed time. Timeout and retries follow Call's
-// retransmission discipline.
+// loopback the result is the exact virtual RTT (both legs' DelayMS summed)
+// and the clock is not read; over UDP it is wall-clock elapsed time.
+// Timeout and retries follow Call's retransmission discipline. A virtual
+// RTT that is negative, NaN or infinite is an error, not a measurement.
 func (n *Node) Ping(to int, timeout time.Duration, retries int) (float64, error) {
 	n.pings.Add(1)
-	start := time.Now()
+	if !n.virtual {
+		start := time.Now()
+		if _, err := n.Call(to, Message{Type: TPing}, timeout, retries); err != nil {
+			return 0, err
+		}
+		return float64(time.Since(start)) / float64(time.Millisecond), nil
+	}
 	in, err := n.Call(to, Message{Type: TPing}, timeout, retries)
 	if err != nil {
 		return 0, err
 	}
-	if fwd, virtual, ok := decodeDelay(in.Msg.Body); ok && virtual && in.Virtual {
-		return fwd + in.DelayMS, nil
+	fwd, virtual, ok := decodeDelay(in.Msg.Body)
+	rtt := fwd + in.DelayMS
+	if !ok || !virtual || !(rtt >= 0 && rtt <= math.MaxFloat64) {
+		return 0, fmt.Errorf("transport: ping %d→%d: no finite virtual RTT (%v)", n.ep.Host(), to, rtt)
 	}
-	return float64(time.Since(start)) / float64(time.Millisecond), nil
+	return rtt, nil
 }
 
-// encodeDelay frames a one-way delay observation: 1 flag byte (virtual) + 8
-// bytes of float64 bits. TMeasureReply reuses it for measured RTTs.
-func encodeDelay(delayMS float64, virtual bool) []byte {
-	b := make([]byte, 9)
+// putDelay frames a one-way delay observation into b[:9] and returns it: 1
+// flag byte (virtual) + 8 bytes of float64 bits.
+func putDelay(b []byte, delayMS float64, virtual bool) []byte {
+	b = b[:9]
+	b[0] = 0
 	if virtual {
 		b[0] = 1
 	}
@@ -259,7 +288,7 @@ func encodeDelay(delayMS float64, virtual bool) []byte {
 	return b
 }
 
-// decodeDelay parses an encodeDelay frame.
+// decodeDelay parses a putDelay frame.
 func decodeDelay(b []byte) (delayMS float64, virtual bool, ok bool) {
 	if len(b) != 9 || b[0] > 1 {
 		return 0, false, false

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -101,5 +102,77 @@ func TestHandleNilDropsTraffic(t *testing.T) {
 	case in := <-got:
 		t.Fatalf("uninstalled handler still ran: %+v", in.Msg)
 	default:
+	}
+}
+
+// TestPingRejectsNonFiniteRTT: a virtual RTT the latency plane cannot stand
+// behind — NaN, or an unreachable pair's +Inf — fails the Ping instead of
+// reaching a Var evaluation as a number. Finite delays still measure.
+func TestPingRejectsNonFiniteRTT(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1), -1} {
+		lb := NewLoopback(LoopbackConfig{DelayMS: func(x, y int) float64 {
+			if x == 1 || y == 1 {
+				return d
+			}
+			return 2
+		}})
+		epA, _ := lb.Open(1)
+		epB, _ := lb.Open(2)
+		epC, _ := lb.Open(3)
+		a, b, c := NewNode(epA), NewNode(epB), NewNode(epC)
+		if rtt, err := a.Ping(2, time.Second, 0); err == nil {
+			t.Errorf("one-way delay %v: Ping returned RTT %v, want an error", d, rtt)
+		}
+		if rtt, err := b.Ping(3, time.Second, 0); err != nil || rtt != 4 {
+			t.Errorf("one-way delay 2: Ping = %v, %v, want 4", rtt, err)
+		}
+		a.Close()
+		b.Close()
+		c.Close()
+	}
+}
+
+// TestCloseFailsCallsInFlight: calls waiting on a peer that never answers
+// return an error as soon as their node closes, well before their deadline,
+// and a call made after Close fails at once.
+func TestCloseFailsCallsInFlight(t *testing.T) {
+	lb := NewLoopback(LoopbackConfig{})
+	epA, _ := lb.Open(1)
+	mute, _ := lb.Open(2) // an endpoint with no node: nothing answers
+	defer mute.Close()
+	a := NewNode(epA)
+
+	const callers = 8
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		go func() {
+			_, err := a.Call(2, Message{Type: TPing}, time.Hour, 0)
+			errs <- err
+		}()
+	}
+	// Close once every call is registered, so the test covers the close
+	// notice rather than the refusal of a late call.
+	for {
+		a.mu.Lock()
+		n := len(a.pending)
+		a.mu.Unlock()
+		if n == callers {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	a.Close()
+	for g := 0; g < callers; g++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("a call to a mute peer succeeded")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close left a call waiting")
+		}
+	}
+	if _, err := a.Call(2, Message{Type: TPing}, time.Hour, 0); err == nil {
+		t.Fatal("a call after Close succeeded")
 	}
 }

@@ -45,8 +45,9 @@ const (
 	// RTT — the "each side probes its own neighborhood" measurement RPC of
 	// the exchange evaluation (§4.3).
 	TMeasure
-	// TMeasureReply reports a TMeasure result in its Body (codecDelay
-	// framing); TTL 1 on success, 0 when the measurement timed out.
+	// TMeasureReply reports a TMeasure result in its Body (the RTT's
+	// float64 bits, big-endian); TTL 1 on success, 0 when the measurement
+	// failed.
 	TMeasureReply
 	// TData carries an opaque payload for tooling and tests.
 	TData
@@ -87,9 +88,6 @@ type Inbound struct {
 	// DelayMS is the virtual one-way delay the loopback charged this
 	// delivery (0 on UDP, where real time elapses instead).
 	DelayMS float64
-	// Virtual reports that DelayMS is authoritative — the loopback's
-	// simulated-latency plane — rather than real elapsed time.
-	Virtual bool
 }
 
 // Endpoint is one host's attachment to a network. Send never blocks on the
@@ -100,13 +98,18 @@ type Endpoint interface {
 	Host() int
 	// Send transmits m to the host to. Delivery is best-effort datagram
 	// semantics: messages to unknown or dead hosts vanish silently, exactly
-	// like UDP; only a closed local endpoint errors.
+	// like UDP; only a closed local endpoint errors. The endpoint must not
+	// keep m, its Path or its Body after Send returns: callers reuse them.
 	Send(to int, m Message) error
 	// Recv returns the delivery channel. It is closed when the endpoint
 	// closes.
 	Recv() <-chan Inbound
 	// Close detaches the endpoint and closes its Recv channel.
 	Close() error
+	// Virtual reports that every delivery's DelayMS is authoritative — the
+	// loopback's simulated-latency plane — rather than real elapsed time.
+	// It is a property of the network: true on Loopback, false on UDP.
+	Virtual() bool
 }
 
 // Network opens endpoints by host ID — the factory the runtime uses to

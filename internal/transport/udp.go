@@ -241,6 +241,9 @@ func (ep *UDPEndpoint) Send(to int, m Message) error {
 	return nil
 }
 
+// Virtual reports false: a UDP RTT is wall-clock time.
+func (ep *UDPEndpoint) Virtual() bool { return false }
+
 // Recv returns the delivery channel.
 func (ep *UDPEndpoint) Recv() <-chan Inbound { return ep.recv }
 

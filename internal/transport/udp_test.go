@@ -33,8 +33,8 @@ func TestUDPRoundTrip(t *testing.T) {
 	}
 	select {
 	case in := <-b.Recv():
-		if in.Virtual {
-			t.Fatal("udp delivery claims virtual delay")
+		if b.Virtual() {
+			t.Fatal("udp endpoint claims virtual delays")
 		}
 		m := in.Msg
 		if m.Type != TWalk || m.TTL != 3 || m.Key != 9 || m.Src != 1 || m.Dst != 2 ||
