@@ -65,13 +65,13 @@ func main() {
 			e.RunUntil(30 * 60000)
 			// Stabilization: PNS fingers re-pick their nearest candidates
 			// against the post-exchange host mapping.
-			ring.Refresh(oracle.Latency)
+			ring.Refresh()
 		}
 		if cfg.sat {
 			// The §2 baseline: relocation jumps. Same quality ballpark as
 			// PROP-G, but every jump mints a fresh identifier and moves
 			// keyspace ownership.
-			p, err := satmatch.New(ring, satmatch.DefaultConfig(), oracle.Latency, r.Split())
+			p, err := satmatch.New(ring, satmatch.DefaultConfig(), r.Split())
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -92,11 +92,11 @@ func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*Spac
 		leafOf:    make(map[int]*treeNode, n),
 	}
 	sp.Zones[0] = Zone{X0: 0, X1: 1, Y0: 0, Y1: 1}
-	sp.JoinPoint[0] = sp.joinPoint(hosts[0], lat, r)
+	sp.JoinPoint[0] = sp.joinPoint(hosts[0], r)
 	sp.root = &treeNode{zone: sp.Zones[0], owner: 0}
 	sp.leafOf[0] = sp.root
 	for slot := 1; slot < n; slot++ {
-		p := sp.joinPoint(hosts[slot], lat, r)
+		p := sp.joinPoint(hosts[slot], r)
 		sp.JoinPoint[slot] = p
 		occupantLeaf := sp.leafContaining(p)
 		occupant := occupantLeaf.owner
@@ -126,8 +126,8 @@ func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*Spac
 }
 
 // joinPoint picks the coordinate-space point a host joins at: uniform for
-// plain CAN, landmark-binned for PIS.
-func (sp *Space) joinPoint(host int, lat overlay.LatencyFunc, r *rng.Rand) Point {
+// plain CAN, landmark-binned for PIS. The host need not back a slot yet.
+func (sp *Space) joinPoint(host int, r *rng.Rand) Point {
 	m := len(sp.cfg.Landmarks)
 	if m == 0 {
 		return RandomPoint(r)
@@ -139,7 +139,7 @@ func (sp *Space) joinPoint(host int, lat overlay.LatencyFunc, r *rng.Rand) Point
 	}
 	order := make([]ld, m)
 	for i, l := range sp.cfg.Landmarks {
-		order[i] = ld{idx: i, d: lat(host, l)}
+		order[i] = ld{idx: i, d: sp.O.Latency(host, l)}
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].d != order[j].d {

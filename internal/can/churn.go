@@ -3,7 +3,6 @@ package can
 import (
 	"fmt"
 
-	"repro/internal/overlay"
 	"repro/internal/rng"
 )
 
@@ -33,9 +32,10 @@ type treeNode struct {
 
 func (t *treeNode) isLeaf() bool { return t.kids[0] == nil }
 
-// Join adds a node on host at point p (pass RandomPoint for plain CAN or a
-// PIS-binned point). It returns the new slot.
-func (sp *Space) Join(host int, p Point, r *rng.Rand) (int, error) {
+// Join implements overlay.Membership: the host joins at the point joinPoint
+// draws for it (uniform, or landmark-binned under PIS).
+func (sp *Space) Join(host int, r *rng.Rand) (int, error) {
+	p := sp.joinPoint(host, r)
 	occupantLeaf := sp.leafContaining(p)
 	occupant := occupantLeaf.owner
 	slot, err := sp.O.AddSlot(host)
@@ -61,16 +61,23 @@ func (sp *Space) Join(host int, p Point, r *rng.Rand) (int, error) {
 	return slot, nil
 }
 
-// Leave removes slot from the space, reassigning its zone per the takeover
-// scheme. The space must retain at least two nodes.
-func (sp *Space) Leave(slot int) error {
-	leaf, ok := sp.leafOf[slot]
-	if !ok || !sp.O.Alive(slot) {
+// Leave implements overlay.Membership: the slot's zone is reassigned per
+// the takeover scheme. The space must retain at least two nodes.
+func (sp *Space) Leave(slot int, _ *rng.Rand) error {
+	if _, ok := sp.leafOf[slot]; !ok || !sp.O.Alive(slot) {
 		return fmt.Errorf("can: Leave(%d): not a live member", slot)
 	}
 	if sp.O.NumAlive() <= 2 {
 		return fmt.Errorf("can: refusing to shrink below 2 nodes")
 	}
+	return sp.vacate(slot, sp.O.RemoveSlot)
+}
+
+// vacate hands the zone of a departing slot to a survivor per the takeover
+// scheme; remove takes the slot out of the overlay first (RemoveSlot for a
+// leave, PurgeCrashed for a corpse).
+func (sp *Space) vacate(slot int, remove func(int) error) error {
+	leaf := sp.leafOf[slot]
 	parent := leaf.parent
 	if parent == nil {
 		return fmt.Errorf("can: cannot remove the root owner")
@@ -79,7 +86,7 @@ func (sp *Space) Leave(slot int) error {
 	if sib == leaf {
 		sib = parent.kids[1]
 	}
-	if err := sp.O.RemoveSlot(slot); err != nil {
+	if err := remove(slot); err != nil {
 		return err
 	}
 	delete(sp.leafOf, slot)
@@ -95,7 +102,7 @@ func (sp *Space) Leave(slot int) error {
 		return nil
 	}
 	// Defragmentation: merge the deepest sibling-leaf pair under sib; the
-	// freed owner relocates into the departed zone.
+	// freed owner relocates into the vacated zone.
 	pairParent := deepestLeafPair(sib)
 	freed := pairParent.kids[0].owner
 	absorber := pairParent.kids[1].owner
@@ -103,7 +110,6 @@ func (sp *Space) Leave(slot int) error {
 	pairParent.kids = [2]*treeNode{}
 	sp.leafOf[absorber] = pairParent
 	sp.Zones[absorber] = pairParent.zone
-	// The freed owner takes over the departed leaf.
 	leaf.owner = freed
 	sp.leafOf[freed] = leaf
 	sp.Zones[freed] = leaf.zone
@@ -165,10 +171,4 @@ func (sp *Space) relinkNeighbors(slot int) {
 			sp.O.AddEdge(slot, other)
 		}
 	}
-}
-
-// JoinPointFor picks the coordinate point a joining host should use:
-// landmark-binned when the space was built with PIS, uniform otherwise.
-func (sp *Space) JoinPointFor(host int, lat overlay.LatencyFunc, r *rng.Rand) Point {
-	return sp.joinPoint(host, lat, r)
 }

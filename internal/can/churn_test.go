@@ -18,15 +18,14 @@ func liveAreasSum(sp *Space) float64 {
 
 func TestJoinAddsZone(t *testing.T) {
 	sp := buildSpace(t, 16, 1)
-	r := rng.New(9)
-	slot, err := sp.Join(99991, Point{X: 0.33, Y: 0.77}, r)
+	slot, err := sp.Join(99991, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sp.O.Alive(slot) {
 		t.Fatal("joiner not alive")
 	}
-	if !sp.Zones[slot].Contains(Point{X: 0.33, Y: 0.77}) {
+	if !sp.Zones[slot].Contains(sp.JoinPoint[slot]) {
 		t.Fatalf("joiner zone %+v does not contain its point", sp.Zones[slot])
 	}
 	if math.Abs(liveAreasSum(sp)-1) > 1e-9 {
@@ -47,7 +46,7 @@ func TestLeaveSimpleMerge(t *testing.T) {
 	// joiner's sibling is a leaf, so leaving it must merge cleanly.
 	sp := buildSpace(t, 3, 2)
 	victim := 2
-	if err := sp.Leave(victim); err != nil {
+	if err := sp.Leave(victim, nil); err != nil {
 		t.Fatal(err)
 	}
 	if sp.O.Alive(victim) {
@@ -60,17 +59,17 @@ func TestLeaveSimpleMerge(t *testing.T) {
 
 func TestLeaveErrors(t *testing.T) {
 	sp := buildSpace(t, 2, 3)
-	if err := sp.Leave(0); err == nil {
+	if err := sp.Leave(0, nil); err == nil {
 		t.Fatal("shrinking below 2 accepted")
 	}
 	sp4 := buildSpace(t, 4, 3)
-	if err := sp4.Leave(99); err == nil {
+	if err := sp4.Leave(99, nil); err == nil {
 		t.Fatal("leave of unknown slot accepted")
 	}
-	if err := sp4.Leave(1); err != nil {
+	if err := sp4.Leave(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sp4.Leave(1); err == nil {
+	if err := sp4.Leave(1, nil); err == nil {
 		t.Fatal("double leave accepted")
 	}
 }
@@ -89,11 +88,11 @@ func TestZonesNeverOverlapUnderChurn(t *testing.T) {
 	for op := 0; op < 40; op++ {
 		if r.Bool(0.4) && sp.O.NumAlive() > 5 {
 			alive := sp.O.AliveSlots()
-			if err := sp.Leave(alive[r.Intn(len(alive))]); err != nil {
+			if err := sp.Leave(alive[r.Intn(len(alive))], nil); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			if _, err := sp.Join(nextHost, RandomPoint(r), r); err != nil {
+			if _, err := sp.Join(nextHost, r); err != nil {
 				t.Fatal(err)
 			}
 			nextHost++
@@ -122,7 +121,7 @@ func TestJoinPointForPIS(t *testing.T) {
 	}
 	r := rng.New(1)
 	// A host physically identical to host 3 must land in host 3's strip.
-	p := sp.JoinPointFor(hosts[3]+1, lat, r)
+	p := sp.joinPoint(hosts[3]+1, r)
 	q := sp.JoinPoint[3]
 	if math.Abs(p.X-q.X) > 0.5+1e-9 {
 		t.Fatalf("PIS join point X=%v far from similar host's %v", p.X, q.X)

@@ -17,41 +17,30 @@ func keyPoint(key uint32) Point {
 	}
 }
 
-type dhtAdapter struct {
-	sp  *Space
-	lat overlay.LatencyFunc
-}
+// dhtAdapter is a Space under dhttest.DHT; Membership and CheckInvariants
+// are the Space's own, keys map to points through keyPoint.
+type dhtAdapter struct{ *Space }
 
-func (a dhtAdapter) Overlay() *overlay.Overlay { return a.sp.O }
-func (a dhtAdapter) Owner(key uint32) int      { return a.sp.ZoneOf(keyPoint(key)) }
+func (a dhtAdapter) Overlay() *overlay.Overlay { return a.O }
+func (a dhtAdapter) Owner(key uint32) int      { return a.ZoneOf(keyPoint(key)) }
 func (a dhtAdapter) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (int, int, float64, error) {
-	res, err := a.sp.Route(src, keyPoint(key), proc)
+	res, err := a.Route(src, keyPoint(key), proc)
 	return res.Owner, res.Hops, res.Latency, err
 }
-func (a dhtAdapter) Join(host int, r *rng.Rand) (int, error) {
-	return a.sp.Join(host, a.sp.JoinPointFor(host, a.lat, r), r)
-}
-func (a dhtAdapter) Leave(slot int) error        { return a.sp.Leave(slot) }
-func (a dhtAdapter) Crash(slot int) error        { return a.sp.Crash(slot) }
-func (a dhtAdapter) RepairCrashed() (int, error) { return a.sp.RepairCrashed() }
-func (a dhtAdapter) CheckInvariants() error      { return a.sp.CheckInvariants() }
 
-func TestDHTConformance(t *testing.T) {
-	dhttest.Run(t, func(hosts []int, l overlay.LatencyFunc, r *rng.Rand) (dhttest.DHT, error) {
-		sp, err := Build(hosts, Config{}, l, r)
-		if err != nil {
-			return nil, err
+// builder builds CANs for the dhttest harness, with PIS over the first and
+// last host as landmarks when pis is set.
+func builder(pis bool) dhttest.Builder {
+	return func(hosts []int, lat overlay.LatencyFunc, r *rng.Rand) (dhttest.DHT, error) {
+		var cfg Config
+		if pis {
+			cfg.Landmarks = []int{hosts[0], hosts[len(hosts)-1]}
 		}
-		return dhtAdapter{sp, l}, nil
-	})
+		sp, err := Build(hosts, cfg, lat, r)
+		return dhtAdapter{sp}, err
+	}
 }
 
-func TestDHTConformancePIS(t *testing.T) {
-	dhttest.Run(t, func(hosts []int, l overlay.LatencyFunc, r *rng.Rand) (dhttest.DHT, error) {
-		sp, err := Build(hosts, Config{Landmarks: []int{hosts[0], hosts[len(hosts)-1]}}, l, r)
-		if err != nil {
-			return nil, err
-		}
-		return dhtAdapter{sp, l}, nil
-	})
-}
+func TestDHTConformance(t *testing.T) { dhttest.Run(t, builder(false)) }
+
+func TestDHTConformancePIS(t *testing.T) { dhttest.Run(t, builder(true)) }

@@ -1,32 +1,20 @@
 package can
 
-import "fmt"
+import "repro/internal/rng"
 
-// Crash-stop failure handling. CAN's original paper handles failures with
-// the same takeover scheme as departures — a neighbor claims the dead zone
-// once its heartbeats stop — so RepairCrashed replays Leave's split-tree
-// surgery for every corpse. The loop processes one corpse at a time because
-// a takeover can hand a zone to a slot that is itself crashed (its repair
-// then reassigns the merged zone); each pass removes exactly one corpse, so
-// the loop terminates.
+// Crash-stop (DESIGN.md §9). CAN's original paper handles failures with the
+// takeover scheme it uses for departures: a neighbor claims the dead zone
+// once its heartbeats stop. Until Repair the zone stays assigned to the
+// corpse.
 
-// Crash kills slot crash-stop: the host is released but the zone stays
-// assigned to the corpse until RepairCrashed. The space must retain at
-// least two live nodes.
-func (sp *Space) Crash(slot int) error {
-	if _, ok := sp.leafOf[slot]; !ok || !sp.O.Alive(slot) {
-		return fmt.Errorf("can: Crash(%d): not a live member", slot)
-	}
-	if sp.O.NumAlive() <= 2 {
-		return fmt.Errorf("can: refusing to shrink below 2 nodes")
-	}
-	return sp.O.CrashSlot(slot)
-}
+// Crash implements overlay.Membership.
+func (sp *Space) Crash(slot int) error { return sp.O.CrashMember(slot) }
 
-// RepairCrashed runs failure recovery until no corpse owns a zone,
-// reassigning each dead zone per the takeover scheme. It returns the number
-// of corpses repaired.
-func (sp *Space) RepairCrashed() (int, error) {
+// Repair implements overlay.Membership: it replays Leave's takeover for one
+// corpse at a time until no corpse owns a zone. A takeover can hand a zone
+// to a slot that is itself crashed (its own repair then reassigns the
+// merged zone); each pass removes exactly one corpse, so the loop ends.
+func (sp *Space) Repair(*rng.Rand) (int, error) {
 	repaired := 0
 	for {
 		victim := -1
@@ -39,54 +27,9 @@ func (sp *Space) RepairCrashed() (int, error) {
 		if victim < 0 {
 			return repaired, nil
 		}
-		if err := sp.takeover(victim); err != nil {
+		if err := sp.vacate(victim, sp.O.PurgeCrashed); err != nil {
 			return repaired, err
 		}
 		repaired++
 	}
-}
-
-// takeover reassigns the zone of one crashed slot — Leave's surgery, minus
-// the RemoveSlot (the slot is already dead) and plus the purge of its stale
-// edges.
-func (sp *Space) takeover(slot int) error {
-	leaf := sp.leafOf[slot]
-	parent := leaf.parent
-	if parent == nil {
-		return fmt.Errorf("can: cannot take over the root owner")
-	}
-	sib := parent.kids[0]
-	if sib == leaf {
-		sib = parent.kids[1]
-	}
-	if err := sp.O.PurgeCrashed(slot); err != nil {
-		return err
-	}
-	delete(sp.leafOf, slot)
-
-	if sib.isLeaf() {
-		// Simple merge: the sibling's owner absorbs the parent rectangle.
-		taker := sib.owner
-		parent.owner = taker
-		parent.kids = [2]*treeNode{}
-		sp.leafOf[taker] = parent
-		sp.Zones[taker] = parent.zone
-		sp.relinkNeighbors(taker)
-		return nil
-	}
-	// Defragmentation: merge the deepest sibling-leaf pair under sib; the
-	// freed owner relocates into the dead zone.
-	pairParent := deepestLeafPair(sib)
-	freed := pairParent.kids[0].owner
-	absorber := pairParent.kids[1].owner
-	pairParent.owner = absorber
-	pairParent.kids = [2]*treeNode{}
-	sp.leafOf[absorber] = pairParent
-	sp.Zones[absorber] = pairParent.zone
-	leaf.owner = freed
-	sp.leafOf[freed] = leaf
-	sp.Zones[freed] = leaf.zone
-	sp.relinkNeighbors(absorber)
-	sp.relinkNeighbors(freed)
-	return nil
 }

@@ -3,58 +3,11 @@ package can
 import (
 	"testing"
 
-	"repro/internal/audit"
-	"repro/internal/rng"
+	"repro/internal/dhttest"
 )
 
-// FuzzOwnerAndLookup builds small CANs from fuzz inputs and checks — through
-// the online auditor, so the predicates match the audited experiment runs —
-// that routing from src terminates at the zone owning the key's point within
-// the geometric hop bound, that the space stays well-formed, and that
-// PROP-G host swaps change none of it.
+// FuzzOwnerAndLookup runs the dhttest fuzz body on plain CANs; greedy
+// routing visits each zone at most once, so it takes at most n hops.
 func FuzzOwnerAndLookup(f *testing.F) {
-	f.Add(uint64(1), uint32(12345), uint8(3), uint8(16))
-	f.Add(uint64(99), uint32(0xFFFF0000), uint8(0), uint8(2))
-	f.Add(uint64(7), uint32(0), uint8(200), uint8(29))
-	f.Fuzz(func(t *testing.T, seed uint64, key uint32, srcRaw, sizeRaw uint8) {
-		n := 2 + int(sizeRaw%30)
-		sp, err := Build(hostsN(n), Config{}, lat, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := int(srcRaw) % n
-
-		a := audit.New(1, 16)
-		a.Register(
-			audit.OverlayBijection(sp.O),
-			audit.OverlayConnected(sp.O),
-			audit.Check("can-wellformed", sp.CheckInvariants),
-			audit.LookupTermination("can-lookup",
-				func(k uint32) int { return sp.ZoneOf(keyPoint(k)) },
-				func(s int, k uint32) (int, int, error) {
-					res, err := sp.Route(s, keyPoint(k), nil)
-					return res.Owner, res.Hops, err
-				},
-				[]int{src}, []uint32{key, key ^ 0xA5A5A5A5}, n),
-		)
-		a.CheckNow()
-		if err := a.Err(); err != nil {
-			t.Fatal(err)
-		}
-
-		// PROP-G activity must not disturb ownership or routing.
-		r := rng.New(seed ^ 0xbeef)
-		for i := 0; i < 8; i++ {
-			u, v := r.Intn(n), r.Intn(n)
-			if u != v {
-				if err := sp.O.SwapHosts(u, v); err != nil {
-					t.Fatal(err)
-				}
-			}
-			a.Observe(audit.Record{Kind: audit.KindExchange, A: u, B: v})
-		}
-		if err := a.Err(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	dhttest.Fuzz(f, builder(false), func(n int) int { return n })
 }

@@ -340,7 +340,7 @@ func Run(cfg Config) (*Result, error) {
 		// log, so determinism is unaffected).
 		verdict := ""
 		for try := 0; try < 40; try++ {
-			if _, err := rt.RepairCrashed(); err != nil {
+			if _, err := rt.Repair(); err != nil {
 				return nil, fmt.Errorf("chaos: repair at step %d: %w", step, err)
 			}
 			rt.EnsureConnected()
@@ -363,7 +363,7 @@ func Run(cfg Config) (*Result, error) {
 	// Post-Stop the overlay is static: one last repair + reconnect clears
 	// anything a detector evicted during shutdown, then the final audit must
 	// hold unconditionally.
-	if _, err := rt.RepairCrashed(); err != nil {
+	if _, err := rt.Repair(); err != nil {
 		return nil, fmt.Errorf("chaos: final repair: %w", err)
 	}
 	rt.EnsureConnected()

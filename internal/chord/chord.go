@@ -65,7 +65,8 @@ type Ring struct {
 }
 
 // Build constructs a Chord ring over the given hosts with distinct random
-// identifiers. lat supplies physical latencies (also used by PNS).
+// identifiers. lat supplies physical latencies; the overlay keeps it, and
+// PNS reads it from there.
 func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*Ring, error) {
 	n := len(hosts)
 	if n < 2 {
@@ -104,13 +105,13 @@ func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*Ring
 	sort.Slice(ring.sorted, func(i, j int) bool {
 		return ring.ID[ring.sorted[i]] < ring.ID[ring.sorted[j]]
 	})
-	ring.rebuildTables(lat)
+	ring.rebuildTables()
 	return ring, nil
 }
 
 // rebuildTables recomputes successor lists and finger tables for all slots
 // and mirrors them into the overlay's logical graph.
-func (ring *Ring) rebuildTables(lat overlay.LatencyFunc) {
+func (ring *Ring) rebuildTables() {
 	n := len(ring.ID)
 	pos := make(map[int]int, n) // slot -> index in sorted
 	for i, s := range ring.sorted {
@@ -130,7 +131,7 @@ func (ring *Ring) rebuildTables(lat overlay.LatencyFunc) {
 			start := (uint64(ring.ID[s]) + (uint64(1) << uint(j))) % ringSize
 			if ring.cfg.PNS {
 				end := (uint64(ring.ID[s]) + (uint64(1) << uint(j+1))) % ringSize
-				fingers[j] = ring.nearestInInterval(s, start, end, lat)
+				fingers[j] = ring.nearestInInterval(s, start, end)
 			} else {
 				fingers[j] = ring.ownerOf(start)
 			}
@@ -158,11 +159,11 @@ func (ring *Ring) rebuildTables(lat overlay.LatencyFunc) {
 // identifiers), but a PNS ring re-picks each finger's physically nearest
 // candidate, which matters after PROP-G exchanges have moved machines
 // between identifiers.
-func (ring *Ring) Refresh(lat overlay.LatencyFunc) {
+func (ring *Ring) Refresh() {
 	for _, e := range ring.O.Logical.Edges() {
 		ring.O.Logical.RemoveEdge(e.U, e.V)
 	}
-	ring.rebuildTables(lat)
+	ring.rebuildTables()
 }
 
 // ownerOf returns the slot responsible for id: the first slot whose ID is
@@ -188,14 +189,14 @@ func (ring *Ring) ownerOf(id uint64) int {
 // possibly wrapping) physically nearest to s; if the interval is empty it
 // falls back to the plain finger ownerOf(start). This is PNS: any node in
 // the finger's interval is a correct entry, so pick the closest.
-func (ring *Ring) nearestInInterval(s int, start, end uint64, lat overlay.LatencyFunc) int {
+func (ring *Ring) nearestInInterval(s int, start, end uint64) int {
 	best, bestD := -1, math.Inf(1)
 	hs := ring.O.HostOf(s)
 	for _, cand := range ring.slotsInInterval(start, end) {
 		if cand == s {
 			continue
 		}
-		d := lat(hs, ring.O.HostOf(cand))
+		d := ring.O.Latency(hs, ring.O.HostOf(cand))
 		if d < bestD {
 			best, bestD = cand, d
 		}

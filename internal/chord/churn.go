@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/overlay"
 	"repro/internal/rng"
 )
 
@@ -15,11 +14,9 @@ import (
 // — for the joiner/leaver's ring neighborhood — and leave finger repair to
 // the periodic maintenance the real protocol also uses.
 
-// Join adds a node on host with a fresh uniformly random unique
-// identifier, wires its successor list and fingers, and repairs the
-// successor lists of the ring neighbors that should now include it. It
-// returns the new slot.
-func (ring *Ring) Join(host int, lat overlay.LatencyFunc, r *rng.Rand) (int, error) {
+// Join implements overlay.Membership: a node joins on host with a fresh
+// uniformly random unique identifier (JoinWithID).
+func (ring *Ring) Join(host int, r *rng.Rand) (int, error) {
 	inUse := make(map[uint32]bool, len(ring.sorted))
 	for _, s := range ring.sorted {
 		inUse[ring.ID[s]] = true
@@ -31,14 +28,16 @@ func (ring *Ring) Join(host int, lat overlay.LatencyFunc, r *rng.Rand) (int, err
 			break
 		}
 	}
-	return ring.JoinWithID(host, id, lat)
+	return ring.JoinWithID(host, id)
 }
 
 // JoinWithID adds a node on host with a caller-chosen identifier — the
 // primitive behind proximity-driven ID relocation schemes (SAT-Match, PIS)
 // where a node deliberately rejoins next to a physically close peer. The
-// identifier must be unused.
-func (ring *Ring) JoinWithID(host int, id uint32, lat overlay.LatencyFunc) (int, error) {
+// identifier must be unused. The newcomer's successor list and fingers are
+// wired, and so are the successor lists of the ring neighbors that now
+// include it.
+func (ring *Ring) JoinWithID(host int, id uint32) (int, error) {
 	for _, s := range ring.sorted {
 		if ring.ID[s] == id {
 			return -1, fmt.Errorf("chord: identifier %d already in use by slot %d", id, s)
@@ -67,21 +66,21 @@ func (ring *Ring) JoinWithID(host int, id uint32, lat overlay.LatencyFunc) (int,
 	ring.sorted[i] = slot
 
 	// The newcomer's own tables.
-	ring.rebuildNode(slot, lat)
+	ring.rebuildNode(slot)
 	// Ring neighbors within SuccessorListLen positions behind the newcomer
 	// must refresh their successor lists (the newcomer now appears there).
 	n := len(ring.sorted)
 	for k := 1; k <= ring.cfg.SuccessorListLen && k < n; k++ {
-		ring.rebuildNode(ring.sorted[((i-k)%n+n)%n], lat)
+		ring.rebuildNode(ring.sorted[((i-k)%n+n)%n])
 	}
 	return slot, nil
 }
 
-// Leave removes slot from the ring: its ring predecessors re-point their
+// Leave implements overlay.Membership: its ring predecessors re-point their
 // successor lists, every finger that referenced it is repaired, and its
 // logical links are dropped. The departing node's keys implicitly transfer
 // to its successor (ownerOf semantics over the updated ring).
-func (ring *Ring) Leave(slot int, lat overlay.LatencyFunc) error {
+func (ring *Ring) Leave(slot int, _ *rng.Rand) error {
 	if !ring.O.Alive(slot) {
 		return fmt.Errorf("chord: Leave(%d) on dead slot", slot)
 	}
@@ -103,7 +102,7 @@ func (ring *Ring) Leave(slot int, lat overlay.LatencyFunc) error {
 	// Predecessors refresh successor lists.
 	n := len(ring.sorted)
 	for k := 0; k < ring.cfg.SuccessorListLen && k < n; k++ {
-		ring.rebuildNode(ring.sorted[((i-1-k)%n+n)%n], lat)
+		ring.rebuildNode(ring.sorted[((i-1-k)%n+n)%n])
 	}
 	// Repair every finger that pointed at the departed slot. (Global scan:
 	// the simulator's stand-in for failure detection + lazy repair.)
@@ -112,7 +111,7 @@ func (ring *Ring) Leave(slot int, lat overlay.LatencyFunc) error {
 		for j, f := range ring.fingers[s] {
 			if f == slot {
 				start := (uint64(ring.ID[s]) + (uint64(1) << uint(j))) % ringSize
-				nf := ring.pickFinger(s, j, start, lat)
+				nf := ring.pickFinger(s, j, start)
 				ring.fingers[s][j] = nf
 				changed = true
 			}
@@ -127,17 +126,17 @@ func (ring *Ring) Leave(slot int, lat overlay.LatencyFunc) error {
 // FixFingers recomputes one node's finger table — Chord's periodic
 // maintenance. Use after churn or PROP-G activity to restore optimal
 // routing (correctness never depends on it).
-func (ring *Ring) FixFingers(slot int, lat overlay.LatencyFunc) error {
+func (ring *Ring) FixFingers(slot int) error {
 	if !ring.O.Alive(slot) {
 		return fmt.Errorf("chord: FixFingers(%d) on dead slot", slot)
 	}
-	ring.rebuildNode(slot, lat)
+	ring.rebuildNode(slot)
 	return nil
 }
 
 // rebuildNode recomputes one slot's successor list and fingers and mirrors
 // its links into the logical graph.
-func (ring *Ring) rebuildNode(slot int, lat overlay.LatencyFunc) {
+func (ring *Ring) rebuildNode(slot int) {
 	n := len(ring.sorted)
 	i := sort.Search(n, func(k int) bool { return ring.ID[ring.sorted[k]] >= ring.ID[slot] })
 	succ := make([]int, 0, ring.cfg.SuccessorListLen)
@@ -148,17 +147,17 @@ func (ring *Ring) rebuildNode(slot int, lat overlay.LatencyFunc) {
 	fingers := make([]int, Bits)
 	for j := 0; j < Bits; j++ {
 		start := (uint64(ring.ID[slot]) + (uint64(1) << uint(j))) % ringSize
-		fingers[j] = ring.pickFinger(slot, j, start, lat)
+		fingers[j] = ring.pickFinger(slot, j, start)
 	}
 	ring.fingers[slot] = fingers
 	ring.mirrorNode(slot)
 }
 
 // pickFinger chooses the finger-j entry for slot (plain or PNS).
-func (ring *Ring) pickFinger(slot, j int, start uint64, lat overlay.LatencyFunc) int {
-	if ring.cfg.PNS && lat != nil {
+func (ring *Ring) pickFinger(slot, j int, start uint64) int {
+	if ring.cfg.PNS {
 		end := (uint64(ring.ID[slot]) + (uint64(1) << uint(j+1))) % ringSize
-		return ring.nearestInInterval(slot, start, end, lat)
+		return ring.nearestInInterval(slot, start, end)
 	}
 	return ring.ownerOf(start)
 }

@@ -9,7 +9,7 @@ import (
 func TestJoinGrowsRing(t *testing.T) {
 	ring := buildRing(t, 32, 1)
 	r := rng.New(9)
-	slot, err := ring.Join(99991, lat, r)
+	slot, err := ring.Join(99991, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestJoinLookupCorrect(t *testing.T) {
 	ring := buildRing(t, 32, 2)
 	r := rng.New(5)
 	for i := 0; i < 10; i++ {
-		if _, err := ring.Join(90000+i, lat, r); err != nil {
+		if _, err := ring.Join(90000+i, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func TestJoinDuplicateHostRejected(t *testing.T) {
 	ring := buildRing(t, 8, 3)
 	r := rng.New(1)
 	host := ring.O.HostOf(ring.sorted[0])
-	if _, err := ring.Join(host, lat, r); err == nil {
+	if _, err := ring.Join(host, r); err == nil {
 		t.Fatal("join with in-use host accepted")
 	}
 }
@@ -67,13 +67,13 @@ func TestLeaveShrinksRing(t *testing.T) {
 	ring := buildRing(t, 32, 4)
 	r := rng.New(7)
 	victim := ring.sorted[10]
-	if err := ring.Leave(victim, lat); err != nil {
+	if err := ring.Leave(victim, nil); err != nil {
 		t.Fatal(err)
 	}
 	if ring.Size() != 31 || ring.Alive(victim) {
 		t.Fatalf("size=%d alive=%v", ring.Size(), ring.Alive(victim))
 	}
-	if err := ring.Leave(victim, lat); err == nil {
+	if err := ring.Leave(victim, nil); err == nil {
 		t.Fatal("double leave accepted")
 	}
 	// No finger or successor may reference the dead slot.
@@ -105,7 +105,7 @@ func TestLeaveShrinksRing(t *testing.T) {
 
 func TestLeaveRefusesTinyRing(t *testing.T) {
 	ring := buildRing(t, 2, 5)
-	if err := ring.Leave(ring.sorted[0], lat); err == nil {
+	if err := ring.Leave(ring.sorted[0], nil); err == nil {
 		t.Fatal("shrinking below 2 accepted")
 	}
 }
@@ -127,7 +127,7 @@ func TestFixFingersAfterSwaps(t *testing.T) {
 			ring.O.SwapHosts(u, v)
 		}
 	}
-	if err := ring.FixFingers(5, lat); err != nil {
+	if err := ring.FixFingers(5); err != nil {
 		t.Fatal(err)
 	}
 	// Fingers of node 5 must again be per-interval nearest.
@@ -135,12 +135,12 @@ func TestFixFingersAfterSwaps(t *testing.T) {
 	for j := 0; j < Bits; j++ {
 		start := (uint64(ring.ID[s]) + (uint64(1) << uint(j))) % ringSize
 		end := (uint64(ring.ID[s]) + (uint64(1) << uint(j+1))) % ringSize
-		want := ring.nearestInInterval(s, start, end, lat)
+		want := ring.nearestInInterval(s, start, end)
 		if got := ring.Fingers(s)[j]; got != want {
 			t.Fatalf("finger %d = %d, want %d after FixFingers", j, got, want)
 		}
 	}
-	if err := ring.FixFingers(99999, lat); err == nil {
+	if err := ring.FixFingers(99999); err == nil {
 		t.Fatal("FixFingers on bad slot accepted")
 	}
 }

@@ -8,39 +8,26 @@ import (
 	"repro/internal/rng"
 )
 
-type dhtAdapter struct {
-	ring *Ring
-	lat  overlay.LatencyFunc
-}
+// dhtAdapter is a Ring under dhttest.DHT; Membership, Owner and
+// CheckInvariants are the Ring's own.
+type dhtAdapter struct{ *Ring }
 
-func (a dhtAdapter) Overlay() *overlay.Overlay { return a.ring.O }
-func (a dhtAdapter) Owner(key uint32) int      { return a.ring.Owner(key) }
+func (a dhtAdapter) Overlay() *overlay.Overlay { return a.O }
 func (a dhtAdapter) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (int, int, float64, error) {
-	res, err := a.ring.Lookup(src, key, proc)
+	res, err := a.Ring.Lookup(src, key, proc)
 	return res.Owner, res.Hops, res.Latency, err
 }
-func (a dhtAdapter) Join(host int, r *rng.Rand) (int, error) { return a.ring.Join(host, a.lat, r) }
-func (a dhtAdapter) Leave(slot int) error                    { return a.ring.Leave(slot, a.lat) }
-func (a dhtAdapter) Crash(slot int) error                    { return a.ring.Crash(slot) }
-func (a dhtAdapter) RepairCrashed() (int, error)             { return a.ring.RepairCrashed(a.lat) }
-func (a dhtAdapter) CheckInvariants() error                  { return a.ring.CheckInvariants() }
 
-func TestDHTConformance(t *testing.T) {
-	dhttest.Run(t, func(hosts []int, l overlay.LatencyFunc, r *rng.Rand) (dhttest.DHT, error) {
-		ring, err := Build(hosts, DefaultConfig(), l, r)
-		if err != nil {
-			return nil, err
-		}
-		return dhtAdapter{ring, l}, nil
-	})
+// builder builds rings with cfg for the dhttest harness.
+func builder(cfg Config) dhttest.Builder {
+	return func(hosts []int, lat overlay.LatencyFunc, r *rng.Rand) (dhttest.DHT, error) {
+		ring, err := Build(hosts, cfg, lat, r)
+		return dhtAdapter{ring}, err
+	}
 }
 
+func TestDHTConformance(t *testing.T) { dhttest.Run(t, builder(DefaultConfig())) }
+
 func TestDHTConformancePNS(t *testing.T) {
-	dhttest.Run(t, func(hosts []int, l overlay.LatencyFunc, r *rng.Rand) (dhttest.DHT, error) {
-		ring, err := Build(hosts, Config{SuccessorListLen: 4, PNS: true}, l, r)
-		if err != nil {
-			return nil, err
-		}
-		return dhtAdapter{ring, l}, nil
-	})
+	dhttest.Run(t, builder(Config{SuccessorListLen: 4, PNS: true}))
 }

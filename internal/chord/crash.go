@@ -3,34 +3,21 @@ package chord
 import (
 	"fmt"
 
-	"repro/internal/overlay"
+	"repro/internal/rng"
 )
 
-// Crash-stop failure handling. A crash differs from Leave in that nothing is
-// repaired at death time: the corpse stays in the sorted ring, successor
-// lists, and finger tables until a RepairCrashed round runs — the
-// simulator's stand-in for failure detectors timing out. Routing in the
-// interim survives because nextHop already skips dead entries and falls
-// back along the successor list.
+// Crash-stop (DESIGN.md §9). Until Repair, a corpse keeps its place in the
+// sorted ring, the successor lists and the finger tables; routing survives
+// because nextHop skips dead entries and falls back along the successor
+// list.
 
-// Crash kills slot crash-stop: its host is released immediately but its
-// ring position and every reference to it go stale instead of being
-// repaired. The ring must retain at least two live nodes.
-func (ring *Ring) Crash(slot int) error {
-	if !ring.O.Alive(slot) {
-		return fmt.Errorf("chord: Crash(%d) on dead slot", slot)
-	}
-	if ring.O.NumAlive() <= 2 {
-		return fmt.Errorf("chord: refusing to shrink below 2 nodes")
-	}
-	return ring.O.CrashSlot(slot)
-}
+// Crash implements overlay.Membership.
+func (ring *Ring) Crash(slot int) error { return ring.O.CrashMember(slot) }
 
-// RepairCrashed runs one failure-recovery round: every unpurged corpse is
-// dropped from the sorted ring, its tables are released, its stale edges
-// purged, and every survivor rebuilds its successor list and fingers
-// against the live membership. It returns the number of corpses repaired.
-func (ring *Ring) RepairCrashed(lat overlay.LatencyFunc) (int, error) {
+// Repair implements overlay.Membership: every corpse leaves the sorted ring,
+// its tables are released and its stale edges purged, and every survivor
+// rebuilds its successor list and fingers.
+func (ring *Ring) Repair(*rng.Rand) (int, error) {
 	crashed := ring.O.CrashedSlots()
 	if len(crashed) == 0 {
 		return 0, nil
@@ -57,7 +44,7 @@ func (ring *Ring) RepairCrashed(lat overlay.LatencyFunc) (int, error) {
 		}
 	}
 	for _, s := range ring.sorted {
-		ring.rebuildNode(s, lat)
+		ring.rebuildNode(s)
 	}
 	return len(crashed), nil
 }

@@ -3,7 +3,7 @@ package chord
 import (
 	"testing"
 
-	"repro/internal/rng"
+	"repro/internal/dhttest"
 )
 
 // FuzzIntervalPartition checks the ring-interval algebra nextHop depends
@@ -38,28 +38,8 @@ func FuzzIntervalPartition(f *testing.F) {
 	})
 }
 
-// FuzzOwnerAndLookup builds small rings from fuzz bytes and checks that
-// every lookup terminates at the globally computed owner.
+// FuzzOwnerAndLookup runs the dhttest fuzz body on rings; routing takes at
+// most n + Bits hops (Ring.Lookup's bound).
 func FuzzOwnerAndLookup(f *testing.F) {
-	f.Add(uint64(1), uint8(8))
-	f.Add(uint64(99), uint8(3))
-	f.Fuzz(func(t *testing.T, seed uint64, sizeRaw uint8) {
-		n := 2 + int(sizeRaw%30)
-		ring, err := Build(hostsN(n), DefaultConfig(), lat, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rng.New(seed ^ 0xdead)
-		for i := 0; i < 10; i++ {
-			key := RandomKey(r)
-			src := r.Intn(n)
-			res, err := ring.Lookup(src, key, nil)
-			if err != nil {
-				t.Fatalf("lookup: %v", err)
-			}
-			if res.Owner != ring.Owner(key) {
-				t.Fatalf("owner mismatch for key %d", key)
-			}
-		}
-	})
+	dhttest.Fuzz(f, builder(DefaultConfig()), func(n int) int { return n + Bits })
 }

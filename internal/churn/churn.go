@@ -13,6 +13,7 @@ package churn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/event"
 	"repro/internal/rng"
@@ -36,6 +37,11 @@ type Config struct {
 
 // Validate reports the first configuration error.
 func (c Config) Validate() error {
+	for _, v := range [...]float64{c.StartMS, c.StopMS, c.MeanJoinIntervalMS, c.MeanLeaveIntervalMS, c.MeanCrashIntervalMS} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("churn: window [%v,%v) or a mean interval is not finite", c.StartMS, c.StopMS)
+		}
+	}
 	switch {
 	case c.StopMS < c.StartMS:
 		return fmt.Errorf("churn: window [%v,%v) inverted", c.StartMS, c.StopMS)

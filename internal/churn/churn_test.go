@@ -17,6 +17,11 @@ func TestValidate(t *testing.T) {
 	bad := []Config{
 		{StartMS: 100, StopMS: 50},
 		{StartMS: 0, StopMS: 100, MeanJoinIntervalMS: -1},
+		{StartMS: math.NaN(), StopMS: 100},
+		{StartMS: 0, StopMS: math.NaN()},
+		{StartMS: 0, StopMS: math.Inf(1)},
+		{StartMS: 0, StopMS: 100, MeanLeaveIntervalMS: math.NaN()},
+		{StartMS: 0, StopMS: 100, MeanCrashIntervalMS: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -621,8 +621,8 @@ func (p *Protocol) RemoveNode(e event.Clock, slot int, formerNeighbors []int) {
 // which is exactly the asymmetry between a graceful leave and a crash.
 func (p *Protocol) CrashNode(slot int) { p.unregister(slot) }
 
-// NeighborsChanged tells the protocol that an external repair pass (e.g. a
-// DHT RepairCrashed) rewired the given slots' neighborhoods: each affected
+// NeighborsChanged tells the protocol that an external repair pass (e.g. an
+// overlay.Membership Repair) rewired the given slots' neighborhoods: each affected
 // live node applies the §3.2 churn rule — timer reset, fresh neighbors at
 // the queue front — and any in-flight retransmit chain is invalidated.
 func (p *Protocol) NeighborsChanged(e event.Clock, slots ...int) {

@@ -321,7 +321,8 @@ func TestChurnAddRemove(t *testing.T) {
 		t.Fatalf("Registered = %d", p.Registered())
 	}
 	// Join.
-	slot, err := gnutella.Join(o, 99999, gnutella.DefaultConfig(), r)
+	g := gnutella.Net{O: o, Config: gnutella.DefaultConfig()}
+	slot, err := g.Join(99999, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestChurnAddRemove(t *testing.T) {
 	// Leave.
 	victim := o.AliveSlots()[5]
 	former := o.Neighbors(victim)
-	if err := gnutella.Leave(o, victim, gnutella.DefaultConfig(), r); err != nil {
+	if err := g.Leave(victim, r); err != nil {
 		t.Fatal(err)
 	}
 	p.RemoveNode(e, victim, former)

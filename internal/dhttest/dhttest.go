@@ -19,10 +19,12 @@ import (
 	"repro/internal/rng"
 )
 
-// DHT is the adapter each substrate implements for the harness. Keys are
-// uint32; substrates with a different key space (CAN's points) map them
-// deterministically.
+// DHT is the adapter each substrate implements for the harness: the
+// substrate's own membership rule plus keyed ownership, routing and a
+// structural self-check. Keys are uint32; substrates with a different key
+// space (CAN's points) map them deterministically.
 type DHT interface {
+	overlay.Membership
 	// Overlay exposes the underlying slot/host overlay.
 	Overlay() *overlay.Overlay
 	// Owner returns the slot responsible for key.
@@ -30,45 +32,41 @@ type DHT interface {
 	// Lookup routes from src toward key and reports the terminal slot, hop
 	// count, and latency (including proc delays when proc is non-nil).
 	Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (owner, hops int, latency float64, err error)
-}
-
-// Churner is the churn face of a DHT adapter: dynamic membership with the
-// substrate's own repair scheme. Every substrate implements it, so the
-// churn-phase conformance check runs from this one harness instead of
-// per-package copies.
-type Churner interface {
-	// Join adds a node on host and returns its slot.
-	Join(host int, r *rng.Rand) (int, error)
-	// Leave removes the live slot.
-	Leave(slot int) error
-}
-
-// CrashChurner is the crash-stop face of a DHT adapter: abrupt node death —
-// the victim vanishes without deregistering, survivors keep stale
-// references — plus the substrate's failure-recovery round. Every substrate
-// implements it, so the crash-phase conformance check is mandatory exactly
-// like the graceful ChurnPhase.
-type CrashChurner interface {
-	// Crash kills the live slot crash-stop.
-	Crash(slot int) error
-	// RepairCrashed runs one failure-recovery round and reports how many
-	// corpses it repaired.
-	RepairCrashed() (int, error)
-}
-
-// InvariantChecker is implemented by adapters whose substrate exposes a
-// structural self-check (Chord ring order, CAN tiling, Pastry/Kademlia
-// table well-formedness). The churn phase evaluates it through the online
-// auditor after every membership change.
-type InvariantChecker interface {
+	// CheckInvariants is the substrate's structural self-check (Chord ring
+	// order, CAN tiling, Pastry/Kademlia table well-formedness), audited
+	// after every membership change.
 	CheckInvariants() error
 }
 
 // Builder constructs a DHT instance over the given hosts for one test.
 type Builder func(hosts []int, lat overlay.LatencyFunc, r *rng.Rand) (DHT, error)
 
+// maker builds an n-slot DHT from seed for one test, over the harness's
+// hosts and one latency plane.
+type maker func(n int, seed uint64) DHT
+
+// makerOf binds build to t and a latency plane. Host i is i*7.
+func makerOf(t *testing.T, build Builder, lat overlay.LatencyFunc) maker {
+	return func(n int, seed uint64) DHT {
+		t.Helper()
+		hosts := make([]int, n)
+		for i := range hosts {
+			hosts[i] = i * 7
+		}
+		d, err := build(hosts, lat, rng.New(seed))
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		return d
+	}
+}
+
 // lineLat is the harness's deterministic latency function.
 func lineLat(a, b int) float64 { return math.Abs(float64(a - b)) }
+
+// halfLine is lineLat as the per-leg virtual delay the loopback charges:
+// d/2 + d/2 == d, so measured RTTs equal lineLat float-exactly.
+func halfLine(a, b int) float64 { return lineLat(a, b) / 2 }
 
 // latSource hands each subtest its latency plane. The sim backend returns
 // lineLat directly; the live backend builds a fresh LiveLatency whose
@@ -82,9 +80,23 @@ func simLat(t *testing.T) overlay.LatencyFunc { return lineLat }
 
 func liveLat(t *testing.T) overlay.LatencyFunc {
 	t.Helper()
-	live := NewLiveLatency(LiveConfig{DelayMS: halfDelay(lineLat)})
+	live := NewLiveLatency(LiveConfig{DelayMS: halfLine})
 	t.Cleanup(live.Close)
 	return live.Lat
+}
+
+// battery is the conformance battery, one subtest per entry.
+var battery = []struct {
+	name string
+	run  func(*testing.T, maker)
+}{
+	{"LookupReachesOwner", runOwner},
+	{"SelfLookupIsFree", runSelf},
+	{"ProcDelayAccounting", runProc},
+	{"SwapInvariance", runSwap},
+	{"LatencyNonNegative", runNonNegative},
+	{"ChurnPhase", runChurn},
+	{"ChurnPhaseCrashStop", runChurnCrash},
 }
 
 // Run exercises the full conformance battery against build, once per
@@ -101,34 +113,77 @@ func Run(t *testing.T, build Builder) {
 		{"live", liveLat},
 	}
 	for _, be := range backends {
-		be := be
 		t.Run(be.name, func(t *testing.T) {
-			t.Run("LookupReachesOwner", func(t *testing.T) { runOwner(t, build, be.lat(t)) })
-			t.Run("SelfLookupIsFree", func(t *testing.T) { runSelf(t, build, be.lat(t)) })
-			t.Run("ProcDelayAccounting", func(t *testing.T) { runProc(t, build, be.lat(t)) })
-			t.Run("SwapInvariance", func(t *testing.T) { runSwap(t, build, be.lat(t)) })
-			t.Run("LatencyNonNegative", func(t *testing.T) { runNonNegative(t, build, be.lat(t)) })
-			t.Run("ChurnPhase", func(t *testing.T) { runChurn(t, build, be.lat(t)) })
-			t.Run("ChurnPhaseCrashStop", func(t *testing.T) { runChurnCrash(t, build, be.lat(t)) })
+			for _, c := range battery {
+				t.Run(c.name, func(t *testing.T) { c.run(t, makerOf(t, build, be.lat(t))) })
+			}
 		})
 	}
 }
 
-func mustBuild(t *testing.T, build Builder, n int, seed uint64, lat overlay.LatencyFunc) DHT {
-	t.Helper()
-	hosts := make([]int, n)
-	for i := range hosts {
-		hosts[i] = i * 7
-	}
-	d, err := build(hosts, lat, rng.New(seed))
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	return d
+// Fuzz is the body of every DHT's FuzzOwnerAndLookup. It builds a small DHT
+// from the fuzz inputs and checks through the online auditor — so the
+// predicates match the audited experiment runs — that routing from src
+// ends at the key's owner within hopBound(n) hops and that the substrate
+// stays well-formed; that PROP-G host swaps change none of it; and that it
+// all holds again after one other slot crash-stops and Repair runs.
+func Fuzz(f *testing.F, build Builder, hopBound func(n int) int) {
+	f.Add(uint64(1), uint32(12345), uint8(3), uint8(16))
+	f.Add(uint64(99), uint32(0xFFFF0000), uint8(0), uint8(2))
+	f.Add(uint64(7), uint32(0), uint8(200), uint8(29))
+	f.Fuzz(func(t *testing.T, seed uint64, key uint32, srcRaw, sizeRaw uint8) {
+		n := 2 + int(sizeRaw%30)
+		d := makerOf(t, build, lineLat)(n, seed)
+		o := d.Overlay()
+		src := int(srcRaw) % n
+
+		a := audit.New(1, 16)
+		a.Register(
+			audit.OverlayBijection(o),
+			audit.OverlayConnected(o),
+			audit.Check("dht-wellformed", d.CheckInvariants),
+			audit.LookupTermination("dht-lookup", d.Owner,
+				func(s int, k uint32) (int, int, error) {
+					owner, hops, _, err := d.Lookup(s, k, nil)
+					return owner, hops, err
+				},
+				[]int{src}, []uint32{key, key ^ 0xA5A5A5A5}, hopBound(n)),
+		)
+		a.CheckNow()
+		if err := a.Err(); err != nil {
+			t.Fatal(err)
+		}
+
+		// PROP-G activity must not disturb ownership or routing.
+		r := rng.New(seed ^ 0xbeef)
+		for i := 0; i < 8; i++ {
+			u, v := r.Intn(n), r.Intn(n)
+			if u != v {
+				if err := o.SwapHosts(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a.Observe(audit.Record{Kind: audit.KindExchange, A: u, B: v})
+		}
+		// Nor may a crash-stop of another slot, once repaired.
+		if n > 2 {
+			victim := (src + 1 + r.Intn(n-1)) % n
+			if err := d.Crash(victim); err != nil {
+				t.Fatalf("crash(%d): %v", victim, err)
+			}
+			if repaired, err := d.Repair(r); err != nil || repaired != 1 {
+				t.Fatalf("repair after crash(%d): repaired %d, %v", victim, repaired, err)
+			}
+			a.CheckNow()
+		}
+		if err := a.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
-func runOwner(t *testing.T, build Builder, lat overlay.LatencyFunc) {
-	d := mustBuild(t, build, 128, 1, lat)
+func runOwner(t *testing.T, mk maker) {
+	d := mk(128, 1)
 	r := rng.New(2)
 	for i := 0; i < 300; i++ {
 		key := uint32(r.Uint64())
@@ -143,8 +198,8 @@ func runOwner(t *testing.T, build Builder, lat overlay.LatencyFunc) {
 	}
 }
 
-func runSelf(t *testing.T, build Builder, lat overlay.LatencyFunc) {
-	d := mustBuild(t, build, 64, 3, lat)
+func runSelf(t *testing.T, mk maker) {
+	d := mk(64, 3)
 	r := rng.New(4)
 	checked := 0
 	for i := 0; i < 2000 && checked < 20; i++ {
@@ -165,8 +220,8 @@ func runSelf(t *testing.T, build Builder, lat overlay.LatencyFunc) {
 	}
 }
 
-func runProc(t *testing.T, build Builder, lat overlay.LatencyFunc) {
-	d := mustBuild(t, build, 96, 5, lat)
+func runProc(t *testing.T, mk maker) {
+	d := mk(96, 5)
 	r := rng.New(6)
 	for i := 0; i < 50; i++ {
 		key := uint32(r.Uint64())
@@ -189,8 +244,8 @@ func runProc(t *testing.T, build Builder, lat overlay.LatencyFunc) {
 	}
 }
 
-func runSwap(t *testing.T, build Builder, lat overlay.LatencyFunc) {
-	d := mustBuild(t, build, 128, 7, lat)
+func runSwap(t *testing.T, mk maker) {
+	d := mk(128, 7)
 	r := rng.New(8)
 	// Record owners for a fixed key set.
 	keys := make([]uint32, 100)
@@ -231,31 +286,24 @@ func runSwap(t *testing.T, build Builder, lat overlay.LatencyFunc) {
 // the true owner within a generous hop bound. All evaluation is routed
 // through the online auditor so churn tests and audited experiment runs
 // exercise the identical predicates.
-func runChurn(t *testing.T, build Builder, lat overlay.LatencyFunc) {
-	d := mustBuild(t, build, 64, 11, lat)
-	c, ok := d.(Churner)
-	if !ok {
-		t.Fatalf("adapter %T does not implement dhttest.Churner; churn conformance is mandatory", d)
-	}
+func runChurn(t *testing.T, mk maker) {
+	d := mk(64, 11)
 	o := d.Overlay()
 	a := audit.New(1, 64)
-	a.Register(audit.OverlayBijection(o), audit.OverlayConnected(o))
-	if ic, ok := d.(InvariantChecker); ok {
-		a.Register(audit.Check("dht-wellformed", ic.CheckInvariants))
-	}
+	a.Register(audit.OverlayBijection(o), audit.OverlayConnected(o), audit.Check("dht-wellformed", d.CheckInvariants))
 
 	r := rng.New(12)
-	nextHost := 1_000_000 // far above the i*7 hosts mustBuild assigns
+	nextHost := 1_000_000 // far above the i*7 hosts makerOf assigns
 	for op := 0; op < 40; op++ {
 		if r.Bool(0.5) && o.NumAlive() > 8 {
 			alive := o.AliveSlots()
 			victim := alive[r.Intn(len(alive))]
-			if err := c.Leave(victim); err != nil {
+			if err := d.Leave(victim, r); err != nil {
 				t.Fatalf("op %d: leave(%d): %v", op, victim, err)
 			}
 			a.Observe(audit.Record{Kind: audit.KindLeave, A: victim})
 		} else {
-			slot, err := c.Join(nextHost, r)
+			slot, err := d.Join(nextHost, r)
 			if err != nil {
 				t.Fatalf("op %d: join(host %d): %v", op, nextHost, err)
 			}
@@ -286,22 +334,14 @@ func runChurn(t *testing.T, build Builder, lat overlay.LatencyFunc) {
 }
 
 // runChurnCrash is the crash-stop counterpart of runChurn: nodes die
-// abruptly — stale references and all — and the substrate's RepairCrashed
-// round must restore well-formedness, connectivity, and owner-correct
+// abruptly — stale references and all — and the substrate's Repair round
+// must restore well-formedness, connectivity, and owner-correct
 // lookups. The slot↔host bijection is audited during the corpse window too
 // (CrashSlot must release hosts immediately); the stronger predicates are
 // only demanded after each repair round, matching real failure-recovery
 // semantics.
-func runChurnCrash(t *testing.T, build Builder, lat overlay.LatencyFunc) {
-	d := mustBuild(t, build, 64, 21, lat)
-	cc, ok := d.(CrashChurner)
-	if !ok {
-		t.Fatalf("adapter %T does not implement dhttest.CrashChurner; crash-stop conformance is mandatory", d)
-	}
-	c, ok := d.(Churner)
-	if !ok {
-		t.Fatalf("adapter %T does not implement dhttest.Churner", d)
-	}
+func runChurnCrash(t *testing.T, mk maker) {
+	d := mk(64, 21)
 	o := d.Overlay()
 
 	// Checked on every membership event, including mid-corpse-window.
@@ -309,13 +349,10 @@ func runChurnCrash(t *testing.T, build Builder, lat overlay.LatencyFunc) {
 	always.Register(audit.OverlayBijection(o))
 	// Checked after every repair round.
 	postRepair := audit.New(1, 64)
-	postRepair.Register(audit.OverlayBijection(o), audit.OverlayConnected(o))
-	if ic, ok := d.(InvariantChecker); ok {
-		postRepair.Register(audit.Check("dht-wellformed", ic.CheckInvariants))
-	}
+	postRepair.Register(audit.OverlayBijection(o), audit.OverlayConnected(o), audit.Check("dht-wellformed", d.CheckInvariants))
 
 	r := rng.New(22)
-	nextHost := 2_000_000 // disjoint from mustBuild's and runChurn's hosts
+	nextHost := 2_000_000 // disjoint from makerOf's and runChurn's hosts
 	totalCrashed := 0
 	for round := 0; round < 12; round++ {
 		want := 1 + r.Intn(3)
@@ -323,7 +360,7 @@ func runChurnCrash(t *testing.T, build Builder, lat overlay.LatencyFunc) {
 		for i := 0; i < want && o.NumAlive() > 8; i++ {
 			alive := o.AliveSlots()
 			victim := alive[r.Intn(len(alive))]
-			if err := cc.Crash(victim); err != nil {
+			if err := d.Crash(victim); err != nil {
 				t.Fatalf("round %d: crash(%d): %v", round, victim, err)
 			}
 			crashed++
@@ -331,7 +368,7 @@ func runChurnCrash(t *testing.T, build Builder, lat overlay.LatencyFunc) {
 		}
 		totalCrashed += crashed
 
-		repaired, err := cc.RepairCrashed()
+		repaired, err := d.Repair(r)
 		if err != nil {
 			t.Fatalf("round %d: repair: %v", round, err)
 		}
@@ -341,7 +378,7 @@ func runChurnCrash(t *testing.T, build Builder, lat overlay.LatencyFunc) {
 		postRepair.CheckNow()
 
 		// A newcomer keeps the population healthy across rounds.
-		slot, err := c.Join(nextHost, r)
+		slot, err := d.Join(nextHost, r)
 		if err != nil {
 			t.Fatalf("round %d: join(host %d): %v", round, nextHost, err)
 		}
@@ -381,8 +418,8 @@ func runChurnCrash(t *testing.T, build Builder, lat overlay.LatencyFunc) {
 	}
 }
 
-func runNonNegative(t *testing.T, build Builder, lat overlay.LatencyFunc) {
-	d := mustBuild(t, build, 64, 9, lat)
+func runNonNegative(t *testing.T, mk maker) {
+	d := mk(64, 9)
 	r := rng.New(10)
 	for i := 0; i < 200; i++ {
 		_, hops, latency, err := d.Lookup(r.Intn(64), uint32(r.Uint64()), nil)

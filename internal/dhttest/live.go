@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/overlay"
 	"repro/internal/transport"
 )
 
@@ -121,10 +120,4 @@ func (l *LiveLatency) Close() {
 	for _, n := range nodes {
 		n.Close()
 	}
-}
-
-// halfDelay adapts a latency model to the per-leg virtual delay the
-// loopback charges, preserving float-exact RTTs (d/2 + d/2 == d).
-func halfDelay(lat overlay.LatencyFunc) func(a, b int) float64 {
-	return func(a, b int) float64 { return lat(a, b) / 2 }
 }

@@ -24,7 +24,7 @@ func TestLiveRecoverRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb := transport.NewLoopback(transport.LoopbackConfig{DelayMS: halfDelay(lineLat), Faults: inj})
+	lb := transport.NewLoopback(transport.LoopbackConfig{DelayMS: halfLine, Faults: inj})
 	rt := propnode.New(lb, propnode.Config{
 		Policy:              core.PROPG,
 		ProbeIntervalMS:     5,

@@ -8,7 +8,7 @@ import (
 )
 
 func TestLiveLatencyMatchesOracleExactly(t *testing.T) {
-	live := NewLiveLatency(LiveConfig{DelayMS: halfDelay(lineLat)})
+	live := NewLiveLatency(LiveConfig{DelayMS: halfLine})
 	defer live.Close()
 
 	pairs := [][2]int{{0, 7}, {7, 0}, {3, 100}, {1_000_000, 2}, {5, 5}}
@@ -43,7 +43,7 @@ func TestLiveLatencyFaultScheduleDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		live := NewLiveLatency(LiveConfig{
-			DelayMS: halfDelay(lineLat),
+			DelayMS: halfLine,
 			Faults:  inj,
 			Timeout: 20 * time.Millisecond,
 			Retries: 10,
@@ -100,7 +100,7 @@ func TestLiveLatencyLossyProbesStillExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := NewLiveLatency(LiveConfig{
-		DelayMS: halfDelay(lineLat),
+		DelayMS: halfLine,
 		Faults:  inj,
 		Timeout: 10 * time.Millisecond,
 		Retries: 12,

@@ -66,8 +66,8 @@ func (e *Engine) At(t Time, h Handler) *Token {
 // push stamps ev with its due time and FIFO sequence number and queues it.
 // The token lives inside the item, so scheduling is one allocation.
 func (e *Engine) push(t Time, ev *item) *Token {
-	if t < e.now {
-		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, e.now))
+	if !(t >= e.now) { // also refuses NaN, which would corrupt the heap order
+		panic(fmt.Sprintf("event: scheduling at %v, not at or after now %v", t, e.now))
 	}
 	ev.at, ev.seq, ev.tok.item = t, e.seq, ev
 	e.seq++

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -55,12 +56,16 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
 	e.At(100, func(*Engine) {})
 	e.Run(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling before now did not panic")
-		}
-	}()
-	e.At(50, func(*Engine) {})
+	for _, at := range []Time{50, Time(math.NaN())} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("scheduling at %v with now %v did not panic", at, e.Now())
+				}
+			}()
+			e.At(at, func(*Engine) {})
+		}()
+	}
 }
 
 func TestNilHandlerPanics(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/gnutella"
 	"repro/internal/netsim"
 	"repro/internal/overlay"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -23,14 +22,6 @@ const (
 	minuteMS       = 60000.0
 )
 
-// membership is an overlay under join/leave churn: how a spare host joins
-// (returning its slot) and how a slot leaves.
-type membership struct {
-	o     *overlay.Overlay
-	join  func(host int, r *rng.Rand) (int, error)
-	leave func(slot int, r *rng.Rand) error
-}
-
 // churnWorld is the Poisson join/leave scaffold churn and chordchurn
 // share: PROP-G over n of the trial's shuffled hosts while about n/4 spare
 // hosts join and n/4 peers leave inside the churn window.
@@ -42,8 +33,9 @@ type churnWorld struct {
 }
 
 // newChurnWorld builds the scaffold; build makes the overlay over the
-// active hosts. The oracle counts queries under prefix when it is set.
-func (c *trialCtx) newChurnWorld(prefix string, build func(e *env, active []int) (membership, error)) (*churnWorld, error) {
+// active hosts and returns it with its membership rule. The oracle counts
+// queries under prefix when it is set.
+func (c *trialCtx) newChurnWorld(prefix string, build func(e *env, active []int) (*overlay.Overlay, overlay.Membership, error)) (*churnWorld, error) {
 	e, err := newEnv(netsim.TSLarge(), c.world)
 	if err != nil {
 		return nil, err
@@ -55,11 +47,11 @@ func (c *trialCtx) newChurnWorld(prefix string, build func(e *env, active []int)
 	hosts := e.pickHosts(len(e.net.StubHosts)) // all hosts, shuffled
 	n = min(n, len(hosts))
 	pool := append([]int(nil), hosts[n:]...) // joiners draw from here
-	m, err := build(e, hosts[:n])
+	o, m, err := build(e, hosts[:n])
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.New(m.o, core.DefaultConfig(core.PROPG), e.r.Split())
+	p, err := core.New(o, core.DefaultConfig(core.PROPG), e.r.Split())
 	if err != nil {
 		return nil, err
 	}
@@ -80,28 +72,28 @@ func (c *trialCtx) newChurnWorld(prefix string, build func(e *env, active []int)
 		}
 		host := pool[len(pool)-1]
 		pool = pool[:len(pool)-1]
-		slot, err := m.join(host, cr)
+		slot, err := m.Join(host, cr)
 		if err != nil {
 			return err
 		}
 		return p.AddNode(en, slot)
 	}
 	runner.OnLeave = func(en *event.Engine) error {
-		alive := m.o.AliveSlots()
+		alive := o.AliveSlots()
 		if len(alive) < 10 {
 			return fmt.Errorf("overlay too small to shrink")
 		}
 		victim := alive[cr.Intn(len(alive))]
-		host := m.o.HostOf(victim)
-		former := m.o.Neighbors(victim)
-		if err := m.leave(victim, cr); err != nil {
+		host := o.HostOf(victim)
+		former := o.Neighbors(victim)
+		if err := m.Leave(victim, cr); err != nil {
 			return err
 		}
 		p.RemoveNode(en, victim, former)
 		pool = append(pool, host)
 		return nil
 	}
-	return &churnWorld{e: e, o: m.o, p: p, runner: runner}, nil
+	return &churnWorld{e: e, o: o, p: p, runner: runner}, nil
 }
 
 // run drives the world to churnHorizonMS and returns the probes/node/min
@@ -127,12 +119,9 @@ func (w *churnWorld) run(sample func(t, rate float64) error) (stats.Series, erro
 // exponentially after churn stops, while stretch recovers.
 func churnTrial(c *trialCtx) ([]stats.Series, error) {
 	const prefix = "churn/"
-	w, err := c.newChurnWorld(prefix, func(e *env, active []int) (membership, error) {
+	w, err := c.newChurnWorld(prefix, func(e *env, active []int) (*overlay.Overlay, overlay.Membership, error) {
 		o, err := gnutella.Build(active, gnutella.DefaultConfig(), e.oracle.Latency, e.r)
-		return membership{o,
-			func(host int, r *rng.Rand) (int, error) { return gnutella.Join(o, host, gnutella.DefaultConfig(), r) },
-			func(slot int, r *rng.Rand) error { return gnutella.Leave(o, slot, gnutella.DefaultConfig(), r) },
-		}, err
+		return o, gnutella.Net{O: o, Config: gnutella.DefaultConfig()}, err
 	})
 	if err != nil {
 		return nil, err
@@ -174,15 +163,12 @@ func churnTrial(c *trialCtx) ([]stats.Series, error) {
 // lookup reaches the true owner throughout the churn window.
 func chordChurnTrial(c *trialCtx) ([]stats.Series, error) {
 	var ring *chord.Ring
-	w, err := c.newChurnWorld("", func(e *env, active []int) (membership, error) {
+	w, err := c.newChurnWorld("", func(e *env, active []int) (*overlay.Overlay, overlay.Membership, error) {
 		var err error
 		if ring, err = chord.Build(active, chord.DefaultConfig(), e.oracle.Latency, e.r); err != nil {
-			return membership{}, err
+			return nil, nil, err
 		}
-		return membership{ring.O,
-			func(host int, r *rng.Rand) (int, error) { return ring.Join(host, e.oracle.Latency, r) },
-			func(slot int, _ *rng.Rand) error { return ring.Leave(slot, e.oracle.Latency) },
-		}, nil
+		return ring.O, ring, nil
 	})
 	if err != nil {
 		return nil, err

@@ -36,7 +36,7 @@ var (
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return ring.O, func() { ring.Refresh(e.oracle.Latency) }, func() float64 { return e.chordWorkload(ring, count)() }, nil
+		return ring.O, ring.Refresh, func() float64 { return e.chordWorkload(ring, count)() }, nil
 	}}
 	// canStudy: PIS landmark binning.
 	canStudy = study{"CAN", func(e *env, n, count int, pis bool) (*overlay.Overlay, func(), func() float64, error) {
@@ -60,7 +60,7 @@ var (
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return mesh.O, func() { mesh.Refresh(e.oracle.Latency) }, func() float64 {
+		return mesh.O, mesh.Refresh, func() float64 {
 			return e.drawnStretch(mesh.O, count, func(src int, r *rng.Rand) (int, float64, error) {
 				res, err := mesh.Lookup(src, pastry.RandomKey(r), nil)
 				return res.Owner, res.Latency, err
@@ -75,7 +75,7 @@ var (
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return net.O, func() { net.Refresh(e.oracle.Latency) }, func() float64 {
+		return net.O, net.Refresh, func() float64 {
 			return e.drawnStretch(net.O, count, func(src int, r *rng.Rand) (int, float64, error) {
 				res, err := net.Lookup(src, kademlia.RandomKey(r), nil)
 				return res.Owner, res.Latency, err

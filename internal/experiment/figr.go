@@ -163,6 +163,7 @@ func figRbTrial(c *trialCtx) ([]stats.Series, error) {
 	repairSeries := stats.Series{Label: "corpses repaired"}
 	for gi, frac := range faultSweep(figRCrashGrid, c.FaultCrash) {
 		oc := base.Clone()
+		g := gnutella.Net{O: oc, Config: gnutella.DefaultConfig()}
 		p, err := core.New(oc, core.DefaultConfig(core.PROPG), e.r.Split())
 		if err != nil {
 			return nil, err
@@ -201,7 +202,7 @@ func figRbTrial(c *trialCtx) ([]stats.Series, error) {
 					return fmt.Errorf("overlay too small to crash")
 				}
 				victim := alive[cr.Intn(len(alive))]
-				if err := oc.CrashSlot(victim); err != nil {
+				if err := g.Crash(victim); err != nil {
 					return err
 				}
 				p.CrashNode(victim)
@@ -226,7 +227,7 @@ func figRbTrial(c *trialCtx) ([]stats.Series, error) {
 						}
 					}
 				}
-				nrep, err := gnutella.RepairCrashed(oc, gnutella.DefaultConfig(), cr)
+				nrep, err := g.Repair(cr)
 				if err != nil {
 					return err
 				}

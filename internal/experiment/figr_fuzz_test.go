@@ -56,6 +56,7 @@ func FuzzFaultScheduleInvariants(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := gnutella.Net{O: o, Config: gnutella.DefaultConfig()}
 		p, err := core.New(o, core.DefaultConfig(core.PROPG), r.Split())
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +79,7 @@ func FuzzFaultScheduleInvariants(f *testing.F) {
 				alive := o.AliveSlots()
 				if len(alive) > 8 {
 					victim := alive[r.Intn(len(alive))]
-					if err := o.CrashSlot(victim); err != nil {
+					if err := g.Crash(victim); err != nil {
 						t.Fatalf("crash: %v", err)
 					}
 					p.CrashNode(victim)
@@ -86,7 +87,7 @@ func FuzzFaultScheduleInvariants(f *testing.F) {
 				}
 			}
 			if len(o.CrashedSlots()) > 0 {
-				if _, err := gnutella.RepairCrashed(o, gnutella.DefaultConfig(), r); err != nil {
+				if _, err := g.Repair(r); err != nil {
 					t.Fatalf("repair: %v", err)
 				}
 			}

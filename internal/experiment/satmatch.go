@@ -39,7 +39,7 @@ func satMatchTrial(c *trialCtx) ([]stats.Series, error) {
 		protoRNG := rng.New(c.subSeed(5000, vi))
 		switch vi {
 		case 1:
-			if sat, err = satmatch.New(ring, satmatch.DefaultConfig(), e.oracle.Latency, protoRNG); err != nil {
+			if sat, err = satmatch.New(ring, satmatch.DefaultConfig(), protoRNG); err != nil {
 				return nil, err
 			}
 			start = append(start, sat.Start)

@@ -9,8 +9,7 @@
 // abrupt node failure. This package supplies the environment half of that
 // story; the protocol half — timeouts, bounded retry with back-off, and
 // liveness-based neighbor eviction — lives in internal/core, and crash-stop
-// membership death lives in internal/overlay (CrashSlot) and the DHT
-// packages (RepairCrashed).
+// membership death is each substrate's overlay.Membership (Crash, Repair).
 //
 // Everything is seed-driven and consulted only from the single-threaded
 // event engine, so a fault schedule is a pure function of its Config: the
@@ -93,6 +92,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("faults: JitterMS = %v, want finite and >= 0", c.JitterMS)
 	case !(c.LinkFailPeriodMS >= 0):
 		return fmt.Errorf("faults: LinkFailPeriodMS = %v, want >= 0", c.LinkFailPeriodMS)
+	case !finiteWindow(c.PartitionStartMS, c.PartitionStopMS):
+		return fmt.Errorf("faults: partition window [%v,%v) not finite",
+			c.PartitionStartMS, c.PartitionStopMS)
 	case c.PartitionStopMS < c.PartitionStartMS:
 		return fmt.Errorf("faults: partition window [%v,%v) inverted",
 			c.PartitionStartMS, c.PartitionStopMS)
@@ -100,6 +102,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("faults: partition window set but no hosts isolated")
 	}
 	return nil
+}
+
+// finiteWindow reports whether both ends of a time window are finite.
+func finiteWindow(start, stop float64) bool {
+	return !math.IsNaN(start) && !math.IsInf(start, 0) && !math.IsNaN(stop) && !math.IsInf(stop, 0)
 }
 
 // Reason classifies why a message was lost.
@@ -266,14 +273,15 @@ func (in *Injector) DeliverStateless(a, b int, seq uint64, nowMS float64) Delive
 		return Delivery{Lost: true, Reason: ReasonLinkDown}
 	}
 	var d Delivery
-	if in.cfg.LossProb > 0 && unit(msgHash(in.cfg.Seed, a, b, seq, saltLoss)) < in.cfg.LossProb {
+	x := msgPrefix(in.cfg.Seed, a, b, seq)
+	if in.cfg.LossProb > 0 && unit(salted(x, saltLoss)) < in.cfg.LossProb {
 		return Delivery{Lost: true, Reason: ReasonLoss}
 	}
-	if in.cfg.DupProb > 0 && unit(msgHash(in.cfg.Seed, a, b, seq, saltDup)) < in.cfg.DupProb {
+	if in.cfg.DupProb > 0 && unit(salted(x, saltDup)) < in.cfg.DupProb {
 		d.Dup = true
 	}
 	if in.cfg.JitterMS > 0 {
-		d.DelayMS = unit(msgHash(in.cfg.Seed, a, b, seq, saltJitter)) * in.cfg.JitterMS
+		d.DelayMS = unit(salted(x, saltJitter)) * in.cfg.JitterMS
 	}
 	return d
 }
@@ -289,22 +297,24 @@ func (in *Injector) JitterStateless(a, b int, seq uint64) float64 {
 	if in == nil || in.cfg.JitterMS <= 0 {
 		return 0
 	}
-	return unit(msgHash(in.cfg.Seed, a, b, seq, saltJitter)) * in.cfg.JitterMS
+	return unit(salted(msgPrefix(in.cfg.Seed, a, b, seq), saltJitter)) * in.cfg.JitterMS
 }
 
-// msgHash mixes (seed, directed link, per-link sequence number, salt) into
-// 64 well-mixed bits. Direction matters — a→b and b→a are independent
-// message streams — unlike linkHash, whose outages are link-symmetric.
-func msgHash(seed uint64, a, b int, seq, salt uint64) uint64 {
+// msgPrefix folds (seed, directed link, per-link sequence number) through
+// rng.Mix, one word at a time; salted finishes it with one salt, so the
+// verdicts of one message share the prefix. Direction matters — a→b and
+// b→a are independent message streams — unlike linkHash, whose outages are
+// link-symmetric.
+func msgPrefix(seed uint64, a, b int, seq uint64) uint64 {
 	x := seed ^ 0x9e3779b97f4a7c15
-	for _, w := range [...]uint64{uint64(a), uint64(b), seq, salt} {
-		x += w + 0x9e3779b97f4a7c15
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-		x ^= x >> 31
+	for _, w := range [...]uint64{uint64(a), uint64(b), seq} {
+		x = rng.Mix(x + w + 0x9e3779b97f4a7c15)
 	}
 	return x
 }
+
+// salted finishes a msgPrefix with one salt.
+func salted(prefix, salt uint64) uint64 { return rng.Mix(prefix + salt + 0x9e3779b97f4a7c15) }
 
 // unit maps 64 hash bits onto [0,1) with 53-bit precision.
 func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
@@ -337,15 +347,12 @@ func (in *Injector) LinkDown(a, b int, nowMS float64) bool {
 	return unit(h) < in.cfg.LinkFailProb
 }
 
-// linkHash mixes (seed, link endpoints, outage window) into 64 well-mixed
-// bits with a SplitMix64-style finalizer per word.
+// linkHash folds (seed, link endpoints, outage window) through rng.Mix,
+// one word at a time.
 func linkHash(seed, a, b, window uint64) uint64 {
 	x := seed ^ 0x9e3779b97f4a7c15
 	for _, w := range [...]uint64{a, b, window} {
-		x += w + 0x9e3779b97f4a7c15
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-		x ^= x >> 31
+		x = rng.Mix(x + w + 0x9e3779b97f4a7c15)
 	}
 	return x
 }

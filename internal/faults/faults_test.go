@@ -25,6 +25,8 @@ func TestValidate(t *testing.T) {
 		{"partition-inverted", Config{PartitionStartMS: 10, PartitionStopMS: 5, Isolated: map[int]bool{1: true}}, false},
 		{"partition-empty", Config{PartitionStartMS: 5, PartitionStopMS: 10}, false},
 		{"partition-ok", Config{PartitionStartMS: 5, PartitionStopMS: 10, Isolated: map[int]bool{1: true}}, true},
+		{"partition-nan", Config{PartitionStartMS: math.NaN(), PartitionStopMS: 10, Isolated: map[int]bool{1: true}}, false},
+		{"partition-inf", Config{PartitionStartMS: 5, PartitionStopMS: math.Inf(1), Isolated: map[int]bool{1: true}}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

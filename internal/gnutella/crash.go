@@ -1,52 +1,21 @@
 package gnutella
 
-import (
-	"repro/internal/overlay"
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
-// RepairCrashed repairs the holes left by crash-stop deaths: for every
-// unpurged corpse, the survivors that still referenced it first evict their
-// other stale links, then are rewired with the same ring + degree-top-up
-// rule a graceful Leave applies, and the corpse is purged. It returns the
-// number of corpses repaired. (The crash itself is just
-// overlay.Overlay.CrashSlot — Gnutella has no per-node state beyond the
-// overlay.)
-func RepairCrashed(o *overlay.Overlay, cfg Config, r *rng.Rand) (int, error) {
-	crashed := o.CrashedSlots()
+// Crash implements overlay.Membership.
+func (n Net) Crash(slot int) error { return n.O.CrashMember(slot) }
+
+// Repair implements overlay.Membership: every corpse's stale edges are
+// purged and its surviving former neighbors get Leave's handoff, each after
+// evicting its other stale links.
+func (n Net) Repair(r *rng.Rand) (int, error) {
+	crashed := n.O.CrashedSlots()
 	for _, c := range crashed {
-		former := o.Neighbors(c)
-		if err := o.PurgeCrashed(c); err != nil {
+		former := n.O.Neighbors(c)
+		if err := n.O.PurgeCrashed(c); err != nil {
 			return 0, err
 		}
-		live := make([]int, 0, len(former))
-		for _, f := range former {
-			if o.Alive(f) {
-				live = append(live, f)
-			}
-		}
-		// Ring over the survivors keeps them mutually connected.
-		for i := 0; i+1 < len(live); i++ {
-			o.AddEdge(live[i], live[i+1])
-		}
-		alive := o.AliveSlots()
-		if len(alive) < 2 {
-			continue
-		}
-		for _, f := range live {
-			// Degree must count live links only — evict other corpses first.
-			o.EvictDeadNeighbors(f)
-			for o.Degree(f) < cfg.LinksPerJoin {
-				cand := alive[r.Intn(len(alive))]
-				if cand == f || o.Logical.HasEdge(f, cand) {
-					if o.Degree(f) >= len(alive)-1 {
-						break
-					}
-					continue
-				}
-				o.AddEdge(f, cand)
-			}
-		}
+		n.handoff(former, true, r)
 	}
 	return len(crashed), nil
 }

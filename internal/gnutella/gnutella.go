@@ -11,8 +11,8 @@
 // experiment additionally exploits that correlation by declaring the
 // highest-degree peers "fast".
 //
-// Entry points: Build, Join, Leave, and the TTL flood-traffic accounting
-// (FloodStats). See DESIGN.md §1.
+// Entry points: Build, Net (the overlay.Membership implementation), and the
+// TTL flood-traffic accounting (FloodStats). See DESIGN.md §1.
 package gnutella
 
 import (
@@ -87,11 +87,21 @@ func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*over
 	return o, nil
 }
 
-// Join attaches a new peer on host to an existing overlay using the same
-// preferential rule, and returns its slot. Used by the churn experiments.
-func Join(o *overlay.Overlay, host int, cfg Config, r *rng.Rand) (int, error) {
-	if cfg.LinksPerJoin < 1 {
-		return -1, fmt.Errorf("gnutella: LinksPerJoin = %d, want >= 1", cfg.LinksPerJoin)
+// Net is a Gnutella overlay with its membership rule: preferential
+// attachment for joins and the neighbor handoff for leaves and crash
+// repair. It implements overlay.Membership; Gnutella keeps no per-node
+// state beyond the overlay, so the value is just the overlay and its Config.
+type Net struct {
+	O *overlay.Overlay
+	Config
+}
+
+// Join implements overlay.Membership: the new peer on host attaches to
+// existing peers by the same preferential rule as Build.
+func (n Net) Join(host int, r *rng.Rand) (int, error) {
+	o := n.O
+	if n.LinksPerJoin < 1 {
+		return -1, fmt.Errorf("gnutella: LinksPerJoin = %d, want >= 1", n.LinksPerJoin)
 	}
 	alive := o.AliveSlots()
 	if len(alive) == 0 {
@@ -101,7 +111,7 @@ func Join(o *overlay.Overlay, host int, cfg Config, r *rng.Rand) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	k := cfg.LinksPerJoin
+	k := n.LinksPerJoin
 	if k > len(alive) {
 		k = len(alive)
 	}
@@ -125,36 +135,45 @@ func Join(o *overlay.Overlay, host int, cfg Config, r *rng.Rand) (int, error) {
 	return slot, nil
 }
 
-// Leave removes the peer at slot and repairs the hole: every pair of its
-// former neighbors that is left under the minimum degree gets patched to a
-// random live peer, and the former neighbors are rewired to each other with
-// a ring so the departure cannot partition the overlay — the standard
-// Gnutella "neighbor handoff" behavior.
-func Leave(o *overlay.Overlay, slot int, cfg Config, r *rng.Rand) error {
-	if !o.Alive(slot) {
+// Leave implements overlay.Membership: the peer at slot departs and its
+// former neighbors get the handoff.
+func (n Net) Leave(slot int, r *rng.Rand) error {
+	if !n.O.Alive(slot) {
 		return fmt.Errorf("gnutella: Leave(%d) on dead slot", slot)
 	}
-	former := o.Neighbors(slot)
-	if err := o.RemoveSlot(slot); err != nil {
+	former := n.O.Neighbors(slot)
+	if err := n.O.RemoveSlot(slot); err != nil {
 		return err
 	}
+	n.handoff(former, false, r)
+	return nil
+}
+
+// handoff is the standard Gnutella neighbor handoff around a departed slot:
+// its surviving former neighbors are chained into a ring, so the departure
+// cannot partition them, and each one under LinksPerJoin links is topped up
+// with uniformly random live peers. evict first drops a survivor's other
+// stale links (after a crash), so that its degree counts live links only.
+func (n Net) handoff(former []int, evict bool, r *rng.Rand) {
+	o := n.O
 	live := make([]int, 0, len(former))
 	for _, f := range former {
 		if o.Alive(f) {
 			live = append(live, f)
 		}
 	}
-	// Ring over the former neighbors keeps them mutually connected.
 	for i := 0; i+1 < len(live); i++ {
-		o.AddEdge(live[i], live[i+1]) // duplicate edges are fine (no-op error ignored via existing edge semantics)
+		o.AddEdge(live[i], live[i+1]) // an existing edge is left as it is
 	}
-	// Top up anyone now under the minimum degree.
 	alive := o.AliveSlots()
 	if len(alive) < 2 {
-		return nil
+		return
 	}
 	for _, f := range live {
-		for o.Degree(f) < cfg.LinksPerJoin {
+		if evict {
+			o.EvictDeadNeighbors(f)
+		}
+		for o.Degree(f) < n.LinksPerJoin {
 			cand := alive[r.Intn(len(alive))]
 			if cand == f || o.Logical.HasEdge(f, cand) {
 				// Degenerate small overlays may not admit more edges.
@@ -166,5 +185,4 @@ func Leave(o *overlay.Overlay, slot int, cfg Config, r *rng.Rand) error {
 			o.AddEdge(f, cand)
 		}
 	}
-	return nil
 }

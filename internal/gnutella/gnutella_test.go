@@ -118,7 +118,8 @@ func TestJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slot, err := Join(o, 9999, DefaultConfig(), r)
+	g := Net{o, DefaultConfig()}
+	slot, err := g.Join(9999, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +129,10 @@ func TestJoin(t *testing.T) {
 	if !o.Connected() {
 		t.Fatal("join broke connectivity")
 	}
-	if _, err := Join(o, 9999, DefaultConfig(), r); err == nil {
+	if _, err := g.Join(9999, r); err == nil {
 		t.Error("duplicate host join accepted")
 	}
-	if _, err := Join(o, 1234, Config{LinksPerJoin: 0}, r); err == nil {
+	if _, err := (Net{o, Config{LinksPerJoin: 0}}).Join(1234, r); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -145,10 +146,11 @@ func TestLeaveKeepsConnectivity(t *testing.T) {
 			return false
 		}
 		// Kill a quarter of the peers one at a time.
+		g := Net{o, DefaultConfig()}
 		for i := 0; i < n/4; i++ {
 			alive := o.AliveSlots()
 			victim := alive[r.Intn(len(alive))]
-			if err := Leave(o, victim, DefaultConfig(), r); err != nil {
+			if err := g.Leave(victim, r); err != nil {
 				return false
 			}
 			if !o.Connected() {
@@ -165,13 +167,14 @@ func TestLeaveKeepsConnectivity(t *testing.T) {
 func TestLeaveErrors(t *testing.T) {
 	r := rng.New(1)
 	o, _ := Build(hostsN(10), DefaultConfig(), lat, r)
-	if err := Leave(o, 99, DefaultConfig(), r); err == nil {
+	g := Net{o, DefaultConfig()}
+	if err := g.Leave(99, r); err == nil {
 		t.Error("leave of unknown slot accepted")
 	}
-	if err := Leave(o, 3, DefaultConfig(), r); err != nil {
+	if err := g.Leave(3, r); err != nil {
 		t.Fatal(err)
 	}
-	if err := Leave(o, 3, DefaultConfig(), r); err == nil {
+	if err := g.Leave(3, r); err == nil {
 		t.Error("double leave accepted")
 	}
 }
@@ -179,9 +182,10 @@ func TestLeaveErrors(t *testing.T) {
 func TestLeaveRestoresMinDegree(t *testing.T) {
 	r := rng.New(5)
 	o, _ := Build(hostsN(100), DefaultConfig(), lat, r)
+	g := Net{o, DefaultConfig()}
 	for i := 0; i < 20; i++ {
 		alive := o.AliveSlots()
-		if err := Leave(o, alive[r.Intn(len(alive))], DefaultConfig(), r); err != nil {
+		if err := g.Leave(alive[r.Intn(len(alive))], r); err != nil {
 			t.Fatal(err)
 		}
 	}

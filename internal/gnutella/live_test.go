@@ -50,6 +50,7 @@ func runLiveChurn(t *testing.T, inj *faults.Injector) []struct {
 	if err != nil {
 		t.Fatalf("live build: %v", err)
 	}
+	g := gnutella.Net{O: o, Config: cfg}
 
 	a := audit.New(1, 64)
 	a.Register(audit.OverlayBijection(o), audit.OverlayConnected(o))
@@ -61,22 +62,22 @@ func runLiveChurn(t *testing.T, inj *faults.Injector) []struct {
 			// Crash-stop: abrupt death, then the failure-recovery round.
 			alive := o.AliveSlots()
 			victim := alive[r.Intn(len(alive))]
-			if err := o.CrashSlot(victim); err != nil {
+			if err := g.Crash(victim); err != nil {
 				t.Fatalf("op %d: crash(%d): %v", op, victim, err)
 			}
-			if _, err := gnutella.RepairCrashed(o, cfg, r); err != nil {
+			if _, err := g.Repair(r); err != nil {
 				t.Fatalf("op %d: repair: %v", op, err)
 			}
 			a.Observe(audit.Record{Kind: audit.KindLeave, A: victim})
 		case r.Bool(0.5) && o.NumAlive() > 10:
 			alive := o.AliveSlots()
 			victim := alive[r.Intn(len(alive))]
-			if err := gnutella.Leave(o, victim, cfg, r); err != nil {
+			if err := g.Leave(victim, r); err != nil {
 				t.Fatalf("op %d: leave(%d): %v", op, victim, err)
 			}
 			a.Observe(audit.Record{Kind: audit.KindLeave, A: victim})
 		default:
-			slot, err := gnutella.Join(o, nextHost, cfg, r)
+			slot, err := g.Join(nextHost, r)
 			if err != nil {
 				t.Fatalf("op %d: join(host %d): %v", op, nextHost, err)
 			}

@@ -3,7 +3,6 @@ package kademlia
 import (
 	"fmt"
 
-	"repro/internal/overlay"
 	"repro/internal/rng"
 )
 
@@ -12,9 +11,9 @@ import (
 // a bucket refill from global knowledge restricted to the live membership
 // (the same source Build uses).
 
-// Join adds a node on host with a fresh uniformly random unique identifier
-// and returns its slot.
-func (net *Net) Join(host int, lat overlay.LatencyFunc, r *rng.Rand) (int, error) {
+// Join implements overlay.Membership: a node joins on host with a fresh
+// uniformly random unique identifier.
+func (net *Net) Join(host int, r *rng.Rand) (int, error) {
 	inUse := make(map[uint32]bool, net.O.NumAlive())
 	for _, s := range net.O.AliveSlots() {
 		inUse[net.ID[s]] = true
@@ -35,13 +34,13 @@ func (net *Net) Join(host int, lat overlay.LatencyFunc, r *rng.Rand) (int, error
 		net.buckets = append(net.buckets, nil)
 	}
 	net.ID[slot] = id
-	net.Refresh(lat)
+	net.Refresh()
 	return slot, nil
 }
 
-// Leave removes slot from the network. The network must retain at least two
+// Leave implements overlay.Membership. The network must retain at least two
 // nodes.
-func (net *Net) Leave(slot int, lat overlay.LatencyFunc) error {
+func (net *Net) Leave(slot int, _ *rng.Rand) error {
 	if !net.O.Alive(slot) {
 		return fmt.Errorf("kademlia: Leave(%d) on dead slot", slot)
 	}
@@ -52,12 +51,6 @@ func (net *Net) Leave(slot int, lat overlay.LatencyFunc) error {
 		return err
 	}
 	net.buckets[slot] = nil
-	net.Refresh(lat)
+	net.Refresh()
 	return nil
 }
-
-// Alive reports whether the slot is a live network member.
-func (net *Net) Alive(slot int) bool { return net.O.Alive(slot) }
-
-// Size returns the current network membership count.
-func (net *Net) Size() int { return net.O.NumAlive() }

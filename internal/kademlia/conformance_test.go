@@ -8,39 +8,26 @@ import (
 	"repro/internal/rng"
 )
 
-type dhtAdapter struct {
-	net *Net
-	lat overlay.LatencyFunc
-}
+// dhtAdapter is a Net under dhttest.DHT; Membership, Owner and
+// CheckInvariants are the Net's own.
+type dhtAdapter struct{ *Net }
 
-func (a dhtAdapter) Overlay() *overlay.Overlay { return a.net.O }
-func (a dhtAdapter) Owner(key uint32) int      { return a.net.Owner(key) }
+func (a dhtAdapter) Overlay() *overlay.Overlay { return a.O }
 func (a dhtAdapter) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (int, int, float64, error) {
-	res, err := a.net.Lookup(src, key, proc)
+	res, err := a.Net.Lookup(src, key, proc)
 	return res.Owner, res.Hops, res.Latency, err
 }
-func (a dhtAdapter) Join(host int, r *rng.Rand) (int, error) { return a.net.Join(host, a.lat, r) }
-func (a dhtAdapter) Leave(slot int) error                    { return a.net.Leave(slot, a.lat) }
-func (a dhtAdapter) Crash(slot int) error                    { return a.net.Crash(slot) }
-func (a dhtAdapter) RepairCrashed() (int, error)             { return a.net.RepairCrashed(a.lat) }
-func (a dhtAdapter) CheckInvariants() error                  { return a.net.CheckInvariants() }
 
-func TestDHTConformance(t *testing.T) {
-	dhttest.Run(t, func(hosts []int, l overlay.LatencyFunc, r *rng.Rand) (dhttest.DHT, error) {
-		net, err := Build(hosts, DefaultConfig(), l, r)
-		if err != nil {
-			return nil, err
-		}
-		return dhtAdapter{net, l}, nil
-	})
+// builder builds networks with cfg for the dhttest harness.
+func builder(cfg Config) dhttest.Builder {
+	return func(hosts []int, lat overlay.LatencyFunc, r *rng.Rand) (dhttest.DHT, error) {
+		net, err := Build(hosts, cfg, lat, r)
+		return dhtAdapter{net}, err
+	}
 }
 
+func TestDHTConformance(t *testing.T) { dhttest.Run(t, builder(DefaultConfig())) }
+
 func TestDHTConformanceProximity(t *testing.T) {
-	dhttest.Run(t, func(hosts []int, l overlay.LatencyFunc, r *rng.Rand) (dhttest.DHT, error) {
-		net, err := Build(hosts, Config{K: 8, Proximity: true}, l, r)
-		if err != nil {
-			return nil, err
-		}
-		return dhtAdapter{net, l}, nil
-	})
+	dhttest.Run(t, builder(Config{K: 8, Proximity: true}))
 }

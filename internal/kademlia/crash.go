@@ -1,33 +1,17 @@
 package kademlia
 
-import (
-	"fmt"
+import "repro/internal/rng"
 
-	"repro/internal/overlay"
-)
+// Crash-stop (DESIGN.md §9). Buckets heal through ordinary traffic, so
+// Repair is a purge of the corpses followed by the same Refresh a graceful
+// Leave runs.
 
-// Crash-stop failure handling. Kademlia is the most crash-tolerant of the
-// four DHTs — buckets heal through ordinary traffic — so repair is simply a
-// purge of the corpses followed by the same global Refresh a graceful leave
-// triggers.
+// Crash implements overlay.Membership.
+func (net *Net) Crash(slot int) error { return net.O.CrashMember(slot) }
 
-// Crash kills slot crash-stop: its host is released but its bucket entries
-// elsewhere go stale until RepairCrashed. The network must retain at least
-// two live nodes.
-func (net *Net) Crash(slot int) error {
-	if !net.O.Alive(slot) {
-		return fmt.Errorf("kademlia: Crash(%d) on dead slot", slot)
-	}
-	if net.O.NumAlive() <= 2 {
-		return fmt.Errorf("kademlia: refusing to shrink below 2 nodes")
-	}
-	return net.O.CrashSlot(slot)
-}
-
-// RepairCrashed runs one failure-recovery round: corpses are purged and the
-// buckets refilled from the live membership. It returns the number of
-// corpses repaired.
-func (net *Net) RepairCrashed(lat overlay.LatencyFunc) (int, error) {
+// Repair implements overlay.Membership: corpses are purged and the buckets
+// refilled from the live membership.
+func (net *Net) Repair(*rng.Rand) (int, error) {
 	crashed := net.O.CrashedSlots()
 	if len(crashed) == 0 {
 		return 0, nil
@@ -38,6 +22,6 @@ func (net *Net) RepairCrashed(lat overlay.LatencyFunc) (int, error) {
 			return 0, err
 		}
 	}
-	net.Refresh(lat)
+	net.Refresh()
 	return len(crashed), nil
 }

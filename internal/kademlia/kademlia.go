@@ -83,7 +83,7 @@ func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*Net,
 			}
 		}
 	}
-	net.fillBuckets(lat)
+	net.fillBuckets()
 	net.mirror()
 	return net, nil
 }
@@ -101,7 +101,7 @@ func bucketIndex(a, b uint32) int {
 // fillBuckets populates every node's buckets from global knowledge (the
 // converged state Kademlia's iterative lookups maintain in practice). Only
 // live slots participate — dead slots keep no buckets and appear in none.
-func (net *Net) fillBuckets(lat overlay.LatencyFunc) {
+func (net *Net) fillBuckets() {
 	alive := net.O.AliveSlots()
 	for _, s := range alive {
 		rows := make([][]int, Bits)
@@ -121,8 +121,8 @@ func (net *Net) fillBuckets(lat overlay.LatencyFunc) {
 			}
 			if net.cfg.Proximity {
 				sort.Slice(cands, func(i, j int) bool {
-					di := lat(hs, net.O.HostOf(cands[i]))
-					dj := lat(hs, net.O.HostOf(cands[j]))
+					di := net.O.Latency(hs, net.O.HostOf(cands[i]))
+					dj := net.O.Latency(hs, net.O.HostOf(cands[j]))
 					if di != dj {
 						return di < dj
 					}
@@ -163,11 +163,11 @@ func (net *Net) mirror() {
 // Refresh refills every bucket against the current host mapping and
 // rebuilds the logical links — bucket maintenance after PROP-G exchanges.
 // Plain (XOR-ordered) networks are unchanged by it.
-func (net *Net) Refresh(lat overlay.LatencyFunc) {
+func (net *Net) Refresh() {
 	for _, e := range net.O.Logical.Edges() {
 		net.O.Logical.RemoveEdge(e.U, e.V)
 	}
-	net.fillBuckets(lat)
+	net.fillBuckets()
 	net.mirror()
 }
 

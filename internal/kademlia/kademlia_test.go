@@ -221,7 +221,7 @@ func TestRefresh(t *testing.T) {
 	// Plain refresh is a no-op on the edge set.
 	plain := buildNet(t, 100, 23)
 	before := plain.O.Logical.Edges()
-	plain.Refresh(lat)
+	plain.Refresh()
 	after := plain.O.Logical.Edges()
 	if len(before) != len(after) {
 		t.Fatalf("plain refresh changed edges %d -> %d", len(before), len(after))
@@ -239,7 +239,7 @@ func TestRefresh(t *testing.T) {
 		}
 	}
 	stale := prox.O.MeanLinkLatency()
-	prox.Refresh(lat)
+	prox.Refresh()
 	if prox.O.MeanLinkLatency() > stale {
 		t.Fatal("proximity refresh made links worse")
 	}

@@ -161,7 +161,7 @@ func TestLTMSkipsDeadPeers(t *testing.T) {
 	p.Start(e)
 	e.RunUntil(1500)
 	victim := o.AliveSlots()[0]
-	if err := gnutella.Leave(o, victim, gnutella.DefaultConfig(), r); err != nil {
+	if err := (gnutella.Net{O: o, Config: gnutella.DefaultConfig()}).Leave(victim, r); err != nil {
 		t.Fatal(err)
 	}
 	// The dead peer's pending round must be a no-op, not a panic.

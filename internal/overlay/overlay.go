@@ -211,6 +211,11 @@ func (o *Overlay) Dist(u, v int) float64 {
 	return o.lat(o.hostOf[u], o.hostOf[v])
 }
 
+// Latency returns the latency between two hosts through the overlay's
+// LatencyFunc, whether or not they back a slot: what a host measures before
+// its slot exists (CAN's PIS landmarks, a SAT-Match probe).
+func (o *Overlay) Latency(hostA, hostB int) float64 { return o.lat(hostA, hostB) }
+
 // HostLatencies fills rtt[k] with the true latency between the hosts of
 // pairs[k]. The reads are independent and nothing runs between them, so
 // their cache misses overlap (DESIGN.md §7 "Measurement batch").
@@ -582,8 +587,8 @@ func (o *Overlay) RemoveSlot(u int) error {
 // CrashSlot kills slot u crash-stop: the host is released and the slot goes
 // dead immediately, but — unlike the graceful RemoveSlot — its logical edges
 // are left in place. Survivors keep stale references to the corpse until
-// they notice (liveness eviction in internal/core, or a DHT RepairCrashed
-// pass) and the corpse is purged with PurgeCrashed. CheckInvariants tolerates
+// they notice (liveness eviction in internal/core, or a Membership.Repair
+// round) and the corpse is purged with PurgeCrashed. CheckInvariants tolerates
 // the stale edges only while the slot is flagged crashed.
 func (o *Overlay) CrashSlot(u int) error {
 	if !o.Alive(u) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/overlay"
 	"repro/internal/rng"
 )
 
@@ -14,9 +13,9 @@ import (
 // Build uses — restricted to the live membership. Join and Leave therefore
 // update the sorted ring and rebuild leaf sets, tables, and logical links.
 
-// Join adds a node on host with a fresh uniformly random unique identifier
-// and returns its slot.
-func (m *Mesh) Join(host int, lat overlay.LatencyFunc, r *rng.Rand) (int, error) {
+// Join implements overlay.Membership: a node joins on host with a fresh
+// uniformly random unique identifier.
+func (m *Mesh) Join(host int, r *rng.Rand) (int, error) {
 	inUse := make(map[uint32]bool, len(m.sorted))
 	for _, s := range m.sorted {
 		inUse[m.ID[s]] = true
@@ -42,13 +41,13 @@ func (m *Mesh) Join(host int, lat overlay.LatencyFunc, r *rng.Rand) (int, error)
 	m.sorted = append(m.sorted, 0)
 	copy(m.sorted[i+1:], m.sorted[i:])
 	m.sorted[i] = slot
-	m.rebuild(lat)
+	m.rebuild()
 	return slot, nil
 }
 
-// Leave removes slot from the mesh. The mesh must retain at least two
+// Leave implements overlay.Membership. The mesh must retain at least two
 // nodes.
-func (m *Mesh) Leave(slot int, lat overlay.LatencyFunc) error {
+func (m *Mesh) Leave(slot int, _ *rng.Rand) error {
 	if !m.O.Alive(slot) {
 		return fmt.Errorf("pastry: Leave(%d) on dead slot", slot)
 	}
@@ -65,13 +64,13 @@ func (m *Mesh) Leave(slot int, lat overlay.LatencyFunc) error {
 	}
 	m.leaves[slot] = nil
 	m.table[slot] = nil
-	m.rebuild(lat)
+	m.rebuild()
 	return nil
 }
 
 // rebuild reconstructs positions, leaf sets, routing tables, and logical
 // links for the current live membership.
-func (m *Mesh) rebuild(lat overlay.LatencyFunc) {
+func (m *Mesh) rebuild() {
 	m.pos = make(map[int]int, len(m.sorted))
 	for i, s := range m.sorted {
 		m.pos[s] = i
@@ -80,12 +79,6 @@ func (m *Mesh) rebuild(lat overlay.LatencyFunc) {
 		m.O.Logical.RemoveEdge(e.U, e.V)
 	}
 	m.buildLeafSets()
-	m.buildTables(lat)
+	m.buildTables()
 	m.mirror()
 }
-
-// Alive reports whether the slot is a live mesh member.
-func (m *Mesh) Alive(slot int) bool { return m.O.Alive(slot) }
-
-// Size returns the current mesh membership count.
-func (m *Mesh) Size() int { return len(m.sorted) }

@@ -8,39 +8,26 @@ import (
 	"repro/internal/rng"
 )
 
-type dhtAdapter struct {
-	m   *Mesh
-	lat overlay.LatencyFunc
-}
+// dhtAdapter is a Mesh under dhttest.DHT; Membership, Owner and
+// CheckInvariants are the Mesh's own.
+type dhtAdapter struct{ *Mesh }
 
-func (a dhtAdapter) Overlay() *overlay.Overlay { return a.m.O }
-func (a dhtAdapter) Owner(key uint32) int      { return a.m.Owner(key) }
+func (a dhtAdapter) Overlay() *overlay.Overlay { return a.O }
 func (a dhtAdapter) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (int, int, float64, error) {
-	res, err := a.m.Lookup(src, key, proc)
+	res, err := a.Mesh.Lookup(src, key, proc)
 	return res.Owner, res.Hops, res.Latency, err
 }
-func (a dhtAdapter) Join(host int, r *rng.Rand) (int, error) { return a.m.Join(host, a.lat, r) }
-func (a dhtAdapter) Leave(slot int) error                    { return a.m.Leave(slot, a.lat) }
-func (a dhtAdapter) Crash(slot int) error                    { return a.m.Crash(slot) }
-func (a dhtAdapter) RepairCrashed() (int, error)             { return a.m.RepairCrashed(a.lat) }
-func (a dhtAdapter) CheckInvariants() error                  { return a.m.CheckInvariants() }
 
-func TestDHTConformance(t *testing.T) {
-	dhttest.Run(t, func(hosts []int, l overlay.LatencyFunc, r *rng.Rand) (dhttest.DHT, error) {
-		m, err := Build(hosts, DefaultConfig(), l, r)
-		if err != nil {
-			return nil, err
-		}
-		return dhtAdapter{m, l}, nil
-	})
+// builder builds meshes with cfg for the dhttest harness.
+func builder(cfg Config) dhttest.Builder {
+	return func(hosts []int, lat overlay.LatencyFunc, r *rng.Rand) (dhttest.DHT, error) {
+		m, err := Build(hosts, cfg, lat, r)
+		return dhtAdapter{m}, err
+	}
 }
 
+func TestDHTConformance(t *testing.T) { dhttest.Run(t, builder(DefaultConfig())) }
+
 func TestDHTConformanceProximity(t *testing.T) {
-	dhttest.Run(t, func(hosts []int, l overlay.LatencyFunc, r *rng.Rand) (dhttest.DHT, error) {
-		m, err := Build(hosts, Config{LeafSetSize: 8, Proximity: true}, l, r)
-		if err != nil {
-			return nil, err
-		}
-		return dhtAdapter{m, l}, nil
-	})
+	dhttest.Run(t, builder(Config{LeafSetSize: 8, Proximity: true}))
 }

@@ -3,31 +3,20 @@ package pastry
 import (
 	"fmt"
 
-	"repro/internal/overlay"
+	"repro/internal/rng"
 )
 
-// Crash-stop failure handling. A crashed node stays in the sorted ring and
-// in survivors' leaf sets and routing tables until a RepairCrashed round —
-// the simulator's stand-in for Pastry's leaf-set liveness checks — drops it
-// and rebuilds the mesh from the live membership.
+// Crash-stop (DESIGN.md §9). Until Repair — the stand-in for Pastry's
+// leaf-set liveness checks — a corpse stays in the sorted ring and in the
+// survivors' leaf sets and routing tables.
 
-// Crash kills slot crash-stop: the host is released, every reference to the
-// slot goes stale. The mesh must retain at least two live nodes.
-func (m *Mesh) Crash(slot int) error {
-	if !m.O.Alive(slot) {
-		return fmt.Errorf("pastry: Crash(%d) on dead slot", slot)
-	}
-	if m.O.NumAlive() <= 2 {
-		return fmt.Errorf("pastry: refusing to shrink below 2 nodes")
-	}
-	return m.O.CrashSlot(slot)
-}
+// Crash implements overlay.Membership.
+func (m *Mesh) Crash(slot int) error { return m.O.CrashMember(slot) }
 
-// RepairCrashed runs one failure-recovery round: corpses leave the sorted
-// ring, their tables are released and stale edges purged, and leaf sets,
-// routing tables, and logical links are rebuilt for the survivors. It
-// returns the number of corpses repaired.
-func (m *Mesh) RepairCrashed(lat overlay.LatencyFunc) (int, error) {
+// Repair implements overlay.Membership: corpses leave the sorted ring, their
+// tables are released and stale edges purged, and leaf sets, routing tables
+// and logical links are rebuilt for the survivors.
+func (m *Mesh) Repair(*rng.Rand) (int, error) {
 	crashed := m.O.CrashedSlots()
 	if len(crashed) == 0 {
 		return 0, nil
@@ -53,6 +42,6 @@ func (m *Mesh) RepairCrashed(lat overlay.LatencyFunc) (int, error) {
 			return 0, err
 		}
 	}
-	m.rebuild(lat)
+	m.rebuild()
 	return len(crashed), nil
 }

@@ -110,7 +110,7 @@ func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*Mesh
 		m.pos[s] = i
 	}
 	m.buildLeafSets()
-	m.buildTables(lat)
+	m.buildTables()
 	m.mirror()
 	return m, nil
 }
@@ -161,7 +161,7 @@ func sharedPrefix(a, b uint32) int {
 
 // buildTables fills each node's routing table from global knowledge (the
 // simulator's equivalent of a converged Pastry join protocol).
-func (m *Mesh) buildTables(lat overlay.LatencyFunc) {
+func (m *Mesh) buildTables() {
 	// Group nodes by every (prefix length, prefix value) bucket lazily:
 	// for each node s and row r, candidates share digits [0,r) with s and
 	// differ at r. A single pass per node over all live nodes is O(n²) —
@@ -193,7 +193,7 @@ func (m *Mesh) buildTables(lat overlay.LatencyFunc) {
 			}
 			c := digit(m.ID[t], r)
 			if m.cfg.Proximity {
-				d := lat(hs, m.O.HostOf(t))
+				d := m.O.Latency(hs, m.O.HostOf(t))
 				if d < bestD[r][c] {
 					bestD[r][c] = d
 					rows[r][c] = t
@@ -226,11 +226,11 @@ func (m *Mesh) mirror() {
 // Refresh recomputes the routing tables (and logical links) against the
 // current host mapping — Pastry's routing-table maintenance. Only matters
 // for Proximity meshes after PROP-G exchanges; plain meshes are unchanged.
-func (m *Mesh) Refresh(lat overlay.LatencyFunc) {
+func (m *Mesh) Refresh() {
 	for _, e := range m.O.Logical.Edges() {
 		m.O.Logical.RemoveEdge(e.U, e.V)
 	}
-	m.buildTables(lat)
+	m.buildTables()
 	m.mirror()
 }
 
@@ -357,12 +357,13 @@ func (m *Mesh) nextHop(cur int, key uint32) int {
 
 // keyInLeafRange reports whether key lies within cur's leaf-set span on the
 // ring (between the numerically smallest and largest leaf, passing through
-// cur).
+// cur). A leaf set that holds every other node spans the whole ring — with
+// two nodes its one leaf is both ends of the span.
 func (m *Mesh) keyInLeafRange(cur int, key uint32) bool {
-	if len(m.leaves[cur]) == 0 {
+	n := len(m.sorted)
+	if len(m.leaves[cur]) >= n-1 {
 		return true
 	}
-	n := len(m.sorted)
 	i := m.pos[cur]
 	half := (len(m.leaves[cur]) + 1) / 2
 	loSlot := m.sorted[((i-half)%n+n)%n]

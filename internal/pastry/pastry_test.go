@@ -278,7 +278,7 @@ func TestSwapHostsPreservesRouting(t *testing.T) {
 func TestRefreshPlainMeshIsStable(t *testing.T) {
 	m := buildMesh(t, 100, 23)
 	before := m.O.Logical.Edges()
-	m.Refresh(lat)
+	m.Refresh()
 	after := m.O.Logical.Edges()
 	if len(before) != len(after) {
 		t.Fatalf("plain refresh changed edge count %d -> %d", len(before), len(after))
@@ -304,7 +304,7 @@ func TestRefreshProximityAdaptsToSwaps(t *testing.T) {
 		}
 	}
 	stale := m.O.MeanLinkLatency()
-	m.Refresh(lat)
+	m.Refresh()
 	fresh := m.O.MeanLinkLatency()
 	if fresh > stale {
 		t.Fatalf("refresh made proximity links worse: %.1f -> %.1f", stale, fresh)

@@ -1,15 +1,11 @@
 package propnode
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/gnutella"
-)
-
-// Membership: the runtime reuses internal/gnutella's unstructured join,
-// graceful leave, and crash-stop repair over the shared overlay, and layers
-// the live concerns on top — endpoints open and close with the node, agents
-// start and stop, and affected survivors get the §3.2 timer reset.
+// Membership: the runtime runs internal/gnutella's overlay.Membership
+// (rt.members) over the shared overlay and layers the live concerns on top:
+// endpoints open and close with the node, agents start and stop, and
+// affected survivors get the §3.2 timer reset.
 
 // Join brings a new host online: wire it into the overlay, open its
 // endpoint, start its agent, and kick its new neighbors.
@@ -19,8 +15,7 @@ func (rt *Runtime) Join(host int) (int, error) {
 		rt.mu.Unlock()
 		return 0, fmt.Errorf("propnode: join on a stopped runtime")
 	}
-	gcfg := gnutella.Config{LinksPerJoin: rt.cfg.LinksPerJoin}
-	slot, err := gnutella.Join(rt.o, host, gcfg, rt.r)
+	slot, err := rt.members.Join(host, rt.r)
 	if err != nil {
 		rt.mu.Unlock()
 		return 0, err
@@ -57,8 +52,7 @@ func (rt *Runtime) Leave(slot int) error {
 	}
 
 	rt.mu.Lock()
-	gcfg := gnutella.Config{LinksPerJoin: rt.cfg.LinksPerJoin}
-	if err := gnutella.Leave(rt.o, slot, gcfg, rt.r); err != nil {
+	if err := rt.members.Leave(slot, rt.r); err != nil {
 		rt.mu.Unlock()
 		if a != nil {
 			a.node.Close()
@@ -77,7 +71,7 @@ func (rt *Runtime) Leave(slot int) error {
 
 // Crash kills the slot's host crash-stop: the endpoint vanishes mid-flight
 // (in-progress calls to it time out), survivors keep stale references until
-// eviction or RepairCrashed catches up — nobody is notified.
+// eviction or Repair catches up — nobody is notified.
 func (rt *Runtime) Crash(slot int) error {
 	rt.mu.Lock()
 	return rt.crashLocked(slot)
@@ -111,7 +105,7 @@ func (rt *Runtime) crashLocked(slot int) error {
 		return fmt.Errorf("propnode: crash(%d) on dead slot", slot)
 	}
 	host := rt.o.HostOf(slot)
-	if err := rt.o.CrashSlot(slot); err != nil {
+	if err := rt.members.Crash(slot); err != nil {
 		rt.mu.Unlock()
 		return err
 	}
@@ -147,8 +141,7 @@ func (rt *Runtime) Recover(host int) (int, error) {
 		rt.mu.Unlock()
 		return 0, fmt.Errorf("propnode: recover(%d): host is already live", host)
 	}
-	gcfg := gnutella.Config{LinksPerJoin: rt.cfg.LinksPerJoin}
-	slot, err := gnutella.Join(rt.o, host, gcfg, rt.r)
+	slot, err := rt.members.Join(host, rt.r)
 	if err != nil {
 		rt.mu.Unlock()
 		return 0, err
@@ -164,17 +157,16 @@ func (rt *Runtime) Recover(host int) (int, error) {
 	return slot, nil
 }
 
-// RepairCrashed runs one failure-recovery round over the whole overlay and
-// kicks every surviving agent (their neighborhoods may have been patched).
-// It reports how many corpses were repaired.
-func (rt *Runtime) RepairCrashed() (int, error) {
+// Repair runs one failure-recovery round over the whole overlay and kicks
+// every surviving agent (their neighborhoods may have been patched). It
+// reports how many corpses were repaired.
+func (rt *Runtime) Repair() (int, error) {
 	rt.mu.Lock()
 	if rt.o == nil {
 		rt.mu.Unlock()
 		return 0, fmt.Errorf("propnode: repair on a stopped runtime")
 	}
-	gcfg := gnutella.Config{LinksPerJoin: rt.cfg.LinksPerJoin}
-	n, err := gnutella.RepairCrashed(rt.o, gcfg, rt.r)
+	n, err := rt.members.Repair(rt.r)
 	if err != nil {
 		rt.mu.Unlock()
 		return n, err

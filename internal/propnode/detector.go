@@ -3,8 +3,6 @@ package propnode
 import (
 	"slices"
 	"time"
-
-	"repro/internal/gnutella"
 )
 
 // Failure detection. Each agent runs a detector goroutine next to its probe
@@ -18,7 +16,7 @@ import (
 // up; a neighbor the overlay already knows is dead (crash-stop corpse) skips
 // suspicion entirely and goes straight to membership repair — the same
 // ring + top-up rule internal/gnutella applies, so detector-triggered repair
-// and explicit RepairCrashed leave identical structure.
+// and an explicit Repair leave identical structure.
 //
 // The suspicion map is keyed by host, not slot: PROP exchanges migrate hosts
 // between slots, and it is the host (the machine) that is unreachable.
@@ -128,8 +126,7 @@ func (rt *Runtime) repairCorpses(a *agent) {
 	}
 	var affected []*agent
 	if len(rt.o.CrashedSlots()) > 0 {
-		gcfg := gnutella.Config{LinksPerJoin: rt.cfg.LinksPerJoin}
-		n, err := gnutella.RepairCrashed(rt.o, gcfg, rt.r)
+		n, err := rt.members.Repair(rt.r)
 		if err == nil && n > 0 {
 			rt.autoRepairs.Add(uint64(n))
 			rt.suspectEvicts.Add(uint64(n))

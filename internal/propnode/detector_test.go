@@ -133,7 +133,7 @@ func TestDetectorFaultFreeControl(t *testing.T) {
 
 // TestDetectorRepairsCrashWithoutExplicitRepair: after a crash-stop, the
 // detector's corpse path must run membership repair on its own — no
-// RepairCrashed call from the driver.
+// Repair call from the driver.
 func TestDetectorRepairsCrashWithoutExplicitRepair(t *testing.T) {
 	rt := startRuntime(t, 12, Config{
 		Policy:              core.PROPG,

@@ -149,7 +149,7 @@ type Counters struct {
 	// (confirmed corpses and suspicion-threshold evictions alike).
 	SuspectEvictions uint64
 	// AutoRepairs counts corpses repaired by detector-triggered membership
-	// repair (as opposed to an explicit RepairCrashed call).
+	// repair (as opposed to an explicit Repair call).
 	AutoRepairs uint64
 	// Recovers counts successful Runtime.Recover rejoins.
 	Recovers uint64
@@ -166,6 +166,7 @@ type Runtime struct {
 
 	mu          sync.Mutex
 	o           *overlay.Overlay
+	members     gnutella.Net // o's membership rule; O is set by Start
 	r           *rng.Rand
 	agents      map[int]*agent  // by host
 	incarnation map[int]uint32  // per-host epoch, survives Crash/Recover
@@ -217,6 +218,7 @@ func New(net transport.Network, cfg Config) *Runtime {
 	return &Runtime{
 		cfg:         cfg,
 		net:         net,
+		members:     gnutella.Net{Config: gnutella.Config{LinksPerJoin: cfg.LinksPerJoin}},
 		r:           rng.New(cfg.Seed),
 		agents:      make(map[int]*agent),
 		incarnation: make(map[int]uint32),
@@ -232,12 +234,11 @@ func (rt *Runtime) Start(hosts []int) error {
 	if rt.o != nil {
 		return fmt.Errorf("propnode: already started")
 	}
-	gcfg := gnutella.Config{LinksPerJoin: rt.cfg.LinksPerJoin}
-	o, err := gnutella.Build(hosts, gcfg, rt.cfg.Lat, rt.r)
+	o, err := gnutella.Build(hosts, rt.members.Config, rt.cfg.Lat, rt.r)
 	if err != nil {
 		return fmt.Errorf("propnode: build overlay: %w", err)
 	}
-	rt.o = o
+	rt.o, rt.members.O = o, o
 	rt.m = rt.cfg.M
 	if rt.m == 0 {
 		rt.m = o.Logical.MinDegree()

@@ -249,7 +249,7 @@ loop:
 			}
 			crashes++
 		case 3:
-			if _, err := rt.RepairCrashed(); err != nil {
+			if _, err := rt.Repair(); err != nil {
 				t.Fatalf("repair: %v", err)
 			}
 		}
@@ -257,7 +257,7 @@ loop:
 	}
 
 	// Final repair sweep, then quiesce and audit.
-	if _, err := rt.RepairCrashed(); err != nil {
+	if _, err := rt.Repair(); err != nil {
 		t.Fatalf("final repair: %v", err)
 	}
 	rt.Stop()

@@ -21,14 +21,20 @@ type Rand struct {
 	s [4]uint64
 }
 
+// Mix is the SplitMix64 finaliser: a bijection on 64 bits whose every
+// output bit depends on every input bit. The stateless hashes of the fault
+// layer and the sharded engine fold their keys through it.
+func Mix(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // splitMix64 advances x and returns the next SplitMix64 output. It is the
 // recommended seeding function for the xoshiro family.
 func splitMix64(x *uint64) uint64 {
 	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return Mix(*x)
 }
 
 // New returns a generator deterministically derived from seed.

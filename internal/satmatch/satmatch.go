@@ -73,20 +73,19 @@ type Protocol struct {
 	Relocations int
 
 	cfg Config
-	lat func(a, b int) float64
 	r   *rng.Rand
 }
 
-// New creates a SAT-Match instance over ring. lat is the physical latency
-// function (host-addressed) used for probing and rejoining.
-func New(ring *chord.Ring, cfg Config, lat func(a, b int) float64, r *rng.Rand) (*Protocol, error) {
+// New creates a SAT-Match instance over ring. Probes measure through the
+// ring overlay's own latency function.
+func New(ring *chord.Ring, cfg Config, r *rng.Rand) (*Protocol, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if ring == nil || lat == nil {
-		return nil, fmt.Errorf("satmatch: nil ring or latency function")
+	if ring == nil {
+		return nil, fmt.Errorf("satmatch: nil ring")
 	}
-	return &Protocol{Ring: ring, cfg: cfg, lat: lat, r: r}, nil
+	return &Protocol{Ring: ring, cfg: cfg, r: r}, nil
 }
 
 // Start schedules every live peer's jump loop, staggered over one period.
@@ -113,7 +112,7 @@ func (p *Protocol) round(e *event.Engine, host int) {
 	// Find the physically closest peer in the region.
 	best, bestD := -1, 0.0
 	for _, t := range region {
-		d := p.lat(host, p.Ring.O.HostOf(t))
+		d := p.Ring.O.Latency(host, p.Ring.O.HostOf(t))
 		if best < 0 || d < bestD {
 			best, bestD = t, d
 		}
@@ -165,7 +164,7 @@ func (p *Protocol) closestSuccessorDistance(slot, host int) float64 {
 		if !p.Ring.O.Alive(s) {
 			continue
 		}
-		d := p.lat(host, p.Ring.O.HostOf(s))
+		d := p.Ring.O.Latency(host, p.Ring.O.HostOf(s))
 		if best < 0 || d < best {
 			best = d
 		}
@@ -190,13 +189,13 @@ func (p *Protocol) isRingNeighbor(slot, t int) bool {
 // identifier a small random offset after the target's. Reports success.
 func (p *Protocol) jump(slot, host, target int) bool {
 	targetID := p.Ring.ID[target]
-	if err := p.Ring.Leave(slot, p.lat); err != nil {
+	if err := p.Ring.Leave(slot, p.r); err != nil {
 		return false
 	}
 	// A few attempts in case of ID collisions.
 	for attempt := 0; attempt < 8; attempt++ {
 		id := targetID + 1 + uint32(p.r.Uint64n(uint64(p.cfg.IDOffset)))
-		if _, err := p.Ring.JoinWithID(host, id, p.lat); err == nil {
+		if _, err := p.Ring.JoinWithID(host, id); err == nil {
 			p.Counters.Exchanges++
 			p.Relocations++
 			// The jumper and its new neighbors update entries.
@@ -206,7 +205,7 @@ func (p *Protocol) jump(slot, host, target int) bool {
 	}
 	// Could not rejoin near the target; rejoin with a random ID so the
 	// peer is never lost.
-	if _, err := p.Ring.Join(host, p.lat, p.r); err != nil {
+	if _, err := p.Ring.Join(host, p.r); err != nil {
 		panic(fmt.Sprintf("satmatch: peer on host %d lost during jump: %v", host, err))
 	}
 	return false

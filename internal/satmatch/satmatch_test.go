@@ -36,23 +36,19 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
-		if _, err := New(&chord.Ring{}, cfg, lat, rng.New(1)); err == nil {
+		if _, err := New(&chord.Ring{}, cfg, rng.New(1)); err == nil {
 			t.Errorf("New accepted bad config %d", i)
 		}
 	}
-	if _, err := New(nil, DefaultConfig(), lat, rng.New(1)); err == nil {
+	if _, err := New(nil, DefaultConfig(), rng.New(1)); err == nil {
 		t.Error("nil ring accepted")
-	}
-	ring := buildRing(t, 8, 1)
-	if _, err := New(ring, DefaultConfig(), nil, rng.New(1)); err == nil {
-		t.Error("nil latency accepted")
 	}
 }
 
 func TestSATMatchReducesLinkLatency(t *testing.T) {
 	ring := buildRing(t, 200, 42)
 	before := ring.O.MeanLinkLatency()
-	p, err := New(ring, DefaultConfig(), lat, rng.New(7))
+	p, err := New(ring, DefaultConfig(), rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +70,7 @@ func TestJumpsPreserveMembershipAndRouting(t *testing.T) {
 	for _, h := range ring.O.Hosts() {
 		hostsBefore[h] = true
 	}
-	p, err := New(ring, DefaultConfig(), lat, rng.New(3))
+	p, err := New(ring, DefaultConfig(), rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +110,7 @@ func TestRelocationsMintNewIDs(t *testing.T) {
 	for _, s := range ring.O.AliveSlots() {
 		idsBefore[ring.ID[s]] = true
 	}
-	p, err := New(ring, DefaultConfig(), lat, rng.New(11))
+	p, err := New(ring, DefaultConfig(), rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +133,7 @@ func TestRelocationsMintNewIDs(t *testing.T) {
 
 func TestCounterspopulated(t *testing.T) {
 	ring := buildRing(t, 80, 2)
-	p, err := New(ring, DefaultConfig(), lat, rng.New(4))
+	p, err := New(ring, DefaultConfig(), rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,6 +225,10 @@ func TestFaultConfigValidation(t *testing.T) {
 		{PartitionStartMS: 10, PartitionStopMS: 5},
 		{PartitionStartMS: 0, PartitionStopMS: 5, PartitionDomain: 99},
 		{CrashStartMS: 10, CrashStopMS: 5},
+		{CrashFrac: 0.3, CrashStartMS: math.NaN()},
+		{CrashFrac: 0.3, CrashStopMS: math.Inf(1)},
+		{PartitionStartMS: math.NaN(), PartitionStopMS: 5},
+		{PartitionStartMS: 0, PartitionStopMS: math.Inf(1)},
 	}
 	for i, fc := range bad {
 		cfg := tinyConfig(2, 1)

@@ -56,6 +56,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/faults"
 	"repro/internal/netsim"
 )
 
@@ -177,31 +178,22 @@ func (f *FaultConfig) enabled() bool {
 		f.CrashFrac > 0
 }
 
-// validate checks the schedule against the resolved physical preset.
+// validate checks the schedule against the resolved physical preset. The
+// knobs FaultConfig shares with faults.Config are faults.Config's to check.
 func (f *FaultConfig) validate(net netsim.Config) error {
-	inUnit := func(name string, v float64) error {
-		if !(v >= 0 && v <= 1) {
-			return fmt.Errorf("shard: %s = %v out of [0,1]", name, v)
-		}
-		return nil
+	shared := faults.Config{LossProb: f.LossProb, DupProb: f.DupProb, JitterMS: f.JitterMS,
+		LinkFailProb: f.LinkFailProb, LinkFailPeriodMS: f.LinkFailPeriodMS}
+	if err := shared.Validate(); err != nil {
+		return fmt.Errorf("shard: Faults: %w", err)
 	}
-	if err := inUnit("Faults.LossProb", f.LossProb); err != nil {
-		return err
-	}
-	if err := inUnit("Faults.DupProb", f.DupProb); err != nil {
-		return err
-	}
-	if err := inUnit("Faults.LinkFailProb", f.LinkFailProb); err != nil {
-		return err
-	}
-	if err := inUnit("Faults.CrashFrac", f.CrashFrac); err != nil {
-		return err
-	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	switch {
-	case !(f.JitterMS >= 0 && f.JitterMS < math.Inf(1)):
-		return fmt.Errorf("shard: Faults.JitterMS = %v, want finite and >= 0", f.JitterMS)
-	case !(f.LinkFailPeriodMS >= 0):
-		return fmt.Errorf("shard: Faults.LinkFailPeriodMS = %v, want >= 0", f.LinkFailPeriodMS)
+	case !(f.CrashFrac >= 0 && f.CrashFrac <= 1):
+		return fmt.Errorf("shard: Faults.CrashFrac = %v out of [0,1]", f.CrashFrac)
+	case !finite(f.PartitionStartMS) || !finite(f.PartitionStopMS):
+		return fmt.Errorf("shard: partition window [%v,%v) not finite", f.PartitionStartMS, f.PartitionStopMS)
+	case !finite(f.CrashStartMS) || !finite(f.CrashStopMS):
+		return fmt.Errorf("shard: crash window [%v,%v) not finite", f.CrashStartMS, f.CrashStopMS)
 	case f.PartitionStopMS < f.PartitionStartMS:
 		return fmt.Errorf("shard: partition window [%v,%v) inverted", f.PartitionStartMS, f.PartitionStopMS)
 	case f.PartitionStopMS > f.PartitionStartMS && (f.PartitionDomain < 0 || f.PartitionDomain >= net.TransitDomains):

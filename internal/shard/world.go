@@ -226,16 +226,13 @@ func (e *Engine) crashSchedule(p int32) (at float64, crashes bool) {
 	return e.fc.CrashStartMS + u01(crashHash(e.seed, p, 2))*span, true
 }
 
-// crashHash mixes (seed, peer, salt) with a SplitMix64-style finalizer —
-// the same construction as draw, but counterless, so consulting it never
-// perturbs the peer's protocol randomness.
+// crashHash folds (seed, peer, salt) through rng.Mix — the finaliser draw
+// uses, but counterless, so consulting it never perturbs the peer's
+// protocol randomness.
 func crashHash(seed uint64, p int32, salt uint64) uint64 {
 	x := seed ^ 0xc5a5e5d1b3a91f37
 	for _, w := range [...]uint64{uint64(uint32(p)), salt} {
-		x += w + 0x9e3779b97f4a7c15
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-		x ^= x >> 31
+		x = rng.Mix(x + w + 0x9e3779b97f4a7c15)
 	}
 	return x
 }
@@ -365,13 +362,7 @@ func (e *Engine) estLat(p, q int32) float64 {
 func (e *Engine) draw(p int32) uint64 {
 	c := e.pctr[p]
 	e.pctr[p] = c + 1
-	x := e.seed + uint64(uint32(p))*0x9E3779B97F4A7C15 + uint64(c)*0xBF58476D1CE4E5B9
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return rng.Mix(e.seed + uint64(uint32(p))*0x9E3779B97F4A7C15 + uint64(c)*0xBF58476D1CE4E5B9)
 }
 
 // u01 maps a draw to [0,1).

@@ -2,12 +2,12 @@
 // names when arguing PROP-G's generality (§4.1: "as an auxiliary method, it
 // is suitable for different topologies: ring, hypercube, tree, and so on").
 //
-// Each builder returns a slot/host overlay whose logical graph is the exact
+// Build returns a slot/host overlay whose logical graph is the exact
 // mathematical object — a cycle, a binary hypercube, a complete k-ary tree,
 // a 2-d torus grid — so the PROP-G isomorphism guarantee can be exercised
 // and property-tested on every geometry the claim covers.
 //
-// Entry points: Build (by Kind) or the per-shape builders, plus Verify.
+// Entry points: Build (by Kind) and Verify.
 // See DESIGN.md §1.
 package topology
 
@@ -38,29 +38,26 @@ func Kinds() []Kind { return []Kind{Ring, Hypercube, Tree, Torus} }
 // Build constructs the named shape over the given hosts and verifies the
 // result structurally before returning it.
 func Build(kind Kind, hosts []int, lat overlay.LatencyFunc) (*overlay.Overlay, error) {
-	var (
-		o   *overlay.Overlay
-		err error
-	)
-	switch kind {
-	case Ring:
-		o, err = BuildRing(hosts, lat)
-	case Hypercube:
-		o, err = BuildHypercube(hosts, lat)
-	case Tree:
-		o, err = BuildTree(hosts, lat)
-	case Torus:
-		o, err = BuildTorus(hosts, lat)
-	default:
+	wire, ok := wiring[kind]
+	if !ok {
 		return nil, fmt.Errorf("topology: unknown kind %q", kind)
 	}
+	o, err := overlay.New(hosts, lat)
 	if err != nil {
+		return nil, err
+	}
+	if err := wire(o, len(hosts)); err != nil {
 		return nil, err
 	}
 	if err := Verify(kind, o); err != nil {
 		return nil, err
 	}
 	return o, nil
+}
+
+// wiring adds each shape's logical edges to a fresh n-slot overlay.
+var wiring = map[Kind]func(o *overlay.Overlay, n int) error{
+	Ring: wireRing, Hypercube: wireHypercube, Tree: wireTree, Torus: wireTorus,
 }
 
 // Verify checks that the overlay's logical graph is exactly the named shape
@@ -114,92 +111,71 @@ func Verify(kind Kind, o *overlay.Overlay) error {
 	return nil
 }
 
-// BuildRing connects the n slots in a cycle.
-func BuildRing(hosts []int, lat overlay.LatencyFunc) (*overlay.Overlay, error) {
-	n := len(hosts)
+// wireRing connects the n slots in a cycle.
+func wireRing(o *overlay.Overlay, n int) error {
 	if n < 3 {
-		return nil, fmt.Errorf("topology: ring needs >= 3 nodes, got %d", n)
-	}
-	o, err := overlay.New(hosts, lat)
-	if err != nil {
-		return nil, err
+		return fmt.Errorf("topology: ring needs >= 3 nodes, got %d", n)
 	}
 	for i := 0; i < n; i++ {
 		if err := o.AddEdge(i, (i+1)%n); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return o, nil
+	return nil
 }
 
-// BuildHypercube links slots whose indices differ in exactly one bit.
-// The host count must be a power of two.
-func BuildHypercube(hosts []int, lat overlay.LatencyFunc) (*overlay.Overlay, error) {
-	n := len(hosts)
+// wireHypercube links slots whose indices differ in exactly one bit. The
+// host count must be a power of two.
+func wireHypercube(o *overlay.Overlay, n int) error {
 	if n < 2 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("topology: hypercube needs a power-of-two node count, got %d", n)
-	}
-	o, err := overlay.New(hosts, lat)
-	if err != nil {
-		return nil, err
+		return fmt.Errorf("topology: hypercube needs a power-of-two node count, got %d", n)
 	}
 	for i := 0; i < n; i++ {
 		for bit := 1; bit < n; bit <<= 1 {
-			j := i ^ bit
-			if i < j {
+			if j := i ^ bit; i < j {
 				if err := o.AddEdge(i, j); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
 	}
-	return o, nil
+	return nil
 }
 
-// BuildTree links slot i to its children 2i+1 and 2i+2 — a complete binary
+// wireTree links slot i to its children 2i+1 and 2i+2 — a complete binary
 // tree in heap order.
-func BuildTree(hosts []int, lat overlay.LatencyFunc) (*overlay.Overlay, error) {
-	n := len(hosts)
+func wireTree(o *overlay.Overlay, n int) error {
 	if n < 2 {
-		return nil, fmt.Errorf("topology: tree needs >= 2 nodes, got %d", n)
-	}
-	o, err := overlay.New(hosts, lat)
-	if err != nil {
-		return nil, err
+		return fmt.Errorf("topology: tree needs >= 2 nodes, got %d", n)
 	}
 	for i := 1; i < n; i++ {
 		if err := o.AddEdge(i, (i-1)/2); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return o, nil
+	return nil
 }
 
-// BuildTorus arranges the slots in a √n × √n wrap-around grid. The host
+// wireTorus arranges the slots in a √n × √n wrap-around grid. The host
 // count must be a perfect square of side >= 3 (smaller sides collapse the
 // wrap edges into duplicates).
-func BuildTorus(hosts []int, lat overlay.LatencyFunc) (*overlay.Overlay, error) {
-	n := len(hosts)
+func wireTorus(o *overlay.Overlay, n int) error {
 	side := intSqrt(n)
 	if side*side != n || side < 3 {
-		return nil, fmt.Errorf("topology: torus needs a perfect-square node count with side >= 3, got %d", n)
-	}
-	o, err := overlay.New(hosts, lat)
-	if err != nil {
-		return nil, err
+		return fmt.Errorf("topology: torus needs a perfect-square node count with side >= 3, got %d", n)
 	}
 	at := func(r, c int) int { return r*side + c }
 	for r := 0; r < side; r++ {
 		for c := 0; c < side; c++ {
 			if err := o.AddEdge(at(r, c), at(r, (c+1)%side)); err != nil {
-				return nil, err
+				return err
 			}
 			if err := o.AddEdge(at(r, c), at((r+1)%side, c)); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return o, nil
+	return nil
 }
 
 func intSqrt(n int) int {

@@ -51,7 +51,7 @@ func TestKindsCovered(t *testing.T) {
 }
 
 func TestRingStructure(t *testing.T) {
-	o, err := BuildRing(hostsN(10), lat)
+	o, err := Build(Ring, hostsN(10), lat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +60,13 @@ func TestRingStructure(t *testing.T) {
 			t.Fatalf("ring degree of %d = %d", s, o.Degree(s))
 		}
 	}
-	if _, err := BuildRing(hostsN(2), lat); err == nil {
+	if _, err := Build(Ring, hostsN(2), lat); err == nil {
 		t.Error("2-node ring accepted")
 	}
 }
 
 func TestHypercubeStructure(t *testing.T) {
-	o, err := BuildHypercube(hostsN(16), lat)
+	o, err := Build(Hypercube, hostsN(16), lat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +84,13 @@ func TestHypercubeStructure(t *testing.T) {
 			}
 		}
 	}
-	if _, err := BuildHypercube(hostsN(12), lat); err == nil {
+	if _, err := Build(Hypercube, hostsN(12), lat); err == nil {
 		t.Error("non-power-of-two hypercube accepted")
 	}
 }
 
 func TestTreeStructure(t *testing.T) {
-	o, err := BuildTree(hostsN(15), lat)
+	o, err := Build(Tree, hostsN(15), lat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +107,13 @@ func TestTreeStructure(t *testing.T) {
 	if leaves != 8 {
 		t.Fatalf("leaves = %d, want 8", leaves)
 	}
-	if _, err := BuildTree(hostsN(1), lat); err == nil {
+	if _, err := Build(Tree, hostsN(1), lat); err == nil {
 		t.Error("singleton tree accepted")
 	}
 }
 
 func TestTorusStructure(t *testing.T) {
-	o, err := BuildTorus(hostsN(25), lat)
+	o, err := Build(Torus, hostsN(25), lat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestTorusStructure(t *testing.T) {
 		}
 	}
 	for _, n := range []int{24, 4, 10} {
-		if _, err := BuildTorus(hostsN(n), lat); err == nil {
+		if _, err := Build(Torus, hostsN(n), lat); err == nil {
 			t.Errorf("torus with %d nodes accepted", n)
 		}
 	}
@@ -182,7 +182,7 @@ func TestPROPGPreservesEveryShape(t *testing.T) {
 func TestIdentitySwapIsomorphism(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		o, err := BuildHypercube(hostsN(32), lat)
+		o, err := Build(Hypercube, hostsN(32), lat)
 		if err != nil {
 			return false
 		}
