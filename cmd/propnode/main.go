@@ -98,18 +98,6 @@ func runChaos(n int, policyName string, seed uint64, steps int, stepMS, killFrac
 	return res.AuditErr
 }
 
-// clusterLat is the demo's two-cluster latency model: same-parity hosts are
-// 1ms apart, cross-parity 20ms — plenty of structure for PROP to exploit.
-func clusterLat(a, b int) float64 {
-	if a == b {
-		return 0
-	}
-	if a%2 == b%2 {
-		return 1
-	}
-	return 20
-}
-
 func runLoopback(n int, dur time.Duration, policyName string, seed uint64, intervalMS float64) error {
 	var policy core.Policy
 	switch policyName {
@@ -121,12 +109,12 @@ func runLoopback(n int, dur time.Duration, policyName string, seed uint64, inter
 		return fmt.Errorf("unknown -policy %q", policyName)
 	}
 	lb := transport.NewLoopback(transport.LoopbackConfig{
-		DelayMS: func(a, b int) float64 { return clusterLat(a, b) / 2 },
+		DelayMS: func(a, b int) float64 { return propnode.ClusterLat(a, b) / 2 },
 	})
 	rt := propnode.New(lb, propnode.Config{
 		Policy:          policy,
 		ProbeIntervalMS: intervalMS,
-		Lat:             clusterLat,
+		Lat:             propnode.ClusterLat,
 		Seed:            seed,
 	})
 	hosts := make([]int, n)

@@ -1,27 +1,29 @@
-// Command proptrace runs one PROP optimization end to end and streams a
-// human-readable trace of every executed peer-exchange, followed by a
-// before/after summary — the quickest way to watch the protocol work.
+// Command proptrace runs one audited PROP session end to end
+// (internal/audit.RunSession: a transit-stub preset, peers on random stub
+// hosts, a Gnutella overlay, PROP on a simulated clock) and prints every
+// executed peer-exchange, followed by a before/after summary and the
+// invariant audit — the quickest way to watch the protocol work.
 //
 // Usage:
 //
-//	proptrace [-policy G|O] [-n 300] [-nhops 2] [-m 0] [-minutes 30]
-//	          [-preset ts-large] [-seed 1] [-quiet]
+//	proptrace [session flags] [-quiet]
+//	    prints the session for a human; -quiet drops the per-exchange lines.
 //
-// Two subcommands expose the audit/replay subsystem (internal/audit):
-//
-//	proptrace record [-out trace.jsonl] [-policy PROP-G|PROP-O] [-n 48]
-//	          [-nhops 2] [-m 0] [-minutes 30] [-preset small|large]
-//	          [-seed 1] [-interval 0] [-fault ghost-edge|drop-edge]
-//	          [-fault-after 0]
-//	    runs one audited session, streams every protocol event to a
-//	    replayable JSONL trace, and reports the invariant audit. Exits 1
-//	    when the audit found violations (e.g. under an injected fault).
+//	proptrace record [session flags] [-out trace.jsonl]
+//	    streams every protocol event of the session to a replayable JSONL
+//	    trace instead.
 //
 //	proptrace replay [-shrink] trace.jsonl
 //	    re-runs the session recorded in the trace header and verifies the
 //	    event stream is byte-for-byte reproducible; -shrink additionally
 //	    minimizes a violating session to the smallest event-count bound
 //	    that still reproduces the violation.
+//
+// The session flags are [-policy PROP-G|PROP-O] [-n 48] [-nhops 2] [-m 0]
+// [-minutes 30] [-preset ts-small|ts-large] [-seed 0] [-interval 0]
+// [-fault ghost-edge|drop-edge] [-fault-after 0]; their defaults are
+// audit.SessionConfig's. A session exits 1 when the audit found violations
+// (e.g. under an injected fault) or its flags name no runnable session.
 package main
 
 import (
@@ -30,11 +32,6 @@ import (
 	"os"
 
 	"repro/internal/audit"
-	"repro/internal/core"
-	"repro/internal/event"
-	"repro/internal/gnutella"
-	"repro/internal/netsim"
-	"repro/internal/rng"
 )
 
 func main() {
@@ -48,32 +45,67 @@ func main() {
 			return
 		}
 	}
-	runLegacy()
+	runTrace(os.Args[1:])
+}
+
+// sessionFlags returns a flag set named name that fills a SessionConfig,
+// defaulted as RunSession defaults it.
+func sessionFlags(name string) (*flag.FlagSet, *audit.SessionConfig) {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	cfg := audit.SessionConfig{}.WithDefaults()
+	fs.StringVar(&cfg.Policy, "policy", cfg.Policy, "exchange policy: PROP-G (swap positions) or PROP-O (trade m neighbors)")
+	fs.IntVar(&cfg.Nodes, "n", cfg.Nodes, "overlay size")
+	fs.IntVar(&cfg.NHops, "nhops", cfg.NHops, "probe walk TTL")
+	fs.IntVar(&cfg.M, "m", cfg.M, "PROP-O exchange size (0 = minimum degree)")
+	fs.Float64Var(&cfg.Minutes, "minutes", cfg.Minutes, "simulated optimization time")
+	fs.StringVar(&cfg.Preset, "preset", cfg.Preset, "physical topology: ts-small | ts-large")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "deterministic seed")
+	fs.IntVar(&cfg.Interval, "interval", cfg.Interval, "invariant sampling interval (0 = build default)")
+	fs.StringVar(&cfg.Fault, "fault", cfg.Fault, "inject a fault: ghost-edge | drop-edge")
+	fs.IntVar(&cfg.FaultAfter, "fault-after", cfg.FaultAfter, "inject the fault at this exchange index")
+	return fs, &cfg
+}
+
+// runTrace runs one audited session and prints it for a human.
+func runTrace(args []string) {
+	fs, cfg := sessionFlags("proptrace")
+	quiet := fs.Bool("quiet", false, "suppress the per-exchange trace")
+	fs.Parse(args)
+
+	var emit func(audit.Record)
+	if !*quiet {
+		emit = func(rec audit.Record) {
+			if rec.Kind == audit.KindExchange {
+				fmt.Printf("t=%7.1fmin  exchange %4d <-> %-4d  Var=%8.1f ms  moved=%d\n",
+					rec.At/60000, rec.A, rec.B, rec.Val, rec.Aux[0])
+			}
+		}
+	}
+	s, err := audit.RunSession(*cfg, emit)
+	if err != nil {
+		fail(err)
+	}
+
+	o, c := s.Overlay, s.Counters
+	phys := s.Net.MeanLinkLatency()
+	fmt.Printf("\n%s\n", s.Net)
+	fmt.Printf("%s for %g simulated minutes on %d peers, %d links (nhops=%d, seed=%d)\n",
+		cfg.Policy, cfg.Minutes, o.NumAlive(), o.Logical.NumEdges(), cfg.NHops, cfg.Seed)
+	fmt.Printf("before:  mean link %.1f ms, stretch %.2f\n", s.BeforeMS, s.BeforeMS/phys)
+	fmt.Printf("after:   mean link %.1f ms, stretch %.2f\n", o.MeanLinkLatency(), o.Stretch(phys))
+	fmt.Printf("probes=%d exchanges=%d rejected=%d walk-failures=%d\n",
+		c.Probes, c.Exchanges, c.Rejected, c.WalkFailures)
+	fmt.Printf("messages: walk=%d measure=%d notify=%d (%.1f probe msgs/adjustment)\n",
+		c.WalkMessages, c.MeasureMessages, c.NotifyMessages, c.MessagesPerAdjustment())
+	fmt.Println(s.Summary())
+	exitOnViolations(s.Auditor, "")
 }
 
 // runRecord executes one audited session and writes the replayable trace.
 func runRecord(args []string) {
-	fs := flag.NewFlagSet("proptrace record", flag.ExitOnError)
-	var (
-		out        = fs.String("out", "trace.jsonl", "trace output file (- for stdout)")
-		policy     = fs.String("policy", "PROP-G", "exchange policy: PROP-G or PROP-O")
-		n          = fs.Int("n", 48, "overlay size")
-		nhops      = fs.Int("nhops", 2, "probe walk TTL")
-		m          = fs.Int("m", 0, "PROP-O exchange size (0 = minimum degree)")
-		minutes    = fs.Float64("minutes", 30, "simulated optimization time")
-		preset     = fs.String("preset", "small", "physical topology: small | large")
-		seed       = fs.Uint64("seed", 1, "deterministic seed")
-		interval   = fs.Int("interval", 0, "invariant sampling interval (0 = build default)")
-		fault      = fs.String("fault", "", "inject a fault: ghost-edge | drop-edge")
-		faultAfter = fs.Int("fault-after", 0, "inject the fault at this exchange index")
-	)
+	fs, cfg := sessionFlags("proptrace record")
+	out := fs.String("out", "trace.jsonl", "trace output file (- for stdout)")
 	fs.Parse(args)
-
-	cfg := audit.SessionConfig{
-		Seed: *seed, Nodes: *n, Policy: *policy, NHops: *nhops, M: *m,
-		Minutes: *minutes, Preset: *preset, Interval: *interval,
-		Fault: *fault, FaultAfter: *faultAfter,
-	}
 
 	w := os.Stdout
 	if *out != "-" {
@@ -84,8 +116,8 @@ func runRecord(args []string) {
 		defer f.Close()
 		w = f
 	}
-	sink := audit.NewSink(w, cfg)
-	a, err := audit.RunSession(cfg, sink.Emit)
+	sink := audit.NewSink(w, *cfg)
+	s, err := audit.RunSession(*cfg, sink.Emit)
 	if err != nil {
 		fail(err)
 	}
@@ -93,17 +125,27 @@ func runRecord(args []string) {
 		fail(err)
 	}
 
-	fmt.Fprintf(os.Stderr, "proptrace: %s\n", a.Summary())
+	fmt.Fprintf(os.Stderr, "proptrace: %s\n", s.Summary())
 	if *out != "-" {
-		fmt.Fprintf(os.Stderr, "proptrace: wrote %d records to %s\n", a.Events(), *out)
+		fmt.Fprintf(os.Stderr, "proptrace: wrote %d records to %s\n", s.Events(), *out)
 	}
-	if vs := a.Violations(); len(vs) > 0 {
-		for _, v := range vs {
-			fmt.Fprintf(os.Stderr, "proptrace: VIOLATION %s\n", v)
-		}
-		fmt.Fprintf(os.Stderr, "proptrace: replay with `proptrace replay -shrink %s` for a minimal reproducer\n", *out)
-		os.Exit(1)
+	exitOnViolations(s.Auditor, fmt.Sprintf("replay with `proptrace replay -shrink %s` for a minimal reproducer", *out))
+}
+
+// exitOnViolations reports every violation a found, then hint, on stderr
+// and exits 1; a clean audit returns.
+func exitOnViolations(a *audit.Auditor, hint string) {
+	vs := a.Violations()
+	if len(vs) == 0 {
+		return
 	}
+	for _, v := range vs {
+		fmt.Fprintf(os.Stderr, "proptrace: VIOLATION %s\n", v)
+	}
+	if hint != "" {
+		fmt.Fprintf(os.Stderr, "proptrace: %s\n", hint)
+	}
+	os.Exit(1)
 }
 
 // runReplay re-runs a recorded session and checks reproducibility.
@@ -131,12 +173,12 @@ func runReplay(args []string) {
 	}
 	fmt.Println("replay: event stream reproduced exactly")
 
-	a, err := audit.RunSession(hdr.Config, nil)
+	s, err := audit.RunSession(hdr.Config, nil)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("audit:  %s\n", a.Summary())
-	if len(a.Violations()) == 0 {
+	fmt.Println(s.Summary())
+	if len(s.Violations()) == 0 {
 		if *shrink {
 			fmt.Println("shrink: session is clean, nothing to minimize")
 		}
@@ -152,86 +194,6 @@ func runReplay(args []string) {
 	fmt.Printf("shrink: violation %q reproduces within the first %d engine steps\n", v.Name, small.MaxEvents)
 	fmt.Printf("shrink: minimal config %+v\n", small)
 	os.Exit(1)
-}
-
-// runLegacy is the original human-readable single-run trace mode.
-func runLegacy() {
-	var (
-		policy  = flag.String("policy", "G", "exchange policy: G (swap positions) or O (trade m neighbors)")
-		n       = flag.Int("n", 300, "overlay size")
-		nhops   = flag.Int("nhops", 2, "probe walk TTL")
-		m       = flag.Int("m", 0, "PROP-O exchange size (0 = minimum degree)")
-		minutes = flag.Float64("minutes", 30, "simulated optimization time")
-		preset  = flag.String("preset", "ts-large", "physical topology: ts-large | ts-small")
-		seed    = flag.Uint64("seed", 1, "deterministic seed")
-		quiet   = flag.Bool("quiet", false, "suppress the per-exchange trace")
-	)
-	flag.Parse()
-
-	cfg := netsim.TSLarge()
-	if *preset == "ts-small" {
-		cfg = netsim.TSSmall()
-	}
-	r := rng.New(*seed)
-	net, err := netsim.Generate(cfg, r)
-	if err != nil {
-		fail(err)
-	}
-	oracle := netsim.NewOracle(net)
-	hosts := append([]int(nil), net.StubHosts...)
-	r.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
-	if *n > len(hosts) {
-		*n = len(hosts)
-	}
-	o, err := gnutella.Build(hosts[:*n], gnutella.DefaultConfig(), oracle.Latency, r)
-	if err != nil {
-		fail(err)
-	}
-
-	var pol core.Policy
-	switch *policy {
-	case "G", "g":
-		pol = core.PROPG
-	case "O", "o":
-		pol = core.PROPO
-	default:
-		fail(fmt.Errorf("unknown policy %q", *policy))
-	}
-	pcfg := core.DefaultConfig(pol)
-	pcfg.NHops = *nhops
-	pcfg.M = *m
-	p, err := core.New(o, pcfg, r.Split())
-	if err != nil {
-		fail(err)
-	}
-
-	phys := net.MeanLinkLatency()
-	fmt.Printf("%s\n", net)
-	fmt.Printf("overlay: %d peers, %d links, mean link %.1f ms, stretch %.2f\n",
-		o.NumAlive(), o.Logical.NumEdges(), o.MeanLinkLatency(), o.Stretch(phys))
-	fmt.Printf("running %s for %.0f simulated minutes (nhops=%d, m=%d)\n\n",
-		pol, *minutes, pcfg.NHops, p.M())
-
-	if !*quiet {
-		p.Trace = func(ev core.ExchangeEvent) {
-			fmt.Printf("t=%7.1fmin  exchange %4d <-> %-4d  Var=%8.1f ms  moved=%d\n",
-				float64(ev.At)/60000, ev.U, ev.V, ev.Var, ev.Moved)
-		}
-	}
-	e := event.New()
-	p.Start(e)
-	e.RunUntil(event.Time(*minutes * 60000))
-
-	fmt.Printf("\nafter:   mean link %.1f ms, stretch %.2f\n", o.MeanLinkLatency(), o.Stretch(phys))
-	fmt.Printf("probes=%d exchanges=%d rejected=%d walk-failures=%d\n",
-		p.Counters.Probes, p.Counters.Exchanges, p.Counters.Rejected, p.Counters.WalkFailures)
-	fmt.Printf("messages: walk=%d measure=%d notify=%d (%.1f probe msgs/adjustment)\n",
-		p.Counters.WalkMessages, p.Counters.MeasureMessages, p.Counters.NotifyMessages,
-		p.Counters.MessagesPerAdjustment())
-	if !o.Connected() {
-		fail(fmt.Errorf("overlay disconnected — invariant violation"))
-	}
-	fmt.Println("overlay connectivity: intact")
 }
 
 func fail(err error) {

@@ -29,30 +29,27 @@ func main() {
 		dot     = flag.String("dot", "", "write the topology as Graphviz DOT to this file ('-' for stdout)")
 	)
 	flag.Parse()
+	if *sample < 0 {
+		fail(fmt.Errorf("-sample %d, want >= 0", *sample))
+	}
 
-	var cfg netsim.Config
-	switch *preset {
-	case "ts-large":
-		cfg = netsim.TSLarge()
-	case "ts-small":
-		cfg = netsim.TSSmall()
-	case "custom":
-		cfg = netsim.TSLarge()
+	cfg, err := netsim.Preset(*preset)
+	if *preset == "custom" {
+		cfg, err = netsim.TSLarge(), nil
 		cfg.Name = "custom"
 		cfg.TransitDomains = *domains
 		cfg.TransitNodesPerDomain = *transit
 		cfg.StubDomainsPerTransit = *stubs
 		cfg.NodesPerStub = *hosts
-	default:
-		fmt.Fprintf(os.Stderr, "topogen: unknown preset %q\n", *preset)
-		os.Exit(2)
+	}
+	if err != nil {
+		fail(err)
 	}
 
 	r := rng.New(*seed)
 	net, err := netsim.Generate(cfg, r)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "topogen: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 	fmt.Println(net)
 	fmt.Printf("transit domains: %d, transit/domain: %d, stub domains/transit: %d, hosts/stub: %d\n",
@@ -63,8 +60,7 @@ func main() {
 		if *dot != "-" {
 			f, err := os.Create(*dot)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "topogen: %v\n", err)
-				os.Exit(1)
+				fail(err)
 			}
 			defer f.Close()
 			out = f
@@ -83,8 +79,7 @@ func main() {
 				return ""
 			})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "topogen: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		if *dot != "-" {
 			fmt.Printf("wrote DOT to %s\n", *dot)
@@ -113,4 +108,9 @@ func main() {
 	}
 	fmt.Printf("host-pair latency (ms): mean=%.1f p10=%.1f p50=%.1f p90=%.1f max=%.1f (n=%d pairs)\n",
 		sum/float64(len(lat)), pct(0.10), pct(0.50), pct(0.90), lat[len(lat)-1], len(lat))
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "topogen: %v\n", err)
+	os.Exit(1)
 }

@@ -3,6 +3,7 @@ package audit
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestRecorderWindowAndSeq(t *testing.T) {
 }
 
 func TestSinkRoundTrip(t *testing.T) {
-	cfg := SessionConfig{Seed: 7, Nodes: 10, Policy: "PROP-O", Minutes: 5, Preset: "small"}
+	cfg := SessionConfig{Seed: 7, Nodes: 10, Policy: "PROP-O", Minutes: 5, Preset: "ts-small"}
 	var buf bytes.Buffer
 	sink := NewSink(&buf, cfg)
 	recs := []Record{
@@ -215,11 +216,20 @@ func TestLookupTerminationInvariant(t *testing.T) {
 }
 
 func TestSessionConfigValidation(t *testing.T) {
-	if _, err := RunSession(SessionConfig{Policy: "PROP-X"}, nil); err == nil {
-		t.Fatal("bad policy accepted")
-	}
-	if _, err := RunSession(SessionConfig{Preset: "huge"}, nil); err == nil {
-		t.Fatal("bad preset accepted")
+	for _, cfg := range []SessionConfig{
+		{Policy: "PROP-X"},
+		{Preset: "huge"},
+		{Preset: "small"}, // the version-1 name
+		{Nodes: -5},
+		{Minutes: math.NaN()},
+		{Minutes: math.Inf(1)},
+		{Minutes: -1},
+		{Fault: "bogus"},
+		{Fault: "drop-edge", FaultAfter: -1},
+	} {
+		if _, err := RunSession(cfg, nil); err == nil {
+			t.Errorf("%+v accepted", cfg)
+		}
 	}
 }
 

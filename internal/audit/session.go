@@ -2,16 +2,18 @@
 // run — physical network, overlay, protocol, schedule — so a recorded trace
 // can be replayed bit-for-bit and a failing run can be shrunk to the
 // smallest event prefix that still reproduces its violation. This is the
-// engine behind `proptrace record` and `proptrace replay`.
+// engine behind every `proptrace` run: bare, `record` and `replay`.
 package audit
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/gnutella"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/overlay"
 	"repro/internal/rng"
@@ -33,7 +35,8 @@ type SessionConfig struct {
 	M int `json:"m,omitempty"`
 	// Minutes is the simulated duration (default 30).
 	Minutes float64 `json:"minutes"`
-	// Preset selects the physical network: "small" (default) or "large".
+	// Preset names the physical network, a netsim.Preset: "ts-small"
+	// (default) or "ts-large".
 	Preset string `json:"preset"`
 	// Interval is the auditor sampling interval; <= 0 selects the build
 	// default (every event under -tags auditstrict).
@@ -51,9 +54,9 @@ type SessionConfig struct {
 	FaultAfter int `json:"fault_after,omitempty"`
 }
 
-// withDefaults fills unset fields. Replay depends on this being applied
+// WithDefaults fills unset fields. Replay depends on this being applied
 // identically on record and replay, so it is part of the trace contract.
-func (c SessionConfig) withDefaults() SessionConfig {
+func (c SessionConfig) WithDefaults() SessionConfig {
 	if c.Nodes == 0 {
 		c.Nodes = 48
 	}
@@ -67,7 +70,7 @@ func (c SessionConfig) withDefaults() SessionConfig {
 		c.Minutes = 30
 	}
 	if c.Preset == "" {
-		c.Preset = "small"
+		c.Preset = netsim.TSSmall().Name
 	}
 	return c
 }
@@ -83,29 +86,51 @@ func (c SessionConfig) policy() (core.Policy, error) {
 	return 0, fmt.Errorf("audit: unknown policy %q (want PROP-G or PROP-O)", c.Policy)
 }
 
-// preset parses the Preset field.
-func (c SessionConfig) preset() (netsim.Config, error) {
-	switch strings.ToLower(c.Preset) {
-	case "small":
-		return netsim.TSSmall(), nil
-	case "large":
-		return netsim.TSLarge(), nil
+// validate rejects a defaulted config no session can run: it is checked
+// before the first random draw, so a bad command line fails fast.
+func (c SessionConfig) validate() error {
+	switch {
+	case c.Nodes < 2:
+		return fmt.Errorf("audit: %d nodes, want >= 2", c.Nodes)
+	case c.MaxEvents == 0 && !(c.Minutes > 0 && !math.IsInf(c.Minutes, 1)):
+		return fmt.Errorf("audit: %v minutes, want finite and > 0", c.Minutes)
+	case c.Fault != "" && c.Fault != "ghost-edge" && c.Fault != "drop-edge":
+		return fmt.Errorf("audit: unknown fault %q (want ghost-edge or drop-edge)", c.Fault)
+	case c.FaultAfter < 0:
+		return fmt.Errorf("audit: fault after %d exchanges, want >= 0", c.FaultAfter)
 	}
-	return netsim.Config{}, fmt.Errorf("audit: unknown preset %q (want small or large)", c.Preset)
+	return nil
+}
+
+// Session is one finished audited session: the auditor's report and the
+// world it ran on.
+type Session struct {
+	*Auditor
+	// Net is the session's physical network.
+	Net *netsim.Network
+	// Overlay is the optimized overlay as the last event left it.
+	Overlay *overlay.Overlay
+	// Counters are the protocol's message and probe tallies.
+	Counters metrics.Counters
+	// BeforeMS is the overlay's mean link latency before the first event.
+	BeforeMS float64
 }
 
 // RunSession executes one audited session described by cfg. Every traced
-// record is forwarded to emit (which may be nil); the returned auditor holds
-// the violation report. A final invariant evaluation always runs after the
-// last event, so a corrupted run is flagged even if the sampling interval
-// skipped the corrupting event.
-func RunSession(cfg SessionConfig, emit func(Record)) (*Auditor, error) {
-	cfg = cfg.withDefaults()
+// record is forwarded to emit (which may be nil); the returned session's
+// auditor holds the violation report. A final invariant evaluation always
+// runs after the last event, so a corrupted run is flagged even if the
+// sampling interval skipped the corrupting event.
+func RunSession(cfg SessionConfig, emit func(Record)) (*Session, error) {
+	cfg = cfg.WithDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	pol, err := cfg.policy()
 	if err != nil {
 		return nil, err
 	}
-	preset, err := cfg.preset()
+	preset, err := netsim.Preset(cfg.Preset)
 	if err != nil {
 		return nil, err
 	}
@@ -116,12 +141,7 @@ func RunSession(cfg SessionConfig, emit func(Record)) (*Auditor, error) {
 		return nil, err
 	}
 	oracle := netsim.NewOracle(net)
-	hosts := append([]int(nil), net.StubHosts...)
-	r.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
-	if cfg.Nodes < len(hosts) {
-		hosts = hosts[:cfg.Nodes]
-	}
-	o, err := gnutella.Build(hosts, gnutella.DefaultConfig(), oracle.Latency, r)
+	o, err := gnutella.Build(net.PickHosts(cfg.Nodes, r), gnutella.DefaultConfig(), oracle.Latency, r)
 	if err != nil {
 		return nil, err
 	}
@@ -162,6 +182,7 @@ func RunSession(cfg SessionConfig, emit func(Record)) (*Auditor, error) {
 			A: pe.U, B: pe.Partner, Val: exch})
 	}
 
+	before := o.MeanLinkLatency()
 	prot.Start(eng)
 	if cfg.MaxEvents > 0 {
 		for eng.Steps() < cfg.MaxEvents && eng.Step() {
@@ -170,7 +191,7 @@ func RunSession(cfg SessionConfig, emit func(Record)) (*Auditor, error) {
 		eng.RunUntil(event.Time(cfg.Minutes * 60_000))
 	}
 	a.CheckNow()
-	return a, nil
+	return &Session{Auditor: a, Net: net, Overlay: o, Counters: prot.Counters, BeforeMS: before}, nil
 }
 
 // injectFault corrupts the overlay behind the protocol's back — the mutation
@@ -194,8 +215,6 @@ func injectFault(o *overlay.Overlay, fault string, ev core.ExchangeEvent) {
 			o.RemoveEdge(ev.U, nb)
 			return
 		}
-	default:
-		panic(fmt.Sprintf("audit: unknown fault %q", fault))
 	}
 }
 
@@ -229,7 +248,7 @@ func Replay(cfg SessionConfig, want []Record) error {
 // name. It returns the shrunk config and the violation observed at that
 // bound. Shrinking a clean session is an error.
 func Shrink(cfg SessionConfig, name string) (SessionConfig, *Violation, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	full, err := RunSession(cfg, nil)
 	if err != nil {
 		return cfg, nil, err

@@ -137,8 +137,9 @@ func (rc *Recorder) Total() uint64 { return rc.total }
 // TraceFormat identifies the trace file format.
 const TraceFormat = "prop-audit-trace"
 
-// TraceVersion is the current trace file version.
-const TraceVersion = 1
+// TraceVersion is the current trace file version. Version 2 names the
+// preset as netsim.Preset does ("ts-small", not "small").
+const TraceVersion = 2
 
 // Header is the first line of a trace file: it carries the full session
 // configuration, which is what makes the trace deterministically replayable.

@@ -258,7 +258,7 @@ func Run(cfg Config) (*Result, error) {
 
 	start := time.Now()
 	lb := transport.NewLoopback(transport.LoopbackConfig{
-		DelayMS: func(a, b int) float64 { return chaosLat(a, b) / 2 },
+		DelayMS: func(a, b int) float64 { return propnode.ClusterLat(a, b) / 2 },
 		Faults:  inj,
 		Queue:   cfg.Queue,
 	})
@@ -272,7 +272,7 @@ func Run(cfg Config) (*Result, error) {
 		HeartbeatIntervalMS: 10,
 		HeartbeatTimeout:    10 * time.Millisecond,
 		SuspicionThreshold:  3,
-		Lat:                 chaosLat,
+		Lat:                 propnode.ClusterLat,
 		Seed:                cfg.Seed,
 	})
 	hosts := make([]int, cfg.N)
@@ -403,17 +403,4 @@ func auditNow(rt *propnode.Runtime) string {
 		}
 	})
 	return verdict
-}
-
-// chaosLat is the harness's two-cluster ground truth (same parity 1ms,
-// cross-parity 20ms) — enough latency structure for PROP to keep optimizing
-// while the harness tears the membership apart.
-func chaosLat(a, b int) float64 {
-	if a == b {
-		return 0
-	}
-	if a%2 == b%2 {
-		return 1
-	}
-	return 20
 }

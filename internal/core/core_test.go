@@ -433,10 +433,7 @@ func TestOnTransitStubNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := netsim.NewOracle(net)
-	hosts := append([]int(nil), net.StubHosts...)
-	r.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
-	hosts = hosts[:400]
-	o, err := gnutella.Build(hosts, gnutella.DefaultConfig(), oracle.Latency, r)
+	o, err := gnutella.Build(net.PickHosts(400, r), gnutella.DefaultConfig(), oracle.Latency, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ package event
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -110,8 +111,12 @@ func (e *Engine) Step() bool {
 // RunUntil executes events in order until the clock would pass deadline or
 // the queue drains. Events scheduled exactly at the deadline run. On return
 // the clock is advanced to the deadline (even if the queue drained earlier)
-// so that periodic measurement loops observe uniform time.
+// so that periodic measurement loops observe uniform time. A NaN deadline
+// panics.
 func (e *Engine) RunUntil(deadline Time) {
+	if math.IsNaN(float64(deadline)) { // no event would ever be past it
+		panic("event: RunUntil at NaN")
+	}
 	for len(e.queue) > 0 {
 		next := e.peek()
 		if next == nil {

@@ -66,6 +66,13 @@ func TestSchedulingInPastPanics(t *testing.T) {
 			e.At(at, func(*Engine) {})
 		}()
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("RunUntil(NaN) did not panic")
+		}
+	}()
+	e.At(200, func(*Engine) {})
+	e.RunUntil(Time(math.NaN()))
 }
 
 func TestNilHandlerPanics(t *testing.T) {

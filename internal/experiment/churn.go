@@ -44,7 +44,7 @@ func (c *trialCtx) newChurnWorld(prefix string, build func(e *env, active []int)
 		e.instrumentOracle(c.tr, prefix)
 	}
 	n := scaled(1000, c.Scale, 100)
-	hosts := e.pickHosts(len(e.net.StubHosts)) // all hosts, shuffled
+	hosts := e.net.PickHosts(len(e.net.StubHosts), e.r) // all hosts, shuffled
 	n = min(n, len(hosts))
 	pool := append([]int(nil), hosts[n:]...) // joiners draw from here
 	o, m, err := build(e, hosts[:n])

@@ -56,7 +56,7 @@ var (
 	pastryStudy = study{"Pastry", func(e *env, n, count int, prox bool) (*overlay.Overlay, func(), func() float64, error) {
 		cfg := pastry.DefaultConfig()
 		cfg.Proximity = prox
-		mesh, err := pastry.Build(e.pickHosts(n), cfg, e.oracle.Latency, e.r)
+		mesh, err := pastry.Build(e.net.PickHosts(n, e.r), cfg, e.oracle.Latency, e.r)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -71,7 +71,7 @@ var (
 	kademliaStudy = study{"Kademlia", func(e *env, n, count int, prox bool) (*overlay.Overlay, func(), func() float64, error) {
 		cfg := kademlia.DefaultConfig()
 		cfg.Proximity = prox
-		net, err := kademlia.Build(e.pickHosts(n), cfg, e.oracle.Latency, e.r)
+		net, err := kademlia.Build(e.net.PickHosts(n, e.r), cfg, e.oracle.Latency, e.r)
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -47,31 +47,19 @@ func (c *trialCtx) gnutellaWorld(prefix string) (*env, *overlay.Overlay, error) 
 	return e, o, err
 }
 
-// pickHosts selects n distinct stub hosts uniformly at random; n is capped
-// at the number of stub hosts ("PROP-G is still effective even when almost
-// all physical nodes are chosen").
-func (e *env) pickHosts(n int) []int {
-	hosts := append([]int(nil), e.net.StubHosts...)
-	e.r.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
-	if n > len(hosts) {
-		n = len(hosts)
-	}
-	return hosts[:n]
-}
-
 // buildGnutella constructs an n-peer unstructured overlay on this network.
 func (e *env) buildGnutella(n int) (*overlay.Overlay, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("experiment: overlay size %d too small", n)
 	}
-	return gnutella.Build(e.pickHosts(n), gnutella.DefaultConfig(), e.oracle.Latency, e.r)
+	return gnutella.Build(e.net.PickHosts(n, e.r), gnutella.DefaultConfig(), e.oracle.Latency, e.r)
 }
 
 // buildChord constructs an n-node Chord ring, optionally with PNS fingers.
 func (e *env) buildChord(n int, pns bool) (*chord.Ring, error) {
 	cfg := chord.DefaultConfig()
 	cfg.PNS = pns
-	return chord.Build(e.pickHosts(n), cfg, e.oracle.Latency, e.r)
+	return chord.Build(e.net.PickHosts(n, e.r), cfg, e.oracle.Latency, e.r)
 }
 
 // buildCAN constructs an n-node CAN, optionally with PIS landmark binning.
@@ -81,7 +69,7 @@ func (e *env) buildCAN(n int, pis bool) (*can.Space, error) {
 	if pis {
 		cfg.Landmarks = e.pickLandmarks(3)
 	}
-	return can.Build(e.pickHosts(n), cfg, e.oracle.Latency, e.r)
+	return can.Build(e.net.PickHosts(n, e.r), cfg, e.oracle.Latency, e.r)
 }
 
 // pickLandmarks returns k transit routers spread across domains: the

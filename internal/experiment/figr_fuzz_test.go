@@ -48,11 +48,7 @@ func FuzzFaultScheduleInvariants(f *testing.F) {
 			t.Fatal(err)
 		}
 		oracle := netsim.NewOracle(net)
-		hosts := append([]int(nil), net.StubHosts...)
-		if len(hosts) > 32 {
-			hosts = hosts[:32]
-		}
-		o, err := gnutella.Build(hosts, gnutella.DefaultConfig(), oracle.Latency, r)
+		o, err := gnutella.Build(net.PickHosts(32, r), gnutella.DefaultConfig(), oracle.Latency, r)
 		if err != nil {
 			t.Fatal(err)
 		}

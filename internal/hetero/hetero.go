@@ -23,7 +23,6 @@ import (
 	"sort"
 
 	"repro/internal/overlay"
-	"repro/internal/rng"
 )
 
 // Config describes a bimodal processing-delay population.
@@ -91,20 +90,6 @@ func AssignByDegree(o *overlay.Overlay, cfg Config) (*Model, error) {
 	m := &Model{cfg: cfg, o: o, fastHosts: make(map[int]bool)}
 	for _, s := range slots[:fastCount(cfg.FastFraction, len(slots))] {
 		m.fastHosts[o.HostOf(s)] = true
-	}
-	return m, nil
-}
-
-// AssignRandom marks a uniformly random FastFraction of live machines fast.
-func AssignRandom(o *overlay.Overlay, cfg Config, r *rng.Rand) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	hosts := o.Hosts()
-	r.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
-	m := &Model{cfg: cfg, o: o, fastHosts: make(map[int]bool)}
-	for _, h := range hosts[:fastCount(cfg.FastFraction, len(hosts))] {
-		m.fastHosts[h] = true
 	}
 	return m, nil
 }

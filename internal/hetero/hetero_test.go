@@ -114,28 +114,11 @@ func TestSpeedTravelsWithHost(t *testing.T) {
 	}
 }
 
-func TestAssignRandomFraction(t *testing.T) {
-	o := buildOverlay(t, 400)
-	m, err := AssignRandom(o, DefaultConfig(), rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(m.FastHosts()); got != 80 {
-		t.Fatalf("fast count = %d, want 80", got)
-	}
-	if got := len(m.FastSlots()); got != 80 {
-		t.Fatalf("fast slots = %d, want 80", got)
-	}
-}
-
 func TestAssignRejectsBadConfig(t *testing.T) {
 	o := buildOverlay(t, 10)
 	bad := Config{FastDelayMS: 5, SlowDelayMS: 1, FastFraction: 0.5}
 	if _, err := AssignByDegree(o, bad); err == nil {
 		t.Error("AssignByDegree accepted bad config")
-	}
-	if _, err := AssignRandom(o, bad, rng.New(1)); err == nil {
-		t.Error("AssignRandom accepted bad config")
 	}
 }
 

@@ -95,6 +95,16 @@ func TSSmall() Config {
 	}
 }
 
+// Preset returns the preset whose Name is name: "ts-large" or "ts-small".
+func Preset(name string) (Config, error) {
+	for _, c := range []Config{TSLarge(), TSSmall()} {
+		if c.Name == name {
+			return c, nil
+		}
+	}
+	return Config{}, fmt.Errorf("netsim: unknown preset %q (want ts-large or ts-small)", name)
+}
+
 // Validate reports whether the configuration is structurally sound. It also
 // states the underlay's preconditions: link latencies are whole milliseconds,
 // so every path sum is exact in float64 (see NewOracle), and the transit
@@ -151,6 +161,16 @@ type Network struct {
 	StubDomain []int
 	// Config echoes the generator parameters.
 	Config Config
+}
+
+// PickHosts returns k distinct stub hosts drawn uniformly at random by r:
+// a shuffled copy of StubHosts, capped at its length. The paper places every
+// overlay peer this way ("PROP-G is still effective even when almost all
+// physical nodes are chosen").
+func (n *Network) PickHosts(k int, r *rng.Rand) []int {
+	hosts := append([]int(nil), n.StubHosts...)
+	r.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
+	return hosts[:min(k, len(hosts))]
 }
 
 // Generate builds a transit-stub network from cfg using the deterministic

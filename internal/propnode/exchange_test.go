@@ -53,7 +53,7 @@ func quietRuntime(t *testing.T, n int, policy core.Policy, net transport.Network
 		SuspicionThreshold: -1,
 		LinksPerJoin:       2,
 		PingTimeout:        time.Second,
-		Lat:                clusterLat,
+		Lat:                ClusterLat,
 	})
 	if err := rt.Start(hostsN(n)); err != nil {
 		t.Fatalf("start: %v", err)

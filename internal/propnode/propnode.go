@@ -42,21 +42,15 @@ import (
 // Config parameterizes a live runtime. Zero values select the defaults
 // noted on each field.
 type Config struct {
-	// Policy selects PROP-G (host swap) or PROP-O (m-neighbor trade).
+	// Policy selects PROP-G (host swap) or PROP-O (m-neighbor trade). The
+	// walk TTL, warm-up length and back-off cap are core.DefaultConfig's
+	// for it, and PROP-O trades the overlay's min degree at start.
 	Policy core.Policy
-	// NHops is the probing walk's TTL (default 2, the paper's choice).
-	NHops int
-	// M is the PROP-O trade size (0 = the overlay's min degree at start).
-	M int
 	// MinVar is the exchange threshold (§4.2 derives 0).
 	MinVar float64
 	// ProbeIntervalMS is INIT_TIMER on the wall clock (default 50ms — scaled
 	// down from the paper's minute so tests converge in test time).
 	ProbeIntervalMS float64
-	// MaxInitTrials is the warm-up length (default 10).
-	MaxInitTrials int
-	// MaxTimerFactor caps the Markov back-off (default 32).
-	MaxTimerFactor float64
 	// PingTimeout is the first-attempt deadline of every call — pings,
 	// measurement RPCs, walks (default 50ms; retransmits double it).
 	PingTimeout time.Duration
@@ -90,17 +84,8 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.NHops == 0 {
-		c.NHops = 2
-	}
 	if c.ProbeIntervalMS == 0 {
 		c.ProbeIntervalMS = 50
-	}
-	if c.MaxInitTrials == 0 {
-		c.MaxInitTrials = 10
-	}
-	if c.MaxTimerFactor == 0 {
-		c.MaxTimerFactor = 32
 	}
 	if c.PingTimeout == 0 {
 		c.PingTimeout = 50 * time.Millisecond
@@ -123,6 +108,20 @@ func (c *Config) fill() {
 	if c.Lat == nil {
 		c.Lat = func(a, b int) float64 { return 0 }
 	}
+}
+
+// ClusterLat is the loopback demo's ground truth, which the chaos harness
+// and this package's tests share: a two-cluster latency model in which
+// same-parity hosts are 1ms apart and cross-parity hosts 20ms, so
+// location-aware exchanges have an obvious optimum to find.
+func ClusterLat(a, b int) float64 {
+	if a == b {
+		return 0
+	}
+	if a%2 == b%2 {
+		return 1
+	}
+	return 20
 }
 
 // Counters tallies the runtime's protocol activity. Snapshot via
@@ -161,8 +160,9 @@ type Counters struct {
 
 // Runtime is a set of live PROP agents over one transport network.
 type Runtime struct {
-	cfg Config
-	net transport.Network
+	cfg    Config
+	kernel core.Config // the §3.2 walk and timer parameters, on ProbeIntervalMS
+	net    transport.Network
 
 	mu          sync.Mutex
 	o           *overlay.Overlay
@@ -215,8 +215,11 @@ type agent struct {
 // anything.
 func New(net transport.Network, cfg Config) *Runtime {
 	cfg.fill()
+	kernel := core.DefaultConfig(cfg.Policy)
+	kernel.InitTimerMS = cfg.ProbeIntervalMS
 	return &Runtime{
 		cfg:         cfg,
+		kernel:      kernel,
 		net:         net,
 		members:     gnutella.Net{Config: gnutella.Config{LinksPerJoin: cfg.LinksPerJoin}},
 		r:           rng.New(cfg.Seed),
@@ -239,13 +242,7 @@ func (rt *Runtime) Start(hosts []int) error {
 		return fmt.Errorf("propnode: build overlay: %w", err)
 	}
 	rt.o, rt.members.O = o, o
-	rt.m = rt.cfg.M
-	if rt.m == 0 {
-		rt.m = o.Logical.MinDegree()
-		if rt.m < 1 {
-			rt.m = 1
-		}
-	}
+	rt.m = max(o.Logical.MinDegree(), 1)
 	for _, h := range hosts {
 		if err := rt.spawnLocked(h); err != nil {
 			return err
@@ -356,11 +353,6 @@ func (rt *Runtime) Stop() {
 // and is reset by churn kicks.
 func (rt *Runtime) runAgent(a *agent, stagger time.Duration) {
 	defer rt.wg.Done()
-	kernel := core.Config{
-		InitTimerMS:    rt.cfg.ProbeIntervalMS,
-		MaxInitTrials:  rt.cfg.MaxInitTrials,
-		MaxTimerFactor: rt.cfg.MaxTimerFactor,
-	}
 	timer := time.NewTimer(stagger)
 	defer timer.Stop()
 	for {
@@ -380,7 +372,7 @@ func (rt *Runtime) runAgent(a *agent, stagger time.Duration) {
 			continue
 		case <-timer.C:
 		}
-		next := a.peer.Finish(rt.probeOnce(a), kernel)
+		next := a.peer.Finish(rt.probeOnce(a), rt.kernel)
 		timer.Reset(time.Duration(next * float64(time.Millisecond)))
 	}
 }
@@ -412,7 +404,7 @@ func (rt *Runtime) probeOnce(a *agent) bool {
 	a.sc.Path = append(a.sc.Path[:0], u, s)
 	walkReq := transport.Message{
 		Type:  transport.TWalk,
-		TTL:   uint8(rt.cfg.NHops - 1),
+		TTL:   uint8(rt.kernel.NHops - 1),
 		Epoch: a.epoch,
 		Key:   uint32(a.host),
 		Path:  a.sc.Path,

@@ -14,20 +14,7 @@ import (
 	"repro/internal/transport"
 )
 
-// clusterLat is a two-cluster latency model with an obvious optimum: hosts
-// with equal parity are close (1ms), cross-parity pairs are far (20ms), so
-// location-aware exchanges have real gains to find.
-func clusterLat(a, b int) float64 {
-	if a == b {
-		return 0
-	}
-	if a%2 == b%2 {
-		return 1
-	}
-	return 20
-}
-
-func clusterHalf(a, b int) float64 { return clusterLat(a, b) / 2 }
+func clusterHalf(a, b int) float64 { return ClusterLat(a, b) / 2 }
 
 func hostsN(n int) []int {
 	hosts := make([]int, n)
@@ -49,7 +36,7 @@ func startRuntime(t *testing.T, n int, cfg Config, inj *faults.Injector) *Runtim
 	if cfg.Retries == 0 {
 		cfg.Retries = 4
 	}
-	cfg.Lat = clusterLat
+	cfg.Lat = ClusterLat
 	rt := New(lb, cfg)
 	if err := rt.Start(hostsN(n)); err != nil {
 		t.Fatalf("start: %v", err)
@@ -297,7 +284,7 @@ func TestRuntimeMeasureRelayFailurePoisonsExchange(t *testing.T) {
 	if _, err := rt.measureFrom(a, 5, 987654); err == nil {
 		t.Fatal("relay to measure an absent host succeeded")
 	}
-	if math.IsNaN(clusterLat(0, 1)) {
+	if math.IsNaN(ClusterLat(0, 1)) {
 		t.Fatal("unreachable")
 	}
 }
