@@ -274,32 +274,14 @@ func axisIntervalDist(t, lo, hi float64) float64 {
 	return math.Min(torusAxisDist(t, lo), torusAxisDist(t, hi))
 }
 
-// RouteResult describes one greedy CAN routing.
-type RouteResult struct {
-	// Owner is the slot whose zone contains the target point.
-	Owner int
-	// Hops is the number of overlay hops traversed.
-	Hops int
-	// Latency is the summed physical hop latency plus processing delays.
-	Latency float64
-	// Path lists visited slots.
-	Path []int
-}
-
-// Route greedily forwards from slot src toward the target point, always
-// moving to the neighbor zone nearest the target (ties to the lowest slot;
-// visited zones are never re-entered). proc, if non-nil, adds per-hop
-// processing delay.
-func (sp *Space) Route(src int, target Point, proc overlay.ProcDelayFunc) (RouteResult, error) {
-	if !sp.O.Alive(src) {
-		return RouteResult{}, fmt.Errorf("can: route from dead slot %d", src)
-	}
-	owner := sp.ZoneOf(target)
-	res := RouteResult{Owner: owner, Path: []int{src}}
+// Route greedily forwards from slot src to the owner of the target point
+// (overlay.Route, within len(Zones) hops), always moving to the neighbor
+// zone nearest the target (ties to the lowest slot; visited zones are never
+// re-entered). proc, if non-nil, adds per-hop processing delay.
+func (sp *Space) Route(src int, target Point, proc overlay.ProcDelayFunc) (overlay.LookupResult, error) {
 	visited := map[int]bool{src: true}
-	cur := src
-	for cur != owner {
-		best, bestD := -1, math.Inf(1)
+	return sp.O.Route(src, sp.ZoneOf(target), len(sp.Zones), func(cur int) int {
+		best, bestD := cur, math.Inf(1)
 		for _, nb := range sp.O.Neighbors(cur) {
 			if visited[nb] || !sp.O.Alive(nb) {
 				continue
@@ -309,20 +291,7 @@ func (sp *Space) Route(src int, target Point, proc overlay.ProcDelayFunc) (Route
 				best, bestD = nb, d
 			}
 		}
-		if best < 0 {
-			return res, fmt.Errorf("can: routing stuck at slot %d toward %+v", cur, target)
-		}
-		res.Latency += sp.O.Dist(cur, best)
-		if proc != nil {
-			res.Latency += proc(best)
-		}
-		res.Hops++
-		res.Path = append(res.Path, best)
 		visited[best] = true
-		cur = best
-		if res.Hops > len(sp.Zones) {
-			return res, fmt.Errorf("can: routing exceeded %d hops", len(sp.Zones))
-		}
-	}
-	return res, nil
+		return best
+	}, proc)
 }

@@ -23,9 +23,8 @@ type dhtAdapter struct{ *Space }
 
 func (a dhtAdapter) Overlay() *overlay.Overlay { return a.O }
 func (a dhtAdapter) Owner(key uint32) int      { return a.ZoneOf(keyPoint(key)) }
-func (a dhtAdapter) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (int, int, float64, error) {
-	res, err := a.Route(src, keyPoint(key), proc)
-	return res.Owner, res.Hops, res.Latency, err
+func (a dhtAdapter) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (overlay.LookupResult, error) {
+	return a.Route(src, keyPoint(key), proc)
 }
 
 // builder builds CANs for the dhttest harness, with PIS over the first and

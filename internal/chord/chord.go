@@ -13,15 +13,14 @@
 // finger entry is chosen as the physically nearest node within the finger
 // interval rather than the interval's first successor.
 //
-// Key types: Ring (identifier ring, finger tables, successor lists) and
-// LookupResult. See DESIGN.md §1 for the inventory entry and §2 for the
-// Fig. 6 experiments built on it.
+// Key type: Ring (identifier ring, finger tables, successor lists); its
+// lookups run overlay.Route. See DESIGN.md §1 for the inventory entry and §2
+// for the Fig. 6 experiments built on it.
 package chord
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/overlay"
 	"repro/internal/rng"
@@ -81,30 +80,12 @@ func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*Ring
 	}
 	ring := &Ring{
 		O:       o,
-		ID:      make([]uint32, n),
+		ID:      overlay.UniqueIDs(n, r),
 		fingers: make([][]int, n),
 		succ:    make([][]int, n),
 		cfg:     cfg,
 	}
-	// Distinct random IDs.
-	used := make(map[uint32]bool, n)
-	for s := 0; s < n; s++ {
-		for {
-			id := uint32(r.Uint64())
-			if !used[id] {
-				used[id] = true
-				ring.ID[s] = id
-				break
-			}
-		}
-	}
-	ring.sorted = make([]int, n)
-	for s := range ring.sorted {
-		ring.sorted[s] = s
-	}
-	sort.Slice(ring.sorted, func(i, j int) bool {
-		return ring.ID[ring.sorted[i]] < ring.ID[ring.sorted[j]]
-	})
+	ring.sorted = overlay.SortByID(ring.ID)
 	ring.rebuildTables()
 	return ring, nil
 }
@@ -169,20 +150,11 @@ func (ring *Ring) Refresh() {
 // ownerOf returns the slot responsible for id: the first slot whose ID is
 // >= id, wrapping around the ring.
 func (ring *Ring) ownerOf(id uint64) int {
-	ids := ring.sorted
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if uint64(ring.ID[ids[mid]]) >= id {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	i := overlay.SearchID(ring.sorted, ring.ID, uint32(id))
+	if i == len(ring.sorted) {
+		return ring.sorted[0] // wrap
 	}
-	if lo == len(ids) {
-		return ids[0] // wrap
-	}
-	return ids[lo]
+	return ring.sorted[i]
 }
 
 // nearestInInterval returns the slot in [start, end) (ring interval,
@@ -236,49 +208,14 @@ func inInterval(id, a, b uint64) bool {
 	return true // a == b: full circle
 }
 
-// LookupResult describes one routed lookup.
-type LookupResult struct {
-	// Owner is the slot responsible for the key.
-	Owner int
-	// Hops is the number of overlay hops traversed.
-	Hops int
-	// Latency is the summed physical latency of the hop sequence, plus any
-	// per-hop processing delay.
-	Latency float64
-	// Path lists the slots visited, source first, owner last.
-	Path []int
-}
-
-// Lookup routes a query for key from the slot src using greedy
-// closest-preceding-finger routing and returns the traversal. proc, if
-// non-nil, adds processing delay at every visited slot after the source.
-func (ring *Ring) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (LookupResult, error) {
-	if !ring.O.Alive(src) {
-		return LookupResult{}, fmt.Errorf("chord: lookup from dead slot %d", src)
-	}
-	owner := ring.ownerOf(uint64(key))
-	res := LookupResult{Owner: owner, Path: []int{src}}
-	cur := src
-	// Safety valve: fingers give O(log n) hops, successor-only fallback is
-	// O(n); routing provably terminates within n + Bits hops.
-	maxHops := len(ring.ID) + Bits
-	for cur != owner {
-		next := ring.nextHop(cur, uint64(key))
-		if next == cur {
-			return res, fmt.Errorf("chord: routing stuck at slot %d for key %d", cur, key)
-		}
-		res.Latency += ring.O.Dist(cur, next)
-		if proc != nil {
-			res.Latency += proc(next)
-		}
-		res.Hops++
-		res.Path = append(res.Path, next)
-		cur = next
-		if res.Hops > maxHops {
-			return res, fmt.Errorf("chord: routing exceeded %d hops for key %d", maxHops, key)
-		}
-	}
-	return res, nil
+// Lookup routes a query for key from the slot src by greedy
+// closest-preceding-finger routing (overlay.Route). proc, if non-nil, adds
+// processing delay at every visited slot after the source. Fingers give
+// O(log n) hops and the successor-only fallback O(n), so routing terminates
+// within n + Bits hops.
+func (ring *Ring) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (overlay.LookupResult, error) {
+	return ring.O.Route(src, ring.ownerOf(uint64(key)), len(ring.ID)+Bits,
+		func(cur int) int { return ring.nextHop(cur, uint64(key)) }, proc)
 }
 
 // nextHop returns the routing step from cur toward key: the successor if

@@ -116,12 +116,6 @@ func TestLookupFindsOwner(t *testing.T) {
 		if res.Owner != ring.Owner(key) {
 			t.Fatalf("lookup reached %d, owner is %d", res.Owner, ring.Owner(key))
 		}
-		if res.Path[0] != src || res.Path[len(res.Path)-1] != res.Owner {
-			t.Fatalf("path endpoints wrong: %v", res.Path)
-		}
-		if res.Hops != len(res.Path)-1 {
-			t.Fatalf("hops %d inconsistent with path %v", res.Hops, res.Path)
-		}
 	}
 }
 

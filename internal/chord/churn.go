@@ -2,8 +2,8 @@ package chord
 
 import (
 	"fmt"
-	"sort"
 
+	"repro/internal/overlay"
 	"repro/internal/rng"
 )
 
@@ -17,18 +17,9 @@ import (
 // Join implements overlay.Membership: a node joins on host with a fresh
 // uniformly random unique identifier (JoinWithID).
 func (ring *Ring) Join(host int, r *rng.Rand) (int, error) {
-	inUse := make(map[uint32]bool, len(ring.sorted))
-	for _, s := range ring.sorted {
-		inUse[ring.ID[s]] = true
-	}
-	var id uint32
-	for {
-		id = uint32(r.Uint64())
-		if !inUse[id] {
-			break
-		}
-	}
-	return ring.JoinWithID(host, id)
+	return ring.JoinWithID(host, overlay.UniqueID(r, func(id uint32) bool {
+		return overlay.HasID(ring.sorted, ring.ID, id)
+	}))
 }
 
 // JoinWithID adds a node on host with a caller-chosen identifier — the
@@ -38,10 +29,8 @@ func (ring *Ring) Join(host int, r *rng.Rand) (int, error) {
 // wired, and so are the successor lists of the ring neighbors that now
 // include it.
 func (ring *Ring) JoinWithID(host int, id uint32) (int, error) {
-	for _, s := range ring.sorted {
-		if ring.ID[s] == id {
-			return -1, fmt.Errorf("chord: identifier %d already in use by slot %d", id, s)
-		}
+	if overlay.HasID(ring.sorted, ring.ID, id) {
+		return -1, fmt.Errorf("chord: identifier %d already in use", id)
 	}
 	slot, err := ring.O.AddSlot(host)
 	if err != nil {
@@ -59,11 +48,8 @@ func (ring *Ring) JoinWithID(host int, id uint32) (int, error) {
 	for len(ring.fingers) <= slot {
 		ring.fingers = append(ring.fingers, nil)
 	}
-	// Insert into the sorted ring.
-	i := sort.Search(len(ring.sorted), func(k int) bool { return ring.ID[ring.sorted[k]] >= id })
-	ring.sorted = append(ring.sorted, 0)
-	copy(ring.sorted[i+1:], ring.sorted[i:])
-	ring.sorted[i] = slot
+	var i int
+	ring.sorted, i = overlay.InsertByID(ring.sorted, ring.ID, slot)
 
 	// The newcomer's own tables.
 	ring.rebuildNode(slot)
@@ -88,7 +74,7 @@ func (ring *Ring) Leave(slot int, _ *rng.Rand) error {
 		return fmt.Errorf("chord: refusing to shrink below 2 nodes")
 	}
 	// Locate and remove from the sorted ring.
-	i := sort.Search(len(ring.sorted), func(k int) bool { return ring.ID[ring.sorted[k]] >= ring.ID[slot] })
+	i := overlay.SearchID(ring.sorted, ring.ID, ring.ID[slot])
 	if i >= len(ring.sorted) || ring.sorted[i] != slot {
 		return fmt.Errorf("chord: slot %d not in ring order", slot)
 	}
@@ -138,7 +124,7 @@ func (ring *Ring) FixFingers(slot int) error {
 // its links into the logical graph.
 func (ring *Ring) rebuildNode(slot int) {
 	n := len(ring.sorted)
-	i := sort.Search(n, func(k int) bool { return ring.ID[ring.sorted[k]] >= ring.ID[slot] })
+	i := overlay.SearchID(ring.sorted, ring.ID, ring.ID[slot])
 	succ := make([]int, 0, ring.cfg.SuccessorListLen)
 	for k := 1; k <= ring.cfg.SuccessorListLen && k < n; k++ {
 		succ = append(succ, ring.sorted[(i+k)%n])
@@ -178,9 +164,3 @@ func (ring *Ring) mirrorNode(slot int) {
 		}
 	}
 }
-
-// Alive reports whether the slot is a live ring member.
-func (ring *Ring) Alive(slot int) bool { return ring.O.Alive(slot) }
-
-// Size returns the current ring membership count.
-func (ring *Ring) Size() int { return len(ring.sorted) }

@@ -13,8 +13,8 @@ func TestJoinGrowsRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ring.Size() != 33 || !ring.Alive(slot) {
-		t.Fatalf("size=%d alive=%v", ring.Size(), ring.Alive(slot))
+	if len(ring.sorted) != 33 || !ring.O.Alive(slot) {
+		t.Fatalf("size=%d alive=%v", len(ring.sorted), ring.O.Alive(slot))
 	}
 	// Ring order must remain sorted and include the newcomer.
 	for i := 1; i < len(ring.sorted); i++ {
@@ -70,8 +70,8 @@ func TestLeaveShrinksRing(t *testing.T) {
 	if err := ring.Leave(victim, nil); err != nil {
 		t.Fatal(err)
 	}
-	if ring.Size() != 31 || ring.Alive(victim) {
-		t.Fatalf("size=%d alive=%v", ring.Size(), ring.Alive(victim))
+	if len(ring.sorted) != 31 || ring.O.Alive(victim) {
+		t.Fatalf("size=%d alive=%v", len(ring.sorted), ring.O.Alive(victim))
 	}
 	if err := ring.Leave(victim, nil); err == nil {
 		t.Fatal("double leave accepted")

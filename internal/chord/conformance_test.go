@@ -8,15 +8,11 @@ import (
 	"repro/internal/rng"
 )
 
-// dhtAdapter is a Ring under dhttest.DHT; Membership, Owner and
+// dhtAdapter is a Ring under dhttest.DHT; Membership, Owner, Lookup and
 // CheckInvariants are the Ring's own.
 type dhtAdapter struct{ *Ring }
 
 func (a dhtAdapter) Overlay() *overlay.Overlay { return a.O }
-func (a dhtAdapter) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (int, int, float64, error) {
-	res, err := a.Ring.Lookup(src, key, proc)
-	return res.Owner, res.Hops, res.Latency, err
-}
 
 // builder builds rings with cfg for the dhttest harness.
 func builder(cfg Config) dhttest.Builder {

@@ -1,10 +1,6 @@
 package chord
 
-import (
-	"fmt"
-
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // Crash-stop (DESIGN.md §9). Until Repair, a corpse keeps its place in the
 // sorted ring, the successor lists and the finger tables; routing survives
@@ -18,30 +14,14 @@ func (ring *Ring) Crash(slot int) error { return ring.O.CrashMember(slot) }
 // its tables are released and its stale edges purged, and every survivor
 // rebuilds its successor list and fingers.
 func (ring *Ring) Repair(*rng.Rand) (int, error) {
-	crashed := ring.O.CrashedSlots()
-	if len(crashed) == 0 {
-		return 0, nil
-	}
-	dead := make(map[int]bool, len(crashed))
-	for _, c := range crashed {
-		dead[c] = true
-	}
-	kept := ring.sorted[:0]
-	for _, s := range ring.sorted {
-		if !dead[s] {
-			kept = append(kept, s)
-		}
-	}
-	if len(kept) < 2 {
-		return 0, fmt.Errorf("chord: repair would shrink below 2 nodes")
+	kept, crashed, err := ring.O.DropCrashed(ring.sorted)
+	if err != nil || len(crashed) == 0 {
+		return 0, err
 	}
 	ring.sorted = kept
 	for _, c := range crashed {
 		ring.succ[c] = nil
 		ring.fingers[c] = nil
-		if err := ring.O.PurgeCrashed(c); err != nil {
-			return 0, err
-		}
 	}
 	for _, s := range ring.sorted {
 		ring.rebuildNode(s)

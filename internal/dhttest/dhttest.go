@@ -29,9 +29,10 @@ type DHT interface {
 	Overlay() *overlay.Overlay
 	// Owner returns the slot responsible for key.
 	Owner(key uint32) int
-	// Lookup routes from src toward key and reports the terminal slot, hop
-	// count, and latency (including proc delays when proc is non-nil).
-	Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (owner, hops int, latency float64, err error)
+	// Lookup routes from src toward key through overlay.Route: the
+	// substrate's next-hop rule from src until Owner(key), with proc delays
+	// added when proc is non-nil.
+	Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (overlay.LookupResult, error)
 	// CheckInvariants is the substrate's structural self-check (Chord ring
 	// order, CAN tiling, Pastry/Kademlia table well-formedness), audited
 	// after every membership change.
@@ -144,8 +145,8 @@ func Fuzz(f *testing.F, build Builder, hopBound func(n int) int) {
 			audit.Check("dht-wellformed", d.CheckInvariants),
 			audit.LookupTermination("dht-lookup", d.Owner,
 				func(s int, k uint32) (int, int, error) {
-					owner, hops, _, err := d.Lookup(s, k, nil)
-					return owner, hops, err
+					res, err := d.Lookup(s, k, nil)
+					return res.Owner, res.Hops, err
 				},
 				[]int{src}, []uint32{key, key ^ 0xA5A5A5A5}, hopBound(n)),
 		)
@@ -188,12 +189,12 @@ func runOwner(t *testing.T, mk maker) {
 	for i := 0; i < 300; i++ {
 		key := uint32(r.Uint64())
 		src := r.Intn(128)
-		owner, _, _, err := d.Lookup(src, key, nil)
+		res, err := d.Lookup(src, key, nil)
 		if err != nil {
 			t.Fatalf("lookup %d: %v", i, err)
 		}
-		if owner != d.Owner(key) {
-			t.Fatalf("lookup terminated at %d, owner is %d", owner, d.Owner(key))
+		if res.Owner != d.Owner(key) {
+			t.Fatalf("lookup terminated at %d, owner is %d", res.Owner, d.Owner(key))
 		}
 	}
 }
@@ -205,13 +206,12 @@ func runSelf(t *testing.T, mk maker) {
 	for i := 0; i < 2000 && checked < 20; i++ {
 		key := uint32(r.Uint64())
 		src := d.Owner(key)
-		owner, hops, latency, err := d.Lookup(src, key, nil)
+		res, err := d.Lookup(src, key, nil)
 		if err != nil {
 			t.Fatalf("self lookup: %v", err)
 		}
-		if owner != src || hops != 0 || latency != 0 {
-			t.Fatalf("self lookup not free: owner=%d hops=%d latency=%v (src %d)",
-				owner, hops, latency, src)
+		if res != (overlay.LookupResult{Owner: src}) {
+			t.Fatalf("self lookup not free: %+v (src %d)", res, src)
 		}
 		checked++
 	}
@@ -226,20 +226,20 @@ func runProc(t *testing.T, mk maker) {
 	for i := 0; i < 50; i++ {
 		key := uint32(r.Uint64())
 		src := r.Intn(96)
-		_, hops, base, err := d.Lookup(src, key, nil)
+		base, err := d.Lookup(src, key, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const delta = 13.0
-		_, hops2, withProc, err := d.Lookup(src, key, func(int) float64 { return delta })
+		withProc, err := d.Lookup(src, key, func(int) float64 { return delta })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hops != hops2 {
-			t.Fatalf("proc delay changed the route: %d vs %d hops", hops, hops2)
+		if base.Hops != withProc.Hops {
+			t.Fatalf("proc delay changed the route: %d vs %d hops", base.Hops, withProc.Hops)
 		}
-		if math.Abs(withProc-base-float64(hops)*delta) > 1e-9 {
-			t.Fatalf("proc accounting: base %v, with %v, hops %d", base, withProc, hops)
+		if math.Abs(withProc.Latency-base.Latency-float64(base.Hops)*delta) > 1e-9 {
+			t.Fatalf("proc accounting: base %+v, with %+v", base, withProc)
 		}
 	}
 }
@@ -270,11 +270,11 @@ func runSwap(t *testing.T, mk maker) {
 		if got := d.Owner(key); got != owners[i] {
 			t.Fatalf("owner of key %d changed under host swaps: %d -> %d", key, owners[i], got)
 		}
-		owner, _, _, err := d.Lookup(r.Intn(128), key, nil)
+		res, err := d.Lookup(r.Intn(128), key, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if owner != owners[i] {
+		if res.Owner != owners[i] {
 			t.Fatalf("lookup diverged from owner after swaps")
 		}
 	}
@@ -315,15 +315,15 @@ func runChurn(t *testing.T, mk maker) {
 		src := alive[r.Intn(len(alive))]
 		key := uint32(r.Uint64())
 		want := d.Owner(key)
-		owner, hops, _, err := d.Lookup(src, key, nil)
+		res, err := d.Lookup(src, key, nil)
 		if err != nil {
 			a.Fail("churn-lookup", err)
-		} else if owner != want {
-			a.Fail("churn-lookup", fmt.Errorf("lookup(%d, %#x) reached %d, owner is %d", src, key, owner, want))
-		} else if bound := o.NumAlive() + 64; hops > bound {
-			a.Fail("churn-lookup", fmt.Errorf("lookup(%d, %#x) took %d hops, bound %d", src, key, hops, bound))
+		} else if res.Owner != want {
+			a.Fail("churn-lookup", fmt.Errorf("lookup(%d, %#x) reached %d, owner is %d", src, key, res.Owner, want))
+		} else if bound := o.NumAlive() + 64; res.Hops > bound {
+			a.Fail("churn-lookup", fmt.Errorf("lookup(%d, %#x) took %d hops, bound %d", src, key, res.Hops, bound))
 		}
-		a.Observe(audit.Record{Kind: audit.KindLookup, A: src, B: owner, Aux: []int{hops, want}})
+		a.Observe(audit.Record{Kind: audit.KindLookup, A: src, B: res.Owner, Aux: []int{res.Hops, want}})
 	}
 	if err := a.Err(); err != nil {
 		t.Fatalf("churn phase failed (%s): %v", a.Summary(), err)
@@ -391,17 +391,17 @@ func runChurnCrash(t *testing.T, mk maker) {
 			src := alive[r.Intn(len(alive))]
 			key := uint32(r.Uint64())
 			wantOwner := d.Owner(key)
-			owner, hops, _, err := d.Lookup(src, key, nil)
+			res, err := d.Lookup(src, key, nil)
 			if err != nil {
 				postRepair.Fail("crash-lookup", err)
-			} else if owner != wantOwner {
+			} else if res.Owner != wantOwner {
 				postRepair.Fail("crash-lookup",
-					fmt.Errorf("lookup(%d, %#x) reached %d, owner is %d", src, key, owner, wantOwner))
-			} else if bound := o.NumAlive() + 64; hops > bound {
+					fmt.Errorf("lookup(%d, %#x) reached %d, owner is %d", src, key, res.Owner, wantOwner))
+			} else if bound := o.NumAlive() + 64; res.Hops > bound {
 				postRepair.Fail("crash-lookup",
-					fmt.Errorf("lookup(%d, %#x) took %d hops, bound %d", src, key, hops, bound))
+					fmt.Errorf("lookup(%d, %#x) took %d hops, bound %d", src, key, res.Hops, bound))
 			}
-			postRepair.Observe(audit.Record{Kind: audit.KindLookup, A: src, B: owner, Aux: []int{hops, wantOwner}})
+			postRepair.Observe(audit.Record{Kind: audit.KindLookup, A: src, B: res.Owner, Aux: []int{res.Hops, wantOwner}})
 		}
 	}
 	if totalCrashed == 0 {
@@ -422,15 +422,15 @@ func runNonNegative(t *testing.T, mk maker) {
 	d := mk(64, 9)
 	r := rng.New(10)
 	for i := 0; i < 200; i++ {
-		_, hops, latency, err := d.Lookup(r.Intn(64), uint32(r.Uint64()), nil)
+		res, err := d.Lookup(r.Intn(64), uint32(r.Uint64()), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if latency < 0 || hops < 0 {
-			t.Fatalf("negative accounting: hops=%d latency=%v", hops, latency)
+		if res.Latency < 0 || res.Hops < 0 {
+			t.Fatalf("negative accounting: %+v", res)
 		}
-		if hops == 0 && latency != 0 {
-			t.Fatalf("zero hops with latency %v", latency)
+		if res.Hops == 0 && res.Latency != 0 {
+			t.Fatalf("zero hops with latency %v", res.Latency)
 		}
 	}
 }

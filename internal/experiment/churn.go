@@ -180,14 +180,14 @@ func chordChurnTrial(c *trialCtx) ([]stats.Series, error) {
 	probes, err := w.run(func(t, _ float64) error {
 		// Routing stretch and correctness over a fresh random workload.
 		alive, right := ring.O.AliveSlots(), 0
-		stretch.Add(t/60000, w.e.stretch(ring.O, count, func(int) (int, int, float64, bool) {
+		stretch.Add(t/60000, w.e.stretch(ring.O, count, func(int) (int, overlay.LookupResult, error) {
 			src := alive[lr.Intn(len(alive))]
 			key := chord.RandomKey(lr)
 			res, err := ring.Lookup(src, key, nil)
 			if err == nil && res.Owner == ring.Owner(key) {
 				right++
 			}
-			return src, res.Owner, res.Latency, err == nil
+			return src, res, err
 		}))
 		correct.Add(t/60000, float64(right)/float64(count))
 		return nil

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"repro/internal/can"
+	"repro/internal/chord"
 	"repro/internal/core"
 	"repro/internal/kademlia"
 	"repro/internal/netsim"
@@ -45,9 +46,8 @@ var (
 			return nil, nil, nil, err
 		}
 		return sp.O, nil, func() float64 {
-			return e.drawnStretch(sp.O, count, func(src int, r *rng.Rand) (int, float64, error) {
-				res, err := sp.Route(src, can.RandomPoint(r), nil)
-				return res.Owner, res.Latency, err
+			return e.drawnStretch(sp.O, count, func(src int, r *rng.Rand) (overlay.LookupResult, error) {
+				return sp.Route(src, can.RandomPoint(r), nil)
 			})
 		}, nil
 	}}
@@ -61,9 +61,8 @@ var (
 			return nil, nil, nil, err
 		}
 		return mesh.O, mesh.Refresh, func() float64 {
-			return e.drawnStretch(mesh.O, count, func(src int, r *rng.Rand) (int, float64, error) {
-				res, err := mesh.Lookup(src, pastry.RandomKey(r), nil)
-				return res.Owner, res.Latency, err
+			return e.drawnStretch(mesh.O, count, func(src int, r *rng.Rand) (overlay.LookupResult, error) {
+				return mesh.Lookup(src, chord.RandomKey(r), nil)
 			})
 		}, nil
 	}}
@@ -76,9 +75,8 @@ var (
 			return nil, nil, nil, err
 		}
 		return net.O, net.Refresh, func() float64 {
-			return e.drawnStretch(net.O, count, func(src int, r *rng.Rand) (int, float64, error) {
-				res, err := net.Lookup(src, kademlia.RandomKey(r), nil)
-				return res.Owner, res.Latency, err
+			return e.drawnStretch(net.O, count, func(src int, r *rng.Rand) (overlay.LookupResult, error) {
+				return net.Lookup(src, chord.RandomKey(r), nil)
 			})
 		}, nil
 	}}

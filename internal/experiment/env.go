@@ -98,21 +98,21 @@ func (e *env) meanPhysLink() float64 { return e.net.MeanLinkLatency() }
 // stretch is the mean ratio of routed lookup latency to direct
 // source→owner latency over count lookups — the standard DHT stretch (cf.
 // Gummadi et al.), which is what makes Fig. 6's 2.5–4.5 range
-// reproducible. route routes the i-th lookup and reports its source slot,
-// owner and latency (ok false skips it); lookups whose owner is the source
-// are skipped too (ratio undefined).
-func (e *env) stretch(o *overlay.Overlay, count int, route func(i int) (src, owner int, latency float64, ok bool)) float64 {
+// reproducible. route routes the i-th lookup and reports its source slot
+// and result; failed lookups are skipped, and so are lookups whose owner is
+// the source (ratio undefined).
+func (e *env) stretch(o *overlay.Overlay, count int, route func(i int) (src int, res overlay.LookupResult, err error)) float64 {
 	sum, n := 0.0, 0
 	for i := 0; i < count; i++ {
-		src, owner, latency, ok := route(i)
-		if !ok || owner == src {
+		src, res, err := route(i)
+		if err != nil || res.Owner == src {
 			continue
 		}
-		direct := e.oracle.Latency(o.HostOf(src), o.HostOf(owner))
+		direct := e.oracle.Latency(o.HostOf(src), o.HostOf(res.Owner))
 		if direct <= 0 {
 			continue
 		}
-		sum += latency / direct
+		sum += res.Latency / direct
 		n++
 	}
 	if n == 0 {
@@ -124,13 +124,13 @@ func (e *env) stretch(o *overlay.Overlay, count int, route func(i int) (src, own
 // drawnStretch is stretch over count lookups drawn as they go, from
 // uniformly random live sources, each routed by route (which draws its key
 // from r).
-func (e *env) drawnStretch(o *overlay.Overlay, count int, route func(src int, r *rng.Rand) (owner int, latency float64, err error)) float64 {
+func (e *env) drawnStretch(o *overlay.Overlay, count int, route func(src int, r *rng.Rand) (overlay.LookupResult, error)) float64 {
 	r := e.r.Split()
 	slots := o.AliveSlots()
-	return e.stretch(o, count, func(int) (int, int, float64, bool) {
+	return e.stretch(o, count, func(int) (int, overlay.LookupResult, error) {
 		src := slots[r.Intn(len(slots))]
-		owner, latency, err := route(src, r)
-		return src, owner, latency, err == nil
+		res, err := route(src, r)
+		return src, res, err
 	})
 }
 

@@ -186,7 +186,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 }
 
 // TestMetricsStreamDeterministic is the observability half: the full JSONL
-// metrics stream — counters (including the oracle query counter), gauges,
+// metrics stream — counters (including the oracle query counter),
 // histograms, series samples, and sim-clock spans — of every pinned ID
 // must match its golden digest. Trials run in parallel goroutines and the
 // lookup evaluators fan out across cores, so this guards the whole

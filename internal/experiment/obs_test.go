@@ -36,7 +36,7 @@ func TestMetricsStreamSchema(t *testing.T) {
 	if len(lines) < 10 {
 		t.Fatalf("suspiciously short stream: %d lines", len(lines))
 	}
-	known := map[string]bool{"manifest": true, "counter": true, "gauge": true, "histogram": true, "sample": true, "span": true}
+	known := map[string]bool{"manifest": true, "counter": true, "histogram": true, "sample": true, "span": true}
 	for i, line := range lines {
 		var rec map[string]interface{}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {

@@ -5,6 +5,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/netsim"
+	"repro/internal/overlay"
 	"repro/internal/rng"
 	"repro/internal/satmatch"
 	"repro/internal/stats"
@@ -61,13 +62,11 @@ func satMatchTrial(c *trialCtx) ([]stats.Series, error) {
 		}
 		series[vi] = stats.Series{Label: label}
 		if err := optimize(event.New(), prop, horizonMS, stepMS, func(t float64) error {
-			series[vi].Add(t/60000, e.stretch(ring.O, nLookups, func(i int) (int, int, float64, bool) {
+			series[vi].Add(t/60000, e.stretch(ring.O, nLookups, func(i int) (int, overlay.LookupResult, error) {
+				// A host backing no slot (-1) fails its lookup and is skipped.
 				src := ring.O.SlotOfHost(lookupHosts[i])
-				if src < 0 {
-					return 0, 0, 0, false
-				}
 				res, err := ring.Lookup(src, keys[i], nil)
-				return src, res.Owner, res.Latency, err == nil
+				return src, res, err
 			}))
 			return nil
 		}, start...); err != nil {

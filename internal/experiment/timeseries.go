@@ -103,9 +103,9 @@ func (e *env) chordWorkload(ring *chord.Ring, count int) func() float64 {
 		keys[i] = chord.RandomKey(r)
 	}
 	return func() float64 {
-		return e.stretch(ring.O, count, func(i int) (int, int, float64, bool) {
+		return e.stretch(ring.O, count, func(i int) (int, overlay.LookupResult, error) {
 			res, err := ring.Lookup(src[i], keys[i], nil)
-			return src[i], res.Owner, res.Latency, err == nil
+			return src[i], res, err
 		})
 	}
 }

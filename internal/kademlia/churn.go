@@ -2,7 +2,9 @@ package kademlia
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/overlay"
 	"repro/internal/rng"
 )
 
@@ -14,17 +16,9 @@ import (
 // Join implements overlay.Membership: a node joins on host with a fresh
 // uniformly random unique identifier.
 func (net *Net) Join(host int, r *rng.Rand) (int, error) {
-	inUse := make(map[uint32]bool, net.O.NumAlive())
-	for _, s := range net.O.AliveSlots() {
-		inUse[net.ID[s]] = true
-	}
-	var id uint32
-	for {
-		id = uint32(r.Uint64())
-		if !inUse[id] {
-			break
-		}
-	}
+	id := overlay.UniqueID(r, func(id uint32) bool {
+		return slices.ContainsFunc(net.O.AliveSlots(), func(s int) bool { return net.ID[s] == id })
+	})
 	slot, err := net.O.AddSlot(host)
 	if err != nil {
 		return -1, err

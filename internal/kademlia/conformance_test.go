@@ -8,15 +8,11 @@ import (
 	"repro/internal/rng"
 )
 
-// dhtAdapter is a Net under dhttest.DHT; Membership, Owner and
+// dhtAdapter is a Net under dhttest.DHT; Membership, Owner, Lookup and
 // CheckInvariants are the Net's own.
 type dhtAdapter struct{ *Net }
 
 func (a dhtAdapter) Overlay() *overlay.Overlay { return a.O }
-func (a dhtAdapter) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (int, int, float64, error) {
-	res, err := a.Net.Lookup(src, key, proc)
-	return res.Owner, res.Hops, res.Latency, err
-}
 
 // builder builds networks with cfg for the dhttest harness.
 func builder(cfg Config) dhttest.Builder {

@@ -17,8 +17,8 @@
 // closest to the key in XOR distance; with globally converged buckets this
 // always terminates at the key's true owner.
 //
-// Key types: Net (the k-bucket routing state) and LookupResult. See
-// DESIGN.md §1.
+// Key type: Net (the k-bucket routing state); its lookups run
+// overlay.Route. See DESIGN.md §1.
 package kademlia
 
 import (
@@ -71,18 +71,7 @@ func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*Net,
 	if err != nil {
 		return nil, err
 	}
-	net := &Net{O: o, ID: make([]uint32, n), cfg: cfg, buckets: make([][][]int, n)}
-	used := make(map[uint32]bool, n)
-	for s := 0; s < n; s++ {
-		for {
-			id := uint32(r.Uint64())
-			if !used[id] {
-				used[id] = true
-				net.ID[s] = id
-				break
-			}
-		}
-	}
+	net := &Net{O: o, ID: overlay.UniqueIDs(n, r), cfg: cfg, buckets: make([][][]int, n)}
 	net.fillBuckets()
 	net.mirror()
 	return net, nil
@@ -185,63 +174,24 @@ func (net *Net) Owner(key uint32) int {
 	return best
 }
 
-// LookupResult describes one routed lookup.
-type LookupResult struct {
-	// Owner is the XOR-closest slot to the key.
-	Owner int
-	// Hops is the overlay hop count.
-	Hops int
-	// Latency is the summed physical latency plus processing delays.
-	Latency float64
-	// Path lists the visited slots.
-	Path []int
-}
-
-// Lookup greedily routes from src to the key's owner: at each step the
-// current node forwards to its known contact with the smallest XOR
-// distance to the key, stopping when no contact improves on itself.
-func (net *Net) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (LookupResult, error) {
-	if !net.O.Alive(src) {
-		return LookupResult{}, fmt.Errorf("kademlia: lookup from dead slot %d", src)
-	}
-	res := LookupResult{Owner: net.Owner(key), Path: []int{src}}
-	cur := src
-	maxHops := Bits + 8
-	for {
-		curX := net.ID[cur] ^ key
-		best, bestX := cur, curX
+// Lookup greedily routes from src to the key's owner (overlay.Route, within
+// Bits + 8 hops): at each step the current node forwards to its known
+// contact with the smallest XOR distance to the key. A node no contact
+// improves on is a local optimum; the owner always is one, and with
+// converged buckets it is the only one, so routing elsewhere is stuck.
+func (net *Net) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (overlay.LookupResult, error) {
+	return net.O.Route(src, net.Owner(key), Bits+8, func(cur int) int {
+		best, bestX := cur, net.ID[cur]^key
 		for _, bucket := range net.buckets[cur] {
 			for _, t := range bucket {
-				if !net.O.Alive(t) {
-					continue
-				}
-				if x := net.ID[t] ^ key; x < bestX {
+				if x := net.ID[t] ^ key; x < bestX && net.O.Alive(t) {
 					best, bestX = t, x
 				}
 			}
 		}
-		if best == cur {
-			// Local optimum; with converged buckets this is the owner.
-			if cur != res.Owner {
-				return res, fmt.Errorf("kademlia: lookup stuck at %d, owner %d", cur, res.Owner)
-			}
-			return res, nil
-		}
-		res.Latency += net.O.Dist(cur, best)
-		if proc != nil {
-			res.Latency += proc(best)
-		}
-		res.Hops++
-		res.Path = append(res.Path, best)
-		cur = best
-		if res.Hops > maxHops {
-			return res, fmt.Errorf("kademlia: routing exceeded %d hops", maxHops)
-		}
-	}
+		return best
+	}, proc)
 }
-
-// RandomKey returns a uniform key.
-func RandomKey(r *rng.Rand) uint32 { return uint32(r.Uint64()) }
 
 // Bucket exposes slot s's bucket i (shared storage; do not mutate).
 func (net *Net) Bucket(s, i int) []int {

@@ -27,13 +27,6 @@ type counterRecord struct {
 	Value uint64 `json:"value"`
 }
 
-type gaugeRecord struct {
-	Kind  string  `json:"kind"`
-	Trial int     `json:"trial"`
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-}
-
 type histogramRecord struct {
 	Kind   string    `json:"kind"`
 	Trial  int       `json:"trial"`
@@ -63,8 +56,8 @@ type spanRecord struct {
 }
 
 // WriteJSONL emits the registry as one JSON record per line: the manifest,
-// then per trial (in index order) counters, gauges, histograms, series
-// samples, and spans. Nil-safe: a nil registry writes nothing.
+// then per trial (in index order) counters, histograms, series samples,
+// and spans. Nil-safe: a nil registry writes nothing.
 func (r *Registry) WriteJSONL(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -78,12 +71,6 @@ func (r *Registry) WriteJSONL(w io.Writer) error {
 		t.mu.Lock()
 		for _, c := range t.sortedCounters() {
 			if err := enc.Encode(counterRecord{Kind: "counter", Trial: t.index, Name: c.name, Value: c.Value()}); err != nil {
-				t.mu.Unlock()
-				return err
-			}
-		}
-		for _, g := range t.sortedGauges() {
-			if err := enc.Encode(gaugeRecord{Kind: "gauge", Trial: t.index, Name: g.name, Value: g.Value()}); err != nil {
 				t.mu.Unlock()
 				return err
 			}
@@ -126,7 +113,7 @@ func (r *Registry) WriteJSONL(w io.Writer) error {
 
 // WriteCSV emits the registry's plottable records as one flat CSV table
 // with header kind,trial,name,t_ms,value: every series sample (t_ms set),
-// then every counter and gauge total (t_ms empty). Histograms and spans
+// then every counter total (t_ms empty). Histograms and spans
 // carry structure CSV flattens poorly; consume those from the JSONL
 // stream. Ordering matches WriteJSONL, so the CSV is equally
 // deterministic. Nil-safe: a nil registry writes nothing.
@@ -164,12 +151,6 @@ func (r *Registry) writeCSV(w io.Writer, header bool) error {
 				return err
 			}
 		}
-		for _, g := range t.sortedGauges() {
-			if err := cw.Write([]string{"gauge", strconv.Itoa(t.index), g.name, "", ff(g.Value())}); err != nil {
-				t.mu.Unlock()
-				return err
-			}
-		}
 		t.mu.Unlock()
 	}
 	cw.Flush()
@@ -179,17 +160,16 @@ func (r *Registry) writeCSV(w io.Writer, header bool) error {
 // TrialSnapshot is one trial's instruments flattened for live export
 // (expvar); see Registry.Snapshot.
 type TrialSnapshot struct {
-	Trial    int                `json:"trial"`
-	Counters map[string]uint64  `json:"counters,omitempty"`
-	Gauges   map[string]float64 `json:"gauges,omitempty"`
-	Samples  map[string]int     `json:"samples,omitempty"` // series -> point count
-	Spans    map[string]string  `json:"spans,omitempty"`   // span -> sim interval
+	Trial    int               `json:"trial"`
+	Counters map[string]uint64 `json:"counters,omitempty"`
+	Samples  map[string]int    `json:"samples,omitempty"` // series -> point count
+	Spans    map[string]string `json:"spans,omitempty"`   // span -> sim interval
 }
 
 // Snapshot returns a coarse, JSON-friendly view of the registry — counter
-// and gauge totals, series lengths, span intervals — for the expvar
-// endpoint. It is safe to call while a run is in flight; counters then
-// show partial totals. Nil-safe.
+// totals, series lengths, span intervals — for the expvar endpoint. It is
+// safe to call while a run is in flight; counters then show partial totals.
+// Nil-safe.
 func (r *Registry) Snapshot() []TrialSnapshot {
 	if r == nil {
 		return nil
@@ -202,12 +182,6 @@ func (r *Registry) Snapshot() []TrialSnapshot {
 			ts.Counters = make(map[string]uint64, len(t.counters))
 			for name, c := range t.counters {
 				ts.Counters[name] = c.Value()
-			}
-		}
-		if len(t.gauges) > 0 {
-			ts.Gauges = make(map[string]float64, len(t.gauges))
-			for name, g := range t.gauges {
-				ts.Gauges[name] = g.Value()
 			}
 		}
 		if len(t.series) > 0 {

@@ -76,37 +76,6 @@ func (c *Counter) Value() uint64 {
 	return sum
 }
 
-// Gauge is a last-writer-wins float64 cell, safe for concurrent use. All
-// methods are no-ops on a nil receiver.
-type Gauge struct {
-	name string
-	bits atomic.Uint64
-}
-
-// Name reports the gauge's registered name ("" when nil).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the last stored value (0 when nil or never set).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // DefaultLatencyBuckets are histogram upper bounds suited to millisecond
 // latencies and Var gains in this simulation (the transit-stub link scale
 // puts interesting mass between 1 ms and a few seconds).

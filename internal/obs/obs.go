@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the simulation stack
-// (DESIGN.md §8): lock-free sharded counters, gauges, fixed-bucket
-// histograms, sim-clock-stamped time series, named phase spans, and a
-// per-run manifest, plus deterministic JSONL/CSV emitters.
+// (DESIGN.md §8): lock-free sharded counters, fixed-bucket histograms,
+// sim-clock-stamped time series, named phase spans, and a per-run
+// manifest, plus deterministic JSONL/CSV emitters.
 //
 // The package is stdlib-only and imports nothing else from this repository,
 // so every layer — the latency oracle, the protocol loops, the experiment
@@ -181,7 +181,6 @@ type Trial struct {
 
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	series   map[string]*TimeSeries
 	spans    []*Span
@@ -213,25 +212,6 @@ func (t *Trial) Counter(name string) *Counter {
 		t.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use. Returns nil on
-// a nil trial.
-func (t *Trial) Gauge(name string) *Gauge {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.gauges == nil {
-		t.gauges = make(map[string]*Gauge)
-	}
-	g, ok := t.gauges[name]
-	if !ok {
-		g = &Gauge{name: name}
-		t.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named fixed-bucket histogram, creating it with the
@@ -293,16 +273,6 @@ func (t *Trial) sortedCounters() []*Counter {
 	out := make([]*Counter, 0, len(t.counters))
 	for _, c := range t.counters {
 		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-// sortedGauges returns the trial's gauges ordered by name.
-func (t *Trial) sortedGauges() []*Gauge {
-	out := make([]*Gauge, 0, len(t.gauges))
-	for _, g := range t.gauges {
-		out = append(out, g)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out

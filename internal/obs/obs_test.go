@@ -72,10 +72,6 @@ func TestNilSafety(t *testing.T) {
 	if tr.Counter("c").Value() != 0 || tr.Counter("c").Name() != "" {
 		t.Fatal("nil counter not inert")
 	}
-	tr.Gauge("g").Set(1)
-	if tr.Gauge("g").Value() != 0 {
-		t.Fatal("nil gauge not inert")
-	}
 	tr.Histogram("h", nil).Observe(1)
 	tr.Series("s").Sample(0, 1)
 	if tr.Series("s").Len() != 0 {
@@ -106,7 +102,6 @@ func TestDisabledPathAllocs(t *testing.T) {
 	s := tr.Series("s")
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
-		tr.Gauge("g").Set(1)
 		s.Sample(0, 1)
 		tr.StartSpan("p", 0).End(0)
 	}); n != 0 {
@@ -133,7 +128,6 @@ func TestEmitDeterministicAndOrdered(t *testing.T) {
 		t1.Counter("zz").Add(3)
 		t1.Counter("aa").Add(1)
 		t0 := r.Trial(0)
-		t0.Gauge("g").Set(2.5)
 		t0.Series("s").Sample(0, 1)
 		t0.Series("s").Sample(60000, 2)
 		t0.Histogram("h", []float64{10, 100}).Observe(42)
@@ -154,7 +148,6 @@ func TestEmitDeterministicAndOrdered(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(a.String()), "\n")
 	wantPrefix := []string{
 		`{"kind":"manifest"`,
-		`{"kind":"gauge","trial":0,"name":"g"`,
 		`{"kind":"histogram","trial":0,"name":"h"`,
 		`{"kind":"sample","trial":0,"name":"s","t_ms":0`,
 		`{"kind":"sample","trial":0,"name":"s","t_ms":60000`,
@@ -183,7 +176,7 @@ func TestEmitDeterministicAndOrdered(t *testing.T) {
 	if csvLines[0] != "kind,trial,name,t_ms,value" {
 		t.Fatalf("csv header = %s", csvLines[0])
 	}
-	if len(csvLines) != 1+2+2+1 { // header, 2 samples, 2 counters, 1 gauge
+	if len(csvLines) != 1+2+2 { // header, 2 samples, 2 counters
 		t.Fatalf("csv rows = %d:\n%s", len(csvLines), c.String())
 	}
 }

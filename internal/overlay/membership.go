@@ -41,3 +41,30 @@ func (o *Overlay) CrashMember(u int) error {
 	}
 	return o.CrashSlot(u)
 }
+
+// DropCrashed is the corpse purge of an identifier ring's Repair: it removes
+// every unpurged crashed slot from sorted — a membership list that still
+// holds them — and purges it, and returns the kept slots (in sorted's own
+// array) and the crashed ones. With nothing crashed it returns sorted as it
+// is; when fewer than two slots would remain it refuses and changes nothing.
+func (o *Overlay) DropCrashed(sorted []int) (kept, crashed []int, err error) {
+	crashed = o.CrashedSlots()
+	if len(crashed) == 0 {
+		return sorted, nil, nil
+	}
+	if len(sorted)-len(crashed) < 2 {
+		return sorted, nil, fmt.Errorf("overlay: repair would shrink below 2 nodes")
+	}
+	kept = sorted[:0]
+	for _, s := range sorted {
+		if !o.crashed[s] {
+			kept = append(kept, s)
+		}
+	}
+	for _, c := range crashed {
+		if err := o.PurgeCrashed(c); err != nil {
+			return nil, nil, err
+		}
+	}
+	return kept, crashed, nil
+}

@@ -2,8 +2,8 @@ package pastry
 
 import (
 	"fmt"
-	"sort"
 
+	"repro/internal/overlay"
 	"repro/internal/rng"
 )
 
@@ -16,17 +16,7 @@ import (
 // Join implements overlay.Membership: a node joins on host with a fresh
 // uniformly random unique identifier.
 func (m *Mesh) Join(host int, r *rng.Rand) (int, error) {
-	inUse := make(map[uint32]bool, len(m.sorted))
-	for _, s := range m.sorted {
-		inUse[m.ID[s]] = true
-	}
-	var id uint32
-	for {
-		id = uint32(r.Uint64())
-		if !inUse[id] {
-			break
-		}
-	}
+	id := overlay.UniqueID(r, func(id uint32) bool { return overlay.HasID(m.sorted, m.ID, id) })
 	slot, err := m.O.AddSlot(host)
 	if err != nil {
 		return -1, err
@@ -37,10 +27,7 @@ func (m *Mesh) Join(host int, r *rng.Rand) (int, error) {
 		m.table = append(m.table, nil)
 	}
 	m.ID[slot] = id
-	i := sort.Search(len(m.sorted), func(k int) bool { return m.ID[m.sorted[k]] >= id })
-	m.sorted = append(m.sorted, 0)
-	copy(m.sorted[i+1:], m.sorted[i:])
-	m.sorted[i] = slot
+	m.sorted, _ = overlay.InsertByID(m.sorted, m.ID, slot)
 	m.rebuild()
 	return slot, nil
 }

@@ -8,15 +8,11 @@ import (
 	"repro/internal/rng"
 )
 
-// dhtAdapter is a Mesh under dhttest.DHT; Membership, Owner and
+// dhtAdapter is a Mesh under dhttest.DHT; Membership, Owner, Lookup and
 // CheckInvariants are the Mesh's own.
 type dhtAdapter struct{ *Mesh }
 
 func (a dhtAdapter) Overlay() *overlay.Overlay { return a.O }
-func (a dhtAdapter) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (int, int, float64, error) {
-	res, err := a.Mesh.Lookup(src, key, proc)
-	return res.Owner, res.Hops, res.Latency, err
-}
 
 // builder builds meshes with cfg for the dhttest harness.
 func builder(cfg Config) dhttest.Builder {

@@ -18,8 +18,8 @@
 // position r. With Proximity enabled the physically nearest qualifying
 // candidate is chosen; otherwise the numerically first.
 //
-// Key types: Mesh (leaf sets plus prefix tables) and LookupResult. See
-// DESIGN.md §1.
+// Key type: Mesh (leaf sets plus prefix tables); its lookups run
+// overlay.Route. See DESIGN.md §1.
 package pastry
 
 import (
@@ -84,28 +84,13 @@ func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*Mesh
 	}
 	m := &Mesh{
 		O:      o,
-		ID:     make([]uint32, n),
+		ID:     overlay.UniqueIDs(n, r),
 		cfg:    cfg,
 		leaves: make([][]int, n),
 		table:  make([][][]int, n),
 		pos:    make(map[int]int, n),
 	}
-	used := make(map[uint32]bool, n)
-	for s := 0; s < n; s++ {
-		for {
-			id := uint32(r.Uint64())
-			if !used[id] {
-				used[id] = true
-				m.ID[s] = id
-				break
-			}
-		}
-	}
-	m.sorted = make([]int, n)
-	for i := range m.sorted {
-		m.sorted[i] = i
-	}
-	sort.Slice(m.sorted, func(i, j int) bool { return m.ID[m.sorted[i]] < m.ID[m.sorted[j]] })
+	m.sorted = overlay.SortByID(m.ID)
 	for i, s := range m.sorted {
 		m.pos[s] = i
 	}
@@ -251,7 +236,7 @@ func ringDist(a, b uint32) uint32 {
 func (m *Mesh) Owner(key uint32) int {
 	// Binary search the sorted ring, then compare the two flanking nodes.
 	n := len(m.sorted)
-	lo := sort.Search(n, func(i int) bool { return m.ID[m.sorted[i]] >= key })
+	lo := overlay.SearchID(m.sorted, m.ID, key)
 	best, bestDist := -1, uint32(math.MaxUint32)
 	for _, i := range []int{(lo - 1 + n) % n, lo % n, (lo + 1) % n} {
 		s := m.sorted[i]
@@ -263,48 +248,14 @@ func (m *Mesh) Owner(key uint32) int {
 	return best
 }
 
-// LookupResult describes one routed lookup.
-type LookupResult struct {
-	// Owner is the slot responsible for the key.
-	Owner int
-	// Hops is the overlay hop count.
-	Hops int
-	// Latency is the summed physical latency plus processing delays.
-	Latency float64
-	// Path lists visited slots.
-	Path []int
-}
-
 // Lookup routes a query for key from src using Pastry's algorithm: deliver
 // within the leaf set when possible, otherwise follow the routing-table
 // entry with a longer shared prefix, otherwise fall back to any known node
-// strictly closer to the key. proc, if non-nil, adds per-hop processing
-// delay.
-func (m *Mesh) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (LookupResult, error) {
-	if !m.O.Alive(src) {
-		return LookupResult{}, fmt.Errorf("pastry: lookup from dead slot %d", src)
-	}
-	owner := m.Owner(key)
-	res := LookupResult{Owner: owner, Path: []int{src}}
-	cur := src
-	maxHops := len(m.ID) + Digits
-	for cur != owner {
-		next := m.nextHop(cur, key)
-		if next == cur {
-			return res, fmt.Errorf("pastry: routing stuck at slot %d for key %d", cur, key)
-		}
-		res.Latency += m.O.Dist(cur, next)
-		if proc != nil {
-			res.Latency += proc(next)
-		}
-		res.Hops++
-		res.Path = append(res.Path, next)
-		cur = next
-		if res.Hops > maxHops {
-			return res, fmt.Errorf("pastry: routing exceeded %d hops for key %d", maxHops, key)
-		}
-	}
-	return res, nil
+// strictly closer to the key (overlay.Route, within n + Digits hops). proc,
+// if non-nil, adds per-hop processing delay.
+func (m *Mesh) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (overlay.LookupResult, error) {
+	return m.O.Route(src, m.Owner(key), len(m.ID)+Digits,
+		func(cur int) int { return m.nextHop(cur, key) }, proc)
 }
 
 // nextHop implements one Pastry routing decision at cur.
@@ -374,9 +325,6 @@ func (m *Mesh) keyInLeafRange(cur int, key uint32) bool {
 	}
 	return key >= lo || key <= hi // wraps zero
 }
-
-// RandomKey returns a uniform key.
-func RandomKey(r *rng.Rand) uint32 { return uint32(r.Uint64()) }
 
 // Leaves exposes a slot's leaf set (shared storage; do not mutate).
 func (m *Mesh) Leaves(s int) []int { return m.leaves[s] }

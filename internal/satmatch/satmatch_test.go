@@ -78,8 +78,8 @@ func TestJumpsPreserveMembershipAndRouting(t *testing.T) {
 	p.Start(e)
 	e.RunUntil(20 * 60000)
 	// Every machine is still a ring member (jumps relocate, never lose).
-	if ring.Size() != 150 {
-		t.Fatalf("ring size %d after jumps, want 150", ring.Size())
+	if ring.O.NumAlive() != 150 {
+		t.Fatalf("ring size %d after jumps, want 150", ring.O.NumAlive())
 	}
 	for _, h := range ring.O.Hosts() {
 		if !hostsBefore[h] {

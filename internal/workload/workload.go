@@ -48,7 +48,7 @@ func Skewed(all, fast, slow []int, fastFraction float64, count int, r *rng.Rand)
 	if len(all) < 2 {
 		return nil, fmt.Errorf("workload: need >= 2 slots, got %d", len(all))
 	}
-	if fastFraction < 0 || fastFraction > 1 {
+	if !(fastFraction >= 0 && fastFraction <= 1) { // NaN fails both
 		return nil, fmt.Errorf("workload: fastFraction %v out of [0,1]", fastFraction)
 	}
 	if count < 0 {

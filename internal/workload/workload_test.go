@@ -72,6 +72,9 @@ func TestSkewedErrors(t *testing.T) {
 	if _, err := Skewed(all, all, all, 1.5, 10, rng.New(1)); err == nil {
 		t.Error("bad fraction accepted")
 	}
+	if _, err := Skewed(all, all, all, math.NaN(), 10, rng.New(1)); err == nil {
+		t.Error("NaN fraction accepted")
+	}
 	if _, err := Skewed(all, nil, all, 0.5, 10, rng.New(1)); err == nil {
 		t.Error("empty fast pool with positive fraction accepted")
 	}
