@@ -99,6 +99,9 @@ func runChaos(n int, policyName string, seed uint64, steps int, stepMS, killFrac
 }
 
 func runLoopback(n int, dur time.Duration, policyName string, seed uint64, intervalMS float64) error {
+	if n < 2 {
+		return fmt.Errorf("-n = %d, want >= 2", n)
+	}
 	var policy core.Policy
 	switch policyName {
 	case "propg":

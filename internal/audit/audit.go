@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/event"
 )
 
@@ -180,6 +181,34 @@ func (a *Auditor) AttachEngine(e *event.Engine) {
 		if prev != nil {
 			prev(at, seq)
 		}
+	}
+}
+
+// AttachProtocol feeds the protocol's exchange and probe hooks to Observe:
+// an exchange becomes a KindExchange record (U, V, Moved, Var), a probe a
+// KindProbe record (U, Partner, 1 if it exchanged). Existing hooks are
+// chained and run first, so a hook that edits the overlay acts before the
+// record is observed.
+func (a *Auditor) AttachProtocol(p *core.Protocol) {
+	prevTrace := p.Trace
+	p.Trace = func(ev core.ExchangeEvent) {
+		if prevTrace != nil {
+			prevTrace(ev)
+		}
+		a.Observe(Record{At: float64(ev.At), Kind: KindExchange,
+			A: ev.U, B: ev.V, Aux: []int{ev.Moved}, Val: ev.Var})
+	}
+	prevProbe := p.Probe
+	p.Probe = func(ev core.ProbeEvent) {
+		if prevProbe != nil {
+			prevProbe(ev)
+		}
+		exch := 0.0
+		if ev.Exchanged {
+			exch = 1
+		}
+		a.Observe(Record{At: float64(ev.At), Kind: KindProbe,
+			A: ev.U, B: ev.Partner, Val: exch})
 	}
 }
 

@@ -170,17 +170,8 @@ func RunSession(cfg SessionConfig, emit func(Record)) (*Session, error) {
 			injectFault(o, cfg.Fault, ev)
 		}
 		exchanges++
-		a.Observe(Record{At: float64(ev.At), Kind: KindExchange,
-			A: ev.U, B: ev.V, Aux: []int{ev.Moved}, Val: ev.Var})
 	}
-	prot.Probe = func(pe core.ProbeEvent) {
-		exch := 0.0
-		if pe.Exchanged {
-			exch = 1
-		}
-		a.Observe(Record{At: float64(pe.At), Kind: KindProbe,
-			A: pe.U, B: pe.Partner, Val: exch})
-	}
+	a.AttachProtocol(prot)
 
 	before := o.MeanLinkLatency()
 	prot.Start(eng)

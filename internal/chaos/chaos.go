@@ -5,6 +5,12 @@
 // (slot↔host bijection, connectivity among live agents, no duplicate slots)
 // evaluated at every quiesce point.
 //
+// Config sets the run's size, seed, length, step, kill fraction and policy;
+// the rest of the schedule's shape is fixed: the partition window opens at
+// Steps/3 for two steps and isolates 30% of the hosts, the 4096-message
+// blast lands at 2·Steps/3 on a 256-slot mailbox, and every link loses and
+// duplicates 1% of its messages.
+//
 // Determinism contract: everything the schedule decides — who dies when, who
 // recovers when, which hosts the partition isolates, who absorbs the
 // pressure blast — is computed from Config.Seed before any concurrency
@@ -23,6 +29,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -41,6 +48,25 @@ import (
 // outside the agent ID space so it can never collide with a runtime host.
 const pressureHost = 1 << 20
 
+// The fixed shape of every schedule.
+const (
+	// partitionSteps is the partition window length in steps; the window
+	// opens at Steps/3.
+	partitionSteps = 2
+	// partitionFrac is the fraction of hosts isolated on the far side of
+	// the cut.
+	partitionFrac = 0.3
+	// pressureMsgs is the blast size in messages; the blast lands at
+	// 2*Steps/3.
+	pressureMsgs = 4096
+	// queue is the loopback per-endpoint mailbox bound — small enough that
+	// the pressure blast visibly sheds load.
+	queue = 256
+	// lossProb and dupProb are the stateless per-message fault rates on
+	// every link.
+	lossProb, dupProb = 0.01, 0.01
+)
+
 // Config parameterizes one chaos run. Zero values select the defaults noted
 // on each field; Validate reports combinations that cannot work.
 type Config struct {
@@ -57,25 +83,6 @@ type Config struct {
 	// run (default 0.25; the acceptance floor is 0.20). Every victim also
 	// recovers before the run ends.
 	KillFrac float64
-	// PartitionStep is the step at which the partition window opens
-	// (default Steps/3). The window spans PartitionSteps steps.
-	PartitionStep int
-	// PartitionSteps is the partition window length in steps (default 2).
-	PartitionSteps int
-	// PartitionFrac is the fraction of hosts isolated on the far side of the
-	// cut (default 0.3).
-	PartitionFrac float64
-	// PressureStep is the step at which the harness blasts an agent's
-	// bounded mailbox (default 2*Steps/3).
-	PressureStep int
-	// PressureMsgs is the blast size in messages (default 4096).
-	PressureMsgs int
-	// Queue is the loopback per-endpoint mailbox bound (default 256 — small
-	// enough that the pressure blast visibly sheds load).
-	Queue int
-	// LossProb and DupProb are the stateless per-message fault rates on
-	// every link (defaults 0.01 each).
-	LossProb, DupProb float64
 	// Policy selects the exchange protocol under test (default PROP-G).
 	Policy core.Policy
 }
@@ -93,30 +100,6 @@ func (c *Config) fill() {
 	if c.KillFrac == 0 {
 		c.KillFrac = 0.25
 	}
-	if c.PartitionStep == 0 {
-		c.PartitionStep = c.Steps / 3
-	}
-	if c.PartitionSteps == 0 {
-		c.PartitionSteps = 2
-	}
-	if c.PartitionFrac == 0 {
-		c.PartitionFrac = 0.3
-	}
-	if c.PressureStep == 0 {
-		c.PressureStep = 2 * c.Steps / 3
-	}
-	if c.PressureMsgs == 0 {
-		c.PressureMsgs = 4096
-	}
-	if c.Queue == 0 {
-		c.Queue = 256
-	}
-	if c.LossProb == 0 {
-		c.LossProb = 0.01
-	}
-	if c.DupProb == 0 {
-		c.DupProb = 0.01
-	}
 }
 
 // Validate reports the first configuration error (after defaulting).
@@ -127,15 +110,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("chaos: N = %d, need >= 8 to survive the schedule", c.N)
 	case c.Steps < 6:
 		return fmt.Errorf("chaos: Steps = %d, need >= 6 (kill, recover, partition, pressure all need room)", c.Steps)
-	case c.KillFrac < 0 || c.KillFrac > 0.5:
+	case !(c.StepMS > 0 && c.StepMS <= math.MaxFloat64):
+		return fmt.Errorf("chaos: StepMS = %v, want finite > 0", c.StepMS)
+	case !(c.KillFrac >= 0 && c.KillFrac <= 0.5):
 		return fmt.Errorf("chaos: KillFrac = %v out of [0, 0.5]", c.KillFrac)
-	case c.PartitionFrac < 0 || c.PartitionFrac > 0.5:
-		return fmt.Errorf("chaos: PartitionFrac = %v out of [0, 0.5]", c.PartitionFrac)
-	case c.PartitionStep < 1 || c.PartitionStep+c.PartitionSteps > c.Steps:
-		return fmt.Errorf("chaos: partition window [%d,%d) outside schedule [1,%d)",
-			c.PartitionStep, c.PartitionStep+c.PartitionSteps, c.Steps)
-	case c.PressureStep < 1 || c.PressureStep >= c.Steps:
-		return fmt.Errorf("chaos: PressureStep = %d outside schedule [1,%d)", c.PressureStep, c.Steps)
 	}
 	return nil
 }
@@ -150,7 +128,8 @@ type event struct {
 // schedule is the precomputed plan: pure function of the Config.
 type schedule struct {
 	events   []event
-	isolated []int // hosts on the far side of the partition, sorted
+	isolated []int  // hosts on the far side of the partition, sorted
+	window   [2]int // the partition's steps [open, close)
 	kills    int
 }
 
@@ -187,7 +166,7 @@ func buildSchedule(cfg Config) schedule {
 	// The partition isolates hosts disjoint from the kill set, so a victim
 	// is never simultaneously dead and unreachable (either alone is chaos
 	// enough; together they make the log depend on repair timing).
-	nIso := int(float64(cfg.N)*cfg.PartitionFrac + 0.5)
+	nIso := int(float64(cfg.N)*partitionFrac + 0.5)
 	if nIso < 1 {
 		nIso = 1
 	}
@@ -196,10 +175,11 @@ func buildSchedule(cfg Config) schedule {
 	}
 	s.isolated = append([]int(nil), hosts[kills:kills+nIso]...)
 	sort.Ints(s.isolated)
+	s.window = [2]int{cfg.Steps / 3, cfg.Steps/3 + partitionSteps}
 	s.events = append(s.events,
-		event{step: cfg.PartitionStep, kind: "partition-open", host: -1},
-		event{step: cfg.PartitionStep + cfg.PartitionSteps, kind: "partition-close", host: -1},
-		event{step: cfg.PressureStep, kind: "pressure", host: hosts[cfg.N-1]})
+		event{step: s.window[0], kind: "partition-open", host: -1},
+		event{step: s.window[1], kind: "partition-close", host: -1},
+		event{step: 2 * cfg.Steps / 3, kind: "pressure", host: hosts[cfg.N-1]})
 
 	sort.SliceStable(s.events, func(i, j int) bool { return s.events[i].step < s.events[j].step })
 	return s
@@ -241,10 +221,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	inj, err := faults.NewInjector(faults.Config{
 		Seed:             cfg.Seed,
-		LossProb:         cfg.LossProb,
-		DupProb:          cfg.DupProb,
-		PartitionStartMS: float64(cfg.PartitionStep) * cfg.StepMS,
-		PartitionStopMS:  float64(cfg.PartitionStep+cfg.PartitionSteps) * cfg.StepMS,
+		LossProb:         lossProb,
+		DupProb:          dupProb,
+		PartitionStartMS: float64(sched.window[0]) * cfg.StepMS,
+		PartitionStopMS:  float64(sched.window[1]) * cfg.StepMS,
 		Isolated:         iso,
 	})
 	if err != nil {
@@ -260,7 +240,7 @@ func Run(cfg Config) (*Result, error) {
 	lb := transport.NewLoopback(transport.LoopbackConfig{
 		DelayMS: func(a, b int) float64 { return propnode.ClusterLat(a, b) / 2 },
 		Faults:  inj,
-		Queue:   cfg.Queue,
+		Queue:   queue,
 	})
 	lb.SetInstruments(overflowC, droppedC)
 
@@ -268,10 +248,8 @@ func Run(cfg Config) (*Result, error) {
 		Policy:              cfg.Policy,
 		ProbeIntervalMS:     5,
 		PingTimeout:         15 * time.Millisecond,
-		Retries:             3,
 		HeartbeatIntervalMS: 10,
 		HeartbeatTimeout:    10 * time.Millisecond,
-		SuspicionThreshold:  3,
 		Lat:                 propnode.ClusterLat,
 		Seed:                cfg.Seed,
 	})
@@ -320,10 +298,10 @@ func Run(cfg Config) (*Result, error) {
 			case "partition-close":
 				fmt.Fprintf(&log, "step %d partition-close\n", step)
 			case "pressure":
-				for i := 0; i < cfg.PressureMsgs; i++ {
+				for i := 0; i < pressureMsgs; i++ {
 					_ = blaster.Send(ev.host, transport.Message{Type: transport.TData})
 				}
-				fmt.Fprintf(&log, "step %d pressure host=%d msgs=%d\n", step, ev.host, cfg.PressureMsgs)
+				fmt.Fprintf(&log, "step %d pressure host=%d msgs=%d\n", step, ev.host, pressureMsgs)
 			}
 		}
 

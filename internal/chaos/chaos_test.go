@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,11 +12,10 @@ import (
 // opens mid-run.
 func testConfig(seed uint64) Config {
 	return Config{
-		N:            18,
-		Seed:         seed,
-		Steps:        8,
-		StepMS:       80,
-		PressureMsgs: 1024,
+		N:      18,
+		Seed:   seed,
+		Steps:  8,
+		StepMS: 80,
 	}
 }
 
@@ -120,9 +120,10 @@ func TestConfigValidate(t *testing.T) {
 		{N: 4},
 		{Steps: 3},
 		{KillFrac: 0.9},
-		{PartitionFrac: 0.8},
-		{PartitionStep: 100},
-		{PressureStep: 100},
+		{KillFrac: math.NaN()},
+		{StepMS: -5},
+		{StepMS: math.NaN()},
+		{StepMS: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

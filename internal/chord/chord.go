@@ -32,19 +32,20 @@ const Bits = 32
 // ringSize is 2^Bits as a uint64 to simplify modular arithmetic.
 const ringSize = uint64(1) << Bits
 
+// successorListLen is the number of immediate successors each node links
+// to (fault tolerance; Chord's r parameter).
+const successorListLen = 4
+
 // Config parameterizes ring construction.
 type Config struct {
-	// SuccessorListLen is the number of immediate successors each node
-	// links to (fault tolerance; Chord's r parameter). Must be >= 1.
-	SuccessorListLen int
 	// PNS selects proximity neighbor selection: each finger points at the
 	// physically nearest candidate in its interval instead of the first.
 	PNS bool
 }
 
-// DefaultConfig mirrors a standard Chord deployment: successor list of 4,
-// plain (non-PNS) finger selection.
-func DefaultConfig() Config { return Config{SuccessorListLen: 4} }
+// DefaultConfig mirrors a standard Chord deployment: plain (non-PNS)
+// finger selection.
+func DefaultConfig() Config { return Config{} }
 
 // Ring is a built Chord overlay.
 type Ring struct {
@@ -56,7 +57,7 @@ type Ring struct {
 	ID []uint32
 	// fingers[slot][j] is the slot the j-th finger points to (may repeat).
 	fingers [][]int
-	// succ[slot] lists the SuccessorListLen immediate successor slots.
+	// succ[slot] lists the successorListLen immediate successor slots.
 	succ [][]int
 	// sorted holds slots ordered by ID for owner lookups.
 	sorted []int
@@ -70,9 +71,6 @@ func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*Ring
 	n := len(hosts)
 	if n < 2 {
 		return nil, fmt.Errorf("chord: need at least 2 nodes, got %d", n)
-	}
-	if cfg.SuccessorListLen < 1 {
-		return nil, fmt.Errorf("chord: SuccessorListLen = %d, want >= 1", cfg.SuccessorListLen)
 	}
 	o, err := overlay.New(hosts, lat)
 	if err != nil {
@@ -101,8 +99,8 @@ func (ring *Ring) rebuildTables() {
 	for _, s := range ring.sorted {
 		i := pos[s]
 		// Successor list.
-		succ := make([]int, 0, ring.cfg.SuccessorListLen)
-		for k := 1; k <= ring.cfg.SuccessorListLen && k < n; k++ {
+		succ := make([]int, 0, successorListLen)
+		for k := 1; k <= successorListLen && k < n; k++ {
 			succ = append(succ, ring.sorted[(i+k)%n])
 		}
 		ring.succ[s] = succ

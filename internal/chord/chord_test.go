@@ -31,9 +31,6 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(hostsN(1), DefaultConfig(), lat, rng.New(1)); err == nil {
 		t.Error("single node accepted")
 	}
-	if _, err := Build(hostsN(5), Config{SuccessorListLen: 0}, lat, rng.New(1)); err == nil {
-		t.Error("zero successor list accepted")
-	}
 }
 
 func TestIDsDistinct(t *testing.T) {
@@ -182,11 +179,11 @@ func TestLookupProcessingDelay(t *testing.T) {
 
 func TestPNSReducesLinkLatency(t *testing.T) {
 	hosts := hostsN(400)
-	plain, err := Build(hosts, Config{SuccessorListLen: 4}, lat, rng.New(55))
+	plain, err := Build(hosts, Config{}, lat, rng.New(55))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pns, err := Build(hosts, Config{SuccessorListLen: 4, PNS: true}, lat, rng.New(55))
+	pns, err := Build(hosts, Config{PNS: true}, lat, rng.New(55))
 	if err != nil {
 		t.Fatal(err)
 	}

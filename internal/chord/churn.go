@@ -53,10 +53,10 @@ func (ring *Ring) JoinWithID(host int, id uint32) (int, error) {
 
 	// The newcomer's own tables.
 	ring.rebuildNode(slot)
-	// Ring neighbors within SuccessorListLen positions behind the newcomer
+	// Ring neighbors within successorListLen positions behind the newcomer
 	// must refresh their successor lists (the newcomer now appears there).
 	n := len(ring.sorted)
-	for k := 1; k <= ring.cfg.SuccessorListLen && k < n; k++ {
+	for k := 1; k <= successorListLen && k < n; k++ {
 		ring.rebuildNode(ring.sorted[((i-k)%n+n)%n])
 	}
 	return slot, nil
@@ -87,7 +87,7 @@ func (ring *Ring) Leave(slot int, _ *rng.Rand) error {
 
 	// Predecessors refresh successor lists.
 	n := len(ring.sorted)
-	for k := 0; k < ring.cfg.SuccessorListLen && k < n; k++ {
+	for k := 0; k < successorListLen && k < n; k++ {
 		ring.rebuildNode(ring.sorted[((i-1-k)%n+n)%n])
 	}
 	// Repair every finger that pointed at the departed slot. (Global scan:
@@ -125,8 +125,8 @@ func (ring *Ring) FixFingers(slot int) error {
 func (ring *Ring) rebuildNode(slot int) {
 	n := len(ring.sorted)
 	i := overlay.SearchID(ring.sorted, ring.ID, ring.ID[slot])
-	succ := make([]int, 0, ring.cfg.SuccessorListLen)
-	for k := 1; k <= ring.cfg.SuccessorListLen && k < n; k++ {
+	succ := make([]int, 0, successorListLen)
+	for k := 1; k <= successorListLen && k < n; k++ {
 		succ = append(succ, ring.sorted[(i+k)%n])
 	}
 	ring.succ[slot] = succ

@@ -115,7 +115,7 @@ func TestLeaveRefusesTinyRing(t *testing.T) {
 // suites run through the online auditor.)
 
 func TestFixFingersAfterSwaps(t *testing.T) {
-	cfg := Config{SuccessorListLen: 4, PNS: true}
+	cfg := Config{PNS: true}
 	ring, err := Build(hostsN(128), cfg, lat, rng.New(11))
 	if err != nil {
 		t.Fatal(err)

@@ -25,5 +25,5 @@ func builder(cfg Config) dhttest.Builder {
 func TestDHTConformance(t *testing.T) { dhttest.Run(t, builder(DefaultConfig())) }
 
 func TestDHTConformancePNS(t *testing.T) {
-	dhttest.Run(t, builder(Config{SuccessorListLen: 4, PNS: true}))
+	dhttest.Run(t, builder(Config{PNS: true}))
 }

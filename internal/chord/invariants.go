@@ -11,7 +11,7 @@ import "fmt"
 //
 //   - the sorted ring lists exactly the live slots, in strictly ascending
 //     identifier order (identifiers are distinct);
-//   - every successor list equals the next SuccessorListLen live slots in
+//   - every successor list equals the next successorListLen live slots in
 //     ring order;
 //   - every finger table entry references a live slot.
 //
@@ -31,7 +31,7 @@ func (ring *Ring) CheckInvariants() error {
 		}
 	}
 	for i, s := range ring.sorted {
-		want := ring.cfg.SuccessorListLen
+		want := successorListLen
 		if want > n-1 {
 			want = n - 1
 		}

@@ -21,20 +21,21 @@ import (
 	"repro/internal/rng"
 )
 
+// zipfS is the Zipf popularity exponent: queries target the item ranked k
+// with probability ∝ k^-zipfS (measured Gnutella workloads are sub-1 Zipf).
+const zipfS = 0.8
+
 // Config describes a catalog.
 type Config struct {
 	// Items is the number of distinct items.
 	Items int
 	// Replicas is the number of machines holding each item.
 	Replicas int
-	// ZipfS is the Zipf popularity exponent (queries target item ranked k
-	// with probability ∝ k^-s). Zero means uniform popularity.
-	ZipfS float64
 }
 
 // DefaultConfig models a small file-sharing community: 500 items, 3
-// replicas each, s = 0.8 (measured Gnutella workloads are sub-1 Zipf).
-func DefaultConfig() Config { return Config{Items: 500, Replicas: 3, ZipfS: 0.8} }
+// replicas each.
+func DefaultConfig() Config { return Config{Items: 500, Replicas: 3} }
 
 // Validate reports the first configuration error.
 func (c Config) Validate() error {
@@ -43,8 +44,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("content: Items = %d, want >= 1", c.Items)
 	case c.Replicas < 1:
 		return fmt.Errorf("content: Replicas = %d, want >= 1", c.Replicas)
-	case c.ZipfS < 0:
-		return fmt.Errorf("content: ZipfS = %v, want >= 0", c.ZipfS)
 	}
 	return nil
 }
@@ -84,7 +83,7 @@ func Place(o *overlay.Overlay, cfg Config, r *rng.Rand) (*Catalog, error) {
 	c.popCDF = make([]float64, cfg.Items)
 	total := 0.0
 	for k := 1; k <= cfg.Items; k++ {
-		total += math.Pow(float64(k), -cfg.ZipfS)
+		total += math.Pow(float64(k), -zipfS)
 		c.popCDF[k-1] = total
 	}
 	for i := range c.popCDF {

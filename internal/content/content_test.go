@@ -31,7 +31,6 @@ func TestValidate(t *testing.T) {
 	bad := []Config{
 		{Items: 0, Replicas: 1},
 		{Items: 1, Replicas: 0},
-		{Items: 1, Replicas: 1, ZipfS: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -42,7 +41,7 @@ func TestValidate(t *testing.T) {
 
 func TestPlaceReplicas(t *testing.T) {
 	o := buildOverlay(t, 100)
-	cfg := Config{Items: 50, Replicas: 4, ZipfS: 1}
+	cfg := Config{Items: 50, Replicas: 4}
 	c, err := Place(o, cfg, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +83,7 @@ func TestPlaceErrors(t *testing.T) {
 
 func TestDrawItemZipfSkew(t *testing.T) {
 	o := buildOverlay(t, 50)
-	c, err := Place(o, Config{Items: 100, Replicas: 1, ZipfS: 1.0}, rng.New(3))
+	c, err := Place(o, Config{Items: 100, Replicas: 1}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +100,6 @@ func TestDrawItemZipfSkew(t *testing.T) {
 	// Rank 1 must be drawn far more often than rank 50.
 	if counts[0] < 5*counts[49] {
 		t.Fatalf("no Zipf skew: rank1=%d rank50=%d", counts[0], counts[49])
-	}
-	// Uniform (s=0) must not be skewed.
-	cu, err := Place(o, Config{Items: 100, Replicas: 1, ZipfS: 0}, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	uc := make([]int, 100)
-	for i := 0; i < draws; i++ {
-		uc[cu.DrawItem(r)]++
-	}
-	if float64(uc[0]) > 2*float64(uc[99]) {
-		t.Fatalf("uniform popularity skewed: %d vs %d", uc[0], uc[99])
 	}
 }
 
@@ -143,11 +130,11 @@ func TestSearchLatencyNearestReplica(t *testing.T) {
 
 func TestMeanSearchLatencyImprovesWithReplicas(t *testing.T) {
 	o := buildOverlay(t, 200)
-	r1, err := Place(o, Config{Items: 100, Replicas: 1, ZipfS: 0.8}, rng.New(5))
+	r1, err := Place(o, Config{Items: 100, Replicas: 1}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Place(o, Config{Items: 100, Replicas: 8, ZipfS: 0.8}, rng.New(5))
+	r8, err := Place(o, Config{Items: 100, Replicas: 8}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}

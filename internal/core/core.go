@@ -83,46 +83,41 @@ type Config struct {
 	// MaxInitTrials is MAX_INIT_TRIAL, the warm-up length (paper: "less
 	// than ten" — we use 10).
 	MaxInitTrials int
-	// MaxTimerFactor caps the Markov back-off: MAX_TIMER =
-	// MaxTimerFactor × INIT_TIMER (paper: 2^5 = 32, "at most five times of
-	// suspending").
-	MaxTimerFactor float64
 	// MeasurementNoise, when positive, perturbs every probe RTT used in the
 	// Var computation by a multiplicative Gaussian factor (1 + σ·N(0,1)),
 	// clamped at zero. The topology change itself always applies to ground
 	// truth — only the decision is noisy, as in a real deployment. Zero
 	// (the default, and the paper's setting) means exact measurements.
 	MeasurementNoise float64
-
-	// The remaining knobs govern retransmission (DESIGN.md §9) and only
-	// matter when an injector attached via AttachFaults loses messages.
-
-	// ProbeTimeoutMS is how long a peer waits for a probe step to be answered
-	// before declaring the message lost and retransmitting. Zero selects the
-	// default (5000 ms — generous against the transit-stub RTT spread).
-	ProbeTimeoutMS float64
-	// MaxRetries bounds retransmissions per probe step. Zero selects the
-	// default (3); after the budget is exhausted the probe cycle fails and
-	// falls back to the Markov back-off.
-	MaxRetries int
-	// BackoffJitter desynchronizes retransmit timers: each retransmit delay
-	// is scaled by (1 + BackoffJitter·U[0,1)). Zero means no jitter; the
-	// default config uses 0.1.
-	BackoffJitter float64
 }
+
+// maxTimerFactor caps the Markov back-off: MAX_TIMER = maxTimerFactor ×
+// INIT_TIMER (paper: 2^5 = 32, "at most five times of suspending").
+const maxTimerFactor = 32
+
+// Retransmission (DESIGN.md §9). These only matter when an injector
+// attached via AttachFaults loses messages.
+const (
+	// probeTimeoutMS is how long a peer waits for a probe step to be
+	// answered before declaring the message lost and retransmitting —
+	// generous against the transit-stub RTT spread.
+	probeTimeoutMS = 5000.0
+	// maxRetries bounds retransmissions per probe step; after the budget is
+	// exhausted the probe cycle fails and falls back to the Markov back-off.
+	maxRetries = 3
+	// backoffJitter desynchronizes retransmit timers: each retransmit delay
+	// is scaled by (1 + backoffJitter·U[0,1)).
+	backoffJitter = 0.1
+)
 
 // DefaultConfig returns the paper's parameterization for the given policy.
 func DefaultConfig(policy Policy) Config {
 	return Config{
-		Policy:         policy,
-		NHops:          2,
-		MinVar:         0,
-		InitTimerMS:    60000,
-		MaxInitTrials:  10,
-		MaxTimerFactor: 32,
-		ProbeTimeoutMS: 5000,
-		MaxRetries:     3,
-		BackoffJitter:  0.1,
+		Policy:        policy,
+		NHops:         2,
+		MinVar:        0,
+		InitTimerMS:   60000,
+		MaxInitTrials: 10,
 	}
 }
 
@@ -139,16 +134,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: InitTimerMS = %v, want > 0", c.InitTimerMS)
 	case c.MaxInitTrials < 1:
 		return fmt.Errorf("core: MaxInitTrials = %d, want >= 1", c.MaxInitTrials)
-	case c.MaxTimerFactor < 1:
-		return fmt.Errorf("core: MaxTimerFactor = %v, want >= 1", c.MaxTimerFactor)
 	case c.MeasurementNoise < 0:
 		return fmt.Errorf("core: MeasurementNoise = %v, want >= 0", c.MeasurementNoise)
-	case c.ProbeTimeoutMS < 0:
-		return fmt.Errorf("core: ProbeTimeoutMS = %v, want >= 0 (0 = default)", c.ProbeTimeoutMS)
-	case c.MaxRetries < 0:
-		return fmt.Errorf("core: MaxRetries = %d, want >= 0 (0 = default)", c.MaxRetries)
-	case c.BackoffJitter < 0:
-		return fmt.Errorf("core: BackoffJitter = %v, want >= 0", c.BackoffJitter)
 	}
 	return nil
 }
@@ -257,7 +244,7 @@ func (p *Peer) maxPrio() int {
 // to the queue tail and the timer stays at INIT_TIMER, so every neighbor
 // gets a turn. Afterwards a successful first hop moves up one priority and
 // the timer resets; a failed one falls to the tail and the timer doubles,
-// resetting once it passes MaxTimerFactor × INIT_TIMER.
+// resetting once it passes MAX_TIMER = maxTimerFactor × INIT_TIMER.
 func (p *Peer) Finish(success bool, cfg Config) (nextTimerMS float64) {
 	warmUp := p.Trials <= cfg.MaxInitTrials
 	if p.hop > 0 {
@@ -272,7 +259,7 @@ func (p *Peer) Finish(success bool, cfg Config) (nextTimerMS float64) {
 		p.TimerMS = cfg.InitTimerMS
 	} else {
 		p.TimerMS *= 2
-		if p.TimerMS > cfg.MaxTimerFactor*cfg.InitTimerMS {
+		if p.TimerMS > maxTimerFactor*cfg.InitTimerMS {
 			p.TimerMS = cfg.InitTimerMS
 		}
 	}
@@ -520,13 +507,6 @@ func New(o *overlay.Overlay, cfg Config, r *rng.Rand) (*Protocol, error) {
 			p.m = 1
 		}
 	}
-	// Resolve fault-path defaults; inert until AttachFaults.
-	if p.cfg.ProbeTimeoutMS == 0 {
-		p.cfg.ProbeTimeoutMS = 5000
-	}
-	if p.cfg.MaxRetries == 0 {
-		p.cfg.MaxRetries = 3
-	}
 	return p, nil
 }
 
@@ -675,7 +655,7 @@ func (p *Protocol) probe(e event.Clock, u int) {
 
 // probeAttempt is one transmission of the probe: walk + response, then — if
 // everything arrived — the exchange evaluation. A lost message times out
-// and retransmits with exponential back-off until MaxRetries is exhausted,
+// and retransmits with exponential back-off until maxRetries is exhausted,
 // at which point the cycle fails into the normal Markov back-off. Each
 // retransmission is a fresh packet and takes a fresh random route.
 func (p *Protocol) probeAttempt(e event.Clock, u int, st *nodeState, s, attempt int) {
@@ -686,7 +666,7 @@ func (p *Protocol) probeAttempt(e event.Clock, u int, st *nodeState, s, attempt 
 	}
 	if !p.deliverWalk(e, path) {
 		p.Counters.Timeouts++
-		if attempt >= p.cfg.MaxRetries {
+		if attempt >= maxRetries {
 			p.finishProbe(e, u, st, -1, false)
 			return
 		}
@@ -741,13 +721,9 @@ func (p *Protocol) deliverWalk(e event.Clock, path []int) bool {
 }
 
 // retransmitDelay is the back-off before retransmission attempt+1:
-// ProbeTimeout × 2^attempt, scaled by the configured jitter.
+// probeTimeoutMS × 2^attempt, scaled by the jitter.
 func (p *Protocol) retransmitDelay(attempt int) event.Time {
-	d := p.cfg.ProbeTimeoutMS * float64(uint64(1)<<uint(attempt))
-	if p.cfg.BackoffJitter > 0 {
-		d *= 1 + p.cfg.BackoffJitter*p.r.Float64()
-	}
-	return event.Time(d)
+	return event.Time(probeTimeoutMS * float64(uint64(1)<<uint(attempt)) * (1 + backoffJitter*p.r.Float64()))
 }
 
 // findPartner locates the exchange counterpart: a TTL-nhops random walk
@@ -822,7 +798,7 @@ func (p *Protocol) measurePairs(now float64, pairs [][2]int, rtt []float64) int 
 			d := p.faults.Deliver(pr[0], pr[1], now)
 			if d.Lost {
 				p.Counters.Timeouts++
-				if attempt >= p.cfg.MaxRetries {
+				if attempt >= maxRetries {
 					return k
 				}
 				p.Counters.Retries++
@@ -859,7 +835,7 @@ type BackoffSnapshot struct {
 	Nodes int
 	// BackedOff counts nodes whose timer currently exceeds INIT_TIMER.
 	BackedOff int
-	// AtMax counts nodes at the MAX_TIMER cap (MaxTimerFactor × INIT_TIMER).
+	// AtMax counts nodes at the MAX_TIMER cap (32 × INIT_TIMER).
 	AtMax int
 	// SumFactor is Σ timer/INIT_TIMER over all nodes; SumFactor/Nodes is the
 	// mean back-off factor (1.0 = everyone probing at full rate).
@@ -877,7 +853,7 @@ func (b BackoffSnapshot) MeanFactor() float64 {
 // BackoffSnapshot captures the current timer state across all nodes.
 func (p *Protocol) BackoffSnapshot() BackoffSnapshot {
 	var bs BackoffSnapshot
-	maxMS := p.cfg.MaxTimerFactor * p.cfg.InitTimerMS
+	maxMS := maxTimerFactor * p.cfg.InitTimerMS
 	for _, st := range p.nodes {
 		if st == nil {
 			continue

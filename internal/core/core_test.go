@@ -34,12 +34,11 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Config{
-		{Policy: Policy(9), NHops: 2, InitTimerMS: 1, MaxInitTrials: 1, MaxTimerFactor: 2},
-		{Policy: PROPG, NHops: 0, InitTimerMS: 1, MaxInitTrials: 1, MaxTimerFactor: 2},
-		{Policy: PROPO, NHops: 2, M: -1, InitTimerMS: 1, MaxInitTrials: 1, MaxTimerFactor: 2},
-		{Policy: PROPG, NHops: 2, InitTimerMS: 0, MaxInitTrials: 1, MaxTimerFactor: 2},
-		{Policy: PROPG, NHops: 2, InitTimerMS: 1, MaxInitTrials: 0, MaxTimerFactor: 2},
-		{Policy: PROPG, NHops: 2, InitTimerMS: 1, MaxInitTrials: 1, MaxTimerFactor: 0.5},
+		{Policy: Policy(9), NHops: 2, InitTimerMS: 1, MaxInitTrials: 1},
+		{Policy: PROPG, NHops: 0, InitTimerMS: 1, MaxInitTrials: 1},
+		{Policy: PROPO, NHops: 2, M: -1, InitTimerMS: 1, MaxInitTrials: 1},
+		{Policy: PROPG, NHops: 2, InitTimerMS: 0, MaxInitTrials: 1},
+		{Policy: PROPG, NHops: 2, InitTimerMS: 1, MaxInitTrials: 0},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -250,7 +249,6 @@ func TestTimerBackoffSequence(t *testing.T) {
 	cfg.NHops = 1
 	cfg.MaxInitTrials = 2
 	cfg.InitTimerMS = 100
-	cfg.MaxTimerFactor = 8
 	p, err := New(o, cfg, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
@@ -258,24 +256,24 @@ func TestTimerBackoffSequence(t *testing.T) {
 	e := event.New()
 	p.Start(e)
 	var timers []float64
-	for i := 0; i < 16 && e.Step(); i++ {
+	for i := 0; i < 32 && e.Step(); i++ {
 		if tm, ok := p.TimerOf(0); ok {
 			timers = append(timers, tm)
 		}
 	}
-	// After node 0's warm-up (2 trials at 100), expect 200, 400, 800,
-	// then reset to 100 (1600 > 8*100). Node 1's events interleave, so just
+	// After node 0's warm-up (2 trials at 100), expect 200, 400, ..., 3200,
+	// then reset to 100 (6400 > 32*100). Node 1's events interleave, so just
 	// verify the pattern appears and the cap is respected.
 	sawDouble, sawReset := false, false
 	for i := 1; i < len(timers); i++ {
 		if timers[i] == 2*timers[i-1] {
 			sawDouble = true
 		}
-		if timers[i-1] == 800 && timers[i] == 100 {
+		if timers[i-1] == 3200 && timers[i] == 100 {
 			sawReset = true
 		}
-		if timers[i] > 800 {
-			t.Fatalf("timer %v exceeded MAX_TIMER 800 (sequence %v)", timers[i], timers)
+		if timers[i] > 3200 {
+			t.Fatalf("timer %v exceeded MAX_TIMER 3200 (sequence %v)", timers[i], timers)
 		}
 	}
 	if !sawDouble || !sawReset {

@@ -143,7 +143,6 @@ func TestStaleRetransmitTimersAreAbsorbed(t *testing.T) {
 	o, r := scrambledLineOverlay(t, 20, 31)
 	cfg := DefaultConfig(PROPG)
 	cfg.InitTimerMS = 1000
-	cfg.ProbeTimeoutMS = 2000
 	p, err := New(o, cfg, r)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +174,7 @@ func TestTotalLossMeansNoExchangesButBoundedRetries(t *testing.T) {
 		t.Fatalf("overlay changed under total loss: %v -> %v", before, got)
 	}
 	// Retries stay bounded: per timeout at most one retransmission, and per
-	// probe attempt chain at most MaxRetries retransmissions.
+	// probe attempt chain at most maxRetries retransmissions.
 	if p.Counters.Retries > p.Counters.Timeouts {
 		t.Fatalf("more retries than timeouts: %+v", p.Counters)
 	}
@@ -224,31 +223,21 @@ func TestPartitionStallsThenRecovers(t *testing.T) {
 
 func TestRetransmitDelayGrowsExponentially(t *testing.T) {
 	o, _ := scrambledLineOverlay(t, 10, 1)
-	cfg := DefaultConfig(PROPG)
-	cfg.BackoffJitter = 0
-	p, err := New(o, cfg, rng.New(1))
+	p, err := New(o, DefaultConfig(PROPG), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The jittered delay lands in [base, base*(1+j)), and base doubles.
 	prev := event.Time(0)
 	for attempt := 0; attempt < 4; attempt++ {
+		base := event.Time(probeTimeoutMS * float64(uint64(1)<<uint(attempt)))
 		d := p.retransmitDelay(attempt)
-		want := event.Time(cfg.ProbeTimeoutMS * float64(uint64(1)<<uint(attempt)))
-		if d != want {
-			t.Fatalf("retransmitDelay(%d) = %v, want %v", attempt, d, want)
+		if d < base || d >= event.Time(float64(base)*(1+backoffJitter)) {
+			t.Fatalf("retransmitDelay(%d) = %v outside [%v, %v)", attempt, d, base, float64(base)*(1+backoffJitter))
 		}
 		if d <= prev {
 			t.Fatalf("delay not growing: %v then %v", prev, d)
 		}
 		prev = d
-	}
-	// With jitter the delay lands in [base, base*(1+j)).
-	p.cfg.BackoffJitter = 0.5
-	for attempt := 0; attempt < 4; attempt++ {
-		base := event.Time(cfg.ProbeTimeoutMS * float64(uint64(1)<<uint(attempt)))
-		d := p.retransmitDelay(attempt)
-		if d < base || d >= event.Time(float64(base)*1.5) {
-			t.Fatalf("jittered delay %v outside [%v, %v)", d, base, float64(base)*1.5)
-		}
 	}
 }

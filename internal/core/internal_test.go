@@ -228,12 +228,11 @@ func TestReconcileMatchesMapReference(t *testing.T) {
 // TestFinishStandingAndTimer tables the §3.2 maintenance rule: warm-up
 // rotates the first hop and pins the timer; afterwards success promotes and
 // resets, failure demotes and doubles, and the timer resets once it passes
-// the MaxTimerFactor cap.
+// the MAX_TIMER cap.
 func TestFinishStandingAndTimer(t *testing.T) {
 	cfg := DefaultConfig(PROPG)
 	cfg.InitTimerMS = 100
 	cfg.MaxInitTrials = 2
-	cfg.MaxTimerFactor = 4
 	st := &Peer{TimerMS: cfg.InitTimerMS}
 	st.Init([]int{10, 20, 30}, rng.New(4))
 	order := []int{st.Queue[0].Neighbor, st.Queue[1].Neighbor, st.Queue[2].Neighbor}
@@ -246,9 +245,12 @@ func TestFinishStandingAndTimer(t *testing.T) {
 		{true, 0, 100},  // warm-up: rotates to the tail even on success
 		{false, 1, 100}, // warm-up: timer pinned even on failure
 		{false, 2, 200}, // maintenance: failure demotes, timer doubles
-		{false, 0, 400}, //   ... doubles to the cap
-		{false, 1, 100}, //   ... past the cap: reset
-		{true, 2, 100},  // success promotes: same first hop next time
+		{false, 0, 400},
+		{false, 1, 800},
+		{false, 2, 1600},
+		{false, 0, 3200}, //   ... doubles to the cap, 32 × INIT_TIMER
+		{false, 1, 100},  //   ... past the cap: reset
+		{true, 2, 100},   // success promotes: same first hop next time
 		{true, 2, 100},
 		{false, 2, 200}, // and a failure sends it to the tail again
 		{true, 0, 100},  // success resets a backed-off timer

@@ -204,7 +204,7 @@ func referenceMeasureRTT(p *Protocol, lat func(a, b int) float64, now float64, a
 		d := p.faults.Deliver(a, b, now)
 		if d.Lost {
 			p.Counters.Timeouts++
-			if attempt >= p.cfg.MaxRetries {
+			if attempt >= maxRetries {
 				return 0, false
 			}
 			p.Counters.Retries++
@@ -232,7 +232,6 @@ func TestMeasurePairsMatchesPerCallReference(t *testing.T) {
 			o, _ := scrambledLineOverlay(t, 40, 2)
 			cfg := DefaultConfig(PROPG)
 			cfg.MeasurementNoise = noise
-			cfg.MaxRetries = 1
 			p, err := New(o, cfg, rng.New(11))
 			if err != nil {
 				t.Fatal(err)

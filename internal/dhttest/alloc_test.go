@@ -33,11 +33,11 @@ func TestWarmLookupAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mesh, err := pastry.Build(hosts, pastry.DefaultConfig(), lat, rng.New(2))
+	mesh, err := pastry.Build(hosts, pastry.Config{}, lat, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := kademlia.Build(hosts, kademlia.DefaultConfig(), lat, rng.New(3))
+	net, err := kademlia.Build(hosts, kademlia.Config{}, lat, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}

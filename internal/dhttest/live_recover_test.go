@@ -29,10 +29,8 @@ func TestLiveRecoverRejoin(t *testing.T) {
 		Policy:              core.PROPG,
 		ProbeIntervalMS:     5,
 		PingTimeout:         15 * time.Millisecond,
-		Retries:             3,
 		HeartbeatIntervalMS: 8,
 		HeartbeatTimeout:    10 * time.Millisecond,
-		SuspicionThreshold:  3,
 		Lat:                 lineLat,
 		Seed:                31,
 	})

@@ -54,9 +54,7 @@ var (
 	// pastryStudy: native proximity routing tables, re-picked after the
 	// exchanges (a no-op for plain tables).
 	pastryStudy = study{"Pastry", func(e *env, n, count int, prox bool) (*overlay.Overlay, func(), func() float64, error) {
-		cfg := pastry.DefaultConfig()
-		cfg.Proximity = prox
-		mesh, err := pastry.Build(e.net.PickHosts(n, e.r), cfg, e.oracle.Latency, e.r)
+		mesh, err := pastry.Build(e.net.PickHosts(n, e.r), pastry.Config{Proximity: prox}, e.oracle.Latency, e.r)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -68,9 +66,7 @@ var (
 	}}
 	// kademliaStudy: proximity k-buckets.
 	kademliaStudy = study{"Kademlia", func(e *env, n, count int, prox bool) (*overlay.Overlay, func(), func() float64, error) {
-		cfg := kademlia.DefaultConfig()
-		cfg.Proximity = prox
-		net, err := kademlia.Build(e.net.PickHosts(n, e.r), cfg, e.oracle.Latency, e.r)
+		net, err := kademlia.Build(e.net.PickHosts(n, e.r), kademlia.Config{Proximity: prox}, e.oracle.Latency, e.r)
 		if err != nil {
 			return nil, nil, nil, err
 		}

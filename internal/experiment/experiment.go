@@ -477,12 +477,14 @@ const (
 )
 
 // check rejects, before any trial runs, the option values no experiment
-// accepts — a non-finite scale or a negative or non-finite fault override
+// accepts — a non-finite scale, a negative or non-finite fault override
 // (a sweep treats a value ≤ 0 as unset, and NaN passes every range check,
-// withDefaults' scale clamp included) or an unknown AL mode — and every set
-// optional field the row does not consume, naming the rows that do. Before
-// this guard `propsim -exp fig5b -loss 0.05` ran the fault-free experiment
-// and reported clean results as if the faults had been applied.
+// withDefaults' scale clamp included), a negative ladder cap or shard count
+// (the ladder reads a cap ≤ 0 as the full 10^6 ladder) or an unknown AL
+// mode — and every set optional field the row does not consume, naming the
+// rows that do. Before this guard `propsim -exp fig5b -loss 0.05` ran the
+// fault-free experiment and reported clean results as if the faults had
+// been applied.
 func (s *spec) check(opt Options) error {
 	if math.IsNaN(opt.Scale) || math.IsInf(opt.Scale, 0) {
 		return fmt.Errorf("experiment: -scale = %v, want a finite value", opt.Scale)
@@ -493,6 +495,14 @@ func (s *spec) check(opt Options) error {
 	}{{"-loss", opt.FaultLoss}, {"-crash", opt.FaultCrash}, {"-partition", opt.FaultPartitionMS}} {
 		if !(f.v >= 0 && f.v < math.Inf(1)) {
 			return fmt.Errorf("experiment: %s = %v, want a finite value >= 0", f.flag, f.v)
+		}
+	}
+	for _, f := range []struct {
+		flag string
+		v    int
+	}{{"-scale-n", opt.ScaleMaxN}, {"-shards", opt.Shards}} {
+		if f.v < 0 {
+			return fmt.Errorf("experiment: %s = %d, want >= 0", f.flag, f.v)
 		}
 	}
 	switch opt.ALMode {

@@ -201,10 +201,7 @@ func trafficTrial(c *trialCtx) ([]stats.Series, error) {
 		record(i+1, oc)
 	}
 	oc := base.Clone()
-	p, err := ltm.New(oc, ltm.DefaultConfig(), e.r.Split())
-	if err != nil {
-		return nil, err
-	}
+	p := ltm.New(oc, e.r.Split())
 	if err := optimize(event.New(), nil, horizonMS, horizonMS, nil, p.Start); err != nil {
 		return nil, err
 	}

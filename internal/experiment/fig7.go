@@ -71,10 +71,7 @@ func propPolicy(policy core.Policy, m int) fig7Optimizer {
 }
 
 func ltmPolicy(o *overlay.Overlay, r *rng.Rand, tr *obs.Trial, prefix string) error {
-	p, err := ltm.New(o, ltm.DefaultConfig(), r)
-	if err != nil {
-		return err
-	}
+	p := ltm.New(o, r)
 	sp := tr.StartSpan(prefix+"optimize", 0)
 	if err := optimize(event.New(), nil, fig7HorizonMS, fig7SampleStepMS, func(t float64) error {
 		sampleMessageCounters(tr, prefix+"ltm.", t, p.Counters)
@@ -98,10 +95,7 @@ func fig7Trial(c *trialCtx) ([]stats.Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseModel, err := hetero.AssignByDegree(base, hetero.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
+	baseModel := hetero.AssignByDegree(base)
 	fastHosts, allHosts := baseModel.FastHosts(), base.Hosts()
 	slowHosts := slices.DeleteFunc(slices.Clone(allHosts), func(h int) bool { return slices.Contains(fastHosts, h) })
 
@@ -124,10 +118,7 @@ func fig7Trial(c *trialCtx) ([]stats.Series, error) {
 	out := make([]stats.Series, len(fig7Policies))
 	for pi, pol := range fig7Policies {
 		oc := base.Clone()
-		model, err := hetero.AssignByDegree(oc, hetero.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
+		model := hetero.AssignByDegree(oc)
 		if err := pol.optimize(oc, e.r.Split(), c.tr, pol.label+"/"); err != nil {
 			return nil, fmt.Errorf("%s: %w", pol.label, err)
 		}

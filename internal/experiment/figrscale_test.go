@@ -134,6 +134,20 @@ func TestFaultFlagRejectsBadValues(t *testing.T) {
 	if n := bytes.Count(buf.Bytes(), []byte("\n")); n != 1 {
 		t.Errorf("rejected overrides still recorded %d stream lines past the manifest", n-1)
 	}
+	// The ladder knobs are put to the row's check alone: a negative value
+	// it lets through climbs the full 10^6 ladder under Run.
+	for _, c := range []struct {
+		id  string
+		opt Options
+		fla string
+	}{
+		{"fig5a-scale", Options{ScaleMaxN: -5}, "-scale-n"},
+		{"figR-scale", Options{Shards: -2}, "-shards"},
+	} {
+		if err := lookup(c.id).check(c.opt); err == nil || !strings.Contains(err.Error(), c.fla) {
+			t.Errorf("%s %+v: error %v, want one naming %s", c.id, c.opt, err, c.fla)
+		}
+	}
 }
 
 // TestFaultFlagRejection pins the bugfix: an optional field an experiment

@@ -40,9 +40,7 @@ func satMatchTrial(c *trialCtx) ([]stats.Series, error) {
 		protoRNG := rng.New(c.subSeed(5000, vi))
 		switch vi {
 		case 1:
-			if sat, err = satmatch.New(ring, satmatch.DefaultConfig(), protoRNG); err != nil {
-				return nil, err
-			}
+			sat = satmatch.New(ring, protoRNG)
 			start = append(start, sat.Start)
 		case 2:
 			if prop, err = core.New(ring.O, core.DefaultConfig(core.PROPG), protoRNG); err != nil {

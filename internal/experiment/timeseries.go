@@ -207,30 +207,6 @@ func newRunAuditor(o *overlay.Overlay, p *core.Protocol, eng *event.Engine, extr
 	)
 	a.Register(extra...)
 	a.AttachEngine(eng)
-
-	prevTrace := p.Trace
-	p.Trace = func(ev core.ExchangeEvent) {
-		if prevTrace != nil {
-			prevTrace(ev)
-		}
-		a.Observe(audit.Record{
-			At: float64(ev.At), Kind: audit.KindExchange,
-			A: ev.U, B: ev.V, Aux: []int{ev.Moved}, Val: ev.Var,
-		})
-	}
-	prevProbe := p.Probe
-	p.Probe = func(ev core.ProbeEvent) {
-		if prevProbe != nil {
-			prevProbe(ev)
-		}
-		v := 0.0
-		if ev.Exchanged {
-			v = 1
-		}
-		a.Observe(audit.Record{
-			At: float64(ev.At), Kind: audit.KindProbe,
-			A: ev.U, B: ev.Partner, Val: v,
-		})
-	}
+	a.AttachProtocol(p)
 	return a
 }

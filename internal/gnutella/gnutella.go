@@ -165,24 +165,37 @@ func (n Net) handoff(former []int, evict bool, r *rng.Rand) {
 	for i := 0; i+1 < len(live); i++ {
 		o.AddEdge(live[i], live[i+1]) // an existing edge is left as it is
 	}
-	alive := o.AliveSlots()
-	if len(alive) < 2 {
+	if o.NumAlive() < 2 {
 		return
 	}
 	for _, f := range live {
 		if evict {
 			o.EvictDeadNeighbors(f)
 		}
-		for o.Degree(f) < n.LinksPerJoin {
-			cand := alive[r.Intn(len(alive))]
-			if cand == f || o.Logical.HasEdge(f, cand) {
-				// Degenerate small overlays may not admit more edges.
-				if o.Degree(f) >= len(alive)-1 {
-					break
-				}
-				continue
+		n.TopUp(f, r)
+	}
+}
+
+// TopUp restores live slot u's degree to LinksPerJoin with uniformly random
+// live non-neighbors — the repair rule of the neighbor handoff, also run by
+// a live failure detector after it evicts a link.
+func (n Net) TopUp(u int, r *rng.Rand) {
+	o := n.O
+	alive := o.AliveSlots()
+	if len(alive) < 2 {
+		return
+	}
+	for o.Degree(u) < n.LinksPerJoin {
+		cand := alive[r.Intn(len(alive))]
+		if cand == u || o.Logical.HasEdge(u, cand) {
+			// Degenerate small overlays may not admit more edges.
+			if o.Degree(u) >= len(alive)-1 {
+				return
 			}
-			o.AddEdge(f, cand)
+			continue
+		}
+		if err := o.AddEdge(u, cand); err != nil {
+			return
 		}
 	}
 }

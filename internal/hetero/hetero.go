@@ -14,50 +14,32 @@
 // machines currently backing the highest-degree slots as fast (matching the
 // preferential-attachment overlays, where early joiners are hubs).
 //
-// Key types: Config and Model (host → processing delay). See DESIGN.md §1
-// and the Fig. 7 row of §2.
+// The population is fixed at the Fig. 7 setting: 20% of the machines are
+// fast (1 ms per lookup hop), the rest slow (100 ms).
+//
+// Key type: Model (host → processing delay). See DESIGN.md §1 and the
+// Fig. 7 row of §2.
 package hetero
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/overlay"
 )
 
-// Config describes a bimodal processing-delay population.
-type Config struct {
-	// FastDelayMS is the processing delay of fast machines (paper: 1 ms).
-	FastDelayMS float64
-	// SlowDelayMS is the processing delay of slow machines (reconstructed:
+const (
+	// fastDelayMS is the processing delay of fast machines (paper: 1 ms).
+	fastDelayMS = 1.0
+	// slowDelayMS is the processing delay of slow machines (reconstructed:
 	// 100 ms; the OCR lost the digit — see DESIGN.md §4).
-	SlowDelayMS float64
-	// FastFraction is the fraction of machines that are fast
+	slowDelayMS = 100.0
+	// fastFraction is the fraction of machines that are fast
 	// (reconstructed: 0.20).
-	FastFraction float64
-}
-
-// DefaultConfig returns the Fig. 7 setting.
-func DefaultConfig() Config {
-	return Config{FastDelayMS: 1, SlowDelayMS: 100, FastFraction: 0.20}
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	switch {
-	case c.FastDelayMS < 0 || c.SlowDelayMS < 0:
-		return fmt.Errorf("hetero: negative delay (%v/%v)", c.FastDelayMS, c.SlowDelayMS)
-	case c.FastDelayMS > c.SlowDelayMS:
-		return fmt.Errorf("hetero: fast delay %v exceeds slow delay %v", c.FastDelayMS, c.SlowDelayMS)
-	case c.FastFraction < 0 || c.FastFraction > 1:
-		return fmt.Errorf("hetero: FastFraction %v out of [0,1]", c.FastFraction)
-	}
-	return nil
-}
+	fastFraction = 0.20
+)
 
 // Model assigns processing delays to the machines of one overlay.
 type Model struct {
-	cfg       Config
 	o         *overlay.Overlay
 	fastHosts map[int]bool
 }
@@ -71,14 +53,11 @@ func fastCount(frac float64, n int) int {
 	return k
 }
 
-// AssignByDegree marks the machines backing the ceil(FastFraction·n)
+// AssignByDegree marks the machines backing the ceil(fastFraction·n)
 // highest-degree slots of o as fast — the "powerful nodes own more
 // connections" coupling Fig. 7 leans on. The assignment is by host, so
 // later host swaps (PROP-G) carry the speed with the machine.
-func AssignByDegree(o *overlay.Overlay, cfg Config) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func AssignByDegree(o *overlay.Overlay) *Model {
 	slots := o.AliveSlots()
 	sort.Slice(slots, func(i, j int) bool {
 		di, dj := o.Degree(slots[i]), o.Degree(slots[j])
@@ -87,11 +66,11 @@ func AssignByDegree(o *overlay.Overlay, cfg Config) (*Model, error) {
 		}
 		return slots[i] < slots[j]
 	})
-	m := &Model{cfg: cfg, o: o, fastHosts: make(map[int]bool)}
-	for _, s := range slots[:fastCount(cfg.FastFraction, len(slots))] {
+	m := &Model{o: o, fastHosts: make(map[int]bool)}
+	for _, s := range slots[:fastCount(fastFraction, len(slots))] {
 		m.fastHosts[o.HostOf(s)] = true
 	}
-	return m, nil
+	return m
 }
 
 // IsFastHost reports whether the machine host is fast.
@@ -104,9 +83,9 @@ func (m *Model) IsFastSlot(slot int) bool { return m.fastHosts[m.o.HostOf(slot)]
 // in milliseconds; it satisfies overlay.ProcDelayFunc.
 func (m *Model) Delay(slot int) float64 {
 	if m.IsFastSlot(slot) {
-		return m.cfg.FastDelayMS
+		return fastDelayMS
 	}
-	return m.cfg.SlowDelayMS
+	return slowDelayMS
 }
 
 // FastHosts returns the fast machines in ascending order.

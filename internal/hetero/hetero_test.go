@@ -24,32 +24,9 @@ func buildOverlay(t *testing.T, n int) *overlay.Overlay {
 	return o
 }
 
-func TestDefaultConfigValid(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateRejects(t *testing.T) {
-	bad := []Config{
-		{FastDelayMS: -1, SlowDelayMS: 10, FastFraction: 0.5},
-		{FastDelayMS: 10, SlowDelayMS: 1, FastFraction: 0.5},
-		{FastDelayMS: 1, SlowDelayMS: 10, FastFraction: 1.5},
-		{FastDelayMS: 1, SlowDelayMS: 10, FastFraction: -0.1},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-}
-
 func TestAssignByDegreePicksHubs(t *testing.T) {
 	o := buildOverlay(t, 500)
-	m, err := AssignByDegree(o, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := AssignByDegree(o)
 	fast := m.FastSlots()
 	if len(fast) != 100 { // 20% of 500
 		t.Fatalf("fast count = %d, want 100", len(fast))
@@ -74,10 +51,7 @@ func TestAssignByDegreePicksHubs(t *testing.T) {
 
 func TestDelays(t *testing.T) {
 	o := buildOverlay(t, 100)
-	m, err := AssignByDegree(o, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := AssignByDegree(o)
 	for _, s := range m.FastSlots() {
 		if !m.IsFastSlot(s) || m.Delay(s) != 1 {
 			t.Fatalf("fast slot %d: IsFastSlot=%v Delay=%v", s, m.IsFastSlot(s), m.Delay(s))
@@ -93,10 +67,7 @@ func TestDelays(t *testing.T) {
 func TestSpeedTravelsWithHost(t *testing.T) {
 	// PROP-G swaps must carry the machine's speed to its new slot.
 	o := buildOverlay(t, 100)
-	m, err := AssignByDegree(o, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := AssignByDegree(o)
 	fastSlot := m.FastSlots()[0]
 	slowSlot := m.SlowSlots()[0]
 	fastHost := o.HostOf(fastSlot)
@@ -114,28 +85,13 @@ func TestSpeedTravelsWithHost(t *testing.T) {
 	}
 }
 
-func TestAssignRejectsBadConfig(t *testing.T) {
-	o := buildOverlay(t, 10)
-	bad := Config{FastDelayMS: 5, SlowDelayMS: 1, FastFraction: 0.5}
-	if _, err := AssignByDegree(o, bad); err == nil {
-		t.Error("AssignByDegree accepted bad config")
-	}
-}
-
 func TestFractionBoundaries(t *testing.T) {
-	o := buildOverlay(t, 50)
-	all, err := AssignByDegree(o, Config{FastDelayMS: 1, SlowDelayMS: 2, FastFraction: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all.FastSlots()) != 50 {
-		t.Fatalf("FastFraction=1 gave %d fast slots", len(all.FastSlots()))
-	}
-	none, err := AssignByDegree(o, Config{FastDelayMS: 1, SlowDelayMS: 2, FastFraction: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none.FastSlots()) != 0 {
-		t.Fatalf("FastFraction=0 gave %d fast slots", len(none.FastSlots()))
+	for _, tc := range []struct {
+		frac    float64
+		n, want int
+	}{{1, 50, 50}, {0, 50, 0}, {0.2, 500, 100}, {0.2, 7, 2}} {
+		if got := fastCount(tc.frac, tc.n); got != tc.want {
+			t.Errorf("fastCount(%v, %d) = %d, want %d", tc.frac, tc.n, got, tc.want)
+		}
 	}
 }

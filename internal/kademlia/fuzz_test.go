@@ -9,5 +9,5 @@ import (
 // FuzzOwnerAndLookup runs the dhttest fuzz body on networks; greedy XOR
 // routing takes at most Bits + 8 hops.
 func FuzzOwnerAndLookup(f *testing.F) {
-	dhttest.Fuzz(f, builder(DefaultConfig()), func(int) int { return Bits + 8 })
+	dhttest.Fuzz(f, builder(Config{}), func(int) int { return Bits + 8 })
 }

@@ -27,9 +27,9 @@ func (net *Net) CheckInvariants() error {
 			return fmt.Errorf("kademlia: live slot %d has no buckets", s)
 		}
 		for i, bucket := range net.buckets[s] {
-			if len(bucket) > net.cfg.K {
+			if len(bucket) > bucketSize {
 				return fmt.Errorf("kademlia: slot %d bucket %d holds %d contacts, capacity %d",
-					s, i, len(bucket), net.cfg.K)
+					s, i, len(bucket), bucketSize)
 			}
 			seen := make(map[int]bool, len(bucket))
 			for _, t := range bucket {

@@ -34,18 +34,16 @@ import (
 // Bits is the identifier width.
 const Bits = 32
 
+// bucketSize is the bucket capacity: Kademlia's k, at a common
+// small-system setting.
+const bucketSize = 8
+
 // Config parameterizes construction.
 type Config struct {
-	// K is the bucket capacity (Kademlia's k; 8 is a common small-system
-	// setting). Must be >= 1.
-	K int
 	// Proximity selects bucket contacts by physical nearness instead of
 	// XOR closeness — Kademlia's native PNS.
 	Proximity bool
 }
-
-// DefaultConfig returns a standard small-deployment setting.
-func DefaultConfig() Config { return Config{K: 8} }
 
 // Net is a built Kademlia network.
 type Net struct {
@@ -63,9 +61,6 @@ func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*Net,
 	n := len(hosts)
 	if n < 2 {
 		return nil, fmt.Errorf("kademlia: need at least 2 nodes, got %d", n)
-	}
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("kademlia: K = %d, want >= 1", cfg.K)
 	}
 	o, err := overlay.New(hosts, lat)
 	if err != nil {
@@ -127,8 +122,8 @@ func (net *Net) fillBuckets() {
 					return cands[i] < cands[j]
 				})
 			}
-			if len(cands) > net.cfg.K {
-				cands = cands[:net.cfg.K]
+			if len(cands) > bucketSize {
+				cands = cands[:bucketSize]
 			}
 			rows[bi] = append([]int(nil), cands...)
 		}

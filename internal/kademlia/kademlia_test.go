@@ -20,7 +20,7 @@ func hostsN(n int) []int {
 
 func buildNet(t testing.TB, n int, seed uint64) *Net {
 	t.Helper()
-	net, err := Build(hostsN(n), DefaultConfig(), lat, rng.New(seed))
+	net, err := Build(hostsN(n), Config{}, lat, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +28,8 @@ func buildNet(t testing.TB, n int, seed uint64) *Net {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(hostsN(1), DefaultConfig(), lat, rng.New(1)); err == nil {
+	if _, err := Build(hostsN(1), Config{}, lat, rng.New(1)); err == nil {
 		t.Error("single node accepted")
-	}
-	if _, err := Build(hostsN(8), Config{K: 0}, lat, rng.New(1)); err == nil {
-		t.Error("zero K accepted")
 	}
 }
 
@@ -60,7 +57,7 @@ func TestBucketsRespectRangeAndCapacity(t *testing.T) {
 	for s := 0; s < 200; s++ {
 		for bi := 0; bi < Bits; bi++ {
 			bucket := net.Bucket(s, bi)
-			if len(bucket) > DefaultConfig().K {
+			if len(bucket) > bucketSize {
 				t.Fatalf("slot %d bucket %d over capacity: %d", s, bi, len(bucket))
 			}
 			for _, c := range bucket {
@@ -147,11 +144,11 @@ func TestLookupFromDeadSlot(t *testing.T) {
 
 func TestProximityReducesLinkLatency(t *testing.T) {
 	hosts := hostsN(400)
-	plain, err := Build(hosts, Config{K: 8}, lat, rng.New(55))
+	plain, err := Build(hosts, Config{}, lat, rng.New(55))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prox, err := Build(hosts, Config{K: 8, Proximity: true}, lat, rng.New(55))
+	prox, err := Build(hosts, Config{Proximity: true}, lat, rng.New(55))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +173,7 @@ func TestLookupTerminatesProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 2 + r.Intn(100)
-		net, err := Build(hostsN(n), DefaultConfig(), lat, r)
+		net, err := Build(hostsN(n), Config{}, lat, r)
 		if err != nil {
 			return false
 		}
@@ -227,7 +224,7 @@ func TestRefresh(t *testing.T) {
 		t.Fatalf("plain refresh changed edges %d -> %d", len(before), len(after))
 	}
 	// Proximity refresh after swaps improves links.
-	prox, err := Build(hostsN(200), Config{K: 8, Proximity: true}, lat, rng.New(3))
+	prox, err := Build(hostsN(200), Config{Proximity: true}, lat, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,15 @@
 // preserve node degrees — the exact property the paper contrasts PROP-O
 // against in Fig. 7.
 //
-// Key types: Protocol and Config. See DESIGN.md §4 for the baseline
+// The parameters are fixed at the common LTM evaluation setup: one detector
+// round per peer per minute (PROP's INIT_TIMER), cuts and adds bounded per
+// round, and no cut below degree 3.
+//
+// Key type: Protocol. See DESIGN.md §4 for the baseline
 // reconstruction and §2 for the Fig. 7 comparison.
 package ltm
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/event"
@@ -24,44 +27,27 @@ import (
 	"repro/internal/rng"
 )
 
-// Config parameterizes the LTM optimizer.
-type Config struct {
-	// PeriodMS is the detector flooding period per peer (aligned with
-	// PROP's INIT_TIMER so overhead/latency comparisons are like-for-like).
-	PeriodMS float64
-	// MinDegree is the floor below which a peer refuses to cut links
-	// (LTM's "will not cut if it would leave the peer poorly connected").
-	MinDegree int
-	// MaxCutsPerRound bounds how many redundant links one detector round
-	// may cut.
-	MaxCutsPerRound int
-	// MaxAddsPerRound bounds how many shortcut links one round may add.
-	MaxAddsPerRound int
-}
-
-// DefaultConfig mirrors the common LTM evaluation setup: each detector
-// round cuts every redundant link it finds (up to the bound) but adds only
-// the single closest shortcut — LTM's "cut most of the inefficient and
-// redundant logical links". The asymmetry is what erodes high-degree peers,
-// the behavior the PROP paper criticizes ("free modification of connections
-// … impairs the natural feature of self-organizing overlay where powerful,
+// The detector schedule mirrors the common LTM evaluation setup: each
+// round cuts every redundant link it finds (up to maxCutsPerRound) but adds
+// at most maxAddsPerRound shortcuts, and a round with no cut adds only the
+// single closest one — LTM's "cut most of the inefficient and redundant
+// logical links". The asymmetry is what erodes high-degree peers, the
+// behavior the PROP paper criticizes ("free modification of connections …
+// impairs the natural feature of self-organizing overlay where powerful,
 // reliable nodes … inherently have more connections").
-func DefaultConfig() Config {
-	return Config{PeriodMS: 60000, MinDegree: 3, MaxCutsPerRound: 10, MaxAddsPerRound: 5}
-}
-
-// Validate reports the first configuration error.
-func (c Config) Validate() error {
-	switch {
-	case c.PeriodMS <= 0:
-		return fmt.Errorf("ltm: PeriodMS = %v, want > 0", c.PeriodMS)
-	case c.MinDegree < 1:
-		return fmt.Errorf("ltm: MinDegree = %d, want >= 1", c.MinDegree)
-	case c.MaxCutsPerRound < 0 || c.MaxAddsPerRound < 0:
-		return fmt.Errorf("ltm: negative per-round bounds")
-	}
-	return nil
-}
+const (
+	// periodMS is the detector flooding period per peer (aligned with
+	// PROP's INIT_TIMER so overhead/latency comparisons are like-for-like).
+	periodMS = 60000.0
+	// minDegree is the floor below which a peer refuses to cut links
+	// (LTM's "will not cut if it would leave the peer poorly connected").
+	minDegree = 3
+	// maxCutsPerRound bounds how many redundant links one detector round
+	// may cut.
+	maxCutsPerRound = 10
+	// maxAddsPerRound bounds how many shortcut links one round may add.
+	maxAddsPerRound = 5
+)
 
 // RewireEvent records one executed LTM link modification for tracing: a
 // redundant-link cut or a shortcut add.
@@ -81,19 +67,12 @@ type Protocol struct {
 	// KindRewire stream of the audit trace recorder.
 	Trace func(RewireEvent)
 
-	cfg Config
-	r   *rng.Rand
+	r *rng.Rand
 }
 
 // New creates an LTM instance over o.
-func New(o *overlay.Overlay, cfg Config, r *rng.Rand) (*Protocol, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if o == nil {
-		return nil, fmt.Errorf("ltm: nil overlay")
-	}
-	return &Protocol{O: o, cfg: cfg, r: r}, nil
+func New(o *overlay.Overlay, r *rng.Rand) *Protocol {
+	return &Protocol{O: o, r: r}
 }
 
 // Start schedules every live peer's detector loop, staggered over one
@@ -101,7 +80,7 @@ func New(o *overlay.Overlay, cfg Config, r *rng.Rand) (*Protocol, error) {
 func (p *Protocol) Start(e *event.Engine) {
 	for _, slot := range p.O.AliveSlots() {
 		slot := slot
-		delay := event.Time(p.r.Float64() * p.cfg.PeriodMS)
+		delay := event.Time(p.r.Float64() * periodMS)
 		e.After(delay, func(en *event.Engine) { p.round(en, slot) })
 	}
 }
@@ -153,18 +132,18 @@ func (p *Protocol) round(e *event.Engine, u int) {
 	if adds == 0 {
 		adds = 1 // bootstrap: a first shortcut seeds the triangles later rounds cut
 	}
-	if adds > p.cfg.MaxAddsPerRound {
-		adds = p.cfg.MaxAddsPerRound
+	if adds > maxAddsPerRound {
+		adds = maxAddsPerRound
 	}
 	p.addShortcuts(e.Now(), u, triBound, adds, cut == 0)
 
 	// Reschedule.
-	e.After(event.Time(p.cfg.PeriodMS), func(en *event.Engine) { p.round(en, u) })
+	e.After(event.Time(periodMS), func(en *event.Engine) { p.round(en, u) })
 }
 
-// cutRedundant removes up to MaxCutsPerRound direct links that are the
+// cutRedundant removes up to maxCutsPerRound direct links that are the
 // longest edge of some overlay triangle, worst (largest direct delay)
-// first, never dropping either endpoint below MinDegree.
+// first, never dropping either endpoint below minDegree.
 func (p *Protocol) cutRedundant(at event.Time, u int, nbrs []int, triBound map[int]float64) int {
 	type cand struct {
 		w      int
@@ -185,10 +164,10 @@ func (p *Protocol) cutRedundant(at event.Time, u int, nbrs []int, triBound map[i
 	})
 	done := 0
 	for _, c := range cuts {
-		if done >= p.cfg.MaxCutsPerRound {
+		if done >= maxCutsPerRound {
 			break
 		}
-		if p.O.Degree(u) <= p.cfg.MinDegree || p.O.Degree(c.w) <= p.cfg.MinDegree {
+		if p.O.Degree(u) <= minDegree || p.O.Degree(c.w) <= minDegree {
 			continue
 		}
 		if p.O.RemoveEdge(u, c.w) {

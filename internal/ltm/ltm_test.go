@@ -25,35 +25,10 @@ func scrambled(t testing.TB, n int, seed uint64) (*overlay.Overlay, *rng.Rand) {
 	return o, r
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Config{
-		{PeriodMS: 0, MinDegree: 2},
-		{PeriodMS: 100, MinDegree: 0},
-		{PeriodMS: 100, MinDegree: 2, MaxCutsPerRound: -1},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-		if _, err := New(&overlay.Overlay{}, cfg, rng.New(1)); err == nil {
-			t.Errorf("New accepted bad config %d", i)
-		}
-	}
-	if _, err := New(nil, DefaultConfig(), rng.New(1)); err == nil {
-		t.Error("nil overlay accepted")
-	}
-}
-
 func TestLTMReducesLinkLatency(t *testing.T) {
 	o, r := scrambled(t, 200, 42)
 	before := o.MeanLinkLatency()
-	p, err := New(o, DefaultConfig(), r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(o, r)
 	e := event.New()
 	p.Start(e)
 	e.RunUntil(30 * 60000)
@@ -69,15 +44,10 @@ func TestLTMReducesLinkLatency(t *testing.T) {
 func TestLTMKeepsConnectivity(t *testing.T) {
 	f := func(seed uint64) bool {
 		o, r := scrambled(t, 80, seed)
-		cfg := DefaultConfig()
-		cfg.PeriodMS = 1000
-		p, err := New(o, cfg, r)
-		if err != nil {
-			return false
-		}
+		p := New(o, r)
 		e := event.New()
 		p.Start(e)
-		e.RunUntil(30 * 1000)
+		e.RunUntil(30 * periodMS)
 		return o.Connected()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
@@ -90,10 +60,7 @@ func TestLTMChangesDegrees(t *testing.T) {
 	// sequence is NOT preserved.
 	o, r := scrambled(t, 150, 7)
 	before := o.Logical.DegreeSequence()
-	p, err := New(o, DefaultConfig(), r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(o, r)
 	e := event.New()
 	p.Start(e)
 	e.RunUntil(20 * 60000)
@@ -114,28 +81,20 @@ func TestLTMChangesDegrees(t *testing.T) {
 
 func TestLTMRespectsMinDegree(t *testing.T) {
 	o, r := scrambled(t, 100, 11)
-	cfg := DefaultConfig()
-	cfg.MinDegree = 3
-	p, err := New(o, cfg, r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(o, r)
 	e := event.New()
 	p.Start(e)
 	e.RunUntil(20 * 60000)
 	for _, s := range o.AliveSlots() {
-		if o.Degree(s) < 3 {
-			t.Fatalf("slot %d degree %d below MinDegree", s, o.Degree(s))
+		if o.Degree(s) < minDegree {
+			t.Fatalf("slot %d degree %d below minDegree", s, o.Degree(s))
 		}
 	}
 }
 
 func TestLTMOverheadCounted(t *testing.T) {
 	o, r := scrambled(t, 100, 3)
-	p, err := New(o, DefaultConfig(), r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(o, r)
 	e := event.New()
 	p.Start(e)
 	e.RunUntil(5 * 60000)
@@ -151,21 +110,16 @@ func TestLTMOverheadCounted(t *testing.T) {
 
 func TestLTMSkipsDeadPeers(t *testing.T) {
 	o, r := scrambled(t, 50, 5)
-	cfg := DefaultConfig()
-	cfg.PeriodMS = 1000
-	p, err := New(o, cfg, r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(o, r)
 	e := event.New()
 	p.Start(e)
-	e.RunUntil(1500)
+	e.RunUntil(1.5 * periodMS)
 	victim := o.AliveSlots()[0]
 	if err := (gnutella.Net{O: o, Config: gnutella.DefaultConfig()}).Leave(victim, r); err != nil {
 		t.Fatal(err)
 	}
 	// The dead peer's pending round must be a no-op, not a panic.
-	e.RunUntil(60 * 1000)
+	e.RunUntil(60 * periodMS)
 	if !o.Connected() {
 		t.Fatal("overlay disconnected")
 	}
@@ -178,10 +132,7 @@ func TestTraceObservesEveryRewire(t *testing.T) {
 	// connectivity hold, while degrees are free to drift (that freedom is
 	// LTM's defining contrast with PROP-O).
 	o, r := scrambled(t, 60, 21)
-	p, err := New(o, DefaultConfig(), r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(o, r)
 	a := audit.New(1, 64)
 	a.Register(audit.OverlayBijection(o), audit.OverlayConnected(o))
 	cuts, adds := 0, 0

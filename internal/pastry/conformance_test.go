@@ -22,8 +22,8 @@ func builder(cfg Config) dhttest.Builder {
 	}
 }
 
-func TestDHTConformance(t *testing.T) { dhttest.Run(t, builder(DefaultConfig())) }
+func TestDHTConformance(t *testing.T) { dhttest.Run(t, builder(Config{})) }
 
 func TestDHTConformanceProximity(t *testing.T) {
-	dhttest.Run(t, builder(Config{LeafSetSize: 8, Proximity: true}))
+	dhttest.Run(t, builder(Config{Proximity: true}))
 }

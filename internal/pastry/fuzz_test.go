@@ -9,5 +9,5 @@ import (
 // FuzzOwnerAndLookup runs the dhttest fuzz body on meshes; prefix routing
 // takes at most n + Digits hops.
 func FuzzOwnerAndLookup(f *testing.F) {
-	dhttest.Fuzz(f, builder(DefaultConfig()), func(n int) int { return n + Digits })
+	dhttest.Fuzz(f, builder(Config{}), func(n int) int { return n + Digits })
 }

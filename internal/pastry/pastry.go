@@ -40,18 +40,16 @@ const (
 	Cols = 1 << DigitBits
 )
 
+// leafSetSize is the total leaf-set size (half per side) of a standard
+// small Pastry deployment.
+const leafSetSize = 8
+
 // Config parameterizes mesh construction.
 type Config struct {
-	// LeafSetSize is the total leaf-set size (half per side). Must be an
-	// even number >= 2.
-	LeafSetSize int
 	// Proximity enables Pastry's native PNS: routing-table candidates are
 	// chosen by physical nearness.
 	Proximity bool
 }
-
-// DefaultConfig mirrors a standard small Pastry deployment.
-func DefaultConfig() Config { return Config{LeafSetSize: 8} }
 
 // Mesh is a built Pastry overlay.
 type Mesh struct {
@@ -74,9 +72,6 @@ func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*Mesh
 	n := len(hosts)
 	if n < 2 {
 		return nil, fmt.Errorf("pastry: need at least 2 nodes, got %d", n)
-	}
-	if cfg.LeafSetSize < 2 || cfg.LeafSetSize%2 != 0 {
-		return nil, fmt.Errorf("pastry: LeafSetSize = %d, want even >= 2", cfg.LeafSetSize)
 	}
 	o, err := overlay.New(hosts, lat)
 	if err != nil {
@@ -104,7 +99,7 @@ func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*Mesh
 // live slots participate: m.sorted lists exactly the live membership.
 func (m *Mesh) buildLeafSets() {
 	n := len(m.sorted)
-	half := m.cfg.LeafSetSize / 2
+	half := leafSetSize / 2
 	if half > (n-1)/2 {
 		half = (n - 1) / 2
 		if half < 1 {

@@ -20,7 +20,7 @@ func hostsN(n int) []int {
 
 func buildMesh(t testing.TB, n int, seed uint64) *Mesh {
 	t.Helper()
-	m, err := Build(hostsN(n), DefaultConfig(), lat, rng.New(seed))
+	m, err := Build(hostsN(n), Config{}, lat, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,14 +28,8 @@ func buildMesh(t testing.TB, n int, seed uint64) *Mesh {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(hostsN(1), DefaultConfig(), lat, rng.New(1)); err == nil {
+	if _, err := Build(hostsN(1), Config{}, lat, rng.New(1)); err == nil {
 		t.Error("single node accepted")
-	}
-	if _, err := Build(hostsN(8), Config{LeafSetSize: 3}, lat, rng.New(1)); err == nil {
-		t.Error("odd leaf-set size accepted")
-	}
-	if _, err := Build(hostsN(8), Config{LeafSetSize: 0}, lat, rng.New(1)); err == nil {
-		t.Error("zero leaf-set size accepted")
 	}
 }
 
@@ -81,13 +75,13 @@ func TestLeafSetsAreRingNeighbors(t *testing.T) {
 	m := buildMesh(t, 100, 42)
 	for s := 0; s < 100; s++ {
 		leaves := m.Leaves(s)
-		if len(leaves) != DefaultConfig().LeafSetSize {
+		if len(leaves) != leafSetSize {
 			t.Fatalf("slot %d leaf set size %d", s, len(leaves))
 		}
 		// Every leaf must be within L/2 ring positions of s.
 		i := m.pos[s]
 		n := len(m.sorted)
-		half := DefaultConfig().LeafSetSize / 2
+		half := leafSetSize / 2
 		ok := map[int]bool{}
 		for k := 1; k <= half; k++ {
 			ok[m.sorted[(i+k)%n]] = true
@@ -201,11 +195,11 @@ func TestLookupFromDeadSlot(t *testing.T) {
 
 func TestProximityReducesLinkLatency(t *testing.T) {
 	hosts := hostsN(400)
-	plain, err := Build(hosts, Config{LeafSetSize: 8}, lat, rng.New(55))
+	plain, err := Build(hosts, Config{}, lat, rng.New(55))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prox, err := Build(hosts, Config{LeafSetSize: 8, Proximity: true}, lat, rng.New(55))
+	prox, err := Build(hosts, Config{Proximity: true}, lat, rng.New(55))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +225,7 @@ func TestLookupTerminatesProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 2 + r.Intn(120)
-		m, err := Build(hostsN(n), DefaultConfig(), lat, r)
+		m, err := Build(hostsN(n), Config{}, lat, r)
 		if err != nil {
 			return false
 		}
@@ -289,7 +283,7 @@ func TestRefreshPlainMeshIsStable(t *testing.T) {
 
 func TestRefreshProximityAdaptsToSwaps(t *testing.T) {
 	hosts := hostsN(200)
-	m, err := Build(hosts, Config{LeafSetSize: 8, Proximity: true}, lat, rng.New(3))
+	m, err := Build(hosts, Config{Proximity: true}, lat, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}

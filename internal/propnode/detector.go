@@ -11,7 +11,7 @@ import (
 // neighbor host — a deterministic, integer-valued take on phi-accrual: the
 // ping deadline stretches with the suspicion level (HeartbeatTimeout <<
 // min(level, 3)), so a slow-but-alive peer earns exponentially more grace
-// while a dead one runs out of it in SuspicionThreshold consecutive sweeps.
+// while a dead one runs out of it in suspicionThreshold consecutive sweeps.
 // Crossing the threshold evicts the neighbor link and tops the degree back
 // up; a neighbor the overlay already knows is dead (crash-stop corpse) skips
 // suspicion entirely and goes straight to membership repair — the same
@@ -23,6 +23,10 @@ import (
 // The map, like the sweep's list of live neighbor hosts (agent.hbLive), is
 // owned exclusively by the detector goroutine — no locking, and nothing
 // allocated per sweep.
+
+// suspicionThreshold is the accrual bound: a neighbor whose heartbeats miss
+// this many consecutive sweeps is evicted and membership repair runs.
+const suspicionThreshold = 3
 
 // runDetector is one agent's failure-detector loop.
 func (rt *Runtime) runDetector(a *agent, stagger time.Duration) {
@@ -107,7 +111,7 @@ func (rt *Runtime) heartbeatOnce(a *agent) {
 		}
 		level++
 		a.susp[host] = level
-		if level >= rt.cfg.SuspicionThreshold {
+		if level >= suspicionThreshold {
 			delete(a.susp, host)
 			rt.evictSuspect(a, host)
 		}
@@ -170,32 +174,10 @@ func (rt *Runtime) evictSuspect(a *agent, suspect int) {
 	}
 	rt.o.RemoveEdge(u, s)
 	rt.suspectEvicts.Add(1)
-	rt.topUpLocked(u)
+	rt.members.TopUp(u, rt.r)
 	affected := rt.agentsForLocked(append(rt.o.Neighbors(u), u, s))
 	rt.mu.Unlock()
 	kickAll(affected)
-}
-
-// topUpLocked restores slot u's degree to LinksPerJoin with random live
-// non-neighbors — the same rule gnutella's leave/crash repair applies.
-// Caller holds rt.mu.
-func (rt *Runtime) topUpLocked(u int) {
-	alive := rt.o.AliveSlots()
-	if len(alive) < 2 {
-		return
-	}
-	for rt.o.Degree(u) < rt.cfg.LinksPerJoin {
-		cand := alive[rt.r.Intn(len(alive))]
-		if cand == u || rt.o.Logical.HasEdge(u, cand) {
-			if rt.o.Degree(u) >= len(alive)-1 {
-				return
-			}
-			continue
-		}
-		if err := rt.o.AddEdge(u, cand); err != nil {
-			return
-		}
-	}
 }
 
 // EnsureConnected stitches the live overlay back into one component: a

@@ -40,20 +40,18 @@ func (e *hookEndpoint) Send(to int, m transport.Message) error {
 	return e.Endpoint.Send(to, m)
 }
 
-// quietRuntime starts n agents that never probe and run no detector, so the
-// test drives every exchange itself. MinVar is -Inf: every evaluation that
-// completes wants to commit.
+// quietRuntime starts n agents whose probe and heartbeat timers are hours
+// away, so the test drives every exchange itself. MinVar is -Inf: every
+// evaluation that completes wants to commit.
 func quietRuntime(t *testing.T, n int, policy core.Policy, net transport.Network) *Runtime {
 	t.Helper()
 	rt := New(net, Config{
-		Policy:             policy,
-		Seed:               11,
-		MinVar:             math.Inf(-1),
-		ProbeIntervalMS:    3.6e6,
-		SuspicionThreshold: -1,
-		LinksPerJoin:       2,
-		PingTimeout:        time.Second,
-		Lat:                ClusterLat,
+		Policy:          policy,
+		Seed:            11,
+		MinVar:          math.Inf(-1),
+		ProbeIntervalMS: 3.6e6,
+		PingTimeout:     time.Second,
+		Lat:             ClusterLat,
 	})
 	if err := rt.Start(hostsN(n)); err != nil {
 		t.Fatalf("start: %v", err)

@@ -54,10 +54,6 @@ type Config struct {
 	// PingTimeout is the first-attempt deadline of every call — pings,
 	// measurement RPCs, walks (default 50ms; retransmits double it).
 	PingTimeout time.Duration
-	// Retries bounds retransmissions per call (default 3).
-	Retries int
-	// LinksPerJoin is the unstructured membership degree (default 4).
-	LinksPerJoin int
 	// HeartbeatIntervalMS is the failure detector's sweep period (default
 	// 4x ProbeIntervalMS — detection only has to beat the suspicion bound,
 	// not the probe cadence). Each sweep pings every live neighbor once.
@@ -67,12 +63,6 @@ type Config struct {
 	// suspicion level s gets deadline HeartbeatTimeout << min(s, 3), so a
 	// slow-but-alive peer earns grace instead of eviction.
 	HeartbeatTimeout time.Duration
-	// SuspicionThreshold is the accrual bound of the failure detector: a
-	// neighbor whose heartbeats miss this many consecutive sweeps is evicted
-	// and membership repair runs. 0 selects the default (3); negative
-	// disables the detector entirely (PR-6 behavior: eviction waits for an
-	// RPC failure during a probe cycle).
-	SuspicionThreshold int
 	// Lat is the ground-truth latency model recorded in the overlay for
 	// metrics like MeanLinkLatency; the protocol itself never reads it. Nil
 	// means metrics report zero (e.g. over real UDP, where there is no
@@ -90,25 +80,33 @@ func (c *Config) fill() {
 	if c.PingTimeout == 0 {
 		c.PingTimeout = 50 * time.Millisecond
 	}
-	if c.Retries == 0 {
-		c.Retries = 3
-	}
-	if c.LinksPerJoin == 0 {
-		c.LinksPerJoin = 4
-	}
 	if c.HeartbeatIntervalMS == 0 {
 		c.HeartbeatIntervalMS = 4 * c.ProbeIntervalMS
 	}
 	if c.HeartbeatTimeout == 0 {
 		c.HeartbeatTimeout = c.PingTimeout
 	}
-	if c.SuspicionThreshold == 0 {
-		c.SuspicionThreshold = 3
-	}
 	if c.Lat == nil {
 		c.Lat = func(a, b int) float64 { return 0 }
 	}
 }
+
+// validate rejects what fill cannot repair: a non-finite or non-positive
+// interval would spin a timer loop, a negative deadline fail every call.
+func (c *Config) validate() error {
+	switch {
+	case !(c.ProbeIntervalMS > 0 && c.ProbeIntervalMS <= math.MaxFloat64):
+		return fmt.Errorf("propnode: ProbeIntervalMS = %v, want finite > 0", c.ProbeIntervalMS)
+	case !(c.HeartbeatIntervalMS > 0 && c.HeartbeatIntervalMS <= math.MaxFloat64):
+		return fmt.Errorf("propnode: HeartbeatIntervalMS = %v, want finite > 0", c.HeartbeatIntervalMS)
+	case c.PingTimeout < 0 || c.HeartbeatTimeout < 0:
+		return fmt.Errorf("propnode: negative timeout (ping %v, heartbeat %v)", c.PingTimeout, c.HeartbeatTimeout)
+	}
+	return nil
+}
+
+// callRetries bounds retransmissions per call.
+const callRetries = 3
 
 // ClusterLat is the loopback demo's ground truth, which the chaos harness
 // and this package's tests share: a two-cluster latency model in which
@@ -221,7 +219,7 @@ func New(net transport.Network, cfg Config) *Runtime {
 		cfg:         cfg,
 		kernel:      kernel,
 		net:         net,
-		members:     gnutella.Net{Config: gnutella.Config{LinksPerJoin: cfg.LinksPerJoin}},
+		members:     gnutella.Net{Config: gnutella.DefaultConfig()},
 		r:           rng.New(cfg.Seed),
 		agents:      make(map[int]*agent),
 		incarnation: make(map[int]uint32),
@@ -230,12 +228,16 @@ func New(net transport.Network, cfg Config) *Runtime {
 
 // Start builds the unstructured overlay over hosts ("based on a random
 // assignment", as the paper's unstructured substrate joins) and brings one
-// agent per host online.
+// agent per host online. A Config that fill cannot make usable is rejected
+// here, before any agent spawns.
 func (rt *Runtime) Start(hosts []int) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.o != nil {
 		return fmt.Errorf("propnode: already started")
+	}
+	if err := rt.cfg.validate(); err != nil {
+		return err
 	}
 	o, err := gnutella.Build(hosts, rt.members.Config, rt.cfg.Lat, rt.r)
 	if err != nil {
@@ -285,11 +287,9 @@ func (rt *Runtime) spawnLocked(host int) error {
 	rt.wg.Add(1)
 	stagger := time.Duration(rt.r.Float64()*rt.cfg.ProbeIntervalMS) * time.Millisecond
 	go rt.runAgent(a, stagger)
-	if rt.cfg.SuspicionThreshold > 0 {
-		rt.wg.Add(1)
-		hbStagger := time.Duration(rt.r.Float64()*rt.cfg.HeartbeatIntervalMS) * time.Millisecond
-		go rt.runDetector(a, hbStagger)
-	}
+	rt.wg.Add(1)
+	hbStagger := time.Duration(rt.r.Float64()*rt.cfg.HeartbeatIntervalMS) * time.Millisecond
+	go rt.runDetector(a, hbStagger)
 	return nil
 }
 
@@ -411,7 +411,7 @@ func (rt *Runtime) probeOnce(a *agent) bool {
 	}
 	rt.mu.Unlock()
 
-	reply, err := a.node.Call(sHost, walkReq, rt.cfg.PingTimeout, rt.cfg.Retries)
+	reply, err := a.node.Call(sHost, walkReq, rt.cfg.PingTimeout, callRetries)
 	if err == nil && reply.Msg.Epoch != a.epoch {
 		// A reply addressed to a previous incarnation of this host: absorb
 		// it — its walk state belongs to the pre-crash life.
@@ -512,12 +512,12 @@ func (rt *Runtime) measureFrom(a *agent, x, y int) (float64, error) {
 		return 0, nil
 	}
 	if x == a.host {
-		return a.node.Ping(y, rt.cfg.PingTimeout, rt.cfg.Retries)
+		return a.node.Ping(y, rt.cfg.PingTimeout, callRetries)
 	}
 	body := make([]byte, 8)
 	binary.BigEndian.PutUint64(body, uint64(int64(y)))
 	reply, err := a.node.Call(x, transport.Message{Type: transport.TMeasure, Epoch: a.epoch, Body: body},
-		rt.cfg.PingTimeout, rt.cfg.Retries)
+		rt.cfg.PingTimeout, callRetries)
 	if err != nil {
 		return 0, err
 	}
@@ -606,7 +606,7 @@ func (rt *Runtime) handleMeasure(a *agent, m transport.Message) {
 	var rtt float64
 	if target != a.host {
 		var err error
-		rtt, err = a.node.Ping(target, rt.cfg.PingTimeout, rt.cfg.Retries)
+		rtt, err = a.node.Ping(target, rt.cfg.PingTimeout, callRetries)
 		if err != nil {
 			fail()
 			return

@@ -33,9 +33,6 @@ func startRuntime(t *testing.T, n int, cfg Config, inj *faults.Injector) *Runtim
 	if cfg.PingTimeout == 0 {
 		cfg.PingTimeout = 25 * time.Millisecond
 	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 4
-	}
 	cfg.Lat = ClusterLat
 	rt := New(lb, cfg)
 	if err := rt.Start(hostsN(n)); err != nil {
@@ -127,6 +124,29 @@ func TestRuntimeConvergesPROPO(t *testing.T) {
 	}
 }
 
+// TestStartRejectsBadConfig: an interval fill cannot repair (NaN, ±Inf or
+// negative) or a negative deadline fails Start before any agent spawns — a
+// NaN or negative interval would otherwise spin every probe timer.
+func TestStartRejectsBadConfig(t *testing.T) {
+	for _, cfg := range []Config{
+		{ProbeIntervalMS: math.NaN()},
+		{ProbeIntervalMS: -5},
+		{ProbeIntervalMS: math.Inf(1)},
+		{HeartbeatIntervalMS: math.NaN()},
+		{HeartbeatIntervalMS: -1},
+		{PingTimeout: -time.Millisecond},
+		{HeartbeatTimeout: -time.Millisecond},
+	} {
+		rt := New(transport.NewLoopback(transport.LoopbackConfig{}), cfg)
+		if err := rt.Start(hostsN(8)); err == nil {
+			rt.Stop()
+			t.Errorf("%+v: started", cfg)
+		} else if len(rt.agents) != 0 || rt.o != nil {
+			t.Errorf("%+v: rejected after spawning %d agents", cfg, len(rt.agents))
+		}
+	}
+}
+
 // TestQueueOrderIsSeedDeterministic pins the neighborQ against scheduling
 // and map-iteration leaks: two runtimes built from one Config.Seed hold the
 // same per-agent queue order — the paper's random initial permutation drawn
@@ -136,7 +156,7 @@ func TestRuntimeConvergesPROPO(t *testing.T) {
 func TestQueueOrderIsSeedDeterministic(t *testing.T) {
 	const n = 24
 	queues := func(seed uint64) [][]int {
-		rt := startRuntime(t, n, Config{Seed: seed, ProbeIntervalMS: 3.6e6, SuspicionThreshold: -1}, nil)
+		rt := startRuntime(t, n, Config{Seed: seed, ProbeIntervalMS: 3.6e6}, nil)
 		defer rt.Stop()
 		rt.mu.Lock()
 		defer rt.mu.Unlock()
@@ -188,7 +208,6 @@ func TestRuntimeSoakChurnRace(t *testing.T) {
 		Policy:      core.PROPG,
 		Seed:        3,
 		PingTimeout: 10 * time.Millisecond,
-		Retries:     3,
 	}, inj)
 
 	churnRng := rng.New(777)

@@ -13,8 +13,12 @@
 // between old and new neighbors (data movement), while PROP-G's pairwise
 // swap does neither.
 //
-// Key types: Protocol and Config. See DESIGN.md §1 (SAT-Match row) and the
-// "satmatch" extension in EXPERIMENTS.md.
+// The probe period (one minute, PROP's INIT_TIMER), the TTL-2 probe region,
+// the 5 ms jump threshold and the landing offset are fixed at the common
+// SAT-Match setup.
+//
+// Key type: Protocol. See DESIGN.md §1 (SAT-Match row) and the "satmatch"
+// extension in EXPERIMENTS.md.
 package satmatch
 
 import (
@@ -26,41 +30,20 @@ import (
 	"repro/internal/rng"
 )
 
-// Config parameterizes the SAT-Match optimizer.
-type Config struct {
-	// PeriodMS is the probe period per peer (aligned with PROP's
+const (
+	// periodMS is the probe period per peer (aligned with PROP's
 	// INIT_TIMER for like-for-like comparisons).
-	PeriodMS float64
-	// TTL is the probe flood radius in overlay hops (the paper's "small
+	periodMS = 60000.0
+	// ttl is the probe flood radius in overlay hops (the paper's "small
 	// region"; 2 matches LTM's detector and PROP's default walk).
-	TTL int
-	// MinGainMS is the minimum physical-latency improvement over the
+	ttl = 2
+	// minGainMS is the minimum physical-latency improvement over the
 	// current closest ring neighbor required to trigger a jump.
-	MinGainMS float64
-	// IDOffset bounds the identifier distance at which a jumper lands next
+	minGainMS = 5.0
+	// idOffset bounds the identifier distance at which a jumper lands next
 	// to its target (a small random offset avoids collisions).
-	IDOffset uint32
-}
-
-// DefaultConfig mirrors the common SAT-Match setup.
-func DefaultConfig() Config {
-	return Config{PeriodMS: 60000, TTL: 2, MinGainMS: 5, IDOffset: 1 << 16}
-}
-
-// Validate reports the first configuration error.
-func (c Config) Validate() error {
-	switch {
-	case c.PeriodMS <= 0:
-		return fmt.Errorf("satmatch: PeriodMS = %v, want > 0", c.PeriodMS)
-	case c.TTL < 1:
-		return fmt.Errorf("satmatch: TTL = %d, want >= 1", c.TTL)
-	case c.MinGainMS < 0:
-		return fmt.Errorf("satmatch: MinGainMS = %v, want >= 0", c.MinGainMS)
-	case c.IDOffset == 0:
-		return fmt.Errorf("satmatch: IDOffset must be positive")
-	}
-	return nil
-}
+	idOffset = 1 << 16
+)
 
 // Protocol runs SAT-Match over one Chord ring.
 type Protocol struct {
@@ -72,20 +55,13 @@ type Protocol struct {
 	// Relocations counts minted identifiers (each jump = one new ID).
 	Relocations int
 
-	cfg Config
-	r   *rng.Rand
+	r *rng.Rand
 }
 
 // New creates a SAT-Match instance over ring. Probes measure through the
 // ring overlay's own latency function.
-func New(ring *chord.Ring, cfg Config, r *rng.Rand) (*Protocol, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if ring == nil {
-		return nil, fmt.Errorf("satmatch: nil ring")
-	}
-	return &Protocol{Ring: ring, cfg: cfg, r: r}, nil
+func New(ring *chord.Ring, r *rng.Rand) *Protocol {
+	return &Protocol{Ring: ring, r: r}
 }
 
 // Start schedules every live peer's jump loop, staggered over one period.
@@ -93,7 +69,7 @@ func New(ring *chord.Ring, cfg Config, r *rng.Rand) (*Protocol, error) {
 func (p *Protocol) Start(e *event.Engine) {
 	for _, slot := range p.Ring.O.AliveSlots() {
 		host := p.Ring.O.HostOf(slot)
-		delay := event.Time(p.r.Float64() * p.cfg.PeriodMS)
+		delay := event.Time(p.r.Float64() * periodMS)
 		e.After(delay, func(en *event.Engine) { p.round(en, host) })
 	}
 }
@@ -122,15 +98,15 @@ func (p *Protocol) round(e *event.Engine, host int) {
 		// Compare against the current closest ring neighbor (successors):
 		// jumping only pays if the found peer is materially closer.
 		curBest := p.closestSuccessorDistance(slot, host)
-		if bestD+p.cfg.MinGainMS < curBest && !p.isRingNeighbor(slot, best) {
+		if bestD+minGainMS < curBest && !p.isRingNeighbor(slot, best) {
 			jumped = p.jump(slot, host, best)
 		}
 	}
 	_ = jumped
-	e.After(event.Time(p.cfg.PeriodMS), func(en *event.Engine) { p.round(en, host) })
+	e.After(event.Time(periodMS), func(en *event.Engine) { p.round(en, host) })
 }
 
-// probeRegion returns the slots within TTL logical hops of slot (excluding
+// probeRegion returns the slots within ttl logical hops of slot (excluding
 // slot itself), counting flood messages.
 func (p *Protocol) probeRegion(slot int) []int {
 	type qe struct{ s, depth int }
@@ -140,7 +116,7 @@ func (p *Protocol) probeRegion(slot int) []int {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		if cur.depth == p.cfg.TTL {
+		if cur.depth == ttl {
 			continue
 		}
 		for _, nb := range p.Ring.O.Neighbors(cur.s) {
@@ -194,7 +170,7 @@ func (p *Protocol) jump(slot, host, target int) bool {
 	}
 	// A few attempts in case of ID collisions.
 	for attempt := 0; attempt < 8; attempt++ {
-		id := targetID + 1 + uint32(p.r.Uint64n(uint64(p.cfg.IDOffset)))
+		id := targetID + 1 + uint32(p.r.Uint64n(idOffset))
 		if _, err := p.Ring.JoinWithID(host, id); err == nil {
 			p.Counters.Exchanges++
 			p.Relocations++

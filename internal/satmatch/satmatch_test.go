@@ -22,36 +22,10 @@ func buildRing(t testing.TB, n int, seed uint64) *chord.Ring {
 	return ring
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Config{
-		{PeriodMS: 0, TTL: 2, IDOffset: 1},
-		{PeriodMS: 1, TTL: 0, IDOffset: 1},
-		{PeriodMS: 1, TTL: 2, MinGainMS: -1, IDOffset: 1},
-		{PeriodMS: 1, TTL: 2, IDOffset: 0},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-		if _, err := New(&chord.Ring{}, cfg, rng.New(1)); err == nil {
-			t.Errorf("New accepted bad config %d", i)
-		}
-	}
-	if _, err := New(nil, DefaultConfig(), rng.New(1)); err == nil {
-		t.Error("nil ring accepted")
-	}
-}
-
 func TestSATMatchReducesLinkLatency(t *testing.T) {
 	ring := buildRing(t, 200, 42)
 	before := ring.O.MeanLinkLatency()
-	p, err := New(ring, DefaultConfig(), rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(ring, rng.New(7))
 	e := event.New()
 	p.Start(e)
 	e.RunUntil(30 * 60000)
@@ -70,10 +44,7 @@ func TestJumpsPreserveMembershipAndRouting(t *testing.T) {
 	for _, h := range ring.O.Hosts() {
 		hostsBefore[h] = true
 	}
-	p, err := New(ring, DefaultConfig(), rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(ring, rng.New(3))
 	e := event.New()
 	p.Start(e)
 	e.RunUntil(20 * 60000)
@@ -110,10 +81,7 @@ func TestRelocationsMintNewIDs(t *testing.T) {
 	for _, s := range ring.O.AliveSlots() {
 		idsBefore[ring.ID[s]] = true
 	}
-	p, err := New(ring, DefaultConfig(), rng.New(11))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(ring, rng.New(11))
 	e := event.New()
 	p.Start(e)
 	e.RunUntil(20 * 60000)
@@ -133,10 +101,7 @@ func TestRelocationsMintNewIDs(t *testing.T) {
 
 func TestCounterspopulated(t *testing.T) {
 	ring := buildRing(t, 80, 2)
-	p, err := New(ring, DefaultConfig(), rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(ring, rng.New(4))
 	e := event.New()
 	p.Start(e)
 	e.RunUntil(5 * 60000)

@@ -45,7 +45,7 @@ func (e *Engine) Run(tr *obs.Trial, prefix string) error {
 	}
 	for p := 0; p < e.n; p++ {
 		sh := e.shards[e.shardOf(int32(p))]
-		e.schedule(sh, int32(p), e.cfg.ProbeIntervalMS*u01(e.draw(int32(p))), kProbe)
+		e.schedule(sh, int32(p), probeIntervalMS*u01(e.draw(int32(p))), kProbe)
 		if e.faultsOn {
 			// The crash schedule is a stateless per-peer hash, so this
 			// loop plants byte-identical kCrash timers for every shard

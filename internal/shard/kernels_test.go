@@ -73,7 +73,7 @@ func TestEstLatMatchesOracle(t *testing.T) {
 			}
 		}
 		maxLeg := 2*maxOff + maxCore + e.fc.JitterMS
-		if probeTO, commitTO := float64(e.cfg.WalkHops+1)*maxLeg+1, 2*maxLeg+1; e.probeTO != probeTO || e.commitTO != commitTO {
+		if probeTO, commitTO := float64(walkHops+1)*maxLeg+1, 2*maxLeg+1; e.probeTO != probeTO || e.commitTO != commitTO {
 			t.Fatalf("%s seed %d: timeouts %v/%v, exact-leg %v/%v", c.cfg.Net.Name, c.cfg.Seed, e.probeTO, e.commitTO, probeTO, commitTO)
 		}
 	}

@@ -66,10 +66,19 @@ import (
 const (
 	defaultHorizonMS     = 10 * 60000
 	defaultSampleMS      = 2 * 60000
-	defaultProbeMS       = 60000
-	defaultWalkHops      = 3
-	defaultMinGainMS     = 1.0
 	defaultChordsPerPeer = 1
+)
+
+// The protocol's fixed parameters.
+const (
+	// probeIntervalMS is the mean peer probe period (jittered ±25% per
+	// cycle).
+	probeIntervalMS = 60000.0
+	// walkHops is the random-walk length of each probe (the paper's nhop).
+	walkHops = 3
+	// minGainMS is the estimated total-latency improvement a swap must
+	// clear to commit (the engine's analogue of the paper's MIN_VAR gate).
+	minGainMS = 1.0
 )
 
 // maxDeg caps the logical degree of every slot so occupant caches and
@@ -99,16 +108,6 @@ type Config struct {
 	// SampleEveryMS is the sampling period of the metrics stream. 0 means
 	// the 2-minute default.
 	SampleEveryMS float64
-	// ProbeIntervalMS is the mean peer probe period (jittered ±25% per
-	// cycle). 0 means the 1-minute default.
-	ProbeIntervalMS float64
-	// WalkHops is the random-walk length of each probe (the paper's nhop).
-	// 0 means 3.
-	WalkHops int
-	// MinGainMS is the estimated total-latency improvement a swap must
-	// clear to commit (the engine's analogue of the paper's MIN_VAR gate).
-	// 0 means 1 ms.
-	MinGainMS float64
 	// ALSources is the ALEstimator sketch width per sample; 0 means the
 	// estimator's default (16).
 	ALSources int
@@ -212,15 +211,6 @@ func (c Config) withDefaults() Config {
 	if c.SampleEveryMS == 0 {
 		c.SampleEveryMS = defaultSampleMS
 	}
-	if c.ProbeIntervalMS == 0 {
-		c.ProbeIntervalMS = defaultProbeMS
-	}
-	if c.WalkHops == 0 {
-		c.WalkHops = defaultWalkHops
-	}
-	if c.MinGainMS == 0 {
-		c.MinGainMS = defaultMinGainMS
-	}
 	return c
 }
 
@@ -229,13 +219,9 @@ func (c Config) validate(net netsim.Config) error {
 	switch {
 	case c.Shards < 1 || c.Shards > net.TransitDomains:
 		return fmt.Errorf("shard: Shards = %d, want 1..%d (one per transit domain at most)", c.Shards, net.TransitDomains)
-	case c.WalkHops < 1:
-		return fmt.Errorf("shard: WalkHops = %d, want >= 1", c.WalkHops)
-	case c.HorizonMS < 0 || c.SampleEveryMS <= 0 || c.ProbeIntervalMS <= 0:
-		return fmt.Errorf("shard: non-positive time parameters (horizon %v, sample %v, probe %v)",
-			c.HorizonMS, c.SampleEveryMS, c.ProbeIntervalMS)
-	case c.MinGainMS < 0:
-		return fmt.Errorf("shard: MinGainMS = %v, want >= 0", c.MinGainMS)
+	case c.HorizonMS < 0 || c.SampleEveryMS <= 0:
+		return fmt.Errorf("shard: non-positive time parameters (horizon %v, sample %v)",
+			c.HorizonMS, c.SampleEveryMS)
 	case c.ALSources < 0:
 		return fmt.Errorf("shard: ALSources = %d, want >= 0", c.ALSources)
 	case net.TotalStubHosts() < 8:
@@ -266,7 +252,7 @@ type Stats struct {
 	// positive gain evaluation; Exchanges committed slot swaps.
 	Probes, Walks, Reports, Commits, Exchanges uint64
 	// GainRejected counts probe cycles abandoned because the estimated gain
-	// did not clear MinGainMS; VerRejected counts commit proposals refused
+	// did not clear minGainMS; VerRejected counts commit proposals refused
 	// by the partner (version moved or partner locked).
 	GainRejected, VerRejected uint64
 	// Notifies counts occupant-update messages sent after an exchange.

@@ -217,13 +217,11 @@ func TestConfigValidation(t *testing.T) {
 		tinyConfig(9, 1),  // more shards than domains
 		tinyConfig(-1, 1), // negative shards
 	}
-	walk := tinyConfig(2, 1)
-	walk.WalkHops = -1
 	neg := tinyConfig(2, 1)
 	neg.SampleEveryMS = -5
 	nan := tinyConfig(2, 1)
 	nan.Faults = &FaultConfig{LossProb: math.NaN()}
-	bad = append(bad, walk, neg, nan)
+	bad = append(bad, neg, nan)
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)

@@ -218,7 +218,7 @@ func (e *Engine) pickNeighbor(w int32, s int32) (j int, target int32, ok bool) {
 func (e *Engine) handleProbe(sh *shardRun, m *msg) {
 	u := m.to
 	sh.stats.Probes++
-	next := m.at + e.cfg.ProbeIntervalMS*(0.75+0.5*u01(e.draw(u)))
+	next := m.at + probeIntervalMS*(0.75+0.5*u01(e.draw(u)))
 	if next < e.cfg.HorizonMS {
 		e.schedule(sh, u, next, kProbe)
 	}
@@ -239,7 +239,7 @@ func (e *Engine) handleProbe(sh *shardRun, m *msg) {
 		e.probeNbr[u] = uint8(j)
 	}
 	sh.stats.Walks++
-	e.send(sh, m.at, msg{from: u, to: target, kind: kWalk, a: u, c: cyc, hops: uint8(e.cfg.WalkHops - 1)})
+	e.send(sh, m.at, msg{from: u, to: target, kind: kWalk, a: u, c: cyc, hops: uint8(walkHops - 1)})
 	if e.faultsOn {
 		e.scheduleTO(sh, u, m.at+e.probeTO, kProbeTO, cyc)
 	}
@@ -321,7 +321,7 @@ func (e *Engine) handleReport(sh *shardRun, m *msg) {
 	rowV := m.row[:m.rlen]
 	before := e.swapCost(u, su, rowU, -1, -1) + e.swapCost(v, sv, rowV, -1, -1)
 	after := e.swapCost(u, sv, rowV, su, v) + e.swapCost(v, su, rowU, sv, u)
-	if before-after <= e.cfg.MinGainMS {
+	if before-after <= minGainMS {
 		sh.stats.GainRejected++
 		return
 	}

@@ -196,13 +196,13 @@ func (e *Engine) initFaults(maxLeg float64) error {
 	e.failCnt = make([]uint8, e.n*maxDeg)
 
 	// Timeout bounds from the worst-case one-way leg: the largest estLat
-	// (buildLatency) plus the jitter cap. A probe cycle is WalkHops walk legs
+	// (buildLatency) plus the jitter cap. A probe cycle is walkHops walk legs
 	// plus the report leg; a commit round is the proposal plus the
 	// acknowledgment. The +1 ms slack keeps timeout firings strictly after
 	// the last possible reply, so a timeout that finds its cycle still open
 	// proves the reply was dropped, not late (see handleCommitTO).
 	maxLeg += e.fc.JitterMS
-	e.probeTO = float64(e.cfg.WalkHops+1)*maxLeg + 1
+	e.probeTO = float64(walkHops+1)*maxLeg + 1
 	e.commitTO = 2*maxLeg + 1
 	return nil
 }
