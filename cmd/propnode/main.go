@@ -50,14 +50,18 @@ func main() {
 	flag.Parse()
 
 	var err error
-	switch *mode {
-	case "loopback":
+	switch {
+	case *dur <= 0:
+		err = fmt.Errorf("-dur = %v, want > 0", *dur)
+	case *count < 1:
+		err = fmt.Errorf("-count = %d, want >= 1", *count)
+	case *mode == "loopback":
 		err = runLoopback(*n, *dur, *policy, *seed, *interval)
-	case "chaos":
+	case *mode == "chaos":
 		err = runChaos(*n, *policy, *seed, *steps, *stepMS, *killFrac)
-	case "udp-echo":
+	case *mode == "udp-echo":
 		err = runUDPEcho(*bind, *dur)
-	case "udp-ping":
+	case *mode == "udp-ping":
 		err = runUDPPing(*peer, *count)
 	default:
 		err = fmt.Errorf("unknown -mode %q", *mode)

@@ -38,6 +38,14 @@ func main() {
 		ids = strings.Split(*only, ",")
 	}
 	opt := experiment.Options{Seed: *seed, Trials: *trials, Scale: *scale}
+	// Reject bad arguments before the report's first byte.
+	for i, id := range ids {
+		ids[i] = strings.TrimSpace(id)
+		if err := experiment.Check(ids[i], opt); err != nil {
+			fmt.Fprintf(os.Stderr, "propreport: %s: %v\n", ids[i], err)
+			os.Exit(1)
+		}
+	}
 
 	collect := *metricsOn || *metricsOut != ""
 	var jsonlW *os.File
@@ -58,7 +66,6 @@ func main() {
 		"Structured P2P Systems* (ICPP 2007). %d experiments.\n\n", len(ids))
 
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
 		var reg *obs.Registry
 		if collect {
 			reg = obs.New(obs.NewManifest(id, *seed, *trials, *scale))

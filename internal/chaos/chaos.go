@@ -5,6 +5,10 @@
 // (slot↔host bijection, connectivity among live agents, no duplicate slots)
 // evaluated at every quiesce point.
 //
+// A kill is Runtime.Crash and a recovery Runtime.Join of the same host at
+// its next incarnation; each quiesce point runs Runtime.Repair and
+// Runtime.EnsureConnected before it audits.
+//
 // Config sets the run's size, seed, length, step, kill fraction and policy;
 // the rest of the schedule's shape is fixed: the partition window opens at
 // Steps/3 for two steps and isolates 30% of the hosts, the 4096-message
@@ -20,8 +24,8 @@
 // per-message faults reuse faults.DeliverStateless link hashes, so even the
 // loss/dup pattern is a pure function of the seed. What wall-clock timing
 // does perturb — exchange counts, eviction counts, how many corpses each
-// repair pass still found — lands in the human-oriented Summary, never in
-// the Log.
+// repair pass still found, the transport's LoopbackStats — lands in the
+// human-oriented Summary, never in the Log.
 //
 // Key types: Config, Result, Run. See DESIGN.md §10 and EXPERIMENTS.md
 // ("Chaos schedule knobs").
@@ -37,7 +41,6 @@ import (
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/overlay"
 	"repro/internal/propnode"
 	"repro/internal/rng"
@@ -231,18 +234,12 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	reg := obs.New(obs.NewManifest("chaos", cfg.Seed, 1, float64(cfg.N)))
-	tr := reg.Trial(0)
-	overflowC := tr.Counter("mailbox_overflows")
-	droppedC := tr.Counter("fault_drops")
-
 	start := time.Now()
 	lb := transport.NewLoopback(transport.LoopbackConfig{
 		DelayMS: func(a, b int) float64 { return propnode.ClusterLat(a, b) / 2 },
 		Faults:  inj,
 		Queue:   queue,
 	})
-	lb.SetInstruments(overflowC, droppedC)
 
 	rt := propnode.New(lb, propnode.Config{
 		Policy:              cfg.Policy,
@@ -282,13 +279,13 @@ func Run(cfg Config) (*Result, error) {
 			next++
 			switch ev.kind {
 			case "kill":
-				if err := rt.CrashHost(ev.host); err != nil {
+				if err := rt.Crash(ev.host); err != nil {
 					return nil, fmt.Errorf("chaos: kill host %d: %w", ev.host, err)
 				}
 				res.Kills++
 				fmt.Fprintf(&log, "step %d kill host=%d\n", step, ev.host)
 			case "recover":
-				if _, err := rt.Recover(ev.host); err != nil {
+				if _, err := rt.Join(ev.host); err != nil {
 					return nil, fmt.Errorf("chaos: recover host %d: %w", ev.host, err)
 				}
 				res.Recovers++
@@ -358,11 +355,10 @@ func Run(cfg Config) (*Result, error) {
 	c := rt.Counters()
 	stats := lb.Stats()
 	res.Summary = fmt.Sprintf(
-		"probes=%d exchanges=%d walk-failures=%d heartbeats=%d suspect-evictions=%d auto-repairs=%d recovers=%d stale-epochs=%d | sent=%d dropped=%d dups=%d overflows=%d (obs overflow=%v drops=%v)",
+		"probes=%d exchanges=%d walk-failures=%d heartbeats=%d suspect-evictions=%d auto-repairs=%d recovers=%d stale-epochs=%d | sent=%d dropped=%d dups=%d overflows=%d",
 		c.Probes, c.Exchanges, c.WalkFailures, c.Heartbeats, c.SuspectEvictions,
 		c.AutoRepairs, c.Recovers, c.StaleEpochs,
-		stats.Sent, stats.Dropped, stats.Dups, stats.Overflows,
-		overflowC.Value(), droppedC.Value())
+		stats.Sent, stats.Dropped, stats.Dups, stats.Overflows)
 	return res, nil
 }
 

@@ -15,8 +15,8 @@ import (
 // TestLiveRecoverRejoin is the live battery's crash-recovery phase: agents
 // of a running propnode runtime crash-stop under a lossy transport, the
 // survivors' failure detectors repair the membership, and each victim then
-// restarts with the same host identity (next incarnation) and rejoins
-// through the live bootstrap. At quiesce the audit invariants — slot↔host
+// joins again with the same host identity (next incarnation) through the
+// live bootstrap. At quiesce the audit invariants — slot↔host
 // bijection, connectivity over live slots — must hold, and every recovered
 // host must be answering traffic again. Runs under -race in the CI live job.
 func TestLiveRecoverRejoin(t *testing.T) {
@@ -55,7 +55,7 @@ func TestLiveRecoverRejoin(t *testing.T) {
 
 	victims := []int{3, 8, 12}
 	for _, h := range victims {
-		if err := rt.CrashHost(h); err != nil {
+		if err := rt.Crash(h); err != nil {
 			t.Fatalf("crash host %d: %v", h, err)
 		}
 	}
@@ -68,11 +68,11 @@ func TestLiveRecoverRejoin(t *testing.T) {
 		t.Fatalf("corpses never auto-repaired: %+v", rt.Counters())
 	}
 
-	// Restart each victim with its persisted identity.
+	// Restart each victim with its persisted identity: a rejoin.
 	for _, h := range victims {
-		slot, err := rt.Recover(h)
+		slot, err := rt.Join(h)
 		if err != nil {
-			t.Fatalf("recover host %d: %v", h, err)
+			t.Fatalf("rejoin host %d: %v", h, err)
 		}
 		var deg int
 		rt.View(func(o *overlay.Overlay) { deg = o.Degree(slot) })

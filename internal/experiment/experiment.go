@@ -40,7 +40,8 @@ type Options struct {
 	// Trials is the number of independent repetitions averaged. Default 3.
 	Trials int
 	// Scale in (0,1] shrinks node counts and workload sizes for quick runs
-	// (benchmarks, -short tests). 1.0 reproduces the paper's scale.
+	// (benchmarks, -short tests). 1.0 reproduces the paper's scale; 0 means
+	// the default 1.0.
 	Scale float64
 	// Audit attaches the online invariant auditor (internal/audit) to every
 	// simulated run of fig5* and fig6*: overlay bijection/connectivity,
@@ -90,10 +91,10 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Trials <= 0 {
+	if o.Trials == 0 {
 		o.Trials = 3
 	}
-	if o.Scale <= 0 || o.Scale > 1 {
+	if o.Scale == 0 {
 		o.Scale = 1
 	}
 	return o
@@ -392,15 +393,23 @@ func Describe(id string) string {
 	return ""
 }
 
-// Run executes the experiment with the given options.
-func Run(id string, opt Options) (*Result, error) {
+// Check reports, before anything runs, why Run(id, opt) would reject its
+// arguments: an unknown id or an option value the experiment does not
+// accept.
+func Check(id string, opt Options) error {
 	s := lookup(id)
 	if s == nil {
-		return nil, fmt.Errorf("experiment: unknown id %q (known: %s)", id, strings.Join(IDs(), ", "))
+		return fmt.Errorf("experiment: unknown id %q (known: %s)", id, strings.Join(IDs(), ", "))
 	}
-	if err := s.check(opt); err != nil {
+	return s.check(opt)
+}
+
+// Run executes the experiment with the given options.
+func Run(id string, opt Options) (*Result, error) {
+	if err := Check(id, opt); err != nil {
 		return nil, err
 	}
+	s := lookup(id)
 	opt = opt.withDefaults()
 	res := &Result{ID: s.id, Title: s.title, XLabel: s.xLabel, YLabel: s.yLabel}
 	if s.run != nil {
@@ -477,17 +486,20 @@ const (
 )
 
 // check rejects, before any trial runs, the option values no experiment
-// accepts — a non-finite scale, a negative or non-finite fault override
-// (a sweep treats a value ≤ 0 as unset, and NaN passes every range check,
-// withDefaults' scale clamp included), a negative ladder cap or shard count
-// (the ladder reads a cap ≤ 0 as the full 10^6 ladder) or an unknown AL
-// mode — and every set optional field the row does not consume, naming the
-// rows that do. Before this guard `propsim -exp fig5b -loss 0.05` ran the
-// fault-free experiment and reported clean results as if the faults had
-// been applied.
+// accepts — a scale outside [0, 1] or negative trials (withDefaults fills
+// only a zero), a negative or non-finite fault override (a sweep treats a
+// value ≤ 0 as unset, and NaN passes every range check), a negative ladder
+// cap or shard count (the ladder reads a cap ≤ 0 as the full 10^6 ladder)
+// or an unknown AL mode — and every set optional field the row does not
+// consume, naming the rows that do. Before this guard
+// `propsim -exp fig5b -loss 0.05` ran the fault-free experiment and reported
+// clean results as if the faults had been applied.
 func (s *spec) check(opt Options) error {
-	if math.IsNaN(opt.Scale) || math.IsInf(opt.Scale, 0) {
-		return fmt.Errorf("experiment: -scale = %v, want a finite value", opt.Scale)
+	if !(opt.Scale >= 0 && opt.Scale <= 1) {
+		return fmt.Errorf("experiment: -scale = %v, want a value in (0, 1], or 0 for the default", opt.Scale)
+	}
+	if opt.Trials < 0 {
+		return fmt.Errorf("experiment: -trials = %d, want >= 1, or 0 for the default", opt.Trials)
 	}
 	for _, f := range []struct {
 		flag string

@@ -43,9 +43,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if kept.Seed != 9 || kept.Trials != 2 || kept.Scale != 0.5 {
 		t.Fatalf("explicit options clobbered: %+v", kept)
 	}
-	if bad := (Options{Scale: 7}).withDefaults(); bad.Scale != 1 {
-		t.Fatalf("out-of-range scale not clamped: %v", bad.Scale)
-	}
 }
 
 func TestScaled(t *testing.T) {

@@ -107,10 +107,11 @@ func TestFigRScaleStreamShardInvariance(t *testing.T) {
 	}
 }
 
-// TestFaultFlagRejectsBadValues: a negative or non-finite fault override, or
-// a non-finite scale, is an error before any trial runs — NaN used to run a
-// whole figRa sweep and then panic merging it, -0.5 silently ran the
-// default grid, and -scale NaN ran every size at a NaN scale.
+// TestFaultFlagRejectsBadValues: a negative or non-finite fault override, a
+// scale outside [0, 1] or negative trials is an error before any trial runs
+// — NaN used to run a whole figRa sweep and then panic merging it, -0.5
+// silently ran the default grid, -scale NaN ran every size at a NaN scale,
+// and -scale -3, -scale 7 and -trials -4 ran at the defaults.
 func TestFaultFlagRejectsBadValues(t *testing.T) {
 	reg := obs.New(obs.NewManifest("figRa", 1, 1, 0.1))
 	for _, c := range []struct {
@@ -122,6 +123,9 @@ func TestFaultFlagRejectsBadValues(t *testing.T) {
 		{"figRb", Options{FaultCrash: -0.5, Metrics: reg}, "-crash"},
 		{"figRc", Options{FaultPartitionMS: math.Inf(1), Metrics: reg}, "-partition"},
 		{"overhead", Options{Scale: math.NaN(), Metrics: reg}, "-scale"},
+		{"overhead", Options{Scale: -3, Metrics: reg}, "-scale"},
+		{"overhead", Options{Scale: 7, Metrics: reg}, "-scale"},
+		{"overhead", Options{Trials: -4, Metrics: reg}, "-trials"},
 	} {
 		if _, err := Run(c.id, c.opt); err == nil || !strings.Contains(err.Error(), c.fla) {
 			t.Errorf("%s %+v: error %v, want one naming %s", c.id, c.opt, err, c.fla)

@@ -527,31 +527,34 @@ func (o *Overlay) Stretch(meanPhysicalLink float64) float64 {
 }
 
 // Connected reports whether the subgraph induced by live slots is connected.
-func (o *Overlay) Connected() bool {
-	var start = -1
-	for s, a := range o.alive {
-		if a {
-			start = s
-			break
+func (o *Overlay) Connected() bool { return len(o.ComponentRoots()) <= 1 }
+
+// ComponentRoots returns the smallest slot of each connected component of
+// the subgraph induced by live slots, in ascending order (none when no slot
+// is live): one breadth-first walk that never crosses a dead slot, an
+// unpurged crash corpse included.
+func (o *Overlay) ComponentRoots() []int {
+	seen := make([]bool, len(o.alive))
+	var roots, queue []int
+	visit := func(v int, _ float64) bool {
+		if o.alive[v] && !seen[v] {
+			seen[v] = true
+			queue = append(queue, v)
 		}
-	}
-	if start < 0 {
 		return true
 	}
-	visited := map[int]bool{start: true}
-	queue := []int{start}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		o.Logical.VisitNeighbors(u, func(v int, _ float64) bool {
-			if o.Alive(v) && !visited[v] {
-				visited[v] = true
-				queue = append(queue, v)
-			}
-			return true
-		})
+	for s, a := range o.alive {
+		if !a || seen[s] {
+			continue
+		}
+		roots = append(roots, s)
+		seen[s] = true
+		queue = append(queue[:0], s)
+		for head := 0; head < len(queue); head++ {
+			o.Logical.VisitNeighbors(queue[head], visit)
+		}
 	}
-	return len(visited) == o.aliveCount
+	return roots
 }
 
 // AddSlot creates a new live slot attached to host and returns its ID. The

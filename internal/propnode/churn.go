@@ -5,42 +5,53 @@ import "fmt"
 // Membership: the runtime runs internal/gnutella's overlay.Membership
 // (rt.members) over the shared overlay and layers the live concerns on top:
 // endpoints open and close with the node, agents start and stop, and
-// affected survivors get the §3.2 timer reset.
+// affected survivors get the §3.2 timer reset. Every call is addressed by
+// host — the machine's lasting identity, which PROP-G exchanges move between
+// slots — and resolves the host's slot under rt.mu, so no exchange can move
+// the host between the lookup and the membership step.
 
-// Join brings a new host online: wire it into the overlay, open its
-// endpoint, start its agent, and kick its new neighbors.
+// Join brings host online: open its endpoint, wire it into the overlay,
+// start its agent, and kick its new neighbors. A host that ran before — it
+// crashed or left — rejoins like any other arrival, one incarnation later,
+// so every message or exchange attempt left over from its earlier life is
+// absorbed by the epoch guards; Counters.Recovers counts such rejoins. The
+// endpoint opens first: a refused Open (a previous incarnation's endpoint
+// still closing is one) leaves the overlay untouched. Returns the new slot.
 func (rt *Runtime) Join(host int) (int, error) {
 	rt.mu.Lock()
 	if rt.o == nil || rt.stopped {
 		rt.mu.Unlock()
-		return 0, fmt.Errorf("propnode: join on a stopped runtime")
+		return 0, fmt.Errorf("propnode: join(%d) on a stopped runtime", host)
+	}
+	ep, err := rt.net.Open(host)
+	if err != nil {
+		rt.mu.Unlock()
+		return 0, fmt.Errorf("propnode: open host %d: %w", host, err)
 	}
 	slot, err := rt.members.Join(host, rt.r)
 	if err != nil {
 		rt.mu.Unlock()
+		ep.Close()
 		return 0, err
 	}
-	if err := rt.spawnLocked(host); err != nil {
-		rt.mu.Unlock()
-		return 0, err
+	if rt.incarnation[host] > 0 {
+		rt.recovers.Add(1)
 	}
-	neighbors := rt.o.Neighbors(slot)
-	affected := rt.agentsForLocked(neighbors)
+	rt.spawnLocked(host, ep)
+	affected := rt.agentsForLocked(rt.o.Neighbors(slot))
 	rt.mu.Unlock()
 	kickAll(affected)
 	return slot, nil
 }
 
-// Leave takes the slot's host offline gracefully: stop its agent, repair
-// the overlay around it, close its endpoint, kick the former neighbors.
-func (rt *Runtime) Leave(slot int) error {
+// Leave takes host offline gracefully: stop its agent, repair the overlay
+// around its slot, close its endpoint, kick the former neighbors.
+func (rt *Runtime) Leave(host int) error {
 	rt.mu.Lock()
-	if rt.o == nil || !rt.o.Alive(slot) {
+	if _, err := rt.slotLocked("leave", host); err != nil {
 		rt.mu.Unlock()
-		return fmt.Errorf("propnode: leave(%d) on dead slot", slot)
+		return err
 	}
-	host := rt.o.HostOf(slot)
-	former := rt.o.Neighbors(slot)
 	a := rt.agents[host]
 	delete(rt.agents, host)
 	rt.mu.Unlock()
@@ -51,61 +62,36 @@ func (rt *Runtime) Leave(slot int) error {
 		close(a.stop)
 	}
 
+	// Another agent's exchange may have moved the host meanwhile: resolve
+	// its slot anew.
 	rt.mu.Lock()
-	if err := rt.members.Leave(slot, rt.r); err != nil {
-		rt.mu.Unlock()
-		if a != nil {
-			a.node.Close()
+	var affected []*agent
+	slot, err := rt.slotLocked("leave", host)
+	if err == nil {
+		former := rt.o.Neighbors(slot)
+		if err = rt.members.Leave(slot, rt.r); err == nil {
+			affected = rt.agentsForLocked(former)
 		}
-		return err
 	}
-	affected := rt.agentsForLocked(former)
 	rt.mu.Unlock()
 
 	if a != nil {
 		a.node.Close()
 	}
 	kickAll(affected)
-	return nil
+	return err
 }
 
-// Crash kills the slot's host crash-stop: the endpoint vanishes mid-flight
-// (in-progress calls to it time out), survivors keep stale references until
-// eviction or Repair catches up — nobody is notified.
-func (rt *Runtime) Crash(slot int) error {
+// Crash kills host crash-stop: its endpoint vanishes mid-flight (in-progress
+// calls to it time out), survivors keep stale references until eviction or
+// Repair catches up — nobody is notified.
+func (rt *Runtime) Crash(host int) error {
 	rt.mu.Lock()
-	return rt.crashLocked(slot)
-}
-
-// CrashHost is Crash addressed by host: the host→slot resolution happens
-// under the same lock as the kill, so an in-flight exchange cannot migrate
-// the host to another slot between lookup and death (Crash by slot kills
-// whoever backs the slot *now* — the right semantics for "this machine
-// dies" is this one).
-func (rt *Runtime) CrashHost(host int) error {
-	rt.mu.Lock()
-	if rt.o == nil {
-		rt.mu.Unlock()
-		return fmt.Errorf("propnode: crash-host(%d) on a stopped runtime", host)
+	slot, err := rt.slotLocked("crash", host)
+	if err == nil {
+		err = rt.members.Crash(slot)
 	}
-	slot := rt.o.SlotOfHost(host)
-	if slot < 0 {
-		rt.mu.Unlock()
-		return fmt.Errorf("propnode: crash-host(%d): host backs no live slot", host)
-	}
-	return rt.crashLocked(slot)
-}
-
-// crashLocked executes the crash-stop. Caller holds rt.mu; released on every
-// path (the dying agent's node must close without the lock — its in-flight
-// handlers may be waiting on it).
-func (rt *Runtime) crashLocked(slot int) error {
-	if rt.o == nil || !rt.o.Alive(slot) {
-		rt.mu.Unlock()
-		return fmt.Errorf("propnode: crash(%d) on dead slot", slot)
-	}
-	host := rt.o.HostOf(slot)
-	if err := rt.members.Crash(slot); err != nil {
+	if err != nil {
 		rt.mu.Unlock()
 		return err
 	}
@@ -113,48 +99,13 @@ func (rt *Runtime) crashLocked(slot int) error {
 	delete(rt.agents, host)
 	rt.mu.Unlock()
 
+	// The dying node closes without the lock: its in-flight handlers may be
+	// waiting on it.
 	if a != nil {
 		close(a.stop)
 		a.node.Close()
 	}
 	return nil
-}
-
-// Recover restarts a crashed host with its persisted identity: the host's
-// incarnation counter survived the crash, so the restarted agent comes up
-// one epoch later and every message or exchange attempt left over from the
-// pre-crash life is absorbed by the epoch guards instead of corrupting the
-// slot bijection. The host rejoins through the live bootstrap exactly like a
-// fresh node — its old slot is gone (or still a corpse awaiting repair; both
-// are fine, AddSlot hands out a new one). Returns the new slot.
-func (rt *Runtime) Recover(host int) (int, error) {
-	rt.mu.Lock()
-	if rt.o == nil || rt.stopped {
-		rt.mu.Unlock()
-		return 0, fmt.Errorf("propnode: recover on a stopped runtime")
-	}
-	if rt.incarnation[host] == 0 {
-		rt.mu.Unlock()
-		return 0, fmt.Errorf("propnode: recover(%d): host has no prior incarnation", host)
-	}
-	if _, up := rt.agents[host]; up {
-		rt.mu.Unlock()
-		return 0, fmt.Errorf("propnode: recover(%d): host is already live", host)
-	}
-	slot, err := rt.members.Join(host, rt.r)
-	if err != nil {
-		rt.mu.Unlock()
-		return 0, err
-	}
-	if err := rt.spawnLocked(host); err != nil {
-		rt.mu.Unlock()
-		return 0, err
-	}
-	rt.recovers.Add(1)
-	affected := rt.agentsForLocked(rt.o.Neighbors(slot))
-	rt.mu.Unlock()
-	kickAll(affected)
-	return slot, nil
 }
 
 // Repair runs one failure-recovery round over the whole overlay and kicks
@@ -166,20 +117,35 @@ func (rt *Runtime) Repair() (int, error) {
 		rt.mu.Unlock()
 		return 0, fmt.Errorf("propnode: repair on a stopped runtime")
 	}
-	n, err := rt.members.Repair(rt.r)
-	if err != nil {
-		rt.mu.Unlock()
-		return n, err
-	}
-	var affected []*agent
-	if n > 0 {
-		for _, a := range rt.agents {
-			affected = append(affected, a)
-		}
-	}
+	n, affected, err := rt.repairLocked()
 	rt.mu.Unlock()
 	kickAll(affected)
-	return n, nil
+	return n, err
+}
+
+// repairLocked is the one membership repair step, shared by Repair and the
+// failure detector: the ring + top-up pass over every unpurged corpse. It
+// returns the number repaired and, when there were any, every agent to kick.
+// Caller holds rt.mu.
+func (rt *Runtime) repairLocked() (int, []*agent, error) {
+	n, err := rt.members.Repair(rt.r)
+	if err != nil || n == 0 {
+		return n, nil, err
+	}
+	return n, rt.allAgentsLocked(), nil
+}
+
+// slotLocked resolves the live slot host backs, for op's error message.
+// Caller holds rt.mu.
+func (rt *Runtime) slotLocked(op string, host int) (int, error) {
+	if rt.o == nil || rt.stopped {
+		return 0, fmt.Errorf("propnode: %s(%d) on a stopped runtime", op, host)
+	}
+	slot := rt.o.SlotOfHost(host)
+	if !rt.o.Alive(slot) {
+		return 0, fmt.Errorf("propnode: %s(%d): host backs no live slot", op, host)
+	}
+	return slot, nil
 }
 
 // agentsForLocked resolves live agents for the given slots. Caller holds rt.mu.
@@ -192,6 +158,15 @@ func (rt *Runtime) agentsForLocked(slots []int) []*agent {
 		if a, ok := rt.agents[rt.o.HostOf(s)]; ok {
 			out = append(out, a)
 		}
+	}
+	return out
+}
+
+// allAgentsLocked lists every live agent. Caller holds rt.mu.
+func (rt *Runtime) allAgentsLocked() []*agent {
+	out := make([]*agent, 0, len(rt.agents))
+	for _, a := range rt.agents {
+		out = append(out, a)
 	}
 	return out
 }

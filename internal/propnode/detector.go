@@ -128,16 +128,10 @@ func (rt *Runtime) repairCorpses(a *agent) {
 		rt.mu.Unlock()
 		return
 	}
-	var affected []*agent
-	if len(rt.o.CrashedSlots()) > 0 {
-		n, err := rt.members.Repair(rt.r)
-		if err == nil && n > 0 {
-			rt.autoRepairs.Add(uint64(n))
-			rt.suspectEvicts.Add(uint64(n))
-			for _, ag := range rt.agents {
-				affected = append(affected, ag)
-			}
-		}
+	n, affected, err := rt.repairLocked()
+	if err == nil {
+		rt.autoRepairs.Add(uint64(n))
+		rt.suspectEvicts.Add(uint64(n))
 	}
 	rt.mu.Unlock()
 	kickAll(affected)
@@ -193,38 +187,16 @@ func (rt *Runtime) EnsureConnected() int {
 		rt.mu.Unlock()
 		return 0
 	}
-	alive := rt.o.AliveSlots()
-	seen := make(map[int]bool, len(alive))
-	var reps []int // smallest slot of each component, discovery order
-	for _, start := range alive {
-		if seen[start] {
-			continue
-		}
-		reps = append(reps, start)
-		queue := []int{start}
-		seen[start] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, nb := range rt.o.Logical.Neighbors(v) {
-				if rt.o.Alive(nb) && !seen[nb] {
-					seen[nb] = true
-					queue = append(queue, nb)
-				}
-			}
-		}
-	}
+	roots := rt.o.ComponentRoots()
 	added := 0
-	for i := 1; i < len(reps); i++ {
-		if err := rt.o.AddEdge(reps[0], reps[i]); err == nil {
+	for i := 1; i < len(roots); i++ {
+		if rt.o.AddEdge(roots[0], roots[i]) == nil {
 			added++
 		}
 	}
 	var affected []*agent
 	if added > 0 {
-		for _, ag := range rt.agents {
-			affected = append(affected, ag)
-		}
+		affected = rt.allAgentsLocked()
 	}
 	rt.mu.Unlock()
 	kickAll(affected)

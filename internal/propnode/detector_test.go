@@ -108,7 +108,7 @@ func TestDetectorRepairsCrashWithoutExplicitRepair(t *testing.T) {
 	defer rt.Stop()
 
 	var victim int
-	rt.View(func(o *overlay.Overlay) { victim = o.AliveSlots()[0] })
+	rt.View(func(o *overlay.Overlay) { victim = o.HostOf(o.AliveSlots()[0]) })
 	if err := rt.Crash(victim); err != nil {
 		t.Fatalf("crash: %v", err)
 	}
@@ -131,9 +131,9 @@ func TestDetectorRepairsCrashWithoutExplicitRepair(t *testing.T) {
 }
 
 // TestRecoverRejoin drives the full lifecycle: crash a host, let the
-// detector repair around the corpse, then Recover the host — same identity,
-// next incarnation — and verify it rejoins the membership and the audit
-// passes at quiesce.
+// detector repair around the corpse, then Join the host again — same
+// identity, next incarnation — and verify it rejoins the membership and the
+// audit passes at quiesce.
 func TestRecoverRejoin(t *testing.T) {
 	rt := startRuntime(t, 12, Config{
 		Policy:              core.PROPG,
@@ -146,10 +146,10 @@ func TestRecoverRejoin(t *testing.T) {
 		victim = o.AliveSlots()[3]
 		victimHost = o.HostOf(victim)
 	})
-	if err := rt.Crash(victim); err != nil {
+	if err := rt.Crash(victimHost); err != nil {
 		t.Fatalf("crash: %v", err)
 	}
-	// Recovering before anyone repaired the corpse must also work (AddSlot
+	// Rejoining before anyone repaired the corpse must also work (AddSlot
 	// hands out a fresh slot; the corpse is repaired independently) — but
 	// exercise the common order: detector repairs first.
 	waitFor(t, 10*time.Second, func() bool {
@@ -158,37 +158,34 @@ func TestRecoverRejoin(t *testing.T) {
 		return unpurged == 0
 	})
 
-	if _, err := rt.Recover(victimHost + 1000); err == nil {
-		t.Fatal("recover of a never-seen host must fail (no persisted identity)")
+	if _, err := rt.Join(0); err == nil {
+		t.Fatal("join of a live host must fail")
 	}
-	if _, err := rt.Recover(0); err == nil {
-		t.Fatal("recover of a live host must fail")
-	}
-	slot, err := rt.Recover(victimHost)
+	slot, err := rt.Join(victimHost)
 	if err != nil {
-		t.Fatalf("recover(%d): %v", victimHost, err)
+		t.Fatalf("join(%d): %v", victimHost, err)
 	}
 	rt.mu.Lock()
 	a := rt.agents[victimHost]
 	inc := rt.incarnation[victimHost]
 	rt.mu.Unlock()
 	if a == nil {
-		t.Fatal("recovered host has no agent")
+		t.Fatal("rejoined host has no agent")
 	}
 	if inc < 2 || a.epoch != inc {
-		t.Fatalf("recovered agent should run at incarnation ≥2, got epoch %d (incarnation %d)", a.epoch, inc)
+		t.Fatalf("rejoined agent should run at incarnation ≥2, got epoch %d (incarnation %d)", a.epoch, inc)
 	}
 	if slot == victim {
-		t.Fatalf("recovered host reclaimed its dead slot %d", slot)
+		t.Fatalf("rejoined host reclaimed its dead slot %d", slot)
 	}
 	if got := degreeOf(rt, slot); got == 0 {
-		t.Fatal("recovered agent rejoined with no links")
+		t.Fatal("rejoined agent has no links")
 	}
 	if c := rt.Counters().Recovers; c != 1 {
 		t.Fatalf("Recovers = %d, want 1", c)
 	}
 
-	// The recovered agent must participate: probes fire, membership stays
+	// The rejoined agent must participate: probes fire, membership stays
 	// sound at quiesce.
 	probes := rt.Counters().Probes
 	waitFor(t, 5*time.Second, func() bool { return rt.Counters().Probes > probes+10 })

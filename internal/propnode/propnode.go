@@ -17,8 +17,10 @@
 // measures without it into buffers the agent owns, and commits under it
 // again only if the host pairs it measured are still the ones the exchange
 // moves — so evaluations overlap, and one the overlay moved under is
-// rejected as stale. Churn (join, leave, crash, repair) mirrors the
-// unstructured membership of internal/gnutella.
+// rejected as stale. Churn is the overlay's own membership vocabulary,
+// addressed by host: Join, Leave, Crash and Repair (a crashed host comes
+// back by joining again, one incarnation later), over the unstructured
+// membership of internal/gnutella.
 //
 // Key types: Runtime, Config. See DESIGN.md §10 ("Live runtime").
 package propnode
@@ -148,11 +150,12 @@ type Counters struct {
 	// AutoRepairs counts corpses repaired by detector-triggered membership
 	// repair (as opposed to an explicit Repair call).
 	AutoRepairs uint64
-	// Recovers counts successful Runtime.Recover rejoins.
+	// Recovers counts joins of a host that had an earlier incarnation: a
+	// crashed or departed machine coming back.
 	Recovers uint64
 	// StaleEpochs counts messages and exchange attempts absorbed by the
-	// incarnation epoch guard — traffic from a pre-crash life of an agent
-	// that must not leak into its recovered one.
+	// incarnation epoch guard — traffic from an earlier life of a host
+	// that must not leak into its rejoined one.
 	StaleEpochs uint64
 }
 
@@ -167,7 +170,7 @@ type Runtime struct {
 	members     gnutella.Net // o's membership rule; O is set by Start
 	r           *rng.Rand
 	agents      map[int]*agent  // by host
-	incarnation map[int]uint32  // per-host epoch, survives Crash/Recover
+	incarnation map[int]uint32  // per-host epoch, survives Crash, Leave and rejoin
 	m           int             // resolved PROP-O trade size
 	sc          overlay.Scratch // for work done within one hold of mu, like o and r
 
@@ -246,19 +249,18 @@ func (rt *Runtime) Start(hosts []int) error {
 	rt.o, rt.members.O = o, o
 	rt.m = max(o.Logical.MinDegree(), 1)
 	for _, h := range hosts {
-		if err := rt.spawnLocked(h); err != nil {
-			return err
+		ep, err := rt.net.Open(h)
+		if err != nil {
+			return fmt.Errorf("propnode: open host %d: %w", h, err)
 		}
+		rt.spawnLocked(h, ep)
 	}
 	return nil
 }
 
-// spawnLocked opens host's endpoint and starts its agent. Caller holds rt.mu.
-func (rt *Runtime) spawnLocked(host int) error {
-	ep, err := rt.net.Open(host)
-	if err != nil {
-		return fmt.Errorf("propnode: open host %d: %w", host, err)
-	}
+// spawnLocked starts host's agent, one incarnation later, on its open
+// endpoint. Caller holds rt.mu.
+func (rt *Runtime) spawnLocked(host int, ep transport.Endpoint) {
 	rt.incarnation[host]++
 	a := &agent{
 		host:  host,
@@ -290,7 +292,6 @@ func (rt *Runtime) spawnLocked(host int) error {
 	rt.wg.Add(1)
 	hbStagger := time.Duration(rt.r.Float64()*rt.cfg.HeartbeatIntervalMS) * time.Millisecond
 	go rt.runDetector(a, hbStagger)
-	return nil
 }
 
 // Overlay exposes the shared overlay. Safe to inspect after Stop, or under
@@ -334,10 +335,7 @@ func (rt *Runtime) Stop() {
 		return
 	}
 	rt.stopped = true
-	agents := make([]*agent, 0, len(rt.agents))
-	for _, a := range rt.agents {
-		agents = append(agents, a)
-	}
+	agents := rt.allAgentsLocked()
 	rt.mu.Unlock()
 	for _, a := range agents {
 		close(a.stop)
@@ -435,7 +433,7 @@ func (rt *Runtime) probeOnce(a *agent) bool {
 // never a measurement failure (DESIGN.md §10 "Exchanges off the lock").
 func (rt *Runtime) attemptExchange(a *agent, u, v int, path []int) bool {
 	rt.mu.Lock()
-	// Incarnation guard: a goroutine of a crashed-and-recovered (or plain
+	// Incarnation guard: a goroutine of a crashed-and-rejoined (or plain
 	// crashed) agent must never commit two-phase-swap state into the
 	// bijection — only the host's current agent may mutate the overlay.
 	if rt.agents[a.host] != a {

@@ -232,24 +232,22 @@ loop:
 			}
 			nextHost++
 		case 1:
-			var alive []int
-			rt.View(func(o *overlay.Overlay) { alive = o.AliveSlots() })
-			n := len(alive)
-			if n <= 10 {
+			var live []int
+			rt.View(func(o *overlay.Overlay) { live = o.Hosts() })
+			if len(live) <= 10 {
 				continue
 			}
-			victim := alive[churnRng.Intn(len(alive))]
+			victim := live[churnRng.Intn(len(live))]
 			if err := rt.Leave(victim); err != nil {
 				t.Fatalf("leave(%d): %v", victim, err)
 			}
 		case 2:
-			var alive []int
-			rt.View(func(o *overlay.Overlay) { alive = o.AliveSlots() })
-			n := len(alive)
-			if n <= 10 {
+			var live []int
+			rt.View(func(o *overlay.Overlay) { live = o.Hosts() })
+			if len(live) <= 10 {
 				continue
 			}
-			victim := alive[churnRng.Intn(len(alive))]
+			victim := live[churnRng.Intn(len(live))]
 			if err := rt.Crash(victim); err != nil {
 				t.Fatalf("crash(%d): %v", victim, err)
 			}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/obs"
 )
 
 // LoopbackConfig describes an in-process network.
@@ -74,10 +73,6 @@ type Loopback struct {
 	drops  []Drop
 
 	sent, delivered, dropped, dups, noEndpoint, overflows atomic.Uint64
-
-	// obs instruments, network-wide totals (a nil *obs.Counter is a no-op).
-	obsOverflows atomic.Pointer[obs.Counter]
-	obsDropped   atomic.Pointer[obs.Counter]
 }
 
 // linkSeqs is one sending host's per-destination delivery-attempt counters.
@@ -121,15 +116,6 @@ func (l *Loopback) Open(host int) (Endpoint, error) {
 	}
 	l.eps[host] = ep
 	return ep, nil
-}
-
-// SetInstruments attaches obs counters for mailbox overflows and fault-gate
-// drops. Totals aggregate across endpoints; per-endpoint overflow counts
-// stay available through the endpoint's Counters. Nil counters keep the
-// zero-cost disabled path.
-func (l *Loopback) SetInstruments(overflows, dropped *obs.Counter) {
-	l.obsOverflows.Store(overflows)
-	l.obsDropped.Store(dropped)
 }
 
 // Drops returns a copy of the fault schedule so far. Per link (Src, Dst) the
@@ -182,7 +168,6 @@ func (l *Loopback) gate(from *loopEndpoint, to int) faults.Delivery {
 		l.drops = append(l.drops, Drop{Src: from.host, Dst: to, Seq: seq, Reason: verdict.Reason})
 		l.dropMu.Unlock()
 		l.dropped.Add(1)
-		l.obsDropped.Load().Inc()
 	}
 	return verdict
 }
@@ -226,8 +211,6 @@ func (l *Loopback) send(from *loopEndpoint, to int, m Message) {
 			// Bounded mailbox: a receiver that is not draining sheds the
 			// message here — datagram semantics, same as the UDP endpoint.
 			l.overflows.Add(1)
-			dst.overflows.Add(1)
-			l.obsOverflows.Load().Inc()
 		}
 	}
 }
@@ -243,23 +226,15 @@ func (l *Loopback) close(ep *loopEndpoint) {
 }
 
 type loopEndpoint struct {
-	net   *Loopback
-	host  int
-	recv  chan Inbound
-	links *linkSeqs // the host's sequence table; nil without an injector
-
-	overflows atomic.Uint64
-	closed    atomic.Bool // Close was called: Send errors
+	net    *Loopback
+	host   int
+	recv   chan Inbound
+	links  *linkSeqs   // the host's sequence table; nil without an injector
+	closed atomic.Bool // Close was called: Send errors
 }
 
 // Host returns the host ID this endpoint answers for.
 func (ep *loopEndpoint) Host() int { return ep.host }
-
-// Counters snapshots the endpoint's delivery-failure accounting (only
-// Overflows applies on the loopback; the socket-level fields stay zero).
-func (ep *loopEndpoint) Counters() Counters {
-	return Counters{Overflows: ep.overflows.Load()}
-}
 
 // Send transmits m to host to with datagram semantics.
 func (ep *loopEndpoint) Send(to int, m Message) error {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/obs"
 )
 
 func testLat(a, b int) float64 {
@@ -233,7 +232,7 @@ func TestLoopbackFaultScheduleConcurrentSenders(t *testing.T) {
 }
 
 func TestLoopbackSequencesSurviveReopen(t *testing.T) {
-	// A host that closes and reopens (chaos Recover) continues its links'
+	// A host that closes and reopens (a chaos recovery) continues its links'
 	// sequence numbers, so the fault schedule of the whole pattern is the
 	// one the never-closed run draws.
 	const hosts, rounds = 4, 80
@@ -472,12 +471,9 @@ func TestLoopbackJitterBounded(t *testing.T) {
 }
 
 func TestLoopbackMailboxOverflowPerEndpoint(t *testing.T) {
-	// A tiny bounded mailbox: everything past capacity is shed and counted
-	// on the victim endpoint, network-wide stats, and the obs counter alike.
+	// A tiny bounded mailbox: everything past the receiver's capacity is
+	// shed and counted once, in the network's stats.
 	lb := NewLoopback(LoopbackConfig{Queue: 4})
-	reg := obs.New(obs.Manifest{Experiment: "test"})
-	overflows := reg.Trial(0).Counter("transport.overflows")
-	lb.SetInstruments(overflows, nil)
 
 	a, err := lb.Open(1)
 	if err != nil {
@@ -496,14 +492,11 @@ func TestLoopbackMailboxOverflowPerEndpoint(t *testing.T) {
 	if got := lb.Stats().Overflows; got != wantShed {
 		t.Fatalf("Stats().Overflows = %d, want %d", got, wantShed)
 	}
-	if got := b.(*loopEndpoint).Counters().Overflows; got != wantShed {
-		t.Fatalf("endpoint Counters().Overflows = %d, want %d", got, wantShed)
+	// The receiver's mailbox is full; the sender's is untouched.
+	if got := len(b.Recv()); got != 4 {
+		t.Fatalf("receiver holds %d messages, want its 4-slot mailbox full", got)
 	}
-	if got := overflows.Value(); got != wantShed {
-		t.Fatalf("obs counter = %d, want %d", got, wantShed)
-	}
-	// The sender endpoint shed nothing.
-	if got := a.(*loopEndpoint).Counters().Overflows; got != 0 {
-		t.Fatalf("sender Counters().Overflows = %d, want 0", got)
+	if got := len(a.Recv()); got != 0 {
+		t.Fatalf("sender holds %d messages, want 0", got)
 	}
 }

@@ -17,6 +17,11 @@
 // host identifiers are the addresses, and each implementation maps them to
 // its own notion of a wire endpoint.
 //
+// Each delivery failure is counted in one place: LoopbackStats for the
+// loopback (fault-gate drops, mailbox overflows, sends to absent hosts) and
+// UDPEndpoint.Counters for a UDP socket (overflows, read errors, route
+// rebinds).
+//
 // The per-message paths recycle their frames and call records and share no
 // exclusive lock between senders; DESIGN.md §10 "Transport locking" states
 // which lock guards what and why a retired call record is safe to reuse.

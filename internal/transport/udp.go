@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Read-error backoff: a persistent non-close error from ReadFromUDP (a
@@ -36,11 +34,6 @@ type UDPNetwork struct {
 	mu    sync.Mutex
 	peers map[int]*net.UDPAddr
 	eps   map[int]*UDPEndpoint
-
-	// obs instruments, network-wide totals across endpoints (nil-safe).
-	obsOverflows  *obs.Counter
-	obsRebinds    *obs.Counter
-	obsReadErrors *obs.Counter
 }
 
 // NewUDPNetwork builds a network binding sockets on bindIP ("" = loopback).
@@ -53,26 +46,6 @@ func NewUDPNetwork(bindIP string) *UDPNetwork {
 		peers:  make(map[int]*net.UDPAddr),
 		eps:    make(map[int]*UDPEndpoint),
 	}
-}
-
-// SetInstruments attaches obs counters for mailbox overflows, peer address
-// rebinds, and socket read errors. Totals aggregate across every endpoint
-// the network opens; per-endpoint breakdowns stay available through
-// UDPEndpoint.Counters. Nil counters (or never calling this) keep the
-// zero-cost disabled path.
-func (u *UDPNetwork) SetInstruments(overflows, rebinds, readErrors *obs.Counter) {
-	u.mu.Lock()
-	u.obsOverflows = overflows
-	u.obsRebinds = rebinds
-	u.obsReadErrors = readErrors
-	u.mu.Unlock()
-}
-
-// instruments snapshots the obs counters under the lock.
-func (u *UDPNetwork) instruments() (overflows, rebinds, readErrors *obs.Counter) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.obsOverflows, u.obsRebinds, u.obsReadErrors
 }
 
 // AddPeer registers the socket address of a host reachable on the wire.
@@ -162,9 +135,9 @@ func (u *UDPNetwork) drop(ep *UDPEndpoint) {
 	u.mu.Unlock()
 }
 
-// Counters is a transport endpoint's delivery-failure accounting: the
-// events that datagram semantics would otherwise swallow without a trace.
-// Snapshot via UDPEndpoint.Counters / Loopback endpoint Counters.
+// Counters is a UDP endpoint's delivery-failure accounting: the events that
+// datagram semantics would otherwise swallow without a trace. Snapshot via
+// UDPEndpoint.Counters; the loopback's one account is LoopbackStats.
 type Counters struct {
 	// Overflows counts inbound messages dropped because the receive mailbox
 	// was full. The mailbox is bounded (1024 deliveries): a receiver that
@@ -172,10 +145,10 @@ type Counters struct {
 	// kernel socket buffer — senders are never blocked and never told.
 	Overflows uint64
 	// ReadErrors counts transient socket read failures survived by the
-	// read loop's backoff (UDP only).
+	// read loop's backoff.
 	ReadErrors uint64
 	// AddrRebinds counts inbound datagrams whose Src rebound an existing
-	// peer route to a new socket address (UDP only). A steadily climbing
+	// peer route to a new socket address. A steadily climbing
 	// value means a peer is flapping between addresses — or something is
 	// spoofing its Src.
 	AddrRebinds uint64
@@ -296,8 +269,6 @@ func (ep *UDPEndpoint) readLoop() {
 				return
 			}
 			ep.readErrors.Add(1)
-			_, _, obsReadErrors := ep.net.instruments()
-			obsReadErrors.Inc()
 			consecutive++
 			if consecutive >= readErrorBudget {
 				ep.giveUp()
@@ -317,8 +288,6 @@ func (ep *UDPEndpoint) readLoop() {
 		}
 		if ep.net.learn(m.Src, from) {
 			ep.addrRebinds.Add(1)
-			_, obsRebinds, _ := ep.net.instruments()
-			obsRebinds.Inc()
 		}
 		select {
 		case ep.recv <- Inbound{Msg: m}:
@@ -326,8 +295,6 @@ func (ep *UDPEndpoint) readLoop() {
 			// Bounded mailbox: the receiver is not draining; shed the
 			// datagram and account for it instead of blocking the socket.
 			ep.overflows.Add(1)
-			obsOverflows, _, _ := ep.net.instruments()
-			obsOverflows.Inc()
 		}
 	}
 }
