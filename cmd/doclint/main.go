@@ -7,10 +7,21 @@
 //
 //	doclint ./internal/obs ./internal/metrics   # strict: exported docs too
 //	doclint -pkgdoc ./internal/*/               # package comments only
+//	doclint -unused                             # run in the module root
 //
 // Arguments are package directories (no pattern expansion — let the shell
 // glob). Test files are skipped. Exit status 1 lists every violation, so
 // CI output names the exact missing comment.
+//
+// -unused reports each exported package-level name and exported method of
+// the current directory's module that no non-test file of it or of a module
+// in a direct subdirectory (bench/) references outside its own declaration, as
+// go/types resolves them. Exempt are methods that satisfy an interface
+// declared in the module, error, fmt.Stringer, sort.Interface or
+// heap.Interface; the exports of packages named *test (dhttest, graphtest),
+// which serve other packages' tests; and the entries of
+// cmd/doclint/unused.allow, at most 12 "name reason" lines. An entry that
+// names no unused export is reported too. Struct fields are not checked.
 package main
 
 import (
@@ -26,12 +37,20 @@ import (
 
 func main() {
 	pkgdocOnly := flag.Bool("pkgdoc", false, "only require package comments, not per-identifier docs")
+	unusedOnly := flag.Bool("unused", false, "report exported names with no non-test caller in the module in the current directory")
 	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: doclint [-pkgdoc] dir [dir...]")
+	var violations []string
+	if *unusedOnly {
+		vs, err := unused(".", allowFile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+			os.Exit(2)
+		}
+		violations = vs
+	} else if flag.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "usage: doclint [-pkgdoc] dir [dir...] | doclint -unused")
 		os.Exit(2)
 	}
-	var violations []string
 	for _, dir := range flag.Args() {
 		vs, err := lintDir(dir, *pkgdocOnly)
 		if err != nil {
@@ -95,7 +114,8 @@ func lintFile(fset *token.FileSet, file string, f *ast.File) []string {
 			}
 			what, name := "function", d.Name.Name
 			if d.Recv != nil {
-				if !receiverExported(d.Recv) {
+				// Methods on unexported types are not package API.
+				if !ast.IsExported(receiverName(d.Recv)) {
 					continue
 				}
 				what = "method"
@@ -128,12 +148,6 @@ func lintFile(fset *token.FileSet, file string, f *ast.File) []string {
 		}
 	}
 	return out
-}
-
-// receiverExported reports whether a method's receiver type is exported —
-// methods on unexported types are not part of the package API.
-func receiverExported(recv *ast.FieldList) bool {
-	return ast.IsExported(receiverName(recv))
 }
 
 // receiverName extracts the bare receiver type name (pointer and generic

@@ -165,8 +165,9 @@ func runUDPEcho(bind string, dur time.Duration) error {
 	addr, _ := net.Addr(1)
 	fmt.Printf("udp-echo: host 1 listening on %s for %v\n", addr, dur)
 	time.Sleep(dur)
-	s := node.Stats()
-	fmt.Printf("udp-echo: done (answered traffic; %d stale replies absorbed)\n", s.StaleReplies)
+	s, c := node.Stats(), ep.(*transport.UDPEndpoint).Counters()
+	fmt.Printf("udp-echo: done (answered traffic; %d stale replies absorbed; %d overflows, %d read errors, %d address rebinds)\n",
+		s.StaleReplies, c.Overflows, c.ReadErrors, c.AddrRebinds)
 	return nil
 }
 

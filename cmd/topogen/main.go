@@ -86,7 +86,10 @@ func main() {
 		}
 	}
 
-	// Host-to-host latency distribution over random pairs.
+	// Host-to-host latency distribution over random pairs (none with -stubs 0).
+	if len(net.StubHosts) < 2 {
+		return
+	}
 	oracle := netsim.NewOracle(net)
 	lat := make([]float64, 0, *sample)
 	for i := 0; i < *sample; i++ {

@@ -104,9 +104,6 @@ func New(interval, window int) *Auditor {
 	return &Auditor{MaxViolations: 16, interval: interval, rec: NewRecorder(window)}
 }
 
-// Interval reports the effective sampling interval.
-func (a *Auditor) Interval() int { return a.interval }
-
 // Recorder exposes the trace recorder (e.g. to attach a Sink).
 func (a *Auditor) Recorder() *Recorder { return a.rec }
 
@@ -214,9 +211,6 @@ func (a *Auditor) AttachProtocol(p *core.Protocol) {
 
 // Violations returns the recorded violations.
 func (a *Auditor) Violations() []Violation { return a.violations }
-
-// Dropped reports violations discarded beyond MaxViolations.
-func (a *Auditor) Dropped() int { return a.dropped }
 
 // Events reports how many records have been observed.
 func (a *Auditor) Events() uint64 { return a.rec.Total() }

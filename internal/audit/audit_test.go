@@ -78,7 +78,7 @@ func TestReadTraceRejectsForeignFormat(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{KindProbe: "probe", KindExchange: "exchange",
-		KindLookup: "lookup", KindJoin: "join", KindLeave: "leave", KindRewire: "rewire"} {
+		KindLookup: "lookup", KindJoin: "join", KindLeave: "leave"} {
 		if k.String() != want {
 			t.Fatalf("Kind(%d).String() = %q, want %q", k, k.String(), want)
 		}
@@ -140,8 +140,8 @@ func TestAuditorMaxViolations(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		a.Observe(Record{Kind: KindProbe})
 	}
-	if len(a.Violations()) != 2 || a.Dropped() != 3 {
-		t.Fatalf("retained %d, dropped %d; want 2 and 3", len(a.Violations()), a.Dropped())
+	if len(a.Violations()) != 2 || a.dropped != 3 {
+		t.Fatalf("retained %d, dropped %d; want 2 and 3", len(a.Violations()), a.dropped)
 	}
 }
 
@@ -154,7 +154,8 @@ func TestEngineInvariantsOnRealEngine(t *testing.T) {
 		eng.After(d, func(*event.Engine) {})
 		eng.After(d, func(*event.Engine) {}) // equal-time pair exercises FIFO
 	}
-	eng.Run(0)
+	for eng.Step() {
+	}
 	if a.EngineSteps() != 20 {
 		t.Fatalf("observed %d engine steps, want 20", a.EngineSteps())
 	}
@@ -192,7 +193,8 @@ func TestObserverChaining(t *testing.T) {
 	a := New(1, 0)
 	a.AttachEngine(eng)
 	eng.After(1, func(*event.Engine) {})
-	eng.Run(0)
+	for eng.Step() {
+	}
 	if chained != 1 {
 		t.Fatalf("pre-existing observer called %d times, want 1", chained)
 	}
@@ -221,6 +223,7 @@ func TestSessionConfigValidation(t *testing.T) {
 		{Preset: "huge"},
 		{Preset: "small"}, // the version-1 name
 		{Nodes: -5},
+		{Nodes: 2401}, // ts-small has 2400 stub hosts
 		{Minutes: math.NaN()},
 		{Minutes: math.Inf(1)},
 		{Minutes: -1},

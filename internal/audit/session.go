@@ -86,12 +86,15 @@ func (c SessionConfig) policy() (core.Policy, error) {
 	return 0, fmt.Errorf("audit: unknown policy %q (want PROP-G or PROP-O)", c.Policy)
 }
 
-// validate rejects a defaulted config no session can run: it is checked
-// before the first random draw, so a bad command line fails fast.
-func (c SessionConfig) validate() error {
+// validate rejects a defaulted config no session can run on its resolved
+// preset: it is checked before the first random draw, so a bad command line
+// fails fast.
+func (c SessionConfig) validate(preset netsim.Config) error {
 	switch {
 	case c.Nodes < 2:
 		return fmt.Errorf("audit: %d nodes, want >= 2", c.Nodes)
+	case c.Nodes > preset.TotalStubHosts():
+		return fmt.Errorf("audit: %d nodes, but preset %s has %d stub hosts", c.Nodes, preset.Name, preset.TotalStubHosts())
 	case c.MaxEvents == 0 && !(c.Minutes > 0 && !math.IsInf(c.Minutes, 1)):
 		return fmt.Errorf("audit: %v minutes, want finite and > 0", c.Minutes)
 	case c.Fault != "" && c.Fault != "ghost-edge" && c.Fault != "drop-edge":
@@ -123,14 +126,14 @@ type Session struct {
 // sampling interval skipped the corrupting event.
 func RunSession(cfg SessionConfig, emit func(Record)) (*Session, error) {
 	cfg = cfg.WithDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	pol, err := cfg.policy()
+	preset, err := netsim.Preset(cfg.Preset)
 	if err != nil {
 		return nil, err
 	}
-	preset, err := netsim.Preset(cfg.Preset)
+	if err := cfg.validate(preset); err != nil {
+		return nil, err
+	}
+	pol, err := cfg.policy()
 	if err != nil {
 		return nil, err
 	}

@@ -26,11 +26,9 @@ const (
 	KindJoin
 	// KindLeave is one churn departure.
 	KindLeave
-	// KindRewire is one LTM link cut or add.
-	KindRewire
 )
 
-var kindNames = [...]string{"probe", "exchange", "lookup", "join", "leave", "rewire"}
+var kindNames = [...]string{"probe", "exchange", "lookup", "join", "leave"}
 
 // String names the kind.
 func (k Kind) String() string {
@@ -49,7 +47,6 @@ func (k Kind) String() string {
 //	          Val = latency
 //	join:     A = new slot, B = host
 //	leave:    A = departed slot, B = released host
-//	rewire:   A, B = link endpoints, Val = 1 for add, 0 for cut
 type Record struct {
 	// Seq is the record's position in the trace, assigned by the Recorder.
 	Seq uint64 `json:"q"`

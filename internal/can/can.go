@@ -43,9 +43,6 @@ func (z Zone) Contains(p Point) bool {
 // Area returns the zone's area.
 func (z Zone) Area() float64 { return (z.X1 - z.X0) * (z.Y1 - z.Y0) }
 
-// Center returns the zone's center point.
-func (z Zone) Center() Point { return Point{X: (z.X0 + z.X1) / 2, Y: (z.Y0 + z.Y1) / 2} }
-
 // Config parameterizes CAN construction.
 type Config struct {
 	// Landmarks, if non-empty, enables PIS: each joining node measures its

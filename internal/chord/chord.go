@@ -272,8 +272,5 @@ func (ring *Ring) IsOwner(s int, key uint32) bool { return ring.ownerOf(uint64(k
 // Owner exposes the slot responsible for key.
 func (ring *Ring) Owner(key uint32) int { return ring.ownerOf(uint64(key)) }
 
-// Fingers returns the finger slots of s (shared storage; do not mutate).
-func (ring *Ring) Fingers(s int) []int { return ring.fingers[s] }
-
 // Successors returns the successor slots of s (shared storage).
 func (ring *Ring) Successors(s int) []int { return ring.succ[s] }

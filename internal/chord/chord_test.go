@@ -82,7 +82,7 @@ func TestFingersCorrect(t *testing.T) {
 		for j := 0; j < Bits; j++ {
 			start := (uint64(ring.ID[s]) + (uint64(1) << uint(j))) % ringSize
 			want := ring.ownerOf(start)
-			if got := ring.Fingers(s)[j]; got != want {
+			if got := ring.fingers[s][j]; got != want {
 				t.Fatalf("finger %d of slot %d = %d, want %d", j, s, got, want)
 			}
 		}

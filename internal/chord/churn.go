@@ -9,7 +9,7 @@ import (
 
 // Dynamic membership. Chord's correctness invariant is that successor
 // lists are exact; finger tables only accelerate routing and may go stale
-// between FixFingers rounds (nextHop skips dead entries and falls back to
+// between finger-repair rounds (nextHop skips dead entries and falls back to
 // the successor). Join and Leave therefore repair successor lists eagerly
 // — for the joiner/leaver's ring neighborhood — and leave finger repair to
 // the periodic maintenance the real protocol also uses.
@@ -106,17 +106,6 @@ func (ring *Ring) Leave(slot int, _ *rng.Rand) error {
 			ring.mirrorNode(s)
 		}
 	}
-	return nil
-}
-
-// FixFingers recomputes one node's finger table — Chord's periodic
-// maintenance. Use after churn or PROP-G activity to restore optimal
-// routing (correctness never depends on it).
-func (ring *Ring) FixFingers(slot int) error {
-	if !ring.O.Alive(slot) {
-		return fmt.Errorf("chord: FixFingers(%d) on dead slot", slot)
-	}
-	ring.rebuildNode(slot)
 	return nil
 }
 

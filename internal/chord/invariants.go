@@ -6,7 +6,7 @@ import "fmt"
 // predicate the online auditor (internal/audit) evaluates during audited
 // runs. Chord's correctness argument splits its state in two: successor
 // lists must be *exact* at all times (routing falls back on them), while
-// finger tables may go stale between FixFingers rounds but must never
+// finger tables may go stale between finger-repair rounds but must never
 // reference a dead slot. Checked here:
 //
 //   - the sorted ring lists exactly the live slots, in strictly ascending

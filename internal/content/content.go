@@ -50,7 +50,6 @@ func (c Config) Validate() error {
 
 // Catalog is a placed set of items.
 type Catalog struct {
-	cfg Config
 	// holders[i] lists the hosts storing item i.
 	holders [][]int
 	// popCDF is the cumulative popularity distribution for query sampling.
@@ -67,7 +66,7 @@ func Place(o *overlay.Overlay, cfg Config, r *rng.Rand) (*Catalog, error) {
 	if len(hosts) < cfg.Replicas {
 		return nil, fmt.Errorf("content: %d replicas but only %d machines", cfg.Replicas, len(hosts))
 	}
-	c := &Catalog{cfg: cfg, holders: make([][]int, cfg.Items)}
+	c := &Catalog{holders: make([][]int, cfg.Items)}
 	for i := range c.holders {
 		chosen := map[int]bool{}
 		for len(chosen) < cfg.Replicas {
@@ -91,12 +90,6 @@ func Place(o *overlay.Overlay, cfg Config, r *rng.Rand) (*Catalog, error) {
 	}
 	return c, nil
 }
-
-// Items returns the catalog size.
-func (c *Catalog) Items() int { return c.cfg.Items }
-
-// Holders returns the machines storing item i (shared storage).
-func (c *Catalog) Holders(i int) []int { return c.holders[i] }
 
 // DrawItem samples an item by Zipf popularity.
 func (c *Catalog) DrawItem(r *rng.Rand) int {

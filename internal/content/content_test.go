@@ -46,15 +46,15 @@ func TestPlaceReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Items() != 50 {
-		t.Fatalf("Items = %d", c.Items())
+	if len(c.holders) != 50 {
+		t.Fatalf("Items = %d", len(c.holders))
 	}
 	hostSet := map[int]bool{}
 	for _, h := range o.Hosts() {
 		hostSet[h] = true
 	}
 	for i := 0; i < 50; i++ {
-		hs := c.Holders(i)
+		hs := c.holders[i]
 		if len(hs) != 4 {
 			t.Fatalf("item %d has %d replicas", i, len(hs))
 		}
@@ -113,7 +113,7 @@ func TestSearchLatencyNearestReplica(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		o.AddEdge(i, i+1)
 	}
-	c := &Catalog{cfg: Config{Items: 1, Replicas: 2}, holders: [][]int{{0, 6}}, popCDF: []float64{1}}
+	c := &Catalog{holders: [][]int{{0, 6}}, popCDF: []float64{1}}
 	// From slot 1 (host 2): replica at host 0 is 2 away; host 6 is 4 away.
 	if d := c.SearchLatency(o, 1, 0, nil); d != 2 {
 		t.Fatalf("SearchLatency = %v, want 2", d)
@@ -155,14 +155,14 @@ func TestPlacementSurvivesHostSwaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(4)
-	before := append([]int(nil), c.Holders(0)...)
+	before := append([]int(nil), c.holders[0]...)
 	for i := 0; i < 50; i++ {
 		u, v := r.Intn(100), r.Intn(100)
 		if u != v {
 			o.SwapHosts(u, v)
 		}
 	}
-	after := c.Holders(0)
+	after := c.holders[0]
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatal("placement changed under host swaps (items must follow machines)")

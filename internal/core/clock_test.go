@@ -65,8 +65,8 @@ func TestProtocolOnWallClock(t *testing.T) {
 	if err := o.CheckInvariants(); err != nil {
 		t.Fatalf("overlay invariants after wall-clock run: %v", err)
 	}
-	if p.Registered() != 8 {
-		t.Fatalf("registered %d nodes, want 8", p.Registered())
+	if registered(p) != 8 {
+		t.Fatalf("registered %d nodes, want 8", registered(p))
 	}
 }
 

@@ -465,7 +465,6 @@ type Protocol struct {
 	r      *rng.Rand
 	m      int              // resolved PROP-O exchange size
 	nodes  []*nodeState     // by slot; nil = not under protocol control
-	count  int              // non-nil entries of nodes
 	faults *faults.Injector // nil = every message arrives clean
 	// sc holds the buffers of the probe cycle in flight. Cycles never overlap
 	// (one clock, handlers run one at a time), so one set serves every node.
@@ -519,9 +518,6 @@ func New(o *overlay.Overlay, cfg Config, r *rng.Rand) (*Protocol, error) {
 // events scheduled and the RNG stream are those of pre-fault builds.
 func (p *Protocol) AttachFaults(inj *faults.Injector) { p.faults = inj }
 
-// M returns the resolved PROP-O exchange size.
-func (p *Protocol) M() int { return p.m }
-
 // Start registers every live slot with the clock. Each node's first probe
 // is staggered uniformly over one INIT_TIMER interval so that the warm-up
 // phase is not synchronized. The clock is the sim engine in experiments and
@@ -542,7 +538,6 @@ func (p *Protocol) register(e event.Clock, slot int) {
 		p.nodes = append(p.nodes, nil)
 	}
 	p.nodes[slot] = st
-	p.count++
 	delay := event.Time(p.r.Float64() * p.cfg.InitTimerMS)
 	st.token = e.Schedule(delay, st.fire)
 }
@@ -562,7 +557,6 @@ func (p *Protocol) unregister(slot int) {
 		st.token.Cancel()
 		st.epoch++
 		p.nodes[slot] = nil
-		p.count--
 	}
 }
 
@@ -873,15 +867,3 @@ func (p *Protocol) BackoffSnapshot() BackoffSnapshot {
 	}
 	return bs
 }
-
-// TimerOf exposes a node's current timer in ms (testing/analysis).
-func (p *Protocol) TimerOf(slot int) (float64, bool) {
-	st := p.node(slot)
-	if st == nil {
-		return 0, false
-	}
-	return st.TimerMS, true
-}
-
-// Registered reports how many slots are under protocol control.
-func (p *Protocol) Registered() int { return p.count }

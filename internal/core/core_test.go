@@ -75,8 +75,8 @@ func TestDefaultMEqualsMinDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.M() != o.Logical.MinDegree() {
-		t.Fatalf("M = %d, want δ(G) = %d", p.M(), o.Logical.MinDegree())
+	if p.m != o.Logical.MinDegree() {
+		t.Fatalf("M = %d, want δ(G) = %d", p.m, o.Logical.MinDegree())
 	}
 	cfg := DefaultConfig(PROPO)
 	cfg.M = 2
@@ -84,8 +84,8 @@ func TestDefaultMEqualsMinDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.M() != 2 {
-		t.Fatalf("explicit M not honored: %d", p2.M())
+	if p2.m != 2 {
+		t.Fatalf("explicit M not honored: %d", p2.m)
 	}
 }
 
@@ -232,6 +232,27 @@ func TestRandomProbeWorks(t *testing.T) {
 	}
 }
 
+// registered counts the slots under protocol control.
+func registered(p *Protocol) int {
+	n := 0
+	for _, st := range p.nodes {
+		if st != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// timerOf returns a node's current timer in ms, and false for a slot not
+// under protocol control.
+func timerOf(p *Protocol, slot int) (float64, bool) {
+	st := p.node(slot)
+	if st == nil {
+		return 0, false
+	}
+	return st.TimerMS, true
+}
+
 func TestTimerBackoffSequence(t *testing.T) {
 	// Two symmetric nodes where no exchange is ever profitable (identical
 	// positions on a 2-node line make every Var = 0): the timer must stay
@@ -257,7 +278,7 @@ func TestTimerBackoffSequence(t *testing.T) {
 	p.Start(e)
 	var timers []float64
 	for i := 0; i < 32 && e.Step(); i++ {
-		if tm, ok := p.TimerOf(0); ok {
+		if tm, ok := timerOf(p, 0); ok {
 			timers = append(timers, tm)
 		}
 	}
@@ -315,8 +336,8 @@ func TestChurnAddRemove(t *testing.T) {
 	e := event.New()
 	p.Start(e)
 	e.RunUntil(5000)
-	if p.Registered() != 60 {
-		t.Fatalf("Registered = %d", p.Registered())
+	if registered(p) != 60 {
+		t.Fatalf("Registered = %d", registered(p))
 	}
 	// Join.
 	g := gnutella.Net{O: o, Config: gnutella.DefaultConfig()}
@@ -330,12 +351,12 @@ func TestChurnAddRemove(t *testing.T) {
 	if err := p.AddNode(e, slot); err == nil {
 		t.Fatal("duplicate AddNode accepted")
 	}
-	if p.Registered() != 61 {
-		t.Fatalf("Registered after join = %d", p.Registered())
+	if registered(p) != 61 {
+		t.Fatalf("Registered after join = %d", registered(p))
 	}
 	// Neighbors of the joiner must have reset timers.
 	for _, nb := range o.Neighbors(slot) {
-		if tm, ok := p.TimerOf(nb); !ok || tm != cfg.InitTimerMS {
+		if tm, ok := timerOf(p, nb); !ok || tm != cfg.InitTimerMS {
 			t.Fatalf("neighbor %d timer = %v after join", nb, tm)
 		}
 	}
@@ -346,15 +367,15 @@ func TestChurnAddRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.RemoveNode(e, victim, former)
-	if p.Registered() != 60 {
-		t.Fatalf("Registered after leave = %d", p.Registered())
+	if registered(p) != 60 {
+		t.Fatalf("Registered after leave = %d", registered(p))
 	}
 	// Protocol must keep running without touching the dead slot.
 	e.RunUntil(60000)
 	if !o.Connected() {
 		t.Fatal("overlay disconnected after churn")
 	}
-	if _, ok := p.TimerOf(victim); ok {
+	if _, ok := timerOf(p, victim); ok {
 		t.Fatal("dead slot still has protocol state")
 	}
 	if err := p.AddNode(e, victim); err == nil {

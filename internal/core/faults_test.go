@@ -114,8 +114,8 @@ func TestCrashNodeAndLivenessEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.CrashNode(victim)
-	if p.Registered() != 29 {
-		t.Fatalf("Registered = %d after crash, want 29", p.Registered())
+	if registered(p) != 29 {
+		t.Fatalf("Registered = %d after crash, want 29", registered(p))
 	}
 
 	// Survivors must notice on their own probes and drop stale references.

@@ -24,7 +24,7 @@ func TestEngineImplementsClock(t *testing.T) {
 	if tok.Cancel() {
 		t.Fatal("second cancel reported true")
 	}
-	e.Run(0)
+	drain(e)
 	if ran != 1 {
 		t.Fatalf("ran %d handlers, want 1 (one cancelled)", ran)
 	}
@@ -58,7 +58,7 @@ func TestTokenConcurrentCancel(t *testing.T) {
 			}()
 		}
 		start.Done()
-		e.Run(0)
+		drain(e)
 		done.Wait()
 
 		total := int(won.Load()) + int(ran.Load())
@@ -112,7 +112,7 @@ func TestTokenRetransmitEpochConcurrentCancel(t *testing.T) {
 			mu.Unlock()
 			cancelled.Store(tok.Cancel())
 		}()
-		e.Run(0)
+		drain(e)
 		done.Wait()
 
 		mu.Lock()

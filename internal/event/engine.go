@@ -51,9 +51,6 @@ func (e *Engine) Now() Time { return e.now }
 // Steps reports how many events have been executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// Pending reports how many events are scheduled but not yet executed.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // At schedules h to run at absolute time t. Scheduling in the past (before
 // Now) panics: it indicates a protocol bug, not an environmental condition.
 // It returns a token that can cancel the event.
@@ -129,22 +126,6 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	if e.now < deadline {
 		e.now = deadline
-	}
-}
-
-// Run executes events until the queue is empty or maxSteps events have run
-// (a safety valve against runaway schedules; pass 0 for no limit). It
-// returns the number of events executed.
-func (e *Engine) Run(maxSteps uint64) uint64 {
-	var n uint64
-	for {
-		if maxSteps > 0 && n >= maxSteps {
-			return n
-		}
-		if !e.Step() {
-			return n
-		}
-		n++
 	}
 }
 

@@ -7,13 +7,19 @@ import (
 	"testing/quick"
 )
 
+// drain executes events until the queue is empty.
+func drain(e *Engine) {
+	for e.Step() {
+	}
+}
+
 func TestOrdering(t *testing.T) {
 	e := New()
 	var order []int
 	e.At(30, func(*Engine) { order = append(order, 3) })
 	e.At(10, func(*Engine) { order = append(order, 1) })
 	e.At(20, func(*Engine) { order = append(order, 2) })
-	e.Run(0)
+	drain(e)
 	want := []int{1, 2, 3}
 	for i := range want {
 		if order[i] != want[i] {
@@ -32,7 +38,7 @@ func TestFIFOAmongEqualTimes(t *testing.T) {
 		i := i
 		e.At(5, func(*Engine) { order = append(order, i) })
 	}
-	e.Run(0)
+	drain(e)
 	for i := range order {
 		if order[i] != i {
 			t.Fatalf("equal-time events not FIFO: %v", order)
@@ -46,7 +52,7 @@ func TestAfterUsesCurrentClock(t *testing.T) {
 	e.At(100, func(en *Engine) {
 		en.After(50, func(en2 *Engine) { fired = en2.Now() })
 	})
-	e.Run(0)
+	drain(e)
 	if fired != 150 {
 		t.Fatalf("nested After fired at %v, want 150", fired)
 	}
@@ -55,7 +61,7 @@ func TestAfterUsesCurrentClock(t *testing.T) {
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
 	e.At(100, func(*Engine) {})
-	e.Run(0)
+	drain(e)
 	for _, at := range []Time{50, Time(math.NaN())} {
 		func() {
 			defer func() {
@@ -89,8 +95,8 @@ func TestCancel(t *testing.T) {
 	fired := false
 	tok := e.At(10, func(*Engine) { fired = true })
 	tok.Cancel()
-	tok.Cancel() // idempotent
-	e.Run(0)
+	tok.Cancel()   // idempotent
+	e.RunUntil(20) // peek discards the cancelled head and finds none
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -119,7 +125,7 @@ func TestCancelReportsPendingPrevention(t *testing.T) {
 
 	// After execution, Cancel must report false: the stale-timer case.
 	tok2 := e.At(20, func(*Engine) {})
-	e.Run(0)
+	drain(e)
 	if tok2.Pending() {
 		t.Fatal("executed token still Pending")
 	}
@@ -160,7 +166,7 @@ func TestStaleTimerFire(t *testing.T) {
 		epoch++
 		schedule(20)
 	})
-	e.Run(0)
+	drain(e)
 	if staleFires != 1 || liveFires != 1 {
 		t.Fatalf("staleFires=%d liveFires=%d, want 1 and 1", staleFires, liveFires)
 	}
@@ -173,7 +179,7 @@ func TestCancelOneOfMany(t *testing.T) {
 	e.At(10, func(*Engine) { order = append(order, 2) })
 	e.At(20, func(*Engine) { order = append(order, 3) })
 	t1.Cancel()
-	e.Run(0)
+	drain(e)
 	if len(order) != 2 || order[0] != 2 || order[1] != 3 {
 		t.Fatalf("order = %v, want [2 3]", order)
 	}
@@ -193,8 +199,8 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 15 {
 		t.Fatalf("Now = %v, want 15", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
+	if len(e.queue) != 2 {
+		t.Fatalf("Pending = %d, want 2", len(e.queue))
 	}
 	e.RunUntil(100)
 	if len(fired) != 5 {
@@ -222,12 +228,16 @@ func TestRunMaxSteps(t *testing.T) {
 		en.After(1, reschedule)
 	}
 	e.After(1, reschedule)
-	n := e.Run(100)
-	if n != 100 || count != 100 {
-		t.Fatalf("Run(100) executed %d events, handler ran %d times", n, count)
+	for i := 0; i < 100; i++ {
+		if !e.Step() {
+			t.Fatalf("Step %d found the queue empty", i)
+		}
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want the rescheduled event", e.Pending())
+	if count != 100 {
+		t.Fatalf("100 steps ran the handler %d times", count)
+	}
+	if len(e.queue) != 1 {
+		t.Fatalf("Pending = %d, want the rescheduled event", len(e.queue))
 	}
 }
 
@@ -246,7 +256,7 @@ func TestRandomScheduleOrderProperty(t *testing.T) {
 			at := Time(raw)
 			e.At(at, func(en *Engine) { fired = append(fired, en.Now()) })
 		}
-		e.Run(0)
+		drain(e)
 		if len(fired) != len(times) {
 			return false
 		}

@@ -38,8 +38,8 @@ func TestFigRScaleSmoke(t *testing.T) {
 		if i == 0 {
 			nl, nc = len(figRLossGrid), len(figRCrashGrid)
 		}
-		if loss.Len() != nl || crash.Len() != nc {
-			t.Errorf("%s/%s: sweep sizes %d/%d, want %d/%d", loss.Label, crash.Label, loss.Len(), crash.Len(), nl, nc)
+		if len(loss.X) != nl || len(crash.X) != nc {
+			t.Errorf("%s/%s: sweep sizes %d/%d, want %d/%d", loss.Label, crash.Label, len(loss.X), len(crash.X), nl, nc)
 		}
 		if loss.X[0] != 0 || crash.X[0] != 0 || loss.Y[0] != crash.Y[0] {
 			t.Errorf("%s: sweeps not anchored at the shared fault-free point: loss(%v)=%v crash(%v)=%v",
@@ -65,8 +65,8 @@ func TestFigRScaleSweepCollapse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range res.Series {
-		if s.Len() != 2 {
-			t.Errorf("series %q has %d points, want 2 (collapsed sweep)", s.Label, s.Len())
+		if len(s.X) != 2 {
+			t.Errorf("series %q has %d points, want 2 (collapsed sweep)", s.Label, len(s.X))
 		}
 	}
 	if got := res.Series[0].X[1]; got != 5 {

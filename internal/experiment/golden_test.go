@@ -241,7 +241,7 @@ func TestAllExperimentsSmoke(t *testing.T) {
 				t.Fatal("no series")
 			}
 			for _, s := range res.Series {
-				if s.Len() == 0 {
+				if len(s.X) == 0 {
 					t.Fatalf("series %q empty", s.Label)
 				}
 				if len(s.X) != len(s.Y) {
@@ -283,9 +283,17 @@ func TestDesignIndexMatchesIDs(t *testing.T) {
 	}
 }
 
+// final is a curve's last y value, or NaN for an empty series.
+func final(s stats.Series) float64 {
+	if len(s.Y) == 0 {
+		return math.NaN()
+	}
+	return s.Y[len(s.Y)-1]
+}
+
 // improvedBy reports whether the series ends at most frac of its start.
 func improvedBy(s stats.Series, frac float64) bool {
-	return s.Len() >= 2 && s.Final() <= s.Y[0]*frac
+	return len(s.X) >= 2 && final(s) <= s.Y[0]*frac
 }
 
 // churnSpike checks §4.3's dynamics on a probes/node/min series: the rate
@@ -302,7 +310,7 @@ func churnSpike(t *testing.T, probes stats.Series) {
 	if peak <= pre {
 		t.Errorf("no churn spike: pre=%.3f peak=%.3f", pre, peak)
 	}
-	if tail := probes.Final(); tail >= peak {
+	if tail := final(probes); tail >= peak {
 		t.Errorf("probe rate did not decay after churn: peak=%.3f tail=%.3f", peak, tail)
 	}
 }
@@ -313,11 +321,11 @@ func TestFig5aShape(t *testing.T) {
 	// nhops >= 2 and random must improve latency substantially.
 	for _, s := range []stats.Series{h2, g.series(t, "n=1000, nhops=4"), g.series(t, "n=1000, random")} {
 		if !improvedBy(s, 0.9) {
-			t.Errorf("%s did not improve enough: %.1f -> %.1f", s.Label, s.Y[0], s.Final())
+			t.Errorf("%s did not improve enough: %.1f -> %.1f", s.Label, s.Y[0], final(s))
 		}
 	}
 	// nhops=1 must improve less than nhops=2.
-	if drop1, drop2 := h1.Y[0]-h1.Final(), h2.Y[0]-h2.Final(); drop1 >= drop2 {
+	if drop1, drop2 := h1.Y[0]-final(h1), h2.Y[0]-final(h2); drop1 >= drop2 {
 		t.Errorf("nhops=1 drop %.1f >= nhops=2 drop %.1f", drop1, drop2)
 	}
 }
@@ -329,7 +337,7 @@ func TestFig5cShape(t *testing.T) {
 	// a relative comparison would be measuring the starting point, not the
 	// protocol.)
 	large, small := g.series(t, "ts-large"), g.series(t, "ts-small")
-	if dl, ds := large.Y[0]-large.Final(), small.Y[0]-small.Final(); dl <= ds {
+	if dl, ds := large.Y[0]-final(large), small.Y[0]-final(small); dl <= ds {
 		t.Errorf("ts-large drop %.1f not above ts-small drop %.1f", dl, ds)
 	}
 }
@@ -343,7 +351,7 @@ func TestFig6aShape(t *testing.T) {
 	}
 	s := seriesOf(t, res, "n=1000, nhops=2")
 	if !improvedBy(s, 0.95) {
-		t.Errorf("chord stretch did not improve: %.2f -> %.2f", s.Y[0], s.Final())
+		t.Errorf("chord stretch did not improve: %.2f -> %.2f", s.Y[0], final(s))
 	}
 	if s.Y[0] < 1 {
 		t.Errorf("initial stretch %.2f below 1 is implausible", s.Y[0])
@@ -369,28 +377,28 @@ func TestFig7Shape(t *testing.T) {
 		}
 	}
 	// "The delay of both PROP-G and LTM increase" toward x=1.
-	if propG.Final() <= propG.Y[0] {
+	if final(propG) <= propG.Y[0] {
 		t.Errorf("PROP-G not worsening toward fast lookups: %v", propG.Y)
 	}
 	// "The delay for PROP-O keeps decreasing"; by x=1 the best PROP-O
 	// variant beats LTM.
 	bestO := math.Inf(1)
 	for _, s := range propO {
-		if s.Final() >= s.Y[0] {
+		if final(s) >= s.Y[0] {
 			t.Errorf("%s not improving toward fast lookups: %v", s.Label, s.Y)
 		}
-		bestO = math.Min(bestO, s.Final())
+		bestO = math.Min(bestO, final(s))
 	}
-	if bestO >= ltmS.Final() {
-		t.Errorf("at x=1 best PROP-O (%.3f) not better than LTM (%.3f)", bestO, ltmS.Final())
+	if bestO >= final(ltmS) {
+		t.Errorf("at x=1 best PROP-O (%.3f) not better than LTM (%.3f)", bestO, final(ltmS))
 	}
 }
 
 func TestOverheadShape(t *testing.T) {
 	g := golden(t, "overhead")
 	measured, model := g.series(t, "measured msgs/adjustment"), g.series(t, "model nhops+2c | nhops+2m")
-	if measured.Len() != 4 || model.Len() != 4 {
-		t.Fatalf("series lengths: %d, %d", measured.Len(), model.Len())
+	if len(measured.X) != 4 || len(model.X) != 4 {
+		t.Fatalf("series lengths: %d, %d", len(measured.X), len(model.X))
 	}
 	for i := 0; i < 4; i++ {
 		// PROP-G (index 0) must cost more than every PROP-O variant.
@@ -426,8 +434,8 @@ func TestChordChurnShape(t *testing.T) {
 
 func TestComboShape(t *testing.T) {
 	for _, s := range golden(t, "combo").res.Series {
-		if s.Len() != 4 {
-			t.Fatalf("%s has %d points", s.Label, s.Len())
+		if len(s.X) != 4 {
+			t.Fatalf("%s has %d points", s.Label, len(s.X))
 		}
 		// The combination and PROP-G alone must both beat plain.
 		if plain := s.Y[0]; s.Y[3] >= plain || s.Y[2] >= plain {
@@ -442,7 +450,7 @@ func TestComboShape(t *testing.T) {
 // alone.
 func proximityShape(t *testing.T, id string) {
 	res := golden(t, id).res
-	if len(res.Series) != 1 || res.Series[0].Len() != 4 {
+	if len(res.Series) != 1 || len(res.Series[0].X) != 4 {
 		t.Fatalf("series shape wrong: %+v", res.Series)
 	}
 	plain, prox, propg, combined := res.Series[0].Y[0], res.Series[0].Y[1], res.Series[0].Y[2], res.Series[0].Y[3]
@@ -460,8 +468,8 @@ func TestKademliaExperimentShape(t *testing.T) { proximityShape(t, "kademlia") }
 func TestWarmupAblationShape(t *testing.T) {
 	g := golden(t, "warmup")
 	latency, probes := g.series(t, "final mean link latency (ms)"), g.series(t, "probes per node")
-	if latency.Len() != 6 || probes.Len() != 6 {
-		t.Fatalf("series lengths %d/%d", latency.Len(), probes.Len())
+	if len(latency.X) != 6 || len(probes.X) != 6 {
+		t.Fatalf("series lengths %d/%d", len(latency.X), len(probes.X))
 	}
 	// A 1-probe warm-up must end worse than the 10-probe default.
 	if latency.YAt(1) <= latency.YAt(10) {
@@ -496,8 +504,8 @@ func TestMinVarAblationShape(t *testing.T) {
 func TestNoiseShape(t *testing.T) {
 	g := golden(t, "noise")
 	latency, harmful := g.series(t, "final mean link latency (ms)"), g.series(t, "harmful exchange fraction")
-	if latency.Len() != 6 || harmful.Len() != 6 {
-		t.Fatalf("series shapes: %d/%d", latency.Len(), harmful.Len())
+	if len(latency.X) != 6 || len(harmful.X) != 6 {
+		t.Fatalf("series shapes: %d/%d", len(latency.X), len(harmful.X))
 	}
 	// No noise ⇒ no harmful exchanges (Var is exact and the gate is > 0).
 	if harmful.YAt(0) != 0 {
@@ -521,8 +529,8 @@ func TestNoiseShape(t *testing.T) {
 func TestTrafficShape(t *testing.T) {
 	g := golden(t, "traffic")
 	msgs, traffic := g.series(t, "messages per query"), g.series(t, "traffic (ms per query)")
-	if msgs.Len() != 4 || traffic.Len() != 4 {
-		t.Fatalf("series shapes: %d/%d", msgs.Len(), traffic.Len())
+	if len(msgs.X) != 4 || len(traffic.X) != 4 {
+		t.Fatalf("series shapes: %d/%d", len(msgs.X), len(traffic.X))
 	}
 	// PROP-G leaves the logical graph untouched: message count identical.
 	if msgs.YAt(1) != msgs.YAt(0) {
@@ -543,11 +551,11 @@ func TestTrafficShape(t *testing.T) {
 func TestReplicationShape(t *testing.T) {
 	g := golden(t, "replication")
 	plain, prop, ratio := g.series(t, "unoptimized (ms)"), g.series(t, "PROP-G (ms)"), g.series(t, "PROP-G/unoptimized")
-	if plain.Len() != 5 || prop.Len() != 5 || ratio.Len() != 5 {
-		t.Fatalf("series shapes: %d/%d/%d", plain.Len(), prop.Len(), ratio.Len())
+	if len(plain.X) != 5 || len(prop.X) != 5 || len(ratio.X) != 5 {
+		t.Fatalf("series shapes: %d/%d/%d", len(plain.X), len(prop.X), len(ratio.X))
 	}
 	// More replicas ⇒ cheaper search, end to end, on both overlays.
-	if plain.Final() >= plain.Y[0] || prop.Final() >= prop.Y[0] {
+	if final(plain) >= plain.Y[0] || final(prop) >= prop.Y[0] {
 		t.Errorf("search not improving with replication: %v / %v", plain.Y, prop.Y)
 	}
 	// PROP-G helps at every replication factor.
@@ -561,7 +569,7 @@ func TestReplicationShape(t *testing.T) {
 func TestInflightShape(t *testing.T) {
 	g := golden(t, "inflight")
 	correct, stale, exchanges := g.series(t, "correct fraction"), g.series(t, "stale arrivals per 1000 lookups"), g.series(t, "exchanges during run")
-	if correct.Len() != 4 {
+	if len(correct.X) != 4 {
 		t.Fatalf("series shape: %+v", g.res.Series)
 	}
 	// The paper's mechanism: correctness never degrades, at any pressure.
@@ -592,11 +600,11 @@ func TestSATMatchShape(t *testing.T) {
 		t.Fatalf("variants start apart: %.3f/%.3f/%.3f", plain.Y[0], sat.Y[0], prop.Y[0])
 	}
 	// The unoptimized ring is flat; both optimizers end below it.
-	if plain.Final() != plain.Y[0] {
-		t.Errorf("unoptimized ring drifted: %.3f -> %.3f", plain.Y[0], plain.Final())
+	if final(plain) != plain.Y[0] {
+		t.Errorf("unoptimized ring drifted: %.3f -> %.3f", plain.Y[0], final(plain))
 	}
-	if sat.Final() >= plain.Final() || prop.Final() >= plain.Final() {
-		t.Errorf("SAT-Match %.3f / PROP-G %.3f not below plain %.3f", sat.Final(), prop.Final(), plain.Final())
+	if final(sat) >= final(plain) || final(prop) >= final(plain) {
+		t.Errorf("SAT-Match %.3f / PROP-G %.3f not below plain %.3f", final(sat), final(prop), final(plain))
 	}
 	// The cost contrast must be reported: SAT-Match mints IDs, PROP-G none.
 	if !strings.Contains(g.res.Notes[0], "minted") || !strings.Contains(g.res.Notes[0], "PROP-G minted 0") {

@@ -49,9 +49,9 @@ func TestFig5aScaleSmoke(t *testing.T) {
 		t.Fatalf("series %+v, want one per rung from n=4096", res.Series)
 	}
 	for _, s := range res.Series {
-		if s.Len() < 3 {
-			t.Errorf("%s: %d points", s.Label, s.Len())
-		} else if last := s.Final(); last >= s.Y[0] {
+		if len(s.X) < 3 {
+			t.Errorf("%s: %d points", s.Label, len(s.X))
+		} else if last := final(s); last >= s.Y[0] {
 			t.Errorf("%s: estimated AL did not improve: %.1f -> %.1f ms", s.Label, s.Y[0], last)
 		}
 	}

@@ -197,9 +197,6 @@ func NewInjector(cfg Config) (*Injector, error) {
 // fast path.
 func (in *Injector) Enabled() bool { return in != nil }
 
-// Config returns the schedule this injector runs.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Stats returns the activity totals so far.
 func (in *Injector) Stats() Stats {
 	if in == nil {

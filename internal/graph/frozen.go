@@ -23,7 +23,6 @@ type Frozen struct {
 	off []int32   // off[u]..off[u+1] indexes nbr/wt; len n+1
 	nbr []int32   // concatenated sorted neighbor lists; len 2m
 	wt  []float64 // weights parallel to nbr
-	m   int       // undirected edge count
 
 	queues sync.Pool // *RadixQueue
 }
@@ -49,7 +48,6 @@ func (g *Graph) Freeze() *Frozen {
 		off: make([]int32, n+1),
 		nbr: make([]int32, 2*g.m),
 		wt:  make([]float64, 2*g.m),
-		m:   g.m,
 	}
 	for u := 0; u < n; u++ {
 		f.off[u+1] = f.off[u] + int32(len(g.adj[u]))
@@ -98,17 +96,6 @@ type frozenCache = atomic.Pointer[Frozen]
 
 // NumVertices reports the vertex count of the snapshot.
 func (f *Frozen) NumVertices() int { return len(f.off) - 1 }
-
-// NumEdges reports the undirected edge count of the snapshot.
-func (f *Frozen) NumEdges() int { return f.m }
-
-// Degree returns the degree of vertex u (0 when out of range).
-func (f *Frozen) Degree(u int) int {
-	if u < 0 || u >= f.NumVertices() {
-		return 0
-	}
-	return int(f.off[u+1] - f.off[u])
-}
 
 // Row returns u's neighbor IDs and edge weights as shared slices in
 // ascending neighbor order. Callers must not mutate them.

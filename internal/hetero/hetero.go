@@ -73,9 +73,6 @@ func AssignByDegree(o *overlay.Overlay) *Model {
 	return m
 }
 
-// IsFastHost reports whether the machine host is fast.
-func (m *Model) IsFastHost(host int) bool { return m.fastHosts[host] }
-
 // IsFastSlot reports whether the machine currently backing slot is fast.
 func (m *Model) IsFastSlot(slot int) bool { return m.fastHosts[m.o.HostOf(slot)] }
 
@@ -95,27 +92,5 @@ func (m *Model) FastHosts() []int {
 		out = append(out, h)
 	}
 	sort.Ints(out)
-	return out
-}
-
-// FastSlots returns the slots currently backed by fast machines, ascending.
-func (m *Model) FastSlots() []int {
-	var out []int
-	for _, s := range m.o.AliveSlots() {
-		if m.IsFastSlot(s) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// SlowSlots returns the live slots backed by slow machines, ascending.
-func (m *Model) SlowSlots() []int {
-	var out []int
-	for _, s := range m.o.AliveSlots() {
-		if !m.IsFastSlot(s) {
-			out = append(out, s)
-		}
-	}
 	return out
 }

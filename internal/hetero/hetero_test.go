@@ -2,6 +2,7 @@ package hetero
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gnutella"
@@ -24,10 +25,23 @@ func buildOverlay(t *testing.T, n int) *overlay.Overlay {
 	return o
 }
 
+// slotsBySpeed splits the live slots into those backed by fast machines
+// and those backed by slow ones, each ascending.
+func slotsBySpeed(m *Model) (fast, slow []int) {
+	for _, s := range m.o.AliveSlots() {
+		if m.IsFastSlot(s) {
+			fast = append(fast, s)
+		} else {
+			slow = append(slow, s)
+		}
+	}
+	return fast, slow
+}
+
 func TestAssignByDegreePicksHubs(t *testing.T) {
 	o := buildOverlay(t, 500)
 	m := AssignByDegree(o)
-	fast := m.FastSlots()
+	fast, slow := slotsBySpeed(m)
 	if len(fast) != 100 { // 20% of 500
 		t.Fatalf("fast count = %d, want 100", len(fast))
 	}
@@ -38,13 +52,13 @@ func TestAssignByDegreePicksHubs(t *testing.T) {
 			minFast = d
 		}
 	}
-	for _, s := range m.SlowSlots() {
+	for _, s := range slow {
 		if o.Degree(s) > minFast {
 			t.Fatalf("slow slot %d (deg %d) outranks weakest fast (deg %d)",
 				s, o.Degree(s), minFast)
 		}
 	}
-	if len(fast)+len(m.SlowSlots()) != 500 {
+	if len(fast)+len(slow) != 500 {
 		t.Fatal("partition broken")
 	}
 }
@@ -52,12 +66,13 @@ func TestAssignByDegreePicksHubs(t *testing.T) {
 func TestDelays(t *testing.T) {
 	o := buildOverlay(t, 100)
 	m := AssignByDegree(o)
-	for _, s := range m.FastSlots() {
+	fast, slow := slotsBySpeed(m)
+	for _, s := range fast {
 		if !m.IsFastSlot(s) || m.Delay(s) != 1 {
 			t.Fatalf("fast slot %d: IsFastSlot=%v Delay=%v", s, m.IsFastSlot(s), m.Delay(s))
 		}
 	}
-	for _, s := range m.SlowSlots() {
+	for _, s := range slow {
 		if m.IsFastSlot(s) || m.Delay(s) != 100 {
 			t.Fatalf("slow slot %d misclassified", s)
 		}
@@ -68,13 +83,13 @@ func TestSpeedTravelsWithHost(t *testing.T) {
 	// PROP-G swaps must carry the machine's speed to its new slot.
 	o := buildOverlay(t, 100)
 	m := AssignByDegree(o)
-	fastSlot := m.FastSlots()[0]
-	slowSlot := m.SlowSlots()[0]
+	fast, slow := slotsBySpeed(m)
+	fastSlot, slowSlot := fast[0], slow[0]
 	fastHost := o.HostOf(fastSlot)
 	if err := o.SwapHosts(fastSlot, slowSlot); err != nil {
 		t.Fatal(err)
 	}
-	if !m.IsFastHost(fastHost) {
+	if !slices.Contains(m.FastHosts(), fastHost) {
 		t.Fatal("host speed changed by a swap")
 	}
 	if !m.IsFastSlot(slowSlot) || m.IsFastSlot(fastSlot) {

@@ -187,11 +187,3 @@ func (net *Net) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (overlay
 		return best
 	}, proc)
 }
-
-// Bucket exposes slot s's bucket i (shared storage; do not mutate).
-func (net *Net) Bucket(s, i int) []int {
-	if i < 0 || i >= Bits {
-		return nil
-	}
-	return net.buckets[s][i]
-}

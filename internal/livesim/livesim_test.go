@@ -59,7 +59,8 @@ func TestLookupsWithoutChurnAreCorrect(t *testing.T) {
 	for i := 0; i < lookups; i++ {
 		sim.IssueLookup(e, event.Time(i), r.Intn(64), chord.RandomKey(r))
 	}
-	e.Run(0)
+	for e.Step() {
+	}
 	sum := sim.Summarize()
 	if sum.Lookups != lookups || sum.Correct != lookups {
 		t.Fatalf("quiet ring: %+v", sum)

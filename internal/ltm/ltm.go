@@ -63,8 +63,7 @@ type Protocol struct {
 	O *overlay.Overlay
 	// Counters tallies detector message overhead.
 	Counters metrics.Counters
-	// Trace, if non-nil, receives every executed link cut and add — the
-	// KindRewire stream of the audit trace recorder.
+	// Trace, if non-nil, receives every executed link cut and add.
 	Trace func(RewireEvent)
 
 	r *rng.Rand

@@ -127,7 +127,8 @@ func TestLTMSkipsDeadPeers(t *testing.T) {
 
 func TestTraceObservesEveryRewire(t *testing.T) {
 	// The Trace hook must see exactly one RewireEvent per executed topology
-	// modification, and the KindRewire stream routed through the auditor must
+	// modification, and the rewire stream routed through the auditor (as
+	// exchange records: LTM counts each cut or add as one exchange) must
 	// keep the overlay invariants LTM is allowed to touch: bijection and
 	// connectivity hold, while degrees are free to drift (that freedom is
 	// LTM's defining contrast with PROP-O).
@@ -147,7 +148,7 @@ func TestTraceObservesEveryRewire(t *testing.T) {
 			val = 1
 		}
 		a.Observe(audit.Record{
-			At: float64(ev.At), Kind: audit.KindRewire, A: ev.U, B: ev.W, Val: val,
+			At: float64(ev.At), Kind: audit.KindExchange, A: ev.U, B: ev.W, Val: val,
 		})
 	}
 	e := event.New()

@@ -59,16 +59,15 @@ func (s overlayFloodSource) FloodInto(src int, dist []float64) {
 
 // OverlayFloodSource adapts an overlay (with an optional processing-delay
 // model) to the FloodSource seam, so the estimator and the exact reference
-// read the same flooding semantics as AverageLatency.
+// read the overlay's own flooding semantics.
 func OverlayFloodSource(o *overlay.Overlay, proc overlay.ProcDelayFunc) FloodSource {
 	return overlayFloodSource{o: o, proc: proc}
 }
 
 // AverageLatencyFrom computes eq. (3) exactly over a FloodSource. It is
 // FiniteAverageLatency held to a connected source: an unreachable live pair
-// or an empty source is an error. It is the one implementation behind
-// AverageLatency and the reference the estimator's error is measured
-// against.
+// or an empty source is an error. It is the one eq. (3) implementation and
+// the reference the estimator's error is measured against.
 func AverageLatencyFrom(fs FloodSource) (float64, error) {
 	al, unreachable, err := FiniteAverageLatency(fs)
 	if err != nil {

@@ -6,7 +6,7 @@
 // — and writes results by index so that the final reduction is a
 // deterministic sequential sum regardless of scheduling.
 //
-// Entry points: MeanLookupLatency, AverageLatency, and the Counters struct
+// Entry points: MeanLookupLatency, AverageLatencyFrom, and the Counters struct
 // the protocols tally into. See DESIGN.md §2 for which experiment consumes
 // which quantity.
 package metrics
@@ -98,17 +98,6 @@ func FloodEval(o *overlay.Overlay, proc overlay.ProcDelayFunc) LatencyEval {
 	return func(l workload.Lookup) float64 {
 		return o.FloodLatency(l.Src, l.Dst, proc)
 	}
-}
-
-// AverageLatency computes the paper's eq. (3): AL = (Σ_i Σ_j d(i,j)) / n²
-// over the overlay's flooding distances (the latency between a node and
-// itself is zero, matching the paper's footnote). It is the exact
-// reference the row-sketch estimator is tested against, and fails on an
-// unreachable pair. It is AverageLatencyFrom over the overlay's own floods:
-// one bulk FloodLatenciesInto per source, O(n·Dijkstra), sources evaluated
-// in parallel.
-func AverageLatency(o *overlay.Overlay, proc overlay.ProcDelayFunc) (float64, error) {
-	return AverageLatencyFrom(OverlayFloodSource(o, proc))
 }
 
 // Counters tallies protocol activity for the overhead analysis (§4.3).

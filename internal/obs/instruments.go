@@ -38,14 +38,6 @@ type Counter struct {
 	next     atomic.Uint32
 }
 
-// Name reports the counter's registered name ("" when nil).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) {
 	if c == nil {
@@ -58,9 +50,6 @@ func (c *Counter) Add(n uint64) {
 	cell.v.Add(n)
 	c.affinity.Put(cell)
 }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current total (0 when nil). The total is exact once
 // writers have quiesced; a concurrent read observes some subset of
@@ -103,14 +92,6 @@ func newHistogram(name string, bounds []float64) *Histogram {
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
 	return &Histogram{name: name, bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-}
-
-// Name reports the histogram's registered name ("" when nil).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
 }
 
 // Observe records one value.
@@ -157,14 +138,6 @@ type TimeSeries struct {
 	v    []float64
 }
 
-// Name reports the series' registered name ("" when nil).
-func (s *TimeSeries) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // Sample appends one (sim time ms, value) point.
 func (s *TimeSeries) Sample(simMS, v float64) {
 	if s == nil {
@@ -172,14 +145,6 @@ func (s *TimeSeries) Sample(simMS, v float64) {
 	}
 	s.t = append(s.t, simMS)
 	s.v = append(s.v, v)
-}
-
-// Len reports the number of samples (0 when nil).
-func (s *TimeSeries) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.t)
 }
 
 // Points returns the sample slices (shared storage; do not mutate).
@@ -212,14 +177,6 @@ type Span struct {
 
 func newSpan(name string, seq int, simNowMS float64) *Span {
 	return &Span{name: name, seq: seq, simStartMS: simNowMS, simEndMS: simNowMS, wallStart: time.Now()}
-}
-
-// Name reports the span's name ("" when nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
 }
 
 // End closes the span at the given sim time (ms). Calling End twice keeps

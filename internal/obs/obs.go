@@ -118,14 +118,6 @@ func (r *Registry) EnableWallClock() {
 // WallClock reports whether wall-clock emission is enabled.
 func (r *Registry) WallClock() bool { return r != nil && r.wall }
 
-// Manifest returns the registry's manifest (zero value when disabled).
-func (r *Registry) Manifest() Manifest {
-	if r == nil {
-		return Manifest{}
-	}
-	return r.manifest
-}
-
 // SetManifest replaces the registry's manifest, preserving a stamped
 // schema version.
 func (r *Registry) SetManifest(m Manifest) {
@@ -185,14 +177,6 @@ type Trial struct {
 	series   map[string]*TimeSeries
 	spans    []*Span
 	spanSeq  int
-}
-
-// Index reports the trial index (-1 when disabled).
-func (t *Trial) Index() int {
-	if t == nil {
-		return -1
-	}
-	return t.index
 }
 
 // Counter returns the named counter, creating it on first use. Returns nil

@@ -24,8 +24,8 @@ func TestCrashSlotKeepsStaleEdges(t *testing.T) {
 	if err := o.CrashSlot(2); err != nil {
 		t.Fatal(err)
 	}
-	if o.Alive(2) || !o.Crashed(2) {
-		t.Fatalf("after crash: alive=%v crashed=%v", o.Alive(2), o.Crashed(2))
+	if o.Alive(2) || !o.crashed[2] {
+		t.Fatalf("after crash: alive=%v crashed=%v", o.Alive(2), o.crashed[2])
 	}
 	if o.HostOf(2) != -1 || o.SlotOfHost(20) != -1 {
 		t.Fatal("crashed slot still holds its host")
@@ -76,8 +76,8 @@ func TestPurgeCrashed(t *testing.T) {
 	if err := o.PurgeCrashed(2); err != nil {
 		t.Fatal(err)
 	}
-	if o.Degree(2) != 0 || o.Crashed(2) {
-		t.Fatalf("after purge: degree=%d crashed=%v", o.Degree(2), o.Crashed(2))
+	if o.Degree(2) != 0 || o.crashed[2] {
+		t.Fatalf("after purge: degree=%d crashed=%v", o.Degree(2), o.crashed[2])
 	}
 	// Purged corpse is now held to the strict (graceful-leave) invariant.
 	if err := o.CheckInvariants(); err != nil {
@@ -143,13 +143,13 @@ func TestCrashCloneIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := o.Clone()
-	if !c.Crashed(2) {
+	if !c.crashed[2] {
 		t.Fatal("clone lost crashed flag")
 	}
 	if err := c.PurgeCrashed(2); err != nil {
 		t.Fatal(err)
 	}
-	if !o.Crashed(2) {
+	if !o.crashed[2] {
 		t.Fatal("purging the clone cleared the original's flag")
 	}
 }

@@ -369,16 +369,6 @@ func (o *Overlay) checkMove(from, to, x int, banned map[int]bool) error {
 	return nil
 }
 
-// ExchangeGain returns Var for a hypothetical PROP-O exchange (§3.2 eq. 2):
-// the total neighbor latency before minus after. Positive values mean the
-// exchange helps.
-func (o *Overlay) ExchangeGain(u, v int, give, take []int) float64 {
-	var sc Scratch
-	o.TradePairs(u, v, give, take, &sc)
-	o.HostLatencies(sc.Pairs, sc.RTT)
-	return TradeVar(sc.RTT)
-}
-
 // TradePairs lists into sc the host pairs a PROP-O evaluation measures —
 // how a real peer evaluates Var from (noisy) probe RTTs: per moved neighbor
 // its link as it stands, then as it would be, (u,a),(v,a) for a ∈ give and
@@ -402,16 +392,6 @@ func TradeVar(rtt []float64) float64 {
 		gain += rtt[k] - rtt[k+1]
 	}
 	return gain
-}
-
-// SwapGain returns Var for a hypothetical PROP-G exchange: the change in
-// Σ d(u,N(u)) + Σ d(v,N(v)) if u and v swap hosts. The shared edge {u,v},
-// if present, cancels out by symmetry and needs no special casing.
-func (o *Overlay) SwapGain(u, v int) float64 {
-	var sc Scratch
-	o.SwapPairs(u, v, &sc)
-	o.HostLatencies(sc.Pairs, sc.RTT)
-	return SwapVar(sc.RTT)
 }
 
 // SwapPairs lists into sc the host pairs a PROP-G evaluation measures — how
@@ -614,9 +594,6 @@ func (o *Overlay) kill(u int) {
 	o.aliveIdx = o.aliveIdx[:0]
 	o.hostVer++
 }
-
-// Crashed reports whether slot u died crash-stop and has not been purged.
-func (o *Overlay) Crashed(u int) bool { return o.crashed[u] }
 
 // CrashedSlots returns the unpurged crashed slots in ascending order.
 func (o *Overlay) CrashedSlots() []int {

@@ -99,6 +99,25 @@ func mustEdge(t *testing.T, o *Overlay, u, v int) {
 	}
 }
 
+// swapGain is Var for a hypothetical PROP-G exchange, composed the way
+// core evaluates it: the change in Σ d(u,N(u)) + Σ d(v,N(v)) if u and v
+// swap hosts.
+func swapGain(o *Overlay, u, v int) float64 {
+	var sc Scratch
+	o.SwapPairs(u, v, &sc)
+	o.HostLatencies(sc.Pairs, sc.RTT)
+	return SwapVar(sc.RTT)
+}
+
+// exchangeGain is Var for a hypothetical PROP-O exchange (§3.2 eq. 2): the
+// total neighbor latency before minus after.
+func exchangeGain(o *Overlay, u, v int, give, take []int) float64 {
+	var sc Scratch
+	o.TradePairs(u, v, give, take, &sc)
+	o.HostLatencies(sc.Pairs, sc.RTT)
+	return TradeVar(sc.RTT)
+}
+
 func TestSwapGainHandComputed(t *testing.T) {
 	// Hosts on a line: slot0@0, slot1@100, slot2@1, slot3@99.
 	// Edges: 0-3, 1-2. Slot 0 is far from its only neighbor 3 (|0-99|=99),
@@ -108,8 +127,8 @@ func TestSwapGainHandComputed(t *testing.T) {
 	o := lineOverlay(t, []int{0, 100, 1, 99})
 	mustEdge(t, o, 0, 3)
 	mustEdge(t, o, 1, 2)
-	if g := o.SwapGain(0, 1); g != 196 {
-		t.Fatalf("SwapGain = %v, want 196", g)
+	if g := swapGain(o, 0, 1); g != 196 {
+		t.Fatalf("swapGain = %v, want 196", g)
 	}
 	// Applying the swap must change MeanLinkLatency accordingly.
 	before := o.MeanLinkLatency()
@@ -130,8 +149,8 @@ func TestSwapGainAdjacentPair(t *testing.T) {
 	mustEdge(t, o, 0, 3) // 0@0 to 3@98: 98
 	mustEdge(t, o, 1, 2) // 1@100 to 2@2: 98
 	// After swap: 0@100-3@98 = 2, 1@0-2@2 = 2. Gain = (98+98)-(2+2) = 192.
-	if g := o.SwapGain(0, 1); g != 192 {
-		t.Fatalf("SwapGain = %v, want 192", g)
+	if g := swapGain(o, 0, 1); g != 192 {
+		t.Fatalf("swapGain = %v, want 192", g)
 	}
 }
 
@@ -168,7 +187,7 @@ func TestSwapGainMatchesActualSwap(t *testing.T) {
 			}
 			return s
 		}
-		gain := o.SwapGain(u, v)
+		gain := swapGain(o, u, v)
 		before := total()
 		if err := o.SwapHosts(u, v); err != nil {
 			return false
@@ -193,9 +212,9 @@ func TestExchangeNeighborsBasic(t *testing.T) {
 	mustEdge(t, o, 0, 2)
 	mustEdge(t, o, 1, 3)
 	mustEdge(t, o, 0, 1) // keep u,v connected
-	gain := o.ExchangeGain(0, 1, []int{2}, []int{3})
+	gain := exchangeGain(o, 0, 1, []int{2}, []int{3})
 	if gain != 198 {
-		t.Fatalf("ExchangeGain = %v, want 198", gain)
+		t.Fatalf("exchangeGain = %v, want 198", gain)
 	}
 	degBefore := []int{o.Degree(0), o.Degree(1), o.Degree(2), o.Degree(3)}
 	if err := o.ExchangeNeighbors(0, 1, []int{2}, []int{3}, []int{0, 1}); err != nil {

@@ -320,14 +320,3 @@ func (m *Mesh) keyInLeafRange(cur int, key uint32) bool {
 	}
 	return key >= lo || key <= hi // wraps zero
 }
-
-// Leaves exposes a slot's leaf set (shared storage; do not mutate).
-func (m *Mesh) Leaves(s int) []int { return m.leaves[s] }
-
-// TableEntry exposes routing-table entry (row, col) of slot s, or -1.
-func (m *Mesh) TableEntry(s, row, col int) int {
-	if row < 0 || row >= Digits || col < 0 || col >= Cols {
-		return -1
-	}
-	return m.table[s][row][col]
-}

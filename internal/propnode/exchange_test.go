@@ -72,7 +72,7 @@ func twoHopPartner(t *testing.T, rt *Runtime, policy core.Policy) (u int, path [
 			}
 			path = []int{u, s, v}
 			var sc overlay.Scratch
-			if give, _ := core.SelectTrade(o, u, v, path, rt.M(), rng.New(1), &sc); policy == core.PROPG || len(give) > 0 {
+			if give, _ := core.SelectTrade(o, u, v, path, rt.m, rng.New(1), &sc); policy == core.PROPG || len(give) > 0 {
 				return u, path
 			}
 		}

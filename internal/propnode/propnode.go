@@ -324,9 +324,6 @@ func (rt *Runtime) Counters() Counters {
 	}
 }
 
-// M returns the resolved PROP-O trade size.
-func (rt *Runtime) M() int { return rt.m }
-
 // Stop quiesces every agent (probe loops first, then pumps) and waits.
 func (rt *Runtime) Stop() {
 	rt.mu.Lock()

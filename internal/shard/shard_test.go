@@ -183,8 +183,8 @@ func TestLookaheadFloor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.LookaheadMS() != net.CrossDomainFloorMS() {
-			t.Fatalf("lookahead %v, want %v", e.LookaheadMS(), net.CrossDomainFloorMS())
+		if e.lookahead != net.CrossDomainFloorMS() {
+			t.Fatalf("lookahead %v, want %v", e.lookahead, net.CrossDomainFloorMS())
 		}
 		world, err := netsim.Generate(net, rng.New(cfg.Seed))
 		if err != nil {
@@ -198,9 +198,9 @@ func TestLookaheadFloor(t *testing.T) {
 				if qp := e.estLat(q, p); math.Float64bits(pq) != math.Float64bits(qp) {
 					t.Fatalf("%v ms links: estLat(%d,%d) = %v, reversed %v", net.StubStubMS, p, q, pq, qp)
 				}
-				if domain(p) != domain(q) && pq < e.LookaheadMS() {
+				if domain(p) != domain(q) && pq < e.lookahead {
 					t.Fatalf("%v ms links: peers %d,%d: cross-domain estimate %.3f below lookahead %.3f",
-						net.StubStubMS, p, q, pq, e.LookaheadMS())
+						net.StubStubMS, p, q, pq, e.lookahead)
 				}
 				if exact := o.Latency(world.StubHosts[p], world.StubHosts[q]); pq < exact {
 					t.Fatalf("%v ms links: peers %d,%d: estimate %v below the oracle's %v", net.StubStubMS, p, q, pq, exact)
@@ -246,8 +246,8 @@ func TestDefaultWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Peers() < 16 || e.ShardCount() != netsim.ScaleTransitDomains {
+	if e.Peers() < 16 || e.nShards != netsim.ScaleTransitDomains {
 		t.Fatalf("peers=%d shards=%d, want >=16 peers and %d shards",
-			e.Peers(), e.ShardCount(), netsim.ScaleTransitDomains)
+			e.Peers(), e.nShards, netsim.ScaleTransitDomains)
 	}
 }

@@ -15,7 +15,6 @@ import (
 // Run. An Engine is single-use: Run consumes it.
 type Engine struct {
 	cfg       Config
-	net       netsim.Config
 	n         int // peers
 	nShards   int
 	lookahead float64
@@ -114,7 +113,6 @@ func New(cfg Config) (*Engine, error) {
 	n := len(world.StubHosts)
 	e := &Engine{
 		cfg:       cfg,
-		net:       net,
 		n:         n,
 		nShards:   cfg.Shards,
 		lookahead: net.CrossDomainFloorMS(),
@@ -373,17 +371,6 @@ func u01(x uint64) float64 {
 // Peers reports the simulated population (stub hosts of the generated
 // world — Config.Peers rounded up to whole stub domains).
 func (e *Engine) Peers() int { return e.n }
-
-// ShardCount reports the number of parallel engines.
-func (e *Engine) ShardCount() int { return e.nShards }
-
-// LookaheadMS reports the conservative epoch bound derived from the
-// physical preset.
-func (e *Engine) LookaheadMS() float64 { return e.lookahead }
-
-// NetConfig reports the resolved physical preset the world was generated
-// from.
-func (e *Engine) NetConfig() netsim.Config { return e.net }
 
 // errReRun reports a second Run call on a consumed engine.
 var errReRun = fmt.Errorf("shard: engine already consumed by Run")

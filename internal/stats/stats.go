@@ -1,103 +1,13 @@
 // Package stats provides the summary statistics the experiment harness
 // uses to aggregate multi-seed trials into the paper's reported series.
 //
-// Key types: Series (label + points) and Summary. See DESIGN.md §1.
+// Key type: Series (label + points). See DESIGN.md §1.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Summary holds the moments of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Stddev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs. An empty sample yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	if s.N > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Stddev = math.Sqrt(ss / float64(s.N-1))
-	}
-	return s
-}
-
-// CI95 returns the half-width of the normal-approximation 95% confidence
-// interval of the mean.
-func (s Summary) CI95() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return 1.96 * s.Stddev / math.Sqrt(float64(s.N))
-}
-
-// String formats the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("mean=%.3f ±%.3f (n=%d, min=%.3f, max=%.3f)",
-		s.Mean, s.CI95(), s.N, s.Min, s.Max)
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between closest ranks. It panics on empty input or
-// out-of-range p.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty sample")
-	}
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("stats: percentile %v out of [0,100]", p))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
 
 // Series is a labelled sequence of (x, y) points — one curve of a figure.
 type Series struct {
@@ -112,9 +22,6 @@ func (s *Series) Add(x, y float64) {
 	s.Y = append(s.Y, y)
 }
 
-// Len returns the number of points.
-func (s Series) Len() int { return len(s.X) }
-
 // YAt returns the y value at the given x (exact match), or NaN.
 func (s Series) YAt(x float64) float64 {
 	for i, xv := range s.X {
@@ -123,14 +30,6 @@ func (s Series) YAt(x float64) float64 {
 		}
 	}
 	return math.NaN()
-}
-
-// Final returns the last y value, or NaN for an empty series.
-func (s Series) Final() float64 {
-	if len(s.Y) == 0 {
-		return math.NaN()
-	}
-	return s.Y[len(s.Y)-1]
 }
 
 // MergeMean averages multiple same-shaped series point-wise (e.g. the same

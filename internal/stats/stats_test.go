@@ -5,97 +5,19 @@ import (
 	"testing"
 )
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if math.Abs(s.Stddev-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("Stddev = %v", s.Stddev)
-	}
-	if s.CI95() <= 0 {
-		t.Fatal("CI95 should be positive for n>1")
-	}
-	if s.String() == "" {
-		t.Fatal("empty String")
-	}
-}
-
-func TestSummarizeEdgeCases(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
-		t.Fatalf("empty Summary = %+v", s)
-	}
-	one := Summarize([]float64{7})
-	if one.Mean != 7 || one.Stddev != 0 || one.CI95() != 0 {
-		t.Fatalf("singleton Summary = %+v", one)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-	if Mean([]float64{2, 4}) != 3 {
-		t.Fatal("Mean wrong")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
-	cases := map[float64]float64{0: 10, 100: 40, 50: 25, 25: 17.5}
-	for p, want := range cases {
-		if got := Percentile(xs, p); math.Abs(got-want) > 1e-12 {
-			t.Errorf("Percentile(%v) = %v, want %v", p, got, want)
-		}
-	}
-	if got := Percentile([]float64{5}, 50); got != 5 {
-		t.Errorf("singleton percentile = %v", got)
-	}
-	// Input must not be mutated (Percentile sorts a copy).
-	in := []float64{3, 1, 2}
-	Percentile(in, 50)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestPercentilePanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { Percentile(nil, 50) },
-		func() { Percentile([]float64{1}, -1) },
-		func() { Percentile([]float64{1}, 101) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	s.Label = "test"
 	s.Add(1, 10)
 	s.Add(2, 20)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.X) != 2 || len(s.Y) != 2 {
+		t.Fatalf("%d x, %d y values", len(s.X), len(s.Y))
 	}
 	if s.YAt(2) != 20 {
 		t.Fatalf("YAt(2) = %v", s.YAt(2))
 	}
 	if !math.IsNaN(s.YAt(99)) {
 		t.Fatal("missing x should be NaN")
-	}
-	if s.Final() != 20 {
-		t.Fatalf("Final = %v", s.Final())
-	}
-	var empty Series
-	if !math.IsNaN(empty.Final()) {
-		t.Fatal("empty Final should be NaN")
 	}
 }
 
@@ -106,18 +28,24 @@ func TestMergeMean(t *testing.T) {
 	if m.Label != "avg" || m.Y[0] != 20 || m.Y[1] != 30 {
 		t.Fatalf("MergeMean = %+v", m)
 	}
-	if e := MergeMean("empty", nil); e.Len() != 0 {
+	if e := MergeMean("empty", nil); len(e.X) != 0 {
 		t.Fatal("empty merge should be empty")
 	}
 }
 
 func TestMergeMeanPanicsOnMismatch(t *testing.T) {
 	a := Series{X: []float64{1, 2}, Y: []float64{1, 2}}
-	b := Series{X: []float64{1}, Y: []float64{1}}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shape mismatch accepted")
-		}
-	}()
-	MergeMean("bad", []Series{a, b})
+	for _, b := range []Series{
+		{X: []float64{1}, Y: []float64{1}},       // shape
+		{X: []float64{1, 3}, Y: []float64{1, 2}}, // x values
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("mismatch %v accepted", b.X)
+				}
+			}()
+			MergeMean("bad", []Series{a, b})
+		}()
+	}
 }

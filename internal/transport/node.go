@@ -69,9 +69,6 @@ func NewNode(ep Endpoint) *Node {
 	return n
 }
 
-// Host returns the underlying endpoint's host ID.
-func (n *Node) Host() int { return n.ep.Host() }
-
 // Handle installs the handler for inbound traffic the pump does not consume
 // itself (everything but TPing and matched replies). The handler runs on
 // the pump goroutine: it must not block, or pings stall — dispatch slow
