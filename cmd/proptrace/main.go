@@ -60,7 +60,7 @@ func sessionFlags(name string) (*flag.FlagSet, *audit.SessionConfig) {
 	fs.Float64Var(&cfg.Minutes, "minutes", cfg.Minutes, "simulated optimization time")
 	fs.StringVar(&cfg.Preset, "preset", cfg.Preset, "physical topology: ts-small | ts-large")
 	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "deterministic seed")
-	fs.IntVar(&cfg.Interval, "interval", cfg.Interval, "invariant sampling interval (0 = build default)")
+	fs.IntVar(&cfg.Interval, "interval", cfg.Interval, "invariant sampling interval, >= 0 (0 = build default)")
 	fs.StringVar(&cfg.Fault, "fault", cfg.Fault, "inject a fault: ghost-edge | drop-edge")
 	fs.IntVar(&cfg.FaultAfter, "fault-after", cfg.FaultAfter, "inject the fault at this exchange index")
 	return fs, &cfg

@@ -62,6 +62,8 @@ type Violation struct {
 	Window []Record
 }
 
+// String renders the violation on one line: the invariant, when it broke
+// and why.
 func (v Violation) String() string {
 	return fmt.Sprintf("invariant %q violated at t=%.1fms (event %d, step %d): %s",
 		v.Name, v.At, v.Seq, v.Step, v.Err)
@@ -181,31 +183,25 @@ func (a *Auditor) AttachEngine(e *event.Engine) {
 	}
 }
 
-// AttachProtocol feeds the protocol's exchange and probe hooks to Observe:
-// an exchange becomes a KindExchange record (U, V, Moved, Var), a probe a
-// KindProbe record (U, Partner, 1 if it exchanged). Existing hooks are
-// chained and run first, so a hook that edits the overlay acts before the
-// record is observed.
+// AttachProtocol feeds the protocol's cycle hook to Observe: an executed
+// exchange becomes a KindExchange record (U, V, Moved, Var), and every
+// cycle then a KindProbe record (U, partner, 1 if it exchanged). An
+// existing hook is chained and runs first, so a hook that edits the overlay
+// acts before the records are observed.
 func (a *Auditor) AttachProtocol(p *core.Protocol) {
-	prevTrace := p.Trace
-	p.Trace = func(ev core.ExchangeEvent) {
-		if prevTrace != nil {
-			prevTrace(ev)
-		}
-		a.Observe(Record{At: float64(ev.At), Kind: KindExchange,
-			A: ev.U, B: ev.V, Aux: []int{ev.Moved}, Val: ev.Var})
-	}
-	prevProbe := p.Probe
-	p.Probe = func(ev core.ProbeEvent) {
-		if prevProbe != nil {
-			prevProbe(ev)
+	prev := p.Trace
+	p.Trace = func(ev core.CycleEvent) {
+		if prev != nil {
+			prev(ev)
 		}
 		exch := 0.0
-		if ev.Exchanged {
+		if ev.Reason == core.Exchanged {
 			exch = 1
+			a.Observe(Record{At: float64(ev.At), Kind: KindExchange,
+				A: ev.U, B: ev.V, Aux: []int{ev.Moved}, Val: ev.Var})
 		}
 		a.Observe(Record{At: float64(ev.At), Kind: KindProbe,
-			A: ev.U, B: ev.Partner, Val: exch})
+			A: ev.U, B: ev.V, Val: exch})
 	}
 }
 

@@ -229,6 +229,7 @@ func TestSessionConfigValidation(t *testing.T) {
 		{Minutes: -1},
 		{Fault: "bogus"},
 		{Fault: "drop-edge", FaultAfter: -1},
+		{Interval: -5},
 	} {
 		if _, err := RunSession(cfg, nil); err == nil {
 			t.Errorf("%+v accepted", cfg)

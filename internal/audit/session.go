@@ -38,7 +38,7 @@ type SessionConfig struct {
 	// Preset names the physical network, a netsim.Preset: "ts-small"
 	// (default) or "ts-large".
 	Preset string `json:"preset"`
-	// Interval is the auditor sampling interval; <= 0 selects the build
+	// Interval is the auditor sampling interval, >= 0; 0 selects the build
 	// default (every event under -tags auditstrict).
 	Interval int `json:"interval,omitempty"`
 	// MaxEvents, when positive, bounds the run to that many engine steps
@@ -101,6 +101,8 @@ func (c SessionConfig) validate(preset netsim.Config) error {
 		return fmt.Errorf("audit: unknown fault %q (want ghost-edge or drop-edge)", c.Fault)
 	case c.FaultAfter < 0:
 		return fmt.Errorf("audit: fault after %d exchanges, want >= 0", c.FaultAfter)
+	case c.Interval < 0:
+		return fmt.Errorf("audit: sampling interval %d, want >= 0 (0 = build default)", c.Interval)
 	}
 	return nil
 }
@@ -168,7 +170,10 @@ func RunSession(cfg SessionConfig, emit func(Record)) (*Session, error) {
 	a.AttachEngine(eng)
 
 	exchanges := 0
-	prot.Trace = func(ev core.ExchangeEvent) {
+	prot.Trace = func(ev core.CycleEvent) {
+		if ev.Reason != core.Exchanged {
+			return
+		}
 		if cfg.Fault != "" && exchanges == cfg.FaultAfter {
 			injectFault(o, cfg.Fault, ev)
 		}
@@ -192,7 +197,7 @@ func RunSession(cfg SessionConfig, emit func(Record)) (*Session, error) {
 // test's deliberately broken exchange. Both faults silently edit the logical
 // graph, exactly the class of bug (a routing-table rewrite missed during a
 // PROP-G identifier swap) the topology invariants exist to catch.
-func injectFault(o *overlay.Overlay, fault string, ev core.ExchangeEvent) {
+func injectFault(o *overlay.Overlay, fault string, ev core.CycleEvent) {
 	switch fault {
 	case "ghost-edge":
 		alive := o.AliveSlots()

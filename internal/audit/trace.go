@@ -16,9 +16,10 @@ import (
 type Kind uint8
 
 const (
-	// KindProbe is one PROP timer firing (core.ProbeEvent).
+	// KindProbe is one ended PROP probe cycle (core.CycleEvent).
 	KindProbe Kind = iota
-	// KindExchange is one executed PROP peer-exchange (core.ExchangeEvent).
+	// KindExchange is one executed PROP peer-exchange (a core.CycleEvent
+	// whose Reason is core.Exchanged).
 	KindExchange
 	// KindLookup is one completed DHT lookup.
 	KindLookup

@@ -19,13 +19,12 @@
 // on failure, reset to INIT_TIMER on success or once it exceeds MAX_TIMER.
 // Churn resets the timer and enqueues new neighbors at the queue front.
 //
-// Key types: Protocol (one running instance over an overlay), Config, and
-// Policy (PROPG/PROPO). DESIGN.md §3 records every protocol constant and
-// the reconstruction of the paper's lost digits.
+// That loop is one sans-IO machine, Cycle, which Protocol (on event.Clock,
+// so simulated or wall time; DESIGN.md §10) and propnode.Runtime drive.
 //
-// Probe cycles are scheduled through the event.Clock seam rather than the
-// sim engine directly, so the same protocol code runs on simulated time in
-// experiments and on wall time in the live runtime (DESIGN.md §10).
+// Key types: Protocol (one running instance over an overlay), Config,
+// Policy (PROPG/PROPO), Cycle and Step. DESIGN.md §3 records every protocol
+// constant and the reconstruction of the paper's lost digits.
 package core
 
 import (
@@ -140,12 +139,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// The peer kernel. Everything below up to ExchangeEvent is the §3.2 per-peer
+// The peer kernel. Everything below up to CycleEvent is the §3.2 per-peer
 // protocol with no clock, lock, counter or message in it: the neighborQ, the
 // first-hop standing rule, the Markov timer, trade selection and the
-// evaluate → gate → commit step. Protocol (this package, on event.Clock) and
-// propnode.Runtime (goroutines over a transport) are drivers of it: they own
-// I/O, locking and counting, and nothing else.
+// evaluate → gate → commit step, which the probe cycle (cycle.go) calls in
+// order. Protocol (this package, on event.Clock) and propnode.Runtime
+// (goroutines over a transport) are drivers of the cycle: they own I/O,
+// locking and counting, and nothing else.
 
 // QueueEntry is one neighborQ entry: a neighbor slot and its standing.
 // Lower Prio is probed sooner; ties go to the earlier arrival.
@@ -309,31 +309,10 @@ func SelectTrade(o *overlay.Overlay, u, v int, path []int, m int, r *rng.Rand, s
 	return pick(candU), pick(candV)
 }
 
-// Outcome is how one Exchange call ended.
-type Outcome int
-
-const (
-	// Rejected: Var was not above MIN_VAR (a NaN Var never is), no legal
-	// trade existed, or the overlay refused the commit. Nothing changed.
-	Rejected Outcome = iota
-	// Poisoned: a measurement failed, so Var was never trusted and nothing
-	// changed — an exchange must never execute on incomplete data, or a
-	// half-evaluated Var could corrupt the slot↔host mapping.
-	Poisoned
-	// Committed: the exchange executed.
-	Committed
-)
-
-// MeasureFunc is the driver's side of an evaluation: it fills rtt[k] with
-// the measured RTT between the hosts of pairs[k], in order, and returns how
-// many it measured — len(pairs), or the index of the first pair it could not
-// measure, past which it attempts none.
-type MeasureFunc func(pairs [][2]int, rtt []float64) (measured int)
-
 // Evaluation is one planned peer-exchange between slots U and V: what its
-// Var measures and what committing it does. Plan makes one; Exchange runs
-// it start to finish, and a driver that measures without holding the
-// overlay runs its steps apart (List again at commit time, then Commit).
+// Var measures and what committing it does. The cycle's Reached makes one
+// with Plan and Measured judges it; a driver that measures without holding
+// the overlay Lists it again at commit time, then Commits.
 type Evaluation struct {
 	Policy Policy
 	U, V   int
@@ -382,10 +361,10 @@ func (ev *Evaluation) List(o *overlay.Overlay, sc *overlay.Scratch) {
 
 // Judge folds a batch of RTTs for ev's pair list, of which the first
 // measured were filled, into Var and rules on it: Poisoned when the batch
-// was cut short (the RTTs past it are zeroed), Rejected unless Var > minVar
-// — NaN is not — and Committed when the exchange should execute, which
-// Commit then does.
-func (ev *Evaluation) Judge(rtt []float64, measured int, minVar float64) (out Outcome, variation float64) {
+// was cut short (the RTTs past it are zeroed; an exchange on incomplete
+// data could corrupt the slot↔host mapping), BelowMinVar unless Var >
+// minVar (NaN is not), and Exchanged when Commit should execute it.
+func (ev *Evaluation) Judge(rtt []float64, measured int, minVar float64) (verdict Reason, variation float64) {
 	clear(rtt[measured:]) // a poisoned Var counts what was not measured as 0
 	if ev.Policy == PROPG {
 		variation = overlay.SwapVar(rtt)
@@ -396,9 +375,9 @@ func (ev *Evaluation) Judge(rtt []float64, measured int, minVar float64) (out Ou
 	case measured < len(rtt):
 		return Poisoned, variation
 	case !(variation > minVar):
-		return Rejected, variation
+		return BelowMinVar, variation
 	}
-	return Committed, variation
+	return Exchanged, variation
 }
 
 // Commit executes ev on o: SwapHosts under PROPG, ExchangeNeighbors under
@@ -411,42 +390,16 @@ func (ev *Evaluation) Commit(o *overlay.Overlay, path []int) error {
 	return o.ExchangeNeighbors(ev.U, ev.V, ev.Give, ev.Take, path)
 }
 
-// Exchange evaluates Var for the (u,v) pair from measured host-to-host
-// RTTs and executes the exchange iff Var > minVar: Plan, one measure call
-// over the whole listed batch, Judge, Commit. A batch cut short poisons the
-// evaluation. moved is the Evaluation's Moved, 0 when no legal trade
-// existed. sc is the calling driver's scratch; path may be its Path.
-func Exchange(o *overlay.Overlay, policy Policy, u, v int, path []int, m int, minVar float64,
-	measure MeasureFunc, r *rng.Rand, sc *overlay.Scratch) (out Outcome, variation float64, moved int) {
-	ev, ok := Plan(o, policy, u, v, path, m, r, sc)
-	if !ok {
-		return Rejected, 0, 0
-	}
-	out, variation = ev.Judge(sc.RTT, measure(sc.Pairs, sc.RTT), minVar)
-	if out == Committed && ev.Commit(o, path) != nil {
-		out = Rejected
-	}
-	return out, variation, ev.Moved
-}
-
-// ExchangeEvent records one executed peer-exchange for tracing.
-type ExchangeEvent struct {
-	At   event.Time
-	U, V int
-	Var  float64
-	// Moved counts the neighbors exchanged per side (PROP-O) or the full
-	// neighbor-set sizes (PROP-G, |N(u)|+|N(v)|).
-	Moved int
-}
-
-// ProbeEvent records one timer firing (§3.2 probe) for tracing: the prober,
-// the partner the walk reached (-1 if the walk failed), and whether the
-// probe ended in an executed exchange.
-type ProbeEvent struct {
-	At        event.Time
-	U         int
-	Partner   int
-	Exchanged bool
+// CycleEvent records one ended probe cycle (§3.2) for tracing: the prober
+// U, the partner V the walk reached (-1 if none), how the cycle ended, the
+// evaluated Var (0 before Judge) and, if the exchange executed, Moved: the
+// neighbors exchanged per side (PROP-O) or |N(u)|+|N(v)| (PROP-G).
+type CycleEvent struct {
+	At     event.Time
+	U, V   int
+	Reason Reason
+	Var    float64
+	Moved  int
 }
 
 // Protocol runs PROP over one overlay inside one event engine.
@@ -455,33 +408,28 @@ type Protocol struct {
 	O *overlay.Overlay
 	// Counters tallies message overhead (§4.3).
 	Counters metrics.Counters
-	// Trace, if non-nil, receives every executed exchange.
-	Trace func(ExchangeEvent)
-	// Probe, if non-nil, receives every probe attempt (the trace recorder's
-	// finest-grained protocol event).
-	Probe func(ProbeEvent)
+	// Trace, if non-nil, receives every ended probe cycle; an executed
+	// exchange is one whose Reason is Exchanged.
+	Trace func(CycleEvent)
 
 	cfg    Config
 	r      *rng.Rand
 	m      int              // resolved PROP-O exchange size
 	nodes  []*nodeState     // by slot; nil = not under protocol control
 	faults *faults.Injector // nil = every message arrives clean
-	// sc holds the buffers of the probe cycle in flight. Cycles never overlap
-	// (one clock, handlers run one at a time), so one set serves every node.
-	sc overlay.Scratch
+	// sc and round hold the buffers and the evaluation of the probe cycle in
+	// flight. Evaluations never span events (one clock, handlers run one at a
+	// time), so one set serves every node.
+	sc    overlay.Scratch
+	round Round
 }
 
 // nodeState is the sequential driver's per-slot bookkeeping around the
-// kernel's Peer: the pending timer and the retransmit-chain guard.
+// peer's Cycle: the pending timer and its callback.
 type nodeState struct {
-	Peer
+	Cycle
 	token event.Canceler
 	fire  func() // the node's timer callback, built once at register
-	// epoch invalidates in-flight retransmit chains: it is bumped whenever
-	// the node's situation changes underneath a pending retransmit timer
-	// (neighbor churn, repair, death), so a stale timer firing later is
-	// recognized and absorbed instead of starting a second probe cycle.
-	epoch int
 }
 
 // New creates a protocol instance over o. The overlay should already be
@@ -506,6 +454,7 @@ func New(o *overlay.Overlay, cfg Config, r *rng.Rand) (*Protocol, error) {
 			p.m = 1
 		}
 	}
+	p.round = NewRound(&p.cfg, p.m, r, &p.sc)
 	return p, nil
 }
 
@@ -531,7 +480,7 @@ func (p *Protocol) Start(e event.Clock) {
 
 // register creates protocol state for slot and schedules its first probe.
 func (p *Protocol) register(e event.Clock, slot int) {
-	st := &nodeState{Peer: Peer{TimerMS: p.cfg.InitTimerMS}}
+	st := &nodeState{Cycle: Cycle{Peer: Peer{TimerMS: p.cfg.InitTimerMS}}}
 	st.fire = func() { p.probe(e, slot) }
 	st.Init(p.O.Neighbors(slot), p.r)
 	for len(p.nodes) <= slot {
@@ -550,12 +499,11 @@ func (p *Protocol) node(slot int) *nodeState {
 	return p.nodes[slot]
 }
 
-// unregister cancels slot's pending probe, invalidates any in-flight
-// retransmit chain and forgets the node.
+// unregister cancels slot's pending probe and forgets the node, which
+// strands any in-flight retransmit chain.
 func (p *Protocol) unregister(slot int) {
 	if st := p.node(slot); st != nil {
 		st.token.Cancel()
-		st.epoch++
 		p.nodes[slot] = nil
 	}
 }
@@ -605,25 +553,21 @@ func (p *Protocol) NeighborsChanged(e event.Clock, slots ...int) {
 	}
 }
 
-// onNeighborChange implements the §3.2 churn rule for one affected peer:
-// reset the timer to INIT_TIMER (rescheduling the pending probe) — the
-// queue itself reconciles lazily, with fresh neighbors entering at the
-// front.
+// onNeighborChange applies the cycle's churn Reset to one affected peer and
+// reschedules its pending probe — the queue itself reconciles lazily, with
+// fresh neighbors entering at the front.
 func (p *Protocol) onNeighborChange(e event.Clock, slot int) {
 	st := p.node(slot)
 	if st == nil {
 		return
 	}
-	st.TimerMS = p.cfg.InitTimerMS
 	st.token.Cancel()
-	st.epoch++
-	st.token = e.Schedule(event.Time(st.TimerMS), st.fire)
+	st.token = e.Schedule(event.Time(st.Reset(&p.round).Delay), st.fire)
 }
 
-// probe is one timer firing for slot u: find a partner, evaluate Var, and
-// exchange if profitable. Under fault injection the cycle may span several
-// events (retransmits after lost messages); without an injector every
-// message arrives and the cycle completes within this one event.
+// probe is one timer firing for slot u: the first input of its cycle. Under
+// fault injection the cycle may span several events (retransmits after
+// lost messages); without an injector it completes within this one.
 func (p *Protocol) probe(e event.Clock, u int) {
 	st := p.node(u)
 	if st == nil || !p.O.Alive(u) {
@@ -638,55 +582,75 @@ func (p *Protocol) probe(e event.Clock, u int) {
 		}
 	}
 	p.sc.Nbrs = p.O.Logical.AppendNeighbors(p.sc.Nbrs[:0], u)
-	st.Reconcile(p.sc.Nbrs)
-	s, ok := st.FirstHop()
-	if !ok {
-		p.finishProbe(e, u, st, -1, false)
-		return
-	}
-	p.probeAttempt(e, u, st, s, 0)
+	p.run(e, u, st, st.Fired(&p.round, p.sc.Nbrs))
 }
 
-// probeAttempt is one transmission of the probe: walk + response, then — if
-// everything arrived — the exchange evaluation. A lost message times out
-// and retransmits with exponential back-off until maxRetries is exhausted,
-// at which point the cycle fails into the normal Markov back-off. Each
-// retransmission is a fresh packet and takes a fresh random route.
-func (p *Protocol) probeAttempt(e event.Clock, u int, st *nodeState, s, attempt int) {
-	v, path, walked := p.findPartner(u, s)
-	if !walked {
-		p.finishProbe(e, u, st, -1, false)
-		return
-	}
-	if !p.deliverWalk(e, path) {
-		p.Counters.Timeouts++
-		if attempt >= maxRetries {
-			p.finishProbe(e, u, st, -1, false)
+// run does what u's cycle asks until it waits or ends. A lost walk
+// retransmits after an exponential back-off, each time a fresh packet on a
+// fresh random route; a retransmit timer the cycle no longer waits for is
+// absorbed (StaleTimers).
+func (p *Protocol) run(e event.Clock, u int, st *nodeState, step Step) {
+	var path []int
+	for {
+		switch step.Kind {
+		case Walk:
+			v, walk, walked := p.findPartner(u, step.Hop)
+			switch path = walk; {
+			case !walked:
+				step = st.WalkStuck(&p.round)
+			case !p.deliverWalk(e, path):
+				p.Counters.Timeouts++
+				step = st.WalkLost(&p.round)
+			default:
+				step = st.Reached(&p.round, p.O, u, v, path)
+			}
+		case Resend:
+			p.Counters.Retries++
+			txn := step.Txn
+			e.Schedule(p.retransmitDelay(step.Attempt), func() {
+				if p.node(u) != st {
+					p.Counters.StaleTimers++
+					return
+				}
+				p.run(e, u, st, st.Retransmit(txn))
+			})
+			return
+		case Measure:
+			step = st.Measured(&p.round, p.measurePairs(float64(e.Now()), p.sc.Pairs, p.sc.RTT))
+		case Commit:
+			step = st.Committed(&p.round, p.round.Ev.Commit(p.O, path) == nil)
+		case End:
+			p.tally(e, u, step.Reason)
+			st.token = e.Schedule(event.Time(step.Delay), st.fire)
+			return
+		default: // Ignore
+			p.Counters.StaleTimers++
 			return
 		}
-		p.Counters.Retries++
-		myEpoch := st.epoch
-		e.Schedule(p.retransmitDelay(attempt), func() {
-			if p.node(u) != st || st.epoch != myEpoch {
-				p.Counters.StaleTimers++
-				return
-			}
-			p.probeAttempt(e, u, st, s, attempt+1)
-		})
-		return
 	}
-	success := p.attemptExchange(e, u, v, path)
-	p.finishProbe(e, u, st, v, success)
 }
 
-// finishProbe completes a probe cycle whatever its path: first-hop standing
-// and Markov timer (the kernel's Finish), trace event, and the next cycle's
-// scheduling.
-func (p *Protocol) finishProbe(e event.Clock, u int, st *nodeState, partner int, success bool) {
-	if p.Probe != nil {
-		p.Probe(ProbeEvent{At: e.Now(), U: u, Partner: partner, Exchanged: success})
+// tally counts one ended cycle (§4.3) and traces it. Each side of an
+// evaluation probes the other's (hypothetical) neighbors — the 2c of
+// PROP-G, the 2m of PROP-O — and every neighbor an executed exchange moves
+// rewrites a routing entry.
+func (p *Protocol) tally(e event.Clock, u int, why Reason) {
+	c, rd := &p.Counters, &p.round
+	c.MeasureMessages += uint64(rd.Ev.Moved)
+	ev := CycleEvent{At: e.Now(), U: u, V: rd.V, Reason: why, Var: rd.Var}
+	switch why {
+	case NoTrade, BelowMinVar, Refused:
+		c.Rejected++
+	case Exchanged:
+		c.NotifyMessages += uint64(rd.Ev.Moved)
+		c.Exchanges++
+		if ev.Moved = rd.Ev.Moved; p.cfg.Policy == PROPO {
+			ev.Moved /= 2 // a trade counts per side
+		}
 	}
-	st.token = e.Schedule(event.Time(st.Finish(success, p.cfg)), st.fire)
+	if p.Trace != nil {
+		p.Trace(ev)
+	}
 }
 
 // deliverWalk runs the probe's messages past the injector: one forwarding
@@ -750,34 +714,10 @@ func (p *Protocol) findPartner(u, s int) (v int, path []int, ok bool) {
 	return path[len(path)-1], path, true
 }
 
-// attemptExchange runs the kernel's Exchange for the (u,v) pair over this
-// engine's measurements and does the §4.3 message accounting. It reports
-// whether an exchange happened.
-func (p *Protocol) attemptExchange(e event.Clock, u, v int, path []int) bool {
-	if u == v || !p.O.Alive(u) || !p.O.Alive(v) {
-		return false
-	}
-	measure := func(pairs [][2]int, rtt []float64) int { return p.measurePairs(float64(e.Now()), pairs, rtt) }
-	out, variation, moved := Exchange(p.O, p.cfg.Policy, u, v, path, p.m, p.cfg.MinVar, measure, p.r, &p.sc)
-	// Each side probes the other's (hypothetical) neighbors: the 2c of
-	// PROP-G, the 2m of PROP-O.
-	p.Counters.MeasureMessages += uint64(moved)
-	switch out {
-	case Rejected:
-		p.Counters.Rejected++
-	case Committed:
-		// Every moved neighbor rewrites a routing entry.
-		p.Counters.NotifyMessages += uint64(moved)
-		p.Counters.Exchanges++
-		if p.cfg.Policy == PROPO {
-			moved /= 2 // ExchangeEvent counts a trade per side
-		}
-		p.emit(ExchangeEvent{At: e.Now(), U: u, V: v, Var: variation, Moved: moved})
-	}
-	return out == Committed
-}
-
-// measurePairs is the sequential driver's MeasureFunc. All ground truth is
+// measurePairs fills rtt[k] with the measured RTT between the hosts of
+// pairs[k] and returns how many it measured — len(pairs), or the index of
+// the first pair it could not measure, past which it attempts none. All
+// ground truth is
 // read first, with nothing between the reads; then each pair goes past the
 // injector as a message: it may be lost (timeout + bounded synchronous retry
 // — measurement round-trips are far shorter than the probe timeout, so the
@@ -809,12 +749,6 @@ func (p *Protocol) measurePairs(now float64, pairs [][2]int, rtt []float64) int 
 		}
 	}
 	return len(pairs)
-}
-
-func (p *Protocol) emit(ev ExchangeEvent) {
-	if p.Trace != nil {
-		p.Trace(ev)
-	}
 }
 
 // BackoffSnapshot summarizes the Markov back-off state of every registered

@@ -389,8 +389,12 @@ func TestTraceReceivesExchanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []ExchangeEvent
-	p.Trace = func(ev ExchangeEvent) { events = append(events, ev) }
+	var events []CycleEvent
+	p.Trace = func(ev CycleEvent) {
+		if ev.Reason == Exchanged {
+			events = append(events, ev)
+		}
+	}
 	e := event.New()
 	p.Start(e)
 	e.RunUntil(20 * 60000)
@@ -425,7 +429,10 @@ func TestVarNonNegativeGainInvariant(t *testing.T) {
 	}
 	last := total()
 	violations := 0
-	p.Trace = func(ev ExchangeEvent) {
+	p.Trace = func(ev CycleEvent) {
+		if ev.Reason != Exchanged {
+			return
+		}
 		now := total()
 		if now >= last {
 			violations++

@@ -41,7 +41,11 @@ func ExampleProtocol_Trace() {
 	p, _ := core.New(o, core.DefaultConfig(core.PROPO), r.Split())
 
 	gains := 0.0
-	p.Trace = func(ev core.ExchangeEvent) { gains += ev.Var }
+	p.Trace = func(ev core.CycleEvent) {
+		if ev.Reason == core.Exchanged {
+			gains += ev.Var
+		}
+	}
 	e := event.New()
 	p.Start(e)
 	e.RunUntil(20 * 60000)

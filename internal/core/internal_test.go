@@ -298,88 +298,6 @@ func TestSelectTradeConstraints(t *testing.T) {
 	}
 }
 
-// TestExchangeOutcomes drives the evaluate → gate → commit step through its
-// three outcomes under both policies with a scripted measurement function.
-func TestExchangeOutcomes(t *testing.T) {
-	// A path 2-0-1-3 whose ends sit next to the wrong middle: hosts 0 and
-	// 100 are at slots 0 and 1, their leaf neighbors host 101 and 1.
-	build := func() *overlay.Overlay {
-		o := tinyOverlay(t, []int{0, 100, 101, 1})
-		for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}} {
-			if err := o.AddEdge(e[0], e[1]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return o
-	}
-	truth := func(pairs [][2]int, rtt []float64) int {
-		for k, pr := range pairs {
-			rtt[k] = math.Abs(float64(pr[0] - pr[1]))
-		}
-		return len(pairs)
-	}
-	// PROP-G touches both neighborhoods (2+2 entries), PROP-O one per side.
-	wantMoved := map[Policy]int{PROPG: 4, PROPO: 2}
-	for _, policy := range []Policy{PROPG, PROPO} {
-		o := build()
-		listed := 0
-		lossy := func(pairs [][2]int, rtt []float64) int { listed = len(pairs); return 0 } // failed at index 0
-		out, _, moved := Exchange(o, policy, 0, 1, []int{0, 1}, 1, 0, lossy, rng.New(1), new(overlay.Scratch))
-		if out != Poisoned || listed != 2*moved || moved == 0 {
-			t.Fatalf("%v: lossy measure gave outcome %v over %d pairs (moved %d), want Poisoned over 2 per entry", policy, out, listed, moved)
-		}
-		if o.HostOf(0) != 0 || !o.Logical.HasEdge(0, 2) {
-			t.Fatalf("%v: poisoned exchange mutated the overlay", policy)
-		}
-
-		out, variation, _ := Exchange(o, policy, 0, 1, []int{0, 1}, 1, 1e9, truth, rng.New(1), new(overlay.Scratch))
-		if out != Rejected || variation <= 0 {
-			t.Fatalf("%v: Var %v under a huge MIN_VAR gave %v, want Rejected", policy, variation, out)
-		}
-
-		before := o.MeanLinkLatency()
-		out, variation, moved = Exchange(o, policy, 0, 1, []int{0, 1}, 1, 0, truth, rng.New(1), new(overlay.Scratch))
-		if out != Committed || variation <= 0 || moved != wantMoved[policy] {
-			t.Fatalf("%v: outcome %v Var %v moved %d, want Committed with positive Var", policy, out, variation, moved)
-		}
-		if after := o.MeanLinkLatency(); after >= before {
-			t.Fatalf("%v: committed exchange did not shorten links (%v → %v)", policy, before, after)
-		}
-		if err := o.CheckInvariants(); err != nil {
-			t.Fatalf("%v: %v", policy, err)
-		}
-	}
-}
-
-// TestExchangeRejectsNaNVar: a batch of NaN RTTs folds into a NaN Var, and
-// NaN is not above MIN_VAR — the exchange must be rejected, not committed,
-// under either policy, with the overlay untouched.
-func TestExchangeRejectsNaNVar(t *testing.T) {
-	nan := func(pairs [][2]int, rtt []float64) int {
-		for k := range pairs {
-			rtt[k] = math.NaN()
-		}
-		return len(pairs)
-	}
-	for _, policy := range []Policy{PROPG, PROPO} {
-		// A 6-slot ring: u=0 and v=2 sit two hops apart, and 5 and 3 are
-		// legal PROP-O trades.
-		o := tinyOverlay(t, []int{0, 100, 1, 101, 2, 102})
-		for s := 0; s < 6; s++ {
-			if err := o.AddEdge(s, (s+1)%6); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out, variation, _ := Exchange(o, policy, 0, 2, []int{0, 1, 2}, 1, 0, nan, rng.New(1), new(overlay.Scratch))
-		if out != Rejected || !math.IsNaN(variation) {
-			t.Fatalf("%v: NaN RTTs gave outcome %v with Var %v, want Rejected with NaN", policy, out, variation)
-		}
-		if o.HostOf(0) != 0 || o.HostOf(2) != 1 || !o.Logical.HasEdge(0, 5) || !o.Logical.HasEdge(2, 3) {
-			t.Fatalf("%v: a NaN Var changed the overlay", policy)
-		}
-	}
-}
-
 func TestMeasureHostsNoise(t *testing.T) {
 	o := tinyOverlay(t, []int{0, 100})
 	o.AddEdge(0, 1)

@@ -11,12 +11,12 @@ import (
 	"repro/internal/rng"
 )
 
-// referenceExchange is Exchange as it stood before the batch seam: Var is
-// accumulated through one measure call per RTT, and after the first failed
-// call measure is not called again (the rest count as 0). The batch kernel
-// is held to it bit for bit.
+// referenceExchange is the exchange evaluation as it stood before the batch
+// seam: Var is accumulated through one measure call per RTT, and after the
+// first failed call measure is not called again (the rest count as 0). The
+// cycle's batch evaluation is held to it bit for bit.
 func referenceExchange(o *overlay.Overlay, policy Policy, u, v int, path []int, m int, minVar float64,
-	measure func(hostA, hostB int) (float64, bool), r *rng.Rand, sc *overlay.Scratch) (Outcome, float64, int) {
+	measure func(hostA, hostB int) (float64, bool), r *rng.Rand, sc *overlay.Scratch) (Reason, float64, int) {
 	failed := false
 	hosts := func(a, b int) float64 {
 		if failed {
@@ -64,7 +64,7 @@ func referenceExchange(o *overlay.Overlay, policy Policy, u, v int, path []int, 
 	case PROPO:
 		give, take := SelectTrade(o, u, v, path, m, r, sc)
 		if len(give) == 0 {
-			return Rejected, 0, 0
+			return NoTrade, 0, 0
 		}
 		moved = len(give) + len(take)
 		slots := func(x, y int) float64 { return hosts(o.HostOf(x), o.HostOf(y)) }
@@ -79,10 +79,12 @@ func referenceExchange(o *overlay.Overlay, policy Policy, u, v int, path []int, 
 	switch {
 	case failed:
 		return Poisoned, variation, moved
-	case variation <= minVar || commit() != nil:
-		return Rejected, variation, moved
+	case variation <= minVar:
+		return BelowMinVar, variation, moved
+	case commit() != nil:
+		return Refused, variation, moved
 	}
-	return Committed, variation, moved
+	return Exchanged, variation, moved
 }
 
 // scriptedRTT is the k-th measurement of an evaluation: irrational, and a
@@ -99,10 +101,11 @@ func overlayState(o *overlay.Overlay) string {
 	return fmt.Sprint(hosts, o.Logical.Edges())
 }
 
-// TestExchangeMatchesPerCallReference holds the batch kernel to the per-call
-// one over random overlays, with and without an unpurged corpse, under both
+// TestExchangeMatchesPerCallReference holds the cycle's batch evaluation —
+// Reached, a measured batch, Measured, Committed — to the per-call one over
+// random overlays, with and without an unpurged corpse, under both
 // policies, with the driver failing at every pair index in turn: same
-// outcome, Var bits, moved, measurement sequence, draws from r and overlay.
+// Reason, Var bits, moved, measurement sequence, draws from r and overlay.
 func TestExchangeMatchesPerCallReference(t *testing.T) {
 	for _, policy := range []Policy{PROPG, PROPO} {
 		for _, corpse := range []bool{false, true} {
@@ -146,24 +149,37 @@ func TestExchangeMatchesPerCallReference(t *testing.T) {
 						}, refR, new(overlay.Scratch))
 
 					gotO, gotR, gotSeq := base.Clone(), rng.New(seed), [][2]int(nil)
-					gotOut, gotVar, gotMoved := Exchange(gotO, policy, u, v, path, 3, minVar,
-						func(list [][2]int, rtt []float64) int {
-							if len(rtt) != len(list) {
-								t.Fatalf("%s: %d RTT slots for %d pairs", name, len(rtt), len(list))
+					cfg, sc, c := DefaultConfig(policy), new(overlay.Scratch), new(Cycle)
+					cfg.MinVar = minVar
+					rd := NewRound(&cfg, 3, gotR, sc)
+					c.Fired(&rd, gotO.Neighbors(u))
+					step := c.Reached(&rd, gotO, u, v, path)
+					if step.Kind == Measure {
+						if len(sc.RTT) != len(sc.Pairs) {
+							t.Fatalf("%s: %d RTT slots for %d pairs", name, len(sc.RTT), len(sc.Pairs))
+						}
+						pairs = len(sc.Pairs)
+						measured := pairs
+						for k, pr := range sc.Pairs {
+							if pr[0] < 0 || pr[1] < 0 {
+								t.Fatalf("%s: pair %d names a released host: %v", name, k, pr)
 							}
-							pairs = len(list)
-							for k, pr := range list {
-								if pr[0] < 0 || pr[1] < 0 {
-									t.Fatalf("%s: pair %d names a released host: %v", name, k, pr)
-								}
-								gotSeq = append(gotSeq, pr)
-								rtt[k] = scriptedRTT(k, pr[0], pr[1])
-								if k == failAt {
-									return k
-								}
+							gotSeq = append(gotSeq, pr)
+							sc.RTT[k] = scriptedRTT(k, pr[0], pr[1])
+							if k == failAt {
+								measured = k
+								break
 							}
-							return len(list)
-						}, gotR, new(overlay.Scratch))
+						}
+						step = c.Measured(&rd, measured)
+					}
+					if step.Kind == Commit {
+						step = c.Committed(&rd, rd.Ev.Commit(gotO, path) == nil)
+					}
+					gotOut, gotVar, gotMoved := step.Reason, rd.Var, rd.Ev.Moved
+					if step.Kind != End {
+						t.Fatalf("%s: the evaluation stopped at %+v, not at the cycle's end", name, step)
+					}
 
 					if gotOut != wantOut || math.Float64bits(gotVar) != math.Float64bits(wantVar) || gotMoved != wantMoved {
 						t.Fatalf("%s: (%v, %x, %d), reference (%v, %x, %d)", name,
@@ -182,9 +198,9 @@ func TestExchangeMatchesPerCallReference(t *testing.T) {
 					case failAt < pairs && (gotOut != Poisoned || len(gotSeq) != failAt+1 || overlayState(gotO) != overlayState(base)):
 						t.Fatalf("%s: outcome %v after %d measurements, want Poisoned after %d and no change",
 							name, gotOut, len(gotSeq), failAt+1)
-					case gotOut == Committed:
+					case gotOut == Exchanged:
 						committed++
-					case gotOut == Rejected:
+					case gotOut == BelowMinVar || gotOut == NoTrade || gotOut == Refused:
 						rejected++
 					}
 				}

@@ -104,7 +104,10 @@ var (
 			// Count exchanges whose TRUE gain was negative.
 			bad, total := 0, 0
 			last := totalNeighborLatency(o)
-			p.Trace = func(core.ExchangeEvent) {
+			p.Trace = func(ev core.CycleEvent) {
+				if ev.Reason != core.Exchanged {
+					return
+				}
 				now := totalNeighborLatency(o)
 				total++
 				if now > last {

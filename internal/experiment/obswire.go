@@ -92,9 +92,11 @@ func hookExchangeTrace(tr *obs.Trial, prefix string, p *core.Protocol) {
 	varHist := tr.Histogram(prefix+"prop.exchange_var_ms", obs.DefaultLatencyBuckets)
 	movedHist := tr.Histogram(prefix+"prop.exchange_moved", []float64{1, 2, 4, 8, 16, 32, 64})
 	prev := p.Trace
-	p.Trace = func(ev core.ExchangeEvent) {
-		varHist.Observe(ev.Var)
-		movedHist.Observe(float64(ev.Moved))
+	p.Trace = func(ev core.CycleEvent) {
+		if ev.Reason == core.Exchanged {
+			varHist.Observe(ev.Var)
+			movedHist.Observe(float64(ev.Moved))
+		}
 		if prev != nil {
 			prev(ev)
 		}

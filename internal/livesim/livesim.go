@@ -82,14 +82,16 @@ func New(ring *chord.Ring, prop *core.Protocol) (*Sim, error) {
 		maxHops:     ring.O.NumSlots() + 64,
 	}
 	prev := prop.Trace
-	prop.Trace = func(ev core.ExchangeEvent) {
-		// After a PROP-G swap of slots u,v the host now at u used to be at
-		// v and vice versa: each machine's counterpart is the machine that
-		// took over its previous position.
-		hu := ring.O.HostOf(ev.U) // held v before the swap
-		hv := ring.O.HostOf(ev.V) // held u before the swap
-		s.counterpart[hu] = hv
-		s.counterpart[hv] = hu
+	prop.Trace = func(ev core.CycleEvent) {
+		if ev.Reason == core.Exchanged {
+			// After a PROP-G swap of slots u,v the host now at u used to be
+			// at v and vice versa: each machine's counterpart is the machine
+			// that took over its previous position.
+			hu := ring.O.HostOf(ev.U) // held v before the swap
+			hv := ring.O.HostOf(ev.V) // held u before the swap
+			s.counterpart[hu] = hv
+			s.counterpart[hv] = hu
+		}
 		if prev != nil {
 			prev(ev)
 		}

@@ -130,16 +130,22 @@ func TestCounterpartCacheIsExercised(t *testing.T) {
 func TestTraceChainPreserved(t *testing.T) {
 	// livesim must not swallow a pre-installed Trace hook.
 	ring, p := buildWorld(t, 64, 17, 10)
-	seen := 0
-	p.Trace = func(core.ExchangeEvent) { seen++ }
+	seen, exchanged := 0, 0
+	p.Trace = func(ev core.CycleEvent) {
+		seen++
+		if ev.Reason == core.Exchanged {
+			exchanged++
+		}
+	}
 	if _, err := New(ring, p); err != nil {
 		t.Fatal(err)
 	}
 	e := event.New()
 	p.Start(e)
 	e.RunUntil(5000)
-	if uint64(seen) != p.Counters.Exchanges {
-		t.Fatalf("prior trace hook saw %d of %d exchanges", seen, p.Counters.Exchanges)
+	if uint64(seen) != p.Counters.Probes || uint64(exchanged) != p.Counters.Exchanges {
+		t.Fatalf("prior trace hook saw %d of %d cycles, %d of %d exchanges",
+			seen, p.Counters.Probes, exchanged, p.Counters.Exchanges)
 	}
 }
 

@@ -83,8 +83,8 @@ func twoHopPartner(t *testing.T, rt *Runtime, policy core.Policy) (u int, path [
 
 // TestStaleEvaluationIsRejected moves the overlay while an evaluation's RTTs
 // are in flight — the partner's host swaps with a bystander's — and asserts
-// the exchange does not commit and counts as Stale and Rejected, never as a
-// measurement failure. The move takes rt.mu from inside the first
+// the exchange does not commit: the cycle ends Refused, which counts as
+// Stale and Rejected, never as a measurement failure. The move takes rt.mu from inside the first
 // measurement send, so it also pins that no round trip holds the lock. The
 // control runs the same evaluation with nothing moved, and it commits.
 func TestStaleEvaluationIsRejected(t *testing.T) {
@@ -120,10 +120,15 @@ func TestStaleEvaluationIsRejected(t *testing.T) {
 					}
 				})
 			}
+			// The agent's cycle opens as its probe timer would; the walk's
+			// reply is path.
 			rt.mu.Lock()
 			a := rt.agents[hostU]
+			a.cyc.Fired(&a.round, rt.o.Neighbors(u))
 			rt.mu.Unlock()
-			committed := rt.attemptExchange(a, u, v, path)
+			end := rt.evaluate(a, u, path)
+			rt.ended(end)
+			committed := end.Reason == core.Exchanged
 			rt.Stop()
 
 			c := rt.Counters()
@@ -200,6 +205,33 @@ func TestMeasureRelayRejectsNonFiniteRTT(t *testing.T) {
 		})
 		if rtt, err := rt.measureFrom(a, 99, 1); err == nil {
 			t.Fatalf("relay reporting %v: measured %v, want an error", bad, rtt)
+		}
+	}
+}
+
+// TestCounterPerReason pins what each way a probe cycle ends counts in
+// Counters — among them the walk_failures and measure_failures metrics the
+// ledger reads. Stale ends are Rejected too.
+func TestCounterPerReason(t *testing.T) {
+	want := map[core.Reason]Counters{
+		core.NoFirstHop:  {WalkFailures: 1},
+		core.WalkFailed:  {WalkFailures: 1},
+		core.WalkLost:    {WalkFailures: 1},
+		core.PartnerGone: {Rejected: 1},
+		core.NoTrade:     {Rejected: 1},
+		core.Poisoned:    {MeasureFailures: 1},
+		core.BelowMinVar: {Rejected: 1},
+		core.Refused:     {Rejected: 1, Stale: 1},
+		core.Exchanged:   {Exchanges: 1},
+	}
+	if len(want) != int(core.NumReasons) {
+		t.Fatalf("%d rows for %d reasons", len(want), core.NumReasons)
+	}
+	for why, w := range want {
+		rt := New(transport.NewLoopback(transport.LoopbackConfig{}), Config{})
+		rt.ended(core.Step{Kind: core.End, Reason: why})
+		if got := rt.Counters(); got != w {
+			t.Errorf("a cycle ended for reason %d counts %+v, want %+v", why, got, w)
 		}
 	}
 }

@@ -1,14 +1,14 @@
 // Package propnode runs PROP agents as goroutines speaking PROP-G/PROP-O
 // over a transport.Network — the live counterpart of the discrete-event
-// simulation in internal/core, and a second driver of the same peer kernel
-// (core.Peer, core.Exchange, overlay.WalkStep): this package owns the
-// goroutines, the lock, the messages and the counters, never a protocol
-// rule. Each physical host gets one agent: a transport.Node (message pump),
-// a probe loop on the wall clock, and handlers that forward TTL walks and
-// answer measurement RPCs. Every latency the protocol consumes is a real
-// RTT measured by exchanging messages (Node.Ping or a TMeasure relay) — no
-// oracle lookups — and lost messages ride the transport's timeout +
-// bounded-retransmit machinery.
+// simulation in internal/core, and a second driver of the same probe cycle
+// (core.Cycle, with overlay.WalkStep at each walk hop): this package owns
+// the goroutines, the lock, the messages and the counters, never a protocol
+// rule, and counts each cycle end by its core.Reason. Each physical host
+// gets one agent: a transport.Node (message pump), a probe loop on the wall
+// clock, and handlers that forward TTL walks and answer measurement RPCs.
+// Every latency the protocol consumes is a real RTT measured by exchanging
+// messages (Node.Ping or a TMeasure relay) — no oracle lookups — and lost
+// messages ride the transport's timeout + bounded-retransmit machinery.
 //
 // Concurrency model: the overlay (and the runtime RNG) live under one
 // mutex. Message pumps never take it — pings are always answered — and
@@ -129,18 +129,22 @@ func ClusterLat(a, b int) float64 {
 type Counters struct {
 	// Probes counts timer firings that attempted a probe cycle.
 	Probes uint64
-	// Exchanges counts executed peer-exchanges.
+	// Exchanges counts executed peer-exchanges (core.Exchanged).
 	Exchanges uint64
-	// Rejected counts evaluated-but-unprofitable (or raced) exchanges.
+	// Rejected counts cycles that reached a partner and did not exchange
+	// (core.PartnerGone, NoTrade, BelowMinVar, Refused).
 	Rejected uint64
-	// WalkFailures counts probing walks that dead-ended or timed out.
+	// WalkFailures counts cycles with no first hop, or whose probing walk
+	// dead-ended or timed out (core.NoFirstHop, WalkFailed, WalkLost).
 	WalkFailures uint64
 	// Stale counts profitable evaluations that did not commit because the
-	// overlay moved while their RTTs were measured: the host pairs listed
-	// again at commit time differed, the overlay refused the commit, or the
-	// agent or a slot was gone. Each is also counted in Rejected.
+	// overlay moved while their RTTs were measured (core.Refused): the host
+	// pairs listed again at commit time differed, the overlay refused the
+	// commit, or the agent or a slot was gone. Each is also counted in
+	// Rejected.
 	Stale uint64
-	// MeasureFailures counts Var evaluations aborted by a failed RTT probe.
+	// MeasureFailures counts Var evaluations aborted by a failed RTT probe
+	// (core.Poisoned).
 	MeasureFailures uint64
 	// Heartbeats counts failure-detector pings sent.
 	Heartbeats uint64
@@ -178,11 +182,7 @@ type Runtime struct {
 	stopped bool
 
 	probes        atomic.Uint64
-	exchanges     atomic.Uint64
-	rejected      atomic.Uint64
-	stales        atomic.Uint64
-	walkFails     atomic.Uint64
-	measureFails  atomic.Uint64
+	ends          [core.NumReasons]atomic.Uint64 // probe cycles ended, by core.Reason
 	heartbeats    atomic.Uint64
 	suspectEvicts atomic.Uint64
 	autoRepairs   atomic.Uint64
@@ -197,13 +197,14 @@ type agent struct {
 	stop  chan struct{}
 	kick  chan struct{} // neighbor-change notification: reset the timer
 
-	// peer is the §3.2 kernel state (neighborQ, trials, timer), keyed by
+	// cyc is the §3.2 cycle state (neighborQ, trials, timer), keyed by
 	// slot. Seeded under rt.mu at spawn, then owned by the probe goroutine.
-	peer core.Peer
-	// sc holds the probe cycle in flight across the unlocked round trips:
-	// the walk, the evaluation's trade lists, host pairs and RTTs. Only the
-	// probe goroutine touches it.
-	sc overlay.Scratch
+	cyc core.Cycle
+	// round and sc hold the probe cycle in flight across the unlocked round
+	// trips: the partner, the evaluation, the walk, trade lists, host pairs
+	// and RTTs. Only the probe goroutine touches them.
+	round core.Round
+	sc    overlay.Scratch
 
 	// susp is the failure detector's per-neighbor suspicion accrual, keyed
 	// by host, and hbLive the hosts of the sweep in progress. Both are owned
@@ -218,6 +219,7 @@ func New(net transport.Network, cfg Config) *Runtime {
 	cfg.fill()
 	kernel := core.DefaultConfig(cfg.Policy)
 	kernel.InitTimerMS = cfg.ProbeIntervalMS
+	kernel.MinVar = cfg.MinVar
 	return &Runtime{
 		cfg:         cfg,
 		kernel:      kernel,
@@ -283,8 +285,9 @@ func (rt *Runtime) spawnLocked(host int, ep transport.Endpoint) {
 	})
 	// The paper's random initial neighborQ order, drawn from the runtime
 	// stream so it is a function of Config.Seed.
-	a.peer.TimerMS = rt.cfg.ProbeIntervalMS
-	a.peer.Init(rt.o.Neighbors(rt.o.SlotOfHost(host)), rt.r)
+	a.cyc.TimerMS = rt.cfg.ProbeIntervalMS
+	a.cyc.Init(rt.o.Neighbors(rt.o.SlotOfHost(host)), rt.r)
+	a.round = core.NewRound(&rt.kernel, rt.m, rt.r, &a.sc)
 	rt.agents[host] = a
 	rt.wg.Add(1)
 	stagger := time.Duration(rt.r.Float64()*rt.cfg.ProbeIntervalMS) * time.Millisecond
@@ -307,15 +310,17 @@ func (rt *Runtime) View(f func(o *overlay.Overlay)) {
 	f(rt.o)
 }
 
-// Counters snapshots protocol activity.
+// Counters snapshots protocol activity. The probe-cycle fields sum the
+// cycle ends by core.Reason.
 func (rt *Runtime) Counters() Counters {
+	n := func(r core.Reason) uint64 { return rt.ends[r].Load() }
 	return Counters{
 		Probes:           rt.probes.Load(),
-		Exchanges:        rt.exchanges.Load(),
-		Rejected:         rt.rejected.Load(),
-		Stale:            rt.stales.Load(),
-		WalkFailures:     rt.walkFails.Load(),
-		MeasureFailures:  rt.measureFails.Load(),
+		Exchanges:        n(core.Exchanged),
+		Rejected:         n(core.PartnerGone) + n(core.NoTrade) + n(core.BelowMinVar) + n(core.Refused),
+		Stale:            n(core.Refused),
+		WalkFailures:     n(core.NoFirstHop) + n(core.WalkFailed) + n(core.WalkLost),
+		MeasureFailures:  n(core.Poisoned),
 		Heartbeats:       rt.heartbeats.Load(),
 		SuspectEvictions: rt.suspectEvicts.Load(),
 		AutoRepairs:      rt.autoRepairs.Load(),
@@ -344,59 +349,57 @@ func (rt *Runtime) Stop() {
 }
 
 // runAgent is one agent's probe loop: stagger, then fire every timer
-// interval. The interval follows the kernel's Markov back-off (Peer.Finish)
-// and is reset by churn kicks.
+// interval. The interval follows the cycle's Markov back-off and is reset by
+// churn kicks.
 func (rt *Runtime) runAgent(a *agent, stagger time.Duration) {
 	defer rt.wg.Done()
 	timer := time.NewTimer(stagger)
 	defer timer.Stop()
 	for {
+		var next float64
 		select {
 		case <-a.stop:
 			return
 		case <-a.kick:
 			// §3.2 churn rule: neighbors changed — reset to INIT_TIMER.
-			a.peer.TimerMS = rt.cfg.ProbeIntervalMS
+			next = a.cyc.Reset(&a.round).Delay
 			if !timer.Stop() {
 				select {
 				case <-timer.C:
 				default:
 				}
 			}
-			timer.Reset(time.Duration(a.peer.TimerMS * float64(time.Millisecond)))
-			continue
 		case <-timer.C:
+			next = rt.probeOnce(a)
 		}
-		next := a.peer.Finish(rt.probeOnce(a), rt.kernel)
 		timer.Reset(time.Duration(next * float64(time.Millisecond)))
 	}
 }
 
-// probeOnce runs one §3.2 probe cycle for a: pick a first hop from the
-// queue, walk the wire to a partner NHops away, evaluate Var from measured
-// RTTs, exchange if profitable. Reports success (an executed exchange).
-func (rt *Runtime) probeOnce(a *agent) bool {
+// probeOnce runs one §3.2 probe cycle for a and returns the delay to the
+// next: the cycle picks a first hop, the wire walks to a partner NHops away,
+// and evaluate runs the rest. An agent whose host holds no live slot is
+// being stopped; it runs no cycle.
+func (rt *Runtime) probeOnce(a *agent) (nextMS float64) {
 	rt.probes.Add(1)
 
 	rt.mu.Lock()
 	u := rt.o.SlotOfHost(a.host)
 	if u < 0 || !rt.o.Alive(u) {
 		rt.mu.Unlock()
-		return false
+		return a.cyc.TimerMS
 	}
 	// Live liveness eviction: a crashed neighbor never answers, so the
 	// agent drops the stale reference before choosing a first hop.
 	rt.o.EvictDeadNeighbors(u)
 	rt.sc.Nbrs = rt.o.Logical.AppendNeighbors(rt.sc.Nbrs[:0], u)
-	a.peer.Reconcile(rt.sc.Nbrs)
-	s, ok := a.peer.FirstHop()
-	if !ok {
+	step := a.cyc.Fired(&a.round, rt.sc.Nbrs)
+	if step.Kind != core.Walk {
 		rt.mu.Unlock()
-		rt.walkFails.Add(1)
-		return false
+		return rt.ended(step)
 	}
-	sHost := rt.o.HostOf(s)
-	a.sc.Path = append(a.sc.Path[:0], u, s)
+	sHost := rt.o.HostOf(step.Hop)
+	a.sc.Path = append(a.sc.Path[:0], u, step.Hop)
 	walkReq := transport.Message{
 		Type:  transport.TWalk,
 		TTL:   uint8(rt.kernel.NHops - 1),
@@ -414,88 +417,71 @@ func (rt *Runtime) probeOnce(a *agent) bool {
 		err = fmt.Errorf("propnode: stale-epoch walk reply")
 	}
 	if err != nil || reply.Msg.TTL != 1 || len(reply.Msg.Path) < 2 {
-		rt.walkFails.Add(1)
-		return false
+		return rt.ended(a.cyc.WalkStuck(&a.round))
 	}
-	path := reply.Msg.Path
-	return rt.attemptExchange(a, u, path[len(path)-1], path)
+	return rt.ended(rt.evaluate(a, u, reply.Msg.Path))
 }
 
-// attemptExchange evaluates (u,v) over live measurements in three steps and
-// holds rt.mu in the first and the last only: core.Plan lists the host
-// pairs into the agent's own buffers; the round trips run without the lock;
-// then the pairs are listed anew, and the exchange commits only if they are
-// the pairs that were measured. The world may move while the RTTs are in
-// flight (another exchange, churn); an evaluation it overtook is Stale,
-// never a measurement failure (DESIGN.md §10 "Exchanges off the lock").
-func (rt *Runtime) attemptExchange(a *agent, u, v int, path []int) bool {
+// evaluate feeds a's cycle the partner at the end of path, a walk from slot
+// u, and does what the cycle asks to its end, holding rt.mu to plan and to
+// commit only. The world may move meanwhile (another exchange, churn), so
+// the commit lists the host pairs anew and refuses unless they are the ones
+// measured: Refused, never a measurement failure (DESIGN.md §10).
+func (rt *Runtime) evaluate(a *agent, u int, path []int) core.Step {
 	rt.mu.Lock()
-	// Incarnation guard: a goroutine of a crashed-and-rejoined (or plain
-	// crashed) agent must never commit two-phase-swap state into the
-	// bijection — only the host's current agent may mutate the overlay.
-	if rt.agents[a.host] != a {
-		rt.mu.Unlock()
-		rt.staleEpochs.Add(1)
-		rt.rejected.Add(1)
-		return false
-	}
-	// The walk ran without the lock, so the world may have moved.
-	if rt.o.SlotOfHost(a.host) != u || u == v || !rt.o.Alive(u) || !rt.o.Alive(v) {
-		rt.mu.Unlock()
-		rt.rejected.Add(1)
-		return false
-	}
-	ev, ok := core.Plan(rt.o, rt.cfg.Policy, u, v, path, rt.m, rt.r, &a.sc)
+	step := a.cyc.Reached(&a.round, rt.o, rt.heldSlot(a, u), path[len(path)-1], path)
 	rt.mu.Unlock()
-	if !ok {
-		rt.rejected.Add(1)
-		return false
-	}
-
-	// One round trip after another, and no lock held: the pumps answer
-	// pings and relays without rt.mu anyway (see the package comment).
-	measured := len(a.sc.Pairs)
-	for k, pr := range a.sc.Pairs {
-		var err error
-		if a.sc.RTT[k], err = rt.measureFrom(a, pr[0], pr[1]); err != nil {
-			measured = k
-			break
+	for {
+		switch step.Kind {
+		case core.Measure:
+			// One round trip after another: the pumps answer pings and relays
+			// without rt.mu anyway (see the package comment).
+			measured := len(a.sc.Pairs)
+			for k, pr := range a.sc.Pairs {
+				var err error
+				if a.sc.RTT[k], err = rt.measureFrom(a, pr[0], pr[1]); err != nil {
+					measured = k
+					break
+				}
+			}
+			step = a.cyc.Measured(&a.round, measured)
+		case core.Commit:
+			rt.mu.Lock()
+			// PROP-G re-lists the swap, PROP-O the same give/take: equal pairs
+			// mean the RTTs still price this exchange. ExchangeNeighbors
+			// re-checks the trade itself (adjacency, Theorem 1).
+			ev, ok := &a.round.Ev, rt.heldSlot(a, u) >= 0 && rt.o.Alive(a.round.V)
+			if ok {
+				ev.List(rt.o, &rt.sc)
+				ok = slices.Equal(rt.sc.Pairs, a.sc.Pairs) && ev.Commit(rt.o, path) == nil
+			}
+			rt.mu.Unlock()
+			step = a.cyc.Committed(&a.round, ok)
+		default:
+			return step
 		}
 	}
-	switch out, _ := ev.Judge(a.sc.RTT, measured, rt.cfg.MinVar); out {
-	case core.Poisoned:
-		rt.measureFails.Add(1)
-		return false
-	case core.Rejected:
-		rt.rejected.Add(1)
-		return false
-	}
-
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.agents[a.host] != a {
-		rt.staleEpochs.Add(1)
-		return rt.stale()
-	}
-	if rt.o.SlotOfHost(a.host) != u || !rt.o.Alive(u) || !rt.o.Alive(v) {
-		return rt.stale()
-	}
-	// PROP-G re-lists the swap, PROP-O the same give/take: equal pairs mean
-	// the RTTs still price this exchange. ExchangeNeighbors re-checks the
-	// trade itself (adjacency, Theorem 1).
-	ev.List(rt.o, &rt.sc)
-	if !slices.Equal(rt.sc.Pairs, a.sc.Pairs) || ev.Commit(rt.o, path) != nil {
-		return rt.stale()
-	}
-	rt.exchanges.Add(1)
-	return true
 }
 
-// stale counts a profitable evaluation the overlay moved under.
-func (rt *Runtime) stale() bool {
-	rt.stales.Add(1)
-	rt.rejected.Add(1)
-	return false
+// heldSlot returns u if a is its host's current agent and the host still
+// backs live slot u, else -1. The incarnation guard: only the host's current
+// agent may mutate the overlay, never a goroutine of a crashed (or rejoined)
+// one. Caller holds rt.mu.
+func (rt *Runtime) heldSlot(a *agent, u int) int {
+	if rt.agents[a.host] != a {
+		rt.staleEpochs.Add(1)
+		return -1
+	}
+	if rt.o.SlotOfHost(a.host) != u || !rt.o.Alive(u) {
+		return -1
+	}
+	return u
+}
+
+// ended counts the cycle end step and returns the delay to the next cycle.
+func (rt *Runtime) ended(step core.Step) float64 {
+	rt.ends[step.Reason].Add(1)
+	return step.Delay
 }
 
 // measureFrom returns the live RTT between hosts x and y, measured from x's

@@ -164,11 +164,11 @@ func TestQueueOrderIsSeedDeterministic(t *testing.T) {
 		shuffled := false
 		for host := 0; host < n; host++ {
 			a, u := rt.agents[host], rt.o.SlotOfHost(host)
-			if len(a.peer.Queue) != rt.o.Degree(u) {
-				t.Fatalf("host %d: %d queued of %d neighbors at start", host, len(a.peer.Queue), rt.o.Degree(u))
+			if len(a.cyc.Queue) != rt.o.Degree(u) {
+				t.Fatalf("host %d: %d queued of %d neighbors at start", host, len(a.cyc.Queue), rt.o.Degree(u))
 			}
-			for i := 1; i < len(a.peer.Queue); i++ {
-				shuffled = shuffled || a.peer.Queue[i].Neighbor < a.peer.Queue[i-1].Neighbor
+			for i := 1; i < len(a.cyc.Queue); i++ {
+				shuffled = shuffled || a.cyc.Queue[i].Neighbor < a.cyc.Queue[i-1].Neighbor
 			}
 			// Three fresh neighbors at once: the order they enter the queue
 			// in must not depend on anything but the overlay.
@@ -177,8 +177,8 @@ func TestQueueOrderIsSeedDeterministic(t *testing.T) {
 					added++
 				}
 			}
-			a.peer.Reconcile(rt.o.Neighbors(u))
-			for _, qe := range a.peer.Queue {
+			a.cyc.Reconcile(rt.o.Neighbors(u))
+			for _, qe := range a.cyc.Queue {
 				out[host] = append(out[host], qe.Neighbor)
 			}
 		}

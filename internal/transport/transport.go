@@ -72,7 +72,7 @@ type Message struct {
 	// TTL is the walk hop budget, or a one-bit success flag in replies.
 	TTL uint8
 	// Epoch guards against stale retransmit chains (the live analog of
-	// internal/core's nodeState.epoch).
+	// the transaction number of internal/core's Cycle).
 	Epoch uint32
 	// Seq matches responses to requests; Node.Call assigns it.
 	Seq uint64
