@@ -140,8 +140,8 @@ func runLoopback(n int, dur time.Duration, policyName string, seed uint64, inter
 	o := rt.Overlay()
 	after := o.MeanLinkLatency()
 	c := rt.Counters()
-	fmt.Printf("probes %d  exchanges %d  rejected %d  walk-failures %d\n",
-		c.Probes, c.Exchanges, c.Rejected, c.WalkFailures)
+	fmt.Printf("probes %d  exchanges %d  rejected %d  walk-failures %d  measure-failures %d  stale %d\n",
+		c.Probes, c.Exchanges, c.Rejected, c.WalkFailures, c.MeasureFailures, c.Stale)
 	fmt.Printf("mean link latency: %.3fms -> %.3fms\n", before, after)
 	if err := o.CheckInvariants(); err != nil {
 		return fmt.Errorf("overlay invariants violated: %w", err)

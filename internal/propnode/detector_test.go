@@ -130,6 +130,40 @@ func TestDetectorRepairsCrashWithoutExplicitRepair(t *testing.T) {
 	})
 }
 
+// TestProbeEvictionRepairsCorpse pins the bugfix: a probe that evicts an
+// edge to a crashed neighbor purges the corpse. Only a detector sweep that
+// still saw an edge to one used to repair, and here no sweep fires: once
+// the survivors' probes had evicted every edge to it, the corpse stayed
+// unpurged for good. The agents' own probe loops drive the probes — a test
+// driving probeOnce would race the probe loop over the kick the repair sends.
+func TestProbeEvictionRepairsCorpse(t *testing.T) {
+	rt := startRuntime(t, 12, Config{Policy: core.PROPG, Seed: 43, HeartbeatIntervalMS: 3.6e6}, nil)
+	defer rt.Stop()
+
+	var victim int
+	rt.View(func(o *overlay.Overlay) { victim = o.HostOf(o.AliveSlots()[0]) })
+	if err := rt.Crash(victim); err != nil {
+		t.Fatalf("crash: %v", err)
+	}
+	ok := waitFor(t, 5*time.Second, func() bool {
+		var unpurged int
+		rt.View(func(o *overlay.Overlay) { unpurged = len(o.CrashedSlots()) })
+		return unpurged == 0
+	})
+	c := rt.Counters()
+	if !ok || c.AutoRepairs != 1 || c.Heartbeats != 0 {
+		t.Fatalf("corpse purged %v, counters %+v; want one probe-triggered repair and no heartbeat", ok, c)
+	}
+	rt.View(func(o *overlay.Overlay) {
+		if err := o.CheckInvariants(); err != nil {
+			t.Errorf("invariants after repair: %v", err)
+		}
+		if !o.Connected() {
+			t.Error("overlay disconnected after repair")
+		}
+	})
+}
+
 // TestRecoverRejoin drives the full lifecycle: crash a host, let the
 // detector repair around the corpse, then Join the host again — same
 // identity, next incarnation — and verify it rejoins the membership and the

@@ -1,6 +1,7 @@
 package propnode
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"sync"
@@ -180,8 +181,80 @@ func TestExchangesUnderContention(t *testing.T) {
 	}
 }
 
-// TestMeasureRelayRejectsNonFiniteRTT: a relay that reports a negative,
-// NaN or infinite RTT fails the measurement instead of feeding Var.
+// TestEvaluationWirePrice pins what one evaluation costs on the wire: u
+// pings its own pairs, and v gets one TMeasure listing every target of its
+// pairs, pings each and answers once — 2 + 2k messages for v's k pairs,
+// where a relay per pair cost 4k.
+func TestEvaluationWirePrice(t *testing.T) {
+	for _, policy := range []core.Policy{core.PROPG, core.PROPO} {
+		net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
+		rt := quietRuntime(t, 16, policy, net)
+		u, path := twoHopPartner(t, rt, policy)
+		hostU, hostV := rt.Overlay().HostOf(u), rt.Overlay().HostOf(path[2])
+		var mu sync.Mutex
+		sent := map[[2]int]int{} // by sending host and message type
+		measureTo := -1
+		net.onSend = func(from, to int, m transport.Message) {
+			mu.Lock()
+			defer mu.Unlock()
+			sent[[2]int{from, int(m.Type)}]++
+			if from == hostU && m.Type == transport.TMeasure {
+				measureTo = to
+			}
+		}
+		rt.mu.Lock()
+		a := rt.agents[hostU]
+		a.cyc.Fired(&a.round, rt.o.Neighbors(u))
+		rt.mu.Unlock()
+		end := rt.evaluate(a, u, path)
+		rt.Stop()
+		if end.Reason != core.Exchanged {
+			t.Fatalf("%v: evaluation ended %v, want an exchange", policy, end.Reason)
+		}
+
+		own, partner := 0, 0
+		for _, pr := range a.sc.Pairs {
+			switch {
+			case pr[0] == pr[1]:
+			case pr[0] == hostU:
+				own++
+			case pr[0] == hostV:
+				partner++
+			default:
+				t.Fatalf("%v: pair %v measured from neither u's host %d nor v's %d", policy, pr, hostU, hostV)
+			}
+		}
+		mu.Lock()
+		if got := sent[[2]int{hostU, int(transport.TMeasure)}]; got != 1 || measureTo != hostV {
+			t.Errorf("%v: u sent %d TMeasure (last to host %d), want 1 to v's host %d", policy, got, measureTo, hostV)
+		}
+		if got := sent[[2]int{hostU, int(transport.TPing)}]; got != own {
+			t.Errorf("%v: u sent %d pings for its %d pairs", policy, got, own)
+		}
+		if got := sent[[2]int{hostV, int(transport.TPing)}]; got != partner || partner == 0 {
+			t.Errorf("%v: v sent %d pings for its %d pairs", policy, got, partner)
+		}
+		if got := sent[[2]int{hostV, int(transport.TMeasureReply)}]; got != 1 {
+			t.Errorf("%v: v sent %d TMeasureReply, want 1", policy, got)
+		}
+		mu.Unlock()
+	}
+}
+
+// rttBody lays RTTs out as a TMeasureReply body.
+func rttBody(rtts ...float64) []byte {
+	var b []byte
+	for _, v := range rtts {
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// TestMeasureRelayRejectsNonFiniteRTT runs the Measure step against a fake
+// partner whose reply is bad in every way a reply can be. Each must count as
+// measured only the pairs before the partner's first bad entry — a
+// negative, NaN or infinite RTT, a missing or ragged one, a refusal (TTL 0)
+// or a reply to another incarnation — so that Measured poisons there.
 func TestMeasureRelayRejectsNonFiniteRTT(t *testing.T) {
 	lb := transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})
 	rt := quietRuntime(t, 4, core.PROPG, lb)
@@ -195,16 +268,99 @@ func TestMeasureRelayRejectsNonFiniteRTT(t *testing.T) {
 	rt.mu.Lock()
 	a := rt.agents[0]
 	rt.mu.Unlock()
-	for _, bad := range []float64{math.Inf(1), math.NaN(), -1} {
+	// Host 0 measures pairs 0, 2 and 5 itself; partner 99 measures 1, 3, 4.
+	pairs := [][2]int{{0, 1}, {99, 1}, {0, 2}, {99, 2}, {99, 3}, {0, 3}}
+	good := []float64{2, 4, 6}
+	for _, tc := range []struct {
+		name     string
+		ttl      uint8
+		epoch    uint32 // added to the request's
+		body     []byte
+		measured int
+	}{
+		{"honest", 1, 0, rttBody(good...), 6},
+		{"+Inf first", 1, 0, rttBody(math.Inf(1), 4, 6), 1},
+		{"NaN first", 1, 0, rttBody(math.NaN(), 4, 6), 1},
+		{"negative first", 1, 0, rttBody(-1, 4, 6), 1},
+		{"NaN inner", 1, 0, rttBody(2, math.NaN(), 6), 3},
+		{"+Inf last", 1, 0, rttBody(2, 4, math.Inf(1)), 4},
+		{"short", 1, 0, rttBody(2), 3},
+		{"empty", 1, 0, nil, 1},
+		{"ragged", 1, 0, append(rttBody(2), 1, 2, 3, 4, 5), 3},
+		{"refused", 0, 0, rttBody(good...), 1},
+		{"stale epoch", 1, 1, rttBody(good...), 1},
+	} {
 		relay.Handle(func(in transport.Inbound) {
-			if in.Msg.Type != transport.TMeasure {
-				return
+			if in.Msg.Type == transport.TMeasure {
+				_ = relay.Send(in.Msg.Src, transport.Message{Type: transport.TMeasureReply, TTL: tc.ttl,
+					Epoch: in.Msg.Epoch + tc.epoch, Seq: in.Msg.Seq, Body: tc.body})
 			}
-			body := binary.BigEndian.AppendUint64(nil, math.Float64bits(bad))
-			_ = relay.Send(in.Msg.Src, transport.Message{Type: transport.TMeasureReply, TTL: 1, Epoch: in.Msg.Epoch, Seq: in.Msg.Seq, Body: body})
 		})
-		if rtt, err := rt.measureFrom(a, 99, 1); err == nil {
-			t.Fatalf("relay reporting %v: measured %v, want an error", bad, rtt)
+		a.sc.Pairs, a.sc.RTT = pairs, make([]float64, len(pairs))
+		stale := rt.Counters().StaleEpochs
+		if got := rt.measure(a); got != tc.measured {
+			t.Errorf("%s: measured %d pairs, want %d", tc.name, got, tc.measured)
+		}
+		for i, k := range []int{1, 3, 4} {
+			if k < tc.measured && a.sc.RTT[k] != good[i] {
+				t.Errorf("%s: pair %d measured %v, want the partner's %v", tc.name, k, a.sc.RTT[k], good[i])
+			}
+		}
+		if got := rt.Counters().StaleEpochs - stale; got != uint64(tc.epoch) {
+			t.Errorf("%s: %d stale epochs counted, want %d", tc.name, got, tc.epoch)
+		}
+	}
+}
+
+// TestHandleMeasureReplies drives the partner's side: it pings the listed
+// hosts in order and stops at the first that fails, replying with the RTTs
+// before it; a list that is empty, ragged or longer than a frame holds is
+// refused with TTL 0, and nothing is pinged.
+func TestHandleMeasureReplies(t *testing.T) {
+	rt := startRuntime(t, 4, Config{Policy: core.PROPG, ProbeIntervalMS: 3.6e6, PingTimeout: 5 * time.Millisecond}, nil)
+	defer rt.Stop()
+	rt.mu.Lock()
+	a := rt.agents[1]
+	rt.mu.Unlock()
+	ep, err := rt.net.Open(99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	targets := func(hosts ...int) []byte {
+		var b []byte
+		for _, h := range hosts {
+			b = binary.BigEndian.AppendUint64(b, uint64(int64(h)))
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+		ttl  uint8
+		want []byte
+	}{
+		{"all answer", targets(3, 1, 0), 1, rttBody(ClusterLat(1, 3), 0, ClusterLat(1, 0))},
+		{"absent host inside", targets(3, 987654, 0), 1, rttBody(ClusterLat(1, 3))},
+		{"absent host first", targets(987654, 3), 1, nil},
+		{"empty", nil, 0, nil},
+		{"ragged", targets(3)[:7], 0, nil},
+		{"over MaxBody", make([]byte, transport.MaxBody+8), 0, nil},
+	} {
+		pings := a.node.Stats().PingsSent
+		rt.handleMeasure(a, transport.Message{Type: transport.TMeasure, Src: 99, Epoch: 7, Seq: 42, Body: tc.body})
+		var m transport.Message
+		select {
+		case in := <-ep.Recv():
+			m = in.Msg
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: no reply", tc.name)
+		}
+		if m.Type != transport.TMeasureReply || m.Seq != 42 || m.Epoch != 7 || m.TTL != tc.ttl || !bytes.Equal(m.Body, tc.want) {
+			t.Errorf("%s: replied %+v, want TTL %d and body %x", tc.name, m, tc.ttl, tc.want)
+		}
+		if tc.ttl == 0 && a.node.Stats().PingsSent != pings {
+			t.Errorf("%s: a refused list was pinged", tc.name)
 		}
 	}
 }

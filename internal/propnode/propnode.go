@@ -7,8 +7,9 @@
 // gets one agent: a transport.Node (message pump), a probe loop on the wall
 // clock, and handlers that forward TTL walks and answer measurement RPCs.
 // Every latency the protocol consumes is a real RTT measured by exchanging
-// messages (Node.Ping or a TMeasure relay) — no oracle lookups — and lost
-// messages ride the transport's timeout + bounded-retransmit machinery.
+// messages (Node.Ping, and one TMeasure relay per exchange for the
+// partner's side) — no oracle lookups — and lost messages ride the
+// transport's timeout + bounded-retransmit machinery.
 //
 // Concurrency model: the overlay (and the runtime RNG) live under one
 // mutex. Message pumps never take it — pings are always answered — and
@@ -151,8 +152,9 @@ type Counters struct {
 	// SuspectEvictions counts neighbor links dropped by the failure detector
 	// (confirmed corpses and suspicion-threshold evictions alike).
 	SuspectEvictions uint64
-	// AutoRepairs counts corpses repaired by detector-triggered membership
-	// repair (as opposed to an explicit Repair call).
+	// AutoRepairs counts corpses repaired by membership repair the runtime
+	// triggers itself — a detector sweep, or a probe that evicted an edge
+	// to a dead neighbor — as opposed to an explicit Repair call.
 	AutoRepairs uint64
 	// Recovers counts joins of a host that had an earlier incarnation: a
 	// crashed or departed machine coming back.
@@ -205,6 +207,10 @@ type agent struct {
 	// and RTTs. Only the probe goroutine touches them.
 	round core.Round
 	sc    overlay.Scratch
+	// targets is the body of the Measure step's one TMeasure: the target of
+	// each of the partner's pairs, 8 bytes of host ID each, in list order.
+	// Only the probe goroutine touches it.
+	targets []byte
 
 	// susp is the failure detector's per-neighbor suspicion accrual, keyed
 	// by host, and hbLive the hosts of the sweep in progress. Both are owned
@@ -390,24 +396,37 @@ func (rt *Runtime) probeOnce(a *agent) (nextMS float64) {
 		return a.cyc.TimerMS
 	}
 	// Live liveness eviction: a crashed neighbor never answers, so the
-	// agent drops the stale reference before choosing a first hop.
-	rt.o.EvictDeadNeighbors(u)
+	// agent drops the stale reference before choosing a first hop — and
+	// purges the corpse, as a detector sweep that found it would: once every
+	// survivor's probe has evicted its edge, no sweep sees it any more.
+	var affected []*agent
+	if rt.o.EvictDeadNeighbors(u) > 0 {
+		n, repaired, err := rt.repairLocked()
+		if err == nil {
+			rt.autoRepairs.Add(uint64(n))
+		}
+		affected = repaired
+	}
 	rt.sc.Nbrs = rt.o.Logical.AppendNeighbors(rt.sc.Nbrs[:0], u)
 	step := a.cyc.Fired(&a.round, rt.sc.Nbrs)
-	if step.Kind != core.Walk {
-		rt.mu.Unlock()
-		return rt.ended(step)
-	}
-	sHost := rt.o.HostOf(step.Hop)
-	a.sc.Path = append(a.sc.Path[:0], u, step.Hop)
-	walkReq := transport.Message{
-		Type:  transport.TWalk,
-		TTL:   uint8(rt.kernel.NHops - 1),
-		Epoch: a.epoch,
-		Key:   uint32(a.host),
-		Path:  a.sc.Path,
+	var sHost int
+	var walkReq transport.Message
+	if step.Kind == core.Walk {
+		sHost = rt.o.HostOf(step.Hop)
+		a.sc.Path = append(a.sc.Path[:0], u, step.Hop)
+		walkReq = transport.Message{
+			Type:  transport.TWalk,
+			TTL:   uint8(rt.kernel.NHops - 1),
+			Epoch: a.epoch,
+			Key:   uint32(a.host),
+			Path:  a.sc.Path,
+		}
 	}
 	rt.mu.Unlock()
+	kickAll(affected)
+	if step.Kind != core.Walk {
+		return rt.ended(step)
+	}
 
 	reply, err := a.node.Call(sHost, walkReq, rt.cfg.PingTimeout, callRetries)
 	if err == nil && reply.Msg.Epoch != a.epoch {
@@ -434,17 +453,9 @@ func (rt *Runtime) evaluate(a *agent, u int, path []int) core.Step {
 	for {
 		switch step.Kind {
 		case core.Measure:
-			// One round trip after another: the pumps answer pings and relays
-			// without rt.mu anyway (see the package comment).
-			measured := len(a.sc.Pairs)
-			for k, pr := range a.sc.Pairs {
-				var err error
-				if a.sc.RTT[k], err = rt.measureFrom(a, pr[0], pr[1]); err != nil {
-					measured = k
-					break
-				}
-			}
-			step = a.cyc.Measured(&a.round, measured)
+			// Round trips, one after another: the pumps answer pings and
+			// relays without rt.mu anyway (see the package comment).
+			step = a.cyc.Measured(&a.round, rt.measure(a))
 		case core.Commit:
 			rt.mu.Lock()
 			// PROP-G re-lists the swap, PROP-O the same give/take: equal pairs
@@ -484,36 +495,69 @@ func (rt *Runtime) ended(step core.Step) float64 {
 	return step.Delay
 }
 
-// measureFrom returns the live RTT between hosts x and y, measured from x's
-// vantage point: a's own ping when x is a's host, otherwise a TMeasure
-// relay asking x to probe y — "each side probes its own neighborhood"
-// (§4.3), as messages on the wire. A host is 0 from itself, unasked.
-func (rt *Runtime) measureFrom(a *agent, x, y int) (float64, error) {
-	if x == y {
-		return 0, nil
+// measure fills a.sc.RTT for the evaluation's host pairs and returns how
+// many of them, in list order, were measured before the first failure. Each
+// pair is measured from its first host's vantage point — "each side probes
+// its own neighborhood" (§4.3), as messages on the wire: one TMeasure relay
+// listing the target of every pair of the partner's, then a's own pings. A
+// host is 0 from itself, unasked.
+func (rt *Runtime) measure(a *agent) int {
+	// SwapPairs and TradePairs measure from u's and v's hosts only, so every
+	// pair that is not a's own is the partner's.
+	pairs, rtt, partner := a.sc.Pairs, a.sc.RTT, -1
+	a.targets = a.targets[:0]
+	for _, pr := range pairs {
+		if pr[0] != pr[1] && pr[0] != a.host {
+			partner = pr[0]
+			a.targets = binary.BigEndian.AppendUint64(a.targets, uint64(int64(pr[1])))
+		}
 	}
-	if x == a.host {
-		return a.node.Ping(y, rt.cfg.PingTimeout, callRetries)
+	got := rt.relay(a, partner)
+	for k, pr := range pairs {
+		switch {
+		case pr[0] == pr[1]:
+			rtt[k] = 0
+		case pr[0] == a.host:
+			var err error
+			if rtt[k], err = a.node.Ping(pr[1], rt.cfg.PingTimeout, callRetries); err != nil {
+				return k
+			}
+		default:
+			// The partner's prefix ends at its reply's first entry that is
+			// missing, ragged, or not a finite RTT ≥ 0.
+			if len(got) < 8 {
+				return k
+			}
+			v := math.Float64frombits(binary.BigEndian.Uint64(got))
+			if !(v >= 0 && v <= math.MaxFloat64) { // negative, NaN or +Inf
+				return k
+			}
+			rtt[k], got = v, got[8:]
+		}
 	}
-	body := make([]byte, 8)
-	binary.BigEndian.PutUint64(body, uint64(int64(y)))
-	reply, err := a.node.Call(x, transport.Message{Type: transport.TMeasure, Epoch: a.epoch, Body: body},
+	return len(pairs)
+}
+
+// relay sends host partner one TMeasure listing a.targets and returns its
+// reply's RTTs — none if the call failed, was refused, or was answered for
+// another incarnation. An empty list sends nothing.
+func (rt *Runtime) relay(a *agent, partner int) []byte {
+	if len(a.targets) == 0 {
+		return nil
+	}
+	reply, err := a.node.Call(partner, transport.Message{Type: transport.TMeasure, Epoch: a.epoch, Body: a.targets},
 		rt.cfg.PingTimeout, callRetries)
 	if err != nil {
-		return 0, err
+		return nil
 	}
 	if reply.Msg.Epoch != a.epoch {
 		rt.staleEpochs.Add(1)
-		return 0, fmt.Errorf("propnode: stale-epoch measure reply %d→%d", x, y)
+		return nil
 	}
-	if reply.Msg.TTL != 1 || len(reply.Msg.Body) != 8 {
-		return 0, fmt.Errorf("propnode: measure relay %d→%d failed", x, y)
+	if reply.Msg.TTL != 1 {
+		return nil
 	}
-	rtt := math.Float64frombits(binary.BigEndian.Uint64(reply.Msg.Body))
-	if !(rtt >= 0 && rtt <= math.MaxFloat64) { // negative, NaN or +Inf
-		return 0, fmt.Errorf("propnode: measure relay %d→%d reported %v", x, y, rtt)
-	}
-	return rtt, nil
+	return reply.Msg.Body
 }
 
 // handleWalk forwards one hop of a probing walk (or closes it). Runs on its
@@ -572,28 +616,29 @@ func (rt *Runtime) handleWalk(a *agent, m transport.Message) {
 	})
 }
 
-// handleMeasure answers a TMeasure relay: ping the requested host, report
-// the RTT. Runs on its own goroutine and takes no runtime lock — the whole
+// handleMeasure answers a TMeasure relay: ping each listed host in list
+// order and reply with one RTT per host measured, stopping at the first ping
+// that fails — the prober counts the prefix. A list that is empty, ragged
+// (not a multiple of 8 bytes) or longer than a frame holds is refused with
+// TTL 0. Runs on its own goroutine and takes no runtime lock — the whole
 // deadlock-freedom argument rests on that.
 func (rt *Runtime) handleMeasure(a *agent, m transport.Message) {
-	fail := func() {
-		_ = a.node.Send(m.Src, transport.Message{Type: transport.TMeasureReply, TTL: 0, Epoch: m.Epoch, Seq: m.Seq})
-	}
-	if len(m.Body) != 8 {
-		fail()
-		return
-	}
-	target := int(int64(binary.BigEndian.Uint64(m.Body)))
-	var rtt float64
-	if target != a.host {
-		var err error
-		rtt, err = a.node.Ping(target, rt.cfg.PingTimeout, callRetries)
-		if err != nil {
-			fail()
-			return
+	reply := transport.Message{Type: transport.TMeasureReply, Epoch: m.Epoch, Seq: m.Seq}
+	if n := len(m.Body); n > 0 && n%8 == 0 && n <= transport.MaxBody {
+		// A duplicated delivery shares m.Body with its twin's handler, so
+		// the RTTs go into a buffer of their own.
+		reply.TTL, reply.Body = 1, make([]byte, 0, n)
+		for i := 0; i < n; i += 8 {
+			target := int(int64(binary.BigEndian.Uint64(m.Body[i:])))
+			var rtt float64
+			if target != a.host {
+				var err error
+				if rtt, err = a.node.Ping(target, rt.cfg.PingTimeout, callRetries); err != nil {
+					break
+				}
+			}
+			reply.Body = binary.BigEndian.AppendUint64(reply.Body, math.Float64bits(rtt))
 		}
 	}
-	body := make([]byte, 8)
-	binary.BigEndian.PutUint64(body, math.Float64bits(rtt))
-	_ = a.node.Send(m.Src, transport.Message{Type: transport.TMeasureReply, TTL: 1, Epoch: m.Epoch, Seq: m.Seq, Body: body})
+	_ = a.node.Send(m.Src, reply)
 }

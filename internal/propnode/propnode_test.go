@@ -286,10 +286,12 @@ loop:
 	t.Logf("soak: %d churn ops (%d crashes), counters %+v", ops, crashes, c)
 }
 
+// TestRuntimeMeasureRelayFailurePoisonsExchange: a partner that cannot
+// reach a listed host must abort the Var evaluation at that host's pair —
+// Poisoned, never an exchange committed on incomplete data.
 func TestRuntimeMeasureRelayFailurePoisonsExchange(t *testing.T) {
-	// A measurement relay to a dead host must abort the Var evaluation, not
-	// commit an exchange on incomplete data.
-	rt := startRuntime(t, 12, Config{Policy: core.PROPG, Seed: 9}, nil)
+	// Probe timers an hour away: the test drives the Measure step itself.
+	rt := startRuntime(t, 12, Config{Policy: core.PROPG, Seed: 9, ProbeIntervalMS: 3.6e6}, nil)
 	defer rt.Stop()
 
 	rt.mu.Lock()
@@ -298,10 +300,16 @@ func TestRuntimeMeasureRelayFailurePoisonsExchange(t *testing.T) {
 	if a == nil {
 		t.Fatal("no agent for host 0")
 	}
-	if _, err := rt.measureFrom(a, 5, 987654); err == nil {
-		t.Fatal("relay to measure an absent host succeeded")
+	// Partner 5's first target is absent: whether its prefix reply or the
+	// relay's deadline comes first, pairs 1 and on go unmeasured.
+	a.sc.Pairs = [][2]int{{0, 1}, {5, 987654}, {5, 1}, {0, 2}}
+	a.sc.RTT = make([]float64, len(a.sc.Pairs))
+	measured := rt.measure(a)
+	if measured != 1 {
+		t.Fatalf("measured %d pairs past a relay to an absent host, want 1", measured)
 	}
-	if math.IsNaN(ClusterLat(0, 1)) {
-		t.Fatal("unreachable")
+	var ev core.Evaluation
+	if why, _ := ev.Judge(a.sc.RTT, measured, math.Inf(-1)); why != core.Poisoned {
+		t.Fatalf("a relay failure judged %v, want Poisoned", why)
 	}
 }

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -13,8 +15,21 @@ func sampleMessages() []Message {
 		{Type: TWalkReply, TTL: 1, Seq: 99, Path: []int{0, -1, 1 << 30}},
 		{Type: TMeasure, Src: -7, Dst: 1<<40 + 3, Key: 0xFFFFFFFF},
 		{Type: TMeasureReply, TTL: 0, Body: []byte{}},
+		// A list relay: the partner's targets, then one RTT per target.
+		{Type: TMeasure, Epoch: 2, Seq: 7, Src: 4, Dst: 9, Body: words(3, 1<<40, 0)},
+		{Type: TMeasureReply, TTL: 1, Epoch: 2, Seq: 7, Src: 9, Dst: 4, Body: words(math.Float64bits(20), math.Float64bits(1), 0)},
 		{Type: TData, Body: bytes.Repeat([]byte{0xAB}, 1000)},
 	}
+}
+
+// words lays 64-bit values out big-endian, as a list relay's body carries
+// host IDs and RTT bits.
+func words(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.BigEndian.AppendUint64(b, v)
+	}
+	return b
 }
 
 func TestCodecRoundTrip(t *testing.T) {

@@ -46,13 +46,15 @@ const (
 	// TWalkReply closes a walk back to its origin: Path is the final walk
 	// path, TTL 1 for success and 0 for a dead-ended walk.
 	TWalkReply
-	// TMeasure asks the receiving node to ping a third host and report the
-	// RTT — the "each side probes its own neighborhood" measurement RPC of
-	// the exchange evaluation (§4.3).
+	// TMeasure asks the receiving node to ping a list of hosts and report
+	// the RTTs — the "each side probes its own neighborhood" measurement RPC
+	// of the exchange evaluation (§4.3). Its Body lists the hosts in the
+	// order to ping them, 8 bytes each (int64, big-endian).
 	TMeasure
-	// TMeasureReply reports a TMeasure result in its Body (the RTT's
-	// float64 bits, big-endian); TTL 1 on success, 0 when the measurement
-	// failed.
+	// TMeasureReply answers a TMeasure: its Body holds one RTT per host
+	// measured (float64 bits, big-endian), in list order, up to the first
+	// ping that failed. TTL 1 means the list was walked, 0 that it was
+	// refused (empty, ragged or too long).
 	TMeasureReply
 	// TData carries an opaque payload for tooling and tests.
 	TData
