@@ -29,6 +29,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -129,12 +130,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: NHops = %d, want >= 1 (or RandomProbe)", c.NHops)
 	case c.M < 0:
 		return fmt.Errorf("core: M = %d, want >= 0", c.M)
-	case c.InitTimerMS <= 0:
-		return fmt.Errorf("core: InitTimerMS = %v, want > 0", c.InitTimerMS)
+	case !(c.InitTimerMS > 0 && c.InitTimerMS < math.Inf(1)):
+		return fmt.Errorf("core: InitTimerMS = %v, want finite and > 0", c.InitTimerMS)
 	case c.MaxInitTrials < 1:
 		return fmt.Errorf("core: MaxInitTrials = %d, want >= 1", c.MaxInitTrials)
-	case c.MeasurementNoise < 0:
-		return fmt.Errorf("core: MeasurementNoise = %v, want >= 0", c.MeasurementNoise)
+	case !(c.MeasurementNoise >= 0 && c.MeasurementNoise < math.Inf(1)):
+		return fmt.Errorf("core: MeasurementNoise = %v, want finite and >= 0", c.MeasurementNoise)
+	case !(c.MinVar < math.Inf(1)):
+		return fmt.Errorf("core: MinVar = %v, want below +Inf (-Inf takes every exchange)", c.MinVar)
 	}
 	return nil
 }
@@ -460,11 +463,9 @@ func New(o *overlay.Overlay, cfg Config, r *rng.Rand) (*Protocol, error) {
 
 // AttachFaults runs the protocol's messages past inj: losses trigger
 // timeouts and bounded retransmission with exponential back-off + jitter,
-// duplicated responses are dropped by their sequence guard, and each probe
-// cycle starts with liveness eviction of crashed neighbors. A nil injector —
-// or never calling AttachFaults — takes the same code path with every
-// message delivered clean: a nil injector consumes no randomness, so the
-// events scheduled and the RNG stream are those of pre-fault builds.
+// and duplicated responses are dropped by their sequence guard. A nil
+// injector — or none attached — takes the same one path, delivering every
+// message clean and drawing nothing.
 func (p *Protocol) AttachFaults(inj *faults.Injector) { p.faults = inj }
 
 // Start registers every live slot with the clock. Each node's first probe
@@ -574,13 +575,9 @@ func (p *Protocol) probe(e event.Clock, u int) {
 		return
 	}
 	p.Counters.Probes++
-	if p.faults.Enabled() {
-		// Liveness eviction: contacting a crashed neighbor times out, so the
-		// node drops the stale reference before choosing a first hop.
-		if n := p.O.EvictDeadNeighbors(u); n > 0 {
-			p.Counters.Evictions += uint64(n)
-		}
-	}
+	// Liveness eviction: contacting a crashed neighbor times out, so the
+	// node drops the stale reference before choosing a first hop.
+	p.Counters.Evictions += uint64(p.O.EvictDeadNeighbors(u))
 	p.sc.Nbrs = p.O.Logical.AppendNeighbors(p.sc.Nbrs[:0], u)
 	p.run(e, u, st, st.Fired(&p.round, p.sc.Nbrs))
 }

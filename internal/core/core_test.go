@@ -39,6 +39,17 @@ func TestConfigValidate(t *testing.T) {
 		{Policy: PROPO, NHops: 2, M: -1, InitTimerMS: 1, MaxInitTrials: 1},
 		{Policy: PROPG, NHops: 2, InitTimerMS: 0, MaxInitTrials: 1},
 		{Policy: PROPG, NHops: 2, InitTimerMS: 1, MaxInitTrials: 0},
+		{Policy: PROPG, NHops: 2, InitTimerMS: math.NaN(), MaxInitTrials: 1},
+		{Policy: PROPG, NHops: 2, InitTimerMS: math.Inf(1), MaxInitTrials: 1},
+		{Policy: PROPG, NHops: 2, InitTimerMS: 1, MaxInitTrials: 1, MeasurementNoise: math.NaN()},
+		{Policy: PROPG, NHops: 2, InitTimerMS: 1, MaxInitTrials: 1, MeasurementNoise: math.Inf(1)},
+		{Policy: PROPG, NHops: 2, InitTimerMS: 1, MaxInitTrials: 1, MinVar: math.NaN()},
+		{Policy: PROPG, NHops: 2, InitTimerMS: 1, MaxInitTrials: 1, MinVar: math.Inf(1)},
+	}
+	anyVar := DefaultConfig(PROPG)
+	anyVar.MinVar = math.Inf(-1)
+	if err := anyVar.Validate(); err != nil {
+		t.Errorf("MinVar -Inf (take every exchange) rejected: %v", err)
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

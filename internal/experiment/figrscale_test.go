@@ -102,8 +102,8 @@ func TestFigRScaleStreamShardInvariance(t *testing.T) {
 			t.Errorf("stream missing series %s", name)
 		}
 	}
-	if bytes.Contains(base, []byte(`"n=4096/base/crashed"`)) {
-		t.Error("fault-free point grew a churn series")
+	if !bytes.Contains(base, []byte(`"n=4096/base/crashed"`)) {
+		t.Error("fault-free point lacks the churn series every run samples")
 	}
 }
 

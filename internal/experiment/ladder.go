@@ -109,8 +109,8 @@ func shardFaults(loss, crash float64, opt Options, horizon float64) *shard.Fault
 func runFig5aScale(opt Options) ([]stats.Series, []string, error) {
 	rungs, horizon, reg := ladder("fig5a-scale", opt)
 	// The -loss/-crash/-partition overrides attach one fault schedule to
-	// every rung (figR-scale sweeps them instead); none set keeps the
-	// historical byte-identical fault-free stream.
+	// every rung (figR-scale sweeps them instead); none set runs the zero
+	// schedule.
 	var faults *shard.FaultConfig
 	if opt.FaultLoss > 0 || opt.FaultCrash > 0 || opt.FaultPartitionMS > 0 {
 		faults = shardFaults(opt.FaultLoss, opt.FaultCrash, opt, horizon)

@@ -191,10 +191,8 @@ func NewInjector(cfg Config) (*Injector, error) {
 	return &Injector{cfg: cfg, period: period, r: rng.New(cfg.Seed ^ 0xfa017f5eed)}, nil
 }
 
-// Enabled reports whether fault injection is active. Attaching any
-// constructed injector — even an all-zero one — opts the protocols into
-// their fault-aware paths; only a nil injector is the historical fault-free
-// fast path.
+// Enabled reports whether an injector is attached: any constructed one,
+// even all-zero, as opposed to the nil injector.
 func (in *Injector) Enabled() bool { return in != nil }
 
 // Stats returns the activity totals so far.
@@ -270,6 +268,9 @@ func (in *Injector) DeliverStateless(a, b int, seq uint64, nowMS float64) Delive
 		return Delivery{Lost: true, Reason: ReasonLinkDown}
 	}
 	var d Delivery
+	if !(in.cfg.LossProb > 0 || in.cfg.DupProb > 0 || in.cfg.JitterMS > 0) {
+		return d // no per-message probability: nothing to hash
+	}
 	x := msgPrefix(in.cfg.Seed, a, b, seq)
 	if in.cfg.LossProb > 0 && unit(salted(x, saltLoss)) < in.cfg.LossProb {
 		return Delivery{Lost: true, Reason: ReasonLoss}

@@ -239,8 +239,9 @@ func New(net transport.Network, cfg Config) *Runtime {
 
 // Start builds the unstructured overlay over hosts ("based on a random
 // assignment", as the paper's unstructured substrate joins) and brings one
-// agent per host online. A Config that fill cannot make usable is rejected
-// here, before any agent spawns.
+// agent per host online. A Config that fill cannot make usable, or whose
+// kernel core.Config.Validate refuses, is rejected here, before any agent
+// spawns.
 func (rt *Runtime) Start(hosts []int) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -249,6 +250,9 @@ func (rt *Runtime) Start(hosts []int) error {
 	}
 	if err := rt.cfg.validate(); err != nil {
 		return err
+	}
+	if err := rt.kernel.Validate(); err != nil {
+		return fmt.Errorf("propnode: kernel: %w", err)
 	}
 	o, err := gnutella.Build(hosts, rt.members.Config, rt.cfg.Lat, rt.r)
 	if err != nil {

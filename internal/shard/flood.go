@@ -58,7 +58,7 @@ func (f *floodSource) refresh() (conflicts int) {
 	}
 	displaced := f.displaced[:0]
 	for p := 0; p < e.n; p++ {
-		if e.faultsOn && e.dead[p] {
+		if e.dead[p] {
 			continue
 		}
 		s := e.slotOf[p]
@@ -75,12 +75,10 @@ func (f *floodSource) refresh() (conflicts int) {
 			next++
 		}
 	}
-	if e.faultsOn {
-		f.alive = f.alive[:0]
-		for s := 0; s < e.n; s++ {
-			if f.peerAt[s] >= 0 {
-				f.alive = append(f.alive, s)
-			}
+	f.alive = f.alive[:0]
+	for s := 0; s < e.n; s++ {
+		if f.peerAt[s] >= 0 {
+			f.alive = append(f.alive, s)
 		}
 	}
 	f.displaced = displaced
@@ -120,8 +118,8 @@ func (f *floodSource) fillWeights() {
 // NumSlots reports the slot-index space size (one slot per peer).
 func (f *floodSource) NumSlots() int { return f.e.n }
 
-// AliveSlots returns the occupied slots, ascending. Fault-free that is
-// every slot (the logical overlay is static and fully occupied); under
+// AliveSlots returns the occupied slots, ascending: every slot until a
+// crash (the logical overlay is static and fully occupied); under
 // crash-stop churn, slots whose occupant died are vacant and excluded.
 func (f *floodSource) AliveSlots() []int { return f.alive }
 

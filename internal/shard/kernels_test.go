@@ -59,9 +59,6 @@ func TestEstLatMatchesOracle(t *testing.T) {
 				check(r.Int31n(n), r.Int31n(n))
 			}
 		}
-		if !e.faultsOn {
-			continue
-		}
 		// Routers are nodes [0, TotalTransit), the core in table order.
 		maxOff, maxCore := 0.0, 0.0
 		for p := int32(0); p < n; p++ {

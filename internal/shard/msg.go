@@ -26,25 +26,23 @@ const (
 	// kCommitOK accepts a swap: a = the acceptor's old slot (the proposer's
 	// new one), row = the proposer's new occupant cache (already remapped).
 	kCommitOK
-	// kReject refuses a proposal (version moved or acceptor locked).
+	// kReject refuses a proposal (version moved or acceptor locked). It is
+	// advisory: nothing handles its arrival (core.Txn).
 	kReject
 	// kNotify updates one believed occupant: slot a is now held by the
 	// sending peer.
 	kNotify
 	// kCrash is a self-timer killing the peer (crash-stop churn): the peer
 	// flips dead, drops every later arrival, and never recovers. Scheduled
-	// at Run start from the stateless crash schedule; only exists when
-	// faults are enabled.
+	// at Run start from the stateless crash schedule.
 	kCrash
 	// kProbeTO is the probe-cycle timeout self-timer: if the peer is still
 	// awaiting a walk report for the cycle identified by c, the cycle is
-	// abandoned and the first-hop neighbor accrues a liveness strike. Only
-	// scheduled when faults are enabled.
+	// abandoned and the first-hop neighbor accrues a liveness strike.
 	kProbeTO
 	// kCommitTO is the two-phase-swap timeout self-timer: if the peer is
 	// still locked awaiting the acknowledgment of the proposal identified
-	// by c, the swap is aborted (nothing moved — see handleCommitTO for
-	// why the abort is safe). Only scheduled when faults are enabled.
+	// by c, the swap is aborted (nothing moved — core.Txn says why).
 	kCommitTO
 )
 
@@ -54,11 +52,10 @@ const (
 // pop order of any one peer's events is independent of both goroutine
 // scheduling and the shard partition (see the package comment).
 //
-// c carries the sender's probe-cycle counter (Engine.txn): under faults a
-// reply can straggle in after its cycle timed out and a new one started,
-// so every cycle-scoped message echoes the counter and handlers discard
-// mismatches. Fault-free runs never time out, the guard never fires, and
-// the schedule is unchanged.
+// c carries the sender's probe-cycle number (core.Txn): a reply can
+// straggle in after its cycle timed out and a new one started, so every
+// cycle-scoped message echoes the number and the machine discards
+// mismatches.
 type msg struct {
 	at     float64
 	origin int32

@@ -16,10 +16,11 @@
 //     window. No shard ever receives an event "in its past".
 //
 //   - Struct-of-arrays hot state keyed by int32 ids. Per-peer protocol
-//     state lives in flat parallel arrays (slot assignment, swap version,
-//     probe state, RNG and send counters, occupant caches), not in
-//     per-node structs with pointers: at 10⁶ peers what New builds stays
-//     ~90 B/peer (SCALING.md §4 has the budget, event heaps included) and
+//     state lives in flat parallel arrays (slot assignment, the swap
+//     transaction's core.Txn, RNG and send counters, occupant caches,
+//     liveness strikes), not in per-node structs with pointers: at 10⁶
+//     peers what New builds stays ~100 B/peer (SCALING.md §4 has the
+//     budget, event heaps included) and
 //     scans stay cache-linear. Handlers only write state belonging to the
 //     addressed peer, which is what makes the parallel window processing
 //     race-free (peers never change shards).
@@ -44,6 +45,11 @@
 // peers of one. It prices message delays, swap gains and the flood weights
 // behind metrics.ALEstimator; at small n Config.ExactAL adds the exact AL
 // reference and the estimator's error to the stream.
+//
+// Faults and the swap: every run takes one path, whatever its schedule
+// (Config.Faults; nil is all zero). A probe cycle's walk and a swap's
+// proposal each arm a timeout, the only aborts, and the rules of the
+// version-guarded swap are core.Txn's, which the handlers drive (sim.go).
 //
 // Entry points: New builds the world (physical network, latency plane,
 // logical overlay, initial random placement); Engine.Run executes the
@@ -115,27 +121,24 @@ type Config struct {
 	// estimator's relative error at every sample. O(n·Dijkstra) per sample
 	// — only sane at the small rungs (n ≤ ~4096).
 	ExactAL bool
-	// Faults is the fault/churn schedule. nil — or a schedule with every
-	// knob zero — is the fault-free fast path: no timeout timers, no crash
-	// events, no fate draws, and a message schedule byte-identical to the
-	// engine without fault support.
+	// Faults is the fault/churn schedule; nil is the all-zero schedule.
+	// Every schedule runs one path: probe and commit timeouts armed, the
+	// crash schedule consulted, the churn series sampled.
 	Faults *FaultConfig
 	// Net overrides the physical preset (tests use tiny worlds); nil means
 	// netsim.ScaleTS(Peers).
 	Net *netsim.Config
 }
 
-// FaultConfig is the sharded engine's fault and churn schedule, the PR 4
-// fault model (internal/faults) restated for the shard tier. Every verdict
+// FaultConfig is the sharded engine's fault and churn schedule, the fault
+// model of internal/faults restated for the shard tier. Every verdict
 // it induces is a stateless hash of (seed, link or peer, sequence or time
 // window) in the style of faults.DeliverStateless, so any shard can
 // evaluate any message's fate with no shared mutable state — the property
-// that keeps metrics streams byte-identical across shard counts even with
-// faults enabled.
+// that keeps metrics streams byte-identical across shard counts.
 type FaultConfig struct {
 	// LossProb is the i.i.d. per-message drop probability. The two-phase
-	// swap acknowledgment (kCommitOK) is exempt — see the reliable-ack
-	// note in sim.go.
+	// swap acknowledgment (kCommitOK) is exempt: core.Txn's one assumption.
 	LossProb float64
 	// DupProb is the probability a delivered message arrives twice; the
 	// duplicate takes a fresh sequence number and its own jitter draw.
@@ -164,17 +167,6 @@ type FaultConfig struct {
 	// horizon.
 	CrashFrac                 float64
 	CrashStartMS, CrashStopMS float64
-}
-
-// enabled reports whether any fault knob is set; a nil or all-zero
-// schedule keeps the engine on its historical fault-free path.
-func (f *FaultConfig) enabled() bool {
-	if f == nil {
-		return false
-	}
-	return f.LossProb > 0 || f.DupProb > 0 || f.JitterMS > 0 ||
-		f.LinkFailProb > 0 || f.PartitionStopMS > f.PartitionStartMS ||
-		f.CrashFrac > 0
 }
 
 // validate checks the schedule against the resolved physical preset. The
@@ -211,6 +203,9 @@ func (c Config) withDefaults() Config {
 	if c.SampleEveryMS == 0 {
 		c.SampleEveryMS = defaultSampleMS
 	}
+	if c.Faults == nil {
+		c.Faults = &FaultConfig{}
+	}
 	return c
 }
 
@@ -219,18 +214,15 @@ func (c Config) validate(net netsim.Config) error {
 	switch {
 	case c.Shards < 1 || c.Shards > net.TransitDomains:
 		return fmt.Errorf("shard: Shards = %d, want 1..%d (one per transit domain at most)", c.Shards, net.TransitDomains)
-	case c.HorizonMS < 0 || c.SampleEveryMS <= 0:
-		return fmt.Errorf("shard: non-positive time parameters (horizon %v, sample %v)",
+	case !(c.HorizonMS >= 0 && c.HorizonMS < math.Inf(1)) || !(c.SampleEveryMS > 0 && c.SampleEveryMS < math.Inf(1)):
+		return fmt.Errorf("shard: time parameters (horizon %v, sample %v) not finite and positive",
 			c.HorizonMS, c.SampleEveryMS)
 	case c.ALSources < 0:
 		return fmt.Errorf("shard: ALSources = %d, want >= 0", c.ALSources)
 	case net.TotalStubHosts() < 8:
 		return fmt.Errorf("shard: %d peers, want >= 8", net.TotalStubHosts())
 	}
-	if c.Faults != nil {
-		return c.Faults.validate(net)
-	}
-	return nil
+	return c.Faults.validate(net)
 }
 
 // Stats summarizes one completed run. All message counters are totals over
@@ -253,7 +245,8 @@ type Stats struct {
 	Probes, Walks, Reports, Commits, Exchanges uint64
 	// GainRejected counts probe cycles abandoned because the estimated gain
 	// did not clear minGainMS; VerRejected counts commit proposals refused
-	// by the partner (version moved or partner locked).
+	// by the partner (version moved or partner locked), each answered by an
+	// advisory kReject.
 	GainRejected, VerRejected uint64
 	// Notifies counts occupant-update messages sent after an exchange.
 	Notifies uint64
@@ -265,7 +258,7 @@ type Stats struct {
 	// commit seen but its acknowledgment still in flight).
 	SnapshotConflicts uint64
 
-	// Fault/churn tallies, all zero on the fault-free path and — like the
+	// Fault/churn tallies, all zero under the zero schedule and — like the
 	// protocol counters — invariant across shard counts, because every
 	// fate is a stateless hash and every drop a pure function of the
 	// processed event prefix. Integer counters only: float tallies would
@@ -279,8 +272,9 @@ type Stats struct {
 	// self-timers) discarded because the addressee was dead.
 	Crashes, DeadDrops uint64
 	// ProbeTimeouts counts abandoned probe cycles; CommitTimeouts aborted
-	// two-phase swaps (version-guarded — see handleCommitTO); StaleGuards
-	// cycle-scoped replies discarded by the txn guard.
+	// two-phase swaps (the only abort, core.Txn); StaleGuards reports that
+	// arrived while another cycle's walk was out, and acknowledgments that
+	// matched no open proposal.
 	ProbeTimeouts, CommitTimeouts, StaleGuards uint64
 	// Evictions counts believed-occupant entries evicted after repeated
 	// probe timeouts through them; NoNeighbor probe cycles skipped because

@@ -222,6 +222,12 @@ func TestConfigValidation(t *testing.T) {
 	nan := tinyConfig(2, 1)
 	nan.Faults = &FaultConfig{LossProb: math.NaN()}
 	bad = append(bad, neg, nan)
+	// A +Inf horizon reschedules probes forever; a NaN one samples nothing.
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		h, s := tinyConfig(2, 1), tinyConfig(2, 1)
+		h.HorizonMS, s.SampleEveryMS = v, v
+		bad = append(bad, h, s)
+	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 )
 
@@ -11,13 +12,14 @@ import (
 //
 //	kProbe → kWalk×(nhop) → kReport → [kCommit → (kCommitOK | kReject)] → kNotify×deg
 //
-// with the swap-gain evaluation done on estLat latencies and
-// the two-phase commit guarded by per-peer swap versions, so concurrent
-// probes over the same slots never tear the slot↔peer bijection. Handlers
-// obey one discipline that everything else rests on: they read and write
-// ONLY the addressed peer's state (plus immutable world data and message
-// payloads). That is what makes parallel shard execution race-free and the
-// event stream shard-count invariant.
+// with the swap-gain evaluation done on estLat latencies and the two-phase
+// commit guarded by per-peer swap versions, so concurrent probes over the
+// same slots never tear the slot↔peer bijection. The transaction's rules
+// are core.Txn's; the handlers keep the sends, timers, occupant caches,
+// strikes and Stats. Handlers obey one discipline that everything else
+// rests on: they read and write ONLY the addressed peer's state (plus
+// immutable world data and message payloads). That is what makes parallel
+// shard execution race-free and the event stream shard-count invariant.
 //
 // Fault model (Config.Faults, DESIGN.md §9/§12). Every message's fate —
 // lost, duplicated, jittered, dropped by a link outage or the domain
@@ -30,16 +32,8 @@ import (
 // fault injection untouched. Crash-stop churn is the one receiver-side
 // fault: a dead peer silently drops every arrival, and deadness at any
 // arrival time is itself a pure function of the processed event prefix.
-//
-// Reliable-ack abstraction: kCommitOK is exempt from loss, duplication,
-// outages and the partition (jitter still applies). The acceptor moves
-// onto the proposer's slot the moment it accepts, so losing the
-// acknowledgment would strand a half-executed swap with both peers alive —
-// the classic two-generals gap. Exempting the final ack models the
-// bounded-retransmit reliability a real implementation gives that one
-// message; every other message may drop freely, because a proposer
-// timeout then aborts a swap nothing has executed yet (see handleCommitTO
-// for the full safety argument).
+// The one exemption, core.Txn's one assumption, is the reliable ack:
+// kCommitOK is never lost or duplicated (jitter still applies).
 
 // send assigns m's ordering key from the sending peer, decides its fate
 // under the fault schedule, and delivers it: same-shard messages go
@@ -53,7 +47,7 @@ func (e *Engine) send(sh *shardRun, now float64, m msg) {
 	e.oseq[m.from]++
 	d := e.estLat(m.from, m.to)
 	m.at = now + d
-	if e.faultsOn && !e.inject(sh, now, d, &m) {
+	if !e.inject(sh, now, d, &m) {
 		return
 	}
 	e.post(sh, d, m)
@@ -80,8 +74,7 @@ func (e *Engine) post(sh *shardRun, d float64, m msg) {
 // inject applies the fault schedule to one stamped message and reports
 // whether it is delivered. On duplication the copy is posted here with a
 // fresh sequence number and an independent jitter draw (it may even
-// overtake the original); the handlers' pstate/txn guards make duplicates
-// harmless.
+// overtake the original); core.Txn's guards make duplicates harmless.
 func (e *Engine) inject(sh *shardRun, now, d float64, m *msg) bool {
 	if m.kind == kCommitOK {
 		// Reliable-ack abstraction (see the package comment above):
@@ -114,18 +107,10 @@ func (e *Engine) inject(sh *shardRun, now, d float64, m *msg) bool {
 	return true
 }
 
-// schedule enqueues a self-timer for peer p at an absolute time. Timers
-// never cross shards.
-func (e *Engine) schedule(sh *shardRun, p int32, at float64, k kind) {
-	m := msg{at: at, origin: p, oseq: e.oseq[p], from: p, to: p, kind: k}
-	e.oseq[p]++
-	sh.heap.push(m)
-}
-
-// scheduleTO enqueues a timeout self-timer carrying the probe-cycle
-// counter it guards. Only called when faults are enabled.
-func (e *Engine) scheduleTO(sh *shardRun, p int32, at float64, k kind, cyc int32) {
-	m := msg{at: at, origin: p, oseq: e.oseq[p], from: p, to: p, kind: k, c: cyc}
+// schedule enqueues a self-timer for peer p at an absolute time, carrying
+// the probe cycle c it guards (0 for none). Timers never cross shards.
+func (e *Engine) schedule(sh *shardRun, p int32, at float64, k kind, c uint32) {
+	m := msg{at: at, origin: p, oseq: e.oseq[p], from: p, to: p, kind: k, c: int32(c)}
 	e.oseq[p]++
 	sh.heap.push(m)
 }
@@ -134,7 +119,7 @@ func (e *Engine) scheduleTO(sh *shardRun, p int32, at float64, k kind, cyc int32
 // drops everything except its own crash event — the receiver-side half of
 // the crash-stop model.
 func (e *Engine) handle(sh *shardRun, m *msg) {
-	if e.faultsOn && e.dead[m.to] && m.kind != kCrash {
+	if e.dead[m.to] && m.kind != kCrash {
 		sh.stats.DeadDrops++
 		return
 	}
@@ -149,8 +134,6 @@ func (e *Engine) handle(sh *shardRun, m *msg) {
 		e.handleCommit(sh, m)
 	case kCommitOK:
 		e.handleCommitOK(sh, m)
-	case kReject:
-		e.handleReject(sh, m)
 	case kNotify:
 		e.handleNotify(sh, m)
 	case kCrash:
@@ -162,28 +145,10 @@ func (e *Engine) handle(sh *shardRun, m *msg) {
 	}
 }
 
-// handleReject unlocks a proposer whose proposal was refused — but only
-// on the fault-free path, where the single rejection is authoritative.
-// Under faults a rejection is ADVISORY and ignored: a duplicated proposal
-// can be simultaneously accepted (the first copy moves the acceptor and
-// sends the ack) and version-refused (every later copy), and jitter can
-// deliver the refusal before the acknowledgment — unlocking on it would
-// strand the half-executed swap. The proposer instead holds its lock
-// until the acknowledgment (exempt from drops, always first when the
-// swap executed) or the commit timeout, the one abort path whose safety
-// is proved (see handleCommitTO).
-func (e *Engine) handleReject(sh *shardRun, m *msg) {
-	if e.faultsOn {
-		return // advisory; VerRejected was counted at the refusing peer
-	}
-	e.pstate[m.to] = 0
-}
-
 // pickNeighbor draws one believed-occupant entry of peer w's current slot
-// s, skipping entries evicted for deadness (-1). Fault-free no entry is
-// ever evicted, the modulus equals the degree, and the selection is
-// bit-identical to the historical draw%deg. ok is false when every entry
-// is evicted (the peer is overlay-isolated until a kNotify revives one).
+// s, skipping entries evicted for deadness (-1): with none evicted it is
+// draw%deg. ok is false when every entry is evicted (the peer is
+// overlay-isolated until a kNotify revives one).
 func (e *Engine) pickNeighbor(w int32, s int32) (j int, target int32, ok bool) {
 	d := e.deg(s)
 	row := e.occRow[int(w)*maxDeg : int(w)*maxDeg+d]
@@ -210,39 +175,31 @@ func (e *Engine) pickNeighbor(w int32, s int32) (j int, target int32, ok bool) {
 }
 
 // handleProbe starts one probe cycle: reschedule the timer (jittered ±25%,
-// only while before the horizon) and, if the peer is idle, launch a random
-// walk to find a swap candidate. A busy peer (mid-probe or mid-commit)
-// skips the cycle rather than queueing. Under faults the cycle gets a
-// fresh txn counter (stamped into every cycle-scoped message) and a
-// timeout covering the walk plus the report leg.
+// only while before the horizon) and, if the peer is idle, open a cycle
+// (its number is stamped into every cycle-scoped message) and launch a
+// random walk to find a swap candidate, with a timeout covering the walk
+// plus the report leg. A busy peer (mid-probe or mid-commit) skips the
+// cycle rather than queueing.
 func (e *Engine) handleProbe(sh *shardRun, m *msg) {
 	u := m.to
 	sh.stats.Probes++
 	next := m.at + probeIntervalMS*(0.75+0.5*u01(e.draw(u)))
 	if next < e.cfg.HorizonMS {
-		e.schedule(sh, u, next, kProbe)
+		e.schedule(sh, u, next, kProbe, 0)
 	}
-	if e.pstate[u] != 0 {
+	if !e.txn[u].Idle() {
 		return
 	}
-	su := e.slotOf[u]
-	j, target, ok := e.pickNeighbor(u, su)
+	j, target, ok := e.pickNeighbor(u, e.slotOf[u])
 	if !ok {
 		sh.stats.NoNeighbor++
 		return
 	}
-	e.pstate[u] = 1
-	var cyc int32
-	if e.faultsOn {
-		e.txn[u]++
-		cyc = int32(e.txn[u])
-		e.probeNbr[u] = uint8(j)
-	}
+	c, _ := e.txn[u].Open() // idle, so never refused
+	e.probeNbr[u] = uint8(j)
 	sh.stats.Walks++
-	e.send(sh, m.at, msg{from: u, to: target, kind: kWalk, a: u, c: cyc, hops: uint8(walkHops - 1)})
-	if e.faultsOn {
-		e.scheduleTO(sh, u, m.at+e.probeTO, kProbeTO, cyc)
-	}
+	e.send(sh, m.at, msg{from: u, to: target, kind: kWalk, a: u, c: int32(c), hops: uint8(walkHops - 1)})
+	e.schedule(sh, u, m.at+e.probeTO, kProbeTO, c)
 }
 
 // handleWalk forwards the walk through believed occupants; at the last hop
@@ -253,7 +210,7 @@ func (e *Engine) handleWalk(sh *shardRun, m *msg) {
 	origin := m.a
 	if m.hops == 0 {
 		sw := e.slotOf[w]
-		rep := msg{from: w, to: origin, kind: kReport, a: sw, b: int32(e.ver[w]), c: m.c}
+		rep := msg{from: w, to: origin, kind: kReport, a: sw, b: int32(e.txn[w].Version()), c: m.c}
 		rep.rlen = uint8(e.deg(sw))
 		copy(rep.row[:], e.occRow[int(w)*maxDeg:int(w)*maxDeg+int(rep.rlen)])
 		sh.stats.Reports++
@@ -276,7 +233,7 @@ func (e *Engine) handleWalk(sh *shardRun, m *msg) {
 // the believed occupants row of s's neighbors; entries whose slot equals
 // swapSlot are remapped to swapPeer, which is how the post-swap
 // configuration is evaluated without mutating anything. Evicted entries
-// (-1, faults only) contribute nothing on either side of the comparison.
+// (-1) contribute nothing on either side of the comparison.
 func (e *Engine) swapCost(p, s int32, row []int32, swapSlot, swapPeer int32) float64 {
 	total := 0.0
 	for i, x := range e.nbrs(s) {
@@ -295,23 +252,20 @@ func (e *Engine) swapCost(p, s int32, row []int32, swapSlot, swapPeer int32) flo
 // handleReport evaluates the swap between the probing peer u (slot su) and
 // the reported endpoint v (slot sv): would exchanging slots reduce the
 // summed estimated latency of both neighborhoods? A clear gain sends a
-// version-conditioned commit proposal and locks u until the answer (with,
-// under faults, a timeout covering the commit round trip).
+// version-conditioned commit proposal and locks u until the
+// acknowledgment or the timeout covering the commit round trip.
 func (e *Engine) handleReport(sh *shardRun, m *msg) {
 	u, v := m.to, m.from
-	if e.pstate[u] != 1 {
+	switch e.txn[u].Reported(uint32(m.c)) {
+	case core.Ignored:
+		return
+	case core.Stale:
+		sh.stats.StaleGuards++
 		return
 	}
-	if e.faultsOn {
-		if e.txn[u] != uint32(m.c) {
-			sh.stats.StaleGuards++
-			return
-		}
-		// The cycle round-tripped: clear the liveness strikes against its
-		// first-hop neighbor.
-		e.failCnt[int(u)*maxDeg+int(e.probeNbr[u])] = 0
-	}
-	e.pstate[u] = 0
+	// The cycle round-tripped: clear the liveness strikes against its
+	// first-hop neighbor.
+	e.failCnt[int(u)*maxDeg+int(e.probeNbr[u])] = 0
 	sv := m.a
 	su := e.slotOf[u]
 	if v == u || sv == su {
@@ -325,27 +279,26 @@ func (e *Engine) handleReport(sh *shardRun, m *msg) {
 		sh.stats.GainRejected++
 		return
 	}
-	e.pstate[u] = 2
+	e.txn[u].Propose(uint32(m.c)) // the report was just taken
 	com := msg{from: u, to: v, kind: kCommit, a: su, b: m.b, c: m.c}
 	com.rlen = uint8(len(rowU))
 	copy(com.row[:], rowU)
 	sh.stats.Commits++
 	e.send(sh, m.at, com)
-	if e.faultsOn {
-		e.scheduleTO(sh, u, m.at+e.commitTO, kCommitTO, m.c)
-	}
+	e.schedule(sh, u, m.at+e.commitTO, kCommitTO, uint32(m.c))
 }
 
 // handleCommit is the acceptor side of the two-phase swap. The proposal is
-// refused if the acceptor's version moved since the report (its slot or
-// cache changed under the proposer's feet) or if the acceptor is itself
-// locked awaiting an acknowledgment. Acceptance moves the acceptor onto
-// the proposer's slot immediately, acknowledges with the proposer's new
-// occupant cache, and notifies the new neighborhood.
+// refused (core.Txn.Prepare) if the acceptor's version moved since the
+// report (its slot or cache changed under the proposer's feet) or if the
+// acceptor is itself locked awaiting an acknowledgment; the refusal is
+// advisory, and nothing handles its arrival. Acceptance moves the acceptor
+// onto the proposer's slot immediately, acknowledges with the proposer's
+// new occupant cache, and notifies the new neighborhood.
 func (e *Engine) handleCommit(sh *shardRun, m *msg) {
 	v, u := m.to, m.from
 	su := m.a
-	if e.pstate[v] == 2 || e.ver[v] != uint32(m.b) {
+	if !e.txn[v].Prepare(uint32(m.b)) {
 		sh.stats.VerRejected++
 		e.send(sh, m.at, msg{from: v, to: u, kind: kReject, c: m.c})
 		return
@@ -373,7 +326,6 @@ func (e *Engine) handleCommit(sh *shardRun, m *msg) {
 		e.occRow[int(v)*maxDeg+i] = q
 	}
 	e.slotOf[v] = su
-	e.ver[v]++
 	sh.stats.Exchanges++
 	e.send(sh, m.at, ack)
 	for i := range nbSU {
@@ -388,20 +340,16 @@ func (e *Engine) handleCommit(sh *shardRun, m *msg) {
 
 // handleCommitOK completes the proposer's side: take the vacated slot,
 // install the pre-remapped occupant cache from the acknowledgment, unlock,
-// and notify the new neighborhood. The guard is defensive: the ack is
-// exempt from loss and duplication and always beats its own timeout, so
-// under the current schedule it cannot be stale — but the engine refuses
-// to rely on that across future fault-model extensions.
+// and notify the new neighborhood. The guard is defensive: a loss-exempt
+// ack always beats its own timeout, so it cannot be stale today.
 func (e *Engine) handleCommitOK(sh *shardRun, m *msg) {
 	u, v := m.to, m.from
-	if e.faultsOn && (e.pstate[u] != 2 || e.txn[u] != uint32(m.c)) {
+	if !e.txn[u].Acked(uint32(m.c)) {
 		sh.stats.StaleGuards++
 		return
 	}
 	sv := m.a
 	e.slotOf[u] = sv
-	e.ver[u]++
-	e.pstate[u] = 0
 	d := e.deg(sv)
 	copy(e.occRow[int(u)*maxDeg:int(u)*maxDeg+d], m.row[:d])
 	for i := 0; i < d; i++ {
@@ -416,17 +364,15 @@ func (e *Engine) handleCommitOK(sh *shardRun, m *msg) {
 
 // handleNotify updates one believed-occupant entry: if the sender's
 // claimed slot is adjacent to the receiver's current slot, the receiver
-// now believes the sender holds it. Under faults this is also the revival
-// path for evicted entries (and their liveness strikes).
+// now believes the sender holds it. This is also the revival path for
+// evicted entries (and their liveness strikes).
 func (e *Engine) handleNotify(sh *shardRun, m *msg) {
 	q := m.to
 	s := e.slotOf[q]
 	for i, x := range e.nbrs(s) {
 		if x == m.a {
 			e.occRow[int(q)*maxDeg+i] = m.from
-			if e.faultsOn {
-				e.failCnt[int(q)*maxDeg+i] = 0
-			}
+			e.failCnt[int(q)*maxDeg+i] = 0
 		}
 	}
 }
@@ -445,20 +391,19 @@ const evictAfter = 2
 func (e *Engine) handleCrash(sh *shardRun, m *msg) {
 	p := m.to
 	e.dead[p] = true
-	e.pstate[p] = 0
+	e.txn[p].Crash()
 	sh.stats.Crashes++
 }
 
 // handleProbeTO closes a probe cycle whose report never arrived: unlock,
 // and strike the first-hop neighbor the walk left through — evicting it
-// after evictAfter consecutive strikes. The txn guard makes timers from
-// completed or superseded cycles no-ops.
+// after evictAfter consecutive strikes. A timer from a completed or
+// superseded cycle is a no-op.
 func (e *Engine) handleProbeTO(sh *shardRun, m *msg) {
 	u := m.to
-	if e.pstate[u] != 1 || e.txn[u] != uint32(m.c) {
+	if !e.txn[u].WalkTimedOut(uint32(m.c)) {
 		return
 	}
-	e.pstate[u] = 0
 	sh.stats.ProbeTimeouts++
 	idx := int(u)*maxDeg + int(e.probeNbr[u])
 	if e.occRow[idx] < 0 {
@@ -472,30 +417,10 @@ func (e *Engine) handleProbeTO(sh *shardRun, m *msg) {
 	}
 }
 
-// handleCommitTO aborts a two-phase swap whose acknowledgment never came
-// — under faults, the ONLY abort path (rejections are advisory, see
-// handleReject).
-//
-// Safety argument. The timeout is scheduled commitTO = 2·maxLeg + 1 ms
-// after the proposal, where maxLeg bounds every one-way delay including
-// jitter. Events are processed in arrival order, so if the acceptor
-// executed the swap, its acknowledgment — exempt from every drop — was
-// handled strictly before this timer fires, cleared pstate, and the txn
-// guard below makes the timer a no-op. A timer that finds its cycle still
-// open therefore proves the swap did NOT execute: the proposal was
-// dropped in flight, the acceptor was dead on arrival, or the acceptor
-// refused (every copy of a duplicated proposal after the first is
-// version-refused, and the refusals may be dropped, reordered, or
-// ignored — it does not matter). In every case nothing moved on either
-// side, and resetting the proposer's lock is exact — no slot state to
-// roll back, no counterpart to inform. This is the version-guarded abort
-// that keeps the alive-peer slot claims injective when a counterpart
-// crashes mid-commit.
+// handleCommitTO aborts a two-phase swap whose acknowledgment never came,
+// the only abort; core.Txn's doc proves that nothing moved on either side.
 func (e *Engine) handleCommitTO(sh *shardRun, m *msg) {
-	u := m.to
-	if e.pstate[u] != 2 || e.txn[u] != uint32(m.c) {
-		return
+	if e.txn[m.to].ProposalTimedOut(uint32(m.c)) {
+		sh.stats.CommitTimeouts++
 	}
-	e.pstate[u] = 0
-	sh.stats.CommitTimeouts++
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/rng"
@@ -39,23 +40,18 @@ type Engine struct {
 
 	// Mutable struct-of-arrays peer state. A handler running in shard s
 	// only ever writes indices belonging to peers of shard s.
-	slotOf []int32  // slot currently claimed by each peer
-	ver    []uint32 // per-peer swap count; guards stale commit proposals
-	pstate []uint8  // 0 idle, 1 awaiting walk report, 2 awaiting commit ack
-	pctr   []uint32 // stateless-RNG draw counter
-	oseq   []uint32 // per-peer send counter (ordering key)
-	occRow []int32  // flat [peer*maxDeg+i]: believed occupant of the i-th
+	slotOf []int32    // slot currently claimed by each peer
+	txn    []core.Txn // swap version and open probe cycle
+	pctr   []uint32   // stateless-RNG draw counter
+	oseq   []uint32   // per-peer send counter (ordering key)
+	occRow []int32    // flat [peer*maxDeg+i]: believed occupant of the i-th
 	// neighbor slot of the peer's current slot
+	dead     []bool  // crash-stop tombstones
+	probeNbr []uint8 // first-hop cache index of the current cycle
+	failCnt  []uint8 // flat [peer*maxDeg+i]: consecutive timeout strikes
 
-	// Fault/churn state, allocated only when faultsOn (14 B/peer of
-	// tombstone + liveness bookkeeping on top of the ~90 B/peer base).
-	faultsOn bool
 	fc       FaultConfig      // normalized schedule (windows defaulted)
 	inj      *faults.Injector // stateless loss/dup/jitter/link-outage hashes
-	dead     []bool           // crash-stop tombstones
-	txn      []uint32         // per-peer probe-cycle counter (stale-reply guard)
-	probeNbr []uint8          // first-hop cache index of the current cycle
-	failCnt  []uint8          // flat [peer*maxDeg+i]: consecutive timeout strikes
 	probeTO  float64          // probe-cycle timeout (walk legs + report leg)
 	commitTO float64          // two-phase-swap timeout (commit + ack legs)
 
@@ -90,7 +86,7 @@ type uplink struct {
 // cache. Cost is dominated by network generation; the latency plane is one
 // pass over each stub domain (netsim.Anchors) plus one Dijkstra per transit
 // router over the router core alone (netsim.CoreTable). At 10⁶ peers expect a
-// few seconds and ~90 MB retained.
+// few seconds and ~100 MB retained.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	var net netsim.Config
@@ -156,16 +152,8 @@ func (e *Engine) buildLatency(world *netsim.Network) (maxLeg float64) {
 	return 2*maxOff + slices.Max(e.core)
 }
 
-// initFaults normalizes the fault schedule and allocates the churn state.
-// A nil or all-zero schedule leaves the engine on the fault-free path:
-// faultsOn stays false, nothing is allocated, and Run never schedules a
-// timeout or crash event — which is what keeps the zero-knob schedule
-// byte-identical to the pre-fault engine.
+// initFaults normalizes the fault schedule and derives the timeouts.
 func (e *Engine) initFaults(maxLeg float64) error {
-	if !e.cfg.Faults.enabled() {
-		return nil
-	}
-	e.faultsOn = true
 	e.fc = *e.cfg.Faults
 	if e.fc.CrashFrac > 0 && e.fc.CrashStartMS == 0 && e.fc.CrashStopMS == 0 {
 		// Default churn window: the middle third of the horizon, so the
@@ -188,17 +176,13 @@ func (e *Engine) initFaults(maxLeg float64) error {
 		return err
 	}
 	e.inj = inj
-	e.dead = make([]bool, e.n)
-	e.txn = make([]uint32, e.n)
-	e.probeNbr = make([]uint8, e.n)
-	e.failCnt = make([]uint8, e.n*maxDeg)
 
 	// Timeout bounds from the worst-case one-way leg: the largest estLat
 	// (buildLatency) plus the jitter cap. A probe cycle is walkHops walk legs
 	// plus the report leg; a commit round is the proposal plus the
 	// acknowledgment. The +1 ms slack keeps timeout firings strictly after
 	// the last possible reply, so a timeout that finds its cycle still open
-	// proves the reply was dropped, not late (see handleCommitTO).
+	// proves the reply was dropped, not late (core.Txn).
 	maxLeg += e.fc.JitterMS
 	e.probeTO = float64(walkHops+1)*maxLeg + 1
 	e.commitTO = 2*maxLeg + 1
@@ -214,9 +198,6 @@ const shardFaultSalt = 0x73686172642d666c // "shard-fl"
 // a pure function of the configuration — independent of shard layout, and
 // computable for any peer by any shard.
 func (e *Engine) crashSchedule(p int32) (at float64, crashes bool) {
-	if e.fc.CrashFrac <= 0 {
-		return 0, false
-	}
 	if u01(crashHash(e.seed, p, 1)) >= e.fc.CrashFrac {
 		return 0, false
 	}
@@ -313,11 +294,13 @@ func (e *Engine) initPeers(r *rng.Rand) {
 		e.slotOf[p] = int32(s)
 		peerOf[s] = int32(p)
 	}
-	e.ver = make([]uint32, n)
-	e.pstate = make([]uint8, n)
+	e.txn = make([]core.Txn, n)
 	e.pctr = make([]uint32, n)
 	e.oseq = make([]uint32, n)
 	e.occRow = make([]int32, n*maxDeg)
+	e.dead = make([]bool, n)
+	e.probeNbr = make([]uint8, n)
+	e.failCnt = make([]uint8, n*maxDeg)
 	for p := 0; p < n; p++ {
 		s := e.slotOf[p]
 		row := e.lNbr[e.lOff[s]:e.lOff[s+1]]
