@@ -5,7 +5,9 @@
 // A Runner schedules Poisson join and leave events inside a churn window on
 // the discrete-event engine; the experiment harness supplies the actual
 // join/leave actions (overlay rewiring plus protocol registration) as
-// closures, keeping this package substrate-agnostic.
+// closures, keeping this package substrate-agnostic. Departures here are
+// graceful; crash-stop deaths follow internal/faults' one crash schedule,
+// faults.CrashAt.
 //
 // Key types: Config (the churn window and Poisson rates) and Runner. See
 // DESIGN.md §2 ("churn") for the experiment this drives.
@@ -29,15 +31,11 @@ type Config struct {
 	// MeanLeaveIntervalMS is the mean inter-departure time of graceful
 	// leaves (0 disables leaves).
 	MeanLeaveIntervalMS float64
-	// MeanCrashIntervalMS is the mean inter-failure time of crash-stop
-	// deaths — departures that skip the deregistration a graceful leave
-	// performs (0 disables crashes, the historical behavior).
-	MeanCrashIntervalMS float64
 }
 
 // Validate reports the first configuration error.
 func (c Config) Validate() error {
-	for _, v := range [...]float64{c.StartMS, c.StopMS, c.MeanJoinIntervalMS, c.MeanLeaveIntervalMS, c.MeanCrashIntervalMS} {
+	for _, v := range [...]float64{c.StartMS, c.StopMS, c.MeanJoinIntervalMS, c.MeanLeaveIntervalMS} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("churn: window [%v,%v) or a mean interval is not finite", c.StartMS, c.StopMS)
 		}
@@ -45,7 +43,7 @@ func (c Config) Validate() error {
 	switch {
 	case c.StopMS < c.StartMS:
 		return fmt.Errorf("churn: window [%v,%v) inverted", c.StartMS, c.StopMS)
-	case c.MeanJoinIntervalMS < 0 || c.MeanLeaveIntervalMS < 0 || c.MeanCrashIntervalMS < 0:
+	case c.MeanJoinIntervalMS < 0 || c.MeanLeaveIntervalMS < 0:
 		return fmt.Errorf("churn: negative mean interval")
 	}
 	return nil
@@ -57,11 +55,10 @@ type kind int
 const (
 	kindJoin kind = iota
 	kindLeave
-	kindCrash
 )
 
-// Runner schedules churn events. OnJoin, OnLeave, and OnCrash run inside the
-// engine; any may be nil. Errors returned by the callbacks are counted, not
+// Runner schedules churn events. OnJoin and OnLeave run inside the engine;
+// either may be nil. Errors returned by the callbacks are counted, not
 // fatal — a failed leave on an already-empty overlay is an experimental
 // condition, not a bug.
 type Runner struct {
@@ -69,11 +66,8 @@ type Runner struct {
 	OnJoin func(e *event.Engine) error
 	// OnLeave performs one graceful node departure.
 	OnLeave func(e *event.Engine) error
-	// OnCrash performs one crash-stop node death: the victim vanishes
-	// without deregistering, leaving survivors with stale references.
-	OnCrash func(e *event.Engine) error
-	// Joins, Leaves, Crashes, Errors count what actually happened.
-	Joins, Leaves, Crashes, Errors int
+	// Joins, Leaves, Errors count what actually happened.
+	Joins, Leaves, Errors int
 
 	cfg Config
 	r   *rng.Rand
@@ -88,8 +82,7 @@ func NewRunner(cfg Config, r *rng.Rand) (*Runner, error) {
 }
 
 // Start arms the first event of each enabled Poisson process. The order —
-// joins, then leaves, then crashes — fixes the RNG draw order; crash-free
-// configs draw exactly as they did before crashes existed.
+// joins, then leaves — fixes the RNG draw order.
 func (ru *Runner) Start(e *event.Engine) {
 	if ru.OnJoin != nil && ru.cfg.MeanJoinIntervalMS > 0 {
 		ru.scheduleNext(e, kindJoin, ru.cfg.StartMS)
@@ -97,21 +90,13 @@ func (ru *Runner) Start(e *event.Engine) {
 	if ru.OnLeave != nil && ru.cfg.MeanLeaveIntervalMS > 0 {
 		ru.scheduleNext(e, kindLeave, ru.cfg.StartMS)
 	}
-	if ru.OnCrash != nil && ru.cfg.MeanCrashIntervalMS > 0 {
-		ru.scheduleNext(e, kindCrash, ru.cfg.StartMS)
-	}
 }
 
 // scheduleNext arms the next event of one kind after base time.
 func (ru *Runner) scheduleNext(e *event.Engine, k kind, baseMS float64) {
-	var mean float64
-	switch k {
-	case kindJoin:
-		mean = ru.cfg.MeanJoinIntervalMS
-	case kindLeave:
+	mean := ru.cfg.MeanJoinIntervalMS
+	if k == kindLeave {
 		mean = ru.cfg.MeanLeaveIntervalMS
-	case kindCrash:
-		mean = ru.cfg.MeanCrashIntervalMS
 	}
 	at := baseMS + ru.r.ExpFloat64()*mean
 	if at >= ru.cfg.StopMS {
@@ -132,11 +117,6 @@ func (ru *Runner) scheduleNext(e *event.Engine, k kind, baseMS float64) {
 			err = ru.OnLeave(en)
 			if err == nil {
 				ru.Leaves++
-			}
-		case kindCrash:
-			err = ru.OnCrash(en)
-			if err == nil {
-				ru.Crashes++
 			}
 		}
 		if err != nil {

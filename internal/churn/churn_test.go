@@ -21,7 +21,6 @@ func TestValidate(t *testing.T) {
 		{StartMS: 0, StopMS: math.NaN()},
 		{StartMS: 0, StopMS: math.Inf(1)},
 		{StartMS: 0, StopMS: 100, MeanLeaveIntervalMS: math.NaN()},
-		{StartMS: 0, StopMS: 100, MeanCrashIntervalMS: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -98,71 +97,6 @@ func TestErrorsCounted(t *testing.T) {
 	}
 	if ru.Joins != 0 {
 		t.Fatal("failed joins counted as successes")
-	}
-}
-
-func TestCrashProcess(t *testing.T) {
-	cfg := Config{StartMS: 0, StopMS: 60000, MeanCrashIntervalMS: 500}
-	ru, err := NewRunner(cfg, rng.New(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var crashTimes []float64
-	ru.OnCrash = func(e *event.Engine) error {
-		crashTimes = append(crashTimes, float64(e.Now()))
-		return nil
-	}
-	e := event.New()
-	ru.Start(e)
-	e.RunUntil(100000)
-	if ru.Crashes != len(crashTimes) {
-		t.Fatalf("crash count %d != callback count %d", ru.Crashes, len(crashTimes))
-	}
-	if ru.Crashes < 80 || ru.Crashes > 170 {
-		t.Fatalf("crashes = %d, expected ~120", ru.Crashes)
-	}
-	for _, ts := range crashTimes {
-		if ts < cfg.StartMS || ts >= cfg.StopMS {
-			t.Fatalf("crash at %v outside window [%v,%v)", ts, cfg.StartMS, cfg.StopMS)
-		}
-	}
-	if ru.Joins != 0 || ru.Leaves != 0 {
-		t.Fatalf("unexpected joins/leaves %d/%d", ru.Joins, ru.Leaves)
-	}
-}
-
-func TestCrashFreeDrawOrderUnchanged(t *testing.T) {
-	// A crash-free config must consume the RNG stream exactly as it did
-	// before crash support existed: the same join/leave schedule results.
-	run := func(crash float64) (joins, leaves []float64) {
-		cfg := Config{StartMS: 0, StopMS: 30000, MeanJoinIntervalMS: 400, MeanLeaveIntervalMS: 700, MeanCrashIntervalMS: crash}
-		ru, err := NewRunner(cfg, rng.New(99))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ru.OnJoin = func(e *event.Engine) error { joins = append(joins, float64(e.Now())); return nil }
-		ru.OnLeave = func(e *event.Engine) error { leaves = append(leaves, float64(e.Now())); return nil }
-		e := event.New()
-		ru.Start(e)
-		e.RunUntil(60000)
-		return joins, leaves
-	}
-	j1, l1 := run(0)
-	// With OnCrash nil, even a nonzero crash interval must not perturb the
-	// join/leave draws (the crash process is never armed).
-	j2, l2 := run(250)
-	if len(j1) != len(j2) || len(l1) != len(l2) {
-		t.Fatalf("schedule lengths diverged: %d/%d vs %d/%d", len(j1), len(l1), len(j2), len(l2))
-	}
-	for i := range j1 {
-		if j1[i] != j2[i] {
-			t.Fatalf("join %d diverged: %v vs %v", i, j1[i], j2[i])
-		}
-	}
-	for i := range l1 {
-		if l1[i] != l2[i] {
-			t.Fatalf("leave %d diverged: %v vs %v", i, l1[i], l2[i])
-		}
 	}
 }
 

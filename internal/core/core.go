@@ -463,9 +463,11 @@ func New(o *overlay.Overlay, cfg Config, r *rng.Rand) (*Protocol, error) {
 
 // AttachFaults runs the protocol's messages past inj: losses trigger
 // timeouts and bounded retransmission with exponential back-off + jitter,
-// and duplicated responses are dropped by their sequence guard. A nil
-// injector — or none attached — takes the same one path, delivering every
-// message clean and drawing nothing.
+// and duplicated responses are dropped by their sequence guard. Each
+// message's fate is the fault model's one hash — a host's k-th message gets
+// inj.DeliverStateless(from, to, k, now) — so it draws nothing from the
+// protocol's generator. A nil injector — or none attached — takes the same
+// one path, delivering every message clean.
 func (p *Protocol) AttachFaults(inj *faults.Injector) { p.faults = inj }
 
 // Start registers every live slot with the clock. Each node's first probe

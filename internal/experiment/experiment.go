@@ -338,9 +338,9 @@ var table = []spec{
 		title:  "Robustness to crash-stop churn: final stretch vs crashed fraction (with repair)",
 		xLabel: "crashed peers (%)", yLabel: "stretch | corpses repaired",
 		notes: []string{
-			fmt.Sprintf("background faults: loss=%g, duplication=%g, jitter U[0,%dms); crashes Poisson inside minutes %d-%d",
+			fmt.Sprintf("background faults: loss=%g, duplication=%g, jitter U[0,%dms); each host crashes with the swept probability at a faults.CrashAt time inside minutes %d-%d",
 				figRBackgroundLoss, figRBackgroundLoss*figRDupFraction, figRJitterMS, churnStartMS/60000, churnStopMS/60000),
-			"repair: once per minute, gnutella.RepairCrashed purges corpses and rewires survivors; audit (bijection, connectivity, overlay invariants) runs after every repair round and fails the run on violation",
+			"repair: once per minute, gnutella.Net.Repair purges corpses and rewires survivors; audit (bijection, connectivity, overlay invariants) runs after every repair round and fails the run on violation",
 			"expected shape: stretch rises mildly with the crashed fraction but stays below the unoptimized overlay",
 		},
 		uses:  useCrash,

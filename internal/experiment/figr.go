@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/audit"
-	"repro/internal/churn"
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/faults"
@@ -143,11 +142,11 @@ func figRaTrial(c *trialCtx) ([]stats.Series, error) {
 	return out, nil
 }
 
-// figRbTrial sweeps the crash-stop fraction: during the churn window a
-// share of the peers dies without deregistering, under a fixed background
-// loss rate. Survivors drop the stale references through liveness
-// eviction, and a once-per-minute repair round purges the corpses and
-// rewires the survivors. The audit invariant suite — slot↔host bijection at
+// figRbTrial sweeps the crash-stop fraction: during the churn window each
+// host dies without deregistering with the swept probability, at
+// faults.CrashAt's time, under a fixed background loss rate. Survivors drop
+// the stale references through liveness eviction, and a once-per-minute
+// repair round purges the corpses and rewires the survivors. The audit invariant suite — slot↔host bijection at
 // every sample tick, connectivity and overlay well-formedness after every
 // repair round — turns any repair bug into a run failure.
 func figRbTrial(c *trialCtx) ([]stats.Series, error) {
@@ -155,9 +154,11 @@ func figRbTrial(c *trialCtx) ([]stats.Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := scaled(1000, c.Scale, 100)
 	phys := e.meanPhysLink()
 	tr := c.tr
+	// One crash seed per trial: a larger fraction crashes a superset of the
+	// hosts, each at the same time.
+	crashSeed := trialSeed(c.world, 990)
 
 	stretchSeries := stats.Series{Label: "PROP-G stretch"}
 	repairSeries := stats.Series{Label: "corpses repaired"}
@@ -187,34 +188,34 @@ func figRbTrial(c *trialCtx) ([]stats.Series, error) {
 		)
 
 		cr := e.r.Split()
-		var start []func(*event.Engine)
-		if crashBudget := int(frac * float64(n)); crashBudget > 0 {
-			mean := float64(churnStopMS-churnStartMS) / float64(crashBudget)
-			ru, err := churn.NewRunner(churn.Config{
-				StartMS: churnStartMS, StopMS: churnStopMS, MeanCrashIntervalMS: mean,
-			}, cr)
-			if err != nil {
-				return nil, err
-			}
-			ru.OnCrash = func(en *event.Engine) error {
-				alive := oc.AliveSlots()
-				if len(alive) <= 10 {
-					return fmt.Errorf("overlay too small to crash")
+		// Plant the crash schedule's events: each selected host dies at its
+		// time, as whatever slot it backs then, while more than 10 are alive.
+		var crashErr error
+		plant := func(en *event.Engine) {
+			for _, h := range oc.Hosts() {
+				at, ok := faults.CrashAt(crashSeed, h, frac, churnStartMS, churnStopMS)
+				if !ok {
+					continue
 				}
-				victim := alive[cr.Intn(len(alive))]
-				if err := g.Crash(victim); err != nil {
-					return err
-				}
-				p.CrashNode(victim)
-				return nil
+				en.At(event.Time(at), func(*event.Engine) {
+					victim := oc.SlotOfHost(h)
+					if victim < 0 || oc.NumAlive() <= 10 || crashErr != nil {
+						return
+					}
+					if crashErr = g.Crash(victim); crashErr == nil {
+						p.CrashNode(victim)
+					}
+				})
 			}
-			start = append(start, ru.Start)
 		}
 
 		prefix := fmt.Sprintf("figRb/crash%g/", frac*100)
 		repaired := 0
 		eng := event.New()
 		if err := runFaulty(tr, prefix, "simulate", eng, p, inj, churnHorizonMS, func(t float64) error {
+			if crashErr != nil {
+				return fmt.Errorf("figRb crash=%g: %w", frac, crashErr)
+			}
 			if corpses := oc.CrashedSlots(); len(corpses) > 0 {
 				// Survivors whose neighbor sets the repair is about to touch:
 				// the corpses' (stale) neighbors. Notify them afterwards so
@@ -254,7 +255,7 @@ func figRbTrial(c *trialCtx) ([]stats.Series, error) {
 				sampleFaultCounters(tr, prefix, t, p.Counters)
 			}
 			return nil
-		}, start...); err != nil {
+		}, plant); err != nil {
 			return nil, err
 		}
 		if !oc.Connected() {

@@ -1,7 +1,7 @@
-// Package faults is the deterministic fault-injection layer of the
-// simulator: it decides, message by message, whether protocol traffic is
-// delivered, lost, duplicated, or delayed, and whether a link or a whole
-// region of the physical network is currently unreachable.
+// Package faults is the deterministic fault model of every runtime: it
+// decides, message by message, whether protocol traffic is delivered, lost,
+// duplicated, or delayed, whether a link or a whole region of the physical
+// network is currently unreachable, and when a peer crash-stops.
 //
 // The paper evaluates PROP-G/PROP-O only under graceful churn and perfectly
 // reliable delivery; real overlays (Ripeanu et al.'s Gnutella maps, Aspnes
@@ -11,18 +11,20 @@
 // liveness-based neighbor eviction — lives in internal/core, and crash-stop
 // membership death is each substrate's overlay.Membership (Crash, Repair).
 //
-// Everything is seed-driven and consulted only from the single-threaded
-// event engine, so a fault schedule is a pure function of its Config: the
-// same seed yields the same losses at the same simulated times, which is
-// what makes the figR* robustness experiments byte-reproducible and lets
-// the fuzz tests shrink failing schedules. Per-message faults (loss,
-// duplication, jitter) draw from a private generator; per-link transient
-// outages and partitions are stateless functions of (link, time window), so
-// they hold consistently for every message crossing the link during the
-// window.
+// Every fault is a pure function of the seed, so a schedule can be named,
+// replayed and shrunk, and the figR* experiments are byte-reproducible. A
+// message's fate is one hash of (seed, directed link, sequence number):
+// DeliverStateless takes the number from its caller (the sharded engine's
+// per-sender counter, a live transport's per-link counter), and Deliver
+// numbers host a's k-th call k, so the sequential engine reads the same
+// verdicts. Transient link outages and partitions are functions of (link,
+// time window), consistent for every message crossing the link during the
+// window, and CrashAt is the one crash-stop schedule, a function of (seed,
+// peer).
 //
-// Key types: Config, Injector (nil receiver = faults off, zero cost), and
-// Delivery. See DESIGN.md §9 for the fault model and parameter table.
+// Key types: Config, Injector (nil receiver = faults off, zero cost),
+// Delivery, and CrashAt. See DESIGN.md §9 for the fault model and parameter
+// table, §12 for the crash schedule.
 package faults
 
 import (
@@ -35,8 +37,8 @@ import (
 // Config describes one fault schedule. The zero value means "no faults":
 // every probability is zero and no partition window is set.
 type Config struct {
-	// Seed drives the per-message draws and the per-link outage hash. Two
-	// injectors with the same Config produce identical schedules.
+	// Seed drives the per-message and per-link outage hashes. Two injectors
+	// with the same Config produce identical schedules.
 	Seed uint64
 	// LossProb is the probability that any single message is silently
 	// dropped (loss is i.i.d. per message, the classic lossy-channel model).
@@ -53,7 +55,7 @@ type Config struct {
 	// a given outage window (transient link failure). Within one window the
 	// link is consistently dead in both directions.
 	LinkFailProb float64
-	// LinkFailPeriodMS is the outage-window length; 0 selects
+	// LinkFailPeriodMS is the outage-window length, finite; 0 selects
 	// DefaultLinkFailPeriodMS. Outage state is a pure function of
 	// (link, floor(now/period)), so it needs no timers.
 	LinkFailPeriodMS float64
@@ -90,8 +92,8 @@ func (c Config) Validate() error {
 	switch {
 	case !(c.JitterMS >= 0 && c.JitterMS < math.Inf(1)):
 		return fmt.Errorf("faults: JitterMS = %v, want finite and >= 0", c.JitterMS)
-	case !(c.LinkFailPeriodMS >= 0):
-		return fmt.Errorf("faults: LinkFailPeriodMS = %v, want >= 0", c.LinkFailPeriodMS)
+	case !(c.LinkFailPeriodMS >= 0 && c.LinkFailPeriodMS < math.Inf(1)):
+		return fmt.Errorf("faults: LinkFailPeriodMS = %v, want finite and >= 0", c.LinkFailPeriodMS)
 	case !finiteWindow(c.PartitionStartMS, c.PartitionStopMS):
 		return fmt.Errorf("faults: partition window [%v,%v) not finite",
 			c.PartitionStartMS, c.PartitionStopMS)
@@ -168,14 +170,15 @@ type Stats struct {
 	JitterSumMS float64
 }
 
-// Injector decides the fate of protocol messages. It must only be consulted
-// from the single-threaded event engine (it owns a mutable RNG). A nil
-// *Injector is the disabled state: Enabled reports false and Deliver
-// returns a clean Delivery without consuming randomness.
+// Injector decides the fate of protocol messages. Deliver keeps a per-sender
+// message count and the Stats, so it must be called from one goroutine at a
+// time (the event engine); every other method is a pure function of the
+// Config and safe anywhere. A nil *Injector is the disabled state: Enabled
+// reports false and every message is delivered clean.
 type Injector struct {
 	cfg    Config
 	period float64
-	r      *rng.Rand
+	sent   []uint64 // Deliver calls so far, per sending host
 	stats  Stats
 }
 
@@ -188,7 +191,7 @@ func NewInjector(cfg Config) (*Injector, error) {
 	if period == 0 {
 		period = DefaultLinkFailPeriodMS
 	}
-	return &Injector{cfg: cfg, period: period, r: rng.New(cfg.Seed ^ 0xfa017f5eed)}, nil
+	return &Injector{cfg: cfg, period: period}, nil
 }
 
 // Enabled reports whether an injector is attached: any constructed one,
@@ -203,60 +206,46 @@ func (in *Injector) Stats() Stats {
 	return in.stats
 }
 
-// Deliver decides the fate of one message from host a to host b at
-// simulated time nowMS. Partition and link-outage drops are checked first
-// (they are deterministic in time and consume no randomness), then the
-// i.i.d. loss/duplication/jitter draws.
+// Deliver decides the fate of host a's next message to host b at simulated
+// time nowMS and tallies it in Stats. Host a's k-th call (from 0) returns
+// DeliverStateless(a, b, k, nowMS): the sequence number counts the sender's
+// messages to every destination, as the sharded engine's does.
 func (in *Injector) Deliver(a, b int, nowMS float64) Delivery {
 	if in == nil {
 		return Delivery{}
 	}
+	if a >= len(in.sent) {
+		in.sent = append(in.sent, make([]uint64, a+1-len(in.sent))...)
+	}
+	seq := in.sent[a]
+	in.sent[a] = seq + 1
+	d := in.DeliverStateless(a, b, seq, nowMS)
 	in.stats.Messages++
-	if in.Partitioned(a, b, nowMS) {
+	switch d.Reason {
+	case ReasonPartition:
 		in.stats.PartitionDrops++
-		return Delivery{Lost: true, Reason: ReasonPartition}
-	}
-	if in.LinkDown(a, b, nowMS) {
+	case ReasonLinkDown:
 		in.stats.LinkDownDrops++
-		return Delivery{Lost: true, Reason: ReasonLinkDown}
-	}
-	var d Delivery
-	if in.cfg.LossProb > 0 && in.r.Float64() < in.cfg.LossProb {
+	case ReasonLoss:
 		in.stats.Lost++
-		return Delivery{Lost: true, Reason: ReasonLoss}
 	}
-	if in.cfg.DupProb > 0 && in.r.Float64() < in.cfg.DupProb {
+	if d.Dup {
 		in.stats.Dups++
-		d.Dup = true
 	}
-	if in.cfg.JitterMS > 0 {
-		d.DelayMS = in.r.Float64() * in.cfg.JitterMS
-		in.stats.JitterSumMS += d.DelayMS
-	}
+	in.stats.JitterSumMS += d.DelayMS
 	return d
 }
 
-// Message-fault salts: each per-message draw of DeliverStateless hashes the
-// same (seed, direction, seq) tuple under a distinct salt so the loss, dup,
-// and jitter verdicts are statistically independent.
-const (
-	saltLoss uint64 = 1 + iota
-	saltDup
-	saltJitter
-)
-
 // DeliverStateless decides the fate of one message as a pure function of
-// (seed, direction a→b, seq) — no generator state is consumed, so the
-// verdict is independent of global delivery order. This is the face the
-// live transports use (internal/transport): a concurrent runtime cannot
-// guarantee a total order on Deliver calls, but per-link sequence numbers
-// are ordered per sender, so hashing them keeps a seeded live run's fault
-// schedule reproducible (the figR-style determinism contract, outside the
-// simulator). nowMS positions the message against the partition and
-// link-outage windows, exactly as in Deliver.
+// (seed, direction a→b, seq), so the verdict is independent of global
+// delivery order: any shard, and any goroutine of a live transport, can
+// evaluate it. nowMS positions the message against the partition and
+// link-outage windows, which are checked first. Loss, duplication and
+// jitter then read disjoint bit fields of one hash word, so they are
+// independent of each other; a→b and b→a are independent streams.
 //
-// Unlike Deliver, no Stats are tallied — the function is pure; transports
-// own their delivery accounting (e.g. transport.Loopback's drop log).
+// No Stats are tallied — the function is pure; callers own their delivery
+// accounting (Deliver, shard.Stats, transport.Loopback's drop log).
 func (in *Injector) DeliverStateless(a, b int, seq uint64, nowMS float64) Delivery {
 	if in == nil {
 		return Delivery{}
@@ -271,51 +260,79 @@ func (in *Injector) DeliverStateless(a, b int, seq uint64, nowMS float64) Delive
 	if !(in.cfg.LossProb > 0 || in.cfg.DupProb > 0 || in.cfg.JitterMS > 0) {
 		return d // no per-message probability: nothing to hash
 	}
-	x := msgPrefix(in.cfg.Seed, a, b, seq)
-	if in.cfg.LossProb > 0 && unit(salted(x, saltLoss)) < in.cfg.LossProb {
+	x := verdictWord(in.cfg.Seed, a, b, seq)
+	if in.cfg.LossProb > 0 && field(x, fieldLoss) < in.cfg.LossProb {
 		return Delivery{Lost: true, Reason: ReasonLoss}
 	}
-	if in.cfg.DupProb > 0 && unit(salted(x, saltDup)) < in.cfg.DupProb {
+	if in.cfg.DupProb > 0 && field(x, fieldDup) < in.cfg.DupProb {
 		d.Dup = true
 	}
-	if in.cfg.JitterMS > 0 {
-		d.DelayMS = unit(salted(x, saltJitter)) * in.cfg.JitterMS
-	}
+	d.DelayMS = field(x, fieldJitter) * in.cfg.JitterMS
 	return d
 }
 
 // JitterStateless returns only the jitter component of the stateless
-// verdict for (a→b, seq): the same hash DeliverStateless would draw, with
-// the loss and duplication rolls skipped. Two uses need it: duplicate
-// copies (their existence was decided by the original's Dup bit, but
-// their delay must be an independent draw keyed by their own sequence
-// number) and loss-exempt messages such as the sharded engine's swap
-// acknowledgment, which still jitters but never drops.
+// verdict for (a→b, seq): the field DeliverStateless reads, with the loss
+// and duplication verdicts ignored. Two uses need it: duplicate copies
+// (their existence was decided by the original's Dup bit, but their delay
+// is keyed by their own sequence number) and loss-exempt messages such as
+// the sharded engine's swap acknowledgment, which still jitters but never
+// drops.
 func (in *Injector) JitterStateless(a, b int, seq uint64) float64 {
 	if in == nil || in.cfg.JitterMS <= 0 {
 		return 0
 	}
-	return unit(salted(msgPrefix(in.cfg.Seed, a, b, seq), saltJitter)) * in.cfg.JitterMS
+	return field(verdictWord(in.cfg.Seed, a, b, seq), fieldJitter) * in.cfg.JitterMS
 }
 
-// msgPrefix folds (seed, directed link, per-link sequence number) through
-// rng.Mix, one word at a time; salted finishes it with one salt, so the
-// verdicts of one message share the prefix. Direction matters — a→b and
-// b→a are independent message streams — unlike linkHash, whose outages are
-// link-symmetric.
-func msgPrefix(seed uint64, a, b int, seq uint64) uint64 {
-	x := seed ^ 0x9e3779b97f4a7c15
-	for _, w := range [...]uint64{uint64(a), uint64(b), seq} {
+// verdictWord folds (seed, directed link, sequence number) into one key
+// and mixes it once: every per-message verdict of that message reads a
+// field of the result. Direction matters — a→b and b→a are independent
+// message streams — unlike linkHash, whose outages are link-symmetric.
+func verdictWord(seed uint64, a, b int, seq uint64) uint64 {
+	return rng.Mix((seed ^ 0x9e3779b97f4a7c15) + uint64(a)*0xc2b2ae3d27d4eb4f +
+		uint64(b)*0x165667b19e3779f9 + seq*0xd6e8feb86659fd93)
+}
+
+// The verdict word's fields: loss, duplication and jitter each read their
+// own fieldBits bits, so the three are independent uniforms.
+const (
+	fieldBits = 21
+
+	fieldLoss   = 0
+	fieldDup    = fieldBits
+	fieldJitter = 2 * fieldBits
+)
+
+// field maps the fieldBits bits of x starting at bit shift onto [0,1).
+func field(x uint64, shift uint) float64 {
+	return float64(x>>shift&(1<<fieldBits-1)) / (1 << fieldBits)
+}
+
+// unit maps 64 hash bits onto [0,1) with 53-bit precision.
+func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
+
+// CrashAt is the crash-stop schedule: whether peer id crash-stops under
+// (seed, frac) and, if so, at what time in [startMS, stopMS). One hash of
+// (seed, id) decides whether, a second when, so the schedule is a pure
+// function of its arguments — any shard or runtime can evaluate it for any
+// peer — and, for one seed, a larger frac crashes a superset of the peers,
+// each at the same time.
+func CrashAt(seed uint64, id int, frac, startMS, stopMS float64) (atMS float64, ok bool) {
+	if unit(crashHash(seed, id, 1)) >= frac {
+		return 0, false
+	}
+	return startMS + unit(crashHash(seed, id, 2))*(stopMS-startMS), true
+}
+
+// crashHash folds (seed, peer, salt) through rng.Mix, one word at a time.
+func crashHash(seed uint64, id int, salt uint64) uint64 {
+	x := seed ^ 0xc5a5e5d1b3a91f37
+	for _, w := range [...]uint64{uint64(uint32(id)), salt} {
 		x = rng.Mix(x + w + 0x9e3779b97f4a7c15)
 	}
 	return x
 }
-
-// salted finishes a msgPrefix with one salt.
-func salted(prefix, salt uint64) uint64 { return rng.Mix(prefix + salt + 0x9e3779b97f4a7c15) }
-
-// unit maps 64 hash bits onto [0,1) with 53-bit precision.
-func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // Partitioned reports whether hosts a and b are on opposite sides of the
 // partition cut at time nowMS.

@@ -22,6 +22,7 @@ func TestValidate(t *testing.T) {
 		{"jitter-negative", Config{JitterMS: -1}, false},
 		{"jitter-inf", Config{JitterMS: math.Inf(1)}, false},
 		{"period-negative", Config{LinkFailPeriodMS: -5}, false},
+		{"period-inf", Config{LinkFailProb: 0.1, LinkFailPeriodMS: math.Inf(1)}, false},
 		{"partition-inverted", Config{PartitionStartMS: 10, PartitionStopMS: 5, Isolated: map[int]bool{1: true}}, false},
 		{"partition-empty", Config{PartitionStartMS: 5, PartitionStopMS: 10}, false},
 		{"partition-ok", Config{PartitionStartMS: 5, PartitionStopMS: 10, Isolated: map[int]bool{1: true}}, true},
@@ -293,6 +294,31 @@ func TestDeliverStatelessRates(t *testing.T) {
 	if mean := jitter / float64(n-lost); mean < 4 || mean > 6 {
 		t.Fatalf("mean jitter %.3f, want ~5", mean)
 	}
+	// The three verdicts read disjoint fields of one hash word: jitter must
+	// not depend on the dup verdict, nor a→b's loss on b→a's.
+	var dupSum, cleanSum float64
+	agree := 0
+	for seq := uint64(0); seq < n; seq++ {
+		d := in.DeliverStateless(4, 9, seq, 0)
+		switch {
+		case d.Lost:
+		case d.Dup:
+			dupSum += d.DelayMS
+		default:
+			cleanSum += d.DelayMS
+		}
+		if d.Lost == in.DeliverStateless(9, 4, seq, 0).Lost {
+			agree++
+		}
+	}
+	dupMean, cleanMean := dupSum/float64(dups), cleanSum/float64(n-lost-dups)
+	if math.Abs(dupMean-cleanMean) > 0.3 {
+		t.Fatalf("mean jitter %.3f among duplicates, %.3f among the rest: fields correlate", dupMean, cleanMean)
+	}
+	// Independent directions disagree with probability 2p(1-p) = 0.42.
+	if r := 1 - float64(agree)/n; r < 0.40 || r > 0.44 {
+		t.Fatalf("a→b and b→a loss verdicts disagree at %.4f, want ~0.42", r)
+	}
 	if s := in.Stats(); s.Messages != 0 {
 		t.Fatalf("stateless path tallied %d messages; it must stay pure", s.Messages)
 	}
@@ -314,5 +340,94 @@ func TestDeliverStatelessNilAndWindows(t *testing.T) {
 	}
 	if d := in.DeliverStateless(1, 2, 7, 250); d.Lost {
 		t.Fatalf("post-window verdict %+v, want delivery", d)
+	}
+}
+
+// TestDeliverNumbersPerSender pins the sequential engine's numbering rule:
+// host a's k-th Deliver call, to whatever destination, returns
+// DeliverStateless(a, b, k, now)'s verdict, and Stats tallies it.
+func TestDeliverNumbersPerSender(t *testing.T) {
+	cfg := Config{Seed: 11, LossProb: 0.2, DupProb: 0.2, JitterMS: 7, LinkFailProb: 0.1,
+		PartitionStartMS: 0, PartitionStopMS: 50, Isolated: map[int]bool{3: true}}
+	in, err := NewInjector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewInjector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := map[int]uint64{}
+	var want Stats
+	for i := 0; i < 3000; i++ {
+		a, b, now := (i*7)%5, (i*3)%4+1, float64(i)
+		got := in.Deliver(a, b, now)
+		w := ref.DeliverStateless(a, b, sent[a], now)
+		sent[a]++
+		if got != w {
+			t.Fatalf("call %d: Deliver(%d,%d) = %+v, DeliverStateless(seq %d) = %+v", i, a, b, got, sent[a]-1, w)
+		}
+		want.Messages++
+		switch w.Reason {
+		case ReasonPartition:
+			want.PartitionDrops++
+		case ReasonLinkDown:
+			want.LinkDownDrops++
+		case ReasonLoss:
+			want.Lost++
+		}
+		if w.Dup {
+			want.Dups++
+		}
+		want.JitterSumMS += w.DelayMS
+	}
+	got := in.Stats()
+	if got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+	if got.PartitionDrops == 0 || got.LinkDownDrops == 0 || got.Lost == 0 || got.Dups == 0 {
+		t.Fatalf("a verdict kind never occurred: %+v", got)
+	}
+}
+
+// TestCrashAt pins the crash-stop schedule: a pure function of (seed, id),
+// its crashed fraction within a binomial bound, every time inside
+// [start, stop), and a larger fraction crashing a superset at the same
+// times.
+func TestCrashAt(t *testing.T) {
+	const n, start, stop = 20000, 1000.0, 5000.0
+	for _, seed := range []uint64{1, 2, 99} {
+		lowN, highN := 0, 0
+		for id := 0; id < n; id++ {
+			lo, lok := CrashAt(seed, id, 0.1, start, stop)
+			hi, hok := CrashAt(seed, id, 0.3, start, stop)
+			if again, ok := CrashAt(seed, id, 0.1, start, stop); again != lo || ok != lok {
+				t.Fatalf("seed %d id %d: schedule not pure", seed, id)
+			}
+			if lok {
+				lowN++
+				if !hok || hi != lo {
+					t.Fatalf("seed %d id %d crashes at %v under 0.1 but (%v, %v) under 0.3", seed, id, lo, hi, hok)
+				}
+			}
+			if hok {
+				highN++
+				if hi < start || hi >= stop {
+					t.Fatalf("seed %d id %d crashes at %v outside [%v,%v)", seed, id, hi, start, stop)
+				}
+			}
+		}
+		// Five standard deviations of Binomial(n, p).
+		for _, c := range []struct {
+			p   float64
+			got int
+		}{{0.1, lowN}, {0.3, highN}} {
+			if tol := 5 * math.Sqrt(n*c.p*(1-c.p)); math.Abs(float64(c.got)-n*c.p) > tol {
+				t.Fatalf("seed %d frac %v: %d of %d crash, want %v ± %.0f", seed, c.p, c.got, n, n*c.p, tol)
+			}
+		}
+	}
+	if _, ok := CrashAt(1, 0, 0, start, stop); ok {
+		t.Fatal("frac 0 crashed a peer")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -47,7 +48,7 @@ func (e *Engine) Run(tr *obs.Trial, prefix string) error {
 		e.schedule(sh, int32(p), probeIntervalMS*u01(e.draw(int32(p))), kProbe, 0)
 		// The crash schedule is a stateless per-peer hash, so this loop
 		// plants byte-identical kCrash timers for every shard count.
-		if at, ok := e.crashSchedule(int32(p)); ok {
+		if at, ok := faults.CrashAt(e.seed, p, e.fc.CrashFrac, e.fc.CrashStartMS, e.fc.CrashStopMS); ok {
 			e.schedule(sh, int32(p), at, kCrash, 0)
 		}
 	}

@@ -252,6 +252,8 @@ func TestFaultConfigValidation(t *testing.T) {
 		{CrashFrac: 0.3, CrashStopMS: math.Inf(1)},
 		{PartitionStartMS: math.NaN(), PartitionStopMS: 5},
 		{PartitionStartMS: 0, PartitionStopMS: math.Inf(1)},
+		{CrashFrac: 0.5, CrashStartMS: -60000, CrashStopMS: -1},
+		{LinkFailPeriodMS: math.Inf(1)},
 	}
 	for i, fc := range bad {
 		cfg := tinyConfig(2, 1)

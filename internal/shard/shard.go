@@ -47,9 +47,13 @@
 // reference and the estimator's error to the stream.
 //
 // Faults and the swap: every run takes one path, whatever its schedule
-// (Config.Faults; nil is all zero). A probe cycle's walk and a swap's
-// proposal each arm a timeout, the only aborts, and the rules of the
-// version-guarded swap are core.Txn's, which the handlers drive (sim.go).
+// (Config.Faults; nil is all zero). Message verdicts and crash times come
+// from internal/faults' one model — faults.DeliverStateless keyed by the
+// sender's send counter, faults.CrashAt per peer — so the sequential
+// engine, this one and the live transport share one fault schedule. A
+// probe cycle's walk and a swap's proposal each arm a timeout, the only
+// aborts, and the rules of the version-guarded swap are core.Txn's, which
+// the handlers drive (sim.go).
 //
 // Entry points: New builds the world (physical network, latency plane,
 // logical overlay, initial random placement); Engine.Run executes the
@@ -131,11 +135,12 @@ type Config struct {
 }
 
 // FaultConfig is the sharded engine's fault and churn schedule, the fault
-// model of internal/faults restated for the shard tier. Every verdict
-// it induces is a stateless hash of (seed, link or peer, sequence or time
-// window) in the style of faults.DeliverStateless, so any shard can
-// evaluate any message's fate with no shared mutable state — the property
-// that keeps metrics streams byte-identical across shard counts.
+// model of internal/faults with a transit domain as the partition cut.
+// Every verdict it induces is a stateless hash of (seed, link or peer,
+// sequence or time window) — faults.DeliverStateless, faults.CrashAt — so
+// any shard can evaluate any message's fate with no shared mutable state,
+// the property that keeps metrics streams byte-identical across shard
+// counts.
 type FaultConfig struct {
 	// LossProb is the i.i.d. per-message drop probability. The two-phase
 	// swap acknowledgment (kCommitOK) is exempt: core.Txn's one assumption.
@@ -162,9 +167,9 @@ type FaultConfig struct {
 	PartitionDomain                   int
 	PartitionStartMS, PartitionStopMS float64
 	// CrashFrac is the fraction of peers that crash-stop (dead forever,
-	// dropping all traffic) at a stateless per-peer hash time inside
-	// [CrashStartMS, CrashStopMS). Both zero means the middle third of the
-	// horizon.
+	// dropping all traffic) at faults.CrashAt's per-peer time inside
+	// [CrashStartMS, CrashStopMS), which must not start before t = 0. Both
+	// zero means the middle third of the horizon.
 	CrashFrac                 float64
 	CrashStartMS, CrashStopMS float64
 }
@@ -191,6 +196,9 @@ func (f *FaultConfig) validate(net netsim.Config) error {
 		return fmt.Errorf("shard: Faults.PartitionDomain = %d, want 0..%d", f.PartitionDomain, net.TransitDomains-1)
 	case f.CrashStopMS < f.CrashStartMS:
 		return fmt.Errorf("shard: crash window [%v,%v) inverted", f.CrashStartMS, f.CrashStopMS)
+	case f.CrashStartMS < 0:
+		// A crash before t = 0 would be missed by the t = 0 sample.
+		return fmt.Errorf("shard: crash window [%v,%v) starts before t = 0", f.CrashStartMS, f.CrashStopMS)
 	}
 	return nil
 }

@@ -193,29 +193,6 @@ func (e *Engine) initFaults(maxLeg float64) error {
 // world-generation and AL-estimator streams derived from the same seed.
 const shardFaultSalt = 0x73686172642d666c // "shard-fl"
 
-// crashSchedule reports whether peer p crash-stops this run and, if so,
-// when: a stateless hash of (seed, peer) decides both, so the schedule is
-// a pure function of the configuration — independent of shard layout, and
-// computable for any peer by any shard.
-func (e *Engine) crashSchedule(p int32) (at float64, crashes bool) {
-	if u01(crashHash(e.seed, p, 1)) >= e.fc.CrashFrac {
-		return 0, false
-	}
-	span := e.fc.CrashStopMS - e.fc.CrashStartMS
-	return e.fc.CrashStartMS + u01(crashHash(e.seed, p, 2))*span, true
-}
-
-// crashHash folds (seed, peer, salt) through rng.Mix — the finaliser draw
-// uses, but counterless, so consulting it never perturbs the peer's
-// protocol randomness.
-func crashHash(seed uint64, p int32, salt uint64) uint64 {
-	x := seed ^ 0xc5a5e5d1b3a91f37
-	for _, w := range [...]uint64{uint64(uint32(p)), salt} {
-		x = rng.Mix(x + w + 0x9e3779b97f4a7c15)
-	}
-	return x
-}
-
 // partitioned reports whether the domain-partition cut separates peers p
 // and q at time nowMS.
 func (e *Engine) partitioned(p, q int32, nowMS float64) bool {
