@@ -140,8 +140,11 @@ func runLoopback(n int, dur time.Duration, policyName string, seed uint64, inter
 	o := rt.Overlay()
 	after := o.MeanLinkLatency()
 	c := rt.Counters()
-	fmt.Printf("probes %d  exchanges %d  rejected %d  walk-failures %d  measure-failures %d  stale %d\n",
-		c.Probes, c.Exchanges, c.Rejected, c.WalkFailures, c.MeasureFailures, c.Stale)
+	// Messages per probe cycle is every message the loopback carried —
+	// walks, measurements and heartbeats alike — over the cycles run.
+	fmt.Printf("probes %d  exchanges %d  rejected %d  walk-failures %d  measure-failures %d  stale %d  heartbeats %d  msgs-per-probe %.1f\n",
+		c.Probes, c.Exchanges, c.Rejected, c.WalkFailures, c.MeasureFailures, c.Stale,
+		c.Heartbeats, float64(lb.Stats().Sent)/float64(max(c.Probes, 1)))
 	fmt.Printf("mean link latency: %.3fms -> %.3fms\n", before, after)
 	if err := o.CheckInvariants(); err != nil {
 		return fmt.Errorf("overlay invariants violated: %w", err)

@@ -18,11 +18,31 @@ import (
 // ring + top-up rule internal/gnutella applies, so detector-triggered repair
 // and an explicit Repair leave identical structure.
 //
-// The suspicion map is keyed by host, not slot: PROP exchanges migrate hosts
-// between slots, and it is the host (the machine) that is unreachable.
-// The map, like the sweep's list of live neighbor hosts (agent.hbLive), is
-// owned exclusively by the detector goroutine — no locking, and nothing
-// allocated per sweep.
+// Heartbeats are also the RTT refresh (§3.2: a peer knows Σ d(u,i) to its
+// neighbors): an answered heartbeat records its RTT, which an exchange reads
+// instead of pinging the neighbor again (rtt); a missed one drops it, so a
+// silent neighbor is pinged again and fails the evaluation.
+//
+// The table is keyed by host, not slot: PROP exchanges migrate hosts
+// between slots, and it is the host (the machine) that is unreachable. Each
+// sweep rebuilds it from the live neighbors without allocating, so an
+// ex-neighbor (exchange, leave, eviction) loses its record. The detector
+// goroutine alone writes it, under agent.nbrMu, held across no round trip.
+
+// nbr is the detector's record of one live neighbor host: its suspicion
+// level and the RTT of its last heartbeat, negative when that heartbeat
+// missed or none has been answered yet.
+type nbr struct {
+	host  int
+	level int
+	rtt   float64
+}
+
+// find returns the index of host's record in a.nbrs, or -1. Degrees are
+// small, so a scan beats a map. Caller holds a.nbrMu or is the detector.
+func (a *agent) find(host int) int {
+	return slices.IndexFunc(a.nbrs, func(n nbr) bool { return n.host == host })
+}
 
 // suspicionThreshold is the accrual bound: a neighbor whose heartbeats miss
 // this many consecutive sweeps is evicted and membership repair runs.
@@ -48,8 +68,8 @@ func (rt *Runtime) runDetector(a *agent, stagger time.Duration) {
 	}
 }
 
-// heartbeatOnce runs one detector sweep: snapshot the agent's live
-// neighbors under the lock, then ping each one without it (pumps answer
+// heartbeatOnce runs one detector sweep: rebuild the agent's table from its
+// live neighbors under the lock, then ping each one without it (pumps answer
 // pings without taking rt.mu, so heartbeat traffic can never deadlock
 // against an exchange holding the lock).
 func (rt *Runtime) heartbeatOnce(a *agent) {
@@ -63,20 +83,26 @@ func (rt *Runtime) heartbeatOnce(a *agent) {
 		rt.mu.Unlock()
 		return
 	}
-	// rt.sc.Nbrs is valid while rt.mu is held; the live hosts outlive the
-	// lock in the detector's own scratch.
+	// rt.sc.Nbrs is valid while rt.mu is held. The next table goes into the
+	// spare buffer, each record carried over from the last sweep or new.
 	rt.sc.Nbrs = rt.o.Logical.AppendNeighbors(rt.sc.Nbrs[:0], u)
-	live := a.hbLive[:0]
+	next := a.spare[:0]
 	corpses := false
 	for _, nb := range rt.sc.Nbrs {
-		if rt.o.Alive(nb) {
-			live = append(live, rt.o.HostOf(nb))
-		} else {
+		if !rt.o.Alive(nb) {
 			corpses = true
+			continue
 		}
+		rec := nbr{host: rt.o.HostOf(nb), rtt: -1}
+		if i := a.find(rec.host); i >= 0 {
+			rec = a.nbrs[i]
+		}
+		next = append(next, rec)
 	}
-	a.hbLive = live
 	rt.mu.Unlock()
+	a.nbrMu.Lock()
+	a.nbrs, a.spare = next, a.nbrs
+	a.nbrMu.Unlock()
 
 	if corpses {
 		// The overlay already knows this neighbor died (crash-stop): no
@@ -84,35 +110,27 @@ func (rt *Runtime) heartbeatOnce(a *agent) {
 		rt.repairCorpses(a)
 	}
 
-	// Forget suspicion for ex-neighbors: accrual is per-link, and the link
-	// is gone (exchange, leave, or an earlier eviction). Degrees are small,
-	// so a scan of the live list beats building a set.
-	for h := range a.susp {
-		if !slices.Contains(live, h) {
-			delete(a.susp, h)
-		}
-	}
-
-	for _, host := range live {
+	for i := range next {
 		select {
 		case <-a.stop:
 			return
 		default:
 		}
-		level := a.susp[host]
-		shift := level
-		if shift > 3 {
-			shift = 3
-		}
+		host := next[i].host
 		rt.heartbeats.Add(1)
-		if _, err := a.node.Ping(host, rt.cfg.HeartbeatTimeout<<shift, 0); err == nil {
-			delete(a.susp, host)
-			continue
+		rtt, err := a.node.Ping(host, rt.cfg.HeartbeatTimeout<<min(next[i].level, 3), 0)
+		a.nbrMu.Lock()
+		rec := &next[i]
+		rec.level, rec.rtt = rec.level+1, -1
+		if err == nil {
+			rec.level, rec.rtt = 0, rtt
 		}
-		level++
-		a.susp[host] = level
-		if level >= suspicionThreshold {
-			delete(a.susp, host)
+		evict := rec.level >= suspicionThreshold
+		if evict {
+			rec.level = 0
+		}
+		a.nbrMu.Unlock()
+		if evict {
 			rt.evictSuspect(a, host)
 		}
 	}

@@ -1,12 +1,17 @@
 package propnode
 
 import (
+	"encoding/binary"
+	"math"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/overlay"
+	"repro/internal/transport"
 )
 
 // silentFail kills host's agent without telling the overlay: the endpoint
@@ -234,5 +239,249 @@ func TestRecoverRejoin(t *testing.T) {
 	}
 	if err := o.CheckInvariants(); err != nil {
 		t.Fatalf("overlay invariants at quiesce: %v", err)
+	}
+}
+
+// record reads host's entry in a's detector table: ok is false when the
+// table holds none, and the RTT is negative when the last heartbeat missed.
+func record(a *agent, host int) (n nbr, ok bool) {
+	a.nbrMu.Lock()
+	defer a.nbrMu.Unlock()
+	if i := a.find(host); i >= 0 {
+		return a.nbrs[i], true
+	}
+	return nbr{}, false
+}
+
+// silentTimeout is the deadline for tests that make a host silent: a ping to
+// it and its three retransmits give up in well under a second.
+const silentTimeout = 40 * time.Millisecond
+
+// TestCachedRTTChangesNoDecision: a neighbor RTT read from the detector's
+// table is the RTT a ping would measure, so a warm evaluation decides what a
+// cold one does. On the fault-free loopback the same swap's pairs measure
+// bit-equal either way, with fewer pings warm. And a cached RTT never hides
+// a silent neighbor: after one missed sweep its record holds no RTT, so the
+// next evaluation pings it and ends Poisoned, as without the table.
+func TestCachedRTTChangesNoDecision(t *testing.T) {
+	t.Run("bit-equal", func(t *testing.T) {
+		rt := quietRuntime(t, 16, core.PROPG, transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}), time.Second)
+		defer rt.Stop()
+		u, path := twoHopPartner(t, rt, core.PROPG)
+		rt.mu.Lock()
+		a, b := rt.agents[rt.o.HostOf(u)], rt.agents[rt.o.HostOf(path[2])]
+		rt.o.SwapPairs(u, path[2], &a.sc)
+		rt.mu.Unlock()
+		pings := func() uint64 { return a.node.Stats().PingsSent + b.node.Stats().PingsSent }
+
+		p0 := pings()
+		if got := rt.measure(a); got != len(a.sc.Pairs) {
+			t.Fatalf("cold: measured %d of %d pairs", got, len(a.sc.Pairs))
+		}
+		cold, coldPings := slices.Clone(a.sc.RTT), pings()-p0
+		sweepAll(rt)
+		p1 := pings()
+		if got := rt.measure(a); got != len(a.sc.Pairs) {
+			t.Fatalf("warm: measured %d of %d pairs", got, len(a.sc.Pairs))
+		}
+		if warmPings := pings() - p1; warmPings >= coldPings {
+			t.Fatalf("warm evaluation sent %d pings, cold %d: the table was not read", warmPings, coldPings)
+		}
+		for k, pr := range a.sc.Pairs {
+			if math.Float64bits(a.sc.RTT[k]) != math.Float64bits(cold[k]) {
+				t.Errorf("pair %v: warm RTT %v, cold %v", pr, a.sc.RTT[k], cold[k])
+			}
+		}
+	})
+	t.Run("silent neighbor", func(t *testing.T) {
+		net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
+		rt := quietRuntime(t, 16, core.PROPG, net, silentTimeout)
+		defer rt.Stop()
+		u, path := twoHopPartner(t, rt, core.PROPG)
+		rt.mu.Lock()
+		hostU, hostV := rt.o.HostOf(u), rt.o.HostOf(path[2])
+		a := rt.agents[hostU]
+		silent := -1
+		for _, s := range rt.o.Neighbors(u) {
+			if h := rt.o.HostOf(s); h != hostV {
+				silent = h
+				break
+			}
+		}
+		rt.mu.Unlock()
+
+		sweepAll(rt)
+		if n, ok := record(a, silent); !ok || n.rtt != ClusterLat(hostU, silent) || n.level != 0 {
+			t.Fatalf("after an answered sweep, neighbor %d's record is %+v (present %v)", silent, n, ok)
+		}
+		net.silent.Store(int64(silent) + 1)
+		rt.heartbeatOnce(a)
+		if n, ok := record(a, silent); !ok || n.rtt >= 0 || n.level != 1 {
+			t.Fatalf("after one missed sweep, neighbor %d's record is %+v (present %v); want no RTT, suspicion 1", silent, n, ok)
+		}
+		rt.mu.Lock()
+		a.cyc.Fired(&a.round, rt.o.Neighbors(u))
+		rt.mu.Unlock()
+		end := rt.evaluate(a, u, path)
+		rt.ended(end)
+		if c := rt.Counters(); end.Reason != core.Poisoned || c.MeasureFailures != 1 || c.Exchanges != 0 {
+			t.Fatalf("an evaluation over silent neighbor %d ended %v, counters %+v; want Poisoned", silent, end.Reason, c)
+		}
+	})
+}
+
+// TestNeighborTableLifetime walks one record through its life — no entry
+// before a sweep, an RTT after a pong, none after a miss, the RTT back after
+// the next pong, and no entry once the host leaves the neighbor set through
+// an exchange or a suspicion eviction — while readers measure through the
+// table concurrently: one runs measure and two answer TMeasure lists. Every
+// RTT a reader gets must be the ground truth. Run it under
+// go test -race -count=10 -run TestNeighborTableLifetime.
+func TestNeighborTableLifetime(t *testing.T) {
+	net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
+	rt := quietRuntime(t, 16, core.PROPG, net, silentTimeout)
+	defer rt.Stop()
+	rt.mu.Lock()
+	a := rt.agents[0]
+	u := rt.o.SlotOfHost(0)
+	var nbrs, others []int // hosts
+	for h := 1; h < 16; h++ {
+		if rt.o.Logical.HasEdge(u, rt.o.SlotOfHost(h)) {
+			nbrs = append(nbrs, h)
+		} else {
+			others = append(others, h)
+		}
+	}
+	rt.mu.Unlock()
+	if len(nbrs) < 2 || len(others) == 0 {
+		t.Fatalf("host 0 has neighbors %v and non-neighbors %v", nbrs, others)
+	}
+	for _, h := range nbrs {
+		if _, ok := record(a, h); ok {
+			t.Fatalf("neighbor %d has a record before any sweep", h)
+		}
+	}
+
+	// The readers: every host but 0, as one list.
+	all := append(slices.Clone(nbrs), others...)
+	var body []byte
+	for _, h := range all {
+		body = binary.BigEndian.AppendUint64(body, uint64(h))
+	}
+	replies, err := net.Loopback.Open(99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replies.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(4)
+	go func() { // the prober's side
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a.sc.Pairs, a.sc.RTT = a.sc.Pairs[:0], a.sc.RTT[:0]
+			for _, h := range all {
+				a.sc.Pairs, a.sc.RTT = append(a.sc.Pairs, [2]int{0, h}), append(a.sc.RTT, -1)
+			}
+			got := rt.measure(a)
+			for k, pr := range a.sc.Pairs[:got] {
+				if a.sc.RTT[k] != ClusterLat(0, pr[1]) {
+					t.Errorf("measure: host %d at %v, want %v", pr[1], a.sc.RTT[k], ClusterLat(0, pr[1]))
+				}
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ { // the partner's side
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rt.handleMeasure(a, transport.Message{Type: transport.TMeasure, Src: 99, Body: body})
+			}
+		}()
+	}
+	go func() { // the relays' replies
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case in := <-replies.Recv():
+				for k, h := range all[:len(in.Msg.Body)/8] {
+					if got := math.Float64frombits(binary.BigEndian.Uint64(in.Msg.Body[8*k:])); got != ClusterLat(0, h) {
+						t.Errorf("handleMeasure: host %d at %v, want %v", h, got, ClusterLat(0, h))
+					}
+				}
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	answered := func(h int) {
+		t.Helper()
+		if n, ok := record(a, h); !ok || n.rtt != ClusterLat(0, h) || n.level != 0 {
+			t.Fatalf("answered neighbor %d's record is %+v (present %v)", h, n, ok)
+		}
+	}
+	rt.heartbeatOnce(a)
+	for _, h := range nbrs {
+		answered(h)
+	}
+
+	// A miss drops the RTT and keeps the suspicion; the next pong clears both.
+	quiet := nbrs[0]
+	net.silent.Store(int64(quiet) + 1)
+	rt.heartbeatOnce(a)
+	if n, ok := record(a, quiet); !ok || n.rtt >= 0 || n.level != 1 {
+		t.Fatalf("missed neighbor %d's record is %+v (present %v); want no RTT, suspicion 1", quiet, n, ok)
+	}
+	answered(nbrs[1])
+	net.silent.Store(0)
+	rt.heartbeatOnce(a)
+	answered(quiet)
+
+	// An exchange moves a neighbor's host out and a stranger's in.
+	moved, stranger := nbrs[1], others[0]
+	rt.mu.Lock()
+	err = rt.o.SwapHosts(rt.o.SlotOfHost(moved), rt.o.SlotOfHost(stranger))
+	rt.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.heartbeatOnce(a)
+	if n, ok := record(a, moved); ok {
+		t.Fatalf("host %d swapped out of the neighbor set keeps record %+v", moved, n)
+	}
+	answered(stranger)
+
+	// suspicionThreshold misses evict the link, and the next sweep drops the
+	// record.
+	net.silent.Store(int64(quiet) + 1)
+	evicts := rt.Counters().SuspectEvictions
+	for i := 0; i < suspicionThreshold; i++ {
+		rt.heartbeatOnce(a)
+	}
+	net.silent.Store(0)
+	rt.heartbeatOnce(a)
+	rt.mu.Lock()
+	still := rt.o.Logical.HasEdge(u, rt.o.SlotOfHost(quiet))
+	rt.mu.Unlock()
+	if got := rt.Counters().SuspectEvictions - evicts; got != 1 || still {
+		t.Fatalf("%d evictions, link to %d kept: %v; want the one link evicted", got, quiet, still)
+	}
+	if n, ok := record(a, quiet); ok {
+		t.Fatalf("evicted host %d keeps record %+v", quiet, n)
 	}
 }

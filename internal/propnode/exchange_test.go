@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,10 +17,12 @@ import (
 )
 
 // hookNet wraps a loopback so a test can act on the wire: every endpoint it
-// opens calls onSend (if set) before each Send.
+// opens calls onSend (if set) before each Send, and the sends of the host
+// held in silent (plus one; 0 is none) vanish.
 type hookNet struct {
 	*transport.Loopback
 	onSend func(from, to int, m transport.Message)
+	silent atomic.Int64
 }
 
 type hookEndpoint struct {
@@ -38,20 +42,24 @@ func (e *hookEndpoint) Send(to int, m transport.Message) error {
 	if f := e.net.onSend; f != nil {
 		f(e.Host(), to, m)
 	}
+	if e.net.silent.Load() == int64(e.Host())+1 {
+		return nil
+	}
 	return e.Endpoint.Send(to, m)
 }
 
 // quietRuntime starts n agents whose probe and heartbeat timers are hours
 // away, so the test drives every exchange itself. MinVar is -Inf: every
-// evaluation that completes wants to commit.
-func quietRuntime(t *testing.T, n int, policy core.Policy, net transport.Network) *Runtime {
+// evaluation that completes wants to commit. ping is the first deadline of
+// every call and heartbeat.
+func quietRuntime(t *testing.T, n int, policy core.Policy, net transport.Network, ping time.Duration) *Runtime {
 	t.Helper()
 	rt := New(net, Config{
 		Policy:          policy,
 		Seed:            11,
 		MinVar:          math.Inf(-1),
 		ProbeIntervalMS: 3.6e6,
-		PingTimeout:     time.Second,
+		PingTimeout:     ping,
 		Lat:             ClusterLat,
 	})
 	if err := rt.Start(hostsN(n)); err != nil {
@@ -92,7 +100,7 @@ func TestStaleEvaluationIsRejected(t *testing.T) {
 	for _, policy := range []core.Policy{core.PROPG, core.PROPO} {
 		for _, move := range []bool{false, true} {
 			net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
-			rt := quietRuntime(t, 16, policy, net)
+			rt := quietRuntime(t, 16, policy, net, time.Second)
 			u, path := twoHopPartner(t, rt, policy)
 			v := path[2]
 			bystander := -1
@@ -182,63 +190,109 @@ func TestExchangesUnderContention(t *testing.T) {
 }
 
 // TestEvaluationWirePrice pins what one evaluation costs on the wire: u
-// pings its own pairs, and v gets one TMeasure listing every target of its
-// pairs, pings each and answers once — 2 + 2k messages for v's k pairs,
-// where a relay per pair cost 4k.
+// measures its own pairs, and v gets one TMeasure listing every target of
+// its pairs, measures each and answers once. Cold — before any heartbeat —
+// every leg is a ping: 2 + 2k messages for v's k pairs, where a relay per
+// pair cost 4k. Warm — after one detector sweep per agent — each side reads
+// its neighbors' RTTs from its table and pings only the legs to hosts that
+// are not its neighbors.
 func TestEvaluationWirePrice(t *testing.T) {
 	for _, policy := range []core.Policy{core.PROPG, core.PROPO} {
-		net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
-		rt := quietRuntime(t, 16, policy, net)
-		u, path := twoHopPartner(t, rt, policy)
-		hostU, hostV := rt.Overlay().HostOf(u), rt.Overlay().HostOf(path[2])
-		var mu sync.Mutex
-		sent := map[[2]int]int{} // by sending host and message type
-		measureTo := -1
-		net.onSend = func(from, to int, m transport.Message) {
+		for _, warm := range []bool{false, true} {
+			net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
+			rt := quietRuntime(t, 16, policy, net, time.Second)
+			u, path := twoHopPartner(t, rt, policy)
+			hostU, hostV := rt.Overlay().HostOf(u), rt.Overlay().HostOf(path[2])
+			var mu sync.Mutex
+			counting := false
+			sent := map[[2]int]int{} // by sending host and message type
+			measureTo := -1
+			net.onSend = func(from, to int, m transport.Message) {
+				mu.Lock()
+				defer mu.Unlock()
+				if !counting {
+					return
+				}
+				sent[[2]int{from, int(m.Type)}]++
+				if from == hostU && m.Type == transport.TMeasure {
+					measureTo = to
+				}
+			}
+			if warm {
+				sweepAll(rt)
+			}
+			rt.mu.Lock()
+			// A leg is cached when its target is a neighbor of the host
+			// measuring it, as the sweeps just saw them.
+			nbrsOf := map[int][]int{}
+			for _, h := range []int{hostU, hostV} {
+				for _, s := range rt.o.Neighbors(rt.o.SlotOfHost(h)) {
+					nbrsOf[h] = append(nbrsOf[h], rt.o.HostOf(s))
+				}
+			}
+			a := rt.agents[hostU]
+			a.cyc.Fired(&a.round, rt.o.Neighbors(u))
+			rt.mu.Unlock()
 			mu.Lock()
-			defer mu.Unlock()
-			sent[[2]int{from, int(m.Type)}]++
-			if from == hostU && m.Type == transport.TMeasure {
-				measureTo = to
+			counting = true
+			mu.Unlock()
+			end := rt.evaluate(a, u, path)
+			rt.Stop()
+			if end.Reason != core.Exchanged {
+				t.Fatalf("%v, warm %v: evaluation ended %v, want an exchange", policy, warm, end.Reason)
 			}
-		}
-		rt.mu.Lock()
-		a := rt.agents[hostU]
-		a.cyc.Fired(&a.round, rt.o.Neighbors(u))
-		rt.mu.Unlock()
-		end := rt.evaluate(a, u, path)
-		rt.Stop()
-		if end.Reason != core.Exchanged {
-			t.Fatalf("%v: evaluation ended %v, want an exchange", policy, end.Reason)
-		}
 
-		own, partner := 0, 0
-		for _, pr := range a.sc.Pairs {
-			switch {
-			case pr[0] == pr[1]:
-			case pr[0] == hostU:
-				own++
-			case pr[0] == hostV:
-				partner++
-			default:
-				t.Fatalf("%v: pair %v measured from neither u's host %d nor v's %d", policy, pr, hostU, hostV)
+			legs := map[int]int{}  // by measuring host
+			pings := map[int]int{} // the legs no table holds
+			for _, pr := range a.sc.Pairs {
+				switch {
+				case pr[0] == pr[1]:
+				case pr[0] == hostU || pr[0] == hostV:
+					legs[pr[0]]++
+					if !warm || !slices.Contains(nbrsOf[pr[0]], pr[1]) {
+						pings[pr[0]]++
+					}
+				default:
+					t.Fatalf("%v: pair %v measured from neither u's host %d nor v's %d", policy, pr, hostU, hostV)
+				}
 			}
+			if warm && (pings[hostU] >= legs[hostU] || pings[hostV] >= legs[hostV]) {
+				t.Fatalf("%v: no before-leg is a neighbor's (u pings %d of %d, v %d of %d)",
+					policy, pings[hostU], legs[hostU], pings[hostV], legs[hostV])
+			}
+			mu.Lock()
+			if got := sent[[2]int{hostU, int(transport.TMeasure)}]; got != 1 || measureTo != hostV {
+				t.Errorf("%v, warm %v: u sent %d TMeasure (last to host %d), want 1 to v's host %d", policy, warm, got, measureTo, hostV)
+			}
+			if got := sent[[2]int{hostU, int(transport.TPing)}]; got != pings[hostU] {
+				t.Errorf("%v, warm %v: u sent %d pings for its %d pairs, want %d", policy, warm, got, legs[hostU], pings[hostU])
+			}
+			if got := sent[[2]int{hostV, int(transport.TPing)}]; got != pings[hostV] || legs[hostV] == 0 {
+				t.Errorf("%v, warm %v: v sent %d pings for its %d pairs, want %d", policy, warm, got, legs[hostV], pings[hostV])
+			}
+			if got := sent[[2]int{hostV, int(transport.TMeasureReply)}]; got != 1 {
+				t.Errorf("%v, warm %v: v sent %d TMeasureReply, want 1", policy, warm, got)
+			}
+			mu.Unlock()
 		}
-		mu.Lock()
-		if got := sent[[2]int{hostU, int(transport.TMeasure)}]; got != 1 || measureTo != hostV {
-			t.Errorf("%v: u sent %d TMeasure (last to host %d), want 1 to v's host %d", policy, got, measureTo, hostV)
-		}
-		if got := sent[[2]int{hostU, int(transport.TPing)}]; got != own {
-			t.Errorf("%v: u sent %d pings for its %d pairs", policy, got, own)
-		}
-		if got := sent[[2]int{hostV, int(transport.TPing)}]; got != partner || partner == 0 {
-			t.Errorf("%v: v sent %d pings for its %d pairs", policy, got, partner)
-		}
-		if got := sent[[2]int{hostV, int(transport.TMeasureReply)}]; got != 1 {
-			t.Errorf("%v: v sent %d TMeasureReply, want 1", policy, got)
-		}
-		mu.Unlock()
 	}
+}
+
+// sweepAll runs one detector sweep for every agent at once, as their
+// detector goroutines would, and returns when all are done.
+func sweepAll(rt *Runtime) {
+	rt.mu.Lock()
+	agents := rt.allAgentsLocked()
+	rt.mu.Unlock()
+	var wg sync.WaitGroup
+	for _, a := range agents {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt.heartbeatOnce(a)
+		}()
+	}
+	wg.Wait()
 }
 
 // rttBody lays RTTs out as a TMeasureReply body.
@@ -257,7 +311,7 @@ func rttBody(rtts ...float64) []byte {
 // or a reply to another incarnation — so that Measured poisons there.
 func TestMeasureRelayRejectsNonFiniteRTT(t *testing.T) {
 	lb := transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})
-	rt := quietRuntime(t, 4, core.PROPG, lb)
+	rt := quietRuntime(t, 4, core.PROPG, lb, time.Second)
 	defer rt.Stop()
 	ep, err := lb.Open(99)
 	if err != nil {
@@ -389,5 +443,26 @@ func TestCounterPerReason(t *testing.T) {
 		if got := rt.Counters(); got != w {
 			t.Errorf("a cycle ended for reason %d counts %+v, want %+v", why, got, w)
 		}
+	}
+}
+
+// TestProbesCountOnlyStartedCycles pins the bugfix: Probes counts cycles
+// that start, so it is the sum of the cycle ends. A live agent's firing
+// starts one; the firing of an agent being stopped after Crash — its host
+// holds no live slot — starts none and used to count one anyway.
+func TestProbesCountOnlyStartedCycles(t *testing.T) {
+	rt := quietRuntime(t, 8, core.PROPG, transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}), time.Second)
+	rt.mu.Lock()
+	live, stale := rt.agents[2], rt.agents[3]
+	rt.mu.Unlock()
+	rt.probeOnce(live)
+	if err := rt.Crash(3); err != nil {
+		t.Fatal(err)
+	}
+	rt.probeOnce(stale)
+	rt.Stop()
+	c := rt.Counters()
+	if ends := c.Exchanges + c.Rejected + c.WalkFailures + c.MeasureFailures; c.Probes != 1 || ends != 1 {
+		t.Fatalf("Probes = %d for %d cycle ends, want 1 each: %+v", c.Probes, ends, c)
 	}
 }

@@ -7,9 +7,10 @@
 // gets one agent: a transport.Node (message pump), a probe loop on the wall
 // clock, and handlers that forward TTL walks and answer measurement RPCs.
 // Every latency the protocol consumes is a real RTT measured by exchanging
-// messages (Node.Ping, and one TMeasure relay per exchange for the
-// partner's side) — no oracle lookups — and lost messages ride the
-// transport's timeout + bounded-retransmit machinery.
+// messages — the failure detector's heartbeats to each neighbor, Node.Ping
+// for any other host, and one TMeasure relay per exchange for the partner's
+// side — no oracle lookups, and lost messages ride the transport's timeout +
+// bounded-retransmit machinery.
 //
 // Concurrency model: the overlay (and the runtime RNG) live under one
 // mutex. Message pumps never take it — pings are always answered — and
@@ -59,7 +60,8 @@ type Config struct {
 	PingTimeout time.Duration
 	// HeartbeatIntervalMS is the failure detector's sweep period (default
 	// 4x ProbeIntervalMS — detection only has to beat the suspicion bound,
-	// not the probe cadence). Each sweep pings every live neighbor once.
+	// not the probe cadence). Each sweep pings every live neighbor once, and
+	// exchanges read those RTTs, so it also bounds their age (plus a sweep).
 	HeartbeatIntervalMS float64
 	// HeartbeatTimeout is the base deadline of one heartbeat ping (default
 	// PingTimeout). Suspicion stretches it adaptively: a neighbor at
@@ -128,7 +130,8 @@ func ClusterLat(a, b int) float64 {
 // Counters tallies the runtime's protocol activity. Snapshot via
 // Runtime.Counters.
 type Counters struct {
-	// Probes counts timer firings that attempted a probe cycle.
+	// Probes counts probe cycles started; each ends once, by a core.Reason,
+	// in one of the fields below.
 	Probes uint64
 	// Exchanges counts executed peer-exchanges (core.Exchanged).
 	Exchanges uint64
@@ -212,11 +215,11 @@ type agent struct {
 	// Only the probe goroutine touches it.
 	targets []byte
 
-	// susp is the failure detector's per-neighbor suspicion accrual, keyed
-	// by host, and hbLive the hosts of the sweep in progress. Both are owned
-	// exclusively by the agent's detector goroutine.
-	susp   map[int]int
-	hbLive []int
+	// nbrs is the failure detector's table (detector.go), and spare the
+	// buffer its next sweep fills; only the detector writes either.
+	nbrMu sync.Mutex
+	nbrs  []nbr
+	spare []nbr
 }
 
 // New builds a runtime over net. Start must be called before the agents do
@@ -280,7 +283,6 @@ func (rt *Runtime) spawnLocked(host int, ep transport.Endpoint) {
 		node:  transport.NewNode(ep),
 		stop:  make(chan struct{}),
 		kick:  make(chan struct{}, 1),
-		susp:  make(map[int]int),
 	}
 	a.node.Handle(func(in transport.Inbound) {
 		// Handlers must not block the pump: forwarders and measurement
@@ -391,14 +393,13 @@ func (rt *Runtime) runAgent(a *agent, stagger time.Duration) {
 // and evaluate runs the rest. An agent whose host holds no live slot is
 // being stopped; it runs no cycle.
 func (rt *Runtime) probeOnce(a *agent) (nextMS float64) {
-	rt.probes.Add(1)
-
 	rt.mu.Lock()
 	u := rt.o.SlotOfHost(a.host)
 	if u < 0 || !rt.o.Alive(u) {
 		rt.mu.Unlock()
 		return a.cyc.TimerMS
 	}
+	rt.probes.Add(1)
 	// Live liveness eviction: a crashed neighbor never answers, so the
 	// agent drops the stale reference before choosing a first hop — and
 	// purges the corpse, as a detector sweep that found it would: once every
@@ -503,8 +504,8 @@ func (rt *Runtime) ended(step core.Step) float64 {
 // many of them, in list order, were measured before the first failure. Each
 // pair is measured from its first host's vantage point — "each side probes
 // its own neighborhood" (§4.3), as messages on the wire: one TMeasure relay
-// listing the target of every pair of the partner's, then a's own pings. A
-// host is 0 from itself, unasked.
+// listing the target of every pair of the partner's, then a's own legs (rtt).
+// A host is 0 from itself, unasked.
 func (rt *Runtime) measure(a *agent) int {
 	// SwapPairs and TradePairs measure from u's and v's hosts only, so every
 	// pair that is not a's own is the partner's.
@@ -523,7 +524,7 @@ func (rt *Runtime) measure(a *agent) int {
 			rtt[k] = 0
 		case pr[0] == a.host:
 			var err error
-			if rtt[k], err = a.node.Ping(pr[1], rt.cfg.PingTimeout, callRetries); err != nil {
+			if rtt[k], err = rt.rtt(a, pr[1]); err != nil {
 				return k
 			}
 		default:
@@ -540,6 +541,24 @@ func (rt *Runtime) measure(a *agent) int {
 		}
 	}
 	return len(pairs)
+}
+
+// rtt returns a's RTT to host: 0 to itself, the detector's last answered
+// heartbeat for a neighbor, else one ping.
+func (rt *Runtime) rtt(a *agent, host int) (float64, error) {
+	if host == a.host {
+		return 0, nil
+	}
+	a.nbrMu.Lock()
+	v := -1.0
+	if i := a.find(host); i >= 0 {
+		v = a.nbrs[i].rtt
+	}
+	a.nbrMu.Unlock()
+	if v >= 0 {
+		return v, nil
+	}
+	return a.node.Ping(host, rt.cfg.PingTimeout, callRetries)
 }
 
 // relay sends host partner one TMeasure listing a.targets and returns its
@@ -620,12 +639,13 @@ func (rt *Runtime) handleWalk(a *agent, m transport.Message) {
 	})
 }
 
-// handleMeasure answers a TMeasure relay: ping each listed host in list
-// order and reply with one RTT per host measured, stopping at the first ping
-// that fails — the prober counts the prefix. A list that is empty, ragged
+// handleMeasure answers a TMeasure relay: measure a's RTT to each listed
+// host in list order (rtt: a neighbor's from the detector's table, any other
+// by a ping) and reply with one RTT per host measured, stopping at the first
+// ping that fails — the prober counts the prefix. A list that is empty, ragged
 // (not a multiple of 8 bytes) or longer than a frame holds is refused with
 // TTL 0. Runs on its own goroutine and takes no runtime lock — the whole
-// deadlock-freedom argument rests on that.
+// deadlock-freedom argument rests on that (a.nbrMu guards a table read only).
 func (rt *Runtime) handleMeasure(a *agent, m transport.Message) {
 	reply := transport.Message{Type: transport.TMeasureReply, Epoch: m.Epoch, Seq: m.Seq}
 	if n := len(m.Body); n > 0 && n%8 == 0 && n <= transport.MaxBody {
@@ -633,13 +653,9 @@ func (rt *Runtime) handleMeasure(a *agent, m transport.Message) {
 		// the RTTs go into a buffer of their own.
 		reply.TTL, reply.Body = 1, make([]byte, 0, n)
 		for i := 0; i < n; i += 8 {
-			target := int(int64(binary.BigEndian.Uint64(m.Body[i:])))
-			var rtt float64
-			if target != a.host {
-				var err error
-				if rtt, err = a.node.Ping(target, rt.cfg.PingTimeout, callRetries); err != nil {
-					break
-				}
+			rtt, err := rt.rtt(a, int(int64(binary.BigEndian.Uint64(m.Body[i:]))))
+			if err != nil {
+				break
 			}
 			reply.Body = binary.BigEndian.AppendUint64(reply.Body, math.Float64bits(rtt))
 		}
