@@ -23,7 +23,8 @@
 // so simulated or wall time; DESIGN.md §10) and propnode.Runtime drive.
 //
 // Key types: Protocol (one running instance over an overlay), Config,
-// Policy (PROPG/PROPO), Cycle and Step. DESIGN.md §3 records every protocol
+// Policy (PROPG/PROPO), Cycle and Step, and Txn (the version-guarded swap
+// every simulator commits through). DESIGN.md §3 records every protocol
 // constant and the reconstruction of the paper's lost digits.
 package core
 
@@ -463,7 +464,8 @@ func New(o *overlay.Overlay, cfg Config, r *rng.Rand) (*Protocol, error) {
 
 // AttachFaults runs the protocol's messages past inj: losses trigger
 // timeouts and bounded retransmission with exponential back-off + jitter,
-// and duplicated responses are dropped by their sequence guard. Each
+// and duplicates are dropped by their guard: a sequence number, or for a
+// commit's proposal the partner's swap version (Txn). Each
 // message's fate is the fault model's one hash — a host's k-th message gets
 // inj.DeliverStateless(from, to, k, now) — so it draws nothing from the
 // protocol's generator. A nil injector — or none attached — takes the same
@@ -590,6 +592,7 @@ func (p *Protocol) probe(e event.Clock, u int) {
 // absorbed (StaleTimers).
 func (p *Protocol) run(e event.Clock, u int, st *nodeState, step Step) {
 	var path []int
+	var ver uint32 // the partner's swap version, as the walk's report carried it
 	for {
 		switch step.Kind {
 		case Walk:
@@ -598,9 +601,9 @@ func (p *Protocol) run(e event.Clock, u int, st *nodeState, step Step) {
 			case !walked:
 				step = st.WalkStuck(&p.round)
 			case !p.deliverWalk(e, path):
-				p.Counters.Timeouts++
 				step = st.WalkLost(&p.round)
 			default:
+				ver = p.node(v).Version()
 				step = st.Reached(&p.round, p.O, u, v, path)
 			}
 		case Resend:
@@ -617,7 +620,7 @@ func (p *Protocol) run(e event.Clock, u int, st *nodeState, step Step) {
 		case Measure:
 			step = st.Measured(&p.round, p.measurePairs(float64(e.Now()), p.sc.Pairs, p.sc.RTT))
 		case Commit:
-			step = st.Committed(&p.round, p.round.Ev.Commit(p.O, path) == nil)
+			step = st.Committed(&p.round, p.propose(float64(e.Now()), u, ver, path))
 		case End:
 			p.tally(e, u, step.Reason)
 			st.token = e.Schedule(event.Time(step.Delay), st.fire)
@@ -654,27 +657,58 @@ func (p *Protocol) tally(e event.Clock, u int, why Reason) {
 
 // deliverWalk runs the probe's messages past the injector: one forwarding
 // message per walk hop plus the partner's response back to the origin. It
-// reports whether everything arrived; duplicated messages are recognized by
-// their sequence numbers and dropped.
+// reports whether everything arrived; the first loss times the walk out.
 func (p *Protocol) deliverWalk(e event.Clock, path []int) bool {
 	now := float64(e.Now())
-	for i := 0; i+1 < len(path); i++ {
-		d := p.faults.Deliver(p.O.HostOf(path[i]), p.O.HostOf(path[i+1]), now)
-		if d.Lost {
+	for i := range path {
+		next := path[(i+1)%len(path)] // the last hop is the response
+		if _, ok := p.deliver(p.O.HostOf(path[i]), p.O.HostOf(next), now, 0); !ok {
 			return false
 		}
-		if d.Dup {
-			p.Counters.DupsDropped++
-		}
-	}
-	d := p.faults.Deliver(p.O.HostOf(path[len(path)-1]), p.O.HostOf(path[0]), now)
-	if d.Lost {
-		return false
-	}
-	if d.Dup {
-		p.Counters.DupsDropped++
 	}
 	return true
+}
+
+// deliver sends one message from host a to host b past the injector at now
+// and reports its delivery, or false once 1 + retries transmissions were
+// lost: each loss is a timeout, each resend a retry. A duplicated copy is
+// recognized by its guard and dropped.
+func (p *Protocol) deliver(a, b int, now float64, retries int) (faults.Delivery, bool) {
+	for attempt := 0; ; attempt++ {
+		d := p.faults.Deliver(a, b, now)
+		if !d.Lost {
+			if d.Dup {
+				p.Counters.DupsDropped++
+			}
+			return d, true
+		}
+		p.Counters.Timeouts++
+		if attempt >= retries {
+			return d, false
+		}
+		p.Counters.Retries++
+	}
+}
+
+// propose is u's Commit step: its host sends the proposal for the round's
+// Evaluation to the partner's host, with measurePairs' bounded synchronous
+// retry, and the partner Prepares each copy that arrives at ver, the
+// version the walk's report carried. Only an accepted Prepare commits, and
+// a duplicate meets the moved version. The acknowledgment is loss-exempt
+// (Txn's one assumption): the exchange executed iff a copy was accepted,
+// and an exhausted budget leaves both sides as they were.
+func (p *Protocol) propose(now float64, u int, ver uint32, path []int) bool {
+	ev := &p.round.Ev
+	d, ok := p.deliver(p.O.HostOf(u), p.O.HostOf(ev.V), now, maxRetries)
+	if !ok {
+		return false
+	}
+	acc := p.node(ev.V)
+	acked := acc.Prepare(ver) && ev.Commit(p.O, path) == nil
+	if d.Dup {
+		acc.Prepare(ver) // the second copy, which the moved version refuses
+	}
+	return acked
 }
 
 // retransmitDelay is the back-off before retransmission attempt+1:
@@ -727,25 +761,14 @@ func (p *Protocol) findPartner(u, s int) (v int, path []int, ok bool) {
 func (p *Protocol) measurePairs(now float64, pairs [][2]int, rtt []float64) int {
 	p.O.HostLatencies(pairs, rtt)
 	for k, pr := range pairs {
-		for attempt := 0; ; attempt++ {
-			d := p.faults.Deliver(pr[0], pr[1], now)
-			if d.Lost {
-				p.Counters.Timeouts++
-				if attempt >= maxRetries {
-					return k
-				}
-				p.Counters.Retries++
-				continue
-			}
-			if d.Dup {
-				p.Counters.DupsDropped++
-			}
-			if p.cfg.MeasurementNoise > 0 {
-				rtt[k] = max(0, rtt[k]*(1+p.cfg.MeasurementNoise*p.r.NormFloat64()))
-			}
-			rtt[k] += d.DelayMS
-			break
+		d, ok := p.deliver(pr[0], pr[1], now, maxRetries)
+		if !ok {
+			return k
 		}
+		if p.cfg.MeasurementNoise > 0 {
+			rtt[k] = max(0, rtt[k]*(1+p.cfg.MeasurementNoise*p.r.NormFloat64()))
+		}
+		rtt[k] += d.DelayMS
 	}
 	return len(pairs)
 }

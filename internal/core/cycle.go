@@ -10,13 +10,15 @@ import (
 // driver feeds it one input at a time and gets one Step back, which says
 // what to do next. The machine has no clock, lock, message or counter, and
 // draws no randomness beyond what Reconcile, FirstHop, Plan, Judge and
-// Finish draw, in that order. It holds the kernel's Peer, plus the open
-// cycle's phase, its lost walk transmissions and its transaction number,
-// new with every cycle, so that a retransmit armed for an abandoned cycle
-// is absorbed.
+// Finish draw, in that order. It holds the kernel's Peer, the peer's swap
+// transaction Txn — whose cycle number, new with every cycle, a retransmit
+// names, so that one armed for an abandoned cycle is absorbed — and the
+// open cycle's phase and lost walk transmissions. Fired opens the Txn,
+// Reached reports to it, Measured proposes and Committed acks or times the
+// proposal out; a driver's partner side Prepares on the partner's Cycle.
 type Cycle struct {
 	Peer
-	txn     uint32
+	Txn
 	attempt uint8 // walk transmissions lost in this cycle
 	phase   phase
 }
@@ -80,7 +82,7 @@ const (
 	NoTrade                   // PROP-O found no legal trade
 	Poisoned                  // a measurement failed, so Var was never trusted
 	BelowMinVar               // Var was not above MIN_VAR (a NaN Var never is)
-	Refused                   // the commit was refused, by the overlay or by the driver
+	Refused                   // the commit was refused, or its proposal's retransmits ran out
 	Exchanged                 // the exchange executed
 	NumReasons                // the number of reasons
 )
@@ -91,7 +93,7 @@ type Step struct {
 	Reason  Reason  // End
 	Hop     int     // Walk
 	Attempt int     // Resend
-	Txn     uint32  // Resend
+	Txn     uint32  // Resend: the Txn cycle it was armed for
 	Delay   float64 // End, Rearm
 }
 
@@ -102,7 +104,8 @@ func (c *Cycle) Fired(rd *Round, nbrs []int) Step {
 		return Step{Kind: Ignore}
 	}
 	c.Reconcile(nbrs)
-	c.txn, c.attempt = c.txn+1, 0
+	c.Open()
+	c.attempt = 0
 	s, ok := c.FirstHop()
 	if !ok {
 		return c.end(rd, NoFirstHop)
@@ -129,13 +132,13 @@ func (c *Cycle) WalkLost(rd *Round) Step {
 		return c.end(rd, WalkLost)
 	}
 	c.attempt, c.phase = c.attempt+1, waiting
-	return Step{Kind: Resend, Attempt: int(c.attempt) - 1, Txn: c.txn}
+	return Step{Kind: Resend, Attempt: int(c.attempt) - 1, Txn: uint32(c.cycle)}
 }
 
 // Retransmit is a Resend's back-off expiring: walk again through the same
 // first hop, unless the cycle it was armed for is gone.
 func (c *Cycle) Retransmit(txn uint32) Step {
-	if c.phase != waiting || txn != c.txn {
+	if c.phase != waiting || txn != uint32(c.cycle) {
 		return Step{Kind: Ignore}
 	}
 	c.phase = walking
@@ -149,6 +152,7 @@ func (c *Cycle) Reached(rd *Round, o *overlay.Overlay, u, v int, path []int) Ste
 	if c.phase != walking {
 		return Step{Kind: Ignore}
 	}
+	c.Reported(uint32(c.cycle))
 	rd.V, rd.Ev, rd.Var = v, Evaluation{}, 0
 	if u == v || !o.Alive(u) || !o.Alive(v) {
 		return c.end(rd, PartnerGone)
@@ -171,34 +175,40 @@ func (c *Cycle) Measured(rd *Round, measured int) Step {
 	if why, rd.Var = rd.Ev.Judge(rd.sc.RTT, measured, rd.cfg.MinVar); why != Exchanged {
 		return c.end(rd, why)
 	}
+	c.Propose(uint32(c.cycle))
 	c.phase = committing
 	return Step{Kind: Commit}
 }
 
-// Committed reports whether rd's Evaluation executed.
+// Committed reports whether rd's Evaluation executed: the partner's
+// acknowledgment, or the proposal's timeout.
 func (c *Cycle) Committed(rd *Round, ok bool) Step {
 	if c.phase != committing {
 		return Step{Kind: Ignore}
 	}
 	if !ok {
+		c.ProposalTimedOut(uint32(c.cycle))
 		return c.end(rd, Refused)
 	}
+	c.Acked(uint32(c.cycle))
 	return c.end(rd, Exchanged)
 }
 
 // Reset applies the §3.2 churn rule: the timer returns to INIT_TIMER, and a
-// cycle in flight is abandoned without Finish — its pending retransmit, if
-// any, will be Ignored.
+// cycle in flight is abandoned without Finish — its Txn forgets it, and its
+// pending retransmit, if any, will be Ignored.
 func (c *Cycle) Reset(rd *Round) Step {
+	c.Crash()
 	c.phase = idle
 	c.TimerMS = rd.cfg.InitTimerMS
 	return Step{Kind: Rearm, Delay: c.TimerMS}
 }
 
 // end closes the cycle for why: Finish, and a round that names no partner
-// when the walk reached none.
+// and a Txn whose walk timed out when the walk reached none.
 func (c *Cycle) end(rd *Round, why Reason) Step {
 	if why < PartnerGone {
+		c.WalkTimedOut(uint32(c.cycle))
 		rd.V, rd.Ev, rd.Var = -1, Evaluation{}, 0
 	}
 	c.phase = idle

@@ -70,8 +70,8 @@ var inputs = map[string]func(m *machine) Step{
 		}
 		return step
 	},
-	"Retransmit":        func(m *machine) Step { return m.c.Retransmit(m.c.txn) },
-	"Retransmit(stale)": func(m *machine) Step { return m.c.Retransmit(m.c.txn - 1) },
+	"Retransmit":        func(m *machine) Step { return m.c.Retransmit(uint32(m.c.cycle)) },
+	"Retransmit(stale)": func(m *machine) Step { return m.c.Retransmit(uint32(m.c.cycle) - 1) },
 	"Reached":           func(m *machine) Step { return m.c.Reached(&m.rd, m.o, m.u, m.v, m.path) },
 	"Reached(gone)":     func(m *machine) Step { return m.c.Reached(&m.rd, m.o, -1, m.v, m.path) },
 	"Reached(self)":     func(m *machine) Step { return m.c.Reached(&m.rd, m.o, m.u, m.u, m.path) },
@@ -106,7 +106,7 @@ func (m *machine) feed(t *testing.T, script ...string) []Step {
 // snapshot renders everything an input may change.
 func (m *machine) snapshot() string {
 	c := &m.c
-	return fmt.Sprint(c.Queue, c.Trials, c.TimerMS, c.seq, c.hop, c.txn, c.attempt, c.phase,
+	return fmt.Sprint(c.Queue, c.Trials, c.TimerMS, c.seq, c.hop, c.Txn, c.attempt, c.phase,
 		m.rd.V, m.rd.Ev, m.rd.Var, overlayState(m.o))
 }
 

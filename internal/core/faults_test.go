@@ -241,3 +241,73 @@ func TestRetransmitDelayGrowsExponentially(t *testing.T) {
 		prev = d
 	}
 }
+
+// TestVersionsCountExchanges holds the swap transaction's conservation law
+// under loss and duplication with no crash-stop: every executed exchange
+// bumps exactly two versions — the partner's accepted Prepare and the
+// prober's Acked — so Σ Version = 2 × Exchanges. At DupProb 1 every
+// proposal arrives twice, so each executed exchange had its second copy
+// refused: a guard that took it would bump the partner once more.
+func TestVersionsCountExchanges(t *testing.T) {
+	for _, dup := range []float64{0.1, 1} {
+		for _, policy := range []Policy{PROPG, PROPO} {
+			inj := mustInjector(t, faults.Config{Seed: 5, LossProb: 0.1, DupProb: dup})
+			p, _ := runWithFaults(t, policy, 19, inj, 60000)
+			var sum uint64
+			for _, st := range p.nodes {
+				if st != nil {
+					sum += uint64(st.Version())
+				}
+			}
+			if ex := p.Counters.Exchanges; ex == 0 || sum != 2*ex {
+				t.Errorf("%v dup %v: Σ version %d, want 2 × %d exchanges", policy, dup, sum, ex)
+			}
+		}
+	}
+}
+
+// TestProposalLeg drives Protocol's Commit step past two injectors. A
+// proposal lost on every attempt is resent maxRetries times, then ends
+// Refused with the overlay and both versions untouched, one timeout more
+// than it resent. A duplicated one executes exactly one swap: one more
+// version each side.
+func TestProposalLeg(t *testing.T) {
+	for _, lost := range []bool{true, false} {
+		m := pathWorld(t, PROPG, 0)
+		p, err := New(m.o, m.cfg, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Start(event.New())
+		u, v := p.node(m.u), p.node(m.v)
+		u.Fired(&p.round, p.O.Neighbors(m.u))
+		ver := v.Version()
+		u.Reached(&p.round, p.O, m.u, m.v, m.path)
+		if step := u.Measured(&p.round, p.measurePairs(0, p.sc.Pairs, p.sc.RTT)); step.Kind != Commit {
+			t.Fatalf("lost %v: %+v, want a Commit step", lost, step)
+		}
+		fc, bumped := faults.Config{Seed: 1, DupProb: 1}, uint32(1)
+		if lost {
+			fc, bumped = faults.Config{Seed: 1, LossProb: 1}, 0
+		}
+		p.AttachFaults(mustInjector(t, fc))
+		before, c, swaps := overlayState(p.O), p.Counters, p.O.Stats.Swaps
+		step := u.Committed(&p.round, p.propose(0, m.u, ver, m.path))
+		if u.Version() != bumped || v.Version() != ver+bumped {
+			t.Errorf("lost %v: versions %d, %d, want each bumped by %d", lost, u.Version(), v.Version(), bumped)
+		}
+		if lost {
+			timedOut := (p.Counters.Timeouts - p.Counters.Retries) - (c.Timeouts - c.Retries)
+			resent := p.Counters.Retries - c.Retries
+			if step.Reason != Refused || overlayState(p.O) != before || timedOut != 1 || resent != maxRetries {
+				t.Errorf("lost: %+v, overlay changed %v, Timeouts−Retries +%d, %d resends; want Refused, unchanged, +1, %d",
+					step, overlayState(p.O) != before, timedOut, resent, maxRetries)
+			}
+			continue
+		}
+		if step.Reason != Exchanged || p.O.Stats.Swaps != swaps+1 || p.O.HostOf(m.u) != 100 {
+			t.Errorf("duplicated: %+v, %d swaps, slot %d holds host %d; want one swap, Exchanged",
+				step, p.O.Stats.Swaps-swaps, m.u, p.O.HostOf(m.u))
+		}
+	}
+}

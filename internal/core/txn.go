@@ -1,10 +1,12 @@
 package core
 
 // Txn is one peer's side of the version-guarded slot swap that ends a §3.2
-// exchange between peers that share no memory, as on the sharded engine:
+// exchange between peers that share no memory:
 //
 //	Open → walk → Reported → Propose → (the partner's Prepare) → Acked
 //
+// The sharded engine drives it directly; Cycle carries it, and Protocol's
+// Commit step has the partner Prepare each arriving copy of a proposal.
 // It is the acceptor half of the probe cycle, a sans-IO machine like Cycle:
 // a driver feeds it one input at a time and acts on the answer, and it has
 // no clock, message, RNG or counter. It holds the peer's swap version (the
@@ -24,7 +26,10 @@ package core
 // that finds the proposal open proves the swap did not execute (the
 // proposal was dropped, the partner dead, or it refused). Nothing moved on
 // either side, so unlocking is exact — no slot to roll back, no partner to
-// tell — and live slot claims stay injective when a partner crashes.
+// tell — and live slot claims stay injective when a partner crashes. For a
+// synchronous driver such as Protocol, whose proposal leg resends within
+// one step and has no copy left in flight once its budget runs out, the
+// timing half holds trivially.
 type Txn struct {
 	ver   uint32   // swaps executed
 	cycle uint16   // the open or last cycle's number, wrapping

@@ -117,7 +117,10 @@ type Counters struct {
 	NotifyMessages uint64
 	// Exchanges is the number of executed peer-exchanges.
 	Exchanges uint64
-	// Rejected is the number of probe cycles whose Var <= MIN_VAR.
+	// Rejected is the number of probe cycles that ended with core.Reason
+	// NoTrade, BelowMinVar (Var <= MIN_VAR) or Refused (a refused commit or
+	// a proposal whose retransmits ran out); propnode also counts
+	// PartnerGone.
 	Rejected uint64
 	// WalkFailures is the number of random walks that got stuck early.
 	WalkFailures uint64

@@ -264,3 +264,29 @@ func TestFaultConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestVersionsCountExchanges holds the swap transaction's conservation law
+// under loss and duplication with no crash-stop: every executed exchange
+// bumps exactly two versions — the acceptor's Prepare and the proposer's
+// Acked — so Σ Version = 2 × Exchanges once the run drained. At DupProb 1
+// every proposal arrives twice, and each executed one's second copy must
+// have met the moved version (VerRejected); a guard that took it would
+// count an exchange the proposer never acknowledged.
+func TestVersionsCountExchanges(t *testing.T) {
+	for _, dup := range []float64{0.1, 1} {
+		cfg := tinyConfig(4, 41)
+		cfg.Faults = &FaultConfig{LossProb: 0.1, DupProb: dup}
+		_, e := runTiny(t, cfg)
+		st := e.Stats()
+		var sum uint64
+		for i := range e.txn {
+			sum += uint64(e.txn[i].Version())
+		}
+		if st.Exchanges == 0 || sum != 2*st.Exchanges {
+			t.Errorf("dup %v: Σ version %d, want 2 × %d exchanges", dup, sum, st.Exchanges)
+		}
+		if dup == 1 && st.VerRejected < st.Exchanges {
+			t.Errorf("dup 1: %d proposals refused, want one per executed exchange (%d)", st.VerRejected, st.Exchanges)
+		}
+	}
+}
