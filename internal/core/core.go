@@ -151,65 +151,112 @@ func (c Config) Validate() error {
 // (goroutines over a transport) are drivers of the cycle: they own I/O,
 // locking and counting, and nothing else.
 
-// QueueEntry is one neighborQ entry: a neighbor slot and its standing.
-// Lower Prio is probed sooner; ties go to the earlier arrival.
+// QueueEntry is one neighborQ entry: a neighbor slot, its standing, and the
+// RTT the peer last measured to it. Lower Prio is probed sooner; ties go to
+// the earlier arrival. The RTT is the before-leg of the peer's next
+// evaluation for as long as host still names the neighbor's host: a peer's
+// own host moves only in a PROP-G swap, which rewrites both movers' entries,
+// so a matching host means the same two hosts. The entry is 24 bytes
+// (TestTxnSize): at 32, chord-faults' live heap grew 13 %.
 type QueueEntry struct {
 	Neighbor int
-	Prio     int
-	seq      int // arrival order, the FIFO tie-break
+	Prio     int32
+	seq      int32   // arrival order, the FIFO tie-break
+	host     int32   // 1 + the neighbor's host when rtt was measured; 0 = cold
+	rtt      float32 // exact for the underlay's integer-millisecond truths
+}
+
+// remember stores rtt, measured to host, as the entry's before-leg.
+func (qe *QueueEntry) remember(host int, rtt float64) {
+	qe.host, qe.rtt = int32(host+1), float32(rtt)
 }
 
 // Peer is one peer's protocol state: the neighborQ, the number of probe
 // cycles started (the warm-up gate) and the probe timer. A driver sets
 // TimerMS to INIT_TIMER when the peer registers and again whenever its
 // neighborhood churns (§3.2); every other change goes through the methods.
+// The queue is kept in ascending neighbor order.
 type Peer struct {
 	Queue   []QueueEntry
 	Trials  int
 	TimerMS float64
 
-	seq int
+	seq int32
 	hop int // 1 + index of the first hop of the cycle in flight; 0 = none
 }
 
-// Init fills the neighborQ with a random permutation of nbrs ("initialized
-// with a random sequence … so each neighbor has an equal probability to be
-// probed"). nbrs is permuted in place.
+// Init fills the neighborQ with nbrs — ascending, as AppendNeighbors lists
+// them — all cold, arriving in a random order ("initialized with a random
+// sequence … so each neighbor has an equal probability to be probed").
 func (p *Peer) Init(nbrs []int, r *rng.Rand) {
-	r.Shuffle(len(nbrs), func(i, j int) { nbrs[i], nbrs[j] = nbrs[j], nbrs[i] })
-	p.Queue = p.Queue[:0]
-	for _, nb := range nbrs {
-		p.Queue = append(p.Queue, QueueEntry{Neighbor: nb, seq: p.seq})
-		p.seq++
+	q := p.Queue[:0]
+	for k, nb := range nbrs {
+		q = append(q, QueueEntry{Neighbor: nb, seq: int32(k)})
 	}
+	// The shuffle deals the arrivals: the i-th is entry q[i].seq. Inverting
+	// that permutation in place, one cycle at a time (^x marks an entry
+	// done), leaves each entry its own arrival without a sort.
+	r.Shuffle(len(q), func(i, j int) { q[i].seq, q[j].seq = q[j].seq, q[i].seq })
+	for i := range q {
+		if q[i].seq < 0 {
+			continue
+		}
+		prev, cur := int32(i), q[i].seq
+		for cur != int32(i) {
+			next := q[cur].seq
+			q[cur].seq = ^prev
+			prev, cur = cur, next
+		}
+		q[i].seq = ^prev
+	}
+	for i := range q {
+		q[i].seq = p.seq + ^q[i].seq
+	}
+	p.seq += int32(len(q))
+	p.Queue = q
 }
 
-// Reconcile drops entries that are no longer in nbrs (the peer's current
-// neighbors, each listed once) and inserts new neighbors at the front, in
-// the order nbrs lists them (minimum priority — probed earliest, per §3.2's
-// churn rule). Membership is a scan, not a set: lists are degree-sized, and
-// on an unchanged neighborhood the call is one pass that writes nothing new.
+// Reconcile drops entries that are no longer in nbrs — the peer's current
+// neighbors, ascending and each listed once, as AppendNeighbors lists them —
+// and queues the new ones cold at the front (minimum priority — probed
+// earliest, per §3.2's churn rule), arriving in ascending order. It is one
+// merge of the two sorted lists, and on an unchanged neighborhood it writes
+// nothing.
 func (p *Peer) Reconcile(nbrs []int) {
-	kept := p.Queue[:0]
-	minPrio := 0
-	for _, qe := range p.Queue {
-		if slices.Contains(nbrs, qe.Neighbor) {
-			kept = append(kept, qe)
-			if qe.Prio < minPrio {
-				minPrio = qe.Prio
+	q := p.Queue
+	kept, minPrio := 0, int32(0)
+	for i, j := 0, 0; i < len(q); i++ {
+		for j < len(nbrs) && nbrs[j] < q[i].Neighbor {
+			j++
+		}
+		if j < len(nbrs) && nbrs[j] == q[i].Neighbor {
+			if kept != i {
+				q[kept] = q[i]
 			}
+			kept, j = kept+1, j+1
+			minPrio = min(minPrio, q[i].Prio)
 		}
 	}
-	p.Queue = kept
-	if len(kept) == len(nbrs) {
-		return // every neighbor already queued
+	fresh := len(nbrs) - kept
+	if fresh == 0 {
+		p.Queue = q[:kept]
+		return
 	}
-	for _, nb := range nbrs {
-		if !slices.ContainsFunc(kept, func(qe QueueEntry) bool { return qe.Neighbor == nb }) {
-			p.Queue = append(p.Queue, QueueEntry{Neighbor: nb, Prio: minPrio - 1, seq: p.seq})
-			p.seq++
+	// Merge from the back: nbrs[j] lands at j, a kept entry never moves
+	// down, and the fresh ones take their arrival numbers in ascending order.
+	q = slices.Grow(q[:kept], fresh)[:len(nbrs)]
+	p.seq += int32(fresh)
+	seq, i := p.seq, kept-1
+	for j := len(nbrs) - 1; j >= 0; j-- {
+		if i >= 0 && q[i].Neighbor == nbrs[j] {
+			q[j] = q[i]
+			i--
+			continue
 		}
+		seq--
+		q[j] = QueueEntry{Neighbor: nbrs[j], Prio: minPrio - 1, seq: seq}
 	}
+	p.Queue = q
 }
 
 // FirstHop opens a probe cycle: it counts the trial and returns the
@@ -233,8 +280,8 @@ func (p *Peer) FirstHop() (neighbor int, ok bool) {
 }
 
 // maxPrio returns the maximum priority in the queue (0 if empty).
-func (p *Peer) maxPrio() int {
-	max := 0
+func (p *Peer) maxPrio() int32 {
+	max := int32(0)
 	for _, qe := range p.Queue {
 		if qe.Prio > max {
 			max = qe.Prio
@@ -325,8 +372,9 @@ type Evaluation struct {
 	Give, Take []int
 	// Moved counts the neighbor entries the exchange touches — |N(u)|+|N(v)|
 	// under PROPG, both trade lists under PROPO — which is the measure
-	// messages charged and, on commit, the notifications owed (§4.3), not
-	// the RTTs taken (DESIGN.md §3).
+	// messages charged and, on commit, the notifications owed (§4.3). With
+	// warm neighborQ entries it is also about the RTTs Protocol sends: one
+	// after-leg per live entry, the before-legs remembered (DESIGN.md §3).
 	Moved int
 }
 
@@ -421,12 +469,18 @@ type Protocol struct {
 	m      int              // resolved PROP-O exchange size
 	nodes  []*nodeState     // by slot; nil = not under protocol control
 	faults *faults.Injector // nil = every message arrives clean
-	// sc and round hold the buffers and the evaluation of the probe cycle in
+	// sc, round and the measurement's buffers hold the probe cycle in
 	// flight. Evaluations never span events (one clock, handlers run one at a
 	// time), so one set serves every node.
 	sc    overlay.Scratch
 	round Round
+	legs  []leg // the pairs measurePairs sends, in pair order
 }
+
+// leg is one pair of an evaluation that goes on the wire: its index in the
+// pair list and, for a before-leg, the index of the owner's entry that
+// remembers it (-1 for an after-leg or a neighbor the queue lacks).
+type leg struct{ k, entry int32 }
 
 // nodeState is the sequential driver's per-slot bookkeeping around the
 // peer's Cycle: the pending timer and its callback.
@@ -618,7 +672,7 @@ func (p *Protocol) run(e event.Clock, u int, st *nodeState, step Step) {
 			})
 			return
 		case Measure:
-			step = st.Measured(&p.round, p.measurePairs(float64(e.Now()), p.sc.Pairs, p.sc.RTT))
+			step = st.Measured(&p.round, p.measurePairs(float64(e.Now()), &p.sc))
 		case Commit:
 			step = st.Committed(&p.round, p.propose(float64(e.Now()), u, ver, path))
 		case End:
@@ -705,6 +759,9 @@ func (p *Protocol) propose(now float64, u int, ver uint32, path []int) bool {
 	}
 	acc := p.node(ev.V)
 	acked := acc.Prepare(ver) && ev.Commit(p.O, path) == nil
+	if acked && ev.Policy == PROPG {
+		p.rewrite(ev, &p.sc)
+	}
 	if d.Dup {
 		acc.Prepare(ver) // the second copy, which the moved version refuses
 	}
@@ -747,30 +804,92 @@ func (p *Protocol) findPartner(u, s int) (v int, path []int, ok bool) {
 	return path[len(path)-1], path, true
 }
 
-// measurePairs fills rtt[k] with the measured RTT between the hosts of
-// pairs[k] and returns how many it measured — len(pairs), or the index of
-// the first pair it could not measure, past which it attempts none. All
-// ground truth is
-// read first, with nothing between the reads; then each pair goes past the
-// injector as a message: it may be lost (timeout + bounded synchronous retry
-// — measurement round-trips are far shorter than the probe timeout, so the
-// retries complete within the evaluation step; an exhausted budget ends the
-// batch), and a delivered one observes the truth under the configured
-// multiplicative Gaussian noise plus the injected queueing jitter. Without
-// an injector every message arrives clean.
-func (p *Protocol) measurePairs(now float64, pairs [][2]int, rtt []float64) int {
-	p.O.HostLatencies(pairs, rtt)
-	for k, pr := range pairs {
+// measurePairs fills sc.RTT[k] with the measured RTT between the hosts of
+// sc.Pairs[k] and returns how many it measured — all, or the index of the
+// first pair it could not measure, past which it attempts none. A
+// before-leg whose owner's entry is warm for the neighbor's current host is
+// read from the entry (§3.2: a peer knows its RTT to each neighbor). Every
+// other pair — the after-legs and the cold or stale before-legs — goes on
+// the wire: all their ground truth is read first, with nothing between the
+// reads (DESIGN.md §7 "Measurement batch"); then each goes past the
+// injector as a message: it may be lost (timeout + bounded synchronous
+// retry — measurement round-trips are far shorter than the probe timeout,
+// so the retries complete within the evaluation step; an exhausted budget
+// ends the batch), and a delivered one observes the truth under the
+// configured multiplicative Gaussian noise plus the injected queueing
+// jitter, and a delivered before-leg fills its entry. Without an injector
+// every message arrives clean.
+func (p *Protocol) measurePairs(now float64, sc *overlay.Scratch) int {
+	pairs, rtt := sc.Pairs, sc.RTT
+	p.legs = p.legs[:0]
+	var q []QueueEntry // the owner's queue, merged against its legs
+	owner, at := -1, 0
+	for j, s := range sc.Legs {
+		k, nb := 2*j, int(s[1])
+		if int(s[0]) != owner {
+			owner, q, at = int(s[0]), nil, 0
+			if st := p.node(owner); st != nil {
+				q = st.Queue
+			}
+		}
+		for at < len(q) && q[at].Neighbor < nb {
+			at++
+		}
+		switch {
+		case at == len(q) || q[at].Neighbor != nb:
+			p.legs = append(p.legs, leg{int32(k), -1})
+		case q[at].host == int32(pairs[k][1]+1):
+			rtt[k] = float64(q[at].rtt)
+		default:
+			p.legs = append(p.legs, leg{int32(k), int32(at)})
+		}
+		p.legs = append(p.legs, leg{int32(k + 1), -1})
+	}
+	for _, l := range p.legs {
+		pr := pairs[l.k]
+		rtt[l.k] = p.O.Latency(pr[0], pr[1])
+	}
+	for _, l := range p.legs {
+		pr := pairs[l.k]
 		d, ok := p.deliver(pr[0], pr[1], now, maxRetries)
 		if !ok {
-			return k
+			return int(l.k)
 		}
 		if p.cfg.MeasurementNoise > 0 {
-			rtt[k] = max(0, rtt[k]*(1+p.cfg.MeasurementNoise*p.r.NormFloat64()))
+			rtt[l.k] = max(0, rtt[l.k]*(1+p.cfg.MeasurementNoise*p.r.NormFloat64()))
 		}
-		rtt[k] += d.DelayMS
+		rtt[l.k] += d.DelayMS
+		if l.entry >= 0 {
+			p.nodes[sc.Legs[l.k/2][0]].Queue[l.entry].remember(pr[1], rtt[l.k])
+		}
 	}
 	return len(pairs)
+}
+
+// rewrite is a committed swap's effect on the movers' memory: U and V now
+// sit on each other's hosts, so every entry of theirs takes the after-leg
+// sc measured to its neighbor, and an entry sc did not list goes cold. Their
+// neighbors' entries need nothing: the host they remember is gone from the
+// slot.
+func (p *Protocol) rewrite(ev *Evaluation, sc *overlay.Scratch) {
+	j := 0
+	for _, x := range [2]int{ev.U, ev.V} {
+		q := p.node(x).Queue
+		for i := range q {
+			entry := [2]int32{int32(x), int32(q[i].Neighbor)}
+			for j < len(sc.Legs) && sc.Legs[j][0] == entry[0] && sc.Legs[j][1] < entry[1] {
+				j++
+			}
+			if j < len(sc.Legs) && sc.Legs[j] == entry {
+				q[i].remember(sc.Pairs[2*j+1][1], sc.RTT[2*j+1])
+			} else {
+				q[i].host = 0
+			}
+		}
+		for j < len(sc.Legs) && sc.Legs[j][0] == int32(x) {
+			j++
+		}
+	}
 }
 
 // BackoffSnapshot summarizes the Markov back-off state of every registered

@@ -283,7 +283,7 @@ func TestProposalLeg(t *testing.T) {
 		u.Fired(&p.round, p.O.Neighbors(m.u))
 		ver := v.Version()
 		u.Reached(&p.round, p.O, m.u, m.v, m.path)
-		if step := u.Measured(&p.round, p.measurePairs(0, p.sc.Pairs, p.sc.RTT)); step.Kind != Commit {
+		if step := u.Measured(&p.round, p.measurePairs(0, &p.sc)); step.Kind != Commit {
 			t.Fatalf("lost %v: %+v, want a Commit step", lost, step)
 		}
 		fc, bumped := faults.Config{Seed: 1, DupProb: 1}, uint32(1)

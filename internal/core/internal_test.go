@@ -25,11 +25,37 @@ func tinyOverlay(t *testing.T, hosts []int) *overlay.Overlay {
 	return o
 }
 
+// hopOrder is the FirstHop sequence of a copy of p whose every cycle fails
+// in warm-up, so each first hop falls to the tail: p's queue in (Prio, seq)
+// order.
+func hopOrder(p *Peer) []int {
+	c := Peer{Queue: slices.Clone(p.Queue), seq: p.seq}
+	cfg := DefaultConfig(PROPG)
+	cfg.MaxInitTrials = len(c.Queue)
+	var order []int
+	for range c.Queue {
+		nb, _ := c.FirstHop()
+		c.Finish(false, cfg)
+		order = append(order, nb)
+	}
+	return order
+}
+
+// sortedByNeighbor reports whether q is in ascending neighbor order, each
+// neighbor once.
+func sortedByNeighbor(q []QueueEntry) bool {
+	return slices.IsSortedFunc(q, func(a, b QueueEntry) int { return a.Neighbor - b.Neighbor }) &&
+		len(slices.CompactFunc(slices.Clone(q), func(a, b QueueEntry) bool { return a.Neighbor == b.Neighbor })) == len(q)
+}
+
 func TestQueueInitIsPermutationOfNeighbors(t *testing.T) {
 	var st Peer
 	st.Init([]int{1, 2, 3, 4}, rng.New(1))
 	if len(st.Queue) != 4 {
 		t.Fatalf("queue length %d", len(st.Queue))
+	}
+	if !sortedByNeighbor(st.Queue) {
+		t.Fatalf("queue %v not in ascending neighbor order", st.Queue)
 	}
 	seen := map[int]bool{}
 	for _, qe := range st.Queue {
@@ -59,7 +85,7 @@ func TestQueueInitIsPermutationOfNeighbors(t *testing.T) {
 	for seed := uint64(0); seed < 64; seed++ {
 		var p Peer
 		p.Init([]int{1, 2, 3, 4}, rng.New(seed))
-		first[p.Queue[0].Neighbor] = true
+		first[hopOrder(&p)[0]] = true
 	}
 	if len(first) != 4 {
 		t.Fatalf("only %v ever lead the queue over 64 seeds", first)
@@ -112,26 +138,29 @@ func TestReconcileQueueDropsStaleAddsFresh(t *testing.T) {
 	for i := range st.Queue {
 		st.Queue[i].Prio = 5
 	}
-	// Topology change: drop 1, add 7 and 3 (listed in that order).
-	st.Reconcile([]int{2, 7, 3})
+	// Topology change: drop 1, add 3 and 7 (listed ascending).
+	st.Reconcile([]int{2, 3, 7})
 	var neighbors []int
 	for _, qe := range st.Queue {
 		neighbors = append(neighbors, qe.Neighbor)
 	}
-	if len(neighbors) != 3 || neighbors[0] != 2 || neighbors[1] != 7 || neighbors[2] != 3 {
-		t.Fatalf("queue = %v, want survivors then fresh neighbors in listed order [2 7 3]", neighbors)
+	if !slices.Equal(neighbors, []int{2, 3, 7}) || !sortedByNeighbor(st.Queue) {
+		t.Fatalf("queue = %v, want the survivor and the fresh neighbors in neighbor order [2 3 7]", neighbors)
+	}
+	if order := hopOrder(&st); !slices.Equal(order, []int{3, 7, 2}) {
+		t.Fatalf("first hops %v, want fresh neighbors in listed order, then survivors [3 7 2]", order)
 	}
 	// The fresh neighbors sit at the queue front (strictly lowest priority —
 	// §3.2's churn rule), earliest-listed first.
-	if st.Queue[1].Prio >= 5 || st.Queue[1].Prio != st.Queue[2].Prio {
-		t.Fatalf("fresh priorities %d/%d not at front of %d", st.Queue[1].Prio, st.Queue[2].Prio, st.Queue[0].Prio)
+	if st.Queue[1].Prio >= 5 || st.Queue[1].Prio != st.Queue[2].Prio || st.Queue[1].seq >= st.Queue[2].seq {
+		t.Fatalf("fresh standings %d/%d not at front of %d", st.Queue[1].Prio, st.Queue[2].Prio, st.Queue[0].Prio)
 	}
-	if nb, _ := st.FirstHop(); nb != 7 {
-		t.Fatalf("first hop %d, want the earliest-listed fresh neighbor 7", nb)
+	if nb, _ := st.FirstHop(); nb != 3 {
+		t.Fatalf("first hop %d, want the earliest-listed fresh neighbor 3", nb)
 	}
 	// Reconciling against the same neighborhood changes nothing.
 	before := append([]QueueEntry(nil), st.Queue...)
-	st.Reconcile([]int{2, 7, 3})
+	st.Reconcile([]int{2, 3, 7})
 	for i := range before {
 		if st.Queue[i] != before[i] {
 			t.Fatalf("idempotent reconcile changed the queue: %v vs %v", st.Queue, before)
@@ -148,7 +177,7 @@ func referenceReconcile(p *Peer, nbrs []int) {
 	}
 	kept := p.Queue[:0]
 	seen := make(map[int]bool, len(p.Queue))
-	minPrio := 0
+	minPrio := int32(0)
 	for _, qe := range p.Queue {
 		if inSet[qe.Neighbor] && !seen[qe.Neighbor] {
 			kept = append(kept, qe)
@@ -170,17 +199,20 @@ func referenceReconcile(p *Peer, nbrs []int) {
 // TestReconcileMatchesMapReference drives two peers through the same random
 // churn — neighbors leaving, joining, the list reshuffled or untouched, probe
 // cycles in between moving priorities — one through Reconcile and one through
-// the map-based reference, and requires identical queues throughout: order,
-// Prio and arrival seq.
+// the map-based reference, each given the list ascending, and requires the
+// same queue throughout: each neighbor's Prio and arrival seq, and the same
+// first hops. Reconcile's queue is in neighbor order, the reference's in
+// arrival order.
 func TestReconcileMatchesMapReference(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		cfg := DefaultConfig(PROPG)
 		cfg.MaxInitTrials = 3
 		nbrs := r.Perm(40)[:1+r.Intn(12)]
+		slices.Sort(nbrs) // Init, like Reconcile, takes the list ascending
 		var got, want Peer
-		got.Init(append([]int(nil), nbrs...), rng.New(seed+1))
-		want.Init(append([]int(nil), nbrs...), rng.New(seed+1))
+		got.Init(nbrs, rng.New(seed+1))
+		want.Init(nbrs, rng.New(seed+1))
 		for step := 0; step < 60; step++ {
 			switch r.Intn(5) {
 			case 0: // a neighbor leaves
@@ -200,15 +232,17 @@ func TestReconcileMatchesMapReference(t *testing.T) {
 			case 3: // wholesale replacement
 				nbrs = r.Perm(40)[:r.Intn(12)]
 			} // case 4: unchanged neighborhood
-			got.Reconcile(nbrs)
-			referenceReconcile(&want, nbrs)
-			if len(got.Queue) != len(want.Queue) || got.seq != want.seq {
+			listed := slices.Clone(nbrs)
+			slices.Sort(listed)
+			got.Reconcile(listed)
+			referenceReconcile(&want, listed)
+			if len(got.Queue) != len(want.Queue) || got.seq != want.seq || !sortedByNeighbor(got.Queue) {
 				return false
 			}
-			for i := range want.Queue {
-				if got.Queue[i] != want.Queue[i] {
-					return false
-				}
+			byNeighbor := slices.Clone(want.Queue)
+			slices.SortFunc(byNeighbor, func(a, b QueueEntry) int { return a.Neighbor - b.Neighbor })
+			if !slices.Equal(got.Queue, byNeighbor) || !slices.Equal(hopOrder(&got), hopOrder(&want)) {
+				return false
 			}
 			// A probe cycle between reconciliations, so priorities spread.
 			success := r.Intn(2) == 0
@@ -235,7 +269,7 @@ func TestFinishStandingAndTimer(t *testing.T) {
 	cfg.MaxInitTrials = 2
 	st := &Peer{TimerMS: cfg.InitTimerMS}
 	st.Init([]int{10, 20, 30}, rng.New(4))
-	order := []int{st.Queue[0].Neighbor, st.Queue[1].Neighbor, st.Queue[2].Neighbor}
+	order := hopOrder(st)
 
 	steps := []struct {
 		success   bool
@@ -310,12 +344,14 @@ func TestMeasureHostsNoise(t *testing.T) {
 	varies := false
 	sum := 0.0
 	const draws = 2000
-	pair, rtt := [][2]int{{0, 100}}, make([]float64, 1)
+	// One before-leg, which no queue remembers, and its after-leg.
+	sc := &overlay.Scratch{Pairs: [][2]int{{0, 100}, {100, 0}}, RTT: make([]float64, 2), Legs: [][2]int32{{0, 1}}}
+	rtt := sc.RTT
 	for i := 0; i < draws; i++ {
-		if p.measurePairs(0, pair, rtt) != 1 {
+		if p.measurePairs(0, sc) != 2 {
 			t.Fatal("measurement failed with no injector attached")
 		}
-		m := rtt[0]
+		m := rtt[i%2]
 		if m < 0 {
 			t.Fatalf("negative measurement %v", m)
 		}
@@ -335,8 +371,8 @@ func TestMeasureHostsNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.measurePairs(0, pair, rtt); rtt[0] != 100 {
-		t.Fatalf("exact measurement = %v", rtt[0])
+	if exact.measurePairs(0, sc); rtt[0] != 100 || rtt[1] != 100 {
+		t.Fatalf("exact measurement = %v", rtt)
 	}
 }
 

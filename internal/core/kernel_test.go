@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/event"
 	"repro/internal/faults"
 	"repro/internal/overlay"
 	"repro/internal/rng"
@@ -212,9 +213,9 @@ func TestExchangeMatchesPerCallReference(t *testing.T) {
 	}
 }
 
-// referenceMeasureRTT is the sequential driver's measurement as it stood
+// referenceMeasureRTT is Protocol's measurement of one leg as it stood
 // before the batch seam: delivery (with its retries), then the truth read,
-// then the noise draw, one pair at a time.
+// then the noise draw.
 func referenceMeasureRTT(p *Protocol, lat func(a, b int) float64, now float64, a, b int) (float64, bool) {
 	for attempt := 0; ; attempt++ {
 		d := p.faults.Deliver(a, b, now)
@@ -239,9 +240,21 @@ func referenceMeasureRTT(p *Protocol, lat func(a, b int) float64, now float64, a
 	}
 }
 
-// TestMeasurePairsMatchesPerCallReference: reading every truth before the
-// first delivery changes no RTT bit, no counter and neither random stream,
-// with loss heavy enough that some batches exhaust a retry budget.
+// memo is the reference's neighbor memory: per (owner, neighbor) slot pair,
+// the host last measured to and the RTT, as a QueueEntry stores it.
+type memo map[[2]int32]struct {
+	host int
+	rtt  float32
+}
+
+// TestMeasurePairsMatchesPerCallReference: reading every sent leg's truth
+// before the first delivery, and the remembered before-legs from the
+// queues, changes no RTT bit, no counter and neither random stream against
+// a per-pair reference that keeps its memory in a map — a before-leg read
+// when the owner last measured it to the neighbor's current host, every
+// other leg sent, a delivered before-leg remembered — with loss heavy
+// enough that some batches exhaust a retry budget, and host swaps behind
+// the memory's back so that stale entries are sent again.
 func TestMeasurePairsMatchesPerCallReference(t *testing.T) {
 	for _, noise := range []float64{0, 0.3} {
 		build := func() *Protocol {
@@ -252,26 +265,47 @@ func TestMeasurePairsMatchesPerCallReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			p.Start(event.New()) // every slot queues all its neighbors, cold
 			p.AttachFaults(mustInjector(t, faults.Config{Seed: 5, LossProb: 0.3, DupProb: 0.1, JitterMS: 5}))
 			return p
 		}
 		ref, got := build(), build()
-		r, sc := rng.New(3), new(overlay.Scratch)
-		poisoned := 0
+		r, sc, mem := rng.New(3), new(overlay.Scratch), memo{}
+		poisoned, read, stale := 0, 0, 0
 		for i := 0; i < 300; i++ {
 			u := r.Intn(40)
 			v := (u + 1 + r.Intn(39)) % 40
+			if i%20 == 19 { // a swap the queues do not hear of
+				if err := got.O.SwapHosts(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
 			got.O.SwapPairs(u, v, sc)
 			want, wantN := make([]float64, len(sc.Pairs)), len(sc.Pairs)
 			for k, pr := range sc.Pairs {
+				leg := sc.Legs[k/2]
+				m, warm := mem[leg]
+				if k%2 == 0 && warm && m.host == pr[1] {
+					want[k] = float64(m.rtt)
+					read++
+					continue
+				}
+				if k%2 == 0 && warm {
+					stale++
+				}
 				rtt, ok := referenceMeasureRTT(ref, lineLat, float64(i), pr[0], pr[1])
 				if !ok {
 					wantN = k
 					break
 				}
-				want[k] = rtt
+				if want[k] = rtt; k%2 == 0 {
+					mem[leg] = struct {
+						host int
+						rtt  float32
+					}{pr[1], float32(rtt)}
+				}
 			}
-			n := got.measurePairs(float64(i), sc.Pairs, sc.RTT)
+			n := got.measurePairs(float64(i), sc)
 			if n != wantN {
 				t.Fatalf("noise %v, batch %d: measured %d pairs, reference %d", noise, i, n, wantN)
 			}
@@ -287,8 +321,9 @@ func TestMeasurePairsMatchesPerCallReference(t *testing.T) {
 		if got.Counters != ref.Counters || got.r.Uint64() != ref.r.Uint64() {
 			t.Fatalf("noise %v: counters %+v, reference %+v (or p.r diverged)", noise, got.Counters, ref.Counters)
 		}
-		if poisoned == 0 || poisoned == 300 {
-			t.Fatalf("noise %v: %d of 300 batches poisoned — a branch went untested", noise, poisoned)
+		if poisoned == 0 || poisoned == 300 || read == 0 || stale == 0 {
+			t.Fatalf("noise %v: %d of 300 batches poisoned, %d legs read, %d stale — a branch went untested",
+				noise, poisoned, read, stale)
 		}
 	}
 }

@@ -145,14 +145,18 @@ func TestTxnRandomInputs(t *testing.T) {
 }
 
 // TestTxnSize pins the per-peer footprints: the Txn the sharded engine
-// budgets, and the sequential driver's nodeState, which carries one inside
-// its Cycle and must stay in the 96 B size class (DESIGN.md §3: crossing it
-// cost 5–7.6 % live heap).
+// budgets, Protocol's nodeState, which carries one inside its Cycle and
+// must stay in the 96 B size class (DESIGN.md §3: crossing it cost 5–7.6 %
+// live heap), and the neighborQ entry, which carries the remembered RTT
+// (32 B cost chord-faults 13 % live heap).
 func TestTxnSize(t *testing.T) {
 	if s := unsafe.Sizeof(Txn{}); s != 8 {
 		t.Fatalf("Txn is %d bytes, want 8", s)
 	}
 	if s := unsafe.Sizeof(nodeState{}); s > 96 {
 		t.Fatalf("nodeState is %d bytes, want <= 96", s)
+	}
+	if s := unsafe.Sizeof(QueueEntry{}); s > 24 {
+		t.Fatalf("QueueEntry is %d bytes, want <= 24", s)
 	}
 }

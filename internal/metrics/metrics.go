@@ -110,7 +110,10 @@ type Counters struct {
 	// (nhops per successful walk).
 	WalkMessages uint64
 	// MeasureMessages is the number of latency measurements to hypothetical
-	// neighbors (the 2c of PROP-G, the 2m of PROP-O).
+	// neighbors (the 2c of PROP-G, the 2m of PROP-O): one per neighbor entry
+	// an evaluation moves, its after-leg. A peer remembers its RTT to each
+	// current neighbor, so once its neighborQ entries are warm core.Protocol
+	// delivers about this many; a cold or stale entry costs one more.
 	MeasureMessages uint64
 	// NotifyMessages is the number of neighbor-notification messages sent
 	// after an executed exchange.

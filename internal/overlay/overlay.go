@@ -97,14 +97,22 @@ type Scratch struct {
 	Nbrs, Cand []int // neighbor lists and candidate sets
 	Path       []int // the walk in flight
 	// Pairs lists the host pairs of the evaluation in flight in measurement
-	// order (SwapPairs, TradePairs); RTT is one slot per pair for the driver.
+	// order (SwapPairs, TradePairs), a before-leg and its after-leg per moved
+	// entry; RTT is one slot per pair for the caller. Legs[j] = {owner,
+	// neighbor} names the slots of before-leg Pairs[2j], so a caller that
+	// remembers RTTs finds the owner's entry: one owner's legs are
+	// consecutive, in ascending neighbor order. int32: every agent of the
+	// live runtime keeps a Scratch.
 	Pairs [][2]int
 	RTT   []float64
+	Legs  [][2]int32
 }
 
-// setPairs installs an evaluation's pair list and sizes RTT to match.
-func (sc *Scratch) setPairs(pairs [][2]int) {
-	sc.Pairs, sc.RTT = pairs, slices.Grow(sc.RTT[:0], len(pairs))[:len(pairs)]
+// setPairs installs an evaluation's pair and leg lists and sizes RTT to
+// match.
+func (sc *Scratch) setPairs(pairs [][2]int, legs [][2]int32) {
+	sc.Pairs, sc.Legs = pairs, legs
+	sc.RTT = slices.Grow(sc.RTT[:0], len(pairs))[:len(pairs)]
 }
 
 // New creates an overlay with one slot per entry of hosts, each slot i
@@ -215,16 +223,6 @@ func (o *Overlay) Dist(u, v int) float64 {
 // LatencyFunc, whether or not they back a slot: what a host measures before
 // its slot exists (CAN's PIS landmarks, a SAT-Match probe).
 func (o *Overlay) Latency(hostA, hostB int) float64 { return o.lat(hostA, hostB) }
-
-// HostLatencies fills rtt[k] with the true latency between the hosts of
-// pairs[k]. The reads are independent and nothing runs between them, so
-// their cache misses overlap (DESIGN.md §7 "Measurement batch").
-func (o *Overlay) HostLatencies(pairs [][2]int, rtt []float64) {
-	rtt = rtt[:len(pairs)] // one bounds check, none between the reads
-	for k, p := range pairs {
-		rtt[k] = o.lat(p[0], p[1])
-	}
-}
 
 // NeighborLatencySum returns Σ_{i ∈ N(u)} d(u, i): the quantity each PROP
 // node maintains about its own neighborhood (§3.2). Crashed neighbors whose
@@ -372,17 +370,20 @@ func (o *Overlay) checkMove(from, to, x int, banned map[int]bool) error {
 // TradePairs lists into sc the host pairs a PROP-O evaluation measures —
 // how a real peer evaluates Var from (noisy) probe RTTs: per moved neighbor
 // its link as it stands, then as it would be, (u,a),(v,a) for a ∈ give and
-// (v,b),(u,b) for b ∈ take. All slots must be alive.
+// (v,b),(u,b) for b ∈ take. All slots must be alive, and give and take
+// ascending, as SelectTrade returns them.
 func (o *Overlay) TradePairs(u, v int, give, take []int, sc *Scratch) {
 	hu, hv := o.hostOf[u], o.hostOf[v]
-	pairs := sc.Pairs[:0]
+	pairs, legs := sc.Pairs[:0], sc.Legs[:0]
 	for _, a := range give {
 		pairs = append(pairs, [2]int{hu, o.hostOf[a]}, [2]int{hv, o.hostOf[a]})
+		legs = append(legs, [2]int32{int32(u), int32(a)})
 	}
 	for _, b := range take {
 		pairs = append(pairs, [2]int{hv, o.hostOf[b]}, [2]int{hu, o.hostOf[b]})
+		legs = append(legs, [2]int32{int32(v), int32(b)})
 	}
-	sc.setPairs(pairs)
+	sc.setPairs(pairs, legs)
 }
 
 // TradeVar folds the RTTs of a TradePairs list into Var.
@@ -401,7 +402,12 @@ func (o *Overlay) SwapPairs(u, v int, sc *Scratch) {
 	if !o.Alive(u) || !o.Alive(v) {
 		panic(fmt.Sprintf("overlay: SwapPairs(%d,%d) on dead slot", u, v))
 	}
-	pairs := sc.Pairs[:0]
+	// Sized for every edge and written by index: appending cost this loop
+	// about twice the time.
+	n := o.Logical.Degree(u) + o.Logical.Degree(v)
+	pairs := slices.Grow(sc.Pairs[:0], 2*n)[:2*n]
+	legs := slices.Grow(sc.Legs[:0], n)[:n]
+	m := 0
 	for _, xy := range [2][2]int{{u, v}, {v, u}} {
 		x, y := xy[0], xy[1] // x's neighborhood, y's host moving in
 		hx, hy := o.hostOf[x], o.hostOf[y]
@@ -416,14 +422,16 @@ func (o *Overlay) SwapPairs(u, v int, sc *Scratch) {
 			if !o.Alive(i) {
 				continue
 			}
-			hi := o.hostOf[i]
+			hi, after := o.hostOf[i], o.hostOf[i]
 			if i == y {
-				hi = hx // y's host after the swap; d is symmetric so value is unchanged
+				after = hx // y's host after the swap; d is symmetric so value is unchanged
 			}
-			pairs = append(pairs, [2]int{hx, o.hostOf[i]}, [2]int{hy, hi})
+			pairs[2*m], pairs[2*m+1] = [2]int{hx, hi}, [2]int{hy, after}
+			legs[m] = [2]int32{int32(x), int32(i)}
+			m++
 		}
 	}
-	sc.setPairs(pairs)
+	sc.setPairs(pairs[:2*m], legs[:m])
 }
 
 // SwapVar folds the RTTs of a SwapPairs list into Var: Σ before − Σ after.

@@ -99,13 +99,20 @@ func mustEdge(t *testing.T, o *Overlay, u, v int) {
 	}
 }
 
+// truths fills sc.RTT with the true latency of every listed pair.
+func truths(o *Overlay, sc *Scratch) {
+	for k, pr := range sc.Pairs {
+		sc.RTT[k] = o.Latency(pr[0], pr[1])
+	}
+}
+
 // swapGain is Var for a hypothetical PROP-G exchange, composed the way
 // core evaluates it: the change in Σ d(u,N(u)) + Σ d(v,N(v)) if u and v
 // swap hosts.
 func swapGain(o *Overlay, u, v int) float64 {
 	var sc Scratch
 	o.SwapPairs(u, v, &sc)
-	o.HostLatencies(sc.Pairs, sc.RTT)
+	truths(o, &sc)
 	return SwapVar(sc.RTT)
 }
 
@@ -114,7 +121,7 @@ func swapGain(o *Overlay, u, v int) float64 {
 func exchangeGain(o *Overlay, u, v int, give, take []int) float64 {
 	var sc Scratch
 	o.TradePairs(u, v, give, take, &sc)
-	o.HostLatencies(sc.Pairs, sc.RTT)
+	truths(o, &sc)
 	return TradeVar(sc.RTT)
 }
 

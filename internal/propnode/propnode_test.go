@@ -3,6 +3,7 @@ package propnode
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -151,12 +152,29 @@ func TestStartRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// hopOrder is the FirstHop sequence of a copy of q whose every cycle fails
+// in warm-up, so each first hop falls to the tail: the neighbors in the
+// (Prio, arrival) order an agent probes them in.
+func hopOrder(q []core.QueueEntry) []int {
+	p := core.Peer{Queue: slices.Clone(q)}
+	cfg := core.DefaultConfig(core.PROPG)
+	cfg.MaxInitTrials = len(q)
+	order := make([]int, 0, len(q))
+	for range q {
+		nb, _ := p.FirstHop()
+		p.Finish(false, cfg)
+		order = append(order, nb)
+	}
+	return order
+}
+
 // TestQueueOrderIsSeedDeterministic pins the neighborQ against scheduling
 // and map-iteration leaks: two runtimes built from one Config.Seed hold the
-// same per-agent queue order — the paper's random initial permutation drawn
-// from the runtime stream, and neighbors that arrive later entering in
-// ascending slot order. The probe interval is an hour, so no agent fires
-// and the overlay is quiesced.
+// same per-agent probing order — the paper's random initial permutation
+// drawn from the runtime stream, and neighbors that arrive later entering in
+// ascending slot order — while each queue is kept in ascending slot order.
+// The probe interval is an hour, so no agent fires and the overlay is
+// quiesced.
 func TestQueueOrderIsSeedDeterministic(t *testing.T) {
 	const n = 24
 	queues := func(seed uint64) [][]int {
@@ -171,8 +189,9 @@ func TestQueueOrderIsSeedDeterministic(t *testing.T) {
 			if len(a.cyc.Queue) != rt.o.Degree(u) {
 				t.Fatalf("host %d: %d queued of %d neighbors at start", host, len(a.cyc.Queue), rt.o.Degree(u))
 			}
-			for i := 1; i < len(a.cyc.Queue); i++ {
-				shuffled = shuffled || a.cyc.Queue[i].Neighbor < a.cyc.Queue[i-1].Neighbor
+			order := hopOrder(a.cyc.Queue)
+			for i := 1; i < len(order); i++ {
+				shuffled = shuffled || order[i] < order[i-1]
 			}
 			// Three fresh neighbors at once: the order they enter the queue
 			// in must not depend on anything but the overlay.
@@ -182,12 +201,15 @@ func TestQueueOrderIsSeedDeterministic(t *testing.T) {
 				}
 			}
 			a.cyc.Reconcile(rt.o.Neighbors(u))
-			for _, qe := range a.cyc.Queue {
-				out[host] = append(out[host], qe.Neighbor)
+			for i, qe := range a.cyc.Queue {
+				if i > 0 && qe.Neighbor <= a.cyc.Queue[i-1].Neighbor {
+					t.Fatalf("host %d: queue %v not in ascending slot order", host, a.cyc.Queue)
+				}
 			}
+			out[host] = hopOrder(a.cyc.Queue)
 		}
 		if !shuffled {
-			t.Fatal("every initial queue is in ascending slot order — the random permutation is missing")
+			t.Fatal("every initial probing order is ascending — the random permutation is missing")
 		}
 		return out
 	}
