@@ -246,7 +246,6 @@ func Run(cfg Config) (*Result, error) {
 		ProbeIntervalMS:     5,
 		PingTimeout:         15 * time.Millisecond,
 		HeartbeatIntervalMS: 10,
-		HeartbeatTimeout:    10 * time.Millisecond,
 		Lat:                 propnode.ClusterLat,
 		Seed:                cfg.Seed,
 	})

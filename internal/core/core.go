@@ -92,9 +92,9 @@ type Config struct {
 	MeasurementNoise float64
 }
 
-// maxTimerFactor caps the Markov back-off: MAX_TIMER = maxTimerFactor ×
+// MaxTimerFactor caps the Markov back-off: MAX_TIMER = MaxTimerFactor ×
 // INIT_TIMER (paper: 2^5 = 32, "at most five times of suspending").
-const maxTimerFactor = 32
+const MaxTimerFactor = 32
 
 // Retransmission (DESIGN.md §9). These only matter when an injector
 // attached via AttachFaults loses messages.
@@ -182,7 +182,7 @@ type Peer struct {
 	TimerMS float64
 
 	seq int32
-	hop int // 1 + index of the first hop of the cycle in flight; 0 = none
+	hop int // 1 + the first hop of the cycle in flight; 0 = none
 }
 
 // Init fills the neighborQ with nbrs — ascending, as AppendNeighbors lists
@@ -261,8 +261,8 @@ func (p *Peer) Reconcile(nbrs []int) {
 
 // FirstHop opens a probe cycle: it counts the trial and returns the
 // minimum-priority neighbor as the walk's first hop. ok is false when the
-// queue is empty. The cycle ends with Finish, and the queue must not be
-// reconciled in between.
+// queue is empty. The cycle ends with Finish; the queue may be reconciled
+// in between.
 func (p *Peer) FirstHop() (neighbor int, ok bool) {
 	p.Trials++
 	best := -1
@@ -272,11 +272,37 @@ func (p *Peer) FirstHop() (neighbor int, ok bool) {
 			best = i
 		}
 	}
-	p.hop = best + 1
 	if best < 0 {
 		return 0, false
 	}
+	p.hop = p.Queue[best].Neighbor + 1
 	return p.Queue[best].Neighbor, true
+}
+
+// entry returns the index of neighbor's entry, or -1.
+func (p *Peer) entry(neighbor int) int {
+	return slices.IndexFunc(p.Queue, func(qe QueueEntry) bool { return qe.Neighbor == neighbor })
+}
+
+// Remember stores rtt, just measured to host, the host neighbor holds, as
+// neighbor's before-leg; a negative rtt makes the entry cold. A neighbor the
+// queue lacks is ignored.
+func (p *Peer) Remember(neighbor, host int, rtt float64) {
+	if i := p.entry(neighbor); i >= 0 && rtt >= 0 {
+		p.Queue[i].remember(host, rtt)
+	} else if i >= 0 {
+		p.Queue[i].host = 0
+	}
+}
+
+// Recall returns the RTT an entry remembers to host, if one does.
+func (p *Peer) Recall(host int) (rtt float64, ok bool) {
+	for _, qe := range p.Queue {
+		if qe.host == int32(host+1) {
+			return float64(qe.rtt), true
+		}
+	}
+	return 0, false
 }
 
 // maxPrio returns the maximum priority in the queue (0 if empty).
@@ -295,22 +321,23 @@ func (p *Peer) maxPrio() int32 {
 // to the queue tail and the timer stays at INIT_TIMER, so every neighbor
 // gets a turn. Afterwards a successful first hop moves up one priority and
 // the timer resets; a failed one falls to the tail and the timer doubles,
-// resetting once it passes MAX_TIMER = maxTimerFactor × INIT_TIMER.
+// resetting once it passes MAX_TIMER = MaxTimerFactor × INIT_TIMER. A first
+// hop that left the queue meanwhile keeps no standing.
 func (p *Peer) Finish(success bool, cfg Config) (nextTimerMS float64) {
 	warmUp := p.Trials <= cfg.MaxInitTrials
-	if p.hop > 0 {
+	if i := p.entry(p.hop - 1); p.hop > 0 && i >= 0 {
 		if success && !warmUp {
-			p.Queue[p.hop-1].Prio--
+			p.Queue[i].Prio--
 		} else {
-			p.Queue[p.hop-1].Prio = p.maxPrio() + 1
+			p.Queue[i].Prio = p.maxPrio() + 1
 		}
-		p.hop = 0
 	}
+	p.hop = 0
 	if success || warmUp {
 		p.TimerMS = cfg.InitTimerMS
 	} else {
 		p.TimerMS *= 2
-		if p.TimerMS > maxTimerFactor*cfg.InitTimerMS {
+		if p.TimerMS > MaxTimerFactor*cfg.InitTimerMS {
 			p.TimerMS = cfg.InitTimerMS
 		}
 	}
@@ -922,7 +949,7 @@ func (b BackoffSnapshot) MeanFactor() float64 {
 // BackoffSnapshot captures the current timer state across all nodes.
 func (p *Protocol) BackoffSnapshot() BackoffSnapshot {
 	var bs BackoffSnapshot
-	maxMS := maxTimerFactor * p.cfg.InitTimerMS
+	maxMS := MaxTimerFactor * p.cfg.InitTimerMS
 	for _, st := range p.nodes {
 		if st == nil {
 			continue

@@ -142,7 +142,7 @@ func (c *Cycle) Retransmit(txn uint32) Step {
 		return Step{Kind: Ignore}
 	}
 	c.phase = walking
-	return Step{Kind: Walk, Hop: c.Queue[c.hop-1].Neighbor}
+	return Step{Kind: Walk, Hop: c.hop - 1}
 }
 
 // Reached reports the walk's partner v and its path from u, the peer's

@@ -303,6 +303,42 @@ func TestFinishStandingAndTimer(t *testing.T) {
 	}
 }
 
+// TestFinishAfterMidCycleReconcile: a live driver's failure detector may
+// reconcile the queue while a cycle is open. Finish then ranks the first hop
+// FirstHop chose, wherever the merge moved its entry, and ranks nothing when
+// the hop left the queue meanwhile.
+func TestFinishAfterMidCycleReconcile(t *testing.T) {
+	cfg := DefaultConfig(PROPG)
+	cfg.MaxInitTrials = 0 // past warm-up: a success promotes the hop
+	st := &Peer{TimerMS: cfg.InitTimerMS}
+	st.Init([]int{10, 20, 30}, rng.New(4))
+	hop, _ := st.FirstHop()
+	st.Reconcile([]int{5, 10, 20, 30}) // a fresh neighbor shifts every index
+	prio := map[int]int32{}
+	for _, qe := range st.Queue {
+		prio[qe.Neighbor] = qe.Prio
+	}
+	st.Finish(true, cfg)
+	for _, qe := range st.Queue {
+		want := prio[qe.Neighbor]
+		if qe.Neighbor == hop {
+			want--
+		}
+		if qe.Prio != want {
+			t.Fatalf("neighbor %d: priority %d after a successful cycle through %d, want %d", qe.Neighbor, qe.Prio, hop, want)
+		}
+	}
+
+	hop, _ = st.FirstHop()
+	before := slices.Clone(st.Queue)
+	st.Reconcile(slices.DeleteFunc([]int{5, 10, 20, 30}, func(nb int) bool { return nb == hop }))
+	kept := slices.Clone(st.Queue)
+	st.Finish(false, cfg)
+	if !slices.Equal(st.Queue, kept) || len(kept) != len(before)-1 {
+		t.Fatalf("a cycle through departed neighbor %d ranked the queue %v → %v", hop, kept, st.Queue)
+	}
+}
+
 func TestSelectTradeConstraints(t *testing.T) {
 	// u=0 neighbors {2,3,4}; v=1 neighbors {4,5,6}; path = [0,3,1] so 3 is
 	// banned for u; 4 is adjacent to both so banned both ways.

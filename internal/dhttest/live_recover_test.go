@@ -30,7 +30,6 @@ func TestLiveRecoverRejoin(t *testing.T) {
 		ProbeIntervalMS:     5,
 		PingTimeout:         15 * time.Millisecond,
 		HeartbeatIntervalMS: 8,
-		HeartbeatTimeout:    10 * time.Millisecond,
 		Lat:                 lineLat,
 		Seed:                31,
 	})

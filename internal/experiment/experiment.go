@@ -487,10 +487,11 @@ const (
 
 // check rejects, before any trial runs, the option values no experiment
 // accepts — a scale outside [0, 1] or negative trials (withDefaults fills
-// only a zero), a negative or non-finite fault override (a sweep treats a
-// value ≤ 0 as unset, and NaN passes every range check), a negative ladder
-// cap or shard count (the ladder reads a cap ≤ 0 as the full 10^6 ladder)
-// or an unknown AL mode — and every set optional field the row does not
+// only a zero), a negative or non-finite fault override or a loss or crash
+// fraction above 1 (a sweep treats a value ≤ 0 as unset, NaN passes every
+// range check, and figRb ran a "200 %" row), a negative ladder cap or shard
+// count (the ladder reads a cap ≤ 0 as the full 10^6 ladder) or an unknown
+// AL mode — and every set optional field the row does not
 // consume, naming the rows that do. Before this guard
 // `propsim -exp fig5b -loss 0.05` ran the fault-free experiment and reported
 // clean results as if the faults had been applied.
@@ -502,11 +503,11 @@ func (s *spec) check(opt Options) error {
 		return fmt.Errorf("experiment: -trials = %d, want >= 1, or 0 for the default", opt.Trials)
 	}
 	for _, f := range []struct {
-		flag string
-		v    float64
-	}{{"-loss", opt.FaultLoss}, {"-crash", opt.FaultCrash}, {"-partition", opt.FaultPartitionMS}} {
-		if !(f.v >= 0 && f.v < math.Inf(1)) {
-			return fmt.Errorf("experiment: %s = %v, want a finite value >= 0", f.flag, f.v)
+		flag  string
+		v, hi float64
+	}{{"-loss", opt.FaultLoss, 1}, {"-crash", opt.FaultCrash, 1}, {"-partition", opt.FaultPartitionMS, math.Inf(1)}} {
+		if !(f.v >= 0 && f.v <= f.hi && f.v < math.Inf(1)) {
+			return fmt.Errorf("experiment: %s = %v, want a finite value in [0, %v]", f.flag, f.v, f.hi)
 		}
 	}
 	for _, f := range []struct {

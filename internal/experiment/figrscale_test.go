@@ -108,10 +108,12 @@ func TestFigRScaleStreamShardInvariance(t *testing.T) {
 }
 
 // TestFaultFlagRejectsBadValues: a negative or non-finite fault override, a
-// scale outside [0, 1] or negative trials is an error before any trial runs
-// — NaN used to run a whole figRa sweep and then panic merging it, -0.5
-// silently ran the default grid, -scale NaN ran every size at a NaN scale,
-// and -scale -3, -scale 7 and -trials -4 ran at the defaults.
+// loss or crash fraction above 1, a scale outside [0, 1] or negative trials
+// is an error before any trial runs — NaN used to run a whole figRa sweep
+// and then panic merging it, -0.5 silently ran the default grid, -crash 2
+// ran figRb with a "200 %" row, -loss 1.5 and figR-scale's -crash 2 failed
+// only after simulating their first points, -scale NaN ran every size at a
+// NaN scale, and -scale -3, -scale 7 and -trials -4 ran at the defaults.
 func TestFaultFlagRejectsBadValues(t *testing.T) {
 	reg := obs.New(obs.NewManifest("figRa", 1, 1, 0.1))
 	for _, c := range []struct {
@@ -121,6 +123,9 @@ func TestFaultFlagRejectsBadValues(t *testing.T) {
 	}{
 		{"figRa", Options{FaultLoss: math.NaN(), Metrics: reg}, "-loss"},
 		{"figRb", Options{FaultCrash: -0.5, Metrics: reg}, "-crash"},
+		{"figRa", Options{FaultLoss: 1.5, Metrics: reg}, "-loss"},
+		{"figRb", Options{FaultCrash: 2, Metrics: reg}, "-crash"},
+		{"figR-scale", Options{FaultCrash: 2, Metrics: reg}, "-crash"},
 		{"figRc", Options{FaultPartitionMS: math.Inf(1), Metrics: reg}, "-partition"},
 		{"overhead", Options{Scale: math.NaN(), Metrics: reg}, "-scale"},
 		{"overhead", Options{Scale: -3, Metrics: reg}, "-scale"},

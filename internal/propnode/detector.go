@@ -1,54 +1,28 @@
 package propnode
 
-import (
-	"slices"
-	"time"
-)
+import "time"
 
 // Failure detection. Each agent runs a detector goroutine next to its probe
-// loop: every HeartbeatIntervalMS it sweeps the agent's live neighbors with
-// one heartbeat ping each. Misses accrue an integer suspicion level per
-// neighbor host — a deterministic, integer-valued take on phi-accrual: the
-// ping deadline stretches with the suspicion level (HeartbeatTimeout <<
-// min(level, 3)), so a slow-but-alive peer earns exponentially more grace
-// while a dead one runs out of it in suspicionThreshold consecutive sweeps.
-// Crossing the threshold evicts the neighbor link and tops the degree back
-// up; a neighbor the overlay already knows is dead (crash-stop corpse) skips
-// suspicion entirely and goes straight to membership repair — the same
-// ring + top-up rule internal/gnutella applies, so detector-triggered repair
-// and an explicit Repair leave identical structure.
-//
-// Heartbeats are also the RTT refresh (§3.2: a peer knows Σ d(u,i) to its
-// neighbors): an answered heartbeat records its RTT, which an exchange reads
-// instead of pinging the neighbor again (rtt); a missed one drops it, so a
-// silent neighbor is pinged again and fails the evaluation.
-//
-// The table is keyed by host, not slot: PROP exchanges migrate hosts
-// between slots, and it is the host (the machine) that is unreachable. Each
-// sweep rebuilds it from the live neighbors without allocating, so an
-// ex-neighbor (exchange, leave, eviction) loses its record. The detector
-// goroutine alone writes it, under agent.nbrMu, held across no round trip.
+// loop, with no state of its own: every HeartbeatIntervalMS a sweep
+// reconciles the agent's neighborQ with its live neighbors and sends each
+// one heartbeat, a Node.Ping whose retransmits wait PingTimeout × 1, 2 and 4
+// — the suspicion ladder, so a slow-but-alive peer gets exponentially more
+// grace and a dead one is out of it within the sweep. An answered heartbeat
+// is the RTT refresh (§3.2: a peer knows Σ d(u,i) to its neighbors): it is
+// remembered in the neighbor's entry, with the host measured — PROP-G moves
+// hosts between slots — and exchanges read it (rtt). An unanswered one makes
+// the entry cold, evicts the link and tops the degree back up. A neighbor
+// the overlay already knows is dead (crash-stop corpse) gets no heartbeat:
+// the sweep runs membership repair, the same ring + top-up rule
+// internal/gnutella applies, so detector-triggered repair and an explicit
+// Repair leave identical structure. The sweep writes the queue under a.mu,
+// held across no round trip.
 
-// nbr is the detector's record of one live neighbor host: its suspicion
-// level and the RTT of its last heartbeat, negative when that heartbeat
-// missed or none has been answered yet.
-type nbr struct {
-	host  int
-	level int
-	rtt   float64
-}
+// heartbeatRetries bounds a heartbeat's retransmits: three deadlines.
+const heartbeatRetries = 2
 
-// find returns the index of host's record in a.nbrs, or -1. Degrees are
-// small, so a scan beats a map. Caller holds a.nbrMu or is the detector.
-func (a *agent) find(host int) int {
-	return slices.IndexFunc(a.nbrs, func(n nbr) bool { return n.host == host })
-}
-
-// suspicionThreshold is the accrual bound: a neighbor whose heartbeats miss
-// this many consecutive sweeps is evicted and membership repair runs.
-const suspicionThreshold = 3
-
-// runDetector is one agent's failure-detector loop.
+// runDetector is one agent's failure-detector loop. nbrs is the sweeps'
+// reused list of live neighbors.
 func (rt *Runtime) runDetector(a *agent, stagger time.Duration) {
 	defer rt.wg.Done()
 	interval := time.Duration(rt.cfg.HeartbeatIntervalMS * float64(time.Millisecond))
@@ -57,83 +31,74 @@ func (rt *Runtime) runDetector(a *agent, stagger time.Duration) {
 	}
 	timer := time.NewTimer(stagger)
 	defer timer.Stop()
+	var nbrs [][2]int
 	for {
 		select {
 		case <-a.stop:
 			return
 		case <-timer.C:
 		}
-		rt.heartbeatOnce(a)
+		nbrs = rt.heartbeatOnce(a, nbrs[:0])
 		timer.Reset(interval)
 	}
 }
 
-// heartbeatOnce runs one detector sweep: rebuild the agent's table from its
-// live neighbors under the lock, then ping each one without it (pumps answer
-// pings without taking rt.mu, so heartbeat traffic can never deadlock
-// against an exchange holding the lock).
-func (rt *Runtime) heartbeatOnce(a *agent) {
+// heartbeatOnce runs one detector sweep: under the locks, reconcile the
+// agent's neighborQ with its live neighbors and append each one's slot and
+// host to nbrs; then, holding neither, send each its heartbeat (pumps
+// answer pings without taking a lock, so heartbeat traffic can never
+// deadlock against an exchange holding one). It returns nbrs.
+func (rt *Runtime) heartbeatOnce(a *agent, nbrs [][2]int) [][2]int {
 	rt.mu.Lock()
 	if rt.o == nil || rt.agents[a.host] != a {
 		rt.mu.Unlock()
-		return
+		return nbrs
 	}
 	u := rt.o.SlotOfHost(a.host)
 	if u < 0 || !rt.o.Alive(u) {
 		rt.mu.Unlock()
-		return
+		return nbrs
 	}
-	// rt.sc.Nbrs is valid while rt.mu is held. The next table goes into the
-	// spare buffer, each record carried over from the last sweep or new.
+	// rt.sc.Nbrs is valid while rt.mu is held; live keeps its live prefix.
 	rt.sc.Nbrs = rt.o.Logical.AppendNeighbors(rt.sc.Nbrs[:0], u)
-	next := a.spare[:0]
-	corpses := false
+	live := rt.sc.Nbrs[:0]
 	for _, nb := range rt.sc.Nbrs {
-		if !rt.o.Alive(nb) {
-			corpses = true
-			continue
+		if rt.o.Alive(nb) {
+			live = append(live, nb)
+			nbrs = append(nbrs, [2]int{nb, rt.o.HostOf(nb)})
 		}
-		rec := nbr{host: rt.o.HostOf(nb), rtt: -1}
-		if i := a.find(rec.host); i >= 0 {
-			rec = a.nbrs[i]
-		}
-		next = append(next, rec)
 	}
+	corpses := len(live) < len(rt.sc.Nbrs)
+	a.mu.Lock()
+	a.cyc.Reconcile(live)
+	a.mu.Unlock()
 	rt.mu.Unlock()
-	a.nbrMu.Lock()
-	a.nbrs, a.spare = next, a.nbrs
-	a.nbrMu.Unlock()
 
 	if corpses {
 		// The overlay already knows this neighbor died (crash-stop): no
-		// suspicion to accrue — repair the membership hole immediately.
+		// heartbeat to send — repair the membership hole immediately.
 		rt.repairCorpses(a)
 	}
 
-	for i := range next {
+	for _, nb := range nbrs {
 		select {
 		case <-a.stop:
-			return
+			return nbrs
 		default:
 		}
-		host := next[i].host
 		rt.heartbeats.Add(1)
-		rtt, err := a.node.Ping(host, rt.cfg.HeartbeatTimeout<<min(next[i].level, 3), 0)
-		a.nbrMu.Lock()
-		rec := &next[i]
-		rec.level, rec.rtt = rec.level+1, -1
-		if err == nil {
-			rec.level, rec.rtt = 0, rtt
+		rtt, err := a.node.Ping(nb[1], rt.cfg.PingTimeout, heartbeatRetries)
+		if err != nil {
+			rtt = -1
 		}
-		evict := rec.level >= suspicionThreshold
-		if evict {
-			rec.level = 0
-		}
-		a.nbrMu.Unlock()
-		if evict {
-			rt.evictSuspect(a, host)
+		a.mu.Lock()
+		a.cyc.Remember(nb[0], nb[1], rtt)
+		a.mu.Unlock()
+		if err != nil {
+			rt.evictSuspect(a, nb[1])
 		}
 	}
+	return nbrs
 }
 
 // repairCorpses runs crash-stop membership repair on behalf of a detector
@@ -155,9 +120,9 @@ func (rt *Runtime) repairCorpses(a *agent) {
 	kickAll(affected)
 }
 
-// evictSuspect drops the link to a neighbor whose heartbeats crossed the
-// suspicion threshold while the overlay still believes it alive — a silent
-// failure or a partition. The evicting side tops its degree back up; the
+// evictSuspect drops the link to a neighbor whose heartbeat went unanswered
+// while the overlay still believes it alive — a silent failure or a
+// partition. The evicting side tops its degree back up; the
 // suspect keeps its (possibly reduced) degree and will be re-topped by
 // repair if it really died, or re-earn links when it answers again.
 func (rt *Runtime) evictSuspect(a *agent, suspect int) {

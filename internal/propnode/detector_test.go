@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,14 +40,14 @@ func degreeOf(rt *Runtime, slot int) int {
 
 // TestDetectorEvictsSilentFailure pins the detection bound: a neighbor that
 // stops answering while the overlay still believes it alive must lose every
-// link through suspicion-threshold evictions, with no repair pass and no
-// external nudge.
+// link through heartbeat evictions, with no repair pass and no external
+// nudge.
 func TestDetectorEvictsSilentFailure(t *testing.T) {
 	rt := startRuntime(t, 12, Config{
 		Policy:              core.PROPG,
 		Seed:                41,
 		HeartbeatIntervalMS: 5,
-		HeartbeatTimeout:    5 * time.Millisecond,
+		PingTimeout:         5 * time.Millisecond,
 	}, nil)
 	defer rt.Stop()
 
@@ -65,7 +66,7 @@ func TestDetectorEvictsSilentFailure(t *testing.T) {
 	}
 	c := rt.Counters()
 	if c.SuspectEvictions == 0 {
-		t.Fatalf("links vanished without suspicion evictions: %+v", c)
+		t.Fatalf("links vanished without heartbeat evictions: %+v", c)
 	}
 	if c.AutoRepairs != 0 {
 		t.Fatalf("silent failure took the corpse-repair path (%d repairs) — the overlay never saw a crash", c.AutoRepairs)
@@ -242,27 +243,31 @@ func TestRecoverRejoin(t *testing.T) {
 	}
 }
 
-// record reads host's entry in a's detector table: ok is false when the
-// table holds none, and the RTT is negative when the last heartbeat missed.
-func record(a *agent, host int) (n nbr, ok bool) {
-	a.nbrMu.Lock()
-	defer a.nbrMu.Unlock()
-	if i := a.find(host); i >= 0 {
-		return a.nbrs[i], true
-	}
-	return nbr{}, false
+// remembered reads the RTT a's neighborQ remembers to host, as rtt does.
+func remembered(a *agent, host int) (float64, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.cyc.Recall(host)
+}
+
+// linked reports whether a's slot has a link to host's.
+func linked(rt *Runtime, a *agent, host int) bool {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.o.Logical.HasEdge(rt.o.SlotOfHost(a.host), rt.o.SlotOfHost(host))
 }
 
 // silentTimeout is the deadline for tests that make a host silent: a ping to
 // it and its three retransmits give up in well under a second.
 const silentTimeout = 40 * time.Millisecond
 
-// TestCachedRTTChangesNoDecision: a neighbor RTT read from the detector's
-// table is the RTT a ping would measure, so a warm evaluation decides what a
-// cold one does. On the fault-free loopback the same swap's pairs measure
-// bit-equal either way, with fewer pings warm. And a cached RTT never hides
-// a silent neighbor: after one missed sweep its record holds no RTT, so the
-// next evaluation pings it and ends Poisoned, as without the table.
+// TestCachedRTTChangesNoDecision: a neighbor RTT read from the neighborQ is
+// the RTT a ping would measure, so a warm evaluation decides what a cold one
+// does. On the fault-free loopback the same swap's pairs measure bit-equal
+// either way, with fewer pings warm. And a remembered RTT never hides a
+// silent neighbor: one unanswered heartbeat makes its entry cold, so the
+// swap's pairs, measured again, stop at or before the silent host's — a
+// Poisoned evaluation, as without the memory.
 func TestCachedRTTChangesNoDecision(t *testing.T) {
 	t.Run("bit-equal", func(t *testing.T) {
 		rt := quietRuntime(t, 16, core.PROPG, transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}), time.Second)
@@ -285,7 +290,7 @@ func TestCachedRTTChangesNoDecision(t *testing.T) {
 			t.Fatalf("warm: measured %d of %d pairs", got, len(a.sc.Pairs))
 		}
 		if warmPings := pings() - p1; warmPings >= coldPings {
-			t.Fatalf("warm evaluation sent %d pings, cold %d: the table was not read", warmPings, coldPings)
+			t.Fatalf("warm evaluation sent %d pings, cold %d: the neighborQ was not read", warmPings, coldPings)
 		}
 		for k, pr := range a.sc.Pairs {
 			if math.Float64bits(a.sc.RTT[k]) != math.Float64bits(cold[k]) {
@@ -308,35 +313,83 @@ func TestCachedRTTChangesNoDecision(t *testing.T) {
 				break
 			}
 		}
+		rt.o.SwapPairs(u, path[2], &a.sc)
 		rt.mu.Unlock()
+		first := slices.Index(a.sc.Pairs, [2]int{hostU, silent})
+		if first < 0 {
+			t.Fatalf("the swap lists no pair from host %d to its neighbor %d", hostU, silent)
+		}
 
 		sweepAll(rt)
-		if n, ok := record(a, silent); !ok || n.rtt != ClusterLat(hostU, silent) || n.level != 0 {
-			t.Fatalf("after an answered sweep, neighbor %d's record is %+v (present %v)", silent, n, ok)
+		if rtt, ok := remembered(a, silent); !ok || rtt != ClusterLat(hostU, silent) {
+			t.Fatalf("after an answered sweep, neighbor %d's RTT is %v (remembered %v)", silent, rtt, ok)
 		}
 		net.silent.Store(int64(silent) + 1)
-		rt.heartbeatOnce(a)
-		if n, ok := record(a, silent); !ok || n.rtt >= 0 || n.level != 1 {
-			t.Fatalf("after one missed sweep, neighbor %d's record is %+v (present %v); want no RTT, suspicion 1", silent, n, ok)
+		rt.heartbeatOnce(a, nil)
+		if rtt, ok := remembered(a, silent); ok {
+			t.Fatalf("after an unanswered heartbeat, neighbor %d's RTT %v is still remembered", silent, rtt)
 		}
-		rt.mu.Lock()
-		a.cyc.Fired(&a.round, rt.o.Neighbors(u))
-		rt.mu.Unlock()
-		end := rt.evaluate(a, u, path)
-		rt.ended(end)
-		if c := rt.Counters(); end.Reason != core.Poisoned || c.MeasureFailures != 1 || c.Exchanges != 0 {
-			t.Fatalf("an evaluation over silent neighbor %d ended %v, counters %+v; want Poisoned", silent, end.Reason, c)
+		got := rt.measure(a)
+		var ev core.Evaluation
+		if why, _ := ev.Judge(a.sc.RTT, got, math.Inf(-1)); got > first || why != core.Poisoned {
+			t.Fatalf("measured %d pairs past silent host %d's pair %d, judged %v; want Poisoned", got, silent, first, why)
 		}
 	})
 }
 
-// TestNeighborTableLifetime walks one record through its life — no entry
-// before a sweep, an RTT after a pong, none after a miss, the RTT back after
-// the next pong, and no entry once the host leaves the neighbor set through
-// an exchange or a suspicion eviction — while readers measure through the
-// table concurrently: one runs measure and two answer TMeasure lists. Every
-// RTT a reader gets must be the ground truth. Run it under
-// go test -race -count=10 -run TestNeighborTableLifetime.
+// TestHeartbeatLadder pins that one heartbeat is the suspicion ladder: its
+// transmissions wait PingTimeout × 1, 2 and 4. A neighbor that answers only
+// the k-th keeps its link, and its entry that RTT, for k = 1, 2, 3; one that
+// answers none loses the link, and its RTT, within the sweep that sent them,
+// once all three deadlines — PingTimeout × 7 — have passed.
+func TestHeartbeatLadder(t *testing.T) {
+	const timeout = 20 * time.Millisecond
+	for k := 0; k <= 3; k++ { // the transmission answered; 0 is none
+		net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
+		rt := quietRuntime(t, 16, core.PROPG, net, timeout)
+		rt.mu.Lock()
+		a := rt.agents[0]
+		nb := rt.o.HostOf(rt.o.Neighbors(rt.o.SlotOfHost(0))[0])
+		rt.mu.Unlock()
+		var sent atomic.Int32
+		net.drop = func(from, to int, m transport.Message) bool {
+			return from == 0 && to == nb && m.Type == transport.TPing && sent.Add(1) != int32(k)
+		}
+		evicts := rt.Counters().SuspectEvictions
+		start := time.Now()
+		rt.heartbeatOnce(a, nil)
+		took := time.Since(start)
+		rtt, ok := remembered(a, nb)
+		kept := linked(rt, a, nb)
+		rt.Stop()
+		evicted := rt.Counters().SuspectEvictions - evicts
+
+		waited, want := timeout*(1<<max(k-1, 0)-1), int32(k) // the deadlines before the answer
+		if k == 0 {
+			waited, want = 7*timeout, heartbeatRetries+1
+		}
+		switch {
+		case sent.Load() != want:
+			t.Errorf("k=%d: %d transmissions, want %d", k, sent.Load(), want)
+		case took < waited || (k == 0 && took > waited+time.Second):
+			t.Errorf("k=%d: the sweep took %v, want %v at least (and about that without an answer)", k, took, waited)
+		case k > 0 && (!kept || evicted != 0 || !ok || rtt != ClusterLat(0, nb)):
+			t.Errorf("k=%d: link kept %v, %d evictions, RTT %v (remembered %v); want the link and RTT %v",
+				k, kept, evicted, rtt, ok, ClusterLat(0, nb))
+		case k == 0 && (kept || evicted != 1 || ok):
+			t.Errorf("no answer: link kept %v, %d evictions, RTT %v (remembered %v); want the link evicted and no RTT",
+				kept, evicted, rtt, ok)
+		}
+	}
+}
+
+// TestNeighborTableLifetime walks the RTT one neighborQ entry remembers
+// through its life — none before a sweep, the heartbeat's after one, none
+// for a host an exchange moved out of the slot and the new host's after the
+// next sweep, and none once an unanswered heartbeat evicted the link — while
+// readers measure through the queue concurrently: one runs measure and two
+// answer TMeasure lists. Every RTT a reader gets must be the ground truth.
+// Run it under go test -race -count=10 -run TestNeighborTableLifetime.
 func TestNeighborTableLifetime(t *testing.T) {
 	net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
 	rt := quietRuntime(t, 16, core.PROPG, net, silentTimeout)
@@ -357,11 +410,10 @@ func TestNeighborTableLifetime(t *testing.T) {
 		t.Fatalf("host 0 has neighbors %v and non-neighbors %v", nbrs, others)
 	}
 	for _, h := range nbrs {
-		if _, ok := record(a, h); ok {
-			t.Fatalf("neighbor %d has a record before any sweep", h)
+		if rtt, ok := remembered(a, h); ok {
+			t.Fatalf("neighbor %d has RTT %v remembered before any sweep", h, rtt)
 		}
 	}
-
 	// The readers: every host but 0, as one list.
 	all := append(slices.Clone(nbrs), others...)
 	var body []byte
@@ -431,26 +483,14 @@ func TestNeighborTableLifetime(t *testing.T) {
 
 	answered := func(h int) {
 		t.Helper()
-		if n, ok := record(a, h); !ok || n.rtt != ClusterLat(0, h) || n.level != 0 {
-			t.Fatalf("answered neighbor %d's record is %+v (present %v)", h, n, ok)
+		if rtt, ok := remembered(a, h); !ok || rtt != ClusterLat(0, h) {
+			t.Fatalf("answered neighbor %d's RTT is %v (remembered %v), want %v", h, rtt, ok, ClusterLat(0, h))
 		}
 	}
-	rt.heartbeatOnce(a)
+	rt.heartbeatOnce(a, nil)
 	for _, h := range nbrs {
 		answered(h)
 	}
-
-	// A miss drops the RTT and keeps the suspicion; the next pong clears both.
-	quiet := nbrs[0]
-	net.silent.Store(int64(quiet) + 1)
-	rt.heartbeatOnce(a)
-	if n, ok := record(a, quiet); !ok || n.rtt >= 0 || n.level != 1 {
-		t.Fatalf("missed neighbor %d's record is %+v (present %v); want no RTT, suspicion 1", quiet, n, ok)
-	}
-	answered(nbrs[1])
-	net.silent.Store(0)
-	rt.heartbeatOnce(a)
-	answered(quiet)
 
 	// An exchange moves a neighbor's host out and a stranger's in.
 	moved, stranger := nbrs[1], others[0]
@@ -460,28 +500,22 @@ func TestNeighborTableLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.heartbeatOnce(a)
-	if n, ok := record(a, moved); ok {
-		t.Fatalf("host %d swapped out of the neighbor set keeps record %+v", moved, n)
+	rt.heartbeatOnce(a, nil)
+	if rtt, ok := remembered(a, moved); ok {
+		t.Fatalf("host %d swapped out of the neighbor set keeps RTT %v", moved, rtt)
 	}
 	answered(stranger)
 
-	// suspicionThreshold misses evict the link, and the next sweep drops the
-	// record.
+	// An unanswered heartbeat evicts the link and forgets the RTT.
+	quiet := nbrs[0]
 	net.silent.Store(int64(quiet) + 1)
 	evicts := rt.Counters().SuspectEvictions
-	for i := 0; i < suspicionThreshold; i++ {
-		rt.heartbeatOnce(a)
-	}
+	rt.heartbeatOnce(a, nil)
 	net.silent.Store(0)
-	rt.heartbeatOnce(a)
-	rt.mu.Lock()
-	still := rt.o.Logical.HasEdge(u, rt.o.SlotOfHost(quiet))
-	rt.mu.Unlock()
-	if got := rt.Counters().SuspectEvictions - evicts; got != 1 || still {
-		t.Fatalf("%d evictions, link to %d kept: %v; want the one link evicted", got, quiet, still)
+	if got := rt.Counters().SuspectEvictions - evicts; got != 1 || linked(rt, a, quiet) {
+		t.Fatalf("%d evictions, link to %d kept: %v; want the one link evicted", got, quiet, linked(rt, a, quiet))
 	}
-	if n, ok := record(a, quiet); ok {
-		t.Fatalf("evicted host %d keeps record %+v", quiet, n)
+	if rtt, ok := remembered(a, quiet); ok {
+		t.Fatalf("evicted host %d keeps RTT %v", quiet, rtt)
 	}
 }

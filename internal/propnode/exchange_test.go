@@ -18,10 +18,12 @@ import (
 
 // hookNet wraps a loopback so a test can act on the wire: every endpoint it
 // opens calls onSend (if set) before each Send, and the sends of the host
-// held in silent (plus one; 0 is none) vanish.
+// held in silent (plus one; 0 is none) vanish, as do those drop (if set)
+// returns true for.
 type hookNet struct {
 	*transport.Loopback
 	onSend func(from, to int, m transport.Message)
+	drop   func(from, to int, m transport.Message) bool
 	silent atomic.Int64
 }
 
@@ -42,7 +44,7 @@ func (e *hookEndpoint) Send(to int, m transport.Message) error {
 	if f := e.net.onSend; f != nil {
 		f(e.Host(), to, m)
 	}
-	if e.net.silent.Load() == int64(e.Host())+1 {
+	if e.net.silent.Load() == int64(e.Host())+1 || (e.net.drop != nil && e.net.drop(e.Host(), to, m)) {
 		return nil
 	}
 	return e.Endpoint.Send(to, m)
@@ -133,7 +135,9 @@ func TestStaleEvaluationIsRejected(t *testing.T) {
 			// reply is path.
 			rt.mu.Lock()
 			a := rt.agents[hostU]
+			a.mu.Lock()
 			a.cyc.Fired(&a.round, rt.o.Neighbors(u))
+			a.mu.Unlock()
 			rt.mu.Unlock()
 			end := rt.evaluate(a, u, path)
 			rt.ended(end)
@@ -194,8 +198,8 @@ func TestExchangesUnderContention(t *testing.T) {
 // its pairs, measures each and answers once. Cold — before any heartbeat —
 // every leg is a ping: 2 + 2k messages for v's k pairs, where a relay per
 // pair cost 4k. Warm — after one detector sweep per agent — each side reads
-// its neighbors' RTTs from its table and pings only the legs to hosts that
-// are not its neighbors.
+// its neighbors' RTTs from its neighborQ and pings only the legs to hosts
+// that are not its neighbors.
 func TestEvaluationWirePrice(t *testing.T) {
 	for _, policy := range []core.Policy{core.PROPG, core.PROPO} {
 		for _, warm := range []bool{false, true} {
@@ -231,7 +235,9 @@ func TestEvaluationWirePrice(t *testing.T) {
 				}
 			}
 			a := rt.agents[hostU]
+			a.mu.Lock()
 			a.cyc.Fired(&a.round, rt.o.Neighbors(u))
+			a.mu.Unlock()
 			rt.mu.Unlock()
 			mu.Lock()
 			counting = true
@@ -289,7 +295,7 @@ func sweepAll(rt *Runtime) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rt.heartbeatOnce(a)
+			rt.heartbeatOnce(a, nil)
 		}()
 	}
 	wg.Wait()

@@ -7,19 +7,20 @@
 // gets one agent: a transport.Node (message pump), a probe loop on the wall
 // clock, and handlers that forward TTL walks and answer measurement RPCs.
 // Every latency the protocol consumes is a real RTT measured by exchanging
-// messages — the failure detector's heartbeats to each neighbor, Node.Ping
-// for any other host, and one TMeasure relay per exchange for the partner's
-// side — no oracle lookups, and lost messages ride the transport's timeout +
-// bounded-retransmit machinery.
+// messages — the failure detector's heartbeats to each neighbor, remembered
+// in its neighborQ entry, Node.Ping for any other host, and one TMeasure
+// relay per exchange for the partner's side — no oracle lookups, and lost
+// messages ride the transport's timeout + bounded-retransmit machinery.
 //
 // Concurrency model: the overlay (and the runtime RNG) live under one
-// mutex. Message pumps never take it — pings are always answered — and
-// walk-forwarding and measurement handlers run on spawned goroutines. No
-// agent holds it across a round trip: an exchange plans under the lock,
-// measures without it into buffers the agent owns, and commits under it
-// again only if the host pairs it measured are still the ones the exchange
-// moves — so evaluations overlap, and one the overlay moved under is
-// rejected as stale. Churn is the overlay's own membership vocabulary,
+// runtime mutex, each agent's core.Cycle under its own, taken after the
+// runtime's when both are held. Message pumps take neither — pings are
+// always answered — and walk-forwarding and measurement handlers run on
+// spawned goroutines. No round trip holds either: an exchange plans under
+// the lock, measures without it into buffers the agent owns, and commits
+// under it again only if the host pairs it measured are still the ones the
+// exchange moves — so evaluations overlap, and one the overlay moved under
+// is rejected as stale. Churn is the overlay's own membership vocabulary,
 // addressed by host: Join, Leave, Crash and Repair (a crashed host comes
 // back by joining again, one incarnation later), over the unstructured
 // membership of internal/gnutella.
@@ -56,18 +57,15 @@ type Config struct {
 	// down from the paper's minute so tests converge in test time).
 	ProbeIntervalMS float64
 	// PingTimeout is the first-attempt deadline of every call — pings,
-	// measurement RPCs, walks (default 50ms; retransmits double it).
+	// heartbeats, measurement RPCs, walks (default 50ms; retransmits double
+	// it).
 	PingTimeout time.Duration
 	// HeartbeatIntervalMS is the failure detector's sweep period (default
-	// 4x ProbeIntervalMS — detection only has to beat the suspicion bound,
-	// not the probe cadence). Each sweep pings every live neighbor once, and
-	// exchanges read those RTTs, so it also bounds their age (plus a sweep).
+	// 4x ProbeIntervalMS — detection only has to beat the heartbeat's
+	// retransmits, not the probe cadence). Each sweep pings every live
+	// neighbor once, and exchanges read those RTTs, so it also bounds their
+	// age (plus a sweep).
 	HeartbeatIntervalMS float64
-	// HeartbeatTimeout is the base deadline of one heartbeat ping (default
-	// PingTimeout). Suspicion stretches it adaptively: a neighbor at
-	// suspicion level s gets deadline HeartbeatTimeout << min(s, 3), so a
-	// slow-but-alive peer earns grace instead of eviction.
-	HeartbeatTimeout time.Duration
 	// Lat is the ground-truth latency model recorded in the overlay for
 	// metrics like MeanLinkLatency; the protocol itself never reads it. Nil
 	// means metrics report zero (e.g. over real UDP, where there is no
@@ -88,24 +86,25 @@ func (c *Config) fill() {
 	if c.HeartbeatIntervalMS == 0 {
 		c.HeartbeatIntervalMS = 4 * c.ProbeIntervalMS
 	}
-	if c.HeartbeatTimeout == 0 {
-		c.HeartbeatTimeout = c.PingTimeout
-	}
 	if c.Lat == nil {
 		c.Lat = func(a, b int) float64 { return 0 }
 	}
 }
 
-// validate rejects what fill cannot repair: a non-finite or non-positive
-// interval would spin a timer loop, a negative deadline fail every call.
+// maxTimerMS is the longest timer a time.Duration holds, in milliseconds.
+const maxTimerMS = float64(math.MaxInt64 / time.Millisecond)
+
+// validate rejects what fill cannot repair: an interval that is not
+// positive, or whose longest timer (the probe's core.MaxTimerFactor ×
+// INIT_TIMER) overflows, spins a timer loop; a negative deadline fails.
 func (c *Config) validate() error {
 	switch {
-	case !(c.ProbeIntervalMS > 0 && c.ProbeIntervalMS <= math.MaxFloat64):
-		return fmt.Errorf("propnode: ProbeIntervalMS = %v, want finite > 0", c.ProbeIntervalMS)
-	case !(c.HeartbeatIntervalMS > 0 && c.HeartbeatIntervalMS <= math.MaxFloat64):
-		return fmt.Errorf("propnode: HeartbeatIntervalMS = %v, want finite > 0", c.HeartbeatIntervalMS)
-	case c.PingTimeout < 0 || c.HeartbeatTimeout < 0:
-		return fmt.Errorf("propnode: negative timeout (ping %v, heartbeat %v)", c.PingTimeout, c.HeartbeatTimeout)
+	case !(c.ProbeIntervalMS > 0 && c.ProbeIntervalMS <= maxTimerMS/core.MaxTimerFactor):
+		return fmt.Errorf("propnode: ProbeIntervalMS = %v, want in (0, %v]", c.ProbeIntervalMS, maxTimerMS/core.MaxTimerFactor)
+	case !(c.HeartbeatIntervalMS > 0 && c.HeartbeatIntervalMS <= maxTimerMS):
+		return fmt.Errorf("propnode: HeartbeatIntervalMS = %v, want in (0, %v]", c.HeartbeatIntervalMS, maxTimerMS)
+	case c.PingTimeout < 0:
+		return fmt.Errorf("propnode: PingTimeout = %v, want >= 0", c.PingTimeout)
 	}
 	return nil
 }
@@ -153,7 +152,7 @@ type Counters struct {
 	// Heartbeats counts failure-detector pings sent.
 	Heartbeats uint64
 	// SuspectEvictions counts neighbor links dropped by the failure detector
-	// (confirmed corpses and suspicion-threshold evictions alike).
+	// (confirmed corpses and unanswered heartbeats alike).
 	SuspectEvictions uint64
 	// AutoRepairs counts corpses repaired by membership repair the runtime
 	// triggers itself — a detector sweep, or a probe that evicted an edge
@@ -202,8 +201,10 @@ type agent struct {
 	stop  chan struct{}
 	kick  chan struct{} // neighbor-change notification: reset the timer
 
-	// cyc is the §3.2 cycle state (neighborQ, trials, timer), keyed by
-	// slot. Seeded under rt.mu at spawn, then owned by the probe goroutine.
+	// mu guards cyc, the agent's one record: the §3.2 cycle, keyed by slot,
+	// whose neighborQ entries also hold the RTTs of the heartbeats their
+	// neighbors answered (detector.go). Lock order is rt.mu, then mu.
+	mu  sync.Mutex
 	cyc core.Cycle
 	// round and sc hold the probe cycle in flight across the unlocked round
 	// trips: the partner, the evaluation, the walk, trade lists, host pairs
@@ -214,12 +215,6 @@ type agent struct {
 	// each of the partner's pairs, 8 bytes of host ID each, in list order.
 	// Only the probe goroutine touches it.
 	targets []byte
-
-	// nbrs is the failure detector's table (detector.go), and spare the
-	// buffer its next sweep fills; only the detector writes either.
-	nbrMu sync.Mutex
-	nbrs  []nbr
-	spare []nbr
 }
 
 // New builds a runtime over net. Start must be called before the agents do
@@ -374,7 +369,9 @@ func (rt *Runtime) runAgent(a *agent, stagger time.Duration) {
 			return
 		case <-a.kick:
 			// §3.2 churn rule: neighbors changed — reset to INIT_TIMER.
+			a.mu.Lock()
 			next = a.cyc.Reset(&a.round).Delay
+			a.mu.Unlock()
 			if !timer.Stop() {
 				select {
 				case <-timer.C:
@@ -397,7 +394,7 @@ func (rt *Runtime) probeOnce(a *agent) (nextMS float64) {
 	u := rt.o.SlotOfHost(a.host)
 	if u < 0 || !rt.o.Alive(u) {
 		rt.mu.Unlock()
-		return a.cyc.TimerMS
+		return rt.cfg.ProbeIntervalMS
 	}
 	rt.probes.Add(1)
 	// Live liveness eviction: a crashed neighbor never answers, so the
@@ -413,7 +410,9 @@ func (rt *Runtime) probeOnce(a *agent) (nextMS float64) {
 		affected = repaired
 	}
 	rt.sc.Nbrs = rt.o.Logical.AppendNeighbors(rt.sc.Nbrs[:0], u)
+	a.mu.Lock()
 	step := a.cyc.Fired(&a.round, rt.sc.Nbrs)
+	a.mu.Unlock()
 	var sHost int
 	var walkReq transport.Message
 	if step.Kind == core.Walk {
@@ -441,6 +440,8 @@ func (rt *Runtime) probeOnce(a *agent) (nextMS float64) {
 		err = fmt.Errorf("propnode: stale-epoch walk reply")
 	}
 	if err != nil || reply.Msg.TTL != 1 || len(reply.Msg.Path) < 2 {
+		a.mu.Lock()
+		defer a.mu.Unlock()
 		return rt.ended(a.cyc.WalkStuck(&a.round))
 	}
 	return rt.ended(rt.evaluate(a, u, reply.Msg.Path))
@@ -453,14 +454,19 @@ func (rt *Runtime) probeOnce(a *agent) (nextMS float64) {
 // measured: Refused, never a measurement failure (DESIGN.md §10).
 func (rt *Runtime) evaluate(a *agent, u int, path []int) core.Step {
 	rt.mu.Lock()
+	a.mu.Lock()
 	step := a.cyc.Reached(&a.round, rt.o, rt.heldSlot(a, u), path[len(path)-1], path)
+	a.mu.Unlock()
 	rt.mu.Unlock()
 	for {
 		switch step.Kind {
 		case core.Measure:
 			// Round trips, one after another: the pumps answer pings and
 			// relays without rt.mu anyway (see the package comment).
-			step = a.cyc.Measured(&a.round, rt.measure(a))
+			n := rt.measure(a)
+			a.mu.Lock()
+			step = a.cyc.Measured(&a.round, n)
+			a.mu.Unlock()
 		case core.Commit:
 			rt.mu.Lock()
 			// PROP-G re-lists the swap, PROP-O the same give/take: equal pairs
@@ -471,8 +477,10 @@ func (rt *Runtime) evaluate(a *agent, u int, path []int) core.Step {
 				ev.List(rt.o, &rt.sc)
 				ok = slices.Equal(rt.sc.Pairs, a.sc.Pairs) && ev.Commit(rt.o, path) == nil
 			}
-			rt.mu.Unlock()
+			a.mu.Lock()
 			step = a.cyc.Committed(&a.round, ok)
+			a.mu.Unlock()
+			rt.mu.Unlock()
 		default:
 			return step
 		}
@@ -543,19 +551,16 @@ func (rt *Runtime) measure(a *agent) int {
 	return len(pairs)
 }
 
-// rtt returns a's RTT to host: 0 to itself, the detector's last answered
-// heartbeat for a neighbor, else one ping.
+// rtt returns a's RTT to host: 0 to itself, the last answered heartbeat's
+// for a neighbor its neighborQ remembers, else one ping.
 func (rt *Runtime) rtt(a *agent, host int) (float64, error) {
 	if host == a.host {
 		return 0, nil
 	}
-	a.nbrMu.Lock()
-	v := -1.0
-	if i := a.find(host); i >= 0 {
-		v = a.nbrs[i].rtt
-	}
-	a.nbrMu.Unlock()
-	if v >= 0 {
+	a.mu.Lock()
+	v, ok := a.cyc.Recall(host)
+	a.mu.Unlock()
+	if ok {
 		return v, nil
 	}
 	return a.node.Ping(host, rt.cfg.PingTimeout, callRetries)
@@ -640,12 +645,12 @@ func (rt *Runtime) handleWalk(a *agent, m transport.Message) {
 }
 
 // handleMeasure answers a TMeasure relay: measure a's RTT to each listed
-// host in list order (rtt: a neighbor's from the detector's table, any other
-// by a ping) and reply with one RTT per host measured, stopping at the first
-// ping that fails — the prober counts the prefix. A list that is empty, ragged
+// host in list order (rtt: a neighbor's from the neighborQ, any other by a
+// ping) and reply with one RTT per host measured, stopping at the first ping
+// that fails — the prober counts the prefix. A list that is empty, ragged
 // (not a multiple of 8 bytes) or longer than a frame holds is refused with
 // TTL 0. Runs on its own goroutine and takes no runtime lock — the whole
-// deadlock-freedom argument rests on that (a.nbrMu guards a table read only).
+// deadlock-freedom argument rests on that (a.mu guards a queue read only).
 func (rt *Runtime) handleMeasure(a *agent, m transport.Message) {
 	reply := transport.Message{Type: transport.TMeasureReply, Epoch: m.Epoch, Seq: m.Seq}
 	if n := len(m.Body); n > 0 && n%8 == 0 && n <= transport.MaxBody {

@@ -125,20 +125,24 @@ func TestRuntimeConvergesPROPO(t *testing.T) {
 	}
 }
 
-// TestStartRejectsBadConfig: an interval fill cannot repair (NaN, ±Inf or
-// negative), a negative deadline or a kernel core.Config.Validate refuses
-// fails Start before any agent spawns — a NaN or negative interval would
-// otherwise spin every probe timer, and an unknown policy or a NaN MinVar
-// start a runtime that never exchanges.
+// TestStartRejectsBadConfig: an interval fill cannot repair (NaN, ±Inf,
+// negative, or so long that its timer overflows a time.Duration), a negative
+// deadline or a kernel core.Config.Validate refuses fails Start before any
+// agent spawns — a NaN, negative or overflowing interval would otherwise
+// spin a timer loop (a 1e13 ms sweep period went negative and swept every
+// millisecond; a 3e11 ms probe interval's 32 × back-off went negative and
+// fired at once), and an unknown policy or a NaN MinVar start a runtime
+// that never exchanges.
 func TestStartRejectsBadConfig(t *testing.T) {
 	for _, cfg := range []Config{
 		{ProbeIntervalMS: math.NaN()},
 		{ProbeIntervalMS: -5},
 		{ProbeIntervalMS: math.Inf(1)},
+		{ProbeIntervalMS: 3e11},
 		{HeartbeatIntervalMS: math.NaN()},
 		{HeartbeatIntervalMS: -1},
+		{HeartbeatIntervalMS: 1e13},
 		{PingTimeout: -time.Millisecond},
-		{HeartbeatTimeout: -time.Millisecond},
 		{Policy: core.Policy(9)},
 		{MinVar: math.NaN()},
 	} {
@@ -186,6 +190,7 @@ func TestQueueOrderIsSeedDeterministic(t *testing.T) {
 		shuffled := false
 		for host := 0; host < n; host++ {
 			a, u := rt.agents[host], rt.o.SlotOfHost(host)
+			a.mu.Lock()
 			if len(a.cyc.Queue) != rt.o.Degree(u) {
 				t.Fatalf("host %d: %d queued of %d neighbors at start", host, len(a.cyc.Queue), rt.o.Degree(u))
 			}
@@ -207,6 +212,7 @@ func TestQueueOrderIsSeedDeterministic(t *testing.T) {
 				}
 			}
 			out[host] = hopOrder(a.cyc.Queue)
+			a.mu.Unlock()
 		}
 		if !shuffled {
 			t.Fatal("every initial probing order is ascending — the random permutation is missing")
