@@ -76,8 +76,9 @@ var gnutellaLatency = substrate{"lookup_latency_ms", func(e *env, n, count int) 
 		return nil, nil, nil, err
 	}
 	lookups, err := workload.Uniform(o.AliveSlots(), count, e.r.Split())
+	eval := metrics.FloodEval(o, nil)
 	return o, func() float64 {
-		mean, _ := metrics.MeanLookupLatency(lookups, metrics.FloodEval(o, nil))
+		mean, _ := metrics.MeanLookupLatency(lookups, eval)
 		return mean
 	}, nil, err
 }}

@@ -127,7 +127,13 @@ func (n Net) Join(host int, r *rng.Rand) (int, error) {
 		}
 		chosen[cand] = true
 	}
+	// In ascending order, as Build adds them, so no result reads map order.
+	nbs := make([]int, 0, len(chosen))
 	for nb := range chosen {
+		nbs = append(nbs, nb)
+	}
+	sort.Ints(nbs)
+	for _, nb := range nbs {
 		if err := o.AddEdge(slot, nb); err != nil {
 			return -1, err
 		}

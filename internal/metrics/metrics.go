@@ -93,10 +93,18 @@ func MeanLookupLatency(lookups []workload.Lookup, eval LatencyEval) (mean float6
 }
 
 // FloodEval adapts an unstructured overlay to a LatencyEval using flooding
-// first-arrival semantics.
+// first-arrival semantics. With no processing delay it evaluates through one
+// overlay.FloodMemo, which floods again only the lookups an overlay mutation
+// may have moved: keep one FloodEval per workload, not one per sample.
 func FloodEval(o *overlay.Overlay, proc overlay.ProcDelayFunc) LatencyEval {
+	if proc != nil {
+		return func(l workload.Lookup) float64 {
+			return o.FloodLatency(l.Src, l.Dst, proc)
+		}
+	}
+	m := overlay.NewFloodMemo(o)
 	return func(l workload.Lookup) float64 {
-		return o.FloodLatency(l.Src, l.Dst, proc)
+		return m.Latency(l.Src, l.Dst)
 	}
 }
 

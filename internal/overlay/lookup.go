@@ -214,7 +214,13 @@ func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch) float64
 // folded from the left, mu a minimum over paths of sums folded from both ends
 // and joined; on an order-free view every partial sum of either is an integer
 // below 2⁵³ and every addition exact, so both are the minimum of the same reals.
-func (s *floodScratch) floodPoint(off, nbr []int32, w []float64, src, dst int) float64 {
+//
+// floodPoint also returns meet, the slot whose arrival last improved mu (-1
+// while mu is +Inf). An arrival only falls, and any later fall at meet would
+// have improved mu again, so at return s.dist[meet] + s.distB[meet] == mu:
+// s.dist holds the side grown from src, s.distB the side grown from dst, and
+// floodPath reads a shortest path out of them.
+func (s *floodScratch) floodPoint(off, nbr []int32, w []float64, src, dst int) (mu float64, meet int32) {
 	// near is the side being expanded, far the other; they trade places.
 	distNear, distFar := s.dist, s.distB
 	qNear, qFar := &s.q, &s.qB
@@ -226,19 +232,20 @@ func (s *floodScratch) floodPoint(off, nbr []int32, w []float64, src, dst int) f
 	distNear[src], distFar[dst] = 0, 0
 	qNear.Push(int32(src), 0)
 	qFar.Push(int32(dst), 0)
-	lastNear, lastFar, mu := 0.0, 0.0, math.Inf(1)
+	lastNear, lastFar := 0.0, 0.0
+	mu, meet = math.Inf(1), -1
 	for {
 		if lastFar < lastNear {
 			distNear, distFar, qNear, qFar, lastNear, lastFar = distFar, distNear, qFar, qNear, lastFar, lastNear
 		}
 		u, ok := qNear.Pop(distNear)
 		if !ok {
-			return mu
+			return mu, meet
 		}
 		du := distNear[u]
 		lastNear = du
 		if du+lastFar >= mu {
-			return mu
+			return mu, meet
 		}
 		nbs := nbr[off[u]:off[u+1]]
 		ws := w[off[u]:off[u+1]]
@@ -248,11 +255,53 @@ func (s *floodScratch) floodPoint(off, nbr []int32, w []float64, src, dst int) f
 				distNear[nb] = nd
 				qNear.Push(nb, nd)
 				if t := nd + distFar[nb]; t < mu {
-					mu = t
+					mu, meet = t, nb
 				}
 			}
 		}
 	}
+}
+
+// floodPath writes into path the slots of one shortest src→dst path other
+// than src and dst, read from what a floodPoint that returned meet left in s:
+// from meet back to src it steps to any neighbour y with
+// s.dist[y] + w(y→x) == s.dist[x], and from meet on to dst the same over
+// s.distB. A finite arrival is an earlier one plus an arc, so a step exists,
+// and on an order-free view — exact sums, arcs that weigh the same both ways —
+// the arcs stepped over sum to s.dist[meet] + s.distB[meet], which is mu. It
+// reports false when the slots do not fit in path, which a chain circling on
+// zero-weight arcs also ends in. No predecessor is stored during the search.
+func (s *floodScratch) floodPath(off, nbr []int32, w []float64, src, dst int, meet int32, path []int32) (int, bool) {
+	k := 0
+	if int(meet) != src && int(meet) != dst {
+		if len(path) == 0 {
+			return 0, false
+		}
+		path[0], k = meet, 1
+	}
+	for _, side := range [2]struct {
+		dist []float64
+		end  int32
+	}{{s.dist, int32(src)}, {s.distB, int32(dst)}} {
+		dist := side.dist
+		for x := meet; x != side.end; {
+			y := int32(-1)
+			for i := off[x]; i < off[x+1]; i++ {
+				if nb := nbr[i]; dist[nb]+w[i] == dist[x] {
+					y = nb
+					break
+				}
+			}
+			if y < 0 || (y != side.end && k == len(path)) {
+				return 0, false
+			}
+			if y != side.end {
+				path[k], k = y, k+1
+			}
+			x = y
+		}
+	}
+	return k, true
 }
 
 // FloodLatency returns the first-arrival latency of a flooded query from
@@ -271,7 +320,7 @@ func (o *Overlay) FloodLatency(src, dst int, proc ProcDelayFunc) float64 {
 	s := o.floodGet()
 	var d float64
 	if off, nbr, w := o.floodArcs(); proc == nil && o.view.orderFree {
-		d = s.floodPoint(off, nbr, w, src, dst)
+		d, _ = s.floodPoint(off, nbr, w, src, dst)
 	} else {
 		// An opaque per-slot delay, or sums that depend on their order.
 		s.mark[dst] = true

@@ -74,3 +74,40 @@ func TestFloodQueriesAllocationFree(t *testing.T) {
 	pin("order-free view, warm FloodLatency", func() { o.FloodLatency(3, 77, nil) })
 	pin("order-free view, batch of 200 point queries", pointBatch)
 }
+
+// TestFloodMemoAllocationFree: once a FloodMemo has learnt its lookups, a
+// sample allocates nothing — not one of an unchanged state, not the first
+// call after a swap, which certifies the entries and runs the rows, nor the
+// floods of the lookups the swap moved. (AllocsPerRun runs at GOMAXPROCS 1,
+// so the rows run on the calling goroutine.)
+func TestFloodMemoAllocationFree(t *testing.T) {
+	o := randomFloodOverlay(t, rng.New(9), 128, 256)
+	o.lat = quantLat
+	n := o.NumSlots()
+	m := NewFloodMemo(o)
+	sample := func() {
+		for i := 0; i < 200; i++ {
+			m.Latency((i*37)%n, (i*53+11)%n)
+		}
+	}
+	sample() // learns the keys
+	o.SwapHosts(5, 6)
+	sample() // the entries and their paths
+	o.SwapHosts(5, 6)
+	sample()
+	rows := m.rows
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"unchanged state", sample},
+		{"after a swap", func() { o.SwapHosts(5, 6); sample() }},
+	} {
+		if a := testing.AllocsPerRun(50, c.f); a != 0 {
+			t.Errorf("FloodMemo sample, %s: %v allocs, want 0", c.name, a)
+		}
+	}
+	if m.rows == rows {
+		t.Fatal("no sample ran a row: the pin above missed certify")
+	}
+}

@@ -285,6 +285,39 @@ func checkPointFloodsAgainstRef(t *testing.T, o *Overlay, tag string) {
 	}
 }
 
+// offGridLat is quantLat but for hosts 1000, 1002, …, which sit half a
+// millisecond off the grid: a view with one of them is not order-free.
+func offGridLat(a, b int) float64 {
+	if (a >= 1000 && a%2 == 0) || (b >= 1000 && b%2 == 0) {
+		return quantLat(a, b) + 0.5
+	}
+	return quantLat(a, b)
+}
+
+// twoComponentOverlay builds 60 slots under lat in two components, slots
+// 0–29 and 30–59, each a ring with 30 random chords, and slots 7 and 41 dead.
+func twoComponentOverlay(t *testing.T, r *rng.Rand, lat LatencyFunc) *Overlay {
+	t.Helper()
+	o := randomFloodOverlay(t, r, 60, 0)
+	o.lat = lat
+	o.Logical.RemoveEdge(29, 30)
+	o.Logical.RemoveEdge(59, 0)
+	o.Logical.MustAddEdge(29, 0, 1)
+	o.Logical.MustAddEdge(59, 30, 1)
+	for k := 0; k < 60; k++ {
+		half := k / 30 * 30
+		if u, v := half+r.Intn(30), half+r.Intn(30); u != v && !o.Logical.HasEdge(u, v) {
+			o.Logical.MustAddEdge(u, v, 1)
+		}
+	}
+	for _, dead := range []int{7, 41} {
+		if err := o.RemoveSlot(dead); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return o
+}
+
 // TestFloodPointMatchesReference holds the two-ended kernel to the queue-free,
 // one-ended reference on every pair of slots: under each order-free latency
 // function, first on two components with a dead slot in each (unreachable
@@ -294,32 +327,9 @@ func checkPointFloodsAgainstRef(t *testing.T, o *Overlay, tag string) {
 // the order-free state when one joins and re-enters it when the last one has
 // left, and both kernels answer in one schedule.
 func TestFloodPointMatchesReference(t *testing.T) {
-	offGrid := func(a, b int) float64 {
-		if (a >= 1000 && a%2 == 0) || (b >= 1000 && b%2 == 0) {
-			return quantLat(a, b) + 0.5
-		}
-		return quantLat(a, b)
-	}
-	for i, lat := range []LatencyFunc{quantLat, zeroLat, zeroArcLat, offGrid} {
+	for i, lat := range []LatencyFunc{quantLat, zeroLat, zeroArcLat, offGridLat} {
 		r := rng.New(uint64(20 + i))
-		o := randomFloodOverlay(t, r, 60, 0)
-		o.lat = lat
-		// Cut the ring into slots 0–29 and 30–59, 30 random chords each, none across.
-		o.Logical.RemoveEdge(29, 30)
-		o.Logical.RemoveEdge(59, 0)
-		o.Logical.MustAddEdge(29, 0, 1)
-		o.Logical.MustAddEdge(59, 30, 1)
-		for k := 0; k < 60; k++ {
-			half := k / 30 * 30
-			if u, v := half+r.Intn(30), half+r.Intn(30); u != v && !o.Logical.HasEdge(u, v) {
-				o.Logical.MustAddEdge(u, v, 1)
-			}
-		}
-		for _, dead := range []int{7, 41} {
-			if err := o.RemoveSlot(dead); err != nil {
-				t.Fatal(err)
-			}
-		}
+		o := twoComponentOverlay(t, r, lat)
 		if !viewOrderFree(o) {
 			t.Fatalf("lat %d: initial view not order-free", i)
 		}
