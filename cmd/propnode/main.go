@@ -1,6 +1,6 @@
 // Command propnode runs the live PROP runtime outside the test harness.
 //
-// Four modes:
+// Two modes:
 //
 //	propnode                     # loopback demo: N agents optimize a
 //	                             # clustered topology over the in-process
@@ -8,18 +8,15 @@
 //	propnode -mode chaos -seed 7 # seed-deterministic chaos soak: kills,
 //	                             # recoveries, a partition window, mailbox
 //	                             # pressure; deterministic log on stdout
-//	propnode -mode udp-echo -bind 127.0.0.1:9753
-//	                             # answer pings over real UDP until -dur
-//	propnode -mode udp-ping -peer 127.0.0.1:9753 -count 5
-//	                             # ping a udp-echo peer and print wall RTTs
 //
-// The loopback demo is the quick-start of DESIGN.md §10; the two UDP modes
-// pair up as the two-process smoke test CI runs on localhost, and the chaos
+// The loopback demo is the quick-start of DESIGN.md §10, and the chaos
 // mode is the CI chaos job's soak (run twice, logs diffed — see
-// EXPERIMENTS.md "Chaos schedule knobs").
+// EXPERIMENTS.md "Chaos schedule knobs"). A flag the chosen mode does not
+// read is an error that names the mode reading it.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,39 +29,41 @@ import (
 	"repro/internal/transport"
 )
 
+// onlyIn names the one mode that reads each mode-specific flag; -n,
+// -policy and -seed apply to both.
+var onlyIn = map[string]string{
+	"dur":       "loopback",
+	"interval":  "loopback",
+	"steps":     "chaos",
+	"step-ms":   "chaos",
+	"kill-frac": "chaos",
+}
+
 func main() {
 	var (
-		mode     = flag.String("mode", "loopback", "loopback | chaos | udp-echo | udp-ping")
+		mode     = flag.String("mode", "loopback", "loopback | chaos")
 		n        = flag.Int("n", 16, "loopback/chaos: number of agents")
-		dur      = flag.Duration("dur", 2*time.Second, "how long to run (loopback demo, udp-echo lifetime)")
+		dur      = flag.Duration("dur", 2*time.Second, "loopback: how long to run")
 		policy   = flag.String("policy", "propg", "loopback/chaos: propg | propo")
 		seed     = flag.Uint64("seed", 1, "loopback/chaos: runtime seed")
 		interval = flag.Float64("interval", 5, "loopback: probe interval INIT_TIMER in ms")
-		bind     = flag.String("bind", "127.0.0.1:0", "udp-echo: address to bind")
-		peer     = flag.String("peer", "", "udp-ping: peer address to ping")
-		count    = flag.Int("count", 5, "udp-ping: number of pings")
 		steps    = flag.Int("steps", 0, "chaos: schedule length in steps (0 = default)")
 		stepMS   = flag.Float64("step-ms", 0, "chaos: step length in ms (0 = default)")
 		killFrac = flag.Float64("kill-frac", 0, "chaos: fraction of agents killed (0 = default 0.25)")
 	)
 	flag.Parse()
 
-	var err error
-	switch {
-	case *dur <= 0:
-		err = fmt.Errorf("-dur = %v, want > 0", *dur)
-	case *count < 1:
-		err = fmt.Errorf("-count = %d, want >= 1", *count)
-	case *mode == "loopback":
-		err = runLoopback(*n, *dur, *policy, *seed, *interval)
-	case *mode == "chaos":
-		err = runChaos(*n, *policy, *seed, *steps, *stepMS, *killFrac)
-	case *mode == "udp-echo":
-		err = runUDPEcho(*bind, *dur)
-	case *mode == "udp-ping":
-		err = runUDPPing(*peer, *count)
-	default:
-		err = fmt.Errorf("unknown -mode %q", *mode)
+	err := checkFlags(*mode)
+	var pol core.Policy
+	if err == nil {
+		pol, err = parsePolicy(*policy)
+	}
+	if err == nil {
+		if *mode == "chaos" {
+			err = runChaos(*n, pol, *seed, *steps, *stepMS, *killFrac)
+		} else {
+			err = runLoopback(*n, *dur, pol, *seed, *interval)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "propnode:", err)
@@ -72,19 +71,36 @@ func main() {
 	}
 }
 
+// checkFlags rejects an unknown mode and every flag set on the command line
+// that mode does not read, naming the mode that does.
+func checkFlags(mode string) error {
+	if mode != "loopback" && mode != "chaos" {
+		return fmt.Errorf("unknown -mode %q (want loopback or chaos)", mode)
+	}
+	var errs []error
+	flag.Visit(func(f *flag.Flag) {
+		if m, ok := onlyIn[f.Name]; ok && m != mode {
+			errs = append(errs, fmt.Errorf("-mode %s does not read -%s (only -mode %s does)", mode, f.Name, m))
+		}
+	})
+	return errors.Join(errs...)
+}
+
+// parsePolicy maps the -policy value to its core.Policy.
+func parsePolicy(name string) (core.Policy, error) {
+	switch name {
+	case "propg":
+		return core.PROPG, nil
+	case "propo":
+		return core.PROPO, nil
+	}
+	return 0, fmt.Errorf("unknown -policy %q (want propg or propo)", name)
+}
+
 // runChaos executes one seeded chaos schedule. The deterministic log goes to
 // stdout (CI diffs it across a double run); the wall-clock-dependent counter
 // summary goes to stderr so it can never pollute the determinism contract.
-func runChaos(n int, policyName string, seed uint64, steps int, stepMS, killFrac float64) error {
-	var policy core.Policy
-	switch policyName {
-	case "propg":
-		policy = core.PROPG
-	case "propo":
-		policy = core.PROPO
-	default:
-		return fmt.Errorf("unknown -policy %q", policyName)
-	}
+func runChaos(n int, policy core.Policy, seed uint64, steps int, stepMS, killFrac float64) error {
 	res, err := chaos.Run(chaos.Config{
 		N:        n,
 		Seed:     seed,
@@ -102,18 +118,12 @@ func runChaos(n int, policyName string, seed uint64, steps int, stepMS, killFrac
 	return res.AuditErr
 }
 
-func runLoopback(n int, dur time.Duration, policyName string, seed uint64, intervalMS float64) error {
+func runLoopback(n int, dur time.Duration, policy core.Policy, seed uint64, intervalMS float64) error {
 	if n < 2 {
 		return fmt.Errorf("-n = %d, want >= 2", n)
 	}
-	var policy core.Policy
-	switch policyName {
-	case "propg":
-		policy = core.PROPG
-	case "propo":
-		policy = core.PROPO
-	default:
-		return fmt.Errorf("unknown -policy %q", policyName)
+	if dur <= 0 {
+		return fmt.Errorf("-dur = %v, want > 0", dur)
 	}
 	lb := transport.NewLoopback(transport.LoopbackConfig{
 		DelayMS: func(a, b int) float64 { return propnode.ClusterLat(a, b) / 2 },
@@ -151,65 +161,4 @@ func runLoopback(n int, dur time.Duration, policyName string, seed uint64, inter
 	}
 	fmt.Println("overlay invariants: ok")
 	return nil
-}
-
-func runUDPEcho(bind string, dur time.Duration) error {
-	host, port, err := splitHostPort(bind)
-	if err != nil {
-		return err
-	}
-	net := transport.NewUDPNetwork(host)
-	ep, err := net.OpenAt(1, port)
-	if err != nil {
-		return err
-	}
-	node := transport.NewNode(ep)
-	defer node.Close()
-	addr, _ := net.Addr(1)
-	fmt.Printf("udp-echo: host 1 listening on %s for %v\n", addr, dur)
-	time.Sleep(dur)
-	s, c := node.Stats(), ep.(*transport.UDPEndpoint).Counters()
-	fmt.Printf("udp-echo: done (answered traffic; %d stale replies absorbed; %d overflows, %d read errors, %d address rebinds)\n",
-		s.StaleReplies, c.Overflows, c.ReadErrors, c.AddrRebinds)
-	return nil
-}
-
-func runUDPPing(peer string, count int) error {
-	if peer == "" {
-		return fmt.Errorf("udp-ping needs -peer host:port")
-	}
-	net := transport.NewUDPNetwork("")
-	ep, err := net.Open(2)
-	if err != nil {
-		return err
-	}
-	if err := net.AddPeer(1, peer); err != nil {
-		return err
-	}
-	node := transport.NewNode(ep)
-	defer node.Close()
-	for i := 0; i < count; i++ {
-		rtt, err := node.Ping(1, time.Second, 3)
-		if err != nil {
-			return fmt.Errorf("ping %d to %s: %w", i+1, peer, err)
-		}
-		fmt.Printf("ping %d: %.3fms\n", i+1, rtt)
-	}
-	fmt.Printf("udp-ping: %d/%d pings answered by %s\n", count, count, peer)
-	return nil
-}
-
-// splitHostPort splits "ip:port", tolerating a bare ip (port 0).
-func splitHostPort(s string) (host string, port int, err error) {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == ':' {
-			host = s[:i]
-			_, err = fmt.Sscanf(s[i+1:], "%d", &port)
-			if err != nil {
-				return "", 0, fmt.Errorf("bad address %q: %v", s, err)
-			}
-			return host, port, nil
-		}
-	}
-	return s, 0, nil
 }

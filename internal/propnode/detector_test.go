@@ -270,14 +270,19 @@ const silentTimeout = 40 * time.Millisecond
 // Poisoned evaluation, as without the memory.
 func TestCachedRTTChangesNoDecision(t *testing.T) {
 	t.Run("bit-equal", func(t *testing.T) {
-		rt := quietRuntime(t, 16, core.PROPG, transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}), time.Second)
+		var sent atomic.Uint64
+		net := &hookNet{
+			Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}),
+			onSend:   countPings(&sent),
+		}
+		rt := quietRuntime(t, 16, core.PROPG, net, time.Second)
 		defer rt.Stop()
 		u, path := twoHopPartner(t, rt, core.PROPG)
 		rt.mu.Lock()
-		a, b := rt.agents[rt.o.HostOf(u)], rt.agents[rt.o.HostOf(path[2])]
+		a := rt.agents[rt.o.HostOf(u)]
 		rt.o.SwapPairs(u, path[2], &a.sc)
 		rt.mu.Unlock()
-		pings := func() uint64 { return a.node.Stats().PingsSent + b.node.Stats().PingsSent }
+		pings := sent.Load
 
 		p0 := pings()
 		if got := rt.measure(a); got != len(a.sc.Pairs) {

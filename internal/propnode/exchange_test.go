@@ -50,6 +50,16 @@ func (e *hookEndpoint) Send(to int, m transport.Message) error {
 	return e.Endpoint.Send(to, m)
 }
 
+// countPings is a hookNet.onSend that counts TPing sends, retransmits
+// included, into n.
+func countPings(n *atomic.Uint64) func(from, to int, m transport.Message) {
+	return func(_, _ int, m transport.Message) {
+		if m.Type == transport.TPing {
+			n.Add(1)
+		}
+	}
+}
+
 // quietRuntime starts n agents whose probe and heartbeat timers are hours
 // away, so the test drives every exchange itself. MinVar is -Inf: every
 // evaluation that completes wants to commit. ping is the first deadline of
@@ -377,7 +387,12 @@ func TestMeasureRelayRejectsNonFiniteRTT(t *testing.T) {
 // before it; a list that is empty, ragged or longer than a frame holds is
 // refused with TTL 0, and nothing is pinged.
 func TestHandleMeasureReplies(t *testing.T) {
-	rt := startRuntime(t, 4, Config{Policy: core.PROPG, ProbeIntervalMS: 3.6e6, PingTimeout: 5 * time.Millisecond}, nil)
+	var pings atomic.Uint64
+	net := &hookNet{
+		Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}),
+		onSend:   countPings(&pings),
+	}
+	rt := quietRuntime(t, 4, core.PROPG, net, 5*time.Millisecond)
 	defer rt.Stop()
 	rt.mu.Lock()
 	a := rt.agents[1]
@@ -407,7 +422,7 @@ func TestHandleMeasureReplies(t *testing.T) {
 		{"ragged", targets(3)[:7], 0, nil},
 		{"over MaxBody", make([]byte, transport.MaxBody+8), 0, nil},
 	} {
-		pings := a.node.Stats().PingsSent
+		sent := pings.Load()
 		rt.handleMeasure(a, transport.Message{Type: transport.TMeasure, Src: 99, Epoch: 7, Seq: 42, Body: tc.body})
 		var m transport.Message
 		select {
@@ -419,7 +434,7 @@ func TestHandleMeasureReplies(t *testing.T) {
 		if m.Type != transport.TMeasureReply || m.Seq != 42 || m.Epoch != 7 || m.TTL != tc.ttl || !bytes.Equal(m.Body, tc.want) {
 			t.Errorf("%s: replied %+v, want TTL %d and body %x", tc.name, m, tc.ttl, tc.want)
 		}
-		if tc.ttl == 0 && a.node.Stats().PingsSent != pings {
+		if tc.ttl == 0 && pings.Load() != sent {
 			t.Errorf("%s: a refused list was pinged", tc.name)
 		}
 	}

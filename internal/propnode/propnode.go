@@ -68,8 +68,7 @@ type Config struct {
 	HeartbeatIntervalMS float64
 	// Lat is the ground-truth latency model recorded in the overlay for
 	// metrics like MeanLinkLatency; the protocol itself never reads it. Nil
-	// means metrics report zero (e.g. over real UDP, where there is no
-	// ground truth to compare against).
+	// means metrics report zero.
 	Lat overlay.LatencyFunc
 	// Seed drives all runtime randomness (walk hops, trade selection,
 	// membership wiring, probe staggering).

@@ -25,8 +25,9 @@ const (
 	// MaxPath bounds a walk path on the wire; PROP walks are NHops long
 	// (default 2), so this is a generous safety valve, not a protocol limit.
 	MaxPath = 1024
-	// MaxBody bounds the opaque payload so a frame always fits a UDP
-	// datagram with headroom.
+	// MaxBody bounds the opaque payload, so no frame, and no pooled encode
+	// buffer that keeps a frame's capacity, grows past ≈ 36 KiB; a TMeasure
+	// list still holds 4 096 hosts, far more than any neighborhood.
 	MaxBody = 32 * 1024
 )
 
@@ -37,8 +38,8 @@ func Encode(m Message) ([]byte, error) { return appendEncode(nil, m) }
 
 // appendEncode is the one encoder: it validates m and appends its frame to
 // buf, growing it at most once. On error it returns buf unchanged, so a
-// caller may assign the result back over its buffer unconditionally. The two
-// Send paths call it with a pooled buffer (frames), Encode with none.
+// caller may assign the result back over its buffer unconditionally. The
+// loopback's Send calls it with a pooled buffer (frames), Encode with none.
 func appendEncode(buf []byte, m Message) ([]byte, error) {
 	if !m.Type.Valid() {
 		return buf, fmt.Errorf("transport: encode: unknown type %d", m.Type)
@@ -70,10 +71,9 @@ func appendEncode(buf []byte, m Message) ([]byte, error) {
 	return buf, nil
 }
 
-// frames recycles the encode buffers of the two Send paths. A frame is dead
-// the moment its consumer returns — Decode copies Path and Body out of it,
-// WriteToUDP copies it into the kernel — so nothing a caller or receiver
-// holds ever aliases a pooled buffer.
+// frames recycles the loopback Send's encode buffers. A frame is dead the
+// moment Decode returns — it copies Path and Body out — so nothing a
+// caller or receiver holds ever aliases a pooled buffer.
 var frames = sync.Pool{New: func() any { return new([]byte) }}
 
 // Decode parses one frame. Truncated, corrupt, oversized, or padded frames

@@ -10,7 +10,7 @@ import (
 func sampleMessages() []Message {
 	return []Message{
 		{Type: TPing},
-		{Type: TPong, Seq: 42, Key: 7, Epoch: 3, Body: putDelay(make([]byte, 9), 12.5, true)},
+		{Type: TPong, Seq: 42, Key: 7, Epoch: 3, Body: putDelay(make([]byte, 8), 12.5)},
 		{Type: TWalk, TTL: 2, Src: 5, Dst: 9, Key: 5, Path: []int{3, 8, 11}},
 		{Type: TWalkReply, TTL: 1, Seq: 99, Path: []int{0, -1, 1 << 30}},
 		{Type: TMeasure, Src: -7, Dst: 1<<40 + 3, Key: 0xFFFFFFFF},
@@ -126,19 +126,15 @@ func TestEncodeRejectsUnencodable(t *testing.T) {
 }
 
 func TestDelayFraming(t *testing.T) {
-	// One buffer throughout, as the pump reuses its pong body: a virtual
-	// frame must not leave its flag behind in the next one.
-	buf := make([]byte, 9)
+	// One buffer throughout, as the pump reuses its pong body.
+	buf := make([]byte, 8)
 	for _, d := range []float64{0, 0.5, 12.25, 1e9} {
-		for _, v := range []bool{true, false} {
-			got, virtual, ok := decodeDelay(putDelay(buf, d, v))
-			if !ok || got != d || virtual != v {
-				t.Fatalf("delay %v virtual %v: round-trip gave %v %v %v", d, v, got, virtual, ok)
-			}
+		if got, ok := decodeDelay(putDelay(buf, d)); !ok || got != d {
+			t.Fatalf("delay %v: round-trip gave %v %v", d, got, ok)
 		}
 	}
-	for _, bad := range [][]byte{nil, {1}, {2, 0, 0, 0, 0, 0, 0, 0, 0}, make([]byte, 10)} {
-		if _, _, ok := decodeDelay(bad); ok {
+	for _, bad := range [][]byte{nil, {1}, {1, 0, 0, 0, 0, 0, 0, 0, 0}, make([]byte, 7), make([]byte, 10)} {
+		if _, ok := decodeDelay(bad); ok {
 			t.Fatalf("decodeDelay accepted malformed frame %x", bad)
 		}
 	}

@@ -209,7 +209,7 @@ func (l *Loopback) send(from *loopEndpoint, to int, m Message) {
 			l.delivered.Add(1)
 		default:
 			// Bounded mailbox: a receiver that is not draining sheds the
-			// message here — datagram semantics, same as the UDP endpoint.
+			// message here — datagram semantics, like a kernel socket buffer.
 			l.overflows.Add(1)
 		}
 	}
@@ -260,9 +260,6 @@ func (ep *loopEndpoint) Send(to int, m Message) error {
 	ep.net.send(ep, to, dm)
 	return nil
 }
-
-// Virtual reports true: loopback delays are the simulated-latency plane.
-func (ep *loopEndpoint) Virtual() bool { return true }
 
 // Recv returns the delivery channel.
 func (ep *loopEndpoint) Recv() <-chan Inbound { return ep.recv }

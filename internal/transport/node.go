@@ -9,34 +9,17 @@ import (
 	"time"
 )
 
-// NodeStats counts a node's liveness machinery at work. All fields are
-// atomics; read them through Node.Stats.
-type NodeStats struct {
-	// PingsSent counts TPing requests issued.
-	PingsSent uint64
-	// Timeouts counts call attempts that expired without a response.
-	Timeouts uint64
-	// Retries counts retransmissions after a timeout.
-	Retries uint64
-	// StaleReplies counts responses that arrived after their call gave up
-	// or completed — the live stale-timer race, absorbed not re-processed.
-	StaleReplies uint64
-	// DupReplies counts duplicate responses absorbed by the seq guard.
-	DupReplies uint64
-}
-
 // Node wraps an Endpoint with the message discipline every live PROP peer
 // needs: a pump goroutine that answers pings and dispatches inbound
 // traffic, and request/response calls with per-attempt deadlines, bounded
 // retransmission with exponential back-off, and sequence-number matching
 // that absorbs duplicate and stale replies.
 type Node struct {
-	ep      Endpoint
-	virtual bool // ep.Virtual(), read once
+	ep Endpoint
 
 	// pong is the body of every pong the pump sends. The pump is one
 	// goroutine and Send keeps nothing of its message, so one buffer serves.
-	pong [9]byte
+	pong [8]byte
 
 	// mu guards pending and closed, and the pump delivers a reply (Close a
 	// close notice) into a call record while holding it — the recycling
@@ -50,6 +33,10 @@ type Node struct {
 	once sync.Once
 	wg   sync.WaitGroup
 
+	// The liveness machinery at work: TPing requests issued, call attempts
+	// that expired, retransmissions after a timeout, replies that arrived
+	// after their call gave up or completed (the live stale-timer race,
+	// absorbed not re-processed), and duplicates the seq guard absorbed.
 	pings        atomic.Uint64
 	timeouts     atomic.Uint64
 	retries      atomic.Uint64
@@ -61,7 +48,6 @@ type Node struct {
 func NewNode(ep Endpoint) *Node {
 	n := &Node{
 		ep:      ep,
-		virtual: ep.Virtual(),
 		pending: make(map[uint64]*call),
 	}
 	n.wg.Add(1)
@@ -84,17 +70,6 @@ func (n *Node) Handle(h func(Inbound)) {
 
 // Send transmits a one-way message (no response matching).
 func (n *Node) Send(to int, m Message) error { return n.ep.Send(to, m) }
-
-// Stats snapshots the liveness counters.
-func (n *Node) Stats() NodeStats {
-	return NodeStats{
-		PingsSent:    n.pings.Load(),
-		Timeouts:     n.timeouts.Load(),
-		Retries:      n.retries.Load(),
-		StaleReplies: n.staleReplies.Load(),
-		DupReplies:   n.dupReplies.Load(),
-	}
-}
 
 // Close stops the pump and fails pending calls. Idempotent.
 func (n *Node) Close() {
@@ -127,7 +102,7 @@ func (n *Node) pump() {
 				Seq:   in.Msg.Seq,
 				Key:   in.Msg.Key,
 				Epoch: in.Msg.Epoch,
-				Body:  putDelay(n.pong[:], in.DelayMS, n.virtual),
+				Body:  putDelay(n.pong[:], in.DelayMS),
 			}
 			_ = n.ep.Send(in.Msg.Src, pong)
 		case TPong, TWalkReply, TMeasureReply:
@@ -247,48 +222,37 @@ func (n *Node) finish(seq uint64, c *call) {
 	calls.Put(c)
 }
 
-// Ping measures the round-trip time to host to in milliseconds. Over the
-// loopback the result is the exact virtual RTT (both legs' DelayMS summed)
-// and the clock is not read; over UDP it is wall-clock elapsed time.
-// Timeout and retries follow Call's retransmission discipline. A virtual
-// RTT that is negative, NaN or infinite is an error, not a measurement.
+// Ping measures the round-trip time to host to in milliseconds: the exact
+// virtual RTT, the DelayMS of both legs summed, so no clock is read.
+// Timeout and retries follow Call's retransmission discipline. An RTT that
+// is negative, NaN or infinite, or a pong without a well-formed delay body,
+// is an error, not a measurement.
 func (n *Node) Ping(to int, timeout time.Duration, retries int) (float64, error) {
 	n.pings.Add(1)
-	if !n.virtual {
-		start := time.Now()
-		if _, err := n.Call(to, Message{Type: TPing}, timeout, retries); err != nil {
-			return 0, err
-		}
-		return float64(time.Since(start)) / float64(time.Millisecond), nil
-	}
 	in, err := n.Call(to, Message{Type: TPing}, timeout, retries)
 	if err != nil {
 		return 0, err
 	}
-	fwd, virtual, ok := decodeDelay(in.Msg.Body)
+	fwd, ok := decodeDelay(in.Msg.Body)
 	rtt := fwd + in.DelayMS
-	if !ok || !virtual || !(rtt >= 0 && rtt <= math.MaxFloat64) {
+	if !ok || !(rtt >= 0 && rtt <= math.MaxFloat64) {
 		return 0, fmt.Errorf("transport: ping %d→%d: no finite virtual RTT (%v)", n.ep.Host(), to, rtt)
 	}
 	return rtt, nil
 }
 
-// putDelay frames a one-way delay observation into b[:9] and returns it: 1
-// flag byte (virtual) + 8 bytes of float64 bits.
-func putDelay(b []byte, delayMS float64, virtual bool) []byte {
-	b = b[:9]
-	b[0] = 0
-	if virtual {
-		b[0] = 1
-	}
-	binary.BigEndian.PutUint64(b[1:], math.Float64bits(delayMS))
+// putDelay frames a one-way delay observation into b[:8], the float64 bits
+// big-endian, and returns it.
+func putDelay(b []byte, delayMS float64) []byte {
+	b = b[:8]
+	binary.BigEndian.PutUint64(b, math.Float64bits(delayMS))
 	return b
 }
 
 // decodeDelay parses a putDelay frame.
-func decodeDelay(b []byte) (delayMS float64, virtual bool, ok bool) {
-	if len(b) != 9 || b[0] > 1 {
-		return 0, false, false
+func decodeDelay(b []byte) (delayMS float64, ok bool) {
+	if len(b) != 8 {
+		return 0, false
 	}
-	return math.Float64frombits(binary.BigEndian.Uint64(b[1:])), b[0] == 1, true
+	return math.Float64frombits(binary.BigEndian.Uint64(b)), true
 }

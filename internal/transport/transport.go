@@ -3,32 +3,29 @@
 // queues, request/response calls with deadlines and bounded retransmission,
 // and per-link fault hooks.
 //
-// Two implementations ship. Loopback is an in-process network whose
-// deliveries are instantaneous but carry a *virtual* one-way delay (the
-// sim's latency model realized as transport metadata) and whose fault
-// verdicts come from internal/faults' stateless per-message hash — so a
-// seeded loopback run drops the same messages on every repetition, which is
-// what lets the dhttest conformance suites and figR-style loss scenarios
-// reproduce deterministically outside the simulator. UDP is the real thing:
-// datagrams over the kernel on localhost or beyond, with wall-clock RTTs.
+// Loopback is the one network: an in-process transport whose deliveries
+// are instantaneous but carry a *virtual* one-way delay (the sim's latency
+// model realized as transport metadata) and whose fault verdicts come from
+// internal/faults' stateless per-message hash — so a seeded loopback run
+// drops the same messages on every repetition, which is what lets the
+// dhttest conformance suites and figR-style loss scenarios reproduce
+// deterministically outside the simulator. Endpoint and Network stay
+// interfaces so callers can decorate them (meter sends, drop a host's
+// traffic).
 //
 // The protocols above this package (internal/propnode, the dhttest live
-// backend) address peers by host ID, never by socket: the slot/host model's
-// host identifiers are the addresses, and each implementation maps them to
-// its own notion of a wire endpoint.
+// backend) address peers by host ID: the slot/host model's host
+// identifiers are the addresses.
 //
-// Each delivery failure is counted in one place: LoopbackStats for the
-// loopback (fault-gate drops, mailbox overflows, sends to absent hosts) and
-// UDPEndpoint.Counters for a UDP socket (overflows, read errors, route
-// rebinds).
+// Each delivery failure is counted in one place, LoopbackStats: fault-gate
+// drops, mailbox overflows, sends to absent hosts.
 //
 // The per-message paths recycle their frames and call records and share no
 // exclusive lock between senders; DESIGN.md §10 "Transport locking" states
 // which lock guards what and why a retired call record is safe to reuse.
 //
 // Key types: Message and its codec (Encode/Decode), Endpoint/Network,
-// Loopback, UDPEndpoint, and Node (the message pump with Ping/Call). See
-// DESIGN.md §10.
+// Loopback, and Node (the message pump with Ping/Call). See DESIGN.md §10.
 package transport
 
 // Type discriminates wire messages.
@@ -92,8 +89,8 @@ type Message struct {
 type Inbound struct {
 	// Msg is the decoded message.
 	Msg Message
-	// DelayMS is the virtual one-way delay the loopback charged this
-	// delivery (0 on UDP, where real time elapses instead).
+	// DelayMS is the virtual one-way delay the network charged this
+	// delivery: the latency model's share plus any fault jitter.
 	DelayMS float64
 }
 
@@ -104,8 +101,8 @@ type Endpoint interface {
 	// Host returns the host ID this endpoint answers for.
 	Host() int
 	// Send transmits m to the host to. Delivery is best-effort datagram
-	// semantics: messages to unknown or dead hosts vanish silently, exactly
-	// like UDP; only a closed local endpoint errors. The endpoint must not
+	// semantics: messages to unknown or dead hosts vanish silently; only a
+	// closed local endpoint errors. The endpoint must not
 	// keep m, its Path or its Body after Send returns: callers reuse them.
 	Send(to int, m Message) error
 	// Recv returns the delivery channel. It is closed when the endpoint
@@ -113,10 +110,6 @@ type Endpoint interface {
 	Recv() <-chan Inbound
 	// Close detaches the endpoint and closes its Recv channel.
 	Close() error
-	// Virtual reports that every delivery's DelayMS is authoritative — the
-	// loopback's simulated-latency plane — rather than real elapsed time.
-	// It is a property of the network: true on Loopback, false on UDP.
-	Virtual() bool
 }
 
 // Network opens endpoints by host ID — the factory the runtime uses to
