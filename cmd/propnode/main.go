@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/chaos"
@@ -66,7 +67,8 @@ func main() {
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "propnode:", err)
+		// internal/propnode's own errors already carry the prefix.
+		fmt.Fprintln(os.Stderr, "propnode:", strings.TrimPrefix(err.Error(), "propnode: "))
 		os.Exit(1)
 	}
 }

@@ -13,7 +13,7 @@
 //
 // Key types: Space (the zone tiling plus routing) and Zone. The package's
 // place in the system is DESIGN.md §1; the PIS-combination experiment is
-// §2 ("combo").
+// §2 ("proximity").
 package can
 
 import (

@@ -22,9 +22,9 @@ const (
 	minuteMS       = 60000.0
 )
 
-// churnWorld is the Poisson join/leave scaffold churn and chordchurn
-// share: PROP-G over n of the trial's shuffled hosts while about n/4 spare
-// hosts join and n/4 peers leave inside the churn window.
+// churnWorld is the Poisson join/leave scaffold of both halves of churn:
+// PROP-G over n of the trial's shuffled hosts while about n/4 spare hosts
+// join and n/4 peers leave inside the churn window.
 type churnWorld struct {
 	e      *env
 	o      *overlay.Overlay
@@ -97,10 +97,11 @@ func (c *trialCtx) newChurnWorld(prefix string, build func(e *env, active []int)
 }
 
 // run drives the world to churnHorizonMS and returns the probes/node/min
-// series sampled every minute; sample records the row's own quantities at
-// the same instants (rate is that minute's probe rate).
-func (w *churnWorld) run(sample func(t, rate float64) error) (stats.Series, error) {
-	probes := stats.Series{Label: "probes/node/min"}
+// series sampled every minute, labelled with the substrate's name; sample
+// records the half's own quantities at the same instants (rate is that
+// minute's probe rate).
+func (w *churnWorld) run(substrate string, sample func(t, rate float64) error) (stats.Series, error) {
+	probes := stats.Series{Label: substrate + ": probes/node/min"}
 	last := uint64(0)
 	err := optimize(event.New(), w.p, churnHorizonMS, minuteMS, func(t float64) error {
 		rate := float64(w.p.Counters.Probes-last) / float64(max(w.o.NumAlive(), 1))
@@ -114,9 +115,12 @@ func (w *churnWorld) run(sample func(t, rate float64) error) (stats.Series, erro
 	return probes, err
 }
 
-// churnTrial reproduces the dynamics claim: probe frequency spikes when
-// churn begins (timers reset, fresh neighbors probed early) and decays
-// exponentially after churn stops, while stretch recovers.
+// churnTrial reproduces the dynamics claim on both substrates: probe
+// frequency spikes when churn begins (timers reset, fresh neighbors probed
+// early) and decays exponentially after churn stops, while stretch
+// recovers. The Gnutella half runs first and alone writes to the metrics
+// stream; the Chord half (chordChurn) builds its own world from the same
+// trial seed.
 func churnTrial(c *trialCtx) ([]stats.Series, error) {
 	const prefix = "churn/"
 	w, err := c.newChurnWorld(prefix, func(e *env, active []int) (*overlay.Overlay, overlay.Membership, error) {
@@ -134,8 +138,8 @@ func churnTrial(c *trialCtx) ([]stats.Series, error) {
 
 	tr, phys := c.tr, w.e.meanPhysLink()
 	sp := tr.StartSpan(prefix+"simulate", 0)
-	stretch := stats.Series{Label: "stretch"}
-	probes, err := w.run(func(t, rate float64) error {
+	stretch := stats.Series{Label: "Gnutella: stretch"}
+	probes, err := w.run("Gnutella", func(t, rate float64) error {
 		stretch.Add(t/60000, w.o.Stretch(phys))
 		if err := al.measure(tr, prefix, t); err != nil {
 			return err
@@ -153,15 +157,15 @@ func churnTrial(c *trialCtx) ([]stats.Series, error) {
 	}
 	sp.End(churnHorizonMS)
 	recordCounterTotals(tr, prefix+"prop.", w.p.Counters)
-	return []stats.Series{probes, stretch}, nil
+	chordHalf, err := chordChurn(c)
+	return append([]stats.Series{probes, stretch}, chordHalf...), err
 }
 
-// chordChurnTrial extends the dynamics story to the structured substrate:
-// a Chord ring under the same churn while PROP-G keeps optimizing. It
-// checks the same two claims — probe frequency spikes and decays, quality
-// recovers — plus the structured system's own invariant: every sampled
-// lookup reaches the true owner throughout the churn window.
-func chordChurnTrial(c *trialCtx) ([]stats.Series, error) {
+// chordChurn is the Chord half of churn: a ring under the same churn while
+// PROP-G keeps optimizing, with the structured system's own invariant
+// added — every sampled lookup reaches the true owner throughout the churn
+// window.
+func chordChurn(c *trialCtx) ([]stats.Series, error) {
 	var ring *chord.Ring
 	w, err := c.newChurnWorld("", func(e *env, active []int) (*overlay.Overlay, overlay.Membership, error) {
 		var err error
@@ -175,9 +179,9 @@ func chordChurnTrial(c *trialCtx) ([]stats.Series, error) {
 	}
 	count := scaled(200, c.Scale, 50)
 	lr := w.e.r.Split()
-	stretch := stats.Series{Label: "stretch"}
-	correct := stats.Series{Label: "correct fraction"}
-	probes, err := w.run(func(t, _ float64) error {
+	stretch := stats.Series{Label: "Chord: stretch"}
+	correct := stats.Series{Label: "Chord: correct fraction"}
+	probes, err := w.run("Chord", func(t, _ float64) error {
 		// Routing stretch and correctness over a fresh random workload.
 		alive, right := ring.O.AliveSlots(), 0
 		stretch.Add(t/60000, w.e.stretch(ring.O, count, func(int) (int, overlay.LookupResult, error) {

@@ -78,18 +78,20 @@ var (
 	}}
 )
 
-// proximityTrial runs the 2×2 of every study over one world, one stretch
-// series per study at x = 0..3 (plain, proximity only, PROP-G only, both).
-func proximityTrial(studies ...study) func(*trialCtx) ([]stats.Series, error) {
-	return func(c *trialCtx) ([]stats.Series, error) {
+// proximityTrial runs the 2×2 of every study, one stretch series per study
+// at x = 0..3 (plain, proximity only, PROP-G only, both). Chord and CAN
+// draw their hosts from one world in that order; Pastry and Kademlia each
+// start from a fresh one.
+func proximityTrial(c *trialCtx) ([]stats.Series, error) {
+	n, count := scaled(1000, c.Scale, 100), scaled(paperLookups, c.Scale, 100)
+	var out []stats.Series
+	for _, studies := range [][]study{{chordStudy, canStudy}, {pastryStudy}, {kademliaStudy}} {
 		e, err := newEnv(netsim.TSLarge(), c.world)
 		if err != nil {
 			return nil, err
 		}
-		n, count := scaled(1000, c.Scale, 100), scaled(paperLookups, c.Scale, 100)
-		out := make([]stats.Series, len(studies))
-		for i, st := range studies {
-			out[i] = stats.Series{Label: st.label}
+		for _, st := range studies {
+			s := stats.Series{Label: st.label}
 			for x, cell := range []struct{ prox, prop bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 				o, refresh, stretch, err := st.build(e, n, count, cell.prox)
 				if err != nil {
@@ -103,9 +105,10 @@ func proximityTrial(studies ...study) func(*trialCtx) ([]stats.Series, error) {
 						refresh()
 					}
 				}
-				out[i].Add(float64(x), stretch())
+				s.Add(float64(x), stretch())
 			}
+			out = append(out, s)
 		}
-		return out, nil
 	}
+	return out, nil
 }

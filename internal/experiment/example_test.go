@@ -8,9 +8,9 @@ import (
 )
 
 // Example runs one reproduction experiment at miniature scale and exports
-// it — the programmatic equivalent of `propsim -exp minvar -format csv`.
+// it — the programmatic equivalent of `propsim -exp ablation -format csv`.
 func Example() {
-	res, err := experiment.Run("minvar", experiment.Options{Seed: 1, Trials: 1, Scale: 0.12})
+	res, err := experiment.Run("ablation", experiment.Options{Seed: 1, Trials: 1, Scale: 0.12})
 	if err != nil {
 		panic(err)
 	}
@@ -19,7 +19,7 @@ func Example() {
 	}
 	fmt.Println(res.ID, len(res.Series) > 0)
 	// Output:
-	// minvar true
+	// ablation true
 }
 
 // ExampleIDs lists the experiment table.

@@ -179,9 +179,6 @@ type spec struct {
 	run func(Options) ([]stats.Series, []string, error)
 }
 
-// churnWindowNote describes the churn window of churn and chordchurn.
-var churnWindowNote = fmt.Sprintf("churn window: minutes %d-%d (Poisson joins and leaves, ~25%% of peers)", churnStartMS/60000, churnStopMS/60000)
-
 // table is every experiment, in the order of DESIGN.md §2.
 var table = []spec{
 	{id: "fig5a", describe: "Fig. 5(a): PROP-G in Gnutella, lookup latency vs time, varying TTL",
@@ -238,28 +235,21 @@ var table = []spec{
 			"PROP-G measured exceeds nhops+2c: walk partners are degree-biased, and the degree-biased mean degree exceeds c in a power-law overlay",
 		},
 		trial: overheadTrial},
-	{id: "churn", describe: "§3.2/§4.3: probe frequency and stretch under churn",
-		title:  "PROP-G under churn: probe frequency and stretch over time",
-		xLabel: "time (min)", yLabel: "probes per node per minute | stretch",
-		notes: []string{churnWindowNote, "expected shape: probe rate spikes inside the window, decays after; stretch bumps then recovers"},
-		uses:  useALMode, alSeries: "churn/al_ms",
+	{id: "churn", describe: "§3.2/§4.3: probe frequency, stretch and lookup correctness under churn, on Gnutella and Chord",
+		title:  "PROP-G under churn on Gnutella and Chord: probe frequency, stretch and lookup correctness over time",
+		xLabel: "time (min)", yLabel: "probes per node per minute | stretch | correct fraction",
+		notes: []string{fmt.Sprintf("churn window: minutes %d-%d (Poisson joins and leaves, ~25%% of peers)", churnStartMS/60000, churnStopMS/60000),
+			"expected shape: on both substrates the probe rate spikes inside the window and decays after, and stretch bumps then recovers; every sampled Chord lookup reaches its owner"},
+		uses: useALMode, alSeries: "churn/al_ms",
 		trial: churnTrial},
-	{id: "combo", describe: "§1/§6: PROP-G combined with PNS (Chord) and PIS (CAN)",
-		title:  "PROP-G combined with recent proximity approaches (final stretch after optimization)",
+	{id: "proximity", describe: "§1/§6: PROP-G combined with the proximity method of Chord (PNS), CAN (PIS), Pastry and Kademlia",
+		title:  "PROP-G combined with each DHT's proximity method (final routing stretch after optimization)",
 		xLabel: "method", yLabel: "stretch",
 		notes: []string{
-			"method index: 0=plain, 1=PNS/PIS only, 2=PROP-G only, 3=PNS/PIS + PROP-G",
-			"expected shape: combination (3) beats either alone (1, 2); all beat plain (0)",
+			"method index: 0=plain, 1=proximity only (Chord PNS, CAN PIS, Pastry proximity tables, Kademlia proximity k-buckets), 2=PROP-G only, 3=proximity + PROP-G",
+			"expected shape: PROP-G alone and the combination beat plain on every DHT; the combination is never materially worse than proximity alone",
 		},
-		trial: proximityTrial(chordStudy, canStudy)},
-	{id: "pastry", describe: "extension: PROP-G on Pastry, alone and with native proximity tables",
-		title:  "PROP-G on Pastry (final routing stretch after optimization)",
-		xLabel: "method", yLabel: "stretch",
-		notes: []string{
-			"method index: 0=plain, 1=proximity tables only, 2=PROP-G only, 3=proximity + PROP-G",
-			"expected shape: all optimized variants beat plain; the combination is at least as good as either alone",
-		},
-		trial: proximityTrial(pastryStudy)},
+		trial: proximityTrial},
 	{id: "traffic", describe: "extension: TTL-flood traffic cost before/after PROP-G, PROP-O, LTM",
 		title:  "TTL-flood traffic per query: unoptimized vs PROP-G vs PROP-O vs LTM",
 		xLabel: "variant", yLabel: "messages | ms traffic | peers reached",
@@ -269,16 +259,15 @@ var table = []spec{
 			"expected: PROP-G leaves the message count untouched (identical graph) while cutting ms-traffic; PROP-O leaves degrees (≈message count) while cutting ms-traffic; LTM changes the message count itself",
 		},
 		trial: trafficTrial},
-	{id: "warmup", describe: "ablation: MAX_INIT_TRIAL sweep — why the warm-up is ~10 probes",
-		title:  "Ablation: warm-up length MAX_INIT_TRIAL vs final quality and probe cost",
-		xLabel: "MAX_INIT_TRIAL", yLabel: "mean link latency (ms) | probes per node",
-		notes: []string{"expected: latency improves sharply up to ~10 trials, then flattens while probe cost keeps rising"},
-		trial: warmupSweep.trial},
-	{id: "minvar", describe: "ablation: MIN_VAR threshold sweep — why the exchange gate is 0",
-		title:  "Ablation: MIN_VAR exchange threshold vs final quality and exchange count",
-		xLabel: "MIN_VAR (ms)", yLabel: "mean link latency (ms) | exchanges",
-		notes: []string{"expected: latency is best at MIN_VAR=0 and degrades as the gate rises; exchanges fall monotonically"},
-		trial: minVarSweep.trial},
+	{id: "ablation", describe: "ablation: MAX_INIT_TRIAL and MIN_VAR sweeps — why the warm-up is ~10 probes and the exchange gate is 0",
+		title:  "Ablations: warm-up length MAX_INIT_TRIAL and exchange threshold MIN_VAR vs final quality and cost",
+		xLabel: "MAX_INIT_TRIAL | MIN_VAR (ms)", yLabel: "mean link latency (ms) | probes per node | exchanges",
+		notes: []string{
+			"both sweeps re-optimize clones of one Gnutella overlay per trial: warmup over 60 min, minvar over 30 min",
+			"expected (warmup): latency improves sharply up to ~10 trials, then flattens while probe cost keeps rising",
+			"expected (minvar): latency is best at MIN_VAR=0 and degrades as the gate rises; exchanges fall monotonically",
+		},
+		trial: sweepTrial(warmupSweep, minVarSweep)},
 	{id: "inflight", describe: "§3.2: lookups in flight during peer-exchanges — counterpart-cache correctness",
 		title:  "Lookups concurrent with peer-exchanges: counterpart-cache correctness",
 		xLabel: "variant", yLabel: "correct fraction | stale/1000 | exchanges",
@@ -294,15 +283,7 @@ var table = []spec{
 			"noise perturbs the Var decision only; topology changes always apply to ground truth",
 			"expected: near-flat latency at σ≈0.1 (Var averages many measurements), graceful degradation beyond; harmful-exchange fraction grows with σ but individual harms stay small",
 		},
-		trial: noiseSweep.trial},
-	{id: "kademlia", describe: "extension: PROP-G on Kademlia, alone and with proximity k-buckets",
-		title:  "PROP-G on Kademlia (final routing stretch after optimization)",
-		xLabel: "method", yLabel: "stretch",
-		notes: []string{
-			"method index: 0=plain, 1=proximity k-buckets only, 2=PROP-G only, 3=proximity + PROP-G",
-			"expected shape: all optimized variants beat plain; the combination is at least as good as either alone",
-		},
-		trial: proximityTrial(kademliaStudy)},
+		trial: sweepTrial(noiseSweep)},
 	{id: "satmatch", describe: "baseline: SAT-Match (relocation jumps) vs PROP-G on Chord",
 		title:  "SAT-Match relocation jumps vs PROP-G exchanges on Chord (routing stretch over time)",
 		xLabel: "time (min)", yLabel: "stretch",
@@ -319,11 +300,6 @@ var table = []spec{
 			"expected: latency falls with replication for both overlays; PROP-G's ~30% relative gain holds across the sweep — location-awareness composes with replication rather than being replaced by it",
 		},
 		trial: replicationTrial},
-	{id: "chordchurn", describe: "extension: PROP-G on Chord under membership churn (probe rate, stretch, lookup correctness)",
-		title:  "PROP-G on Chord under churn: probe rate, routing stretch, lookup correctness",
-		xLabel: "time (min)", yLabel: "probes/node/min | stretch | correct fraction",
-		notes: []string{churnWindowNote, "expected: probe spike in the window with decay after; stretch bump and recovery; correctness pinned at 1.0"},
-		trial: chordChurnTrial},
 	{id: "figRa", describe: "robustness: PROP-G/PROP-O final stretch vs message-loss rate",
 		title:  "Robustness to message loss: final stretch after optimization vs loss rate",
 		xLabel: "loss rate (%)", yLabel: "stretch",

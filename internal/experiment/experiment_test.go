@@ -12,9 +12,9 @@ import (
 func TestRegistry(t *testing.T) {
 	ids := IDs()
 	want := []string{
-		"chordchurn", "churn", "combo", "fig5a", "fig5a-scale", "fig5b", "fig5c", "fig6a", "fig6b",
-		"fig6c", "fig7", "figR-scale", "figRa", "figRb", "figRc", "inflight", "kademlia", "minvar",
-		"noise", "overhead", "pastry", "replication", "satmatch", "traffic", "warmup",
+		"ablation", "churn", "fig5a", "fig5a-scale", "fig5b", "fig5c", "fig6a", "fig6b", "fig6c",
+		"fig7", "figR-scale", "figRa", "figRb", "figRc", "inflight", "noise", "overhead",
+		"proximity", "replication", "satmatch", "traffic",
 	}
 	if len(ids) != len(want) {
 		t.Fatalf("IDs = %v", ids)

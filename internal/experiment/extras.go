@@ -55,6 +55,7 @@ func overheadTrial(c *trialCtx) ([]stats.Series, error) {
 // latency and one cost series, so the choice is visible in data rather
 // than asserted.
 type configSweep struct {
+	prefix   string // prepended to the series labels when a row runs several sweeps
 	xs       []float64
 	seedBase int     // the subSeed block of the protocol streams
 	horizon  float64 // the optimization time per point
@@ -70,7 +71,7 @@ var (
 	// the overlay has converged (fewer probes → less improvement); warm-ups
 	// beyond ~10 buy almost nothing but keep probing at full rate.
 	warmupSweep = configSweep{
-		xs: []float64{1, 2, 5, 10, 20, 40}, seedBase: 2000,
+		prefix: "warmup: ", xs: []float64{1, 2, 5, 10, 20, 40}, seedBase: 2000,
 		horizon: 2 * horizonMS, // 60 min: long enough for back-off to matter
 		set:     func(cfg *core.Config, x float64) { cfg.MaxInitTrials = int(x) },
 		cost:    "probes per node",
@@ -82,7 +83,7 @@ var (
 	// latency, so MIN_VAR = 0 harvests all gains; raising the bar skips
 	// small-but-real improvements while the number of exchanges falls.
 	minVarSweep = configSweep{
-		xs: []float64{0, 25, 50, 100, 200, 400}, seedBase: 3000, horizon: horizonMS,
+		prefix: "minvar: ", xs: []float64{0, 25, 50, 100, 200, 400}, seedBase: 3000, horizon: horizonMS,
 		set:  func(cfg *core.Config, x float64) { cfg.MinVar = x },
 		cost: "exchanges executed",
 		watch: func(p *core.Protocol, _ *overlay.Overlay, _ int) func() float64 {
@@ -125,30 +126,39 @@ var (
 	}
 )
 
-func (s configSweep) trial(c *trialCtx) ([]stats.Series, error) {
-	_, base, err := c.gnutellaWorld("")
-	if err != nil {
-		return nil, err
-	}
-	n := scaled(1000, c.Scale, 100)
-	latency := stats.Series{Label: "final mean link latency (ms)"}
-	cost := stats.Series{Label: s.cost}
-	for vi, x := range s.xs {
-		oc := base.Clone()
-		cfg := core.DefaultConfig(core.PROPG)
-		s.set(&cfg, x)
-		p, err := core.New(oc, cfg, rng.New(c.subSeed(s.seedBase, vi)))
+// sweepTrial runs every sweep over one shared Gnutella world: each point
+// optimizes its own clone of the base overlay with streams from its
+// sweep's subSeed block, so the sweeps do not disturb each other.
+func sweepTrial(sweeps ...configSweep) func(*trialCtx) ([]stats.Series, error) {
+	return func(c *trialCtx) ([]stats.Series, error) {
+		_, base, err := c.gnutellaWorld("")
 		if err != nil {
 			return nil, err
 		}
-		measure := s.watch(p, oc, n)
-		if err := optimize(event.New(), p, s.horizon, s.horizon, nil); err != nil {
-			return nil, err
+		n := scaled(1000, c.Scale, 100)
+		var out []stats.Series
+		for _, s := range sweeps {
+			latency := stats.Series{Label: s.prefix + "final mean link latency (ms)"}
+			cost := stats.Series{Label: s.prefix + s.cost}
+			for vi, x := range s.xs {
+				oc := base.Clone()
+				cfg := core.DefaultConfig(core.PROPG)
+				s.set(&cfg, x)
+				p, err := core.New(oc, cfg, rng.New(c.subSeed(s.seedBase, vi)))
+				if err != nil {
+					return nil, err
+				}
+				measure := s.watch(p, oc, n)
+				if err := optimize(event.New(), p, s.horizon, s.horizon, nil); err != nil {
+					return nil, err
+				}
+				latency.Add(x, oc.MeanLinkLatency())
+				cost.Add(x, measure())
+			}
+			out = append(out, latency, cost)
 		}
-		latency.Add(x, oc.MeanLinkLatency())
-		cost.Add(x, measure())
+		return out, nil
 	}
-	return []stats.Series{latency, cost}, nil
 }
 
 // totalNeighborLatency sums every node's true neighbor-latency total.

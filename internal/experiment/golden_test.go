@@ -3,6 +3,7 @@ package experiment
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -31,8 +32,9 @@ var goldenOpt = Options{Seed: 5, Trials: 2, Scale: 0.1}
 
 // goldens maps "<kind> <run>" to the FNV-64a hex digest recorded in
 // testdata/golden_amd64.txt: the rendered table of every experiment ID
-// ("render") and eleven metrics streams ("stream"). A run is an ID, or an
-// ID and " al-mode=<mode>" for a run with Options.ALMode set. Double-run
+// ("render"), eleven metrics streams ("stream") and the numbers of every
+// folded study ("series", see folded). A run is an ID, or an ID and
+// " al-mode=<mode>" for a run with Options.ALMode set. Double-run
 // equality only proves a run agrees with itself; the goldens prove a
 // refactor left the bytes where they were.
 var goldens, goldensErr = loadGoldens()
@@ -144,21 +146,66 @@ func seriesOf(t *testing.T, res *Result, label string) stats.Series {
 	return stats.Series{}
 }
 
+// folded lists the studies that once had an ID of their own and now run
+// as series of a larger row: the retired ID, the row that runs it, and
+// that row's labels for the retired row's series, in their old order.
+// The "series <old>" goldens were recorded from the retired rows, so a
+// folded study must keep its (x, y) values bit for bit.
+var folded = []struct {
+	old, id string
+	labels  []string
+}{
+	{"chordchurn", "churn", []string{"Chord: probes/node/min", "Chord: stretch", "Chord: correct fraction"}},
+	{"combo", "proximity", []string{"Chord", "CAN"}},
+	{"kademlia", "proximity", []string{"Kademlia"}},
+	{"minvar", "ablation", []string{"minvar: final mean link latency (ms)", "minvar: exchanges executed"}},
+	{"pastry", "proximity", []string{"Pastry"}},
+	{"warmup", "ablation", []string{"warmup: final mean link latency (ms)", "warmup: probes per node"}},
+}
+
+// foldedSeries returns the series of the folded study f from its row's
+// golden run.
+func foldedSeries(t *testing.T, f int) []stats.Series {
+	t.Helper()
+	g := golden(t, folded[f].id)
+	var ss []stats.Series
+	for _, label := range folded[f].labels {
+		ss = append(ss, g.series(t, label))
+	}
+	return ss
+}
+
+// seriesDigest is the bytes a "series" golden hashes: each series' length
+// and then its x and y values as little-endian float64 bits. Labels are
+// left out, so a study keeps its digest when its row renames them.
+func seriesDigest(ss []stats.Series) []byte {
+	var b []byte
+	for _, s := range ss {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(s.X)))
+		for i := range s.X {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.X[i]))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Y[i]))
+		}
+	}
+	return b
+}
+
 // seedProbes is one ID per trial runner — the runners several rows share
-// (timeSeries, configSweep, proximityTrial) and each row-specific one. A
+// (timeSeries, sweepTrial) and each row-specific one. A
 // different seed must change its series; the rendered table alone would
 // differ by its seed note. The figR* rows and the ladders are probed by
 // TestFigRMetricsByteDeterminism and TestFig5aScaleStreamDeterministic.
 var seedProbes = map[string]bool{
-	"fig5c": true, "fig7": true, "overhead": true, "churn": true, "chordchurn": true, "pastry": true,
-	"traffic": true, "minvar": true, "inflight": true, "satmatch": true, "replication": true,
+	"fig5c": true, "fig7": true, "overhead": true, "churn": true, "proximity": true,
+	"traffic": true, "ablation": true, "inflight": true, "satmatch": true, "replication": true,
 }
 
 // TestExperimentsDeterministic is the determinism regression: every
 // experiment's rendered table must match its golden digest (trials run in
 // parallel goroutines, so this also guards against scheduling-order leaks
 // into results), and for one ID per runner a different seed must change
-// the series.
+// the series. Each folded study's numbers must match the digest recorded
+// from its retired row.
 func TestExperimentsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden pass in -short mode")
@@ -181,6 +228,13 @@ func TestExperimentsDeterministic(t *testing.T) {
 			if reflect.DeepEqual(other.Series, g.res.Series) {
 				t.Errorf("seeds 5 and 6 produced identical series — the seed is not reaching the run")
 			}
+		})
+	}
+	for f := range folded {
+		f := f
+		t.Run(folded[f].old, func(t *testing.T) {
+			t.Parallel()
+			checkGolden(t, "series "+folded[f].old, seriesDigest(foldedSeries(t, f)))
 		})
 	}
 }
@@ -224,7 +278,8 @@ func TestMetricsStreamDeterministic(t *testing.T) {
 
 // TestAllExperimentsSmoke verifies every experiment's structural contract
 // on its golden run: at least one series, every series non-empty and
-// rectangular, no NaN/Inf values, and notes documenting the setup.
+// rectangular, no NaN/Inf values, and notes documenting the setup. Each
+// folded study must still be present, with sound series, in its row.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden pass in -short mode")
@@ -240,23 +295,37 @@ func TestAllExperimentsSmoke(t *testing.T) {
 			if len(res.Series) == 0 {
 				t.Fatal("no series")
 			}
-			for _, s := range res.Series {
-				if len(s.X) == 0 {
-					t.Fatalf("series %q empty", s.Label)
-				}
-				if len(s.X) != len(s.Y) {
-					t.Fatalf("series %q ragged: %d x, %d y", s.Label, len(s.X), len(s.Y))
-				}
-				for i, y := range s.Y {
-					if math.IsNaN(y) || math.IsInf(y, 0) {
-						t.Fatalf("series %q has non-finite y at x=%v", s.Label, s.X[i])
-					}
-				}
-			}
+			checkSeriesSound(t, res.Series)
 			if len(res.Notes) == 0 {
 				t.Fatal("no notes — every experiment documents its setup")
 			}
 		})
+	}
+	for f := range folded {
+		f := f
+		t.Run(folded[f].old, func(t *testing.T) {
+			t.Parallel()
+			checkSeriesSound(t, foldedSeries(t, f))
+		})
+	}
+}
+
+// checkSeriesSound fails unless every series is non-empty and rectangular
+// and has no NaN/Inf values.
+func checkSeriesSound(t *testing.T, ss []stats.Series) {
+	t.Helper()
+	for _, s := range ss {
+		if len(s.X) == 0 {
+			t.Fatalf("series %q empty", s.Label)
+		}
+		if len(s.X) != len(s.Y) {
+			t.Fatalf("series %q ragged: %d x, %d y", s.Label, len(s.X), len(s.Y))
+		}
+		for i, y := range s.Y {
+			if math.IsNaN(y) || math.IsInf(y, 0) {
+				t.Fatalf("series %q has non-finite y at x=%v", s.Label, s.X[i])
+			}
+		}
 	}
 }
 
@@ -416,24 +485,26 @@ func TestOverheadShape(t *testing.T) {
 }
 
 func TestChurnShape(t *testing.T) {
-	churnSpike(t, golden(t, "churn").series(t, "probes/node/min"))
+	churnSpike(t, golden(t, "churn").series(t, "Gnutella: probes/node/min"))
 }
 
 func TestChordChurnShape(t *testing.T) {
-	g := golden(t, "chordchurn")
+	g := golden(t, "churn")
 	// The structured invariant: every sampled lookup reaches the true
 	// owner at every minute, churn or not.
-	correct := g.series(t, "correct fraction")
+	correct := g.series(t, "Chord: correct fraction")
 	for i, y := range correct.Y {
 		if y != 1.0 {
 			t.Errorf("minute %v: correct fraction %.4f", correct.X[i], y)
 		}
 	}
-	churnSpike(t, g.series(t, "probes/node/min"))
+	churnSpike(t, g.series(t, "Chord: probes/node/min"))
 }
 
 func TestComboShape(t *testing.T) {
-	for _, s := range golden(t, "combo").res.Series {
+	g := golden(t, "proximity")
+	for _, label := range []string{"Chord", "CAN"} {
+		s := g.series(t, label)
 		if len(s.X) != 4 {
 			t.Fatalf("%s has %d points", s.Label, len(s.X))
 		}
@@ -444,16 +515,16 @@ func TestComboShape(t *testing.T) {
 	}
 }
 
-// proximityShape is the Pastry/Kademlia combination shape: proximity and
-// PROP-G each beat plain, and the combination — which re-picks the same
-// tables after the exchanges — is not materially worse than proximity
-// alone.
-func proximityShape(t *testing.T, id string) {
-	res := golden(t, id).res
-	if len(res.Series) != 1 || len(res.Series[0].X) != 4 {
-		t.Fatalf("series shape wrong: %+v", res.Series)
+// proximityShape is the Pastry/Kademlia combination shape of proximity's
+// series label: proximity and PROP-G each beat plain, and the combination
+// — which re-picks the same tables after the exchanges — is not
+// materially worse than proximity alone.
+func proximityShape(t *testing.T, label string) {
+	s := golden(t, "proximity").series(t, label)
+	if len(s.X) != 4 {
+		t.Fatalf("series shape wrong: %+v", s)
 	}
-	plain, prox, propg, combined := res.Series[0].Y[0], res.Series[0].Y[1], res.Series[0].Y[2], res.Series[0].Y[3]
+	plain, prox, propg, combined := s.Y[0], s.Y[1], s.Y[2], s.Y[3]
 	if prox >= plain || propg >= plain {
 		t.Errorf("proximity %.2f / PROP-G %.2f not below plain %.2f", prox, propg, plain)
 	}
@@ -462,12 +533,12 @@ func proximityShape(t *testing.T, id string) {
 	}
 }
 
-func TestPastryExperimentShape(t *testing.T)   { proximityShape(t, "pastry") }
-func TestKademliaExperimentShape(t *testing.T) { proximityShape(t, "kademlia") }
+func TestPastryExperimentShape(t *testing.T)   { proximityShape(t, "Pastry") }
+func TestKademliaExperimentShape(t *testing.T) { proximityShape(t, "Kademlia") }
 
 func TestWarmupAblationShape(t *testing.T) {
-	g := golden(t, "warmup")
-	latency, probes := g.series(t, "final mean link latency (ms)"), g.series(t, "probes per node")
+	g := golden(t, "ablation")
+	latency, probes := g.series(t, "warmup: final mean link latency (ms)"), g.series(t, "warmup: probes per node")
 	if len(latency.X) != 6 || len(probes.X) != 6 {
 		t.Fatalf("series lengths %d/%d", len(latency.X), len(probes.X))
 	}
@@ -489,8 +560,8 @@ func TestWarmupAblationShape(t *testing.T) {
 }
 
 func TestMinVarAblationShape(t *testing.T) {
-	g := golden(t, "minvar")
-	latency, exchanges := g.series(t, "final mean link latency (ms)"), g.series(t, "exchanges executed")
+	g := golden(t, "ablation")
+	latency, exchanges := g.series(t, "minvar: final mean link latency (ms)"), g.series(t, "minvar: exchanges executed")
 	// Zero threshold must beat the largest threshold.
 	if latency.YAt(0) >= latency.YAt(400) {
 		t.Errorf("MIN_VAR=0 latency %.1f not below MIN_VAR=400 %.1f", latency.YAt(0), latency.YAt(400))
