@@ -9,8 +9,8 @@
 //
 // Robustness (DESIGN.md §9, the figR* family):
 //
-//	propsim -exp figRa -loss 0.05            # collapse the loss sweep to {0, 5%}
-//	propsim -exp figRb -crash 0.10           # collapse the crash sweep to {0, 10%}
+//	propsim -exp figR -loss 0.05             # collapse the loss sweep to {0, 5%}
+//	propsim -exp figR -crash 0.10            # collapse the crash sweep to {0, 10%}
 //	propsim -exp figRc -partition 300000     # 5-minute partition window
 //
 // A flag passed to an experiment that does not consume it (-loss, -crash,
@@ -69,8 +69,8 @@ func main() {
 		scaleN = flag.Int("scale-n", 0, "fig5a-scale/figR-scale: cap the peer ladder at this n (0 = full ladder to 1e6); rejected by other experiments")
 		shards = flag.Int("shards", 0, "fig5a-scale/figR-scale: parallel engines in the sharded simulator (0 = one per transit domain); any value yields byte-identical streams; rejected by other experiments")
 
-		faultLoss  = flag.Float64("loss", 0, "message-loss probability: collapses the figRa/figR-scale sweep to {0, value}, attaches loss+dup+jitter to every fig5a-scale rung; rejected by other experiments (0 = default)")
-		faultCrash = flag.Float64("crash", 0, "crash-stop fraction: collapses the figRb/figR-scale sweep to {0, value}, attaches churn to every fig5a-scale rung; rejected by other experiments (0 = default)")
+		faultLoss  = flag.Float64("loss", 0, "message-loss probability: collapses the figR/figR-scale loss sweep to {0, value}, attaches loss+dup+jitter to every fig5a-scale rung; rejected by other experiments (0 = default)")
+		faultCrash = flag.Float64("crash", 0, "crash-stop fraction: collapses the figR/figR-scale crash sweep to {0, value}, attaches churn to every fig5a-scale rung; rejected by other experiments (0 = default)")
 		faultPart  = flag.Float64("partition", 0, "partition window length in simulated ms for figRc/figR-scale/fig5a-scale; rejected by other experiments (0 = default)")
 
 		metricsOn   = flag.Bool("metrics", false, "collect the observability metrics stream (implied by -metrics-out/-metrics-csv)")

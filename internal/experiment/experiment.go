@@ -53,7 +53,7 @@ type Options struct {
 	// FaultLoss, FaultCrash, and FaultPartitionMS parameterize the
 	// fault-aware experiments (cmd/propsim -loss/-crash/-partition). Zero
 	// keeps each experiment's default: a non-zero FaultLoss or FaultCrash
-	// collapses the figRa/figRb/figR-scale sweeps to {0, value} and attaches
+	// collapses figR's and figR-scale's sweeps to {0, value} and attaches
 	// the corresponding fault schedule to fig5a-scale; a non-zero
 	// FaultPartitionMS sets the partition-window length (figRc, figR-scale,
 	// fig5a-scale).
@@ -300,27 +300,21 @@ var table = []spec{
 			"expected: latency falls with replication for both overlays; PROP-G's ~30% relative gain holds across the sweep — location-awareness composes with replication rather than being replaced by it",
 		},
 		trial: replicationTrial},
-	{id: "figRa", describe: "robustness: PROP-G/PROP-O final stretch vs message-loss rate",
-		title:  "Robustness to message loss: final stretch after optimization vs loss rate",
-		xLabel: "loss rate (%)", yLabel: "stretch",
+	{id: "figR", describe: "robustness: PROP-G/PROP-O final stretch vs message-loss rate, and PROP-G under crash-stop churn with repair rounds and audit",
+		title:  "Robustness to message loss and crash-stop churn: final stretch vs fault rate",
+		xLabel: "fault rate (%)", yLabel: "stretch | corpses repaired",
 		notes: []string{
-			fmt.Sprintf("per message: loss as swept, duplication = loss/%g, jitter U[0,%dms)", 1/figRDupFraction, figRJitterMS),
-			"expected shape: both policies stay well below the unoptimized line across the sweep, rising gently with loss",
-			"timeout/retry/eviction totals are in the metrics stream under figRa/<policy>/loss<pct>/faults.*",
-		},
-		uses:  useLoss,
-		trial: figRaTrial},
-	{id: "figRb", describe: "robustness: PROP-G under crash-stop churn with repair rounds and audit",
-		title:  "Robustness to crash-stop churn: final stretch vs crashed fraction (with repair)",
-		xLabel: "crashed peers (%)", yLabel: "stretch | corpses repaired",
-		notes: []string{
-			fmt.Sprintf("background faults: loss=%g, duplication=%g, jitter U[0,%dms); each host crashes with the swept probability at a faults.CrashAt time inside minutes %d-%d",
+			"the loss sweep (x = loss rate) and the crash sweep (x = crashed peers) each re-optimize their own Gnutella world per trial",
+			fmt.Sprintf("loss: per message, loss as swept, duplication = loss/%g, jitter U[0,%dms)", 1/figRDupFraction, figRJitterMS),
+			fmt.Sprintf("crash: background faults loss=%g, duplication=%g, jitter U[0,%dms); each host crashes with the swept probability at a faults.CrashAt time inside minutes %d-%d",
 				figRBackgroundLoss, figRBackgroundLoss*figRDupFraction, figRJitterMS, churnStartMS/60000, churnStopMS/60000),
 			"repair: once per minute, gnutella.Net.Repair purges corpses and rewires survivors; audit (bijection, connectivity, overlay invariants) runs after every repair round and fails the run on violation",
-			"expected shape: stretch rises mildly with the crashed fraction but stays below the unoptimized overlay",
+			"expected shape (loss): both policies stay well below the unoptimized line across the sweep, rising gently with loss",
+			"expected shape (crash): stretch rises mildly with the crashed fraction but stays below the unoptimized overlay",
+			"timeout/retry/eviction totals are in the metrics stream under figR/loss/<policy>/loss<pct>/faults.* and figR/crash/crash<pct>/faults.*",
 		},
-		uses:  useCrash,
-		trial: figRbTrial},
+		uses:  useLoss | useCrash,
+		trial: figRTrial},
 	{id: "figRc", describe: "robustness: PROP-G through a transient network partition",
 		title:  "Robustness to a transient partition: stretch and fault activity over time",
 		xLabel: "time (min)", yLabel: "stretch | probes/node/min | timeouts/node/min",
@@ -465,9 +459,9 @@ const (
 // accepts — a scale outside [0, 1] or negative trials (withDefaults fills
 // only a zero), a negative or non-finite fault override or a loss or crash
 // fraction above 1 (a sweep treats a value ≤ 0 as unset, NaN passes every
-// range check, and figRb ran a "200 %" row), a negative ladder cap or shard
-// count (the ladder reads a cap ≤ 0 as the full 10^6 ladder) or an unknown
-// AL mode — and every set optional field the row does not
+// range check, and the crash sweep ran a "200 %" row), a negative ladder
+// cap or shard count (the ladder reads a cap ≤ 0 as the full 10^6 ladder)
+// or an unknown AL mode — and every set optional field the row does not
 // consume, naming the rows that do. Before this guard
 // `propsim -exp fig5b -loss 0.05` ran the fault-free experiment and reported
 // clean results as if the faults had been applied.

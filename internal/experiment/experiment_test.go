@@ -13,7 +13,7 @@ func TestRegistry(t *testing.T) {
 	ids := IDs()
 	want := []string{
 		"ablation", "churn", "fig5a", "fig5a-scale", "fig5b", "fig5c", "fig6a", "fig6b", "fig6c",
-		"fig7", "figR-scale", "figRa", "figRb", "figRc", "inflight", "noise", "overhead",
+		"fig7", "figR", "figR-scale", "figRc", "inflight", "noise", "overhead",
 		"proximity", "replication", "satmatch", "traffic",
 	}
 	if len(ids) != len(want) {

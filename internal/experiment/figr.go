@@ -15,25 +15,26 @@ import (
 
 // The figR* family is the robustness extension of the paper's evaluation:
 // the same PROP protocols, but run over the internal/faults layer instead of
-// a perfectly reliable network. Three experiments cover the three fault
-// dimensions the paper leaves out:
+// a perfectly reliable network. Two rows cover the three fault dimensions
+// the paper leaves out:
 //
-//	figRa — i.i.d. message loss (plus proportional duplication and jitter):
+//	figR  — two sweeps, each over its own Gnutella world. The loss sweep:
+//	        i.i.d. message loss (plus proportional duplication and jitter),
 //	        how much of the PROP-G/PROP-O latency gain survives as the loss
-//	        rate grows.
-//	figRb — crash-stop churn: peers die without deregistering, survivors
-//	        evict the corpses and a periodic repair round rewires the
-//	        overlay; the audit invariant suite must hold after every repair.
+//	        rate grows. The crash sweep: crash-stop churn, peers die without
+//	        deregistering, survivors evict the corpses and a periodic repair
+//	        round rewires the overlay; the audit invariant suite must hold
+//	        after every repair.
 //	figRc — a transient network partition isolating one transit domain:
 //	        optimization stalls across the cut and recovers after healing.
 //
-// All three are deterministic in (Seed, Trials, Scale) like every other
+// Both are deterministic in (Seed, Trials, Scale) like every other
 // experiment; the fault schedules derive from the trial seed, so the metrics
 // streams are byte-reproducible (pinned in testdata/golden_amd64.txt).
 
-// Default fault intensities of the family. figRa sweeps figRLossGrid; figRb
-// sweeps figRCrashGrid under a fixed background loss; figRc holds the same
-// background loss and adds the partition window.
+// Default fault intensities of the family. figR's loss sweep runs
+// figRLossGrid; its crash sweep runs figRCrashGrid under a fixed background
+// loss; figRc holds the same background loss and adds the partition window.
 var (
 	figRLossGrid  = []float64{0, 0.01, 0.02, 0.05, 0.10}
 	figRCrashGrid = []float64{0, 0.05, 0.10, 0.20}
@@ -45,8 +46,8 @@ const (
 	figRDupFraction = 0.25
 	// figRJitterMS is the per-message queueing-jitter bound.
 	figRJitterMS = 5
-	// figRBackgroundLoss is the fixed loss rate of figRb and figRc, chosen
-	// inside the "still converges" regime established by figRa.
+	// figRBackgroundLoss is the fixed loss rate of figR's crash sweep and
+	// figRc, chosen inside the "still converges" regime of the loss sweep.
 	figRBackgroundLoss = 0.02
 )
 
@@ -92,13 +93,28 @@ func runFaulty(tr *obs.Trial, prefix, span string, eng *event.Engine, p *core.Pr
 	return nil
 }
 
-// figRaTrial sweeps the i.i.d. message-loss rate and reports the final
+// figRTrial runs the loss sweep and then the crash sweep. Each builds its
+// own world from the trial seed, so neither sweep's numbers depend on the
+// other's.
+func figRTrial(c *trialCtx) ([]stats.Series, error) {
+	loss, err := lossSweep(c)
+	if err != nil {
+		return nil, err
+	}
+	crash, err := crashSweep(c)
+	if err != nil {
+		return nil, err
+	}
+	return append(loss, crash...), nil
+}
+
+// lossSweep sweeps the i.i.d. message-loss rate and reports the final
 // stretch of PROP-G and PROP-O next to the unoptimized overlay. Lost probes
 // cost retransmissions and timeouts, so convergence slows — but with
 // bounded retry and measurement poisoning the latency gain should survive
 // every swept rate, degrading smoothly instead of wedging.
-func figRaTrial(c *trialCtx) ([]stats.Series, error) {
-	e, base, err := c.gnutellaWorld("figRa/")
+func lossSweep(c *trialCtx) ([]stats.Series, error) {
+	e, base, err := c.gnutellaWorld("figR/loss/")
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +125,7 @@ func figRaTrial(c *trialCtx) ([]stats.Series, error) {
 		policy core.Policy
 		m      int
 	}{{"PROP-G", core.PROPG, 0}, {"PROP-O (m=2)", core.PROPO, 2}}
-	out := []stats.Series{{Label: "PROP-G"}, {Label: "PROP-O (m=2)"}, {Label: "unoptimized"}}
+	out := []stats.Series{{Label: "loss: PROP-G"}, {Label: "loss: PROP-O (m=2)"}, {Label: "loss: unoptimized"}}
 	for gi, loss := range faultSweep(figRLossGrid, c.FaultLoss) {
 		for pi, pol := range policies {
 			oc := base.Clone()
@@ -125,7 +141,7 @@ func figRaTrial(c *trialCtx) ([]stats.Series, error) {
 					return nil, err
 				}
 			}
-			prefix := fmt.Sprintf("figRa/%s/loss%g/", pol.label, loss*100)
+			prefix := fmt.Sprintf("figR/loss/%s/loss%g/", pol.label, loss*100)
 			if err := runFaulty(c.tr, prefix, "optimize", event.New(), p, inj, horizonMS, func(t float64) error {
 				if c.tr != nil {
 					c.tr.Series(prefix+"stretch").Sample(t, oc.Stretch(phys))
@@ -142,15 +158,16 @@ func figRaTrial(c *trialCtx) ([]stats.Series, error) {
 	return out, nil
 }
 
-// figRbTrial sweeps the crash-stop fraction: during the churn window each
+// crashSweep sweeps the crash-stop fraction: during the churn window each
 // host dies without deregistering with the swept probability, at
 // faults.CrashAt's time, under a fixed background loss rate. Survivors drop
 // the stale references through liveness eviction, and a once-per-minute
-// repair round purges the corpses and rewires the survivors. The audit invariant suite — slot↔host bijection at
-// every sample tick, connectivity and overlay well-formedness after every
-// repair round — turns any repair bug into a run failure.
-func figRbTrial(c *trialCtx) ([]stats.Series, error) {
-	e, base, err := c.gnutellaWorld("figRb/")
+// repair round purges the corpses and rewires the survivors. The audit
+// invariant suite — slot↔host bijection at every sample tick, connectivity
+// and overlay well-formedness after every repair round — turns any repair
+// bug into a run failure.
+func crashSweep(c *trialCtx) ([]stats.Series, error) {
+	e, base, err := c.gnutellaWorld("figR/crash/")
 	if err != nil {
 		return nil, err
 	}
@@ -160,8 +177,8 @@ func figRbTrial(c *trialCtx) ([]stats.Series, error) {
 	// hosts, each at the same time.
 	crashSeed := trialSeed(c.world, 990)
 
-	stretchSeries := stats.Series{Label: "PROP-G stretch"}
-	repairSeries := stats.Series{Label: "corpses repaired"}
+	stretchSeries := stats.Series{Label: "crash: PROP-G stretch"}
+	repairSeries := stats.Series{Label: "crash: corpses repaired"}
 	for gi, frac := range faultSweep(figRCrashGrid, c.FaultCrash) {
 		oc := base.Clone()
 		g := gnutella.Net{O: oc, Config: gnutella.DefaultConfig()}
@@ -209,12 +226,12 @@ func figRbTrial(c *trialCtx) ([]stats.Series, error) {
 			}
 		}
 
-		prefix := fmt.Sprintf("figRb/crash%g/", frac*100)
+		prefix := fmt.Sprintf("figR/crash/crash%g/", frac*100)
 		repaired := 0
 		eng := event.New()
 		if err := runFaulty(tr, prefix, "simulate", eng, p, inj, churnHorizonMS, func(t float64) error {
 			if crashErr != nil {
-				return fmt.Errorf("figRb crash=%g: %w", frac, crashErr)
+				return fmt.Errorf("figR crash=%g: %w", frac, crashErr)
 			}
 			if corpses := oc.CrashedSlots(); len(corpses) > 0 {
 				// Survivors whose neighbor sets the repair is about to touch:
@@ -241,12 +258,12 @@ func figRbTrial(c *trialCtx) ([]stats.Series, error) {
 				p.NeighborsChanged(eng, slots...)
 				postRepair.CheckNow()
 				if err := postRepair.Err(); err != nil {
-					return fmt.Errorf("figRb crash=%g post-repair audit: %w", frac, err)
+					return fmt.Errorf("figR crash=%g post-repair audit: %w", frac, err)
 				}
 			}
 			always.CheckNow()
 			if err := always.Err(); err != nil {
-				return fmt.Errorf("figRb crash=%g audit: %w", frac, err)
+				return fmt.Errorf("figR crash=%g audit: %w", frac, err)
 			}
 			if tr != nil {
 				tr.Series(prefix+"stretch").Sample(t, oc.Stretch(phys))
@@ -259,7 +276,7 @@ func figRbTrial(c *trialCtx) ([]stats.Series, error) {
 			return nil, err
 		}
 		if !oc.Connected() {
-			return nil, fmt.Errorf("figRb crash=%g left the overlay disconnected", frac)
+			return nil, fmt.Errorf("figR crash=%g left the overlay disconnected", frac)
 		}
 		stretchSeries.Add(frac*100, oc.Stretch(phys))
 		repairSeries.Add(frac*100, float64(repaired))

@@ -14,16 +14,16 @@ import (
 )
 
 // FuzzFaultScheduleInvariants throws random fault schedules — loss,
-// duplication, jitter, transient link outages, and crash-stop deaths — at a
+// duplication, jitter, and crash-stop deaths — at a
 // small PROP-G overlay with periodic repair rounds, and requires the audit
 // invariant suite to hold after every repair. Whatever the schedule, the
 // hardened protocol must never corrupt the slot↔host bijection, disconnect
 // the repaired overlay, or leave an unflagged corpse behind.
 func FuzzFaultScheduleInvariants(f *testing.F) {
-	f.Add(uint64(1), 0.05, 0.02, 10.0, 0.0, uint8(3))
-	f.Add(uint64(42), 0.5, 0.2, 0.0, 0.1, uint8(7))
-	f.Add(uint64(99), 1.0, 0.0, 50.0, 0.5, uint8(0))
-	f.Fuzz(func(t *testing.T, seed uint64, loss, dup, jitter, linkFail float64, crashes uint8) {
+	f.Add(uint64(1), 0.05, 0.02, 10.0, uint8(3))
+	f.Add(uint64(42), 0.5, 0.2, 0.0, uint8(7))
+	f.Add(uint64(99), 1.0, 0.0, 50.0, uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, loss, dup, jitter float64, crashes uint8) {
 		clamp01 := func(v float64) float64 {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return 0
@@ -31,11 +31,10 @@ func FuzzFaultScheduleInvariants(f *testing.F) {
 			return math.Mod(math.Abs(v), 1)
 		}
 		cfg := faults.Config{
-			Seed:         seed,
-			LossProb:     clamp01(loss),
-			DupProb:      clamp01(dup),
-			JitterMS:     clamp01(jitter) * 50,
-			LinkFailProb: clamp01(linkFail),
+			Seed:     seed,
+			LossProb: clamp01(loss),
+			DupProb:  clamp01(dup),
+			JitterMS: clamp01(jitter) * 50,
 		}
 		inj, err := faults.NewInjector(cfg)
 		if err != nil {

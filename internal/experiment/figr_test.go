@@ -36,21 +36,24 @@ func TestFigRMetricsByteDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figR determinism sweep in -short mode")
 	}
-	// Collapse each sweep to two points to keep the regression fast; each
-	// experiment gets only the override it consumes (Run rejects the rest).
-	overrides := map[string]Options{
-		"figRa": {FaultLoss: 0.05},
-		"figRb": {FaultCrash: 0.10},
-		"figRc": {FaultPartitionMS: 300000},
-	}
-	for _, id := range []string{"figRa", "figRb", "figRc"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
+	// Collapse a sweep to two points to keep the regression fast: figR's
+	// loss sweep under the figRa case, its crash sweep under the figRb case,
+	// each with only its own override set.
+	for _, c := range []struct {
+		name, id string
+		override Options
+	}{
+		{"figRa", "figR", Options{FaultLoss: 0.05}},
+		{"figRb", "figR", Options{FaultCrash: 0.10}},
+		{"figRc", "figRc", Options{FaultPartitionMS: 300000}},
+	} {
+		id := c.id
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			opt := Options{Seed: 5, Trials: 2, Scale: 0.1}
-			opt.FaultLoss = overrides[id].FaultLoss
-			opt.FaultCrash = overrides[id].FaultCrash
-			opt.FaultPartitionMS = overrides[id].FaultPartitionMS
+			opt.FaultLoss = c.override.FaultLoss
+			opt.FaultCrash = c.override.FaultCrash
+			opt.FaultPartitionMS = c.override.FaultPartitionMS
 			table1, jsonl1 := runFigRWithMetrics(t, id, opt)
 			table2, jsonl2 := runFigRWithMetrics(t, id, opt)
 			if table1 != table2 {
@@ -69,25 +72,25 @@ func TestFigRMetricsByteDeterminism(t *testing.T) {
 	}
 }
 
-// TestFigRaConvergesUnderLoss pins the acceptance property on the golden
-// run: at 5% message loss both PROP policies still end well below the
-// unoptimized overlay.
+// TestFigRaConvergesUnderLoss pins the acceptance property on figR's
+// golden run: at 5% message loss both PROP policies still end well below
+// the unoptimized overlay.
 func TestFigRaConvergesUnderLoss(t *testing.T) {
-	g := golden(t, "figRa")
-	unopt := g.series(t, "unoptimized").YAt(5)
-	for _, label := range []string{"PROP-G", "PROP-O (m=2)"} {
+	g := golden(t, "figR")
+	unopt := g.series(t, "loss: unoptimized").YAt(5)
+	for _, label := range []string{"loss: PROP-G", "loss: PROP-O (m=2)"} {
 		if got := g.series(t, label).YAt(5); !(got < unopt) {
 			t.Errorf("%s at 5%% loss: stretch %v did not improve on unoptimized %v", label, got, unopt)
 		}
 	}
 }
 
-// TestFigRbRepairsCrashes pins the crash-stop acceptance property on the
-// golden run: with 10% of the peers crashing, the repair rounds actually
-// run (corpses repaired) and the per-round audit — which would have failed
-// the run — stayed green.
+// TestFigRbRepairsCrashes pins the crash-stop acceptance property on
+// figR's golden run: with 10% of the peers crashing, the repair rounds
+// actually run (corpses repaired) and the per-round audit — which would
+// have failed the run — stayed green.
 func TestFigRbRepairsCrashes(t *testing.T) {
-	if got := golden(t, "figRb").series(t, "corpses repaired").YAt(10); got <= 0 {
+	if got := golden(t, "figR").series(t, "crash: corpses repaired").YAt(10); got <= 0 {
 		t.Errorf("corpses repaired at crash=10%%: %v, want > 0", got)
 	}
 }

@@ -58,7 +58,7 @@ func TestFigRScaleSmoke(t *testing.T) {
 }
 
 // TestFigRScaleSweepCollapse: the -loss/-crash overrides collapse each
-// sweep to {0, value}, exactly like figRa/figRb.
+// sweep to {0, value}, exactly like figR.
 func TestFigRScaleSweepCollapse(t *testing.T) {
 	res, err := Run("figR-scale", figRScaleTestOpt(7))
 	if err != nil {
@@ -109,22 +109,22 @@ func TestFigRScaleStreamShardInvariance(t *testing.T) {
 
 // TestFaultFlagRejectsBadValues: a negative or non-finite fault override, a
 // loss or crash fraction above 1, a scale outside [0, 1] or negative trials
-// is an error before any trial runs — NaN used to run a whole figRa sweep
+// is an error before any trial runs — NaN used to run a whole loss sweep
 // and then panic merging it, -0.5 silently ran the default grid, -crash 2
-// ran figRb with a "200 %" row, -loss 1.5 and figR-scale's -crash 2 failed
+// ran the crash sweep with a "200 %" row, -loss 1.5 and figR-scale's -crash 2 failed
 // only after simulating their first points, -scale NaN ran every size at a
 // NaN scale, and -scale -3, -scale 7 and -trials -4 ran at the defaults.
 func TestFaultFlagRejectsBadValues(t *testing.T) {
-	reg := obs.New(obs.NewManifest("figRa", 1, 1, 0.1))
+	reg := obs.New(obs.NewManifest("figR", 1, 1, 0.1))
 	for _, c := range []struct {
 		id  string
 		opt Options
 		fla string
 	}{
-		{"figRa", Options{FaultLoss: math.NaN(), Metrics: reg}, "-loss"},
-		{"figRb", Options{FaultCrash: -0.5, Metrics: reg}, "-crash"},
-		{"figRa", Options{FaultLoss: 1.5, Metrics: reg}, "-loss"},
-		{"figRb", Options{FaultCrash: 2, Metrics: reg}, "-crash"},
+		{"figR", Options{FaultLoss: math.NaN(), Metrics: reg}, "-loss"},
+		{"figR", Options{FaultCrash: -0.5, Metrics: reg}, "-crash"},
+		{"figR", Options{FaultLoss: 1.5, Metrics: reg}, "-loss"},
+		{"figR", Options{FaultCrash: 2, Metrics: reg}, "-crash"},
 		{"figR-scale", Options{FaultCrash: 2, Metrics: reg}, "-crash"},
 		{"figRc", Options{FaultPartitionMS: math.Inf(1), Metrics: reg}, "-partition"},
 		{"overhead", Options{Scale: math.NaN(), Metrics: reg}, "-scale"},
@@ -174,12 +174,11 @@ func TestFaultFlagRejection(t *testing.T) {
 		{"fig5b", Options{FaultLoss: 0.05}, "-loss", "figR-scale"},
 		{"fig5a", Options{FaultCrash: 0.1}, "-crash", "figR-scale"},
 		{"churn", Options{FaultPartitionMS: 60000}, "-partition", "figR-scale"},
-		{"figRa", Options{FaultCrash: 0.1}, "-crash", "figR-scale"},
-		{"figRb", Options{FaultLoss: 0.05}, "-loss", "figR-scale"},
+		{"figR", Options{FaultPartitionMS: 60000}, "-partition", "figR-scale"},
 		{"figRc", Options{FaultLoss: 0.05, FaultCrash: 0.1}, "-loss/-crash", "figR-scale"},
 		{"overhead", Options{ALMode: ALModeExact, Shards: 3, ScaleMaxN: 5}, "-al-mode/-scale-n/-shards", "fig5a-scale"},
 		{"fig6a", Options{ALMode: ALModeSketch}, "-al-mode", "churn"},
-		{"figRa", Options{ScaleMaxN: 5}, "-scale-n", "fig5a-scale"},
+		{"figR", Options{ScaleMaxN: 5}, "-scale-n", "fig5a-scale"},
 		{"fig5a", Options{Shards: 4}, "-shards", "figR-scale"},
 		{"churn", Options{Audit: true}, "Options.Audit", "fig6c"},
 		{"fig5a-scale", Options{ALMode: ALModeExact}, "-al-mode", "fig5c"},

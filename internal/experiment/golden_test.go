@@ -32,8 +32,9 @@ var goldenOpt = Options{Seed: 5, Trials: 2, Scale: 0.1}
 
 // goldens maps "<kind> <run>" to the FNV-64a hex digest recorded in
 // testdata/golden_amd64.txt: the rendered table of every experiment ID
-// ("render"), eleven metrics streams ("stream") and the numbers of every
-// folded study ("series", see folded). A run is an ID, or an ID and
+// ("render"), twelve metrics streams ("stream"; two of them a folded
+// study's share of its row's stream) and the numbers of every folded
+// study ("series", see folded). A run is an ID, or an ID and
 // " al-mode=<mode>" for a run with Options.ALMode set. Double-run
 // equality only proves a run agrees with itself; the goldens prove a
 // refactor left the bytes where they were.
@@ -150,17 +151,22 @@ func seriesOf(t *testing.T, res *Result, label string) stats.Series {
 // as series of a larger row: the retired ID, the row that runs it, and
 // that row's labels for the retired row's series, in their old order.
 // The "series <old>" goldens were recorded from the retired rows, so a
-// folded study must keep its (x, y) values bit for bit.
+// folded study must keep its (x, y) values bit for bit. A retired row that
+// had a pinned metrics stream names the prefix its metrics carry in its
+// row's stream; that share is pinned as "stream <old>".
 var folded = []struct {
 	old, id string
 	labels  []string
+	stream  string
 }{
-	{"chordchurn", "churn", []string{"Chord: probes/node/min", "Chord: stretch", "Chord: correct fraction"}},
-	{"combo", "proximity", []string{"Chord", "CAN"}},
-	{"kademlia", "proximity", []string{"Kademlia"}},
-	{"minvar", "ablation", []string{"minvar: final mean link latency (ms)", "minvar: exchanges executed"}},
-	{"pastry", "proximity", []string{"Pastry"}},
-	{"warmup", "ablation", []string{"warmup: final mean link latency (ms)", "warmup: probes per node"}},
+	{"chordchurn", "churn", []string{"Chord: probes/node/min", "Chord: stretch", "Chord: correct fraction"}, ""},
+	{"combo", "proximity", []string{"Chord", "CAN"}, ""},
+	{"figRa", "figR", []string{"loss: PROP-G", "loss: PROP-O (m=2)", "loss: unoptimized"}, "figR/loss/"},
+	{"figRb", "figR", []string{"crash: PROP-G stretch", "crash: corpses repaired"}, "figR/crash/"},
+	{"kademlia", "proximity", []string{"Kademlia"}, ""},
+	{"minvar", "ablation", []string{"minvar: final mean link latency (ms)", "minvar: exchanges executed"}, ""},
+	{"pastry", "proximity", []string{"Pastry"}, ""},
+	{"warmup", "ablation", []string{"warmup: final mean link latency (ms)", "warmup: probes per node"}, ""},
 }
 
 // foldedSeries returns the series of the folded study f from its row's
@@ -173,6 +179,25 @@ func foldedSeries(t *testing.T, f int) []stats.Series {
 		ss = append(ss, g.series(t, label))
 	}
 	return ss
+}
+
+// runStream returns run's pinned metrics stream: its golden run's stream,
+// or, for a folded study, the lines of its row's stream whose metric names
+// carry the study's prefix.
+func runStream(t *testing.T, run string) []byte {
+	t.Helper()
+	for _, f := range folded {
+		if f.old == run && f.stream != "" {
+			var b []byte
+			for _, line := range bytes.SplitAfter(golden(t, f.id).stream, []byte("\n")) {
+				if bytes.Contains(line, []byte(`"name":"`+f.stream)) {
+					b = append(b, line...)
+				}
+			}
+			return b
+		}
+	}
+	return golden(t, run).stream
 }
 
 // seriesDigest is the bytes a "series" golden hashes: each series' length
@@ -245,7 +270,8 @@ func TestExperimentsDeterministic(t *testing.T) {
 // must match its golden digest. Trials run in parallel goroutines and the
 // lookup evaluators fan out across cores, so this guards the whole
 // instrumentation path against scheduling- and map-iteration-order leaks
-// (DESIGN.md §8).
+// (DESIGN.md §8). A folded study's share of its row's stream is pinned
+// under the retired ID, so a moved digest names the half that moved.
 func TestMetricsStreamDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden pass in -short mode")
@@ -257,21 +283,21 @@ func TestMetricsStreamDeterministic(t *testing.T) {
 		}
 	}
 	slices.Sort(pinned)
-	if runtime.GOARCH == "amd64" && len(pinned) != 11 {
-		t.Fatalf("%d pinned streams, want 11: %v", len(pinned), pinned)
+	if runtime.GOARCH == "amd64" && len(pinned) != 12 {
+		t.Fatalf("%d pinned streams, want 12: %v", len(pinned), pinned)
 	}
 	for _, run := range pinned {
 		run := run
 		t.Run(run, func(t *testing.T) {
 			t.Parallel()
-			g := golden(t, run)
-			if !bytes.Contains(g.stream, []byte(`"kind":"sample"`)) {
+			stream := runStream(t, run)
+			if !bytes.Contains(stream, []byte(`"kind":"sample"`)) {
 				t.Errorf("%s stream has no series samples — instrumentation not wired", run)
 			}
-			if !bytes.Contains(g.stream, []byte(`"kind":"span"`)) {
+			if !bytes.Contains(stream, []byte(`"kind":"span"`)) {
 				t.Errorf("%s stream has no phase spans — instrumentation not wired", run)
 			}
-			checkGolden(t, "stream "+run, g.stream)
+			checkGolden(t, "stream "+run, stream)
 		})
 	}
 }

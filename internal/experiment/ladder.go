@@ -10,7 +10,7 @@ import (
 	"repro/internal/stats"
 )
 
-// The two peer ladders ask fig5a's and figRa/figRb's questions at 10⁴–10⁶
+// The two peer ladders ask fig5a's and figR's questions at 10⁴–10⁶
 // peers (SCALING.md), where the sequential engine and the exact AL
 // evaluation are both unaffordable: every rung runs the domain-sharded
 // engine (internal/shard) on a ScaleTS world and samples the estimated
@@ -87,11 +87,11 @@ func runRung(tr *obs.Trial, cfg shard.Config, genSpan, sub string) (*shard.Engin
 	return e, ts, vs, nil
 }
 
-// shardFaults is the sharded engine's schedule for a loss rate (with the
-// figRa coupling: duplication at figRDupFraction of it, jitter
-// U[0, figRJitterMS)) and a crash fraction (in the engine's default window,
-// the middle third of the horizon). The -partition override, when set,
-// isolates transit domain 0 for its length from horizon/3 — the figRc
+// shardFaults is the sharded engine's schedule for a loss rate (with figR's
+// coupling: duplication at figRDupFraction of it, jitter U[0, figRJitterMS))
+// and a crash fraction (in the engine's crash window, the middle third of
+// the horizon). The -partition override, when set, isolates transit domain
+// 0 (the engine's partition cut) for its length from horizon/3 — the figRc
 // shape, restated in engine terms.
 func shardFaults(loss, crash float64, opt Options, horizon float64) *shard.FaultConfig {
 	fc := &shard.FaultConfig{CrashFrac: crash}
@@ -99,7 +99,6 @@ func shardFaults(loss, crash float64, opt Options, horizon float64) *shard.Fault
 		fc.LossProb, fc.DupProb, fc.JitterMS = loss, loss*figRDupFraction, figRJitterMS
 	}
 	if opt.FaultPartitionMS > 0 {
-		fc.PartitionDomain = 0
 		fc.PartitionStartMS = horizon / 3
 		fc.PartitionStopMS = horizon/3 + opt.FaultPartitionMS
 	}
@@ -209,7 +208,7 @@ func runFigRScale(opt Options) ([]stats.Series, []string, error) {
 			return e, vs[len(vs)-1], nil
 		}
 		// The shared fault-free reference runs once and anchors both sweeps
-		// at x=0; the crash points add the figRb background loss.
+		// at x=0; the crash points add the crash sweep's background loss.
 		e, final, err := point("base", nil)
 		if err != nil {
 			return nil, nil, err
@@ -240,7 +239,7 @@ func runFigRScale(opt Options) ([]stats.Series, []string, error) {
 				notes = append(notes, fmt.Sprintf(
 					"n=%d %s: %d exchanges, %d lost, %d crashes, %d timeouts, %d evictions",
 					st.Peers, label, st.Exchanges,
-					st.Lost+st.LinkDownDrops+st.PartitionDrops, st.Crashes,
+					st.Lost+st.PartitionDrops, st.Crashes,
 					st.ProbeTimeouts+st.CommitTimeouts, st.Evictions))
 				sw.s.Add(rate*100, final)
 			}

@@ -126,7 +126,7 @@ func sampleFaultCounters(tr *obs.Trial, prefix string, tMS float64, c metrics.Co
 
 // recordFaultTotals stores the end-of-run fault manifest: faultCounts plus
 // what the injector actually did to the traffic (messages seen, losses,
-// duplicates, link-outage and partition drops). A nil trial records
+// duplicates and partition drops). A nil trial records
 // nothing; a nil injector, only the protocol's totals.
 func recordFaultTotals(tr *obs.Trial, prefix string, c metrics.Counters, inj *faults.Injector) {
 	if tr == nil {
@@ -136,7 +136,7 @@ func recordFaultTotals(tr *obs.Trial, prefix string, c metrics.Counters, inj *fa
 	if inj.Enabled() {
 		s := inj.Stats()
 		totals["faults.injected_messages"], totals["faults.injected_lost"], totals["faults.injected_dups"] = s.Messages, s.Lost, s.Dups
-		totals["faults.linkdown_drops"], totals["faults.partition_drops"] = s.LinkDownDrops, s.PartitionDrops
+		totals["faults.partition_drops"] = s.PartitionDrops
 	}
 	for name, v := range totals {
 		tr.Counter(prefix + name).Add(v)

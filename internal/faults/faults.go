@@ -1,7 +1,7 @@
 // Package faults is the deterministic fault model of every runtime: it
 // decides, message by message, whether protocol traffic is delivered, lost,
-// duplicated, or delayed, whether a link or a whole region of the physical
-// network is currently unreachable, and when a peer crash-stops.
+// duplicated, or delayed, whether a region of the physical network is
+// currently cut off, and when a peer crash-stops.
 //
 // The paper evaluates PROP-G/PROP-O only under graceful churn and perfectly
 // reliable delivery; real overlays (Ripeanu et al.'s Gnutella maps, Aspnes
@@ -17,10 +17,9 @@
 // DeliverStateless takes the number from its caller (the sharded engine's
 // per-sender counter, a live transport's per-link counter), and Deliver
 // numbers host a's k-th call k, so the sequential engine reads the same
-// verdicts. Transient link outages and partitions are functions of (link,
-// time window), consistent for every message crossing the link during the
-// window, and CrashAt is the one crash-stop schedule, a function of (seed,
-// peer).
+// verdicts. A partition is a function of (host pair, time), consistent for
+// every message crossing the cut during its window, and CrashAt is the one
+// crash-stop schedule, a function of (seed, peer).
 //
 // Key types: Config, Injector (nil receiver = faults off, zero cost),
 // Delivery, and CrashAt. See DESIGN.md §9 for the fault model and parameter
@@ -37,8 +36,8 @@ import (
 // Config describes one fault schedule. The zero value means "no faults":
 // every probability is zero and no partition window is set.
 type Config struct {
-	// Seed drives the per-message and per-link outage hashes. Two injectors
-	// with the same Config produce identical schedules.
+	// Seed drives the per-message hashes. Two injectors with the same Config
+	// produce identical schedules.
 	Seed uint64
 	// LossProb is the probability that any single message is silently
 	// dropped (loss is i.i.d. per message, the classic lossy-channel model).
@@ -51,14 +50,6 @@ type Config struct {
 	// from [0, JitterMS) per delivered message. Jitter perturbs measured
 	// probe RTTs — the Var computation sees it — but never ground truth.
 	JitterMS float64
-	// LinkFailProb is the probability that a given physical link is down for
-	// a given outage window (transient link failure). Within one window the
-	// link is consistently dead in both directions.
-	LinkFailProb float64
-	// LinkFailPeriodMS is the outage-window length, finite; 0 selects
-	// DefaultLinkFailPeriodMS. Outage state is a pure function of
-	// (link, floor(now/period)), so it needs no timers.
-	LinkFailPeriodMS float64
 	// PartitionStartMS and PartitionStopMS bound the network-partition
 	// window in simulated time (no partition when both are zero).
 	PartitionStartMS, PartitionStopMS float64
@@ -67,10 +58,6 @@ type Config struct {
 	// dropped. Traffic within either side is unaffected.
 	Isolated map[int]bool
 }
-
-// DefaultLinkFailPeriodMS is the transient-outage window used when
-// Config.LinkFailPeriodMS is zero: one simulated minute.
-const DefaultLinkFailPeriodMS = 60000
 
 // Validate reports the first configuration error.
 func (c Config) Validate() error {
@@ -86,14 +73,9 @@ func (c Config) Validate() error {
 	if err := inUnit("DupProb", c.DupProb); err != nil {
 		return err
 	}
-	if err := inUnit("LinkFailProb", c.LinkFailProb); err != nil {
-		return err
-	}
 	switch {
 	case !(c.JitterMS >= 0 && c.JitterMS < math.Inf(1)):
 		return fmt.Errorf("faults: JitterMS = %v, want finite and >= 0", c.JitterMS)
-	case !(c.LinkFailPeriodMS >= 0 && c.LinkFailPeriodMS < math.Inf(1)):
-		return fmt.Errorf("faults: LinkFailPeriodMS = %v, want finite and >= 0", c.LinkFailPeriodMS)
 	case !finiteWindow(c.PartitionStartMS, c.PartitionStopMS):
 		return fmt.Errorf("faults: partition window [%v,%v) not finite",
 			c.PartitionStartMS, c.PartitionStopMS)
@@ -119,8 +101,6 @@ const (
 	ReasonNone Reason = iota
 	// ReasonLoss is an i.i.d. per-message drop.
 	ReasonLoss
-	// ReasonLinkDown is a transient link outage.
-	ReasonLinkDown
 	// ReasonPartition is a drop across the partition cut.
 	ReasonPartition
 )
@@ -132,8 +112,6 @@ func (r Reason) String() string {
 		return "delivered"
 	case ReasonLoss:
 		return "loss"
-	case ReasonLinkDown:
-		return "link-down"
 	case ReasonPartition:
 		return "partition"
 	default:
@@ -162,12 +140,8 @@ type Stats struct {
 	Lost uint64
 	// Dups counts duplicated deliveries.
 	Dups uint64
-	// LinkDownDrops counts drops due to transient link outages.
-	LinkDownDrops uint64
 	// PartitionDrops counts drops across the partition cut.
 	PartitionDrops uint64
-	// JitterSumMS is the total injected queueing delay.
-	JitterSumMS float64
 }
 
 // Injector decides the fate of protocol messages. Deliver keeps a per-sender
@@ -176,10 +150,9 @@ type Stats struct {
 // Config and safe anywhere. A nil *Injector is the disabled state: Enabled
 // reports false and every message is delivered clean.
 type Injector struct {
-	cfg    Config
-	period float64
-	sent   []uint64 // Deliver calls so far, per sending host
-	stats  Stats
+	cfg   Config
+	sent  []uint64 // Deliver calls so far, per sending host
+	stats Stats
 }
 
 // NewInjector builds an injector for the given schedule.
@@ -187,11 +160,7 @@ func NewInjector(cfg Config) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	period := cfg.LinkFailPeriodMS
-	if period == 0 {
-		period = DefaultLinkFailPeriodMS
-	}
-	return &Injector{cfg: cfg, period: period}, nil
+	return &Injector{cfg: cfg}, nil
 }
 
 // Enabled reports whether an injector is attached: any constructed one,
@@ -224,25 +193,22 @@ func (in *Injector) Deliver(a, b int, nowMS float64) Delivery {
 	switch d.Reason {
 	case ReasonPartition:
 		in.stats.PartitionDrops++
-	case ReasonLinkDown:
-		in.stats.LinkDownDrops++
 	case ReasonLoss:
 		in.stats.Lost++
 	}
 	if d.Dup {
 		in.stats.Dups++
 	}
-	in.stats.JitterSumMS += d.DelayMS
 	return d
 }
 
 // DeliverStateless decides the fate of one message as a pure function of
 // (seed, direction a→b, seq), so the verdict is independent of global
 // delivery order: any shard, and any goroutine of a live transport, can
-// evaluate it. nowMS positions the message against the partition and
-// link-outage windows, which are checked first. Loss, duplication and
-// jitter then read disjoint bit fields of one hash word, so they are
-// independent of each other; a→b and b→a are independent streams.
+// evaluate it. nowMS positions the message against the partition window,
+// which is checked first. Loss, duplication and jitter then read disjoint
+// bit fields of one hash word, so they are independent of each other; a→b
+// and b→a are independent streams.
 //
 // No Stats are tallied — the function is pure; callers own their delivery
 // accounting (Deliver, shard.Stats, transport.Loopback's drop log).
@@ -252,9 +218,6 @@ func (in *Injector) DeliverStateless(a, b int, seq uint64, nowMS float64) Delive
 	}
 	if in.Partitioned(a, b, nowMS) {
 		return Delivery{Lost: true, Reason: ReasonPartition}
-	}
-	if in.LinkDown(a, b, nowMS) {
-		return Delivery{Lost: true, Reason: ReasonLinkDown}
 	}
 	var d Delivery
 	if !(in.cfg.LossProb > 0 || in.cfg.DupProb > 0 || in.cfg.JitterMS > 0) {
@@ -287,8 +250,8 @@ func (in *Injector) JitterStateless(a, b int, seq uint64) float64 {
 
 // verdictWord folds (seed, directed link, sequence number) into one key
 // and mixes it once: every per-message verdict of that message reads a
-// field of the result. Direction matters — a→b and b→a are independent
-// message streams — unlike linkHash, whose outages are link-symmetric.
+// field of the result. Direction matters: a→b and b→a are independent
+// message streams.
 func verdictWord(seed uint64, a, b int, seq uint64) uint64 {
 	return rng.Mix((seed ^ 0x9e3779b97f4a7c15) + uint64(a)*0xc2b2ae3d27d4eb4f +
 		uint64(b)*0x165667b19e3779f9 + seq*0xd6e8feb86659fd93)
@@ -344,30 +307,4 @@ func (in *Injector) Partitioned(a, b int, nowMS float64) bool {
 		return false
 	}
 	return in.cfg.Isolated[a] != in.cfg.Isolated[b]
-}
-
-// LinkDown reports whether the physical link {a,b} is in a transient outage
-// at time nowMS. The outage state is a pure hash of (seed, link, window),
-// so it is direction-symmetric, consistent for every message in the window,
-// and independent of how often it is asked.
-func (in *Injector) LinkDown(a, b int, nowMS float64) bool {
-	if in == nil || in.cfg.LinkFailProb <= 0 {
-		return false
-	}
-	if a > b {
-		a, b = b, a
-	}
-	window := uint64(nowMS / in.period)
-	h := linkHash(in.cfg.Seed, uint64(a), uint64(b), window)
-	return unit(h) < in.cfg.LinkFailProb
-}
-
-// linkHash folds (seed, link endpoints, outage window) through rng.Mix,
-// one word at a time.
-func linkHash(seed, a, b, window uint64) uint64 {
-	x := seed ^ 0x9e3779b97f4a7c15
-	for _, w := range [...]uint64{a, b, window} {
-		x = rng.Mix(x + w + 0x9e3779b97f4a7c15)
-	}
-	return x
 }

@@ -12,17 +12,14 @@ func TestValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero", Config{}, true},
-		{"typical", Config{Seed: 1, LossProb: 0.05, DupProb: 0.01, JitterMS: 20, LinkFailProb: 0.02}, true},
+		{"typical", Config{Seed: 1, LossProb: 0.05, DupProb: 0.01, JitterMS: 20}, true},
 		{"loss-negative", Config{LossProb: -0.1}, false},
 		{"loss-over-one", Config{LossProb: 1.5}, false},
 		{"loss-nan", Config{LossProb: math.NaN()}, false},
 		{"jitter-nan", Config{JitterMS: math.NaN()}, false},
 		{"dup-over-one", Config{DupProb: 2}, false},
-		{"linkfail-over-one", Config{LinkFailProb: 1.01}, false},
 		{"jitter-negative", Config{JitterMS: -1}, false},
 		{"jitter-inf", Config{JitterMS: math.Inf(1)}, false},
-		{"period-negative", Config{LinkFailPeriodMS: -5}, false},
-		{"period-inf", Config{LinkFailProb: 0.1, LinkFailPeriodMS: math.Inf(1)}, false},
 		{"partition-inverted", Config{PartitionStartMS: 10, PartitionStopMS: 5, Isolated: map[int]bool{1: true}}, false},
 		{"partition-empty", Config{PartitionStartMS: 5, PartitionStopMS: 10}, false},
 		{"partition-ok", Config{PartitionStartMS: 5, PartitionStopMS: 10, Isolated: map[int]bool{1: true}}, true},
@@ -48,7 +45,7 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	if d.Lost || d.Dup || d.DelayMS != 0 || d.Reason != ReasonNone {
 		t.Fatalf("nil Deliver = %+v, want clean delivery", d)
 	}
-	if in.LinkDown(1, 2, 0) || in.Partitioned(1, 2, 0) {
+	if in.Partitioned(1, 2, 0) {
 		t.Fatal("nil injector reports faults")
 	}
 	if s := in.Stats(); s != (Stats{}) {
@@ -57,7 +54,7 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 }
 
 func TestDeliverDeterministic(t *testing.T) {
-	cfg := Config{Seed: 42, LossProb: 0.1, DupProb: 0.05, JitterMS: 30, LinkFailProb: 0.03}
+	cfg := Config{Seed: 42, LossProb: 0.1, DupProb: 0.05, JitterMS: 30}
 	run := func() []Delivery {
 		in, err := NewInjector(cfg)
 		if err != nil {
@@ -84,6 +81,7 @@ func TestLossAndDupRates(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 20000
+	var jitter float64
 	for i := 0; i < n; i++ {
 		d := in.Deliver(0, 1, float64(i))
 		if d.Lost && (d.Dup || d.DelayMS != 0) {
@@ -92,6 +90,7 @@ func TestLossAndDupRates(t *testing.T) {
 		if d.DelayMS < 0 || d.DelayMS >= cfg.JitterMS {
 			t.Fatalf("jitter %v out of [0,%v)", d.DelayMS, cfg.JitterMS)
 		}
+		jitter += d.DelayMS
 	}
 	s := in.Stats()
 	if s.Messages != n {
@@ -106,63 +105,8 @@ func TestLossAndDupRates(t *testing.T) {
 	if math.Abs(dupRate-cfg.DupProb) > 0.02 {
 		t.Fatalf("observed dup rate %.3f, want ~%.2f", dupRate, cfg.DupProb)
 	}
-	if s.JitterSumMS <= 0 {
-		t.Fatal("no jitter accumulated")
-	}
-}
-
-func TestLinkDownConsistentWithinWindow(t *testing.T) {
-	cfg := Config{Seed: 3, LinkFailProb: 0.3, LinkFailPeriodMS: 10000}
-	in, err := NewInjector(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	downAny, upAny := false, false
-	for a := 0; a < 10; a++ {
-		for b := a + 1; b < 10; b++ {
-			for w := 0; w < 20; w++ {
-				base := float64(w) * cfg.LinkFailPeriodMS
-				first := in.LinkDown(a, b, base)
-				// Same window, different instants and direction: consistent.
-				if got := in.LinkDown(b, a, base+cfg.LinkFailPeriodMS-1); got != first {
-					t.Fatalf("link (%d,%d) window %d inconsistent: %v then %v", a, b, w, first, got)
-				}
-				if first {
-					downAny = true
-				} else {
-					upAny = true
-				}
-			}
-		}
-	}
-	if !downAny || !upAny {
-		t.Fatalf("degenerate outage schedule: downAny=%v upAny=%v", downAny, upAny)
-	}
-}
-
-func TestLinkDownConsumesNoRandomness(t *testing.T) {
-	cfg := Config{Seed: 9, LossProb: 0.5, LinkFailProb: 0.5}
-	mk := func(probeLinks bool) []Delivery {
-		in, err := NewInjector(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]Delivery, 0, 100)
-		for i := 0; i < 100; i++ {
-			if probeLinks {
-				// Extra queries must not perturb the per-message stream.
-				in.LinkDown(i, i+1, float64(i))
-				in.Partitioned(i, i+1, float64(i))
-			}
-			out = append(out, in.Deliver(1000, 1001, 1e9+float64(i)))
-		}
-		return out
-	}
-	a, b := mk(false), mk(true)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("per-message stream perturbed by outage queries at %d: %+v vs %+v", i, a[i], b[i])
-		}
+	if jitter <= 0 {
+		t.Fatal("no delivery was jittered")
 	}
 }
 
@@ -207,7 +151,6 @@ func TestReasonString(t *testing.T) {
 	want := map[Reason]string{
 		ReasonNone:      "delivered",
 		ReasonLoss:      "loss",
-		ReasonLinkDown:  "link-down",
 		ReasonPartition: "partition",
 		Reason(99):      "Reason(99)",
 	}
@@ -345,9 +288,10 @@ func TestDeliverStatelessNilAndWindows(t *testing.T) {
 
 // TestDeliverNumbersPerSender pins the sequential engine's numbering rule:
 // host a's k-th Deliver call, to whatever destination, returns
-// DeliverStateless(a, b, k, now)'s verdict, and Stats tallies it.
+// DeliverStateless(a, b, k, now)'s verdict, and Stats tallies it. A
+// Partitioned query in between draws no number.
 func TestDeliverNumbersPerSender(t *testing.T) {
-	cfg := Config{Seed: 11, LossProb: 0.2, DupProb: 0.2, JitterMS: 7, LinkFailProb: 0.1,
+	cfg := Config{Seed: 11, LossProb: 0.2, DupProb: 0.2, JitterMS: 7,
 		PartitionStartMS: 0, PartitionStopMS: 50, Isolated: map[int]bool{3: true}}
 	in, err := NewInjector(cfg)
 	if err != nil {
@@ -361,6 +305,7 @@ func TestDeliverNumbersPerSender(t *testing.T) {
 	var want Stats
 	for i := 0; i < 3000; i++ {
 		a, b, now := (i*7)%5, (i*3)%4+1, float64(i)
+		in.Partitioned(a, b, now)
 		got := in.Deliver(a, b, now)
 		w := ref.DeliverStateless(a, b, sent[a], now)
 		sent[a]++
@@ -371,21 +316,18 @@ func TestDeliverNumbersPerSender(t *testing.T) {
 		switch w.Reason {
 		case ReasonPartition:
 			want.PartitionDrops++
-		case ReasonLinkDown:
-			want.LinkDownDrops++
 		case ReasonLoss:
 			want.Lost++
 		}
 		if w.Dup {
 			want.Dups++
 		}
-		want.JitterSumMS += w.DelayMS
 	}
 	got := in.Stats()
 	if got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
 	}
-	if got.PartitionDrops == 0 || got.LinkDownDrops == 0 || got.Lost == 0 || got.Dups == 0 {
+	if got.PartitionDrops == 0 || got.Lost == 0 || got.Dups == 0 {
 		t.Fatalf("a verdict kind never occurred: %+v", got)
 	}
 }

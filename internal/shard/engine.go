@@ -48,7 +48,7 @@ func (e *Engine) Run(tr *obs.Trial, prefix string) error {
 		e.schedule(sh, int32(p), probeIntervalMS*u01(e.draw(int32(p))), kProbe, 0)
 		// The crash schedule is a stateless per-peer hash, so this loop
 		// plants byte-identical kCrash timers for every shard count.
-		if at, ok := faults.CrashAt(e.seed, p, e.fc.CrashFrac, e.fc.CrashStartMS, e.fc.CrashStopMS); ok {
+		if at, ok := faults.CrashAt(e.seed, p, e.fc.CrashFrac, e.cfg.HorizonMS/3, 2*e.cfg.HorizonMS/3); ok {
 			e.schedule(sh, int32(p), at, kCrash, 0)
 		}
 	}
@@ -168,7 +168,7 @@ func (e *Engine) sample(est *metrics.ALEstimator, t float64, series []*obs.TimeS
 		}
 		vals = append(vals, exact, 100*math.Abs(sk.AL-exact)/exact)
 	}
-	vals = append(vals, float64(tot.Crashes), float64(tot.Lost+tot.LinkDownDrops+tot.PartitionDrops),
+	vals = append(vals, float64(tot.Crashes), float64(tot.Lost+tot.PartitionDrops),
 		float64(tot.ProbeTimeouts+tot.CommitTimeouts), float64(tot.Evictions))
 	for i, s := range series {
 		s.Sample(t, vals[i])
@@ -228,7 +228,6 @@ func (s *Stats) add(o *Stats) {
 	s.CrossShard += o.CrossShard
 	s.Lost += o.Lost
 	s.DupsSent += o.DupsSent
-	s.LinkDownDrops += o.LinkDownDrops
 	s.PartitionDrops += o.PartitionDrops
 	s.Crashes += o.Crashes
 	s.DeadDrops += o.DeadDrops

@@ -11,16 +11,14 @@ import (
 )
 
 // faultyConfig is the everything-on fault schedule over the tiny world:
-// loss, duplication, jitter, link outages, a domain partition, and
-// crash-stop churn, all at once.
+// loss, duplication, jitter, a domain partition, and crash-stop churn, all
+// at once.
 func faultyConfig(shards int, seed uint64) Config {
 	cfg := tinyConfig(shards, seed)
 	cfg.Faults = &FaultConfig{
 		LossProb:         0.05,
 		DupProb:          0.10,
 		JitterMS:         5,
-		LinkFailProb:     0.02,
-		PartitionDomain:  2,
 		PartitionStartMS: 3 * 60000,
 		PartitionStopMS:  6 * 60000,
 		CrashFrac:        0.10,
@@ -29,8 +27,8 @@ func faultyConfig(shards int, seed uint64) Config {
 }
 
 // TestFaultShardCountInvariance is the tentpole contract: with every
-// fault knob set — per-message loss, duplication, jitter, link outages,
-// a domain partition, and crash-stop churn — the metrics stream and every
+// fault knob set — per-message loss, duplication, jitter, a domain
+// partition, and crash-stop churn — the metrics stream and every
 // shard-count-invariant tally must still be byte-identical across 1, 2,
 // 4, and 8 shards, because fault verdicts are stateless hashes and drops
 // are pure functions of the processed event prefix.
@@ -51,7 +49,6 @@ func TestFaultShardCountInvariance(t *testing.T) {
 			}{
 				{"Lost", stats.Lost},
 				{"DupsSent", stats.DupsSent},
-				{"LinkDownDrops", stats.LinkDownDrops},
 				{"PartitionDrops", stats.PartitionDrops},
 				{"Crashes", stats.Crashes},
 				{"DeadDrops", stats.DeadDrops},
@@ -160,10 +157,13 @@ func TestJitterRegimes(t *testing.T) {
 // scheduled victim crashed, the quiesced alive-peer slot claims are
 // injective (Run's invariant check), the measurement plane dropped
 // exactly the vacated slots, and the stream carries the crash/churn event
-// series.
+// series. Every crash falls in the middle third of the horizon: the
+// "crashed" series reads 0 at every sample before H/3 and its final value
+// at every sample from 2H/3 on.
 func TestCrashStopAccounting(t *testing.T) {
 	cfg := tinyConfig(4, 21)
 	cfg.Faults = &FaultConfig{CrashFrac: 0.2}
+	cfg.SampleEveryMS = 30000
 	stream, e := runTiny(t, cfg)
 	st := e.Stats()
 	if st.Crashes == 0 {
@@ -182,6 +182,36 @@ func TestCrashStopAccounting(t *testing.T) {
 		if !strings.Contains(string(stream), "prop_"+name) {
 			t.Errorf("churn stream missing series %q", "prop_"+name)
 		}
+	}
+	h := e.cfg.HorizonMS
+	before, after := 0, 0
+	for _, line := range bytes.Split(bytes.TrimSpace(stream), []byte("\n")) {
+		var rec struct {
+			Kind, Name string
+			TMS        float64 `json:"t_ms"`
+			Value      float64
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind != "sample" || rec.Name != "prop_crashed" {
+			continue
+		}
+		switch {
+		case rec.TMS < h/3:
+			before++
+			if rec.Value != 0 {
+				t.Errorf("crashed = %v at t = %v ms, before the window opens at %v", rec.Value, rec.TMS, h/3)
+			}
+		case rec.TMS >= 2*h/3:
+			after++
+			if rec.Value != float64(st.Crashes) {
+				t.Errorf("crashed = %v at t = %v ms, after the window closed at %v; want the final %d", rec.Value, rec.TMS, 2*h/3, st.Crashes)
+			}
+		}
+	}
+	if before == 0 || after == 0 {
+		t.Errorf("%d samples before H/3 and %d from 2H/3 on, want both > 0", before, after)
 	}
 }
 
@@ -207,9 +237,9 @@ func TestCommitAbortUnderLossAndChurn(t *testing.T) {
 }
 
 // TestPartitionBeyond256Domains: the partition cut compares full domain
-// indices, so in a 258-domain world, cutting off domain 1 separates it from
-// domain 257 and leaves 257 joined to 2 (a byte-wide domain index wraps 257
-// onto 1). One host per domain makes peer d domain d's host.
+// indices, so in a 258-domain world, cutting off domain 0 separates it from
+// domain 256 and leaves 256 joined to 2 (a byte-wide domain index wraps 256
+// onto 0). One host per domain makes peer d domain d's host.
 func TestPartitionBeyond256Domains(t *testing.T) {
 	net := netsim.Config{
 		Name:                  "ts-258-domains",
@@ -221,14 +251,14 @@ func TestPartitionBeyond256Domains(t *testing.T) {
 		StubTransitMS:         20,
 		TransitTransitMS:      50,
 	}
-	e, err := New(Config{Shards: 1, Seed: 1, Net: &net, Faults: &FaultConfig{PartitionDomain: 1, PartitionStopMS: 60000}})
+	e, err := New(Config{Shards: 1, Seed: 1, Net: &net, Faults: &FaultConfig{PartitionStopMS: 60000}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		p, q int32
 		cut  bool
-	}{{1, 257, true}, {257, 2, false}, {1, 2, true}, {0, 257, false}} {
+	}{{0, 256, true}, {256, 2, false}, {0, 2, true}, {1, 257, false}} {
 		if got := e.partitioned(c.p, c.q, 0); got != c.cut {
 			t.Errorf("domains %d↔%d: partitioned = %v, want %v", c.p, c.q, got, c.cut)
 		}
@@ -242,18 +272,10 @@ func TestFaultConfigValidation(t *testing.T) {
 		{DupProb: -0.1},
 		{JitterMS: -1},
 		{JitterMS: math.Inf(1)},
-		{LinkFailProb: 2},
-		{LinkFailPeriodMS: -5},
 		{CrashFrac: 1.01},
 		{PartitionStartMS: 10, PartitionStopMS: 5},
-		{PartitionStartMS: 0, PartitionStopMS: 5, PartitionDomain: 99},
-		{CrashStartMS: 10, CrashStopMS: 5},
-		{CrashFrac: 0.3, CrashStartMS: math.NaN()},
-		{CrashFrac: 0.3, CrashStopMS: math.Inf(1)},
 		{PartitionStartMS: math.NaN(), PartitionStopMS: 5},
 		{PartitionStartMS: 0, PartitionStopMS: math.Inf(1)},
-		{CrashFrac: 0.5, CrashStartMS: -60000, CrashStopMS: -1},
-		{LinkFailPeriodMS: math.Inf(1)},
 	}
 	for i, fc := range bad {
 		cfg := tinyConfig(2, 1)

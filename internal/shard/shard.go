@@ -135,9 +135,9 @@ type Config struct {
 }
 
 // FaultConfig is the sharded engine's fault and churn schedule, the fault
-// model of internal/faults with a transit domain as the partition cut.
-// Every verdict it induces is a stateless hash of (seed, link or peer,
-// sequence or time window) — faults.DeliverStateless, faults.CrashAt — so
+// model of internal/faults with transit domain 0 as the partition cut.
+// Every verdict it induces is a stateless hash of (seed, directed link or
+// peer, sequence number) — faults.DeliverStateless, faults.CrashAt — so
 // any shard can evaluate any message's fate with no shared mutable state,
 // the property that keeps metrics streams byte-identical across shard
 // counts.
@@ -155,30 +155,21 @@ type FaultConfig struct {
 	// its heap and is processed in a later window (both regimes — jitter
 	// below the floor and far above it — are pinned by tests).
 	JitterMS float64
-	// LinkFailProb is the probability that a given overlay link is down
-	// for a given outage window; LinkFailPeriodMS is the window length
-	// (0 means faults.DefaultLinkFailPeriodMS). Outage state is a pure
-	// hash of (seed, link, window), symmetric in the link.
-	LinkFailProb     float64
-	LinkFailPeriodMS float64
-	// PartitionDomain isolates one transit domain during [PartitionStartMS,
-	// PartitionStopMS): every message between a peer inside the domain and
-	// one outside is dropped. No partition when the window is empty.
-	PartitionDomain                   int
+	// PartitionStartMS and PartitionStopMS bound the partition window:
+	// every message between a peer inside transit domain 0 and one outside
+	// it is dropped. No partition when the window is empty.
 	PartitionStartMS, PartitionStopMS float64
 	// CrashFrac is the fraction of peers that crash-stop (dead forever,
-	// dropping all traffic) at faults.CrashAt's per-peer time inside
-	// [CrashStartMS, CrashStopMS), which must not start before t = 0. Both
-	// zero means the middle third of the horizon.
-	CrashFrac                 float64
-	CrashStartMS, CrashStopMS float64
+	// dropping all traffic) at faults.CrashAt's per-peer time inside the
+	// middle third of the horizon, [HorizonMS/3, 2·HorizonMS/3), so the
+	// stream shows pre-churn convergence, the hit, and the recovery.
+	CrashFrac float64
 }
 
-// validate checks the schedule against the resolved physical preset. The
-// knobs FaultConfig shares with faults.Config are faults.Config's to check.
-func (f *FaultConfig) validate(net netsim.Config) error {
-	shared := faults.Config{LossProb: f.LossProb, DupProb: f.DupProb, JitterMS: f.JitterMS,
-		LinkFailProb: f.LinkFailProb, LinkFailPeriodMS: f.LinkFailPeriodMS}
+// validate checks the schedule. The knobs FaultConfig shares with
+// faults.Config are faults.Config's to check.
+func (f *FaultConfig) validate() error {
+	shared := faults.Config{LossProb: f.LossProb, DupProb: f.DupProb, JitterMS: f.JitterMS}
 	if err := shared.Validate(); err != nil {
 		return fmt.Errorf("shard: Faults: %w", err)
 	}
@@ -188,17 +179,8 @@ func (f *FaultConfig) validate(net netsim.Config) error {
 		return fmt.Errorf("shard: Faults.CrashFrac = %v out of [0,1]", f.CrashFrac)
 	case !finite(f.PartitionStartMS) || !finite(f.PartitionStopMS):
 		return fmt.Errorf("shard: partition window [%v,%v) not finite", f.PartitionStartMS, f.PartitionStopMS)
-	case !finite(f.CrashStartMS) || !finite(f.CrashStopMS):
-		return fmt.Errorf("shard: crash window [%v,%v) not finite", f.CrashStartMS, f.CrashStopMS)
 	case f.PartitionStopMS < f.PartitionStartMS:
 		return fmt.Errorf("shard: partition window [%v,%v) inverted", f.PartitionStartMS, f.PartitionStopMS)
-	case f.PartitionStopMS > f.PartitionStartMS && (f.PartitionDomain < 0 || f.PartitionDomain >= net.TransitDomains):
-		return fmt.Errorf("shard: Faults.PartitionDomain = %d, want 0..%d", f.PartitionDomain, net.TransitDomains-1)
-	case f.CrashStopMS < f.CrashStartMS:
-		return fmt.Errorf("shard: crash window [%v,%v) inverted", f.CrashStartMS, f.CrashStopMS)
-	case f.CrashStartMS < 0:
-		// A crash before t = 0 would be missed by the t = 0 sample.
-		return fmt.Errorf("shard: crash window [%v,%v) starts before t = 0", f.CrashStartMS, f.CrashStopMS)
 	}
 	return nil
 }
@@ -230,7 +212,7 @@ func (c Config) validate(net netsim.Config) error {
 	case net.TotalStubHosts() < 8:
 		return fmt.Errorf("shard: %d peers, want >= 8", net.TotalStubHosts())
 	}
-	return c.Faults.validate(net)
+	return c.Faults.validate()
 }
 
 // Stats summarizes one completed run. All message counters are totals over
@@ -273,9 +255,8 @@ type Stats struct {
 	// pick up shard-partition-dependent summation order.
 
 	// Lost counts i.i.d. per-message drops; DupsSent duplicated
-	// deliveries; LinkDownDrops transient-outage drops; PartitionDrops
-	// drops across the domain-partition cut.
-	Lost, DupsSent, LinkDownDrops, PartitionDrops uint64
+	// deliveries; PartitionDrops drops across the domain-partition cut.
+	Lost, DupsSent, PartitionDrops uint64
 	// Crashes counts crash-stop events; DeadDrops messages (and stale
 	// self-timers) discarded because the addressee was dead.
 	Crashes, DeadDrops uint64

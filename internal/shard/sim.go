@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 )
 
 // The protocol handlers: a message-passing PROP-G adapted to the sharded
@@ -22,12 +21,11 @@ import (
 // shard execution race-free and the event stream shard-count invariant.
 //
 // Fault model (Config.Faults, DESIGN.md §9/§12). Every message's fate —
-// lost, duplicated, jittered, dropped by a link outage or the domain
-// partition — is decided at SEND time in the sender's shard, as a pure
-// function of (seed, directed link, the message's own sequence number, and
-// the send time): faults.DeliverStateless for the per-message draws, a
-// (seed, link, window) hash for outages, and the routerDomain table for
-// the partition cut. No shared mutable state, no draw-order dependence —
+// lost, duplicated, jittered, or dropped by the domain partition — is
+// decided at SEND time in the sender's shard, as a pure function of (seed,
+// directed link, the message's own sequence number, and the send time):
+// faults.DeliverStateless for the per-message draws and the routerDomain
+// table for the partition cut. No shared mutable state, no draw-order dependence —
 // which is why the byte-identical-across-shard-counts contract survives
 // fault injection untouched. Crash-stop churn is the one receiver-side
 // fault: a dead peer silently drops every arrival, and deadness at any
@@ -88,11 +86,7 @@ func (e *Engine) inject(sh *shardRun, now, d float64, m *msg) bool {
 	}
 	del := e.inj.DeliverStateless(int(m.from), int(m.to), uint64(m.oseq), now)
 	if del.Lost {
-		if del.Reason == faults.ReasonLinkDown {
-			sh.stats.LinkDownDrops++
-		} else {
-			sh.stats.Lost++
-		}
+		sh.stats.Lost++
 		return false
 	}
 	m.at += del.DelayMS

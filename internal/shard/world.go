@@ -50,8 +50,8 @@ type Engine struct {
 	probeNbr []uint8 // first-hop cache index of the current cycle
 	failCnt  []uint8 // flat [peer*maxDeg+i]: consecutive timeout strikes
 
-	fc       FaultConfig      // normalized schedule (windows defaulted)
-	inj      *faults.Injector // stateless loss/dup/jitter/link-outage hashes
+	fc       FaultConfig      // the schedule, copied from Config.Faults
+	inj      *faults.Injector // stateless loss/dup/jitter hashes
 	probeTO  float64          // probe-cycle timeout (walk legs + report leg)
 	commitTO float64          // two-phase-swap timeout (commit + ack legs)
 
@@ -152,25 +152,17 @@ func (e *Engine) buildLatency(world *netsim.Network) (maxLeg float64) {
 	return 2*maxOff + slices.Max(e.core)
 }
 
-// initFaults normalizes the fault schedule and derives the timeouts.
+// initFaults copies the fault schedule and derives the timeouts.
 func (e *Engine) initFaults(maxLeg float64) error {
 	e.fc = *e.cfg.Faults
-	if e.fc.CrashFrac > 0 && e.fc.CrashStartMS == 0 && e.fc.CrashStopMS == 0 {
-		// Default churn window: the middle third of the horizon, so the
-		// stream shows pre-churn convergence, the hit, and the recovery.
-		e.fc.CrashStartMS = e.cfg.HorizonMS / 3
-		e.fc.CrashStopMS = 2 * e.cfg.HorizonMS / 3
-	}
 	inj, err := faults.NewInjector(faults.Config{
-		Seed:             e.seed ^ shardFaultSalt,
-		LossProb:         e.fc.LossProb,
-		DupProb:          e.fc.DupProb,
-		JitterMS:         e.fc.JitterMS,
-		LinkFailProb:     e.fc.LinkFailProb,
-		LinkFailPeriodMS: e.fc.LinkFailPeriodMS,
+		Seed:     e.seed ^ shardFaultSalt,
+		LossProb: e.fc.LossProb,
+		DupProb:  e.fc.DupProb,
+		JitterMS: e.fc.JitterMS,
 		// The domain partition is evaluated in-engine over routerDomain
 		// (a flat array beats a 10⁶-entry host set); the injector only
-		// owns the loss/dup/jitter/link-outage hashes.
+		// owns the loss/dup/jitter hashes.
 	})
 	if err != nil {
 		return err
@@ -193,8 +185,8 @@ func (e *Engine) initFaults(maxLeg float64) error {
 // world-generation and AL-estimator streams derived from the same seed.
 const shardFaultSalt = 0x73686172642d666c // "shard-fl"
 
-// partitioned reports whether the domain-partition cut separates peers p
-// and q at time nowMS.
+// partitioned reports whether the domain-partition cut, transit domain 0
+// against the rest, separates peers p and q at time nowMS.
 func (e *Engine) partitioned(p, q int32, nowMS float64) bool {
 	if e.fc.PartitionStopMS <= e.fc.PartitionStartMS {
 		return false
@@ -202,8 +194,7 @@ func (e *Engine) partitioned(p, q int32, nowMS float64) bool {
 	if nowMS < e.fc.PartitionStartMS || nowMS >= e.fc.PartitionStopMS {
 		return false
 	}
-	pd := int32(e.fc.PartitionDomain)
-	return (e.routerDomain[e.up[p].router] == pd) != (e.routerDomain[e.up[q].router] == pd)
+	return (e.routerDomain[e.up[p].router] == 0) != (e.routerDomain[e.up[q].router] == 0)
 }
 
 // shardOf returns the shard that owns peer p.

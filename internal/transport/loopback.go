@@ -145,7 +145,7 @@ func (l *Loopback) Stats() LoopbackStats {
 	}
 }
 
-// nowMS positions time-windowed faults (partitions, link outages) on the
+// nowMS positions the time-windowed fault (the partition) on the
 // wall clock since the network's creation. Seq-hashed faults (loss, dup,
 // jitter) do not consult it, so determinism holds wherever it matters.
 func (l *Loopback) nowMS() float64 {
