@@ -6,8 +6,8 @@
 //	                             # clustered topology over the in-process
 //	                             # transport, then print the improvement
 //	propnode -mode chaos -seed 7 # seed-deterministic chaos soak: kills,
-//	                             # recoveries, a partition window, mailbox
-//	                             # pressure; deterministic log on stdout
+//	                             # recoveries, a partition window, a burst
+//	                             # of junk frames; deterministic log on stdout
 //
 // The loopback demo is the quick-start of DESIGN.md §10, and the chaos
 // mode is the CI chaos job's soak (run twice, logs diffed — see

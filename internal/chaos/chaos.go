@@ -1,7 +1,7 @@
 // Package chaos is the deterministic chaos harness for the live PROP
 // runtime: a seed-derived schedule of crash-stops, recoveries, one network
-// partition window, and a mailbox-pressure blast, driven over the loopback
-// transport against a full propnode.Runtime, with the invariant audits
+// partition window, and a pressure blast of junk frames, driven over the
+// loopback transport against a full propnode.Runtime, with the invariant audits
 // (slot↔host bijection, connectivity among live agents, no duplicate slots)
 // evaluated at every quiesce point.
 //
@@ -11,9 +11,9 @@
 //
 // Config sets the run's size, seed, length, step, kill fraction and policy;
 // the rest of the schedule's shape is fixed: the partition window opens at
-// Steps/3 for two steps and isolates 30% of the hosts, the 4096-message
-// blast lands at 2·Steps/3 on a 256-slot mailbox, and every link loses and
-// duplicates 1% of its messages.
+// Steps/3 for two steps and isolates 30% of the hosts, a burst of 4096 TData
+// frames from an endpoint outside the overlay lands on one agent at
+// 2·Steps/3, and every link loses and duplicates 1% of its messages.
 //
 // Determinism contract: everything the schedule decides — who dies when, who
 // recovers when, which hosts the partition isolates, who absorbs the
@@ -62,9 +62,6 @@ const (
 	// pressureMsgs is the blast size in messages; the blast lands at
 	// 2*Steps/3.
 	pressureMsgs = 4096
-	// queue is the loopback per-endpoint mailbox bound — small enough that
-	// the pressure blast visibly sheds load.
-	queue = 256
 	// lossProb and dupProb are the stateless per-message fault rates on
 	// every link.
 	lossProb, dupProb = 0.01, 0.01
@@ -195,7 +192,7 @@ type Result struct {
 	// Config.
 	Log string
 	// Summary is the nondeterministic epilogue — counters whose exact values
-	// depend on wall-clock interleaving (exchanges, evictions, overflows).
+	// depend on wall-clock interleaving (exchanges, evictions, deliveries).
 	Summary string
 	// Kills, Recovers report the executed schedule size.
 	Kills, Recovers int
@@ -238,7 +235,6 @@ func Run(cfg Config) (*Result, error) {
 	lb := transport.NewLoopback(transport.LoopbackConfig{
 		DelayMS: func(a, b int) float64 { return propnode.ClusterLat(a, b) / 2 },
 		Faults:  inj,
-		Queue:   queue,
 	})
 
 	rt := propnode.New(lb, propnode.Config{
@@ -258,7 +254,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// The blast endpoint joins the transport but never the overlay: its
-	// TData frames are protocol no-ops that exist purely to fill a mailbox.
+	// TData frames are protocol no-ops, each delivered into the victim's
+	// node on the harness's goroutine while the agents run.
 	blaster, err := lb.Open(pressureHost)
 	if err != nil {
 		rt.Stop()
@@ -354,10 +351,10 @@ func Run(cfg Config) (*Result, error) {
 	c := rt.Counters()
 	stats := lb.Stats()
 	res.Summary = fmt.Sprintf(
-		"probes=%d exchanges=%d walk-failures=%d heartbeats=%d suspect-evictions=%d auto-repairs=%d recovers=%d stale-epochs=%d | sent=%d dropped=%d dups=%d overflows=%d",
+		"probes=%d exchanges=%d walk-failures=%d heartbeats=%d suspect-evictions=%d auto-repairs=%d recovers=%d stale-epochs=%d | sent=%d dropped=%d dups=%d",
 		c.Probes, c.Exchanges, c.WalkFailures, c.Heartbeats, c.SuspectEvictions,
 		c.AutoRepairs, c.Recovers, c.StaleEpochs,
-		stats.Sent, stats.Dropped, stats.Dups, stats.Overflows)
+		stats.Sent, stats.Dropped, stats.Dups)
 	return res, nil
 }
 

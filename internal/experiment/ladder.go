@@ -181,7 +181,7 @@ func runFigRScale(opt Options) ([]stats.Series, []string, error) {
 	crashGrid := faultSweep(figRCrashGrid, opt.FaultCrash)
 	notes := []string{
 		fmt.Sprintf("sharded engine: %d rung(s), horizon %.0f sim-min, seed=%d scale=%.2f", len(rungs), horizon/60000, opt.Seed, opt.Scale),
-		fmt.Sprintf("loss points carry duplication = loss/%g and jitter U[0,%dms); crash points add the figRb background loss %g", 1/figRDupFraction, figRJitterMS, figRBackgroundLoss),
+		fmt.Sprintf("loss points carry duplication = loss/%g and jitter U[0,%dms); crash points add the background loss %g of figR's crash sweep", 1/figRDupFraction, figRJitterMS, figRBackgroundLoss),
 		"rungs above the smallest run only each sweep's endpoints (fault-free + harshest rate)",
 		"expected shape: final AL rises gently with either fault rate and stays below the unoptimized start at every rung",
 	}

@@ -45,7 +45,7 @@ func (rt *Runtime) runDetector(a *agent, stagger time.Duration) {
 
 // heartbeatOnce runs one detector sweep: under the locks, reconcile the
 // agent's neighborQ with its live neighbors and append each one's slot and
-// host to nbrs; then, holding neither, send each its heartbeat (pumps
+// host to nbrs; then, holding neither, send each its heartbeat (nodes
 // answer pings without taking a lock, so heartbeat traffic can never
 // deadlock against an exchange holding one). It returns nbrs.
 func (rt *Runtime) heartbeatOnce(a *agent, nbrs [][2]int) [][2]int {

@@ -16,7 +16,7 @@ import (
 )
 
 // silentFail kills host's agent without telling the overlay: the endpoint
-// and pump vanish, but the slot stays alive in the bijection — the silent
+// and node vanish, but the slot stays alive in the bijection — the silent
 // failure only a heartbeat detector can notice (Crash marks the slot dead,
 // so the probe path's EvictDeadNeighbors would see it).
 func silentFail(t *testing.T, rt *Runtime, host int) {
@@ -425,11 +425,12 @@ func TestNeighborTableLifetime(t *testing.T) {
 	for _, h := range all {
 		body = binary.BigEndian.AppendUint64(body, uint64(h))
 	}
-	replies, err := net.Loopback.Open(99)
+	ep, err := net.Loopback.Open(99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer replies.Close()
+	defer ep.Close()
+	replies := inbox(ep)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(4)
@@ -472,7 +473,7 @@ func TestNeighborTableLifetime(t *testing.T) {
 			select {
 			case <-stop:
 				return
-			case in := <-replies.Recv():
+			case in := <-replies:
 				for k, h := range all[:len(in.Msg.Body)/8] {
 					if got := math.Float64frombits(binary.BigEndian.Uint64(in.Msg.Body[8*k:])); got != ClusterLat(0, h) {
 						t.Errorf("handleMeasure: host %d at %v, want %v", h, got, ClusterLat(0, h))

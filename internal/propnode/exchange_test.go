@@ -402,6 +402,7 @@ func TestHandleMeasureReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ep.Close()
+	replies := inbox(ep)
 	targets := func(hosts ...int) []byte {
 		var b []byte
 		for _, h := range hosts {
@@ -426,7 +427,7 @@ func TestHandleMeasureReplies(t *testing.T) {
 		rt.handleMeasure(a, transport.Message{Type: transport.TMeasure, Src: 99, Epoch: 7, Seq: 42, Body: tc.body})
 		var m transport.Message
 		select {
-		case in := <-ep.Recv():
+		case in := <-replies:
 			m = in.Msg
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: no reply", tc.name)

@@ -4,8 +4,9 @@
 // (core.Cycle, with overlay.WalkStep at each walk hop): this package owns
 // the goroutines, the lock, the messages and the counters, never a protocol
 // rule, and counts each cycle end by its core.Reason. Each physical host
-// gets one agent: a transport.Node (message pump), a probe loop on the wall
-// clock, and handlers that forward TTL walks and answer measurement RPCs.
+// gets one agent: a transport.Node (which answers pings), a probe loop on
+// the wall clock, and handlers that forward TTL walks and answer
+// measurement RPCs.
 // Every latency the protocol consumes is a real RTT measured by exchanging
 // messages — the failure detector's heartbeats to each neighbor, remembered
 // in its neighborQ entry, Node.Ping for any other host, and one TMeasure
@@ -14,9 +15,9 @@
 //
 // Concurrency model: the overlay (and the runtime RNG) live under one
 // runtime mutex, each agent's core.Cycle under its own, taken after the
-// runtime's when both are held. Message pumps take neither — pings are
-// always answered — and walk-forwarding and measurement handlers run on
-// spawned goroutines. No round trip holds either: an exchange plans under
+// runtime's when both are held. Nodes take neither — pings are always
+// answered — and walk-forwarding and measurement handlers run on spawned
+// goroutines. No round trip holds either: an exchange plans under
 // the lock, measures without it into buffers the agent owns, and commits
 // under it again only if the host pairs it measured are still the ones the
 // exchange moves — so evaluations overlap, and one the overlay moved under
@@ -279,9 +280,9 @@ func (rt *Runtime) spawnLocked(host int, ep transport.Endpoint) {
 		kick:  make(chan struct{}, 1),
 	}
 	a.node.Handle(func(in transport.Inbound) {
-		// Handlers must not block the pump: forwarders and measurement
-		// relays take locks and make their own calls, so they get their own
-		// goroutines.
+		// Handlers run on the sender's goroutine and must not block it:
+		// forwarders and measurement relays take locks and make their own
+		// calls, so they get their own goroutines.
 		switch in.Msg.Type {
 		case transport.TWalk:
 			go rt.handleWalk(a, in.Msg)
@@ -335,7 +336,7 @@ func (rt *Runtime) Counters() Counters {
 	}
 }
 
-// Stop quiesces every agent (probe loops first, then pumps) and waits.
+// Stop quiesces every agent (probe loops first, then nodes) and waits.
 func (rt *Runtime) Stop() {
 	rt.mu.Lock()
 	if rt.stopped {
@@ -460,7 +461,7 @@ func (rt *Runtime) evaluate(a *agent, u int, path []int) core.Step {
 	for {
 		switch step.Kind {
 		case core.Measure:
-			// Round trips, one after another: the pumps answer pings and
+			// Round trips, one after another: the nodes answer pings and
 			// relays without rt.mu anyway (see the package comment).
 			n := rt.measure(a)
 			a.mu.Lock()
@@ -588,7 +589,7 @@ func (rt *Runtime) relay(a *agent, partner int) []byte {
 }
 
 // handleWalk forwards one hop of a probing walk (or closes it). Runs on its
-// own goroutine, never on the pump.
+// own goroutine, never on the sender's.
 func (rt *Runtime) handleWalk(a *agent, m transport.Message) {
 	origin := int(int32(m.Key))
 	reply := func(ok bool, path []int) {

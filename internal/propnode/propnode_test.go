@@ -17,6 +17,20 @@ import (
 
 func clusterHalf(a, b int) float64 { return ClusterLat(a, b) / 2 }
 
+// inbox serves ep with a receiver that queues up to 64 deliveries for the
+// test to read — more than a test leaves unread — and drops the rest, so no
+// sender ever waits on the test.
+func inbox(ep transport.Endpoint) <-chan transport.Inbound {
+	ch := make(chan transport.Inbound, 64)
+	ep.Serve(func(in transport.Inbound) {
+		select {
+		case ch <- in:
+		default:
+		}
+	})
+	return ch
+}
+
 func hostsN(n int) []int {
 	hosts := make([]int, n)
 	for i := range hosts {

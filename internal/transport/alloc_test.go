@@ -13,8 +13,8 @@ import (
 
 // TestPingRoundTripAllocations pins a warm Node.Ping over a zero-delay
 // loopback at one heap allocation: the decoded copy of the pong's delay
-// body the caller receives. The pong body itself is the pump's own buffer;
-// the call record, its timer and both frames are recycled.
+// body the caller receives. The pong body, the call record, its timer and
+// both frames are recycled.
 func TestPingRoundTripAllocations(t *testing.T) {
 	lb := NewLoopback(LoopbackConfig{})
 	epA, _ := lb.Open(1)
@@ -38,19 +38,24 @@ func TestPingRoundTripAllocations(t *testing.T) {
 
 // TestLoopbackSendAllocatesNothing pins the send path itself: validating,
 // framing and decoding a path-less, body-less message into a pooled buffer,
-// the endpoint lookup and the mailbox enqueue.
+// the endpoint lookup and the call of the receiver.
 func TestLoopbackSendAllocatesNothing(t *testing.T) {
 	lb := NewLoopback(LoopbackConfig{DelayMS: halfLat})
 	a, _ := lb.Open(1)
 	b, _ := lb.Open(2)
 	defer a.Close()
 	defer b.Close()
+	var got Inbound
+	b.Serve(func(in Inbound) { got = in })
 
 	send := func() {
+		got = Inbound{}
 		if err := a.Send(2, Message{Type: TData, Key: 7}); err != nil {
 			t.Fatal(err)
 		}
-		<-b.Recv()
+		if got.Msg.Key != 7 {
+			t.Fatalf("delivered %+v, want the message with key 7", got.Msg)
+		}
 	}
 	send()
 	if got := testing.AllocsPerRun(2000, send); got != 0 {

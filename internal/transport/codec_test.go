@@ -126,7 +126,7 @@ func TestEncodeRejectsUnencodable(t *testing.T) {
 }
 
 func TestDelayFraming(t *testing.T) {
-	// One buffer throughout, as the pump reuses its pong body.
+	// One buffer throughout, as a pooled pong body is reused.
 	buf := make([]byte, 8)
 	for _, d := range []float64{0, 0.5, 12.25, 1e9} {
 		if got, ok := decodeDelay(putDelay(buf, d)); !ok || got != d {

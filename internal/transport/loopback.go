@@ -21,9 +21,6 @@ type LoopbackConfig struct {
 	// (seed, link, per-link sequence number), so a seeded run reproduces the
 	// identical fault schedule on every repetition. Nil means perfect links.
 	Faults *faults.Injector
-	// Queue is the per-endpoint receive buffer (default 1024). A full queue
-	// drops the message — datagram semantics, counted in Stats.Overflows.
-	Queue int
 }
 
 // Drop records one message the fault gate removed. The slice of all drops is
@@ -42,16 +39,17 @@ type Drop struct {
 type LoopbackStats struct {
 	// Sent counts Send calls that passed the fault gate's loss check.
 	Sent uint64
-	// Delivered counts messages enqueued on a receiver (duplicates count).
+	// Delivered counts messages handed to a receiver (duplicates count).
 	Delivered uint64
 	// Dropped counts fault-gate losses (the length of the drop log).
 	Dropped uint64
 	// Dups counts fault-injected duplicate deliveries.
 	Dups uint64
-	// NoEndpoint counts messages addressed to hosts with no open endpoint —
-	// datagrams to dead machines vanish, as on a real network.
+	// NoEndpoint counts messages addressed to hosts with no open, served
+	// endpoint — datagrams to dead machines vanish, as on a real network.
 	NoEndpoint uint64
-	// Overflows counts messages dropped on a full receive queue.
+	// Overflows always reads 0 (no mailbox is left to overflow); the
+	// benchmark harness still reads it.
 	Overflows uint64
 }
 
@@ -72,7 +70,7 @@ type Loopback struct {
 	dropMu sync.Mutex
 	drops  []Drop
 
-	sent, delivered, dropped, dups, noEndpoint, overflows atomic.Uint64
+	sent, delivered, dropped, dups, noEndpoint atomic.Uint64
 }
 
 // linkSeqs is one sending host's per-destination delivery-attempt counters.
@@ -88,9 +86,6 @@ type linkSeqs struct {
 
 // NewLoopback builds an empty in-process network.
 func NewLoopback(cfg LoopbackConfig) *Loopback {
-	if cfg.Queue <= 0 {
-		cfg.Queue = 1024
-	}
 	return &Loopback{
 		cfg:   cfg,
 		start: time.Now(),
@@ -107,7 +102,7 @@ func (l *Loopback) Open(host int) (Endpoint, error) {
 	if _, dup := l.eps[host]; dup {
 		return nil, fmt.Errorf("transport: loopback host %d already open", host)
 	}
-	ep := &loopEndpoint{net: l, host: host, recv: make(chan Inbound, l.cfg.Queue)}
+	ep := &loopEndpoint{net: l, host: host}
 	if l.cfg.Faults != nil {
 		if ep.links = l.links[host]; ep.links == nil {
 			ep.links = &linkSeqs{next: make(map[int]uint64)}
@@ -141,7 +136,6 @@ func (l *Loopback) Stats() LoopbackStats {
 		Dropped:    l.dropped.Load(),
 		Dups:       l.dups.Load(),
 		NoEndpoint: l.noEndpoint.Load(),
-		Overflows:  l.overflows.Load(),
 	}
 }
 
@@ -172,11 +166,12 @@ func (l *Loopback) gate(from *loopEndpoint, to int) faults.Delivery {
 	return verdict
 }
 
-// send runs one message through the fault gate and delivers it. Called with
-// from's identity already stamped. Without an injector there is no verdict
-// to draw: no sequence number is kept and the clock is not read. It holds
-// mu.RLock from the lookup to the (non-blocking) enqueue so close cannot
-// close recv under it.
+// send runs one message through the fault gate and delivers it: a call of
+// the receiver's function, once or, duplicated, twice. Called with from's
+// identity already stamped. Without an injector there is no verdict to
+// draw: no sequence number is kept and the clock is not read. mu.RLock
+// covers the lookup only — the receiver may send (a pong does), and a
+// nested RLock would deadlock once Open or close waits on the write side.
 func (l *Loopback) send(from *loopEndpoint, to int, m Message) {
 	var verdict faults.Delivery
 	if l.cfg.Faults != nil {
@@ -187,9 +182,13 @@ func (l *Loopback) send(from *loopEndpoint, to int, m Message) {
 	l.sent.Add(1)
 
 	l.mu.RLock()
-	defer l.mu.RUnlock()
-	dst, ok := l.eps[to]
-	if !ok {
+	dst := l.eps[to]
+	l.mu.RUnlock()
+	var recv *func(Inbound)
+	if dst != nil && !dst.closed.Load() {
+		recv = dst.recv.Load()
+	}
+	if recv == nil || *recv == nil {
 		l.noEndpoint.Add(1)
 		return
 	}
@@ -198,21 +197,13 @@ func (l *Loopback) send(from *loopEndpoint, to int, m Message) {
 		delay += l.cfg.DelayMS(from.host, to)
 	}
 	in := Inbound{Msg: m, DelayMS: delay}
-	copies := 1
 	if verdict.Dup {
-		copies = 2
 		l.dups.Add(1)
+		l.delivered.Add(1)
+		(*recv)(in)
 	}
-	for i := 0; i < copies; i++ {
-		select {
-		case dst.recv <- in:
-			l.delivered.Add(1)
-		default:
-			// Bounded mailbox: a receiver that is not draining sheds the
-			// message here — datagram semantics, like a kernel socket buffer.
-			l.overflows.Add(1)
-		}
-	}
+	l.delivered.Add(1)
+	(*recv)(in)
 }
 
 // close detaches ep; subsequent sends to its host vanish.
@@ -221,16 +212,15 @@ func (l *Loopback) close(ep *loopEndpoint) {
 	defer l.mu.Unlock()
 	if l.eps[ep.host] == ep {
 		delete(l.eps, ep.host)
-		close(ep.recv)
 	}
 }
 
 type loopEndpoint struct {
 	net    *Loopback
 	host   int
-	recv   chan Inbound
-	links  *linkSeqs   // the host's sequence table; nil without an injector
-	closed atomic.Bool // Close was called: Send errors
+	recv   atomic.Pointer[func(Inbound)] // the receiver; none until Serve
+	links  *linkSeqs                     // the host's sequence table; nil without an injector
+	closed atomic.Bool                   // Close was called: Send errors, deliveries vanish
 }
 
 // Host returns the host ID this endpoint answers for.
@@ -261,8 +251,8 @@ func (ep *loopEndpoint) Send(to int, m Message) error {
 	return nil
 }
 
-// Recv returns the delivery channel.
-func (ep *loopEndpoint) Recv() <-chan Inbound { return ep.recv }
+// Serve installs the endpoint's receiver.
+func (ep *loopEndpoint) Serve(f func(Inbound)) { ep.recv.Store(&f) }
 
 // Close detaches the endpoint; idempotent.
 func (ep *loopEndpoint) Close() error {

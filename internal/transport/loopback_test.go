@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,6 +21,18 @@ func testLat(a, b int) float64 {
 
 func halfLat(a, b int) float64 { return testLat(a, b) / 2 }
 
+// inbox serves ep with a receiver that queues its deliveries for the test
+// to read in order; 64 is more than any test leaves unread.
+func inbox(ep Endpoint) <-chan Inbound {
+	ch := make(chan Inbound, 64)
+	ep.Serve(func(in Inbound) { ch <- in })
+	return ch
+}
+
+// discard serves ep with a receiver that takes every delivery and keeps
+// nothing, so the loopback counts them Delivered.
+func discard(ep Endpoint) { ep.Serve(func(Inbound) {}) }
+
 func TestLoopbackDeliveryAndVirtualDelay(t *testing.T) {
 	lb := NewLoopback(LoopbackConfig{DelayMS: halfLat})
 	a, err := lb.Open(1)
@@ -32,12 +45,13 @@ func TestLoopbackDeliveryAndVirtualDelay(t *testing.T) {
 	}
 	defer a.Close()
 	defer b.Close()
+	got := inbox(b)
 
 	if err := a.Send(2, Message{Type: TData, Body: []byte("hi")}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case in := <-b.Recv():
+	case in := <-got:
 		if string(in.Msg.Body) != "hi" || in.Msg.Src != 1 || in.Msg.Dst != 2 {
 			t.Fatalf("bad delivery %#v", in.Msg)
 		}
@@ -56,11 +70,23 @@ func TestLoopbackDeliveryAndVirtualDelay(t *testing.T) {
 		t.Fatalf("NoEndpoint = %d, want 1", got)
 	}
 
+	// An open endpoint with no receiver, and a closed one, swallow the
+	// message like an absent host.
+	if err := b.Send(1, Message{Type: TData}); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	if err := a.Send(2, Message{Type: TData}); err != nil {
+		t.Fatal(err)
+	}
+	if s := lb.Stats(); s.NoEndpoint != 3 || s.Delivered != 1 || len(got) != 0 {
+		t.Fatalf("stats %+v with %d more deliveries, want NoEndpoint=3 Delivered=1 and none", s, len(got))
+	}
+
 	// Duplicate Open is an error; reopen after Close is a rejoin.
 	if _, err := lb.Open(1); err == nil {
 		t.Fatal("duplicate Open(1) accepted")
 	}
-	b.Close()
 	if _, err := lb.Open(2); err != nil {
 		t.Fatalf("reopen after close: %v", err)
 	}
@@ -73,6 +99,7 @@ func TestLoopbackSendIsolation(t *testing.T) {
 	b, _ := lb.Open(2)
 	defer a.Close()
 	defer b.Close()
+	got := inbox(b)
 
 	path := []int{1, 2, 3}
 	body := []byte("abc")
@@ -80,7 +107,7 @@ func TestLoopbackSendIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	path[0], body[0] = 9, 'z'
-	in := <-b.Recv()
+	in := <-got
 	if in.Msg.Path[0] != 1 || in.Msg.Body[0] != 'a' {
 		t.Fatalf("delivery aliased sender memory: %#v", in.Msg)
 	}
@@ -102,6 +129,7 @@ func TestLoopbackFaultScheduleDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			discard(ep)
 			eps[i] = ep
 		}
 		// A fixed traffic pattern: every ordered pair exchanges 50 messages.
@@ -166,15 +194,16 @@ func TestLoopbackFaultScheduleConcurrentSenders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Nobody drains: the queue holds every copy, so Delivered is a
-		// function of the verdicts alone.
-		lb := NewLoopback(LoopbackConfig{DelayMS: halfLat, Faults: inj, Queue: 2 * hosts * rounds})
+		// Every receiver takes every copy, so Delivered is a function of the
+		// verdicts alone.
+		lb := NewLoopback(LoopbackConfig{DelayMS: halfLat, Faults: inj})
 		eps := make([]Endpoint, hosts)
 		for i := range eps {
 			ep, err := lb.Open(i)
 			if err != nil {
 				t.Fatal(err)
 			}
+			discard(ep)
 			eps[i] = ep
 		}
 		var wg sync.WaitGroup
@@ -229,6 +258,9 @@ func TestLoopbackFaultScheduleConcurrentSenders(t *testing.T) {
 	if want := uint64(hosts * (hosts - 1) * rounds); s1.Sent+s1.Dropped != want {
 		t.Fatalf("Sent %d + Dropped %d, want %d sends accounted for", s1.Sent, s1.Dropped, want)
 	}
+	if s1.Delivered != s1.Sent+s1.Dups || s1.NoEndpoint != 0 {
+		t.Fatalf("Delivered %d, want Sent %d + Dups %d; NoEndpoint %d, want 0", s1.Delivered, s1.Sent, s1.Dups, s1.NoEndpoint)
+	}
 }
 
 func TestLoopbackSequencesSurviveReopen(t *testing.T) {
@@ -278,14 +310,22 @@ func TestLoopbackSequencesSurviveReopen(t *testing.T) {
 
 func TestLoopbackNoInjectorAccounting(t *testing.T) {
 	// Without an injector nothing is dropped, and every send ends in exactly
-	// one of the three tallies — exact once the burst has quiesced.
+	// one of the two tallies — exact once the burst has quiesced — and each
+	// Delivered is one call of the receiver, whichever goroutine made it.
 	const senders, burst = 8, 500
-	lb := NewLoopback(LoopbackConfig{DelayMS: halfLat, Queue: 64})
-	sink, err := lb.Open(100) // never drained: overflows after 64
+	lb := NewLoopback(LoopbackConfig{DelayMS: halfLat})
+	sink, err := lb.Open(100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Close()
+	var received atomic.Uint64
+	sink.Serve(func(Inbound) { received.Add(1) })
+	mute, err := lb.Open(101) // open, but no receiver
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < senders; i++ {
 		ep, err := lb.Open(i)
@@ -298,8 +338,11 @@ func TestLoopbackNoInjectorAccounting(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < burst; k++ {
 				dst := 100
-				if k%5 == 0 {
+				switch k % 5 {
+				case 0:
 					dst = 999 // no such host
+				case 1:
+					dst = 101
 				}
 				if err := ep.Send(dst, Message{Type: TData}); err != nil {
 					t.Error(err)
@@ -313,11 +356,13 @@ func TestLoopbackNoInjectorAccounting(t *testing.T) {
 		t.Fatalf("%d drops without an injector", len(d))
 	}
 	s := lb.Stats()
-	if s.Sent != senders*burst || s.Sent != s.Delivered+s.Overflows+s.NoEndpoint {
-		t.Fatalf("Sent %d of %d ≠ Delivered %d + Overflows %d + NoEndpoint %d", s.Sent, senders*burst, s.Delivered, s.Overflows, s.NoEndpoint)
+	if s.Sent != senders*burst || s.Sent != s.Delivered+s.NoEndpoint {
+		t.Fatalf("Sent %d of %d ≠ Delivered %d + NoEndpoint %d", s.Sent, senders*burst, s.Delivered, s.NoEndpoint)
 	}
-	if s.Delivered != 64 || s.NoEndpoint != senders*burst/5 || s.Dropped != 0 || s.Dups != 0 {
-		t.Fatalf("stats %+v, want Delivered=64 NoEndpoint=%d and no fault tallies", s, senders*burst/5)
+	if want := uint64(senders * burst * 3 / 5); s.Delivered != want || received.Load() != want ||
+		s.NoEndpoint != senders*burst*2/5 || s.Dropped != 0 || s.Dups != 0 || s.Overflows != 0 {
+		t.Fatalf("stats %+v, %d received; want Delivered=%d received, NoEndpoint=%d and no fault tallies",
+			s, received.Load(), want, senders*burst*2/5)
 	}
 }
 
@@ -423,13 +468,14 @@ func TestLoopbackDupDelivery(t *testing.T) {
 	b, _ := lb.Open(2)
 	defer a.Close()
 	defer b.Close()
+	got := inbox(b)
 
 	if err := a.Send(2, Message{Type: TData}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
 		select {
-		case <-b.Recv():
+		case <-got:
 		case <-time.After(time.Second):
 			t.Fatalf("copy %d never arrived", i)
 		}
@@ -449,6 +495,7 @@ func TestLoopbackJitterBounded(t *testing.T) {
 	b, _ := lb.Open(2)
 	defer a.Close()
 	defer b.Close()
+	got := inbox(b)
 
 	base := halfLat(1, 2)
 	sawJitter := false
@@ -456,7 +503,7 @@ func TestLoopbackJitterBounded(t *testing.T) {
 		if err := a.Send(2, Message{Type: TData}); err != nil {
 			t.Fatal(err)
 		}
-		in := <-b.Recv()
+		in := <-got
 		j := in.DelayMS - base
 		if j < 0 || j >= 4 || math.IsNaN(j) {
 			t.Fatalf("jitter %v outside [0,4)", j)
@@ -467,36 +514,5 @@ func TestLoopbackJitterBounded(t *testing.T) {
 	}
 	if !sawJitter {
 		t.Fatal("no jitter observed over 50 messages")
-	}
-}
-
-func TestLoopbackMailboxOverflowPerEndpoint(t *testing.T) {
-	// A tiny bounded mailbox: everything past the receiver's capacity is
-	// shed and counted once, in the network's stats.
-	lb := NewLoopback(LoopbackConfig{Queue: 4})
-
-	a, err := lb.Open(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := lb.Open(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := a.Send(2, Message{Type: TData}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const wantShed = 10 - 4
-	if got := lb.Stats().Overflows; got != wantShed {
-		t.Fatalf("Stats().Overflows = %d, want %d", got, wantShed)
-	}
-	// The receiver's mailbox is full; the sender's is untouched.
-	if got := len(b.Recv()); got != 4 {
-		t.Fatalf("receiver holds %d messages, want its 4-slot mailbox full", got)
-	}
-	if got := len(a.Recv()); got != 0 {
-		t.Fatalf("sender holds %d messages, want 0", got)
 	}
 }

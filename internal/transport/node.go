@@ -10,28 +10,23 @@ import (
 )
 
 // Node wraps an Endpoint with the message discipline every live PROP peer
-// needs: a pump goroutine that answers pings and dispatches inbound
-// traffic, and request/response calls with per-attempt deadlines, bounded
-// retransmission with exponential back-off, and sequence-number matching
-// that absorbs duplicate and stale replies.
+// needs: a receiver that answers pings and dispatches inbound traffic, and
+// request/response calls with per-attempt deadlines, bounded retransmission
+// with exponential back-off, and sequence-number matching that absorbs
+// duplicate and stale replies.
 type Node struct {
 	ep Endpoint
 
-	// pong is the body of every pong the pump sends. The pump is one
-	// goroutine and Send keeps nothing of its message, so one buffer serves.
-	pong [8]byte
-
-	// mu guards pending and closed, and the pump delivers a reply (Close a
-	// close notice) into a call record while holding it — the recycling
-	// argument of Call rests on that.
+	// mu guards pending, and dispatch hands a reply (Close a close notice)
+	// into a call record while holding it — the recycling argument of Call
+	// rests on that. Nothing holds it while sending.
 	mu      sync.Mutex
 	pending map[uint64]*call
-	closed  bool
+	closed  atomic.Bool // set under mu: no Call registers after it
 	handler atomic.Pointer[func(Inbound)]
 
 	seq  atomic.Uint64
 	once sync.Once
-	wg   sync.WaitGroup
 
 	// The liveness machinery at work: TPing requests issued, call attempts
 	// that expired, retransmissions after a timeout, replies that arrived
@@ -44,38 +39,34 @@ type Node struct {
 	dupReplies   atomic.Uint64
 }
 
-// NewNode starts the pump over ep. Close the node, not the endpoint.
+// NewNode serves ep with the node's receiver. Close the node, not the
+// endpoint.
 func NewNode(ep Endpoint) *Node {
 	n := &Node{
 		ep:      ep,
 		pending: make(map[uint64]*call),
 	}
-	n.wg.Add(1)
-	go n.pump()
+	ep.Serve(n.dispatch)
 	return n
 }
 
-// Handle installs the handler for inbound traffic the pump does not consume
+// Handle installs the handler for inbound traffic the node does not consume
 // itself (everything but TPing and matched replies). The handler runs on
-// the pump goroutine: it must not block, or pings stall — dispatch slow
-// work (anything taking a lock or doing its own calls) to a goroutine. A nil
-// h uninstalls the handler: such traffic is dropped again.
-func (n *Node) Handle(h func(Inbound)) {
-	if h == nil {
-		n.handler.Store(nil)
-		return
-	}
-	n.handler.Store(&h)
-}
+// the sender's goroutine, on many at once: it must not block, or the sender
+// stalls — dispatch slow work (anything taking a lock or doing its own
+// calls) to a goroutine. A nil h uninstalls the handler: such traffic is
+// dropped again.
+func (n *Node) Handle(h func(Inbound)) { n.handler.Store(&h) }
 
 // Send transmits a one-way message (no response matching).
 func (n *Node) Send(to int, m Message) error { return n.ep.Send(to, m) }
 
-// Close stops the pump and fails pending calls. Idempotent.
+// Close fails pending calls and closes the endpoint; a delivery that
+// races it is dropped. Idempotent.
 func (n *Node) Close() {
 	n.once.Do(func() {
 		n.mu.Lock()
-		n.closed = true
+		n.closed.Store(true)
 		for _, c := range n.pending {
 			select {
 			case c.ch <- Inbound{}: // the close notice: no wire message has type 0
@@ -85,49 +76,54 @@ func (n *Node) Close() {
 		n.mu.Unlock()
 		n.ep.Close()
 	})
-	n.wg.Wait()
 }
 
-// pump is the node's receive loop. Its only lock is the reply match: pings
-// are answered and handler traffic dispatched without one.
-func (n *Node) pump() {
-	defer n.wg.Done()
-	for in := range n.ep.Recv() {
-		switch in.Msg.Type {
-		case TPing:
-			// Echo Seq/Key/Epoch; the body carries the observed one-way
-			// delay so the origin can sum a virtual RTT without sleeping.
-			pong := Message{
-				Type:  TPong,
-				Seq:   in.Msg.Seq,
-				Key:   in.Msg.Key,
-				Epoch: in.Msg.Epoch,
-				Body:  putDelay(n.pong[:], in.DelayMS),
+// delays recycles pong bodies: dispatch runs on many goroutines at once,
+// and a buffer on its stack would escape through Endpoint.Send.
+var delays = sync.Pool{New: func() any { return new([8]byte) }}
+
+// dispatch is the node's receiver: the endpoint calls it on the sender's
+// goroutine. Its only lock is the reply match: pings are answered and
+// handler traffic dispatched without one.
+func (n *Node) dispatch(in Inbound) {
+	if n.closed.Load() {
+		return
+	}
+	switch in.Msg.Type {
+	case TPing:
+		// Echo Seq/Key/Epoch; the body carries the observed one-way
+		// delay so the origin can sum a virtual RTT without sleeping.
+		b := delays.Get().(*[8]byte)
+		_ = n.ep.Send(in.Msg.Src, Message{
+			Type:  TPong,
+			Seq:   in.Msg.Seq,
+			Key:   in.Msg.Key,
+			Epoch: in.Msg.Epoch,
+			Body:  putDelay(b[:], in.DelayMS),
+		})
+		delays.Put(b)
+	case TPong, TWalkReply, TMeasureReply:
+		// Hand over under n.mu — Call's recycling relies on it. The send
+		// never blocks: room for one reply, a second is a duplicate.
+		n.mu.Lock()
+		if c := n.pending[in.Msg.Seq]; c == nil {
+			n.staleReplies.Add(1)
+		} else {
+			select {
+			case c.ch <- in:
+			default:
+				n.dupReplies.Add(1)
 			}
-			_ = n.ep.Send(in.Msg.Src, pong)
-		case TPong, TWalkReply, TMeasureReply:
-			// Deliver under n.mu — Call's recycling relies on it. The send
-			// never blocks: room for one reply, a second is a duplicate.
-			n.mu.Lock()
-			if c := n.pending[in.Msg.Seq]; c == nil {
-				n.staleReplies.Add(1)
-			} else {
-				select {
-				case c.ch <- in:
-				default:
-					n.dupReplies.Add(1)
-				}
-			}
-			n.mu.Unlock()
-		default:
-			if h := n.handler.Load(); h != nil {
-				(*h)(in)
-			}
+		}
+		n.mu.Unlock()
+	default:
+		if h := n.handler.Load(); h != nil && *h != nil {
+			(*h)(in)
 		}
 	}
 }
 
-// call is the record of one in-flight Call: the channel the pump hands the
+// call is the record of one in-flight Call: the channel dispatch hands the
 // reply to and the timer of the current attempt. Records are recycled
 // through calls; one at rest there has an empty channel and a stopped timer
 // with a drained channel, which is the state Timer.Reset requires.
@@ -144,15 +140,29 @@ var calls = sync.Pool{New: func() any {
 	return &call{ch: make(chan Inbound, 1), timer: t}
 }}
 
-// disarm stops the timer of an attempt that ended before its deadline was
-// received. The timer was Reset in this attempt and its channel has not been
-// read since, so a false Stop means it fired and the tick is, or is about to
-// be, in the channel: the blocking receive takes it under the asynchronous
-// timer channels the go 1.22 modules build with, and under Go 1.23's
-// synchronous ones Stop returns true here and discards the tick itself.
-func (c *call) disarm() {
-	if !c.timer.Stop() {
-		<-c.timer.C
+// await returns the attempt's reply, or false once deadline d passed
+// without one. A reply already in the record — the loopback answers a
+// loss-free call inside Send — returns at once, no timer armed.
+func (c *call) await(d time.Duration) (Inbound, bool) {
+	select {
+	case in := <-c.ch:
+		return in, true
+	default:
+	}
+	c.timer.Reset(d)
+	select {
+	case in := <-c.ch:
+		// The timer was Reset in this attempt and its channel not read
+		// since, so a false Stop means it fired and the tick is, or is about
+		// to be, in the channel: the receive takes it under the asynchronous
+		// timer channels the go 1.22 modules build with; under Go 1.23's
+		// synchronous ones Stop returns true and discards the tick itself.
+		if !c.timer.Stop() {
+			<-c.timer.C
+		}
+		return in, true
+	case <-c.timer.C:
+		return Inbound{}, false
 	}
 }
 
@@ -163,7 +173,7 @@ func (c *call) disarm() {
 // earlier attempt still completes the call — and replies arriving after
 // completion are absorbed as stale.
 //
-// The call's record is pooled. Recycling it relies on the pump delivering
+// The call's record is pooled. Recycling it relies on dispatch handing over
 // under n.mu and finish deleting under n.mu: after the delete no reply can
 // reach the record (DESIGN.md §10 "Transport locking").
 func (n *Node) Call(to int, m Message, timeout time.Duration, retries int) (Inbound, error) {
@@ -174,7 +184,7 @@ func (n *Node) Call(to int, m Message, timeout time.Duration, retries int) (Inbo
 	m.Seq = seq
 	c := calls.Get().(*call)
 	n.mu.Lock()
-	if n.closed {
+	if n.closed.Load() {
 		n.mu.Unlock()
 		calls.Put(c)
 		return Inbound{}, fmt.Errorf("transport: node %d closed before call to %d", n.ep.Host(), to)
@@ -188,29 +198,25 @@ func (n *Node) Call(to int, m Message, timeout time.Duration, retries int) (Inbo
 		if err := n.ep.Send(to, m); err != nil {
 			return Inbound{}, err
 		}
-		c.timer.Reset(deadline)
-		select {
-		case in := <-c.ch:
-			c.disarm()
+		if in, ok := c.await(deadline); ok {
 			if in.Msg.Type == 0 {
 				return Inbound{}, fmt.Errorf("transport: node %d closed during call to %d", n.ep.Host(), to)
 			}
 			return in, nil
-		case <-c.timer.C:
-			n.timeouts.Add(1)
-			if attempt >= retries {
-				return Inbound{}, fmt.Errorf("transport: call %d→%d type %d timed out after %d attempts",
-					n.ep.Host(), to, m.Type, attempt+1)
-			}
-			n.retries.Add(1)
-			deadline *= 2
 		}
+		n.timeouts.Add(1)
+		if attempt >= retries {
+			return Inbound{}, fmt.Errorf("transport: call %d→%d type %d timed out after %d attempts",
+				n.ep.Host(), to, m.Type, attempt+1)
+		}
+		n.retries.Add(1)
+		deadline *= 2
 	}
 }
 
-// finish retires the record of a returning Call. Every path of Call leaves
-// the timer stopped and drained; the reply channel is drained here, after
-// the delete that cuts the record off from the pump.
+// finish retires the record of a returning Call. await leaves the timer
+// stopped and drained; the reply channel is drained here, after
+// the delete that cuts the record off from dispatch.
 func (n *Node) finish(seq uint64, c *call) {
 	n.mu.Lock()
 	delete(n.pending, seq)

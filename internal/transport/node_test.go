@@ -9,14 +9,56 @@ import (
 	"repro/internal/faults"
 )
 
+// lateEndpoint hands every delivery to its receiver late, in arrival order,
+// from a goroutine of its own: the asynchronous network the loopback, which
+// delivers by call, is not.
+type lateEndpoint struct {
+	Endpoint
+	q    chan Inbound
+	done chan struct{}
+	once sync.Once
+}
+
+// late decorates ep. Its queue holds 1024 deliveries, far more than the
+// test's 8 callers and their retransmissions' duplicated pongs keep in
+// flight, so a delivery rarely waits for room.
+func late(ep Endpoint) *lateEndpoint {
+	return &lateEndpoint{Endpoint: ep, q: make(chan Inbound, 1024), done: make(chan struct{})}
+}
+
+func (e *lateEndpoint) Serve(f func(Inbound)) {
+	e.Endpoint.Serve(func(in Inbound) {
+		select {
+		case e.q <- in:
+		case <-e.done:
+		}
+	})
+	go func() {
+		for {
+			select {
+			case in := <-e.q:
+				f(in)
+			case <-e.done:
+				return
+			}
+		}
+	}()
+}
+
+func (e *lateEndpoint) Close() error {
+	e.once.Do(func() { close(e.done) })
+	return e.Endpoint.Close()
+}
+
 // TestCallRecordRecyclingIsolatesCalls hammers the pooled call records with
 // the traffic that could leak between them: every pong is duplicated half
-// the time, and the first-attempt deadline is far below a round trip, so
-// most calls retransmit and their earlier attempts' replies arrive late —
-// while the record they were addressed to is being retired or already
-// serves another goroutine's call. Every request carries a unique Key, which
-// the pong echoes: a reply that reached a recycled record shows up as a
-// foreign key or a sequence number out of the caller's own order.
+// the time, the caller's replies reach it late, from a goroutine of their
+// own, and the first-attempt deadline is far below that hand-off, so most
+// calls retransmit and their earlier attempts' replies arrive late — while
+// the record they were addressed to is being retired or already serves
+// another goroutine's call. Every request carries a unique Key, which the
+// pong echoes: a reply that reached a recycled record shows up as a foreign
+// key or a sequence number out of the caller's own order.
 func TestCallRecordRecyclingIsolatesCalls(t *testing.T) {
 	inj, err := faults.NewInjector(faults.Config{Seed: 0xCA11, DupProb: 0.5, JitterMS: 3})
 	if err != nil {
@@ -25,7 +67,7 @@ func TestCallRecordRecyclingIsolatesCalls(t *testing.T) {
 	lb := NewLoopback(LoopbackConfig{DelayMS: halfLat, Faults: inj})
 	epA, _ := lb.Open(1)
 	epB, _ := lb.Open(2)
-	a, b := NewNode(epA), NewNode(epB)
+	a, b := NewNode(late(epA)), NewNode(epB)
 	defer a.Close()
 	defer b.Close()
 
@@ -78,7 +120,7 @@ func TestCallRecordRecyclingIsolatesCalls(t *testing.T) {
 }
 
 // TestHandleNilDropsTraffic pins that Handle(nil) uninstalls the handler
-// instead of leaving the pump a nil function to call.
+// instead of leaving dispatch a nil function to call.
 func TestHandleNilDropsTraffic(t *testing.T) {
 	lb := NewLoopback(LoopbackConfig{DelayMS: halfLat})
 	epA, _ := lb.Open(1)
@@ -90,11 +132,11 @@ func TestHandleNilDropsTraffic(t *testing.T) {
 	got := make(chan Inbound, 1)
 	b.Handle(func(in Inbound) { got <- in })
 	b.Handle(nil)
+	// The loopback delivers by call: once Send returns, b has been
+	// through the walk.
 	if err := a.Send(2, Message{Type: TWalk}); err != nil {
 		t.Fatal(err)
 	}
-	// The pump is one goroutine: once it has answered the ping it has
-	// already been through the walk.
 	if _, err := a.Ping(2, time.Second, 0); err != nil {
 		t.Fatalf("ping after a handler-less walk: %v", err)
 	}
@@ -140,10 +182,9 @@ func TestPingRejectsNonFiniteRTT(t *testing.T) {
 	defer a.Close()
 	defer raw.Close()
 	for _, body := range [][]byte{append([]byte{1}, putDelay(make([]byte, 8), 2)...), {}} {
-		go func() {
-			in := <-raw.Recv()
+		raw.Serve(func(in Inbound) {
 			_ = raw.Send(1, Message{Type: TPong, Seq: in.Msg.Seq, Body: body})
-		}()
+		})
 		if rtt, err := a.Ping(2, time.Second, 0); err == nil {
 			t.Errorf("pong body %x: Ping returned RTT %v, want an error", body, rtt)
 		}
@@ -192,5 +233,59 @@ func TestCloseFailsCallsInFlight(t *testing.T) {
 	}
 	if _, err := a.Call(2, Message{Type: TPing}, time.Hour, 0); err == nil {
 		t.Fatal("a call after Close succeeded")
+	}
+}
+
+// TestDeliveryHoldsNoNetworkLock: a pong is sent from inside the ping's
+// delivery, so a delivery must not hold Loopback.mu's read side — a nested
+// RLock deadlocks as soon as an Open or a close waits on the write side
+// between the ping's lookup and the pong's. Pings run while another host
+// opens and closes in a loop.
+func TestDeliveryHoldsNoNetworkLock(t *testing.T) {
+	lb := NewLoopback(LoopbackConfig{})
+	epA, _ := lb.Open(1)
+	epB, _ := lb.Open(2)
+	a, b := NewNode(epA), NewNode(epB)
+
+	stop, churned := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(churned)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ep, err := lb.Open(3)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ep.Close()
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 5000; i++ {
+			if _, err := a.Ping(2, time.Second, 0); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		close(stop)
+		<-churned
+		a.Close()
+		b.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		// Deadlocked goroutines cannot be stopped, nor the nodes closed:
+		// fail without waiting.
+		t.Fatal("pings stalled while a host opened and closed: a delivery holds the network lock")
 	}
 }

@@ -1,7 +1,7 @@
 // Package transport is the messaging layer of the live PROP runtime: a
-// small datagram abstraction with a binary wire codec, per-endpoint receive
-// queues, request/response calls with deadlines and bounded retransmission,
-// and per-link fault hooks.
+// small datagram abstraction with a binary wire codec, delivery by a call
+// of the receiver's function, request/response calls with deadlines and
+// bounded retransmission, and per-link fault hooks.
 //
 // Loopback is the one network: an in-process transport whose deliveries
 // are instantaneous but carry a *virtual* one-way delay (the sim's latency
@@ -18,21 +18,22 @@
 // identifiers are the addresses.
 //
 // Each delivery failure is counted in one place, LoopbackStats: fault-gate
-// drops, mailbox overflows, sends to absent hosts.
+// drops and sends to absent, closed or unserved hosts.
 //
 // The per-message paths recycle their frames and call records and share no
 // exclusive lock between senders; DESIGN.md §10 "Transport locking" states
 // which lock guards what and why a retired call record is safe to reuse.
 //
 // Key types: Message and its codec (Encode/Decode), Endpoint/Network,
-// Loopback, and Node (the message pump with Ping/Call). See DESIGN.md §10.
+// Loopback, and Node (the receiver that answers pings, with Ping/Call). See
+// DESIGN.md §10.
 package transport
 
 // Type discriminates wire messages.
 type Type uint8
 
 const (
-	// TPing requests an echo; the pump answers it with a TPong carrying the
+	// TPing requests an echo; a Node answers it with a TPong carrying the
 	// observed one-way delay so virtual RTTs can be summed without sleeping.
 	TPing Type = 1 + iota
 	// TPong answers a TPing, echoing its Seq/Key/Epoch.
@@ -94,9 +95,9 @@ type Inbound struct {
 	DelayMS float64
 }
 
-// Endpoint is one host's attachment to a network. Send never blocks on the
-// receiver; Recv is a channel closed by Close. Implementations are safe for
-// concurrent use.
+// Endpoint is one host's attachment to a network. A delivery is a call of
+// the receiving endpoint's Serve function, made on the sending goroutine
+// before Send returns. Implementations are safe for concurrent use.
 type Endpoint interface {
 	// Host returns the host ID this endpoint answers for.
 	Host() int
@@ -105,10 +106,12 @@ type Endpoint interface {
 	// closed local endpoint errors. The endpoint must not
 	// keep m, its Path or its Body after Send returns: callers reuse them.
 	Send(to int, m Message) error
-	// Recv returns the delivery channel. It is closed when the endpoint
-	// closes.
-	Recv() <-chan Inbound
-	// Close detaches the endpoint and closes its Recv channel.
+	// Serve installs f as the receiver of every later delivery; nil
+	// uninstalls it. f runs on the senders' goroutines, on many at once, and
+	// must neither block nor take a lock a sender may hold across Send.
+	// A delivery with no receiver vanishes, like one to an absent host.
+	Serve(f func(Inbound))
+	// Close detaches the endpoint: later deliveries to it vanish.
 	Close() error
 }
 
