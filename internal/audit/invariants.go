@@ -1,5 +1,5 @@
 // Invariant constructors over the shared overlay model. DHT-specific
-// invariants (Chord ring order, CAN tiling, Pastry/Kademlia table
+// invariants (Chord ring order, CAN tiling, Kademlia bucket
 // well-formedness) live as CheckInvariants methods in their own packages —
 // this package must not import them, because their tests import this
 // package — and are adapted via Check.

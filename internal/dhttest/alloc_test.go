@@ -12,11 +12,10 @@ import (
 	"repro/internal/chord"
 	"repro/internal/kademlia"
 	"repro/internal/overlay"
-	"repro/internal/pastry"
 	"repro/internal/rng"
 )
 
-// TestWarmLookupAllocationFree: a Chord, Pastry or Kademlia lookup runs
+// TestWarmLookupAllocationFree: a Chord or Kademlia lookup runs
 // overlay.Route with a stack closure over its next-hop rule and returns the
 // result by value, so a warm lookup allocates nothing.
 func TestWarmLookupAllocationFree(t *testing.T) {
@@ -33,15 +32,11 @@ func TestWarmLookupAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mesh, err := pastry.Build(hosts, pastry.Config{}, lat, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	net, err := kademlia.Build(hosts, kademlia.Config{}, lat, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, d := range map[string]looker{"chord": ring, "pastry": mesh, "kademlia": net} {
+	for name, d := range map[string]looker{"chord": ring, "kademlia": net} {
 		r := rng.New(4)
 		hops := 0
 		allocs := testing.AllocsPerRun(100, func() {

@@ -7,18 +7,17 @@ import (
 	"repro/internal/kademlia"
 	"repro/internal/netsim"
 	"repro/internal/overlay"
-	"repro/internal/pastry"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
 // The combination studies (§1, §6: PROP-G "combined with other recent
-// approaches"): every DHT geometry — ring (Chord), torus (CAN), prefix tree
-// (Pastry), XOR metric (Kademlia) — runs the same 2×2 of {plain, its own
-// proximity method} × {no PROP, PROP-G to the horizon}. Pastry natively
-// implements proximity neighbor selection and Kademlia's k-buckets give it
-// maximal freedom, which makes them the sharpest tests of the claim that
-// PROP-G composes with — rather than replaces — protocol-specific methods.
+// approaches"): both DHT geometries the paper evaluates — ring (Chord) and
+// torus (CAN) — and the XOR metric (Kademlia) run the same 2×2 of {plain,
+// its own proximity method} × {no PROP, PROP-G to the horizon}. Kademlia's
+// k-buckets give proximity selection maximal freedom, which makes it the
+// sharpest test of the claim that PROP-G composes with — rather than
+// replaces — protocol-specific methods.
 
 // study is one substrate of a combination study. build constructs n nodes
 // with the proximity method on or off and returns the overlay, the table
@@ -51,19 +50,6 @@ var (
 			})
 		}, nil
 	}}
-	// pastryStudy: native proximity routing tables, re-picked after the
-	// exchanges (a no-op for plain tables).
-	pastryStudy = study{"Pastry", func(e *env, n, count int, prox bool) (*overlay.Overlay, func(), func() float64, error) {
-		mesh, err := pastry.Build(e.net.PickHosts(n, e.r), pastry.Config{Proximity: prox}, e.oracle.Latency, e.r)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return mesh.O, mesh.Refresh, func() float64 {
-			return e.drawnStretch(mesh.O, count, func(src int, r *rng.Rand) (overlay.LookupResult, error) {
-				return mesh.Lookup(src, chord.RandomKey(r), nil)
-			})
-		}, nil
-	}}
 	// kademliaStudy: proximity k-buckets.
 	kademliaStudy = study{"Kademlia", func(e *env, n, count int, prox bool) (*overlay.Overlay, func(), func() float64, error) {
 		net, err := kademlia.Build(e.net.PickHosts(n, e.r), kademlia.Config{Proximity: prox}, e.oracle.Latency, e.r)
@@ -80,12 +66,12 @@ var (
 
 // proximityTrial runs the 2×2 of every study, one stretch series per study
 // at x = 0..3 (plain, proximity only, PROP-G only, both). Chord and CAN
-// draw their hosts from one world in that order; Pastry and Kademlia each
-// start from a fresh one.
+// draw their hosts from one world in that order; Kademlia starts from a
+// fresh one.
 func proximityTrial(c *trialCtx) ([]stats.Series, error) {
 	n, count := scaled(1000, c.Scale, 100), scaled(paperLookups, c.Scale, 100)
 	var out []stats.Series
-	for _, studies := range [][]study{{chordStudy, canStudy}, {pastryStudy}, {kademliaStudy}} {
+	for _, studies := range [][]study{{chordStudy, canStudy}, {kademliaStudy}} {
 		e, err := newEnv(netsim.TSLarge(), c.world)
 		if err != nil {
 			return nil, err

@@ -242,11 +242,11 @@ var table = []spec{
 			"expected shape: on both substrates the probe rate spikes inside the window and decays after, and stretch bumps then recovers; every sampled Chord lookup reaches its owner"},
 		uses: useALMode, alSeries: "churn/al_ms",
 		trial: churnTrial},
-	{id: "proximity", describe: "§1/§6: PROP-G combined with the proximity method of Chord (PNS), CAN (PIS), Pastry and Kademlia",
+	{id: "proximity", describe: "§1/§6: PROP-G combined with the proximity method of Chord (PNS), CAN (PIS) and Kademlia",
 		title:  "PROP-G combined with each DHT's proximity method (final routing stretch after optimization)",
 		xLabel: "method", yLabel: "stretch",
 		notes: []string{
-			"method index: 0=plain, 1=proximity only (Chord PNS, CAN PIS, Pastry proximity tables, Kademlia proximity k-buckets), 2=PROP-G only, 3=proximity + PROP-G",
+			"method index: 0=plain, 1=proximity only (Chord PNS, CAN PIS, Kademlia proximity k-buckets), 2=PROP-G only, 3=proximity + PROP-G",
 			"expected shape: PROP-G alone and the combination beat plain on every DHT; the combination is never materially worse than proximity alone",
 		},
 		trial: proximityTrial},
@@ -292,14 +292,6 @@ var table = []spec{
 		},
 		notes: []string{"each SAT-Match relocation also re-assigns keyspace ownership (data movement); a PROP-G swap moves only the two peers' stored keys"},
 		trial: satMatchTrial},
-	{id: "replication", describe: "extension: first-replica search latency vs replication factor, before/after PROP-G",
-		title:  "First-replica flooding search latency vs replication factor",
-		xLabel: "replicas per item", yLabel: "mean search latency (ms) | PROP-G ratio",
-		notes: []string{
-			"items live on machines (Zipf s=0.8 popularity); any replica satisfies a query",
-			"expected: latency falls with replication for both overlays; PROP-G's ~30% relative gain holds across the sweep — location-awareness composes with replication rather than being replaced by it",
-		},
-		trial: replicationTrial},
 	{id: "figR", describe: "robustness: PROP-G/PROP-O final stretch vs message-loss rate, and PROP-G under crash-stop churn with repair rounds and audit",
 		title:  "Robustness to message loss and crash-stop churn: final stretch vs fault rate",
 		xLabel: "fault rate (%)", yLabel: "stretch | corpses repaired",
@@ -435,8 +427,8 @@ type trialCtx struct {
 
 // subSeed derives the k-th protocol stream of block base in this trial.
 // The blocks (1000 for the Fig. 5/6 curves, 2000–4000 for the sweeps,
-// 5000 and 8000/9000 for satmatch and replication) keep every stream
-// distinct across rows, trials and variants.
+// 5000 for satmatch) keep every stream distinct across rows, trials and
+// variants.
 func (c *trialCtx) subSeed(base, k int) uint64 { return trialSeed(c.Seed, base+c.index*100+k) }
 
 // optionSet is a set of the optional Options fields — the knobs only some

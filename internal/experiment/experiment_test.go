@@ -14,7 +14,7 @@ func TestRegistry(t *testing.T) {
 	want := []string{
 		"ablation", "churn", "fig5a", "fig5a-scale", "fig5b", "fig5c", "fig6a", "fig6b", "fig6c",
 		"fig7", "figR", "figR-scale", "figRc", "inflight", "noise", "overhead",
-		"proximity", "replication", "satmatch", "traffic",
+		"proximity", "satmatch", "traffic",
 	}
 	if len(ids) != len(want) {
 		t.Fatalf("IDs = %v", ids)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/chord"
-	"repro/internal/content"
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/gnutella"
@@ -220,49 +219,6 @@ func trafficTrial(c *trialCtx) ([]stats.Series, error) {
 	}
 	record(3, oc)
 	return []stats.Series{msgs, traffic, reached}, nil
-}
-
-// replicationTrial grounds the paper's file-sharing motivation: Gnutella
-// queries are satisfied by ANY replica of an item, so the benefit of
-// location-aware topology should interact with replication — when popular
-// items are everywhere, a nearby copy exists regardless of the overlay
-// layout, and the optimizer's headroom shrinks. We sweep the replication
-// factor and measure first-replica flooding latency on the same catalog
-// before and after PROP-G.
-func replicationTrial(c *trialCtx) ([]stats.Series, error) {
-	e, base, err := c.gnutellaWorld("")
-	if err != nil {
-		return nil, err
-	}
-	// Optimize a clone once; catalogs are host-addressed so the same
-	// placement serves both overlays.
-	optimized := base.Clone()
-	if _, err := runPROP(optimized, core.DefaultConfig(core.PROPG), e.r.Split(), horizonMS); err != nil {
-		return nil, err
-	}
-	queries := scaled(paperLookups, c.Scale, 100)
-	plain := stats.Series{Label: "unoptimized (ms)"}
-	prop := stats.Series{Label: "PROP-G (ms)"}
-	ratio := stats.Series{Label: "PROP-G/unoptimized"}
-	for vi, reps := range []int{1, 2, 4, 8, 16} {
-		cfg := content.DefaultConfig()
-		cfg.Replicas = reps
-		cfg.Items = scaled(500, c.Scale, 50)
-		catalog, err := content.Place(base, cfg, rng.New(c.subSeed(8000, vi)))
-		if err != nil {
-			return nil, err
-		}
-		mBase, f1 := catalog.MeanSearchLatency(base, queries, nil, rng.New(c.subSeed(9000, vi)))
-		mProp, f2 := catalog.MeanSearchLatency(optimized, queries, nil, rng.New(c.subSeed(9000, vi)))
-		if f1 > 0 || f2 > 0 {
-			return nil, fmt.Errorf("replication: %d/%d failed searches", f1, f2)
-		}
-		x := float64(reps)
-		plain.Add(x, mBase)
-		prop.Add(x, mProp)
-		ratio.Add(x, mProp/mBase)
-	}
-	return []stats.Series{plain, prop, ratio}, nil
 }
 
 // inflightTrial verifies §3.2's correctness mechanism at message

@@ -165,7 +165,6 @@ var folded = []struct {
 	{"figRb", "figR", []string{"crash: PROP-G stretch", "crash: corpses repaired"}, "figR/crash/"},
 	{"kademlia", "proximity", []string{"Kademlia"}, ""},
 	{"minvar", "ablation", []string{"minvar: final mean link latency (ms)", "minvar: exchanges executed"}, ""},
-	{"pastry", "proximity", []string{"Pastry"}, ""},
 	{"warmup", "ablation", []string{"warmup: final mean link latency (ms)", "warmup: probes per node"}, ""},
 }
 
@@ -222,7 +221,7 @@ func seriesDigest(ss []stats.Series) []byte {
 // TestFigRMetricsByteDeterminism and TestFig5aScaleStreamDeterministic.
 var seedProbes = map[string]bool{
 	"fig5c": true, "fig7": true, "overhead": true, "churn": true, "proximity": true,
-	"traffic": true, "ablation": true, "inflight": true, "satmatch": true, "replication": true,
+	"traffic": true, "ablation": true, "inflight": true, "satmatch": true,
 }
 
 // TestExperimentsDeterministic is the determinism regression: every
@@ -541,12 +540,12 @@ func TestComboShape(t *testing.T) {
 	}
 }
 
-// proximityShape is the Pastry/Kademlia combination shape of proximity's
-// series label: proximity and PROP-G each beat plain, and the combination
-// — which re-picks the same tables after the exchanges — is not
-// materially worse than proximity alone.
-func proximityShape(t *testing.T, label string) {
-	s := golden(t, "proximity").series(t, label)
+// TestKademliaExperimentShape is the Kademlia combination shape of
+// proximity's Kademlia series: proximity k-buckets and PROP-G each beat
+// plain, and the combination — which re-picks the same buckets after the
+// exchanges — is not materially worse than proximity alone.
+func TestKademliaExperimentShape(t *testing.T) {
+	s := golden(t, "proximity").series(t, "Kademlia")
 	if len(s.X) != 4 {
 		t.Fatalf("series shape wrong: %+v", s)
 	}
@@ -558,9 +557,6 @@ func proximityShape(t *testing.T, label string) {
 		t.Errorf("combined %.2f materially worse than proximity %.2f", combined, prox)
 	}
 }
-
-func TestPastryExperimentShape(t *testing.T)   { proximityShape(t, "Pastry") }
-func TestKademliaExperimentShape(t *testing.T) { proximityShape(t, "Kademlia") }
 
 func TestWarmupAblationShape(t *testing.T) {
 	g := golden(t, "ablation")
@@ -641,24 +637,6 @@ func TestTrafficShape(t *testing.T) {
 	for _, idx := range []float64{1, 2} {
 		if traffic.YAt(idx) >= traffic.YAt(0) {
 			t.Errorf("variant %v did not reduce ms-traffic: %.0f vs %.0f", idx, traffic.YAt(idx), traffic.YAt(0))
-		}
-	}
-}
-
-func TestReplicationShape(t *testing.T) {
-	g := golden(t, "replication")
-	plain, prop, ratio := g.series(t, "unoptimized (ms)"), g.series(t, "PROP-G (ms)"), g.series(t, "PROP-G/unoptimized")
-	if len(plain.X) != 5 || len(prop.X) != 5 || len(ratio.X) != 5 {
-		t.Fatalf("series shapes: %d/%d/%d", len(plain.X), len(prop.X), len(ratio.X))
-	}
-	// More replicas ⇒ cheaper search, end to end, on both overlays.
-	if final(plain) >= plain.Y[0] || final(prop) >= prop.Y[0] {
-		t.Errorf("search not improving with replication: %v / %v", plain.Y, prop.Y)
-	}
-	// PROP-G helps at every replication factor.
-	for i := range ratio.Y {
-		if ratio.Y[i] >= 1 {
-			t.Errorf("PROP-G not helping at %v replicas: ratio %.3f", ratio.X[i], ratio.Y[i])
 		}
 	}
 }

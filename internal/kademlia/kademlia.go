@@ -1,8 +1,7 @@
 // Package kademlia implements the Kademlia distributed hash table
 // (Maymounkov & Mazières, IPTPS '02) over the slot/host overlay model —
-// the fourth structured substrate of the reproduction, with a routing
-// geometry unlike Chord's ring, CAN's torus, or Pastry's prefix tree: the
-// XOR metric.
+// the third structured substrate of the reproduction, with a routing
+// geometry unlike Chord's ring or CAN's torus: the XOR metric.
 //
 // Kademlia matters to the paper's argument because its k-buckets hold *any*
 // k contacts from each XOR subtree — the loosest routing-table constraint

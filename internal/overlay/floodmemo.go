@@ -225,7 +225,7 @@ func (m *FloodMemo) certify(moved int) {
 func (m *FloodMemo) runRows() {
 	s := m.o.floodGet()
 	for r := int(m.next.Add(1)) - 1; r < len(m.moved); r = int(m.next.Add(1)) - 1 {
-		m.o.floodRun(int(m.moved[r]), nil, s)
+		m.o.floodRun(int(m.moved[r]), -1, nil, s)
 		m.fold.Lock()
 		m.lower(s.dist)
 		m.fold.Unlock()

@@ -116,9 +116,6 @@ func (o *Overlay) rebuildFloodView(want uint64) {
 type floodScratch struct {
 	dist, distB []float64
 	q, qB       graph.RadixQueue
-	// mark is a slot set: the stop targets of a flood. Whoever sets a bit
-	// clears it before floodPut, so pooled scratch is always all-false.
-	mark []bool
 }
 
 // floodPool hands out scratch sized to at least n slots.
@@ -133,22 +130,19 @@ func (o *Overlay) floodGet() *floodScratch {
 		s.distB = make([]float64, n)
 		s.q.Grow(n)
 		s.qB.Grow(n)
-		s.mark = make([]bool, n)
 	}
 	s.dist = s.dist[:n]
 	s.distB = s.distB[:n]
-	s.mark = s.mark[:n]
 	return s
 }
 
 func (o *Overlay) floodPut(s *floodScratch) { o.floodPool.Put(s) }
 
 // floodRun settles slots in nondecreasing first-arrival order from src over
-// the flood view. It stops at the first settled slot marked in s.mark and
-// returns its arrival time; with no slot marked it computes the full arrival
-// vector into s.dist and returns +Inf. Dead slots and unreachable slots keep
-// +Inf. The loop makes no call but proc: adjacency, liveness and latency all
-// come from the view.
+// the flood view. It stops when dst settles and returns its arrival time;
+// with dst = -1 it computes the full arrival vector into s.dist and returns
+// +Inf. Dead slots and unreachable slots keep +Inf. The loop makes no call
+// but proc: adjacency, liveness and latency all come from the view.
 //
 // Precondition: arc latencies and processing delays are non-negative or +Inf,
 // never NaN, so pops are monotone, which the queue relies on. No result
@@ -157,11 +151,11 @@ func (o *Overlay) floodPut(s *floodScratch) { o.floodPool.Put(s) }
 // fl(fl(fl(0+w₁)+p₁)+w₂)…, and because rounding is monotone (a ≤ b ⇒
 // fl(a+w) ≤ fl(b+w)) and no term is negative, a slot still queued when u
 // settles can offer u nothing below dist[u] — u holds that minimum whichever
-// tie went first. The early exit returns the least arrival among the marked
-// slots for the same reason, and floodRun hands out no predecessors.
-func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch) float64 {
+// tie went first. The early exit at dst returns that minimum for the same
+// reason, and floodRun hands out no predecessors.
+func (o *Overlay) floodRun(src, dst int, proc ProcDelayFunc, s *floodScratch) float64 {
 	off, nbr, w := o.floodArcs()
-	dist, stop, q := s.dist, s.mark, &s.q
+	dist, q := s.dist, &s.q
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
@@ -170,7 +164,7 @@ func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch) float64
 	q.Push(int32(src), 0)
 	for u, ok := q.Pop(dist); ok; u, ok = q.Pop(dist) {
 		du := dist[u]
-		if stop[u] {
+		if int(u) == dst {
 			return du
 		}
 		nbs := nbr[off[u]:off[u+1]]
@@ -189,10 +183,10 @@ func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch) float64
 	return math.Inf(1)
 }
 
-// floodPoint returns what floodRun returns from src with only dst marked, on
-// an order-free view (floodView): it grows one Dijkstra ball forward from src
-// and one backward from dst over the same arcs — they weigh the same both
-// ways — always expanding the side whose last popped arrival is smaller; on a
+// floodPoint returns what floodRun returns from src to dst, on an order-free
+// view (floodView): it grows one Dijkstra ball forward from src and one
+// backward from dst over the same arcs — they weigh the same both ways —
+// always expanding the side whose last popped arrival is smaller; on a
 // hub-rich overlay two balls of half the radius hold far fewer slots than one
 // that reaches dst. mu is the least src→dst sum seen: each improvement of a
 // slot's arrival on one side is added to its arrival on the other. The search
@@ -323,42 +317,7 @@ func (o *Overlay) FloodLatency(src, dst int, proc ProcDelayFunc) float64 {
 		d, _ = s.floodPoint(off, nbr, w, src, dst)
 	} else {
 		// An opaque per-slot delay, or sums that depend on their order.
-		s.mark[dst] = true
-		d = o.floodRun(src, proc, s)
-		s.mark[dst] = false
-	}
-	o.floodPut(s)
-	return d
-}
-
-// FloodLatencyAny returns the first-arrival latency of a flooded query from
-// src to the NEAREST of the dsts — the Gnutella file-search semantics,
-// where any replica of the requested item satisfies the query. It returns
-// +Inf when no destination is reachable (or the list is empty). A live src
-// that is itself a destination costs 0.
-func (o *Overlay) FloodLatencyAny(src int, dsts []int, proc ProcDelayFunc) float64 {
-	if !o.Alive(src) || len(dsts) == 0 {
-		return math.Inf(1)
-	}
-	s := o.floodGet()
-	live := false
-	for _, t := range dsts {
-		if o.Alive(t) {
-			s.mark[t] = true
-			live = true
-		}
-	}
-	d := math.Inf(1)
-	switch {
-	case s.mark[src]:
-		d = 0
-	case live:
-		d = o.floodRun(src, proc, s)
-	}
-	for _, t := range dsts {
-		if o.Alive(t) {
-			s.mark[t] = false
-		}
+		d = o.floodRun(src, dst, proc, s)
 	}
 	o.floodPut(s)
 	return d
@@ -381,7 +340,7 @@ func (o *Overlay) FloodLatenciesInto(src int, proc ProcDelayFunc, dist []float64
 		return dist
 	}
 	s := o.floodGet()
-	o.floodRun(src, proc, s)
+	o.floodRun(src, -1, proc, s)
 	copy(dist, s.dist)
 	o.floodPut(s)
 	return dist

@@ -14,8 +14,7 @@ import (
 
 // TestFloodQueriesAllocationFree: once the scratch and the view's arrays
 // exist, a flood allocates nothing — not a warm FloodLatency, not the view
-// rebuild a host swap forces on the next flood, not FloodLatencyAny's target
-// set, not a full row. Nor does a fixed batch of 200 mixed queries once it
+// rebuild a host swap forces on the next flood, not a full row. Nor does a fixed batch of 200 mixed queries once it
 // has run: the queue's arena holds a flood's frontier, not its history, so it
 // stops growing once it has held the widest frontier of the batch. The same
 // holds on an order-free overlay, where point queries run floodPoint on the
@@ -23,7 +22,6 @@ import (
 func TestFloodQueriesAllocationFree(t *testing.T) {
 	o := randomFloodOverlay(t, rng.New(9), 128, 256)
 	n := o.NumSlots()
-	dsts := []int{17, 90, 41}
 	row := make([]float64, n)
 	batch := func() {
 		for i := 0; i < 200; i++ {
@@ -32,7 +30,7 @@ func TestFloodQueriesAllocationFree(t *testing.T) {
 			case 0:
 				o.FloodLatency(src, dst, testProc)
 			case 1:
-				o.FloodLatencyAny(src, dsts, nil)
+				o.FloodLatency(src, dst, nil)
 			case 2:
 				o.FloodLatenciesInto(src, testProc, row)
 			case 3:
@@ -52,7 +50,6 @@ func TestFloodQueriesAllocationFree(t *testing.T) {
 	batch() // first build, first scratch, widest frontier
 	pin("warm FloodLatency", func() { o.FloodLatency(3, 77, testProc) })
 	pin("rebuild after SwapHosts", func() { o.SwapHosts(5, 6); o.FloodLatency(3, 77, nil) })
-	pin("FloodLatencyAny", func() { o.FloodLatencyAny(3, dsts, nil) })
 	pin("warm FloodLatenciesInto", func() { o.FloodLatenciesInto(3, testProc, row) })
 	pin("batch of 200 mixed queries", batch)
 

@@ -9,9 +9,9 @@ import (
 // Membership is a substrate's own membership rule: how a host joins, how a
 // slot leaves, and how the survivors recover from crash-stop deaths. PROP
 // only ever swaps hosts between existing slots, so it runs unchanged over
-// any implementation (Theorem 2, §3.2). chord.Ring, pastry.Mesh,
-// kademlia.Net, can.Space and gnutella.Net implement it, and every latency
-// a join or a repair reads comes from the overlay's own LatencyFunc.
+// any implementation (Theorem 2, §3.2). chord.Ring, kademlia.Net,
+// can.Space and gnutella.Net implement it, and every latency a join or a
+// repair reads comes from the overlay's own LatencyFunc.
 //
 // Crash-stop is Crash → Evict → Repair (DESIGN.md §9): Crash kills a slot
 // and leaves every reference to it stale, survivors drop stale references

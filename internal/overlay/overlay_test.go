@@ -671,30 +671,3 @@ func TestFloodLatencyUnreachable(t *testing.T) {
 		t.Fatalf("lookup to dead slot = %v", d)
 	}
 }
-
-func TestFloodLatencyAny(t *testing.T) {
-	o := lineOverlay(t, []int{0, 10, 30, 100})
-	mustEdge(t, o, 0, 1) // 10
-	mustEdge(t, o, 1, 2) // 20
-	mustEdge(t, o, 2, 3) // 70
-	// Nearest of {2,3} from 0 is 2 at 30.
-	if d := o.FloodLatencyAny(0, []int{2, 3}, nil); d != 30 {
-		t.Fatalf("FloodLatencyAny = %v, want 30", d)
-	}
-	// Source among the targets is free.
-	if d := o.FloodLatencyAny(0, []int{3, 0}, nil); d != 0 {
-		t.Fatalf("self-target = %v", d)
-	}
-	// Empty and dead targets.
-	if d := o.FloodLatencyAny(0, nil, nil); !math.IsInf(d, 1) {
-		t.Fatalf("empty targets = %v", d)
-	}
-	o.RemoveSlot(3)
-	if d := o.FloodLatencyAny(0, []int{3}, nil); !math.IsInf(d, 1) {
-		t.Fatalf("dead target = %v", d)
-	}
-	// Must agree with single-target FloodLatency.
-	if a, b := o.FloodLatencyAny(0, []int{2}, nil), o.FloodLatency(0, 2, nil); a != b {
-		t.Fatalf("Any(%v) != single(%v)", a, b)
-	}
-}

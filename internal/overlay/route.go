@@ -8,11 +8,11 @@ import (
 	"repro/internal/rng"
 )
 
-// Routed lookup. Chord, Pastry, Kademlia and CAN route a key the same way:
-// greedily, one next-hop rule applied from the source until the key's
-// owner. They differ only in that rule and in the owner function, and both
-// read identifiers (or zones), never hosts — so a PROP-G exchange, which
-// permutes hosts under fixed identifiers (§4.1), leaves every route intact.
+// Routed lookup. Chord, Kademlia and CAN route a key the same way: greedily,
+// one next-hop rule applied from the source until the key's owner. They
+// differ only in that rule and in the owner function, and all read
+// identifiers (or zones), never hosts — so a PROP-G exchange, which permutes
+// hosts under fixed identifiers (§4.1), leaves every route intact.
 
 // LookupResult describes one routed lookup.
 type LookupResult struct {
@@ -76,7 +76,7 @@ func UniqueID(r *rng.Rand, taken func(id uint32) bool) uint32 {
 }
 
 // SortByID returns the slots 0..len(id)-1 in ascending identifier order: a
-// sorted identifier ring, as Chord and Pastry keep one.
+// sorted identifier ring, as Chord keeps one.
 func SortByID(id []uint32) []int {
 	sorted := make([]int, len(id))
 	for s := range sorted {
