@@ -1,8 +1,7 @@
 // Invariant constructors over the shared overlay model. DHT-specific
-// invariants (Chord ring order, CAN tiling, Kademlia bucket
-// well-formedness) live as CheckInvariants methods in their own packages —
-// this package must not import them, because their tests import this
-// package — and are adapted via Check.
+// invariants (Chord ring order, CAN tiling) live as CheckInvariants methods
+// in their own packages — this package must not import them, because their
+// tests import this package — and are adapted via Check.
 package audit
 
 import (

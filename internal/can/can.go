@@ -19,6 +19,7 @@ package can
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/overlay"
@@ -276,19 +277,20 @@ func axisIntervalDist(t, lo, hi float64) float64 {
 // zone nearest the target (ties to the lowest slot; visited zones are never
 // re-entered). proc, if non-nil, adds per-hop processing delay.
 func (sp *Space) Route(src int, target Point, proc overlay.ProcDelayFunc) (overlay.LookupResult, error) {
-	visited := map[int]bool{src: true}
+	var buf [64]int // greedy routes stay far shorter, so visited lives on the stack
+	visited := append(buf[:0], src)
 	return sp.O.Route(src, sp.ZoneOf(target), len(sp.Zones), func(cur int) int {
 		best, bestD := cur, math.Inf(1)
-		for _, nb := range sp.O.Neighbors(cur) {
-			if visited[nb] || !sp.O.Alive(nb) {
-				continue
+		sp.O.Logical.VisitNeighbors(cur, func(nb int, _ float64) bool {
+			if !sp.O.Alive(nb) || slices.Contains(visited, nb) {
+				return true
 			}
-			d := zonePointDist(sp.Zones[nb], target)
-			if d < bestD || (d == bestD && nb < best) {
+			if d := zonePointDist(sp.Zones[nb], target); d < bestD || (d == bestD && nb < best) {
 				best, bestD = nb, d
 			}
-		}
-		visited[best] = true
+			return true
+		})
+		visited = append(visited, best)
 		return best
 	}, proc)
 }

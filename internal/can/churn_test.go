@@ -75,7 +75,7 @@ func TestLeaveErrors(t *testing.T) {
 }
 
 // (The churn-storm property test formerly here is superseded by the shared
-// ChurnPhase conformance check in internal/dhttest, which all three DHT
+// ChurnPhase conformance check in internal/dhttest, which both DHT
 // suites run through the online auditor.)
 
 func TestZonesNeverOverlapUnderChurn(t *testing.T) {

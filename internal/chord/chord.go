@@ -21,6 +21,8 @@ package chord
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/overlay"
 	"repro/internal/rng"
@@ -78,14 +80,66 @@ func Build(hosts []int, cfg Config, lat overlay.LatencyFunc, r *rng.Rand) (*Ring
 	}
 	ring := &Ring{
 		O:       o,
-		ID:      overlay.UniqueIDs(n, r),
+		ID:      uniqueIDs(n, r),
 		fingers: make([][]int, n),
 		succ:    make([][]int, n),
 		cfg:     cfg,
 	}
-	ring.sorted = overlay.SortByID(ring.ID)
+	ring.sorted = sortByID(ring.ID)
 	ring.rebuildTables()
 	return ring, nil
+}
+
+// uniqueIDs draws n distinct uniform identifiers, one per slot in slot
+// order.
+func uniqueIDs(n int, r *rng.Rand) []uint32 {
+	ids := make([]uint32, n)
+	taken := make(map[uint32]bool, n)
+	for s := range ids {
+		ids[s] = uniqueID(r, func(id uint32) bool { return taken[id] })
+		taken[ids[s]] = true
+	}
+	return ids
+}
+
+// uniqueID draws uniform identifiers from r until taken refuses one, and
+// returns it.
+func uniqueID(r *rng.Rand, taken func(id uint32) bool) uint32 {
+	for {
+		if id := uint32(r.Uint64()); !taken(id) {
+			return id
+		}
+	}
+}
+
+// sortByID returns the slots 0..len(id)-1 in ascending identifier order.
+func sortByID(id []uint32) []int {
+	sorted := make([]int, len(id))
+	for s := range sorted {
+		sorted[s] = s
+	}
+	sort.Slice(sorted, func(i, j int) bool { return id[sorted[i]] < id[sorted[j]] })
+	return sorted
+}
+
+// searchID returns the index in the sorted ring of the first slot whose
+// identifier is >= key, or len(ring.sorted) when there is none.
+func (ring *Ring) searchID(key uint32) int {
+	return sort.Search(len(ring.sorted), func(k int) bool { return ring.ID[ring.sorted[k]] >= key })
+}
+
+// hasID reports whether a slot of the sorted ring has identifier key.
+func (ring *Ring) hasID(key uint32) bool {
+	i := ring.searchID(key)
+	return i < len(ring.sorted) && ring.ID[ring.sorted[i]] == key
+}
+
+// insertByID inserts slot into the sorted ring at its identifier and
+// returns its index there.
+func (ring *Ring) insertByID(slot int) int {
+	i := ring.searchID(ring.ID[slot])
+	ring.sorted = slices.Insert(ring.sorted, i, slot)
+	return i
 }
 
 // rebuildTables recomputes successor lists and finger tables for all slots
@@ -148,7 +202,7 @@ func (ring *Ring) Refresh() {
 // ownerOf returns the slot responsible for id: the first slot whose ID is
 // >= id, wrapping around the ring.
 func (ring *Ring) ownerOf(id uint64) int {
-	i := overlay.SearchID(ring.sorted, ring.ID, uint32(id))
+	i := ring.searchID(uint32(id))
 	if i == len(ring.sorted) {
 		return ring.sorted[0] // wrap
 	}

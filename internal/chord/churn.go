@@ -3,7 +3,6 @@ package chord
 import (
 	"fmt"
 
-	"repro/internal/overlay"
 	"repro/internal/rng"
 )
 
@@ -17,9 +16,7 @@ import (
 // Join implements overlay.Membership: a node joins on host with a fresh
 // uniformly random unique identifier (JoinWithID).
 func (ring *Ring) Join(host int, r *rng.Rand) (int, error) {
-	return ring.JoinWithID(host, overlay.UniqueID(r, func(id uint32) bool {
-		return overlay.HasID(ring.sorted, ring.ID, id)
-	}))
+	return ring.JoinWithID(host, uniqueID(r, ring.hasID))
 }
 
 // JoinWithID adds a node on host with a caller-chosen identifier — the
@@ -29,7 +26,7 @@ func (ring *Ring) Join(host int, r *rng.Rand) (int, error) {
 // wired, and so are the successor lists of the ring neighbors that now
 // include it.
 func (ring *Ring) JoinWithID(host int, id uint32) (int, error) {
-	if overlay.HasID(ring.sorted, ring.ID, id) {
+	if ring.hasID(id) {
 		return -1, fmt.Errorf("chord: identifier %d already in use", id)
 	}
 	slot, err := ring.O.AddSlot(host)
@@ -48,8 +45,7 @@ func (ring *Ring) JoinWithID(host int, id uint32) (int, error) {
 	for len(ring.fingers) <= slot {
 		ring.fingers = append(ring.fingers, nil)
 	}
-	var i int
-	ring.sorted, i = overlay.InsertByID(ring.sorted, ring.ID, slot)
+	i := ring.insertByID(slot)
 
 	// The newcomer's own tables.
 	ring.rebuildNode(slot)
@@ -74,7 +70,7 @@ func (ring *Ring) Leave(slot int, _ *rng.Rand) error {
 		return fmt.Errorf("chord: refusing to shrink below 2 nodes")
 	}
 	// Locate and remove from the sorted ring.
-	i := overlay.SearchID(ring.sorted, ring.ID, ring.ID[slot])
+	i := ring.searchID(ring.ID[slot])
 	if i >= len(ring.sorted) || ring.sorted[i] != slot {
 		return fmt.Errorf("chord: slot %d not in ring order", slot)
 	}
@@ -113,7 +109,7 @@ func (ring *Ring) Leave(slot int, _ *rng.Rand) error {
 // its links into the logical graph.
 func (ring *Ring) rebuildNode(slot int) {
 	n := len(ring.sorted)
-	i := overlay.SearchID(ring.sorted, ring.ID, ring.ID[slot])
+	i := ring.searchID(ring.ID[slot])
 	succ := make([]int, 0, successorListLen)
 	for k := 1; k <= successorListLen && k < n; k++ {
 		succ = append(succ, ring.sorted[(i+k)%n])

@@ -111,7 +111,7 @@ func TestLeaveRefusesTinyRing(t *testing.T) {
 }
 
 // (The churn-storm property test formerly here is superseded by the shared
-// ChurnPhase conformance check in internal/dhttest, which all three DHT
+// ChurnPhase conformance check in internal/dhttest, which both DHT
 // suites run through the online auditor.)
 
 func TestFixFingersAfterSwaps(t *testing.T) {

@@ -9,15 +9,16 @@ package dhttest_test
 import (
 	"testing"
 
+	"repro/internal/can"
 	"repro/internal/chord"
-	"repro/internal/kademlia"
 	"repro/internal/overlay"
 	"repro/internal/rng"
 )
 
-// TestWarmLookupAllocationFree: a Chord or Kademlia lookup runs
-// overlay.Route with a stack closure over its next-hop rule and returns the
-// result by value, so a warm lookup allocates nothing.
+// TestWarmLookupAllocationFree: a Chord lookup or a CAN route runs
+// overlay.Route with a stack closure over its next-hop rule (CAN's visited
+// zones in a stack buffer) and returns the result by value, so a warm
+// lookup allocates nothing.
 func TestWarmLookupAllocationFree(t *testing.T) {
 	const n = 512
 	hosts := make([]int, n)
@@ -25,29 +26,33 @@ func TestWarmLookupAllocationFree(t *testing.T) {
 		hosts[i] = i * 7
 	}
 	lat := func(a, b int) float64 { return float64(max(a-b, b-a)) }
-	type looker interface {
-		Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (overlay.LookupResult, error)
-	}
 	ring, err := chord.Build(hosts, chord.DefaultConfig(), lat, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := kademlia.Build(hosts, kademlia.Config{}, lat, rng.New(3))
+	sp, err := can.Build(hosts, can.Config{}, lat, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, d := range map[string]looker{"chord": ring, "kademlia": net} {
+	for name, lookup := range map[string]func(src int, r *rng.Rand) (overlay.LookupResult, error){
+		"chord": func(src int, r *rng.Rand) (overlay.LookupResult, error) {
+			return ring.Lookup(src, chord.RandomKey(r), nil)
+		},
+		"can": func(src int, r *rng.Rand) (overlay.LookupResult, error) {
+			return sp.Route(src, can.RandomPoint(r), nil)
+		},
+	} {
 		r := rng.New(4)
 		hops := 0
 		allocs := testing.AllocsPerRun(100, func() {
-			res, err := d.Lookup(r.Intn(n), uint32(r.Uint64()), nil)
+			res, err := lookup(r.Intn(n), r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			hops += res.Hops
 		})
 		if allocs != 0 {
-			t.Errorf("%s: warm Lookup allocates %v times, want 0", name, allocs)
+			t.Errorf("%s: warm lookup allocates %v times, want 0", name, allocs)
 		}
 		if hops == 0 {
 			t.Errorf("%s: no lookup left its source", name)

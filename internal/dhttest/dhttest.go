@@ -1,5 +1,5 @@
 // Package dhttest provides a conformance harness run by every DHT
-// substrate's test suite (Chord, CAN, Kademlia). The reproduction
+// substrate's test suite (Chord, CAN). The reproduction
 // leans on the same contract from each geometry — deterministic ownership,
 // lookups that terminate at the owner, correct per-hop accounting, and
 // invariance of routing under PROP-G host swaps — so the contract is
@@ -34,8 +34,7 @@ type DHT interface {
 	// added when proc is non-nil.
 	Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (overlay.LookupResult, error)
 	// CheckInvariants is the substrate's structural self-check (Chord ring
-	// order, CAN tiling, Kademlia bucket well-formedness), audited after
-	// every membership change.
+	// order, CAN tiling), audited after every membership change.
 	CheckInvariants() error
 }
 

@@ -2,9 +2,7 @@ package experiment
 
 import (
 	"repro/internal/can"
-	"repro/internal/chord"
 	"repro/internal/core"
-	"repro/internal/kademlia"
 	"repro/internal/netsim"
 	"repro/internal/overlay"
 	"repro/internal/rng"
@@ -13,11 +11,9 @@ import (
 
 // The combination studies (§1, §6: PROP-G "combined with other recent
 // approaches"): both DHT geometries the paper evaluates — ring (Chord) and
-// torus (CAN) — and the XOR metric (Kademlia) run the same 2×2 of {plain,
-// its own proximity method} × {no PROP, PROP-G to the horizon}. Kademlia's
-// k-buckets give proximity selection maximal freedom, which makes it the
-// sharpest test of the claim that PROP-G composes with — rather than
-// replaces — protocol-specific methods.
+// torus (CAN) — run the same 2×2 of {plain, its own proximity method} ×
+// {no PROP, PROP-G to the horizon}, the test of the claim that PROP-G
+// composes with — rather than replaces — protocol-specific methods.
 
 // study is one substrate of a combination study. build constructs n nodes
 // with the proximity method on or off and returns the overlay, the table
@@ -50,51 +46,36 @@ var (
 			})
 		}, nil
 	}}
-	// kademliaStudy: proximity k-buckets.
-	kademliaStudy = study{"Kademlia", func(e *env, n, count int, prox bool) (*overlay.Overlay, func(), func() float64, error) {
-		net, err := kademlia.Build(e.net.PickHosts(n, e.r), kademlia.Config{Proximity: prox}, e.oracle.Latency, e.r)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return net.O, net.Refresh, func() float64 {
-			return e.drawnStretch(net.O, count, func(src int, r *rng.Rand) (overlay.LookupResult, error) {
-				return net.Lookup(src, chord.RandomKey(r), nil)
-			})
-		}, nil
-	}}
 )
 
 // proximityTrial runs the 2×2 of every study, one stretch series per study
 // at x = 0..3 (plain, proximity only, PROP-G only, both). Chord and CAN
-// draw their hosts from one world in that order; Kademlia starts from a
-// fresh one.
+// draw their hosts from one world in that order.
 func proximityTrial(c *trialCtx) ([]stats.Series, error) {
 	n, count := scaled(1000, c.Scale, 100), scaled(paperLookups, c.Scale, 100)
+	e, err := newEnv(netsim.TSLarge(), c.world)
+	if err != nil {
+		return nil, err
+	}
 	var out []stats.Series
-	for _, studies := range [][]study{{chordStudy, canStudy}, {kademliaStudy}} {
-		e, err := newEnv(netsim.TSLarge(), c.world)
-		if err != nil {
-			return nil, err
-		}
-		for _, st := range studies {
-			s := stats.Series{Label: st.label}
-			for x, cell := range []struct{ prox, prop bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
-				o, refresh, stretch, err := st.build(e, n, count, cell.prox)
-				if err != nil {
+	for _, st := range []study{chordStudy, canStudy} {
+		s := stats.Series{Label: st.label}
+		for x, cell := range []struct{ prox, prop bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+			o, refresh, stretch, err := st.build(e, n, count, cell.prox)
+			if err != nil {
+				return nil, err
+			}
+			if cell.prop {
+				if _, err := runPROP(o, core.DefaultConfig(core.PROPG), e.r.Split(), horizonMS); err != nil {
 					return nil, err
 				}
-				if cell.prop {
-					if _, err := runPROP(o, core.DefaultConfig(core.PROPG), e.r.Split(), horizonMS); err != nil {
-						return nil, err
-					}
-					if refresh != nil {
-						refresh()
-					}
+				if refresh != nil {
+					refresh()
 				}
-				s.Add(float64(x), stretch())
 			}
-			out = append(out, s)
+			s.Add(float64(x), stretch())
 		}
+		out = append(out, s)
 	}
 	return out, nil
 }

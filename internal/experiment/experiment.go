@@ -242,11 +242,11 @@ var table = []spec{
 			"expected shape: on both substrates the probe rate spikes inside the window and decays after, and stretch bumps then recovers; every sampled Chord lookup reaches its owner"},
 		uses: useALMode, alSeries: "churn/al_ms",
 		trial: churnTrial},
-	{id: "proximity", describe: "§1/§6: PROP-G combined with the proximity method of Chord (PNS), CAN (PIS) and Kademlia",
+	{id: "proximity", describe: "§1/§6: PROP-G combined with the proximity method of Chord (PNS) and CAN (PIS)",
 		title:  "PROP-G combined with each DHT's proximity method (final routing stretch after optimization)",
 		xLabel: "method", yLabel: "stretch",
 		notes: []string{
-			"method index: 0=plain, 1=proximity only (Chord PNS, CAN PIS, Kademlia proximity k-buckets), 2=PROP-G only, 3=proximity + PROP-G",
+			"method index: 0=plain, 1=proximity only (Chord PNS, CAN PIS), 2=PROP-G only, 3=proximity + PROP-G",
 			"expected shape: PROP-G alone and the combination beat plain on every DHT; the combination is never materially worse than proximity alone",
 		},
 		trial: proximityTrial},

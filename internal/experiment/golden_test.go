@@ -163,7 +163,6 @@ var folded = []struct {
 	{"combo", "proximity", []string{"Chord", "CAN"}, ""},
 	{"figRa", "figR", []string{"loss: PROP-G", "loss: PROP-O (m=2)", "loss: unoptimized"}, "figR/loss/"},
 	{"figRb", "figR", []string{"crash: PROP-G stretch", "crash: corpses repaired"}, "figR/crash/"},
-	{"kademlia", "proximity", []string{"Kademlia"}, ""},
 	{"minvar", "ablation", []string{"minvar: final mean link latency (ms)", "minvar: exchanges executed"}, ""},
 	{"warmup", "ablation", []string{"warmup: final mean link latency (ms)", "warmup: probes per node"}, ""},
 }
@@ -537,24 +536,6 @@ func TestComboShape(t *testing.T) {
 		if plain := s.Y[0]; s.Y[3] >= plain || s.Y[2] >= plain {
 			t.Errorf("%s: combined %.2f / PROP-G alone %.2f not better than plain %.2f", s.Label, s.Y[3], s.Y[2], plain)
 		}
-	}
-}
-
-// TestKademliaExperimentShape is the Kademlia combination shape of
-// proximity's Kademlia series: proximity k-buckets and PROP-G each beat
-// plain, and the combination — which re-picks the same buckets after the
-// exchanges — is not materially worse than proximity alone.
-func TestKademliaExperimentShape(t *testing.T) {
-	s := golden(t, "proximity").series(t, "Kademlia")
-	if len(s.X) != 4 {
-		t.Fatalf("series shape wrong: %+v", s)
-	}
-	plain, prox, propg, combined := s.Y[0], s.Y[1], s.Y[2], s.Y[3]
-	if prox >= plain || propg >= plain {
-		t.Errorf("proximity %.2f / PROP-G %.2f not below plain %.2f", prox, propg, plain)
-	}
-	if combined > prox*1.1 {
-		t.Errorf("combined %.2f materially worse than proximity %.2f", combined, prox)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 // Membership is a substrate's own membership rule: how a host joins, how a
 // slot leaves, and how the survivors recover from crash-stop deaths. PROP
 // only ever swaps hosts between existing slots, so it runs unchanged over
-// any implementation (Theorem 2, §3.2). chord.Ring, kademlia.Net,
-// can.Space and gnutella.Net implement it, and every latency a join or a
-// repair reads comes from the overlay's own LatencyFunc.
+// any implementation (Theorem 2, §3.2). chord.Ring, can.Space and
+// gnutella.Net implement it, and every latency a join or a repair reads
+// comes from the overlay's own LatencyFunc.
 //
 // Crash-stop is Crash → Evict → Repair (DESIGN.md §9): Crash kills a slot
 // and leaves every reference to it stale, survivors drop stale references
@@ -40,31 +40,4 @@ func (o *Overlay) CrashMember(u int) error {
 		return fmt.Errorf("overlay: Crash(%d) would leave fewer than 2 live slots", u)
 	}
 	return o.CrashSlot(u)
-}
-
-// DropCrashed is the corpse purge of an identifier ring's Repair: it removes
-// every unpurged crashed slot from sorted — a membership list that still
-// holds them — and purges it, and returns the kept slots (in sorted's own
-// array) and the crashed ones. With nothing crashed it returns sorted as it
-// is; when fewer than two slots would remain it refuses and changes nothing.
-func (o *Overlay) DropCrashed(sorted []int) (kept, crashed []int, err error) {
-	crashed = o.CrashedSlots()
-	if len(crashed) == 0 {
-		return sorted, nil, nil
-	}
-	if len(sorted)-len(crashed) < 2 {
-		return sorted, nil, fmt.Errorf("overlay: repair would shrink below 2 nodes")
-	}
-	kept = sorted[:0]
-	for _, s := range sorted {
-		if !o.crashed[s] {
-			kept = append(kept, s)
-		}
-	}
-	for _, c := range crashed {
-		if err := o.PurgeCrashed(c); err != nil {
-			return nil, nil, err
-		}
-	}
-	return kept, crashed, nil
 }
