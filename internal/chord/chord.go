@@ -210,43 +210,35 @@ func (ring *Ring) ownerOf(id uint64) int {
 }
 
 // nearestInInterval returns the slot in [start, end) (ring interval,
-// possibly wrapping) physically nearest to s; if the interval is empty it
-// falls back to the plain finger ownerOf(start). This is PNS: any node in
-// the finger's interval is a correct entry, so pick the closest.
+// possibly wrapping) physically nearest to s, the first in sorted order
+// among equals; if the interval is empty it falls back to the plain finger
+// ownerOf(start). This is PNS: any node in the finger's interval is a
+// correct entry, so pick the closest. Only the interval's slots are read:
+// sorted[lo:hi], or, wrapping zero, sorted[:hi] then sorted[lo:].
 func (ring *Ring) nearestInInterval(s int, start, end uint64) int {
+	lo, hi := ring.searchID(uint32(start)), ring.searchID(uint32(end))
+	var spans [2][]int
+	if start <= end {
+		spans[0] = ring.sorted[lo:hi]
+	} else {
+		spans = [2][]int{ring.sorted[:hi], ring.sorted[lo:]}
+	}
 	best, bestD := -1, math.Inf(1)
 	hs := ring.O.HostOf(s)
-	for _, cand := range ring.slotsInInterval(start, end) {
-		if cand == s {
-			continue
-		}
-		d := ring.O.Latency(hs, ring.O.HostOf(cand))
-		if d < bestD {
-			best, bestD = cand, d
+	for _, span := range spans {
+		for _, cand := range span {
+			if cand == s {
+				continue
+			}
+			if d := ring.O.Latency(hs, ring.O.HostOf(cand)); d < bestD {
+				best, bestD = cand, d
+			}
 		}
 	}
 	if best < 0 {
 		return ring.ownerOf(start)
 	}
 	return best
-}
-
-// slotsInInterval lists slots with ID in the ring interval [start, end).
-func (ring *Ring) slotsInInterval(start, end uint64) []int {
-	var out []int
-	for _, s := range ring.sorted {
-		id := uint64(ring.ID[s])
-		if start <= end {
-			if id >= start && id < end {
-				out = append(out, s)
-			}
-		} else { // wraps zero
-			if id >= start || id < end {
-				out = append(out, s)
-			}
-		}
-	}
-	return out
 }
 
 // inInterval reports whether id lies in the half-open ring interval (a, b].

@@ -292,3 +292,67 @@ func TestSwapHostsPreservesRouting(t *testing.T) {
 		}
 	}
 }
+
+// TestPNSFingersMatchScan holds every PNS finger of a seeded ring, before
+// and after exchanges move hosts, to a scan of the whole sorted ring: the
+// nearest slot of the finger's interval, the first in sorted order among
+// equal latencies, else ownerOf(start). The latency has few values, so ties
+// are common, and the highest fingers' intervals wrap zero.
+func TestPNSFingersMatchScan(t *testing.T) {
+	tied := func(a, b int) float64 { return float64((a ^ b) % 4) }
+	ring, err := Build(hostsN(300), Config{PNS: true}, tied, rng.New(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := func(s int, start, end uint64) (best, ties int, wraps bool) {
+		best, bestD := -1, math.Inf(1)
+		for _, c := range ring.sorted {
+			id := uint64(ring.ID[c])
+			in := id >= start && id < end
+			if start > end {
+				in = id >= start || id < end
+			}
+			if !in || c == s {
+				continue
+			}
+			wraps = wraps || start > end
+			switch d := tied(ring.O.HostOf(s), ring.O.HostOf(c)); {
+			case d < bestD:
+				best, bestD, ties = c, d, 0
+			case d == bestD:
+				ties++
+			}
+		}
+		if best < 0 {
+			best = ring.ownerOf(start)
+		}
+		return best, ties, wraps
+	}
+	r := rng.New(4)
+	for round := 0; round < 2; round++ {
+		var tiedFingers, wrapping int
+		for _, s := range ring.sorted {
+			for j := 0; j < Bits; j++ {
+				start := (uint64(ring.ID[s]) + uint64(1)<<uint(j)) % ringSize
+				end := (uint64(ring.ID[s]) + uint64(1)<<uint(j+1)) % ringSize
+				want, ties, wraps := scan(s, start, end)
+				if got := ring.fingers[s][j]; got != want {
+					t.Fatalf("round %d: slot %d finger %d = %d, want %d", round, s, j, got, want)
+				}
+				if ties > 0 {
+					tiedFingers++
+				}
+				if wraps {
+					wrapping++
+				}
+			}
+		}
+		if tiedFingers == 0 || wrapping == 0 {
+			t.Fatalf("round %d: %d fingers chosen among ties, %d over wrapping intervals; want both", round, tiedFingers, wrapping)
+		}
+		for i := 0; i < 100; i++ {
+			ring.O.SwapHosts(r.Intn(300), r.Intn(300))
+		}
+		ring.Refresh()
+	}
+}

@@ -19,7 +19,7 @@ import "fmt"
 // still closing is one) leaves the overlay untouched. Returns the new slot.
 func (rt *Runtime) Join(host int) (int, error) {
 	rt.mu.Lock()
-	if rt.o == nil || rt.stopped {
+	if rt.o == nil || rt.stopped.Load() {
 		rt.mu.Unlock()
 		return 0, fmt.Errorf("propnode: join(%d) on a stopped runtime", host)
 	}
@@ -56,10 +56,10 @@ func (rt *Runtime) Leave(host int) error {
 	delete(rt.agents, host)
 	rt.mu.Unlock()
 
-	// Quiesce the departing agent before rewiring, so it cannot race its
-	// own probe against the repair.
+	// Halt the departing agent before rewiring, so no new probe of its own
+	// races the repair.
 	if a != nil {
-		close(a.stop)
+		a.halt()
 	}
 
 	// Another agent's exchange may have moved the host meanwhile: resolve
@@ -99,10 +99,10 @@ func (rt *Runtime) Crash(host int) error {
 	delete(rt.agents, host)
 	rt.mu.Unlock()
 
-	// The dying node closes without the lock: its in-flight handlers may be
-	// waiting on it.
+	// The dying node closes without the lock: it fails the agent's calls in
+	// flight, whose done callbacks take it.
 	if a != nil {
-		close(a.stop)
+		a.halt()
 		a.node.Close()
 	}
 	return nil
@@ -138,7 +138,7 @@ func (rt *Runtime) repairLocked() (int, []*agent, error) {
 // slotLocked resolves the live slot host backs, for op's error message.
 // Caller holds rt.mu.
 func (rt *Runtime) slotLocked(op string, host int) (int, error) {
-	if rt.o == nil || rt.stopped {
+	if rt.o == nil || rt.stopped.Load() {
 		return 0, fmt.Errorf("propnode: %s(%d) on a stopped runtime", op, host)
 	}
 	slot := rt.o.SlotOfHost(host)
@@ -171,13 +171,9 @@ func (rt *Runtime) allAgentsLocked() []*agent {
 	return out
 }
 
-// kickAll delivers the timer-reset nudge without blocking: a full kick
-// channel means a reset is already pending.
+// kickAll applies the §3.2 timer reset to agents (kick).
 func kickAll(agents []*agent) {
 	for _, a := range agents {
-		select {
-		case a.kick <- struct{}{}:
-		default:
-		}
+		a.kick()
 	}
 }

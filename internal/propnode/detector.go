@@ -1,63 +1,51 @@
 package propnode
 
-import "time"
+import (
+	"time"
 
-// Failure detection. Each agent runs a detector goroutine next to its probe
-// loop, with no state of its own: every HeartbeatIntervalMS a sweep
-// reconciles the agent's neighborQ with its live neighbors and sends each
-// one heartbeat, a Node.Ping whose retransmits wait PingTimeout × 1, 2 and 4
-// — the suspicion ladder, so a slow-but-alive peer gets exponentially more
-// grace and a dead one is out of it within the sweep. An answered heartbeat
-// is the RTT refresh (§3.2: a peer knows Σ d(u,i) to its neighbors): it is
-// remembered in the neighbor's entry, with the host measured — PROP-G moves
-// hosts between slots — and exchanges read it (rtt). An unanswered one makes
-// the entry cold, evicts the link and tops the degree back up. A neighbor
-// the overlay already knows is dead (crash-stop corpse) gets no heartbeat:
-// the sweep runs membership repair, the same ring + top-up rule
-// internal/gnutella applies, so detector-triggered repair and an explicit
-// Repair leave identical structure. The sweep writes the queue under a.mu,
-// held across no round trip.
+	"repro/internal/transport"
+)
+
+// Failure detection. Each agent's sweep timer fires every
+// HeartbeatIntervalMS; a sweep keeps no state beyond the neighbor list it
+// walks. It reconciles the agent's neighborQ with its live neighbors and
+// sends each one heartbeat, one after another: a ping whose retransmits
+// wait PingTimeout × 1, 2 and 4 — the suspicion ladder, so a
+// slow-but-alive peer gets exponentially more grace and a dead one is out
+// of it within the sweep. An answered heartbeat is the RTT refresh (§3.2:
+// a peer knows Σ d(u,i) to its neighbors): it is remembered in the
+// neighbor's entry, with the host measured — PROP-G moves hosts between
+// slots — and exchanges read it (rtt). An unanswered one makes the entry
+// cold, evicts the link and tops the degree back up. A neighbor the overlay
+// already knows is dead (crash-stop corpse) gets no heartbeat: the sweep
+// runs membership repair, the same ring + top-up rule internal/gnutella
+// applies, so detector-triggered repair and an explicit Repair leave
+// identical structure. The sweep writes the queue under a.mu, held across
+// no round trip.
 
 // heartbeatRetries bounds a heartbeat's retransmits: three deadlines.
 const heartbeatRetries = 2
 
-// runDetector is one agent's failure-detector loop. nbrs is the sweeps'
-// reused list of live neighbors.
-func (rt *Runtime) runDetector(a *agent, stagger time.Duration) {
-	defer rt.wg.Done()
-	interval := time.Duration(rt.cfg.HeartbeatIntervalMS * float64(time.Millisecond))
-	if interval <= 0 {
-		interval = time.Millisecond
+// heartbeatOnce opens one detector sweep, unless one runs: under the locks,
+// reconcile the agent's neighborQ with its live neighbors and list each
+// one's slot and host in a.nbrs; then, holding neither, heartbeat them
+// (nodes answer pings without taking a lock, so heartbeat traffic can never
+// deadlock against an input holding one).
+func (rt *Runtime) heartbeatOnce(a *agent) {
+	a.mu.Lock()
+	busy := a.sweeping
+	a.sweeping = true
+	a.mu.Unlock()
+	if busy {
+		return
 	}
-	timer := time.NewTimer(stagger)
-	defer timer.Stop()
-	var nbrs [][2]int
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-timer.C:
-		}
-		nbrs = rt.heartbeatOnce(a, nbrs[:0])
-		timer.Reset(interval)
-	}
-}
-
-// heartbeatOnce runs one detector sweep: under the locks, reconcile the
-// agent's neighborQ with its live neighbors and append each one's slot and
-// host to nbrs; then, holding neither, send each its heartbeat (nodes
-// answer pings without taking a lock, so heartbeat traffic can never
-// deadlock against an exchange holding one). It returns nbrs.
-func (rt *Runtime) heartbeatOnce(a *agent, nbrs [][2]int) [][2]int {
+	a.nbrs, a.next = a.nbrs[:0], 0
 	rt.mu.Lock()
-	if rt.o == nil || rt.agents[a.host] != a {
-		rt.mu.Unlock()
-		return nbrs
-	}
 	u := rt.o.SlotOfHost(a.host)
-	if u < 0 || !rt.o.Alive(u) {
+	if rt.agents[a.host] != a || u < 0 || !rt.o.Alive(u) {
 		rt.mu.Unlock()
-		return nbrs
+		rt.heartbeat(a, false)
+		return
 	}
 	// rt.sc.Nbrs is valid while rt.mu is held; live keeps its live prefix.
 	rt.sc.Nbrs = rt.o.Logical.AppendNeighbors(rt.sc.Nbrs[:0], u)
@@ -65,7 +53,7 @@ func (rt *Runtime) heartbeatOnce(a *agent, nbrs [][2]int) [][2]int {
 	for _, nb := range rt.sc.Nbrs {
 		if rt.o.Alive(nb) {
 			live = append(live, nb)
-			nbrs = append(nbrs, [2]int{nb, rt.o.HostOf(nb)})
+			a.nbrs = append(a.nbrs, [2]int{nb, rt.o.HostOf(nb)})
 		}
 	}
 	corpses := len(live) < len(rt.sc.Nbrs)
@@ -79,15 +67,28 @@ func (rt *Runtime) heartbeatOnce(a *agent, nbrs [][2]int) [][2]int {
 		// heartbeat to send — repair the membership hole immediately.
 		rt.repairCorpses(a)
 	}
+	rt.heartbeat(a, false)
+}
 
-	for _, nb := range nbrs {
-		select {
-		case <-a.stop:
-			return nbrs
-		default:
+// heartbeat pings the sweep's neighbors from a.next on — answered: the
+// outcome of a.next's heartbeat is in a.beat — one after another, and ends
+// the sweep once they are done or a is halted, arming the sweep timer. An
+// answered heartbeat's RTT is remembered; an unanswered one makes the
+// entry cold and evicts the link.
+func (rt *Runtime) heartbeat(a *agent, answered bool) {
+	for ; a.next < len(a.nbrs); a.next++ {
+		nb := a.nbrs[a.next]
+		if !answered {
+			if a.halted.Load() {
+				break
+			}
+			rt.heartbeats.Add(1)
+			if !rt.call(a, &a.beat, nb[1], transport.Message{Type: transport.TPing}, heartbeatRetries) {
+				return
+			}
 		}
-		rt.heartbeats.Add(1)
-		rtt, err := a.node.Ping(nb[1], rt.cfg.PingTimeout, heartbeatRetries)
+		answered = false
+		rtt, err := transport.PongRTT(a.beat.in, a.beat.err)
 		if err != nil {
 			rtt = -1
 		}
@@ -98,7 +99,16 @@ func (rt *Runtime) heartbeatOnce(a *agent, nbrs [][2]int) [][2]int {
 			rt.evictSuspect(a, nb[1])
 		}
 	}
-	return nbrs
+	d := ms(rt.cfg.HeartbeatIntervalMS)
+	if d <= 0 {
+		d = time.Millisecond
+	}
+	a.mu.Lock()
+	a.sweeping = false
+	if !a.halted.Load() {
+		a.sweep.Reset(d)
+	}
+	a.mu.Unlock()
 }
 
 // repairCorpses runs crash-stop membership repair on behalf of a detector

@@ -28,7 +28,7 @@ func silentFail(t *testing.T, rt *Runtime, host int) {
 	if a == nil {
 		t.Fatalf("no agent for host %d", host)
 	}
-	close(a.stop)
+	a.halt()
 	a.node.Close()
 }
 
@@ -140,8 +140,8 @@ func TestDetectorRepairsCrashWithoutExplicitRepair(t *testing.T) {
 // edge to a crashed neighbor purges the corpse. Only a detector sweep that
 // still saw an edge to one used to repair, and here no sweep fires: once
 // the survivors' probes had evicted every edge to it, the corpse stayed
-// unpurged for good. The agents' own probe loops drive the probes — a test
-// driving probeOnce would race the probe loop over the kick the repair sends.
+// unpurged for good. The agents' own probe timers drive the probes — a test
+// driving probeOnce would race them over the kick the repair sends.
 func TestProbeEvictionRepairsCorpse(t *testing.T) {
 	rt := startRuntime(t, 12, Config{Policy: core.PROPG, Seed: 43, HeartbeatIntervalMS: 3.6e6}, nil)
 	defer rt.Stop()
@@ -285,13 +285,13 @@ func TestCachedRTTChangesNoDecision(t *testing.T) {
 		pings := sent.Load
 
 		p0 := pings()
-		if got := rt.measure(a); got != len(a.sc.Pairs) {
+		if got := measureNow(t, rt, a); got != len(a.sc.Pairs) {
 			t.Fatalf("cold: measured %d of %d pairs", got, len(a.sc.Pairs))
 		}
 		cold, coldPings := slices.Clone(a.sc.RTT), pings()-p0
-		sweepAll(rt)
+		sweepAll(t, rt)
 		p1 := pings()
-		if got := rt.measure(a); got != len(a.sc.Pairs) {
+		if got := measureNow(t, rt, a); got != len(a.sc.Pairs) {
 			t.Fatalf("warm: measured %d of %d pairs", got, len(a.sc.Pairs))
 		}
 		if warmPings := pings() - p1; warmPings >= coldPings {
@@ -325,16 +325,16 @@ func TestCachedRTTChangesNoDecision(t *testing.T) {
 			t.Fatalf("the swap lists no pair from host %d to its neighbor %d", hostU, silent)
 		}
 
-		sweepAll(rt)
+		sweepAll(t, rt)
 		if rtt, ok := remembered(a, silent); !ok || rtt != ClusterLat(hostU, silent) {
 			t.Fatalf("after an answered sweep, neighbor %d's RTT is %v (remembered %v)", silent, rtt, ok)
 		}
 		net.silent.Store(int64(silent) + 1)
-		rt.heartbeatOnce(a, nil)
+		sweep(t, rt, a)
 		if rtt, ok := remembered(a, silent); ok {
 			t.Fatalf("after an unanswered heartbeat, neighbor %d's RTT %v is still remembered", silent, rtt)
 		}
-		got := rt.measure(a)
+		got := measureNow(t, rt, a)
 		var ev core.Evaluation
 		if why, _ := ev.Judge(a.sc.RTT, got, math.Inf(-1)); got > first || why != core.Poisoned {
 			t.Fatalf("measured %d pairs past silent host %d's pair %d, judged %v; want Poisoned", got, silent, first, why)
@@ -362,7 +362,7 @@ func TestHeartbeatLadder(t *testing.T) {
 		}
 		evicts := rt.Counters().SuspectEvictions
 		start := time.Now()
-		rt.heartbeatOnce(a, nil)
+		sweep(t, rt, a)
 		took := time.Since(start)
 		rtt, ok := remembered(a, nb)
 		kept := linked(rt, a, nb)
@@ -393,7 +393,7 @@ func TestHeartbeatLadder(t *testing.T) {
 // for a host an exchange moved out of the slot and the new host's after the
 // next sweep, and none once an unanswered heartbeat evicted the link — while
 // readers measure through the queue concurrently: one runs measure and two
-// answer TMeasure lists. Every RTT a reader gets must be the ground truth.
+// answer TMeasure lists, each waiting for its outcome. Every RTT a reader gets must be the ground truth.
 // Run it under go test -race -count=10 -run TestNeighborTableLifetime.
 func TestNeighborTableLifetime(t *testing.T) {
 	net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
@@ -425,15 +425,9 @@ func TestNeighborTableLifetime(t *testing.T) {
 	for _, h := range all {
 		body = binary.BigEndian.AppendUint64(body, uint64(h))
 	}
-	ep, err := net.Loopback.Open(99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-	replies := inbox(ep)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(4)
+	wg.Add(3)
 	go func() { // the prober's side
 		defer wg.Done()
 		for {
@@ -446,7 +440,7 @@ func TestNeighborTableLifetime(t *testing.T) {
 			for _, h := range all {
 				a.sc.Pairs, a.sc.RTT = append(a.sc.Pairs, [2]int{0, h}), append(a.sc.RTT, -1)
 			}
-			got := rt.measure(a)
+			got := measureNow(t, rt, a)
 			for k, pr := range a.sc.Pairs[:got] {
 				if a.sc.RTT[k] != ClusterLat(0, pr[1]) {
 					t.Errorf("measure: host %d at %v, want %v", pr[1], a.sc.RTT[k], ClusterLat(0, pr[1]))
@@ -454,34 +448,31 @@ func TestNeighborTableLifetime(t *testing.T) {
 			}
 		}
 	}()
-	for r := 0; r < 2; r++ { // the partner's side
+	for r := 0; r < 2; r++ { // the partner's side: each relay waits for its reply
+		ep, err := net.Loopback.Open(98 + r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		replies := inbox(ep)
 		go func() {
 			defer wg.Done()
 			for {
+				rt.handleMeasure(a, transport.Message{Type: transport.TMeasure, Src: ep.Host(), Body: body})
+				var in transport.Inbound
 				select {
 				case <-stop:
 					return
-				default:
+				case in = <-replies:
 				}
-				rt.handleMeasure(a, transport.Message{Type: transport.TMeasure, Src: 99, Body: body})
-			}
-		}()
-	}
-	go func() { // the relays' replies
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case in := <-replies:
 				for k, h := range all[:len(in.Msg.Body)/8] {
 					if got := math.Float64frombits(binary.BigEndian.Uint64(in.Msg.Body[8*k:])); got != ClusterLat(0, h) {
 						t.Errorf("handleMeasure: host %d at %v, want %v", h, got, ClusterLat(0, h))
 					}
 				}
 			}
-		}
-	}()
+		}()
+	}
 	defer func() {
 		close(stop)
 		wg.Wait()
@@ -493,7 +484,7 @@ func TestNeighborTableLifetime(t *testing.T) {
 			t.Fatalf("answered neighbor %d's RTT is %v (remembered %v), want %v", h, rtt, ok, ClusterLat(0, h))
 		}
 	}
-	rt.heartbeatOnce(a, nil)
+	sweep(t, rt, a)
 	for _, h := range nbrs {
 		answered(h)
 	}
@@ -501,12 +492,12 @@ func TestNeighborTableLifetime(t *testing.T) {
 	// An exchange moves a neighbor's host out and a stranger's in.
 	moved, stranger := nbrs[1], others[0]
 	rt.mu.Lock()
-	err = rt.o.SwapHosts(rt.o.SlotOfHost(moved), rt.o.SlotOfHost(stranger))
+	err := rt.o.SwapHosts(rt.o.SlotOfHost(moved), rt.o.SlotOfHost(stranger))
 	rt.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.heartbeatOnce(a, nil)
+	sweep(t, rt, a)
 	if rtt, ok := remembered(a, moved); ok {
 		t.Fatalf("host %d swapped out of the neighbor set keeps RTT %v", moved, rtt)
 	}
@@ -516,7 +507,7 @@ func TestNeighborTableLifetime(t *testing.T) {
 	quiet := nbrs[0]
 	net.silent.Store(int64(quiet) + 1)
 	evicts := rt.Counters().SuspectEvictions
-	rt.heartbeatOnce(a, nil)
+	sweep(t, rt, a)
 	net.silent.Store(0)
 	if got := rt.Counters().SuspectEvictions - evicts; got != 1 || linked(rt, a, quiet) {
 		t.Fatalf("%d evictions, link to %d kept: %v; want the one link evicted", got, quiet, linked(rt, a, quiet))

@@ -145,14 +145,10 @@ func TestStaleEvaluationIsRejected(t *testing.T) {
 			// reply is path.
 			rt.mu.Lock()
 			a := rt.agents[hostU]
-			a.mu.Lock()
-			a.cyc.Fired(&a.round, rt.o.Neighbors(u))
-			a.mu.Unlock()
 			rt.mu.Unlock()
-			end := rt.evaluate(a, u, path)
-			rt.ended(end)
-			committed := end.Reason == core.Exchanged
+			reach(rt, a, u, path)
 			rt.Stop()
+			committed := rt.Counters().Exchanges == 1
 
 			c := rt.Counters()
 			if move {
@@ -233,7 +229,7 @@ func TestEvaluationWirePrice(t *testing.T) {
 				}
 			}
 			if warm {
-				sweepAll(rt)
+				sweepAll(t, rt)
 			}
 			rt.mu.Lock()
 			// A leg is cached when its target is a neighbor of the host
@@ -245,17 +241,14 @@ func TestEvaluationWirePrice(t *testing.T) {
 				}
 			}
 			a := rt.agents[hostU]
-			a.mu.Lock()
-			a.cyc.Fired(&a.round, rt.o.Neighbors(u))
-			a.mu.Unlock()
 			rt.mu.Unlock()
 			mu.Lock()
 			counting = true
 			mu.Unlock()
-			end := rt.evaluate(a, u, path)
+			reach(rt, a, u, path)
 			rt.Stop()
-			if end.Reason != core.Exchanged {
-				t.Fatalf("%v, warm %v: evaluation ended %v, want an exchange", policy, warm, end.Reason)
+			if c := rt.Counters(); c.Exchanges != 1 {
+				t.Fatalf("%v, warm %v: evaluation ended %+v, want an exchange", policy, warm, c)
 			}
 
 			legs := map[int]int{}  // by measuring host
@@ -294,21 +287,65 @@ func TestEvaluationWirePrice(t *testing.T) {
 	}
 }
 
-// sweepAll runs one detector sweep for every agent at once, as their
-// detector goroutines would, and returns when all are done.
-func sweepAll(rt *Runtime) {
+// sweepAll runs one detector sweep for every agent, one after another.
+func sweepAll(t *testing.T, rt *Runtime) {
 	rt.mu.Lock()
 	agents := rt.allAgentsLocked()
 	rt.mu.Unlock()
-	var wg sync.WaitGroup
 	for _, a := range agents {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rt.heartbeatOnce(a, nil)
-		}()
+		sweep(t, rt, a)
 	}
-	wg.Wait()
+}
+
+// sweep runs one detector sweep of a's, as its sweep timer would, and waits
+// for the sweep's last heartbeat: at once on a loss-free loopback.
+func sweep(t *testing.T, rt *Runtime, a *agent) {
+	t.Helper()
+	rt.heartbeatOnce(a)
+	if !waitFor(t, 10*time.Second, func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return !a.sweeping
+	}) {
+		t.Fatal("a sweep did not end")
+	}
+}
+
+// measureNow runs a's Measure step over a.sc.Pairs and waits for the number
+// of pairs it measured: at once when every ping is answered. Any goroutine
+// may call it.
+func measureNow(t *testing.T, rt *Runtime, a *agent) int {
+	t.Helper()
+	a.mu.Lock()
+	a.measured = -1
+	a.mu.Unlock()
+	rt.measure(a)
+	n := -1
+	if !waitFor(t, 10*time.Second, func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		n = a.measured
+		return n >= 0
+	}) {
+		t.Error("a Measure step did not end")
+		return 0
+	}
+	return n
+}
+
+// reach opens a's cycle, as its probe timer would, and feeds it the walk
+// reply whose path, from a's slot u, ends at the partner. The rest of the
+// exchange follows inline on a loss-free loopback, so it has ended when
+// reach returns: committed or not, its end is counted.
+func reach(rt *Runtime, a *agent, u int, path []int) {
+	rt.mu.Lock()
+	a.mu.Lock()
+	a.cyc.Fired(&a.round, rt.o.Neighbors(u))
+	a.mu.Unlock()
+	a.u = u
+	rt.mu.Unlock()
+	a.call.in, a.call.err = transport.Inbound{Msg: transport.Message{Type: transport.TWalkReply, TTL: 1, Epoch: a.epoch, Path: path}}, nil
+	rt.cycle(a, rt.walked(a))
 }
 
 // rttBody lays RTTs out as a TMeasureReply body.
@@ -368,7 +405,7 @@ func TestMeasureRelayRejectsNonFiniteRTT(t *testing.T) {
 		})
 		a.sc.Pairs, a.sc.RTT = pairs, make([]float64, len(pairs))
 		stale := rt.Counters().StaleEpochs
-		if got := rt.measure(a); got != tc.measured {
+		if got := measureNow(t, rt, a); got != tc.measured {
 			t.Errorf("%s: measured %d pairs, want %d", tc.name, got, tc.measured)
 		}
 		for i, k := range []int{1, 3, 4} {
@@ -486,5 +523,53 @@ func TestProbesCountOnlyStartedCycles(t *testing.T) {
 	c := rt.Counters()
 	if ends := c.Exchanges + c.Rejected + c.WalkFailures + c.MeasureFailures; c.Probes != 1 || ends != 1 {
 		t.Fatalf("Probes = %d for %d cycle ends, want 1 each: %+v", c.Probes, ends, c)
+	}
+}
+
+// TestExchangeByHand drives one full PROP-G exchange between agents on a
+// fault-free loopback by calling the prober's probe input itself, with no
+// timer firing and no goroutine of the test's: Fired sends the walk, whose
+// hops and reply, the Reached plan, the TMeasure relay and the pings of
+// Measured, and the commit all run inline before the input returns.
+func TestExchangeByHand(t *testing.T) {
+	var mu sync.Mutex
+	var sent []transport.Type
+	net := &hookNet{
+		Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}),
+		onSend: func(_, _ int, m transport.Message) {
+			mu.Lock()
+			sent = append(sent, m.Type)
+			mu.Unlock()
+		},
+	}
+	rt := quietRuntime(t, 16, core.PROPG, net, time.Second)
+	defer rt.Stop()
+	rt.mu.Lock()
+	a := rt.agents[0]
+	u, hostOf := rt.o.SlotOfHost(0), rt.o.Hosts() // every slot is live: by slot
+	rt.mu.Unlock()
+	mu.Lock()
+	sent = sent[:0]
+	mu.Unlock()
+
+	rt.probeOnce(a)
+
+	c := rt.Counters()
+	if c.Probes != 1 || c.Exchanges != 1 || c.Rejected+c.WalkFailures+c.MeasureFailures != 0 {
+		t.Fatalf("counters %+v, want one probe ending in one exchange", c)
+	}
+	v := a.round.V
+	rt.mu.Lock()
+	swapped := rt.o.HostOf(v) == 0 && rt.o.HostOf(u) == hostOf[v]
+	rt.mu.Unlock()
+	if !swapped {
+		t.Fatalf("slots %d and %d did not swap hosts 0 and %d", u, v, hostOf[v])
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []transport.Type{transport.TWalk, transport.TWalk, transport.TWalkReply, transport.TMeasure}
+	if len(sent) < len(want) || !slices.Equal(sent[:len(want)], want) ||
+		slices.Index(sent, transport.TMeasureReply) < len(want) {
+		t.Fatalf("messages %v, want a two-hop walk, its reply, one TMeasure relay and its reply", sent)
 	}
 }

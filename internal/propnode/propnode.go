@@ -1,30 +1,30 @@
-// Package propnode runs PROP agents as goroutines speaking PROP-G/PROP-O
-// over a transport.Network — the live counterpart of the discrete-event
+// Package propnode runs PROP agents speaking PROP-G/PROP-O over a
+// transport.Network — the live counterpart of the discrete-event
 // simulation in internal/core, and a second driver of the same probe cycle
 // (core.Cycle, with overlay.WalkStep at each walk hop): this package owns
-// the goroutines, the lock, the messages and the counters, never a protocol
+// the timers, the locks, the messages and the counters, never a protocol
 // rule, and counts each cycle end by its core.Reason. Each physical host
-// gets one agent: a transport.Node (which answers pings), a probe loop on
-// the wall clock, and handlers that forward TTL walks and answer
-// measurement RPCs.
+// gets one agent: a transport.Node (which answers pings), a probe timer and
+// a sweep timer on the wall clock, and handlers that forward TTL walks and
+// answer measurement RPCs.
 // Every latency the protocol consumes is a real RTT measured by exchanging
 // messages — the failure detector's heartbeats to each neighbor, remembered
-// in its neighborQ entry, Node.Ping for any other host, and one TMeasure
+// in its neighborQ entry, a ping for any other host, and one TMeasure
 // relay per exchange for the partner's side — no oracle lookups, and lost
 // messages ride the transport's timeout + bounded-retransmit machinery.
 //
-// Concurrency model: the overlay (and the runtime RNG) live under one
-// runtime mutex, each agent's core.Cycle under its own, taken after the
-// runtime's when both are held. Nodes take neither — pings are always
-// answered — and walk-forwarding and measurement handlers run on spawned
-// goroutines. No round trip holds either: an exchange plans under
-// the lock, measures without it into buffers the agent owns, and commits
+// Concurrency model: an agent is a reactor and starts no goroutine. Each
+// input — a timer firing, a delivery to a handler, a call's done — runs on
+// the goroutine that brings it (a timer's or a sender's) and never waits:
+// it takes the runtime mutex (the overlay, the runtime RNG) only where it
+// reads the overlay, then its agent's, steps the agent's core.Cycle,
+// releases both and sends what the step asks. No lock is held across a
+// send: an exchange plans under the lock, measures without it, and commits
 // under it again only if the host pairs it measured are still the ones the
-// exchange moves — so evaluations overlap, and one the overlay moved under
-// is rejected as stale. Churn is the overlay's own membership vocabulary,
-// addressed by host: Join, Leave, Crash and Repair (a crashed host comes
-// back by joining again, one incarnation later), over the unstructured
-// membership of internal/gnutella.
+// exchange moves, else it is stale. Churn is the overlay's own membership
+// vocabulary, addressed by host: Join, Leave, Crash and Repair (a crashed
+// host comes back by joining again, one incarnation later), over the
+// unstructured membership of internal/gnutella.
 //
 // Key types: Runtime, Config. See DESIGN.md §10 ("Live runtime").
 package propnode
@@ -181,9 +181,13 @@ type Runtime struct {
 	incarnation map[int]uint32  // per-host epoch, survives Crash, Leave and rejoin
 	m           int             // resolved PROP-O trade size
 	sc          overlay.Scratch // for work done within one hold of mu, like o and r
+	stopped     atomic.Bool     // stored under mu
 
-	wg      sync.WaitGroup
-	stopped bool
+	// inputs counts the timer firings running and the calls in flight, each
+	// until its outcome is used; Stop waits on idle (over mu) for zero.
+	inputs atomic.Int64
+	idle   sync.Cond
+	relays sync.Pool // *relay records
 
 	probes        atomic.Uint64
 	ends          [core.NumReasons]atomic.Uint64 // probe cycles ended, by core.Reason
@@ -198,23 +202,83 @@ type agent struct {
 	host  int
 	epoch uint32 // incarnation: stamped on every call, checked on every reply
 	node  *transport.Node
-	stop  chan struct{}
-	kick  chan struct{} // neighbor-change notification: reset the timer
 
 	// mu guards cyc, the agent's one record: the §3.2 cycle, keyed by slot,
 	// whose neighborQ entries also hold the RTTs of the heartbeats their
-	// neighbors answered (detector.go). Lock order is rt.mu, then mu.
-	mu  sync.Mutex
-	cyc core.Cycle
-	// round and sc hold the probe cycle in flight across the unlocked round
-	// trips: the partner, the evaluation, the walk, trade lists, host pairs
-	// and RTTs. Only the probe goroutine touches them.
-	round core.Round
-	sc    overlay.Scratch
-	// targets is the body of the Measure step's one TMeasure: the target of
-	// each of the partner's pairs, 8 bytes of host ID each, in list order.
-	// Only the probe goroutine touches it.
+	// neighbors answered (detector.go); the timers, re-armed when their
+	// cycle or sweep ends; and the flags. Lock order is rt.mu, then mu.
+	mu           sync.Mutex
+	cyc          core.Cycle
+	probe, sweep *time.Timer
+	halted       atomic.Bool // stored under mu: nothing starts or re-arms
+	kicked       bool        // a kick landed mid-cycle
+	sweeping     bool        // a sweep runs: one at a time
+	measured     int         // the pairs the last Measure step measured
+
+	// The cycle in flight, carried from input to input: its call and what
+	// it waits for, the walk's first hop and path, the slot it fired from,
+	// the round and its scratch (walk request, host pairs, RTTs), the
+	// TMeasure body (the partner's targets, 8 bytes each), the reply's
+	// unread RTTs and the next pair to measure.
+	call    link
+	wait    step
+	to      int
+	path    []int
+	u       int
+	round   core.Round
+	sc      overlay.Scratch
 	targets []byte
+	relayed []byte
+	leg     int
+	// The sweep in flight: its call, the live neighbors' slots and hosts,
+	// and the one pinged.
+	beat link
+	nbrs [][2]int
+	next int
+}
+
+// step is what a cycle's call waits for.
+type step uint8
+
+const (
+	walking step = iota
+	relaying
+	pinging
+)
+
+// link hands a call's outcome to the loop that made the call when it comes
+// inside Call, so a chain of calls iterates rather than nesting a stack
+// frame per call.
+type link struct {
+	state atomic.Int32 // 1: a call is under way in call; 2: answered there
+	in    transport.Inbound
+	err   error
+	done  func(transport.Inbound, error)
+}
+
+// bind sets l.done: it leaves the outcome in l and, unless it came inside
+// call, runs resume, which goes on from l, and ends the call's count.
+func (rt *Runtime) bind(l *link, resume func()) {
+	l.done = func(in transport.Inbound, err error) {
+		l.in, l.err = in, err
+		if !l.state.CompareAndSwap(1, 2) {
+			resume()
+			rt.exit()
+		}
+	}
+}
+
+// call makes a's call through l and reports whether its outcome, now in l,
+// came inside Call; if not, l's resume goes on from it.
+func (rt *Runtime) call(a *agent, l *link, to int, m transport.Message, retries int) bool {
+	l.state.Store(1)
+	rt.inputs.Add(1)
+	a.node.Call(to, m, rt.cfg.PingTimeout, retries, l.done)
+	if l.state.CompareAndSwap(1, 0) {
+		return false
+	}
+	rt.exit()
+	return true
 }
 
 // New builds a runtime over net. Start must be called before the agents do
@@ -224,7 +288,7 @@ func New(net transport.Network, cfg Config) *Runtime {
 	kernel := core.DefaultConfig(cfg.Policy)
 	kernel.InitTimerMS = cfg.ProbeIntervalMS
 	kernel.MinVar = cfg.MinVar
-	return &Runtime{
+	rt := &Runtime{
 		cfg:         cfg,
 		kernel:      kernel,
 		net:         net,
@@ -233,6 +297,13 @@ func New(net transport.Network, cfg Config) *Runtime {
 		agents:      make(map[int]*agent),
 		incarnation: make(map[int]uint32),
 	}
+	rt.idle.L = &rt.mu
+	rt.relays.New = func() any {
+		j := new(relay)
+		rt.bind(&j.link, func() { rt.answer(j, true) })
+		return j
+	}
+	return rt
 }
 
 // Start builds the unstructured overlay over hosts ("based on a random
@@ -272,37 +343,33 @@ func (rt *Runtime) Start(hosts []int) error {
 // endpoint. Caller holds rt.mu.
 func (rt *Runtime) spawnLocked(host int, ep transport.Endpoint) {
 	rt.incarnation[host]++
-	a := &agent{
-		host:  host,
-		epoch: rt.incarnation[host],
-		node:  transport.NewNode(ep),
-		stop:  make(chan struct{}),
-		kick:  make(chan struct{}, 1),
-	}
+	a := &agent{host: host, epoch: rt.incarnation[host], node: transport.NewNode(ep)}
 	a.node.Handle(func(in transport.Inbound) {
-		// Handlers run on the sender's goroutine and must not block it:
-		// forwarders and measurement relays take locks and make their own
-		// calls, so they get their own goroutines.
 		switch in.Msg.Type {
 		case transport.TWalk:
-			go rt.handleWalk(a, in.Msg)
+			rt.handleWalk(a, in.Msg)
 		case transport.TMeasure:
-			go rt.handleMeasure(a, in.Msg)
+			rt.handleMeasure(a, in.Msg)
 		}
 	})
+	rt.bind(&a.call, func() { rt.cycle(a, rt.resume(a)) })
+	rt.bind(&a.beat, func() { rt.heartbeat(a, true) })
 	// The paper's random initial neighborQ order, drawn from the runtime
 	// stream so it is a function of Config.Seed.
 	a.cyc.TimerMS = rt.cfg.ProbeIntervalMS
 	a.cyc.Init(rt.o.Neighbors(rt.o.SlotOfHost(host)), rt.r)
 	a.round = core.NewRound(&rt.kernel, rt.m, rt.r, &a.sc)
 	rt.agents[host] = a
-	rt.wg.Add(1)
-	stagger := time.Duration(rt.r.Float64()*rt.cfg.ProbeIntervalMS) * time.Millisecond
-	go rt.runAgent(a, stagger)
-	rt.wg.Add(1)
-	hbStagger := time.Duration(rt.r.Float64()*rt.cfg.HeartbeatIntervalMS) * time.Millisecond
-	go rt.runDetector(a, hbStagger)
+	stagger := ms(rt.r.Float64() * rt.cfg.ProbeIntervalMS)
+	hbStagger := ms(rt.r.Float64() * rt.cfg.HeartbeatIntervalMS)
+	a.mu.Lock()
+	a.probe = time.AfterFunc(stagger, func() { rt.fire(a, rt.probeOnce) })
+	a.sweep = time.AfterFunc(hbStagger, func() { rt.fire(a, rt.heartbeatOnce) })
+	a.mu.Unlock()
 }
+
+// ms converts milliseconds to a timer's duration.
+func ms(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
 
 // Overlay exposes the shared overlay. Safe to inspect after Stop, or under
 // external quiescence; concurrent mutation is the runtime's. While agents
@@ -336,65 +403,97 @@ func (rt *Runtime) Counters() Counters {
 	}
 }
 
-// Stop quiesces every agent (probe loops first, then nodes) and waits.
+// Stop halts every agent, waits until no input runs — the cycles and
+// sweeps under way end, their calls answered or timed out — then closes the
+// nodes, so none can start unless a sender outside the runtime sends.
 func (rt *Runtime) Stop() {
 	rt.mu.Lock()
-	if rt.stopped {
+	if rt.stopped.Load() {
 		rt.mu.Unlock()
 		return
 	}
-	rt.stopped = true
+	rt.stopped.Store(true)
 	agents := rt.allAgentsLocked()
 	rt.mu.Unlock()
 	for _, a := range agents {
-		close(a.stop)
+		a.halt()
 	}
-	rt.wg.Wait()
+	rt.mu.Lock()
+	for rt.inputs.Load() > 0 {
+		rt.idle.Wait()
+	}
+	rt.mu.Unlock()
 	for _, a := range agents {
 		a.node.Close()
 	}
 }
 
-// runAgent is one agent's probe loop: stagger, then fire every timer
-// interval. The interval follows the cycle's Markov back-off and is reset by
-// churn kicks.
-func (rt *Runtime) runAgent(a *agent, stagger time.Duration) {
-	defer rt.wg.Done()
-	timer := time.NewTimer(stagger)
-	defer timer.Stop()
-	for {
-		var next float64
-		select {
-		case <-a.stop:
-			return
-		case <-a.kick:
-			// §3.2 churn rule: neighbors changed — reset to INIT_TIMER.
-			a.mu.Lock()
-			next = a.cyc.Reset(&a.round).Delay
-			a.mu.Unlock()
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		case <-timer.C:
-			next = rt.probeOnce(a)
-		}
-		timer.Reset(time.Duration(next * float64(time.Millisecond)))
+// fire runs input, a's timer firing, unless a is halted.
+func (rt *Runtime) fire(a *agent, input func(*agent)) {
+	rt.inputs.Add(1)
+	if !a.halted.Load() {
+		input(a)
+	}
+	rt.exit()
+}
+
+// exit ends one input's count, and wakes Stop at the last.
+func (rt *Runtime) exit() {
+	if rt.inputs.Add(-1) == 0 && rt.stopped.Load() {
+		rt.mu.Lock()
+		rt.idle.Broadcast()
+		rt.mu.Unlock()
 	}
 }
 
-// probeOnce runs one §3.2 probe cycle for a and returns the delay to the
-// next: the cycle picks a first hop, the wire walks to a partner NHops away,
-// and evaluate runs the rest. An agent whose host holds no live slot is
-// being stopped; it runs no cycle.
-func (rt *Runtime) probeOnce(a *agent) (nextMS float64) {
+// halt stops a's timers for good: no cycle or sweep of a's starts after it.
+func (a *agent) halt() {
+	a.mu.Lock()
+	a.halted.Store(true)
+	a.probe.Stop()
+	a.sweep.Stop()
+	a.mu.Unlock()
+}
+
+// kick applies §3.2's churn rule, neighbors changed: the timer returns to
+// INIT_TIMER, at once between cycles, else when the running cycle ends.
+func (a *agent) kick() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.halted.Load() {
+		return
+	}
+	if !a.probe.Stop() { // the timer fired: a cycle runs, or is about to
+		a.kicked = true
+		return
+	}
+	a.probe.Reset(ms(a.cyc.Reset(&a.round).Delay))
+}
+
+// rearm ends a's cycle, if one ran, and arms its probe timer delayMS out —
+// or at the INIT_TIMER a kick asked for meanwhile.
+func (a *agent) rearm(delayMS float64) {
+	a.mu.Lock()
+	if a.kicked {
+		a.kicked = false
+		delayMS = a.cyc.Reset(&a.round).Delay
+	}
+	if !a.halted.Load() {
+		a.probe.Reset(ms(delayMS))
+	}
+	a.mu.Unlock()
+}
+
+// probeOnce opens one §3.2 probe cycle for a: the cycle picks a first hop
+// for the walk to a partner NHops away. An agent whose host holds no live
+// slot is being stopped; it runs no cycle.
+func (rt *Runtime) probeOnce(a *agent) {
 	rt.mu.Lock()
 	u := rt.o.SlotOfHost(a.host)
 	if u < 0 || !rt.o.Alive(u) {
 		rt.mu.Unlock()
-		return rt.cfg.ProbeIntervalMS
+		a.rearm(rt.cfg.ProbeIntervalMS)
+		return
 	}
 	rt.probes.Add(1)
 	// Live liveness eviction: a crashed neighbor never answers, so the
@@ -413,83 +512,101 @@ func (rt *Runtime) probeOnce(a *agent) (nextMS float64) {
 	a.mu.Lock()
 	step := a.cyc.Fired(&a.round, rt.sc.Nbrs)
 	a.mu.Unlock()
-	var sHost int
-	var walkReq transport.Message
 	if step.Kind == core.Walk {
-		sHost = rt.o.HostOf(step.Hop)
+		a.u, a.to = u, rt.o.HostOf(step.Hop)
 		a.sc.Path = append(a.sc.Path[:0], u, step.Hop)
-		walkReq = transport.Message{
-			Type:  transport.TWalk,
-			TTL:   uint8(rt.kernel.NHops - 1),
-			Epoch: a.epoch,
-			Key:   uint32(a.host),
-			Path:  a.sc.Path,
-		}
 	}
 	rt.mu.Unlock()
 	kickAll(affected)
-	if step.Kind != core.Walk {
-		return rt.ended(step)
-	}
-
-	reply, err := a.node.Call(sHost, walkReq, rt.cfg.PingTimeout, callRetries)
-	if err == nil && reply.Msg.Epoch != a.epoch {
-		// A reply addressed to a previous incarnation of this host: absorb
-		// it — its walk state belongs to the pre-crash life.
-		rt.staleEpochs.Add(1)
-		err = fmt.Errorf("propnode: stale-epoch walk reply")
-	}
-	if err != nil || reply.Msg.TTL != 1 || len(reply.Msg.Path) < 2 {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return rt.ended(a.cyc.WalkStuck(&a.round))
-	}
-	return rt.ended(rt.evaluate(a, u, reply.Msg.Path))
+	rt.cycle(a, step)
 }
 
-// evaluate feeds a's cycle the partner at the end of path, a walk from slot
-// u, and does what the cycle asks to its end, holding rt.mu to plan and to
-// commit only. The world may move meanwhile (another exchange, churn), so
-// the commit lists the host pairs anew and refuses unless they are the ones
-// measured: Refused, never a measurement failure (DESIGN.md §10).
-func (rt *Runtime) evaluate(a *agent, u int, path []int) core.Step {
-	rt.mu.Lock()
-	a.mu.Lock()
-	step := a.cyc.Reached(&a.round, rt.o, rt.heldSlot(a, u), path[len(path)-1], path)
-	a.mu.Unlock()
-	rt.mu.Unlock()
+// cycle does what step asks of a's cycle, and what the steps after it
+// ask, until the cycle ends or waits on a reply that resume takes.
+func (rt *Runtime) cycle(a *agent, step core.Step) {
 	for {
 		switch step.Kind {
-		case core.Measure:
-			// Round trips, one after another: the nodes answer pings and
-			// relays without rt.mu anyway (see the package comment).
-			n := rt.measure(a)
-			a.mu.Lock()
-			step = a.cyc.Measured(&a.round, n)
-			a.mu.Unlock()
-		case core.Commit:
-			rt.mu.Lock()
-			// PROP-G re-lists the swap, PROP-O the same give/take: equal pairs
-			// mean the RTTs still price this exchange. ExchangeNeighbors
-			// re-checks the trade itself (adjacency, Theorem 1).
-			ev, ok := &a.round.Ev, rt.heldSlot(a, u) >= 0 && rt.o.Alive(a.round.V)
-			if ok {
-				ev.List(rt.o, &rt.sc)
-				ok = slices.Equal(rt.sc.Pairs, a.sc.Pairs) && ev.Commit(rt.o, path) == nil
+		case core.Walk:
+			a.wait = walking
+			walk := transport.Message{Type: transport.TWalk, TTL: uint8(rt.kernel.NHops - 1), Epoch: a.epoch,
+				Key: uint32(a.host), Path: a.sc.Path}
+			if !rt.call(a, &a.call, a.to, walk, callRetries) {
+				return
 			}
-			a.mu.Lock()
-			step = a.cyc.Committed(&a.round, ok)
-			a.mu.Unlock()
-			rt.mu.Unlock()
-		default:
-			return step
+			step = rt.walked(a)
+		case core.Measure:
+			step = rt.measure(a)
+		case core.Commit:
+			step = rt.commit(a)
+		case core.End:
+			a.rearm(rt.ended(step))
+			return
+		default: // Ignore, or waiting
+			return
 		}
 	}
+}
+
+// resume takes the reply a's cycle waited for and returns the next step.
+func (rt *Runtime) resume(a *agent) core.Step {
+	switch a.wait {
+	case walking:
+		return rt.walked(a)
+	case relaying:
+		rt.relayed(a)
+		return rt.legs(a, false)
+	}
+	return rt.legs(a, true)
+}
+
+// walked is the walk's outcome: Reached with the partner at the end of the
+// reply's path, planned under rt.mu, or WalkStuck.
+func (rt *Runtime) walked(a *agent) core.Step {
+	reply := a.call.in
+	// A reply addressed to a previous incarnation of this host is absorbed:
+	// its walk state belongs to the pre-crash life.
+	stale := a.call.err == nil && reply.Msg.Epoch != a.epoch
+	if stale {
+		rt.staleEpochs.Add(1)
+	}
+	var step core.Step
+	if a.path = reply.Msg.Path; a.call.err != nil || stale || reply.Msg.TTL != 1 || len(a.path) < 2 {
+		a.mu.Lock()
+		step = a.cyc.WalkStuck(&a.round)
+		a.mu.Unlock()
+		return step
+	}
+	rt.mu.Lock()
+	a.mu.Lock()
+	step = a.cyc.Reached(&a.round, rt.o, rt.heldSlot(a, a.u), a.path[len(a.path)-1], a.path)
+	a.mu.Unlock()
+	rt.mu.Unlock()
+	return step
+}
+
+// commit executes the evaluation under rt.mu. The world may have moved
+// while its RTTs were measured, so it lists the host pairs anew and
+// refuses unless they are the ones measured: Refused, never a measurement
+// failure (DESIGN.md §10).
+func (rt *Runtime) commit(a *agent) core.Step {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	// PROP-G re-lists the swap, PROP-O the same give/take: equal pairs mean
+	// the RTTs still price this exchange. ExchangeNeighbors re-checks the
+	// trade itself (adjacency, Theorem 1).
+	ev, ok := &a.round.Ev, rt.heldSlot(a, a.u) >= 0 && rt.o.Alive(a.round.V)
+	if ok {
+		ev.List(rt.o, &rt.sc)
+		ok = slices.Equal(rt.sc.Pairs, a.sc.Pairs) && ev.Commit(rt.o, a.path) == nil
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.cyc.Committed(&a.round, ok)
 }
 
 // heldSlot returns u if a is its host's current agent and the host still
 // backs live slot u, else -1. The incarnation guard: only the host's current
-// agent may mutate the overlay, never a goroutine of a crashed (or rejoined)
+// agent may mutate the overlay, never an input of a crashed (or rejoined)
 // one. Caller holds rt.mu.
 func (rt *Runtime) heldSlot(a *agent, u int) int {
 	if rt.agents[a.host] != a {
@@ -508,162 +625,177 @@ func (rt *Runtime) ended(step core.Step) float64 {
 	return step.Delay
 }
 
-// measure fills a.sc.RTT for the evaluation's host pairs and returns how
-// many of them, in list order, were measured before the first failure. Each
-// pair is measured from its first host's vantage point — "each side probes
-// its own neighborhood" (§4.3), as messages on the wire: one TMeasure relay
-// listing the target of every pair of the partner's, then a's own legs (rtt).
-// A host is 0 from itself, unasked.
-func (rt *Runtime) measure(a *agent) int {
+// measure runs the Measure step into a.sc.RTT for the evaluation's host
+// pairs, each from its first host's vantage point — "each side probes its
+// own neighborhood" (§4.3), as messages on the wire: one TMeasure relay
+// listing the target of every pair of the partner's, if any, then a's own
+// legs.
+func (rt *Runtime) measure(a *agent) core.Step {
 	// SwapPairs and TradePairs measure from u's and v's hosts only, so every
 	// pair that is not a's own is the partner's.
-	pairs, rtt, partner := a.sc.Pairs, a.sc.RTT, -1
-	a.targets = a.targets[:0]
-	for _, pr := range pairs {
+	partner := -1
+	a.targets, a.relayed, a.leg = a.targets[:0], nil, 0
+	for _, pr := range a.sc.Pairs {
 		if pr[0] != pr[1] && pr[0] != a.host {
 			partner = pr[0]
 			a.targets = binary.BigEndian.AppendUint64(a.targets, uint64(int64(pr[1])))
 		}
 	}
-	got := rt.relay(a, partner)
-	for k, pr := range pairs {
-		switch {
+	if partner >= 0 {
+		a.wait = relaying
+		list := transport.Message{Type: transport.TMeasure, Epoch: a.epoch, Body: a.targets}
+		if !rt.call(a, &a.call, partner, list, callRetries) {
+			return core.Step{}
+		}
+		rt.relayed(a)
+	}
+	return rt.legs(a, false)
+}
+
+// relayed takes the partner's reply: its RTTs, none if the call failed, was
+// refused, or was answered for another incarnation.
+func (rt *Runtime) relayed(a *agent) {
+	switch reply := a.call.in.Msg; {
+	case a.call.err != nil:
+	case reply.Epoch != a.epoch:
+		rt.staleEpochs.Add(1)
+	case reply.TTL == 1:
+		a.relayed = reply.Body
+	}
+}
+
+// legs measures a's pairs in list order from a.leg on — pinged: the pong of
+// a.leg's ping is in a.call — and feeds the cycle how many were measured
+// before the first failure, or waits on a pong. The partner's prefix ends
+// at its reply's first entry that is missing, ragged, or not a finite RTT
+// ≥ 0.
+func (rt *Runtime) legs(a *agent, pinged bool) core.Step {
+	pairs, n := a.sc.Pairs, len(a.sc.Pairs)
+	for k := a.leg; k < len(pairs) && n == len(pairs); k, a.leg, pinged = k+1, k+1, false {
+		v, ok := 0.0, true
+		switch pr := pairs[k]; {
 		case pr[0] == pr[1]:
-			rtt[k] = 0
 		case pr[0] == a.host:
-			var err error
-			if rtt[k], err = rt.rtt(a, pr[1]); err != nil {
-				return k
+			a.wait = pinging
+			var ready bool
+			if v, ok, ready = rt.rtt(a, &a.call, pr[1], pinged); !ready {
+				return core.Step{}
 			}
 		default:
-			// The partner's prefix ends at its reply's first entry that is
-			// missing, ragged, or not a finite RTT ≥ 0.
-			if len(got) < 8 {
-				return k
+			v = math.NaN()
+			if len(a.relayed) >= 8 {
+				v, a.relayed = math.Float64frombits(binary.BigEndian.Uint64(a.relayed)), a.relayed[8:]
 			}
-			v := math.Float64frombits(binary.BigEndian.Uint64(got))
-			if !(v >= 0 && v <= math.MaxFloat64) { // negative, NaN or +Inf
-				return k
-			}
-			rtt[k], got = v, got[8:]
+			ok = v >= 0 && v <= math.MaxFloat64 // not missing, negative, NaN or +Inf
 		}
-	}
-	return len(pairs)
-}
-
-// rtt returns a's RTT to host: 0 to itself, the last answered heartbeat's
-// for a neighbor its neighborQ remembers, else one ping.
-func (rt *Runtime) rtt(a *agent, host int) (float64, error) {
-	if host == a.host {
-		return 0, nil
+		if a.sc.RTT[k] = v; !ok {
+			n = k
+		}
 	}
 	a.mu.Lock()
-	v, ok := a.cyc.Recall(host)
-	a.mu.Unlock()
-	if ok {
-		return v, nil
-	}
-	return a.node.Ping(host, rt.cfg.PingTimeout, callRetries)
+	defer a.mu.Unlock()
+	a.measured = n
+	return a.cyc.Measured(&a.round, n)
 }
 
-// relay sends host partner one TMeasure listing a.targets and returns its
-// reply's RTTs — none if the call failed, was refused, or was answered for
-// another incarnation. An empty list sends nothing.
-func (rt *Runtime) relay(a *agent, partner int) []byte {
-	if len(a.targets) == 0 {
-		return nil
-	}
-	reply, err := a.node.Call(partner, transport.Message{Type: transport.TMeasure, Epoch: a.epoch, Body: a.targets},
-		rt.cfg.PingTimeout, callRetries)
-	if err != nil {
-		return nil
-	}
-	if reply.Msg.Epoch != a.epoch {
-		rt.staleEpochs.Add(1)
-		return nil
-	}
-	if reply.Msg.TTL != 1 {
-		return nil
-	}
-	return reply.Msg.Body
-}
-
-// handleWalk forwards one hop of a probing walk (or closes it). Runs on its
-// own goroutine, never on the sender's.
-func (rt *Runtime) handleWalk(a *agent, m transport.Message) {
-	origin := int(int32(m.Key))
-	reply := func(ok bool, path []int) {
-		ttl := uint8(0)
+// rtt is a's RTT to host, ok unless its ping failed: 0 to itself, the last
+// answered heartbeat's for a neighbor its neighborQ remembers, else a ping
+// through l — pinged: its pong is in l already. Not ready means the pong is
+// awaited, and l's resume goes on from it.
+func (rt *Runtime) rtt(a *agent, l *link, host int, pinged bool) (v float64, ok, ready bool) {
+	if !pinged {
+		if host == a.host {
+			return 0, true, true
+		}
+		a.mu.Lock()
+		v, ok = a.cyc.Recall(host)
+		a.mu.Unlock()
 		if ok {
-			ttl = 1
+			return v, true, true
 		}
-		_ = a.node.Send(origin, transport.Message{
-			Type:  transport.TWalkReply,
-			TTL:   ttl,
-			Epoch: m.Epoch, // echoed so the origin can reject stale-life replies
-			Seq:   m.Seq,
-			Key:   m.Key,
-			Path:  path,
-		})
+		if !rt.call(a, l, host, transport.Message{Type: transport.TPing}, callRetries) {
+			return 0, false, false
+		}
 	}
-	if len(m.Path) < 2 || len(m.Path) > transport.MaxPath-1 {
-		reply(false, m.Path)
-		return
-	}
-
-	rt.mu.Lock()
-	my := rt.o.SlotOfHost(a.host)
-	if my < 0 || !rt.o.Alive(my) || m.Path[len(m.Path)-1] != my {
-		// The world moved under the walk (we swapped or died mid-flight):
-		// this hop is no longer who the sender addressed. Dead-end it.
-		rt.mu.Unlock()
-		reply(false, m.Path)
-		return
-	}
-	if m.TTL == 0 {
-		rt.mu.Unlock()
-		reply(true, m.Path)
-		return
-	}
-	next, ok := rt.o.WalkStep(my, m.Path, rt.r, &rt.sc)
-	if !ok {
-		rt.mu.Unlock()
-		reply(false, m.Path)
-		return
-	}
-	nextHost := rt.o.HostOf(next)
-	rt.mu.Unlock()
-
-	_ = a.node.Send(nextHost, transport.Message{
-		Type:  transport.TWalk,
-		TTL:   m.TTL - 1,
-		Epoch: m.Epoch,
-		Seq:   m.Seq,
-		Key:   m.Key,
-		Path:  append(append([]int(nil), m.Path...), next),
-	})
+	v, err := transport.PongRTT(l.in, l.err)
+	return v, err == nil, true
 }
 
-// handleMeasure answers a TMeasure relay: measure a's RTT to each listed
-// host in list order (rtt: a neighbor's from the neighborQ, any other by a
-// ping) and reply with one RTT per host measured, stopping at the first ping
-// that fails — the prober counts the prefix. A list that is empty, ragged
-// (not a multiple of 8 bytes) or longer than a frame holds is refused with
-// TTL 0. Runs on its own goroutine and takes no runtime lock — the whole
-// deadlock-freedom argument rests on that (a.mu guards a queue read only).
-func (rt *Runtime) handleMeasure(a *agent, m transport.Message) {
-	reply := transport.Message{Type: transport.TMeasureReply, Epoch: m.Epoch, Seq: m.Seq}
-	if n := len(m.Body); n > 0 && n%8 == 0 && n <= transport.MaxBody {
-		// A duplicated delivery shares m.Body with its twin's handler, so
-		// the RTTs go into a buffer of their own.
-		reply.TTL, reply.Body = 1, make([]byte, 0, n)
-		for i := 0; i < n; i += 8 {
-			rtt, err := rt.rtt(a, int(int64(binary.BigEndian.Uint64(m.Body[i:]))))
-			if err != nil {
-				break
+// handleWalk forwards one hop of a probing walk, or closes it: back to the
+// origin with TTL 1 at its last hop, 0 where it dead-ends.
+func (rt *Runtime) handleWalk(a *agent, m transport.Message) {
+	ok, fwd, next, to := len(m.Path) >= 2 && len(m.Path) < transport.MaxPath, false, 0, 0
+	if ok {
+		rt.mu.Lock()
+		// A hop that is no longer who the sender addressed — it swapped or
+		// died mid-flight — dead-ends the walk.
+		my := rt.o.SlotOfHost(a.host)
+		ok = my >= 0 && rt.o.Alive(my) && m.Path[len(m.Path)-1] == my
+		if fwd = ok && m.TTL > 0; fwd {
+			if next, ok = rt.o.WalkStep(my, m.Path, rt.r, &rt.sc); ok {
+				to = rt.o.HostOf(next)
 			}
-			reply.Body = binary.BigEndian.AppendUint64(reply.Body, math.Float64bits(rtt))
 		}
+		rt.mu.Unlock()
 	}
-	_ = a.node.Send(m.Src, reply)
+	if fwd && ok {
+		_ = a.node.Send(to, transport.Message{Type: transport.TWalk, TTL: m.TTL - 1, Epoch: m.Epoch, Seq: m.Seq,
+			Key: m.Key, Path: append(append([]int(nil), m.Path...), next)})
+		return
+	}
+	// The epoch is echoed so the origin can reject stale-life replies.
+	reply := transport.Message{Type: transport.TWalkReply, Epoch: m.Epoch, Seq: m.Seq, Key: m.Key, Path: m.Path}
+	if ok {
+		reply.TTL = 1
+	}
+	_ = a.node.Send(int(int32(m.Key)), reply)
+}
+
+// relay is one TMeasure being answered: the request and one RTT per host
+// measured so far, carried from one pong to the next. Records are recycled
+// through Runtime.relays.
+type relay struct {
+	link
+	a     *agent
+	req   transport.Message
+	reply []byte
+}
+
+// handleMeasure answers a TMeasure relay: it measures a's RTT to each
+// listed host in list order (rtt) and replies with one RTT per host
+// measured, stopping at the first ping that fails — the prober counts the
+// prefix. A list that is empty, ragged (not a multiple of 8 bytes) or
+// longer than a frame holds is refused with TTL 0.
+func (rt *Runtime) handleMeasure(a *agent, m transport.Message) {
+	if n := len(m.Body); n == 0 || n%8 != 0 || n > transport.MaxBody {
+		_ = a.node.Send(m.Src, transport.Message{Type: transport.TMeasureReply, Epoch: m.Epoch, Seq: m.Seq})
+		return
+	}
+	// A duplicated delivery shares m.Body with its twin's relay, so the
+	// RTTs go into a buffer of the relay's own.
+	j := rt.relays.Get().(*relay)
+	j.a, j.req, j.reply = a, m, j.reply[:0]
+	rt.answer(j, false)
+}
+
+// answer measures j's hosts from the first one not yet measured on —
+// pinged: its pong is in j.link — and replies once the list is walked or a
+// ping failed, else waits on a pong.
+func (rt *Runtime) answer(j *relay, pinged bool) {
+	for ; len(j.reply) < len(j.req.Body); pinged = false {
+		host := int(int64(binary.BigEndian.Uint64(j.req.Body[len(j.reply):])))
+		v, ok, ready := rt.rtt(j.a, &j.link, host, pinged)
+		if !ready {
+			return
+		}
+		if !ok {
+			break
+		}
+		j.reply = binary.BigEndian.AppendUint64(j.reply, math.Float64bits(v))
+	}
+	_ = j.a.node.Send(j.req.Src, transport.Message{
+		Type: transport.TMeasureReply, TTL: 1, Epoch: j.req.Epoch, Seq: j.req.Seq, Body: j.reply,
+	})
+	j.a, j.req, j.in = nil, transport.Message{}, transport.Inbound{}
+	rt.relays.Put(j)
 }

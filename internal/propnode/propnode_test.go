@@ -241,8 +241,8 @@ func TestQueueOrderIsSeedDeterministic(t *testing.T) {
 	}
 }
 
-// TestRuntimeSoakChurnRace is the live runtime's -race soak: goroutine
-// agents probing and exchanging concurrently while a churn driver joins,
+// TestRuntimeSoakChurnRace is the live runtime's -race soak: agents
+// probing and exchanging concurrently while a churn driver joins,
 // leaves, and crash-stops nodes, for a bounded wall-clock budget. At
 // quiesce the audit invariants must hold on the shared overlay.
 func TestRuntimeSoakChurnRace(t *testing.T) {
@@ -350,12 +350,53 @@ func TestRuntimeMeasureRelayFailurePoisonsExchange(t *testing.T) {
 	// relay's deadline comes first, pairs 1 and on go unmeasured.
 	a.sc.Pairs = [][2]int{{0, 1}, {5, 987654}, {5, 1}, {0, 2}}
 	a.sc.RTT = make([]float64, len(a.sc.Pairs))
-	measured := rt.measure(a)
+	measured := measureNow(t, rt, a)
 	if measured != 1 {
 		t.Fatalf("measured %d pairs past a relay to an absent host, want 1", measured)
 	}
 	var ev core.Evaluation
 	if why, _ := ev.Judge(a.sc.RTT, measured, math.Inf(-1)); why != core.Poisoned {
 		t.Fatalf("a relay failure judged %v, want Poisoned", why)
+	}
+}
+
+// TestStopQuiesces stops a runtime whose probe and sweep timers are armed
+// and one of whose cycles waits on a walk reply that will never come. Once
+// Stop returns, every cycle that started has ended, nothing moves across
+// several probe intervals, and the overlay is whole.
+func TestStopQuiesces(t *testing.T) {
+	waiting := make(chan struct{}, 1)
+	net := &hookNet{
+		Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}),
+		drop: func(_, to int, m transport.Message) bool {
+			if to != 0 || m.Type != transport.TWalkReply {
+				return false
+			}
+			select {
+			case waiting <- struct{}{}:
+			default:
+			}
+			return true
+		},
+	}
+	rt := New(net, Config{Policy: core.PROPG, Seed: 8, ProbeIntervalMS: 2, HeartbeatIntervalMS: 4,
+		PingTimeout: 10 * time.Millisecond, Lat: ClusterLat})
+	if err := rt.Start(hostsN(12)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return rt.Counters().Probes >= 20 })
+	<-waiting
+	<-waiting // host 0's walk reply was just dropped: its call runs for 150ms
+	rt.Stop()
+	c := rt.Counters()
+	if ends := c.Exchanges + c.Rejected + c.WalkFailures + c.MeasureFailures; ends != c.Probes || c.WalkFailures == 0 {
+		t.Fatalf("%d cycle ends for %d probes after Stop, want one each and a lost walk: %+v", ends, c.Probes, c)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := rt.Counters(); got != c {
+		t.Fatalf("counters moved after Stop: %+v, then %+v", c, got)
+	}
+	if err := rt.Overlay().CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -11,10 +11,11 @@ import (
 	"time"
 )
 
-// TestPingRoundTripAllocations pins a warm Node.Ping over a zero-delay
-// loopback at one heap allocation: the decoded copy of the pong's delay
-// body the caller receives. The pong body, the call record, its timer and
-// both frames are recycled.
+// TestPingRoundTripAllocations pins a warm round trip over a zero-delay
+// loopback at one heap allocation, the decoded copy of the pong's delay body
+// the caller receives, both as a blocking Node.Ping and as a callback
+// Node.Call whose done was bound once. The pong body, the call record, its
+// timer, Ping's hand-off and both frames are recycled.
 func TestPingRoundTripAllocations(t *testing.T) {
 	lb := NewLoopback(LoopbackConfig{})
 	epA, _ := lb.Open(1)
@@ -28,11 +29,23 @@ func TestPingRoundTripAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 100; i++ { // warm the record and frame pools
-		ping()
+	var rtt float64
+	var err error
+	done := func(in Inbound, e error) { rtt, err = PongRTT(in, e) }
+	call := func() {
+		rtt, err = -1, nil
+		a.Call(2, Message{Type: TPing}, time.Second, 0, done)
+		if err != nil || rtt != 0 {
+			t.Fatalf("Call's done saw RTT %v, %v; want 0 before Call returned", rtt, err)
+		}
 	}
-	if got := testing.AllocsPerRun(2000, ping); got > 1 {
-		t.Fatalf("%v allocations per warm Ping round trip, want ≤ 1 (the decoded copy of the pong's delay body)", got)
+	for name, rt := range map[string]func(){"Ping": ping, "Call": call} {
+		for i := 0; i < 100; i++ { // warm the record and frame pools
+			rt()
+		}
+		if got := testing.AllocsPerRun(2000, rt); got > 1 {
+			t.Fatalf("%v allocations per warm %s round trip, want ≤ 1 (the decoded copy of the pong's delay body)", got, name)
+		}
 	}
 }
 

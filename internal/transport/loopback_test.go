@@ -415,16 +415,41 @@ func TestNodeCallRetransmitsThroughLoss(t *testing.T) {
 	_ = b
 }
 
+// TestNodeCallTimesOutWhenPeerGone follows one call's outcomes: a mute
+// peer's call fails after its doubling deadlines, and its late reply counts
+// as stale; an answer delivered inside Send runs done once, before Call
+// returns, with no timer armed, and a second copy of it counts as a
+// duplicate.
 func TestNodeCallTimesOutWhenPeerGone(t *testing.T) {
 	lb := NewLoopback(LoopbackConfig{})
 	epA, _ := lb.Open(1)
 	a := NewNode(epA)
 	defer a.Close()
+	peer, _ := lb.Open(42) // answers only when told to, twice
+	defer peer.Close()
+	var answer bool
+	var seen *call
+	var lastSeq uint64
+	peer.Serve(func(in Inbound) {
+		lastSeq = in.Msg.Seq
+		a.mu.Lock()
+		seen = a.pending[in.Msg.Seq]
+		a.mu.Unlock()
+		for i := 0; answer && i < 2; i++ {
+			_ = peer.Send(1, Message{Type: TMeasureReply, Seq: in.Msg.Seq})
+		}
+	})
+	type outcome struct {
+		in  Inbound
+		err error
+	}
+	outcomes := make(chan outcome, 2)
+	done := func(in Inbound, err error) { outcomes <- outcome{in, err} }
 
 	start := time.Now()
-	_, err := a.Call(42, Message{Type: TMeasure}, 5*time.Millisecond, 2)
-	if err == nil {
-		t.Fatal("call to absent host succeeded")
+	a.Call(42, Message{Type: TMeasure}, 5*time.Millisecond, 2, done)
+	if o := <-outcomes; o.err == nil {
+		t.Fatal("call to a mute peer succeeded")
 	}
 	// Deadlines double: 5+10+20 = 35ms minimum elapsed.
 	if el := time.Since(start); el < 35*time.Millisecond {
@@ -432,6 +457,26 @@ func TestNodeCallTimesOutWhenPeerGone(t *testing.T) {
 	}
 	if to, re := a.timeouts.Load(), a.retries.Load(); to != 3 || re != 2 {
 		t.Fatalf("timeouts/retries = %d/%d, want 3/2", to, re)
+	}
+	_ = peer.Send(1, Message{Type: TMeasureReply, Seq: lastSeq})
+	if st, dup := a.staleReplies.Load(), a.dupReplies.Load(); st != 1 || dup != 0 {
+		t.Fatalf("a reply after the last deadline counted stale/dup %d/%d, want 1/0", st, dup)
+	}
+
+	answer = true
+	a.Call(42, Message{Type: TMeasure}, time.Hour, 0, done)
+	if len(outcomes) != 1 {
+		t.Fatalf("%d outcomes when an answered Call returned, want 1", len(outcomes))
+	}
+	if o := <-outcomes; o.err != nil || o.in.Msg.Seq != lastSeq {
+		t.Fatalf("answered call: %+v, %v", o.in.Msg, o.err)
+	}
+	// The record went back to the pool; nothing else uses it here.
+	if seen == nil || seen.armed || seen.timer.Stop() {
+		t.Fatal("a call answered inside Send armed its timer")
+	}
+	if st, dup := a.staleReplies.Load(), a.dupReplies.Load(); st != 1 || dup != 1 {
+		t.Fatalf("a second copy of the reply counted stale/dup %d/%d, want 1/1", st, dup)
 	}
 }
 

@@ -11,27 +11,28 @@ import (
 
 // Node wraps an Endpoint with the message discipline every live PROP peer
 // needs: a receiver that answers pings and dispatches inbound traffic, and
-// request/response calls with per-attempt deadlines, bounded retransmission
-// with exponential back-off, and sequence-number matching that absorbs
-// duplicate and stale replies.
+// request/response calls that complete by callback, with per-attempt
+// deadlines, bounded retransmission with exponential back-off, and
+// sequence-number matching that absorbs duplicate and stale replies.
 type Node struct {
 	ep Endpoint
 
-	// mu guards pending, and dispatch hands a reply (Close a close notice)
-	// into a call record while holding it — the recycling argument of Call
-	// rests on that. Nothing holds it while sending.
-	mu      sync.Mutex
-	pending map[uint64]*call
-	closed  atomic.Bool // set under mu: no Call registers after it
-	handler atomic.Pointer[func(Inbound)]
+	// mu guards pending, answered and the state of every record in pending;
+	// the recycling argument of Call rests on it. Nothing holds it while
+	// sending or running a call's done.
+	mu       sync.Mutex
+	pending  map[uint64]*call
+	answered uint64      // the seq of the last call a reply completed
+	closed   atomic.Bool // set under mu: no Call registers after it
+	handler  atomic.Pointer[func(Inbound)]
 
 	seq  atomic.Uint64
 	once sync.Once
 
-	// The liveness machinery at work: TPing requests issued, call attempts
+	// The liveness machinery at work: TPing calls issued, call attempts
 	// that expired, retransmissions after a timeout, replies that arrived
-	// after their call gave up or completed (the live stale-timer race,
-	// absorbed not re-processed), and duplicates the seq guard absorbed.
+	// after their call gave up (the live stale-timer race, absorbed not
+	// re-processed), and second copies of the last answered call's reply.
 	pings        atomic.Uint64
 	timeouts     atomic.Uint64
 	retries      atomic.Uint64
@@ -53,28 +54,35 @@ func NewNode(ep Endpoint) *Node {
 // Handle installs the handler for inbound traffic the node does not consume
 // itself (everything but TPing and matched replies). The handler runs on
 // the sender's goroutine, on many at once: it must not block, or the sender
-// stalls — dispatch slow work (anything taking a lock or doing its own
-// calls) to a goroutine. A nil h uninstalls the handler: such traffic is
-// dropped again.
+// stalls — a handler that needs a round trip makes a Call and goes on in
+// its done. A nil h uninstalls the handler: such traffic is dropped again.
 func (n *Node) Handle(h func(Inbound)) { n.handler.Store(&h) }
 
 // Send transmits a one-way message (no response matching).
 func (n *Node) Send(to int, m Message) error { return n.ep.Send(to, m) }
 
-// Close fails pending calls and closes the endpoint; a delivery that
-// races it is dropped. Idempotent.
+// Close fails every pending call, running each one's done once with an
+// error, and closes the endpoint; a delivery that races it is dropped.
+// Idempotent.
 func (n *Node) Close() {
 	n.once.Do(func() {
 		n.mu.Lock()
 		n.closed.Store(true)
+		err := fmt.Errorf("transport: node %d closed during a call", n.ep.Host())
+		failed := make([]func(Inbound, error), 0, len(n.pending))
 		for _, c := range n.pending {
-			select {
-			case c.ch <- Inbound{}: // the close notice: no wire message has type 0
-			default: // a reply is already waiting
+			if done, free := n.settle(c, Inbound{}, err); done != nil {
+				failed = append(failed, done)
+				if free {
+					c.recycle()
+				}
 			}
 		}
 		n.mu.Unlock()
 		n.ep.Close()
+		for _, done := range failed {
+			done(Inbound{}, err)
+		}
 	})
 }
 
@@ -103,19 +111,26 @@ func (n *Node) dispatch(in Inbound) {
 		})
 		delays.Put(b)
 	case TPong, TWalkReply, TMeasureReply:
-		// Hand over under n.mu — Call's recycling relies on it. The send
-		// never blocks: room for one reply, a second is a duplicate.
 		n.mu.Lock()
-		if c := n.pending[in.Msg.Seq]; c == nil {
-			n.staleReplies.Add(1)
-		} else {
-			select {
-			case c.ch <- in:
-			default:
+		c := n.pending[in.Msg.Seq]
+		if c == nil {
+			if in.Msg.Seq == n.answered {
 				n.dupReplies.Add(1)
+			} else {
+				n.staleReplies.Add(1)
 			}
+			n.mu.Unlock()
+			return
 		}
+		n.answered = in.Msg.Seq
+		done, free := n.settle(c, in, nil)
 		n.mu.Unlock()
+		if free {
+			c.recycle()
+		}
+		if done != nil {
+			done(in, nil)
+		}
 	default:
 		if h := n.handler.Load(); h != nil && *h != nil {
 			(*h)(in)
@@ -123,126 +138,202 @@ func (n *Node) dispatch(in Inbound) {
 	}
 }
 
-// call is the record of one in-flight Call: the channel dispatch hands the
-// reply to and the timer of the current attempt. Records are recycled
-// through calls; one at rest there has an empty channel and a stopped timer
-// with a drained channel, which is the state Timer.Reset requires.
+// call is the record of one pending Call. Records are recycled through
+// calls, each with its timer, made once by AfterFunc to run expire and
+// re-armed per attempt. Three holders may use a record outside Node.mu: the
+// pending map, a transmission under way (sending) and an armed timer or its
+// expire (armed); whichever drops the last one recycles it. An outcome that
+// settles the call during a transmission waits in the record until Send
+// returns, so done never runs while Send may still read m.
 type call struct {
-	ch    chan Inbound // capacity 1: the reply; later copies are duplicates
-	timer *time.Timer
+	n        *Node
+	timer    *time.Timer
+	seq      uint64
+	to       int
+	m        Message
+	deadline time.Duration // of the current attempt
+	attempt  int           // transmissions so far
+	retries  int
+	done     func(Inbound, error)
+	in       Inbound // the outcome settled during a transmission
+	err      error
+	sending  bool
+	armed    bool
 }
 
-var calls = sync.Pool{New: func() any {
-	// A fresh timer must not fire before its first Reset: give it the longest
-	// deadline there is and stop it at once, so it never has.
-	t := time.NewTimer(math.MaxInt64)
-	t.Stop()
-	return &call{ch: make(chan Inbound, 1), timer: t}
-}}
+var calls sync.Pool
 
-// await returns the attempt's reply, or false once deadline d passed
-// without one. A reply already in the record — the loopback answers a
-// loss-free call inside Send — returns at once, no timer armed.
-func (c *call) await(d time.Duration) (Inbound, bool) {
-	select {
-	case in := <-c.ch:
-		return in, true
-	default:
-	}
-	c.timer.Reset(d)
-	select {
-	case in := <-c.ch:
-		// The timer was Reset in this attempt and its channel not read
-		// since, so a false Stop means it fired and the tick is, or is about
-		// to be, in the channel: the receive takes it under the asynchronous
-		// timer channels the go 1.22 modules build with; under Go 1.23's
-		// synchronous ones Stop returns true and discards the tick itself.
-		if !c.timer.Stop() {
-			<-c.timer.C
-		}
-		return in, true
-	case <-c.timer.C:
-		return Inbound{}, false
+func init() {
+	calls.New = func() any {
+		// A fresh timer must not fire before its first Reset: give it the
+		// longest deadline there is and stop it at once, so it never has.
+		c := new(call)
+		c.timer = time.AfterFunc(math.MaxInt64, c.expire)
+		c.timer.Stop()
+		return c
 	}
 }
 
-// Call sends m to host to and waits for the matching reply. Each attempt
-// gets deadline timeout; a lost exchange retransmits up to retries times
-// with the deadline doubling per attempt (exponential back-off). The same
-// sequence number is reused across retransmissions, so a late reply to an
-// earlier attempt still completes the call — and replies arriving after
-// completion are absorbed as stale.
-//
-// The call's record is pooled. Recycling it relies on dispatch handing over
-// under n.mu and finish deleting under n.mu: after the delete no reply can
-// reach the record (DESIGN.md §10 "Transport locking").
-func (n *Node) Call(to int, m Message, timeout time.Duration, retries int) (Inbound, error) {
-	if timeout <= 0 {
-		return Inbound{}, fmt.Errorf("transport: call needs a positive timeout")
-	}
-	seq := n.seq.Add(1)
-	m.Seq = seq
-	c := calls.Get().(*call)
-	n.mu.Lock()
-	if n.closed.Load() {
-		n.mu.Unlock()
-		calls.Put(c)
-		return Inbound{}, fmt.Errorf("transport: node %d closed before call to %d", n.ep.Host(), to)
-	}
-	n.pending[seq] = c
-	n.mu.Unlock()
-	defer n.finish(seq, c)
-
-	deadline := timeout
-	for attempt := 0; ; attempt++ {
-		if err := n.ep.Send(to, m); err != nil {
-			return Inbound{}, err
-		}
-		if in, ok := c.await(deadline); ok {
-			if in.Msg.Type == 0 {
-				return Inbound{}, fmt.Errorf("transport: node %d closed during call to %d", n.ep.Host(), to)
-			}
-			return in, nil
-		}
-		n.timeouts.Add(1)
-		if attempt >= retries {
-			return Inbound{}, fmt.Errorf("transport: call %d→%d type %d timed out after %d attempts",
-				n.ep.Host(), to, m.Type, attempt+1)
-		}
-		n.retries.Add(1)
-		deadline *= 2
-	}
-}
-
-// finish retires the record of a returning Call. await leaves the timer
-// stopped and drained; the reply channel is drained here, after
-// the delete that cuts the record off from dispatch.
-func (n *Node) finish(seq uint64, c *call) {
-	n.mu.Lock()
-	delete(n.pending, seq)
-	n.mu.Unlock()
-	select {
-	case <-c.ch:
-	default:
-	}
+func (c *call) recycle() {
+	c.n, c.m, c.done, c.in, c.err = nil, Message{}, nil, Inbound{}, nil
 	calls.Put(c)
 }
 
-// Ping measures the round-trip time to host to in milliseconds: the exact
-// virtual RTT, the DelayMS of both legs summed, so no clock is read.
-// Timeout and retries follow Call's retransmission discipline. An RTT that
-// is negative, NaN or infinite, or a pong without a well-formed delay body,
-// is an error, not a measurement.
+// Call sends m to host to and runs done once with the matching reply, or
+// with an error once the call failed. Each attempt gets deadline timeout;
+// a lost exchange retransmits up to retries times with the deadline
+// doubling per attempt (exponential back-off). The same sequence number is
+// reused across retransmissions, so a late reply to an earlier attempt
+// still completes the call, and replies arriving after completion are
+// absorbed. Call returns at once; done never runs under Node.mu, but it may
+// run before Call returns (the loopback answers a loss-free call inside
+// Send), so a caller holds no lock across Call. m's Path and Body must stay
+// unchanged until done runs: retransmissions send them again.
+//
+// The call's record is pooled. Recycling it is safe because every holder
+// drops its hold under n.mu and the last one recycles: once settle took the
+// record out of pending no reply can reach it (DESIGN.md §10 "Transport
+// locking").
+func (n *Node) Call(to int, m Message, timeout time.Duration, retries int, done func(Inbound, error)) {
+	if timeout <= 0 {
+		done(Inbound{}, fmt.Errorf("transport: call needs a positive timeout"))
+		return
+	}
+	if m.Type == TPing {
+		n.pings.Add(1)
+	}
+	c := calls.Get().(*call)
+	c.n, c.to, c.m, c.deadline, c.attempt, c.retries, c.done = n, to, m, timeout, 0, retries, done
+	c.seq = n.seq.Add(1)
+	c.m.Seq = c.seq
+	n.mu.Lock()
+	if n.closed.Load() {
+		n.mu.Unlock()
+		c.recycle()
+		done(Inbound{}, fmt.Errorf("transport: node %d closed before call to %d", n.ep.Host(), to))
+		return
+	}
+	n.pending[c.seq] = c
+	c.sending = true
+	n.mu.Unlock()
+	n.transmit(c)
+}
+
+// transmit sends one attempt of c, then arms its deadline — or runs done,
+// if the call settled meanwhile: a reply delivered inside Send arms no
+// timer.
+func (n *Node) transmit(c *call) {
+	c.attempt++
+	err := n.ep.Send(c.to, c.m)
+	n.mu.Lock()
+	c.sending = false
+	var in Inbound
+	var done func(Inbound, error)
+	if _, live := n.pending[c.seq]; !live {
+		in, err, done = c.in, c.err, c.done
+	} else if err != nil {
+		done, _ = n.settle(c, in, err)
+	} else {
+		c.armed = true
+		c.timer.Reset(c.deadline)
+	}
+	n.mu.Unlock()
+	if done != nil {
+		c.recycle()
+		done(in, err)
+	}
+}
+
+// expire is an attempt's deadline passing: retransmit with the deadline
+// doubled, or fail the call once its retries are spent.
+func (c *call) expire() {
+	n := c.n
+	n.mu.Lock()
+	c.armed = false
+	if _, live := n.pending[c.seq]; !live { // settled after the timer fired
+		n.mu.Unlock()
+		c.recycle()
+		return
+	}
+	n.timeouts.Add(1)
+	if c.attempt > c.retries {
+		err := fmt.Errorf("transport: call %d→%d type %d timed out after %d attempts",
+			n.ep.Host(), c.to, c.m.Type, c.attempt)
+		done, _ := n.settle(c, Inbound{}, err)
+		n.mu.Unlock()
+		c.recycle()
+		done(Inbound{}, err)
+		return
+	}
+	n.retries.Add(1)
+	c.deadline *= 2
+	c.sending = true
+	n.mu.Unlock()
+	n.transmit(c)
+}
+
+// settle takes pending record c out of pending with its outcome. During a
+// transmission it leaves the outcome in c for transmit and returns no done.
+// Otherwise it stops c's timer and returns c's done and whether the caller
+// now holds c alone and must recycle it. Caller holds n.mu.
+func (n *Node) settle(c *call, in Inbound, err error) (func(Inbound, error), bool) {
+	delete(n.pending, c.seq)
+	if c.sending {
+		c.in, c.err = in, err
+		return nil, false
+	}
+	if c.armed && c.timer.Stop() {
+		c.armed = false
+	}
+	done := c.done
+	c.done = nil
+	return done, !c.armed
+}
+
+// pong is a blocking Ping's hand-off: done, bound once per record, passes
+// the outcome to the waiting caller.
+type pong struct {
+	ch   chan pongRTT
+	done func(Inbound, error)
+}
+
+type pongRTT struct {
+	rtt float64
+	err error
+}
+
+var pongs = sync.Pool{New: func() any {
+	p := &pong{ch: make(chan pongRTT, 1)}
+	p.done = func(in Inbound, err error) {
+		rtt, err := PongRTT(in, err)
+		p.ch <- pongRTT{rtt, err}
+	}
+	return p
+}}
+
+// Ping measures the round-trip time to host to in milliseconds and waits
+// for it: a ping Call and its PongRTT. Timeout and retries follow Call's
+// retransmission discipline.
 func (n *Node) Ping(to int, timeout time.Duration, retries int) (float64, error) {
-	n.pings.Add(1)
-	in, err := n.Call(to, Message{Type: TPing}, timeout, retries)
+	p := pongs.Get().(*pong)
+	n.Call(to, Message{Type: TPing}, timeout, retries, p.done)
+	r := <-p.ch
+	pongs.Put(p)
+	return r.rtt, r.err
+}
+
+// PongRTT reads a ping Call's outcome as the exact virtual RTT in
+// milliseconds: the DelayMS of both legs summed, so no clock is read. A
+// failed call, a pong without a well-formed delay body, or an RTT that is
+// negative, NaN or infinite is an error, not a measurement.
+func PongRTT(in Inbound, err error) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
 	fwd, ok := decodeDelay(in.Msg.Body)
 	rtt := fwd + in.DelayMS
 	if !ok || !(rtt >= 0 && rtt <= math.MaxFloat64) {
-		return 0, fmt.Errorf("transport: ping %d→%d: no finite virtual RTT (%v)", n.ep.Host(), to, rtt)
+		return 0, fmt.Errorf("transport: ping %d→%d: no finite virtual RTT (%v)", in.Msg.Dst, in.Msg.Src, rtt)
 	}
 	return rtt, nil
 }

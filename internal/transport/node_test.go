@@ -3,6 +3,7 @@ package transport
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,16 +78,24 @@ func TestCallRecordRecyclingIsolatesCalls(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			type reply struct {
+				in  Inbound
+				err error
+			}
+			replies := make(chan reply, 1)
+			done := func(in Inbound, err error) { replies <- reply{in, err} }
 			var lastSeq uint64
 			for i := 0; i < perCaller; i++ {
 				key := uint32(g*perCaller + i + 1)
 				// 2µs doubles to a full second within the retry budget, so
 				// on a fault-free-loss link no call can run out of attempts.
-				in, err := a.Call(2, Message{Type: TPing, Key: key}, 2*time.Microsecond, 20)
-				if err != nil {
-					t.Errorf("caller %d call %d: %v", g, i, err)
+				a.Call(2, Message{Type: TPing, Key: key}, 2*time.Microsecond, 20, done)
+				r := <-replies
+				if r.err != nil {
+					t.Errorf("caller %d call %d: %v", g, i, r.err)
 					return
 				}
+				in := r.in
 				if in.Msg.Type != TPong || in.Msg.Key != key {
 					t.Errorf("caller %d call %d: got type %d key %d, want a pong with key %d — a reply crossed call records",
 						g, i, in.Msg.Type, in.Msg.Key, key)
@@ -192,8 +201,8 @@ func TestPingRejectsNonFiniteRTT(t *testing.T) {
 }
 
 // TestCloseFailsCallsInFlight: calls waiting on a peer that never answers
-// return an error as soon as their node closes, well before their deadline,
-// and a call made after Close fails at once.
+// fail, each running its done exactly once, before Close returns and well
+// before their deadline, and a call made after Close fails at once.
 func TestCloseFailsCallsInFlight(t *testing.T) {
 	lb := NewLoopback(LoopbackConfig{})
 	epA, _ := lb.Open(1)
@@ -202,37 +211,30 @@ func TestCloseFailsCallsInFlight(t *testing.T) {
 	a := NewNode(epA)
 
 	const callers = 8
-	errs := make(chan error, callers)
-	for g := 0; g < callers; g++ {
-		go func() {
-			_, err := a.Call(2, Message{Type: TPing}, time.Hour, 0)
-			errs <- err
-		}()
-	}
-	// Close once every call is registered, so the test covers the close
-	// notice rather than the refusal of a late call.
-	for {
-		a.mu.Lock()
-		n := len(a.pending)
-		a.mu.Unlock()
-		if n == callers {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	a.Close()
-	for g := 0; g < callers; g++ {
-		select {
-		case err := <-errs:
-			if err == nil {
-				t.Fatal("a call to a mute peer succeeded")
+	var ran [callers + 1]atomic.Int32
+	var failed atomic.Int32
+	for g := 0; g <= callers; g++ {
+		done := func(in Inbound, err error) {
+			ran[g].Add(1)
+			if err != nil {
+				failed.Add(1)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("Close left a call waiting")
 		}
+		if g == callers {
+			a.Close()
+			if n := failed.Load(); n != callers {
+				t.Fatalf("Close returned with %d of %d calls failed", n, callers)
+			}
+		}
+		a.Call(2, Message{Type: TPing}, time.Hour, 0, done)
 	}
-	if _, err := a.Call(2, Message{Type: TPing}, time.Hour, 0); err == nil {
-		t.Fatal("a call after Close succeeded")
+	if failed.Load() != callers+1 {
+		t.Fatal("a call after Close did not fail at once")
+	}
+	for g := range ran {
+		if n := ran[g].Load(); n != 1 {
+			t.Fatalf("call %d ran its done %d times, want once", g, n)
+		}
 	}
 }
 
