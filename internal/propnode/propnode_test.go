@@ -385,8 +385,13 @@ func TestStopQuiesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool { return rt.Counters().Probes >= 20 })
-	<-waiting
-	<-waiting // host 0's walk reply was just dropped: its call runs for 150ms
+	for range 2 { // the second drop is fresh: host 0's walk call runs for 150ms
+		select {
+		case <-waiting:
+		case <-time.After(10 * time.Second):
+			t.Fatal("host 0 sent no walk")
+		}
+	}
 	rt.Stop()
 	c := rt.Counters()
 	if ends := c.Exchanges + c.Rejected + c.WalkFailures + c.MeasureFailures; ends != c.Probes || c.WalkFailures == 0 {
