@@ -227,6 +227,28 @@ func TestCycleResetAbsorbsRetransmit(t *testing.T) {
 	}
 }
 
+// TestRetransmitKeepsFirstHop pins Retransmit's promise: every resent walk
+// leaves through the first hop Fired chose, for as long as the retry budget
+// lasts.
+func TestRetransmitKeepsFirstHop(t *testing.T) {
+	for _, policy := range []Policy{PROPG, PROPO} {
+		m := pathWorld(t, policy, 0)
+		fired := m.feed(t, "Fired")[0]
+		if fired.Kind != Walk {
+			t.Fatalf("%v: Fired gave %+v, want Walk", policy, fired)
+		}
+		for attempt := 0; attempt < maxRetries; attempt++ {
+			resend := m.feed(t, "WalkLost")[0]
+			if resend.Kind != Resend || resend.Attempt != attempt {
+				t.Fatalf("%v: loss %d gave %+v, want Resend of attempt %d", policy, attempt, resend, attempt)
+			}
+			if step := m.c.Retransmit(resend.Txn); step.Kind != Walk || step.Hop != fired.Hop {
+				t.Fatalf("%v: retransmit %d gave %+v, want Walk through first hop %d", policy, attempt, step, fired.Hop)
+			}
+		}
+	}
+}
+
 // endRow is one way a cycle ends: its inputs, and the Reason.
 type endRow struct {
 	name   string

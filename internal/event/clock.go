@@ -35,8 +35,8 @@ type Clock interface {
 
 // WallClock is the live implementation of Clock: timers fire on real time
 // and handlers execute on a single runner goroutine, preserving the
-// engine's handlers-never-overlap guarantee. Schedule and the timers'
-// Cancel/Pending are safe from any goroutine.
+// engine's handlers-never-overlap guarantee. Schedule, Timer and the timers'
+// methods are safe from any goroutine.
 type WallClock struct {
 	start    time.Time
 	fire     chan func()
@@ -79,27 +79,27 @@ func (c *WallClock) Now() Time {
 // Unlike the engine — where scheduling in the past is a protocol bug — a
 // non-positive delay fires as soon as the runner is free: wall time advances
 // between computing a deadline and scheduling it, so "already due" is an
-// environmental condition here.
+// environmental condition here. It is a WallTimer armed once, whose firing
+// and Cancel race for one claim.
 func (c *WallClock) Schedule(d Time, f func()) Canceler {
+	w := c.timer(f, true)
+	w.Reset(d)
+	return (*oneShot)(w)
+}
+
+// Timer returns a stopped timer that runs f on the runner goroutine each time
+// it fires; Reset arms it. It is made once: neither Reset nor a firing
+// allocates.
+func (c *WallClock) Timer(f func()) *WallTimer { return c.timer(f, false) }
+
+func (c *WallClock) timer(f func(), once bool) *WallTimer {
 	if f == nil {
 		panic("event: nil handler")
 	}
-	if d < 0 {
-		d = 0
-	}
-	t := &wallTimer{}
-	t.timer = time.AfterFunc(time.Duration(float64(d)*float64(time.Millisecond)), func() {
-		// Claim the firing before enqueueing so a concurrent Cancel either
-		// prevents the handler entirely or observes it as already done.
-		if !t.state.CompareAndSwap(statePending, stateDone) {
-			return
-		}
-		select {
-		case c.fire <- f:
-		case <-c.quit:
-		}
-	})
-	return t
+	w := &WallTimer{c: c, f: f, once: once}
+	w.t = time.AfterFunc(time.Hour, w.fire)
+	w.t.Stop()
+	return w
 }
 
 // Sync runs f on the runner goroutine and waits for it to return, giving
@@ -137,20 +137,51 @@ func (c *WallClock) Stop() {
 	c.done.Wait()
 }
 
-type wallTimer struct {
-	timer *time.Timer
-	state atomic.Int32
+// WallTimer is a re-armable timer on a WallClock. A firing only hands f to
+// the runner, which runs it; once the clock is stopped, a firing is dropped.
+// Reset and Stop are safe from any goroutine.
+type WallTimer struct {
+	c     *WallClock
+	f     func()
+	t     *time.Timer
+	once  bool         // a Schedule timer: its firing and Cancel claim state
+	state atomic.Int32 // once's claim
 }
+
+func (w *WallTimer) fire() {
+	// Claim the firing before enqueueing so a concurrent Cancel either
+	// prevents the handler entirely or observes it as already done.
+	if w.once && !w.state.CompareAndSwap(statePending, stateDone) {
+		return
+	}
+	select {
+	case w.c.fire <- w.f:
+	case <-w.c.quit:
+	}
+}
+
+// Reset arms w to fire d milliseconds from now, in place of any firing still
+// pending; a non-positive d fires as soon as the runner is free.
+func (w *WallTimer) Reset(d Time) {
+	w.t.Reset(time.Duration(float64(max(d, 0)) * float64(time.Millisecond)))
+}
+
+// Stop prevents w's pending firing, with time.Timer.Stop's meaning: false if
+// w already fired — its handler may be yet to run — or was not armed.
+func (w *WallTimer) Stop() bool { return w.t.Stop() }
+
+// oneShot is a Schedule timer's Canceler face.
+type oneShot WallTimer
 
 // Cancel prevents a pending firing; it reports false when the timer already
 // claimed its firing (the live-path stale-timer race) or was cancelled.
-func (t *wallTimer) Cancel() bool {
+func (t *oneShot) Cancel() bool {
 	if !t.state.CompareAndSwap(statePending, stateCancelled) {
 		return false
 	}
-	t.timer.Stop()
+	t.t.Stop()
 	return true
 }
 
 // Pending reports whether the timer has neither fired nor been cancelled.
-func (t *wallTimer) Pending() bool { return t.state.Load() == statePending }
+func (t *oneShot) Pending() bool { return t.state.Load() == statePending }

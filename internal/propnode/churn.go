@@ -152,10 +152,7 @@ func (rt *Runtime) slotLocked(op string, host int) (int, error) {
 func (rt *Runtime) agentsForLocked(slots []int) []*agent {
 	var out []*agent
 	for _, s := range slots {
-		if !rt.o.Alive(s) {
-			continue
-		}
-		if a, ok := rt.agents[rt.o.HostOf(s)]; ok {
+		if a, ok := rt.agents[rt.o.HostOf(s)]; ok && rt.o.Alive(s) {
 			out = append(out, a)
 		}
 	}

@@ -1,8 +1,7 @@
 package propnode
 
 import (
-	"time"
-
+	"repro/internal/event"
 	"repro/internal/transport"
 )
 
@@ -99,14 +98,10 @@ func (rt *Runtime) heartbeat(a *agent, answered bool) {
 			rt.evictSuspect(a, nb[1])
 		}
 	}
-	d := ms(rt.cfg.HeartbeatIntervalMS)
-	if d <= 0 {
-		d = time.Millisecond
-	}
 	a.mu.Lock()
 	a.sweeping = false
 	if !a.halted.Load() {
-		a.sweep.Reset(d)
+		a.sweep.Reset(event.Time(rt.cfg.HeartbeatIntervalMS))
 	}
 	a.mu.Unlock()
 }
@@ -137,12 +132,8 @@ func (rt *Runtime) repairCorpses(a *agent) {
 // repair if it really died, or re-earn links when it answers again.
 func (rt *Runtime) evictSuspect(a *agent, suspect int) {
 	rt.mu.Lock()
-	if rt.o == nil || rt.agents[a.host] != a {
-		rt.mu.Unlock()
-		return
-	}
 	u := rt.o.SlotOfHost(a.host)
-	if u < 0 || !rt.o.Alive(u) {
+	if rt.agents[a.host] != a || !rt.o.Alive(u) {
 		rt.mu.Unlock()
 		return
 	}

@@ -170,6 +170,35 @@ func TestProbeEvictionRepairsCorpse(t *testing.T) {
 	})
 }
 
+// TestSweepRepairsCorpse is TestProbeEvictionRepairsCorpse's mirror: the
+// probe timers are an hour away, so no probe evicts the edges to a crashed
+// host, and only a detector sweep that finds the corpse among its
+// neighbors can purge it.
+func TestSweepRepairsCorpse(t *testing.T) {
+	rt := startRuntime(t, 12, Config{Policy: core.PROPG, Seed: 43, ProbeIntervalMS: 3.6e6, HeartbeatIntervalMS: 5}, nil)
+	defer rt.Stop()
+
+	var victim int
+	rt.View(func(o *overlay.Overlay) { victim = o.HostOf(o.AliveSlots()[0]) })
+	if err := rt.Crash(victim); err != nil {
+		t.Fatalf("crash: %v", err)
+	}
+	ok := waitFor(t, 5*time.Second, func() bool {
+		var unpurged int
+		rt.View(func(o *overlay.Overlay) { unpurged = len(o.CrashedSlots()) })
+		return unpurged == 0
+	})
+	c := rt.Counters()
+	if !ok || c.AutoRepairs != 1 || c.Probes != 0 {
+		t.Fatalf("corpse purged %v, counters %+v; want one sweep-triggered repair and no probe", ok, c)
+	}
+	rt.View(func(o *overlay.Overlay) {
+		if err := o.CheckInvariants(); err != nil {
+			t.Errorf("invariants after repair: %v", err)
+		}
+	})
+}
+
 // TestRecoverRejoin drives the full lifecycle: crash a host, let the
 // detector repair around the corpse, then Join the host again — same
 // identity, next incarnation — and verify it rejoins the membership and the

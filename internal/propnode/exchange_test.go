@@ -526,6 +526,42 @@ func TestProbesCountOnlyStartedCycles(t *testing.T) {
 	}
 }
 
+// TestLostWalkEndsWalkLost drops every reply to one probe's walk: the call
+// fails once the transport's retransmits are spent, and the cycle ends
+// WalkLost — not WalkFailed, the dead-ended walk's reason — with no resend
+// of the driver's own, leaving the agent free to fire again.
+func TestLostWalkEndsWalkLost(t *testing.T) {
+	var walks atomic.Uint64
+	net := &hookNet{
+		Loopback: transport.NewLoopback(transport.LoopbackConfig{}),
+		onSend: func(from, _ int, m transport.Message) {
+			if from == 0 && m.Type == transport.TWalk {
+				walks.Add(1)
+			}
+		},
+		drop: func(_, to int, m transport.Message) bool { return to == 0 && m.Type == transport.TWalkReply },
+	}
+	rt := quietRuntime(t, 8, core.PROPG, net, time.Millisecond)
+	rt.mu.Lock()
+	a := rt.agents[0]
+	rt.mu.Unlock()
+	rt.probeOnce(a)
+	rt.Stop() // returns once the walk's call failed and its cycle ended
+
+	c := rt.Counters()
+	if c.Probes != 1 || c.WalkFailures != 1 || rt.ends[core.WalkLost].Load() != 1 {
+		t.Fatalf("counters %+v, WalkLost ends %d; want one probe ending WalkLost", c, rt.ends[core.WalkLost].Load())
+	}
+	if n := walks.Load(); n != 1+callRetries {
+		t.Fatalf("host 0 sent %d walks, want the call's %d transmissions", n, 1+callRetries)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if step := a.cyc.Fired(&a.round, rt.o.Neighbors(rt.o.SlotOfHost(0))); step.Kind != core.Walk {
+		t.Fatalf("the next firing gave %+v, want a Walk: the lost walk stranded the cycle", step)
+	}
+}
+
 // TestExchangeByHand drives one full PROP-G exchange between agents on a
 // fault-free loopback by calling the prober's probe input itself, with no
 // timer firing and no goroutine of the test's: Fired sends the walk, whose

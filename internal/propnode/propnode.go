@@ -4,9 +4,9 @@
 // (core.Cycle, with overlay.WalkStep at each walk hop): this package owns
 // the timers, the locks, the messages and the counters, never a protocol
 // rule, and counts each cycle end by its core.Reason. Each physical host
-// gets one agent: a transport.Node (which answers pings), a probe timer and
-// a sweep timer on the wall clock, and handlers that forward TTL walks and
-// answer measurement RPCs.
+// gets one agent: a transport.Node (which answers pings), a probe and a
+// sweep timer on one of the runtime's event.WallClocks (one per P, at least
+// two), and handlers that forward TTL walks and answer measurement RPCs.
 // Every latency the protocol consumes is a real RTT measured by exchanging
 // messages — the failure detector's heartbeats to each neighbor, remembered
 // in its neighborQ entry, a ping for any other host, and one TMeasure
@@ -15,16 +15,16 @@
 //
 // Concurrency model: an agent is a reactor and starts no goroutine. Each
 // input — a timer firing, a delivery to a handler, a call's done — runs on
-// the goroutine that brings it (a timer's or a sender's) and never waits:
-// it takes the runtime mutex (the overlay, the runtime RNG) only where it
-// reads the overlay, then its agent's, steps the agent's core.Cycle,
-// releases both and sends what the step asks. No lock is held across a
-// send: an exchange plans under the lock, measures without it, and commits
-// under it again only if the host pairs it measured are still the ones the
-// exchange moves, else it is stale. Churn is the overlay's own membership
-// vocabulary, addressed by host: Join, Leave, Crash and Repair (a crashed
-// host comes back by joining again, one incarnation later), over the
-// unstructured membership of internal/gnutella.
+// the goroutine that brings it (its clock's runner, a sender's or a call
+// timer's) and never waits: it takes the runtime mutex (the overlay, the
+// runtime RNG) only where it reads the overlay, then its agent's, steps the
+// agent's core.Cycle, releases both and sends what the step asks. No lock
+// is held across a send: an exchange plans under the lock, measures without
+// it, and commits under it again only if the host pairs it measured are
+// still the ones the exchange moves, else it is stale. Churn is the
+// overlay's own membership vocabulary, addressed by host: Join, Leave,
+// Crash and Repair (a crashed host comes back by joining again, one
+// incarnation later), over the unstructured membership of internal/gnutella.
 //
 // Key types: Runtime, Config. See DESIGN.md §10 ("Live runtime").
 package propnode
@@ -33,12 +33,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/gnutella"
 	"repro/internal/overlay"
 	"repro/internal/rng"
@@ -182,6 +184,7 @@ type Runtime struct {
 	m           int             // resolved PROP-O trade size
 	sc          overlay.Scratch // for work done within one hold of mu, like o and r
 	stopped     atomic.Bool     // stored under mu
+	clocks      []*event.WallClock
 
 	// inputs counts the timer firings running and the calls in flight, each
 	// until its outcome is used; Stop waits on idle (over mu) for zero.
@@ -209,7 +212,7 @@ type agent struct {
 	// cycle or sweep ends; and the flags. Lock order is rt.mu, then mu.
 	mu           sync.Mutex
 	cyc          core.Cycle
-	probe, sweep *time.Timer
+	probe, sweep *event.WallTimer
 	halted       atomic.Bool // stored under mu: nothing starts or re-arms
 	kicked       bool        // a kick landed mid-cycle
 	sweeping     bool        // a sweep runs: one at a time
@@ -329,6 +332,9 @@ func (rt *Runtime) Start(hosts []int) error {
 	}
 	rt.o, rt.members.O = o, o
 	rt.m = max(o.Logical.MinDegree(), 1)
+	for range max(runtime.GOMAXPROCS(0), 2) {
+		rt.clocks = append(rt.clocks, event.NewWallClock())
+	}
 	for _, h := range hosts {
 		ep, err := rt.net.Open(h)
 		if err != nil {
@@ -360,16 +366,13 @@ func (rt *Runtime) spawnLocked(host int, ep transport.Endpoint) {
 	a.cyc.Init(rt.o.Neighbors(rt.o.SlotOfHost(host)), rt.r)
 	a.round = core.NewRound(&rt.kernel, rt.m, rt.r, &a.sc)
 	rt.agents[host] = a
-	stagger := ms(rt.r.Float64() * rt.cfg.ProbeIntervalMS)
-	hbStagger := ms(rt.r.Float64() * rt.cfg.HeartbeatIntervalMS)
-	a.mu.Lock()
-	a.probe = time.AfterFunc(stagger, func() { rt.fire(a, rt.probeOnce) })
-	a.sweep = time.AfterFunc(hbStagger, func() { rt.fire(a, rt.heartbeatOnce) })
-	a.mu.Unlock()
+	// a is unreachable until rt.mu is released, and a timer fires after Reset.
+	clock := rt.clocks[uint(host)%uint(len(rt.clocks))]
+	a.probe = clock.Timer(func() { rt.fire(a, rt.probeOnce) })
+	a.sweep = clock.Timer(func() { rt.fire(a, rt.heartbeatOnce) })
+	a.probe.Reset(event.Time(rt.r.Float64() * rt.cfg.ProbeIntervalMS)) // staggered
+	a.sweep.Reset(event.Time(rt.r.Float64() * rt.cfg.HeartbeatIntervalMS))
 }
-
-// ms converts milliseconds to a timer's duration.
-func ms(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
 
 // Overlay exposes the shared overlay. Safe to inspect after Stop, or under
 // external quiescence; concurrent mutation is the runtime's. While agents
@@ -405,7 +408,7 @@ func (rt *Runtime) Counters() Counters {
 
 // Stop halts every agent, waits until no input runs — the cycles and
 // sweeps under way end, their calls answered or timed out — then closes the
-// nodes, so none can start unless a sender outside the runtime sends.
+// nodes and stops the clocks: none can start unless an outsider sends.
 func (rt *Runtime) Stop() {
 	rt.mu.Lock()
 	if rt.stopped.Load() {
@@ -425,6 +428,9 @@ func (rt *Runtime) Stop() {
 	rt.mu.Unlock()
 	for _, a := range agents {
 		a.node.Close()
+	}
+	for _, c := range rt.clocks {
+		c.Stop()
 	}
 }
 
@@ -467,7 +473,7 @@ func (a *agent) kick() {
 		a.kicked = true
 		return
 	}
-	a.probe.Reset(ms(a.cyc.Reset(&a.round).Delay))
+	a.probe.Reset(event.Time(a.cyc.Reset(&a.round).Delay))
 }
 
 // rearm ends a's cycle, if one ran, and arms its probe timer delayMS out —
@@ -479,7 +485,7 @@ func (a *agent) rearm(delayMS float64) {
 		delayMS = a.cyc.Reset(&a.round).Delay
 	}
 	if !a.halted.Load() {
-		a.probe.Reset(ms(delayMS))
+		a.probe.Reset(event.Time(delayMS))
 	}
 	a.mu.Unlock()
 }
@@ -559,8 +565,8 @@ func (rt *Runtime) resume(a *agent) core.Step {
 	return rt.legs(a, true)
 }
 
-// walked is the walk's outcome: Reached with the partner at the end of the
-// reply's path, planned under rt.mu, or WalkStuck.
+// walked is the walk's outcome: Reached, with the partner at the reply's
+// path's end planned under rt.mu; WalkLost if the call failed; else WalkStuck.
 func (rt *Runtime) walked(a *agent) core.Step {
 	reply := a.call.in
 	// A reply addressed to a previous incarnation of this host is absorbed:
@@ -569,16 +575,22 @@ func (rt *Runtime) walked(a *agent) core.Step {
 	if stale {
 		rt.staleEpochs.Add(1)
 	}
-	var step core.Step
 	if a.path = reply.Msg.Path; a.call.err != nil || stale || reply.Msg.TTL != 1 || len(a.path) < 2 {
 		a.mu.Lock()
-		step = a.cyc.WalkStuck(&a.round)
-		a.mu.Unlock()
+		defer a.mu.Unlock()
+		if a.call.err == nil {
+			return a.cyc.WalkStuck(&a.round)
+		}
+		// The transport spent the walk's retransmits, and so the cycle's resends.
+		step := a.cyc.WalkLost(&a.round)
+		for ; step.Kind == core.Resend; step = a.cyc.WalkLost(&a.round) {
+			a.cyc.Retransmit(step.Txn)
+		}
 		return step
 	}
 	rt.mu.Lock()
 	a.mu.Lock()
-	step = a.cyc.Reached(&a.round, rt.o, rt.heldSlot(a, a.u), a.path[len(a.path)-1], a.path)
+	step := a.cyc.Reached(&a.round, rt.o, rt.heldSlot(a, a.u), a.path[len(a.path)-1], a.path)
 	a.mu.Unlock()
 	rt.mu.Unlock()
 	return step
