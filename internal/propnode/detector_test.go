@@ -75,6 +75,24 @@ func TestDetectorEvictsSilentFailure(t *testing.T) {
 		time.Since(start), c.Heartbeats, c.SuspectEvictions)
 }
 
+// TestSuspectOnSlotZeroIsEvicted: a neighbor that stops answering while
+// alive on slot 0 — the smallest live slot, not a missing one — loses its
+// link through the suspect path, not the corpse path, which would find no
+// corpse to repair and evict nothing.
+func TestSuspectOnSlotZeroIsEvicted(t *testing.T) {
+	net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
+	rt := quietRuntime(t, 16, core.PROPG, net, silentTimeout)
+	defer rt.Stop()
+	o := rt.Overlay()
+	suspect, a := o.HostOf(0), rt.agents[o.HostOf(o.Neighbors(0)[0])]
+	net.silent.Store(int64(suspect) + 1)
+	sweep(t, rt, a)
+	if c := rt.Counters(); c.SuspectEvictions != 1 || c.AutoRepairs != 0 || linked(rt, a, suspect) {
+		t.Fatalf("after an unanswered heartbeat to slot 0's host %d: linked %v, %d suspect evictions and %d repairs; want the link evicted once and no repair",
+			suspect, linked(rt, a, suspect), c.SuspectEvictions, c.AutoRepairs)
+	}
+}
+
 // TestDetectorFaultFreeControl pins the no-false-positive half of the
 // acceptance bar: on healthy links an aggressive detector sweeps constantly
 // and never evicts anyone.

@@ -219,10 +219,10 @@ type agent struct {
 	measured     int         // the pairs the last Measure step measured
 
 	// The cycle in flight, carried from input to input: its call and what
-	// it waits for, the walk's first hop and path, the slot it fired from,
-	// the round and its scratch (walk request, host pairs, RTTs), the
-	// TMeasure body (the partner's targets, 8 bytes each), the reply's
-	// unread RTTs and the next pair to measure.
+	// it waits for, the walk's first hop and path (a copy of the reply's),
+	// the slot it fired from, the round and its scratch (walk request, host
+	// pairs, RTTs), the TMeasure body (the partner's targets, 8 bytes each)
+	// and the next pair to measure.
 	call    link
 	wait    step
 	to      int
@@ -231,7 +231,6 @@ type agent struct {
 	round   core.Round
 	sc      overlay.Scratch
 	targets []byte
-	relayed []byte
 	leg     int
 	// The sweep in flight: its call, the live neighbors' slots and hosts,
 	// and the one pinged.
@@ -249,14 +248,16 @@ const (
 	pinging
 )
 
-// link hands a call's outcome to the loop that made the call when it comes
-// inside Call, so a chain of calls iterates rather than nesting a stack
-// frame per call.
+// link hands a call's outcome, its lent Path and Body copied into buffers
+// of the link's own, to the loop that made the call when it comes inside
+// Call, so a chain of calls iterates rather than nesting a frame per call.
 type link struct {
 	state atomic.Int32 // 1: a call is under way in call; 2: answered there
 	in    transport.Inbound
 	err   error
 	done  func(transport.Inbound, error)
+	path  []int
+	body  []byte
 }
 
 // bind sets l.done: it leaves the outcome in l and, unless it came inside
@@ -264,6 +265,7 @@ type link struct {
 func (rt *Runtime) bind(l *link, resume func()) {
 	l.done = func(in transport.Inbound, err error) {
 		l.in, l.err = in, err
+		l.in.Msg = in.Msg.CopyInto(&l.path, &l.body)
 		if !l.state.CompareAndSwap(1, 2) {
 			resume()
 			rt.exit()
@@ -575,7 +577,7 @@ func (rt *Runtime) walked(a *agent) core.Step {
 	if stale {
 		rt.staleEpochs.Add(1)
 	}
-	if a.path = reply.Msg.Path; a.call.err != nil || stale || reply.Msg.TTL != 1 || len(a.path) < 2 {
+	if a.path = append(a.path[:0], reply.Msg.Path...); a.call.err != nil || stale || reply.Msg.TTL != 1 || len(a.path) < 2 {
 		a.mu.Lock()
 		defer a.mu.Unlock()
 		if a.call.err == nil {
@@ -646,7 +648,7 @@ func (rt *Runtime) measure(a *agent) core.Step {
 	// SwapPairs and TradePairs measure from u's and v's hosts only, so every
 	// pair that is not a's own is the partner's.
 	partner := -1
-	a.targets, a.relayed, a.leg = a.targets[:0], nil, 0
+	a.targets, a.leg = a.targets[:0], 0
 	for _, pr := range a.sc.Pairs {
 		if pr[0] != pr[1] && pr[0] != a.host {
 			partner = pr[0]
@@ -664,15 +666,25 @@ func (rt *Runtime) measure(a *agent) core.Step {
 	return rt.legs(a, false)
 }
 
-// relayed takes the partner's reply: its RTTs, none if the call failed, was
-// refused, or was answered for another incarnation.
+// relayed takes the partner's reply: its RTTs, decoded into a.sc.RTT at
+// the partner's pairs in list order, NaN past the reply's end; none if the
+// call failed, was refused, or was answered for another incarnation.
 func (rt *Runtime) relayed(a *agent) {
+	var body []byte
 	switch reply := a.call.in.Msg; {
 	case a.call.err != nil:
 	case reply.Epoch != a.epoch:
 		rt.staleEpochs.Add(1)
 	case reply.TTL == 1:
-		a.relayed = reply.Body
+		body = reply.Body
+	}
+	for k, pr := range a.sc.Pairs {
+		if pr[0] != pr[1] && pr[0] != a.host {
+			a.sc.RTT[k] = math.NaN()
+			if len(body) >= 8 {
+				a.sc.RTT[k], body = math.Float64frombits(binary.BigEndian.Uint64(body)), body[8:]
+			}
+		}
 	}
 }
 
@@ -693,11 +705,8 @@ func (rt *Runtime) legs(a *agent, pinged bool) core.Step {
 			if v, ok, ready = rt.rtt(a, &a.call, pr[1], pinged); !ready {
 				return core.Step{}
 			}
-		default:
-			v = math.NaN()
-			if len(a.relayed) >= 8 {
-				v, a.relayed = math.Float64frombits(binary.BigEndian.Uint64(a.relayed)), a.relayed[8:]
-			}
+		default: // the partner's, relayed
+			v = a.sc.RTT[k]
 			ok = v >= 0 && v <= math.MaxFloat64 // not missing, negative, NaN or +Inf
 		}
 		if a.sc.RTT[k] = v; !ok {
@@ -733,6 +742,9 @@ func (rt *Runtime) rtt(a *agent, l *link, host int, pinged bool) (v float64, ok,
 	return v, err == nil, true
 }
 
+// paths recycles forwarded walk paths: a Send keeps none once it returns.
+var paths = sync.Pool{New: func() any { return new([]int) }}
+
 // handleWalk forwards one hop of a probing walk, or closes it: back to the
 // origin with TTL 1 at its last hop, 0 where it dead-ends.
 func (rt *Runtime) handleWalk(a *agent, m transport.Message) {
@@ -751,8 +763,11 @@ func (rt *Runtime) handleWalk(a *agent, m transport.Message) {
 		rt.mu.Unlock()
 	}
 	if fwd && ok {
+		p := paths.Get().(*[]int)
+		*p = append(append((*p)[:0], m.Path...), next)
 		_ = a.node.Send(to, transport.Message{Type: transport.TWalk, TTL: m.TTL - 1, Epoch: m.Epoch, Seq: m.Seq,
-			Key: m.Key, Path: append(append([]int(nil), m.Path...), next)})
+			Key: m.Key, Path: *p})
+		paths.Put(p)
 		return
 	}
 	// The epoch is echoed so the origin can reject stale-life replies.
@@ -763,14 +778,14 @@ func (rt *Runtime) handleWalk(a *agent, m transport.Message) {
 	_ = a.node.Send(int(int32(m.Key)), reply)
 }
 
-// relay is one TMeasure being answered: the request and one RTT per host
-// measured so far, carried from one pong to the next. Records are recycled
-// through Runtime.relays.
+// relay is one TMeasure being answered: the request over a copy of its host
+// list, and one RTT per host measured so far, carried from one pong to the
+// next. Records are recycled through Runtime.relays.
 type relay struct {
 	link
-	a     *agent
-	req   transport.Message
-	reply []byte
+	a            *agent
+	req          transport.Message
+	hosts, reply []byte
 }
 
 // handleMeasure answers a TMeasure relay: it measures a's RTT to each
@@ -783,10 +798,11 @@ func (rt *Runtime) handleMeasure(a *agent, m transport.Message) {
 		_ = a.node.Send(m.Src, transport.Message{Type: transport.TMeasureReply, Epoch: m.Epoch, Seq: m.Seq})
 		return
 	}
-	// A duplicated delivery shares m.Body with its twin's relay, so the
-	// RTTs go into a buffer of the relay's own.
+	// The relay outlives m's lent Body: it answers from a copy of its own.
 	j := rt.relays.Get().(*relay)
 	j.a, j.req, j.reply = a, m, j.reply[:0]
+	j.hosts = append(j.hosts[:0], m.Body...)
+	j.req.Path, j.req.Body = nil, j.hosts
 	rt.answer(j, false)
 }
 

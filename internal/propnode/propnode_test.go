@@ -17,12 +17,15 @@ import (
 
 func clusterHalf(a, b int) float64 { return ClusterLat(a, b) / 2 }
 
-// inbox serves ep with a receiver that queues up to 64 deliveries for the
-// test to read — more than a test leaves unread — and drops the rest, so no
-// sender ever waits on the test.
+// inbox serves ep with a receiver that queues copies of up to 64
+// deliveries for the test to read — more than a test leaves unread — and
+// drops the rest, so no sender ever waits on the test.
 func inbox(ep transport.Endpoint) <-chan transport.Inbound {
 	ch := make(chan transport.Inbound, 64)
 	ep.Serve(func(in transport.Inbound) {
+		var path []int
+		var body []byte
+		in.Msg = in.Msg.CopyInto(&path, &body)
 		select {
 		case ch <- in:
 		default:

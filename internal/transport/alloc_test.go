@@ -12,10 +12,10 @@ import (
 )
 
 // TestPingRoundTripAllocations pins a warm round trip over a zero-delay
-// loopback at one heap allocation, the decoded copy of the pong's delay body
-// the caller receives, both as a blocking Node.Ping and as a callback
-// Node.Call whose done was bound once. The pong body, the call record, its
-// timer, Ping's hand-off and both frames are recycled.
+// loopback at no heap allocation, both as a blocking Node.Ping and as a
+// callback Node.Call whose done was bound once. The pong body, the delivery
+// buffer it is lent in, the call record with its timer and its copy of the
+// reply, and Ping's hand-off are recycled.
 func TestPingRoundTripAllocations(t *testing.T) {
 	lb := NewLoopback(LoopbackConfig{})
 	epA, _ := lb.Open(1)
@@ -40,39 +40,47 @@ func TestPingRoundTripAllocations(t *testing.T) {
 		}
 	}
 	for name, rt := range map[string]func(){"Ping": ping, "Call": call} {
-		for i := 0; i < 100; i++ { // warm the record and frame pools
+		for i := 0; i < 100; i++ { // warm the record and delivery pools
 			rt()
 		}
-		if got := testing.AllocsPerRun(2000, rt); got > 1 {
-			t.Fatalf("%v allocations per warm %s round trip, want ≤ 1 (the decoded copy of the pong's delay body)", got, name)
+		if got := testing.AllocsPerRun(2000, rt); got != 0 {
+			t.Fatalf("%v allocations per warm %s round trip, want 0", got, name)
 		}
 	}
 }
 
-// TestLoopbackSendAllocatesNothing pins the send path itself: validating,
-// framing and decoding a path-less, body-less message into a pooled buffer,
-// the endpoint lookup and the call of the receiver.
+// TestLoopbackSendAllocatesNothing pins the send path itself: validating
+// the message, the endpoint lookup, lending a path or body in a pooled
+// delivery buffer and poisoning it, and the call of the receiver — for a
+// bare message, a walk hop's path and a measurement list's body.
 func TestLoopbackSendAllocatesNothing(t *testing.T) {
 	lb := NewLoopback(LoopbackConfig{DelayMS: halfLat})
 	a, _ := lb.Open(1)
 	b, _ := lb.Open(2)
 	defer a.Close()
 	defer b.Close()
-	var got Inbound
-	b.Serve(func(in Inbound) { got = in })
+	var got int
+	b.Serve(func(in Inbound) { got = int(in.Msg.Key) + len(in.Msg.Path) + len(in.Msg.Body) })
 
-	send := func() {
-		got = Inbound{}
-		if err := a.Send(2, Message{Type: TData, Key: 7}); err != nil {
-			t.Fatal(err)
+	for _, m := range []Message{
+		{Type: TData, Key: 7},
+		{Type: TWalk, TTL: 1, Key: 7, Path: []int{3, 5, 8}},
+		{Type: TMeasure, Key: 7, Body: make([]byte, 24)},
+	} {
+		want := int(m.Key) + len(m.Path) + len(m.Body)
+		send := func() {
+			got = 0
+			if err := a.Send(2, m); err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("type %d: receiver read %d, want %d", m.Type, got, want)
+			}
 		}
-		if got.Msg.Key != 7 {
-			t.Fatalf("delivered %+v, want the message with key 7", got.Msg)
+		send()
+		if n := testing.AllocsPerRun(2000, send); n != 0 {
+			t.Fatalf("%v allocations per warm loopback Send of type %d, want 0", n, m.Type)
 		}
-	}
-	send()
-	if got := testing.AllocsPerRun(2000, send); got != 0 {
-		t.Fatalf("%v allocations per warm loopback Send, want 0", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 )
 
 // Wire format (big-endian, canonical: one Message has exactly one encoding):
@@ -25,9 +24,10 @@ const (
 	// MaxPath bounds a walk path on the wire; PROP walks are NHops long
 	// (default 2), so this is a generous safety valve, not a protocol limit.
 	MaxPath = 1024
-	// MaxBody bounds the opaque payload, so no frame, and no pooled encode
-	// buffer that keeps a frame's capacity, grows past ≈ 36 KiB; a TMeasure
-	// list still holds 4 096 hosts, far more than any neighborhood.
+	// MaxBody bounds the opaque payload, so no frame, and no pooled
+	// delivery or reply buffer that keeps a body's capacity, grows past
+	// ≈ 36 KiB; a TMeasure list still holds 4 096 hosts, far more than any
+	// neighborhood.
 	MaxBody = 32 * 1024
 )
 
@@ -36,24 +36,41 @@ const (
 // or bodies.
 func Encode(m Message) ([]byte, error) { return appendEncode(nil, m) }
 
-// appendEncode is the one encoder: it validates m and appends its frame to
-// buf, growing it at most once. On error it returns buf unchanged, so a
-// caller may assign the result back over its buffer unconditionally. The
-// loopback's Send calls it with a pooled buffer (frames), Encode with none.
-func appendEncode(buf []byte, m Message) ([]byte, error) {
+// validate is the one rule for what a Message may be, which appendEncode and
+// the loopback's Send apply: a known type, bounded path and body, int32 slots.
+func validate(m Message) error {
 	if !m.Type.Valid() {
-		return buf, fmt.Errorf("transport: encode: unknown type %d", m.Type)
+		return fmt.Errorf("transport: unknown message type %d", m.Type)
 	}
 	if len(m.Path) > MaxPath {
-		return buf, fmt.Errorf("transport: encode: path of %d entries exceeds %d", len(m.Path), MaxPath)
+		return fmt.Errorf("transport: path of %d entries exceeds %d", len(m.Path), MaxPath)
 	}
 	if len(m.Body) > MaxBody {
-		return buf, fmt.Errorf("transport: encode: body of %d bytes exceeds %d", len(m.Body), MaxBody)
+		return fmt.Errorf("transport: body of %d bytes exceeds %d", len(m.Body), MaxBody)
 	}
 	for i, s := range m.Path {
 		if s < math.MinInt32 || s > math.MaxInt32 {
-			return buf, fmt.Errorf("transport: encode: path[%d] = %d out of int32 range", i, s)
+			return fmt.Errorf("transport: path[%d] = %d out of int32 range", i, s)
 		}
+	}
+	return nil
+}
+
+// CopyInto returns m with its Path and Body copied into *path and *body,
+// whose storage it reuses and grows: how a receiver keeps a delivered
+// message past the call that lent it, with no allocation once warm.
+func (m Message) CopyInto(path *[]int, body *[]byte) Message {
+	*path, *body = append((*path)[:0], m.Path...), append((*body)[:0], m.Body...)
+	m.Path, m.Body = slices.Clip(*path), slices.Clip(*body)
+	return m
+}
+
+// appendEncode is the one encoder: it validates m and appends its frame to
+// buf, growing it at most once. On error it returns buf unchanged, so a
+// caller may assign the result back over its buffer unconditionally.
+func appendEncode(buf []byte, m Message) ([]byte, error) {
+	if err := validate(m); err != nil {
+		return buf, err
 	}
 	buf = slices.Grow(buf, headerLen+4*len(m.Path)+len(m.Body))
 	buf = append(buf, codecMagic, codecVersion, byte(m.Type), m.TTL)
@@ -70,11 +87,6 @@ func appendEncode(buf []byte, m Message) ([]byte, error) {
 	buf = append(buf, m.Body...)
 	return buf, nil
 }
-
-// frames recycles the loopback Send's encode buffers. A frame is dead the
-// moment Decode returns — it copies Path and Body out — so nothing a
-// caller or receiver holds ever aliases a pooled buffer.
-var frames = sync.Pool{New: func() any { return new([]byte) }}
 
 // Decode parses one frame. Truncated, corrupt, oversized, or padded frames
 // are rejected with an error; a successful decode consumed the entire input

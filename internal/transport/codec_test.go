@@ -109,8 +109,9 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestEncodeRejectsUnencodable(t *testing.T) {
-	cases := map[string]Message{
+// unencodable lists messages no frame can carry, by what is wrong with each.
+func unencodable() map[string]Message {
+	return map[string]Message{
 		"zero type":      {},
 		"unknown type":   {Type: maxType + 1},
 		"oversize path":  {Type: TWalk, Path: make([]int, MaxPath+1)},
@@ -118,7 +119,10 @@ func TestEncodeRejectsUnencodable(t *testing.T) {
 		"path overflow":  {Type: TWalk, Path: []int{1 << 40}},
 		"path underflow": {Type: TWalk, Path: []int{-(1 << 40)}},
 	}
-	for name, m := range cases {
+}
+
+func TestEncodeRejectsUnencodable(t *testing.T) {
+	for name, m := range unencodable() {
 		if _, err := Encode(m); err == nil {
 			t.Errorf("%s: encode accepted an unencodable message", name)
 		}

@@ -8,9 +8,9 @@ import (
 // FuzzCodecRoundTrip drives Decode with arbitrary bytes and pins the codec's
 // two contracts: malformed input is rejected with an error (never a panic),
 // and any frame Decode accepts re-encodes byte-identically — the canonical
-// property that makes "one Message, one encoding" hold on the wire. The Send
-// paths encode into a recycled buffer, so the same bytes must come out of
-// appendEncode over whatever the previous frame left behind.
+// property that makes "one Message, one encoding" hold on the wire — and
+// appendEncode into a reused buffer writes the same bytes over whatever the
+// previous frame left behind.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, m := range sampleMessages() {
 		frame, err := Encode(m)

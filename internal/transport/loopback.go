@@ -166,12 +166,12 @@ func (l *Loopback) gate(from *loopEndpoint, to int) faults.Delivery {
 	return verdict
 }
 
-// send runs one message through the fault gate and delivers it: a call of
-// the receiver's function, once or, duplicated, twice. Called with from's
-// identity already stamped. Without an injector there is no verdict to
-// draw: no sequence number is kept and the clock is not read. mu.RLock
-// covers the lookup only — the receiver may send (a pong does), and a
-// nested RLock would deadlock once Open or close waits on the write side.
+// send runs one message through the fault gate and delivers it, once or,
+// duplicated, twice; m is validated and stamped with from's identity.
+// Without an injector there is no verdict to draw: no sequence number is
+// kept and the clock is not read. mu.RLock covers the lookup only — the
+// receiver may send (a pong does), and a nested RLock would deadlock once
+// Open or close waits on the write side.
 func (l *Loopback) send(from *loopEndpoint, to int, m Message) {
 	var verdict faults.Delivery
 	if l.cfg.Faults != nil {
@@ -196,15 +196,36 @@ func (l *Loopback) send(from *loopEndpoint, to int, m Message) {
 	if l.cfg.DelayMS != nil {
 		delay += l.cfg.DelayMS(from.host, to)
 	}
-	in := Inbound{Msg: m, DelayMS: delay}
 	if verdict.Dup {
 		l.dups.Add(1)
-		l.delivered.Add(1)
-		(*recv)(in)
+		l.deliver(*recv, m, delay)
 	}
-	l.delivered.Add(1)
-	(*recv)(in)
+	l.deliver(*recv, m, delay)
 }
+
+// deliver calls recv with m, lending its Path and Body in a pooled buffer
+// (never the sender's) that it poisons when recv returns: a receiver that
+// kept them reads −1 slots and 0xFF bytes (a pong body: a NaN RTT).
+func (l *Loopback) deliver(recv func(Inbound), m Message, delay float64) {
+	l.delivered.Add(1)
+	if len(m.Path) == 0 && len(m.Body) == 0 {
+		m.Path, m.Body = nil, nil // not even the sender's spare capacity
+		recv(Inbound{Msg: m, DelayMS: delay})
+		return
+	}
+	d := deliveries.Get().(*Message)
+	recv(Inbound{Msg: m.CopyInto(&d.Path, &d.Body), DelayMS: delay})
+	for i := range d.Path {
+		d.Path[i] = -1
+	}
+	for i := range d.Body {
+		d.Body[i] = 0xFF
+	}
+	deliveries.Put(d)
+}
+
+// deliveries recycles deliver's buffers: a Message's Path and Body.
+var deliveries = sync.Pool{New: func() any { return new(Message) }}
 
 // close detaches ep; subsequent sends to its host vanish.
 func (l *Loopback) close(ep *loopEndpoint) {
@@ -231,23 +252,11 @@ func (ep *loopEndpoint) Send(to int, m Message) error {
 	if ep.closed.Load() {
 		return fmt.Errorf("transport: send on closed loopback endpoint %d", ep.host)
 	}
-	m.Src, m.Dst = ep.host, to
-	// The loopback carries Messages natively, but every frame must still be
-	// wire-legal: encode (validating), and hand the receiver the decoded
-	// copy so aliasing bugs (shared Path/Body backing arrays) cannot leak
-	// between sender and receiver. Decode copies Path and Body out of the
-	// frame, so nothing delivered aliases the pooled buffer.
-	bp := frames.Get().(*[]byte)
-	defer frames.Put(bp)
-	var err error
-	if *bp, err = appendEncode((*bp)[:0], m); err != nil {
+	if err := validate(m); err != nil {
 		return err
 	}
-	dm, err := Decode(*bp)
-	if err != nil {
-		return fmt.Errorf("transport: loopback round-trip: %v", err)
-	}
-	ep.net.send(ep, to, dm)
+	m.Src, m.Dst = ep.host, to
+	ep.net.send(ep, to, m)
 	return nil
 }
 

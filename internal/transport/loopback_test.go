@@ -3,6 +3,7 @@ package transport
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,12 +22,21 @@ func testLat(a, b int) float64 {
 
 func halfLat(a, b int) float64 { return testLat(a, b) / 2 }
 
-// inbox serves ep with a receiver that queues its deliveries for the test
-// to read in order; 64 is more than any test leaves unread.
+// inbox serves ep with a receiver that queues copies of its deliveries for
+// the test to read in order; 64 is more than any test leaves unread.
 func inbox(ep Endpoint) <-chan Inbound {
 	ch := make(chan Inbound, 64)
-	ep.Serve(func(in Inbound) { ch <- in })
+	ep.Serve(func(in Inbound) { ch <- keep(in) })
 	return ch
+}
+
+// keep copies in's lent Path and Body into storage of its own, as a
+// receiver that keeps a delivery past its call must.
+func keep(in Inbound) Inbound {
+	var path []int
+	var body []byte
+	in.Msg = in.Msg.CopyInto(&path, &body)
+	return in
 }
 
 // discard serves ep with a receiver that takes every delivery and keeps
@@ -92,24 +102,98 @@ func TestLoopbackDeliveryAndVirtualDelay(t *testing.T) {
 	}
 }
 
+// TestLoopbackSendIsolation checks inside each delivery, the original and
+// an injected duplicate, that the receiver's Path and Body share no backing
+// array with the sender's and carry the message sent, whatever the
+// receiver did to the copy before; and that a receiver's writes never
+// reach the sender.
 func TestLoopbackSendIsolation(t *testing.T) {
-	// A receiver must not observe later mutations of the sender's slices.
+	inj, err := faults.NewInjector(faults.Config{Seed: 11, DupProb: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := NewLoopback(LoopbackConfig{Faults: inj})
+	a, _ := lb.Open(1)
+	b, _ := lb.Open(2)
+	defer a.Close()
+	defer b.Close()
+
+	path := []int{1, 2, 3}
+	body := []byte("abc")
+	copies := 0
+	b.Serve(func(in Inbound) {
+		copies++
+		if &in.Msg.Path[0] == &path[0] || &in.Msg.Body[0] == &body[0] {
+			t.Errorf("copy %d shares the sender's backing arrays", copies)
+		}
+		if !slices.Equal(in.Msg.Path, []int{1, 2, 3}) || string(in.Msg.Body) != "abc" {
+			t.Errorf("copy %d delivered %v %q, want [1 2 3] \"abc\"", copies, in.Msg.Path, in.Msg.Body)
+		}
+		in.Msg.Path[0], in.Msg.Body[0] = 9, 'z'
+	})
+	if err := a.Send(2, Message{Type: TWalk, Path: path, Body: body}); err != nil {
+		t.Fatal(err)
+	}
+	if copies != 2 {
+		t.Fatalf("%d deliveries, want the message and its duplicate", copies)
+	}
+	if path[0] != 1 || body[0] != 'a' {
+		t.Fatalf("a receiver's write reached the sender: %v %q", path, body)
+	}
+}
+
+// TestLoopbackPoisonsKeptDelivery pins the borrow contract: a receiver that
+// keeps its delivery's Path or Body past its return reads the poison, −1
+// slots and 0xFF bytes, and a kept pong body reads as no RTT at all.
+func TestLoopbackPoisonsKeptDelivery(t *testing.T) {
 	lb := NewLoopback(LoopbackConfig{})
 	a, _ := lb.Open(1)
 	b, _ := lb.Open(2)
 	defer a.Close()
 	defer b.Close()
-	got := inbox(b)
+	var kept Inbound
+	b.Serve(func(in Inbound) { kept = in })
 
-	path := []int{1, 2, 3}
-	body := []byte("abc")
-	if err := a.Send(2, Message{Type: TWalk, Path: path, Body: body}); err != nil {
+	if err := a.Send(2, Message{Type: TWalk, Path: []int{4, 5}, Body: []byte{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	path[0], body[0] = 9, 'z'
-	in := <-got
-	if in.Msg.Path[0] != 1 || in.Msg.Body[0] != 'a' {
-		t.Fatalf("delivery aliased sender memory: %#v", in.Msg)
+	if !slices.Equal(kept.Msg.Path, []int{-1, -1}) || !slices.Equal(kept.Msg.Body, []byte{0xFF, 0xFF, 0xFF}) {
+		t.Fatalf("kept delivery reads %v %v after its call, want the poison", kept.Msg.Path, kept.Msg.Body)
+	}
+	if err := a.Send(2, Message{Type: TPong, Body: putDelay(make([]byte, 8), 1.5)}); err != nil {
+		t.Fatal(err)
+	}
+	if rtt, err := PongRTT(kept, nil); err == nil {
+		t.Fatalf("a pong kept past its delivery measured %v, want an error", rtt)
+	}
+}
+
+// TestSendRejectsWhatEncodeRejects runs the codec's cases through a
+// loopback Send: it refuses every message Encode refuses, delivering
+// nothing, and delivers every sample message Encode accepts.
+func TestSendRejectsWhatEncodeRejects(t *testing.T) {
+	lb := NewLoopback(LoopbackConfig{})
+	a, _ := lb.Open(1)
+	b, _ := lb.Open(2)
+	defer a.Close()
+	defer b.Close()
+	delivered := 0
+	b.Serve(func(Inbound) { delivered++ })
+	for name, m := range unencodable() {
+		if err := a.Send(2, m); err == nil {
+			t.Errorf("%s: Send accepted a message Encode refuses", name)
+		}
+	}
+	if delivered != 0 {
+		t.Fatalf("%d refused messages delivered", delivered)
+	}
+	for i, m := range sampleMessages() {
+		if err := a.Send(2, m); err != nil {
+			t.Errorf("msg %d: Send refused a message Encode accepts: %v", i, err)
+		}
+	}
+	if delivered != len(sampleMessages()) {
+		t.Fatalf("%d deliveries, want %d", delivered, len(sampleMessages()))
 	}
 }
 
@@ -489,7 +573,7 @@ func TestNodeHandlerReceivesWalks(t *testing.T) {
 	defer b.Close()
 
 	got := make(chan Message, 1)
-	b.Handle(func(in Inbound) { got <- in.Msg })
+	b.Handle(func(in Inbound) { got <- keep(in).Msg })
 	if err := a.Send(2, Message{Type: TWalk, TTL: 2, Key: 1, Path: []int{5}}); err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,8 @@ func NewNode(ep Endpoint) *Node {
 // itself (everything but TPing and matched replies). The handler runs on
 // the sender's goroutine, on many at once: it must not block, or the sender
 // stalls — a handler that needs a round trip makes a Call and goes on in
-// its done. A nil h uninstalls the handler: such traffic is dropped again.
+// its done — and it copies what it keeps of its lent Inbound. A nil h
+// uninstalls the handler: such traffic is dropped again.
 func (n *Node) Handle(h func(Inbound)) { n.handler.Store(&h) }
 
 // Send transmits a one-way message (no response matching).
@@ -143,8 +144,8 @@ func (n *Node) dispatch(in Inbound) {
 // re-armed per attempt. Three holders may use a record outside Node.mu: the
 // pending map, a transmission under way (sending) and an armed timer or its
 // expire (armed); whichever drops the last one recycles it. An outcome that
-// settles the call during a transmission waits in the record until Send
-// returns, so done never runs while Send may still read m.
+// settles the call during a transmission waits in the record, a copy, until
+// Send returns, so done never runs while Send may still read m.
 type call struct {
 	n        *Node
 	timer    *time.Timer
@@ -156,6 +157,8 @@ type call struct {
 	retries  int
 	done     func(Inbound, error)
 	in       Inbound // the outcome settled during a transmission
+	path     []int   // in's Path and Body, kept past their delivery
+	body     []byte
 	err      error
 	sending  bool
 	armed    bool
@@ -188,7 +191,8 @@ func (c *call) recycle() {
 // absorbed. Call returns at once; done never runs under Node.mu, but it may
 // run before Call returns (the loopback answers a loss-free call inside
 // Send), so a caller holds no lock across Call. m's Path and Body must stay
-// unchanged until done runs: retransmissions send them again.
+// unchanged until done runs: retransmissions send them again. The reply's
+// Path and Body are done's only until it returns, as a delivery's are.
 //
 // The call's record is pooled. Recycling it is safe because every holder
 // drops its hold under n.mu and the last one recycles: once settle took the
@@ -239,8 +243,8 @@ func (n *Node) transmit(c *call) {
 	}
 	n.mu.Unlock()
 	if done != nil {
+		done(in, err) // in may be c's copy: recycle c after
 		c.recycle()
-		done(in, err)
 	}
 }
 
@@ -280,6 +284,7 @@ func (n *Node) settle(c *call, in Inbound, err error) (func(Inbound, error), boo
 	delete(n.pending, c.seq)
 	if c.sending {
 		c.in, c.err = in, err
+		c.in.Msg = in.Msg.CopyInto(&c.path, &c.body)
 		return nil, false
 	}
 	if c.armed && c.timer.Stop() {

@@ -12,7 +12,8 @@ import (
 
 // lateEndpoint hands every delivery to its receiver late, in arrival order,
 // from a goroutine of its own: the asynchronous network the loopback, which
-// delivers by call, is not.
+// delivers by call, is not. It queues a copy, as the loopback lends each
+// delivery's Path and Body for the call only.
 type lateEndpoint struct {
 	Endpoint
 	q    chan Inbound
@@ -30,7 +31,7 @@ func late(ep Endpoint) *lateEndpoint {
 func (e *lateEndpoint) Serve(f func(Inbound)) {
 	e.Endpoint.Serve(func(in Inbound) {
 		select {
-		case e.q <- in:
+		case e.q <- keep(in):
 		case <-e.done:
 		}
 	})

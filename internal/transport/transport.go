@@ -20,9 +20,13 @@
 // Each delivery failure is counted in one place, LoopbackStats: fault-gate
 // drops and sends to absent, closed or unserved hosts.
 //
-// The per-message paths recycle their frames and call records and share no
-// exclusive lock between senders; DESIGN.md §10 "Transport locking" states
-// which lock guards what and why a retired call record is safe to reuse.
+// The loopback checks each message by the codec's rules but never encodes
+// it: a delivery lends the receiver Path and Body in a pooled buffer, for
+// the call only, and poisons it after (−1 slots, 0xFF bytes); a receiver
+// copies what it keeps (Message.CopyInto). The per-message paths recycle
+// those buffers and their call records and share no exclusive lock between
+// senders; DESIGN.md §10 "Transport locking" states which lock guards what
+// and why a retired call record is safe to reuse.
 //
 // Key types: Message and its codec (Encode/Decode), Endpoint/Network,
 // Loopback, and Node (the receiver that answers pings, with Ping/Call). See
@@ -88,7 +92,7 @@ type Message struct {
 
 // Inbound is one delivered message plus transport metadata.
 type Inbound struct {
-	// Msg is the decoded message.
+	// Msg is the delivered message; its Path and Body are lent (Serve).
 	Msg Message
 	// DelayMS is the virtual one-way delay the network charged this
 	// delivery: the latency model's share plus any fault jitter.
@@ -107,9 +111,10 @@ type Endpoint interface {
 	// keep m, its Path or its Body after Send returns: callers reuse them.
 	Send(to int, m Message) error
 	// Serve installs f as the receiver of every later delivery; nil
-	// uninstalls it. f runs on the senders' goroutines, on many at once, and
-	// must neither block nor take a lock a sender may hold across Send.
-	// A delivery with no receiver vanishes, like one to an absent host.
+	// uninstalls it. f runs on the senders' goroutines, on many at once,
+	// must neither block nor take a lock a sender may hold across Send, and
+	// copies what it keeps of its Inbound's lent Path and Body. A delivery
+	// with no receiver vanishes, like one to an absent host.
 	Serve(f func(Inbound))
 	// Close detaches the endpoint: later deliveries to it vanish.
 	Close() error
