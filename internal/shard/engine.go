@@ -14,8 +14,8 @@ import (
 // The epoch loop. Every window [t0, t1) satisfies t1 ≤ minAt + lookahead,
 // where minAt is the earliest pending event anywhere: no event processed
 // in the window can cause a cross-shard arrival before t1, so each shard
-// drains its heap up to t1 in isolation, and the barrier afterwards moves
-// mailbox messages (all stamped ≥ t1) into their destination heaps. Sample
+// drains its queue up to t1 in isolation, and the barrier afterwards moves
+// mailbox messages (all stamped ≥ t1) into their destination queues. Sample
 // times are window boundaries, so a sample always observes the exact
 // prefix of the event stream with arrival time < sample time — the same
 // prefix for every shard count.
@@ -85,8 +85,8 @@ func (e *Engine) Run(tr *obs.Trial, prefix string) error {
 		}
 		minAt := math.Inf(1)
 		for _, sh := range e.shards {
-			if sh.heap.len() > 0 && sh.heap.min().at < minAt {
-				minAt = sh.heap.min().at
+			if k := sh.queue.next(); k != nil && k.at < minAt {
+				minAt = k.at
 			}
 		}
 		samplesLeft := sampling && nextSample <= horizon
@@ -104,7 +104,9 @@ func (e *Engine) Run(tr *obs.Trial, prefix string) error {
 		e.window(t1)
 		t0 = t1
 	}
-
+	for _, sh := range e.shards {
+		sh.queue = msgQueue{} // every queue is empty and the engine single-use
+	}
 	return e.checkInvariants()
 }
 
@@ -119,24 +121,26 @@ func (e *Engine) window(t1 float64) {
 	for _, sh := range e.shards {
 		go func(sh *shardRun) {
 			defer wg.Done()
-			for sh.heap.len() > 0 && sh.heap.min().at < t1 {
-				m := sh.heap.pop()
+			q := &sh.queue
+			q.advance(t1)
+			for len(q.near) > 0 && q.near[0].at < t1 {
+				m := q.pop()
 				e.handle(sh, &m)
 			}
 		}(sh)
 	}
 	wg.Wait()
-	// Mailbox exchange, parallel over destinations: heap pop order is a
+	// Mailbox exchange, parallel over destinations: queue pop order is a
 	// pure function of the (unique) keys, so the source interleaving a
 	// destination drains in cannot influence anything downstream.
 	wg.Add(e.nShards)
 	for dst := range e.shards {
 		go func(dst int) {
 			defer wg.Done()
-			h := &e.shards[dst].heap
+			q := &e.shards[dst].queue
 			for _, src := range e.shards {
 				for i := range src.out[dst] {
-					h.push(src.out[dst][i])
+					q.push(src.out[dst][i])
 				}
 				src.out[dst] = src.out[dst][:0]
 			}

@@ -130,7 +130,7 @@ func TestFaultSeedSensitivity(t *testing.T) {
 // conservative lookahead floor (90 ms on the tiny world) and far above
 // it. Jitter is strictly additive, so in both regimes messages can only
 // arrive later than the floor — a long-jittered message simply waits in
-// its heap past the current epoch window — and shard-count invariance
+// its queue past the current epoch window — and shard-count invariance
 // must hold unchanged.
 func TestJitterRegimes(t *testing.T) {
 	for _, jitter := range []float64{5, 200} {

@@ -3,7 +3,7 @@ package shard
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph/graphtest"
@@ -126,50 +126,101 @@ func TestFloodWeightsMatchPerEdgeEstimate(t *testing.T) {
 	}
 }
 
-// TestMsgHeapKeySlabSplit drives the event heap with a seeded mix of
-// self-timers and payload messages whose arrival times collide, pushes and
-// pops interleaved: every pop must be the (at, origin, oseq)-minimum of
-// what is pending, equal field for field to the msg that was pushed (a
-// timer comes back with from == to == origin and its cycle counter), and
-// the slab must never outgrow the peak number of payload messages in
-// flight.
+// TestMsgHeapKeySlabSplit drives the event queue with a seeded mix of
+// self-timers and payload messages whose arrival times spread over 48
+// bucket widths, hit exact bucket boundaries and collide, with pushes
+// (some below the drained edge), pops and advances interleaved. Every pop
+// must be the (at, origin, oseq)-minimum of what is pending, equal field
+// for field to the msg that was pushed (a timer comes back with
+// from == to == origin and its cycle counter); after advance(t) no key
+// before t may wait in the far tier; the slab must never outgrow the peak
+// number of payload messages in flight, nor the chunks carved the peak
+// far keys / chunkKeys plus the peak number of live buckets.
 func TestMsgHeapKeySlabSplit(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	var h msgHeap
+	var q msgQueue
 	var pending []msg
 	var oseq [16]uint32
-	inFlight, peak := 0, 0
-	pop := func() {
-		sort.Slice(pending, func(i, j int) bool {
-			x, y := &pending[i], &pending[j]
-			if x.at != y.at {
-				return x.at < y.at
+	now := 0.0
+	inFlight, peakSlab, peakFar, peakLive, belowEdge := 0, 0, 0, 0, 0
+	live := map[int64]bool{}
+	minimum := func() int { // the reference: a linear scan in key order
+		best := 0
+		for i := range pending {
+			x, y := &pending[i], &pending[best]
+			if x.at < y.at || x.at == y.at && (x.origin < y.origin || x.origin == y.origin && x.oseq < y.oseq) {
+				best = i
 			}
-			if x.origin != y.origin {
-				return x.origin < y.origin
-			}
-			return x.oseq < y.oseq
-		})
-		want := pending[0]
-		pending = pending[1:]
-		if at := h.min().at; at != want.at {
-			t.Fatalf("min().at = %v, want %v", at, want.at)
 		}
-		if got := h.pop(); got != want {
+		return best
+	}
+	pop := func() {
+		best := minimum()
+		want := pending[best]
+		pending = append(pending[:best], pending[best+1:]...)
+		if k := q.next(); k == nil || k.at != want.at {
+			t.Fatalf("next() = %+v, want at %v", k, want.at)
+		}
+		if got := q.pop(); got != want {
 			t.Fatalf("popped %+v, want %+v", got, want)
 		}
 		if !want.kind.timer() {
 			inFlight--
 		}
 	}
-	for op := 0; op < 6000; op++ {
-		if len(pending) > 0 && r.Intn(5) < 2 {
+	for op := 0; op < 20000; op++ {
+		switch c := r.Intn(10); {
+		case c < 3 && len(pending) > 0 && pending[minimum()].at < now:
+			// Due, as in a window: advance(now) put it in the near tier.
+			if len(q.near) == 0 {
+				t.Fatalf("a key before %v is due but the near tier is empty", now)
+			}
 			pop()
+			continue
+		case c == 3 && len(pending) > 0:
+			// Run's minAt: drain until the near tier holds the minimum.
+			if k, want := q.next(), pending[minimum()]; k == nil || k.at != want.at || k.origin != want.origin || k.oseq != want.oseq {
+				t.Fatalf("next() = %+v, want %+v", k, want)
+			}
+			continue
+		case c == 4:
+			now += r.Float64() * bucketMS / 2
+			q.advance(now)
+			near := 0
+			for i := range pending {
+				b := bucketOf(pending[i].at)
+				if pending[i].at < now && b >= q.edge {
+					t.Fatalf("advance(%v) left key at %v in far bucket %d (edge %d)", now, pending[i].at, b, q.edge)
+				}
+				if b < q.edge {
+					near++
+				}
+			}
+			if len(q.near) != near || q.far != len(pending)-near {
+				t.Fatalf("after advance(%v): %d near, %d far keys, want %d, %d", now, len(q.near), q.far, near, len(pending)-near)
+			}
 			continue
 		}
 		origin := int32(r.Intn(len(oseq)))
-		m := msg{at: float64(r.Intn(12)), origin: origin, oseq: oseq[origin], from: origin, to: origin, kind: kind(r.Intn(int(kCommitTO) + 1))}
+		m := msg{origin: origin, oseq: oseq[origin], from: origin, to: origin, kind: kind(r.Intn(int(kCommitTO) + 1))}
 		oseq[origin]++
+		switch r.Intn(4) {
+		case 0: // an exact bucket boundary
+			m.at = float64(bucketOf(now)+int64(r.Intn(48))) * bucketMS
+		case 1: // below the drained edge
+			m.at = now + r.Float64()*(float64(q.edge)*bucketMS-now)
+		case 2: // a collision with a pending arrival
+			if len(pending) > 0 {
+				m.at = pending[r.Intn(len(pending))].at
+				break
+			}
+			fallthrough
+		default:
+			m.at = now + r.Float64()*48*bucketMS
+		}
+		if bucketOf(m.at) < q.edge {
+			belowEdge++
+		}
 		if m.kind.timer() {
 			m.c = r.Int31()
 		} else {
@@ -179,18 +230,43 @@ func TestMsgHeapKeySlabSplit(t *testing.T) {
 				m.row[i] = r.Int31()
 			}
 			inFlight++
-			peak = max(peak, inFlight)
+			peakSlab = max(peakSlab, inFlight)
 		}
-		h.push(m)
+		q.push(m)
 		pending = append(pending, m)
-		if len(h.slab) > peak {
-			t.Fatalf("slab grew to %d with at most %d payload messages ever in flight", len(h.slab), peak)
+		clear(live)
+		for i := range pending {
+			if b := bucketOf(pending[i].at); b >= q.edge {
+				live[b] = true
+			}
 		}
+		peakFar, peakLive = max(peakFar, q.far), max(peakLive, len(live))
+		if len(q.slab) > peakSlab {
+			t.Fatalf("slab grew to %d with at most %d payload messages ever in flight", len(q.slab), peakSlab)
+		}
+		if bound := (peakFar+chunkKeys-1)/chunkKeys + peakLive; int(q.chunks) > bound {
+			t.Fatalf("%d chunks carved, want ≤ %d (peak %d far keys in %d buckets)", q.chunks, bound, peakFar, peakLive)
+		}
+	}
+	if q.edge < 40 || peakFar < 10*chunkKeys || belowEdge == 0 {
+		t.Fatalf("the calendar went unexercised: edge %d, peak %d far keys, %d pushes below the edge", q.edge, peakFar, belowEdge)
 	}
 	for len(pending) > 0 {
 		pop()
 	}
-	if h.len() != 0 || len(h.free) != len(h.slab) {
-		t.Fatalf("drained heap holds %d keys, %d of %d slab entries free", h.len(), len(h.free), len(h.slab))
+	if q.next() != nil || q.far != 0 || len(q.free) != len(q.slab) {
+		t.Fatalf("drained queue holds %d near, %d far keys, %d of %d slab entries free", len(q.near), q.far, len(q.free), len(q.slab))
+	}
+}
+
+// TestRunReleasesQueues pins the release at the end of Run: a finished
+// engine keeps no event queue storage.
+func TestRunReleasesQueues(t *testing.T) {
+	_, e := runTiny(t, faultyConfig(4, 11))
+	for _, sh := range e.shards {
+		if !reflect.DeepEqual(sh.queue, msgQueue{}) {
+			t.Fatalf("shard %d keeps its queue after Run: %d near keys, %d ring slots, %d blocks, %d slab entries",
+				sh.id, cap(sh.queue.near), len(sh.queue.ring), len(sh.queue.blocks), cap(sh.queue.slab))
+		}
 	}
 }

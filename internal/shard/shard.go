@@ -1,6 +1,6 @@
 // Package shard is the domain-sharded million-node simulator (DESIGN.md
 // §12, SCALING.md): a parallel discrete-event engine that partitions the
-// peer population by transit domain, runs one event heap per shard, and
+// peer population by transit domain, runs one event queue per shard, and
 // synchronizes shards with conservative-lookahead epochs, so PROP-G-style
 // topology optimization can be simulated at 10⁵–10⁶ peers on one machine.
 //
@@ -20,13 +20,13 @@
 //     transaction's core.Txn, RNG and send counters, occupant caches,
 //     liveness strikes), not in per-node structs with pointers: at 10⁶
 //     peers what New builds stays ~100 B/peer (SCALING.md §4 has the
-//     budget, event heaps included) and
+//     budget, event queues included) and
 //     scans stay cache-linear. Handlers only write state belonging to the
 //     addressed peer, which is what makes the parallel window processing
 //     race-free (peers never change shards).
 //
 //   - A deterministic total event order. Every message carries the key
-//     (arrival time, origin peer, per-origin sequence number); heaps pop by
+//     (arrival time, origin peer, per-origin sequence number); queues pop by
 //     that key, peers draw randomness from a stateless counter-keyed
 //     generator, and samples reduce per-shard tallies in fixed order. The
 //     execution each peer observes is therefore a pure function of the
@@ -152,7 +152,7 @@ type FaultConfig struct {
 	// [0, JitterMS) per message. Jitter is strictly additive, so it can
 	// never undercut the conservative lookahead floor; a jittered message
 	// whose arrival lands past the current epoch window simply waits in
-	// its heap and is processed in a later window (both regimes — jitter
+	// its queue and is processed in a later window (both regimes — jitter
 	// below the floor and far above it — are pinned by tests).
 	JitterMS float64
 	// PartitionStartMS and PartitionStopMS bound the partition window:

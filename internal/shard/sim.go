@@ -35,7 +35,7 @@ import (
 
 // send assigns m's ordering key from the sending peer, decides its fate
 // under the fault schedule, and delivers it: same-shard messages go
-// straight into the local heap, cross-shard ones into the outbox drained
+// straight into the local queue, cross-shard ones into the outbox drained
 // at the next epoch barrier. A lost message still consumes the sender's
 // sequence number, so losses never perturb the ordering keys of later
 // traffic.
@@ -51,7 +51,7 @@ func (e *Engine) send(sh *shardRun, now float64, m msg) {
 	e.post(sh, d, m)
 }
 
-// post routes a stamped message to its destination heap or outbox.
+// post routes a stamped message to its destination queue or outbox.
 // Cross-shard delivery asserts the lookahead bound on the raw physical
 // delay d — by construction (a cross-domain estLat is the exact distance,
 // never below the floor, and jitter is strictly additive on top of d) the
@@ -59,7 +59,7 @@ func (e *Engine) send(sh *shardRun, now float64, m msg) {
 func (e *Engine) post(sh *shardRun, d float64, m msg) {
 	dst := e.shardOf(m.to)
 	if dst == sh.id {
-		sh.heap.push(m)
+		sh.queue.push(m)
 		return
 	}
 	if d < e.lookahead {
@@ -106,7 +106,7 @@ func (e *Engine) inject(sh *shardRun, now, d float64, m *msg) bool {
 func (e *Engine) schedule(sh *shardRun, p int32, at float64, k kind, c uint32) {
 	m := msg{at: at, origin: p, oseq: e.oseq[p], from: p, to: p, kind: k, c: int32(c)}
 	e.oseq[p]++
-	sh.heap.push(m)
+	sh.queue.push(m)
 }
 
 // handle dispatches one event. Under churn, a dead addressee silently
@@ -177,7 +177,9 @@ func (e *Engine) pickNeighbor(w int32, s int32) (j int, target int32, ok bool) {
 func (e *Engine) handleProbe(sh *shardRun, m *msg) {
 	u := m.to
 	sh.stats.Probes++
-	next := m.at + probeIntervalMS*(0.75+0.5*u01(e.draw(u)))
+	// The explicit conversions round each product, so no GOARCH fuses a
+	// multiply-add here: a fused sum can differ in the last bit.
+	next := m.at + float64(probeIntervalMS*(0.75+float64(0.5*u01(e.draw(u)))))
 	if next < e.cfg.HorizonMS {
 		e.schedule(sh, u, next, kProbe, 0)
 	}

@@ -12,7 +12,7 @@ import (
 
 // Engine is one sharded simulation: the immutable world (logical topology,
 // latency tables, shard partition) plus the mutable struct-of-arrays
-// peer state and the per-shard event heaps. Build with New, execute with
+// peer state and the per-shard event queues. Build with New, execute with
 // Run. An Engine is single-use: Run consumes it.
 type Engine struct {
 	cfg       Config
@@ -61,12 +61,12 @@ type Engine struct {
 	ran    bool
 }
 
-// shardRun is one engine's event state: its heap, one outbox per
+// shardRun is one engine's event state: its event queue, one outbox per
 // destination shard (drained at each epoch barrier), and its share of the
 // run tallies.
 type shardRun struct {
 	id    int32
-	heap  msgHeap
+	queue msgQueue
 	out   [][]msg
 	stats Stats
 }
@@ -174,9 +174,10 @@ func (e *Engine) initFaults(maxLeg float64) error {
 	// plus the report leg; a commit round is the proposal plus the
 	// acknowledgment. The +1 ms slack keeps timeout firings strictly after
 	// the last possible reply, so a timeout that finds its cycle still open
-	// proves the reply was dropped, not late (core.Txn).
+	// proves the reply was dropped, not late (core.Txn). The explicit
+	// conversion rounds the product, so no GOARCH fuses it with the + 1.
 	maxLeg += e.fc.JitterMS
-	e.probeTO = float64(walkHops+1)*maxLeg + 1
+	e.probeTO = float64(float64(walkHops+1)*maxLeg) + 1
 	e.commitTO = 2*maxLeg + 1
 	return nil
 }

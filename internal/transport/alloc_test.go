@@ -83,16 +83,3 @@ func TestLoopbackSendAllocatesNothing(t *testing.T) {
 		}
 	}
 }
-
-func TestAppendEncodeIntoCapacityAllocatesNothing(t *testing.T) {
-	m := Message{Type: TWalk, TTL: 2, Epoch: 1, Seq: 9, Src: 3, Dst: 4, Key: 5, Path: []int{1, 2, 3}, Body: []byte("payload")}
-	buf := make([]byte, 0, 256)
-	if got := testing.AllocsPerRun(1000, func() {
-		var err error
-		if buf, err = appendEncode(buf[:0], m); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Fatalf("%v allocations per appendEncode into a buffer with capacity, want 0", got)
-	}
-}

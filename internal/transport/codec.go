@@ -31,13 +31,8 @@ const (
 	MaxBody = 32 * 1024
 )
 
-// Encode serializes m into a fresh frame. It rejects messages that cannot
-// round-trip: unknown types, out-of-range host or slot IDs, oversized paths
-// or bodies.
-func Encode(m Message) ([]byte, error) { return appendEncode(nil, m) }
-
-// validate is the one rule for what a Message may be, which appendEncode and
-// the loopback's Send apply: a known type, bounded path and body, int32 slots.
+// validate is the one rule for what a Message may be, which Encode and the
+// loopback's Send apply: a known type, bounded path and body, int32 slots.
 func validate(m Message) error {
 	if !m.Type.Valid() {
 		return fmt.Errorf("transport: unknown message type %d", m.Type)
@@ -65,14 +60,14 @@ func (m Message) CopyInto(path *[]int, body *[]byte) Message {
 	return m
 }
 
-// appendEncode is the one encoder: it validates m and appends its frame to
-// buf, growing it at most once. On error it returns buf unchanged, so a
-// caller may assign the result back over its buffer unconditionally.
-func appendEncode(buf []byte, m Message) ([]byte, error) {
+// Encode serializes m into a fresh frame. It rejects messages that cannot
+// round-trip: unknown types, out-of-range host or slot IDs, oversized paths
+// or bodies.
+func Encode(m Message) ([]byte, error) {
 	if err := validate(m); err != nil {
-		return buf, err
+		return nil, err
 	}
-	buf = slices.Grow(buf, headerLen+4*len(m.Path)+len(m.Body))
+	buf := make([]byte, 0, headerLen+4*len(m.Path)+len(m.Body))
 	buf = append(buf, codecMagic, codecVersion, byte(m.Type), m.TTL)
 	buf = binary.BigEndian.AppendUint32(buf, m.Epoch)
 	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
