@@ -153,7 +153,7 @@ func (sp *Space) joinPoint(host int, r *rng.Rand) Point {
 	bin := permIndex(perm)
 	strips := factorial(m)
 	width := 1.0 / float64(strips)
-	x := (float64(bin) + r.Float64()) * width
+	x := (float64(bin) + float64(r.Float64())) * width
 	return Point{X: x, Y: r.Float64()}
 }
 
@@ -260,7 +260,7 @@ func torusAxisDist(s, t float64) float64 {
 func zonePointDist(z Zone, p Point) float64 {
 	dx := axisIntervalDist(p.X, z.X0, z.X1)
 	dy := axisIntervalDist(p.Y, z.Y0, z.Y1)
-	return math.Sqrt(dx*dx + dy*dy)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
 // axisIntervalDist returns the circular distance from coordinate t to the
@@ -275,8 +275,8 @@ func axisIntervalDist(t, lo, hi float64) float64 {
 // Route greedily forwards from slot src to the owner of the target point
 // (overlay.Route, within len(Zones) hops), always moving to the neighbor
 // zone nearest the target (ties to the lowest slot; visited zones are never
-// re-entered). proc, if non-nil, adds per-hop processing delay.
-func (sp *Space) Route(src int, target Point, proc overlay.ProcDelayFunc) (overlay.LookupResult, error) {
+// re-entered).
+func (sp *Space) Route(src int, target Point) (overlay.LookupResult, error) {
 	var buf [64]int // greedy routes stay far shorter, so visited lives on the stack
 	visited := append(buf[:0], src)
 	return sp.O.Route(src, sp.ZoneOf(target), len(sp.Zones), func(cur int) int {
@@ -292,5 +292,5 @@ func (sp *Space) Route(src int, target Point, proc overlay.ProcDelayFunc) (overl
 		})
 		visited = append(visited, best)
 		return best
-	}, proc)
+	})
 }

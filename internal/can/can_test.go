@@ -117,7 +117,7 @@ func TestRouteReachesOwner(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		src := r.Intn(256)
 		target := RandomPoint(r)
-		res, err := sp.Route(src, target, nil)
+		res, err := sp.Route(src, target)
 		if err != nil {
 			t.Fatalf("route %d: %v", i, err)
 		}
@@ -130,7 +130,7 @@ func TestRouteReachesOwner(t *testing.T) {
 func TestRouteSelfZone(t *testing.T) {
 	sp := buildSpace(t, 64, 21)
 	z := sp.Zones[10]
-	res, err := sp.Route(10, center(z), nil)
+	res, err := sp.Route(10, center(z))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRouteSelfZone(t *testing.T) {
 
 func TestRouteFromDeadSlot(t *testing.T) {
 	sp := buildSpace(t, 16, 2)
-	if _, err := sp.Route(999, Point{X: 0.5, Y: 0.5}, nil); err == nil {
+	if _, err := sp.Route(999, Point{X: 0.5, Y: 0.5}); err == nil {
 		t.Fatal("route from invalid slot accepted")
 	}
 }
@@ -152,7 +152,7 @@ func TestRouteHopsScaleAsSqrtN(t *testing.T) {
 	totalHops := 0
 	const routes = 200
 	for i := 0; i < routes; i++ {
-		res, err := sp.Route(r.Intn(1024), RandomPoint(r), nil)
+		res, err := sp.Route(r.Intn(1024), RandomPoint(r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,25 +162,6 @@ func TestRouteHopsScaleAsSqrtN(t *testing.T) {
 	// 2-d CAN expects O(sqrt(n)) = 32 hops; average should be well below 64.
 	if avg > 64 {
 		t.Fatalf("average hops %.1f too high for n=1024", avg)
-	}
-}
-
-func TestRouteProcessingDelay(t *testing.T) {
-	sp := buildSpace(t, 128, 31)
-	r := rng.New(4)
-	src := r.Intn(128)
-	target := RandomPoint(r)
-	base, err := sp.Route(src, target, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withProc, err := sp.Route(src, target, func(int) float64 { return 7 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(withProc.Latency-base.Latency-float64(base.Hops)*7) > 1e-9 {
-		t.Fatalf("processing delay accounting off: %v vs %v (%d hops)",
-			base.Latency, withProc.Latency, base.Hops)
 	}
 }
 
@@ -224,7 +205,7 @@ func TestPISRoutesCorrectly(t *testing.T) {
 	r := rng.New(8)
 	for i := 0; i < 200; i++ {
 		target := RandomPoint(r)
-		res, err := sp.Route(r.Intn(n), target, nil)
+		res, err := sp.Route(r.Intn(n), target)
 		if err != nil {
 			t.Fatal(err)
 		}

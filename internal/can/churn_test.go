@@ -32,7 +32,7 @@ func TestJoinAddsZone(t *testing.T) {
 		t.Fatalf("areas sum to %v after join", liveAreasSum(sp))
 	}
 	// Routing to the new zone works.
-	res, err := sp.Route(0, center(sp.Zones[slot]), nil)
+	res, err := sp.Route(0, center(sp.Zones[slot]))
 	if err != nil {
 		t.Fatal(err)
 	}

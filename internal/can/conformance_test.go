@@ -23,8 +23,8 @@ type dhtAdapter struct{ *Space }
 
 func (a dhtAdapter) Overlay() *overlay.Overlay { return a.O }
 func (a dhtAdapter) Owner(key uint32) int      { return a.ZoneOf(keyPoint(key)) }
-func (a dhtAdapter) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (overlay.LookupResult, error) {
-	return a.Route(src, keyPoint(key), proc)
+func (a dhtAdapter) Lookup(src int, key uint32) (overlay.LookupResult, error) {
+	return a.Route(src, keyPoint(key))
 }
 
 // builder builds CANs for the dhttest harness, with PIS over the first and

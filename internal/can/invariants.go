@@ -25,7 +25,7 @@ func (sp *Space) CheckInvariants() error {
 		if z.Area() <= 0 {
 			return fmt.Errorf("can: slot %d owns a degenerate zone %+v", s, z)
 		}
-		total += z.Area()
+		total += float64(z.Area())
 		leaf, ok := sp.leafOf[s]
 		if !ok {
 			return fmt.Errorf("can: live slot %d missing from the split tree", s)

@@ -253,13 +253,15 @@ func inInterval(id, a, b uint64) bool {
 }
 
 // Lookup routes a query for key from the slot src by greedy
-// closest-preceding-finger routing (overlay.Route). proc, if non-nil, adds
-// processing delay at every visited slot after the source. Fingers give
-// O(log n) hops and the successor-only fallback O(n), so routing terminates
-// within n + Bits hops.
-func (ring *Ring) Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (overlay.LookupResult, error) {
+// closest-preceding-finger routing (overlay.Route). Fingers give O(log n)
+// hops and the successor-only fallback O(n), so routing terminates within
+// n + Bits hops.
+//
+// The trailing parameter is ignored. Bench-contract shim — bench/wl_chord.go
+// passes nil; drop it in the next benchmark-only PR (ROADMAP item 5(g)).
+func (ring *Ring) Lookup(src int, key uint32, _ ...func(int) float64) (overlay.LookupResult, error) {
 	return ring.O.Route(src, ring.ownerOf(uint64(key)), len(ring.ID)+Bits,
-		func(cur int) int { return ring.nextHop(cur, uint64(key)) }, proc)
+		func(cur int) int { return ring.nextHop(cur, uint64(key)) })
 }
 
 // nextHop returns the routing step from cur toward key: the successor if

@@ -106,7 +106,7 @@ func TestLookupFindsOwner(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		src := r.Intn(256)
 		key := RandomKey(r)
-		res, err := ring.Lookup(src, key, nil)
+		res, err := ring.Lookup(src, key)
 		if err != nil {
 			t.Fatalf("lookup %d: %v", i, err)
 		}
@@ -122,7 +122,7 @@ func TestLookupLogarithmicHops(t *testing.T) {
 	totalHops := 0
 	const lookups = 300
 	for i := 0; i < lookups; i++ {
-		res, err := ring.Lookup(r.Intn(1024), RandomKey(r), nil)
+		res, err := ring.Lookup(r.Intn(1024), RandomKey(r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestLookupLogarithmicHops(t *testing.T) {
 func TestLookupSelfKey(t *testing.T) {
 	ring := buildRing(t, 64, 21)
 	s := ring.sorted[10]
-	res, err := ring.Lookup(s, ring.ID[s], nil)
+	res, err := ring.Lookup(s, ring.ID[s])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,28 +152,8 @@ func TestLookupSelfKey(t *testing.T) {
 
 func TestLookupFromDeadSlot(t *testing.T) {
 	ring := buildRing(t, 16, 2)
-	if _, err := ring.Lookup(999, 1, nil); err == nil {
+	if _, err := ring.Lookup(999, 1); err == nil {
 		t.Fatal("lookup from invalid slot accepted")
-	}
-}
-
-func TestLookupProcessingDelay(t *testing.T) {
-	ring := buildRing(t, 128, 31)
-	r := rng.New(4)
-	src := r.Intn(128)
-	key := RandomKey(r)
-	base, err := ring.Lookup(src, key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withProc, err := ring.Lookup(src, key, func(int) float64 { return 10 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantExtra := float64(base.Hops) * 10
-	if math.Abs(withProc.Latency-base.Latency-wantExtra) > 1e-9 {
-		t.Fatalf("processing delay accounting: base %.1f, with %.1f, hops %d",
-			base.Latency, withProc.Latency, base.Hops)
 	}
 }
 
@@ -195,7 +175,7 @@ func TestPNSReducesLinkLatency(t *testing.T) {
 	r := rng.New(6)
 	for i := 0; i < 200; i++ {
 		key := RandomKey(r)
-		res, err := pns.Lookup(r.Intn(400), key, nil)
+		res, err := pns.Lookup(r.Intn(400), key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +236,7 @@ func TestLookupAlwaysTerminatesProperty(t *testing.T) {
 		}
 		for i := 0; i < 20; i++ {
 			key := RandomKey(r)
-			res, err := ring.Lookup(r.Intn(n), key, nil)
+			res, err := ring.Lookup(r.Intn(n), key)
 			if err != nil || res.Owner != ring.Owner(key) {
 				return false
 			}
@@ -283,7 +263,7 @@ func TestSwapHostsPreservesRouting(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		key := RandomKey(r)
-		res, err := ring.Lookup(r.Intn(128), key, nil)
+		res, err := ring.Lookup(r.Intn(128), key)
 		if err != nil {
 			t.Fatal(err)
 		}

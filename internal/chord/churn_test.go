@@ -24,7 +24,7 @@ func TestJoinGrowsRing(t *testing.T) {
 	}
 	// Lookups (from and to the newcomer) must work.
 	key := RandomKey(r)
-	res, err := ring.Lookup(slot, key, nil)
+	res, err := ring.Lookup(slot, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestJoinLookupCorrect(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		key := RandomKey(r)
 		src := ring.sorted[r.Intn(len(ring.sorted))]
-		res, err := ring.Lookup(src, key, nil)
+		res, err := ring.Lookup(src, key)
 		if err != nil {
 			t.Fatalf("lookup after joins: %v", err)
 		}
@@ -93,7 +93,7 @@ func TestLeaveShrinksRing(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		key := RandomKey(r)
 		src := ring.sorted[r.Intn(len(ring.sorted))]
-		res, err := ring.Lookup(src, key, nil)
+		res, err := ring.Lookup(src, key)
 		if err != nil {
 			t.Fatalf("lookup after leave: %v", err)
 		}

@@ -8,11 +8,14 @@ import (
 	"repro/internal/rng"
 )
 
-// dhtAdapter is a Ring under dhttest.DHT; Membership, Owner, Lookup and
+// dhtAdapter is a Ring under dhttest.DHT; Membership, Owner and
 // CheckInvariants are the Ring's own.
 type dhtAdapter struct{ *Ring }
 
 func (a dhtAdapter) Overlay() *overlay.Overlay { return a.O }
+func (a dhtAdapter) Lookup(src int, key uint32) (overlay.LookupResult, error) {
+	return a.Ring.Lookup(src, key)
+}
 
 // builder builds rings with cfg for the dhttest harness.
 func builder(cfg Config) dhttest.Builder {

@@ -47,11 +47,11 @@ func TestProtocolOnWallClock(t *testing.T) {
 	clk := event.NewWallClock()
 	p.Start(clk)
 
-	// Handlers own the protocol state; read it through the runner.
+	// Handlers own the protocol state; read it on the runner.
+	read := make(chan uint64)
 	probes := func() uint64 {
-		var v uint64
-		clk.Sync(func() { v = p.Counters.Probes })
-		return v
+		clk.Schedule(0, func() { read <- p.Counters.Probes })
+		return <-read
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for probes() < 8 && time.Now().Before(deadline) {

@@ -36,10 +36,10 @@ func TestWarmLookupAllocationFree(t *testing.T) {
 	}
 	for name, lookup := range map[string]func(src int, r *rng.Rand) (overlay.LookupResult, error){
 		"chord": func(src int, r *rng.Rand) (overlay.LookupResult, error) {
-			return ring.Lookup(src, chord.RandomKey(r), nil)
+			return ring.Lookup(src, chord.RandomKey(r))
 		},
 		"can": func(src int, r *rng.Rand) (overlay.LookupResult, error) {
-			return sp.Route(src, can.RandomPoint(r), nil)
+			return sp.Route(src, can.RandomPoint(r))
 		},
 	} {
 		r := rng.New(4)

@@ -1,9 +1,9 @@
 // Package dhttest provides a conformance harness run by every DHT
 // substrate's test suite (Chord, CAN). The reproduction
 // leans on the same contract from each geometry — deterministic ownership,
-// lookups that terminate at the owner, correct per-hop accounting, and
-// invariance of routing under PROP-G host swaps — so the contract is
-// encoded once and each package plugs in an adapter.
+// lookups that terminate at the owner, and invariance of routing under
+// PROP-G host swaps — so the contract is encoded once and each package plugs
+// in an adapter.
 //
 // Key types: DHT (the adapter each substrate implements) and Run (the
 // battery). See DESIGN.md §6 ("Conformance").
@@ -30,9 +30,8 @@ type DHT interface {
 	// Owner returns the slot responsible for key.
 	Owner(key uint32) int
 	// Lookup routes from src toward key through overlay.Route: the
-	// substrate's next-hop rule from src until Owner(key), with proc delays
-	// added when proc is non-nil.
-	Lookup(src int, key uint32, proc overlay.ProcDelayFunc) (overlay.LookupResult, error)
+	// substrate's next-hop rule from src until Owner(key).
+	Lookup(src int, key uint32) (overlay.LookupResult, error)
 	// CheckInvariants is the substrate's structural self-check (Chord ring
 	// order, CAN tiling), audited after every membership change.
 	CheckInvariants() error
@@ -92,7 +91,6 @@ var battery = []struct {
 }{
 	{"LookupReachesOwner", runOwner},
 	{"SelfLookupIsFree", runSelf},
-	{"ProcDelayAccounting", runProc},
 	{"SwapInvariance", runSwap},
 	{"LatencyNonNegative", runNonNegative},
 	{"ChurnPhase", runChurn},
@@ -144,7 +142,7 @@ func Fuzz(f *testing.F, build Builder, hopBound func(n int) int) {
 			audit.Check("dht-wellformed", d.CheckInvariants),
 			audit.LookupTermination("dht-lookup", d.Owner,
 				func(s int, k uint32) (int, int, error) {
-					res, err := d.Lookup(s, k, nil)
+					res, err := d.Lookup(s, k)
 					return res.Owner, res.Hops, err
 				},
 				[]int{src}, []uint32{key, key ^ 0xA5A5A5A5}, hopBound(n)),
@@ -188,7 +186,7 @@ func runOwner(t *testing.T, mk maker) {
 	for i := 0; i < 300; i++ {
 		key := uint32(r.Uint64())
 		src := r.Intn(128)
-		res, err := d.Lookup(src, key, nil)
+		res, err := d.Lookup(src, key)
 		if err != nil {
 			t.Fatalf("lookup %d: %v", i, err)
 		}
@@ -205,7 +203,7 @@ func runSelf(t *testing.T, mk maker) {
 	for i := 0; i < 2000 && checked < 20; i++ {
 		key := uint32(r.Uint64())
 		src := d.Owner(key)
-		res, err := d.Lookup(src, key, nil)
+		res, err := d.Lookup(src, key)
 		if err != nil {
 			t.Fatalf("self lookup: %v", err)
 		}
@@ -216,30 +214,6 @@ func runSelf(t *testing.T, mk maker) {
 	}
 	if checked == 0 {
 		t.Fatal("no self lookups exercised")
-	}
-}
-
-func runProc(t *testing.T, mk maker) {
-	d := mk(96, 5)
-	r := rng.New(6)
-	for i := 0; i < 50; i++ {
-		key := uint32(r.Uint64())
-		src := r.Intn(96)
-		base, err := d.Lookup(src, key, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const delta = 13.0
-		withProc, err := d.Lookup(src, key, func(int) float64 { return delta })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base.Hops != withProc.Hops {
-			t.Fatalf("proc delay changed the route: %d vs %d hops", base.Hops, withProc.Hops)
-		}
-		if math.Abs(withProc.Latency-base.Latency-float64(base.Hops)*delta) > 1e-9 {
-			t.Fatalf("proc accounting: base %+v, with %+v", base, withProc)
-		}
 	}
 }
 
@@ -269,7 +243,7 @@ func runSwap(t *testing.T, mk maker) {
 		if got := d.Owner(key); got != owners[i] {
 			t.Fatalf("owner of key %d changed under host swaps: %d -> %d", key, owners[i], got)
 		}
-		res, err := d.Lookup(r.Intn(128), key, nil)
+		res, err := d.Lookup(r.Intn(128), key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +288,7 @@ func runChurn(t *testing.T, mk maker) {
 		src := alive[r.Intn(len(alive))]
 		key := uint32(r.Uint64())
 		want := d.Owner(key)
-		res, err := d.Lookup(src, key, nil)
+		res, err := d.Lookup(src, key)
 		if err != nil {
 			a.Fail("churn-lookup", err)
 		} else if res.Owner != want {
@@ -390,7 +364,7 @@ func runChurnCrash(t *testing.T, mk maker) {
 			src := alive[r.Intn(len(alive))]
 			key := uint32(r.Uint64())
 			wantOwner := d.Owner(key)
-			res, err := d.Lookup(src, key, nil)
+			res, err := d.Lookup(src, key)
 			if err != nil {
 				postRepair.Fail("crash-lookup", err)
 			} else if res.Owner != wantOwner {
@@ -421,7 +395,7 @@ func runNonNegative(t *testing.T, mk maker) {
 	d := mk(64, 9)
 	r := rng.New(10)
 	for i := 0; i < 200; i++ {
-		res, err := d.Lookup(r.Intn(64), uint32(r.Uint64()), nil)
+		res, err := d.Lookup(r.Intn(64), uint32(r.Uint64()))
 		if err != nil {
 			t.Fatal(err)
 		}

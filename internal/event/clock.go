@@ -102,33 +102,6 @@ func (c *WallClock) timer(f func(), once bool) *WallTimer {
 	return w
 }
 
-// Sync runs f on the runner goroutine and waits for it to return, giving
-// callers a race-free view of state that handlers mutate (handlers never
-// overlap, and f runs as one). After Stop the runner is gone and nothing
-// mutates that state anymore, so f runs on the caller's goroutine instead.
-func (c *WallClock) Sync(f func()) {
-	done := make(chan struct{})
-	select {
-	case c.fire <- func() { f(); close(done) }:
-	case <-c.quit:
-		c.done.Wait()
-		f()
-		return
-	}
-	select {
-	case <-done:
-	case <-c.quit:
-		// The runner is draining out; it either ran f before exiting or left
-		// it queued forever. Wait for it to be gone, then settle which.
-		c.done.Wait()
-		select {
-		case <-done:
-		default:
-			f()
-		}
-	}
-}
-
 // Stop terminates the runner goroutine. Timers that fire afterwards are
 // dropped. Stop is idempotent and waits for the runner to exit, so no
 // handler is mid-flight when it returns.

@@ -224,48 +224,6 @@ func TestWallClockConcurrentCancel(t *testing.T) {
 	}
 }
 
-// TestWallClockSync pins the race-free read path: Sync observes every
-// handler mutation that happened before it, and still runs (inline) after
-// Stop has torn the runner down.
-func TestWallClockSync(t *testing.T) {
-	c := NewWallClock()
-
-	// Handler-owned state: mutated only on the runner goroutine.
-	count := 0
-	done := make(chan struct{})
-	c.Schedule(0, func() { count++; close(done) })
-	<-done
-
-	var got int
-	c.Sync(func() { got = count })
-	if got != 1 {
-		t.Fatalf("Sync read %d, want 1", got)
-	}
-
-	// Concurrent Syncs serialize with handlers and each other.
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.Sync(func() { count++ })
-		}()
-	}
-	wg.Wait()
-	c.Sync(func() { got = count })
-	if got != 9 {
-		t.Fatalf("after 8 Sync increments count = %d, want 9", got)
-	}
-
-	c.Stop()
-	// Post-Stop there is no runner; Sync must still run f and return.
-	ran := false
-	c.Sync(func() { ran = true })
-	if !ran {
-		t.Fatal("Sync after Stop did not run f")
-	}
-}
-
 // TestWallTimerStopAfterFiring pins Stop's time.Timer meaning: true while
 // the timer is armed, false once it fired or when it is not armed; a
 // stopped timer re-arms with Reset.

@@ -42,7 +42,7 @@ func newALProbe(mode string, o *overlay.Overlay, seed uint64) (*alProbe, error) 
 	if mode == ALModeOff {
 		return nil, nil
 	}
-	p := &alProbe{fs: metrics.OverlayFloodSource(o, nil)}
+	p := &alProbe{fs: metrics.OverlayFloodSource(o)}
 	if mode == ALModeSketch {
 		var err error
 		if p.est, err = metrics.NewALEstimator(p.fs, metrics.ALEstimatorOptions{}, rng.New(seed^0xa17e57e57)); err != nil {

@@ -187,7 +187,7 @@ func chordChurn(c *trialCtx) ([]stats.Series, error) {
 		stretch.Add(t/60000, w.e.stretch(ring.O, count, func(int) (int, overlay.LookupResult, error) {
 			src := alive[lr.Intn(len(alive))]
 			key := chord.RandomKey(lr)
-			res, err := ring.Lookup(src, key, nil)
+			res, err := ring.Lookup(src, key)
 			if err == nil && res.Owner == ring.Owner(key) {
 				right++
 			}

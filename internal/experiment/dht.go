@@ -42,7 +42,7 @@ var (
 		}
 		return sp.O, nil, func() float64 {
 			return e.drawnStretch(sp.O, count, func(src int, r *rng.Rand) (overlay.LookupResult, error) {
-				return sp.Route(src, can.RandomPoint(r), nil)
+				return sp.Route(src, can.RandomPoint(r))
 			})
 		}, nil
 	}}

@@ -95,8 +95,9 @@ func fig7Trial(c *trialCtx) ([]stats.Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseModel := hetero.AssignByDegree(base)
-	fastHosts, allHosts := baseModel.FastHosts(), base.Hosts()
+	// Speed belongs to the host, so one model serves every policy's clone.
+	model := hetero.AssignByDegree(base)
+	fastHosts, allHosts := model.FastHosts, base.Hosts()
 	slowHosts := slices.DeleteFunc(slices.Clone(allHosts), func(h int) bool { return slices.Contains(fastHosts, h) })
 
 	// Host-level workloads, one per fraction, shared by every policy so the
@@ -110,7 +111,7 @@ func fig7Trial(c *trialCtx) ([]stats.Series, error) {
 		if hostLookups[i], err = workload.Skewed(allHosts, fastHosts, slowHosts, frac, nLookups, wr); err != nil {
 			return nil, err
 		}
-		if baseline[i] = evalHostWorkload(base, baseModel, hostLookups[i]); baseline[i] <= 0 {
+		if baseline[i] = evalHostWorkload(base, model, hostLookups[i]); baseline[i] <= 0 {
 			return nil, fmt.Errorf("fig7: degenerate baseline %v at fraction %v", baseline[i], frac)
 		}
 	}
@@ -118,7 +119,6 @@ func fig7Trial(c *trialCtx) ([]stats.Series, error) {
 	out := make([]stats.Series, len(fig7Policies))
 	for pi, pol := range fig7Policies {
 		oc := base.Clone()
-		model := hetero.AssignByDegree(oc)
 		if err := pol.optimize(oc, e.r.Split(), c.tr, pol.label+"/"); err != nil {
 			return nil, fmt.Errorf("%s: %w", pol.label, err)
 		}
@@ -142,6 +142,6 @@ func evalHostWorkload(o *overlay.Overlay, model *hetero.Model, hostLookups []wor
 		}
 		slotLookups = append(slotLookups, workload.Lookup{Src: src, Dst: dst})
 	}
-	mean, _ := metrics.MeanLookupLatency(slotLookups, metrics.FloodEval(o, model.Delay))
+	mean, _ := metrics.MeanLookupLatency(slotLookups, metrics.FloodEval(o, model.DelayByHost))
 	return mean
 }

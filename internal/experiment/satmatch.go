@@ -63,7 +63,7 @@ func satMatchTrial(c *trialCtx) ([]stats.Series, error) {
 			series[vi].Add(t/60000, e.stretch(ring.O, nLookups, func(i int) (int, overlay.LookupResult, error) {
 				// A host backing no slot (-1) fails its lookup and is skipped.
 				src := ring.O.SlotOfHost(lookupHosts[i])
-				res, err := ring.Lookup(src, keys[i], nil)
+				res, err := ring.Lookup(src, keys[i])
 				return src, res, err
 			}))
 			return nil

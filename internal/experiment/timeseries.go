@@ -105,7 +105,7 @@ func (e *env) chordWorkload(ring *chord.Ring, count int) func() float64 {
 	}
 	return func() float64 {
 		return e.stretch(ring.O, count, func(i int) (int, overlay.LookupResult, error) {
-			res, err := ring.Lookup(src[i], keys[i], nil)
+			res, err := ring.Lookup(src[i], keys[i])
 			return src[i], res, err
 		})
 	}

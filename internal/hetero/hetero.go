@@ -17,11 +17,12 @@
 // The population is fixed at the Fig. 7 setting: 20% of the machines are
 // fast (1 ms per lookup hop), the rest slow (100 ms).
 //
-// Key type: Model (host → processing delay). See DESIGN.md §1 and the
+// Key type: Model (a processing delay per host). See DESIGN.md §1 and the
 // Fig. 7 row of §2.
 package hetero
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/overlay"
@@ -40,13 +41,18 @@ const (
 
 // Model assigns processing delays to the machines of one overlay.
 type Model struct {
-	o         *overlay.Overlay
-	fastHosts map[int]bool
+	// DelayByHost is each machine's processing delay in milliseconds,
+	// indexed by host: the delay slice overlay.FloodLatency and
+	// metrics.FloodEval read. Hosts that backed no live slot at assignment
+	// read 0.
+	DelayByHost []float64
+	// FastHosts lists the fast machines in ascending order.
+	FastHosts []int
 }
 
 // fastCount returns ceil(frac·n).
 func fastCount(frac float64, n int) int {
-	k := int(frac*float64(n) + 0.999999)
+	k := int(float64(frac*float64(n)) + 0.999999)
 	if k > n {
 		k = n
 	}
@@ -66,31 +72,16 @@ func AssignByDegree(o *overlay.Overlay) *Model {
 		}
 		return slots[i] < slots[j]
 	})
-	m := &Model{o: o, fastHosts: make(map[int]bool)}
-	for _, s := range slots[:fastCount(fastFraction, len(slots))] {
-		m.fastHosts[o.HostOf(s)] = true
+	m := &Model{DelayByHost: make([]float64, slices.Max(append(o.Hosts(), -1))+1)}
+	k := fastCount(fastFraction, len(slots))
+	for i, s := range slots {
+		h := o.HostOf(s)
+		m.DelayByHost[h] = slowDelayMS
+		if i < k {
+			m.DelayByHost[h] = fastDelayMS
+			m.FastHosts = append(m.FastHosts, h)
+		}
 	}
+	slices.Sort(m.FastHosts)
 	return m
-}
-
-// IsFastSlot reports whether the machine currently backing slot is fast.
-func (m *Model) IsFastSlot(slot int) bool { return m.fastHosts[m.o.HostOf(slot)] }
-
-// Delay returns the processing delay of the machine currently backing slot,
-// in milliseconds; it satisfies overlay.ProcDelayFunc.
-func (m *Model) Delay(slot int) float64 {
-	if m.IsFastSlot(slot) {
-		return fastDelayMS
-	}
-	return slowDelayMS
-}
-
-// FastHosts returns the fast machines in ascending order.
-func (m *Model) FastHosts() []int {
-	out := make([]int, 0, len(m.fastHosts))
-	for h := range m.fastHosts {
-		out = append(out, h)
-	}
-	sort.Ints(out)
-	return out
 }

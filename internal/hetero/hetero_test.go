@@ -25,11 +25,11 @@ func buildOverlay(t *testing.T, n int) *overlay.Overlay {
 	return o
 }
 
-// slotsBySpeed splits the live slots into those backed by fast machines
-// and those backed by slow ones, each ascending.
-func slotsBySpeed(m *Model) (fast, slow []int) {
-	for _, s := range m.o.AliveSlots() {
-		if m.IsFastSlot(s) {
+// slotsBySpeed splits the live slots of o into those backed by fast
+// machines and those backed by slow ones, each ascending.
+func slotsBySpeed(o *overlay.Overlay, m *Model) (fast, slow []int) {
+	for _, s := range o.AliveSlots() {
+		if m.DelayByHost[o.HostOf(s)] == fastDelayMS {
 			fast = append(fast, s)
 		} else {
 			slow = append(slow, s)
@@ -41,7 +41,7 @@ func slotsBySpeed(m *Model) (fast, slow []int) {
 func TestAssignByDegreePicksHubs(t *testing.T) {
 	o := buildOverlay(t, 500)
 	m := AssignByDegree(o)
-	fast, slow := slotsBySpeed(m)
+	fast, slow := slotsBySpeed(o, m)
 	if len(fast) != 100 { // 20% of 500
 		t.Fatalf("fast count = %d, want 100", len(fast))
 	}
@@ -66,16 +66,22 @@ func TestAssignByDegreePicksHubs(t *testing.T) {
 func TestDelays(t *testing.T) {
 	o := buildOverlay(t, 100)
 	m := AssignByDegree(o)
-	fast, slow := slotsBySpeed(m)
-	for _, s := range fast {
-		if !m.IsFastSlot(s) || m.Delay(s) != 1 {
-			t.Fatalf("fast slot %d: IsFastSlot=%v Delay=%v", s, m.IsFastSlot(s), m.Delay(s))
-		}
+	fast, slow := slotsBySpeed(o, m)
+	if len(fast) != 20 || len(slow) != 80 {
+		t.Fatalf("%d fast and %d slow slots, want 20 and 80", len(fast), len(slow))
 	}
 	for _, s := range slow {
-		if m.IsFastSlot(s) || m.Delay(s) != 100 {
-			t.Fatalf("slow slot %d misclassified", s)
+		if d := m.DelayByHost[o.HostOf(s)]; d != 100 {
+			t.Fatalf("slow slot %d: delay %v, want 100", s, d)
 		}
+	}
+	got := make([]int, len(fast))
+	for i, s := range fast {
+		got[i] = o.HostOf(s)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, m.FastHosts) {
+		t.Fatalf("fast slots' hosts %v, FastHosts %v", got, m.FastHosts)
 	}
 }
 
@@ -83,19 +89,16 @@ func TestSpeedTravelsWithHost(t *testing.T) {
 	// PROP-G swaps must carry the machine's speed to its new slot.
 	o := buildOverlay(t, 100)
 	m := AssignByDegree(o)
-	fast, slow := slotsBySpeed(m)
+	fast, slow := slotsBySpeed(o, m)
 	fastSlot, slowSlot := fast[0], slow[0]
 	fastHost := o.HostOf(fastSlot)
 	if err := o.SwapHosts(fastSlot, slowSlot); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Contains(m.FastHosts(), fastHost) {
+	if !slices.Contains(m.FastHosts, fastHost) {
 		t.Fatal("host speed changed by a swap")
 	}
-	if !m.IsFastSlot(slowSlot) || m.IsFastSlot(fastSlot) {
-		t.Fatal("slot speed did not follow the host")
-	}
-	if m.Delay(slowSlot) != 1 || m.Delay(fastSlot) != 100 {
+	if m.DelayByHost[o.HostOf(slowSlot)] != 1 || m.DelayByHost[o.HostOf(fastSlot)] != 100 {
 		t.Fatal("delays did not follow the host")
 	}
 }

@@ -44,25 +44,15 @@ type FloodSource interface {
 	FloodInto(src int, dist []float64)
 }
 
-// overlayFloodSource adapts overlay.Overlay + processing-delay model to the
-// FloodSource seam.
-type overlayFloodSource struct {
-	o    *overlay.Overlay
-	proc overlay.ProcDelayFunc
-}
+// overlayFloodSource adapts overlay.Overlay to the FloodSource seam.
+type overlayFloodSource struct{ *overlay.Overlay }
 
-func (s overlayFloodSource) NumSlots() int     { return s.o.NumSlots() }
-func (s overlayFloodSource) AliveSlots() []int { return s.o.AliveSlots() }
-func (s overlayFloodSource) FloodInto(src int, dist []float64) {
-	s.o.FloodLatenciesInto(src, s.proc, dist)
-}
+func (s overlayFloodSource) FloodInto(src int, dist []float64) { s.FloodLatenciesInto(src, dist) }
 
-// OverlayFloodSource adapts an overlay (with an optional processing-delay
-// model) to the FloodSource seam, so the estimator and the exact reference
-// read the overlay's own flooding semantics.
-func OverlayFloodSource(o *overlay.Overlay, proc overlay.ProcDelayFunc) FloodSource {
-	return overlayFloodSource{o: o, proc: proc}
-}
+// OverlayFloodSource adapts an overlay to the FloodSource seam, so the
+// estimator and the exact reference read the overlay's own flooding
+// semantics.
+func OverlayFloodSource(o *overlay.Overlay) FloodSource { return overlayFloodSource{o} }
 
 // AverageLatencyFrom computes eq. (3) exactly over a FloodSource. It is
 // FiniteAverageLatency held to a connected source: an unreachable live pair
@@ -292,7 +282,7 @@ func (e *ALEstimator) Estimate() (ALEstimate, error) {
 		ss := 0.0
 		for i := 0; i < k; i++ {
 			d := rows[i] - mean
-			ss += d * d
+			ss += float64(d * d)
 		}
 		est.StdErr = math.Sqrt(ss/float64(k-1)) / math.Sqrt(float64(k))
 	}

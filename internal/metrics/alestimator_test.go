@@ -20,9 +20,6 @@ func alHashLat(a, b int) float64 {
 	return 1 + float64(x%4096)/64
 }
 
-// alTestProc exercises the processing-delay term.
-func alTestProc(slot int) float64 { return float64(slot%3) * 0.25 }
-
 // alRingOverlay builds an n-slot ring plus extra random chords on distinct
 // hosts 3i+1.
 func alRingOverlay(t *testing.T, r *rng.Rand, n, extra int) *overlay.Overlay {
@@ -60,30 +57,28 @@ const alEstimatorErrorBound = 0.10
 // TestAverageLatencyFromMatchesExact pins the one eq. (3) implementation —
 // parallel bulk rows through the FloodSource seam — against the definition
 // written out naively: a sequential sum of pairwise early-exit FloodLatency
-// calls, bit-identical with and without processing delay.
+// calls, bit-identical.
 func TestAverageLatencyFromMatchesExact(t *testing.T) {
 	r := rng.New(11)
 	o := alRingOverlay(t, r, 96, 64)
 	slots := o.AliveSlots()
-	for _, proc := range []func(int) float64{nil, alTestProc} {
-		want := 0.0
-		for _, src := range slots {
-			row := 0.0
-			for _, dst := range slots {
-				if dst != src {
-					row += o.FloodLatency(src, dst, proc)
-				}
+	want := 0.0
+	for _, src := range slots {
+		row := 0.0
+		for _, dst := range slots {
+			if dst != src {
+				row += o.FloodLatency(src, dst, nil)
 			}
-			want += row
 		}
-		want /= float64(len(slots) * len(slots))
-		got, err := AverageLatencyFrom(OverlayFloodSource(o, proc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("AverageLatencyFrom = %v, pairwise FloodLatency sum = %v", got, want)
-		}
+		want += row
+	}
+	want /= float64(len(slots) * len(slots))
+	got, err := AverageLatencyFrom(OverlayFloodSource(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("AverageLatencyFrom = %v, pairwise FloodLatency sum = %v", got, want)
 	}
 }
 
@@ -91,25 +86,15 @@ func TestAverageLatencyFromMatchesExact(t *testing.T) {
 // bound: across seeds and topology shapes, the default sketch stays within
 // alEstimatorErrorBound of exact AL at n ≤ 4096.
 func TestALEstimatorErrorBound(t *testing.T) {
-	shapes := []struct {
-		n, extra int
-		proc     func(int) float64
-	}{
-		{256, 128, nil},
-		{256, 512, alTestProc},
-		{1024, 1024, nil},
-	}
+	shapes := []struct{ n, extra int }{{256, 128}, {256, 512}, {1024, 1024}}
 	if !testing.Short() {
-		shapes = append(shapes, struct {
-			n, extra int
-			proc     func(int) float64
-		}{4096, 8192, nil})
+		shapes = append(shapes, struct{ n, extra int }{4096, 8192})
 	}
 	for _, shape := range shapes {
 		for seed := uint64(1); seed <= 5; seed++ {
 			r := rng.New(seed)
 			o := alRingOverlay(t, r, shape.n, shape.extra)
-			fs := OverlayFloodSource(o, shape.proc)
+			fs := OverlayFloodSource(o)
 			exact, err := AverageLatencyFrom(fs)
 			if err != nil {
 				t.Fatal(err)
@@ -146,7 +131,7 @@ func TestALEstimatorErrorBound(t *testing.T) {
 func TestALEstimatorAllSourcesIsExact(t *testing.T) {
 	r := rng.New(7)
 	o := alRingOverlay(t, r, 64, 64)
-	fs := OverlayFloodSource(o, nil)
+	fs := OverlayFloodSource(o)
 	exact, err := AverageLatencyFrom(fs)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +161,7 @@ func TestALEstimatorAllSourcesIsExact(t *testing.T) {
 func TestALEstimatorSingleSource(t *testing.T) {
 	r := rng.New(13)
 	o := alRingOverlay(t, r, 48, 32)
-	fs := OverlayFloodSource(o, nil)
+	fs := OverlayFloodSource(o)
 	e, err := NewALEstimator(fs, ALEstimatorOptions{Sources: 1}, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +192,7 @@ func TestALEstimatorCrashedSlots(t *testing.T) {
 	for _, slot := range []int{3, 17, 40, 41, 63} {
 		o.CrashSlot(slot)
 	}
-	fs := OverlayFloodSource(o, nil)
+	fs := OverlayFloodSource(o)
 	live := len(fs.AliveSlots())
 	if live != 59 {
 		t.Fatalf("live slots = %d after 5 crashes, want 59", live)
@@ -244,7 +229,7 @@ func TestALEstimatorCrashedSlots(t *testing.T) {
 func TestALEstimatorDeterministic(t *testing.T) {
 	r := rng.New(3)
 	o := alRingOverlay(t, r, 200, 300)
-	fs := OverlayFloodSource(o, alTestProc)
+	fs := OverlayFloodSource(o)
 	run := func(seed uint64) []ALEstimate {
 		e, err := NewALEstimator(fs, ALEstimatorOptions{Sources: 8}, rng.New(seed))
 		if err != nil {
@@ -278,7 +263,7 @@ func TestALEstimatorUnreachable(t *testing.T) {
 	o := alRingOverlay(t, r, 32, 0) // pure ring: two cuts partition it
 	o.RemoveEdge(0, 1)
 	o.RemoveEdge(15, 16)
-	fs := OverlayFloodSource(o, nil)
+	fs := OverlayFloodSource(o)
 	if _, err := AverageLatencyFrom(fs); err == nil {
 		t.Fatal("exact reference accepted a partitioned overlay")
 	}
@@ -326,7 +311,7 @@ func TestALEstimatorUnreachable(t *testing.T) {
 func TestALEstimatorErrors(t *testing.T) {
 	r := rng.New(5)
 	o := alRingOverlay(t, r, 8, 0)
-	fs := OverlayFloodSource(o, nil)
+	fs := OverlayFloodSource(o)
 	if _, err := NewALEstimator(nil, ALEstimatorOptions{}, rng.New(1)); err == nil {
 		t.Fatal("nil FloodSource accepted")
 	}

@@ -93,13 +93,14 @@ func MeanLookupLatency(lookups []workload.Lookup, eval LatencyEval) (mean float6
 }
 
 // FloodEval adapts an unstructured overlay to a LatencyEval using flooding
-// first-arrival semantics. With no processing delay it evaluates through one
+// first-arrival semantics, with delayByHost as overlay.FloodLatency reads it.
+// A non-nil slice floods every lookup. A nil one evaluates through one
 // overlay.FloodMemo, which floods again only the lookups an overlay mutation
 // may have moved: keep one FloodEval per workload, not one per sample.
-func FloodEval(o *overlay.Overlay, proc overlay.ProcDelayFunc) LatencyEval {
-	if proc != nil {
+func FloodEval(o *overlay.Overlay, delayByHost []float64) LatencyEval {
+	if delayByHost != nil {
 		return func(l workload.Lookup) float64 {
-			return o.FloodLatency(l.Src, l.Dst, proc)
+			return o.FloodLatency(l.Src, l.Dst, delayByHost)
 		}
 	}
 	m := overlay.NewFloodMemo(o)

@@ -157,7 +157,7 @@ func TestAverageLatencyExact(t *testing.T) {
 	}
 	o.AddEdge(0, 1)
 	o.AddEdge(1, 2)
-	got, err := AverageLatencyFrom(OverlayFloodSource(o, nil))
+	got, err := AverageLatencyFrom(OverlayFloodSource(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestAverageLatencyErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AverageLatencyFrom(OverlayFloodSource(empty, nil)); err == nil {
+	if _, err := AverageLatencyFrom(OverlayFloodSource(empty)); err == nil {
 		t.Fatal("empty overlay accepted")
 	}
 	// Disconnected overlay must error, not silently average partial data.
@@ -183,7 +183,7 @@ func TestAverageLatencyErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.AddEdge(0, 1)
-	if _, err := AverageLatencyFrom(OverlayFloodSource(o, nil)); err == nil {
+	if _, err := AverageLatencyFrom(OverlayFloodSource(o)); err == nil {
 		t.Fatal("disconnected overlay accepted")
 	}
 }

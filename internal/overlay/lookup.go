@@ -9,13 +9,6 @@ import (
 	"repro/internal/graph"
 )
 
-// ProcDelayFunc reports the processing delay in milliseconds a slot's host
-// adds to every message it forwards or terminates: non-negative or +Inf,
-// never NaN (floodRun). A nil function means zero delay everywhere. The
-// Fig. 7 heterogeneity experiments plug in the bimodal model from
-// internal/hetero.
-type ProcDelayFunc func(slot int) float64
-
 // floodView is the overlay's edge-latency snapshot, the only thing a flood
 // traverses: compressed sparse rows over the live arcs of the logical graph
 // (both endpoints alive), neighbours ascending as in graph.Graph, with
@@ -141,11 +134,12 @@ func (o *Overlay) floodPut(s *floodScratch) { o.floodPool.Put(s) }
 // floodRun settles slots in nondecreasing first-arrival order from src over
 // the flood view. It stops when dst settles and returns its arrival time;
 // with dst = -1 it computes the full arrival vector into s.dist and returns
-// +Inf. Dead slots and unreachable slots keep +Inf. The loop makes no call
-// but proc: adjacency, liveness and latency all come from the view.
+// +Inf. Dead slots and unreachable slots keep +Inf. The loop makes no call:
+// adjacency, liveness and latency come from the view, and a slot reached
+// adds delayByHost[its host] (nothing when delayByHost is nil).
 //
-// Precondition: arc latencies and processing delays are non-negative or +Inf,
-// never NaN, so pops are monotone, which the queue relies on. No result
+// Precondition: arc latencies and delayByHost entries are non-negative or
+// +Inf, never NaN, so pops are monotone, which the queue relies on. No result
 // depends on the order in which slots tied at one arrival time settle: a
 // slot's arrival is the minimum over paths from src of the left-folded sum
 // fl(fl(fl(0+w₁)+p₁)+w₂)…, and because rounding is monotone (a ≤ b ⇒
@@ -153,7 +147,7 @@ func (o *Overlay) floodPut(s *floodScratch) { o.floodPool.Put(s) }
 // settles can offer u nothing below dist[u] — u holds that minimum whichever
 // tie went first. The early exit at dst returns that minimum for the same
 // reason, and floodRun hands out no predecessors.
-func (o *Overlay) floodRun(src, dst int, proc ProcDelayFunc, s *floodScratch) float64 {
+func (o *Overlay) floodRun(src, dst int, delayByHost []float64, s *floodScratch) float64 {
 	off, nbr, w := o.floodArcs()
 	dist, q := s.dist, &s.q
 	for i := range dist {
@@ -171,8 +165,8 @@ func (o *Overlay) floodRun(src, dst int, proc ProcDelayFunc, s *floodScratch) fl
 		ws := w[off[u]:off[u+1]]
 		for i, nb := range nbs {
 			nd := du + ws[i]
-			if proc != nil {
-				nd += proc(int(nb))
+			if delayByHost != nil {
+				nd += delayByHost[o.hostOf[nb]]
 			}
 			if nd < dist[nb] {
 				dist[nb] = nd
@@ -302,9 +296,11 @@ func (s *floodScratch) floodPath(off, nbr []int32, w []float64, src, dst int, me
 // slot src to slot dst. Flooding explores every path, so the first copy to
 // arrive travelled the latency-weighted shortest overlay path; computing
 // that path is therefore exact, not an approximation. Each intermediate and
-// terminal slot adds proc(slot) of processing delay (the source sends
-// immediately). It returns +Inf if dst is unreachable from src.
-func (o *Overlay) FloodLatency(src, dst int, proc ProcDelayFunc) float64 {
+// terminal slot adds its host's processing delay, delayByHost[host] ms (the
+// source sends immediately): an entry for every live host, non-negative or
+// +Inf, never NaN. A nil slice means no delay. It returns +Inf if dst is
+// unreachable from src.
+func (o *Overlay) FloodLatency(src, dst int, delayByHost []float64) float64 {
 	if !o.Alive(src) || !o.Alive(dst) {
 		return math.Inf(1)
 	}
@@ -313,11 +309,11 @@ func (o *Overlay) FloodLatency(src, dst int, proc ProcDelayFunc) float64 {
 	}
 	s := o.floodGet()
 	var d float64
-	if off, nbr, w := o.floodArcs(); proc == nil && o.view.orderFree {
+	if off, nbr, w := o.floodArcs(); delayByHost == nil && o.view.orderFree {
 		d, _ = s.floodPoint(off, nbr, w, src, dst)
 	} else {
-		// An opaque per-slot delay, or sums that depend on their order.
-		d = o.floodRun(src, dst, proc, s)
+		// Per-host delays, or sums that depend on their order.
+		d = o.floodRun(src, dst, delayByHost, s)
 	}
 	o.floodPut(s)
 	return d
@@ -329,7 +325,7 @@ func (o *Overlay) FloodLatency(src, dst int, proc ProcDelayFunc) float64 {
 // length NumSlots(); entry i receives the arrival time at slot i (+Inf for
 // dead or unreachable slots, 0 for src). The slice is returned for
 // convenience.
-func (o *Overlay) FloodLatenciesInto(src int, proc ProcDelayFunc, dist []float64) []float64 {
+func (o *Overlay) FloodLatenciesInto(src int, dist []float64) []float64 {
 	if len(dist) != len(o.hostOf) {
 		panic("overlay: FloodLatenciesInto buffer length mismatch")
 	}
@@ -340,7 +336,7 @@ func (o *Overlay) FloodLatenciesInto(src int, proc ProcDelayFunc, dist []float64
 		return dist
 	}
 	s := o.floodGet()
-	o.floodRun(src, -1, proc, s)
+	o.floodRun(src, -1, nil, s)
 	copy(dist, s.dist)
 	o.floodPut(s)
 	return dist

@@ -28,11 +28,11 @@ func TestFloodQueriesAllocationFree(t *testing.T) {
 			src, dst := (i*37)%n, (i*53+11)%n
 			switch i % 4 {
 			case 0:
-				o.FloodLatency(src, dst, testProc)
+				o.FloodLatency(src, dst, testDelays)
 			case 1:
 				o.FloodLatency(src, dst, nil)
 			case 2:
-				o.FloodLatenciesInto(src, testProc, row)
+				o.FloodLatenciesInto(src, row)
 			case 3:
 				// Steps 8k+3 and 8k+7 swap the same pair, so the batch leaves
 				// the overlay as it found it and is the same batch every time.
@@ -48,9 +48,9 @@ func TestFloodQueriesAllocationFree(t *testing.T) {
 		}
 	}
 	batch() // first build, first scratch, widest frontier
-	pin("warm FloodLatency", func() { o.FloodLatency(3, 77, testProc) })
+	pin("warm FloodLatency", func() { o.FloodLatency(3, 77, testDelays) })
 	pin("rebuild after SwapHosts", func() { o.SwapHosts(5, 6); o.FloodLatency(3, 77, nil) })
-	pin("warm FloodLatenciesInto", func() { o.FloodLatenciesInto(3, testProc, row) })
+	pin("warm FloodLatenciesInto", func() { o.FloodLatenciesInto(3, row) })
 	pin("batch of 200 mixed queries", batch)
 
 	o.lat = quantLat

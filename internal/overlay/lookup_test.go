@@ -29,9 +29,15 @@ func pairHash(a, b int) uint64 {
 	return x
 }
 
-// testProc is a nonzero per-slot processing delay exercising the proc term
-// of the flood arithmetic.
-func testProc(slot int) float64 { return float64(slot%3) * 0.25 }
+// testDelays is a nonzero processing delay per host, exercising the delay
+// term of the flood arithmetic; it covers every host the flood tests use.
+var testDelays = func() []float64 {
+	d := make([]float64, 4096)
+	for h := range d {
+		d[h] = float64(h%7) * 0.25
+	}
+	return d
+}()
 
 // randomFloodOverlay builds an n-slot overlay on distinct hosts with a ring
 // plus extra random chords — connected, average degree ~2+2·extra/n.
@@ -78,9 +84,9 @@ func quantLat(a, b int) float64 { return 5 * float64(1+pairHash(a, b)%60) }
 
 // referenceRow is the row every flood query is held to: the graphtest
 // Dijkstra from src over the live arcs — adjacency from VisitNeighbors,
-// liveness from Alive, one lat call per relaxed arc — with proc added as the
-// flood kernels add it.
-func referenceRow(o *Overlay, src int, proc ProcDelayFunc) []float64 {
+// liveness from Alive, one lat call per relaxed arc — with a per-slot delay
+// added as the flood kernels add a host's.
+func referenceRow(o *Overlay, src int, delay func(slot int) float64) []float64 {
 	if !o.Alive(src) {
 		src = -1 // a dead source reaches nothing, itself included
 	}
@@ -88,31 +94,69 @@ func referenceRow(o *Overlay, src int, proc ProcDelayFunc) []float64 {
 		o.Logical.VisitNeighbors(u, func(nb int, _ float64) bool {
 			return !o.Alive(nb) || visit(nb, o.lat(o.hostOf[u], o.hostOf[nb]))
 		})
-	}, proc)
+	}, delay)
 }
 
 // checkFloodsAgainstRef floods from a few random slots (dead ones included)
 // and asserts bit-equality of both query shapes with referenceRow: a full row
-// is the row, the first arrival at one slot is its entry.
+// is the row, the first arrival at one slot is its entry. The point queries
+// run with no delay, with testDelays, and with testDelays after a swap of two
+// live slots' hosts, where the reference gives each slot the delay its new
+// host had at its old slot: the delay moves with the host. The swap is undone
+// before return.
 func checkFloodsAgainstRef(t *testing.T, o *Overlay, r *rng.Rand, tag string) {
 	t.Helper()
 	n := o.NumSlots()
 	row := make([]float64, n)
-	for _, proc := range []ProcDelayFunc{nil, testProc} {
-		for k := 0; k < 3; k++ {
-			src := r.Intn(n)
-			want := referenceRow(o, src, proc)
-			o.FloodLatenciesInto(src, proc, row)
+	check := func(src int, delays []float64, delay func(int) float64) {
+		want := referenceRow(o, src, delay)
+		if delays == nil {
+			o.FloodLatenciesInto(src, row)
 			for i := range want {
 				if math.Float64bits(row[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("%s: row %d entry %d = %v, reference %v", tag, src, i, row[i], want[i])
 				}
 			}
-			dst := r.Intn(n)
-			if got := o.FloodLatency(src, dst, proc); math.Float64bits(got) != math.Float64bits(want[dst]) {
-				t.Fatalf("%s: FloodLatency(%d,%d) = %v, reference %v", tag, src, dst, got, want[dst])
-			}
 		}
+		dst := r.Intn(n)
+		if got := o.FloodLatency(src, dst, delays); math.Float64bits(got) != math.Float64bits(want[dst]) {
+			t.Fatalf("%s: FloodLatency(%d,%d) = %v, reference %v (delays %v)", tag, src, dst, got, want[dst], delays != nil)
+		}
+	}
+	before := make([]float64, n) // each live slot's delay before the swap
+	for s := range before {
+		if o.Alive(s) {
+			before[s] = testDelays[o.hostOf[s]]
+		}
+	}
+	byHost := func(s int) float64 { return testDelays[o.hostOf[s]] }
+	for k := 0; k < 3; k++ {
+		check(r.Intn(n), nil, nil)
+		check(r.Intn(n), testDelays, byHost)
+	}
+	a := o.NumAlive()
+	if a < 2 {
+		return
+	}
+	i := r.Intn(a)
+	u, v := o.AliveSlotAt(i), o.AliveSlotAt((i+1+r.Intn(a-1))%a)
+	if err := o.SwapHosts(u, v); err != nil {
+		t.Fatal(err)
+	}
+	moved := func(s int) float64 {
+		switch s {
+		case u:
+			return before[v]
+		case v:
+			return before[u]
+		}
+		return before[s]
+	}
+	for k := 0; k < 3; k++ {
+		check(r.Intn(n), testDelays, moved)
+	}
+	if err := o.SwapHosts(u, v); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -647,16 +647,16 @@ func TestFloodLatency(t *testing.T) {
 	if d := o.FloodLatency(0, 0, nil); d != 0 {
 		t.Fatalf("self lookup = %v", d)
 	}
-	// With processing delays the long way can win: make slot 1 very slow.
-	proc := func(slot int) float64 {
-		if slot == 1 {
-			return 1000
-		}
-		return 1
+	// With processing delays the long way can win: make slot 1's host, 10,
+	// very slow.
+	delays := make([]float64, 101)
+	for h := range delays {
+		delays[h] = 1
 	}
+	delays[10] = 1000
 	// via 1: 10 + 1000 + 20 + 1 = 1031; via 3: 100 + 1 + 70 + 1 = 172.
-	if d := o.FloodLatency(0, 2, proc); d != 172 {
-		t.Fatalf("FloodLatency with proc = %v, want 172", d)
+	if d := o.FloodLatency(0, 2, delays); d != 172 {
+		t.Fatalf("FloodLatency with delays = %v, want 172", d)
 	}
 }
 

@@ -14,17 +14,16 @@ type LookupResult struct {
 	Owner int
 	// Hops is the number of overlay hops traversed.
 	Hops int
-	// Latency is the summed physical latency of the hops plus the
-	// processing delay of every slot reached after the source.
+	// Latency is the summed physical latency of the hops.
 	Latency float64
 }
 
 // Route is the greedy routing loop every structured substrate shares: from
 // the live slot src it steps to next(cur) until it reaches owner. Each hop
-// adds Dist(cur, next) and then proc(next) (when proc is non-nil) to
-// Latency and counts one hop. Route fails on a dead source, when next(cur)
-// == cur (routing is stuck) and when Hops exceeds maxHops.
-func (o *Overlay) Route(src, owner, maxHops int, next func(cur int) int, proc ProcDelayFunc) (LookupResult, error) {
+// adds Dist(cur, next) to Latency and counts one hop. Route fails on a dead
+// source, when next(cur) == cur (routing is stuck) and when Hops exceeds
+// maxHops.
+func (o *Overlay) Route(src, owner, maxHops int, next func(cur int) int) (LookupResult, error) {
 	if !o.Alive(src) {
 		return LookupResult{}, fmt.Errorf("overlay: route from dead slot %d", src)
 	}
@@ -35,9 +34,6 @@ func (o *Overlay) Route(src, owner, maxHops int, next func(cur int) int, proc Pr
 			return res, fmt.Errorf("overlay: routing stuck at slot %d, owner %d", cur, owner)
 		}
 		res.Latency += o.Dist(cur, nx)
-		if proc != nil {
-			res.Latency += proc(nx)
-		}
 		res.Hops++
 		if res.Hops > maxHops {
 			return res, fmt.Errorf("overlay: routing exceeded %d hops toward slot %d", maxHops, owner)

@@ -19,12 +19,10 @@ func TestRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	forward := func(cur int) int { return cur + 1 }
-	tenths := func(slot int) float64 { return float64(slot) / 10 }
 	cases := []struct {
 		name               string
 		src, owner, maxHop int
 		next               func(int) int
-		proc               ProcDelayFunc
 		want               LookupResult
 		wantErr            bool
 	}{
@@ -33,8 +31,6 @@ func TestRoute(t *testing.T) {
 			want: LookupResult{Owner: 2}},
 		{name: "forward", src: 0, owner: 3, maxHop: 3, next: forward,
 			want: LookupResult{Owner: 3, Hops: 3, Latency: 60}},
-		{name: "Dist then proc per hop", src: 0, owner: 3, maxHop: 3, next: forward, proc: tenths,
-			want: LookupResult{Owner: 3, Hops: 3, Latency: sumInOrder(10, 0.1, 20, 0.2, 30, 0.3)}},
 		{name: "dead source", src: 4, owner: 0, maxHop: 9, next: forward, wantErr: true},
 		{name: "stuck rule", src: 0, owner: 3, maxHop: 9, wantErr: true,
 			next: func(cur int) int { return min(cur+1, 1) },
@@ -45,7 +41,7 @@ func TestRoute(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got, err := o.Route(c.src, c.owner, c.maxHop, c.next, c.proc)
+			got, err := o.Route(c.src, c.owner, c.maxHop, c.next)
 			if (err != nil) != c.wantErr {
 				t.Fatalf("err = %v, want error %v", err, c.wantErr)
 			}

@@ -63,7 +63,7 @@ func TestJumpsPreserveMembershipAndRouting(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		key := chord.RandomKey(r)
 		src := alive[r.Intn(len(alive))]
-		res, err := ring.Lookup(src, key, nil)
+		res, err := ring.Lookup(src, key)
 		if err != nil {
 			t.Fatalf("lookup after jumps: %v", err)
 		}
