@@ -7,10 +7,11 @@
 //	                             # transport, then print the improvement
 //	propnode -mode chaos -seed 7 # seed-deterministic chaos soak: kills,
 //	                             # recoveries, a partition window, a burst
-//	                             # of junk frames; deterministic log on stdout
+//	                             # of junk frames, in simulated time; log on
+//	                             # stdout, counter summary on stderr
 //
 // The loopback demo is the quick-start of DESIGN.md §10, and the chaos
-// mode is the CI chaos job's soak (run twice, logs diffed — see
+// mode is the CI chaos job's soak (run twice, log and summary diffed — see
 // EXPERIMENTS.md "Chaos schedule knobs"). A flag the chosen mode does not
 // read is an error that names the mode reading it.
 package main
@@ -36,7 +37,6 @@ var onlyIn = map[string]string{
 	"dur":       "loopback",
 	"interval":  "loopback",
 	"steps":     "chaos",
-	"step-ms":   "chaos",
 	"kill-frac": "chaos",
 }
 
@@ -49,7 +49,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "loopback/chaos: runtime seed")
 		interval = flag.Float64("interval", 5, "loopback: probe interval INIT_TIMER in ms")
 		steps    = flag.Int("steps", 0, "chaos: schedule length in steps (0 = default)")
-		stepMS   = flag.Float64("step-ms", 0, "chaos: step length in ms (0 = default)")
 		killFrac = flag.Float64("kill-frac", 0, "chaos: fraction of agents killed (0 = default 0.25)")
 	)
 	flag.Parse()
@@ -61,7 +60,7 @@ func main() {
 	}
 	if err == nil {
 		if *mode == "chaos" {
-			err = runChaos(*n, pol, *seed, *steps, *stepMS, *killFrac)
+			err = runChaos(*n, pol, *seed, *steps, *killFrac)
 		} else {
 			err = runLoopback(*n, *dur, pol, *seed, *interval)
 		}
@@ -99,15 +98,14 @@ func parsePolicy(name string) (core.Policy, error) {
 	return 0, fmt.Errorf("unknown -policy %q (want propg or propo)", name)
 }
 
-// runChaos executes one seeded chaos schedule. The deterministic log goes to
-// stdout (CI diffs it across a double run); the wall-clock-dependent counter
-// summary goes to stderr so it can never pollute the determinism contract.
-func runChaos(n int, policy core.Policy, seed uint64, steps int, stepMS, killFrac float64) error {
+// runChaos executes one seeded chaos schedule. The log goes to stdout and
+// the counter summary to stderr; both are functions of the flags (CI diffs
+// each across a double run).
+func runChaos(n int, policy core.Policy, seed uint64, steps int, killFrac float64) error {
 	res, err := chaos.Run(chaos.Config{
 		N:        n,
 		Seed:     seed,
 		Steps:    steps,
-		StepMS:   stepMS,
 		KillFrac: killFrac,
 		Policy:   policy,
 	})

@@ -1,31 +1,28 @@
 // Package chaos is the deterministic chaos harness for the live PROP
 // runtime: a seed-derived schedule of crash-stops, recoveries, one network
 // partition window, and a pressure blast of junk frames, driven over the
-// loopback transport against a full propnode.Runtime, with the invariant audits
-// (slot↔host bijection, connectivity among live agents, no duplicate slots)
-// evaluated at every quiesce point.
+// loopback transport against a full propnode.Runtime on one event.Engine,
+// with the invariant audits (slot↔host bijection, connectivity among live
+// agents, no duplicate slots) evaluated at every quiesce point.
 //
-// A kill is Runtime.Crash and a recovery Runtime.Join of the same host at
-// its next incarnation; each quiesce point runs Runtime.Repair and
-// Runtime.EnsureConnected before it audits.
+// A kill is the runtime's Crash and a recovery its Join of the same host at
+// its next incarnation; each quiesce point runs its Repair and
+// EnsureConnected before it audits.
 //
-// Config sets the run's size, seed, length, step, kill fraction and policy;
-// the rest of the schedule's shape is fixed: the partition window opens at
-// Steps/3 for two steps and isolates 30% of the hosts, a burst of 4096 TData
-// frames from an endpoint outside the overlay lands on one agent at
-// 2·Steps/3, and every link loses and duplicates 1% of its messages.
+// Config sets the run's size, seed, length, kill fraction and policy; the
+// rest of the schedule's shape is fixed: a step lasts 150 ms of simulated
+// time, the partition window opens at Steps/3 for two steps and isolates
+// 30% of the hosts, a burst of 4096 TData frames from an endpoint outside
+// the overlay lands on one agent at 2·Steps/3, and every link loses and
+// duplicates 1% of its messages.
 //
-// Determinism contract: everything the schedule decides — who dies when, who
-// recovers when, which hosts the partition isolates, who absorbs the
-// pressure blast — is computed from Config.Seed before any concurrency
-// starts, and the run's Log records exactly that schedule plus each quiesce
-// audit's verdict. Two executions with the same Config therefore produce
-// byte-identical logs (the CI chaos job pins this by diffing a double run);
-// per-message faults reuse faults.DeliverStateless link hashes, so even the
-// loss/dup pattern is a pure function of the seed. What wall-clock timing
-// does perturb — exchange counts, eviction counts, how many corpses each
-// repair pass still found, the transport's LoopbackStats — lands in the
-// human-oriented Summary, never in the Log.
+// Determinism contract: the schedule is computed from Config.Seed before
+// any agent runs, every timer (the agents', the nodes', the steps') fires in
+// the engine's simulated time, every delivery is a call on the goroutine
+// stepping it, and per-message faults are faults.DeliverStateless link
+// hashes. So the Log (the schedule as executed plus each quiesce audit's
+// verdict) and the Summary (counters and transport tallies) are pure
+// functions of the Config; the CI chaos job diffs both over a double run.
 //
 // Key types: Config, Result, Run. See DESIGN.md §10 and EXPERIMENTS.md
 // ("Chaos schedule knobs").
@@ -33,13 +30,12 @@ package chaos
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/faults"
 	"repro/internal/overlay"
 	"repro/internal/propnode"
@@ -53,6 +49,8 @@ const pressureHost = 1 << 20
 
 // The fixed shape of every schedule.
 const (
+	// stepMS is a step's length in simulated milliseconds.
+	stepMS = 150
 	// partitionSteps is the partition window length in steps; the window
 	// opens at Steps/3.
 	partitionSteps = 2
@@ -74,11 +72,9 @@ type Config struct {
 	N int
 	// Seed derives the entire schedule and all runtime randomness.
 	Seed uint64
-	// Steps is the schedule length (default 12). Each step lasts StepMS and
-	// ends at a quiesce point: repair, reconnect, settle, audit.
+	// Steps is the schedule length (default 12). Each step lasts 150 ms of
+	// simulated time and ends at a quiesce point: repair, reconnect, audit.
 	Steps int
-	// StepMS is the wall-clock step length in milliseconds (default 150).
-	StepMS float64
 	// KillFrac is the fraction of the initial agents crash-stopped over the
 	// run (default 0.25; the acceptance floor is 0.20). Every victim also
 	// recovers before the run ends.
@@ -94,9 +90,6 @@ func (c *Config) fill() {
 	if c.Steps == 0 {
 		c.Steps = 12
 	}
-	if c.StepMS == 0 {
-		c.StepMS = 150
-	}
 	if c.KillFrac == 0 {
 		c.KillFrac = 0.25
 	}
@@ -110,16 +103,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("chaos: N = %d, need >= 8 to survive the schedule", c.N)
 	case c.Steps < 6:
 		return fmt.Errorf("chaos: Steps = %d, need >= 6 (kill, recover, partition, pressure all need room)", c.Steps)
-	case !(c.StepMS > 0 && c.StepMS <= math.MaxFloat64):
-		return fmt.Errorf("chaos: StepMS = %v, want finite > 0", c.StepMS)
 	case !(c.KillFrac >= 0 && c.KillFrac <= 0.5):
 		return fmt.Errorf("chaos: KillFrac = %v out of [0, 0.5]", c.KillFrac)
 	}
 	return nil
 }
 
-// event is one scheduled action, resolved entirely at schedule-build time.
-type event struct {
+// action is one scheduled action, resolved entirely when the schedule is
+// built.
+type action struct {
 	step int
 	kind string // "kill" | "recover" | "partition-open" | "partition-close" | "pressure"
 	host int    // victim host (kill/recover/pressure), -1 otherwise
@@ -127,9 +119,8 @@ type event struct {
 
 // schedule is the precomputed plan: pure function of the Config.
 type schedule struct {
-	events   []event
-	isolated []int  // hosts on the far side of the partition, sorted
-	window   [2]int // the partition's steps [open, close)
+	events   []action
+	isolated []int // hosts on the far side of the partition, sorted
 	kills    int
 }
 
@@ -144,7 +135,7 @@ func buildSchedule(cfg Config) schedule {
 	}
 	r.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
 
-	kills := int(float64(cfg.N)*cfg.KillFrac + 0.5)
+	kills := int(float64(float64(cfg.N)*cfg.KillFrac) + 0.5)
 	if kills < 1 {
 		kills = 1
 	}
@@ -160,13 +151,13 @@ func buildSchedule(cfg Config) schedule {
 		if rec > cfg.Steps-1 {
 			rec = cfg.Steps - 1
 		}
-		s.events = append(s.events, event{step: kill, kind: "kill", host: h})
-		s.events = append(s.events, event{step: rec, kind: "recover", host: h})
+		s.events = append(s.events, action{step: kill, kind: "kill", host: h})
+		s.events = append(s.events, action{step: rec, kind: "recover", host: h})
 	}
 	// The partition isolates hosts disjoint from the kill set, so a victim
 	// is never simultaneously dead and unreachable (either alone is chaos
 	// enough; together they make the log depend on repair timing).
-	nIso := int(float64(cfg.N)*partitionFrac + 0.5)
+	nIso := int(float64(float64(cfg.N)*partitionFrac) + 0.5)
 	if nIso < 1 {
 		nIso = 1
 	}
@@ -175,11 +166,10 @@ func buildSchedule(cfg Config) schedule {
 	}
 	s.isolated = append([]int(nil), hosts[kills:kills+nIso]...)
 	sort.Ints(s.isolated)
-	s.window = [2]int{cfg.Steps / 3, cfg.Steps/3 + partitionSteps}
 	s.events = append(s.events,
-		event{step: s.window[0], kind: "partition-open", host: -1},
-		event{step: s.window[1], kind: "partition-close", host: -1},
-		event{step: 2 * cfg.Steps / 3, kind: "pressure", host: hosts[cfg.N-1]})
+		action{step: cfg.Steps / 3, kind: "partition-open", host: -1},
+		action{step: cfg.Steps/3 + partitionSteps, kind: "partition-close", host: -1},
+		action{step: 2 * cfg.Steps / 3, kind: "pressure", host: hosts[cfg.N-1]})
 
 	sort.SliceStable(s.events, func(i, j int) bool { return s.events[i].step < s.events[j].step })
 	return s
@@ -191,8 +181,9 @@ type Result struct {
 	// each quiesce audit's verdict. Byte-identical across runs of the same
 	// Config.
 	Log string
-	// Summary is the nondeterministic epilogue — counters whose exact values
-	// depend on wall-clock interleaving (exchanges, evictions, deliveries).
+	// Summary is the run's counters and the transport's tallies (exchanges,
+	// evictions, deliveries), byte-identical across runs of the same Config
+	// too.
 	Summary string
 	// Kills, Recovers report the executed schedule size.
 	Kills, Recovers int
@@ -211,39 +202,27 @@ func Run(cfg Config) (*Result, error) {
 	}
 	sched := buildSchedule(cfg)
 
-	// The partition is enforced by the transport's fault gate: its window is
-	// wall-clock ms since loopback creation, so the loopback is created at
-	// the step clock's origin and the step loop sleeps on absolute deadlines
-	// from the same instant.
-	iso := make(map[int]bool, len(sched.isolated))
-	for _, h := range sched.isolated {
-		iso[h] = true
-	}
-	inj, err := faults.NewInjector(faults.Config{
-		Seed:             cfg.Seed,
-		LossProb:         lossProb,
-		DupProb:          dupProb,
-		PartitionStartMS: float64(sched.window[0]) * cfg.StepMS,
-		PartitionStopMS:  float64(sched.window[1]) * cfg.StepMS,
-		Isolated:         iso,
-	})
+	inj, err := faults.NewInjector(faults.Config{Seed: cfg.Seed, LossProb: lossProb, DupProb: dupProb})
 	if err != nil {
 		return nil, err
 	}
-
-	start := time.Now()
 	lb := transport.NewLoopback(transport.LoopbackConfig{
 		DelayMS: func(a, b int) float64 { return propnode.ClusterLat(a, b) / 2 },
 		Faults:  inj,
 	})
-
-	rt := propnode.New(lb, propnode.Config{
+	net := &cutNet{Loopback: lb, isolated: make(map[int]bool, len(sched.isolated))}
+	for _, h := range sched.isolated {
+		net.isolated[h] = true
+	}
+	eng := event.New()
+	rt := propnode.New(net, propnode.Config{
 		Policy:              cfg.Policy,
 		ProbeIntervalMS:     5,
-		PingTimeout:         15 * time.Millisecond,
+		PingTimeoutMS:       15,
 		HeartbeatIntervalMS: 10,
 		Lat:                 propnode.ClusterLat,
 		Seed:                cfg.Seed,
+		Clock:               eng,
 	})
 	hosts := make([]int, cfg.N)
 	for i := range hosts {
@@ -255,7 +234,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// The blast endpoint joins the transport but never the overlay: its
 	// TData frames are protocol no-ops, each delivered into the victim's
-	// node on the harness's goroutine while the agents run.
+	// node between two of the engine's events.
 	blaster, err := lb.Open(pressureHost)
 	if err != nil {
 		rt.Stop()
@@ -287,8 +266,10 @@ func Run(cfg Config) (*Result, error) {
 				res.Recovers++
 				fmt.Fprintf(&log, "step %d recover host=%d\n", step, ev.host)
 			case "partition-open":
+				net.cut = true
 				fmt.Fprintf(&log, "step %d partition-open isolated=%v\n", step, sched.isolated)
 			case "partition-close":
+				net.cut = false
 				fmt.Fprintf(&log, "step %d partition-close\n", step)
 			case "pressure":
 				for i := 0; i < pressureMsgs; i++ {
@@ -297,30 +278,16 @@ func Run(cfg Config) (*Result, error) {
 				fmt.Fprintf(&log, "step %d pressure host=%d msgs=%d\n", step, ev.host, pressureMsgs)
 			}
 		}
-
-		// Let the step's wall-clock window elapse (absolute deadline, so the
-		// partition window and the step count stay aligned).
-		time.Sleep(time.Until(start.Add(time.Duration(float64(step) * cfg.StepMS * float64(time.Millisecond)))))
+		eng.RunUntil(event.Time(step * stepMS))
 
 		// Quiesce point: repair any remaining corpses, re-bridge components
-		// the partition's evictions may have cut, and audit. The repair +
-		// reconnect + audit sequence retries briefly: mid-partition, a live
-		// detector can legitimately evict the bridge edge EnsureConnected
-		// just added before the audit samples the overlay, and that transient
-		// must not count as a violation (the retry count never enters the
-		// log, so determinism is unaffected).
-		verdict := ""
-		for try := 0; try < 40; try++ {
-			if _, err := rt.Repair(); err != nil {
-				return nil, fmt.Errorf("chaos: repair at step %d: %w", step, err)
-			}
-			rt.EnsureConnected()
-			if verdict = auditNow(rt); verdict == "" {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
+		// the partition's evictions may have cut, and audit. No event runs
+		// between the three, so the audit sees what they left.
+		if _, err := rt.Repair(); err != nil {
+			return nil, fmt.Errorf("chaos: repair at step %d: %w", step, err)
 		}
-		if verdict == "" {
+		rt.EnsureConnected()
+		if verdict := auditNow(rt); verdict == "" {
 			fmt.Fprintf(&log, "step %d audit ok\n", step)
 		} else {
 			fmt.Fprintf(&log, "step %d audit FAIL\n", step)
@@ -351,10 +318,10 @@ func Run(cfg Config) (*Result, error) {
 	c := rt.Counters()
 	stats := lb.Stats()
 	res.Summary = fmt.Sprintf(
-		"probes=%d exchanges=%d walk-failures=%d heartbeats=%d suspect-evictions=%d auto-repairs=%d recovers=%d stale-epochs=%d | sent=%d dropped=%d dups=%d",
+		"probes=%d exchanges=%d walk-failures=%d heartbeats=%d suspect-evictions=%d auto-repairs=%d recovers=%d stale-epochs=%d | sent=%d dropped=%d dups=%d cut=%d",
 		c.Probes, c.Exchanges, c.WalkFailures, c.Heartbeats, c.SuspectEvictions,
 		c.AutoRepairs, c.Recovers, c.StaleEpochs,
-		stats.Sent, stats.Dropped, stats.Dups)
+		stats.Sent, stats.Dropped, stats.Dups, net.drops)
 	return res, nil
 }
 
@@ -373,4 +340,35 @@ func auditNow(rt *propnode.Runtime) string {
 		}
 	})
 	return verdict
+}
+
+// cutNet is the loopback with the partition window's cut: while cut is set,
+// every message between an isolated host and one that is not vanishes,
+// counted in drops. The engine's one goroutine reads and writes both.
+type cutNet struct {
+	*transport.Loopback
+	isolated map[int]bool
+	cut      bool
+	drops    uint64
+}
+
+type cutEndpoint struct {
+	transport.Endpoint
+	net *cutNet
+}
+
+func (n *cutNet) Open(host int) (transport.Endpoint, error) {
+	ep, err := n.Loopback.Open(host)
+	if err != nil {
+		return nil, err
+	}
+	return cutEndpoint{ep, n}, nil
+}
+
+func (e cutEndpoint) Send(to int, m transport.Message) error {
+	if n := e.net; n.cut && n.isolated[e.Host()] != n.isolated[to] {
+		n.drops++
+		return nil
+	}
+	return e.Endpoint.Send(to, m)
 }

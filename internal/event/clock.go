@@ -18,12 +18,31 @@ type Canceler interface {
 	Pending() bool
 }
 
+// Timer is a re-armable timer, made stopped by Clock.Timer or NewTimer.
+type Timer interface {
+	// Reset arms the timer d milliseconds out, in place of any pending
+	// firing; a non-positive d fires as soon as the clock can.
+	Reset(d Time)
+	// Stop prevents the pending firing, with time.Timer.Stop's meaning:
+	// false if the timer fired (its handler may be yet to run) or was idle.
+	Stop() bool
+}
+
+// NewTimer returns c.Timer(f), or, for a nil c, a stopped wall timer that
+// runs f on a goroutine of its own each time it fires.
+func NewTimer(c Clock, f func()) Timer {
+	if c != nil {
+		return c.Timer(f)
+	}
+	return (*WallClock)(nil).timer(f, false)
+}
+
 // Clock is the scheduling seam between the PROP protocols and their
 // environment. The discrete-event Engine implements it on simulated time;
 // WallClock implements it on real time with a serializing run loop. Protocol
-// code written against Clock (internal/core's probe cycles) runs unchanged
-// on either — the decoupling that turns the simulator into a runtime
-// (DESIGN.md §10).
+// code written against Clock (internal/core's probe cycles, internal/propnode's
+// agents, internal/transport's call deadlines) runs unchanged on either — the
+// decoupling that turns the simulator into a runtime (DESIGN.md §10).
 type Clock interface {
 	// Now returns the current time in milliseconds.
 	Now() Time
@@ -31,6 +50,9 @@ type Clock interface {
 	// handle. Implementations run handlers one at a time, so scheduled code
 	// needs no locking against other handlers on the same clock.
 	Schedule(d Time, f func()) Canceler
+	// Timer returns a stopped Timer that runs f, as Schedule runs its
+	// handlers, each time it fires.
+	Timer(f func()) Timer
 }
 
 // WallClock is the live implementation of Clock: timers fire on real time
@@ -79,7 +101,7 @@ func (c *WallClock) Now() Time {
 // Unlike the engine — where scheduling in the past is a protocol bug — a
 // non-positive delay fires as soon as the runner is free: wall time advances
 // between computing a deadline and scheduling it, so "already due" is an
-// environmental condition here. It is a WallTimer armed once, whose firing
+// environmental condition here. It is a Timer armed once, whose firing
 // and Cancel race for one claim.
 func (c *WallClock) Schedule(d Time, f func()) Canceler {
 	w := c.timer(f, true)
@@ -90,13 +112,13 @@ func (c *WallClock) Schedule(d Time, f func()) Canceler {
 // Timer returns a stopped timer that runs f on the runner goroutine each time
 // it fires; Reset arms it. It is made once: neither Reset nor a firing
 // allocates.
-func (c *WallClock) Timer(f func()) *WallTimer { return c.timer(f, false) }
+func (c *WallClock) Timer(f func()) Timer { return c.timer(f, false) }
 
-func (c *WallClock) timer(f func(), once bool) *WallTimer {
+func (c *WallClock) timer(f func(), once bool) *wallTimer {
 	if f == nil {
 		panic("event: nil handler")
 	}
-	w := &WallTimer{c: c, f: f, once: once}
+	w := &wallTimer{c: c, f: f, once: once}
 	w.t = time.AfterFunc(time.Hour, w.fire)
 	w.t.Stop()
 	return w
@@ -110,10 +132,11 @@ func (c *WallClock) Stop() {
 	c.done.Wait()
 }
 
-// WallTimer is a re-armable timer on a WallClock. A firing only hands f to
-// the runner, which runs it; once the clock is stopped, a firing is dropped.
-// Reset and Stop are safe from any goroutine.
-type WallTimer struct {
+// wallTimer is a re-armable timer on a WallClock. A firing only hands f to
+// the runner, which runs it (or, with no clock, runs it on the firing's
+// goroutine); once the clock is stopped, a firing is dropped. Reset and Stop
+// are safe from any goroutine.
+type wallTimer struct {
 	c     *WallClock
 	f     func()
 	t     *time.Timer
@@ -121,10 +144,14 @@ type WallTimer struct {
 	state atomic.Int32 // once's claim
 }
 
-func (w *WallTimer) fire() {
+func (w *wallTimer) fire() {
 	// Claim the firing before enqueueing so a concurrent Cancel either
 	// prevents the handler entirely or observes it as already done.
 	if w.once && !w.state.CompareAndSwap(statePending, stateDone) {
+		return
+	}
+	if w.c == nil {
+		w.f()
 		return
 	}
 	select {
@@ -134,17 +161,18 @@ func (w *WallTimer) fire() {
 }
 
 // Reset arms w to fire d milliseconds from now, in place of any firing still
-// pending; a non-positive d fires as soon as the runner is free.
-func (w *WallTimer) Reset(d Time) {
-	w.t.Reset(time.Duration(float64(max(d, 0)) * float64(time.Millisecond)))
+// pending; a non-positive d fires as soon as the runner is free, and one past
+// the longest time.Duration (≈ 9.2e12 ms) after 9e12 ms.
+func (w *wallTimer) Reset(d Time) {
+	w.t.Reset(time.Duration(min(max(float64(d), 0), 9e12) * float64(time.Millisecond)))
 }
 
 // Stop prevents w's pending firing, with time.Timer.Stop's meaning: false if
 // w already fired — its handler may be yet to run — or was not armed.
-func (w *WallTimer) Stop() bool { return w.t.Stop() }
+func (w *wallTimer) Stop() bool { return w.t.Stop() }
 
 // oneShot is a Schedule timer's Canceler face.
-type oneShot WallTimer
+type oneShot wallTimer
 
 // Cancel prevents a pending firing; it reports false when the timer already
 // claimed its firing (the live-path stale-timer race) or was cancelled.

@@ -260,7 +260,7 @@ func TestWallTimersNeverOverlap(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(timers)
 	for i := 0; i < timers; i++ {
-		var w *WallTimer
+		var w Timer
 		left := firings
 		w = c.Timer(func() {
 			if inFlight.Add(1) > 1 {

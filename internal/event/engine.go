@@ -149,6 +149,30 @@ func (e *Engine) Schedule(d Time, f func()) Canceler {
 	return e.push(e.now+d, &item{f: f})
 }
 
+// Timer implements the Clock interface: a stopped timer that runs f on the
+// engine each time it fires. A Reset cancels the pending firing's event and
+// schedules one at max(d, 0) from now.
+func (e *Engine) Timer(f func()) Timer {
+	if f == nil {
+		panic("event: nil handler")
+	}
+	return &engineTimer{e: e, f: f}
+}
+
+// engineTimer is a re-armable timer on an Engine: tok is its last firing's.
+type engineTimer struct {
+	e   *Engine
+	f   func()
+	tok *Token
+}
+
+func (t *engineTimer) Reset(d Time) {
+	t.tok.Cancel()
+	t.tok = t.e.push(t.e.now+max(d, 0), &item{f: t.f})
+}
+
+func (t *engineTimer) Stop() bool { return t.tok.Cancel() }
+
 // Token cancels a scheduled event. Cancel and Pending are safe to call from
 // any goroutine — the live runtime cancels sim-style tokens from transport
 // goroutines — though the engine itself must still be stepped from a single

@@ -299,3 +299,24 @@ func TestPeriodicPattern(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineTimer pins the engine's re-armable timer: a Reset replaces the
+// pending firing, Stop has time.Timer.Stop's meaning, and a negative delay
+// fires now.
+func TestEngineTimer(t *testing.T) {
+	e := New()
+	var at []Time
+	w := e.Timer(func() { at = append(at, e.Now()) })
+	idle := w.Stop()
+	w.Reset(10)
+	w.Reset(5)
+	drain(e)
+	fired := w.Stop()
+	w.Reset(20)
+	armed := w.Stop()
+	w.Reset(-1)
+	drain(e)
+	if idle || fired || !armed || len(at) != 2 || at[0] != 5 || at[1] != 5 {
+		t.Fatalf("Stop idle %v, fired %v, armed %v (want false, false, true); fired at %v, want [5 5]", idle, fired, armed, at)
+	}
+}

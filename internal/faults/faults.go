@@ -285,7 +285,7 @@ func CrashAt(seed uint64, id int, frac, startMS, stopMS float64) (atMS float64, 
 	if unit(crashHash(seed, id, 1)) >= frac {
 		return 0, false
 	}
-	return startMS + unit(crashHash(seed, id, 2))*(stopMS-startMS), true
+	return startMS + float64(unit(crashHash(seed, id, 2))*(stopMS-startMS)), true
 }
 
 // crashHash folds (seed, peer, salt) through rng.Mix, one word at a time.
@@ -295,6 +295,11 @@ func crashHash(seed uint64, id int, salt uint64) uint64 {
 		x = rng.Mix(x + w + 0x9e3779b97f4a7c15)
 	}
 	return x
+}
+
+// Windowed reports whether the schedule has a partition window.
+func (in *Injector) Windowed() bool {
+	return in != nil && in.cfg.PartitionStopMS > in.cfg.PartitionStartMS
 }
 
 // Partitioned reports whether hosts a and b are on opposite sides of the

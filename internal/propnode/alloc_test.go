@@ -9,9 +9,9 @@ package propnode
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/transport"
 )
 
@@ -26,7 +26,7 @@ func TestWalkForwardAllocatesNothing(t *testing.T) {
 				closed.Add(1)
 			}
 		}}
-	rt := quietRuntime(t, 16, core.PROPG, net, time.Second)
+	rt := quietRuntime(t, 16, core.PROPG, net, 1000, event.New())
 	defer rt.Stop()
 	o := rt.Overlay()
 	u := o.SlotOfHost(0)

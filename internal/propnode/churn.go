@@ -1,6 +1,10 @@
 package propnode
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Membership: the runtime runs internal/gnutella's overlay.Membership
 // (rt.members) over the shared overlay and layers the live concerns on top:
@@ -159,12 +163,13 @@ func (rt *Runtime) agentsForLocked(slots []int) []*agent {
 	return out
 }
 
-// allAgentsLocked lists every live agent. Caller holds rt.mu.
+// allAgentsLocked lists every live agent, by host. Caller holds rt.mu.
 func (rt *Runtime) allAgentsLocked() []*agent {
 	out := make([]*agent, 0, len(rt.agents))
 	for _, a := range rt.agents {
 		out = append(out, a)
 	}
+	slices.SortFunc(out, func(a, b *agent) int { return cmp.Compare(a.host, b.host) })
 	return out
 }
 

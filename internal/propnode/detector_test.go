@@ -7,10 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/overlay"
 	"repro/internal/transport"
 )
@@ -38,41 +38,29 @@ func degreeOf(rt *Runtime, slot int) int {
 	return d
 }
 
-// TestDetectorEvictsSilentFailure pins the detection bound: a neighbor that
-// stops answering while the overlay still believes it alive must lose every
-// link through heartbeat evictions, with no repair pass and no external
-// nudge.
+// TestDetectorEvictsSilentFailure pins the detection bound on ten seeds: a
+// neighbor that stops answering while the overlay still believes it alive
+// must lose every link through heartbeat evictions, with no repair pass and
+// no external nudge, within a second.
 func TestDetectorEvictsSilentFailure(t *testing.T) {
-	rt := startRuntime(t, 12, Config{
-		Policy:              core.PROPG,
-		Seed:                41,
-		HeartbeatIntervalMS: 5,
-		PingTimeout:         5 * time.Millisecond,
-	}, nil)
-	defer rt.Stop()
-
-	const victim = 7
-	var slot int
-	rt.View(func(o *overlay.Overlay) { slot = o.SlotOfHost(victim) })
-	if slot < 0 || degreeOf(rt, slot) == 0 {
-		t.Fatalf("victim host %d has no live links to lose", victim)
+	for seed := uint64(41); seed < 51; seed++ {
+		rt, e := engineRuntime(t, 12, Config{Policy: core.PROPG, Seed: seed, HeartbeatIntervalMS: 5, PingTimeoutMS: 5}, nil)
+		const victim = 7
+		slot := rt.Overlay().SlotOfHost(victim)
+		if slot < 0 || degreeOf(rt, slot) == 0 {
+			t.Fatalf("seed %d: victim host %d has no live links to lose", seed, victim)
+		}
+		silentFail(t, rt, victim)
+		if !until(e, 1000, func() bool { return degreeOf(rt, slot) == 0 }) {
+			t.Fatalf("seed %d: victim slot %d still has %d links after 1s: %+v",
+				seed, slot, degreeOf(rt, slot), rt.Counters())
+		}
+		rt.Stop()
+		if c := rt.Counters(); c.SuspectEvictions == 0 || c.AutoRepairs != 0 {
+			t.Fatalf("seed %d: links vanished with %d heartbeat evictions and %d corpse repairs, want evictions only — the overlay never saw a crash: %+v",
+				seed, c.SuspectEvictions, c.AutoRepairs, c)
+		}
 	}
-	silentFail(t, rt, victim)
-
-	start := time.Now()
-	if !waitFor(t, 10*time.Second, func() bool { return degreeOf(rt, slot) == 0 }) {
-		t.Fatalf("victim slot %d still has %d links after 10s: %+v",
-			slot, degreeOf(rt, slot), rt.Counters())
-	}
-	c := rt.Counters()
-	if c.SuspectEvictions == 0 {
-		t.Fatalf("links vanished without heartbeat evictions: %+v", c)
-	}
-	if c.AutoRepairs != 0 {
-		t.Fatalf("silent failure took the corpse-repair path (%d repairs) — the overlay never saw a crash", c.AutoRepairs)
-	}
-	t.Logf("silent failure fully evicted in %v (%d heartbeats, %d evictions)",
-		time.Since(start), c.Heartbeats, c.SuspectEvictions)
 }
 
 // TestSuspectOnSlotZeroIsEvicted: a neighbor that stops answering while
@@ -81,7 +69,7 @@ func TestDetectorEvictsSilentFailure(t *testing.T) {
 // corpse to repair and evict nothing.
 func TestSuspectOnSlotZeroIsEvicted(t *testing.T) {
 	net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
-	rt := quietRuntime(t, 16, core.PROPG, net, silentTimeout)
+	rt := quietRuntime(t, 16, core.PROPG, net, silentMS, event.New())
 	defer rt.Stop()
 	o := rt.Overlay()
 	suspect, a := o.HostOf(0), rt.agents[o.HostOf(o.Neighbors(0)[0])]
@@ -94,29 +82,20 @@ func TestSuspectOnSlotZeroIsEvicted(t *testing.T) {
 }
 
 // TestDetectorFaultFreeControl pins the no-false-positive half of the
-// acceptance bar: on healthy links an aggressive detector sweeps constantly
-// and never evicts anyone.
+// acceptance bar on ten seeds: on healthy links an aggressive detector
+// sweeps constantly and never evicts anyone.
 func TestDetectorFaultFreeControl(t *testing.T) {
-	rt := startRuntime(t, 16, Config{
-		Policy:              core.PROPG,
-		Seed:                42,
-		HeartbeatIntervalMS: 5,
-	}, nil)
-
-	waitFor(t, 5*time.Second, func() bool {
+	for seed := uint64(42); seed < 52; seed++ {
+		rt, e := engineRuntime(t, 16, Config{Policy: core.PROPG, Seed: seed, HeartbeatIntervalMS: 5}, nil)
+		until(e, 1000, func() bool { c := rt.Counters(); return c.Heartbeats >= 200 && c.Exchanges >= 1 })
+		rt.Stop()
 		c := rt.Counters()
-		return c.Heartbeats >= 200 && c.Exchanges >= 1
-	})
-	rt.Stop()
-	c := rt.Counters()
-	if c.Heartbeats < 200 {
-		t.Fatalf("detector barely ran: %+v", c)
-	}
-	if c.SuspectEvictions != 0 || c.AutoRepairs != 0 {
-		t.Fatalf("fault-free run evicted healthy neighbors: %+v", c)
-	}
-	if err := rt.Overlay().CheckInvariants(); err != nil {
-		t.Fatalf("overlay invariants: %v", err)
+		if c.Heartbeats < 200 || c.SuspectEvictions != 0 || c.AutoRepairs != 0 {
+			t.Fatalf("seed %d: want ≥ 200 heartbeats and no eviction on healthy links: %+v", seed, c)
+		}
+		if err := rt.Overlay().CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: overlay invariants: %v", seed, err)
+		}
 	}
 }
 
@@ -124,161 +103,100 @@ func TestDetectorFaultFreeControl(t *testing.T) {
 // detector's corpse path must run membership repair on its own — no
 // Repair call from the driver.
 func TestDetectorRepairsCrashWithoutExplicitRepair(t *testing.T) {
-	rt := startRuntime(t, 12, Config{
-		Policy:              core.PROPG,
-		Seed:                43,
-		HeartbeatIntervalMS: 5,
-	}, nil)
-	defer rt.Stop()
-
-	var victim int
-	rt.View(func(o *overlay.Overlay) { victim = o.HostOf(o.AliveSlots()[0]) })
-	if err := rt.Crash(victim); err != nil {
-		t.Fatalf("crash: %v", err)
+	for seed := uint64(43); seed < 53; seed++ {
+		crashRepairs(t, Config{Policy: core.PROPG, Seed: seed, HeartbeatIntervalMS: 5}, func(c Counters) bool { return c.AutoRepairs >= 1 })
 	}
-	ok := waitFor(t, 10*time.Second, func() bool {
-		var unpurged int
-		rt.View(func(o *overlay.Overlay) { unpurged = len(o.CrashedSlots()) })
-		return unpurged == 0 && rt.Counters().AutoRepairs >= 1
-	})
-	if !ok {
-		t.Fatalf("corpse never auto-repaired: %+v", rt.Counters())
-	}
-	rt.View(func(o *overlay.Overlay) {
-		if err := o.CheckInvariants(); err != nil {
-			t.Errorf("invariants after auto-repair: %v", err)
-		}
-		if !o.Connected() {
-			t.Error("overlay disconnected after auto-repair")
-		}
-	})
 }
 
 // TestProbeEvictionRepairsCorpse pins the bugfix: a probe that evicts an
 // edge to a crashed neighbor purges the corpse. Only a detector sweep that
 // still saw an edge to one used to repair, and here no sweep fires: once
 // the survivors' probes had evicted every edge to it, the corpse stayed
-// unpurged for good. The agents' own probe timers drive the probes — a test
-// driving probeOnce would race them over the kick the repair sends.
+// unpurged for good. The agents' own probe timers drive the probes.
 func TestProbeEvictionRepairsCorpse(t *testing.T) {
-	rt := startRuntime(t, 12, Config{Policy: core.PROPG, Seed: 43, HeartbeatIntervalMS: 3.6e6}, nil)
-	defer rt.Stop()
-
-	var victim int
-	rt.View(func(o *overlay.Overlay) { victim = o.HostOf(o.AliveSlots()[0]) })
-	if err := rt.Crash(victim); err != nil {
-		t.Fatalf("crash: %v", err)
+	for seed := uint64(43); seed < 53; seed++ {
+		crashRepairs(t, Config{Policy: core.PROPG, Seed: seed, HeartbeatIntervalMS: quietMS},
+			func(c Counters) bool { return c.AutoRepairs == 1 && c.Heartbeats == 0 })
 	}
-	ok := waitFor(t, 5*time.Second, func() bool {
-		var unpurged int
-		rt.View(func(o *overlay.Overlay) { unpurged = len(o.CrashedSlots()) })
-		return unpurged == 0
-	})
-	c := rt.Counters()
-	if !ok || c.AutoRepairs != 1 || c.Heartbeats != 0 {
-		t.Fatalf("corpse purged %v, counters %+v; want one probe-triggered repair and no heartbeat", ok, c)
-	}
-	rt.View(func(o *overlay.Overlay) {
-		if err := o.CheckInvariants(); err != nil {
-			t.Errorf("invariants after repair: %v", err)
-		}
-		if !o.Connected() {
-			t.Error("overlay disconnected after repair")
-		}
-	})
 }
 
-// TestSweepRepairsCorpse is TestProbeEvictionRepairsCorpse's mirror: the
-// probe timers are an hour away, so no probe evicts the edges to a crashed
-// host, and only a detector sweep that finds the corpse among its
-// neighbors can purge it.
+// TestSweepRepairsCorpse is TestProbeEvictionRepairsCorpse's mirror: no
+// probe timer fires, so no probe evicts the edges to a crashed host, and
+// only a detector sweep that finds the corpse among its neighbors can purge
+// it.
 func TestSweepRepairsCorpse(t *testing.T) {
-	rt := startRuntime(t, 12, Config{Policy: core.PROPG, Seed: 43, ProbeIntervalMS: 3.6e6, HeartbeatIntervalMS: 5}, nil)
-	defer rt.Stop()
-
-	var victim int
-	rt.View(func(o *overlay.Overlay) { victim = o.HostOf(o.AliveSlots()[0]) })
-	if err := rt.Crash(victim); err != nil {
-		t.Fatalf("crash: %v", err)
+	for seed := uint64(43); seed < 53; seed++ {
+		crashRepairs(t, Config{Policy: core.PROPG, Seed: seed, ProbeIntervalMS: quietMS, HeartbeatIntervalMS: 5},
+			func(c Counters) bool { return c.AutoRepairs == 1 && c.Probes == 0 })
 	}
-	ok := waitFor(t, 5*time.Second, func() bool {
-		var unpurged int
-		rt.View(func(o *overlay.Overlay) { unpurged = len(o.CrashedSlots()) })
-		return unpurged == 0
-	})
-	c := rt.Counters()
-	if !ok || c.AutoRepairs != 1 || c.Probes != 0 {
-		t.Fatalf("corpse purged %v, counters %+v; want one sweep-triggered repair and no probe", ok, c)
-	}
-	rt.View(func(o *overlay.Overlay) {
-		if err := o.CheckInvariants(); err != nil {
-			t.Errorf("invariants after repair: %v", err)
-		}
-	})
 }
 
-// TestRecoverRejoin drives the full lifecycle: crash a host, let the
-// detector repair around the corpse, then Join the host again — same
-// identity, next incarnation — and verify it rejoins the membership and the
-// audit passes at quiesce.
-func TestRecoverRejoin(t *testing.T) {
-	rt := startRuntime(t, 12, Config{
-		Policy:              core.PROPG,
-		Seed:                44,
-		HeartbeatIntervalMS: 5,
-	}, nil)
-
-	var victim, victimHost int
-	rt.View(func(o *overlay.Overlay) {
-		victim = o.AliveSlots()[3]
-		victimHost = o.HostOf(victim)
-	})
-	if err := rt.Crash(victimHost); err != nil {
+// crashRepairs crashes the host of 12 agents' smallest slot and runs the
+// agents on an engine until no corpse is left unpurged, within a second.
+// Then the counters must be as want says, and the overlay whole.
+func crashRepairs(t *testing.T, cfg Config, want func(Counters) bool) {
+	t.Helper()
+	rt, e := engineRuntime(t, 12, cfg, nil)
+	defer rt.Stop()
+	if err := rt.Crash(rt.Overlay().HostOf(0)); err != nil {
 		t.Fatalf("crash: %v", err)
 	}
-	// Rejoining before anyone repaired the corpse must also work (AddSlot
-	// hands out a fresh slot; the corpse is repaired independently) — but
-	// exercise the common order: detector repairs first.
-	waitFor(t, 10*time.Second, func() bool {
-		var unpurged int
-		rt.View(func(o *overlay.Overlay) { unpurged = len(o.CrashedSlots()) })
-		return unpurged == 0
-	})
+	ok := until(e, 1000, func() bool { return len(rt.Overlay().CrashedSlots()) == 0 })
+	if c := rt.Counters(); !ok || !want(c) {
+		t.Fatalf("seed %d: corpse purged %v, counters %+v", cfg.Seed, ok, c)
+	}
+	if o := rt.Overlay(); o.CheckInvariants() != nil || !o.Connected() {
+		t.Fatalf("seed %d: after repair: invariants %v, connected %v", cfg.Seed, o.CheckInvariants(), o.Connected())
+	}
+}
 
-	if _, err := rt.Join(0); err == nil {
-		t.Fatal("join of a live host must fail")
+// TestRecoverRejoin drives the full lifecycle on ten seeds: crash a host,
+// let the detector repair around the corpse, then Join the host again —
+// same identity, next incarnation — and verify it rejoins the membership,
+// probes, and the audit passes at quiesce.
+func TestRecoverRejoin(t *testing.T) {
+	for seed := uint64(44); seed < 54; seed++ {
+		rt, e := engineRuntime(t, 12, Config{Policy: core.PROPG, Seed: seed, HeartbeatIntervalMS: 5}, nil)
+		victim := rt.Overlay().AliveSlots()[3]
+		victimHost := rt.Overlay().HostOf(victim)
+		if err := rt.Crash(victimHost); err != nil {
+			t.Fatalf("crash: %v", err)
+		}
+		// Rejoining before anyone repaired the corpse must also work (AddSlot
+		// hands out a fresh slot; the corpse is repaired independently) — but
+		// exercise the common order: detector repairs first.
+		if !until(e, 1000, func() bool { return len(rt.Overlay().CrashedSlots()) == 0 }) {
+			t.Fatalf("seed %d: corpse never repaired: %+v", seed, rt.Counters())
+		}
+		if _, err := rt.Join(rt.Overlay().HostOf(rt.Overlay().AliveSlots()[0])); err == nil {
+			t.Fatal("join of a live host must fail")
+		}
+		slot, err := rt.Join(victimHost)
+		if err != nil {
+			t.Fatalf("join(%d): %v", victimHost, err)
+		}
+		a := rt.agents[victimHost]
+		if inc := rt.incarnation[victimHost]; a == nil || inc < 2 || a.epoch != inc {
+			t.Fatalf("seed %d: rejoined agent %v should run at incarnation ≥2 (incarnation %d)", seed, a, inc)
+		}
+		if slot == victim || degreeOf(rt, slot) == 0 || rt.Counters().Recovers != 1 {
+			t.Fatalf("seed %d: rejoined at slot %d (dead slot %d) with degree %d, %d recovers; want a fresh linked slot and 1",
+				seed, slot, victim, degreeOf(rt, slot), rt.Counters().Recovers)
+		}
+		// The runtime goes on probing, and membership stays sound at quiesce.
+		probes := rt.Counters().Probes
+		if !until(e, 1000, func() bool { return rt.Counters().Probes > probes+10 }) {
+			t.Fatalf("seed %d: probing stopped after the rejoin", seed)
+		}
+		rt.Stop()
+		auditQuiesced(t, rt.Overlay())
 	}
-	slot, err := rt.Join(victimHost)
-	if err != nil {
-		t.Fatalf("join(%d): %v", victimHost, err)
-	}
-	rt.mu.Lock()
-	a := rt.agents[victimHost]
-	inc := rt.incarnation[victimHost]
-	rt.mu.Unlock()
-	if a == nil {
-		t.Fatal("rejoined host has no agent")
-	}
-	if inc < 2 || a.epoch != inc {
-		t.Fatalf("rejoined agent should run at incarnation ≥2, got epoch %d (incarnation %d)", a.epoch, inc)
-	}
-	if slot == victim {
-		t.Fatalf("rejoined host reclaimed its dead slot %d", slot)
-	}
-	if got := degreeOf(rt, slot); got == 0 {
-		t.Fatal("rejoined agent has no links")
-	}
-	if c := rt.Counters().Recovers; c != 1 {
-		t.Fatalf("Recovers = %d, want 1", c)
-	}
+}
 
-	// The rejoined agent must participate: probes fire, membership stays
-	// sound at quiesce.
-	probes := rt.Counters().Probes
-	waitFor(t, 5*time.Second, func() bool { return rt.Counters().Probes > probes+10 })
-	rt.Stop()
-
-	o := rt.Overlay()
+// auditQuiesced checks a stopped runtime's overlay: bijection,
+// connectivity and the overlay's own invariants.
+func auditQuiesced(t *testing.T, o *overlay.Overlay) {
+	t.Helper()
 	au := audit.New(1, 16)
 	au.Register(audit.OverlayBijection(o), audit.OverlayConnected(o))
 	au.CheckNow()
@@ -287,6 +205,39 @@ func TestRecoverRejoin(t *testing.T) {
 	}
 	if err := o.CheckInvariants(); err != nil {
 		t.Fatalf("overlay invariants at quiesce: %v", err)
+	}
+}
+
+// TestEnsureConnectedBridgesComponents cuts an idle overlay into k
+// components, k = 1..4: EnsureConnected adds k−1 edges, one per extra
+// component, and leaves the overlay connected, so a second call adds none.
+func TestEnsureConnectedBridgesComponents(t *testing.T) {
+	for k := 1; k <= 4; k++ {
+		rt := quietRuntime(t, 16, core.PROPG, transport.NewLoopback(transport.LoopbackConfig{}), 1000, event.New())
+		o := rt.Overlay()
+		n := o.NumSlots()
+		for u := range n {
+			for _, v := range slices.Clone(o.Neighbors(u)) {
+				o.RemoveEdge(u, v)
+			}
+		}
+		for u := 1; u < n; u++ { // k runs of consecutive slots, each a path
+			if u*k/n == (u-1)*k/n {
+				if err := o.AddEdge(u-1, u); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if roots := o.ComponentRoots(); len(roots) != k {
+			t.Fatalf("cut into %d components, want %d", len(roots), k)
+		}
+		if added := rt.EnsureConnected(); added != k-1 || !o.Connected() {
+			t.Fatalf("k=%d: EnsureConnected added %d edges, connected %v; want %d and connected", k, added, o.Connected(), k-1)
+		}
+		if added := rt.EnsureConnected(); added != 0 {
+			t.Fatalf("k=%d: EnsureConnected added %d edges to a connected overlay", k, added)
+		}
+		rt.Stop()
 	}
 }
 
@@ -304,9 +255,9 @@ func linked(rt *Runtime, a *agent, host int) bool {
 	return rt.o.Logical.HasEdge(rt.o.SlotOfHost(a.host), rt.o.SlotOfHost(host))
 }
 
-// silentTimeout is the deadline for tests that make a host silent: a ping to
-// it and its three retransmits give up in well under a second.
-const silentTimeout = 40 * time.Millisecond
+// silentMS is the deadline for tests that make a host silent: a ping to it
+// and its three retransmits give up in well under a second.
+const silentMS = 40
 
 // TestCachedRTTChangesNoDecision: a neighbor RTT read from the neighborQ is
 // the RTT a ping would measure, so a warm evaluation decides what a cold one
@@ -322,7 +273,7 @@ func TestCachedRTTChangesNoDecision(t *testing.T) {
 			Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}),
 			onSend:   countPings(&sent),
 		}
-		rt := quietRuntime(t, 16, core.PROPG, net, time.Second)
+		rt := quietRuntime(t, 16, core.PROPG, net, 1000, event.New())
 		defer rt.Stop()
 		u, path := twoHopPartner(t, rt, core.PROPG)
 		rt.mu.Lock()
@@ -352,7 +303,7 @@ func TestCachedRTTChangesNoDecision(t *testing.T) {
 	})
 	t.Run("silent neighbor", func(t *testing.T) {
 		net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
-		rt := quietRuntime(t, 16, core.PROPG, net, silentTimeout)
+		rt := quietRuntime(t, 16, core.PROPG, net, silentMS, event.New())
 		defer rt.Stop()
 		u, path := twoHopPartner(t, rt, core.PROPG)
 		rt.mu.Lock()
@@ -390,15 +341,16 @@ func TestCachedRTTChangesNoDecision(t *testing.T) {
 }
 
 // TestHeartbeatLadder pins that one heartbeat is the suspicion ladder: its
-// transmissions wait PingTimeout × 1, 2 and 4. A neighbor that answers only
+// transmissions wait PingTimeoutMS × 1, 2 and 4. A neighbor that answers only
 // the k-th keeps its link, and its entry that RTT, for k = 1, 2, 3; one that
 // answers none loses the link, and its RTT, within the sweep that sent them,
-// once all three deadlines — PingTimeout × 7 — have passed.
+// exactly once all three deadlines — PingTimeoutMS × 7 — have passed.
 func TestHeartbeatLadder(t *testing.T) {
-	const timeout = 20 * time.Millisecond
+	const timeout = 20
 	for k := 0; k <= 3; k++ { // the transmission answered; 0 is none
 		net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
-		rt := quietRuntime(t, 16, core.PROPG, net, timeout)
+		e := event.New()
+		rt := quietRuntime(t, 16, core.PROPG, net, timeout, e)
 		rt.mu.Lock()
 		a := rt.agents[0]
 		nb := rt.o.HostOf(rt.o.Neighbors(rt.o.SlotOfHost(0))[0])
@@ -408,23 +360,24 @@ func TestHeartbeatLadder(t *testing.T) {
 			return from == 0 && to == nb && m.Type == transport.TPing && sent.Add(1) != int32(k)
 		}
 		evicts := rt.Counters().SuspectEvictions
-		start := time.Now()
+		start := e.Now()
 		sweep(t, rt, a)
-		took := time.Since(start)
+		took := e.Now() - start
 		rtt, ok := remembered(a, nb)
 		kept := linked(rt, a, nb)
 		rt.Stop()
 		evicted := rt.Counters().SuspectEvictions - evicts
 
-		waited, want := timeout*(1<<max(k-1, 0)-1), int32(k) // the deadlines before the answer
+		// The deadlines that pass before the answer (all three without one).
+		waited, want := timeout*[...]event.Time{7, 0, 1, 1 + 2}[k], int32(k)
 		if k == 0 {
-			waited, want = 7*timeout, heartbeatRetries+1
+			want = heartbeatRetries + 1
 		}
 		switch {
 		case sent.Load() != want:
 			t.Errorf("k=%d: %d transmissions, want %d", k, sent.Load(), want)
-		case took < waited || (k == 0 && took > waited+time.Second):
-			t.Errorf("k=%d: the sweep took %v, want %v at least (and about that without an answer)", k, took, waited)
+		case took != waited:
+			t.Errorf("k=%d: the sweep took %v ms, want %v", k, took, waited)
 		case k > 0 && (!kept || evicted != 0 || !ok || rtt != ClusterLat(0, nb)):
 			t.Errorf("k=%d: link kept %v, %d evictions, RTT %v (remembered %v); want the link and RTT %v",
 				k, kept, evicted, rtt, ok, ClusterLat(0, nb))
@@ -438,13 +391,15 @@ func TestHeartbeatLadder(t *testing.T) {
 // TestNeighborTableLifetime walks the RTT one neighborQ entry remembers
 // through its life — none before a sweep, the heartbeat's after one, none
 // for a host an exchange moved out of the slot and the new host's after the
-// next sweep, and none once an unanswered heartbeat evicted the link — while
-// readers measure through the queue concurrently: one runs measure and two
-// answer TMeasure lists, each waiting for its outcome. Every RTT a reader gets must be the ground truth.
-// Run it under go test -race -count=10 -run TestNeighborTableLifetime.
+// next sweep, and none once a failed heartbeat evicted the link — while
+// readers measure through the queue concurrently, on wall time: one runs
+// measure and two answer TMeasure lists, each waiting for its outcome.
+// Every RTT a reader gets must be the ground truth. No call waits on a
+// deadline: the loopback answers inline, and a send to a refused host fails
+// at once. Run it under go test -race -count=10 -run TestNeighborTableLifetime.
 func TestNeighborTableLifetime(t *testing.T) {
 	net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
-	rt := quietRuntime(t, 16, core.PROPG, net, silentTimeout)
+	rt := quietRuntime(t, 16, core.PROPG, net, silentMS, nil)
 	defer rt.Stop()
 	rt.mu.Lock()
 	a := rt.agents[0]
@@ -550,12 +505,12 @@ func TestNeighborTableLifetime(t *testing.T) {
 	}
 	answered(stranger)
 
-	// An unanswered heartbeat evicts the link and forgets the RTT.
+	// A failed heartbeat evicts the link and forgets the RTT.
 	quiet := nbrs[0]
-	net.silent.Store(int64(quiet) + 1)
+	net.refused.Store(int64(quiet) + 1)
 	evicts := rt.Counters().SuspectEvictions
 	sweep(t, rt, a)
-	net.silent.Store(0)
+	net.refused.Store(0)
 	if got := rt.Counters().SuspectEvictions - evicts; got != 1 || linked(rt, a, quiet) {
 		t.Fatalf("%d evictions, link to %d kept: %v; want the one link evicted", got, quiet, linked(rt, a, quiet))
 	}

@@ -3,6 +3,7 @@ package propnode
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"slices"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/overlay"
 	"repro/internal/rng"
 	"repro/internal/transport"
@@ -19,12 +21,12 @@ import (
 // hookNet wraps a loopback so a test can act on the wire: every endpoint it
 // opens calls onSend (if set) before each Send, and the sends of the host
 // held in silent (plus one; 0 is none) vanish, as do those drop (if set)
-// returns true for.
+// returns true for; sends to the host held in refused (plus one) fail.
 type hookNet struct {
 	*transport.Loopback
-	onSend func(from, to int, m transport.Message)
-	drop   func(from, to int, m transport.Message) bool
-	silent atomic.Int64
+	onSend          func(from, to int, m transport.Message)
+	drop            func(from, to int, m transport.Message) bool
+	silent, refused atomic.Int64
 }
 
 type hookEndpoint struct {
@@ -47,6 +49,9 @@ func (e *hookEndpoint) Send(to int, m transport.Message) error {
 	if e.net.silent.Load() == int64(e.Host())+1 || (e.net.drop != nil && e.net.drop(e.Host(), to, m)) {
 		return nil
 	}
+	if e.net.refused.Load() == int64(to)+1 {
+		return errors.New("refused")
+	}
 	return e.Endpoint.Send(to, m)
 }
 
@@ -60,19 +65,23 @@ func countPings(n *atomic.Uint64) func(from, to int, m transport.Message) {
 	}
 }
 
-// quietRuntime starts n agents whose probe and heartbeat timers are hours
-// away, so the test drives every exchange itself. MinVar is -Inf: every
-// evaluation that completes wants to commit. ping is the first deadline of
-// every call and heartbeat.
-func quietRuntime(t *testing.T, n int, policy core.Policy, net transport.Network, ping time.Duration) *Runtime {
+// quietMS is a probe interval no test lives to see a firing of.
+const quietMS = 1e11
+
+// quietRuntime starts n agents on clock (wall time if nil) whose probe and
+// heartbeat timers are years away, so the test drives every exchange
+// itself. MinVar is -Inf: every evaluation that completes wants to commit.
+// pingMS is the first deadline of every call and heartbeat.
+func quietRuntime(t *testing.T, n int, policy core.Policy, net transport.Network, pingMS float64, clock event.Clock) *Runtime {
 	t.Helper()
 	rt := New(net, Config{
 		Policy:          policy,
 		Seed:            11,
 		MinVar:          math.Inf(-1),
-		ProbeIntervalMS: 3.6e6,
-		PingTimeout:     ping,
+		ProbeIntervalMS: quietMS,
+		PingTimeoutMS:   pingMS,
 		Lat:             ClusterLat,
+		Clock:           clock,
 	})
 	if err := rt.Start(hostsN(n)); err != nil {
 		t.Fatalf("start: %v", err)
@@ -112,7 +121,7 @@ func TestStaleEvaluationIsRejected(t *testing.T) {
 	for _, policy := range []core.Policy{core.PROPG, core.PROPO} {
 		for _, move := range []bool{false, true} {
 			net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
-			rt := quietRuntime(t, 16, policy, net, time.Second)
+			rt := quietRuntime(t, 16, policy, net, 1000, event.New())
 			u, path := twoHopPartner(t, rt, policy)
 			v := path[2]
 			bystander := -1
@@ -168,18 +177,32 @@ func TestStaleEvaluationIsRejected(t *testing.T) {
 	}
 }
 
-// TestExchangesUnderContention runs 16 agents probing every millisecond with
-// MinVar -Inf, so nearly every evaluation wants to commit and evaluations of
-// overlapping neighborhoods run at once. Some must commit and some must go
-// stale; on a fault-free loopback no measurement may fail, and the overlay
-// must come out whole.
+// TestExchangesUnderContention runs 16 agents on wall time probing every
+// millisecond with MinVar -Inf, so nearly every evaluation wants to commit
+// and evaluations of overlapping neighborhoods run at once. Some must commit
+// and some must go stale; on a fault-free loopback no measurement may fail,
+// and the overlay must come out whole.
 func TestExchangesUnderContention(t *testing.T) {
 	for _, policy := range []core.Policy{core.PROPG, core.PROPO} {
-		rt := startRuntime(t, 16, Config{Policy: policy, Seed: 5, ProbeIntervalMS: 1, MinVar: math.Inf(-1)}, nil)
-		ok := waitFor(t, 10*time.Second, func() bool {
-			c := rt.Counters()
-			return c.Exchanges >= 20 && c.Stale >= 1
-		})
+		var rt *Runtime
+		var once sync.Once
+		reached := make(chan struct{})
+		net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}),
+			onSend: func(_, _ int, _ transport.Message) { // every input sends: watch from there
+				if c := rt.Counters(); c.Exchanges >= 20 && c.Stale >= 1 {
+					once.Do(func() { close(reached) })
+				}
+			}}
+		rt = New(net, Config{Policy: policy, Seed: 5, ProbeIntervalMS: 1, PingTimeoutMS: 25, MinVar: math.Inf(-1), Lat: ClusterLat})
+		if err := rt.Start(hostsN(16)); err != nil {
+			t.Fatal(err)
+		}
+		var ok bool
+		select {
+		case <-reached:
+			ok = true
+		case <-time.After(10 * time.Second):
+		}
 		rt.Stop()
 		c := rt.Counters()
 		if !ok {
@@ -210,7 +233,7 @@ func TestEvaluationWirePrice(t *testing.T) {
 	for _, policy := range []core.Policy{core.PROPG, core.PROPO} {
 		for _, warm := range []bool{false, true} {
 			net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
-			rt := quietRuntime(t, 16, policy, net, time.Second)
+			rt := quietRuntime(t, 16, policy, net, 1000, event.New())
 			u, path := twoHopPartner(t, rt, policy)
 			hostU, hostV := rt.Overlay().HostOf(u), rt.Overlay().HostOf(path[2])
 			var mu sync.Mutex
@@ -297,23 +320,22 @@ func sweepAll(t *testing.T, rt *Runtime) {
 	}
 }
 
-// sweep runs one detector sweep of a's, as its sweep timer would, and waits
-// for the sweep's last heartbeat: at once on a loss-free loopback.
+// sweep runs one detector sweep of a's, as its sweep timer would, and
+// settles its last heartbeat.
 func sweep(t *testing.T, rt *Runtime, a *agent) {
 	t.Helper()
 	rt.heartbeatOnce(a)
-	if !waitFor(t, 10*time.Second, func() bool {
+	if !settle(t, rt, "a sweep", func() bool {
 		a.mu.Lock()
 		defer a.mu.Unlock()
 		return !a.sweeping
 	}) {
-		t.Fatal("a sweep did not end")
+		t.FailNow()
 	}
 }
 
-// measureNow runs a's Measure step over a.sc.Pairs and waits for the number
-// of pairs it measured: at once when every ping is answered. Any goroutine
-// may call it.
+// measureNow runs a's Measure step over a.sc.Pairs and settles the number of
+// pairs it measured. On wall time any goroutine may call it.
 func measureNow(t *testing.T, rt *Runtime, a *agent) int {
 	t.Helper()
 	a.mu.Lock()
@@ -321,13 +343,12 @@ func measureNow(t *testing.T, rt *Runtime, a *agent) int {
 	a.mu.Unlock()
 	rt.measure(a)
 	n := -1
-	if !waitFor(t, 10*time.Second, func() bool {
+	if !settle(t, rt, "a Measure step", func() bool {
 		a.mu.Lock()
 		defer a.mu.Unlock()
 		n = a.measured
 		return n >= 0
 	}) {
-		t.Error("a Measure step did not end")
 		return 0
 	}
 	return n
@@ -364,7 +385,7 @@ func rttBody(rtts ...float64) []byte {
 // or a reply to another incarnation — so that Measured poisons there.
 func TestMeasureRelayRejectsNonFiniteRTT(t *testing.T) {
 	lb := transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})
-	rt := quietRuntime(t, 4, core.PROPG, lb, time.Second)
+	rt := quietRuntime(t, 4, core.PROPG, lb, 1000, event.New())
 	defer rt.Stop()
 	ep, err := lb.Open(99)
 	if err != nil {
@@ -429,7 +450,7 @@ func TestHandleMeasureReplies(t *testing.T) {
 		Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}),
 		onSend:   countPings(&pings),
 	}
-	rt := quietRuntime(t, 4, core.PROPG, net, 5*time.Millisecond)
+	rt := quietRuntime(t, 4, core.PROPG, net, 5, event.New())
 	defer rt.Stop()
 	rt.mu.Lock()
 	a := rt.agents[1]
@@ -462,13 +483,10 @@ func TestHandleMeasureReplies(t *testing.T) {
 	} {
 		sent := pings.Load()
 		rt.handleMeasure(a, transport.Message{Type: transport.TMeasure, Src: 99, Epoch: 7, Seq: 42, Body: tc.body})
-		var m transport.Message
-		select {
-		case in := <-replies:
-			m = in.Msg
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: no reply", tc.name)
+		if !settle(t, rt, tc.name+"'s reply", func() bool { return len(replies) > 0 }) {
+			t.FailNow()
 		}
+		m := (<-replies).Msg
 		if m.Type != transport.TMeasureReply || m.Seq != 42 || m.Epoch != 7 || m.TTL != tc.ttl || !bytes.Equal(m.Body, tc.want) {
 			t.Errorf("%s: replied %+v, want TTL %d and body %x", tc.name, m, tc.ttl, tc.want)
 		}
@@ -510,7 +528,7 @@ func TestCounterPerReason(t *testing.T) {
 // starts one; the firing of an agent being stopped after Crash — its host
 // holds no live slot — starts none and used to count one anyway.
 func TestProbesCountOnlyStartedCycles(t *testing.T) {
-	rt := quietRuntime(t, 8, core.PROPG, transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}), time.Second)
+	rt := quietRuntime(t, 8, core.PROPG, transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}), 1000, event.New())
 	rt.mu.Lock()
 	live, stale := rt.agents[2], rt.agents[3]
 	rt.mu.Unlock()
@@ -541,12 +559,12 @@ func TestLostWalkEndsWalkLost(t *testing.T) {
 		},
 		drop: func(_, to int, m transport.Message) bool { return to == 0 && m.Type == transport.TWalkReply },
 	}
-	rt := quietRuntime(t, 8, core.PROPG, net, time.Millisecond)
+	rt := quietRuntime(t, 8, core.PROPG, net, 1, event.New())
 	rt.mu.Lock()
 	a := rt.agents[0]
 	rt.mu.Unlock()
 	rt.probeOnce(a)
-	rt.Stop() // returns once the walk's call failed and its cycle ended
+	rt.Stop() // steps the engine until the walk's call failed and its cycle ended
 
 	c := rt.Counters()
 	if c.Probes != 1 || c.WalkFailures != 1 || rt.ends[core.WalkLost].Load() != 1 {
@@ -578,7 +596,7 @@ func TestExchangeByHand(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	rt := quietRuntime(t, 16, core.PROPG, net, time.Second)
+	rt := quietRuntime(t, 16, core.PROPG, net, 1000, event.New())
 	defer rt.Stop()
 	rt.mu.Lock()
 	a := rt.agents[0]

@@ -5,8 +5,8 @@
 // the timers, the locks, the messages and the counters, never a protocol
 // rule, and counts each cycle end by its core.Reason. Each physical host
 // gets one agent: a transport.Node (which answers pings), a probe and a
-// sweep timer on one of the runtime's event.WallClocks (one per P, at least
-// two), and handlers that forward TTL walks and answer measurement RPCs.
+// sweep timer on the runtime's clock (Config.Clock), and handlers that
+// forward TTL walks and answer measurement RPCs.
 // Every latency the protocol consumes is a real RTT measured by exchanging
 // messages — the failure detector's heartbeats to each neighbor, remembered
 // in its neighborQ entry, a ping for any other host, and one TMeasure
@@ -16,9 +16,10 @@
 // Concurrency model: an agent is a reactor and starts no goroutine. Each
 // input — a timer firing, a delivery to a handler, a call's done — runs on
 // the goroutine that brings it (its clock's runner, a sender's or a call
-// timer's) and never waits: it takes the runtime mutex (the overlay, the
-// runtime RNG) only where it reads the overlay, then its agent's, steps the
-// agent's core.Cycle, releases both and sends what the step asks. No lock
+// timer's; on an event.Engine, the one stepping it) and never waits: it
+// takes the runtime mutex (the overlay, the runtime RNG) only where it
+// reads the overlay, then its agent's, steps the agent's core.Cycle,
+// releases both and sends what the step asks. No lock
 // is held across a send: an exchange plans under the lock, measures without
 // it, and commits under it again only if the host pairs it measured are
 // still the ones the exchange moves, else it is stale. Churn is the
@@ -37,7 +38,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/event"
@@ -47,7 +47,7 @@ import (
 	"repro/internal/transport"
 )
 
-// Config parameterizes a live runtime. Zero values select the defaults
+// Config parameterizes a live runtime; zero values select the defaults
 // noted on each field.
 type Config struct {
 	// Policy selects PROP-G (host swap) or PROP-O (m-neighbor trade). The
@@ -56,13 +56,13 @@ type Config struct {
 	Policy core.Policy
 	// MinVar is the exchange threshold (§4.2 derives 0).
 	MinVar float64
-	// ProbeIntervalMS is INIT_TIMER on the wall clock (default 50ms — scaled
-	// down from the paper's minute so tests converge in test time).
+	// ProbeIntervalMS is INIT_TIMER (default 50ms — scaled down from the
+	// paper's minute so tests converge in test time).
 	ProbeIntervalMS float64
-	// PingTimeout is the first-attempt deadline of every call — pings,
+	// PingTimeoutMS is the first-attempt deadline of every call — pings,
 	// heartbeats, measurement RPCs, walks (default 50ms; retransmits double
 	// it).
-	PingTimeout time.Duration
+	PingTimeoutMS float64
 	// HeartbeatIntervalMS is the failure detector's sweep period (default
 	// 4x ProbeIntervalMS — detection only has to beat the heartbeat's
 	// retransmits, not the probe cadence). Each sweep pings every live
@@ -76,14 +76,20 @@ type Config struct {
 	// Seed drives all runtime randomness (walk hops, trade selection,
 	// membership wiring, probe staggering).
 	Seed uint64
+	// Clock runs every timer: the agents' probe and sweep timers and their
+	// nodes' call deadlines. Nil means wall time: one event.WallClock per P
+	// (at least two), picked by host, and wall timers for the deadlines. On
+	// an event.Engine, which the caller steps and calls the runtime from on
+	// one goroutine, the run is a pure function of Seed.
+	Clock event.Clock
 }
 
 func (c *Config) fill() {
 	if c.ProbeIntervalMS == 0 {
 		c.ProbeIntervalMS = 50
 	}
-	if c.PingTimeout == 0 {
-		c.PingTimeout = 50 * time.Millisecond
+	if c.PingTimeoutMS == 0 {
+		c.PingTimeoutMS = 50
 	}
 	if c.HeartbeatIntervalMS == 0 {
 		c.HeartbeatIntervalMS = 4 * c.ProbeIntervalMS
@@ -93,20 +99,22 @@ func (c *Config) fill() {
 	}
 }
 
-// maxTimerMS is the longest timer a time.Duration holds, in milliseconds.
-const maxTimerMS = float64(math.MaxInt64 / time.Millisecond)
+// maxTimerMS is the longest wall timer there is (a Go duration's), in
+// milliseconds.
+const maxTimerMS = math.MaxInt64 / 1e6
 
 // validate rejects what fill cannot repair: an interval that is not
 // positive, or whose longest timer (the probe's core.MaxTimerFactor ×
-// INIT_TIMER) overflows, spins a timer loop; a negative deadline fails.
+// INIT_TIMER) overflows, spins a timer loop; a deadline that is not
+// positive fails every call.
 func (c *Config) validate() error {
 	switch {
 	case !(c.ProbeIntervalMS > 0 && c.ProbeIntervalMS <= maxTimerMS/core.MaxTimerFactor):
 		return fmt.Errorf("propnode: ProbeIntervalMS = %v, want in (0, %v]", c.ProbeIntervalMS, maxTimerMS/core.MaxTimerFactor)
 	case !(c.HeartbeatIntervalMS > 0 && c.HeartbeatIntervalMS <= maxTimerMS):
 		return fmt.Errorf("propnode: HeartbeatIntervalMS = %v, want in (0, %v]", c.HeartbeatIntervalMS, maxTimerMS)
-	case c.PingTimeout < 0:
-		return fmt.Errorf("propnode: PingTimeout = %v, want >= 0", c.PingTimeout)
+	case !(c.PingTimeoutMS > 0 && c.PingTimeoutMS <= maxTimerMS):
+		return fmt.Errorf("propnode: PingTimeoutMS = %v, want in (0, %v]", c.PingTimeoutMS, maxTimerMS)
 	}
 	return nil
 }
@@ -128,8 +136,8 @@ func ClusterLat(a, b int) float64 {
 	return 20
 }
 
-// Counters tallies the runtime's protocol activity. Snapshot via
-// Runtime.Counters.
+// Counters tallies the runtime's protocol activity, as the Counters method
+// of a Runtime snapshots it.
 type Counters struct {
 	// Probes counts probe cycles started; each ends once, by a core.Reason,
 	// in one of the fields below.
@@ -179,15 +187,16 @@ type Runtime struct {
 	o           *overlay.Overlay
 	members     gnutella.Net // o's membership rule; O is set by Start
 	r           *rng.Rand
-	agents      map[int]*agent  // by host
-	incarnation map[int]uint32  // per-host epoch, survives Crash, Leave and rejoin
-	m           int             // resolved PROP-O trade size
-	sc          overlay.Scratch // for work done within one hold of mu, like o and r
-	stopped     atomic.Bool     // stored under mu
-	clocks      []*event.WallClock
+	agents      map[int]*agent     // by host
+	incarnation map[int]uint32     // per-host epoch, survives Crash, Leave and rejoin
+	m           int                // resolved PROP-O trade size
+	sc          overlay.Scratch    // for work done within one hold of mu, like o and r
+	stopped     atomic.Bool        // stored under mu
+	clocks      []*event.WallClock // the runtime's own, when Config.Clock is nil
 
 	// inputs counts the timer firings running and the calls in flight, each
-	// until its outcome is used; Stop waits on idle (over mu) for zero.
+	// until its outcome is used; Stop waits on idle (over mu) for zero, or
+	// steps the engine to it.
 	inputs atomic.Int64
 	idle   sync.Cond
 	relays sync.Pool // *relay records
@@ -212,7 +221,7 @@ type agent struct {
 	// cycle or sweep ends; and the flags. Lock order is rt.mu, then mu.
 	mu           sync.Mutex
 	cyc          core.Cycle
-	probe, sweep *event.WallTimer
+	probe, sweep event.Timer
 	halted       atomic.Bool // stored under mu: nothing starts or re-arms
 	kicked       bool        // a kick landed mid-cycle
 	sweeping     bool        // a sweep runs: one at a time
@@ -278,7 +287,7 @@ func (rt *Runtime) bind(l *link, resume func()) {
 func (rt *Runtime) call(a *agent, l *link, to int, m transport.Message, retries int) bool {
 	l.state.Store(1)
 	rt.inputs.Add(1)
-	a.node.Call(to, m, rt.cfg.PingTimeout, retries, l.done)
+	a.node.Call(to, m, rt.cfg.PingTimeoutMS, retries, l.done)
 	if l.state.CompareAndSwap(1, 0) {
 		return false
 	}
@@ -334,8 +343,10 @@ func (rt *Runtime) Start(hosts []int) error {
 	}
 	rt.o, rt.members.O = o, o
 	rt.m = max(o.Logical.MinDegree(), 1)
-	for range max(runtime.GOMAXPROCS(0), 2) {
-		rt.clocks = append(rt.clocks, event.NewWallClock())
+	if rt.cfg.Clock == nil {
+		for range max(runtime.GOMAXPROCS(0), 2) {
+			rt.clocks = append(rt.clocks, event.NewWallClock())
+		}
 	}
 	for _, h := range hosts {
 		ep, err := rt.net.Open(h)
@@ -351,7 +362,7 @@ func (rt *Runtime) Start(hosts []int) error {
 // endpoint. Caller holds rt.mu.
 func (rt *Runtime) spawnLocked(host int, ep transport.Endpoint) {
 	rt.incarnation[host]++
-	a := &agent{host: host, epoch: rt.incarnation[host], node: transport.NewNode(ep)}
+	a := &agent{host: host, epoch: rt.incarnation[host], node: transport.NewNodeOn(ep, rt.cfg.Clock)}
 	a.node.Handle(func(in transport.Inbound) {
 		switch in.Msg.Type {
 		case transport.TWalk:
@@ -369,7 +380,10 @@ func (rt *Runtime) spawnLocked(host int, ep transport.Endpoint) {
 	a.round = core.NewRound(&rt.kernel, rt.m, rt.r, &a.sc)
 	rt.agents[host] = a
 	// a is unreachable until rt.mu is released, and a timer fires after Reset.
-	clock := rt.clocks[uint(host)%uint(len(rt.clocks))]
+	clock := rt.cfg.Clock
+	if clock == nil {
+		clock = rt.clocks[uint(host)%uint(len(rt.clocks))]
+	}
 	a.probe = clock.Timer(func() { rt.fire(a, rt.probeOnce) })
 	a.sweep = clock.Timer(func() { rt.fire(a, rt.heartbeatOnce) })
 	a.probe.Reset(event.Time(rt.r.Float64() * rt.cfg.ProbeIntervalMS)) // staggered
@@ -409,8 +423,10 @@ func (rt *Runtime) Counters() Counters {
 }
 
 // Stop halts every agent, waits until no input runs — the cycles and
-// sweeps under way end, their calls answered or timed out — then closes the
-// nodes and stops the clocks: none can start unless an outsider sends.
+// sweeps under way end, their calls answered or timed out; on an
+// event.Engine, it steps the engine until then — then closes the nodes and
+// stops the runtime's own clocks: no input can start unless an outsider
+// sends.
 func (rt *Runtime) Stop() {
 	rt.mu.Lock()
 	if rt.stopped.Load() {
@@ -423,11 +439,16 @@ func (rt *Runtime) Stop() {
 	for _, a := range agents {
 		a.halt()
 	}
-	rt.mu.Lock()
-	for rt.inputs.Load() > 0 {
-		rt.idle.Wait()
+	if e, ok := rt.cfg.Clock.(*event.Engine); ok {
+		for rt.inputs.Load() > 0 && e.Step() {
+		}
+	} else {
+		rt.mu.Lock()
+		for rt.inputs.Load() > 0 {
+			rt.idle.Wait()
+		}
+		rt.mu.Unlock()
 	}
-	rt.mu.Unlock()
 	for _, a := range agents {
 		a.node.Close()
 	}
@@ -780,7 +801,7 @@ func (rt *Runtime) handleWalk(a *agent, m transport.Message) {
 
 // relay is one TMeasure being answered: the request over a copy of its host
 // list, and one RTT per host measured so far, carried from one pong to the
-// next. Records are recycled through Runtime.relays.
+// next. Records are recycled through the runtime's relays pool.
 type relay struct {
 	link
 	a            *agent

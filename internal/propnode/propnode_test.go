@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/faults"
 	"repro/internal/overlay"
 	"repro/internal/rng"
@@ -42,14 +42,15 @@ func hostsN(n int) []int {
 	return hosts
 }
 
+// startRuntime starts n agents on cfg.Clock, wall time if nil.
 func startRuntime(t *testing.T, n int, cfg Config, inj *faults.Injector) *Runtime {
 	t.Helper()
 	lb := transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf, Faults: inj})
 	if cfg.ProbeIntervalMS == 0 {
 		cfg.ProbeIntervalMS = 3
 	}
-	if cfg.PingTimeout == 0 {
-		cfg.PingTimeout = 25 * time.Millisecond
+	if cfg.PingTimeoutMS == 0 {
+		cfg.PingTimeoutMS = 25
 	}
 	cfg.Lat = ClusterLat
 	rt := New(lb, cfg)
@@ -59,6 +60,38 @@ func startRuntime(t *testing.T, n int, cfg Config, inj *faults.Injector) *Runtim
 	return rt
 }
 
+// engineRuntime starts n agents on a fresh event.Engine.
+func engineRuntime(t *testing.T, n int, cfg Config, inj *faults.Injector) (*Runtime, *event.Engine) {
+	t.Helper()
+	e := event.New()
+	cfg.Clock = e
+	return startRuntime(t, n, cfg, inj), e
+}
+
+// until steps e until cond holds, for at most ms of simulated time, and
+// reports whether it does.
+func until(e *event.Engine, ms event.Time, cond func() bool) bool {
+	for end := e.Now() + ms; !cond(); {
+		if e.Now() > end || !e.Step() {
+			return false
+		}
+	}
+	return true
+}
+
+// settle steps rt's engine until cond holds, for at most a minute of
+// simulated time; on wall time cond must hold already: an input that needs
+// no deadline ends before the call that made it returns.
+func settle(t *testing.T, rt *Runtime, what string, cond func() bool) bool {
+	t.Helper()
+	e, _ := rt.cfg.Clock.(*event.Engine)
+	if e == nil && cond() || e != nil && until(e, 60_000, cond) {
+		return true
+	}
+	t.Errorf("%s did not end", what)
+	return false
+}
+
 // meanLat reads MeanLinkLatency under the runtime lock.
 func meanLat(rt *Runtime) float64 {
 	var m float64
@@ -66,79 +99,49 @@ func meanLat(rt *Runtime) float64 {
 	return m
 }
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return cond()
-}
-
-// TestRuntimeConvergesPROPG asserts convergence, not a swap count: at least
-// one exchange commits, the mean link latency ends strictly lower, and the
-// overlay invariants hold. That is schedule-independent where a count is
-// not: fault-free, nothing mutates the overlay before the first commit, so
-// every schedule probes the same seed-built start state (mean 11.20, not a
-// local optimum) until a swap lands; how many more follow depends on which
-// pair went first — seed 1's world reaches a local optimum after as few as
-// two.
+// TestRuntimeConvergesPROPG asserts convergence, not a swap count, on ten
+// seeds: at least one exchange commits, the mean link latency ends strictly
+// lower, and the overlay invariants hold. Every PROP-G swap commits only on
+// measured Var > 0, and loopback virtual RTTs equal ground truth exactly —
+// so the mean must improve.
 func TestRuntimeConvergesPROPG(t *testing.T) {
-	rt := startRuntime(t, 16, Config{Policy: core.PROPG, Seed: 1}, nil)
-	before := meanLat(rt)
-
-	ok := waitFor(t, 5*time.Second, func() bool { return rt.Counters().Exchanges >= 1 })
-	rt.Stop()
-	c := rt.Counters()
-	if !ok {
-		t.Fatalf("no exchanges executed: %+v", c)
-	}
-	if c.Probes == 0 {
-		t.Fatal("no probes fired")
-	}
-	after := rt.Overlay().MeanLinkLatency() // post-Stop: quiesced
-	// Every PROP-G swap commits only on measured Var > 0, and loopback
-	// virtual RTTs equal ground truth exactly — so the mean must improve.
-	if after >= before {
-		t.Fatalf("mean link latency did not improve: %v → %v (%d exchanges)", before, after, c.Exchanges)
-	}
-	if err := rt.Overlay().CheckInvariants(); err != nil {
-		t.Fatalf("overlay invariants after run: %v", err)
+	for seed := uint64(1); seed <= 10; seed++ {
+		converges(t, Config{Policy: core.PROPG, Seed: seed}, 1)
 	}
 }
 
+// TestRuntimeConvergesPROPO is PROP-G's test for PROP-O, with two exchanges
+// and every degree preserved.
 func TestRuntimeConvergesPROPO(t *testing.T) {
-	rt := startRuntime(t, 16, Config{Policy: core.PROPO, Seed: 2}, nil)
-	before := meanLat(rt)
-	var degsBefore []int
-	rt.View(func(o *overlay.Overlay) { degsBefore = o.Logical.DegreeSequence() })
+	for seed := uint64(1); seed <= 10; seed++ {
+		converges(t, Config{Policy: core.PROPO, Seed: seed}, 2)
+	}
+}
 
-	ok := waitFor(t, 5*time.Second, func() bool { return rt.Counters().Exchanges >= 2 })
+// converges runs 16 agents on an engine until they made exchanges exchanges
+// and checks the run improved the overlay and, under PROP-O, kept its
+// degree sequence.
+func converges(t *testing.T, cfg Config, exchanges uint64) {
+	t.Helper()
+	rt, e := engineRuntime(t, 16, cfg, nil)
+	before := meanLat(rt)
+	degsBefore := rt.Overlay().Logical.DegreeSequence()
+	ok := until(e, 60_000, func() bool { return rt.Counters().Exchanges >= exchanges })
 	rt.Stop()
 	c := rt.Counters()
 	if !ok {
-		t.Fatalf("no exchanges executed: %+v", c)
+		t.Fatalf("%v seed %d: fewer than %d exchanges: %+v", cfg.Policy, cfg.Seed, exchanges, c)
 	}
-	after := rt.Overlay().MeanLinkLatency() // post-Stop: quiesced
-	if after >= before {
-		t.Fatalf("mean link latency did not improve: %v → %v", before, after)
+	o := rt.Overlay()
+	if after := o.MeanLinkLatency(); after >= before {
+		t.Fatalf("%v seed %d: mean link latency did not improve: %v → %v (%d exchanges)",
+			cfg.Policy, cfg.Seed, before, after, c.Exchanges)
 	}
-	// PROP-O preserves every degree.
-	degsAfter := rt.Overlay().Logical.DegreeSequence()
-	if len(degsBefore) != len(degsAfter) {
-		t.Fatalf("degree sequence length changed: %d → %d", len(degsBefore), len(degsAfter))
+	if degs := o.Logical.DegreeSequence(); cfg.Policy == core.PROPO && !slices.Equal(degs, degsBefore) {
+		t.Fatalf("seed %d: degree sequence changed under PROP-O: %v → %v", cfg.Seed, degsBefore, degs)
 	}
-	for i := range degsBefore {
-		if degsBefore[i] != degsAfter[i] {
-			t.Fatalf("degree sequence changed under PROP-O: %v → %v", degsBefore, degsAfter)
-		}
-	}
-	if err := rt.Overlay().CheckInvariants(); err != nil {
-		t.Fatalf("overlay invariants after run: %v", err)
+	if err := o.CheckInvariants(); err != nil {
+		t.Fatalf("%v seed %d: overlay invariants after run: %v", cfg.Policy, cfg.Seed, err)
 	}
 }
 
@@ -159,7 +162,8 @@ func TestStartRejectsBadConfig(t *testing.T) {
 		{HeartbeatIntervalMS: math.NaN()},
 		{HeartbeatIntervalMS: -1},
 		{HeartbeatIntervalMS: 1e13},
-		{PingTimeout: -time.Millisecond},
+		{PingTimeoutMS: -1},
+		{PingTimeoutMS: math.NaN()},
 		{Policy: core.Policy(9)},
 		{MinVar: math.NaN()},
 	} {
@@ -189,74 +193,75 @@ func hopOrder(q []core.QueueEntry) []int {
 	return order
 }
 
-// TestQueueOrderIsSeedDeterministic pins the neighborQ against scheduling
-// and map-iteration leaks: two runtimes built from one Config.Seed hold the
-// same per-agent probing order — the paper's random initial permutation
-// drawn from the runtime stream, and neighbors that arrive later entering in
-// ascending slot order — while each queue is kept in ascending slot order.
-// The probe interval is an hour, so no agent fires and the overlay is
-// quiesced.
-func TestQueueOrderIsSeedDeterministic(t *testing.T) {
-	const n = 24
-	queues := func(seed uint64) [][]int {
-		rt := startRuntime(t, n, Config{Seed: seed, ProbeIntervalMS: 3.6e6}, nil)
-		defer rt.Stop()
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-		out := make([][]int, n)
-		shuffled := false
-		for host := 0; host < n; host++ {
-			a, u := rt.agents[host], rt.o.SlotOfHost(host)
-			a.mu.Lock()
-			if len(a.cyc.Queue) != rt.o.Degree(u) {
-				t.Fatalf("host %d: %d queued of %d neighbors at start", host, len(a.cyc.Queue), rt.o.Degree(u))
+// TestEngineRunIsSeedDeterministic runs one seed twice on an engine under
+// each policy, with loss, duplication, a crash, a rejoin and a repair: the
+// two runs end with equal Counters, an equal overlay — every slot's host and
+// neighbors — and every agent's neighborQ in the same probing order, so
+// neither scheduling nor map iteration leaks into the run. The queues start
+// in the paper's random order, drawn from the runtime stream.
+func TestEngineRunIsSeedDeterministic(t *testing.T) {
+	for _, policy := range []core.Policy{core.PROPG, core.PROPO} {
+		run := func() (Counters, string) {
+			inj, err := faults.NewInjector(faults.Config{Seed: 5, LossProb: 0.02, DupProb: 0.02})
+			if err != nil {
+				t.Fatal(err)
 			}
-			order := hopOrder(a.cyc.Queue)
-			for i := 1; i < len(order); i++ {
-				shuffled = shuffled || order[i] < order[i-1]
+			rt, e := engineRuntime(t, 24, Config{Policy: policy, Seed: 7}, inj)
+			shuffled := false
+			for _, a := range rt.allAgentsLocked() {
+				order := hopOrder(a.cyc.Queue)
+				shuffled = shuffled || !slices.IsSorted(order)
 			}
-			// Three fresh neighbors at once: the order they enter the queue
-			// in must not depend on anything but the overlay.
-			for added, x := 0, 0; added < 3 && x < n; x++ {
-				if x != u && rt.o.AddEdge(u, x) == nil {
-					added++
-				}
+			if !shuffled {
+				t.Fatal("every initial probing order is ascending — the random permutation is missing")
 			}
-			a.cyc.Reconcile(rt.o.Neighbors(u))
-			for i, qe := range a.cyc.Queue {
-				if i > 0 && qe.Neighbor <= a.cyc.Queue[i-1].Neighbor {
-					t.Fatalf("host %d: queue %v not in ascending slot order", host, a.cyc.Queue)
-				}
+			e.RunUntil(200)
+			if err := rt.Crash(3); err != nil {
+				t.Fatal(err)
 			}
-			out[host] = hopOrder(a.cyc.Queue)
-			a.mu.Unlock()
+			e.RunUntil(400)
+			if _, err := rt.Join(3); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rt.Repair(); err != nil {
+				t.Fatal(err)
+			}
+			e.RunUntil(600)
+			rt.Stop()
+			o, out := rt.Overlay(), ""
+			for u := range o.NumSlots() {
+				out += fmt.Sprintln(u, o.HostOf(u), o.Neighbors(u))
+			}
+			for _, a := range rt.allAgentsLocked() {
+				out += fmt.Sprintln(a.host, hopOrder(a.cyc.Queue))
+			}
+			return rt.Counters(), out
 		}
-		if !shuffled {
-			t.Fatal("every initial probing order is ascending — the random permutation is missing")
+		c1, o1 := run()
+		c2, o2 := run()
+		if c1 != c2 || o1 != o2 {
+			t.Fatalf("%v: seed 7 ran two ways:\n%+v\n%s\n%+v\n%s", policy, c1, o1, c2, o2)
 		}
-		return out
-	}
-	first, second := queues(7), queues(7)
-	for host := range first {
-		if fmt.Sprint(first[host]) != fmt.Sprint(second[host]) {
-			t.Fatalf("host %d: seed 7 queued %v, then %v", host, first[host], second[host])
+		if c1.Exchanges == 0 || c1.Recovers != 1 {
+			t.Fatalf("%v: the run made no exchange or no rejoin: %+v", policy, c1)
 		}
 	}
 }
 
 // TestRuntimeSoakChurnRace is the live runtime's -race soak: agents
-// probing and exchanging concurrently while a churn driver joins,
-// leaves, and crash-stops nodes, for a bounded wall-clock budget. At
-// quiesce the audit invariants must hold on the shared overlay.
+// probing and exchanging concurrently while a churn driver joins, leaves
+// and crash-stops nodes, repairs and reconnects the overlay — every call the
+// chaos harness makes — for a bounded wall-clock budget. At quiesce the
+// audit invariants must hold on the shared overlay.
 func TestRuntimeSoakChurnRace(t *testing.T) {
 	inj, err := faults.NewInjector(faults.Config{Seed: 99, LossProb: 0.01, DupProb: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt := startRuntime(t, 20, Config{
-		Policy:      core.PROPG,
-		Seed:        3,
-		PingTimeout: 10 * time.Millisecond,
+		Policy:        core.PROPG,
+		Seed:          3,
+		PingTimeoutMS: 10,
 	}, inj)
 
 	churnRng := rng.New(777)
@@ -274,7 +279,7 @@ loop:
 		default:
 		}
 		time.Sleep(5 * time.Millisecond)
-		switch churnRng.Intn(4) {
+		switch churnRng.Intn(5) {
 		case 0:
 			if _, err := rt.Join(nextHost); err != nil {
 				t.Fatalf("join(%d): %v", nextHost, err)
@@ -305,6 +310,8 @@ loop:
 			if _, err := rt.Repair(); err != nil {
 				t.Fatalf("repair: %v", err)
 			}
+		case 4:
+			rt.EnsureConnected()
 		}
 		ops++
 	}
@@ -314,17 +321,7 @@ loop:
 		t.Fatalf("final repair: %v", err)
 	}
 	rt.Stop()
-
-	o := rt.Overlay()
-	a := audit.New(1, 16)
-	a.Register(audit.OverlayBijection(o), audit.OverlayConnected(o))
-	a.CheckNow()
-	if err := a.Err(); err != nil {
-		t.Fatalf("audit at quiesce (%s): %v", a.Summary(), err)
-	}
-	if err := o.CheckInvariants(); err != nil {
-		t.Fatalf("overlay invariants at quiesce: %v", err)
-	}
+	auditQuiesced(t, rt.Overlay())
 	c := rt.Counters()
 	if c.Probes == 0 {
 		t.Fatal("soak fired no probes")
@@ -339,8 +336,8 @@ loop:
 // reach a listed host must abort the Var evaluation at that host's pair —
 // Poisoned, never an exchange committed on incomplete data.
 func TestRuntimeMeasureRelayFailurePoisonsExchange(t *testing.T) {
-	// Probe timers an hour away: the test drives the Measure step itself.
-	rt := startRuntime(t, 12, Config{Policy: core.PROPG, Seed: 9, ProbeIntervalMS: 3.6e6}, nil)
+	// Probe timers far away: the test drives the Measure step itself.
+	rt, _ := engineRuntime(t, 12, Config{Policy: core.PROPG, Seed: 9, ProbeIntervalMS: quietMS}, nil)
 	defer rt.Stop()
 
 	rt.mu.Lock()
@@ -363,48 +360,43 @@ func TestRuntimeMeasureRelayFailurePoisonsExchange(t *testing.T) {
 	}
 }
 
-// TestStopQuiesces stops a runtime whose probe and sweep timers are armed
-// and one of whose cycles waits on a walk reply that will never come. Once
-// Stop returns, every cycle that started has ended, nothing moves across
-// several probe intervals, and the overlay is whole.
+// TestStopQuiesces stops, on ten seeds, a runtime whose probe and sweep
+// timers are armed and one of whose cycles waits on a walk reply that will
+// never come. Once Stop returns, every cycle that started has ended — the
+// walk's lost — nothing is left to fire, and the overlay is whole.
 func TestStopQuiesces(t *testing.T) {
-	waiting := make(chan struct{}, 1)
-	net := &hookNet{
-		Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}),
-		drop: func(_, to int, m transport.Message) bool {
-			if to != 0 || m.Type != transport.TWalkReply {
-				return false
-			}
-			select {
-			case waiting <- struct{}{}:
-			default:
-			}
-			return true
-		},
-	}
-	rt := New(net, Config{Policy: core.PROPG, Seed: 8, ProbeIntervalMS: 2, HeartbeatIntervalMS: 4,
-		PingTimeout: 10 * time.Millisecond, Lat: ClusterLat})
-	if err := rt.Start(hostsN(12)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, func() bool { return rt.Counters().Probes >= 20 })
-	for range 2 { // the second drop is fresh: host 0's walk call runs for 150ms
-		select {
-		case <-waiting:
-		case <-time.After(10 * time.Second):
-			t.Fatal("host 0 sent no walk")
+	for seed := uint64(8); seed < 18; seed++ {
+		dropped := false
+		net := &hookNet{
+			Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}),
+			drop: func(_, to int, m transport.Message) bool {
+				dropped = dropped || to == 0 && m.Type == transport.TWalkReply
+				return to == 0 && m.Type == transport.TWalkReply
+			},
 		}
-	}
-	rt.Stop()
-	c := rt.Counters()
-	if ends := c.Exchanges + c.Rejected + c.WalkFailures + c.MeasureFailures; ends != c.Probes || c.WalkFailures == 0 {
-		t.Fatalf("%d cycle ends for %d probes after Stop, want one each and a lost walk: %+v", ends, c.Probes, c)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if got := rt.Counters(); got != c {
-		t.Fatalf("counters moved after Stop: %+v, then %+v", c, got)
-	}
-	if err := rt.Overlay().CheckInvariants(); err != nil {
-		t.Fatal(err)
+		e := event.New()
+		rt := New(net, Config{Policy: core.PROPG, Seed: seed, ProbeIntervalMS: 2, HeartbeatIntervalMS: 4,
+			PingTimeoutMS: 10, Lat: ClusterLat, Clock: e})
+		if err := rt.Start(hostsN(12)); err != nil {
+			t.Fatal(err)
+		}
+		// Host 0's walk call is in flight right after a step dropped its reply.
+		if !until(e, 60_000, func() bool {
+			defer func() { dropped = false }()
+			return dropped && rt.Counters().Probes >= 20
+		}) {
+			t.Fatalf("seed %d: host 0 sent no walk", seed)
+		}
+		rt.Stop()
+		c := rt.Counters()
+		if ends := c.Exchanges + c.Rejected + c.WalkFailures + c.MeasureFailures; ends != c.Probes || rt.ends[core.WalkLost].Load() == 0 {
+			t.Fatalf("seed %d: %d cycle ends for %d probes after Stop, want one each and a lost walk: %+v", seed, ends, c.Probes, c)
+		}
+		if e.Step() {
+			t.Fatalf("seed %d: an event was left to fire after Stop", seed)
+		}
+		if err := rt.Overlay().CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

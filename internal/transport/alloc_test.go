@@ -34,7 +34,7 @@ func TestPingRoundTripAllocations(t *testing.T) {
 	done := func(in Inbound, e error) { rtt, err = PongRTT(in, e) }
 	call := func() {
 		rtt, err = -1, nil
-		a.Call(2, Message{Type: TPing}, time.Second, 0, done)
+		a.Call(2, Message{Type: TPing}, 1000, 0, done)
 		if err != nil || rtt != 0 {
 			t.Fatalf("Call's done saw RTT %v, %v; want 0 before Call returned", rtt, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/faults"
 )
@@ -20,6 +19,8 @@ type LoopbackConfig struct {
 	// per-message verdicts: loss and duplication are a pure hash of
 	// (seed, link, per-link sequence number), so a seeded run reproduces the
 	// identical fault schedule on every repetition. Nil means perfect links.
+	// The loopback keeps no clock, so an injector with a partition window
+	// is refused; cut the network by decorating its endpoints instead.
 	Faults *faults.Injector
 }
 
@@ -60,8 +61,7 @@ type LoopbackStats struct {
 //
 // Which lock guards what: DESIGN.md §10 "Transport locking".
 type Loopback struct {
-	cfg   LoopbackConfig
-	start time.Time
+	cfg LoopbackConfig
 
 	mu    sync.RWMutex // write side: Open and close only
 	eps   map[int]*loopEndpoint
@@ -84,11 +84,14 @@ type linkSeqs struct {
 	next map[int]uint64 // by destination host
 }
 
-// NewLoopback builds an empty in-process network.
+// NewLoopback builds an empty in-process network. It panics on an injector
+// with a partition window, which it has no clock to place.
 func NewLoopback(cfg LoopbackConfig) *Loopback {
+	if cfg.Faults.Windowed() {
+		panic("transport: the loopback keeps no clock for a partition window")
+	}
 	return &Loopback{
 		cfg:   cfg,
-		start: time.Now(),
 		eps:   make(map[int]*loopEndpoint),
 		links: make(map[int]*linkSeqs),
 	}
@@ -139,13 +142,6 @@ func (l *Loopback) Stats() LoopbackStats {
 	}
 }
 
-// nowMS positions the time-windowed fault (the partition) on the
-// wall clock since the network's creation. Seq-hashed faults (loss, dup,
-// jitter) do not consult it, so determinism holds wherever it matters.
-func (l *Loopback) nowMS() float64 {
-	return float64(time.Since(l.start)) / float64(time.Millisecond)
-}
-
 // gate runs one message of from's through the fault injector: it draws the
 // link's next sequence number, hashes the verdict and logs a loss. The
 // sender's table lock is held across all three, so a link's drops reach the
@@ -156,7 +152,7 @@ func (l *Loopback) gate(from *loopEndpoint, to int) faults.Delivery {
 	defer ls.mu.Unlock()
 	seq := ls.next[to]
 	ls.next[to] = seq + 1
-	verdict := l.cfg.Faults.DeliverStateless(from.host, to, seq, l.nowMS())
+	verdict := l.cfg.Faults.DeliverStateless(from.host, to, seq, 0) // no window: no time
 	if verdict.Lost {
 		l.dropMu.Lock()
 		l.drops = append(l.drops, Drop{Src: from.host, Dst: to, Seq: seq, Reason: verdict.Reason})
@@ -169,9 +165,9 @@ func (l *Loopback) gate(from *loopEndpoint, to int) faults.Delivery {
 // send runs one message through the fault gate and delivers it, once or,
 // duplicated, twice; m is validated and stamped with from's identity.
 // Without an injector there is no verdict to draw: no sequence number is
-// kept and the clock is not read. mu.RLock covers the lookup only — the
-// receiver may send (a pong does), and a nested RLock would deadlock once
-// Open or close waits on the write side.
+// kept. mu.RLock covers the lookup only — the receiver may send (a pong
+// does), and a nested RLock would deadlock once Open or close waits on the
+// write side.
 func (l *Loopback) send(from *loopEndpoint, to int, m Message) {
 	var verdict faults.Delivery
 	if l.cfg.Faults != nil {

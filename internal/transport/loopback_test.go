@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/event"
 	"repro/internal/faults"
 )
 
@@ -499,15 +500,16 @@ func TestNodeCallRetransmitsThroughLoss(t *testing.T) {
 	_ = b
 }
 
-// TestNodeCallTimesOutWhenPeerGone follows one call's outcomes: a mute
-// peer's call fails after its doubling deadlines, and its late reply counts
-// as stale; an answer delivered inside Send runs done once, before Call
-// returns, with no timer armed, and a second copy of it counts as a
-// duplicate.
+// TestNodeCallTimesOutWhenPeerGone follows one call's outcomes on an
+// event.Engine: a mute peer's call fails once its doubling deadlines have
+// passed, and its late reply counts as stale; an answer delivered inside
+// Send runs done once, before Call returns, with no timer armed, and a
+// second copy of it counts as a duplicate.
 func TestNodeCallTimesOutWhenPeerGone(t *testing.T) {
 	lb := NewLoopback(LoopbackConfig{})
 	epA, _ := lb.Open(1)
-	a := NewNode(epA)
+	e := event.New()
+	a := NewNodeOn(epA, e)
 	defer a.Close()
 	peer, _ := lb.Open(42) // answers only when told to, twice
 	defer peer.Close()
@@ -530,14 +532,15 @@ func TestNodeCallTimesOutWhenPeerGone(t *testing.T) {
 	outcomes := make(chan outcome, 2)
 	done := func(in Inbound, err error) { outcomes <- outcome{in, err} }
 
-	start := time.Now()
-	a.Call(42, Message{Type: TMeasure}, 5*time.Millisecond, 2, done)
+	a.Call(42, Message{Type: TMeasure}, 5, 2, done)
+	for len(outcomes) == 0 && e.Step() {
+	}
 	if o := <-outcomes; o.err == nil {
 		t.Fatal("call to a mute peer succeeded")
 	}
-	// Deadlines double: 5+10+20 = 35ms minimum elapsed.
-	if el := time.Since(start); el < 35*time.Millisecond {
-		t.Fatalf("gave up after %v; expected ≥35ms of doubling deadlines", el)
+	// Deadlines double: 5+10+20 = 35ms.
+	if e.Now() != 35 {
+		t.Fatalf("gave up after %v ms; want 35 ms of doubling deadlines", e.Now())
 	}
 	if to, re := a.timeouts.Load(), a.retries.Load(); to != 3 || re != 2 {
 		t.Fatalf("timeouts/retries = %d/%d, want 3/2", to, re)
@@ -548,7 +551,7 @@ func TestNodeCallTimesOutWhenPeerGone(t *testing.T) {
 	}
 
 	answer = true
-	a.Call(42, Message{Type: TMeasure}, time.Hour, 0, done)
+	a.Call(42, Message{Type: TMeasure}, 3.6e6, 0, done)
 	if len(outcomes) != 1 {
 		t.Fatalf("%d outcomes when an answered Call returned, want 1", len(outcomes))
 	}
@@ -644,4 +647,19 @@ func TestLoopbackJitterBounded(t *testing.T) {
 	if !sawJitter {
 		t.Fatal("no jitter observed over 50 messages")
 	}
+}
+
+// TestLoopbackRefusesPartitionWindow: the loopback keeps no clock, so an
+// injector with a partition window is refused, not run as if it had none.
+func TestLoopbackRefusesPartitionWindow(t *testing.T) {
+	inj, err := faults.NewInjector(faults.Config{PartitionStopMS: 10, Isolated: map[int]bool{1: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a loopback took an injector with a partition window")
+		}
+	}()
+	NewLoopback(LoopbackConfig{Faults: inj})
 }

@@ -1,21 +1,27 @@
 package transport
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/event"
 )
 
 // Node wraps an Endpoint with the message discipline every live PROP peer
 // needs: a receiver that answers pings and dispatches inbound traffic, and
 // request/response calls that complete by callback, with per-attempt
 // deadlines, bounded retransmission with exponential back-off, and
-// sequence-number matching that absorbs duplicate and stale replies.
+// sequence-number matching that absorbs duplicate and stale replies. The
+// deadlines are timers of the node's clock.
 type Node struct {
-	ep Endpoint
+	ep    Endpoint
+	clock event.Clock // the deadlines'; nil: wall timers of their own
 
 	// mu guards pending, answered and the state of every record in pending;
 	// the recycling argument of Call rests on it. Nothing holds it while
@@ -40,13 +46,14 @@ type Node struct {
 	dupReplies   atomic.Uint64
 }
 
-// NewNode serves ep with the node's receiver. Close the node, not the
-// endpoint.
-func NewNode(ep Endpoint) *Node {
-	n := &Node{
-		ep:      ep,
-		pending: make(map[uint64]*call),
-	}
+// NewNode serves ep with the node's receiver, its call deadlines on wall
+// timers. Close the node, not the endpoint.
+func NewNode(ep Endpoint) *Node { return NewNodeOn(ep, nil) }
+
+// NewNodeOn is NewNode with the call deadlines on clock's timers (wall
+// timers, each firing on a goroutine of its own, when clock is nil).
+func NewNodeOn(ep Endpoint, clock event.Clock) *Node {
+	n := &Node{ep: ep, clock: clock, pending: make(map[uint64]*call)}
 	ep.Serve(n.dispatch)
 	return n
 }
@@ -62,16 +69,21 @@ func (n *Node) Handle(h func(Inbound)) { n.handler.Store(&h) }
 // Send transmits a one-way message (no response matching).
 func (n *Node) Send(to int, m Message) error { return n.ep.Send(to, m) }
 
-// Close fails every pending call, running each one's done once with an
-// error, and closes the endpoint; a delivery that races it is dropped.
-// Idempotent.
+// Close fails every pending call, in the order the calls were made,
+// running each one's done once with an error, and closes the endpoint; a
+// delivery that races it is dropped. Idempotent.
 func (n *Node) Close() {
 	n.once.Do(func() {
 		n.mu.Lock()
 		n.closed.Store(true)
 		err := fmt.Errorf("transport: node %d closed during a call", n.ep.Host())
-		failed := make([]func(Inbound, error), 0, len(n.pending))
+		pending := make([]*call, 0, len(n.pending))
 		for _, c := range n.pending {
+			pending = append(pending, c)
+		}
+		slices.SortFunc(pending, func(a, b *call) int { return cmp.Compare(a.seq, b.seq) })
+		failed := make([]func(Inbound, error), 0, len(pending))
+		for _, c := range pending {
 			if done, free := n.settle(c, Inbound{}, err); done != nil {
 				failed = append(failed, done)
 				if free {
@@ -140,20 +152,22 @@ func (n *Node) dispatch(in Inbound) {
 }
 
 // call is the record of one pending Call. Records are recycled through
-// calls, each with its timer, made once by AfterFunc to run expire and
-// re-armed per attempt. Three holders may use a record outside Node.mu: the
-// pending map, a transmission under way (sending) and an armed timer or its
-// expire (armed); whichever drops the last one recycles it. An outcome that
+// calls, each with its timer, made once, on the clock of the first node to
+// use it, to run expire, and re-armed per attempt. Three holders may use a
+// record outside Node.mu: the pending map, a transmission under way
+// (sending) and an armed timer or its expire (armed); whichever drops the
+// last one recycles it. An outcome that
 // settles the call during a transmission waits in the record, a copy, until
 // Send returns, so done never runs while Send may still read m.
 type call struct {
 	n        *Node
-	timer    *time.Timer
+	clock    event.Clock // timer's
+	timer    event.Timer
 	seq      uint64
 	to       int
 	m        Message
-	deadline time.Duration // of the current attempt
-	attempt  int           // transmissions so far
+	deadline event.Time // of the current attempt
+	attempt  int        // transmissions so far
 	retries  int
 	done     func(Inbound, error)
 	in       Inbound // the outcome settled during a transmission
@@ -164,18 +178,7 @@ type call struct {
 	armed    bool
 }
 
-var calls sync.Pool
-
-func init() {
-	calls.New = func() any {
-		// A fresh timer must not fire before its first Reset: give it the
-		// longest deadline there is and stop it at once, so it never has.
-		c := new(call)
-		c.timer = time.AfterFunc(math.MaxInt64, c.expire)
-		c.timer.Stop()
-		return c
-	}
-}
+var calls = sync.Pool{New: func() any { return new(call) }}
 
 func (c *call) recycle() {
 	c.n, c.m, c.done, c.in, c.err = nil, Message{}, nil, Inbound{}, nil
@@ -183,12 +186,12 @@ func (c *call) recycle() {
 }
 
 // Call sends m to host to and runs done once with the matching reply, or
-// with an error once the call failed. Each attempt gets deadline timeout;
-// a lost exchange retransmits up to retries times with the deadline
-// doubling per attempt (exponential back-off). The same sequence number is
-// reused across retransmissions, so a late reply to an earlier attempt
-// still completes the call, and replies arriving after completion are
-// absorbed. Call returns at once; done never runs under Node.mu, but it may
+// with an error once the call failed. Each attempt gets a deadline, the
+// first timeoutMS milliseconds; a lost exchange retransmits up to retries
+// times with the deadline doubling per attempt (exponential back-off). The
+// same sequence number is reused across retransmissions, so a late reply to
+// an earlier attempt still completes the call, and replies arriving after
+// completion are absorbed. Call returns at once; done never runs under Node.mu, but it may
 // run before Call returns (the loopback answers a loss-free call inside
 // Send), so a caller holds no lock across Call. m's Path and Body must stay
 // unchanged until done runs: retransmissions send them again. The reply's
@@ -198,8 +201,8 @@ func (c *call) recycle() {
 // drops its hold under n.mu and the last one recycles: once settle took the
 // record out of pending no reply can reach it (DESIGN.md §10 "Transport
 // locking").
-func (n *Node) Call(to int, m Message, timeout time.Duration, retries int, done func(Inbound, error)) {
-	if timeout <= 0 {
+func (n *Node) Call(to int, m Message, timeoutMS float64, retries int, done func(Inbound, error)) {
+	if !(timeoutMS > 0) {
 		done(Inbound{}, fmt.Errorf("transport: call needs a positive timeout"))
 		return
 	}
@@ -207,7 +210,10 @@ func (n *Node) Call(to int, m Message, timeout time.Duration, retries int, done 
 		n.pings.Add(1)
 	}
 	c := calls.Get().(*call)
-	c.n, c.to, c.m, c.deadline, c.attempt, c.retries, c.done = n, to, m, timeout, 0, retries, done
+	if c.timer == nil || c.clock != n.clock {
+		c.clock, c.timer = n.clock, event.NewTimer(n.clock, c.expire)
+	}
+	c.n, c.to, c.m, c.deadline, c.attempt, c.retries, c.done = n, to, m, event.Time(timeoutMS), 0, retries, done
 	c.seq = n.seq.Add(1)
 	c.m.Seq = c.seq
 	n.mu.Lock()
@@ -318,10 +324,11 @@ var pongs = sync.Pool{New: func() any {
 
 // Ping measures the round-trip time to host to in milliseconds and waits
 // for it: a ping Call and its PongRTT. Timeout and retries follow Call's
-// retransmission discipline.
+// retransmission discipline; a node on a clock nobody else advances (an
+// event.Engine) waits for good on a lost ping.
 func (n *Node) Ping(to int, timeout time.Duration, retries int) (float64, error) {
 	p := pongs.Get().(*pong)
-	n.Call(to, Message{Type: TPing}, timeout, retries, p.done)
+	n.Call(to, Message{Type: TPing}, float64(timeout)/float64(time.Millisecond), retries, p.done)
 	r := <-p.ch
 	pongs.Put(p)
 	return r.rtt, r.err

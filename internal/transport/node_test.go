@@ -90,7 +90,7 @@ func TestCallRecordRecyclingIsolatesCalls(t *testing.T) {
 				key := uint32(g*perCaller + i + 1)
 				// 2µs doubles to a full second within the retry budget, so
 				// on a fault-free-loss link no call can run out of attempts.
-				a.Call(2, Message{Type: TPing, Key: key}, 2*time.Microsecond, 20, done)
+				a.Call(2, Message{Type: TPing, Key: key}, 0.002, 20, done)
 				r := <-replies
 				if r.err != nil {
 					t.Errorf("caller %d call %d: %v", g, i, r.err)
@@ -227,7 +227,7 @@ func TestCloseFailsCallsInFlight(t *testing.T) {
 				t.Fatalf("Close returned with %d of %d calls failed", n, callers)
 			}
 		}
-		a.Call(2, Message{Type: TPing}, time.Hour, 0, done)
+		a.Call(2, Message{Type: TPing}, 3.6e6, 0, done)
 	}
 	if failed.Load() != callers+1 {
 		t.Fatal("a call after Close did not fail at once")
