@@ -391,12 +391,12 @@ func TestHeartbeatLadder(t *testing.T) {
 // TestNeighborTableLifetime walks the RTT one neighborQ entry remembers
 // through its life — none before a sweep, the heartbeat's after one, none
 // for a host an exchange moved out of the slot and the new host's after the
-// next sweep, and none once a failed heartbeat evicted the link — while
+// next sweep, and none once an unanswered heartbeat evicted the link — while
 // readers measure through the queue concurrently, on wall time: one runs
-// measure and two answer TMeasure lists, each waiting for its outcome.
-// Every RTT a reader gets must be the ground truth. No call waits on a
-// deadline: the loopback answers inline, and a send to a refused host fails
-// at once. Run it under go test -race -count=10 -run TestNeighborTableLifetime.
+// measure and two answer TMeasure lists, each waiting for its outcome, the
+// silent host's on a deadline that fires on a timer goroutine. Every RTT a
+// reader gets must be the ground truth.
+// Run it under go test -race -count=10 -run TestNeighborTableLifetime.
 func TestNeighborTableLifetime(t *testing.T) {
 	net := &hookNet{Loopback: transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf})}
 	rt := quietRuntime(t, 16, core.PROPG, net, silentMS, nil)
@@ -505,12 +505,12 @@ func TestNeighborTableLifetime(t *testing.T) {
 	}
 	answered(stranger)
 
-	// A failed heartbeat evicts the link and forgets the RTT.
+	// An unanswered heartbeat evicts the link and forgets the RTT.
 	quiet := nbrs[0]
-	net.refused.Store(int64(quiet) + 1)
+	net.silent.Store(int64(quiet) + 1)
 	evicts := rt.Counters().SuspectEvictions
 	sweep(t, rt, a)
-	net.refused.Store(0)
+	net.silent.Store(0)
 	if got := rt.Counters().SuspectEvictions - evicts; got != 1 || linked(rt, a, quiet) {
 		t.Fatalf("%d evictions, link to %d kept: %v; want the one link evicted", got, quiet, linked(rt, a, quiet))
 	}

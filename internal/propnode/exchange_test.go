@@ -3,7 +3,6 @@ package propnode
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"math"
 	"slices"
 	"sync"
@@ -21,12 +20,12 @@ import (
 // hookNet wraps a loopback so a test can act on the wire: every endpoint it
 // opens calls onSend (if set) before each Send, and the sends of the host
 // held in silent (plus one; 0 is none) vanish, as do those drop (if set)
-// returns true for; sends to the host held in refused (plus one) fail.
+// returns true for.
 type hookNet struct {
 	*transport.Loopback
-	onSend          func(from, to int, m transport.Message)
-	drop            func(from, to int, m transport.Message) bool
-	silent, refused atomic.Int64
+	onSend func(from, to int, m transport.Message)
+	drop   func(from, to int, m transport.Message) bool
+	silent atomic.Int64
 }
 
 type hookEndpoint struct {
@@ -48,9 +47,6 @@ func (e *hookEndpoint) Send(to int, m transport.Message) error {
 	}
 	if e.net.silent.Load() == int64(e.Host())+1 || (e.net.drop != nil && e.net.drop(e.Host(), to, m)) {
 		return nil
-	}
-	if e.net.refused.Load() == int64(to)+1 {
-		return errors.New("refused")
 	}
 	return e.Endpoint.Send(to, m)
 }
@@ -87,6 +83,13 @@ func quietRuntime(t *testing.T, n int, policy core.Policy, net transport.Network
 		t.Fatalf("start: %v", err)
 	}
 	return rt
+}
+
+// agentOf returns host's agent.
+func agentOf(rt *Runtime, host int) *agent {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.agents[host]
 }
 
 // twoHopPartner finds a walk u→s→v from host 0's slot such that policy has
@@ -152,10 +155,7 @@ func TestStaleEvaluationIsRejected(t *testing.T) {
 			}
 			// The agent's cycle opens as its probe timer would; the walk's
 			// reply is path.
-			rt.mu.Lock()
-			a := rt.agents[hostU]
-			rt.mu.Unlock()
-			reach(rt, a, u, path)
+			reach(rt, agentOf(rt, hostU), u, path)
 			rt.Stop()
 			committed := rt.Counters().Exchanges == 1
 
@@ -393,9 +393,7 @@ func TestMeasureRelayRejectsNonFiniteRTT(t *testing.T) {
 	}
 	relay := transport.NewNode(ep)
 	defer relay.Close()
-	rt.mu.Lock()
-	a := rt.agents[0]
-	rt.mu.Unlock()
+	a := agentOf(rt, 0)
 	// Host 0 measures pairs 0, 2 and 5 itself; partner 99 measures 1, 3, 4.
 	pairs := [][2]int{{0, 1}, {99, 1}, {0, 2}, {99, 2}, {99, 3}, {0, 3}}
 	good := []float64{2, 4, 6}
@@ -452,9 +450,7 @@ func TestHandleMeasureReplies(t *testing.T) {
 	}
 	rt := quietRuntime(t, 4, core.PROPG, net, 5, event.New())
 	defer rt.Stop()
-	rt.mu.Lock()
-	a := rt.agents[1]
-	rt.mu.Unlock()
+	a := agentOf(rt, 1)
 	ep, err := rt.net.Open(99)
 	if err != nil {
 		t.Fatal(err)
@@ -529,9 +525,7 @@ func TestCounterPerReason(t *testing.T) {
 // holds no live slot — starts none and used to count one anyway.
 func TestProbesCountOnlyStartedCycles(t *testing.T) {
 	rt := quietRuntime(t, 8, core.PROPG, transport.NewLoopback(transport.LoopbackConfig{DelayMS: clusterHalf}), 1000, event.New())
-	rt.mu.Lock()
-	live, stale := rt.agents[2], rt.agents[3]
-	rt.mu.Unlock()
+	live, stale := agentOf(rt, 2), agentOf(rt, 3)
 	rt.probeOnce(live)
 	if err := rt.Crash(3); err != nil {
 		t.Fatal(err)
@@ -547,36 +541,38 @@ func TestProbesCountOnlyStartedCycles(t *testing.T) {
 // TestLostWalkEndsWalkLost drops every reply to one probe's walk: the call
 // fails once the transport's retransmits are spent, and the cycle ends
 // WalkLost — not WalkFailed, the dead-ended walk's reason — with no resend
-// of the driver's own, leaving the agent free to fire again.
+// of the driver's own, leaving the agent free to fire again. Stop returns
+// only after that end, on wall time (it waits for the call's last deadline)
+// as on an engine (it steps to it).
 func TestLostWalkEndsWalkLost(t *testing.T) {
-	var walks atomic.Uint64
-	net := &hookNet{
-		Loopback: transport.NewLoopback(transport.LoopbackConfig{}),
-		onSend: func(from, _ int, m transport.Message) {
-			if from == 0 && m.Type == transport.TWalk {
-				walks.Add(1)
-			}
-		},
-		drop: func(_, to int, m transport.Message) bool { return to == 0 && m.Type == transport.TWalkReply },
-	}
-	rt := quietRuntime(t, 8, core.PROPG, net, 1, event.New())
-	rt.mu.Lock()
-	a := rt.agents[0]
-	rt.mu.Unlock()
-	rt.probeOnce(a)
-	rt.Stop() // steps the engine until the walk's call failed and its cycle ended
+	for _, clock := range []event.Clock{nil, event.New()} {
+		var walks atomic.Uint64
+		net := &hookNet{
+			Loopback: transport.NewLoopback(transport.LoopbackConfig{}),
+			onSend: func(from, _ int, m transport.Message) {
+				if from == 0 && m.Type == transport.TWalk {
+					walks.Add(1)
+				}
+			},
+			drop: func(_, to int, m transport.Message) bool { return to == 0 && m.Type == transport.TWalkReply },
+		}
+		rt := quietRuntime(t, 8, core.PROPG, net, 1, clock)
+		a := agentOf(rt, 0)
+		rt.probeOnce(a)
+		rt.Stop()
 
-	c := rt.Counters()
-	if c.Probes != 1 || c.WalkFailures != 1 || rt.ends[core.WalkLost].Load() != 1 {
-		t.Fatalf("counters %+v, WalkLost ends %d; want one probe ending WalkLost", c, rt.ends[core.WalkLost].Load())
-	}
-	if n := walks.Load(); n != 1+callRetries {
-		t.Fatalf("host 0 sent %d walks, want the call's %d transmissions", n, 1+callRetries)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if step := a.cyc.Fired(&a.round, rt.o.Neighbors(rt.o.SlotOfHost(0))); step.Kind != core.Walk {
-		t.Fatalf("the next firing gave %+v, want a Walk: the lost walk stranded the cycle", step)
+		c := rt.Counters()
+		if c.Probes != 1 || c.WalkFailures != 1 || rt.ends[core.WalkLost].Load() != 1 {
+			t.Fatalf("clock %T: counters %+v, WalkLost ends %d; want one probe ending WalkLost", clock, c, rt.ends[core.WalkLost].Load())
+		}
+		if n := walks.Load(); n != 1+callRetries {
+			t.Fatalf("clock %T: host 0 sent %d walks, want the call's %d transmissions", clock, n, 1+callRetries)
+		}
+		a.mu.Lock()
+		if step := a.cyc.Fired(&a.round, rt.o.Neighbors(rt.o.SlotOfHost(0))); step.Kind != core.Walk {
+			t.Fatalf("clock %T: the next firing gave %+v, want a Walk: the lost walk stranded the cycle", clock, step)
+		}
+		a.mu.Unlock()
 	}
 }
 

@@ -80,11 +80,15 @@ func until(e *event.Engine, ms event.Time, cond func() bool) bool {
 }
 
 // settle steps rt's engine until cond holds, for at most a minute of
-// simulated time; on wall time cond must hold already: an input that needs
-// no deadline ends before the call that made it returns.
+// simulated time; on wall time, where an input that waits on no deadline
+// ends before the call that made it returns, it reads cond each
+// millisecond for at most ten seconds.
 func settle(t *testing.T, rt *Runtime, what string, cond func() bool) bool {
 	t.Helper()
 	e, _ := rt.cfg.Clock.(*event.Engine)
+	for end := time.Now().Add(10 * time.Second); e == nil && !cond() && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
 	if e == nil && cond() || e != nil && until(e, 60_000, cond) {
 		return true
 	}
@@ -251,8 +255,9 @@ func TestEngineRunIsSeedDeterministic(t *testing.T) {
 // TestRuntimeSoakChurnRace is the live runtime's -race soak: agents
 // probing and exchanging concurrently while a churn driver joins, leaves
 // and crash-stops nodes, repairs and reconnects the overlay — every call the
-// chaos harness makes — for a bounded wall-clock budget. At quiesce the
-// audit invariants must hold on the shared overlay.
+// chaos harness makes — for a bounded wall-clock budget. Once Stop returns,
+// every cycle that started has ended, and the audit invariants hold on the
+// shared overlay.
 func TestRuntimeSoakChurnRace(t *testing.T) {
 	inj, err := faults.NewInjector(faults.Config{Seed: 99, LossProb: 0.01, DupProb: 0.01})
 	if err != nil {
@@ -326,6 +331,9 @@ loop:
 	if c.Probes == 0 {
 		t.Fatal("soak fired no probes")
 	}
+	if ends := c.Exchanges + c.Rejected + c.WalkFailures + c.MeasureFailures; ends != c.Probes {
+		t.Fatalf("%d cycle ends for %d probes after Stop, want one each: %+v", ends, c.Probes, c)
+	}
 	if ops < 10 {
 		t.Fatalf("churn driver only ran %d ops", ops)
 	}
@@ -340,9 +348,7 @@ func TestRuntimeMeasureRelayFailurePoisonsExchange(t *testing.T) {
 	rt, _ := engineRuntime(t, 12, Config{Policy: core.PROPG, Seed: 9, ProbeIntervalMS: quietMS}, nil)
 	defer rt.Stop()
 
-	rt.mu.Lock()
-	a := rt.agents[0]
-	rt.mu.Unlock()
+	a := agentOf(rt, 0)
 	if a == nil {
 		t.Fatal("no agent for host 0")
 	}
