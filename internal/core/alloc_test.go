@@ -14,13 +14,13 @@ import (
 	"repro/internal/rng"
 )
 
-// TestProbeCycleAllocatesOnlyItsTimer pins the O(degree) probe cycle: once
-// the driver's scratch has grown to the local degree, one PROP-G cycle —
+// TestProbeCycleAllocatesNothing pins the O(degree) probe cycle: once the
+// driver's scratch has grown to the local degree, one PROP-G cycle —
 // liveness eviction, Reconcile, first hop, walk or random pick, delivery
-// past the injector, Var evaluation, swap, Finish — costs exactly one heap
-// allocation, the event item of the node's next timer. The evaluation's pair
-// and RTT lists are part of that scratch: reused, not re-made.
-func TestProbeCycleAllocatesOnlyItsTimer(t *testing.T) {
+// past the injector, Var evaluation, swap, Finish — allocates nothing. The
+// evaluation's pair and RTT lists are part of that scratch: reused, not
+// re-made; the node's timer re-arms its own queue item in place.
+func TestProbeCycleAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		randomProbe bool
@@ -56,8 +56,8 @@ func TestProbeCycleAllocatesOnlyItsTimer(t *testing.T) {
 			before := p.Counters
 			pairsCap, rttCap := cap(p.sc.Pairs), cap(p.sc.RTT)
 			const cycles = 2000
-			if got := testing.AllocsPerRun(cycles, func() { e.Step() }); got != 1 {
-				t.Fatalf("%v allocations per probe cycle, want 1 (the timer item)", got)
+			if got := testing.AllocsPerRun(cycles, func() { e.Step() }); got != 0 {
+				t.Fatalf("%v allocations per probe cycle, want 0", got)
 			}
 			if pairsCap == 0 || cap(p.sc.Pairs) != pairsCap || cap(p.sc.RTT) != rttCap {
 				t.Fatalf("pair/RTT buffers grew %d/%d → %d/%d after warm-up, want them reused",

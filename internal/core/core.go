@@ -510,11 +510,10 @@ type Protocol struct {
 type leg struct{ k, entry int32 }
 
 // nodeState is the sequential driver's per-slot bookkeeping around the
-// peer's Cycle: the pending timer and its callback.
+// peer's Cycle: its probe timer, made once at register and re-armed in place.
 type nodeState struct {
 	Cycle
-	token event.Canceler
-	fire  func() // the node's timer callback, built once at register
+	timer event.Timer
 }
 
 // New creates a protocol instance over o. The overlay should already be
@@ -567,14 +566,14 @@ func (p *Protocol) Start(e event.Clock) {
 // register creates protocol state for slot and schedules its first probe.
 func (p *Protocol) register(e event.Clock, slot int) {
 	st := &nodeState{Cycle: Cycle{Peer: Peer{TimerMS: p.cfg.InitTimerMS}}}
-	st.fire = func() { p.probe(e, slot) }
+	st.timer = e.Timer(func() { p.probe(e, slot) })
 	st.Init(p.O.Neighbors(slot), p.r)
 	for len(p.nodes) <= slot {
 		p.nodes = append(p.nodes, nil)
 	}
 	p.nodes[slot] = st
 	delay := event.Time(p.r.Float64() * p.cfg.InitTimerMS)
-	st.token = e.Schedule(delay, st.fire)
+	st.timer.Reset(delay)
 }
 
 // node returns slot's protocol state, or nil if it is not registered.
@@ -585,11 +584,11 @@ func (p *Protocol) node(slot int) *nodeState {
 	return p.nodes[slot]
 }
 
-// unregister cancels slot's pending probe and forgets the node, which
-// strands any in-flight retransmit chain.
+// unregister stops slot's probe timer and forgets the node, which strands
+// any in-flight retransmit chain.
 func (p *Protocol) unregister(slot int) {
 	if st := p.node(slot); st != nil {
-		st.token.Cancel()
+		st.timer.Stop()
 		p.nodes[slot] = nil
 	}
 }
@@ -647,8 +646,7 @@ func (p *Protocol) onNeighborChange(e event.Clock, slot int) {
 	if st == nil {
 		return
 	}
-	st.token.Cancel()
-	st.token = e.Schedule(event.Time(st.Reset(&p.round).Delay), st.fire)
+	st.timer.Reset(event.Time(st.Reset(&p.round).Delay))
 }
 
 // probe is one timer firing for slot u: the first input of its cycle. Under
@@ -704,7 +702,7 @@ func (p *Protocol) run(e event.Clock, u int, st *nodeState, step Step) {
 			step = st.Committed(&p.round, p.propose(float64(e.Now()), u, ver, path))
 		case End:
 			p.tally(e, u, step.Reason)
-			st.token = e.Schedule(event.Time(step.Delay), st.fire)
+			st.timer.Reset(event.Time(step.Delay))
 			return
 		default: // Ignore
 			p.Counters.StaleTimers++
@@ -798,7 +796,7 @@ func (p *Protocol) propose(now float64, u int, ver uint32, path []int) bool {
 // retransmitDelay is the back-off before retransmission attempt+1:
 // probeTimeoutMS × 2^attempt, scaled by the jitter.
 func (p *Protocol) retransmitDelay(attempt int) event.Time {
-	return event.Time(probeTimeoutMS * float64(uint64(1)<<uint(attempt)) * (1 + backoffJitter*p.r.Float64()))
+	return event.Time(probeTimeoutMS * float64(uint64(1)<<uint(attempt)) * (1 + float64(backoffJitter*p.r.Float64())))
 }
 
 // findPartner locates the exchange counterpart: a TTL-nhops random walk
@@ -883,7 +881,7 @@ func (p *Protocol) measurePairs(now float64, sc *overlay.Scratch) int {
 			return int(l.k)
 		}
 		if p.cfg.MeasurementNoise > 0 {
-			rtt[l.k] = max(0, rtt[l.k]*(1+p.cfg.MeasurementNoise*p.r.NormFloat64()))
+			rtt[l.k] = max(0, rtt[l.k]*(1+float64(p.cfg.MeasurementNoise*p.r.NormFloat64())))
 		}
 		rtt[l.k] += d.DelayMS
 		if l.entry >= 0 {

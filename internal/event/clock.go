@@ -2,21 +2,8 @@ package event
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// Canceler is the cancellation face of a scheduled timer: the engine's Token
-// and the WallClock's timers both implement it, so protocol code keeps one
-// stale-timer discipline (cancel on churn, Pending as a stale-fire guard)
-// on either clock.
-type Canceler interface {
-	// Cancel prevents a pending firing and reports whether it did; false is
-	// the stale-timer race (the handler already ran or another Cancel won).
-	Cancel() bool
-	// Pending reports whether the timer is still scheduled.
-	Pending() bool
-}
 
 // Timer is a re-armable timer, made stopped by Clock.Timer or NewTimer.
 type Timer interface {
@@ -34,7 +21,7 @@ func NewTimer(c Clock, f func()) Timer {
 	if c != nil {
 		return c.Timer(f)
 	}
-	return (*WallClock)(nil).timer(f, false)
+	return (*WallClock)(nil).Timer(f)
 }
 
 // Clock is the scheduling seam between the PROP protocols and their
@@ -46,10 +33,11 @@ func NewTimer(c Clock, f func()) Timer {
 type Clock interface {
 	// Now returns the current time in milliseconds.
 	Now() Time
-	// Schedule runs f d milliseconds from now and returns a cancellation
-	// handle. Implementations run handlers one at a time, so scheduled code
-	// needs no locking against other handlers on the same clock.
-	Schedule(d Time, f func()) Canceler
+	// Schedule runs f once, d milliseconds from now. Implementations run
+	// handlers one at a time, so scheduled code needs no locking against
+	// other handlers on the same clock. The event cannot be cancelled; a
+	// Timer can.
+	Schedule(d Time, f func())
 	// Timer returns a stopped Timer that runs f, as Schedule runs its
 	// handlers, each time it fires.
 	Timer(f func()) Timer
@@ -101,24 +89,17 @@ func (c *WallClock) Now() Time {
 // Unlike the engine — where scheduling in the past is a protocol bug — a
 // non-positive delay fires as soon as the runner is free: wall time advances
 // between computing a deadline and scheduling it, so "already due" is an
-// environmental condition here. It is a Timer armed once, whose firing
-// and Cancel race for one claim.
-func (c *WallClock) Schedule(d Time, f func()) Canceler {
-	w := c.timer(f, true)
-	w.Reset(d)
-	return (*oneShot)(w)
-}
+// environmental condition here. It is a Timer armed once.
+func (c *WallClock) Schedule(d Time, f func()) { c.Timer(f).Reset(d) }
 
 // Timer returns a stopped timer that runs f on the runner goroutine each time
 // it fires; Reset arms it. It is made once: neither Reset nor a firing
 // allocates.
-func (c *WallClock) Timer(f func()) Timer { return c.timer(f, false) }
-
-func (c *WallClock) timer(f func(), once bool) *wallTimer {
+func (c *WallClock) Timer(f func()) Timer {
 	if f == nil {
 		panic("event: nil handler")
 	}
-	w := &wallTimer{c: c, f: f, once: once}
+	w := &wallTimer{c: c, f: f}
 	w.t = time.AfterFunc(time.Hour, w.fire)
 	w.t.Stop()
 	return w
@@ -137,19 +118,12 @@ func (c *WallClock) Stop() {
 // goroutine); once the clock is stopped, a firing is dropped. Reset and Stop
 // are safe from any goroutine.
 type wallTimer struct {
-	c     *WallClock
-	f     func()
-	t     *time.Timer
-	once  bool         // a Schedule timer: its firing and Cancel claim state
-	state atomic.Int32 // once's claim
+	c *WallClock
+	f func()
+	t *time.Timer
 }
 
 func (w *wallTimer) fire() {
-	// Claim the firing before enqueueing so a concurrent Cancel either
-	// prevents the handler entirely or observes it as already done.
-	if w.once && !w.state.CompareAndSwap(statePending, stateDone) {
-		return
-	}
 	if w.c == nil {
 		w.f()
 		return
@@ -170,19 +144,3 @@ func (w *wallTimer) Reset(d Time) {
 // Stop prevents w's pending firing, with time.Timer.Stop's meaning: false if
 // w already fired — its handler may be yet to run — or was not armed.
 func (w *wallTimer) Stop() bool { return w.t.Stop() }
-
-// oneShot is a Schedule timer's Canceler face.
-type oneShot wallTimer
-
-// Cancel prevents a pending firing; it reports false when the timer already
-// claimed its firing (the live-path stale-timer race) or was cancelled.
-func (t *oneShot) Cancel() bool {
-	if !t.state.CompareAndSwap(statePending, stateCancelled) {
-		return false
-	}
-	t.t.Stop()
-	return true
-}
-
-// Pending reports whether the timer has neither fired nor been cancelled.
-func (t *oneShot) Pending() bool { return t.state.Load() == statePending }

@@ -7,16 +7,15 @@
 // achieves parallelism by running many independent engines (one per trial
 // seed) concurrently.
 //
-// Key types: Engine, Time (simulated milliseconds), and Token (handle for
-// cancellation). See DESIGN.md §1 for the engine's place in the stack;
-// observability series are stamped with this clock (DESIGN.md §8).
+// Key types: Engine, Time (simulated milliseconds), and Timer (a
+// re-armable timer, the only cancellable event). See DESIGN.md §1 for the
+// engine's place in the stack; observability series are stamped with this
+// clock (DESIGN.md §8).
 package event
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Time is simulated time in milliseconds since the start of the run.
@@ -37,8 +36,9 @@ type Engine struct {
 	Observer func(at Time, seq uint64)
 
 	now   Time
-	queue eventHeap
-	seq   uint64 // tie-breaker: FIFO among equal-time events
+	queue queue
+	free  []*item // fired one-shot items, reused by the next At or Schedule
+	seq   uint64  // tie-breaker: FIFO among equal-time events
 	steps uint64
 }
 
@@ -53,56 +53,81 @@ func (e *Engine) Steps() uint64 { return e.steps }
 
 // At schedules h to run at absolute time t. Scheduling in the past (before
 // Now) panics: it indicates a protocol bug, not an environmental condition.
-// It returns a token that can cancel the event.
-func (e *Engine) At(t Time, h Handler) *Token {
+// The event cannot be cancelled; a Timer can.
+func (e *Engine) At(t Time, h Handler) {
 	if h == nil {
 		panic("event: nil handler")
 	}
-	return e.push(t, &item{h: h})
-}
-
-// push stamps ev with its due time and FIFO sequence number and queues it.
-// The token lives inside the item, so scheduling is one allocation.
-func (e *Engine) push(t Time, ev *item) *Token {
-	if !(t >= e.now) { // also refuses NaN, which would corrupt the heap order
-		panic(fmt.Sprintf("event: scheduling at %v, not at or after now %v", t, e.now))
-	}
-	ev.at, ev.seq, ev.tok.item = t, e.seq, ev
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return &ev.tok
+	ev := e.oneShot()
+	ev.h = h
+	e.push(t, ev)
 }
 
 // After schedules h to run delay milliseconds from now. Negative delays
 // panic.
-func (e *Engine) After(delay Time, h Handler) *Token {
-	return e.At(e.now+delay, h)
+func (e *Engine) After(delay Time, h Handler) { e.At(e.now+delay, h) }
+
+// Schedule implements the Clock interface: it runs f d milliseconds from
+// now. The engine is one Clock among several (see WallClock); protocol code
+// written against Clock runs unchanged on simulated or wall time.
+func (e *Engine) Schedule(d Time, f func()) {
+	if f == nil {
+		panic("event: nil handler")
+	}
+	ev := e.oneShot()
+	ev.f = f
+	e.push(e.now+d, ev)
+}
+
+// oneShot returns a recycled item, or a new one while the free list is
+// empty: in steady state scheduling allocates nothing.
+func (e *Engine) oneShot() *item {
+	if n := len(e.free); n > 0 {
+		ev := e.free[n-1]
+		e.free = e.free[:n-1]
+		return ev
+	}
+	return &item{index: -1, recycle: true}
+}
+
+// push stamps ev with its due time and the next FIFO sequence number and
+// queues it, or, if it is queued already, moves it to its new place.
+func (e *Engine) push(t Time, ev *item) {
+	if !(t >= e.now) { // also refuses NaN, which would corrupt the heap order
+		panic(fmt.Sprintf("event: scheduling at %v, not at or after now %v", t, e.now))
+	}
+	ev.at, ev.seq = t, e.seq
+	e.seq++
+	if ev.index < 0 {
+		e.queue.push(ev)
+	} else {
+		e.queue.fix(int(ev.index))
+	}
 }
 
 // Step executes the single earliest pending event and reports whether one
 // existed.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*item)
-		// Claiming the event (pending → done) and cancelling race only when
-		// a live driver cancels tokens from another goroutine; the CAS makes
-		// that race well-defined — exactly one side wins.
-		if !ev.state.CompareAndSwap(statePending, stateDone) {
-			continue
-		}
-		if e.Observer != nil {
-			e.Observer(ev.at, ev.seq)
-		}
-		e.now = ev.at
-		e.steps++
-		if ev.f != nil {
-			ev.f()
-		} else {
-			ev.h(e)
-		}
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := e.queue.pop()
+	if e.Observer != nil {
+		e.Observer(ev.at, ev.seq)
+	}
+	e.now = ev.at
+	e.steps++
+	h, f := ev.h, ev.f
+	if ev.recycle { // before the handler runs, so what it schedules reuses ev
+		ev.h, ev.f = nil, nil
+		e.free = append(e.free, ev)
+	}
+	if f != nil {
+		f()
+	} else {
+		h(e)
+	}
+	return true
 }
 
 // RunUntil executes events in order until the clock would pass deadline or
@@ -114,14 +139,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	if math.IsNaN(float64(deadline)) { // no event would ever be past it
 		panic("event: RunUntil at NaN")
 	}
-	for len(e.queue) > 0 {
-		next := e.peek()
-		if next == nil {
-			break
-		}
-		if next.at > deadline {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
@@ -129,112 +147,123 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-func (e *Engine) peek() *item {
-	for len(e.queue) > 0 {
-		if e.queue[0].state.Load() == statePending {
-			return e.queue[0]
-		}
-		heap.Pop(&e.queue)
-	}
-	return nil
-}
-
-// Schedule implements the Clock interface: it runs f d milliseconds from
-// now. The engine is one Clock among several (see WallClock); protocol code
-// written against Clock runs unchanged on simulated or wall time.
-func (e *Engine) Schedule(d Time, f func()) Canceler {
-	if f == nil {
-		panic("event: nil handler")
-	}
-	return e.push(e.now+d, &item{f: f})
-}
-
 // Timer implements the Clock interface: a stopped timer that runs f on the
-// engine each time it fires. A Reset cancels the pending firing's event and
-// schedules one at max(d, 0) from now.
+// engine each time it fires. The timer owns one queue item for its life:
+// Reset re-keys it in place and Stop takes it out, so neither allocates.
 func (e *Engine) Timer(f func()) Timer {
 	if f == nil {
 		panic("event: nil handler")
 	}
-	return &engineTimer{e: e, f: f}
+	return &engineTimer{item: item{f: f, index: -1}, e: e}
 }
 
-// engineTimer is a re-armable timer on an Engine: tok is its last firing's.
+// engineTimer is a re-armable timer on an Engine, queued while armed.
 type engineTimer struct {
-	e   *Engine
-	f   func()
-	tok *Token
+	item
+	e *Engine
 }
 
-func (t *engineTimer) Reset(d Time) {
-	t.tok.Cancel()
-	t.tok = t.e.push(t.e.now+max(d, 0), &item{f: t.f})
-}
+// Reset arms t max(d, 0) from now with a fresh sequence number, as if its
+// pending firing were cancelled and a new event scheduled.
+func (t *engineTimer) Reset(d Time) { t.e.push(t.e.now+max(d, 0), &t.item) }
 
-func (t *engineTimer) Stop() bool { return t.tok.Cancel() }
-
-// Token cancels a scheduled event. Cancel and Pending are safe to call from
-// any goroutine — the live runtime cancels sim-style tokens from transport
-// goroutines — though the engine itself must still be stepped from a single
-// goroutine.
-type Token struct{ item *item }
-
-// Cancel marks the event as cancelled; it will be skipped when its time
-// comes. It reports whether the call actually prevented a pending event:
-// false means the event had already executed or been cancelled, which is
-// precisely the stale-timer race — a retransmit timer whose response arrived
-// in the same tick — so callers can count it (metrics.Counters.StaleTimers)
-// instead of silently double-cancelling. Concurrent Cancel calls on the same
-// token resolve atomically: exactly one reports true for a pending event.
-func (t *Token) Cancel() bool {
-	if t == nil || t.item == nil {
+func (t *engineTimer) Stop() bool {
+	if t.index < 0 {
 		return false
 	}
-	return t.item.state.CompareAndSwap(statePending, stateCancelled)
+	t.e.queue.remove(int(t.index))
+	return true
 }
 
-// Pending reports whether the event is still scheduled: not yet executed and
-// not cancelled. Timer handlers use this for stale-fire guards — a handler
-// that captured its own token can tell whether it is the current incarnation
-// of the timer.
-func (t *Token) Pending() bool {
-	return t != nil && t.item != nil && t.item.state.Load() == statePending
-}
-
-// Timer lifecycle states shared by the engine's Token and the WallClock's
-// timers: pending → done (fired) or pending → cancelled, decided by CAS so
-// that a handler firing and a cross-goroutine Cancel never both win.
-const (
-	statePending int32 = iota
-	stateDone
-	stateCancelled
-)
-
+// item is one queued event, keyed by (at, seq); index is its heap slot, -1
+// while it is not queued.
 type item struct {
-	at    Time
-	seq   uint64
-	h     Handler // set by At/After
-	f     func()  // set by Schedule; exactly one of h and f is non-nil
-	state atomic.Int32
-	tok   Token
+	at      Time
+	seq     uint64
+	h       Handler // set by At/After
+	f       func()  // set by Schedule and Timer; exactly one of h and f is non-nil
+	index   int32
+	recycle bool // a one-shot: back to the free list once it fires
 }
 
-type eventHeap []*item
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *item) before(b *item) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*item)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+
+// queue is a binary min-heap of items ordered by (at, seq).
+type queue []*item
+
+func (q *queue) push(ev *item) {
+	ev.index = int32(len(*q))
+	*q = append(*q, ev)
+	q.up(int(ev.index))
+}
+
+func (q *queue) pop() *item {
+	ev := (*q)[0]
+	q.remove(0)
+	return ev
+}
+
+// remove takes out the item at slot i.
+func (q *queue) remove(i int) {
+	h := *q
+	n := len(h) - 1
+	ev := h[i]
+	if i != n {
+		h[i] = h[n]
+		h[i].index = int32(i)
+	}
+	h[n] = nil
+	*q = h[:n]
+	if i != n {
+		q.fix(i)
+	}
+	ev.index = -1
+}
+
+// fix restores the heap order after the key at slot i changed.
+func (q queue) fix(i int) {
+	if !q.down(i) {
+		q.up(i)
+	}
+}
+
+func (q queue) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q[i].before(q[p]) {
+			return
+		}
+		q.swap(i, p)
+		i = p
+	}
+}
+
+// down sifts slot i toward the leaves and reports whether it moved.
+func (q queue) down(i int) bool {
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if r := c + 1; r < len(q) && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(q[i]) {
+			break
+		}
+		q.swap(i, c)
+		i = c
+	}
+	return i > start
+}
+
+func (q queue) swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index, q[j].index = int32(i), int32(j)
 }

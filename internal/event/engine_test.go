@@ -93,59 +93,62 @@ func TestNilHandlerPanics(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := New()
 	fired := false
-	tok := e.At(10, func(*Engine) { fired = true })
-	tok.Cancel()
-	tok.Cancel()   // idempotent
-	e.RunUntil(20) // peek discards the cancelled head and finds none
+	w := e.Timer(func() { fired = true })
+	w.Reset(10)
+	w.Stop()
+	w.Stop()       // idempotent
+	e.RunUntil(20) // the stopped item left the queue: nothing is due
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("stopped timer fired")
 	}
-	if e.Steps() != 0 {
-		t.Fatalf("Steps = %d, want 0", e.Steps())
+	if e.Steps() != 0 || len(e.queue) != 0 {
+		t.Fatalf("Steps = %d with %d queued, want 0 and 0", e.Steps(), len(e.queue))
 	}
-	var nilTok *Token
-	nilTok.Cancel() // must not panic
 }
 
 func TestCancelReportsPendingPrevention(t *testing.T) {
 	e := New()
-	tok := e.At(10, func(*Engine) {})
-	if !tok.Pending() {
-		t.Fatal("fresh token not Pending")
+	w := e.Timer(func() {})
+	if w.Stop() {
+		t.Fatal("Stop of a timer never armed reported true")
 	}
-	if !tok.Cancel() {
-		t.Fatal("first Cancel of a pending event reported false")
+	w.Reset(10)
+	if !w.Stop() {
+		t.Fatal("first Stop of an armed timer reported false")
 	}
-	if tok.Cancel() {
-		t.Fatal("second Cancel reported true")
-	}
-	if tok.Pending() {
-		t.Fatal("cancelled token still Pending")
+	if w.Stop() {
+		t.Fatal("second Stop reported true")
 	}
 
-	// After execution, Cancel must report false: the stale-timer case.
-	tok2 := e.At(20, func(*Engine) {})
+	// After the firing, Stop must report false: the stale-timer case.
+	w.Reset(20)
 	drain(e)
-	if tok2.Pending() {
-		t.Fatal("executed token still Pending")
-	}
-	if tok2.Cancel() {
-		t.Fatal("Cancel after execution reported true")
-	}
-
-	var nilTok *Token
-	if nilTok.Cancel() || nilTok.Pending() {
-		t.Fatal("nil token reported live state")
+	if w.Stop() {
+		t.Fatal("Stop after the firing reported true")
 	}
 }
 
 func TestStaleTimerFire(t *testing.T) {
-	// Model a retransmit timer whose response arrives in the same tick: the
-	// response handler runs first (FIFO among equal times), tries to cancel
-	// the timer, and learns whether it was in time. If it was not — the timer
-	// already fired — the timer handler must be able to detect staleness via
-	// an epoch captured at scheduling time.
+	// Model a retransmit timer whose response arrives in the same tick:
+	// equal-time events run in scheduling order, so a response scheduled
+	// before the timer was armed runs first and stops it in time, and one
+	// scheduled after finds it fired: Stop reports the stale-timer race.
 	e := New()
+	fires := 0
+	w := e.Timer(func() { fires++ })
+	var early, late bool
+	e.At(10, func(*Engine) { early = w.Stop() })
+	w.Reset(10)
+	drain(e)
+	w.Reset(10)
+	e.At(20, func(*Engine) { late = w.Stop() })
+	drain(e)
+	if !early || late || fires != 1 {
+		t.Fatalf("early Stop %v, late Stop %v, %d fires; want true, false, 1", early, late, fires)
+	}
+
+	// A one-shot cannot be cancelled, so a handler that may outlive its
+	// purpose detects staleness via an epoch captured at scheduling time.
 	epoch := 0
 	staleFires, liveFires := 0, 0
 	schedule := func(at Time) {
@@ -158,13 +161,12 @@ func TestStaleTimerFire(t *testing.T) {
 			liveFires++
 		})
 	}
-	schedule(10)
-	// Response arrives at t=5: epoch bump invalidates the timer logically,
-	// but we "forget" to cancel — the guard must absorb the fire. The next
-	// incarnation is scheduled under the new epoch and fires live.
-	e.At(5, func(*Engine) {
+	schedule(40)
+	// Response arrives at t=35: the epoch bump invalidates the first
+	// one-shot, and the next incarnation is scheduled under the new epoch.
+	e.At(35, func(*Engine) {
 		epoch++
-		schedule(20)
+		schedule(50)
 	})
 	drain(e)
 	if staleFires != 1 || liveFires != 1 {
@@ -175,13 +177,17 @@ func TestStaleTimerFire(t *testing.T) {
 func TestCancelOneOfMany(t *testing.T) {
 	e := New()
 	var order []int
-	t1 := e.At(10, func(*Engine) { order = append(order, 1) })
+	t1 := e.Timer(func() { order = append(order, 1) })
+	t4 := e.Timer(func() { order = append(order, 4) })
+	t1.Reset(10)
+	t4.Reset(5)
 	e.At(10, func(*Engine) { order = append(order, 2) })
 	e.At(20, func(*Engine) { order = append(order, 3) })
-	t1.Cancel()
+	t1.Stop()
+	t4.Reset(10) // re-keyed behind the equal-time event scheduled before it
 	drain(e)
-	if len(order) != 2 || order[0] != 2 || order[1] != 3 {
-		t.Fatalf("order = %v, want [2 3]", order)
+	if len(order) != 3 || order[0] != 2 || order[1] != 4 || order[2] != 3 {
+		t.Fatalf("order = %v, want [2 4 3]", order)
 	}
 }
 
@@ -248,29 +254,84 @@ func TestStepOnEmpty(t *testing.T) {
 	}
 }
 
+// TestRandomScheduleOrderProperty is the queue's differential guard: random
+// one-shots, steps and Reset/Stop calls on many timers, against a model that
+// keeps every pending event's (at, seq) key in a slice. Each step must run
+// the model's earliest event under the key the model gave it.
 func TestRandomScheduleOrderProperty(t *testing.T) {
-	f := func(times []uint16) bool {
+	type pending struct {
+		at  Time
+		seq uint64
+		id  int // a timer's index, or timers + a one-shot's number
+	}
+	const timers = 8
+	f := func(ops []uint16) bool {
 		e := New()
-		var fired []Time
-		for _, raw := range times {
-			at := Time(raw)
-			e.At(at, func(en *Engine) { fired = append(fired, en.Now()) })
+		var model []pending
+		var seq uint64
+		add := func(at Time, id int) {
+			model = append(model, pending{at, seq, id})
+			seq++
 		}
-		drain(e)
-		if len(fired) != len(times) {
+		take := func(id int) bool {
+			for i, p := range model {
+				if p.id == id {
+					model = append(model[:i], model[i+1:]...)
+					return true
+				}
+			}
 			return false
 		}
-		sorted := make([]Time, len(fired))
-		copy(sorted, fired)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for i := range fired {
-			if fired[i] != sorted[i] {
+		ran, gotAt, gotSeq := -1, Time(-1), uint64(0)
+		e.Observer = func(at Time, s uint64) { gotAt, gotSeq = at, s }
+		var ts [timers]Timer
+		for k := range ts {
+			ts[k] = e.Timer(func() { ran = k })
+		}
+		step := func() bool {
+			if len(model) == 0 {
+				return !e.Step()
+			}
+			sort.Slice(model, func(i, j int) bool {
+				if model[i].at != model[j].at {
+					return model[i].at < model[j].at
+				}
+				return model[i].seq < model[j].seq
+			})
+			want := model[0]
+			model = model[1:]
+			ran = -1
+			return e.Step() && ran == want.id && gotAt == want.at && gotSeq == want.seq && e.Now() == want.at
+		}
+		for n, op := range ops {
+			d, k := Time(op>>3%8)*5, int(op>>6)%timers
+			switch op % 8 {
+			case 0, 1:
+				id := timers + n
+				e.After(d, func(*Engine) { ran = id })
+				add(e.Now()+d, id)
+			case 2, 3:
+				ts[k].Reset(d - 5) // a negative delay fires now
+				take(k)
+				add(e.Now()+max(d-5, 0), k)
+			case 4:
+				if ts[k].Stop() != take(k) {
+					return false
+				}
+			default:
+				if !step() {
+					return false
+				}
+			}
+		}
+		for len(model) > 0 {
+			if !step() {
 				return false
 			}
 		}
-		return true
+		return step() && len(e.queue) == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
